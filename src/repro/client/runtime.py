@@ -9,13 +9,14 @@ projected data is shipped back over the uplink.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import UdfError, UdfExecutionError
 from repro.client.cache import ResultCache
 from repro.client.protocol import (
     ArgumentBatch,
     FinalResultBatch,
+    PushedOperations,
     RecordBatch,
     RecordResultBatch,
     ResultBatch,
@@ -73,6 +74,9 @@ class ClientRuntime:
         #: client-side view of the batching the server actually achieved.
         self.batches_handled = 0
         self.largest_batch = 0
+        #: The pushed predicate compiled last, with the PushedOperations
+        #: object it belongs to.
+        self._pushed_filter: Optional[Tuple[PushedOperations, Callable]] = None
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -84,7 +88,7 @@ class ClientRuntime:
 
     def _serve(self, simulator: Simulator, channel: Channel) -> Generator[Event, Any, None]:
         while True:
-            message: Message = yield channel.receive_at_client()
+            message: Message = channel.poll_at_client() or (yield channel.receive_at_client())
             self.messages_handled += 1
             if is_end_of_stream(message):
                 yield channel.send_to_server(end_of_stream(sender=self.name))
@@ -211,19 +215,12 @@ class ClientRuntime:
         """Apply pushed predicate and projection to the UDF-extended batch."""
         pushed = batch.pushed
         if pushed.predicate is not None and pushed.extended_schema is not None:
-            kernel = compile_filter(pushed.predicate, pushed.extended_schema)
-            mask = kernel(extended) if kernel is not None else None
-            if mask is not None:
-                origins = mask.nonzero()[0].tolist()
-            else:
-                bound = pushed.predicate.bind(
-                    pushed.extended_schema, self.registry.callables(UdfSite.CLIENT)
-                )
-                origins = [
-                    index
-                    for index, values in enumerate(extended.key_tuples())
-                    if bound(values)
-                ]
+            # Every record batch of one client-site join carries the same
+            # PushedOperations object: compile its predicate once per
+            # operator, not once per batch.
+            if self._pushed_filter is None or self._pushed_filter[0] is not pushed:
+                self._pushed_filter = (pushed, self._compile_pushed_filter(pushed))
+            origins = self._pushed_filter[1](extended)
             surviving = extended.take(origins)
         else:
             surviving = extended
@@ -231,6 +228,34 @@ class ClientRuntime:
         if pushed.projection is not None:
             surviving = surviving.project(pushed.projection)
         return surviving, origins
+
+    def _compile_pushed_filter(
+        self, pushed: PushedOperations
+    ) -> Callable[[RowBatch], List[int]]:
+        """``extended batch -> surviving row indexes`` for a pushed predicate.
+
+        The column kernel answers when it can; the scalar predicate is bound
+        on the first batch that needs it.
+        """
+        kernel = compile_filter(pushed.predicate, pushed.extended_schema)
+        bound = None
+
+        def origins_of(extended: RowBatch) -> List[int]:
+            nonlocal bound
+            mask = kernel(extended) if kernel is not None else None
+            if mask is not None:
+                return mask.nonzero()[0].tolist()
+            if bound is None:
+                bound = pushed.predicate.bind(
+                    pushed.extended_schema, self.registry.callables(UdfSite.CLIENT)
+                )
+            return [
+                index
+                for index, values in enumerate(extended.key_tuples())
+                if bound(values)
+            ]
+
+        return origins_of
 
     def _invoke(self, udf: UdfDefinition, arguments: Tuple[Any, ...]) -> Tuple[Any, float]:
         """Invoke ``udf``, consulting the result cache; returns (result, cpu_seconds)."""

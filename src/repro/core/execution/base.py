@@ -14,10 +14,9 @@ from repro.core.strategies import StrategyConfig
 from repro.network.message import Message, MessageKind
 from repro.relational.columns import TypedColumn, build_typed_column
 from repro.relational.operators.base import Operator
-from repro.relational.operators.sort import _NullsFirstKey
+from repro.relational.operators.sort import nulls_first_order
 from repro.relational.schema import Column, Schema
 from repro.relational.tuples import (
-    Row,
     RowBatch,
     concat_batches,
     row_size,
@@ -200,22 +199,16 @@ class RemoteUdfOperator(Operator):
         """
         return rows_size(rows, self.child_schema)
 
-    def sorted_by_arguments(self, rows: List[Row]) -> List[Row]:
-        """Rows ordered (stably) by their argument tuples, grouping duplicates."""
-        return sorted(rows, key=lambda row: _NullsFirstKey(self.argument_tuple(row)))
-
     def sorted_batch_by_arguments(
         self, batch: RowBatch
     ) -> Tuple[RowBatch, List[Tuple[Any, ...]]]:
         """``(batch stably sorted by argument tuples, the sorted tuples)``.
 
-        Column-wise equivalent of :meth:`sorted_by_arguments`; an input
-        already in argument order comes back unchanged (identity).
+        Duplicates end up adjacent, NULLs first; an input already in
+        argument order comes back unchanged (identity).
         """
         arguments = self.argument_tuples(batch)
-        order = sorted(
-            range(len(arguments)), key=lambda index: _NullsFirstKey(arguments[index])
-        )
+        order = nulls_first_order(arguments)
         if all(index == position for position, index in enumerate(order)):
             return batch, arguments
         return batch.take(order), [arguments[index] for index in order]

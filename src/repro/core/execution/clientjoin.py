@@ -123,7 +123,8 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
                 start += len(chunk)
                 sent_sizes.append(len(chunk))
                 self.refresh_window(window)
-                yield window.acquire()
+                if not window.acquire_now():
+                    yield window.acquire()
                 yield channel.send_batch_to_client(
                     MessageKind.RECORDS,
                     RecordBatch(calls=[call], rows=chunk, pushed=pushed),
@@ -136,7 +137,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
         def receiver():
             collected: List[RowBatch] = []
             while True:
-                reply = yield channel.receive_at_server()
+                reply = channel.poll_at_server() or (yield channel.receive_at_server())
                 if is_end_of_stream(reply):
                     break
                 self.check_reply(reply)

@@ -36,6 +36,7 @@ class RemoteExecutionContext:
         self.client = client
         self.network = network
         self.remote_operations = 0
+        self._events_at_start = simulator.events_processed
 
     # -- construction ------------------------------------------------------------------
 
@@ -111,6 +112,15 @@ class RemoteExecutionContext:
     def elapsed_seconds(self) -> float:
         """Total simulated time elapsed on this connection so far."""
         return self.simulator.now
+
+    @property
+    def sim_events(self) -> int:
+        """Simulator entries processed since this context was created.
+
+        On a shared simulator (multi-tenancy, scatter-gather) that includes
+        every session's entries processed meanwhile.
+        """
+        return self.simulator.events_processed - self._events_at_start
 
     @property
     def channel_stats(self) -> ChannelStats:

@@ -104,7 +104,8 @@ class NaiveUdfOperator(RemoteUdfOperator):
                 # have moved the batch size or the window since the last send.
                 if len(pending) >= self.next_batch_size():
                     self.refresh_window(window)
-                    yield window.acquire()
+                    if not window.acquire_now():
+                        yield window.acquire()
                     yield channel.send_batch_to_client(
                         MessageKind.UDF_ARGUMENTS,
                         ArgumentBatch(call=call, argument_tuples=list(pending)),
@@ -119,7 +120,8 @@ class NaiveUdfOperator(RemoteUdfOperator):
                     pending.clear()
             if pending:
                 self.refresh_window(window)
-                yield window.acquire()
+                if not window.acquire_now():
+                    yield window.acquire()
                 yield channel.send_batch_to_client(
                     MessageKind.UDF_ARGUMENTS,
                     ArgumentBatch(call=call, argument_tuples=list(pending)),
@@ -135,7 +137,7 @@ class NaiveUdfOperator(RemoteUdfOperator):
         def receiver():
             received = 0
             while True:
-                reply = yield channel.receive_at_server()
+                reply = channel.poll_at_server() or (yield channel.receive_at_server())
                 if is_end_of_stream(reply):
                     return
                 self.check_reply(reply)

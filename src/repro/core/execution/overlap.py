@@ -43,6 +43,9 @@ class InFlightWindow:
     ``capacity`` may be ``math.inf`` for free streaming and may be *resized*
     mid-run by an adaptive controller — shrinking takes effect as in-flight
     batches drain, so nothing already on the wire is disturbed.
+
+    The semi-join's tuple pipeline is the same semaphore counted in argument
+    tuples instead of batches.
     """
 
     def __init__(
@@ -73,10 +76,24 @@ class InFlightWindow:
         self._dispatch()
         return event
 
+    def acquire_now(self) -> bool:
+        """Take a slot in place when that cannot reorder the simulation.
+
+        True when a slot is free, nobody queues for one and the instant is
+        quiet (:meth:`~repro.network.simulator.Simulator.quiet`): the slot is
+        taken and counted exactly as by :meth:`acquire`, minus its zero-delay
+        event.  On False the caller falls back to ``yield window.acquire()``.
+        """
+        if self._waiters or self.in_flight >= self.capacity or not self.simulator.quiet():
+            return False
+        self._admit()
+        return True
+
     def release(self) -> None:
         """Mark one in-flight batch as answered, waking a blocked sender."""
-        if self.in_flight > 0:
-            self.in_flight -= 1
+        if self.in_flight <= 0:
+            raise SimulationError(f"{self.name}: release() without a matching acquire")
+        self.in_flight -= 1
         self._dispatch()
 
     def resize(self, capacity: float) -> None:
@@ -102,13 +119,16 @@ class InFlightWindow:
 
     # -- internal ---------------------------------------------------------------
 
+    def _admit(self) -> None:
+        self.in_flight += 1
+        self.acquired_total += 1
+        if self.in_flight > self.peak_in_flight:
+            self.peak_in_flight = self.in_flight
+
     def _dispatch(self) -> None:
         while self._waiters and self.in_flight < self.capacity:
             event, enqueued_at = self._waiters.popleft()
-            self.in_flight += 1
-            self.acquired_total += 1
-            if self.in_flight > self.peak_in_flight:
-                self.peak_in_flight = self.in_flight
+            self._admit()
             self.stall_seconds += self.simulator.now - enqueued_at
             event.succeed()
 

@@ -1,40 +1,43 @@
 """Semi-join execution of a client-site UDF (Sections 2.3.1 and 3.1.1).
 
 Architecture (paper Figure 3): on the server a *sender* and a *receiver* run
-concurrently, connected by a bounded buffer whose capacity is the pipeline
+concurrently, coupled by a bounded pipeline whose capacity is the pipeline
 concurrency factor.
 
 * The sender walks the input (optionally sorted and grouped on the argument
-  columns), eliminates argument duplicates, ships only the argument columns
-  of new argument tuples on the downlink, and enqueues every record on the
-  buffer.
+  columns), eliminates argument duplicates and ships only the argument
+  columns of new argument tuples on the downlink; every tuple it ships takes
+  a pipeline slot first.
 * The client evaluates the UDF on each received argument tuple and ships the
   bare result back on the uplink.
-* The receiver dequeues records in order; for a record carrying a new
-  argument tuple it waits for the corresponding result from the client (the
-  two streams are merged positionally, i.e. a merge join on the sorted
-  argument key); for a duplicate it reuses the cached result.  Only once a
-  record's result is in hand is its pipeline slot released, so at most
-  ``concurrency_factor`` argument tuples are in flight at any instant — a
-  factor of 1 degenerates to tuple-at-a-time execution, exactly as in the
-  paper.
+* The receiver wakes once per reply.  Results come back in shipping order,
+  so it pairs them positionally with the shipped argument tuples (a merge
+  join on the sorted argument key), caches each, and only then releases the
+  tuple's pipeline slot — at most ``concurrency_factor`` argument tuples are
+  in flight at any instant, and a factor of 1 degenerates to tuple-at-a-time
+  execution, exactly as in the paper.
+
+Rows that ship nothing (argument duplicates) cost the simulation nothing: the
+result column is assembled from the result cache after both processes have
+finished, so the hand-off between them is per reply, not per row.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.concurrency import recommended_batched_concurrency_factor
 from repro.core.execution.base import RemoteUdfOperator
-from repro.network.message import MessageKind, batch_message, end_of_stream
-from repro.network.resources import Store
+from repro.core.execution.overlap import InFlightWindow
+from repro.network.message import (
+    MessageKind,
+    batch_message,
+    end_of_stream,
+    is_end_of_stream,
+)
 from repro.relational.tuples import Row, RowBatch
-
-#: Sentinel marking the end of the record stream between sender and receiver.
-_DONE = object()
 
 
 class SemiJoinSegmentState:
@@ -129,12 +132,9 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
             udf_name=self.udf.name,
             argument_positions=tuple(range(len(self.argument_columns))),
         )
-        # Records whose arguments have been shipped but whose results have not
-        # yet been received occupy a slot here; capacity = concurrency factor.
-        in_flight = Store(simulator, capacity=factor, name="semijoin.pipeline")
-        # The record stream handed from sender to receiver (unbounded: records
-        # are small server-side state, the pipeline is what is bounded).
-        records = Store(simulator, name="semijoin.records")
+        # Argument tuples shipped (or about to be) whose results have not yet
+        # been received hold a slot here; capacity = concurrency factor.
+        pipeline = InFlightWindow(simulator, capacity=factor, name="semijoin.pipeline")
         # The shared protocol's *batch*-level window, layered over the tuple
         # pipeline: historically the semi-join sender streams any batch the
         # pipeline admits, so the default is unbounded; an explicit
@@ -143,16 +143,23 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         window = self.make_window(default=None)
 
         eliminate = self.config.eliminate_duplicates
-
         carried = self.carry_state if eliminate else None
+        result_cache: Dict[Tuple[Any, ...], Any] = (
+            carried.results if carried is not None else {}
+        )
+        # The handoff between the two processes is per reply, not per row:
+        # the sender notes the argument tuples it ships, the receiver collects
+        # the results of each reply, and since the two streams are in the same
+        # order they are paired positionally once both have finished.
+        shipped_arguments: List[Tuple[Any, ...]] = []
+        shipped_results: List[Any] = []
+        quiet = simulator.quiet
 
         def sender():
             seen: set = carried.seen if carried is not None else set()
             pending_batch: List[Tuple[Any, ...]] = []
 
             def flush():
-                if not pending_batch:
-                    return None
                 message = batch_message(
                     MessageKind.UDF_ARGUMENTS,
                     ArgumentBatch(call=call, argument_tuples=list(pending_batch)),
@@ -164,80 +171,76 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                 return message
 
             for arguments in arguments_list:
-                is_new = True
+                # Every row is a scheduling point: at a busy instant (say the
+                # shared trunk's same-instant tick is still queued behind the
+                # transmission that resumed this sender) the sender steps
+                # behind what is already queued before it ships anything more.
+                if not quiet():
+                    yield simulator.timeout(0.0)
                 if eliminate:
-                    is_new = arguments not in seen
-                    if is_new:
-                        seen.add(arguments)
-                yield records.put((arguments, is_new))
-                if is_new:
-                    # Re-read the target at every batch boundary: an adaptive
-                    # controller may have changed it since the last flush.
-                    # The window must stay double-buffered at the current
-                    # target *before* the put, or a grown batch could block
-                    # on a slot while holding an unsent batch (deadlock).
-                    target = self.next_batch_size()
-                    if adaptive:
-                        in_flight.grow_capacity(2 * target)
-                    yield in_flight.put(arguments)
-                    pending_batch.append(arguments)
-                    if len(pending_batch) >= target:
-                        self.refresh_window(window)
+                    if arguments in seen:
+                        continue
+                    seen.add(arguments)
+                # Re-read the target at every batch boundary: an adaptive
+                # controller may have changed it since the last flush.  The
+                # pipeline must stay double-buffered at the current target
+                # *before* the slot is taken, or a grown batch could block on
+                # a slot while holding an unsent batch (deadlock).
+                target = self.next_batch_size()
+                if adaptive and 2 * target > pipeline.capacity:
+                    pipeline.resize(2 * target)
+                if not pipeline.acquire_now():
+                    yield pipeline.acquire()
+                shipped_arguments.append(arguments)
+                pending_batch.append(arguments)
+                if len(pending_batch) >= target:
+                    self.refresh_window(window)
+                    if not window.acquire_now():
                         yield window.acquire()
-                        yield channel.send_to_client(flush())
-            message = flush()
-            if message is not None:
+                    yield channel.send_to_client(flush())
+            if pending_batch:
                 self.refresh_window(window)
-                yield window.acquire()
-                yield channel.send_to_client(message)
-            yield records.put(_DONE)
+                if not window.acquire_now():
+                    yield window.acquire()
+                yield channel.send_to_client(flush())
+            if not quiet():
+                yield simulator.timeout(0.0)
             yield channel.send_to_client(end_of_stream())
 
         def receiver():
-            results: List[Any] = []
-            result_cache: Dict[Tuple[Any, ...], Any] = (
-                carried.results if carried is not None else {}
-            )
-            pending_results: Deque[Any] = deque()
-            distinct_arguments = set()
-
             while True:
-                item = yield records.get()
-                if item is _DONE:
-                    break
-                arguments, is_new = item
-                distinct_arguments.add(arguments)
-                if is_new:
-                    while not pending_results:
-                        reply = yield channel.receive_at_server()
-                        self.check_reply(reply)
-                        window.release()
-                        result_batch: ResultBatch = reply.payload
-                        pending_results.extend(result_batch.results)
-                        self.observe_batch(len(result_batch.results))
-                    result = pending_results.popleft()
-                    result_cache[arguments] = result
-                    yield in_flight.get()
-                else:
-                    result = result_cache[arguments]
-                results.append(result)
-
-            # Absorb the client's end-of-stream acknowledgement.
-            yield channel.receive_at_server()
-            self.distinct_argument_count = len(distinct_arguments)
-            return results
+                reply = channel.poll_at_server() or (yield channel.receive_at_server())
+                if is_end_of_stream(reply):
+                    return
+                self.check_reply(reply)
+                window.release()
+                result_batch: ResultBatch = reply.payload
+                self.observe_batch(len(result_batch.results))
+                shipped_results.extend(result_batch.results)
+                # Only once a tuple's result is in hand is its slot released.
+                for _ in result_batch.results:
+                    pipeline.release()
 
         sender_process = simulator.process(sender(), name="semijoin.sender")
         receiver_process = simulator.process(receiver(), name="semijoin.receiver")
         # Wait for the receiver first: if the client reports a failure the
         # receiver raises immediately, even while the sender is still blocked
         # on a pipeline slot that will never be released.
-        results = yield receiver_process
+        yield receiver_process
         yield sender_process
-        self.peak_pipeline_occupancy = in_flight.peak_occupancy
-        # The window may have grown with the controller; report what it ended at.
-        self.concurrency_factor_used = int(in_flight.capacity)
+        self.peak_pipeline_occupancy = pipeline.peak_in_flight
+        # The pipeline may have grown with the controller; report what it ended at.
+        self.concurrency_factor_used = int(pipeline.capacity)
         self.finish_window(window)
-        # Results arrive in record order — the (possibly argument-sorted)
-        # input order — so the output is the input batch plus one column.
+        self.distinct_argument_count = len(set(arguments_list))
+        # With duplicate elimination every row's result is in the cache (its
+        # own shipment's, an earlier row's, or an earlier segment's);
+        # without it every row was shipped, in input order.
+        if eliminate:
+            result_cache.update(zip(shipped_arguments, shipped_results))
+            results = [result_cache[arguments] for arguments in arguments_list]
+        else:
+            results = shipped_results
+        # Results are in record order — the (possibly argument-sorted) input
+        # order — so the output is the input batch plus one column.
         return self.extended_batch(batch, results)

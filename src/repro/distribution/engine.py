@@ -531,6 +531,7 @@ class DistributedDatabase:
             remote_operations=remote_operations,
             strategy=config.strategy,
             plan_migrations=migrations,
+            sim_events=run.simulator.events_processed,
             plan_description=plan.describe() + "\n" + root.explain(),
         )
 

@@ -9,7 +9,7 @@ fall out naturally.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.errors import ChannelClosedError
 from repro.network.events import Event
@@ -116,6 +116,16 @@ class Channel:
     def receive_at_server(self) -> Event:
         """Event yielding the next message in the server's inbox."""
         return self.server_inbox.get()
+
+    def poll_at_client(self) -> Optional[Message]:
+        """The client's next message if it already arrived and the instant is
+        quiet (:meth:`Store.get_now`); ``None`` means wait on
+        :meth:`receive_at_client`."""
+        return self.client_inbox.get_now()
+
+    def poll_at_server(self) -> Optional[Message]:
+        """The server-side counterpart of :meth:`poll_at_client`."""
+        return self.server_inbox.get_now()
 
     # -- lifecycle --------------------------------------------------------------------
 

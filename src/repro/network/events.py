@@ -87,8 +87,18 @@ class Event:
             raise SimulationError(f"event {self.name!r} processed twice")
         self.processed = True
         callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        elif callbacks:
+            # The later callbacks are runnable at this instant without being
+            # on the heap; flag that so the earlier ones see a busy instant.
+            simulator = self.simulator
+            simulator._fanout += 1
+            try:
+                for callback in callbacks:
+                    callback(self)
+            finally:
+                simulator._fanout -= 1
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")

@@ -114,13 +114,17 @@ class Link:
         sender_event = Event(self.simulator, name=f"{self.name}.tx#{message.sequence}")
         sender_event.succeed(message, delay=finish_tx - now)
 
-        # Delivery into the destination mailbox after propagation.
+        # Delivery into the destination mailbox after propagation.  Nobody
+        # waits on the mailbox put, so it is posted without an event.
         arrival_delay = (finish_tx + self.latency) - now
         delivery_event = Event(self.simulator, name=f"{self.name}.rx#{message.sequence}")
-        delivery_event.add_callback(lambda event: self.destination.put(event.value))
+        delivery_event.add_callback(self._deliver)
         delivery_event.succeed(message, delay=arrival_delay)
 
         return sender_event
+
+    def _deliver(self, event: Event) -> None:
+        self.destination.post(event._value)
 
     def close(self) -> None:
         """Refuse any further sends (used for failure-injection tests)."""

@@ -10,13 +10,21 @@ execution strategies:
 
 ``put`` blocks (the putting process waits) while the store is full; ``get``
 blocks while it is empty.  Both are FIFO, preserving stream order.
+
+Both return an event, for callers that really wait.  Two shortcuts exist for
+callers that do not, and neither can reorder the simulation: :meth:`Store.post`
+enters an item whose arrival nobody waits on (a link delivering into a
+mailbox) without creating the completion event that would be dropped unread,
+and :meth:`Store.get_now` takes an item that is already there without a
+zero-delay event when the instant is quiet
+(:meth:`~repro.network.simulator.Simulator.quiet`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.network.events import Event
@@ -32,7 +40,7 @@ class Store:
         self.capacity = capacity
         self.name = name or "Store"
         self._items: Deque[Any] = deque()
-        self._put_waiters: Deque[Tuple[Event, Any]] = deque()
+        self._put_waiters: Deque[Tuple[Optional[Event], Any]] = deque()
         self._get_waiters: Deque[Event] = deque()
         # Instrumentation: peak occupancy tells us the effective pipeline
         # concurrency actually reached during a run.
@@ -56,22 +64,34 @@ class Store:
         self._dispatch()
         return event
 
+    def post(self, item: Any) -> None:
+        """Put ``item`` with no completion event: for putters that never wait.
+
+        The item enters now if there is room and otherwise queues behind the
+        earlier putters, exactly like :meth:`put`.
+        """
+        self._put_waiters.append((None, item))
+        self._dispatch()
+
+    def get_now(self, default: Any = None) -> Any:
+        """The next item if one is buffered and the instant is quiet, else ``default``.
+
+        On ``default`` the caller falls back to ``yield store.get()``.
+        """
+        if not self._items or not self.simulator.quiet():
+            return default
+        item = self._items.popleft()
+        self.total_gets += 1
+        if self._put_waiters:
+            self._dispatch()
+        return item
+
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the store is full."""
         if len(self._items) >= self.capacity and not self._get_waiters:
             return False
         self.put(item)
         return True
-
-    def grow_capacity(self, capacity: float) -> None:
-        """Raise the capacity to ``capacity`` (never shrinks), waking putters.
-
-        Used by adaptive executions whose batch size — and hence the pipeline
-        window needed for deadlock freedom — grows mid-run.
-        """
-        if capacity > self.capacity:
-            self.capacity = capacity
-            self._dispatch()
 
     # -- introspection ----------------------------------------------------------------
 
@@ -99,7 +119,8 @@ class Store:
                 self._items.append(item)
                 self.total_puts += 1
                 self.peak_occupancy = max(self.peak_occupancy, len(self._items))
-                event.succeed()
+                if event is not None:
+                    event.succeed()
                 progress = True
             if self._get_waiters and self._items:
                 event = self._get_waiters.popleft()

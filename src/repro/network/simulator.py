@@ -26,6 +26,10 @@ class Simulator:
         # kind 1 = bare callback; sequence preserves FIFO order among ties.
         self._queue: List[Tuple[float, int, int, Any]] = []
         self.events_processed = 0
+        # Non-zero while an event with several callbacks is being processed:
+        # the callbacks still to run are work queued at the current instant
+        # that the heap does not show (see :meth:`quiet`).
+        self._fanout = 0
 
     # -- clock ------------------------------------------------------------------
 
@@ -33,6 +37,20 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
+
+    def quiet(self) -> bool:
+        """Whether nothing else is queued at the current instant.
+
+        True when the heap is empty or its head is later than ``now`` (and no
+        sibling callback of the event being processed is still to run).  An
+        operation that completes at a quiet instant may skip its zero-delay
+        event: the kernel would pop that very event next and resume the same
+        process, so the order of every remaining event is unchanged.  At a
+        busy instant the event must be scheduled — same-instant order decides
+        who transmits next on a shared trunk, so it is part of the trace.
+        """
+        queue = self._queue
+        return not self._fanout and (not queue or queue[0][0] > self._now)
 
     # -- scheduling (internal API used by events) -------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational import columns as typed_columns
 from repro.relational.columns import vectorization_enabled
@@ -30,6 +30,45 @@ class _NullsFirstKey:
                 continue
             return a < b
         return False
+
+
+def _rank_keys(keys: Sequence[Tuple]) -> Optional[List]:
+    """Per-row integer sort keys ordering like :class:`_NullsFirstKey`, or ``None``.
+
+    Each key column's distinct values are sorted once (NULL ranks lowest) and
+    every row gets the rank of its value; multi-column keys become tuples of
+    ranks.  ``None`` when a value is unhashable or a NaN (not equal to
+    itself, so its place depends on the comparisons a sort happens to make).
+    """
+    rank_columns = []
+    for column in zip(*keys):
+        try:
+            distinct = set(column)
+        except TypeError:
+            return None
+        distinct.discard(None)
+        if any(value != value for value in distinct):
+            return None
+        rank = {value: position for position, value in enumerate(sorted(distinct), start=1)}
+        rank[None] = 0
+        rank_columns.append([rank[value] for value in column])
+    if len(rank_columns) == 1:
+        return rank_columns[0]
+    return list(zip(*rank_columns))
+
+
+def nulls_first_order(keys: Sequence[Tuple], reverse: bool = False) -> List[int]:
+    """Stable row order of ``keys`` (one tuple per row), NULLs first.
+
+    Equal to ``sorted(range(n), key=lambda i: _NullsFirstKey(keys[i]))``,
+    which costs a Python-level ``__lt__`` per comparison of two *rows*; here
+    only distinct *values* are compared, and the rows are ordered by integer
+    rank.  Keys that cannot be ranked take the wrapper path.
+    """
+    ranks = _rank_keys(keys)
+    if ranks is None:
+        ranks = [_NullsFirstKey(key) for key in keys]
+    return sorted(range(len(keys)), key=ranks.__getitem__, reverse=reverse)
 
 
 class Sort(Operator):
@@ -64,7 +103,7 @@ class Sort(Operator):
         Single typed NULL-free ascending keys argsort in NumPy (stable, like
         ``list.sort``); everything else — multi-key, descending, NULLs,
         untyped columns, NaNs (whose ordering must match Python's) — uses the
-        stable scalar sort with the NULLs-first key wrapper.
+        stable scalar sort with the NULLs-first key (:func:`nulls_first_order`).
         """
         positions = self._positions
         if not positions:
@@ -77,12 +116,7 @@ class Sort(Operator):
                 if column.dtype_name != "FLOAT" or not np.isnan(data).any():
                     return np.argsort(data, kind="stable").tolist()
         key_columns = [batch.column_values(position) for position in positions]
-        keys = list(zip(*key_columns))
-        return sorted(
-            range(len(batch)),
-            key=lambda index: _NullsFirstKey(keys[index]),
-            reverse=self.descending,
-        )
+        return nulls_first_order(list(zip(*key_columns)), reverse=self.descending)
 
     def describe(self) -> str:
         direction = " DESC" if self.descending else ""

@@ -83,10 +83,17 @@ class DataObject:
 class TimeSeries:
     """An immutable sequence of float observations (e.g. price quotes)."""
 
-    __slots__ = ("values",)
+    # ``_hash`` caches ``__hash__`` and stays unset until first asked for, so
+    # constructing a series (e.g. decoding a stored record) pays nothing.
+    __slots__ = ("values", "_hash")
 
     def __init__(self, values) -> None:
         self.values: Tuple[float, ...] = tuple(float(v) for v in values)
+
+    def __reduce__(self):
+        # The hash mixes in the class object, whose hash differs between
+        # processes: never let the cache travel inside a pickle.
+        return (TimeSeries, (self.values,))
 
     def serialized_size(self) -> int:
         return _BLOB_HEADER + _FLOAT_WIDTH * len(self.values)
@@ -111,7 +118,13 @@ class TimeSeries:
         return self.values < other.values
 
     def __hash__(self) -> int:
-        return hash((TimeSeries, self.values))
+        # Shipping probes the same series in several sets and dicts per row
+        # (duplicate elimination, result caches); hash the tuple once.
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._hash = hash((TimeSeries, self.values))
+            return value
 
     def __repr__(self) -> str:
         preview = ", ".join(f"{v:g}" for v in self.values[:4])

@@ -343,6 +343,7 @@ class Executor:
             peak_in_flight_batches=peak_in_flight,
             send_stall_seconds=send_stall,
             overlap_window=overlap_window,
+            sim_events=self.context.sim_events,
             plan_description=plan.explain(),
             index_lookups=index_lookups,
             index_pages_read=index_pages_read,

@@ -61,6 +61,10 @@ class ExecutionMetrics:
     peak_in_flight_batches: int = 0
     send_stall_seconds: float = 0.0
     overlap_window: Optional[int] = None
+    #: Simulator entries processed while the query ran — the host-side work
+    #: of the shipping simulation, expected to stay within a small multiple
+    #: of the message count (every session's entries on a shared simulator).
+    sim_events: int = 0
     plan_description: str = ""
     #: Multi-tenant attribution, stamped by the executor when the query ran
     #: inside a :class:`~repro.server.session.ClientSession` with a tenant,
@@ -110,6 +114,7 @@ class ExecutionMetrics:
         peak_in_flight_batches: int = 0,
         send_stall_seconds: float = 0.0,
         overlap_window: Optional[int] = None,
+        sim_events: int = 0,
         plan_description: str = "",
         index_lookups: int = 0,
         index_pages_read: int = 0,
@@ -142,6 +147,7 @@ class ExecutionMetrics:
             peak_in_flight_batches=peak_in_flight_batches,
             send_stall_seconds=send_stall_seconds,
             overlap_window=overlap_window,
+            sim_events=sim_events,
             plan_description=plan_description,
             index_lookups=index_lookups,
             index_pages_read=index_pages_read,

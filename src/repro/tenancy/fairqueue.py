@@ -144,11 +144,12 @@ class LinkScheduler:
         # Sender unblocks when serialisation ends.
         item.sender_event.succeed(item.message, delay=transmission)
 
-        # Delivery into the submitting link's own mailbox after propagation.
+        # Delivery into the submitting link's own mailbox after propagation
+        # (posted: nobody waits on the mailbox put).
         delivery = Event(
             self.simulator, name=f"{link.name}.rx#{item.message.sequence}"
         )
-        delivery.add_callback(lambda event, store=link.destination: store.put(event.value))
+        delivery.add_callback(link._deliver)
         delivery.succeed(item.message, delay=transmission + link.latency)
 
         # Chain to the next queued message once the trunk frees up.

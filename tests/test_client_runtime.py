@@ -230,6 +230,73 @@ class TestClientRuntime:
         assert record_replies[0].payload.rows == [(8,), (18,)]
         assert runtime.rows_returned == 2
 
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_pushed_predicate_compiles_once_per_operator_not_per_batch(
+        self, monkeypatch, vectorized
+    ):
+        """A batch-1 client-site join sends one RecordBatch per row, all
+        carrying the same PushedOperations: one compilation (kernel and, on
+        the scalar path, one ``bind``) must serve them all, with the rows and
+        origin indexes of per-batch compilation."""
+        import repro.client.runtime as runtime_module
+
+        compilations = []
+        real_compile = runtime_module.compile_filter
+
+        def counting_compile(predicate, schema):
+            compilations.append(predicate)
+            return real_compile(predicate, schema) if vectorized else None
+
+        monkeypatch.setattr(runtime_module, "compile_filter", counting_compile)
+        binds = []
+        real_bind = Comparison.bind
+
+        def counting_bind(self, *args, **kwargs):
+            binds.append(self)
+            return real_bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(Comparison, "bind", counting_bind)
+
+        extended = Schema([Column("value", INTEGER), Column("double_result", FLOAT)])
+        pushed = PushedOperations(
+            predicate=Comparison(">", ColumnRef("double_result"), Literal(5)),
+            projection=None,
+            extended_schema=extended,
+        )
+        call = RemoteCall("double", (0,))
+        values = [1, 4, 9, 2, 3, 7]
+
+        def messages(batches):
+            return [
+                Message(
+                    MessageKind.RECORDS,
+                    RecordBatch(calls=[call], rows=[(v,) for v in chunk], pushed=pushed),
+                    payload_bytes=4 * len(chunk),
+                )
+                for chunk in batches
+            ]
+
+        def answers(batches):
+            replies = _run_runtime(ClientRuntime(registry=self.make_registry()), messages(batches))
+            return [
+                (reply.payload.rows, reply.payload.origin_indexes)
+                for reply in replies
+                if reply.kind is MessageKind.RECORDS_WITH_RESULTS
+            ]
+
+        per_row = answers([[v] for v in values])
+        assert len(compilations) == 1
+        # Plain-tuple batches make the kernel decline, so both modes reach the
+        # scalar predicate — bound once, not once per batch.
+        assert len(binds) == 1
+        assert per_row == [
+            ([(v, 2 * v)] if 2 * v > 5 else [], [0] if 2 * v > 5 else []) for v in values
+        ]
+        # A new serve loop compiles afresh, and one big batch agrees row for row.
+        whole = answers([values])
+        assert len(compilations) == 2
+        assert whole == [([(v, 2 * v) for v in values if 2 * v > 5], [1, 2, 4, 5])]
+
     def test_unknown_udf_produces_error_message(self):
         runtime = ClientRuntime(registry=UdfRegistry())
         call = RemoteCall("missing", (0,))

@@ -162,6 +162,43 @@ class TestSemiJoin:
         assert operator.concurrency_factor_used == 3
         assert operator.peak_pipeline_occupancy <= 3
 
+    def test_pipeline_peak_reaches_the_factor_when_it_binds(self):
+        """The tuple pipeline is counted through the same window primitive as
+        the batch window; a binding factor is reached exactly, and released
+        slot for slot (an over-release would raise)."""
+        slow = NetworkConfig.symmetric(10_000.0, latency=0.25, name="latency-heavy")
+        context, udf = make_context(network=slow)
+        table = make_object_relation("Relation", 12, 64)
+        operator = SemiJoinUdfOperator(
+            TableScan(table), udf, ["Relation.DataObject"], context,
+            StrategyConfig.semi_join(concurrency_factor=4),
+        )
+        assert len(operator.run()) == 12
+        assert operator.peak_pipeline_occupancy == 4
+
+    def test_sorted_batch_by_arguments_groups_nulls_first_and_keeps_identity(self):
+        from repro.relational.schema import Schema
+        from repro.relational.table import Table
+        from repro.relational.types import DATA_OBJECT, INTEGER
+
+        context, udf = make_context()
+        objects = [DataObject(8, seed=seed) for seed in (3, 1, 2)]
+        rows = [[0, objects[0]], [1, None], [2, objects[1]], [3, objects[0]], [4, objects[2]], [5, None]]
+        table = Table("Relation", Schema.of(("Id", INTEGER), ("DataObject", DATA_OBJECT)), rows=rows)
+        operator = SemiJoinUdfOperator(
+            TableScan(table), udf, ["Relation.DataObject"], context, StrategyConfig.semi_join()
+        )
+        from repro.relational.tuples import concat_batches
+
+        batch = concat_batches(list(TableScan(table).execute_batches(16)), column_count=2)
+        ordered, arguments = operator.sorted_batch_by_arguments(batch)
+        # NULLs first, then by argument, ties in input order (stable).
+        assert [row[0] for row in ordered] == [1, 5, 2, 4, 0, 3]
+        assert arguments == [(None,), (None,), (objects[1],), (objects[2],), (objects[0],), (objects[0],)]
+        # Already ordered input comes back as the very same batch.
+        again, again_arguments = operator.sorted_batch_by_arguments(ordered)
+        assert again is ordered and again_arguments == arguments
+
     def test_higher_concurrency_hides_latency(self):
         def elapsed(factor):
             slow = NetworkConfig.symmetric(10_000.0, latency=0.25, name="latency-heavy")

@@ -118,6 +118,17 @@ class TestSortDistinctLimit:
         values = [row[0] for row in Sort(TableScan(table), ["v"]).run()]
         assert values == [None, 1, 2]
 
+    def test_multi_key_descending_sort_is_stable(self):
+        table = make_table(
+            "t",
+            (("id", INTEGER), ("a", STRING), ("b", INTEGER)),
+            [[0, "x", 1], [1, None, 2], [2, "x", 1], [3, "y", None], [4, None, 2], [5, "x", None]],
+        )
+        ascending = [row[0] for row in Sort(TableScan(table), ["a", "b"]).run()]
+        assert ascending == [1, 4, 5, 0, 2, 3]
+        descending = [row[0] for row in Sort(TableScan(table), ["a", "b"], descending=True).run()]
+        assert descending == [3, 0, 2, 5, 1, 4]
+
     def test_distinct_and_distinct_on(self, orders):
         doubled = CollectingOperator(
             TableScan(orders).output_schema(), list(TableScan(orders).run()) * 2
@@ -246,3 +257,81 @@ class TestExplain:
         text = Filter(join, Comparison(">", ColumnRef("amount"), Literal(1.0))).explain()
         assert "Filter" in text and "HashJoin" in text and "TableScan(orders)" in text
         assert text.count("\n") >= 2
+
+
+class TestNullsFirstOrder:
+    """Ordering rows by the rank of their distinct values must equal the
+    stable sort through the NULLs-first key wrapper, whatever the keys."""
+
+    @staticmethod
+    def reference(keys, reverse=False):
+        from repro.relational.operators.sort import _NullsFirstKey
+
+        return sorted(
+            range(len(keys)), key=lambda index: _NullsFirstKey(keys[index]), reverse=reverse
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_the_wrapper_sort(self, reverse):
+        import random
+
+        from repro.relational.operators.sort import nulls_first_order
+        from repro.relational.types import TimeSeries
+
+        rng = random.Random(5)
+        series = [TimeSeries([rng.randrange(4), rng.randrange(4)]) for _ in range(12)]
+        keys = [
+            (rng.choice([None, 1, 2, 2.0, 3]), rng.choice([None] + series), rng.choice("abc"))
+            for _ in range(400)
+        ]
+        assert nulls_first_order(keys, reverse=reverse) == self.reference(keys, reverse)
+
+    def test_empty_and_single_column(self):
+        from repro.relational.operators.sort import nulls_first_order
+
+        assert nulls_first_order([]) == []
+        assert nulls_first_order([(3,), (None,), (1,), (3,)]) == [1, 2, 0, 3]
+
+    def test_distinct_values_are_compared_not_rows(self):
+        """12 800 rows over a handful of values must not cost a Python-level
+        comparison per pair of rows."""
+        from repro.relational.operators.sort import nulls_first_order
+
+        class Counted:
+            comparisons = 0
+
+            def __init__(self, value):
+                self.value = value
+
+            def __eq__(self, other):
+                return self.value == other.value
+
+            def __hash__(self):
+                return hash(self.value)
+
+            def __lt__(self, other):
+                Counted.comparisons += 1
+                return self.value < other.value
+
+        values = [Counted(index % 7) for index in range(7)]
+        keys = [(values[(index * 5) % 7],) for index in range(2000)]
+        order = nulls_first_order(keys)
+        assert [keys[index][0].value for index in order] == sorted(k[0].value for k in keys)
+        assert Counted.comparisons < 50
+
+    def test_unhashable_and_nan_keys_take_the_wrapper_path(self):
+        from repro.relational.operators.sort import _rank_keys, nulls_first_order
+
+        unhashable = [([2],), ([1],), (None,), ([2],)]
+        assert _rank_keys(unhashable) is None
+        assert nulls_first_order(unhashable) == self.reference(unhashable) == [2, 1, 0, 3]
+        nan = float("nan")
+        with_nan = [(2.0,), (nan,), (1.0,), (None,)]
+        assert _rank_keys(with_nan) is None
+        assert nulls_first_order(with_nan) == self.reference(with_nan)
+
+    def test_incomparable_values_still_raise(self):
+        from repro.relational.operators.sort import nulls_first_order
+
+        with pytest.raises(TypeError):
+            nulls_first_order([(1,), ("a",)])

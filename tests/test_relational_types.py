@@ -66,6 +66,69 @@ class TestTimeSeries:
         assert TimeSeries([1.0]) < TimeSeries([2.0])
 
 
+class TestTimeSeriesHashCache:
+    """``__hash__`` is computed once, lazily; nothing else may notice."""
+
+    def test_hash_is_lazy_and_stable(self):
+        series = TimeSeries([1.0, 2.0, 3.0])
+        assert not hasattr(series, "_hash")  # construction pays nothing
+        first = hash(series)
+        assert series._hash == first
+        assert hash(series) == first == hash((TimeSeries, (1.0, 2.0, 3.0)))
+
+    def test_equality_ignores_the_cache(self):
+        hashed, fresh = TimeSeries([1.0, 2.0]), TimeSeries([1.0, 2.0])
+        hash(hashed)
+        assert hashed == fresh and fresh == hashed
+        assert hashed != TimeSeries([1.0, 2.5])
+        assert len({hashed, fresh}) == 1
+        assert {hashed: "value"}[fresh] == "value"
+
+    def test_ordering_ignores_the_cache(self):
+        low, high = TimeSeries([1.0, 2.0]), TimeSeries([1.0, 3.0])
+        hash(low)
+        assert low < high and not high < low
+        assert sorted([high, low]) == [low, high]
+
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_pickle_round_trip_never_carries_the_cache(self, hashed_first):
+        import pickle
+
+        series = TimeSeries([1.5, -2.0])
+        if hashed_first:
+            hash(series)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            payload = pickle.dumps(series, protocol)
+            clone = pickle.loads(payload)
+            assert type(clone) is TimeSeries and clone == series
+            assert not hasattr(clone, "_hash")
+            assert hash(clone) == hash(series)
+        # The same bytes whether or not the hash was ever taken.
+        assert pickle.dumps(series) == pickle.dumps(TimeSeries([1.5, -2.0]))
+
+    def test_copy_round_trip(self):
+        import copy
+
+        series = TimeSeries([4.0, 5.0])
+        hash(series)
+        for clone in (copy.copy(series), copy.deepcopy(series)):
+            assert clone == series and hash(clone) == hash(series)
+
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_page_round_trip(self, hashed_first):
+        from repro.storage.page import decode_value, encode_value
+
+        series = TimeSeries((1.0, -2.5, 3.25))
+        plain = encode_value(TimeSeries((1.0, -2.5, 3.25)))
+        if hashed_first:
+            hash(series)
+        assert encode_value(series) == plain
+        decoded, offset = decode_value(plain, 0)
+        assert type(decoded) is TimeSeries and decoded == series and offset == len(plain)
+        assert not hasattr(decoded, "_hash")  # decoding a stored record pays nothing
+        assert hash(decoded) == hash(series)
+
+
 class TestDataTypes:
     def test_integer_accepts_ints_but_not_bools(self):
         INTEGER.validate(5)
