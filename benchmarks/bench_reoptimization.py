@@ -20,7 +20,9 @@ Asserted:
 * it lands **within 20%** of the oracle static plan (the right order chosen
   up front with oracle knowledge of the true selectivities).
 
-Runs unchanged under ``REPRO_BENCH_SMOKE=1`` (it is already one scenario).
+Runs unchanged under ``REPRO_BENCH_SMOKE=1`` (it is already one scenario);
+that configuration records every simulated figure below in
+``BENCH_reoptimization.json``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,35 @@ import pytest
 from repro.core.strategies import StrategyConfig
 from repro.workloads.experiments import format_records
 from repro.workloads.misestimation import MisorderedUdfScenario
+
+#: Sections of ``BENCH_reoptimization.json``, filled test by test.
+_SNAPSHOT: dict = {}
+
+
+def _result_record(result) -> dict:
+    """The simulated figures of one run (deterministic, so diffable)."""
+    metrics = result.metrics
+    return {
+        "elapsed_s": metrics.elapsed_seconds,
+        "downlink_bytes": metrics.downlink_bytes,
+        "uplink_bytes": metrics.uplink_bytes,
+        "downlink_messages": metrics.downlink_messages,
+        "uplink_messages": metrics.uplink_messages,
+        "udf_invocations": metrics.udf_invocations,
+        "rows": metrics.rows_returned,
+        "strategy_switches": metrics.strategy_switches,
+        "replan_attempts": metrics.replan_attempts,
+        "plan_migrations": metrics.plan_migrations,
+        "udf_orders_used": [list(order) for order in metrics.udf_orders_used or ()],
+        "shapes_used": list(metrics.shapes_used or ()),
+    }
+
+
+def _record(section: str, runs: dict) -> None:
+    from conftest import write_snapshot
+
+    _SNAPSHOT[section] = {name: _result_record(result) for name, result in runs.items()}
+    write_snapshot("reoptimization", _SNAPSHOT)
 
 
 @pytest.mark.benchmark(group="reoptimization")
@@ -64,6 +95,10 @@ def test_reoptimized_run_beats_wrong_shape_and_tracks_oracle(benchmark, once):
         f"{reopt.metrics.replan_attempts} boundary(ies); orders "
         f"{reopt.metrics.udf_orders_used} "
         f"({reopt.metrics.elapsed_seconds / oracle.metrics.elapsed_seconds:.2f}x oracle)"
+    )
+    _record(
+        "misordered",
+        {"committed": committed, "oracle": oracle, "reoptimized": reopt},
     )
 
     # The declarations really commit the wrong shape.
@@ -101,6 +136,7 @@ def test_no_replan_overhead_when_the_shape_was_right(benchmark, once):
         f"\ncorrect declarations: static {static.metrics.elapsed_seconds:.2f}s, "
         f"segmented-but-unmigrated {reopt.metrics.elapsed_seconds:.2f}s"
     )
+    _record("correct_declarations", {"static": static, "reoptimized": reopt})
     assert reopt.row_set() == static.row_set()
     assert reopt.metrics.plan_migrations == 0
     assert reopt.metrics.elapsed_seconds <= 1.20 * static.metrics.elapsed_seconds

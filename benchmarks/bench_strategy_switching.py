@@ -18,7 +18,8 @@ client-site join):
   with oracle knowledge of the true selectivity.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the reduced CI configuration (the
-overestimated direction only).
+overestimated direction only); that configuration records every simulated
+figure below in ``BENCH_switching.json``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,31 @@ BATCH_SIZE = 8
 SCENARIOS = [overestimated_selectivity_scenario()]
 if not SMOKE:
     SCENARIOS.append(underestimated_selectivity_scenario())
+
+#: Sections of ``BENCH_switching.json``, filled test by test.
+_SNAPSHOT: dict = {}
+
+
+def _point_record(point) -> dict:
+    """The simulated figures of one run (deterministic, so diffable)."""
+    return {
+        "elapsed_s": point.elapsed_seconds,
+        "downlink_bytes": point.downlink_bytes,
+        "uplink_bytes": point.uplink_bytes,
+        "downlink_messages": point.downlink_messages,
+        "uplink_messages": point.uplink_messages,
+        "udf_invocations": point.udf_invocations,
+        "rows": point.rows,
+        "strategy_switches": point.strategy_switches,
+        "strategies_used": [strategy.value for strategy in point.strategies_used],
+    }
+
+
+def _record(section: str, runs: dict) -> None:
+    from conftest import write_snapshot
+
+    _SNAPSHOT[section] = {name: _point_record(point) for name, point in runs.items()}
+    write_snapshot("switching", _SNAPSHOT)
 
 
 def _run_scenario(scenario: MisestimatedSelectivityScenario):
@@ -95,6 +121,13 @@ def test_switched_run_beats_wrong_plan_and_tracks_oracle(benchmark, once, scenar
         f"{switched.elapsed_seconds:.2f}s "
         f"({switched.elapsed_seconds / oracle.elapsed_seconds:.2f}x oracle)"
     )
+    _record(
+        f"declared{scenario.declared_selectivity:g}",
+        {
+            **{f"static_{strategy.value}": point for strategy, point in statics.items()},
+            "switched": switched,
+        },
+    )
 
     # The cost model's oracle choice is also the measured best static.
     assert oracle_strategy is scenario.oracle_strategy
@@ -139,6 +172,7 @@ def test_no_switch_when_declaration_is_right(benchmark, once):
         f"\ncorrect declaration: static {static.elapsed_seconds:.2f}s, "
         f"segmented-but-unswitched {switched.elapsed_seconds:.2f}s"
     )
+    _record("correct_declaration", {"static": static, "switched": switched})
     assert switched.result_rows == static.result_rows
     # The estimate was right, so no switch fires ...
     assert switched.strategy_switches == 0
