@@ -4,7 +4,7 @@ Every benchmark regenerates one of the paper's figures (or an ablation) on
 the network simulator, prints the measured series in a table, and asserts the
 *shape* properties the paper reports (who wins, where the knees and
 crossovers fall).  Absolute times are simulated seconds, not 1999 wall-clock
-milliseconds; see EXPERIMENTS.md for the paper-vs-measured comparison.
+milliseconds.
 """
 
 from __future__ import annotations

@@ -17,15 +17,20 @@ closes the loop:
   hill-climbs the per-message batch size on observed rows/second *while a
   query runs*; a :class:`BatchControllerBank` gives every UDF its own
   controller with an independent ladder and warm start;
-* :mod:`repro.adaptive.switcher` — :class:`StrategySwitcher` re-costs the
-  *remaining* rows under every strategy at segment boundaries from observed
-  selectivity and bandwidth and — with hysteresis — hands the unprocessed
-  tail of the input to a different strategy executor mid-query;
-* :mod:`repro.adaptive.reoptimizer` — :class:`ReOptimizer` re-enters the
-  System-R enumerator over the *remaining* input at segment boundaries with
-  everything the run observed, and — under hysteresis plus a re-plan budget
-  — migrates execution to a structurally different plan (UDF application
-  order and per-UDF strategies), not just a different shipping strategy.
+* :mod:`repro.adaptive.segmented` — what mid-query adaptation shares: the
+  segment schedule (:class:`SegmentPolicy`), the boundary observation
+  (:class:`SegmentObservation`) and the :class:`SegmentController`, whose one
+  hysteresis ladder (evidence floor, margin, cooldown, budget) decides at
+  every segment boundary whether the unprocessed tail of the input runs
+  under a different :class:`PlanShape`.  Two controllers subclass it and
+  differ in pricing, in whether they read last-segment or cumulative
+  evidence, in whether they settle, and in which metric their changes count
+  toward:
+* :mod:`repro.adaptive.switcher` — :class:`StrategySwitcher`, per UDF: prices
+  the *remaining* rows under every shipping strategy;
+* :mod:`repro.adaptive.reoptimizer` — :class:`ReOptimizer`, plan-wide:
+  re-enters the System-R enumerator over the *remaining* input and prices
+  whole UDF application orders (with per-UDF strategies).
 
 ``Database.execute(..., adaptive=True)`` wires the observe → calibrate →
 adapt loop together; ``switch_strategies=True`` additionally arms mid-query
@@ -48,13 +53,17 @@ from repro.adaptive.observer import (
     UdfObservation,
 )
 from repro.adaptive.reoptimizer import (
-    MigrationObservation,
-    PlanShape,
-    PredicateSpec,
     ReOptimizationPolicy,
     ReOptimizer,
-    ReplanDecision,
     RuntimeStatisticsView,
+)
+from repro.adaptive.segmented import (
+    BoundaryDecision,
+    PlanShape,
+    PredicateSpec,
+    SegmentController,
+    SegmentObservation,
+    SegmentPolicy,
 )
 from repro.adaptive.store import (
     STORE_VERSION,
@@ -63,20 +72,15 @@ from repro.adaptive.store import (
     canonical_join_key,
     canonical_predicate_key,
 )
-from repro.adaptive.switcher import (
-    SegmentObservation,
-    StrategySwitcher,
-    SwitchDecision,
-    SwitchPolicy,
-)
+from repro.adaptive.switcher import StrategySwitcher, SwitchPolicy
 
 __all__ = [
     "BatchControllerBank",
     "BatchDecision",
     "BatchSizeController",
+    "BoundaryDecision",
     "JoinObservation",
     "LinkObservation",
-    "MigrationObservation",
     "OverlapWindowController",
     "PlanShape",
     "PredicateObservation",
@@ -84,16 +88,16 @@ __all__ = [
     "QueryObservation",
     "ReOptimizationPolicy",
     "ReOptimizer",
-    "ReplanDecision",
     "RuntimeObserver",
     "RuntimeStatisticsView",
     "UdfObservation",
+    "SegmentController",
     "SegmentObservation",
+    "SegmentPolicy",
     "STORE_VERSION",
     "StatisticsStore",
     "TenantStatistics",
     "StrategySwitcher",
-    "SwitchDecision",
     "SwitchPolicy",
     "canonical_join_key",
     "canonical_predicate_key",

@@ -1,42 +1,46 @@
 """Mid-query re-optimization: re-entering the System-R enumerator mid-run.
 
-Mid-query *strategy switching* (PR 3) can hand a UDF's unprocessed tail to a
+Mid-query *strategy switching* can hand one UDF's unprocessed tail to a
 different shipping strategy, but it stays locked into the committed plan
 *shape*: the order in which UDFs are applied, and which predicates run where.
 When the declared selectivities are wrong, the shape itself is often the
 expensive mistake — an unselective-but-cheap UDF applied last should have run
 first, shrinking everything downstream.
 
-The :class:`ReOptimizer` closes that gap.  At the segment boundaries of a
-:class:`~repro.core.execution.adaptive.PlanMigrationOperator` it receives a
-:class:`MigrationObservation` — observed per-predicate selectivities (keyed
-by *canonical predicate identity*, so a reordered plan's observations still
-match), measured per-UDF cost, effective link bandwidths, and the exact byte
-shape of the unprocessed tail.  It snapshots those into a calibrated
-statistics view (:class:`RuntimeStatisticsView`, falling back to the
-database's :class:`~repro.adaptive.store.StatisticsStore` priors and then the
-declarations), re-enters the
+The :class:`ReOptimizer` closes that gap: it is the plan-wide
+:class:`~repro.adaptive.segmented.SegmentController`.  At the segment
+boundaries of a
+:class:`~repro.core.execution.adaptive.PlanMigrationOperator` that owns the
+whole client-site UDF chain it snapshots the observed per-predicate
+selectivities (keyed by *canonical predicate identity*, so a reordered plan's
+observations still match), measured per-UDF costs and effective bandwidths
+into a calibrated statistics view (:class:`RuntimeStatisticsView`, falling
+back to the database's :class:`~repro.adaptive.store.StatisticsStore` priors
+and then the declarations), re-enters the
 :class:`~repro.core.optimizer.enumerator.SystemREnumerator` over the
 *remaining* input via
 :meth:`~repro.core.optimizer.enumerator.SystemREnumerator.best_plan_from`
 (the executed join tree is the partial-progress seed), and prices the
 resulting candidate shapes — alongside every small-k permutation — with
-:func:`~repro.core.optimizer.cost.remaining_plan_cost`, the plan-shape
-analogue of the per-strategy re-costing surface.
-
-Migration is guarded by the same hysteresis family strategy switching uses —
-evidence floor (waived when every predicate has a measured store prior),
-relative margin, cooldown — plus a *re-plan budget* (``max_replans``), so a
-noisy boundary cannot thrash the executor through plan shapes.
+:func:`~repro.core.optimizer.cost.remaining_plan_cost`.  The shared
+hysteresis ladder then decides whether the tail migrates; unlike a strategy
+switcher, a re-optimizer also *settles* (see :attr:`ReOptimizer.settled`).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import permutations, product
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.adaptive.segmented import (
+    PlanShape,
+    PredicateSpec,
+    SegmentController,
+    SegmentObservation,
+    SegmentPolicy,
+    assign_predicates_to_stages,
+)
 from repro.adaptive.store import StatisticsStore, canonical_predicate_key
 from repro.core.optimizer.cost import (
     CostEstimator,
@@ -52,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class ReOptimizationPolicy:
+class ReOptimizationPolicy(SegmentPolicy):
     """Declarative knobs of mid-query re-optimization.
 
     The segmentation fields mirror :class:`~repro.adaptive.switcher.SwitchPolicy`
@@ -80,149 +84,16 @@ class ReOptimizationPolicy:
         ExecutionStrategy.CLIENT_SITE_JOIN,
     )
 
+    floor_field = "min_rows_before_replan"
+    budget_field = "max_replans"
+
     def __post_init__(self) -> None:
-        if self.initial_segment_rows < 1:
-            raise ValueError("initial_segment_rows must be at least 1")
-        if self.segment_growth < 1.0:
-            raise ValueError("segment_growth must be at least 1")
-        if self.max_segment_rows < self.initial_segment_rows:
-            raise ValueError("max_segment_rows must be >= initial_segment_rows")
-        if self.min_rows_before_replan < 0:
-            raise ValueError("min_rows_before_replan must be non-negative")
-        if self.hysteresis < 0.0:
-            raise ValueError("hysteresis must be non-negative")
-        if self.cooldown_segments < 0:
-            raise ValueError("cooldown_segments must be non-negative")
-        if self.max_replans < 0:
-            raise ValueError("max_replans must be non-negative")
+        super().__post_init__()
         if self.confirmation_boundaries < 0:
             raise ValueError("confirmation_boundaries must be non-negative")
-        if not self.candidate_strategies:
-            raise ValueError("candidate_strategies must not be empty")
-
-    def next_segment_rows(self, segment_index: int) -> int:
-        """Rows the ``segment_index``-th segment (0-based) should process."""
-        if self.segment_growth == 1.0:
-            return max(1, self.initial_segment_rows)
-        limit = math.log(
-            max(1.0, self.max_segment_rows / self.initial_segment_rows),
-            self.segment_growth,
-        )
-        exponent = min(float(segment_index), limit + 1.0)
-        rows = self.initial_segment_rows * self.segment_growth ** exponent
-        return max(1, min(self.max_segment_rows, int(rows)))
 
 
-@dataclass(frozen=True)
-class PlanShape:
-    """The migratable part of a committed plan: UDF order and strategies."""
-
-    udf_order: Tuple[str, ...]
-    udf_strategies: Tuple[Tuple[str, ExecutionStrategy], ...]
-
-    @classmethod
-    def of(
-        cls, order: Sequence[str], strategies: Mapping[str, ExecutionStrategy]
-    ) -> "PlanShape":
-        lowered = {name.lower(): strategy for name, strategy in strategies.items()}
-        order = tuple(name.lower() for name in order)
-        return cls(
-            udf_order=order,
-            udf_strategies=tuple((name, lowered[name]) for name in order),
-        )
-
-    def strategy_of(self, name: str) -> ExecutionStrategy:
-        key = name.lower()
-        for candidate, strategy in self.udf_strategies:
-            if candidate == key:
-                return strategy
-        raise KeyError(name)
-
-    def describe(self) -> str:
-        return " -> ".join(
-            f"{name}[{strategy.value}]" for name, strategy in self.udf_strategies
-        )
-
-
-@dataclass(frozen=True)
-class PredicateSpec:
-    """One UDF-referencing predicate, identified independently of plan shape."""
-
-    #: Canonical identity key (:func:`~repro.adaptive.store.canonical_predicate_key`).
-    key: str
-    #: Lower-cased names of the UDFs whose results the predicate references.
-    udf_names: FrozenSet[str]
-    declared_selectivity: float = 1.0
-
-
-def assign_predicates_to_stages(
-    order: Sequence[str], predicates: Sequence[object]
-) -> List[List[int]]:
-    """Indexes of ``predicates`` assigned per stage of ``order``.
-
-    Each predicate (anything with a lower-cased ``udf_names`` set) goes to
-    the *earliest* stage at which every UDF it references has been applied.
-    The migration executor (building pipelines), the cost model (pricing
-    shapes), and the observer attribution all share this one rule — result
-    equivalence across migration paths depends on them agreeing.
-    """
-    applied: set = set()
-    assigned: set = set()
-    result: List[List[int]] = []
-    for name in order:
-        applied.add(name)
-        stage: List[int] = []
-        for index, predicate in enumerate(predicates):
-            if index in assigned or not predicate.udf_names <= applied:
-                continue
-            assigned.add(index)
-            stage.append(index)
-        result.append(stage)
-    return result
-
-
-@dataclass(frozen=True)
-class MigrationObservation:
-    """What the migration operator observed, handed over at a segment boundary.
-
-    ``predicate_counts`` maps canonical predicate keys to cumulative
-    ``(rows_surviving, rows_processed)`` pairs; the per-UDF mappings are
-    keyed by lower-cased UDF name and describe the *remaining* tail
-    (per-row argument bytes, suffix distinct fraction) and the measured
-    per-call cost so far.
-    """
-
-    rows_processed: int
-    remaining_rows: int
-    remaining_record_bytes: float
-    predicate_counts: Mapping[str, Tuple[int, int]]
-    stage_argument_bytes: Mapping[str, float]
-    stage_result_bytes: Mapping[str, float]
-    stage_distinct_fraction: Mapping[str, float]
-    stage_seconds_per_call: Mapping[str, float]
-    downlink_bandwidth: float
-    uplink_bandwidth: float
-    latency: float = 0.0
-    batch_size: float = 1.0
-
-
-@dataclass(frozen=True)
-class ReplanDecision:
-    """One segment-boundary verdict of the re-optimizer."""
-
-    shape: PlanShape
-    next_shape: PlanShape
-    remaining_rows: int
-    costs: Dict[PlanShape, float]
-    reason: str
-    observed_selectivities: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def migrated(self) -> bool:
-        return self.next_shape != self.shape
-
-
-class ReOptimizer:
+class ReOptimizer(SegmentController):
     """Per-query controller deciding whether the remaining plan shape changes.
 
     Constructed by :meth:`~repro.server.engine.Database.execute` (or tests)
@@ -233,6 +104,10 @@ class ReOptimizer:
     enumerator re-entry (operator-level harnesses without SQL); candidate
     shapes then come from the bounded permutation search alone.
     """
+
+    plan_wide = True
+    policy_type = ReOptimizationPolicy
+    change_marker = "MIGRATE"
 
     #: Permutation search is exhaustive only up to this many stages; beyond
     #: it, candidates come from the enumerator re-entry (and strategy
@@ -248,57 +123,21 @@ class ReOptimizer:
         statistics: Optional[StatisticsStore] = None,
         table_order: Optional[Sequence[str]] = None,
     ) -> None:
-        self.policy = policy if policy is not None else ReOptimizationPolicy()
+        super().__init__(policy, settings, statistics)
         self.query = query
         self.network = network
-        self.settings = settings if settings is not None else CostSettings()
-        self.statistics = statistics
         self.table_order = tuple(table_order) if table_order else None
-
-        self._shape: Optional[PlanShape] = None
-        self._stages: Tuple[str, ...] = ()
-        self._predicates: Tuple[PredicateSpec, ...] = ()
-        self._declared: Dict[str, float] = {}
-        self._cooldown = 0
-        #: Counters surfaced on :class:`~repro.server.metrics.ExecutionMetrics`.
-        self.replan_count = 0
-        self.attempt_count = 0
         self.enumerations = 0
-        self.decisions: List[ReplanDecision] = []
-
-    # -- binding (called by the migration operator) -------------------------------------
 
     def bind(
-        self,
-        initial_shape: PlanShape,
-        predicates: Sequence[PredicateSpec],
+        self, initial_shape: PlanShape, predicates: Sequence[PredicateSpec] = ()
     ) -> None:
-        """Anchor the controller to the built plan's stages and predicates.
-
-        Binding starts a fresh query: all per-query runtime state (decisions,
-        counters, cooldown) is reset, so a controller attached to a reusable
-        :class:`~repro.core.strategies.StrategyConfig` does not carry a spent
-        budget or a settled verdict into the next query.
-        """
-        self._shape = initial_shape
-        self._stages = initial_shape.udf_order
-        self._predicates = tuple(predicates)
-        self._declared = {
-            predicate.key: predicate.declared_selectivity
-            for predicate in predicates
-            if predicate.key
-        }
-        self._cooldown = 0
-        self.replan_count = 0
-        self.attempt_count = 0
+        super().bind(initial_shape, predicates)
         self.enumerations = 0
-        self.decisions = []
 
     @property
-    def current_shape(self) -> PlanShape:
-        if self._shape is None:
-            raise RuntimeError("ReOptimizer.bind() must run before execution")
-        return self._shape
+    def replan_count(self) -> int:
+        return self.change_count
 
     @property
     def settled(self) -> bool:
@@ -310,7 +149,7 @@ class ReOptimizer:
         input in one segment instead of paying boundary overhead for
         decisions that cannot (or will not) migrate.
         """
-        if self.replan_count >= self.policy.max_replans:
+        if self.change_count >= self.policy.max_replans:
             return True
         window = self.policy.confirmation_boundaries
         if window <= 0 or len(self.decisions) < window:
@@ -318,133 +157,14 @@ class ReOptimizer:
         recent = self.decisions[-window:]
         # Only fully-priced keeps count as confirmation: an evidence-floor or
         # cooldown keep never compared the candidate shapes at all.
-        return all((not decision.migrated) and decision.costs for decision in recent)
+        return all((not decision.changed) and decision.costs for decision in recent)
 
-    @property
-    def shapes_used(self) -> Tuple[PlanShape, ...]:
-        """The distinct shapes the query ran under, in first-use order."""
-        used: List[PlanShape] = []
-        for decision in self.decisions:
-            if decision.shape not in used:
-                used.append(decision.shape)
-            if decision.next_shape not in used:
-                used.append(decision.next_shape)
-        if not used and self._shape is not None:
-            used.append(self._shape)
-        return tuple(used)
-
-    # -- priors ---------------------------------------------------------------------------
-
-    def prior_selectivity(self, udf_name: str, predicate_key: str) -> Optional[float]:
-        """The store's measured prior for this predicate identity, if any."""
-        if self.statistics is None or not predicate_key:
-            return None
-        return self.statistics.selectivity_prior(udf_name, predicate_key)
-
-    def initial_selectivity(self, udf_name: str, predicate_key: str, declared: float) -> float:
-        """The estimate migration starts from: store prior, else declared."""
-        prior = self.prior_selectivity(udf_name, predicate_key)
-        return prior if prior is not None else declared
-
-    # -- the decision --------------------------------------------------------------------
-
-    def consider(self, observation: MigrationObservation) -> ReplanDecision:
-        """Fold one segment boundary in; may migrate :attr:`current_shape`."""
-        self.attempt_count += 1
-        shape = self.current_shape
-        selectivities = self._effective_selectivities(observation)
-
-        def keep(reason: str, costs: Optional[Dict[PlanShape, float]] = None) -> ReplanDecision:
-            decision = ReplanDecision(
-                shape=shape,
-                next_shape=shape,
-                remaining_rows=observation.remaining_rows,
-                costs=costs if costs is not None else {},
-                reason=reason,
-                observed_selectivities=selectivities,
-            )
-            self.decisions.append(decision)
-            if self._cooldown > 0:
-                self._cooldown -= 1
-            return decision
-
-        if observation.remaining_rows <= 0:
-            return keep("no rows remaining")
-        if self.replan_count >= self.policy.max_replans:
-            return keep("re-plan budget exhausted")
-        if self._cooldown > 0:
-            return keep(f"cooldown: {self._cooldown} segment boundary(ies) left")
-        if observation.rows_processed < self.policy.min_rows_before_replan and not (
-            self._predicates
-            and all(
-                self.prior_selectivity(next(iter(p.udf_names), ""), p.key) is not None
-                for p in self._predicates
-            )
-        ):
-            # A full set of measured store priors pre-earns the floor.
-            return keep(
-                f"evidence floor: {observation.rows_processed} < "
-                f"{self.policy.min_rows_before_replan} rows observed"
-            )
-
-        costs = self._price_shapes(observation, selectivities)
-        incumbent = costs.get(shape)
-        if incumbent is None or incumbent <= 0:
-            return keep("incumbent not re-costable", costs)
-        challenger = min(costs, key=lambda candidate: costs[candidate])
-        if challenger == shape:
-            return keep("incumbent shape still cheapest", costs)
-        margin = (incumbent - costs[challenger]) / incumbent
-        if margin <= self.policy.hysteresis:
-            return keep(
-                f"{challenger.describe()} only {margin:.0%} cheaper "
-                f"(hysteresis {self.policy.hysteresis:.0%})",
-                costs,
-            )
-
-        decision = ReplanDecision(
-            shape=shape,
-            next_shape=challenger,
-            remaining_rows=observation.remaining_rows,
-            costs=costs,
-            reason=(
-                f"{challenger.describe()} {margin:.0%} cheaper for the remaining "
-                f"{observation.remaining_rows} rows"
-            ),
-            observed_selectivities=selectivities,
-        )
-        self.decisions.append(decision)
-        self._shape = challenger
-        self.replan_count += 1
-        self._cooldown = self.policy.cooldown_segments
-        return decision
-
-    # -- effective statistics -------------------------------------------------------------
-
-    def _effective_selectivities(
-        self, observation: MigrationObservation
-    ) -> Dict[str, float]:
-        """Per-predicate-identity selectivity: observed, else prior, else declared."""
-        effective: Dict[str, float] = {}
-        for predicate in self._predicates:
-            if not predicate.key:
-                continue
-            survived, processed = observation.predicate_counts.get(predicate.key, (0, 0))
-            if processed >= max(1, self.policy.min_rows_before_replan):
-                effective[predicate.key] = survived / processed
-                continue
-            prior = self.prior_selectivity(
-                next(iter(predicate.udf_names), ""), predicate.key
-            )
-            effective[predicate.key] = (
-                prior if prior is not None else predicate.declared_selectivity
-            )
-        return effective
+    # -- pricing ---------------------------------------------------------------------------
 
     def _stage_sequence(
         self,
         shape: PlanShape,
-        observation: MigrationObservation,
+        observation: SegmentObservation,
         selectivities: Mapping[str, float],
     ) -> List[RemainingStage]:
         """The :func:`remaining_plan_cost` stages of ``shape`` over the tail.
@@ -479,11 +199,13 @@ class ReOptimizer:
 
     def _candidate_shapes(
         self,
-        observation: MigrationObservation,
+        observation: SegmentObservation,
         selectivities: Mapping[str, float],
     ) -> List[PlanShape]:
         shape = self.current_shape
-        names = self._stages
+        # Enumerate from the committed order, whatever shape runs now, so the
+        # candidate (tie-breaking) order does not depend on migration history.
+        names = self._shapes[0].udf_order
         candidates: List[PlanShape] = [shape]
 
         if len(names) <= self.MAX_PERMUTATION_STAGES:
@@ -512,9 +234,9 @@ class ReOptimizer:
                 unique.append(candidate)
         return unique
 
-    def _price_shapes(
+    def _price(
         self,
-        observation: MigrationObservation,
+        observation: SegmentObservation,
         selectivities: Mapping[str, float],
     ) -> Dict[PlanShape, float]:
         return {
@@ -535,7 +257,7 @@ class ReOptimizer:
 
     def _enumerated_shape(
         self,
-        observation: MigrationObservation,
+        observation: SegmentObservation,
         selectivities: Mapping[str, float],
     ) -> Optional[PlanShape]:
         """Re-enter the System-R enumerator over the remaining input.
@@ -604,23 +326,11 @@ class ReOptimizer:
             return None
         return PlanShape.of(plan.udf_order, plan.udf_strategies)
 
-    # -- reporting -----------------------------------------------------------------------
-
-    def describe(self) -> str:
-        lines = [
+    def _headline(self) -> str:
+        return (
             f"re-optimizer: {self.replan_count} migration(s) in "
             f"{self.attempt_count} boundary(ies), {self.enumerations} "
             f"enumerator re-entries"
-        ]
-        for decision in self.decisions:
-            marker = "MIGRATE" if decision.migrated else "keep"
-            lines.append(f"  [{marker}] {decision.shape.describe()}: {decision.reason}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReOptimizer(replans={self.replan_count}, attempts={self.attempt_count}, "
-            f"enumerations={self.enumerations})"
         )
 
 

@@ -4,43 +4,33 @@ The optimizer commits to naive / semi-join / client-site-join from *declared*
 UDF selectivity and *configured* link bandwidths.  The paper's central claim
 is that this choice hinges on exactly those two quantities — which the plan
 only guesses at until rows actually flow.  The :class:`StrategySwitcher`
-closes that gap mid-query: at segment (batch) boundaries the adaptive
-executor hands it what the run has *observed* so far — surviving-row fraction,
-effective bandwidths, measured per-call cost — plus the exact byte shape of
-the unprocessed tail, and the switcher re-costs the remaining rows under each
-strategy with :func:`~repro.core.optimizer.cost.remaining_strategy_cost`.
-When the committed strategy is no longer the winner *by a margin*, the
-unprocessed tail is handed to a different strategy executor.
-
-Oscillation control (the "hysteresis" of the module title) is threefold:
-
-* **evidence floor** — no decision before ``min_rows_before_switch`` input
-  rows have been observed, so one tiny probe segment cannot flip the plan;
-* **relative margin** — the challenger must beat the incumbent's remaining
-  cost by more than ``hysteresis`` (a fraction), so near-ties never switch;
-* **cooldown and budget** — after a switch, ``cooldown_segments`` segment
-  boundaries must pass before the next one, and at most ``max_switches``
-  switches are allowed per operator, so noisy observations around the
-  crossover cannot ping-pong the executor.
-
-The switcher is deliberately execution-agnostic: it never touches the
-simulator or the operators.  It consumes :class:`SegmentObservation` records
-and answers with the strategy the *next* segment should run under, recording
-every verdict in :attr:`StrategySwitcher.decisions` for tests and benchmarks.
+closes that gap mid-query for *one* UDF: it is the single-stage
+:class:`~repro.adaptive.segmented.SegmentController`, whose candidate shapes
+are that UDF under each of ``SwitchPolicy.candidate_strategies``.  At segment
+boundaries it re-costs the remaining rows per strategy with
+:func:`~repro.core.optimizer.cost.remaining_strategy_cost` — projection-aware
+(the client-site join returns only the operator's projected columns) and
+under the configured overlap window — and the shared hysteresis ladder
+decides whether the unprocessed tail goes to a different strategy executor.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
-from repro.core.optimizer.cost import CostSettings, remaining_strategy_cost
+from repro.adaptive.segmented import (
+    PlanShape,
+    SegmentController,
+    SegmentObservation,
+    SegmentPolicy,
+)
+from repro.core.optimizer.cost import remaining_strategy_cost
 from repro.core.strategies import ExecutionStrategy
 
 
 @dataclass(frozen=True)
-class SwitchPolicy:
+class SwitchPolicy(SegmentPolicy):
     """Declarative knobs of mid-query strategy switching.
 
     The policy is plain configuration (hashable, comparable); the mutable
@@ -85,202 +75,54 @@ class SwitchPolicy:
         ExecutionStrategy.CLIENT_SITE_JOIN,
     )
 
-    def __post_init__(self) -> None:
-        if self.initial_segment_rows < 1:
-            raise ValueError("initial_segment_rows must be at least 1")
-        if self.segment_growth < 1.0:
-            raise ValueError("segment_growth must be at least 1")
-        if self.max_segment_rows < self.initial_segment_rows:
-            raise ValueError("max_segment_rows must be >= initial_segment_rows")
-        if self.min_rows_before_switch < 0:
-            raise ValueError("min_rows_before_switch must be non-negative")
-        if self.hysteresis < 0.0:
-            raise ValueError("hysteresis must be non-negative")
-        if self.cooldown_segments < 0:
-            raise ValueError("cooldown_segments must be non-negative")
-        if self.max_switches < 0:
-            raise ValueError("max_switches must be non-negative")
-        if not self.candidate_strategies:
-            raise ValueError("candidate_strategies must not be empty")
+    floor_field = "min_rows_before_switch"
+    budget_field = "max_switches"
 
 
-@dataclass(frozen=True)
-class SegmentObservation:
-    """What one finished segment taught us, plus the shape of the tail.
-
-    ``rows_processed`` / ``rows_surviving`` are this segment's input rows and
-    its post-predicate output rows — the switcher accumulates them into the
-    cumulative observed selectivity.  The ``remaining_*`` fields describe the
-    unprocessed tail exactly (the executor has it materialised), and the
-    bandwidth/cost fields carry the *observed* values when the segment
-    produced enough traffic to measure them, else the configured/declared
-    fallbacks.
-    """
-
-    rows_processed: int
-    rows_surviving: int
-    remaining_rows: int
-    remaining_record_bytes: float
-    remaining_argument_bytes: float
-    remaining_distinct_fraction: float
-    returned_row_bytes: float
-    result_bytes: float
-    udf_seconds_per_call: float
-    downlink_bandwidth: float
-    uplink_bandwidth: float
-    latency: float
-    batch_size: float = 1.0
-    #: The configured in-flight batch window, when the overlapped shipping
-    #: protocol is explicitly armed — re-costing then prices the naive
-    #: strategy as pipelined rather than synchronous.  ``None`` keeps each
-    #: strategy's default assumption.
-    overlap_window: Optional[float] = None
-    has_predicate: bool = True
-
-
-@dataclass(frozen=True)
-class SwitchDecision:
-    """One segment-boundary verdict, for introspection and tests."""
-
-    strategy: ExecutionStrategy
-    next_strategy: ExecutionStrategy
-    observed_selectivity: Optional[float]
-    remaining_rows: int
-    costs: Dict[ExecutionStrategy, float]
-    reason: str
-
-    @property
-    def switched(self) -> bool:
-        return self.next_strategy is not self.strategy
-
-
-class StrategySwitcher:
+class StrategySwitcher(SegmentController):
     """Per-operator controller deciding which strategy runs the next segment.
 
-    One switcher belongs to one remote UDF operator (per-UDF adaptation, not
-    plan-wide): its observed selectivity is the cumulative surviving fraction
-    of *this* UDF's predicate, and its switch budget is independent of any
-    other UDF in the plan.
+    One switcher belongs to one UDF (per-UDF adaptation, not plan-wide): its
+    observed selectivity is the cumulative surviving fraction of *this* UDF's
+    predicate, and its switch budget is independent of any other UDF in the
+    plan.
     """
 
-    def __init__(
-        self,
-        policy: Optional[SwitchPolicy] = None,
-        initial_strategy: ExecutionStrategy = ExecutionStrategy.SEMI_JOIN,
-        declared_selectivity: float = 1.0,
-        settings: Optional[CostSettings] = None,
-        prior_selectivity: Optional[float] = None,
-    ) -> None:
-        self.policy = policy if policy is not None else SwitchPolicy()
-        self.initial_strategy = initial_strategy
-        self.declared_selectivity = min(1.0, max(0.0, declared_selectivity))
-        self.settings = settings if settings is not None else CostSettings()
-        #: A selectivity an earlier run *measured* for this (UDF, predicate)
-        #: — a :class:`~repro.adaptive.store.StatisticsStore` prior.  It
-        #: replaces the declared value as the initial estimate and counts as
-        #: already-earned evidence: a repeat query may switch at the first
-        #: segment boundary instead of re-earning the evidence floor.
-        self.prior_selectivity = (
-            min(1.0, max(0.0, prior_selectivity))
-            if prior_selectivity is not None
-            else None
-        )
-
-        self._strategy = initial_strategy
-        self._rows_processed = 0
-        self._rows_surviving = 0
-        self._cooldown = 0
-        self.switch_count = 0
-        #: Every segment-boundary verdict, in order.
-        self.decisions: List[SwitchDecision] = []
-
-    # -- the two calls the executor makes ----------------------------------------------
+    plan_wide = False
+    policy_type = SwitchPolicy
+    change_marker = "SWITCH"
 
     @property
     def current_strategy(self) -> ExecutionStrategy:
-        return self._strategy
-
-    def next_segment_rows(self, segment_index: int) -> int:
-        """Rows the ``segment_index``-th segment (0-based) should process."""
-        policy = self.policy
-        if policy.segment_growth == 1.0:
-            return max(1, policy.initial_segment_rows)
-        # Clamp the exponent at the point the cap is reached, so arbitrarily
-        # many segments (huge inputs) never overflow the exponentiation.
-        limit = math.log(
-            max(1.0, policy.max_segment_rows / policy.initial_segment_rows),
-            policy.segment_growth,
-        )
-        exponent = min(float(segment_index), limit + 1.0)
-        rows = policy.initial_segment_rows * policy.segment_growth ** exponent
-        return max(1, min(policy.max_segment_rows, int(rows)))
-
-    def observe_segment(self, observation: SegmentObservation) -> ExecutionStrategy:
-        """Fold one finished segment in; returns the next segment's strategy."""
-        self._rows_processed += max(0, observation.rows_processed)
-        self._rows_surviving += max(0, observation.rows_surviving)
-
-        costs = self._remaining_costs(observation)
-        decide = self._decide(observation, costs)
-        self.decisions.append(decide)
-        if decide.switched:
-            self._strategy = decide.next_strategy
-            self.switch_count += 1
-            self._cooldown = self.policy.cooldown_segments
-        elif self._cooldown > 0:
-            self._cooldown -= 1
-        return self._strategy
-
-    # -- observed quantities -----------------------------------------------------------
-
-    def observed_selectivity(self) -> Optional[float]:
-        """Cumulative surviving fraction seen so far, or None before any rows."""
-        if self._rows_processed <= 0:
-            return None
-        return self._rows_surviving / self._rows_processed
-
-    def effective_selectivity(self) -> float:
-        """The selectivity estimate re-costing uses: observed once measurable.
-
-        Before the evidence floor is reached, a measured prior (from the
-        statistics store, satisfying the floor on an earlier run's evidence)
-        beats the declared value.
-        """
-        observed = self.observed_selectivity()
-        if observed is None or self._rows_processed < self.policy.min_rows_before_switch:
-            if self.prior_selectivity is not None:
-                return self.prior_selectivity
-            return self.declared_selectivity
-        return observed
+        return self.current_shape.udf_strategies[0][1]
 
     @property
-    def strategies_used(self) -> Tuple[ExecutionStrategy, ...]:
-        """The distinct strategies the operator ran, in first-use order."""
-        used: List[ExecutionStrategy] = [self.initial_strategy]
-        for decision in self.decisions:
-            if decision.switched and decision.next_strategy not in used:
-                used.append(decision.next_strategy)
-        return tuple(used)
+    def switch_count(self) -> int:
+        return self.change_count
 
-    # -- decision logic ----------------------------------------------------------------
+    @property
+    def prior_selectivity(self) -> Optional[float]:
+        """The store's measured prior for this UDF's predicate, if any."""
+        return self._prior(self._predicates[0]) if self._predicates else None
 
-    def _remaining_costs(
-        self, observation: SegmentObservation
-    ) -> Dict[ExecutionStrategy, float]:
-        selectivity = (
-            self.effective_selectivity() if observation.has_predicate else 1.0
-        )
+    def _price(
+        self, observation: SegmentObservation, selectivities: Mapping[str, float]
+    ) -> Dict[PlanShape, float]:
+        name = self.current_shape.udf_order[0]
+        selectivity = 1.0
+        for value in selectivities.values():
+            selectivity *= value
         return {
-            strategy: remaining_strategy_cost(
+            PlanShape.of([name], {name: strategy}): remaining_strategy_cost(
                 strategy,
                 observation.remaining_rows,
                 record_bytes=observation.remaining_record_bytes,
-                argument_bytes=observation.remaining_argument_bytes,
-                result_bytes=observation.result_bytes,
+                argument_bytes=observation.stage_argument_bytes[name],
+                result_bytes=observation.stage_result_bytes[name],
                 returned_row_bytes=observation.returned_row_bytes,
                 selectivity=selectivity,
-                distinct_fraction=observation.remaining_distinct_fraction,
-                udf_seconds_per_call=observation.udf_seconds_per_call,
+                distinct_fraction=observation.stage_distinct_fraction[name],
+                udf_seconds_per_call=observation.stage_seconds_per_call[name],
                 downlink_bandwidth=observation.downlink_bandwidth,
                 uplink_bandwidth=observation.uplink_bandwidth,
                 latency=observation.latency,
@@ -291,80 +133,8 @@ class StrategySwitcher:
             for strategy in self.policy.candidate_strategies
         }
 
-    def _decide(
-        self,
-        observation: SegmentObservation,
-        costs: Dict[ExecutionStrategy, float],
-    ) -> SwitchDecision:
-        observed = self.observed_selectivity()
-
-        def keep(reason: str) -> SwitchDecision:
-            return SwitchDecision(
-                strategy=self._strategy,
-                next_strategy=self._strategy,
-                observed_selectivity=observed,
-                remaining_rows=observation.remaining_rows,
-                costs=costs,
-                reason=reason,
-            )
-
-        if observation.remaining_rows <= 0:
-            return keep("no rows remaining")
-        if (
-            self._rows_processed < self.policy.min_rows_before_switch
-            and self.prior_selectivity is None
-        ):
-            # A store prior pre-earns the floor: an earlier run of the same
-            # (UDF, predicate) already observed enough rows.
-            return keep(
-                f"evidence floor: {self._rows_processed} < "
-                f"{self.policy.min_rows_before_switch} rows observed"
-            )
-        if self.switch_count >= self.policy.max_switches:
-            return keep("switch budget exhausted")
-        if self._cooldown > 0:
-            return keep(f"cooldown: {self._cooldown} segment(s) left")
-
-        incumbent = costs.get(self._strategy)
-        if incumbent is None or incumbent <= 0:
-            return keep("incumbent not re-costable")
-        challenger = min(costs, key=lambda strategy: costs[strategy])
-        if challenger is self._strategy:
-            return keep("incumbent still cheapest")
-        margin = (incumbent - costs[challenger]) / incumbent
-        if margin <= self.policy.hysteresis:
-            return keep(
-                f"{challenger.value} only {margin:.0%} cheaper "
-                f"(hysteresis {self.policy.hysteresis:.0%})"
-            )
-        return SwitchDecision(
-            strategy=self._strategy,
-            next_strategy=challenger,
-            observed_selectivity=observed,
-            remaining_rows=observation.remaining_rows,
-            costs=costs,
-            reason=(
-                f"{challenger.value} {margin:.0%} cheaper for the remaining "
-                f"{observation.remaining_rows} rows (observed selectivity "
-                f"{observed if observed is not None else float('nan'):.2f} vs "
-                f"declared {self.declared_selectivity:.2f})"
-            ),
-        )
-
-    def describe(self) -> str:
-        lines = [
-            f"strategy switcher: {' -> '.join(s.value for s in self.strategies_used)} "
-            f"({self.switch_count} switch(es), {self._rows_processed} rows observed)"
-        ]
-        for decision in self.decisions:
-            marker = "SWITCH" if decision.switched else "keep"
-            lines.append(
-                f"  [{marker}] {decision.strategy.value}: {decision.reason}"
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
+    def _headline(self) -> str:
         return (
-            f"StrategySwitcher(current={self._strategy.value}, "
-            f"switches={self.switch_count}, rows={self._rows_processed})"
+            f"strategy switcher: {' -> '.join(s.value for s in self.strategies_used)} "
+            f"({self.switch_count} switch(es), {self.rows_observed} rows observed)"
         )

@@ -12,14 +12,13 @@ that drive the network simulator:
   records shipped to the client, pushable predicates and projections applied
   there.
 
-A fourth, adaptive executor —
-:class:`~repro.core.execution.adaptive.AdaptiveStrategyOperator` — runs the
-input in segments and may hand the unprocessed tail to a *different* strategy
-mid-query when observed selectivity or bandwidth contradicts the plan; its
-generalisation, :class:`~repro.core.execution.adaptive.PlanMigrationOperator`,
-owns the whole client-site UDF chain and may migrate the committed plan
-*shape* (UDF application order and per-UDF strategies) at segment boundaries
-when the re-entered optimizer prefers a different one.
+A fourth, segmented executor —
+:class:`~repro.core.execution.adaptive.PlanMigrationOperator` — owns one or
+more client-site UDF applications, runs the input in segments, and may hand
+the unprocessed tail to a different plan *shape* at segment boundaries: a
+different shipping strategy when a strategy switcher drives one UDF, a
+different UDF application order too when the re-entered optimizer drives the
+whole chain.
 
 All of them share :class:`~repro.core.execution.context.RemoteExecutionContext`,
 which bundles the simulator, the channel, and the client runtime.
@@ -31,7 +30,6 @@ from repro.core.execution.naive import NaiveUdfOperator
 from repro.core.execution.semijoin import SemiJoinSegmentState, SemiJoinUdfOperator
 from repro.core.execution.clientjoin import ClientSiteJoinOperator
 from repro.core.execution.adaptive import (
-    AdaptiveStrategyOperator,
     MigrationPredicate,
     MigrationStage,
     PlanMigrationOperator,
@@ -49,7 +47,6 @@ __all__ = [
     "SemiJoinSegmentState",
     "SemiJoinUdfOperator",
     "ClientSiteJoinOperator",
-    "AdaptiveStrategyOperator",
     "MigrationPredicate",
     "MigrationStage",
     "PlanMigrationOperator",

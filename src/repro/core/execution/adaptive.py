@@ -1,345 +1,79 @@
-"""Mid-query adaptive execution: strategy switching and plan-shape migration.
-
-Two adaptive executors live here, both running the input in *segments*
-(geometrically growing row slices) built from the ordinary strategy
-operators:
-
-* :class:`AdaptiveStrategyOperator` — per-UDF *strategy* switching within
-  the committed plan shape (PR 3);
-* :class:`PlanMigrationOperator` — its generalisation: one operator owns the
-  whole client-site UDF chain, and a
-  :class:`~repro.adaptive.reoptimizer.ReOptimizer` re-enters the System-R
-  enumerator at segment boundaries, migrating the unprocessed tail to a
-  structurally different plan (reordered UDF applications, different
-  per-UDF strategies) when the observed statistics demand it.
+"""Mid-query adaptive execution: one segmented operator, two controllers.
 
 The three committed strategies process their whole input under the plan's
-choice.  The :class:`AdaptiveStrategyOperator` instead runs the input in
-*segments*: each segment executes under
-the currently-best strategy via the ordinary strategy operators, and at every
-segment boundary the operator hands the
-:class:`~repro.adaptive.switcher.StrategySwitcher` what the run observed —
-the cumulative surviving fraction of the pushable predicate, the effective
-bandwidth each link actually delivered, the measured per-call UDF cost — plus
-the exact byte shape of the unprocessed tail.  The switcher re-costs the
-remaining rows under every strategy
-(:func:`~repro.core.optimizer.cost.remaining_strategy_cost`) and, with
-hysteresis, may hand the tail to a different strategy executor.
+choice.  :class:`PlanMigrationOperator` instead owns one or more client-site
+UDF applications and runs its input in *segments* (geometrically growing row
+slices): each segment executes under the current
+:class:`~repro.adaptive.segmented.PlanShape` through a freshly built pipeline
+of the ordinary strategy operators, and at every segment boundary the operator
+hands its :class:`~repro.adaptive.segmented.SegmentController` what the run
+observed — cumulative per-predicate surviving fractions, the effective
+bandwidth each link delivered, measured per-call UDF costs — plus the exact
+byte shape of the unprocessed tail.  The controller re-prices the remaining
+rows and, under one hysteresis ladder, may hand the tail to a different shape.
 
-Partial results are merged trivially (each segment produces its own
-post-predicate, projected output rows, and all strategies produce identical
-rows for identical inputs), and client-side state carries over naturally:
-the segments share one :class:`~repro.core.execution.context.RemoteExecutionContext`,
-so the client runtime's result cache keeps answering duplicate arguments
-across segments — and across a switch — without re-invoking the UDF.
+Two controllers drive it:
 
-Because every segment applies the pushable predicate (at the client under
-the client-site join, on the server under naive/semi-join), the operator's
-output is always the *filtered* relation; its output schema and rows are
-identical to a committed client-site join with the same predicate and
-projection, whatever sequence of strategies actually ran.
+* a :class:`~repro.adaptive.switcher.StrategySwitcher` drives a *one-stage*
+  operator (``build_operator`` builds one per UDF when the config carries a
+  ``switch_policy``): the candidate shapes are that UDF's shipping strategies;
+* a :class:`~repro.adaptive.reoptimizer.ReOptimizer` drives the operator that
+  owns the whole UDF chain: it re-enters the System-R enumerator and may
+  reorder the UDF applications as well.
+
+They differ in pricing and in three things the operator reads off the
+controller: a per-UDF controller is handed the *last segment's* bandwidth and
+per-call deltas, its UDF's batch size and its projection-aware return width,
+a plan-wide one cumulative evidence and the plan-wide batch size
+(:attr:`~repro.adaptive.segmented.SegmentController.plan_wide`); only the
+re-optimizer *settles*, after which the tail drains as one segment; and their
+changes surface as ``strategy_switches`` vs. ``plan_migrations``.
+
+Partial results merge trivially (every shape produces identical rows for
+identical inputs), and client-side state carries over naturally: the segments
+share one :class:`~repro.core.execution.context.RemoteExecutionContext`, so
+the client runtime's result cache keeps answering duplicate arguments across
+segments — and across a switch — without re-invoking the UDF.  Because every
+segment applies the pushable predicates (at the client under the client-site
+join, on the server under naive/semi-join), the operator's output is always
+the *filtered* relation, whatever sequence of shapes actually ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.adaptive.reoptimizer import (
-    MigrationObservation,
+from repro.adaptive.segmented import (
     PlanShape,
     PredicateSpec,
-    ReOptimizer,
+    SegmentController,
+    SegmentObservation,
     assign_predicates_to_stages,
 )
 from repro.adaptive.store import canonical_predicate_key
-from repro.adaptive.switcher import SegmentObservation, StrategySwitcher, SwitchPolicy
 from repro.client.udf import UdfDefinition
 from repro.core.execution.base import RemoteUdfOperator
-from repro.core.execution.clientjoin import ClientSiteJoinOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.semijoin import SemiJoinSegmentState
-from repro.core.strategies import StrategyConfig
+from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators.base import CollectingOperator, Operator
+from repro.relational.schema import Column
 from repro.relational.tuples import RowBatch, concat_batches
 
+class _Counters(NamedTuple):
+    """Link and client counters at an instant; evidence is the difference
+    between two of these.  Against the all-zero default it is the execution
+    context's running totals."""
 
-class AdaptiveStrategyOperator(ClientSiteJoinOperator):
-    """Runs a client-site UDF in segments, switching strategies mid-query.
-
-    Construction mirrors :class:`ClientSiteJoinOperator` (the operator owns
-    the pushable predicate and projection whatever strategy executes them);
-    ``config.strategy`` is the *initial* strategy and ``config.switch_policy``
-    parameterises the switcher.  After execution, :attr:`switcher` holds the
-    full decision trace and :attr:`segments` the ``(strategy, rows)`` slices
-    that actually ran.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        udf: UdfDefinition,
-        argument_columns: Sequence[str],
-        context: RemoteExecutionContext,
-        config: Optional[StrategyConfig] = None,
-        pushable_predicate: Optional[Expression] = None,
-        output_columns: Optional[Sequence[str]] = None,
-        result_column_name: Optional[str] = None,
-    ) -> None:
-        super().__init__(
-            child,
-            udf,
-            argument_columns,
-            context,
-            config=config,
-            pushable_predicate=pushable_predicate,
-            output_columns=output_columns,
-            result_column_name=result_column_name,
-        )
-        policy = self.config.switch_policy
-        self.policy = policy if policy is not None else SwitchPolicy()
-        # A statistics store attached to the config supplies the measured
-        # prior for this (UDF, predicate): a repeat query starts from what
-        # an earlier run observed instead of the declared value, and does
-        # not re-earn the evidence floor before its first switch.
-        prior = None
-        if self.config.statistics is not None and pushable_predicate is not None:
-            prior = self.config.statistics.selectivity_prior(
-                udf.name, str(pushable_predicate)
-            )
-        self.switcher = StrategySwitcher(
-            policy=self.policy,
-            initial_strategy=self.config.strategy,
-            declared_selectivity=udf.selectivity,
-            prior_selectivity=prior,
-        )
-        #: ``(strategy, input_rows)`` per executed segment, in order.
-        self.segments: List[Tuple[object, int]] = []
-        #: Semi-join duplicate-elimination state shared by every segment, so
-        #: a later semi-join segment never re-ships arguments an earlier one
-        #: already resolved (wire-row counts match an unsegmented run).
-        self._semi_join_state = SemiJoinSegmentState()
-
-    # -- execution ---------------------------------------------------------------------
-
-    def _execute_batches(self, batch_size):
-        from repro.core.execution.rewrite import build_operator
-
-        batch = concat_batches(
-            list(self.child().execute_batches(batch_size)),
-            column_count=len(self.child_schema),
-        )
-        self.input_row_count = len(batch)
-        self._precompute_suffixes(batch)
-        self.distinct_argument_count = self._suffix_distinct[0] if len(batch) else 0
-
-        outputs: List[RowBatch] = []
-        position = 0
-        index = 0
-        total = len(batch)
-        while position < total:
-            strategy = self.switcher.current_strategy
-            segment = batch.slice(
-                position, position + self.switcher.next_segment_rows(index)
-            )
-            position += len(segment)
-
-            # One plain (non-switching) strategy operator per segment, over
-            # the materialised slice, sharing this operator's context — and
-            # therefore its simulator clock, link stats, adaptive batch
-            # controller, and client result cache.
-            segment_config = (
-                self.config.with_strategy(strategy)
-                .with_switch_policy(None)
-                .with_reoptimizer(None)
-            )
-            operator = build_operator(
-                child=CollectingOperator(self.child_schema, segment),
-                udf=self.udf,
-                argument_columns=self.argument_columns,
-                context=self.context,
-                config=segment_config,
-                pushable_predicate=self.pushable_predicate,
-                output_columns=self.output_columns,
-                result_column_name=self.result_column.name,
-                semi_join_state=self._semi_join_state,
-            )
-            before = self._snapshot()
-            segment_output = concat_batches(
-                list(operator.execute_batches(batch_size)),
-                column_count=len(self.schema),
-            )
-            outputs.append(segment_output)
-            self.segments.append((strategy, len(segment)))
-            self._carry_instrumentation(operator)
-
-            if position < total:
-                self.switcher.observe_segment(
-                    self._segment_observation(
-                        len(segment), len(segment_output), position, before
-                    )
-                )
-            index += 1
-
-        output = concat_batches(outputs, column_count=len(self.schema))
-        self.output_row_count = len(output)
-        for start in range(0, len(output), batch_size):
-            yield output.slice(start, start + batch_size)
-
-    def _precompute_suffixes(self, batch: RowBatch) -> None:
-        """Per-suffix aggregates of the input, computed in one backward pass.
-
-        Segment boundaries need the byte shape and duplicate structure of the
-        unprocessed tail; precomputing suffix sums keeps each boundary O(1)
-        instead of rescanning the tail (which would make long adaptive runs
-        quadratic in the input size).  The per-row sizes come off the column
-        buffers in bulk (constant-folded for NULL-free typed columns).
-        """
-        if self._projection_positions is not None:
-            child_positions: Tuple[int, ...] = tuple(
-                position
-                for position in self._projection_positions
-                if position < len(self.child_schema)
-            )
-        else:
-            child_positions = tuple(range(len(self.child_schema)))
-
-        count = len(batch)
-        record_sizes = batch.row_sizes(self.child_schema)
-        argument_sizes = batch.value_sizes(self._argument_positions)
-        projected_sizes = batch.value_sizes(child_positions)
-        argument_tuples = self.argument_tuples(batch)
-
-        self._suffix_record_bytes = [0.0] * (count + 1)
-        self._suffix_argument_bytes = [0.0] * (count + 1)
-        self._suffix_projected_bytes = [0.0] * (count + 1)
-        self._suffix_distinct = [0] * (count + 1)
-        seen: set = set()
-        for position in range(count - 1, -1, -1):
-            seen.add(argument_tuples[position])
-            self._suffix_record_bytes[position] = (
-                self._suffix_record_bytes[position + 1] + record_sizes[position]
-            )
-            self._suffix_argument_bytes[position] = (
-                self._suffix_argument_bytes[position + 1] + argument_sizes[position]
-            )
-            self._suffix_projected_bytes[position] = (
-                self._suffix_projected_bytes[position + 1] + projected_sizes[position]
-            )
-            self._suffix_distinct[position] = len(seen)
-
-    # -- observation plumbing ----------------------------------------------------------
-
-    def _snapshot(self) -> Tuple[float, float, float, float, float, int]:
-        """Link and client counters before a segment, for delta measurement."""
-        stats = self.context.channel_stats
-        client = self.context.client
-        return (
-            stats.downlink.total_bytes,
-            stats.downlink.busy_seconds,
-            stats.uplink.total_bytes,
-            stats.uplink.busy_seconds,
-            client.compute_seconds_of(self.udf.name),
-            client.invocations_of(self.udf.name),
-        )
-
-    def _segment_observation(
-        self,
-        processed: int,
-        surviving: int,
-        position: int,
-        before: Tuple[float, float, float, float, float, int],
-    ) -> SegmentObservation:
-        stats = self.context.channel_stats
-        network = self.context.network
-
-        down_bytes = stats.downlink.total_bytes - before[0]
-        down_busy = stats.downlink.busy_seconds - before[1]
-        up_bytes = stats.uplink.total_bytes - before[2]
-        up_busy = stats.uplink.busy_seconds - before[3]
-        downlink = self._bandwidth(
-            down_bytes, down_busy, network.downlink_bandwidth if network else None
-        )
-        uplink = self._bandwidth(
-            up_bytes, up_busy, network.uplink_bandwidth if network else None
-        )
-
-        compute = self.context.client.compute_seconds_of(self.udf.name) - before[4]
-        invocations = self.context.client.invocations_of(self.udf.name) - before[5]
-        per_call = (
-            compute / invocations if invocations > 0 else self.udf.cost_per_call_seconds
-        )
-
-        remaining = self.input_row_count - position
-        record_bytes = self._suffix_record_bytes[position] / remaining
-        argument_bytes = self._suffix_argument_bytes[position] / remaining
-        # Distinct tuples of the suffix bound the remaining distinct work (a
-        # duplicate of an already-processed argument is free at the client
-        # anyway, via the shared result cache).
-        distinct_fraction = self._suffix_distinct[position] / remaining
-        result_bytes = float(
-            self.udf.result_size_bytes if self.udf.result_size_bytes is not None else 8
-        )
-        returned_row_bytes = self._suffix_projected_bytes[position] / remaining + result_bytes
-
-        configured_window = self.config.next_overlap_window(self.udf.name)
-        return SegmentObservation(
-            rows_processed=processed,
-            rows_surviving=surviving,
-            remaining_rows=remaining,
-            remaining_record_bytes=record_bytes,
-            remaining_argument_bytes=argument_bytes,
-            remaining_distinct_fraction=distinct_fraction,
-            returned_row_bytes=returned_row_bytes,
-            result_bytes=result_bytes,
-            udf_seconds_per_call=per_call,
-            downlink_bandwidth=downlink,
-            uplink_bandwidth=uplink,
-            latency=network.latency if network is not None else 0.0,
-            batch_size=float(self.next_batch_size()),
-            overlap_window=(
-                float(configured_window) if configured_window is not None else None
-            ),
-            has_predicate=self.pushable_predicate is not None,
-        )
-
-    @staticmethod
-    def _bandwidth(
-        delta_bytes: float, delta_busy: float, configured: Optional[float]
-    ) -> float:
-        """Observed effective bandwidth over a segment, else the configured one."""
-        if delta_busy > 1e-9 and delta_bytes > 0:
-            return delta_bytes / delta_busy
-        if configured is not None:
-            return configured
-        return 1e9  # no network model at all: transfers are effectively free
-
-    def _carry_instrumentation(self, operator: Operator) -> None:
-        """Propagate the inner remote operator's simulation bookkeeping."""
-        inner = _find_remote(operator)
-        if inner is None:
-            return
-        factor = getattr(inner, "concurrency_factor_used", None)
-        if factor is not None:
-            self.concurrency_factor_used = factor
-        occupancy = getattr(inner, "peak_pipeline_occupancy", None)
-        if occupancy is not None:
-            self.peak_pipeline_occupancy = occupancy
-        self.peak_in_flight_batches = max(
-            self.peak_in_flight_batches, getattr(inner, "peak_in_flight_batches", 0)
-        )
-        self.send_stall_seconds += getattr(inner, "send_stall_seconds", 0.0)
-        window = getattr(inner, "overlap_window_used", None)
-        if window is not None:
-            self.overlap_window_used = window
-
-    def describe(self) -> str:
-        used = "/".join(strategy.value for strategy in self.switcher.strategies_used)
-        return (
-            f"{type(self).__name__}({self.udf.name} on "
-            f"{', '.join(self.argument_columns)}, strategies {used})"
-        )
+    down_bytes: float = 0
+    down_busy: float = 0.0
+    up_bytes: float = 0
+    up_busy: float = 0.0
+    #: Per lower-cased UDF name: ``(compute seconds, invocations)``.
+    calls: Mapping[str, Tuple[float, int]] = {}
 
 
 def _find_remote(operator: Operator) -> Optional[RemoteUdfOperator]:
@@ -353,9 +87,20 @@ def _find_remote(operator: Operator) -> Optional[RemoteUdfOperator]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Plan-shape migration (mid-query re-optimization)
-# ---------------------------------------------------------------------------
+def _suffix_sums(sizes: Sequence[float]) -> List[float]:
+    """``sums[i]`` is the total of ``sizes[i:]``, from one backward pass."""
+    sums = list(accumulate(reversed(sizes), initial=0.0))
+    sums.reverse()
+    return sums
+
+
+def _bandwidth(delta_bytes: float, delta_busy: float, configured: Optional[float]) -> float:
+    """Observed effective bandwidth over an interval, else the configured one."""
+    if delta_busy > 1e-9 and delta_bytes > 0:
+        return delta_bytes / delta_busy
+    if configured is not None:
+        return configured
+    return 1e9  # no network model at all: transfers are effectively free
 
 
 @dataclass
@@ -365,7 +110,7 @@ class MigrationStage:
     udf: UdfDefinition
     argument_columns: Tuple[str, ...]
     result_column_name: str
-    strategy: "ExecutionStrategy"
+    strategy: ExecutionStrategy
 
 
 @dataclass
@@ -422,17 +167,17 @@ class _StageView:
 
 
 class PlanMigrationOperator(Operator):
-    """Runs a whole client-site UDF chain in segments, migrating plan shape.
+    """Runs one or more client-site UDFs in segments, migrating plan shape.
 
-    The generalisation of :class:`AdaptiveStrategyOperator` from "switch one
-    UDF's shipping strategy" to "migrate the committed plan shape": each
-    segment of the input runs through a freshly built pipeline of plain
+    Each segment of the input runs through a freshly built pipeline of plain
     strategy operators in the *current* UDF application order, and at every
-    segment boundary the :class:`~repro.adaptive.reoptimizer.ReOptimizer`
-    re-enters the optimizer with everything observed so far.  When it
-    migrates, the unprocessed tail runs under the new shape — different UDF
-    order, different per-UDF strategies, predicates pushed at different
-    operators.
+    segment boundary the ``controller`` re-prices the remaining rows with
+    everything observed so far.  When it changes the shape, the unprocessed
+    tail runs under the new one — a different shipping strategy for a
+    one-stage operator; for a chain also a different UDF order, with
+    predicates pushed at different operators.  After execution,
+    :attr:`controller` holds the full decision trace and :attr:`segments` the
+    ``(shape, rows)`` slices that actually ran.
 
     Result equivalence across every migration path holds because
 
@@ -448,7 +193,7 @@ class PlanMigrationOperator(Operator):
       context (one client result cache), and each UDF carries one
       :class:`~repro.core.execution.semijoin.SemiJoinSegmentState` across
       segments, so duplicate arguments are never re-shipped, whatever shapes
-      ran.
+      ran (wire-row counts match an unsegmented run).
     """
 
     def __init__(
@@ -459,7 +204,8 @@ class PlanMigrationOperator(Operator):
         config: Optional[StrategyConfig] = None,
         predicates: Sequence[MigrationPredicate] = (),
         output_columns: Optional[Sequence[str]] = None,
-        reoptimizer: Optional[ReOptimizer] = None,
+        *,
+        controller: SegmentController,
     ) -> None:
         super().__init__([child])
         if not stages:
@@ -468,11 +214,7 @@ class PlanMigrationOperator(Operator):
         self.config = config if config is not None else StrategyConfig()
         self.stages = list(stages)
         self.predicates = list(predicates)
-        self.reoptimizer = (
-            reoptimizer
-            if reoptimizer is not None
-            else (self.config.reoptimizer or ReOptimizer())
-        )
+        self.controller = controller
 
         self.child_schema = child.output_schema()
         self._stage_by_name: Dict[str, MigrationStage] = {
@@ -484,8 +226,6 @@ class PlanMigrationOperator(Operator):
         self._declared_order: Tuple[str, ...] = tuple(
             stage.udf.name.lower() for stage in self.stages
         )
-        from repro.relational.schema import Column
-
         extended = self.child_schema
         for stage in self.stages:
             extended = extended.append(Column(stage.result_column_name, stage.udf.result_dtype))
@@ -504,13 +244,14 @@ class PlanMigrationOperator(Operator):
             [stage.udf.name for stage in self.stages],
             {stage.udf.name: stage.strategy for stage in self.stages},
         )
-        self.reoptimizer.bind(
+        self.controller.bind(
             initial_shape, [predicate.spec() for predicate in self.predicates]
         )
 
         # Instrumentation the executor and observer read.
         self.input_row_count = 0
         self.output_row_count = 0
+        self.concurrency_factor_used: Optional[int] = None
         self.peak_in_flight_batches = 0
         self.send_stall_seconds = 0.0
         self.overlap_window_used: Optional[int] = None
@@ -535,23 +276,27 @@ class PlanMigrationOperator(Operator):
         self.input_row_count = len(batch)
         self._precompute_suffixes(batch)
 
-        policy = self.reoptimizer.policy
+        controller = self.controller
         outputs: List[RowBatch] = []
         position = 0
         index = 0
         total = len(batch)
         while position < total:
-            shape = self.reoptimizer.current_shape
-            # Once the controller settles — re-plan budget spent, or enough
+            shape = controller.current_shape
+            # Once the controller settles — change budget spent, or enough
             # consecutive boundaries confirmed the incumbent shape — no
             # boundary can change the plan any more: segment boundaries
             # would be pure overhead (extra messages, pipeline fills), so
             # the whole tail drains as one final segment.
-            exhausted = self.reoptimizer.settled
-            take = total - position if exhausted else policy.next_segment_rows(index)
+            settled = controller.settled
+            take = total - position if settled else controller.policy.next_segment_rows(index)
             segment = batch.slice(position, position + take)
             position += len(segment)
 
+            # A per-UDF controller reads what *this* segment did to the
+            # shared link and client counters; a plan-wide one, their
+            # running totals.
+            since = _Counters() if controller.plan_wide else self._counters()
             units, stage_keys = self._build_pipeline(shape, segment)
             segment_output = concat_batches(
                 list(units[-1].execute_batches(batch_size)),
@@ -568,8 +313,8 @@ class PlanMigrationOperator(Operator):
             outputs.append(segment_output)
             self.segments.append((shape, len(segment)))
 
-            if position < total and not exhausted:
-                self.reoptimizer.consider(self._observation(position))
+            if position < total and not settled:
+                controller.consider(self._observation(position, since))
             index += 1
 
         output = concat_batches(outputs, column_count=len(self.schema))
@@ -582,10 +327,13 @@ class PlanMigrationOperator(Operator):
     ) -> Tuple[List[Operator], List[Optional[str]]]:
         """The per-segment operator chain under ``shape``.
 
-        Returns the stage units (one per UDF, possibly Filter-wrapped by
-        ``build_operator``) and, per stage, the canonical key of the
-        predicate conjunction pushed there (None when the stage filters
-        nothing).
+        One plain (non-adaptive) strategy operator per stage over the
+        materialised slice, sharing this operator's context — and therefore
+        its simulator clock, link stats, adaptive batch controllers, and
+        client result cache.  Returns the stage units (one per UDF, possibly
+        Filter-wrapped by ``build_operator``) and, per stage, the canonical
+        key of the predicate conjunction pushed there (None when the stage
+        filters nothing).
         """
         from repro.core.execution.rewrite import build_operator
 
@@ -688,6 +436,9 @@ class PlanMigrationOperator(Operator):
                 self._predicate_counts[key] = (survived + rows_out, processed + rows_in)
             remote = _find_remote(unit)
             if remote is not None:
+                factor = getattr(remote, "concurrency_factor_used", None)
+                if factor is not None:
+                    self.concurrency_factor_used = factor
                 self.peak_in_flight_batches = max(
                     self.peak_in_flight_batches, remote.peak_in_flight_batches
                 )
@@ -716,82 +467,98 @@ class PlanMigrationOperator(Operator):
     # -- observation plumbing ----------------------------------------------------------
 
     def _precompute_suffixes(self, batch: RowBatch) -> None:
-        """Suffix aggregates of the input (byte shape and per-stage distincts)."""
-        count = len(batch)
-        self._suffix_record_bytes = [0.0] * (count + 1)
-        self._suffix_argument_bytes: Dict[str, List[float]] = {
-            name: [0.0] * (count + 1) for name in self._declared_order
-        }
-        self._suffix_distinct: Dict[str, List[int]] = {
-            name: [0] * (count + 1) for name in self._declared_order
-        }
-        stage_positions = {
-            name: tuple(
+        """Per-suffix aggregates of the input, computed once per execution.
+
+        Segment boundaries need the byte shape and duplicate structure of the
+        unprocessed tail; precomputing suffix sums keeps each boundary O(1)
+        instead of rescanning the tail (which would make long adaptive runs
+        quadratic in the input size).  The per-row sizes come off the column
+        buffers in bulk (constant-folded for NULL-free typed columns), and
+        only columns the bound controller prices are sized.
+        """
+        self._suffix_record_bytes = _suffix_sums(batch.row_sizes(self.child_schema))
+        self._suffix_argument_bytes: Dict[str, List[float]] = {}
+        self._suffix_distinct: Dict[str, List[int]] = {}
+        for name in self._declared_order:
+            positions = tuple(
                 self.child_schema.index_of(column)
                 for column in self._stage_by_name[name].argument_columns
             )
-            for name in self._declared_order
-        }
-        record_sizes = batch.row_sizes(self.child_schema)
-        stage_sizes = {
-            name: batch.value_sizes(stage_positions[name])
-            for name in self._declared_order
-        }
-        stage_tuples = {
-            name: batch.key_tuples(stage_positions[name])
-            for name in self._declared_order
-        }
-        seen: Dict[str, set] = {name: set() for name in self._declared_order}
-        for position in range(count - 1, -1, -1):
-            self._suffix_record_bytes[position] = (
-                self._suffix_record_bytes[position + 1] + record_sizes[position]
+            self._suffix_argument_bytes[name] = _suffix_sums(batch.value_sizes(positions))
+            # Distinct tuples of the suffix bound the remaining distinct work
+            # (a duplicate of an already-processed argument is free at the
+            # client anyway, via the shared result cache).
+            distinct = [0] * (len(batch) + 1)
+            seen: set = set()
+            tuples = batch.key_tuples(positions)
+            for position in range(len(batch) - 1, -1, -1):
+                seen.add(tuples[position])
+                distinct[position] = len(seen)
+            self._suffix_distinct[name] = distinct
+        self._suffix_projected_bytes: Optional[List[float]] = None
+        if not self.controller.plan_wide:
+            child_count = len(self.child_schema)
+            projected = (
+                tuple(p for p in self._projection_positions if p < child_count)
+                if self._projection_positions is not None
+                else tuple(range(child_count))
             )
-            for name in self._declared_order:
-                seen[name].add(stage_tuples[name][position])
-                self._suffix_argument_bytes[name][position] = (
-                    self._suffix_argument_bytes[name][position + 1]
-                    + stage_sizes[name][position]
-                )
-                self._suffix_distinct[name][position] = len(seen[name])
+            self._suffix_projected_bytes = _suffix_sums(batch.value_sizes(projected))
 
-    def _observation(self, position: int) -> MigrationObservation:
+    def _counters(self) -> _Counters:
         stats = self.context.channel_stats
-        network = self.context.network
         client = self.context.client
-        remaining = self.input_row_count - position
-
-        downlink = AdaptiveStrategyOperator._bandwidth(
+        return _Counters(
             stats.downlink.total_bytes,
             stats.downlink.busy_seconds,
-            network.downlink_bandwidth if network else None,
-        )
-        uplink = AdaptiveStrategyOperator._bandwidth(
             stats.uplink.total_bytes,
             stats.uplink.busy_seconds,
-            network.uplink_bandwidth if network else None,
+            {
+                name: (
+                    client.compute_seconds_of(stage.udf.name),
+                    client.invocations_of(stage.udf.name),
+                )
+                for name, stage in self._stage_by_name.items()
+            },
         )
+
+    def _observation(self, position: int, since: _Counters) -> SegmentObservation:
+        """What the run observed since ``since``, plus the tail after ``position``."""
+        network = self.context.network
+        now = self._counters()
+        remaining = self.input_row_count - position
 
         seconds_per_call: Dict[str, float] = {}
         argument_bytes: Dict[str, float] = {}
         result_bytes: Dict[str, float] = {}
         distinct_fraction: Dict[str, float] = {}
         for name in self._declared_order:
-            stage = self._stage_by_name[name]
-            invocations = client.invocations_of(stage.udf.name)
+            udf = self._stage_by_name[name].udf
+            compute, invocations = now.calls[name]
+            compute_before, invocations_before = since.calls.get(name, (0.0, 0))
+            invocations -= invocations_before
             seconds_per_call[name] = (
-                client.compute_seconds_of(stage.udf.name) / invocations
+                (compute - compute_before) / invocations
                 if invocations > 0
-                else stage.udf.cost_per_call_seconds
+                else udf.cost_per_call_seconds
             )
             argument_bytes[name] = self._suffix_argument_bytes[name][position] / remaining
             result_bytes[name] = float(
-                stage.udf.result_size_bytes
-                if stage.udf.result_size_bytes is not None
-                else 8
+                udf.result_size_bytes if udf.result_size_bytes is not None else 8
             )
             distinct_fraction[name] = self._suffix_distinct[name][position] / remaining
 
-        return MigrationObservation(
+        # A per-UDF controller prices its own stage: that UDF's batch size,
+        # projection-aware return width and configured overlap window.
+        priced_udf = returned_row_bytes = window = None
+        if not self.controller.plan_wide:
+            priced_udf = self.stages[0].udf.name
+            returned_row_bytes = (
+                self._suffix_projected_bytes[position] / remaining
+                + result_bytes[self._declared_order[0]]
+            )
+            window = self.config.next_overlap_window(priced_udf)
+        return SegmentObservation(
             rows_processed=position,
             remaining_rows=remaining,
             remaining_record_bytes=self._suffix_record_bytes[position] / remaining,
@@ -800,10 +567,20 @@ class PlanMigrationOperator(Operator):
             stage_result_bytes=result_bytes,
             stage_distinct_fraction=distinct_fraction,
             stage_seconds_per_call=seconds_per_call,
-            downlink_bandwidth=downlink,
-            uplink_bandwidth=uplink,
+            downlink_bandwidth=_bandwidth(
+                now.down_bytes - since.down_bytes,
+                now.down_busy - since.down_busy,
+                network.downlink_bandwidth if network else None,
+            ),
+            uplink_bandwidth=_bandwidth(
+                now.up_bytes - since.up_bytes,
+                now.up_busy - since.up_busy,
+                network.uplink_bandwidth if network else None,
+            ),
             latency=network.latency if network is not None else 0.0,
-            batch_size=float(self.config.next_batch_size()),
+            batch_size=float(self.config.next_batch_size(priced_udf)),
+            returned_row_bytes=returned_row_bytes,
+            overlap_window=float(window) if window is not None else None,
         )
 
     # -- observer integration ----------------------------------------------------------
@@ -812,12 +589,16 @@ class PlanMigrationOperator(Operator):
     def stage_views(self) -> List[_StageView]:
         """Per-stage observation proxies for the runtime observer."""
         views: List[_StageView] = []
-        final_shape = self.reoptimizer.current_shape
+        final_shape = self.controller.current_shape
         assignment = assign_predicates_to_stages(final_shape.udf_order, self.predicates)
         for name, indexes in zip(final_shape.udf_order, assignment):
             stage = self._stage_by_name[name]
             keys = [self.predicates[i].key for i in indexes]
             rows_in, rows_out, distinct = self._udf_unit_counts.get(name, (0, 0, 0))
+            # Per-segment distinct counts add up duplicates that span
+            # segments; no stage sees more distinct arguments than the whole
+            # input holds (for a one-stage operator that bound is exact).
+            distinct = min(distinct, self._suffix_distinct[name][0])
             predicate_key: Optional[str] = None
             if len(keys) == 1:
                 predicate_key = keys[0]
@@ -842,6 +623,6 @@ class PlanMigrationOperator(Operator):
         return views
 
     def describe(self) -> str:
-        shapes = self.reoptimizer.shapes_used
+        shapes = self.controller.shapes_used
         described = " => ".join(shape.describe() for shape in shapes) or "unbound"
         return f"{type(self).__name__}({described})"

@@ -87,14 +87,14 @@ def build_operator(
     the server by wrapping the operator in Filter/Project operators, so every
     strategy produces identical rows for the same inputs.
 
-    A config carrying a :class:`~repro.adaptive.reoptimizer.ReOptimizer`
-    gets the *plan-migrating* executor: the UDF runs in segments and the
-    whole remaining plan shape (strategy here; with several UDFs, their
-    order too) may be re-optimized at segment boundaries.  A config carrying
-    a :class:`~repro.adaptive.switcher.SwitchPolicy` gets the mid-query
-    strategy-switching executor instead: ``config.strategy`` is then the
-    *initial* strategy, and the operator may hand the unprocessed tail of
-    the input to a different strategy at segment boundaries.
+    A config armed for mid-query adaptation gets the *segmented* executor
+    (:class:`~repro.core.execution.adaptive.PlanMigrationOperator`, here with
+    this one UDF as its only stage): ``config.strategy`` is then the *initial*
+    strategy, and the operator may hand the unprocessed tail of the input to
+    a different one at segment boundaries.  A
+    :class:`~repro.adaptive.reoptimizer.ReOptimizer` on the config drives it;
+    failing that, a :class:`~repro.adaptive.switcher.StrategySwitcher` built
+    from ``config.switch_policy`` — so with both armed, re-optimization wins.
 
     ``semi_join_state`` (a
     :class:`~repro.core.execution.semijoin.SemiJoinSegmentState`) carries
@@ -104,8 +104,13 @@ def build_operator(
     from repro.relational.operators.filter import Filter
     from repro.relational.operators.project import Project
 
-    if config.reoptimizer is not None:
-        # Imported lazily: the migration executor builds plain per-segment
+    controller = config.reoptimizer
+    if controller is None and config.switch_policy is not None:
+        from repro.adaptive.switcher import StrategySwitcher
+
+        controller = StrategySwitcher(config.switch_policy, statistics=config.statistics)
+    if controller is not None:
+        # Imported lazily: the segmented executor builds plain per-segment
         # operators through this very function.
         from repro.core.execution.adaptive import (
             MigrationPredicate,
@@ -135,23 +140,7 @@ def build_operator(
             config=config,
             predicates=predicates,
             output_columns=output_columns,
-            reoptimizer=config.reoptimizer,
-        )
-
-    if config.switch_policy is not None:
-        # Imported lazily: the adaptive executor builds plain per-segment
-        # operators through this very function.
-        from repro.core.execution.adaptive import AdaptiveStrategyOperator
-
-        return AdaptiveStrategyOperator(
-            child,
-            udf,
-            argument_columns,
-            context,
-            config=config,
-            pushable_predicate=pushable_predicate,
-            output_columns=output_columns,
-            result_column_name=result_column_name,
+            controller=controller,
         )
 
     if config.strategy is ExecutionStrategy.CLIENT_SITE_JOIN:

@@ -436,19 +436,7 @@ class Database:
         )
 
         if optimize:
-            from repro.core.optimizer import Optimizer
-
-            optimizer = Optimizer(
-                self.network,
-                default_config=config,
-                settings=self.cost_settings,
-                statistics=(
-                    statistics
-                    if calibrated and statistics.queries_observed
-                    else None
-                ),
-            )
-            decision = optimizer.optimize(bound)
+            decision = self._optimizer(config, statistics, calibrated).optimize(bound)
             run_config = decision.strategy_config
             udf_strategies = None
             table_order = None
@@ -491,6 +479,26 @@ class Database:
             ),
             buffers_before,
             persist=observe and statistics is self.statistics,
+        )
+
+    def _optimizer(
+        self, config: StrategyConfig, statistics: StatisticsStore, calibrated: bool
+    ) -> "Optimizer":
+        """The optimizer every planning entry point of this database uses.
+
+        ``execute``, ``explain`` and the multi-tenant SJF admission estimate
+        must price with one cost model — this database's network and cost
+        settings (block I/O, index paths) — or admission orders queries by a
+        cost ``execute`` never plans with.  ``statistics`` calibrate it only
+        when asked to and once something was observed.
+        """
+        from repro.core.optimizer import Optimizer
+
+        return Optimizer(
+            self.network,
+            default_config=config,
+            settings=self.cost_settings,
+            statistics=statistics if calibrated and statistics.queries_observed else None,
         )
 
     def _maybe_execute_index_ddl(self, sql: str) -> Optional[QueryResult]:
@@ -666,19 +674,7 @@ class Database:
         table_order = None
         access_paths = None
         if optimize:
-            from repro.core.optimizer import Optimizer
-
-            optimizer = Optimizer(
-                self.network,
-                default_config=config,
-                settings=self.cost_settings,
-                statistics=(
-                    self.statistics
-                    if calibrated and self.statistics.queries_observed
-                    else None
-                ),
-            )
-            decision = optimizer.optimize(bound)
+            decision = self._optimizer(config, self.statistics, calibrated).optimize(bound)
             config = decision.strategy_config
             udf_order = decision.udf_order
             access_paths = decision.access_paths or None

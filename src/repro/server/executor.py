@@ -278,28 +278,26 @@ class Executor:
             window = getattr(operator, "overlap_window_used", None)
             if window is not None:
                 overlap_window = window
-            switcher = getattr(operator, "switcher", None)
-            if switcher is not None:
-                switches += switcher.switch_count
-                for strategy in switcher.strategies_used:
-                    # First-use order across operators, without repeats: a
-                    # multi-UDF plan that never switched reads as one
-                    # strategy, not a fake switch chain.
-                    if strategy not in strategies_used:
-                        strategies_used = strategies_used + (strategy,)
-            reoptimizer = getattr(operator, "reoptimizer", None)
-            if reoptimizer is not None:
-                replan_attempts += reoptimizer.attempt_count
-                plan_migrations += reoptimizer.replan_count
-                for shape in reoptimizer.shapes_used:
+            controller = getattr(operator, "controller", None)
+            if controller is None:
+                continue
+            for strategy in controller.strategies_used:
+                # First-use order across operators, without repeats: a
+                # multi-UDF plan that never switched reads as one
+                # strategy, not a fake switch chain.
+                if strategy not in strategies_used:
+                    strategies_used = strategies_used + (strategy,)
+            if controller.plan_wide:
+                replan_attempts += controller.attempt_count
+                plan_migrations += controller.change_count
+                for shape in controller.shapes_used:
                     described = shape.describe()
                     if described not in shapes_used:
                         shapes_used = shapes_used + (described,)
                     if shape.udf_order not in udf_orders_used:
                         udf_orders_used = udf_orders_used + (shape.udf_order,)
-                    for _, strategy in shape.udf_strategies:
-                        if strategy not in strategies_used:
-                            strategies_used = strategies_used + (strategy,)
+            else:
+                switches += controller.change_count
         index_lookups = 0
         index_pages_read = 0
 

@@ -409,7 +409,7 @@ class _PlanBuilder:
             config=self.config,
             predicates=predicates,
             output_columns=self._chain_output_columns(plan, calls),
-            reoptimizer=self.config.reoptimizer,
+            controller=self.config.reoptimizer,
         )
 
     def _chain_output_columns(

@@ -33,7 +33,7 @@ from repro.server.engine import Database
 from repro.server.executor import ExecutorSlots
 from repro.server.session import ClientSession
 from repro.tenancy.admission import AdmissionPolicy, AdmissionScheduler
-from repro.tenancy.baton import BatonDriver, BatonWorker, WorkerAborted
+from repro.tenancy.baton import BatonDriver, BatonWorker
 from repro.tenancy.fairqueue import DEFAULT_QUANTUM_BYTES, shared_trunks
 from repro.tenancy.metrics import QueryRecord, TrafficReport
 
@@ -134,10 +134,6 @@ class SharedExecutionContext(RemoteExecutionContext):
     @property
     def elapsed_seconds(self) -> float:
         return self.simulator.now - self.started_at
-
-
-# Backwards-compatible alias: the abort signal now lives in tenancy.baton.
-_WorkerAborted = WorkerAborted
 
 
 class _SessionWorker(BatonWorker):
@@ -330,10 +326,8 @@ class MultiTenantEngine:
             return None
         if spec.sql not in self._cost_cache:
             try:
-                from repro.core.optimizer import Optimizer
-
-                decision = Optimizer(
-                    self.db.network, default_config=self.db.default_config
+                decision = self.db._optimizer(
+                    self.db.default_config, self.db.statistics, calibrated=False
                 ).optimize(self.db.bind(spec.sql))
                 self._cost_cache[spec.sql] = decision.estimated_cost
             except Exception:  # noqa: BLE001 - estimation is best-effort

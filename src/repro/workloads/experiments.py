@@ -3,7 +3,7 @@
 Each harness builds the synthetic workload of the corresponding experiment,
 executes it under the relevant strategies on the network simulator, and
 returns the measured series together with the cost model's prediction, so
-benchmarks (and EXPERIMENTS.md) can compare shapes directly:
+benchmarks can compare shapes directly:
 
 * :class:`ConcurrencySweep`   — Figure 6  (execution time vs. pipeline concurrency factor)
 * :class:`SelectivitySweep`   — Figures 8 and 9 (CSJ/SJ ratio vs. selectivity)
@@ -125,7 +125,7 @@ def run_workload_point(
     rows = operator.run()
     if storage_engine is not None:
         storage_engine.close()
-    switcher = getattr(operator, "switcher", None)
+    controller = getattr(operator, "controller", None)
     return ExperimentPoint(
         strategy=config.strategy,
         elapsed_seconds=context.elapsed_seconds,
@@ -135,8 +135,8 @@ def run_workload_point(
         udf_invocations=context.client.udf_invocations,
         downlink_messages=context.channel.downlink.stats.message_count,
         uplink_messages=context.channel.uplink.stats.message_count,
-        strategy_switches=switcher.switch_count if switcher is not None else 0,
-        strategies_used=switcher.strategies_used if switcher is not None else (),
+        strategy_switches=controller.change_count if controller is not None else 0,
+        strategies_used=controller.strategies_used if controller is not None else (),
         # repr is a total order over mixed-type (and None-valued) rows, which
         # plain tuple comparison is not; equal multisets still sort equally.
         result_rows=tuple(sorted((tuple(row) for row in rows), key=repr)),

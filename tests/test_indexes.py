@@ -118,6 +118,30 @@ class TestAccessPathChoice:
         assert indexed.metrics.buffer_accesses < seq.metrics.buffer_accesses / 2
         db.close()
 
+    def test_sjf_admission_prices_the_plan_execute_takes(self, quotes_indexed_dir, tmp_path):
+        """Shortest-job-first admission must order queries by the cost model
+        ``execute`` plans with: on a database with a block-access cost the
+        estimate includes block I/O and takes the index path, instead of
+        pricing a free sequential scan."""
+        from repro.core.optimizer import Optimizer
+        from repro.tenancy import MultiTenantEngine, QuerySpec
+
+        db = open_copy(quotes_indexed_dir, tmp_path)
+        engine = MultiTenantEngine(db, executor_slots=1, admission_policy="sjf")
+        predicted = engine._predicted_cost(QuerySpec(SELECTIVE_SQL))
+
+        bound = db.bind(SELECTIVE_SQL)
+        planned = Optimizer(
+            db.network, default_config=db.default_config, settings=db.cost_settings
+        ).optimize(bound)
+        executed = db.execute(SELECTIVE_SQL, optimize=True)
+        assert planned.access_paths and executed.metrics.index_lookups > 0
+        assert predicted == planned.estimated_cost
+        # The estimate a settings-less optimizer gives is a different number.
+        blind = Optimizer(db.network, default_config=db.default_config).optimize(bound)
+        assert predicted != blind.estimated_cost
+        db.close()
+
     def test_seq_scan_without_statistics(self, quotes_unanalyzed_dir, tmp_path):
         """No ANALYZE means no histogram: the optimizer falls back to the
         flat default range selectivity and keeps the sequential scan."""
@@ -306,6 +330,96 @@ class TestFreeSpaceReuse:
             recovered.append((index, "x" * 64))
         assert recovered.block_count() <= blocks_before + 2
         reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# Overflow records reached by RID (index lookups fetch, they do not scan)
+# ---------------------------------------------------------------------------
+
+
+class TestOverflowRecordsByRid:
+    """A record wider than a block lives in an overflow chain.  Scans walk
+    chains in block order; an index lookup instead lands on the chain head
+    by RID (``HeapFile.fetch``), and deleting that row must free the whole
+    chain (``HeapFile.delete``) — the path every index over wide
+    ``TIME_SERIES`` rows takes."""
+
+    WIDE = "w" * 20_000  # ~5 blocks of 4 KB
+    WIDE_ID = 7
+    LOOKUP_SQL = f"SELECT B.Id, B.Payload FROM Blobs B WHERE B.Id = {WIDE_ID}"
+
+    def _build(self, directory: str) -> Database:
+        db = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+        rows = [
+            (index, self.WIDE if index == self.WIDE_ID else f"narrow{index}")
+            for index in range(600)
+        ]
+        db.create_table("Blobs", [("Id", INTEGER), ("Payload", STRING)], rows=rows)
+        db.analyze("Blobs")
+        db.create_index("blobs_id_idx", "Blobs", "Id")
+        return db
+
+    def _lookup(self, db: Database):
+        result = db.execute(self.LOOKUP_SQL, optimize=True)
+        assert result.metrics.index_lookups > 0 and "IndexScan" in result.plan_text
+        return result.row_set()
+
+    def test_index_lookup_fetches_the_wide_row_intact(self, tmp_path):
+        db = self._build(str(tmp_path))
+        (rid,) = db.storage.index_handle("blobs_id_idx").search_eq(self.WIDE_ID)
+        assert rid[1] == -1  # an overflow head, not a slot
+        assert self._lookup(db) == [(self.WIDE_ID, self.WIDE)]
+        db.close()
+
+        reopened = Database(network=NETWORK, storage_dir=str(tmp_path), cost_settings=COST)
+        assert self._lookup(reopened) == [(self.WIDE_ID, self.WIDE)]
+        reopened.close()
+
+    def test_deleted_chain_blocks_are_reused_by_narrow_rows(self, tmp_path):
+        directory = str(tmp_path)
+        db = self._build(directory)
+        table = db.catalog.table("Blobs")
+        handle = db.storage.index_handle("blobs_id_idx")
+        ((head, _),) = handle.search_eq(self.WIDE_ID)
+        blocks = table.storage.block_count()
+
+        assert table.delete(lambda row: row[0] == self.WIDE_ID) == 1
+        assert handle.search_eq(self.WIDE_ID) == []
+        assert self._lookup(db) == []
+        chain = [number for number in table.storage.heap.holes if number >= head]
+        assert len(chain) >= 5  # every chain block is free again
+
+        table.insert((self.WIDE_ID, "narrow again"))
+        ((block, slot),) = handle.search_eq(self.WIDE_ID)
+        assert block in chain and slot >= 0
+        assert table.storage.block_count() == blocks
+        assert self._lookup(db) == [(self.WIDE_ID, "narrow again")]
+        db.close()
+
+        reopened = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+        assert self._lookup(reopened) == [(self.WIDE_ID, "narrow again")]
+        assert len(reopened.catalog.table("Blobs")) == 600
+        reopened.close()
+
+    def test_truncated_chain_raises_storage_error(self, tmp_path):
+        directory = str(tmp_path)
+        db = self._build(directory)
+        ((head, _),) = db.storage.index_handle("blobs_id_idx").search_eq(self.WIDE_ID)
+        heap = db.catalog.table("Blobs").storage.heap
+        heap_file = os.path.join(directory, heap.file_name)
+        block_size = heap.layout.block_size
+        db.close()
+        # Tear the chain: its second block comes back zeroed, as after a
+        # crash that wrote the head but not the continuation.
+        with open(heap_file, "r+b") as handle:
+            handle.seek((head + 1) * block_size)
+            handle.write(b"\x00" * block_size)
+
+        engine = StorageEngine(directory)
+        storage = engine.open_table("Blobs")
+        with pytest.raises(StorageError, match="truncated overflow chain"):
+            storage.fetch_row((head, -1))
+        engine.close()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.adaptive import SegmentObservation, StrategySwitcher, SwitchPolicy
-from repro.core.execution import AdaptiveStrategyOperator
+from repro.adaptive import (
+    PlanShape,
+    PredicateSpec,
+    SegmentObservation,
+    StrategySwitcher,
+    SwitchPolicy,
+)
+from repro.core.execution import PlanMigrationOperator
 from repro.core.optimizer.cost import CostSettings, remaining_strategy_cost
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
@@ -24,37 +30,67 @@ from repro.workloads.synthetic import SyntheticWorkload
 NETWORK = NetworkConfig.paper_asymmetric(asymmetry=100.0)
 
 
-def observation(
-    processed=24,
-    surviving=None,
-    remaining=376,
-    selectivity=0.1,
-    record_bytes=1000.0,
-    argument_bytes=500.0,
-    result_bytes=1000.0,
-    returned_row_bytes=1500.0,
-    **overrides,
-):
-    """A hand-built segment observation on the N=100 network."""
-    if surviving is None:
-        surviving = int(round(processed * selectivity))
-    values = dict(
-        rows_processed=processed,
-        rows_surviving=surviving,
-        remaining_rows=remaining,
-        remaining_record_bytes=record_bytes,
-        remaining_argument_bytes=argument_bytes,
-        remaining_distinct_fraction=1.0,
-        returned_row_bytes=returned_row_bytes,
-        result_bytes=result_bytes,
-        udf_seconds_per_call=0.001,
-        downlink_bandwidth=NETWORK.downlink_bandwidth,
-        uplink_bandwidth=NETWORK.uplink_bandwidth,
-        latency=NETWORK.latency,
-        batch_size=8.0,
+#: The one UDF (and its one predicate) the hand-fed switchers below adapt.
+UDF = "analyze"
+PREDICATE = "Analyze_result < 1"
+
+
+def make_switcher(policy=None, initial_strategy=ExecutionStrategy.SEMI_JOIN, declared_selectivity=1.0):
+    """A switcher bound the way a one-stage segmented operator binds it."""
+    switcher = StrategySwitcher(policy)
+    switcher.bind(
+        PlanShape.of([UDF], {UDF: initial_strategy}),
+        [PredicateSpec(PREDICATE, frozenset({UDF}), declared_selectivity)],
     )
-    values.update(overrides)
-    return SegmentObservation(**values)
+    return switcher
+
+
+class Feed:
+    """Hand-built boundary observations for one switcher on the N=100 network.
+
+    Observations carry *cumulative* predicate counts (the segmented operator
+    accumulates them), so the feed adds each call's segment onto its totals.
+    """
+
+    def __init__(self, switcher):
+        self.switcher = switcher
+        self.processed = 0
+        self.surviving = 0
+
+    def __call__(
+        self,
+        processed=24,
+        surviving=None,
+        remaining=376,
+        selectivity=0.1,
+        record_bytes=1000.0,
+        argument_bytes=500.0,
+        result_bytes=1000.0,
+        returned_row_bytes=1500.0,
+    ):
+        """Fold one more segment in; returns the next segment's strategy."""
+        if surviving is None:
+            surviving = int(round(processed * selectivity))
+        self.processed += processed
+        self.surviving += surviving
+        self.switcher.consider(
+            SegmentObservation(
+                rows_processed=self.processed,
+                remaining_rows=remaining,
+                remaining_record_bytes=record_bytes,
+                predicate_counts={PREDICATE: (self.surviving, self.processed)},
+                stage_argument_bytes={UDF: argument_bytes},
+                stage_result_bytes={UDF: result_bytes},
+                stage_distinct_fraction={UDF: 1.0},
+                stage_seconds_per_call={UDF: 0.001},
+                downlink_bandwidth=NETWORK.downlink_bandwidth,
+                uplink_bandwidth=NETWORK.uplink_bandwidth,
+                latency=NETWORK.latency,
+                batch_size=8.0,
+                returned_row_bytes=returned_row_bytes,
+            )
+        )
+        return self.switcher.current_strategy
 
 
 # ---------------------------------------------------------------------------
@@ -174,58 +210,58 @@ class TestSwitchPolicy:
         )
 
     def test_segment_rows_grow_geometrically_and_cap(self):
-        switcher = StrategySwitcher(
-            SwitchPolicy(initial_segment_rows=8, segment_growth=2.0, max_segment_rows=64)
-        )
-        sizes = [switcher.next_segment_rows(i) for i in range(6)]
+        policy = SwitchPolicy(initial_segment_rows=8, segment_growth=2.0, max_segment_rows=64)
+        sizes = [policy.next_segment_rows(i) for i in range(6)]
         assert sizes == [8, 16, 32, 64, 64, 64]
 
 
 class TestStrategySwitcher:
     def test_switches_when_observed_selectivity_contradicts_declared(self):
         """Declared 0.9 commits the semi-join; observed 0.1 demands the CSJ."""
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(min_rows_before_switch=16),
             initial_strategy=ExecutionStrategy.SEMI_JOIN,
             declared_selectivity=0.9,
         )
-        result = switcher.observe_segment(observation(selectivity=0.1))
+        result = Feed(switcher)(selectivity=0.1)
         assert result is ExecutionStrategy.CLIENT_SITE_JOIN
         assert switcher.switch_count == 1
         decision = switcher.decisions[-1]
-        assert decision.switched
-        assert decision.observed_selectivity == pytest.approx(0.125, abs=0.05)
+        assert decision.changed
+        assert decision.observed_selectivities[PREDICATE] == pytest.approx(0.125, abs=0.05)
 
     def test_no_switch_when_declaration_was_right(self):
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(min_rows_before_switch=16),
             initial_strategy=ExecutionStrategy.CLIENT_SITE_JOIN,
             declared_selectivity=0.1,
         )
+        feed = Feed(switcher)
         for _ in range(6):
-            result = switcher.observe_segment(observation(selectivity=0.1))
+            result = feed(selectivity=0.1)
         assert result is ExecutionStrategy.CLIENT_SITE_JOIN
         assert switcher.switch_count == 0
         assert switcher.strategies_used == (ExecutionStrategy.CLIENT_SITE_JOIN,)
 
     def test_evidence_floor_blocks_early_switch(self):
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(min_rows_before_switch=64),
             initial_strategy=ExecutionStrategy.SEMI_JOIN,
             declared_selectivity=0.9,
         )
-        switcher.observe_segment(observation(processed=24, selectivity=0.1))
+        feed = Feed(switcher)
+        feed(processed=24, selectivity=0.1)
         assert switcher.switch_count == 0
         assert "evidence floor" in switcher.decisions[-1].reason
         # Once enough rows accumulate, the same signal does switch.
-        switcher.observe_segment(observation(processed=48, selectivity=0.1))
+        feed(processed=48, selectivity=0.1)
         assert switcher.switch_count == 1
 
     def test_hysteresis_prevents_ping_pong_under_noisy_observations(self):
         """Observed selectivity oscillating around the crossover must not
         oscillate the strategy: the margin, the cooldown, and the switch
         budget together keep the executor from thrashing."""
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(min_rows_before_switch=16, hysteresis=0.25, cooldown_segments=1),
             initial_strategy=ExecutionStrategy.SEMI_JOIN,
             declared_selectivity=0.9,
@@ -233,10 +269,11 @@ class TestStrategySwitcher:
         # The N=100 crossover for these byte shapes sits near S ~ 0.65
         # (semi-join ships 1000 B/row up, CSJ ships S * 1500 B/row up):
         # alternate observations just above and below it.
+        feed = Feed(switcher)
         strategies = [switcher.current_strategy]
         for index in range(12):
             noisy = 0.55 if index % 2 == 0 else 0.75
-            strategies.append(switcher.observe_segment(observation(selectivity=noisy)))
+            strategies.append(feed(selectivity=noisy))
         transitions = sum(
             1 for before, after in zip(strategies, strategies[1:]) if before is not after
         )
@@ -244,7 +281,7 @@ class TestStrategySwitcher:
         assert transitions == 0
 
     def test_switch_budget_bounds_total_switches(self):
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(
                 min_rows_before_switch=1,
                 hysteresis=0.0,
@@ -257,18 +294,14 @@ class TestStrategySwitcher:
         # A violently alternating cost landscape (the CSJ return payload
         # flips between tiny and huge) with zero margin required: only the
         # budget keeps the executor from thrashing.
+        feed = Feed(switcher)
         for index in range(20):
-            switcher.observe_segment(
-                observation(
-                    selectivity=0.5,
-                    returned_row_bytes=100.0 if index % 2 else 100_000.0,
-                )
-            )
+            feed(selectivity=0.5, returned_row_bytes=100.0 if index % 2 else 100_000.0)
         assert switcher.switch_count == 2
         assert any("budget" in decision.reason for decision in switcher.decisions)
 
     def test_cooldown_spaces_out_switches(self):
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(
                 min_rows_before_switch=1,
                 hysteresis=0.0,
@@ -278,21 +311,22 @@ class TestStrategySwitcher:
             initial_strategy=ExecutionStrategy.SEMI_JOIN,
             declared_selectivity=0.9,
         )
-        switcher.observe_segment(observation(selectivity=0.02))
+        feed = Feed(switcher)
+        feed(selectivity=0.02)
         assert switcher.switch_count == 1
         for _ in range(3):
-            switcher.observe_segment(observation(selectivity=0.98))
+            feed(selectivity=0.98)
             assert switcher.switch_count == 1  # still cooling down
-        switcher.observe_segment(observation(selectivity=0.98))
+        feed(selectivity=0.98)
         assert switcher.switch_count == 2
 
     def test_describe_mentions_the_switch(self):
-        switcher = StrategySwitcher(
+        switcher = make_switcher(
             SwitchPolicy(min_rows_before_switch=16),
             initial_strategy=ExecutionStrategy.SEMI_JOIN,
             declared_selectivity=0.9,
         )
-        switcher.observe_segment(observation(selectivity=0.1))
+        Feed(switcher)(selectivity=0.1)
         text = switcher.describe()
         assert "SWITCH" in text
         assert "semi_join -> client_site_join" in text
@@ -304,6 +338,8 @@ class TestStrategySwitcher:
 
 
 class TestAdaptiveStrategyOperator:
+    """The one-stage, switcher-driven case of the segmented operator."""
+
     def run_switched(self, scenario: MisestimatedSelectivityScenario, **config_kwargs):
         config = StrategyConfig(
             strategy=scenario.committed_strategy, batch_size=8, **config_kwargs
@@ -392,21 +428,19 @@ class TestAdaptiveStrategyOperator:
             pushable_predicate=predicate,
             output_columns=[f"{workload.relation_name}.NonArgument", workload.result_column_name],
         )
-        assert isinstance(operator, AdaptiveStrategyOperator)
+        assert isinstance(operator, PlanMigrationOperator)
+        assert isinstance(operator.controller, StrategySwitcher)
         rows = operator.run()
         assert sum(count for _, count in operator.segments) == workload.row_count
         assert operator.input_row_count == workload.row_count
         assert operator.output_row_count == len(rows)
-        assert operator.distinct_argument_count == workload.row_count
+        (view,) = operator.stage_views
+        assert view.distinct_argument_count == workload.row_count
         # Every segment after the switch ran the oracle strategy.
-        switched_at = next(
-            index
-            for index, (strategy, _) in enumerate(operator.segments)
-            if strategy is scenario.oracle_strategy
-        )
+        strategies = [shape.strategy_of(workload.udf_name) for shape, _ in operator.segments]
+        switched_at = strategies.index(scenario.oracle_strategy)
         assert all(
-            strategy is scenario.oracle_strategy
-            for strategy, _ in operator.segments[switched_at:]
+            strategy is scenario.oracle_strategy for strategy in strategies[switched_at:]
         )
 
     def test_every_initial_strategy_converges_to_same_rows(self, asymmetric_network):
