@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.adaptive.observer import QueryObservation
 from repro.network.topology import NetworkConfig
+from repro.relational.schema import bare_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimizer.cost import CostSettings
@@ -130,10 +131,9 @@ def canonical_predicate_key(predicate: object) -> str:
     return text
 
 
-def _bare_column(name: str) -> str:
-    """Lower-cased column name with any table qualifier stripped."""
-    text = str(name)
-    return (text.rpartition(".")[2] if "." in text else text).strip().lower()
+def _column_key(name: object) -> str:
+    """The store's key for a column: bare name, case-folded."""
+    return bare_name(str(name)).strip().lower()
 
 
 def canonical_join_key(columns: Iterable[str]) -> str:
@@ -144,7 +144,7 @@ def canonical_join_key(columns: Iterable[str]) -> str:
     columns.  Sorting the de-duplicated bare names makes both spellings meet
     at the same key.
     """
-    return "|".join(sorted({_bare_column(name) for name in columns if str(name).strip()}))
+    return "|".join(sorted({_column_key(name) for name in columns if str(name).strip()}))
 
 
 class _Ewma:
@@ -307,7 +307,7 @@ class StatisticsStore:
                     # distinct-count evidence, capped at the observed input.
                     distinct = min(1.0 / selectivity, float(max(predicate.input_rows, 1)))
                     self._column_distinct.setdefault(
-                        _bare_column(column), _Ewma(self.smoothing)
+                        _column_key(column), _Ewma(self.smoothing)
                     ).update(distinct)
 
         for join in getattr(observation, "joins", ()):
@@ -441,7 +441,7 @@ class StatisticsStore:
         distinct counts and any join selectivities touching them describe
         data that no longer exists.
         """
-        stale = {_bare_column(name) for name in columns}
+        stale = {_column_key(name) for name in columns}
         for name in stale:
             self._column_distinct.pop(name, None)
         for key in [

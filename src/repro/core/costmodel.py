@@ -382,15 +382,6 @@ class CostModel:
                 ratio_low = ratio_mid
         return (low + high) / 2.0
 
-    def asymptotic_relative_time(self) -> float:
-        """Limit of the CSJ/SJ ratio as the result size grows without bound.
-
-        With the experiments' projection convention the ratio approaches the
-        pushable-predicate selectivity S (the horizontal asymptotes of
-        Figure 10) whenever both strategies are uplink bound.
-        """
-        return self.parameters.S / self.parameters.D
-
     def __repr__(self) -> str:
         p = self.parameters
         return (

@@ -60,7 +60,7 @@ from repro.core.execution.semijoin import SemiJoinSegmentState
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators.base import CollectingOperator, Operator
-from repro.relational.schema import Column
+from repro.relational.schema import Column, bare_name
 from repro.relational.tuples import RowBatch, concat_batches
 
 class _Counters(NamedTuple):
@@ -387,22 +387,19 @@ class PlanMigrationOperator(Operator):
         if self.output_columns is None:
             return [None] * len(order)
 
-        def bare(name: str) -> str:
-            return name.partition(".")[2] if "." in name else name
-
         # needed_after[i]: names needed by anything after stage i.
-        running = set(self.output_columns) | {bare(name) for name in self.output_columns}
+        running = set(self.output_columns) | {bare_name(name) for name in self.output_columns}
         needed_after: List[set] = [set()] * len(order)
         for position in range(len(order) - 1, -1, -1):
             needed_after[position] = set(running)
             stage = self._stage_by_name[order[position]]
             for column in stage.argument_columns:
                 running.add(column)
-                running.add(bare(column))
+                running.add(bare_name(column))
             for index in assignment[position]:
                 for column in self.predicates[index].expression.columns():
                     running.add(column)
-                    running.add(bare(column))
+                    running.add(bare_name(column))
 
         projections: List[Optional[List[str]]] = []
         current = [column.qualified_name for column in self.child_schema.columns]
@@ -415,7 +412,7 @@ class PlanMigrationOperator(Operator):
                 kept = [
                     column
                     for column in current
-                    if column in needed or bare(column) in needed
+                    if column in needed or bare_name(column) in needed
                 ]
             projections.append(kept)
             current = kept

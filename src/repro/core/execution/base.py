@@ -19,7 +19,6 @@ from repro.relational.schema import Column, Schema
 from repro.relational.tuples import (
     RowBatch,
     concat_batches,
-    row_size,
     rows_size,
     values_size,
 )
@@ -187,9 +186,6 @@ class RemoteUdfOperator(Operator):
                 tuple_width = sum(widths)
                 return lambda tuples: tuple_width * len(tuples)
         return lambda tuples: sum(values_size(arguments) for arguments in tuples)
-
-    def record_bytes(self, row: Sequence[Any]) -> int:
-        return row_size(row, self.child_schema)
 
     def records_size(self, rows: Sequence[Sequence[Any]]) -> int:
         """Wire size of many child rows, via the schema's cached size plan.

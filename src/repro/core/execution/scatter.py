@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.relational.operators.base import Operator
-from repro.relational.schema import Schema
+from repro.relational.schema import Schema, bare_name
 from repro.relational.tuples import Row, RowBatch
 
 
@@ -75,10 +75,10 @@ class ScatterGatherOperator(Operator):
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         results = list(self.runner(self.tasks))
         self.shard_results = results
-        canonical = self._bare_names(self.schema)
+        canonical = tuple(map(bare_name, self.schema.qualified_names()))
         pending: List[Row] = []
         for result in results:
-            produced = self._bare_names(result.schema)
+            produced = tuple(map(bare_name, result.schema.qualified_names()))
             if produced != canonical:
                 raise ExecutionError(
                     f"shard {result.label!r} returned schema {produced} "
@@ -92,13 +92,6 @@ class ScatterGatherOperator(Operator):
                     pending = []
         if pending:
             yield RowBatch(pending)
-
-    @staticmethod
-    def _bare_names(schema: Schema) -> Tuple[str, ...]:
-        return tuple(
-            name.partition(".")[2] if "." in name else name
-            for name in schema.qualified_names()
-        )
 
     # -- introspection ----------------------------------------------------------------
 

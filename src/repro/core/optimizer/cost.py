@@ -33,10 +33,12 @@ from repro.core.strategies import ExecutionStrategy
 from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.topology import NetworkConfig
 from repro.relational.predicates import (
+    columns_covered,
     equi_join_columns,
     estimate_selectivity,
     index_condition,
 )
+from repro.relational.schema import bare_name
 from repro.sql.logical import BoundQuery
 
 
@@ -76,11 +78,6 @@ class CostSettings:
         from dataclasses import replace
 
         return replace(self, batch_size=batch_size)
-
-    def with_overlap_window(self, overlap_window: Optional[float]) -> "CostSettings":
-        from dataclasses import replace
-
-        return replace(self, overlap_window=overlap_window)
 
 
 def remaining_strategy_cost(
@@ -469,7 +466,7 @@ class CostEstimator:
             condition = index_condition(predicate.expression)
             if condition is None:
                 continue
-            bare = condition.column.partition(".")[2] if "." in condition.column else condition.column
+            bare = bare_name(condition.column)
             for name, handle in indexes.items():
                 if handle.definition.column.lower() != bare.lower():
                     continue
@@ -521,21 +518,20 @@ class CostEstimator:
         indexes = self._usable_indexes(operation)
         if not indexes:
             return variants
-        inner_schema = operation.bound.schema
+        # Which side of the equality is the inner's is decided by qualifier,
+        # never by bare name: in ``B.X = A.X`` only ``B.X`` is B's column.
+        inner_columns = set(operation.bound.schema.qualified_names())
+        outer_columns = set(plan.column_sizes)
         for predicate in self.query.join_predicates():
             pair = equi_join_columns(predicate.expression)
             if pair is None:
                 continue
             for outer_column, inner_column in (pair, pair[::-1]):
-                if not inner_schema.has_column(inner_column):
+                if not columns_covered(frozenset({inner_column}), inner_columns):
                     continue
-                if not plan.has_columns([outer_column]):
+                if not columns_covered(frozenset({outer_column}), outer_columns):
                     continue
-                bare = (
-                    inner_column.partition(".")[2]
-                    if "." in inner_column
-                    else inner_column
-                )
+                bare = bare_name(inner_column)
                 for name, handle in indexes.items():
                     if handle.definition.column.lower() != bare.lower():
                         continue

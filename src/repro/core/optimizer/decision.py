@@ -13,7 +13,7 @@ from repro.core.optimizer.heuristics import (
     HEURISTIC_UDFS_LAST,
     heuristic_plan,
 )
-from repro.core.optimizer.plans import AccessPath, CandidatePlan, operations_for_query
+from repro.core.optimizer.plans import CandidatePlan, operations_for_query
 from repro.core.optimizer.rank_order import RankOrderOptimizer
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
@@ -22,27 +22,38 @@ from repro.sql.logical import BoundQuery
 
 @dataclass
 class OptimizationDecision:
-    """What the optimizer decided for a query, in executable terms.
+    """The one value that says which plan runs: ``server.planner`` realises it whole.
 
-    ``table_order`` is the left-deep join order over table aliases;
-    ``udf_order`` is the order in which client-site UDFs are applied;
-    ``udf_strategies`` is the per-UDF execution strategy; ``batch_size`` is
-    the plan-wide number of rows per network message the cost-based sweep
-    selected (also folded into ``strategy_config``).  ``plan`` keeps the full
-    costed candidate for inspection, ``alternatives`` the costed baseline
-    plans for comparison.
+    ``plan`` is the costed candidate and owns the shape — the left-deep join
+    order over table aliases, the order client-site UDFs are applied in, the
+    per-UDF execution strategy and the non-sequential access path per table
+    alias (none = all scans); the properties below read it, they are not
+    copies.  ``batch_size`` is the plan-wide number of rows per network
+    message the cost-based sweep selected (also folded into
+    ``strategy_config``); ``alternatives`` are the costed baseline plans.
     """
 
     plan: CandidatePlan
-    table_order: Tuple[str, ...]
-    udf_order: Tuple[str, ...]
-    udf_strategies: Dict[str, ExecutionStrategy]
     strategy_config: StrategyConfig
-    estimated_cost: float
     batch_size: int = 1
     alternatives: Dict[str, CandidatePlan] = field(default_factory=dict)
-    #: Chosen non-sequential access path per table alias (empty = all scans).
-    access_paths: Dict[str, "AccessPath"] = field(default_factory=dict)
+
+    @classmethod
+    def pinned(cls, config: StrategyConfig, **shape) -> "OptimizationDecision":
+        """The decision of a caller who dictates the plan instead of pricing it.
+
+        ``shape`` names any of ``table_order`` / ``udf_order`` /
+        ``udf_strategies`` / ``access_paths``; whatever it leaves out keeps
+        the planner's default (FROM order, order of appearance,
+        ``config.strategy``, sequential scans).
+        """
+        return cls(CandidatePlan(frozenset(), 0.0, 0.0, 0.0, **shape), config, config.batch_size)
+
+    table_order = property(lambda self: self.plan.table_order)
+    udf_order = property(lambda self: self.plan.udf_order)
+    udf_strategies = property(lambda self: self.plan.udf_strategies)
+    access_paths = property(lambda self: self.plan.access_paths)
+    estimated_cost = property(lambda self: self.plan.cost)
 
     def describe(self) -> str:
         lines = [
@@ -213,15 +224,7 @@ class Optimizer:
             alternatives = self.baseline_plans(query)
 
         return OptimizationDecision(
-            plan=best,
-            table_order=best.table_order,
-            udf_order=best.udf_order,
-            udf_strategies=dict(best.udf_strategies),
-            strategy_config=config,
-            estimated_cost=best.cost,
-            batch_size=batch_size,
-            alternatives=alternatives,
-            access_paths=dict(best.access_paths),
+            plan=best, strategy_config=config, batch_size=batch_size, alternatives=alternatives
         )
 
     def baseline_plans(self, query: BoundQuery) -> Dict[str, CandidatePlan]:

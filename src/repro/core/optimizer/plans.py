@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
 from repro.core.strategies import ExecutionStrategy
 from repro.relational.predicates import estimate_selectivity
+from repro.relational.schema import bare_name
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
 
 
@@ -157,16 +158,12 @@ class CandidatePlan:
 
     # -- helpers --------------------------------------------------------------------
 
-    @property
-    def available_columns(self) -> FrozenSet[str]:
-        return frozenset(self.column_sizes.keys())
-
     def has_columns(self, names: Sequence[str]) -> bool:
         available = {name.lower() for name in self.column_sizes}
-        bare = {name.partition(".")[2].lower() if "." in name else name.lower() for name in self.column_sizes}
+        bare = {bare_name(name).lower() for name in self.column_sizes}
         for name in names:
             lowered = name.lower()
-            stripped = lowered.partition(".")[2] if "." in lowered else lowered
+            stripped = bare_name(lowered)
             if lowered not in available and stripped not in bare:
                 return False
         return True
@@ -177,13 +174,13 @@ class CandidatePlan:
         lowered = {name.lower(): size for name, size in self.column_sizes.items()}
         bare = {}
         for name, size in self.column_sizes.items():
-            bare.setdefault(name.partition(".")[2].lower() if "." in name else name.lower(), size)
+            bare.setdefault(bare_name(name).lower(), size)
         for name in names:
             key = name.lower()
             if key in lowered:
                 total += lowered[key]
             else:
-                stripped = key.partition(".")[2] if "." in key else key
+                stripped = bare_name(key)
                 total += bare.get(stripped, 8.0)
         return total
 
@@ -195,10 +192,10 @@ class CandidatePlan:
         lowered = {name.lower(): value for name, value in self.column_distinct.items()}
         bare: Dict[str, float] = {}
         for name, value in self.column_distinct.items():
-            bare.setdefault(name.partition(".")[2].lower() if "." in name else name.lower(), value)
+            bare.setdefault(bare_name(name).lower(), value)
         for name in names:
             key = name.lower()
-            stripped = key.partition(".")[2] if "." in key else key
+            stripped = bare_name(key)
             value = lowered.get(key, bare.get(stripped, self.cardinality))
             distinct *= max(1.0, value)
         distinct = min(distinct, self.cardinality)

@@ -39,12 +39,6 @@ class PhysicalProperties:
     site: PlanSite = PlanSite.SERVER
     client_columns: FrozenSet[str] = frozenset()
 
-    def with_site(self, site: PlanSite) -> "PhysicalProperties":
-        return PhysicalProperties(site=site, client_columns=self.client_columns)
-
-    def with_client_columns(self, columns: FrozenSet[str]) -> "PhysicalProperties":
-        return PhysicalProperties(site=self.site, client_columns=frozenset(columns))
-
     def describe(self) -> str:
         if self.site is PlanSite.CLIENT:
             return "result at client"

@@ -27,7 +27,7 @@ from repro.distribution.planner import (
     MigrationPolicy,
     ShardTask,
 )
-from repro.distribution.engine import DistributedDatabase, SiteExecutionContext
+from repro.distribution.engine import DistributedDatabase
 
 __all__ = [
     "ShardingSpec",
@@ -43,5 +43,4 @@ __all__ = [
     "ShardTask",
     "MigrationPolicy",
     "DistributedDatabase",
-    "SiteExecutionContext",
 ]

@@ -27,30 +27,28 @@ switch pays.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive.observer import RuntimeObserver
 from repro.adaptive.store import StatisticsStore
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
-from repro.client.udf import UdfDefinition, UdfSite
+from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.scatter import ScatterGatherOperator, ShardResult
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.simulator import Simulator
 from repro.network.stats import ChannelStats, LinkStats
 from repro.relational.catalog import Catalog
-from repro.relational.expressions import ColumnRef
-from repro.relational.operators import Distinct, Limit, Operator, Sort
+from repro.relational.operators import Operator
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
-from repro.relational.types import DataType, FLOAT
+from repro.relational.types import DataType
+from repro.server.engine import SqlSurface, resolve_keywords
 from repro.server.executor import Executor
 from repro.server.metrics import ExecutionMetrics
-from repro.server.planner import build_plan
+from repro.server.planner import PlanBuildResult, build_plan, shape_output
 from repro.server.result import QueryResult
-from repro.sql.binder import Binder
 from repro.sql.logical import BoundQuery
-from repro.errors import PlanError
 from repro.tenancy.baton import BatonDriver, BatonWorker
 from repro.tenancy.driver import SharedExecutionContext
 from repro.tenancy.fairqueue import shared_trunks
@@ -62,14 +60,6 @@ from repro.distribution.planner import (
     ShardTask,
 )
 from repro.distribution.sharding import ShardedTable, shard_table
-
-
-class SiteExecutionContext(SharedExecutionContext):
-    """A shared-simulator execution context pinned to one server site."""
-
-    def __init__(self, *args, site: str = "", **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.site = site
 
 
 class _SiteRecorder:
@@ -92,16 +82,12 @@ class _ScatterRun:
     def __init__(
         self,
         engine: "DistributedDatabase",
-        config: StrategyConfig,
-        optimize: bool,
         segments: int,
         migrate: bool,
         policy: MigrationPolicy,
         observe: bool,
     ) -> None:
         self.engine = engine
-        self.config = config
-        self.optimize = optimize
         self.segments = max(1, segments)
         self.migrate = migrate
         self.policy = policy
@@ -118,23 +104,19 @@ class _ScatterRun:
 
     def new_context(
         self, worker: BatonWorker, site: str, flow: str
-    ) -> SiteExecutionContext:
+    ) -> SharedExecutionContext:
         self.contexts_created += 1
-        network = self.engine.cluster.site(site).network
-        client = ClientRuntime(
-            registry=self.engine.udfs,
-            name=f"{site}.{flow}.client{self.contexts_created}",
-        )
-        down, up = self.trunks[site]
-        channel = network.build_channel(
+        return SharedExecutionContext.open(
+            worker,
             self.simulator,
-            name=f"{site}.{flow}.channel{self.contexts_created}",
-            downlink_scheduler=down,
-            uplink_scheduler=up,
+            self.engine.cluster.site(site).network,
+            self.trunks[site],
             flow=flow,
-        )
-        return SiteExecutionContext(
-            self.simulator, channel, client, network=network, worker=worker, site=site
+            client=ClientRuntime(
+                registry=self.engine.udfs,
+                name=f"{site}.{flow}.client{self.contexts_created}",
+            ),
+            channel_name=f"{site}.{flow}.channel{self.contexts_created}",
         )
 
 
@@ -189,31 +171,10 @@ class _ShardWorker(BatonWorker):
             if self.run.observe:
                 observer = RuntimeObserver(_SiteRecorder(engine.statistics, site))
             executor = Executor(
-                context,
-                server_functions=engine._server_functions(),
-                observer=observer,
-                session=None,
-            )
-            run_config = self.run.config
-            udf_order = udf_strategies = table_order = None
-            decision = self.task.decision
-            if decision is not None:
-                run_config = decision.strategy_config
-                udf_order = decision.udf_order
-                udf_strategies = decision.udf_strategies
-                table_order = decision.table_order
-            plan = build_plan(
-                seg_bound,
-                context,
-                config=run_config,
-                server_functions=engine._server_functions(),
-                udf_order=udf_order,
-                udf_strategies=udf_strategies,
-                table_order=table_order,
-                defer_output_shaping=True,
+                context, server_functions=engine._server_functions(), observer=observer
             )
             result = executor.execute_plan(
-                plan, config=run_config, deliver_results=True
+                engine._shard_plan(self.task, seg_bound, context), deliver_results=True
             )
             gathered.extend(result.rows)
             schema = result.schema
@@ -273,7 +234,7 @@ class _ShardWorker(BatonWorker):
             return best_site
         return site
 
-    def _fold_metrics(self, context: SiteExecutionContext, metrics: ExecutionMetrics) -> None:
+    def _fold_metrics(self, context: SharedExecutionContext, metrics: ExecutionMetrics) -> None:
         stats = context.channel_stats
         self.downlink = self.downlink.merge(stats.downlink)
         self.uplink = self.uplink.merge(stats.uplink)
@@ -284,7 +245,7 @@ class _ShardWorker(BatonWorker):
         self.input_rows += metrics.input_rows
 
 
-class DistributedDatabase:
+class DistributedDatabase(SqlSurface):
     """A cluster of server sites behind one logical SQL surface."""
 
     def __init__(
@@ -328,23 +289,7 @@ class DistributedDatabase:
             self.unsharded.register(table, replace=replace)
         return table
 
-    def register_client_udf(self, name: str, function: Callable[..., Any], **kwargs) -> UdfDefinition:
-        """Register a client-site UDF (same surface as :class:`Database`)."""
-        kwargs.setdefault("result_dtype", FLOAT)
-        kwargs.setdefault("cost_per_call_seconds", 0.0005)
-        kwargs.setdefault("selectivity", 0.5)
-        return self.udfs.register_function(name, function, site=UdfSite.CLIENT, **kwargs)
-
-    def register_server_udf(self, name: str, function: Callable[..., Any], **kwargs) -> UdfDefinition:
-        kwargs.setdefault("result_dtype", FLOAT)
-        kwargs.setdefault("cost_per_call_seconds", 0.0001)
-        kwargs.setdefault("selectivity", 0.5)
-        return self.udfs.register_function(name, function, site=UdfSite.SERVER, **kwargs)
-
-    # -- binding / planning ---------------------------------------------------------------
-
-    def bind(self, sql: str) -> BoundQuery:
-        return Binder(self.catalog, self.udfs).bind_sql(sql)
+    # -- planning -------------------------------------------------------------------------
 
     def planner(self) -> ClusterPlanner:
         return ClusterPlanner(
@@ -355,9 +300,6 @@ class DistributedDatabase:
             statistics=self.statistics,
             default_config=self.default_config,
         )
-
-    def _server_functions(self) -> Dict[str, Callable[..., Any]]:
-        return self.udfs.callables(UdfSite.SERVER)
 
     def explain(self, query: Union[str, BoundQuery], **kwargs) -> str:
         bound = self.bind(query) if isinstance(query, str) else query
@@ -388,23 +330,22 @@ class DistributedDatabase:
         from configured bandwidths even when observations exist.
         """
         bound = self.bind(query) if isinstance(query, str) else query
-        config = config if config is not None else self.default_config
-        if strategy is not None:
-            config = config.with_strategy(strategy)
-        policy = migration_policy if migration_policy is not None else MigrationPolicy()
-        if migration_policy is not None:
-            migrate = True
-
+        resolved = resolve_keywords(
+            self.default_config,
+            config=config,
+            strategy=strategy,
+            migrate=migrate,
+            migration_policy=migration_policy,
+        )
+        config = resolved.config
         plan = self.planner().plan(
             bound, config=config, optimize=optimize, calibrated=calibrated
         )
         run = _ScatterRun(
             self,
-            config=config,
-            optimize=optimize,
             segments=segments,
-            migrate=migrate,
-            policy=policy,
+            migrate=resolved.migrate,
+            policy=migration_policy if migration_policy is not None else MigrationPolicy(),
             observe=observe,
         )
         workers = [_ShardWorker(run, task) for task in plan.tasks]
@@ -413,14 +354,14 @@ class DistributedDatabase:
             run.driver.run(workers)
             return [worker.result for worker in workers if worker.result is not None]
 
-        schema = self._canonical_schema(plan, config)
         scatter = ScatterGatherOperator(
-            schema,
+            self._canonical_schema(plan),
             plan.tasks,
             runner,
             label=plan.sharded_table or "unsharded",
         )
-        root = self._shape_output(scatter, bound)
+        # DISTINCT / ORDER BY / LIMIT apply once, over the merged stream.
+        root = shape_output(scatter, bound)
         rows = root.run()
         metrics = self._collect_metrics(run, workers, plan, root, rows, config)
         return QueryResult(
@@ -432,7 +373,19 @@ class DistributedDatabase:
 
     # -- helpers --------------------------------------------------------------------------
 
-    def _canonical_schema(self, plan: ClusterPlan, config: StrategyConfig) -> Schema:
+    def _shard_plan(
+        self, task: ShardTask, bound: BoundQuery, context: RemoteExecutionContext
+    ) -> PlanBuildResult:
+        """The task's decision, whole, over ``bound``; output shaping deferred."""
+        return build_plan(
+            bound,
+            context,
+            server_functions=self._server_functions(),
+            decision=task.decision,
+            defer_output_shaping=True,
+        )
+
+    def _canonical_schema(self, plan: ClusterPlan) -> Schema:
         """The per-shard deferred plan's output schema, built without running.
 
         Plan construction is pure operator wiring, so a throwaway context on
@@ -441,61 +394,11 @@ class DistributedDatabase:
         themselves use.
         """
         task = plan.tasks[0]
-        from repro.core.execution.context import RemoteExecutionContext
-
         context = RemoteExecutionContext.create(
             self.cluster.site(task.site).network,
             client=ClientRuntime(registry=self.udfs, name="schema-probe"),
         )
-        run_config = config
-        udf_order = udf_strategies = table_order = None
-        if task.decision is not None:
-            run_config = task.decision.strategy_config
-            udf_order = task.decision.udf_order
-            udf_strategies = task.decision.udf_strategies
-            table_order = task.decision.table_order
-        probe = build_plan(
-            task.bound,
-            context,
-            config=run_config,
-            server_functions=self._server_functions(),
-            udf_order=udf_order,
-            udf_strategies=udf_strategies,
-            table_order=table_order,
-            defer_output_shaping=True,
-        )
-        return probe.root.output_schema()
-
-    def _shape_output(self, scatter: ScatterGatherOperator, bound: BoundQuery) -> Operator:
-        """Coordinator-side DISTINCT / ORDER BY / LIMIT over the merged stream."""
-        from repro.core.execution.rewrite import replace_udf_calls_with_columns
-
-        plan: Operator = scatter
-        mapping = {
-            call.udf.name.lower(): call.result_column_name
-            for call in bound.client_udf_calls
-        }
-        if bound.distinct:
-            plan = Distinct(plan)
-        if bound.order_by:
-            sort_columns: List[str] = []
-            for expression, _descending in bound.order_by:
-                rewritten = replace_udf_calls_with_columns(expression, mapping)
-                if not isinstance(rewritten, ColumnRef):
-                    raise PlanError("ORDER BY only supports plain column references")
-                name = rewritten.name
-                if not plan.output_schema().has_column(name):
-                    bare = name.partition(".")[2] if "." in name else name
-                    if plan.output_schema().has_column(bare):
-                        name = bare
-                    else:
-                        raise PlanError(f"ORDER BY column {name!r} is not in the output")
-                sort_columns.append(name)
-            descending_flags = {flag for _, flag in bound.order_by}
-            plan = Sort(plan, sort_columns, descending=descending_flags == {True})
-        if bound.limit is not None:
-            plan = Limit(plan, bound.limit, bound.offset)
-        return plan
+        return self._shard_plan(task, task.bound, context).root.output_schema()
 
     def _collect_metrics(
         self,

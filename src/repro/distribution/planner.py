@@ -99,6 +99,8 @@ class ShardTask:
     bound: BoundQuery
     replicas: List[str] = field(default_factory=list)
     candidate_costs: Dict[str, float] = field(default_factory=dict)
+    #: The plan the task runs, whole: the site's System-R decision under
+    #: ``optimize``, else the caller's config pinned as a decision.
     decision: Optional[OptimizationDecision] = None
     estimated_cost: float = 0.0
 
@@ -221,7 +223,11 @@ class ClusterPlanner:
                     candidate_costs={
                         site: costs[(shard_key, site)] for site in placement[index]
                     },
-                    decision=decisions[(index, site_name)] if optimize else None,
+                    decision=(
+                        decisions[(index, site_name)]
+                        if optimize
+                        else OptimizationDecision.pinned(config)
+                    ),
                     estimated_cost=costs[(shard_key, site_name)],
                 )
             )
@@ -258,7 +264,7 @@ class ClusterPlanner:
             bound=query,
             replicas=sorted(candidates),
             candidate_costs=candidates,
-            decision=decisions[best] if optimize else None,
+            decision=decisions[best] if optimize else OptimizationDecision.pinned(config),
             estimated_cost=candidates[best],
         )
         return ClusterPlan(

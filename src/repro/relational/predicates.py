@@ -26,16 +26,13 @@ from repro.relational.expressions import (
     Literal,
     conjuncts,
 )
+from repro.relational.schema import bare_name
 from repro.relational.statistics import TableStatistics
 
 #: Default selectivities used when statistics cannot answer.
 DEFAULT_EQUALITY_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_SELECTIVITY = 0.5
-
-
-def _bare_name(name: str) -> str:
-    return name.partition(".")[2] if "." in name else name
 
 
 def estimate_selectivity(
@@ -104,7 +101,7 @@ def _comparison_selectivity(
     if expression.operator in ("=",):
         column = _single_column_vs_literal(expression)
         if column and statistics is not None:
-            distinct = statistics.column(_bare_name(column)).distinct_count
+            distinct = statistics.column(bare_name(column)).distinct_count
             if distinct > 0:
                 return 1.0 / distinct
         return DEFAULT_EQUALITY_SELECTIVITY
@@ -141,7 +138,7 @@ def _histogram_range_selectivity(
         return None
     if isinstance(literal, bool) or not isinstance(literal, (int, float)):
         return None
-    histogram = statistics.column(_bare_name(column)).histogram
+    histogram = statistics.column(bare_name(column)).histogram
     if histogram is None or histogram.total <= 0:
         return None
     below = histogram.fraction_below(float(literal))
@@ -256,13 +253,17 @@ def is_join_predicate(
 
 
 def _covered(name: str, available: Set[str]) -> bool:
-    """True when column ``name`` is present in ``available`` (qualified or not)."""
+    """True when ``available`` holds the column ``name`` refers to.
+
+    A qualified name is covered by itself or by an *unqualified* column of
+    that bare name — never by another qualifier's column of the same name
+    (``B.Y`` is not ``C.Y``); an unqualified name by any column so named.
+    """
     if name in available:
         return True
-    bare = _bare_name(name)
-    if bare in available:
-        return True
-    return any(_bare_name(candidate) == bare for candidate in available)
+    if "." in name:
+        return bare_name(name) in available
+    return any(bare_name(candidate) == name for candidate in available)
 
 
 def columns_covered(required: FrozenSet[str], available: Set[str]) -> bool:

@@ -14,6 +14,11 @@ from repro.errors import SchemaError
 from repro.relational.types import DataType
 
 
+def bare_name(name: str) -> str:
+    """``name`` without its table (or alias) qualifier."""
+    return name.partition(".")[2] if "." in name else name
+
+
 @dataclass(frozen=True)
 class Column:
     """A named, typed column, optionally qualified by a table (or alias) name."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.relational.schema import Schema
+from repro.relational.schema import Schema, bare_name
 from repro.relational.tuples import Row
 
 #: Default number of equi-width buckets for column histograms.
@@ -235,32 +235,6 @@ def compute_table_statistics(schema: Schema, rows: Sequence[Row]) -> TableStatis
     return stats
 
 
-def merge_statistics(
-    left: TableStatistics, right: TableStatistics, estimated_rows: int
-) -> TableStatistics:
-    """Statistics for the result of joining two relations.
-
-    Column statistics are carried over from both sides; distinct counts are
-    capped at the estimated output cardinality.
-    """
-    merged = TableStatistics(
-        row_count=estimated_rows,
-        average_row_size=left.average_row_size + right.average_row_size,
-    )
-    for source in (left, right):
-        for name, column in source.columns.items():
-            capped = ColumnStatistics(
-                name=name,
-                distinct_count=min(column.distinct_count, max(1, estimated_rows)),
-                null_count=column.null_count,
-                average_size=column.average_size,
-                minimum=column.minimum,
-                maximum=column.maximum,
-            )
-            merged.columns.setdefault(name, capped)
-    return merged
-
-
 def apply_observed_evidence(
     stats: TableStatistics, distinct_evidence: Mapping[str, float]
 ) -> TableStatistics:
@@ -281,7 +255,7 @@ def apply_observed_evidence(
     )
     known = {key.lower() for key in patched.columns}
     for name, distinct in distinct_evidence.items():
-        bare = name.partition(".")[2] if "." in name else name
+        bare = bare_name(name)
         if bare.lower() in known:
             continue
         capped = min(max(1, int(round(distinct))), max(1, stats.row_count))

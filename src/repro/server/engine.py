@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import OptimizerError
 from repro.adaptive import (
@@ -33,6 +33,7 @@ from repro.adaptive import (
 )
 from repro.client.registry import UdfRegistry
 from repro.client.udf import UdfDefinition, UdfSite
+from repro.core.optimizer.decision import OptimizationDecision, Optimizer
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.catalog import Catalog
@@ -46,7 +47,172 @@ from repro.sql.binder import Binder
 from repro.sql.logical import BoundQuery
 
 
-class Database:
+class ResolvedKeywords(NamedTuple):
+    """``execute``'s keywords after their implications: what actually runs."""
+
+    config: StrategyConfig
+    optimize: bool
+    reoptimize: bool
+    calibrated: bool
+    migrate: bool
+
+
+def resolve_keywords(
+    default_config: StrategyConfig,
+    config: Optional[StrategyConfig] = None,
+    strategy: Optional[ExecutionStrategy] = None,
+    overlap_window: Optional[int] = None,
+    optimize: bool = False,
+    udf_order: Optional[Sequence[str]] = None,
+    adaptive: bool = False,
+    calibrated: Optional[bool] = None,
+    switch_strategies: bool = False,
+    switch_policy: Optional[SwitchPolicy] = None,
+    reoptimize: bool = False,
+    replan_policy: Optional[ReOptimizationPolicy] = None,
+    migrate: bool = False,
+    migration_policy: Optional[object] = None,
+    statistics: Optional[StatisticsStore] = None,
+) -> ResolvedKeywords:
+    """Turn ``execute`` keywords into one config and the flags they imply.
+
+    The one place the implications and conflicts between keywords live, for
+    :meth:`Database.execute` and ``DistributedDatabase.execute`` alike: a
+    policy arms its feature (``switch_policy`` ⇒ ``switch_strategies``,
+    ``replan_policy`` ⇒ ``reoptimize``, ``migration_policy`` ⇒ ``migrate``),
+    ``reoptimize`` ⇒ ``optimize`` (the committed plan comes from the
+    enumerator), ``calibrated`` left ``None`` follows ``adaptive``, and
+    ``udf_order`` with ``optimize`` is refused — the optimizer chooses the
+    UDF order, so a hand-pinned one would be dropped without a word.
+    """
+    config = config if config is not None else default_config
+    if strategy is not None:
+        config = config.with_strategy(strategy)
+    if overlap_window is not None:
+        config = config.with_overlap_window(overlap_window)
+    switching = switch_strategies or switch_policy is not None
+    if switching:
+        config = config.with_switch_policy(
+            switch_policy if switch_policy is not None else SwitchPolicy()
+        )
+    reoptimize = reoptimize or replan_policy is not None
+    optimize = optimize or reoptimize
+    if optimize and udf_order is not None:
+        raise OptimizerError(
+            "udf_order pins the UDF order by hand, optimize=True (also implied by "
+            "reoptimize / replan_policy) lets the optimizer choose it: pass one"
+        )
+    if switching or reoptimize:
+        # Runtime adaptation consults the store's measured priors for its
+        # initial estimates (warm-started evidence floor).
+        config = config.with_statistics(statistics)
+    return ResolvedKeywords(
+        config=config,
+        optimize=optimize,
+        reoptimize=reoptimize,
+        calibrated=adaptive if calibrated is None else calibrated,
+        migrate=migrate or migration_policy is not None,
+    )
+
+
+class SqlSurface:
+    """UDF registration and SQL binding over ``self.catalog`` and ``self.udfs``.
+
+    What :class:`Database` and the cluster-facing ``DistributedDatabase``
+    share verbatim: one signature and one set of declared-cost defaults.
+    """
+
+    # -- UDF management -----------------------------------------------------------------
+
+    def register_client_udf(
+        self,
+        name: str,
+        function: Callable[..., Any],
+        result_dtype: DataType = FLOAT,
+        result_size_bytes: Optional[int] = None,
+        cost_per_call_seconds: float = 0.0005,
+        selectivity: float = 0.5,
+        description: str = "",
+        replace: bool = False,
+        actual_cost_per_call_seconds: Optional[float] = None,
+    ) -> UdfDefinition:
+        """Register a client-site UDF (executed only at the client).
+
+        ``cost_per_call_seconds`` is the *declared* cost the planner starts
+        from; ``actual_cost_per_call_seconds``, when given, is what the
+        client really charges — the adaptive runtime observes the difference
+        and calibrates later plans.
+        """
+        return self.udfs.register_function(
+            name,
+            function,
+            site=UdfSite.CLIENT,
+            result_dtype=result_dtype,
+            result_size_bytes=result_size_bytes,
+            cost_per_call_seconds=cost_per_call_seconds,
+            actual_cost_per_call_seconds=actual_cost_per_call_seconds,
+            selectivity=selectivity,
+            description=description,
+            replace=replace,
+        )
+
+    def register_client_udf_source(
+        self,
+        name: str,
+        source: str,
+        entry_point: Optional[str] = None,
+        result_dtype: DataType = FLOAT,
+        result_size_bytes: Optional[int] = None,
+        cost_per_call_seconds: float = 0.0005,
+        selectivity: float = 0.5,
+        replace: bool = False,
+    ) -> UdfDefinition:
+        """Register an untrusted source-text UDF, compiled under the sandbox."""
+        return self.udfs.register_source(
+            name,
+            source,
+            entry_point=entry_point,
+            site=UdfSite.CLIENT,
+            result_dtype=result_dtype,
+            result_size_bytes=result_size_bytes,
+            cost_per_call_seconds=cost_per_call_seconds,
+            selectivity=selectivity,
+            replace=replace,
+        )
+
+    def register_server_udf(
+        self,
+        name: str,
+        function: Callable[..., Any],
+        result_dtype: DataType = FLOAT,
+        cost_per_call_seconds: float = 0.0001,
+        selectivity: float = 0.5,
+        description: str = "",
+        replace: bool = False,
+    ) -> UdfDefinition:
+        """Register an ordinary server-site UDF (evaluated inside the server)."""
+        return self.udfs.register_function(
+            name,
+            function,
+            site=UdfSite.SERVER,
+            result_dtype=result_dtype,
+            cost_per_call_seconds=cost_per_call_seconds,
+            selectivity=selectivity,
+            description=description,
+            replace=replace,
+        )
+
+    # -- parsing / binding ----------------------------------------------------------------
+
+    def bind(self, sql: str) -> BoundQuery:
+        """Parse and bind a SQL string without executing it."""
+        return Binder(self.catalog, self.udfs).bind_sql(sql)
+
+    def _server_functions(self) -> Dict[str, Callable[..., Any]]:
+        return self.udfs.callables(UdfSite.SERVER)
+
+
+class Database(SqlSurface):
     """An ORDBMS with client-site UDF support: in memory, or durable on disk.
 
     By default every table lives in memory and nothing survives the process.
@@ -205,95 +371,6 @@ class Database:
         if self.storage is not None:
             self.storage.refresh_statistics(table)
 
-    # -- UDF management -----------------------------------------------------------------
-
-    def register_client_udf(
-        self,
-        name: str,
-        function: Callable[..., Any],
-        result_dtype: DataType = FLOAT,
-        result_size_bytes: Optional[int] = None,
-        cost_per_call_seconds: float = 0.0005,
-        selectivity: float = 0.5,
-        description: str = "",
-        replace: bool = False,
-        actual_cost_per_call_seconds: Optional[float] = None,
-    ) -> UdfDefinition:
-        """Register a client-site UDF (executed only at the client).
-
-        ``cost_per_call_seconds`` is the *declared* cost the planner starts
-        from; ``actual_cost_per_call_seconds``, when given, is what the
-        client really charges — the adaptive runtime observes the difference
-        and calibrates later plans.
-        """
-        return self.udfs.register_function(
-            name,
-            function,
-            site=UdfSite.CLIENT,
-            result_dtype=result_dtype,
-            result_size_bytes=result_size_bytes,
-            cost_per_call_seconds=cost_per_call_seconds,
-            actual_cost_per_call_seconds=actual_cost_per_call_seconds,
-            selectivity=selectivity,
-            description=description,
-            replace=replace,
-        )
-
-    def register_client_udf_source(
-        self,
-        name: str,
-        source: str,
-        entry_point: Optional[str] = None,
-        result_dtype: DataType = FLOAT,
-        result_size_bytes: Optional[int] = None,
-        cost_per_call_seconds: float = 0.0005,
-        selectivity: float = 0.5,
-        replace: bool = False,
-    ) -> UdfDefinition:
-        """Register an untrusted source-text UDF, compiled under the sandbox."""
-        return self.udfs.register_source(
-            name,
-            source,
-            entry_point=entry_point,
-            site=UdfSite.CLIENT,
-            result_dtype=result_dtype,
-            result_size_bytes=result_size_bytes,
-            cost_per_call_seconds=cost_per_call_seconds,
-            selectivity=selectivity,
-            replace=replace,
-        )
-
-    def register_server_udf(
-        self,
-        name: str,
-        function: Callable[..., Any],
-        result_dtype: DataType = FLOAT,
-        cost_per_call_seconds: float = 0.0001,
-        selectivity: float = 0.5,
-        description: str = "",
-        replace: bool = False,
-    ) -> UdfDefinition:
-        """Register an ordinary server-site UDF (evaluated inside the server)."""
-        return self.udfs.register_function(
-            name,
-            function,
-            site=UdfSite.SERVER,
-            result_dtype=result_dtype,
-            cost_per_call_seconds=cost_per_call_seconds,
-            selectivity=selectivity,
-            description=description,
-            replace=replace,
-        )
-
-    # -- parsing / binding ----------------------------------------------------------------
-
-    def bind(self, sql: str) -> BoundQuery:
-        """Parse and bind a SQL string without executing it."""
-        return Binder(self.catalog, self.udfs).bind_sql(sql)
-
-    def _server_functions(self) -> Dict[str, Callable[..., Any]]:
-        return self.udfs.callables(UdfSite.SERVER)
-
     # -- execution ---------------------------------------------------------------------------
 
     def execute(
@@ -397,109 +474,85 @@ class Database:
                 if statistics is self.statistics
                 else RuntimeObserver(statistics)
             )
-        if config is None:
-            config = self.default_config
-        if strategy is not None:
-            config = config.with_strategy(strategy)
-        if overlap_window is not None:
-            config = config.with_overlap_window(overlap_window)
+        resolved = resolve_keywords(
+            self.default_config,
+            config=config,
+            strategy=strategy,
+            overlap_window=overlap_window,
+            optimize=optimize,
+            udf_order=udf_order,
+            adaptive=adaptive,
+            calibrated=calibrated,
+            switch_strategies=switch_strategies,
+            switch_policy=switch_policy,
+            reoptimize=reoptimize,
+            replan_policy=replan_policy,
+            statistics=statistics,
+        )
+        config = resolved.config
         if adaptive:
             config = config.with_batch_controller(
                 self.new_controller_bank(config, statistics=statistics)
             )
             if config.overlap_window is None and config.overlap_controller is None:
                 config = config.with_overlap_controller(OverlapWindowController())
-        if switch_policy is not None:
-            switch_strategies = True
-        if switch_strategies:
-            config = config.with_switch_policy(
-                switch_policy if switch_policy is not None else SwitchPolicy()
-            )
-        if replan_policy is not None:
-            reoptimize = True
-        if reoptimize:
-            optimize = True
-        if switch_strategies or reoptimize:
-            # Runtime adaptation consults the store's measured priors for its
-            # initial estimates (warm-started evidence floor).
-            config = config.with_statistics(statistics)
-        if calibrated is None:
-            calibrated = adaptive
 
-        if context is None:
-            context = self.session.new_context()
-        executor = Executor(
-            context,
-            server_functions=self._server_functions(),
-            observer=observer if observe else None,
-            session=session if session is not None else self.session,
+        decision = self._decide(
+            bound, config, resolved.optimize, resolved.calibrated, udf_order, statistics
         )
-
-        if optimize:
-            decision = self._optimizer(config, statistics, calibrated).optimize(bound)
-            run_config = decision.strategy_config
-            udf_strategies = None
-            table_order = None
-            access_paths = decision.access_paths or None
-            if access_paths:
-                # An index nested-loop join is only valid in the join order
-                # the optimizer priced it for (its probe column must come
-                # from the outer side), so realise the decision's order too.
-                table_order = decision.table_order
-            if reoptimize:
-                reoptimizer = ReOptimizer(
+        run_config = decision.strategy_config
+        if resolved.reoptimize:
+            run_config = run_config.with_reoptimizer(
+                ReOptimizer(
                     policy=replan_policy,
                     query=bound,
                     network=self.network,
                     statistics=statistics,
                     table_order=decision.table_order,
                 )
-                run_config = run_config.with_reoptimizer(reoptimizer)
-                # The migration operator realises the decision's full shape,
-                # so hand it the committed per-UDF strategies and join order.
-                udf_strategies = decision.udf_strategies
-                table_order = decision.table_order
-            return self._finalize_result(
-                executor.execute_query(
-                    bound,
-                    config=run_config,
-                    deliver_results=deliver_results,
-                    udf_order=decision.udf_order,
-                    udf_strategies=udf_strategies,
-                    table_order=table_order,
-                    access_paths=access_paths,
-                ),
-                buffers_before,
-                persist=observe and statistics is self.statistics,
             )
-
+        executor = Executor(
+            context if context is not None else self.session.new_context(),
+            server_functions=self._server_functions(),
+            observer=observer if observe else None,
+            session=session if session is not None else self.session,
+        )
         return self._finalize_result(
             executor.execute_query(
-                bound, config=config, deliver_results=deliver_results, udf_order=udf_order
+                bound, config=run_config, deliver_results=deliver_results, decision=decision
             ),
             buffers_before,
             persist=observe and statistics is self.statistics,
         )
 
-    def _optimizer(
-        self, config: StrategyConfig, statistics: StatisticsStore, calibrated: bool
-    ) -> "Optimizer":
-        """The optimizer every planning entry point of this database uses.
+    def _decide(
+        self,
+        bound: BoundQuery,
+        config: StrategyConfig,
+        optimize: bool,
+        calibrated: bool = False,
+        udf_order: Optional[Sequence[str]] = None,
+        statistics: Optional[StatisticsStore] = None,
+    ) -> OptimizationDecision:
+        """The decision ``execute`` runs, ``explain`` prints and SJF admission prices.
 
-        ``execute``, ``explain`` and the multi-tenant SJF admission estimate
-        must price with one cost model — this database's network and cost
-        settings (block I/O, index paths) — or admission orders queries by a
-        cost ``execute`` never plans with.  ``statistics`` calibrate it only
-        when asked to and once something was observed.
+        Without ``optimize`` it is the caller's own pins (``config`` and
+        ``udf_order``).  With it, every planning entry point must price with
+        one cost model — this database's network and cost settings (block
+        I/O, index paths) — or admission orders queries by a cost
+        ``execute`` never plans with.  ``statistics`` (the database-wide
+        store by default) calibrate it only when asked to and once something
+        was observed.
         """
-        from repro.core.optimizer import Optimizer
-
+        if not optimize:
+            return OptimizationDecision.pinned(config, udf_order=tuple(udf_order or ()))
+        statistics = statistics if statistics is not None else self.statistics
         return Optimizer(
             self.network,
             default_config=config,
             settings=self.cost_settings,
             statistics=statistics if calibrated and statistics.queries_observed else None,
-        )
+        ).optimize(bound)
 
     def _maybe_execute_index_ddl(self, sql: str) -> Optional[QueryResult]:
         """Execute ``CREATE INDEX`` / ``DROP INDEX`` statements, or None.
@@ -657,7 +710,11 @@ class Database:
         optimize: bool = False,
         calibrated: bool = False,
     ) -> str:
-        """The physical plan (and, with ``optimize=True``, the optimizer's choice).
+        """The physical plan ``execute`` would run, under the decision behind it.
+
+        With ``optimize=True`` the optimizer's decision is printed above the
+        plan that realises it — the same decision, through the same planner,
+        as ``execute(optimize=True)``.
 
         ``calibrated=True`` makes the optimizer plan with the statistics
         store's measured parameters, as ``execute(..., adaptive=True,
@@ -667,29 +724,14 @@ class Database:
 
         bound = self.bind(query) if isinstance(query, str) else query
         config = config if config is not None else self.default_config
-        context = self.session.new_context()
-
-        lines: List[str] = []
-        udf_order = None
-        table_order = None
-        access_paths = None
-        if optimize:
-            decision = self._optimizer(config, self.statistics, calibrated).optimize(bound)
-            config = decision.strategy_config
-            udf_order = decision.udf_order
-            access_paths = decision.access_paths or None
-            if access_paths:
-                table_order = decision.table_order
-            lines.append(decision.describe())
+        decision = self._decide(bound, config, optimize, calibrated)
         plan = build_plan(
             bound,
-            context,
-            config=config,
+            self.session.new_context(),
             server_functions=self._server_functions(),
-            udf_order=udf_order,
-            table_order=table_order,
-            access_paths=access_paths,
+            decision=decision,
         )
+        lines = [decision.describe()] if optimize else []
         lines.append(plan.explain())
         return "\n".join(lines)
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ExecutionError
-from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.context import RemoteExecutionContext
-from repro.core.strategies import ExecutionStrategy, StrategyConfig
+from repro.core.optimizer.decision import OptimizationDecision
+from repro.core.strategies import StrategyConfig
 from repro.client.protocol import FinalResultBatch
 from repro.network.message import MessageKind
 from repro.relational.operators.base import Operator
@@ -91,23 +91,21 @@ class Executor:
         query: BoundQuery,
         config: Optional[StrategyConfig] = None,
         deliver_results: bool = False,
-        udf_order: Optional[Sequence[str]] = None,
-        udf_strategies: Optional[Dict[str, ExecutionStrategy]] = None,
-        table_order: Optional[Sequence[str]] = None,
-        access_paths: Optional[Dict[str, object]] = None,
+        decision: Optional[OptimizationDecision] = None,
     ) -> QueryResult:
-        """Plan and execute ``query``; optionally ship the answer to the client."""
+        """Plan and execute ``query``; optionally ship the answer to the client.
+
+        ``decision`` is the plan to run and ``config`` the tunables to run
+        it with (see :func:`build_plan` for both and their defaults).
+        """
         plan = build_plan(
             query,
             self.context,
             config=config,
             server_functions=self.server_functions,
-            udf_order=udf_order,
-            udf_strategies=udf_strategies,
-            table_order=table_order,
-            access_paths=access_paths,
+            decision=decision,
         )
-        return self.execute_plan(plan, config=config, deliver_results=deliver_results)
+        return self.execute_plan(plan, deliver_results=deliver_results)
 
     def execute_plan(
         self,
@@ -115,7 +113,8 @@ class Executor:
         config: Optional[StrategyConfig] = None,
         deliver_results: bool = False,
     ) -> QueryResult:
-        """Execute an already-built plan."""
+        """Execute an already-built plan (with ``plan.config`` unless overridden)."""
+        config = config if config is not None else plan.config
         root = plan.root
         try:
             rows = root.run()
@@ -136,12 +135,11 @@ class Executor:
                 record(metrics)
         observation = None
         if self.observer is not None:
-            controller = config.batch_controller if config is not None else None
             observation = self.observer.observe(
                 self.context,
                 remote_operators=self._observable_operators(plan),
                 rows_returned=len(rows),
-                controller=controller,
+                controller=config.batch_controller,
                 filter_operators=self._find_filters(root),
                 join_operators=self._find_joins(root),
             )
@@ -252,7 +250,7 @@ class Executor:
         self,
         plan: PlanBuildResult,
         rows: List[Row],
-        config: Optional[StrategyConfig],
+        config: StrategyConfig,
     ) -> ExecutionMetrics:
         client = self.context.client
         concurrency = None
@@ -309,7 +307,7 @@ class Executor:
             index_pages_read += getattr(operator, "index_pages_read", 0) or 0
 
         visit_index_operators(plan.root)
-        controller = config.batch_controller if config is not None else None
+        controller = config.batch_controller
         return ExecutionMetrics.from_run(
             elapsed_seconds=self.context.elapsed_seconds,
             channel_stats=self.context.channel_stats,
@@ -319,9 +317,9 @@ class Executor:
             rows_returned=len(rows),
             input_rows=input_rows,
             remote_operations=self.context.remote_operations,
-            strategy=(config.strategy if config is not None else plan.strategy),
+            strategy=config.strategy,
             concurrency_factor=concurrency,
-            batch_size=(config.batch_size if config is not None else None),
+            batch_size=config.batch_size,
             batch_size_trace=(
                 controller.size_trace()
                 if controller is not None and controller.batches_observed > 0

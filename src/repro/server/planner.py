@@ -12,16 +12,19 @@ This planner builds a straightforward plan for a bound query:
    ORDER BY and LIMIT.
 
 It is the executable backend both for direct ``Database.execute`` calls and
-for the optimizer (which decides the join/UDF order and the per-UDF strategy
-and then emits the same operator classes).
+for the optimizer: an :class:`~repro.core.optimizer.decision.OptimizationDecision`
+(the optimizer's, or a caller's pins) fixes the join order, the UDF order,
+the per-UDF strategies and the access paths, and the plan built here realises
+all of it or raises :class:`~repro.errors.PlanError` — it never quietly runs
+something the decision did not say.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import PlanError
+from repro.errors import PlanError, SchemaError
 from repro.core.execution.adaptive import (
     MigrationPredicate,
     MigrationStage,
@@ -31,6 +34,7 @@ from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.rewrite import build_operator, replace_udf_calls_with_columns
 from repro.core.execution.access import IndexNestedLoopJoinOperator, IndexScanOperator
+from repro.core.optimizer.decision import OptimizationDecision
 from repro.core.optimizer.plans import AccessPath
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.relational.expressions import ColumnRef, Expression, conjoin
@@ -41,31 +45,27 @@ from repro.relational.operators import (
     Limit,
     NestedLoopJoin,
     Operator,
-    Project,
     ProjectExpressions,
     Sort,
     TableScan,
 )
 from repro.relational.predicates import (
-    PredicateInfo,
     columns_covered,
     equi_join_columns,
     index_condition,
 )
-from repro.sql.logical import BoundQuery, ClientUdfCall
+from repro.relational.schema import bare_name
+from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
 
 
 @dataclass
 class PlanBuildResult:
-    """The physical plan plus bookkeeping the executor needs."""
+    """The physical plan plus what the executor needs: the config it was
+    built for (and runs with) and its remote operators."""
 
     root: Operator
+    config: StrategyConfig
     remote_operators: List[RemoteUdfOperator] = field(default_factory=list)
-    strategy: Optional[ExecutionStrategy] = None
-
-    @property
-    def output_schema(self):
-        return self.root.output_schema()
 
     def explain(self) -> str:
         return self.root.explain()
@@ -90,57 +90,50 @@ def find_remote_operators(root: Operator) -> List[RemoteUdfOperator]:
     return found
 
 
+def _unrealisable(path: AccessPath, why: str) -> PlanError:
+    return PlanError(f"cannot realise the priced {path.describe()}: {why}")
+
+
 def build_plan(
     query: BoundQuery,
     context: RemoteExecutionContext,
     config: Optional[StrategyConfig] = None,
     server_functions: Optional[Dict[str, Callable[..., Any]]] = None,
-    udf_order: Optional[Sequence[str]] = None,
-    udf_strategies: Optional[Dict[str, ExecutionStrategy]] = None,
-    table_order: Optional[Sequence[str]] = None,
+    decision: Optional[OptimizationDecision] = None,
     defer_output_shaping: bool = False,
-    access_paths: Optional[Dict[str, AccessPath]] = None,
 ) -> PlanBuildResult:
     """Build the physical plan for ``query``.
 
-    ``udf_order`` optionally fixes the order in which client-site UDFs are
-    applied (used by the optimizer and by plan-space benchmarks); by default
-    they are applied in order of appearance.  ``udf_strategies`` overrides the
-    execution strategy per UDF name, and ``table_order`` fixes the join order
-    (a left-deep order over table aliases); both are what the optimizer's
-    decisions feed back into plan construction.
-
-    ``access_paths`` (per table alias, from the optimizer's decision) swaps
-    the default sequential scans for index access: an ``index_scan`` path
-    fetches a base table through a secondary index instead of scanning it,
-    an ``index_join`` path joins the table as the inner of an index
-    nested-loop join.  Paths are best-effort — when the named index no
-    longer exists (dropped since planning, or the table is in-memory) the
-    plan silently falls back to the sequential scan / regular join.
+    ``decision`` is the plan to realise, whole: its ``table_order`` is the
+    left-deep join order over table aliases, its ``udf_order`` the order the
+    client-site UDFs are applied in, its ``udf_strategies`` the execution
+    strategy per UDF name, and its ``access_paths`` (per table alias) swap
+    sequential scans for index access — an ``index_scan`` path fetches a
+    base table through a secondary index, an ``index_join`` path joins the
+    table as the inner of an index nested-loop join.  Aliases and names a
+    decision does not mention keep FROM order, order of appearance,
+    ``config.strategy`` and a sequential scan, which is also the whole plan
+    without a decision.  Realisation is strict: an access path that cannot
+    be built (index dropped since planning or incomplete, predicate not
+    indexable, range over a hash index, probe column not in the outer side)
+    raises :class:`PlanError` naming the index, because running a seq scan
+    instead would execute a plan nobody priced.  ``config`` supplies the
+    tunables and defaults to the decision's ``strategy_config``.
 
     ``defer_output_shaping`` stops the plan after the final projection,
-    leaving DISTINCT / ORDER BY / LIMIT to the caller.  Scatter-gather uses
-    this for per-shard plans: a shard-local LIMIT would drop globally
-    surviving rows, and shard-local DISTINCT/ORDER BY only hold per stream —
-    the coordinator applies them once over the merged result.
+    leaving :func:`shape_output` to the caller.  Scatter-gather uses this
+    for per-shard plans: a shard-local LIMIT would drop globally surviving
+    rows, and shard-local DISTINCT/ORDER BY only hold per stream — the
+    coordinator applies them once over the merged result.
     """
-    config = config if config is not None else StrategyConfig()
-    server_functions = server_functions or {}
-    builder = _PlanBuilder(query, context, config, server_functions)
-    builder.udf_strategies = {
-        name.lower(): strategy for name, strategy in (udf_strategies or {}).items()
-    }
-    builder.table_order = [name.lower() for name in table_order] if table_order else None
-    builder.defer_output_shaping = defer_output_shaping
-    builder.access_paths = {
-        alias.lower(): path for alias, path in (access_paths or {}).items()
-    }
-    root = builder.build(udf_order=udf_order)
-    return PlanBuildResult(
-        root=root,
-        remote_operators=find_remote_operators(root),
-        strategy=config.strategy,
-    )
+    if decision is None:
+        decision = OptimizationDecision.pinned(config if config is not None else StrategyConfig())
+    if config is None:
+        config = decision.strategy_config
+    root = _PlanBuilder(query, context, config, server_functions or {}, decision).build()
+    if not defer_output_shaping:
+        root = shape_output(root, query)
+    return PlanBuildResult(root, config, find_remote_operators(root))
 
 
 class _PlanBuilder:
@@ -152,6 +145,7 @@ class _PlanBuilder:
         context: RemoteExecutionContext,
         config: StrategyConfig,
         server_functions: Dict[str, Callable[..., Any]],
+        decision: OptimizationDecision,
     ) -> None:
         self.query = query
         self.context = context
@@ -159,35 +153,39 @@ class _PlanBuilder:
         self.server_functions = server_functions
         self.applied_predicates: Set[int] = set()
         self.result_column_mapping: Dict[str, str] = {}
-        self.udf_strategies: Dict[str, ExecutionStrategy] = {}
-        self.table_order: Optional[List[str]] = None
-        self.defer_output_shaping = False
-        self.access_paths: Dict[str, AccessPath] = {}
+        # The decision, keyed the way the builder looks things up: aliases
+        # and UDF names case-folded, orders as position per name.
+        self.table_order = {a.lower(): i for i, a in enumerate(decision.table_order)}
+        self.udf_order = {n.lower(): i for i, n in enumerate(decision.udf_order)}
+        self.udf_strategies = {n.lower(): s for n, s in decision.udf_strategies.items()}
+        self.access_paths = {a.lower(): p for a, p in decision.access_paths.items()}
 
     # -- top level ----------------------------------------------------------------------
 
-    def build(self, udf_order: Optional[Sequence[str]] = None) -> Operator:
+    def build(self) -> Operator:
         plan = self._build_join_tree()
         plan = self._apply_udf_free_residuals(plan)
-        plan = self._apply_client_udfs(plan, udf_order)
+        plan = self._apply_client_udfs(plan)
         plan = self._apply_remaining_predicates(plan)
-        plan = self._apply_output(plan)
-        return plan
+        return self._apply_output(plan)
 
     # -- scans and joins ----------------------------------------------------------------
 
     def _build_join_tree(self) -> Operator:
-        tables = list(self.query.tables)
-        if self.table_order:
-            order = {alias: index for index, alias in enumerate(self.table_order)}
-            tables.sort(key=lambda bound: order.get(bound.alias.lower(), len(order)))
+        order = self.table_order
+        tables = sorted(
+            self.query.tables, key=lambda bound: order.get(bound.alias.lower(), len(order))
+        )
         plan = self._scan_leaf(tables[0])
         for bound in tables[1:]:
-            joined = self._index_join(plan, bound)
-            plan = joined if joined is not None else self._join(plan, self._scan_leaf(bound))
+            path = self.access_paths.get(bound.alias.lower())
+            if path is not None and path.kind == "index_join":
+                plan = self._index_join(plan, bound, path)
+            else:
+                plan = self._join(plan, self._scan_leaf(bound))
         return plan
 
-    def _scan_leaf(self, bound) -> Operator:
+    def _scan_leaf(self, bound: BoundTable) -> Operator:
         """A base-table leaf with its single-table predicates applied.
 
         With an ``index_scan`` access path the leaf fetches through the
@@ -197,13 +195,15 @@ class _PlanBuilder:
         marked ``observe_selectivity = False`` so its residual pass-through
         rate is not recorded as the predicate's selectivity.
         """
+        path = self.access_paths.get(bound.alias.lower())
         served_key: Optional[str] = None
-        scan: Optional[Operator] = self._index_scan_leaf(bound)
-        if scan is not None:
-            served_key = self.access_paths[bound.alias.lower()].predicate_key
+        if path is None:
+            plan: Operator = TableScan(bound.table, alias=bound.alias)
+        elif path.kind == "index_scan":
+            plan = self._index_scan_leaf(bound, path)
+            served_key = path.predicate_key
         else:
-            scan = TableScan(bound.table, alias=bound.alias)
-        plan: Operator = scan
+            raise _unrealisable(path, "the table opens the join order: no outer side probes it")
         for predicate in self.query.single_table_predicates(bound.alias):
             filter_operator = Filter(plan, predicate.expression, self.server_functions)
             if served_key is not None and str(predicate.expression) == served_key:
@@ -212,58 +212,57 @@ class _PlanBuilder:
             self.applied_predicates.add(id(predicate))
         return plan
 
-    def _index_scan_leaf(self, bound) -> Optional[Operator]:
-        """The index-scan leaf the access path asks for, or None to fall back."""
-        path = self.access_paths.get(bound.alias.lower())
-        if path is None or path.kind != "index_scan" or path.predicate_key is None:
-            return None
+    @staticmethod
+    def _index_handle(bound: BoundTable, path: AccessPath) -> Any:
+        """The live, complete index ``path`` was priced with."""
         handle = bound.table.indexes().get(path.index_name)
         if handle is None or getattr(handle, "incomplete", False):
-            return None
+            raise _unrealisable(path, "the index is gone or incomplete")
+        return handle
+
+    def _index_scan_leaf(self, bound: BoundTable, path: AccessPath) -> Operator:
+        """The index-scan leaf the access path asks for."""
+        handle = self._index_handle(bound, path)
         for predicate in self.query.single_table_predicates(bound.alias):
             if str(predicate.expression) != path.predicate_key:
                 continue
             condition = index_condition(predicate.expression)
             if condition is None:
-                return None
+                raise _unrealisable(path, "the predicate is not an indexable comparison")
             if not condition.is_equality and not getattr(handle, "supports_range", False):
-                return None
+                raise _unrealisable(path, "the index serves equality only, not a range")
             return IndexScanOperator(bound.table, handle, condition, alias=bound.alias)
-        return None
+        raise _unrealisable(path, f"{bound.alias} has no such predicate in this query")
 
-    def _index_join(self, plan: Operator, bound) -> Optional[Operator]:
-        """Join ``bound`` as the inner of an index nested-loop join, or None.
+    def _index_join(self, plan: Operator, bound: BoundTable, path: AccessPath) -> Operator:
+        """Join ``bound`` as the inner of an index nested-loop join.
 
         The inner table's single-table predicates cannot go below the probe,
         so they become residual filters above the join — marked
         ``observe_selectivity = False`` because they then see join-reduced
         input, not the base table the recorded selectivity would describe.
         """
-        path = self.access_paths.get(bound.alias.lower())
-        if path is None or path.kind != "index_join" or path.join_column is None:
-            return None
-        handle = bound.table.indexes().get(path.index_name)
-        if handle is None or getattr(handle, "incomplete", False):
-            return None
-        outer_schema = plan.output_schema()
-        if not columns_covered(frozenset({path.join_column}), set(outer_schema.qualified_names())):
-            return None
+        handle = self._index_handle(bound, path)
+        outer_columns = set(plan.output_schema().qualified_names())
+        if path.join_column is None or not columns_covered(
+            frozenset({path.join_column}), outer_columns
+        ):
+            # An index nested-loop join is only valid in the join order it
+            # was priced for: its probe column must come from the outer side.
+            raise _unrealisable(path, "the probe column is not in the outer side")
         try:
             joined: Operator = IndexNestedLoopJoinOperator(
                 plan, bound.table, handle, path.join_column, alias=bound.alias
             )
-        except Exception:  # noqa: BLE001 - ambiguous probe column etc.: fall back
-            return None
+        except SchemaError as exc:  # e.g. an ambiguous probe column
+            raise _unrealisable(path, str(exc)) from exc
 
-        def bare(name: str) -> str:
-            return name.partition(".")[2].lower() if "." in name else name.lower()
-
-        served = {bare(path.join_column), bare(path.column)}
+        served = {bare_name(path.join_column).lower(), bare_name(path.column).lower()}
         for predicate in self.query.join_predicates():
             if id(predicate) in self.applied_predicates:
                 continue
             pair = equi_join_columns(predicate.expression)
-            if pair is not None and {bare(pair[0]), bare(pair[1])} == served:
+            if pair is not None and {bare_name(name).lower() for name in pair} == served:
                 self.applied_predicates.add(id(predicate))
                 break
         available = set(joined.output_schema().qualified_names())
@@ -321,24 +320,12 @@ class _PlanBuilder:
         expression: Expression, left_columns: Set[str], right_columns: Set[str]
     ) -> Optional[Tuple[str, str]]:
         """``(left_key, right_key)`` when the expression is a two-sided equi-join."""
-        from repro.relational.expressions import Comparison
-
-        if not isinstance(expression, Comparison) or expression.operator != "=":
-            return None
-        left, right = expression.left, expression.right
-        if not isinstance(left, ColumnRef) or not isinstance(right, ColumnRef):
-            return None
-
-        left_side = "left" if columns_covered(frozenset({left.name}), left_columns) else (
-            "right" if columns_covered(frozenset({left.name}), right_columns) else None
-        )
-        right_side = "left" if columns_covered(frozenset({right.name}), left_columns) else (
-            "right" if columns_covered(frozenset({right.name}), right_columns) else None
-        )
-        if left_side == "left" and right_side == "right":
-            return (left.name, right.name)
-        if left_side == "right" and right_side == "left":
-            return (right.name, left.name)
+        pair = equi_join_columns(expression)
+        for left, right in (pair, pair[::-1]) if pair is not None else ():
+            if columns_covered(frozenset({left}), left_columns) and columns_covered(
+                frozenset({right}), right_columns
+            ):
+                return (left, right)
         return None
 
     def _apply_udf_free_residuals(self, plan: Operator) -> Operator:
@@ -354,11 +341,12 @@ class _PlanBuilder:
 
     # -- client-site UDFs ------------------------------------------------------------------
 
-    def _apply_client_udfs(self, plan: Operator, udf_order: Optional[Sequence[str]]) -> Operator:
-        calls = list(self.query.client_udf_calls)
-        if udf_order is not None:
-            order = {name.lower(): index for index, name in enumerate(udf_order)}
-            calls.sort(key=lambda call: order.get(call.udf.name.lower(), len(order)))
+    def _apply_client_udfs(self, plan: Operator) -> Operator:
+        order = self.udf_order
+        calls = sorted(
+            self.query.client_udf_calls,
+            key=lambda call: order.get(call.udf.name.lower(), len(order)),
+        )
 
         if calls and self.config.reoptimizer is not None:
             # Mid-query re-optimization owns the whole chain: one migration
@@ -376,13 +364,12 @@ class _PlanBuilder:
             self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
         stages: List[MigrationStage] = []
         for call in calls:
-            override = self.udf_strategies.get(call.udf.name.lower())
             stages.append(
                 MigrationStage(
                     udf=call.udf,
                     argument_columns=tuple(call.argument_columns),
                     result_column_name=call.result_column_name,
-                    strategy=override if override is not None else self.config.strategy,
+                    strategy=self._strategy_for(call),
                 )
             )
         chain_names = set(self.result_column_mapping.keys())
@@ -447,12 +434,12 @@ class _PlanBuilder:
         extended_names = list(plan.output_schema().qualified_names()) + [
             call.result_column_name for call in calls
         ]
-        needed_bare = {name.partition(".")[2] if "." in name else name for name in needed}
+        needed_bare = {bare_name(name) for name in needed}
         kept = [
             name
             for name in extended_names
             if name in needed
-            or (name.partition(".")[2] if "." in name else name) in needed_bare
+            or bare_name(name) in needed_bare
         ]
         if not kept:
             return None
@@ -463,11 +450,7 @@ class _PlanBuilder:
     ) -> Operator:
         self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
 
-        config = self.config
-        override = self.udf_strategies.get(call.udf.name.lower())
-        if override is not None:
-            config = config.with_strategy(override)
-
+        config = self.config.with_strategy(self._strategy_for(call))
         pushable = self._pushable_predicate_for(call)
         output_columns = None
         if config.strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
@@ -483,6 +466,10 @@ class _PlanBuilder:
             output_columns=output_columns,
             result_column_name=call.result_column_name,
         )
+
+    def _strategy_for(self, call: ClientUdfCall) -> ExecutionStrategy:
+        """The decision's strategy for this UDF; ``config.strategy`` if it names none."""
+        return self.udf_strategies.get(call.udf.name.lower(), self.config.strategy)
 
     def _pushable_predicate_for(self, call: ClientUdfCall) -> Optional[Expression]:
         """Conjoin the predicates that become evaluable once this UDF has run."""
@@ -532,14 +519,13 @@ class _PlanBuilder:
 
         # Keep only names that exist in the extended schema, resolving bare
         # names where necessary; preserve the extended schema's column order.
-        schema_columns: List[str] = []
+        needed_bare = {bare_name(name) for name in needed}
         extended_schema_names = list(plan.output_schema().qualified_names()) + [call.result_column_name]
-        for name in extended_schema_names:
-            bare = name.partition(".")[2] if "." in name else name
-            if name in needed or bare in needed or any(
-                candidate.partition(".")[2] == bare for candidate in needed if "." in candidate
-            ):
-                schema_columns.append(name)
+        schema_columns = [
+            name
+            for name in extended_schema_names
+            if name in needed or bare_name(name) in needed_bare
+        ]
         if not schema_columns:
             return None
         return schema_columns
@@ -553,38 +539,44 @@ class _PlanBuilder:
             self.applied_predicates.add(id(predicate))
         return plan
 
-    # -- output shaping --------------------------------------------------------------------
+    # -- output ----------------------------------------------------------------------------
 
     def _apply_output(self, plan: Operator) -> Operator:
         outputs = []
         for output in self.query.outputs:
             rewritten = replace_udf_calls_with_columns(output.expression, self.result_column_mapping)
             outputs.append((output.name, rewritten, output.dtype))
-        plan = ProjectExpressions(plan, outputs, functions=self.server_functions)
+        return ProjectExpressions(plan, outputs, functions=self.server_functions)
 
-        if self.defer_output_shaping:
-            return plan
 
-        if self.query.distinct:
-            plan = Distinct(plan)
+def shape_output(plan: Operator, query: BoundQuery) -> Operator:
+    """``query``'s DISTINCT / ORDER BY / LIMIT over ``plan``, its projected rows.
 
-        if self.query.order_by:
-            sort_columns: List[str] = []
-            for expression, descending in self.query.order_by:
-                rewritten = replace_udf_calls_with_columns(expression, self.result_column_mapping)
-                if not isinstance(rewritten, ColumnRef):
-                    raise PlanError("ORDER BY only supports plain column references")
-                name = rewritten.name
-                if not plan.output_schema().has_column(name):
-                    bare = name.partition(".")[2] if "." in name else name
-                    if plan.output_schema().has_column(bare):
-                        name = bare
-                    else:
-                        raise PlanError(f"ORDER BY column {name!r} is not in the output")
-                sort_columns.append(name)
-            descending_flags = {flag for _, flag in self.query.order_by}
-            plan = Sort(plan, sort_columns, descending=descending_flags == {True})
+    The last step of every plan: :func:`build_plan` applies it itself, and
+    scatter-gather applies it once at the coordinator over the merged
+    streams of per-shard plans built with ``defer_output_shaping``.
+    """
+    result_columns = {
+        call.udf.name.lower(): call.result_column_name for call in query.client_udf_calls
+    }
+    if query.distinct:
+        plan = Distinct(plan)
 
-        if self.query.limit is not None:
-            plan = Limit(plan, self.query.limit, self.query.offset)
-        return plan
+    if query.order_by:
+        sort_columns: List[str] = []
+        for expression, descending in query.order_by:
+            rewritten = replace_udf_calls_with_columns(expression, result_columns)
+            if not isinstance(rewritten, ColumnRef):
+                raise PlanError("ORDER BY only supports plain column references")
+            name = rewritten.name
+            if not plan.output_schema().has_column(name):
+                if not plan.output_schema().has_column(bare_name(name)):
+                    raise PlanError(f"ORDER BY column {name!r} is not in the output")
+                name = bare_name(name)
+            sort_columns.append(name)
+        descending_flags = {flag for _, flag in query.order_by}
+        plan = Sort(plan, sort_columns, descending=descending_flags == {True})
+
+    if query.limit is not None:
+        plan = Limit(plan, query.limit, query.offset)
+    return plan

@@ -102,12 +102,6 @@ class BoundQuery:
     def client_udf_names(self) -> Set[str]:
         return {call.udf.name for call in self.client_udf_calls}
 
-    def udf_call_by_name(self, name: str) -> Optional[ClientUdfCall]:
-        for call in self.client_udf_calls:
-            if call.udf.name.lower() == name.lower():
-                return call
-        return None
-
     def join_predicates(self) -> List[PredicateInfo]:
         """Conjuncts referencing columns of more than one table and no UDF."""
         result = []

@@ -21,7 +21,7 @@ import os
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, StorageError
-from repro.relational.schema import Column, Schema
+from repro.relational.schema import Column, Schema, bare_name
 from repro.storage.index import IndexDefinition
 from repro.relational.statistics import (
     ColumnStatistics,
@@ -175,7 +175,7 @@ class StatInfo:
 
     def distinct_values(self, field_name: str) -> int:
         """Distinct values of ``field_name`` (bare or table-qualified)."""
-        bare = field_name.partition(".")[2] if "." in field_name else field_name
+        bare = bare_name(field_name)
         info = self.columns.get(bare)
         if info is None:
             return max(1, self.records)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive.store import TenantStatistics
 from repro.client.runtime import ClientRuntime
@@ -122,11 +122,40 @@ class SharedExecutionContext(RemoteExecutionContext):
         channel: Channel,
         client: ClientRuntime,
         network=None,
-        worker: Optional["_SessionWorker"] = None,
+        worker: Optional[BatonWorker] = None,
     ) -> None:
         super().__init__(simulator, channel, client, network=network)
         self._worker = worker
         self.started_at = simulator.now
+
+    @classmethod
+    def open(
+        cls,
+        worker: BatonWorker,
+        simulator: Simulator,
+        network: Any,
+        trunks: Tuple[Any, Any],
+        flow: str,
+        client: ClientRuntime,
+        channel_name: str,
+    ) -> "SharedExecutionContext":
+        """A fresh per-query channel for ``client`` on the shared simulator.
+
+        Each query gets its own channel (private mailboxes and per-query
+        byte accounting, exactly like single-query contexts) whose links
+        delegate serialisation to the shared ``(downlink, uplink)`` trunks
+        under ``flow``, so cross-query contention and per-flow attribution
+        happen at the trunk.  Multi-tenant sessions and scatter-gather shard
+        tasks both get their contexts here.
+        """
+        channel = network.build_channel(
+            simulator,
+            name=channel_name,
+            downlink_scheduler=trunks[0],
+            uplink_scheduler=trunks[1],
+            flow=flow,
+        )
+        return cls(simulator, channel, client, network=network, worker=worker)
 
     def _drive_exchange(self, coordinator_process: Any) -> None:
         self._worker.await_event(coordinator_process)
@@ -259,7 +288,20 @@ class MultiTenantEngine:
             worker.await_event(ticket.grant)
             record.admitted_at = self.simulator.now
 
-            context = self._new_context(worker, session)
+            session.queries_executed += 1
+            context = SharedExecutionContext.open(
+                worker,
+                self.simulator,
+                self.db.network,
+                (self.trunk_downlink, self.trunk_uplink),
+                flow=session.session_id,
+                client=ClientRuntime(
+                    registry=session.registry,
+                    name=f"{session.name}-{session.queries_executed}",
+                    use_result_cache=session.use_result_cache,
+                ),
+                channel_name=f"{session.name}.channel{session.queries_executed}",
+            )
             statistics = observer = None
             if self.tenant_statistics is not None:
                 statistics = self.tenant_statistics.for_tenant(session.tenant_id)
@@ -292,32 +334,6 @@ class MultiTenantEngine:
                 self.admission.release(ticket)
             self._records.append(record)
 
-    def _new_context(self, worker: _SessionWorker, session: ClientSession) -> SharedExecutionContext:
-        """A fresh per-query channel + client on the shared simulator.
-
-        Each query gets its own channel (private mailboxes and per-query
-        byte accounting, exactly like single-query contexts) whose links
-        delegate serialisation to the shared trunks under the session's
-        flow, so cross-session contention and per-flow attribution happen
-        at the trunk.
-        """
-        session.queries_executed += 1
-        client = ClientRuntime(
-            registry=session.registry,
-            name=f"{session.name}-{session.queries_executed}",
-            use_result_cache=session.use_result_cache,
-        )
-        channel = self.db.network.build_channel(
-            self.simulator,
-            name=f"{session.name}.channel{session.queries_executed}",
-            downlink_scheduler=self.trunk_downlink,
-            uplink_scheduler=self.trunk_uplink,
-            flow=session.session_id,
-        )
-        return SharedExecutionContext(
-            self.simulator, channel, client, network=self.db.network, worker=worker
-        )
-
     def _predicted_cost(self, spec: QuerySpec) -> Optional[float]:
         """Predicted run time for SJF admission; ``None`` under FIFO."""
         if spec.predicted_cost_seconds is not None:
@@ -326,10 +342,9 @@ class MultiTenantEngine:
             return None
         if spec.sql not in self._cost_cache:
             try:
-                decision = self.db._optimizer(
-                    self.db.default_config, self.db.statistics, calibrated=False
-                ).optimize(self.db.bind(spec.sql))
-                self._cost_cache[spec.sql] = decision.estimated_cost
+                self._cost_cache[spec.sql] = self.db._decide(
+                    self.db.bind(spec.sql), self.db.default_config, optimize=True
+                ).estimated_cost
             except Exception:  # noqa: BLE001 - estimation is best-effort
                 self._cost_cache[spec.sql] = None
         return self._cost_cache[spec.sql]

@@ -15,7 +15,6 @@ from repro.workloads.synthetic import (
     make_udf_relation,
     register_identity_udf,
     register_sized_udf,
-    register_threshold_udf,
 )
 from repro.workloads.stock import StockWorkload
 from repro.workloads.experiments import (
@@ -27,7 +26,6 @@ from repro.workloads.experiments import (
 from repro.workloads.drift import (
     drifting_bandwidth_network,
     fading_uplink_scenario,
-    stepped_bandwidth_network,
 )
 from repro.workloads.misestimation import (
     MisestimatedSelectivityScenario,
@@ -38,7 +36,6 @@ from repro.workloads.misestimation import (
 __all__ = [
     "drifting_bandwidth_network",
     "fading_uplink_scenario",
-    "stepped_bandwidth_network",
     "MisestimatedSelectivityScenario",
     "overestimated_selectivity_scenario",
     "underestimated_selectivity_scenario",
@@ -47,7 +44,6 @@ __all__ = [
     "make_udf_relation",
     "register_identity_udf",
     "register_sized_udf",
-    "register_threshold_udf",
     "StockWorkload",
     "ConcurrencySweep",
     "SelectivitySweep",

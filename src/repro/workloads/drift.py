@@ -11,7 +11,7 @@ the link actually delivers.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.network.topology import NetworkConfig
 
@@ -43,26 +43,6 @@ def drifting_bandwidth_network(
         downlink_schedule=downlink_schedule,
         uplink_schedule=uplink_schedule,
         name=name or f"{base.name}+drift@{drift_at_seconds:g}s",
-    )
-
-
-def stepped_bandwidth_network(
-    base: NetworkConfig,
-    downlink_steps: Sequence[Tuple[float, float]] = (),
-    uplink_steps: Sequence[Tuple[float, float]] = (),
-    name: str = "",
-) -> NetworkConfig:
-    """``base`` with explicit ``(time, multiplier-of-base)`` steps per direction."""
-    downlink_schedule = tuple(
-        (time, base.downlink_bandwidth * factor) for time, factor in sorted(downlink_steps)
-    )
-    uplink_schedule = tuple(
-        (time, base.uplink_bandwidth * factor) for time, factor in sorted(uplink_steps)
-    )
-    return base.with_drift(
-        downlink_schedule=downlink_schedule,
-        uplink_schedule=uplink_schedule,
-        name=name or f"{base.name}+steps",
     )
 
 

@@ -21,7 +21,7 @@ from repro.client.registry import UdfRegistry
 from repro.client.udf import UdfSite
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
-from repro.relational.types import BOOLEAN, DATA_OBJECT, INTEGER, DataObject
+from repro.relational.types import DATA_OBJECT, INTEGER, DataObject
 
 
 def make_object_relation(
@@ -152,37 +152,6 @@ def register_sized_udf(
         cost_per_call_seconds=cost_per_call_seconds,
         selectivity=selectivity,
         description=f"returns a {result_size}-byte analysis result",
-        replace=replace,
-    )
-
-
-def register_threshold_udf(
-    registry: UdfRegistry,
-    name: str = "Passes",
-    selectivity: float = 0.5,
-    population: int = 100,
-    cost_per_call_seconds: float = 0.0005,
-    replace: bool = False,
-):
-    """The Figure 7 ``UDF1``: a boolean predicate UDF of exact selectivity.
-
-    Arguments whose seed is below ``selectivity * population`` pass.  With
-    seeds 0..population-1 this yields the selectivity exactly.
-    """
-    threshold = selectivity * population
-
-    def passes(argument: DataObject) -> bool:
-        return argument.seed < threshold
-
-    return registry.register_function(
-        name,
-        passes,
-        site=UdfSite.CLIENT,
-        result_dtype=BOOLEAN,
-        result_size_bytes=1,
-        cost_per_call_seconds=cost_per_call_seconds,
-        selectivity=selectivity,
-        description=f"boolean predicate UDF with selectivity {selectivity:g}",
         replace=replace,
     )
 

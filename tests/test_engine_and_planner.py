@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import BindError, CatalogError
+from repro.adaptive import ReOptimizationPolicy, SwitchPolicy
+from repro.errors import BindError, CatalogError, OptimizerError
+from repro.core.optimizer import OptimizationDecision
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
-from repro.server.engine import Database
+from repro.server.engine import Database, resolve_keywords
 from repro.server.planner import build_plan, find_remote_operators
 from repro.workloads.stock import StockWorkload
 
@@ -163,12 +165,11 @@ class TestPlannerDetails:
             "SELECT S.Name, Score(S.Quotes) AS s, Stars(S.Quotes) AS r FROM StockQuotes S"
         )
         context = db.session.new_context()
-        plan = build_plan(
-            bound,
-            context,
-            config=StrategyConfig.semi_join(),
+        decision = OptimizationDecision.pinned(
+            StrategyConfig.semi_join(),
             udf_strategies={"Stars": ExecutionStrategy.CLIENT_SITE_JOIN},
         )
+        plan = build_plan(bound, context, decision=decision)
         operators = find_remote_operators(plan.root)
         assert len(operators) == 2
         names = {type(op).__name__ for op in operators}
@@ -190,9 +191,252 @@ class TestPlannerDetails:
             "WHERE S.Name = E.CompanyName"
         )
         context = db.session.new_context()
-        plan = build_plan(bound, context, table_order=["E", "S"])
+        decision = OptimizationDecision.pinned(StrategyConfig(), table_order=("E", "S"))
+        plan = build_plan(bound, context, decision=decision)
         text = plan.explain()
         assert text.index("TableScan(Estimations") < text.index("TableScan(StockQuotes")
+
+
+# -- the priced plan is the executed plan ---------------------------------------------------
+#
+# Two inputs whose decision differs from what a FROM-order, one-strategy plan
+# would do: (a) two UDFs with different strategies, (b) a join order that is
+# not the FROM order, over same-named join columns.
+
+STRATEGY_OF_OPERATOR = {
+    "NaiveUdfOperator": "naive",
+    "SemiJoinUdfOperator": "semi_join",
+    "ClientSiteJoinOperator": "client_site_join",
+}
+
+
+def plan_shape(text):
+    """``(scans, joins, udfs)`` of an explain text, each bottom-up.
+
+    ``scans`` are the table aliases in join order, ``joins`` the join
+    operator classes, ``udfs`` the ``(name, strategy)`` pairs in application
+    order — read off the remote operators, or off a migration operator's
+    initial shape (``f[semi_join] -> g[client_site_join]``).
+    """
+    scans, joins, udfs = [], [], []
+    for line in (line.strip() for line in text.splitlines()):
+        head = line.partition("(")[0]
+        if head == "TableScan":
+            scans.append(line[len("TableScan("):-1].split(" AS ")[-1])
+        elif head in ("HashJoin", "NestedLoopJoin", "IndexNestedLoopJoin"):
+            joins.insert(0, head)
+        elif head in STRATEGY_OF_OPERATOR:
+            name = line.partition("(")[2].partition(" on ")[0]
+            udfs.insert(0, (name.lower(), STRATEGY_OF_OPERATOR[head]))
+        elif head == "PlanMigrationOperator":
+            initial = line[len("PlanMigrationOperator("):-1].split(" => ")[0]
+            udfs = [
+                (stage.partition("[")[0], stage.partition("[")[2].rstrip("]"))
+                for stage in initial.split(" -> ")
+            ]
+    return scans, joins, udfs
+
+
+def decision_shape(decision, joins):
+    return (
+        list(decision.table_order),
+        joins,
+        [(name.lower(), decision.udf_strategies[name].value) for name in decision.udf_order],
+    )
+
+
+def two_strategy_input(database):
+    """(a): the decision gives F a semi-join and G a client-site join."""
+    database.create_table(
+        "T",
+        [("Id", INTEGER), ("K", STRING), ("Big", STRING), ("V", FLOAT)],
+        rows=[(i, "k%d" % (i % 2), "x" * 10 + str(i), float(i)) for i in range(400)],
+    )
+    database.register_client_udf("F", lambda k: float(len(k)), selectivity=0.9)
+    database.register_client_udf("G", lambda big, v: v, selectivity=0.02)
+    return database
+
+
+TWO_STRATEGY_SQL = "SELECT T.Id FROM T T WHERE F(T.K) > 0 AND G(T.Big, T.V) < 8.0"
+TWO_STRATEGY_ORACLE = sorted((i,) for i in range(400) if float(i) < 8.0)
+
+
+def reordered_join_input(database):
+    """(b): the decision joins C, B, A; A.X = B.X and B.Y = C.Y share bare names."""
+    database.create_table("A", [("X", INTEGER)], rows=[(i % 5,) for i in range(300)])
+    database.create_table(
+        "B", [("X", INTEGER), ("Y", INTEGER)], rows=[(i % 5, i) for i in range(300)]
+    )
+    database.create_table("C", [("Y", INTEGER)], rows=[(i,) for i in range(3)])
+    database.register_client_udf("F", lambda y: float(y))
+    return database
+
+
+def reordered_join_sql(from_clause="A A, B B, C C"):
+    return (
+        f"SELECT A.X FROM {from_clause} "
+        "WHERE A.X = B.X AND B.Y = C.Y AND F(C.Y) >= 0"
+    )
+
+
+REORDERED_JOIN_ORACLE = sorted(
+    (a % 5,)
+    for a in range(300)
+    for b in range(300)
+    if a % 5 == b % 5 and b < 3 and float(b) >= 0
+)
+
+PRICED_INPUTS = [
+    pytest.param(
+        lambda: NetworkConfig.paper_asymmetric(asymmetry=10.0),
+        two_strategy_input,
+        TWO_STRATEGY_SQL,
+        (["T"], [], [("f", "semi_join"), ("g", "client_site_join")]),
+        TWO_STRATEGY_ORACLE,
+        id="two-strategies",
+    ),
+    pytest.param(
+        NetworkConfig.paper_symmetric,
+        reordered_join_input,
+        reordered_join_sql(),
+        (["C", "B", "A"], ["HashJoin", "HashJoin"], [("f", "client_site_join")]),
+        REORDERED_JOIN_ORACLE,
+        id="reordered-join",
+    ),
+]
+
+
+@pytest.mark.parametrize("network, install, sql, expected, oracle", PRICED_INPUTS)
+class TestPricedPlanIsExecutedPlan:
+    def test_decision_is_the_expected_one(self, network, install, sql, expected, oracle):
+        db = install(Database(network=network()))
+        decision = db._decide(db.bind(sql), db.default_config, optimize=True)
+        assert decision_shape(decision, expected[1]) == expected
+
+    def test_execute_runs_the_decision(self, network, install, sql, expected, oracle):
+        result = install(Database(network=network())).execute(sql, optimize=True)
+        assert plan_shape(result.plan_text) == expected
+        assert sorted(tuple(row) for row in result.rows) == oracle
+
+    def test_explain_prints_the_plan_execute_runs(self, network, install, sql, expected, oracle):
+        db = install(Database(network=network()))
+        text = db.explain(sql, optimize=True)
+        assert plan_shape(text) == expected
+        executed = install(Database(network=network())).execute(sql, optimize=True)
+        assert text.endswith(executed.plan_text)
+
+    def test_reoptimize_starts_from_the_decision(self, network, install, sql, expected, oracle):
+        result = install(Database(network=network())).execute(sql, reoptimize=True)
+        assert plan_shape(result.plan_text) == expected
+        assert sorted(tuple(row) for row in result.rows) == oracle
+
+    def test_one_site_cluster_runs_the_decision(
+        self, network, install, sql, expected, oracle, monkeypatch
+    ):
+        from repro.distribution import ClusterConfig, DistributedDatabase, SiteConfig
+        from repro.distribution import engine as distribution_engine
+
+        built = []
+        real_build_plan = distribution_engine.build_plan
+
+        def recording_build_plan(*args, **kwargs):
+            built.append(real_build_plan(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(distribution_engine, "build_plan", recording_build_plan)
+        dist = install(DistributedDatabase(ClusterConfig([SiteConfig("only", network())])))
+        result = dist.execute(sql, optimize=True)
+        # The schema probe and the one shard task: both the decision's plan.
+        assert [plan_shape(plan.explain()) for plan in built] == [expected, expected]
+        assert sorted(tuple(row) for row in result.rows) == oracle
+
+
+class TestSameNamedJoinColumns:
+    """A qualified column is never covered by another qualifier's column."""
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("from_clause", ["A A, B B, C C", "C C, B B, A A", "B B, C C, A A"])
+    def test_every_from_order_returns_the_join_not_a_cross_product(self, from_clause, optimize):
+        db = reordered_join_input(Database())
+        result = db.execute(reordered_join_sql(from_clause), optimize=optimize)
+        assert sorted(tuple(row) for row in result.rows) == REORDERED_JOIN_ORACLE
+        assert len(result.rows) == 180
+        assert plan_shape(result.plan_text)[1] == ["HashJoin", "HashJoin"]
+
+    def test_same_named_equi_join_is_a_hash_join(self):
+        db = Database()
+        db.create_table("L", [("K", INTEGER), ("P", INTEGER)], rows=[(i % 4, i) for i in range(12)])
+        db.create_table("R", [("K", INTEGER), ("Q", INTEGER)], rows=[(i, i * 10) for i in range(4)])
+        result = db.execute("SELECT L.P, R.Q FROM L L, R R WHERE L.K = R.K")
+        assert plan_shape(result.plan_text)[1] == ["HashJoin"]
+        assert sorted(tuple(row) for row in result.rows) == sorted(
+            (i, (i % 4) * 10) for i in range(12)
+        )
+
+
+class TestKeywordResolution:
+    """One rule each: the implications and the one conflict of ``execute``'s keywords."""
+
+    def test_switch_policy_arms_switching(self):
+        policy = SwitchPolicy()
+        resolved = resolve_keywords(StrategyConfig(), switch_policy=policy)
+        assert resolved.config.switch_policy is policy
+        assert resolve_keywords(StrategyConfig()).config.switch_policy is None
+        assert resolve_keywords(StrategyConfig(), switch_strategies=True).config.switch_policy
+
+    def test_replan_policy_arms_reoptimization_which_implies_optimize(self):
+        resolved = resolve_keywords(StrategyConfig(), replan_policy=ReOptimizationPolicy())
+        assert resolved.reoptimize and resolved.optimize
+        resolved = resolve_keywords(StrategyConfig(), reoptimize=True)
+        assert resolved.reoptimize and resolved.optimize
+        assert not resolve_keywords(StrategyConfig(), optimize=True).reoptimize
+
+    def test_calibrated_follows_adaptive_unless_forced(self):
+        assert resolve_keywords(StrategyConfig(), adaptive=True).calibrated is True
+        assert resolve_keywords(StrategyConfig()).calibrated is False
+        assert resolve_keywords(StrategyConfig(), adaptive=True, calibrated=False).calibrated is False
+        assert resolve_keywords(StrategyConfig(), calibrated=True).calibrated is True
+
+    def test_migration_policy_arms_migration(self):
+        from repro.distribution import MigrationPolicy
+
+        assert resolve_keywords(StrategyConfig(), migration_policy=MigrationPolicy()).migrate
+        assert resolve_keywords(StrategyConfig(), migrate=True).migrate
+        assert not resolve_keywords(StrategyConfig()).migrate
+
+    def test_config_then_strategy_then_window(self):
+        default = StrategyConfig.naive()
+        assert resolve_keywords(default).config is default
+        given = StrategyConfig.semi_join(batch_size=4)
+        resolved = resolve_keywords(
+            default, config=given, strategy=ExecutionStrategy.CLIENT_SITE_JOIN, overlap_window=3
+        )
+        assert resolved.config == given.with_strategy(
+            ExecutionStrategy.CLIENT_SITE_JOIN
+        ).with_overlap_window(3)
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [{"optimize": True}, {"reoptimize": True}, {"replan_policy": ReOptimizationPolicy()}],
+    )
+    def test_pinned_udf_order_conflicts_with_the_optimizer(self, db, keywords):
+        sql = "SELECT S.Name, Score(S.Quotes) AS s, Stars(S.Quotes) AS r FROM StockQuotes S"
+        with pytest.raises(OptimizerError, match="udf_order"):
+            db.execute(sql, udf_order=["Stars", "Score"], **keywords)
+        pinned = db.execute(sql, udf_order=["Stars", "Score"])
+        assert [name for name, _ in plan_shape(pinned.plan_text)[2]] == ["stars", "score"]
+
+    def test_distributed_execute_resolves_through_the_same_step(self):
+        from repro.distribution import ClusterConfig, DistributedDatabase, SiteConfig
+
+        dist = two_strategy_input(DistributedDatabase(ClusterConfig([SiteConfig("only", FAST)])))
+        result = dist.execute(
+            TWO_STRATEGY_SQL,
+            config=StrategyConfig.naive(batch_size=8),
+            strategy=ExecutionStrategy.SEMI_JOIN,
+        )
+        assert result.metrics.strategy is ExecutionStrategy.SEMI_JOIN
+        assert sorted(tuple(row) for row in result.rows) == TWO_STRATEGY_ORACLE
 
 
 class TestStockWorkloadQueries:

@@ -16,12 +16,15 @@ import shutil
 
 import pytest
 
+from repro.core.optimizer import OptimizationDecision
+from repro.core.optimizer.plans import AccessPath
 from repro.core.optimizer.cost import CostSettings
-from repro.errors import BindError, OptimizerError, ParseError, StorageError
+from repro.errors import BindError, OptimizerError, ParseError, PlanError, StorageError
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
 from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.server.engine import Database
+from repro.server.planner import build_plan
 from repro.sql.ast import CreateIndexStatement, DropIndexStatement
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
@@ -184,10 +187,137 @@ class TestAccessPathChoice:
         assert indexed.metrics.buffer_accesses < plain.metrics.buffer_accesses
         db.close()
 
+    def test_same_named_index_join_probes_with_the_outer_column(self, tmp_path):
+        """Which side of ``B.X = A.X`` is the inner's goes by qualifier: the
+        priced probe column is A's however the equality is written, so the
+        strict planner can build what was priced."""
+        db = Database(network=NETWORK, storage_dir=str(tmp_path / "db"), cost_settings=COST)
+        db.create_table("A", [("X", INTEGER)], rows=[(i * 100,) for i in range(5)])
+        db.create_table("B", [("X", INTEGER), ("Y", INTEGER)], rows=[(i, i) for i in range(3000)])
+        db.analyze("A")
+        db.analyze("B")
+        db.create_index("b_x_idx", "B", "X")
+        for where in ("A.X = B.X", "B.X = A.X"):
+            result = db.execute(f"SELECT A.X, B.Y FROM B B, A A WHERE {where}", optimize=True)
+            assert "IndexNestedLoopJoin(B AS B via b_x_idx, probe A.X)" in result.plan_text
+            assert sorted(map(tuple, result.rows)) == [(i * 100, i * 100) for i in range(5)]
+        db.close()
+
     def test_explain_reports_access_path(self, quotes_indexed_dir, tmp_path):
         db = open_copy(quotes_indexed_dir, tmp_path)
         text = db.explain(SELECTIVE_SQL, optimize=True)
         assert "index_scan" in text or "IndexScan" in text
+        db.close()
+
+
+# ---------------------------------------------------------------------------
+# Strict realisation: a priced access path is built, or PlanError names it
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_indexed_dir(tmp_path_factory):
+    """60 quotes with a B-tree on Price and a hash index on Id, plus Orders."""
+    directory = str(tmp_path_factory.mktemp("small-indexed"))
+    db = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+    db.create_table("Quotes", QUOTE_SCHEMA, rows=QUOTE_ROWS[:60])
+    db.create_index("price_btree", "Quotes", "Price")
+    db.create_index("id_hash", "Quotes", "Id", kind="hash")
+    db.create_table(
+        "Orders", [("OId", INTEGER), ("QuoteId", INTEGER)], rows=[(i, i * 7) for i in range(8)]
+    )
+    db.close()
+    return directory
+
+
+def scan_path(index_name="price_btree", index_kind="btree", column="Price", key="Q.Price < 2.0"):
+    return AccessPath("Q", "index_scan", index_name, index_kind, column, predicate_key=key)
+
+
+def join_path(index_name="id_hash", join_column="O.QuoteId"):
+    return AccessPath(
+        "Q", "index_join", index_name, "hash", "Id",
+        predicate_key="O.QuoteId = Q.Id", join_column=join_column,
+    )
+
+
+JOIN_SQL = "SELECT O.OId, Q.Price FROM Orders O, Quotes Q WHERE O.QuoteId = Q.Id"
+SELF_JOIN_SQL = (
+    "SELECT O.OId, Q.Price FROM Orders O, Orders P, Quotes Q "
+    "WHERE O.QuoteId = Q.Id AND P.QuoteId = Q.Id"
+)
+
+
+class TestStrictRealisation:
+    """One case per place the planner used to answer with a silent seq scan."""
+
+    def build(self, db, sql, **shape):
+        decision = OptimizationDecision.pinned(db.default_config, **shape)
+        return build_plan(db.bind(sql), db.session.new_context(), decision=decision)
+
+    def test_buildable_paths_are_built(self, small_indexed_dir, tmp_path):
+        db = open_copy(small_indexed_dir, tmp_path)
+        scan = self.build(db, SELECTIVE_SQL, access_paths={"Q": scan_path()})
+        assert "IndexScan" in scan.explain()
+        join = self.build(db, JOIN_SQL, table_order=("O", "Q"), access_paths={"Q": join_path()})
+        assert "IndexNestedLoopJoin" in join.explain()
+        db.close()
+
+    def test_index_dropped_after_optimize(self, quotes_indexed_dir, tmp_path):
+        db = open_copy(quotes_indexed_dir, tmp_path)
+        bound = db.bind(SELECTIVE_SQL)
+        decision = db._decide(bound, db.default_config, optimize=True)
+        assert decision.access_paths["Q"].index_name == "quotes_price_idx"
+        db.drop_index("quotes_price_idx")
+        with pytest.raises(PlanError, match="quotes_price_idx.*gone or incomplete"):
+            build_plan(bound, db.session.new_context(), decision=decision)
+        # A fresh decision no longer prices the dropped index: execute still answers.
+        assert len(db.execute(SELECTIVE_SQL, optimize=True).rows) == 8
+        db.close()
+
+    def test_incomplete_index(self, small_indexed_dir, tmp_path):
+        db = open_copy(small_indexed_dir, tmp_path)
+        db.catalog.table("Quotes").indexes()["price_btree"].incomplete = True
+        with pytest.raises(PlanError, match="price_btree.*gone or incomplete"):
+            self.build(db, SELECTIVE_SQL, access_paths={"Q": scan_path()})
+        db.close()
+
+    @pytest.mark.parametrize(
+        "sql, path, reason",
+        [
+            (
+                "SELECT Q.Id FROM Quotes Q WHERE Q.Price < Q.Id",
+                scan_path(key="Q.Price < Q.Id"),
+                "price_btree.*not an indexable comparison",
+            ),
+            (
+                "SELECT Q.Id FROM Quotes Q WHERE Q.Id < 5",
+                scan_path("id_hash", "hash", "Id", key="Q.Id < 5"),
+                "id_hash.*equality only",
+            ),
+            (SELECTIVE_SQL, scan_path(key="Q.Price < 3.0"), "price_btree.*no such predicate"),
+        ],
+    )
+    def test_unbuildable_index_scan(self, small_indexed_dir, tmp_path, sql, path, reason):
+        db = open_copy(small_indexed_dir, tmp_path)
+        with pytest.raises(PlanError, match=reason):
+            self.build(db, sql, access_paths={"Q": path})
+        db.close()
+
+    @pytest.mark.parametrize(
+        "sql, order, path, reason",
+        [
+            (JOIN_SQL, ("O", "Q"), join_path(index_name="dropped_idx"), "dropped_idx.*gone"),
+            (JOIN_SQL, ("O", "Q"), join_path(join_column="Q.Id"), "id_hash.*not in the outer"),
+            (JOIN_SQL, ("Q", "O"), join_path(), "id_hash.*opens the join order"),
+            # Covered by both Orders aliases, so the probe position is ambiguous.
+            (SELF_JOIN_SQL, ("O", "P", "Q"), join_path(join_column="QuoteId"), "id_hash.*ambiguous"),
+        ],
+    )
+    def test_unbuildable_index_join(self, small_indexed_dir, tmp_path, sql, order, path, reason):
+        db = open_copy(small_indexed_dir, tmp_path)
+        with pytest.raises(PlanError, match=reason):
+            self.build(db, sql, table_order=order, access_paths={"Q": path})
         db.close()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.optimizer import (
     CostEstimator,
+    OptimizationDecision,
     Optimizer,
     PlanSite,
     RankOrderOptimizer,
@@ -100,6 +101,24 @@ class TestEnumerator:
         optimized = stock.execute(query, optimize=True)
         direct = stock.execute(query, config=StrategyConfig.semi_join())
         assert optimized.row_set() == direct.row_set()
+
+    def test_decision_reads_its_shape_off_the_plan(self, stock, figure13_bound):
+        """One value: the decision's shape *is* its plan's, not a copy of it."""
+        decision = Optimizer(stock.network).optimize(figure13_bound)
+        plan = decision.plan
+        assert decision.table_order is plan.table_order
+        assert decision.udf_order is plan.udf_order
+        assert decision.udf_strategies is plan.udf_strategies
+        assert decision.access_paths is plan.access_paths
+        assert decision.estimated_cost == plan.cost
+        assert decision.strategy_config.batch_size == decision.batch_size
+
+    def test_pinned_decision_is_the_same_kind_of_value(self):
+        config = StrategyConfig.semi_join(batch_size=4)
+        pinned = OptimizationDecision.pinned(config, udf_order=("B", "A"))
+        assert pinned.udf_order == ("B", "A") and pinned.strategy_config is config
+        assert pinned.table_order == () and not pinned.udf_strategies and not pinned.access_paths
+        assert pinned.batch_size == 4
 
     def test_decision_describe_mentions_strategies(self, stock, figure11_bound):
         decision = Optimizer(stock.network).optimize(figure11_bound, include_baselines=True)
