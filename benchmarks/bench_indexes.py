@@ -16,6 +16,11 @@ plan touched.  Asserted criteria:
 * the selective (< 5% matching) predicate touches at least 5x fewer pages
   through the index than the sequential scan, with lower modeled time;
 * the unselective predicate keeps the sequential scan (no index lookups);
+* a two-sided range over 0.25% of the table, in the middle of the column and
+  measured after an insert past the column maximum, reaches the B-tree as
+  one interval: one lookup, identical answers, and at least 5x fewer
+  distinct pages (buffer misses of a freshly opened database — an index
+  scan pins a heap page once per row, so its accesses overcount pages);
 * the index nested-loop join issues one probe per outer row and touches
   fewer pages than the hash-join baseline, with identical answers.
 
@@ -50,6 +55,11 @@ COST = CostSettings(block_access_seconds=0.005)
 SELECTIVE_SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price < 1.0"
 #: Matches ~45% of the table — the scan must survive.
 UNSELECTIVE_SQL = f"SELECT Q.Id FROM Quotes Q WHERE Q.Price < {ROW_COUNT * 0.45 / 4.0}"
+#: 0.25% of the table between two bounds, in the middle of the price column.
+INTERVAL_SQL = (
+    f"SELECT Q.Id FROM Quotes Q WHERE Q.Price >= {ROW_COUNT / 8.0} "
+    f"AND Q.Price < {ROW_COUNT / 8.0 + ROW_COUNT * 0.0025 / 4.0}"
+)
 JOIN_SQL = "SELECT O.OId, Q.Price FROM Orders O, Quotes Q WHERE O.QuoteId = Q.Id"
 
 
@@ -68,6 +78,15 @@ def _open_database(directory: str) -> Database:
     db.analyze("Quotes")
     db.analyze("Orders")
     return db
+
+
+def _run_cold(directory: str, sql: str, optimize: bool):
+    """Run on a freshly opened database: every page touched is a buffer miss."""
+    db = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+    try:
+        return db.execute(sql, optimize=optimize, deliver_results=True)
+    finally:
+        db.close()
 
 
 def _modeled_seconds(result) -> float:
@@ -94,10 +113,17 @@ def test_index_scan_page_savings(benchmark, once):
             idx_unselective = db.execute(
                 UNSELECTIVE_SQL, optimize=True, deliver_results=True
             )
+            # A write past the column maximum must not blind the chooser.
+            db.catalog.table("Quotes").insert((ROW_COUNT, float(ROW_COUNT), "late"))
             db.close()
-        return seq_selective, seq_unselective, idx_selective, idx_unselective
+            seq_interval = _run_cold(directory, INTERVAL_SQL, optimize=False)
+            idx_interval = _run_cold(directory, INTERVAL_SQL, optimize=True)
+        return (
+            seq_selective, seq_unselective, idx_selective, idx_unselective,
+            seq_interval, idx_interval,
+        )
 
-    seq_sel, seq_unsel, idx_sel, idx_unsel = once(benchmark, run)
+    seq_sel, seq_unsel, idx_sel, idx_unsel, seq_int, idx_int = once(benchmark, run)
 
     records = [
         {
@@ -128,17 +154,39 @@ def test_index_scan_page_savings(benchmark, once):
             "index_pages": idx_unsel.metrics.index_pages_read,
             "modeled_s": round(_modeled_seconds(idx_unsel), 4),
         },
+        {
+            "query": "two-sided (0.25%)",
+            "plan": "seq scan",
+            "pages": seq_int.metrics.buffer_misses,
+            "index_pages": 0,
+            "modeled_s": round(_modeled_seconds(seq_int), 4),
+        },
+        {
+            "query": "two-sided (0.25%)",
+            "plan": "interval scan",
+            "pages": idx_int.metrics.buffer_misses,
+            "index_pages": idx_int.metrics.index_pages_read,
+            "modeled_s": round(_modeled_seconds(idx_int), 4),
+        },
     ]
     reduction = seq_sel.metrics.buffer_accesses / max(
         1, idx_sel.metrics.buffer_accesses
     )
+    interval_reduction = seq_int.metrics.buffer_misses / max(1, idx_int.metrics.buffer_misses)
     print(f"\nIndex-scan access paths over {ROW_COUNT} rows")
     print(format_records(records, ["query", "plan", "pages", "index_pages", "modeled_s"]))
     print(f"selective-page reduction: {reduction:.1f}x")
+    print(f"two-sided-interval page reduction: {interval_reduction:.1f}x")
 
     # Same answers either way.
     assert idx_sel.row_set() == seq_sel.row_set()
     assert idx_unsel.row_set() == seq_unsel.row_set()
+    assert idx_int.row_set() == seq_int.row_set()
+    assert len(idx_int.rows) == int(ROW_COUNT * 0.0025)
+
+    # Both bounds reach the B-tree in one lookup, and it pays off >= 5x.
+    assert idx_int.metrics.index_lookups == 1
+    assert interval_reduction >= 5.0
 
     # The index path was chosen from statistics alone and pays off >= 5x.
     assert idx_sel.metrics.index_lookups > 0
@@ -158,6 +206,9 @@ def test_index_scan_page_savings(benchmark, once):
             "selective_seq_modeled_seconds": round(_modeled_seconds(seq_sel), 6),
             "selective_index_modeled_seconds": round(_modeled_seconds(idx_sel), 6),
             "unselective_kept_seq_scan": idx_unsel.metrics.index_lookups == 0,
+            "interval_seq_pages": seq_int.metrics.buffer_misses,
+            "interval_index_pages": idx_int.metrics.buffer_misses,
+            "interval_page_reduction": round(interval_reduction, 2),
         },
     )
 

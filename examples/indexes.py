@@ -10,7 +10,10 @@ back.  This example walks the full access-path story on one table:
 4. the same query, re-optimized, probes the index and touches a handful of
    pages — chosen purely from catalog statistics, no hints;
 5. an unselective query on the same table keeps the sequential scan
-   (Yao's formula: it would touch nearly every heap page anyway).
+   (Yao's formula: it would touch nearly every heap page anyway);
+6. a two-sided range over 0.25% of the table, after a write past the column
+   maximum: both bounds reach the B-tree as *one* interval, and the
+   histogram — widened by the write, not discarded — still prices it.
 
 Index access paths only compete when block accesses cost something:
 ``CostSettings(block_access_seconds=...)`` opts in (the default of 0.0
@@ -34,6 +37,8 @@ NETWORK = NetworkConfig.symmetric(2_000_000.0, latency=0.0005, name="indexes")
 
 SELECTIVE_SQL = "SELECT Q.Id, Q.Name FROM Quotes Q WHERE Q.Price < 1.0"
 UNSELECTIVE_SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price < 450.0"
+#: 10 of 4,000 rows, in the middle of the column.
+INTERVAL_SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price >= 500.0 AND Q.Price < 502.5"
 
 
 def report(label: str, result) -> None:
@@ -78,6 +83,13 @@ def main() -> None:
         print("5) the unselective predicate keeps the sequential scan:")
         report("seq scan (45% match)",
                db.execute(UNSELECTIVE_SQL, optimize=True, deliver_results=True))
+
+        print("6) a two-sided range, after an insert past the column maximum:")
+        db.catalog.table("Quotes").insert((4000, 4000.0, "late"))
+        report("interval scan (0.25% match)",
+               db.execute(INTERVAL_SQL, optimize=True, deliver_results=True))
+        for line in db.explain(INTERVAL_SQL, optimize=True).splitlines():
+            print(f"     {line}")
 
         db.close()
 

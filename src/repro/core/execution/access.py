@@ -9,13 +9,13 @@ additionally count their own probe traffic (``index_lookups`` /
 
 Correctness notes:
 
-* An :class:`IndexScanOperator` may over-approximate the predicate (a hash
-  index normalises numeric keys to float, so two huge integers rounding to
-  the same float collide); the planner therefore always keeps the original
-  :class:`~repro.relational.operators.filter.Filter` above it.  The filter is
-  marked ``observe_selectivity = False`` so the adaptive observer does not
-  record the *residual* selectivity (≈1.0) under the predicate's key and
-  poison later estimates.
+* An :class:`IndexScanOperator` may over-approximate the predicates it
+  serves (a hash index normalises numeric keys to float, so two huge integers
+  rounding to the same float collide); the planner therefore always keeps
+  every original :class:`~repro.relational.operators.filter.Filter` above it.
+  The served filters are marked ``observe_selectivity = False`` so the
+  adaptive observer does not record the *residual* selectivity (≈1.0) under
+  the predicates' keys and poison later estimates.
 * An :class:`IndexNestedLoopJoinOperator` re-checks key equality on the
   fetched inner row, so probe false positives never surface.
 """
@@ -25,35 +25,40 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.relational.operators.base import Operator
-from repro.relational.predicates import IndexCondition
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.tuples import Row, RowBatch
+from repro.storage.index import KeyInterval
 from repro.storage.record import RecordId
 
 
 class IndexScanOperator(Operator):
-    """Fetches the rows matching one column-vs-literal conjunct via an index.
+    """Fetches the rows whose indexed column lies in one key interval.
 
-    Equality conditions probe point lookups (B-tree or hash); range
-    conditions walk the B-tree's leaf chain between the bounds.  Matching
-    RIDs are fetched from the slotted-page heap through the buffer pool and
-    emitted as typed columnar batches, so everything downstream composes
-    exactly as over a :class:`~repro.relational.operators.scan.TableScan`.
+    The interval is what all of the query's column-vs-literal conjuncts on
+    the indexed column fold to, so one lookup serves them together: a B-tree
+    walks its leaf chain between the bounds, a hash index (equality only)
+    probes the interval's single key, and an empty interval reads nothing.
+    Matching RIDs are fetched from the slotted-page heap through the buffer
+    pool and emitted as typed columnar batches, so everything downstream
+    composes exactly as over a :class:`~repro.relational.operators.scan.
+    TableScan`.  ``column`` is the indexed column as the query wrote it.
     """
 
     def __init__(
         self,
         table: Table,
         index: object,
-        condition: IndexCondition,
+        interval: KeyInterval,
+        column: str,
         alias: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.table = table
         self.alias = alias or table.name
         self.index = index
-        self.condition = condition
+        self.interval = interval
+        self.column = column
         base = Schema(column.with_table(None) for column in table.schema.columns)
         self.schema = base.qualify(self.alias)
         #: Probe instrumentation the executor sums into the query metrics.
@@ -62,25 +67,20 @@ class IndexScanOperator(Operator):
 
     def _matching_rids(self) -> List[RecordId]:
         index = self.index
-        condition = self.condition
+        interval = self.interval
+        if interval.is_empty:
+            return []
         before = index.pages_read
         self.index_lookups += 1
-        if condition.is_equality:
-            rids = list(index.search_eq(condition.value))
-        elif condition.operator in ("<", "<="):
+        if index.supports_range:
             rids = [
                 rid
                 for _key, rid in index.search_range(
-                    None, condition.value, include_high=condition.operator == "<="
+                    interval.low, interval.high, interval.include_low, interval.include_high
                 )
             ]
         else:
-            rids = [
-                rid
-                for _key, rid in index.search_range(
-                    condition.value, None, include_low=condition.operator == ">="
-                )
-            ]
+            rids = list(index.search_eq(interval.low))
         self.index_pages_read += index.pages_read - before
         return rids
 
@@ -93,7 +93,7 @@ class IndexScanOperator(Operator):
 
     def describe(self) -> str:
         name = getattr(getattr(self.index, "definition", None), "name", "?")
-        condition = f"{self.condition.column} {self.condition.operator} {self.condition.value!r}"
+        condition = self.interval.describe(self.column)
         return f"IndexScan({self.table.name} AS {self.alias} via {name}: {condition})"
 
 

@@ -33,6 +33,7 @@ from repro.core.strategies import ExecutionStrategy
 from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.topology import NetworkConfig
 from repro.relational.predicates import (
+    IndexCondition,
     columns_covered,
     equi_join_columns,
     estimate_selectivity,
@@ -40,6 +41,7 @@ from repro.relational.predicates import (
 )
 from repro.relational.schema import bare_name
 from repro.sql.logical import BoundQuery
+from repro.storage.index import KeyInterval
 
 
 @dataclass(frozen=True)
@@ -447,6 +449,11 @@ class CostEstimator:
         """Every access path for a base table: the seq scan, plus one
         index-scan alternative per applicable secondary index.
 
+        The unit of index access is an interval: all of the table's
+        column-vs-literal conjuncts on an indexed column fold into one
+        :class:`~repro.storage.index.KeyInterval` that a single index lookup
+        serves (a hash index takes the column's equality members only).
+
         Index variants are only generated when the I/O term is switched on
         (``block_access_seconds > 0``) — with the closed-form per-row model
         the paths cost identically and the extra states would only slow the
@@ -459,53 +466,95 @@ class CostEstimator:
         indexes = self._usable_indexes(operation)
         if not indexes:
             return variants
+        by_column: Dict[str, List[Tuple[object, IndexCondition]]] = {}
+        for predicate in self.query.single_table_predicates(operation.alias):
+            condition = index_condition(predicate.expression)
+            if condition is not None:
+                by_column.setdefault(bare_name(condition.column).lower(), []).append(
+                    (predicate, condition)
+                )
         statistics = operation.bound.table.statistics
         rows = max(0.0, float(statistics.row_count))
         blocks = self._blocks_accessed(operation, statistics)
-        for predicate in self.query.single_table_predicates(operation.alias):
-            condition = index_condition(predicate.expression)
-            if condition is None:
+        seq = variants[0]
+        for name, handle in indexes.items():
+            column = handle.definition.column
+            members = [
+                (predicate, condition)
+                for predicate, condition in by_column.get(column.lower(), ())
+                if condition.is_equality or handle.supports_range
+            ]
+            if not members:
                 continue
-            bare = bare_name(condition.column)
-            for name, handle in indexes.items():
-                if handle.definition.column.lower() != bare.lower():
-                    continue
-                if not condition.is_equality and not handle.supports_range:
-                    continue
-                selectivity = self._conjunct_selectivity(predicate)
-                matching = rows * min(1.0, selectivity)
+            interval = KeyInterval.fold((c.operator, c.value) for _, c in members)
+            predicates = [predicate for predicate, _ in members]
+            matching = self._interval_matching(
+                interval, predicates, rows, statistics.column(column).histogram
+            )
+            pages = 0.0
+            if not interval.is_empty:
                 pages = self._index_pages(handle, matching) + _yao_pages(blocks, matching)
-                seq = variants[0]
-                cost = (
-                    matching * self.settings.server_cpu_seconds_per_row
-                    + pages * self.settings.block_access_seconds
-                )
-                path = AccessPath(
-                    alias=operation.alias,
-                    kind="index_scan",
-                    index_name=name,
-                    index_kind=handle.kind,
-                    column=handle.definition.column,
-                    predicate_key=str(predicate.expression),
-                )
-                step = PlanStep(
-                    kind="scan",
-                    name=f"{operation} via {name}",
-                    detail=(
-                        f"index {handle.kind} on {handle.definition.column}, "
-                        f"~{matching:.0f} matches, ~{pages:.0f} pages"
-                    ),
+            cost = (
+                matching * self.settings.server_cpu_seconds_per_row
+                + pages * self.settings.block_access_seconds
+            )
+            path = AccessPath(
+                alias=operation.alias,
+                kind="index_scan",
+                index_name=name,
+                index_kind=handle.kind,
+                column=column,
+                predicate_keys=tuple(str(predicate.expression) for predicate in predicates),
+            )
+            step = PlanStep(
+                kind="scan",
+                name=f"{operation} via {name}",
+                detail=(
+                    f"index {handle.kind} on {column}, "
+                    f"~{matching:.0f} matches, ~{pages:.0f} pages"
+                ),
+                cost=cost,
+                cardinality=seq.cardinality,
+            )
+            variants.append(
+                seq.extended(
                     cost=cost,
-                    cardinality=seq.cardinality,
+                    steps=(step,),
+                    access_paths={operation.alias: path},
                 )
-                variants.append(
-                    seq.extended(
-                        cost=cost,
-                        steps=(step,),
-                        access_paths={operation.alias: path},
-                    )
-                )
+            )
         return variants
+
+    def _interval_matching(
+        self, interval: KeyInterval, predicates: Sequence[object], rows: float, histogram
+    ) -> float:
+        """Rows an index scan of ``interval`` fetches from the heap.
+
+        Several conjuncts folding to a range between numeric bounds are read
+        off the column's histogram as one interval (at least one row: a
+        histogram cannot tell a sliver from nothing).  A lone conjunct, points,
+        non-numeric bounds and columns without a histogram keep the product of
+        the member conjuncts' selectivities, which is where observed-selectivity
+        feedback is applied.
+        """
+        if interval.is_empty:
+            return 0.0
+        bounds = [bound for bound in (interval.low, interval.high) if bound is not None]
+        if (
+            len(predicates) > 1
+            and histogram is not None
+            and histogram.total > 0
+            and not interval.is_point
+            and all(
+                isinstance(bound, (int, float)) and not isinstance(bound, bool)
+                for bound in bounds
+            )
+        ):
+            return max(1.0, rows * histogram.range_fraction(interval.low, interval.high))
+        selectivity = 1.0
+        for predicate in predicates:
+            selectivity *= self._conjunct_selectivity(predicate)
+        return rows * selectivity
 
     def join_variants(
         self, plan: CandidatePlan, operation: TableOperation

@@ -12,7 +12,7 @@ print and what the engine's ``explain(optimize=True)`` shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
@@ -81,13 +81,15 @@ class UdfOperation:
 class AccessPath:
     """How one base table is physically accessed in a candidate plan.
 
-    ``kind`` is ``"index_scan"`` (a single-table predicate served by a
-    secondary index) or ``"index_join"`` (an index-nested-loop probe of the
-    table as a join inner).  ``predicate_key`` is the served conjunct's
-    string form — the key the planner uses to find the matching expression
-    again; ``join_column`` the outer-side column an index join probes with.
-    Tables without an entry in ``CandidatePlan.access_paths`` use the
-    default sequential scan.
+    ``kind`` is ``"index_scan"`` (the interval that the table's conjuncts on
+    one indexed column fold to, served by a secondary index) or
+    ``"index_join"`` (an index-nested-loop probe of the table as a join
+    inner).  ``predicate_keys`` are the served conjuncts' string forms — the
+    keys the planner uses to find the matching expressions again, all of
+    which must still be in the query; ``predicate_key=`` spells the one-key
+    case and names an index join's equi-join predicate.  ``join_column`` is
+    the outer-side column an index join probes with.  Tables without an
+    entry in ``CandidatePlan.access_paths`` use the default sequential scan.
     """
 
     alias: str
@@ -95,8 +97,15 @@ class AccessPath:
     index_name: str
     index_kind: str  # "btree" | "hash"
     column: str  # the indexed column (bare name)
-    predicate_key: Optional[str] = None
+    predicate_key: InitVar[Optional[str]] = None  # constructor spelling of one key
     join_column: Optional[str] = None
+    predicate_keys: Tuple[str, ...] = ()
+
+    def __post_init__(self, predicate_key: Optional[str]) -> None:
+        if predicate_key is not None:
+            if self.predicate_keys and self.predicate_keys != (predicate_key,):
+                raise ValueError("give predicate_key or predicate_keys, not both")
+            object.__setattr__(self, "predicate_keys", (predicate_key,))
 
     def describe(self) -> str:
         if self.kind == "index_join":
@@ -106,8 +115,17 @@ class AccessPath:
             )
         return (
             f"index scan of {self.alias} via {self.index_name} "
-            f"({self.index_kind} on {self.column}: {self.predicate_key})"
+            f"({self.index_kind} on {self.column}: {' AND '.join(self.predicate_keys)})"
         )
+
+
+def _sole_predicate_key(path: AccessPath) -> Optional[str]:
+    return path.predicate_keys[0] if len(path.predicate_keys) == 1 else None
+
+
+# ``predicate_keys`` is the one stored form; the init-only ``predicate_key=``
+# reads back as the sole key (None when the path serves none or several).
+AccessPath.predicate_key = property(_sole_predicate_key)  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)

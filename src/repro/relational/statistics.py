@@ -16,6 +16,7 @@ supplied estimates so the optimizer can be exercised on hypothetical tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,12 +49,13 @@ class Histogram:
     def build(
         cls, values: Iterable[object], buckets: int = DEFAULT_HISTOGRAM_BUCKETS
     ) -> Optional["Histogram"]:
-        """Build a histogram from numeric values; None if there are none."""
+        """Build a histogram from the finite numeric values; None if there are none."""
         numeric = [
             float(value)
             for value in values
             if isinstance(value, (int, float)) and not isinstance(value, bool)
         ]
+        numeric = [value for value in numeric if math.isfinite(value)]
         if not numeric:
             return None
         low, high = min(numeric), max(numeric)
@@ -65,19 +67,43 @@ class Histogram:
         return histogram
 
     def add(self, value: object) -> bool:
-        """Count ``value`` if it falls inside the range; False otherwise."""
+        """Count a finite numeric ``value``; False (and no change) for anything else.
+
+        A value outside ``[low, high]`` widens the range to reach it, unless
+        the widened span would no longer be a finite float.
+        """
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
-        value = float(value)
-        if value < self.low or value > self.high:
+        try:
+            value = float(value)
+        except OverflowError:
             return False
-        if self.high <= self.low:
-            self.counts[0] += 1
-            return True
+        if not math.isfinite(value):
+            return False
+        if value < self.low or value > self.high:
+            low, high = min(self.low, value), max(self.high, value)
+            if not math.isfinite(high - low):
+                return False
+            self._widen(low, high)
         width = (self.high - self.low) / len(self.counts)
-        bucket = min(int((value - self.low) / width), len(self.counts) - 1)
+        bucket = min(int((value - self.low) / width), len(self.counts) - 1) if width else 0
         self.counts[bucket] += 1
         return True
+
+    def _widen(self, low: float, high: float) -> None:
+        """Re-bucket over the wider ``[low, high]``, keeping the total.
+
+        Each new bucket edge takes the old histogram's cumulative count there
+        (uniform within an old bucket), rounded; bucket counts are the
+        differences, so they stay whole and sum to the old total.
+        """
+        total = self.total
+        buckets = len(self.counts) if self.high > self.low else DEFAULT_HISTOGRAM_BUCKETS
+        width = (high - low) / buckets
+        below = [round(total * self.fraction_below(low + i * width)) for i in range(1, buckets)]
+        edges = [0] + below + [total]
+        self.low, self.high = low, high
+        self.counts = [after - before for before, after in zip(edges, edges[1:])]
 
     def fraction_below(self, value: float) -> float:
         """Estimated fraction of values strictly below ``value``."""

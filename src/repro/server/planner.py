@@ -56,6 +56,7 @@ from repro.relational.predicates import (
 )
 from repro.relational.schema import bare_name
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
+from repro.storage.index import KeyInterval
 
 
 @dataclass
@@ -114,8 +115,9 @@ def build_plan(
     decision does not mention keep FROM order, order of appearance,
     ``config.strategy`` and a sequential scan, which is also the whole plan
     without a decision.  Realisation is strict: an access path that cannot
-    be built (index dropped since planning or incomplete, predicate not
-    indexable, range over a hash index, probe column not in the outer side)
+    be built (index dropped since planning or incomplete, a served predicate
+    gone from the query or not indexable on the index's column, range over a
+    hash index, probe column not in the outer side)
     raises :class:`PlanError` naming the index, because running a seq scan
     instead would execute a plan nobody priced.  ``config`` supplies the
     tunables and defaults to the decision's ``strategy_config``.
@@ -189,24 +191,24 @@ class _PlanBuilder:
         """A base-table leaf with its single-table predicates applied.
 
         With an ``index_scan`` access path the leaf fetches through the
-        index; every single-table filter still goes on top — the one the
-        index serves becomes a (cheap) re-check over the already-matching
+        index; every single-table filter still goes on top — the ones the
+        index serves become (cheap) re-checks over the already-matching
         rows, kept for correctness against index over-approximation and
-        marked ``observe_selectivity = False`` so its residual pass-through
-        rate is not recorded as the predicate's selectivity.
+        marked ``observe_selectivity = False`` so their residual pass-through
+        rate is not recorded as the predicates' selectivity.
         """
         path = self.access_paths.get(bound.alias.lower())
-        served_key: Optional[str] = None
+        served: Tuple[str, ...] = ()
         if path is None:
             plan: Operator = TableScan(bound.table, alias=bound.alias)
         elif path.kind == "index_scan":
             plan = self._index_scan_leaf(bound, path)
-            served_key = path.predicate_key
+            served = path.predicate_keys
         else:
             raise _unrealisable(path, "the table opens the join order: no outer side probes it")
         for predicate in self.query.single_table_predicates(bound.alias):
             filter_operator = Filter(plan, predicate.expression, self.server_functions)
-            if served_key is not None and str(predicate.expression) == served_key:
+            if served and str(predicate.expression) in served:
                 filter_operator.observe_selectivity = False
             plan = filter_operator
             self.applied_predicates.add(id(predicate))
@@ -221,18 +223,35 @@ class _PlanBuilder:
         return handle
 
     def _index_scan_leaf(self, bound: BoundTable, path: AccessPath) -> Operator:
-        """The index-scan leaf the access path asks for."""
+        """The index-scan leaf the access path asks for.
+
+        Every conjunct the path was priced as serving must still be in the
+        query and indexable on the path's column; together they fold to the
+        one interval the scan looks up.
+        """
         handle = self._index_handle(bound, path)
-        for predicate in self.query.single_table_predicates(bound.alias):
-            if str(predicate.expression) != path.predicate_key:
-                continue
-            condition = index_condition(predicate.expression)
+        if not path.predicate_keys:
+            raise _unrealisable(path, "it names no predicate to serve")
+        in_query = {
+            str(predicate.expression): predicate.expression
+            for predicate in self.query.single_table_predicates(bound.alias)
+        }
+        conditions = []
+        for key in path.predicate_keys:
+            if key not in in_query:
+                raise _unrealisable(path, f"{bound.alias} has no such predicate in this query")
+            condition = index_condition(in_query[key])
             if condition is None:
                 raise _unrealisable(path, "the predicate is not an indexable comparison")
+            if bare_name(condition.column).lower() != handle.definition.column.lower():
+                raise _unrealisable(path, f"{key} is not on the indexed column")
             if not condition.is_equality and not getattr(handle, "supports_range", False):
                 raise _unrealisable(path, "the index serves equality only, not a range")
-            return IndexScanOperator(bound.table, handle, condition, alias=bound.alias)
-        raise _unrealisable(path, f"{bound.alias} has no such predicate in this query")
+            conditions.append(condition)
+        interval = KeyInterval.fold((c.operator, c.value) for c in conditions)
+        return IndexScanOperator(
+            bound.table, handle, interval, conditions[0].column, alias=bound.alias
+        )
 
     def _index_join(self, plan: Operator, bound: BoundTable, path: AccessPath) -> Operator:
         """Join ``bound`` as the inner of an index nested-loop join.

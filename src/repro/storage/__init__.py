@@ -17,7 +17,8 @@ package supplies that missing storage half:
   RIDs, tombstone deletes, and a persisted free-space map;
 * :mod:`repro.storage.index` — secondary indexes over the heap: a paged
   :class:`BTreeIndex` (point + range lookups) and an equality-only
-  :class:`HashIndex`, both pinned through the shared buffer pool;
+  :class:`HashIndex`, both pinned through the shared buffer pool and built
+  in bulk, plus :class:`KeyInterval`, the unit an index scan looks up;
 * :mod:`repro.storage.metadata` — the :class:`MetadataManager` persisting
   table schemas and per-table :class:`StatInfo` (block/record counts,
   per-column distinct values, equi-width histograms) that feed the
@@ -35,6 +36,7 @@ from repro.storage.index import (
     BTreeIndex,
     HashIndex,
     IndexDefinition,
+    KeyInterval,
     open_index,
 )
 from repro.storage.metadata import ColumnStatInfo, MetadataManager, StatInfo
@@ -63,6 +65,7 @@ __all__ = [
     "HashIndex",
     "HeapFile",
     "IndexDefinition",
+    "KeyInterval",
     "Layout",
     "MetadataManager",
     "Page",

@@ -170,14 +170,18 @@ class StorageEngine:
         storage = self.open_table(table)
         definition = IndexDefinition(name=name, table=table, column=column, kind=kind)
         self.metadata.create_index(definition)
-        position = self._column_position(table, column)
         handle = open_index(self.buffers, definition)
-        for rid, values in storage.rows_with_rids():
-            handle.insert(values[position], rid)
+        self._build_index(handle, storage)
         self._indexes[name.lower()] = handle
-        self.metadata.set_index_state(name, handle.entry_count, handle.incomplete)
         self.metadata.flush()
         return handle
+
+    def _build_index(self, handle: IndexHandle, storage: PagedTableStorage) -> None:
+        """Bulk-build ``handle`` from the heap and record its state."""
+        definition = handle.definition
+        position = self._column_position(definition.table, definition.column)
+        handle.bulk_load((values[position], rid) for rid, values in storage.rows_with_rids())
+        self.metadata.set_index_state(definition.name, handle.entry_count, handle.incomplete)
 
     def drop_index(self, name: str) -> None:
         definition = self.metadata.drop_index(name)
@@ -226,13 +230,7 @@ class StorageEngine:
             self.files.delete(definition.file_name)
             handle = open_index(self.buffers, definition)
         if handle.entry_count != expected_entries:
-            position = self._column_position(definition.table, definition.column)
-            handle.rebuild(
-                (values[position], rid) for rid, values in storage.rows_with_rids()
-            )
-            self.metadata.set_index_state(
-                definition.name, handle.entry_count, handle.incomplete
-            )
+            self._build_index(handle, storage)
         self._indexes[key] = handle
 
     # -- statistics --------------------------------------------------------------

@@ -15,7 +15,10 @@ B-tree layout (``<table>.<index>.btx``):
   from offset 4).  A leaf is ``(1, next_leaf, [(key, block, slot), ...])``
   with leaves chained left to right for range scans; an internal node is
   ``(0, first_child, [(key, child), ...])`` where ``child`` serves keys
-  ``>= key`` and ``first_child`` everything smaller.
+  ``>= key`` and ``first_child`` everything smaller.  A run of equal keys
+  may straddle a split, so the child left of a separator can end with keys
+  equal to it: readers descend left of an equal separator and walk the
+  chain rightwards.
 
 Hash layout (``<table>.<index>.hsx``): block 0 is the meta page, blocks
 ``1..buckets`` are bucket heads, each a chain page ``(next_block,
@@ -25,14 +28,22 @@ process-randomised ``hash()`` — so a reopened database hashes identically.
 
 Keys are compared by ``(type_rank, value)`` so mixed numeric/string/bytes
 columns still order totally; ``None`` keys are never indexed (an equality
-probe can't match NULL under three-valued logic).
+probe can't match NULL under three-valued logic).  :class:`KeyInterval` is
+that order's interval — what a query's conjuncts on an indexed column fold
+to, and the unit an index scan looks up.
+
+Both kinds are built in bulk by ``bulk_load`` (``CREATE INDEX``, and the
+rebuild when a reopened index fails revalidation): every page is encoded
+and written once, instead of once per key it holds.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager
@@ -44,6 +55,13 @@ _HASH_MAGIC = 0x1DB8
 #: Hard cap on node fanout, besides the page-size limit.
 _MAX_NODE_ENTRIES = 128
 _DEFAULT_BUCKETS = 64
+#: Share of a B-tree page a bulk build fills, so that the first inserts after
+#: a build find room instead of each splitting a leaf.
+_BULK_FILL = 0.9
+
+#: Encoded size of a node / a chain page holding no entries.
+_NODE_OVERHEAD = len(encode_record((1, -1, [])))
+_CHAIN_OVERHEAD = len(encode_record([]))
 
 BTREE = "btree"
 HASH = "hash"
@@ -62,6 +80,105 @@ def _type_rank(value: Any) -> int:
 def sort_key(value: Any) -> Tuple[int, Any]:
     """A totally ordered key for any orderable indexed value."""
     return (_type_rank(value), value)
+
+
+def _key_orders(entries: Sequence[tuple]) -> List[Tuple[int, Any]]:
+    """A node's entries as the sort keys of their keys (``entry[0]``), to bisect."""
+    return [sort_key(entry[0]) for entry in entries]
+
+
+def _posting_order(entry: tuple) -> Tuple[Tuple[int, Any], int, int]:
+    """Order of a leaf entry ``(key, block, slot)`` within its leaf."""
+    return (sort_key(entry[0]), entry[1], entry[2])
+
+
+def _pack(items: Sequence[tuple], budget: int, limit: Optional[int] = None) -> Iterator[List[tuple]]:
+    """Cut ``items`` into consecutive runs of at most ``budget`` encoded bytes.
+
+    The codec is additive — a list costs a fixed header plus its items — so
+    a run's page payload is the caller's fixed overhead plus this sum.  A
+    single item larger than ``budget`` still gets a run of its own.
+    """
+    run: List[tuple] = []
+    used = 0
+    for item in items:
+        size = len(encode_value(item))
+        if run and (used + size > budget or len(run) == limit):
+            yield run
+            run, used = [], 0
+        run.append(item)
+        used += size
+    if run:
+        yield run
+
+
+@dataclass(frozen=True)
+class KeyInterval:
+    """The keys between two bounds under :func:`sort_key` order.
+
+    This is the unit of index access: every ``=``, ``<``, ``<=``, ``>``,
+    ``>=`` conjunct a query puts on one indexed column folds into a single
+    interval (:meth:`fold`), which a B-tree serves with one ``search_range``
+    call and a hash index — equality only — with one ``search_eq``.  ``None``
+    is an open end.  An interval may be empty (``low`` above ``high``, or equal
+    bounds not both inclusive): it matches no key and reads no page.
+    """
+
+    low: Any = None
+    high: Any = None
+    include_low: bool = True
+    include_high: bool = True
+
+    @classmethod
+    def fold(cls, conditions: Iterable[Tuple[str, Any]]) -> "KeyInterval":
+        """The tightest interval satisfying every ``(operator, value)`` pair."""
+        low: Optional[Tuple[Tuple[int, Any], bool, Any]] = None  # (sort key, inclusive, value)
+        high: Optional[Tuple[Tuple[int, Any], bool, Any]] = None
+        for operator, value in conditions:
+            sk = sort_key(value)
+            # At equal keys the exclusive bound is the tighter one, either end.
+            if operator in ("=", ">", ">="):
+                inclusive = operator != ">"
+                if low is None or (sk, not inclusive) > (low[0], not low[1]):
+                    low = (sk, inclusive, value)
+            if operator in ("=", "<", "<="):
+                inclusive = operator != "<"
+                if high is None or (sk, inclusive) < (high[0], high[1]):
+                    high = (sk, inclusive, value)
+        return cls(
+            low=None if low is None else low[2],
+            high=None if high is None else high[2],
+            include_low=True if low is None else low[1],
+            include_high=True if high is None else high[1],
+        )
+
+    @property
+    def is_point(self) -> bool:
+        """One key, both ends inclusive — what an equality conjunct folds to."""
+        return (
+            self.low is not None
+            and self.high is not None
+            and self.include_low
+            and self.include_high
+            and sort_key(self.low) == sort_key(self.high)
+        )
+
+    @property
+    def is_empty(self) -> bool:
+        if self.low is None or self.high is None:
+            return False
+        low, high = sort_key(self.low), sort_key(self.high)
+        return low > high or (low == high and not (self.include_low and self.include_high))
+
+    def describe(self, column: str) -> str:
+        if self.is_point:
+            return f"{column} = {self.low!r}"
+        ends = []
+        if self.low is not None:
+            ends.append(f"{column} {'>=' if self.include_low else '>'} {self.low!r}")
+        if self.high is not None:
+            ends.append(f"{column} {'<=' if self.include_high else '<'} {self.high!r}")
+        return " AND ".join(ends)
 
 
 @dataclass(frozen=True)
@@ -109,6 +226,14 @@ class _PagedIndex:
 
     # -- meta page ---------------------------------------------------------------
 
+    def _allocate_meta(self) -> None:
+        """Append the (zeroed) meta page; a fresh file's block 0."""
+        meta = self._pin_new()
+        try:
+            meta.mark_dirty()
+        finally:
+            self.buffers.unpin(meta)
+
     def _read_meta(self, expected_magic: int) -> List[int]:
         buffer = self._pin(0)
         try:
@@ -141,27 +266,10 @@ class BTreeIndex(_PagedIndex):
     def __init__(self, buffers: BufferManager, definition: IndexDefinition) -> None:
         super().__init__(buffers, definition)
         if self.block_count() == 0:
-            self._initialise()
+            self._build([], incomplete=False)
         meta = self._read_meta(_BTREE_MAGIC)
         self.root, self.height, self.entry_count, self.leaf_count, flag = meta[:5]
         self.incomplete = bool(flag)
-
-    def _initialise(self) -> None:
-        meta = self._pin_new()  # block 0
-        try:
-            meta.mark_dirty()
-        finally:
-            self.buffers.unpin(meta)
-        root = self._pin_new()  # block 1: an empty leaf
-        try:
-            self._encode_node(root.page, (1, -1, []))
-            root.mark_dirty()
-            root_number = root.block.number
-        finally:
-            self.buffers.unpin(root)
-        self.root, self.height, self.entry_count, self.leaf_count = root_number, 1, 0, 1
-        self.incomplete = False
-        self._save_meta()
 
     def _save_meta(self) -> None:
         self._write_meta(
@@ -175,15 +283,8 @@ class BTreeIndex(_PagedIndex):
     def _node_capacity(self) -> int:
         return self.buffers.file_manager.block_size - 4
 
-    def _encode_node(self, page, node: Tuple[int, int, List[tuple]]) -> None:
-        payload = encode_record(node)
-        if len(payload) > self._node_capacity():
-            raise StorageError(
-                f"index node of {len(payload)} bytes overflows a page in "
-                f"{self.file_name!r}"
-            )
-        page.write_int(0, len(payload))
-        page.write_bytes(4, payload)
+    def _fits(self, entries: List[tuple], payload: bytes) -> bool:
+        return len(entries) <= _MAX_NODE_ENTRIES and len(payload) <= self._node_capacity()
 
     def _read_node(self, number: int) -> Tuple[int, int, List[tuple]]:
         buffer = self._pin(number)
@@ -196,27 +297,27 @@ class BTreeIndex(_PagedIndex):
         is_leaf, pointer, entries = values
         return int(is_leaf), int(pointer), [tuple(entry) for entry in entries]
 
-    def _write_node(self, number: int, node: Tuple[int, int, List[tuple]]) -> None:
-        buffer = self._pin(number)
+    def _put_node(self, number: Optional[int], payload: bytes) -> int:
+        """Write an encoded node to block ``number`` (a new block when None)."""
+        if len(payload) > self._node_capacity():
+            raise StorageError(
+                f"index node of {len(payload)} bytes overflows a page in "
+                f"{self.file_name!r}"
+            )
+        buffer = self._pin_new() if number is None else self._pin(number)
         try:
-            self._encode_node(buffer.page, node)
-            buffer.mark_dirty()
-        finally:
-            self.buffers.unpin(buffer)
-
-    def _allocate_node(self, node: Tuple[int, int, List[tuple]]) -> int:
-        buffer = self._pin_new()
-        try:
-            self._encode_node(buffer.page, node)
+            buffer.page.write_int(0, len(payload))
+            buffer.page.write_bytes(4, payload)
             buffer.mark_dirty()
             return buffer.block.number
         finally:
             self.buffers.unpin(buffer)
 
-    def _node_overflows(self, node: Tuple[int, int, List[tuple]]) -> bool:
-        if len(node[2]) > _MAX_NODE_ENTRIES:
-            return True
-        return len(encode_record(node)) > self._node_capacity()
+    def _write_node(self, number: int, node: Tuple[int, int, List[tuple]]) -> None:
+        self._put_node(number, encode_record(node))
+
+    def _allocate_node(self, node: Tuple[int, int, List[tuple]]) -> int:
+        return self._put_node(None, encode_record(node))
 
     # -- mutation ----------------------------------------------------------------
 
@@ -243,17 +344,19 @@ class BTreeIndex(_PagedIndex):
     def _insert_into(
         self, number: int, depth: int, sk: Tuple[int, Any], key: Any, rid: RecordId
     ) -> Optional[Tuple[Any, int]]:
-        is_leaf, pointer, entries = self._read_node(number)
+        """Insert below node ``number``; a split returns ``(separator, right)``.
+
+        Each touched node is encoded once: the bytes that decide whether it
+        still fits its page are the bytes written.
+        """
+        _, pointer, entries = self._read_node(number)
         if depth == 1:
-            position = len(entries)
-            for i, (existing, block, slot) in enumerate(entries):
-                if (sort_key(existing), block, slot) > (sk, rid[0], rid[1]):
-                    position = i
-                    break
+            orders = [_posting_order(entry) for entry in entries]
+            position = bisect_right(orders, (sk, rid[0], rid[1]))
             entries.insert(position, (key, rid[0], rid[1]))
-            node = (1, pointer, entries)
-            if not self._node_overflows(node):
-                self._write_node(number, node)
+            payload = encode_record((1, pointer, entries))
+            if self._fits(entries, payload):
+                self._put_node(number, payload)
                 return None
             middle = len(entries) // 2
             right_entries = entries[middle:]
@@ -261,26 +364,18 @@ class BTreeIndex(_PagedIndex):
             self.leaf_count += 1
             self._write_node(number, (1, right, entries[:middle]))
             return (right_entries[0][0], right)
-        child = pointer
-        for existing, child_block in entries:
-            if sk >= sort_key(existing):
-                child = child_block
-            else:
-                break
+        orders = _key_orders(entries)
+        at = bisect_right(orders, sk)
+        child = entries[at - 1][1] if at else pointer
         split = self._insert_into(child, depth - 1, sk, key, rid)
         if split is None:
             return None
         sep_key, new_child = split
-        sep_sk = sort_key(sep_key)
-        position = len(entries)
-        for i, (existing, _) in enumerate(entries):
-            if sort_key(existing) > sep_sk:
-                position = i
-                break
+        position = bisect_right(orders, sort_key(sep_key))
         entries.insert(position, (sep_key, new_child))
-        node = (0, pointer, entries)
-        if not self._node_overflows(node):
-            self._write_node(number, node)
+        payload = encode_record((0, pointer, entries))
+        if self._fits(entries, payload):
+            self._put_node(number, payload)
             return None
         middle = len(entries) // 2
         promoted, promoted_child = entries[middle]
@@ -298,33 +393,34 @@ class BTreeIndex(_PagedIndex):
             return False
         number = self._descend_to_leaf(sk)
         while number >= 0:
-            is_leaf, next_leaf, entries = self._read_node(number)
-            for i, (existing, block, slot) in enumerate(entries):
-                existing_sk = sort_key(existing)
-                if existing_sk == sk and (block, slot) == rid:
+            _, next_leaf, entries = self._read_node(number)
+            for i in range(bisect_left(_key_orders(entries), sk), len(entries)):
+                existing, block, slot = entries[i]
+                if sort_key(existing) != sk:
+                    return False
+                if (block, slot) == rid:
                     del entries[i]
                     self._write_node(number, (1, next_leaf, entries))
                     self.entry_count -= 1
                     self._save_meta()
                     return True
-                if existing_sk > sk:
-                    return False
             number = next_leaf
         return False
 
     # -- lookup ------------------------------------------------------------------
 
     def _descend_to_leaf(self, sk: Tuple[int, Any]) -> int:
+        """The leftmost leaf that can hold ``sk``.
+
+        A separator equal to ``sk`` sends the descent *left*: a run of equal
+        keys may straddle the split the separator came from, and a reader
+        walks the leaf chain rightwards from here.
+        """
         number, depth = self.root, self.height
         while depth > 1:
             _, pointer, entries = self._read_node(number)
-            child = pointer
-            for existing, child_block in entries:
-                if sk >= sort_key(existing):
-                    child = child_block
-                else:
-                    break
-            number = child
+            at = bisect_left(_key_orders(entries), sk)
+            number = entries[at - 1][1] if at else pointer
             depth -= 1
         return number
 
@@ -356,15 +452,14 @@ class BTreeIndex(_PagedIndex):
             high_sk = sort_key(high) if high is not None else None
         except TypeError:
             return
+        first_above_low = bisect_left if include_low else bisect_right
         number = self._descend_to_leaf(low_sk) if low_sk is not None else self._leftmost_leaf()
         while number >= 0:
             _, next_leaf, entries = self._read_node(number)
-            for key, block, slot in entries:
-                sk = sort_key(key)
-                if low_sk is not None:
-                    if sk < low_sk or (sk == low_sk and not include_low):
-                        continue
+            start = 0 if low_sk is None else first_above_low(_key_orders(entries), low_sk)
+            for key, block, slot in entries[start:]:
                 if high_sk is not None:
+                    sk = sort_key(key)
                     if sk > high_sk or (sk == high_sk and not include_high):
                         return
                 yield key, (block, slot)
@@ -372,12 +467,63 @@ class BTreeIndex(_PagedIndex):
 
     # -- bulk / introspection ----------------------------------------------------
 
-    def rebuild(self, pairs: Iterator[Tuple[Any, RecordId]]) -> None:
-        """Drop and re-create the index from ``(key, rid)`` pairs."""
-        self.delete_file()
-        self._initialise()
+    def bulk_load(self, pairs: Iterable[Tuple[Any, RecordId]]) -> None:
+        """Replace the index's contents with ``(key, rid)`` pairs, bottom-up.
+
+        NULL and unorderable keys are skipped exactly as :meth:`insert` skips
+        them (the latter mark the index ``incomplete``).
+        """
+        entries: List[tuple] = []
+        incomplete = False
         for key, rid in pairs:
-            self.insert(key, rid)
+            if key is None:
+                continue
+            try:
+                sort_key(key)
+            except TypeError:
+                incomplete = True
+                continue
+            entries.append((key, rid[0], rid[1]))
+        entries.sort(key=_posting_order)
+        self.delete_file()
+        self._build(entries, incomplete)
+
+    def _runs(self, items: Sequence[tuple]) -> Iterator[List[tuple]]:
+        return _pack(
+            items,
+            int((self._node_capacity() - _NODE_OVERHEAD) * _BULK_FILL),
+            int(_MAX_NODE_ENTRIES * _BULK_FILL),
+        )
+
+    def _build(self, entries: List[tuple], incomplete: bool) -> None:
+        """Write a fresh file holding the sorted ``entries``.
+
+        Leaves are packed left to right, each encoded and written once and
+        chained to the block the next one will get; every internal level is
+        packed the same way over the first keys of the level below; the meta
+        page is written last, once.
+        """
+        self._allocate_meta()  # block 0
+        leaves = list(self._runs(entries)) or [[]]
+        level: List[Tuple[Any, int]] = []
+        for position, run in enumerate(leaves):
+            number = self.block_count()
+            is_last = position == len(leaves) - 1
+            self._allocate_node((1, -1 if is_last else number + 1, run))
+            level.append((run[0][0] if run else None, number))
+        self.height = 1
+        while len(level) > 1:
+            # A node stores its first child as the bare pointer, so a run of
+            # children is one entry longer than the node it becomes.
+            level = [
+                (run[0][0], self._allocate_node((0, run[0][1], run[1:])))
+                for run in self._runs(level)
+            ]
+            self.height += 1
+        self.root = level[0][1]
+        self.entry_count, self.leaf_count = len(entries), len(leaves)
+        self.incomplete = incomplete
+        self._save_meta()
 
     def average_leaf_entries(self) -> float:
         return self.entry_count / max(1, self.leaf_count)
@@ -404,25 +550,35 @@ class HashIndex(_PagedIndex):
     ) -> None:
         super().__init__(buffers, definition)
         if self.block_count() == 0:
-            self._initialise(buckets)
+            self._build([[] for _ in range(buckets)], incomplete=False)
         meta = self._read_meta(_HASH_MAGIC)
         self.buckets, self.entry_count, flag = meta[:3]
         self.incomplete = bool(flag)
 
-    def _initialise(self, buckets: int) -> None:
-        meta = self._pin_new()
-        try:
-            meta.mark_dirty()
-        finally:
-            self.buffers.unpin(meta)
-        for _ in range(buckets):
+    def _build(self, chains: List[List[tuple]], incomplete: bool) -> None:
+        """Write a fresh file with one chain per bucket, each page once.
+
+        Bucket heads are blocks ``1..buckets``; overflow pages follow in
+        bucket order, so every page's successor is known before it is written.
+        """
+        self._allocate_meta()  # block 0
+        budget = self.buffers.file_manager.block_size - 8 - _CHAIN_OVERHEAD
+        overflow = itertools.count(len(chains) + 1)
+        pages: List[Tuple[int, int, List[tuple]]] = []  # (block, next block, entries)
+        for bucket, chain in enumerate(chains):
+            runs = list(_pack(chain, budget)) or [[]]
+            blocks = [1 + bucket] + [next(overflow) for _ in runs[1:]]
+            pages.extend(zip(blocks, blocks[1:] + [0], runs))
+        for _, next_block, entries in sorted(pages, key=lambda page: page[0]):
             buffer = self._pin_new()
             try:
-                self._write_chain_page(buffer.page, 0, [])
+                self._write_chain_page(buffer.page, next_block, entries)
                 buffer.mark_dirty()
             finally:
                 self.buffers.unpin(buffer)
-        self.buckets, self.entry_count, self.incomplete = buckets, 0, False
+        self.buckets = len(chains)
+        self.entry_count = sum(len(chain) for chain in chains)
+        self.incomplete = incomplete
         self._save_meta()
 
     def _save_meta(self) -> None:
@@ -557,12 +713,24 @@ class HashIndex(_PagedIndex):
             number = next_block
         return result
 
-    def rebuild(self, pairs: Iterator[Tuple[Any, RecordId]]) -> None:
-        buckets = self.buckets
-        self.delete_file()
-        self._initialise(buckets)
+    def bulk_load(self, pairs: Iterable[Tuple[Any, RecordId]]) -> None:
+        """Replace the index's contents with ``(key, rid)`` pairs.
+
+        NULL and unencodable keys are skipped exactly as :meth:`insert`
+        skips them (the latter mark the index ``incomplete``).
+        """
+        chains: List[List[tuple]] = [[] for _ in range(self.buckets)]
+        incomplete = False
         for key, rid in pairs:
-            self.insert(key, rid)
+            if key is None:
+                continue
+            key_bytes = self._encode_key(key)
+            if key_bytes is None:
+                incomplete = True
+                continue
+            chains[self._bucket_block(key_bytes) - 1].append((key_bytes, rid[0], rid[1]))
+        self.delete_file()
+        self._build(chains, incomplete)
 
     def average_leaf_entries(self) -> float:
         return self.entry_count / max(1, self.buckets)

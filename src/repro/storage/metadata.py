@@ -8,10 +8,10 @@ prices scans from the catalog's ``blocks_accessed()`` / ``records_output()``
 in-memory statistics.
 
 Statistics are maintained incrementally: every insert updates null counts,
-size sums, min/max, a capped distinct sample, and the column histogram (when
-the value stays inside the histogram's range).  A scan-count trigger marks
+size sums, min/max, a capped distinct sample, and the column histogram (which
+widens its range to take a value outside it).  A scan-count trigger marks
 stats due for a full recompute from the heap, which rebuilds exact distinct
-counts and re-ranges the histograms.
+counts and re-buckets the histograms from the values themselves.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class ColumnStatInfo:
         "minimum",
         "maximum",
         "histogram",
-        "histogram_stale",
         "_sample",
     )
 
@@ -63,7 +62,6 @@ class ColumnStatInfo:
         self.minimum: Optional[object] = None
         self.maximum: Optional[object] = None
         self.histogram: Optional[Histogram] = None
-        self.histogram_stale = False
         self._sample: set = set()
 
     def observe(self, value: Any) -> None:
@@ -85,11 +83,8 @@ class ColumnStatInfo:
         except TypeError:
             self.minimum = None
             self.maximum = None
-        if self.histogram is not None and not self.histogram.add(value):
-            # Numeric value outside the histogram's range (or histogram no
-            # longer applies): the buckets need a full rebuild.
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.histogram_stale = True
+        if self.histogram is not None:
+            self.histogram.add(value)
 
     def distinct_count(self, records: int) -> int:
         """Best current distinct estimate, never exceeding the row count."""
@@ -107,7 +102,7 @@ class ColumnStatInfo:
             average_size=self.average_size(records),
             minimum=self.minimum,
             maximum=self.maximum,
-            histogram=None if self.histogram_stale else self.histogram,
+            histogram=self.histogram,
         )
 
     def reset_from_values(self, values: Sequence[Any]) -> None:
@@ -119,7 +114,6 @@ class ColumnStatInfo:
         self.minimum = exact.minimum
         self.maximum = exact.maximum
         self.histogram = Histogram.build(values)
-        self.histogram_stale = False
         self._sample = set()
 
     def to_dict(self, records: int) -> Dict[str, Any]:
@@ -129,11 +123,7 @@ class ColumnStatInfo:
             "total_size": self.total_size,
             "min": self.minimum if isinstance(self.minimum, _JSON_SCALARS) else None,
             "max": self.maximum if isinstance(self.maximum, _JSON_SCALARS) else None,
-            "histogram": (
-                None
-                if self.histogram is None or self.histogram_stale
-                else self.histogram.to_dict()
-            ),
+            "histogram": None if self.histogram is None else self.histogram.to_dict(),
         }
 
     @classmethod

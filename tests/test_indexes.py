@@ -31,6 +31,7 @@ from repro.sql.parser import parse
 from repro.storage.buffer import BufferManager
 from repro.storage.engine import StorageEngine
 from repro.storage.file import FileManager
+from repro.storage.index import IndexDefinition, open_index, sort_key
 from repro.storage.page import BlockId, Page
 
 NETWORK = NetworkConfig.symmetric(2_000_000.0, latency=0.0005, name="index-tests")
@@ -318,6 +319,176 @@ class TestStrictRealisation:
         db = open_copy(small_indexed_dir, tmp_path)
         with pytest.raises(PlanError, match=reason):
             self.build(db, sql, table_order=order, access_paths={"Q": path})
+        db.close()
+
+
+# ---------------------------------------------------------------------------
+# One interval per indexed column: both bounds reach the B-tree together
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide_quotes_dir(tmp_path_factory):
+    """6,000 quotes (three times the 64-page pool) in shuffled price order,
+    analyzed, B-tree on Price, then written to past both ends of the column."""
+    directory = str(tmp_path_factory.mktemp("wide-quotes"))
+    db = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+    rows = [(i, ((i * 3571) % 6000) * 0.5, f"name{i % 50:02d}" + "x" * 90) for i in range(6000)]
+    db.create_table("Quotes", QUOTE_SCHEMA, rows=rows)
+    db.analyze("Quotes")
+    db.create_index("quotes_price_idx", "Quotes", "Price")
+    table = db.catalog.table("Quotes")
+    for i in range(20):
+        table.insert((6000 + i, 3000.0 + i + (i % 2) * 500.0, "above"))
+    table.insert((6020, -7.5, "below"))
+    db.close()
+    return directory
+
+
+#: 15 of 6,021 rows (0.25 %) in the middle of the column.
+MID_RANGE_SQL = "SELECT Q.Id, Q.Price FROM Quotes Q WHERE Q.Price >= 1500.0 AND Q.Price < 1507.5"
+
+
+class TestIntervalScan:
+    def test_two_sided_range_costs_its_matches_not_the_table(self, wide_quotes_dir, tmp_path):
+        db = open_copy(wide_quotes_dir, tmp_path)
+        seq = db.execute(MID_RANGE_SQL, deliver_results=True)
+        indexed = db.execute(MID_RANGE_SQL, optimize=True, deliver_results=True)
+        handle = db.storage.index_handle("quotes_price_idx")
+
+        assert (
+            "IndexScan(Quotes AS Q via quotes_price_idx: "
+            "Q.Price >= 1500.0 AND Q.Price < 1507.5)" in indexed.plan_text
+        )
+        assert indexed.plan_text.count("Filter(") == 2  # both re-checks kept
+        assert indexed.metrics.index_lookups == 1
+        assert len(indexed.rows) == 15 and indexed.row_set() == seq.row_set()
+        # The descent, at most two leaves, and one heap page per matching row.
+        assert indexed.metrics.buffer_misses <= handle.height + 2 + 15
+        assert seq.metrics.buffer_misses > 150
+        db.close()
+
+    def test_histogram_survives_writes(self, wide_quotes_dir, tmp_path):
+        """Inserts past either end widen the histogram instead of blinding
+        the chooser until the next full refresh."""
+        db = open_copy(wide_quotes_dir, tmp_path)
+        db.catalog.table("Quotes").insert((6021, None, "null price"))
+        for _ in range(2):  # as written, then as read back from catalog.json
+            histogram = db.catalog.table("Quotes").statistics.column("Price").histogram
+            assert histogram is not None
+            assert histogram.total == 6021  # every non-NULL price
+            assert histogram.low <= -7.5 and histogram.high >= 3519.0
+            below = [histogram.fraction_below(-10.0 + step * 40.0) for step in range(90)]
+            assert below == sorted(below) and below[0] == 0.0 and below[-1] == 1.0
+            assert "index scan of Q via quotes_price_idx" in db.explain(MID_RANGE_SQL, optimize=True)
+            db.close()
+            db = Database(network=NETWORK, storage_dir=db.storage.directory, cost_settings=COST)
+        db.close()
+
+    def test_histogram_ignores_non_finite_values(self, wide_quotes_dir, tmp_path):
+        """``inf`` (or a span no float can hold) is stored and indexed but
+        never widens the histogram: the insert succeeds, the estimates stay
+        finite, and the chooser still sees the column."""
+        db = open_copy(wide_quotes_dir, tmp_path)
+        table = db.catalog.table("Quotes")
+        before = table.statistics.column("Price").histogram.to_dict()
+        for i, price in enumerate((float("inf"), float("-inf"), 1.7e308, -1.7e308)):
+            table.insert((7000 + i, price, "non-finite"))
+        histogram = table.statistics.column("Price").histogram
+        # 1.7e308 alone still spans a finite float; adding -1.7e308 would not.
+        assert histogram.total == sum(before["counts"]) + 1
+        assert histogram.low == before["low"] and histogram.high == 1.7e308
+        assert 0.0 < histogram.range_fraction(1500.0, 1507.5) < 1.0
+        assert "index scan of Q via quotes_price_idx" in db.explain(MID_RANGE_SQL, optimize=True)
+        huge = "1" + "0" * 300 + ".0"  # the SQL grammar has no exponent form
+        result = db.execute(
+            f"SELECT Q.Id FROM Quotes Q WHERE Q.Price > {huge}", optimize=True, deliver_results=True
+        )
+        assert sorted(row[0] for row in result.rows) == [7000, 7002]
+        db.close()
+
+    def test_lone_range_keeps_observed_selectivity_feedback(self, wide_quotes_dir, tmp_path):
+        """A single conjunct prices as before this PR: through its own
+        selectivity, which is where recorded feedback corrects it."""
+        from repro.core.optimizer.cost import CostEstimator
+        from repro.core.optimizer.plans import operations_for_query
+
+        class Feedback:
+            def predicate_selectivity(self, predicate, default):
+                return 0.5 if predicate == "Q.Price < 2.0" else default
+
+        db = open_copy(wide_quotes_dir, tmp_path)
+        bound = db.bind("SELECT Q.Id FROM Quotes Q WHERE Q.Price < 2.0")
+        tables, _ = operations_for_query(bound)
+        rows = db.catalog.table("Quotes").statistics.row_count
+
+        def index_step(statistics):
+            estimator = CostEstimator(NETWORK, bound, COST, statistics=statistics)
+            _, indexed = estimator.scan_variants(tables[0])
+            return indexed.steps[-1].detail
+
+        assert f"~{rows * 0.5:.0f} matches" in index_step(Feedback())
+        assert f"~{rows * 0.5:.0f} matches" not in index_step(None)
+        db.close()
+
+    def test_one_key_spelling_is_the_same_path(self):
+        one_key = scan_path("quotes_price_idx", "btree", "Price", key="Q.Price < 2.0")
+        several = AccessPath(
+            "Q", "index_scan", "quotes_price_idx", "btree", "Price",
+            predicate_keys=("Q.Price < 2.0",),
+        )
+        assert one_key == several and hash(one_key) == hash(several)
+        assert one_key.predicate_keys == ("Q.Price < 2.0",)
+        assert one_key.predicate_key == several.predicate_key == "Q.Price < 2.0"
+        with pytest.raises(ValueError):
+            AccessPath(
+                "Q", "index_scan", "i", "btree", "Price",
+                predicate_key="Q.Price < 2.0", predicate_keys=("Q.Price > 1.0",),
+            )
+
+    def test_empty_interval_reads_no_page(self, wide_quotes_dir, tmp_path):
+        db = open_copy(wide_quotes_dir, tmp_path)
+        sql = "SELECT Q.Id FROM Quotes Q WHERE Q.Price > 1507.5 AND Q.Price <= 1500.0"
+        result = db.execute(sql, optimize=True, deliver_results=True)
+        assert "IndexScan" in result.plan_text and result.rows == []
+        assert result.metrics.index_lookups == 0 and result.metrics.buffer_accesses == 0
+        db.close()
+
+    def test_kept_decision_is_realised_strictly(self, wide_quotes_dir, tmp_path):
+        """A decision outliving its index, or one of the conjuncts it was
+        priced as serving, is refused by name — never run as another plan."""
+        db = open_copy(wide_quotes_dir, tmp_path)
+        bound = db.bind(MID_RANGE_SQL)
+        decision = db._decide(bound, db.default_config, optimize=True)
+        assert decision.access_paths["Q"].predicate_keys == (
+            "Q.Price >= 1500.0", "Q.Price < 1507.5",
+        )
+        one_sided = db.bind("SELECT Q.Id, Q.Price FROM Quotes Q WHERE Q.Price >= 1500.0")
+        with pytest.raises(PlanError, match="quotes_price_idx.*no such predicate"):
+            build_plan(one_sided, db.session.new_context(), decision=decision)
+        db.execute("DROP INDEX quotes_price_idx")
+        with pytest.raises(PlanError, match="quotes_price_idx.*gone or incomplete"):
+            build_plan(bound, db.session.new_context(), decision=decision)
+        db.close()
+
+    def test_hash_index_serves_only_the_equality_member(self, small_indexed_dir, tmp_path):
+        db = open_copy(small_indexed_dir, tmp_path)
+        db.execute("DROP INDEX price_btree")
+        sql = "SELECT Q.Id FROM Quotes Q WHERE Q.Id = 7 AND Q.Id < 30"
+        path = AccessPath(
+            "Q", "index_scan", "id_hash", "hash", "Id", predicate_keys=("Q.Id = 7", "Q.Id < 30")
+        )
+        decision = OptimizationDecision.pinned(db.default_config, access_paths={"Q": path})
+        with pytest.raises(PlanError, match="id_hash.*equality only"):
+            build_plan(db.bind(sql), db.session.new_context(), decision=decision)
+        other_column = scan_path("id_hash", "hash", "Id", key="Q.Price = 2.0")
+        decision = OptimizationDecision.pinned(db.default_config, access_paths={"Q": other_column})
+        with pytest.raises(PlanError, match="id_hash.*not on the indexed column"):
+            build_plan(
+                db.bind("SELECT Q.Id FROM Quotes Q WHERE Q.Price = 2.0"),
+                db.session.new_context(),
+                decision=decision,
+            )
         db.close()
 
 
@@ -652,6 +823,89 @@ class TestBufferPoolUnderIndexWorkloads:
         assert after.accesses > 0
         assert engine.buffers.pinned_count == 0
         engine.close()
+
+
+# ---------------------------------------------------------------------------
+# Satellite: bulk build — same index as one-at-a-time inserts, built once
+# ---------------------------------------------------------------------------
+
+
+#: 3,000 postings over 40 keys — runs of ~71 equal keys straddle leaves — of
+#: both numeric spellings and strings, plus NULLs and keys neither index can hold.
+BULK_KEYS = [None, frozenset({1})] + [
+    (k, float(k) + 0.5, f"s{k:02d}")[k % 3] for k in range(40)
+]
+BULK_PAIRS = [(BULK_KEYS[(i * 5) % len(BULK_KEYS)], (i // 16, i % 16)) for i in range(3000)]
+BULK_INDEXABLE = [pair for pair in BULK_PAIRS if isinstance(pair[0], (int, float, str))]
+
+
+class TestBulkLoad:
+    @staticmethod
+    def _open(directory, kind):
+        pool = BufferManager(FileManager(str(directory), block_size=1024), pool_size=16)
+        return open_index(pool, IndexDefinition("idx", "T", "K", kind))
+
+    @pytest.mark.parametrize("kind", ["btree", "hash"])
+    def test_bulk_load_equals_incremental_inserts(self, tmp_path, kind):
+        bulk = self._open(tmp_path / "bulk", kind)
+        bulk.bulk_load(iter(BULK_PAIRS))
+        incremental = self._open(tmp_path / "incremental", kind)
+        for key, rid in BULK_PAIRS:
+            incremental.insert(key, rid)
+
+        assert bulk.entry_count == incremental.entry_count == len(BULK_INDEXABLE)
+        assert bulk.incomplete and incremental.incomplete  # the frozenset keys
+        assert bulk.block_count() <= incremental.block_count()
+        for key in BULK_KEYS[2:] + [3.0, "zz", 999]:
+            expected = sorted(rid for k, rid in BULK_INDEXABLE if k == key)
+            assert sorted(bulk.search_eq(key)) == sorted(incremental.search_eq(key)) == expected
+        if kind == "btree":
+            assert bulk.leaf_count <= incremental.leaf_count
+            assert bulk.height == 3  # built bottom-up over two internal levels
+            walked = list(bulk.search_range(None, None))
+            assert len(walked) == bulk.entry_count
+            assert [sort_key(key) for key, _ in walked] == sorted(sort_key(k) for k, _ in walked)
+
+    @pytest.mark.parametrize("kind", ["btree", "hash"])
+    def test_inserts_and_deletes_keep_working_after_a_bulk_load(self, tmp_path, kind):
+        handle = self._open(tmp_path, kind)
+        handle.bulk_load(BULK_PAIRS)
+        blocks = handle.block_count()
+        twelves = [pair for pair in BULK_INDEXABLE if pair[0] == 12]
+        extra = [(12, (500 + i, 0)) for i in range(200)]  # overflows key 12's leaf / chain
+        for key, rid in extra:
+            assert handle.insert(key, rid)
+        assert handle.block_count() > blocks
+        assert sorted(handle.search_eq(12)) == sorted(rid for _, rid in twelves + extra)
+        for key, rid in extra + twelves:
+            assert handle.delete(key, rid)
+        assert handle.search_eq(12) == [] and not handle.delete(12, (500, 0))
+        assert handle.entry_count == len(BULK_INDEXABLE) - len(twelves)
+
+        handle.bulk_load([])  # and back to an empty, complete index
+        assert (handle.entry_count, handle.incomplete, handle.search_eq(12)) == (0, False, [])
+        assert handle.insert(5, (1, 1)) and handle.search_eq(5.0) == [(1, 1)]
+
+    def test_btree_bisects_without_the_key_argument(self, tmp_path, monkeypatch):
+        """``bisect(..., key=)`` only exists from Python 3.10; the package
+        supports 3.8, so the B-tree bisects over plain key lists."""
+        import bisect
+
+        import repro.storage.index as index_module
+
+        monkeypatch.setattr(index_module, "bisect_left", lambda a, x: bisect.bisect_left(a, x))
+        monkeypatch.setattr(index_module, "bisect_right", lambda a, x: bisect.bisect_right(a, x))
+        handle = self._open(tmp_path, "btree")
+        pairs = BULK_INDEXABLE[:900]
+        for key, rid in pairs:
+            assert handle.insert(key, rid)
+        assert handle.height > 1
+        assert sorted(handle.search_eq(12)) == sorted(rid for key, rid in pairs if key == 12)
+        ranged = [rid for _, rid in handle.search_range(3, 9.5, False, True)]
+        assert sorted(ranged) == sorted(
+            rid for key, rid in pairs if not isinstance(key, str) and 3 < key <= 9.5
+        )
+        assert handle.delete(*pairs[0]) and not handle.delete(*pairs[0])
 
 
 # ---------------------------------------------------------------------------

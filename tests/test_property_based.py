@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from repro.adaptive import (
     SwitchPolicy,
 )
 from repro.core.costmodel import CostModel, CostParameters
+from repro.core.optimizer import OptimizationDecision, Optimizer
+from repro.core.optimizer.cost import CostSettings
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
@@ -23,7 +26,10 @@ from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.relational.operators import Distinct, HashJoin, MergeJoin, Sort, TableScan
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.types import DataObject, INTEGER
+from repro.relational.types import FLOAT, INTEGER, STRING, DataObject
+from repro.server.engine import Database
+from repro.server.executor import Executor
+from repro.storage.index import KeyInterval
 from repro.workloads.experiments import run_workload_point
 from repro.workloads.synthetic import SyntheticWorkload, interleaving_stride
 
@@ -342,6 +348,139 @@ def test_every_execution_mode_matches_single_site(
         with scalar_fallback():
             point = run_point()
     assert list(point.result_rows) == single_site_reference(workload)
+
+
+# ---------------------------------------------------------------------------
+# Index access: an interval scan answers exactly like the sequential scan
+# ---------------------------------------------------------------------------
+
+_COMPARE = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: Small domains, so duplicates, equal bounds and int-vs-float ties are common
+#: (non-negative: the SQL grammar has no signed literal).
+_NUMBERS = st.one_of(
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=16).map(lambda half: half / 2.0),
+)
+_STRINGS = st.sampled_from(["a", "b", "bb", "c", "d"])
+
+
+@st.composite
+def interval_cases(draw):
+    numeric = draw(st.booleans())
+    domain = _NUMBERS if numeric else _STRINGS
+    values = draw(st.lists(st.one_of(st.none(), domain), min_size=1, max_size=40))
+    conjuncts = draw(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(_COMPARE)), domain, st.booleans()),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return numeric, values, conjuncts
+
+
+#: Few enough keys that bounds tie (also int against float) in most examples.
+_TYING = st.sampled_from([1, 1.0, 1.5, 2, 2.0, 3])
+
+
+@given(
+    conjuncts=st.lists(st.tuples(st.sampled_from(sorted(_COMPARE)), _TYING), min_size=1, max_size=4),
+    probes=st.lists(_NUMBERS, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_key_interval_fold_is_exact(conjuncts, probes):
+    """The folded interval holds a key iff every conjunct does — never wider
+    (the re-check filters above an index scan would hide that), never
+    narrower — and it is empty or a point exactly when the conjunction is."""
+    interval = KeyInterval.fold(conjuncts)
+
+    def inside(value):
+        above = interval.low is None or (
+            value >= interval.low if interval.include_low else value > interval.low
+        )
+        below = interval.high is None or (
+            value <= interval.high if interval.include_high else value < interval.high
+        )
+        return above and below
+
+    for value in probes + [literal for _, literal in conjuncts]:
+        assert inside(value) == all(_COMPARE[op](value, literal) for op, literal in conjuncts)
+        assert not (interval.is_empty and inside(value))
+        if interval.is_point:
+            assert inside(value) == (value == interval.low)
+
+
+@given(
+    case=interval_cases(),
+    kind=st.sampled_from(["btree", "hash"]),
+    analyzed=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_interval_index_scan_matches_sequential_scan(case, kind, analyzed):
+    """1-3 conjuncts on one indexed column, folded to one interval.
+
+    Random numeric and string columns with duplicates and NULLs; literals on
+    either side of the operator; int and float bounds that tie; equal bounds
+    with mixed inclusivity; inverted and empty intervals; equality combined
+    with a range; B-tree and hash, with and without a histogram.  Every
+    index path the estimator offers, realised strictly, returns the
+    multiset a plain-Python filter returns — and so do the pinned seq-scan
+    plan and whatever ``optimize=True`` decides to run.
+    """
+    numeric, values, conjuncts = case
+    rows = [(row_id, value) for row_id, value in enumerate(values)]
+    texts = [
+        f"{literal!r} {_MIRRORED[op]} T.V" if literal_first else f"T.V {op} {literal!r}"
+        for op, literal, literal_first in conjuncts
+    ]
+    sql = "SELECT T.Id, T.V FROM T T WHERE " + " AND ".join(texts)
+    expected = sorted(
+        (row_id, value)
+        for row_id, value in rows
+        if value is not None and all(_COMPARE[op](value, literal) for op, literal, _ in conjuncts)
+    )
+
+    cost = CostSettings(block_access_seconds=0.005)
+    with tempfile.TemporaryDirectory() as directory:
+        db = Database(network=FAST, storage_dir=directory, cost_settings=cost)
+        db.create_table("T", [("Id", INTEGER), ("V", FLOAT if numeric else STRING)], rows=rows)
+        db.create_index("t_v", "T", "V", kind=kind)
+        if analyzed:
+            db.analyze("T")
+        bound = db.bind(sql)
+
+        def run(decision):
+            executor = Executor(db.session.new_context(), session=db.session)
+            result = executor.execute_query(bound, deliver_results=True, decision=decision)
+            return result.plan_text, sorted(map(tuple, result.rows))
+
+        plan_text, answer = run(OptimizationDecision.pinned(db.default_config))
+        assert "IndexScan" not in plan_text and answer == expected
+
+        enumerator = Optimizer(db.network, settings=cost).enumerator(bound)
+        (table,) = enumerator.tables
+        paths = [v.access_paths["T"] for v in enumerator.estimator.scan_variants(table)[1:]]
+        served = [op for op, _, _ in conjuncts if kind == "btree" or op == "="]
+        assert len(paths) == (1 if served else 0)
+        for path in paths:
+            assert len(path.predicate_keys) == len(served)
+            plan_text, answer = run(
+                OptimizationDecision.pinned(db.default_config, access_paths={"T": path})
+            )
+            assert "IndexScan(T AS T via t_v: " in plan_text
+            assert plan_text.count("Filter(") == len(conjuncts)  # every re-check kept
+            assert answer == expected
+
+        chosen = db.execute(sql, optimize=True, deliver_results=True)
+        assert sorted(map(tuple, chosen.rows)) == expected
+        db.close()
 
 
 # ---------------------------------------------------------------------------
