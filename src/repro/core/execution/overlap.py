@@ -71,7 +71,7 @@ class InFlightWindow:
 
     def acquire(self) -> Event:
         """An event that fires once one more batch may leave the server."""
-        event = Event(self.simulator, name=f"{self.name}.acquire")
+        event = Event(self.simulator, name=(self.name, ".acquire"))
         self._waiters.append((event, self.simulator.now))
         self._dispatch()
         return event

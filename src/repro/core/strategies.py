@@ -172,21 +172,26 @@ class StrategyConfig:
             if size < 1:
                 raise ValueError(f"batch size override for {name!r} must be at least 1")
         object.__setattr__(self, "batch_size_overrides", normalised)
+        # The same pairs as a mapping (not a field: derived, so it stays out
+        # of equality and hashing): strategies resolve an override per batch
+        # and per shipped row.
+        object.__setattr__(self, "_override_sizes", dict(normalised))
 
     # -- batch sizing --------------------------------------------------------------
 
+    def _override_for(self, udf_name: Optional[str]) -> Optional[int]:
+        overrides = self._override_sizes
+        if not overrides or udf_name is None:
+            return None
+        return overrides.get(udf_name.lower())
+
     def batch_size_for(self, udf_name: Optional[str] = None) -> int:
         """The *static* batch size for ``udf_name`` (override, else plan-wide)."""
-        if udf_name is not None:
-            key = udf_name.lower()
-            for name, size in self.batch_size_overrides:
-                if name == key:
-                    return size
-        return self.batch_size
+        override = self._override_for(udf_name)
+        return self.batch_size if override is None else override
 
     def has_batch_override(self, udf_name: str) -> bool:
-        key = udf_name.lower()
-        return any(name == key for name, _ in self.batch_size_overrides)
+        return self._override_for(udf_name) is not None
 
     def controller_for(self, udf_name: Optional[str] = None) -> Optional["BatchSizeController"]:
         """The adaptive controller governing ``udf_name``, if any.
@@ -196,7 +201,7 @@ class StrategyConfig:
         controller is shared plan-wide.  An explicit per-UDF batch-size
         override pins that UDF against adaptation, so ``None`` is returned.
         """
-        if udf_name is not None and self.has_batch_override(udf_name):
+        if self._override_for(udf_name) is not None:
             return None
         controller = self.batch_controller
         if controller is None:
@@ -214,8 +219,9 @@ class StrategyConfig:
         decides; otherwise the static plan-wide size.  Strategies call this
         at every batch boundary.
         """
-        if udf_name is not None and self.has_batch_override(udf_name):
-            return self.batch_size_for(udf_name)
+        override = self._override_for(udf_name)
+        if override is not None:
+            return override
         controller = self.controller_for(udf_name)
         if controller is not None:
             return controller.current()

@@ -13,7 +13,7 @@ execution strategies need:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 
@@ -21,11 +21,16 @@ _UNSET = object()
 
 
 class Event:
-    """A one-shot simulation event."""
+    """A one-shot simulation event.
 
-    def __init__(self, simulator: "Simulator", name: str = "") -> None:  # noqa: F821
+    ``name`` may be given as a tuple of parts (``(link.name, ".tx#", 17)``):
+    events are created per message and almost never printed, so the parts
+    are joined only when :attr:`name` is read — by ``__repr__`` or an error.
+    """
+
+    def __init__(self, simulator: "Simulator", name: Union[str, Tuple[Any, ...]] = "") -> None:  # noqa: F821
         self.simulator = simulator
-        self.name = name or type(self).__name__
+        self._name = name
         self.callbacks: List[Callable[["Event"], None]] = []
         self._value: Any = _UNSET
         self._exception: Optional[BaseException] = None
@@ -33,6 +38,13 @@ class Event:
         self.processed = False
 
     # -- state ------------------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if not isinstance(name, str):
+            name = self._name = "".join(map(str, name))
+        return name or type(self).__name__
 
     @property
     def value(self) -> Any:
@@ -54,6 +66,20 @@ class Event:
         self._value = value
         self.simulator._schedule(delay, self)
         return self
+
+    def succeed_now(self, value: Any = None) -> None:
+        """Succeed and run the callbacks in place, with no kernel entry.
+
+        Only for a caller that is the last action of its own kernel entry at
+        a quiet instant (:meth:`Simulator.quiet`): the entry :meth:`succeed`
+        would schedule is then the very next one the kernel pops, so running
+        it here reorders nothing.
+        """
+        if self.triggered:
+            raise SimulationError(f"event {self.name!r} has already been triggered")
+        self.triggered = True
+        self._value = value
+        self._process()
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Mark the event failed; the exception is re-raised in waiting processes."""
@@ -111,9 +137,13 @@ class Timeout(Event):
     def __init__(self, simulator: "Simulator", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise SimulationError("Timeout delay must be non-negative")
-        super().__init__(simulator, name=f"Timeout({delay:g})")
+        super().__init__(simulator)
         self.delay = delay
         self.succeed(value, delay=delay)
+
+    @property
+    def name(self) -> str:
+        return f"Timeout({self.delay:g})"
 
 
 class Process(Event):
@@ -137,7 +167,7 @@ class Process(Event):
         self._generator = generator
         self.target: Optional[Event] = None
         # Kick the process off at the current simulation time.
-        bootstrap = Event(simulator, name=f"{self.name}:start")
+        bootstrap = Event(simulator, name=(name or "Process", ":start"))
         bootstrap.add_callback(self._resume)
         bootstrap.succeed(None)
 

@@ -111,20 +111,24 @@ class Link:
         )
 
         # Event for the sender: the link has finished serialising the message.
-        sender_event = Event(self.simulator, name=f"{self.name}.tx#{message.sequence}")
+        sender_event = Event(self.simulator, name=(self.name, ".tx#", message.sequence))
         sender_event.succeed(message, delay=finish_tx - now)
 
         # Delivery into the destination mailbox after propagation.  Nobody
         # waits on the mailbox put, so it is posted without an event.
         arrival_delay = (finish_tx + self.latency) - now
-        delivery_event = Event(self.simulator, name=f"{self.name}.rx#{message.sequence}")
+        delivery_event = Event(self.simulator, name=(self.name, ".rx#", message.sequence))
         delivery_event.add_callback(self._deliver)
         delivery_event.succeed(message, delay=arrival_delay)
 
         return sender_event
 
     def _deliver(self, event: Event) -> None:
-        self.destination.post(event._value)
+        # The only callback of a delivery event, so this ends the kernel
+        # entry and the mailbox may wake its reader in place.  (A trunk that
+        # delivers inside its completion entry holds the fan-out flag, so the
+        # mailbox sees a busy instant there and schedules the wake-up.)
+        self.destination.deliver(event._value)
 
     def close(self) -> None:
         """Refuse any further sends (used for failure-injection tests)."""

@@ -51,11 +51,18 @@ class Message:
     sender: str = ""
     description: str = ""
     row_count: int = 0
+    #: Fixed at construction because the link ledgers read them once or twice
+    #: per transmission: the total wire size including framing overhead,
+    #: ``kind.value``, and whether the frame counts as data (everything but
+    #: control and error frames).
+    size_bytes: int = field(init=False)
+    kind_name: str = field(init=False)
+    is_data: bool = field(init=False)
 
-    @property
-    def size_bytes(self) -> int:
-        """Total wire size, including framing overhead."""
-        return self.payload_bytes + MESSAGE_OVERHEAD_BYTES
+    def __post_init__(self) -> None:
+        self.size_bytes = self.payload_bytes + MESSAGE_OVERHEAD_BYTES
+        self.kind_name = self.kind.value
+        self.is_data = self.kind not in (MessageKind.CONTROL, MessageKind.ERROR)
 
     @property
     def overhead_bytes_per_row(self) -> float:
@@ -66,7 +73,7 @@ class Message:
 
     def __repr__(self) -> str:
         return (
-            f"Message(#{self.sequence} {self.kind.value}, {self.size_bytes}B"
+            f"Message(#{self.sequence} {self.kind_name}, {self.size_bytes}B"
             f"{', ' + self.description if self.description else ''})"
         )
 

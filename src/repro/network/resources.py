@@ -11,13 +11,15 @@ execution strategies:
 ``put`` blocks (the putting process waits) while the store is full; ``get``
 blocks while it is empty.  Both are FIFO, preserving stream order.
 
-Both return an event, for callers that really wait.  Two shortcuts exist for
-callers that do not, and neither can reorder the simulation: :meth:`Store.post`
+Both return an event, for callers that really wait.  Three shortcuts exist
+for callers that do not, and none can reorder the simulation: :meth:`Store.post`
 enters an item whose arrival nobody waits on (a link delivering into a
-mailbox) without creating the completion event that would be dropped unread,
-and :meth:`Store.get_now` takes an item that is already there without a
+mailbox) without creating the completion event that would be dropped unread;
+:meth:`Store.get_now` takes an item that is already there without a
 zero-delay event when the instant is quiet
-(:meth:`~repro.network.simulator.Simulator.quiet`).
+(:meth:`~repro.network.simulator.Simulator.quiet`); and :meth:`Store.deliver`
+is :meth:`Store.post` for a caller that ends its kernel entry, which may then
+wake the getter parked on the store in place.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` has entered the store."""
-        event = Event(self.simulator, name=f"{self.name}.put")
+        event = Event(self.simulator, name=(self.name, ".put"))
         self._put_waiters.append((event, item))
         self._dispatch()
         return event
 
     def get(self) -> Event:
         """Return an event that fires with the next item once one is available."""
-        event = Event(self.simulator, name=f"{self.name}.get")
+        event = Event(self.simulator, name=(self.name, ".get"))
         self._get_waiters.append(event)
         self._dispatch()
         return event
@@ -72,6 +74,24 @@ class Store:
         """
         self._put_waiters.append((None, item))
         self._dispatch()
+
+    def deliver(self, item: Any) -> None:
+        """:meth:`post` as the last action of the caller's kernel entry.
+
+        With one getter parked on the empty store at a quiet instant, the
+        wake-up :meth:`post` schedules would be the very next entry the
+        kernel pops; the getter is resumed here instead.  In every other
+        state — and from host code, which must use :meth:`post` — the
+        wake-up is scheduled as usual.
+        """
+        getters = self._get_waiters
+        parked = None
+        if len(getters) == 1 and not self._items and not self._put_waiters and self.simulator.quiet():
+            parked = getters.popleft()
+        self.post(item)
+        if parked is not None:
+            self.total_gets += 1
+            parked.succeed_now(self._items.popleft())
 
     def get_now(self, default: Any = None) -> Any:
         """The next item if one is buffered and the instant is quiet, else ``default``.

@@ -129,17 +129,5 @@ class Simulator:
         """Number of scheduled-but-unprocessed queue entries."""
         return len(self._queue)
 
-    def peek_next_time(self) -> Optional[float]:
-        """The time of the next scheduled entry, or ``None`` when idle.
-
-        The multi-tenant traffic driver steps the shared simulation manually
-        (it interleaves host-side query work between events); peeking lets it
-        distinguish "quiescent" from "more simulated work pending" without
-        disturbing the queue.
-        """
-        if not self._queue:
-            return None
-        return self._queue[0][0]
-
     def __repr__(self) -> str:
         return f"Simulator(now={self._now:.6f}, pending={len(self._queue)})"

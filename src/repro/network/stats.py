@@ -31,7 +31,7 @@ class FlowStats:
 
     def record(self, message: "Message", queued_for: float, transmission: float) -> None:
         self.message_count += 1
-        if message.kind.value not in ("control", "error"):
+        if message.is_data:
             self.data_message_count += 1
         self.total_bytes += message.size_bytes
         self.payload_bytes += message.payload_bytes
@@ -88,16 +88,17 @@ class LinkStats:
         transmission: float,
         flow: Optional[str] = None,
     ) -> None:
+        size = message.size_bytes
         self.message_count += 1
-        if message.kind.value not in ("control", "error"):
+        if message.is_data:
             self.data_message_count += 1
-        self.total_bytes += message.size_bytes
+        self.total_bytes += size
         self.payload_bytes += message.payload_bytes
         self.rows_transferred += message.row_count
         self.busy_seconds += transmission
         self.queueing_seconds += queued_for
-        kind = message.kind.value
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + message.size_bytes
+        kind = message.kind_name
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
         if flow is not None:
             counters = self.flows.get(flow)
             if counters is None:

@@ -90,6 +90,17 @@ class TimeSeries:
     def __init__(self, values) -> None:
         self.values: Tuple[float, ...] = tuple(float(v) for v in values)
 
+    @classmethod
+    def from_floats(cls, values: Tuple[float, ...]) -> "TimeSeries":
+        """A series over ``values`` exactly as given, with no conversion.
+
+        For callers that already hold a tuple of floats — the storage codec
+        passes what ``struct.unpack`` returned, once per decoded record.
+        """
+        series = cls.__new__(cls)
+        series.values = values
+        return series
+
     def __reduce__(self):
         # The hash mixes in the class object, whose hash differs between
         # processes: never let the cache travel inside a pickle.

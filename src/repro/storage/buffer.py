@@ -110,12 +110,14 @@ class BufferManager:
         self.misses = 0
         self.evictions = 0
         self.pinned_peak = 0
+        # Frames with at least one pin, kept on the 0→1 and 1→0 transitions.
+        self._pinned = 0
 
     # -- public API --------------------------------------------------------------
 
     @property
     def pinned_count(self) -> int:
-        return sum(1 for buffer in self._buffers if buffer.is_pinned)
+        return self._pinned
 
     def stats(self) -> BufferStats:
         return BufferStats(
@@ -141,10 +143,8 @@ class BufferManager:
             buffer.block = block
             buffer.dirty = False
             self._by_block[block] = buffer
-        buffer.pins += 1
-        buffer.referenced = True
+        self._add_pin(buffer)
         self._lru.pop(block, None)
-        self.pinned_peak = max(self.pinned_peak, self.pinned_count)
         return buffer
 
     def pin_new(self, file_name: str) -> Buffer:
@@ -160,9 +160,7 @@ class BufferManager:
         buffer.block = block
         buffer.dirty = False
         self._by_block[block] = buffer
-        buffer.pins += 1
-        buffer.referenced = True
-        self.pinned_peak = max(self.pinned_peak, self.pinned_count)
+        self._add_pin(buffer)
         return buffer
 
     def unpin(self, buffer: Buffer) -> None:
@@ -170,8 +168,10 @@ class BufferManager:
         if buffer.pins <= 0:
             raise StorageError(f"unpin of an unpinned buffer: {buffer!r}")
         buffer.pins -= 1
-        if not buffer.is_pinned and buffer.block is not None:
-            self._lru[buffer.block] = buffer
+        if buffer.pins == 0:
+            self._pinned -= 1
+            if buffer.block is not None:
+                self._lru[buffer.block] = buffer
 
     def flush_all(self) -> None:
         """Write every dirty resident buffer back to disk."""
@@ -195,6 +195,14 @@ class BufferManager:
             self._free.append(buffer)
 
     # -- internals ---------------------------------------------------------------
+
+    def _add_pin(self, buffer: Buffer) -> None:
+        if buffer.pins == 0:
+            self._pinned += 1
+            if self._pinned > self.pinned_peak:
+                self.pinned_peak = self._pinned
+        buffer.pins += 1
+        buffer.referenced = True
 
     def _write_back(self, buffer: Buffer) -> None:
         if buffer.dirty and buffer.block is not None:

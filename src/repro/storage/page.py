@@ -178,7 +178,7 @@ def decode_value(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
         count = _INT32.unpack_from(buffer, offset)[0]
         offset += 4
         values = struct.unpack_from(f">{count}d", buffer, offset)
-        return TimeSeries(values), offset + 8 * count
+        return TimeSeries.from_floats(values), offset + 8 * count
     if tag in (_TAG_TUPLE, _TAG_LIST):
         count = _INT32.unpack_from(buffer, offset)[0]
         offset += 4

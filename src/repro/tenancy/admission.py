@@ -99,7 +99,7 @@ class AdmissionScheduler:
             session_id=session_id,
             predicted_cost_seconds=predicted_cost_seconds,
             requested_at=self.simulator.now,
-            grant=Event(self.simulator, name=f"admit.{label}"),
+            grant=Event(self.simulator, name=("admit.", label)),
             arrival_index=next(self._arrivals),
         )
         self._waiting.append(ticket)

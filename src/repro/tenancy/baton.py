@@ -127,22 +127,29 @@ class BatonDriver:
         # Every worker starts ready, in submission order.
         self._ready.extend(workers)
 
+        ready = self._ready
+        simulator = self.simulator
+        # Looked up per run: the schedule recorder and the benchmark's tracer
+        # patch ``Simulator.step`` on the class.
+        step = simulator.step
         active = len(workers)
         while active > 0:
-            if self._ready:
-                worker = self._ready.popleft()
+            if ready:
+                worker = ready.popleft()
                 self._hand_baton(worker)
                 if worker.finished:
                     active -= 1
                 continue
-            if self.simulator.peek_next_time() is None:
-                self._abort_blocked(workers)
-                blocked = [worker.name for worker in workers if not worker.finished]
-                raise SimulationError(
-                    f"{self.description} deadlocked: no simulation events pending "
-                    f"while workers {blocked or '[]'} were still blocked"
-                )
-            self.simulator.step()
+            # Nobody is runnable: step until an event readies a worker.
+            while not ready:
+                if not simulator.pending_events:
+                    self._abort_blocked(workers)
+                    blocked = [worker.name for worker in workers if not worker.finished]
+                    raise SimulationError(
+                        f"{self.description} deadlocked: no simulation events pending "
+                        f"while workers {blocked or '[]'} were still blocked"
+                    )
+                step()
 
         for worker in workers:
             if worker.exception is not None:

@@ -41,24 +41,42 @@ from repro.network.stats import LinkStats
 DEFAULT_QUANTUM_BYTES = 2048
 
 
-class _Pending:
-    """A message waiting for the trunk, with its submitting link and event."""
+class _Transmission(Event):
+    """One message on the trunk: queue entry, sender-side completion, chaining step.
 
-    __slots__ = ("link", "message", "sender_event", "enqueued_at")
+    It is the event :meth:`LinkScheduler.submit` hands the sender, and the
+    kernel entry that fires it is the trunk's whole same-instant work for the
+    message: the sender's callbacks, then the delivery when it lands at this
+    very instant (a zero-latency link), then the scheduler's
+    :meth:`~LinkScheduler._start_next`.  That order is part of the wire
+    schedule: whether a sender submits its next message before or after the
+    chaining step decides who transmits next.
+    """
 
-    def __init__(self, link: Link, message: Message, sender_event: Event, enqueued_at: float) -> None:
+    def __init__(self, scheduler: "LinkScheduler", link: Link, message: Message) -> None:
+        super().__init__(scheduler.simulator, name=(scheduler.name, ".tx#", message.sequence))
+        self.scheduler = scheduler
         self.link = link
         self.message = message
-        self.sender_event = sender_event
-        self.enqueued_at = enqueued_at
+        self.size_bytes = message.size_bytes
+        self.flow = link.flow or link.name
+        self.enqueued_at = scheduler.simulator.now
+        #: Whether this entry also delivers (set when transmission starts).
+        self.delivers = False
 
-    @property
-    def size_bytes(self) -> int:
-        return self.message.size_bytes
-
-    @property
-    def flow(self) -> str:
-        return self.link.flow or self.link.name
+    def _process(self) -> None:
+        # The chaining step is runnable at this instant without being on the
+        # heap, exactly like a sibling callback: the sender's callbacks and
+        # the delivery must see a busy instant.
+        simulator = self.simulator
+        simulator._fanout += 1
+        try:
+            super()._process()
+            if self.delivers:
+                self.link._deliver(self)
+        finally:
+            simulator._fanout -= 1
+        self.scheduler._start_next()
 
 
 class LinkScheduler:
@@ -88,16 +106,16 @@ class LinkScheduler:
 
     # -- discipline hooks ---------------------------------------------------------
 
-    def _enqueue(self, item: _Pending) -> None:
+    def _enqueue(self, item: _Transmission) -> None:
         raise NotImplementedError
 
-    def _dequeue(self) -> Optional[_Pending]:
+    def _dequeue(self) -> Optional[_Transmission]:
         raise NotImplementedError
 
     def _queued_bytes(self) -> int:
         raise NotImplementedError
 
-    def _peek(self) -> Optional[_Pending]:
+    def _peek(self) -> Optional[_Transmission]:
         """The next queued item without removing it (``None`` when empty)."""
         raise NotImplementedError
 
@@ -109,15 +127,12 @@ class LinkScheduler:
         The event fires when the trunk finishes serialising the message —
         the shared-trunk analogue of :meth:`Link.send`'s return value.
         """
-        sender_event = Event(
-            self.simulator, name=f"{self.name}.tx#{message.sequence}"
-        )
-        item = _Pending(link, message, sender_event, self.simulator.now)
+        item = _Transmission(self, link, message)
         self._enqueue(item)
         self._queued_count += 1
         if not self._transmitting:
             self._start_next()
-        return sender_event
+        return item
 
     # -- transmission --------------------------------------------------------------
 
@@ -130,32 +145,26 @@ class LinkScheduler:
         self._transmitting = True
         now = self.simulator.now
         link = item.link
-        transmission = item.message.size_bytes / link.bandwidth_at(now)
+        message = item.message
+        transmission = item.size_bytes / link.bandwidth_at(now)
         queued_for = now - item.enqueued_at
         self._current_finish = now + transmission
 
-        link.stats.record(
-            item.message, queued_for=queued_for, transmission=transmission, flow=link.flow
-        )
-        self.stats.record(
-            item.message, queued_for=queued_for, transmission=transmission, flow=item.flow
-        )
+        link.stats.record(message, queued_for=queued_for, transmission=transmission, flow=link.flow)
+        self.stats.record(message, queued_for=queued_for, transmission=transmission, flow=item.flow)
 
-        # Sender unblocks when serialisation ends.
-        item.sender_event.succeed(item.message, delay=transmission)
+        # The sender unblocks when serialisation ends, and the same entry
+        # chains to the next queued message (see _Transmission).
+        item.succeed(message, delay=transmission)
 
-        # Delivery into the submitting link's own mailbox after propagation
-        # (posted: nobody waits on the mailbox put).
-        delivery = Event(
-            self.simulator, name=f"{link.name}.rx#{item.message.sequence}"
-        )
-        delivery.add_callback(link._deliver)
-        delivery.succeed(item.message, delay=transmission + link.latency)
-
-        # Chain to the next queued message once the trunk frees up.
-        tick = Event(self.simulator, name=f"{self.name}.next")
-        tick.add_callback(lambda _event: self._start_next())
-        tick.succeed(None, delay=transmission)
+        # Delivery into the submitting link's own mailbox after propagation:
+        # its own entry, unless it lands on the completion's instant, where
+        # the completion entry delivers after the sender's callbacks.
+        item.delivers = now + (transmission + link.latency) == self._current_finish
+        if not item.delivers:
+            delivery = Event(self.simulator, name=(link.name, ".rx#", message.sequence))
+            delivery.add_callback(link._deliver)
+            delivery.succeed(message, delay=transmission + link.latency)
 
     # -- introspection -------------------------------------------------------------
 
@@ -198,12 +207,12 @@ class FifoLinkScheduler(LinkScheduler):
 
     def __init__(self, simulator: Simulator, name: str = "trunk-fifo") -> None:
         super().__init__(simulator, name=name)
-        self._queue: Deque[_Pending] = deque()
+        self._queue: Deque[_Transmission] = deque()
 
-    def _enqueue(self, item: _Pending) -> None:
+    def _enqueue(self, item: _Transmission) -> None:
         self._queue.append(item)
 
-    def _dequeue(self) -> Optional[_Pending]:
+    def _dequeue(self) -> Optional[_Transmission]:
         if not self._queue:
             return None
         return self._queue.popleft()
@@ -211,7 +220,7 @@ class FifoLinkScheduler(LinkScheduler):
     def _queued_bytes(self) -> int:
         return sum(item.size_bytes for item in self._queue)
 
-    def _peek(self) -> Optional[_Pending]:
+    def _peek(self) -> Optional[_Transmission]:
         return self._queue[0] if self._queue else None
 
 
@@ -236,14 +245,14 @@ class DeficitRoundRobinScheduler(LinkScheduler):
             raise SimulationError("DRR quantum must be positive")
         super().__init__(simulator, name=name)
         self.quantum_bytes = int(quantum_bytes)
-        self._flows: Dict[str, Deque[_Pending]] = {}
+        self._flows: Dict[str, Deque[_Transmission]] = {}
         self._active: Deque[str] = deque()
         self._deficit: Dict[str, float] = {}
         #: Whether the flow at the head of the active list still needs its
         #: quantum credited for the current visit.
         self._fresh_visit = True
 
-    def _enqueue(self, item: _Pending) -> None:
+    def _enqueue(self, item: _Transmission) -> None:
         flow = item.flow
         queue = self._flows.get(flow)
         if queue is None:
@@ -257,7 +266,7 @@ class DeficitRoundRobinScheduler(LinkScheduler):
                 self._fresh_visit = True
         queue.append(item)
 
-    def _dequeue(self) -> Optional[_Pending]:
+    def _dequeue(self) -> Optional[_Transmission]:
         while self._active:
             flow = self._active[0]
             queue = self._flows[flow]
@@ -284,7 +293,7 @@ class DeficitRoundRobinScheduler(LinkScheduler):
             item.size_bytes for queue in self._flows.values() for item in queue
         )
 
-    def _peek(self) -> Optional[_Pending]:
+    def _peek(self) -> Optional[_Transmission]:
         # The head of the current round's flow — a deficit rotation may serve
         # another flow first, but for backlog estimation the head message is
         # representative without mutating the round state.

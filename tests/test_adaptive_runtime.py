@@ -227,6 +227,24 @@ class TestStrategyConfigBatching:
         assert config.next_batch_size("pinned") == 5
         assert config.next_batch_size("free") == 16
 
+    def test_every_accessor_resolves_overrides_alike_and_follows_replace(self):
+        """The look-up table built at construction is case-insensitive through
+        every accessor and is rebuilt — never carried over — by ``replace``."""
+        controller = BatchSizeController(initial_batch_size=16)
+        config = StrategyConfig(batch_size=2).with_batch_controller(controller)
+        assert not config.has_batch_override("Pinned")
+        assert config.controller_for("Pinned") is controller
+        pinned = config.with_batch_overrides({"PINNED": 5})
+        for name in ("pinned", "Pinned", "PINNED"):
+            assert pinned.has_batch_override(name)
+            assert pinned.controller_for(name) is None
+            assert pinned.batch_size_for(name) == pinned.next_batch_size(name) == 5
+        assert pinned.controller_for("free") is controller and pinned.controller_for() is controller
+        cleared = pinned.with_batch_overrides({})
+        assert not cleared.has_batch_override("pinned")
+        assert cleared.next_batch_size("pinned") == 16
+        assert cleared == config and hash(cleared) == hash(config)
+
     def test_controller_excluded_from_equality(self):
         config = StrategyConfig(batch_size=4)
         assert config.with_batch_controller(BatchSizeController()) == config

@@ -1,8 +1,9 @@
 """The simulator's event count is budgeted per *message*, not per row.
 
-Every wire message needs a handful of kernel entries that advance the clock —
-its transmission end, its arrival, the receiver's wake-up, the client's
-compute timeout — and nothing else may be scheduled on its behalf.
+Every wire message needs three kernel entries that advance the clock — its
+transmission end, its arrival (which wakes the parked receiver in place) and
+the client's compute timeout — on a private link and on a shared trunk alike,
+and nothing else may be scheduled on its behalf.
 ``ExecutionMetrics.sim_events`` surfaces ``Simulator.events_processed`` so
 the budget is asserted here instead of rediscovered in a profile.
 """
@@ -17,8 +18,8 @@ from repro.workloads.sharding import FILTER_SQL, make_sharded_setup
 
 #: Kernel entries allowed per wire message, and per query on top of that
 #: (process start-ups and completions, the end-of-stream exchange, result
-#: delivery).  Measured: 2.9–4.8 per message including the constant.
-EVENTS_PER_MESSAGE = 4
+#: delivery).  Measured: 2.3–3.9 per message including the constant.
+EVENTS_PER_MESSAGE = 3
 EVENTS_PER_QUERY = 24
 
 
@@ -55,7 +56,7 @@ def test_semi_join_events_do_not_grow_with_duplicate_rows(tunables):
 
 def test_sim_events_reads_the_simulator_counter():
     metrics, messages = _run(ExecutionStrategy.NAIVE, 4)
-    assert metrics.sim_events >= 3 * messages  # tx end, arrival, wake-up at least
+    assert metrics.sim_events >= 2 * messages  # tx end and arrival at least
 
 
 def test_shared_simulation_stays_within_budget():
@@ -67,9 +68,9 @@ def test_shared_simulation_stays_within_budget():
         for record in report.records
     )
     queries = len(report.records)
-    # Per query on top: admission grant, think-time timeout, trunk ticks
-    # (one per transmission, counted in the per-message share below).
-    budget = (EVENTS_PER_MESSAGE + 1) * messages + EVENTS_PER_QUERY * queries
+    # Per query on top: admission grant, think-time timeout.  The trunk adds
+    # nothing per message: its chaining step rides the completion entry.
+    budget = EVENTS_PER_MESSAGE * messages + EVENTS_PER_QUERY * queries
     assert 0 < engine.simulator.events_processed <= budget
 
 
@@ -80,5 +81,5 @@ def test_scatter_gather_stays_within_budget():
     _single, distributed = make_sharded_setup(sites=4, shards=4, rows=96)
     metrics = distributed.execute(FILTER_SQL).metrics
     messages = metrics.downlink_messages + metrics.uplink_messages
-    budget = (EVENTS_PER_MESSAGE + 1) * messages + 2 * metrics.input_rows + EVENTS_PER_QUERY * 4
+    budget = EVENTS_PER_MESSAGE * messages + 2 * metrics.input_rows + EVENTS_PER_QUERY * 4
     assert 0 < metrics.sim_events <= budget

@@ -21,6 +21,19 @@ def data_message(rows, payload_bytes=100):
     return batch_message(MessageKind.RECORDS, None, payload_bytes, row_count=rows)
 
 
+class TestMessageConstants:
+    def test_wire_size_kind_and_data_flag_are_fixed_at_construction(self):
+        """The ledgers read these per transmission; they must be what the
+        message's kind and payload size say."""
+        for kind in MessageKind:
+            message = Message(kind, None, payload_bytes=84)
+            assert message.size_bytes == 100
+            assert message.kind_name == kind.value
+            assert message.is_data == (kind not in (MessageKind.CONTROL, MessageKind.ERROR))
+        assert (end_of_stream().is_data, end_of_stream().size_bytes) == (False, 16)
+        assert not error_message(ValueError("x")).is_data
+
+
 class TestRowsPerMessage:
     def test_counts_only_data_messages(self):
         stats = LinkStats(name="l")

@@ -109,6 +109,22 @@ class TestEventsAndTimeouts:
         with pytest.raises(SimulationError, match="blocked|deadlock|did not complete"):
             sim.run_process(stuck())
 
+    def test_names_are_joined_from_their_parts_when_read(self):
+        """Per-message events hand over name parts; nothing is formatted until
+        a repr or an error message asks."""
+        sim = Simulator()
+        event = Event(sim, name=("link.downlink", ".tx#", 17))
+        assert event.name == "link.downlink.tx#17"
+        assert repr(event) == "<Event 'link.downlink.tx#17' pending>"
+        assert Event(sim).name == "Event" and Event(sim, name="plain").name == "plain"
+        assert sim.timeout(0.25).name == "Timeout(0.25)"
+        assert repr(sim.timeout(2.0)) == "<Timeout 'Timeout(2)' triggered>"
+        store = Store(sim, name="inbox")
+        assert (store.get().name, store.put(1).name) == ("inbox.get", "inbox.put")
+        event.succeed()
+        with pytest.raises(SimulationError, match=r"'link\.downlink\.tx#17' has already been triggered"):
+            event.succeed()
+
 
 class TestProcessesComposition:
     def test_processes_can_wait_on_each_other(self):

@@ -86,6 +86,21 @@ class TestCodec:
         with pytest.raises(StorageError):
             decode_value(b"\x7f", 0)
 
+    @pytest.mark.parametrize("values", [(), (1.0,), (3, 2.5, -0.0, float("inf"))])
+    def test_decoded_time_series_is_indistinguishable(self, values):
+        """The codec builds the series without re-converting its floats; it
+        must still equal, hash, order and size like one built the usual way."""
+        original = TimeSeries(values)
+        decoded, _ = decode_value(encode_value(original), 0)
+        assert decoded == original and hash(decoded) == hash(original)
+        assert len({decoded, original}) == 1
+        assert all(type(value) is float for value in decoded.values)
+        assert decoded.serialized_size() == original.serialized_size()
+        bigger = TimeSeries(tuple(values) + (1.0,))
+        assert decoded < bigger and not bigger < decoded
+        assert sorted([bigger, decoded]) == [original, bigger]
+        assert encode_value(decoded) == encode_value(original)
+
 
 # ---------------------------------------------------------------------------
 # Pages and files
@@ -186,6 +201,32 @@ class TestBufferManager:
             pool.pin(blocks[2])
         assert pool.pinned_count == 2
         assert pool.stats().pinned_peak == 2
+        files.close()
+
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    def test_pinned_count_tracks_a_scan_of_the_pool(self, tmp_path, policy):
+        """The counter kept on pin transitions reads what counting the pinned
+        frames reads, re-pins and evictions included, and so does the peak."""
+        import random
+
+        files = FileManager(str(tmp_path), block_size=128)
+        blocks = _make_blocks(files, "t.tbl", 12)
+        pool = BufferManager(files, pool_size=4, policy=policy)
+        rng = random.Random(7)
+        held, peak = [], 0
+        for _ in range(400):
+            scanned = sum(1 for buffer in pool._buffers if buffer.is_pinned)
+            if held and (scanned == pool.pool_size or rng.random() < 0.45):
+                pool.unpin(held.pop(rng.randrange(len(held))))
+            elif rng.random() < 0.1:
+                held.append(pool.pin_new("t.tbl"))
+            else:
+                # Re-pinning a held block exercises the 1→2 non-transition.
+                held.append(pool.pin(rng.choice(blocks)))
+            scanned = sum(1 for buffer in pool._buffers if buffer.is_pinned)
+            peak = max(peak, scanned)
+            assert pool.pinned_count == scanned
+        assert pool.stats().pinned_peak == peak == pool.pool_size
         files.close()
 
     def test_clock_policy_evicts(self, tmp_path):
