@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.optimizer.plans import (
     AccessPath,
     CandidatePlan,
+    ColumnResolver,
     PlanStep,
     TableOperation,
     UdfOperation,
+    shallow_copy,
 )
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
 from repro.core.strategies import ExecutionStrategy
@@ -77,9 +80,7 @@ class CostSettings:
     block_access_seconds: float = 0.0
 
     def with_batch_size(self, batch_size: float) -> "CostSettings":
-        from dataclasses import replace
-
-        return replace(self, batch_size=batch_size)
+        return shallow_copy(self, {"batch_size": batch_size})
 
 
 def remaining_strategy_cost(
@@ -263,6 +264,34 @@ def _yao_pages(blocks: float, matching: float) -> float:
     return blocks * (1.0 - (1.0 - 1.0 / blocks) ** matching)
 
 
+#: The properties of a plan whose rows are at the server with nothing left at the client.
+_AT_SERVER = PhysicalProperties()
+
+
+class _Derivation:
+    """A candidate with its price left open: all that no batch size changes.
+
+    ``changes`` are the :class:`CandidatePlan` fields the operation sets on
+    the plan it is applied to (all but ``cost`` and ``steps``).  ``steps``
+    are the steps it appends with their transfer seconds left out: a step's
+    ``cost`` is its CPU charge alone, and pricing adds the transfer time of
+    its profile, or — for the step that ships nothing — ``extra`` (a join's
+    inner scan) to the plan beside it.  ``children`` memoises what each
+    further operation derived from here, so a second enumeration of the same
+    space — the sweep's other endpoint — only prices.
+    """
+
+    __slots__ = ("changes", "steps", "extra", "children")
+
+    def __init__(
+        self, changes: Dict[str, object], steps: Tuple[PlanStep, ...] = (), extra: float = 0.0
+    ) -> None:
+        self.changes = changes
+        self.steps = steps
+        self.extra = extra
+        self.children: Dict[str, object] = {}
+
+
 class CostEstimator:
     """Estimates costs of plan operations for a given network configuration.
 
@@ -272,6 +301,14 @@ class CostEstimator:
     ``udf_distinct_fraction(name, default)``.  When present, measured values
     replace the declared ones, so a second query plans with calibrated — not
     configured — UDF parameters.
+
+    An estimator serves one query under one statistics snapshot, and
+    remembers what it worked out: each base table's scan, each UDF's
+    parameters, how the query's column references resolve, and the
+    batch-size-independent *derivation* behind every plan it priced — a
+    second request only prices (:class:`_Derivation`).  Nothing is ever
+    invalidated, so build a fresh estimator per decision; operations are
+    told apart by their ``key``.
     """
 
     def __init__(
@@ -292,20 +329,59 @@ class CostEstimator:
         #: cost estimates aligned with what it can actually execute.
         self.allow_deferred_return = allow_deferred_return
         self.statistics = statistics
+        self.resolver = ColumnResolver()
+        #: ("scan" | "udf" | "needed", key) -> what was worked out for it.
+        self._facts: Dict[Tuple[str, str], object] = {}
+        #: id(plan) -> the plan (held, so the id stays its own) and its derivation.
+        self._derivations: Dict[int, Tuple[CandidatePlan, _Derivation]] = {}
 
-    # -- link time helpers ----------------------------------------------------------------
+    def repriced(self, settings: CostSettings) -> "CostEstimator":
+        """This estimator at another batch size (``settings`` differing in
+        nothing else), sharing all it worked out: the twin only prices."""
+        return shallow_copy(self, {"settings": settings})
 
-    def _downlink_seconds(
-        self, total_bytes: float, messages: float, settings: CostSettings
-    ) -> float:
-        overhead = messages * settings.per_message_overhead_bytes
-        return (total_bytes + overhead) / self.network.downlink_bandwidth
+    def release(self) -> None:
+        """Let go of every plan priced so far: the decision is made.  Whoever
+        still holds the estimator (an enumerator kept for its counters) then
+        holds no plan space with it; the twins share the table, so one call
+        serves them all."""
+        self._derivations.clear()
 
-    def _uplink_seconds(
-        self, total_bytes: float, messages: float, settings: CostSettings
-    ) -> float:
-        overhead = messages * settings.per_message_overhead_bytes
-        return (total_bytes + overhead) / self.network.uplink_bandwidth
+    # -- derive once, price per batch size -------------------------------------------------
+
+    def _fact(self, kind: str, key: str, work_out, *arguments):
+        """``work_out(*arguments)``, once per estimator under ``(kind, key)``."""
+        try:
+            return self._facts[kind, key]
+        except KeyError:
+            fact = self._facts[kind, key] = work_out(*arguments)
+            return fact
+
+    def _derived(self, plan: CandidatePlan, key: str, derive, *arguments):
+        """``derive(plan, *arguments)``, memoised under ``plan``'s own derivation."""
+        entry = self._derivations.get(id(plan))
+        if entry is None:  # not priced here (a seed, an index variant): its own root
+            entry = self._derivations[id(plan)] = (plan, _Derivation({}))
+        children = entry[1].children
+        if key not in children:
+            children[key] = derive(plan, *arguments)
+        return children[key]
+
+    def _priced(self, plan: CandidatePlan, derivation: _Derivation) -> CandidatePlan:
+        """``derivation`` applied to ``plan`` at this estimator's settings."""
+        cost, steps = plan.cost, plan.steps
+        for step in derivation.steps:
+            if step.transfer is None:
+                cost = cost + derivation.extra + step.cost
+            else:
+                transfer = self._transfer_cost(*step.transfer)
+                cost = cost + transfer + step.cost
+                step = shallow_copy(step, {"cost": transfer + step.cost, "transfer_cost": transfer})
+            steps += (step,)
+        candidate = shallow_copy(plan, derivation.changes)
+        candidate.cost, candidate.steps = cost, steps
+        self._derivations[id(candidate)] = (candidate, derivation)
+        return candidate
 
     def _transfer_cost(
         self,
@@ -316,11 +392,14 @@ class CostEstimator:
     ) -> float:
         """Bottleneck-link time for a pipelined transfer of ``rows`` rows."""
         settings = settings if settings is not None else self.settings
+        overhead = settings.per_message_overhead_bytes
         messages = max(1.0, rows / settings.batch_size)
-        down = self._downlink_seconds(
-            downlink_bytes, messages if downlink_bytes > 0 else 1.0, settings
-        )
-        up = self._uplink_seconds(uplink_bytes, messages if uplink_bytes > 0 else 1.0, settings)
+        down = (
+            downlink_bytes + (messages if downlink_bytes > 0 else 1.0) * overhead
+        ) / self.network.downlink_bandwidth
+        up = (
+            uplink_bytes + (messages if uplink_bytes > 0 else 1.0) * overhead
+        ) / self.network.uplink_bandwidth
         # The pipeline overlaps the two directions; the slower one dominates,
         # plus one round-trip latency and a fill penalty.  A finite overlap
         # window adds back the non-overlapped remainder divided by W (W = 1
@@ -340,53 +419,62 @@ class CostEstimator:
         only requires recomputing those steps' transfer times.  CPU charges
         and the plan structure are untouched; the enumeration is not re-run.
         """
-        from dataclasses import replace as replace_step
-
-        delta = 0.0
-        steps = []
-        for step in plan.steps:
-            if step.transfer is None:
-                steps.append(step)
-                continue
-            downlink_bytes, uplink_bytes, rows = step.transfer
-            new_transfer = self._transfer_cost(
-                downlink_bytes, uplink_bytes, rows, settings=settings
-            )
-            delta += new_transfer - step.transfer_cost
-            steps.append(
-                replace_step(
-                    step,
-                    cost=step.cost - step.transfer_cost + new_transfer,
-                    transfer_cost=new_transfer,
-                )
-            )
+        delta = self.recost_delta(plan, settings)
         if delta == 0.0:
             return plan
+        steps = []
+        for step in plan.steps:
+            if step.transfer is not None:
+                transfer = self._transfer_cost(*step.transfer, settings=settings)
+                step = shallow_copy(
+                    step, {"cost": step.cost - step.transfer_cost + transfer, "transfer_cost": transfer}
+                )
+            steps.append(step)
         return plan.extended(cost=plan.cost + delta, steps=tuple(steps))
+
+    def recost_delta(self, plan: CandidatePlan, settings: CostSettings) -> float:
+        """What :meth:`recost` adds to ``plan.cost``, without building its steps.
+
+        The batch-size sweep compares every kept plan at every candidate
+        size by cost alone and materialises only the winner.
+        """
+        delta = 0.0
+        for step in plan.steps:
+            if step.transfer is not None:
+                delta += self._transfer_cost(*step.transfer, settings=settings) - step.transfer_cost
+        return delta
 
     # -- calibrated UDF parameters ----------------------------------------------------------
 
-    def _udf_cost_per_call(self, udf) -> float:
-        if self.statistics is None:
-            return udf.cost_per_call_seconds
-        return self.statistics.udf_cost(udf.name, udf.cost_per_call_seconds)
-
-    def _udf_selectivity(self, operation: UdfOperation) -> float:
-        # Observed selectivities are keyed by (UDF, predicate), so they only
-        # apply where the query filters on this UDF *with the same predicate*
-        # that was observed — a predicate-free use of the UDF keeps every row,
-        # and a different comparison over the same UDF keeps its own estimate.
-        if self.statistics is None or not operation.has_predicate:
-            return operation.predicate_selectivity
-        return self.statistics.udf_selectivity(
-            operation.call.udf.name,
-            operation.predicate_selectivity,
-            predicate=operation.predicate_text,
-        )
+    def _udf_parameters(self, operation: UdfOperation) -> Tuple[float, float, float, Optional[float]]:
+        """``(result bytes, seconds per call, selectivity, distinct fraction)``
+        of a UDF operation, measured where the statistics have seen it (the
+        distinct fraction is None where they have not: it then depends on the
+        plan the UDF is applied to)."""
+        udf = operation.call.udf
+        seconds, selectivity = udf.cost_per_call_seconds, operation.predicate_selectivity
+        distinct_fraction = None
+        if self.statistics is not None:
+            seconds = self.statistics.udf_cost(udf.name, seconds)
+            distinct_fraction = self.statistics.udf_distinct_fraction(udf.name, None)
+            # Observed selectivities are keyed by (UDF, predicate), so they
+            # only apply where the query filters on this UDF *with the same
+            # predicate* that was observed — a predicate-free use keeps every
+            # row, a different comparison keeps its own estimate.
+            if operation.has_predicate:
+                selectivity = self.statistics.udf_selectivity(
+                    udf.name, selectivity, predicate=operation.predicate_text
+                )
+        result_bytes = float(udf.result_size_bytes if udf.result_size_bytes is not None else 8)
+        return result_bytes, seconds, selectivity, distinct_fraction
 
     # -- scans -------------------------------------------------------------------------------
 
     def scan(self, operation: TableOperation) -> CandidatePlan:
+        """The sequential scan of a base table (one shared plan: never mutate it)."""
+        return self._fact("scan", operation.key, self._derive_scan, operation)
+
+    def _derive_scan(self, operation: TableOperation) -> CandidatePlan:
         statistics = operation.bound.table.statistics
         if self.statistics is not None:
             # Overlay runtime-observed distinct counts: columns the catalog
@@ -401,9 +489,9 @@ class CostEstimator:
         column_sizes: Dict[str, float] = {}
         column_distinct: Dict[str, float] = {}
         for column in operation.bound.schema.columns:
-            stats = statistics.column(column.name)
-            column_sizes[column.qualified_name] = max(stats.average_size, 1.0)
-            column_distinct[column.qualified_name] = max(1.0, float(stats.distinct_count))
+            stats, name = statistics.column(column.name), column.qualified_name
+            column_sizes[name] = max(stats.average_size, 1.0)
+            column_distinct[name] = max(1.0, float(stats.distinct_count))
         row_bytes = sum(column_sizes.values())
         cost = statistics.row_count * self.settings.server_cpu_seconds_per_row
         if self.settings.block_access_seconds > 0.0:
@@ -422,7 +510,7 @@ class CostEstimator:
             row_bytes=row_bytes,
             column_sizes=column_sizes,
             column_distinct=column_distinct,
-            properties=PhysicalProperties(),
+            properties=_AT_SERVER,
             steps=(step,),
             table_order=(operation.alias,),
         )
@@ -688,65 +776,68 @@ class CostEstimator:
 
     def join(self, plan: CandidatePlan, operation: TableOperation) -> CandidatePlan:
         """Join ``plan`` (outer) with the relation of ``operation`` (inner)."""
+        return self._priced(plan, self._derived(plan, operation.key, self._derive_join, operation))
+
+    def _derive_join(self, plan: CandidatePlan, operation: TableOperation) -> _Derivation:
         inner = self.scan(operation)
-        return_cost, plan = self._return_to_server(plan)
-
-        selectivity = self._join_selectivity(plan, inner, operation)
+        ship = self._ship_back(plan)
+        selectivity = self._join_selectivity(plan, inner)
         cardinality = max(0.0, plan.cardinality * inner.cardinality * selectivity)
-        column_sizes = dict(plan.column_sizes)
-        column_sizes.update(inner.column_sizes)
-        column_distinct = dict(plan.column_distinct)
-        for name, value in inner.column_distinct.items():
-            column_distinct[name] = min(value, max(1.0, cardinality))
-        for name in list(column_distinct):
-            column_distinct[name] = min(column_distinct[name], max(1.0, cardinality))
-
+        column_sizes = {**plan.column_sizes, **inner.column_sizes}
+        cap = max(1.0, cardinality)
+        column_distinct = {
+            name: min(value, cap)
+            for name, value in {**plan.column_distinct, **inner.column_distinct}.items()
+        }
         cpu = (plan.cardinality + inner.cardinality + cardinality) * self.settings.server_cpu_seconds_per_row
-        # ``plan.cost`` already includes the return shipment charged (and
-        # recorded as its own profiled "ship" step) by _return_to_server.
-        cost = plan.cost + inner.cost + cpu
+        # The return shipment of a client-site outer is its own profiled step;
+        # the join's text mentions it when it costs anything (with no message
+        # overhead, latency or fill penalty an empty shipment is free — at
+        # any batch size, so this belongs to the derivation).
+        shipped = bool(ship) and self._transfer_cost(*ship[0].transfer) != 0.0
         step = PlanStep(
             kind="join",
             name=f"{'+'.join(sorted(plan.operations))} ⋈ {operation.alias}",
-            detail=f"selectivity {selectivity:.3g}" + (", shipped back from client" if return_cost else ""),
+            detail=f"selectivity {selectivity:.3g}" + (", shipped back from client" if shipped else ""),
             cost=cpu,
             cardinality=cardinality,
         )
-        return plan.extended(
-            operations=plan.operations | inner.operations,
-            cost=cost,
-            cardinality=cardinality,
-            row_bytes=sum(column_sizes.values()),
-            column_sizes=column_sizes,
-            column_distinct=column_distinct,
-            properties=PhysicalProperties(),
-            steps=plan.steps + (step,),
-            table_order=plan.table_order + (operation.alias,),
+        return _Derivation(
+            dict(
+                operations=plan.operations | inner.operations,
+                cardinality=cardinality,
+                row_bytes=sum(column_sizes.values()),
+                column_sizes=column_sizes,
+                column_distinct=column_distinct,
+                properties=_AT_SERVER,
+                table_order=plan.table_order + (operation.alias,),
+            ),
+            ship + (step,),
+            extra=inner.cost,
         )
 
-    def _join_selectivity(
-        self, plan: CandidatePlan, inner: CandidatePlan, operation: TableOperation
-    ) -> float:
+    @cached_property
+    def _join_predicates(self) -> List[Tuple[List[str], Optional[float]]]:
+        """Each join predicate's columns, with the selectivity observed for
+        that column set — it beats the 1/max(V(A), V(B)) textbook estimate."""
+        observed = getattr(self.statistics, "join_selectivity", None)
+        return [
+            (columns, observed(columns, None) if observed is not None else None)
+            for columns in (list(predicate.columns) for predicate in self.query.join_predicates())
+        ]
+
+    def _join_selectivity(self, plan: CandidatePlan, inner: CandidatePlan) -> float:
         selectivity = 1.0
         found = False
-        for predicate in self.query.join_predicates():
-            columns = list(predicate.columns)
-            plan_side = [c for c in columns if plan.has_columns([c])]
-            inner_side = [c for c in columns if inner.has_columns([c])]
+        for columns, observed in self._join_predicates:
+            plan_side = self._held(plan, columns)
+            inner_side = self._held(inner, columns)
             if not plan_side or not inner_side:
                 continue
-            if not plan.has_columns(plan_side) or not inner.has_columns(inner_side):
-                continue
             found = True
-            if self.statistics is not None:
-                # An observed selectivity for this join's column set beats
-                # the 1/max(V(A), V(B)) textbook estimate.
-                lookup = getattr(self.statistics, "join_selectivity", None)
-                if lookup is not None:
-                    observed = lookup(columns, None)
-                    if observed is not None:
-                        selectivity *= observed
-                        continue
+            if observed is not None:
+                selectivity *= observed
+                continue
             left_distinct = max(
                 (plan.column_distinct.get(c, 1.0) for c in plan_side if c in plan.column_distinct),
                 default=1.0,
@@ -760,170 +851,125 @@ class CostEstimator:
             return 1.0  # cross product
         return selectivity
 
-    def _return_to_server(self, plan: CandidatePlan) -> Tuple[float, CandidatePlan]:
-        """Cost of shipping a client-site plan's rows back to the server."""
+    def _held(self, plan: CandidatePlan, columns: Sequence[str]) -> List[str]:
+        """Those of ``columns`` that resolve against ``plan``'s columns."""
+        keys = self.resolver.keys(plan.column_sizes, columns)
+        return [column for column, key in zip(columns, keys) if key is not None]
+
+    def _ship_back(self, plan: CandidatePlan) -> Tuple[PlanStep, ...]:
+        """The step shipping a client-site plan's rows back to the server, if any."""
         if plan.properties.site is not PlanSite.CLIENT:
-            return 0.0, plan
+            return ()
         uplink_bytes = plan.cardinality * plan.row_bytes
-        cost = self._transfer_cost(0.0, uplink_bytes, plan.cardinality)
-        step = PlanStep(
-            kind="ship",
-            name="return results to server",
-            detail=f"{uplink_bytes:.0f} bytes on the uplink",
-            cost=cost,
-            cardinality=plan.cardinality,
-            transfer=(0.0, uplink_bytes, plan.cardinality),
-            transfer_cost=cost,
+        return (
+            PlanStep(
+                kind="ship",
+                name="return results to server",
+                detail=f"{uplink_bytes:.0f} bytes on the uplink",
+                cardinality=plan.cardinality,
+                transfer=(0.0, uplink_bytes, plan.cardinality),
+            ),
         )
-        updated = plan.extended(
-            cost=plan.cost + cost,
-            properties=PhysicalProperties(),
-            steps=plan.steps + (step,),
-        )
-        return cost, updated
 
     # -- client-site UDF application ----------------------------------------------------------
 
     def udf_variants(self, plan: CandidatePlan, operation: UdfOperation) -> List[CandidatePlan]:
         """All costed ways of applying ``operation`` to ``plan``."""
-        variants = [
-            self._apply_semi_join(plan, operation),
-            self._apply_client_join(plan, operation, defer_return=False),
-        ]
-        if self.allow_deferred_return:
-            variants.append(self._apply_client_join(plan, operation, defer_return=True))
-        return [variant for variant in variants if variant is not None]
+        derivations = self._derived(plan, operation.key, self._derive_udf, operation)
+        return [self._priced(plan, derivation) for derivation in derivations]
 
-    def _udf_common(
-        self, plan: CandidatePlan, operation: UdfOperation
-    ) -> Tuple[float, float, float, float]:
-        """(argument_bytes, result_bytes, distinct_fraction, client_cpu_seconds)."""
+    def _derive_udf(self, plan: CandidatePlan, operation: UdfOperation) -> List[_Derivation]:
+        """The semi-join, the client-site join and (if allowed) its deferred-return form."""
         udf = operation.call.udf
-        argument_bytes = plan.columns_size(operation.argument_columns)
-        result_bytes = float(udf.result_size_bytes if udf.result_size_bytes is not None else 8)
-        distinct_fraction = plan.distinct_fraction(operation.argument_columns)
-        if self.statistics is not None:
-            distinct_fraction = self.statistics.udf_distinct_fraction(
-                udf.name, distinct_fraction
-            )
-        invocations = plan.cardinality * distinct_fraction
-        client_cpu = invocations * self._udf_cost_per_call(udf)
-        return argument_bytes, result_bytes, distinct_fraction, client_cpu
-
-    def _apply_semi_join(self, plan: CandidatePlan, operation: UdfOperation) -> CandidatePlan:
-        udf = operation.call.udf
-        return_cost, plan = self._return_to_server(plan)
-        argument_bytes, result_bytes, distinct_fraction, client_cpu = self._udf_common(plan, operation)
-
-        # If every argument column already resides at the client (left there
-        # by an earlier semi-join), the downlink shipment is free (Figure 16).
-        arguments_resident = all(
-            column in plan.properties.client_columns for column in operation.argument_columns
+        name, result_column, arguments = udf.name, udf.result_column_name, operation.argument_columns
+        result_bytes, seconds_per_call, selectivity, distinct_fraction = self._fact(
+            "udf", operation.key, self._udf_parameters, operation
         )
+        argument_bytes = self.resolver.columns_size(plan.column_sizes, arguments)
+        if distinct_fraction is None:
+            distinct_fraction = self.resolver.distinct_fraction(
+                plan.column_distinct, plan.cardinality, arguments
+            )
+        client_cpu = plan.cardinality * distinct_fraction * seconds_per_call
+        cardinality = plan.cardinality * selectivity
+        column_sizes = {**plan.column_sizes, result_column: result_bytes}
+        applied = dict(
+            operations=plan.operations | {operation.key},
+            cardinality=cardinality,
+            row_bytes=sum(column_sizes.values()),
+            column_sizes=column_sizes,
+            column_distinct={
+                **plan.column_distinct,
+                result_column: max(1.0, plan.cardinality * distinct_fraction),
+            },
+            applied_udfs=plan.applied_udfs | {name},
+            udf_order=plan.udf_order + (name,),
+        )
+
+        # Semi-join.  A client-site input first returns to the server, which
+        # leaves nothing resident; otherwise argument columns an earlier
+        # semi-join left at the client ship for free (Figure 16).
+        ship = self._ship_back(plan)
+        resident = frozenset() if ship else plan.properties.client_columns
+        arguments_resident = resident.issuperset(arguments)
         downlink_bytes = 0.0 if arguments_resident else plan.cardinality * distinct_fraction * argument_bytes
         uplink_bytes = plan.cardinality * distinct_fraction * result_bytes
-        transfer_rows = plan.cardinality * distinct_fraction
-        transfer = self._transfer_cost(downlink_bytes, uplink_bytes, transfer_rows)
-
-        selectivity = self._udf_selectivity(operation)
-        cardinality = plan.cardinality * selectivity
-        column_sizes = dict(plan.column_sizes)
-        column_sizes[udf.result_column_name] = result_bytes
-        column_distinct = dict(plan.column_distinct)
-        column_distinct[udf.result_column_name] = max(1.0, plan.cardinality * distinct_fraction)
-
-        client_columns = set(plan.properties.client_columns)
-        client_columns.update(operation.argument_columns)
-        client_columns.add(udf.result_column_name)
-
-        cost = plan.cost + transfer + client_cpu
         step = PlanStep(
             kind="udf",
-            name=udf.name,
+            name=name,
             strategy=ExecutionStrategy.SEMI_JOIN,
             detail=(
                 f"D={distinct_fraction:.2f}, args {'resident' if arguments_resident else 'shipped'}, "
                 f"selectivity {selectivity:.3g}"
             ),
-            cost=transfer + client_cpu,
+            cost=client_cpu,
             cardinality=cardinality,
-            transfer=(downlink_bytes, uplink_bytes, transfer_rows),
-            transfer_cost=transfer,
+            transfer=(downlink_bytes, uplink_bytes, plan.cardinality * distinct_fraction),
         )
-        return plan.extended(
-            operations=plan.operations | {operation.key},
-            cost=cost,
-            cardinality=cardinality,
-            row_bytes=sum(column_sizes.values()),
-            column_sizes=column_sizes,
-            column_distinct=column_distinct,
-            properties=PhysicalProperties(
-                site=PlanSite.SERVER, client_columns=frozenset(client_columns)
-            ),
-            steps=plan.steps + (step,),
-            applied_udfs=plan.applied_udfs | {udf.name},
-            udf_order=plan.udf_order + (udf.name,),
-            udf_strategies={**plan.udf_strategies, udf.name: ExecutionStrategy.SEMI_JOIN},
-        )
+        variants = [
+            (
+                ExecutionStrategy.SEMI_JOIN,
+                PhysicalProperties(client_columns=resident.union(arguments, (result_column,))),
+                ship + (step,),
+            )
+        ]
 
-    def _apply_client_join(
-        self, plan: CandidatePlan, operation: UdfOperation, defer_return: bool
-    ) -> CandidatePlan:
-        udf = operation.call.udf
-        argument_bytes, result_bytes, distinct_fraction, client_cpu = self._udf_common(plan, operation)
-
-        # A client-site join ships whole records down — unless the plan is
+        # Client-site join: ships whole records down — unless the plan is
         # already at the client, in which case the downlink is free.
         already_at_client = plan.properties.site is PlanSite.CLIENT
         downlink_bytes = 0.0 if already_at_client else plan.cardinality * plan.row_bytes
-
-        selectivity = self._udf_selectivity(operation)
-        cardinality = plan.cardinality * selectivity
         returned_row_bytes = self._returned_row_bytes(plan, operation, result_bytes)
-
-        if defer_return:
-            uplink_bytes = 0.0
-        else:
-            uplink_bytes = cardinality * returned_row_bytes
-
-        transfer = self._transfer_cost(downlink_bytes, uplink_bytes, plan.cardinality)
-
-        column_sizes = dict(plan.column_sizes)
-        column_sizes[udf.result_column_name] = result_bytes
-        column_distinct = dict(plan.column_distinct)
-        column_distinct[udf.result_column_name] = max(1.0, plan.cardinality * distinct_fraction)
-
-        properties = PhysicalProperties(
-            site=PlanSite.CLIENT if defer_return else PlanSite.SERVER,
-            client_columns=frozenset(column_sizes.keys()) if defer_return else frozenset(),
-        )
-        cost = plan.cost + transfer + client_cpu
-        step = PlanStep(
-            kind="udf",
-            name=udf.name,
-            strategy=ExecutionStrategy.CLIENT_SITE_JOIN,
-            detail=(
-                f"selectivity {selectivity:.3g}, "
-                + ("results kept at client" if defer_return else f"returns {returned_row_bytes:.0f} B/row")
-            ),
-            cost=transfer + client_cpu,
-            cardinality=cardinality,
-            transfer=(downlink_bytes, uplink_bytes, plan.cardinality),
-            transfer_cost=transfer,
-        )
-        return plan.extended(
-            operations=plan.operations | {operation.key},
-            cost=cost,
-            cardinality=cardinality,
-            row_bytes=sum(column_sizes.values()),
-            column_sizes=column_sizes,
-            column_distinct=column_distinct,
-            properties=properties,
-            steps=plan.steps + (step,),
-            applied_udfs=plan.applied_udfs | {udf.name},
-            udf_order=plan.udf_order + (udf.name,),
-            udf_strategies={**plan.udf_strategies, udf.name: ExecutionStrategy.CLIENT_SITE_JOIN},
-        )
+        for defer_return in (False, True) if self.allow_deferred_return else (False,):
+            uplink_bytes = 0.0 if defer_return else cardinality * returned_row_bytes
+            step = PlanStep(
+                kind="udf",
+                name=name,
+                strategy=ExecutionStrategy.CLIENT_SITE_JOIN,
+                detail=(
+                    f"selectivity {selectivity:.3g}, "
+                    + ("results kept at client" if defer_return else f"returns {returned_row_bytes:.0f} B/row")
+                ),
+                cost=client_cpu,
+                cardinality=cardinality,
+                transfer=(downlink_bytes, uplink_bytes, plan.cardinality),
+            )
+            properties = (
+                PhysicalProperties(site=PlanSite.CLIENT, client_columns=frozenset(column_sizes))
+                if defer_return
+                else _AT_SERVER
+            )
+            variants.append((ExecutionStrategy.CLIENT_SITE_JOIN, properties, (step,)))
+        return [
+            _Derivation(
+                {
+                    **applied,
+                    "properties": properties,
+                    "udf_strategies": {**plan.udf_strategies, name: strategy},
+                },
+                steps,
+            )
+            for strategy, properties, steps in variants
+        ]
 
     def _returned_row_bytes(
         self, plan: CandidatePlan, operation: UdfOperation, result_bytes: float
@@ -935,62 +981,71 @@ class CostEstimator:
         columns of other UDFs — everything else (typically the argument
         columns of this UDF) stays at the client.
         """
-        needed: set = set()
+        name = operation.call.udf.name
+        needed, needed_bare = self._fact("needed", name, self._needed_after, name)
+        needed_present = [
+            column
+            for column in plan.column_sizes
+            if column in needed or column.partition(".")[2] in needed_bare
+        ]
+        if not needed_present:
+            return plan.row_bytes + result_bytes
+        # The UDF's own argument columns are never returned when not needed.
+        return self.resolver.columns_size(plan.column_sizes, needed_present) + result_bytes
+
+    def _needed_after(self, udf_name: str) -> Tuple[Set[str], Set[str]]:
+        """Columns something still reads once ``udf_name`` ran, and their bare names."""
+        needed: Set[str] = set()
         for output in self.query.outputs:
             needed.update(output.expression.columns())
         for predicate in self.query.predicates:
             needed.update(predicate.columns)
         for call in self.query.client_udf_calls:
-            if call.udf.name != operation.call.udf.name:
+            if call.udf.name != udf_name:
                 needed.update(call.argument_columns)
-        needed_present = [
-            name
-            for name in plan.column_sizes
-            if name in needed or name.partition(".")[2] in {n.partition(".")[2] for n in needed}
-        ]
-        kept = plan.columns_size(needed_present) if needed_present else plan.row_bytes
-        # The UDF's own argument columns are never returned when not needed.
-        return kept + result_bytes
+        return needed, {column.partition(".")[2] for column in needed}
 
     # -- final result delivery ------------------------------------------------------------------
 
     def finalize(self, plan: CandidatePlan) -> CandidatePlan:
         """Apply the final result-delivery operator (ship the answer to the client)."""
+        return self._priced(plan, self._derived(plan, "final", self._derive_final))
+
+    @cached_property
+    def _output_columns(self) -> List[str]:
+        """The columns result delivery ships: a client-site UDF's result
+        stands in for its (often much larger) argument columns."""
         client_udf_names = {call.udf.name.lower() for call in self.query.client_udf_calls}
         output_columns: List[str] = []
         for output in self.query.outputs:
             calls = output.expression.function_calls()
             client_calls = [call for call in calls if call.name.lower() in client_udf_names]
             if client_calls:
-                # The delivered value is the UDF result, not its (often much
-                # larger) argument columns.
                 output_columns.extend(f"{call.name}_result" for call in client_calls)
             else:
                 output_columns.extend(output.expression.columns())
-        output_bytes = plan.columns_size(output_columns) if output_columns else plan.row_bytes
-        transfer_profile = None
+        return output_columns
+
+    def _derive_final(self, plan: CandidatePlan) -> _Derivation:
         if plan.properties.site is PlanSite.CLIENT:
-            cost = 0.0
-            detail = "results already at the client"
+            detail, profile = "results already at the client", None
         else:
+            output_bytes = (
+                self.resolver.columns_size(plan.column_sizes, self._output_columns)
+                if self._output_columns
+                else plan.row_bytes
+            )
             downlink_bytes = plan.cardinality * output_bytes
-            cost = self._transfer_cost(downlink_bytes, 0.0, plan.cardinality)
             detail = f"{downlink_bytes:.0f} bytes shipped to the client"
-            transfer_profile = (downlink_bytes, 0.0, plan.cardinality)
+            profile = (downlink_bytes, 0.0, plan.cardinality)
         step = PlanStep(
             kind="final",
             name="deliver results",
             detail=detail,
-            cost=cost,
             cardinality=plan.cardinality,
-            transfer=transfer_profile,
-            transfer_cost=cost if transfer_profile is not None else 0.0,
+            transfer=profile,
         )
-        return plan.extended(
-            cost=plan.cost + cost,
-            properties=PhysicalProperties(site=PlanSite.CLIENT),
-            steps=plan.steps + (step,),
-        )
+        return _Derivation({"properties": PhysicalProperties(site=PlanSite.CLIENT)}, (step,))
 
 
 # -- distributed scatter-gather costing ------------------------------------------------------

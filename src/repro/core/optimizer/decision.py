@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OptimizerError
@@ -180,32 +180,42 @@ class Optimizer:
         # pure re-costing arithmetic.  Plans pruned at both endpoints but
         # optimal strictly in the interior can still be missed — an accepted
         # approximation of the incremental sweep.
-        kept: List[CandidatePlan] = []
+        at = {size: settings.with_batch_size(float(size)) for size in candidates}
+        kept: List[Tuple[CandidatePlan, int]] = []  # with the endpoint each was priced at
         seen_shapes = set()
         estimator = None
         for endpoint in dict.fromkeys((min(candidates), max(candidates))):
-            enumerator = self.enumerator(
-                query,
-                allow_deferred_return=False,
-                settings=settings.with_batch_size(float(endpoint)),
-            )
+            enumerator = self.enumerator(query, allow_deferred_return=False, settings=at[endpoint])
+            if estimator is not None:
+                # Same query, same statistics snapshot: the second endpoint
+                # prices what the first derived instead of deriving it again.
+                enumerator.estimator = estimator.repriced(at[endpoint])
             estimator = enumerator.estimator
             for plan in enumerator.all_complete_plans():
                 shape = tuple((step.kind, step.name, step.strategy) for step in plan.steps)
                 if shape not in seen_shapes:
                     seen_shapes.add(shape)
-                    kept.append(plan)
-        costed: List[Tuple[int, CandidatePlan]] = []
+                    kept.append((plan, endpoint))
+        # Cost only: steps are materialised for the one plan that is chosen,
+        # and a plan already stands at its own endpoint's price.
+        costed: List[Tuple[int, float, CandidatePlan]] = []
         for batch_size in candidates:
-            candidate_settings = settings.with_batch_size(float(batch_size))
-            recosted = [estimator.recost(plan, candidate_settings) for plan in kept]
-            costed.append((batch_size, min(recosted, key=lambda plan: plan.cost)))
-        cheapest = min(plan.cost for _, plan in costed)
+            costs = [
+                plan.cost
+                if endpoint == batch_size
+                else plan.cost + estimator.recost_delta(plan, at[batch_size])
+                for plan, endpoint in kept
+            ]
+            cost = min(costs)
+            costed.append((batch_size, cost, kept[costs.index(cost)][0]))
+        cheapest = min(cost for _, cost, _ in costed)
         batch_size, best = next(
             (b, plan)
-            for b, plan in sorted(costed, key=lambda candidate: candidate[0])
-            if plan.cost <= cheapest * (1.0 + settings.batch_choice_tolerance)
+            for b, cost, plan in sorted(costed, key=lambda candidate: candidate[0])
+            if cost <= cheapest * (1.0 + settings.batch_choice_tolerance)
         )
+        best = estimator.recost(best, at[batch_size])
+        estimator.release()
 
         # The primary strategy config: keep the caller's tunables, adopt the
         # strategy the optimizer chose for the first UDF (per-UDF overrides
@@ -214,10 +224,10 @@ class Optimizer:
         for name in best.udf_order:
             primary_strategy = best.udf_strategies.get(name)
             break
-        config = self.default_config
+        chosen = {"batch_size": batch_size}
         if primary_strategy is not None:
-            config = config.with_strategy(primary_strategy)
-        config = config.with_batch_size(batch_size)
+            chosen["strategy"] = primary_strategy
+        config = replace(self.default_config, **chosen)
 
         alternatives: Dict[str, CandidatePlan] = {}
         if include_baselines:

@@ -16,10 +16,10 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.errors import OptimizerError
 from repro.core.optimizer.cost import CostEstimator
 from repro.core.optimizer.plans import CandidatePlan, TableOperation, UdfOperation
-from repro.core.optimizer.properties import PhysicalProperties
 
-#: A DP state: which operations are applied plus the plan's physical properties.
-StateKey = Tuple[FrozenSet[str], PhysicalProperties]
+#: A DP state: which operations are applied plus the plan's physical properties
+#: (site and client columns, spelled out: plain values hash and compare in C).
+StateKey = Tuple[FrozenSet[str], str, FrozenSet[str]]
 
 
 class SystemREnumerator:
@@ -68,6 +68,19 @@ class SystemREnumerator:
         statistics into the estimator and re-enters here over the remaining
         input at segment boundaries.
         """
+        finished = self._complete_plans(seed)
+        if not finished:
+            raise OptimizerError("the enumerator produced no complete plan")
+        return min(finished, key=lambda plan: plan.cost)
+
+    def all_complete_plans(self) -> List[CandidatePlan]:
+        """Every complete plan kept by the DP (finalized), for plan-space studies."""
+        return sorted(self._complete_plans(None), key=lambda plan: plan.cost)
+
+    # -- internals -------------------------------------------------------------------------
+
+    def _complete_plans(self, seed: Optional[CandidatePlan]) -> List[CandidatePlan]:
+        """The one DP loop: every complete plan kept, finalized, in kept order."""
         operations = {op.key: op for op in self.tables}
         operations.update({op.key: op for op in self.udfs})
         all_keys = frozenset(operations.keys())
@@ -90,45 +103,13 @@ class SystemREnumerator:
                 )
             self._keep(best, seed)
 
-        # Extend every kept plan by one not-yet-applied operation.  Layers
-        # below the seed's size are simply empty and skipped.
-        total = len(operations)
+        # Extend every kept plan by one not-yet-applied operation.  A layer's
+        # candidates go straight into the table: they are one operation
+        # larger than anything the layer reads.  Layers below the seed's size
+        # are simply empty and skipped.
         start = 2 if seed is None else len(seed.operations) + 1
-        for size in range(start, total + 1):
-            current: Dict[StateKey, CandidatePlan] = {}
-            for (applied, _properties), plan in list(best.items()):
-                if len(applied) != size - 1:
-                    continue
-                for key, operation in operations.items():
-                    if key in applied:
-                        continue
-                    for candidate in self._apply(plan, operation):
-                        self._keep(current, candidate)
-            # Merge the new layer into the table (keep earlier layers for the
-            # next iterations' look-ups).
-            for state, plan in current.items():
-                self._keep(best, plan)
-
-        complete = [plan for (applied, _), plan in best.items() if applied == all_keys]
-        if not complete:
-            raise OptimizerError("the enumerator produced no complete plan")
-
-        finished = [self.estimator.finalize(plan) for plan in complete]
-        return min(finished, key=lambda plan: plan.cost)
-
-    def all_complete_plans(self) -> List[CandidatePlan]:
-        """Every complete plan kept by the DP (finalized), for plan-space studies."""
-        operations = {op.key: op for op in self.tables}
-        operations.update({op.key: op for op in self.udfs})
-        all_keys = frozenset(operations.keys())
-
-        best: Dict[StateKey, CandidatePlan] = {}
-        for table in self.tables:
-            for variant in self.estimator.scan_variants(table):
-                self._keep(best, variant)
-        total = len(operations)
-        for size in range(2, total + 1):
-            for (applied, _properties), plan in list(best.items()):
+        for size in range(start, len(operations) + 1):
+            for (applied, _site, _columns), plan in list(best.items()):
                 if len(applied) != size - 1:
                     continue
                 for key, operation in operations.items():
@@ -136,28 +117,27 @@ class SystemREnumerator:
                         continue
                     for candidate in self._apply(plan, operation):
                         self._keep(best, candidate)
-        complete = [plan for (applied, _), plan in best.items() if applied == all_keys]
-        return sorted(
-            (self.estimator.finalize(plan) for plan in complete), key=lambda plan: plan.cost
-        )
 
-    # -- internals -------------------------------------------------------------------------
+        return [
+            self.estimator.finalize(plan)
+            for (applied, _site, _columns), plan in best.items()
+            if applied == all_keys
+        ]
 
     def _apply(self, plan: CandidatePlan, operation) -> List[CandidatePlan]:
         self.plans_considered += 1
         if isinstance(operation, TableOperation):
             return self.estimator.join_variants(plan, operation)
         if isinstance(operation, UdfOperation):
-            if not plan.has_columns(operation.argument_columns):
+            if not self.estimator.resolver.has_columns(plan.column_sizes, operation.argument_columns):
                 return []  # the UDF's arguments are not available yet
             return self.estimator.udf_variants(plan, operation)
         raise OptimizerError(f"unknown operation type {type(operation).__name__}")
 
     def _keep(self, table: Dict[StateKey, CandidatePlan], plan: CandidatePlan) -> None:
         properties = plan.properties
-        if not self.exhaustive_properties:
-            properties = PhysicalProperties(site=properties.site, client_columns=frozenset())
-        key: StateKey = (plan.operations, properties)
+        columns = properties.client_columns if self.exhaustive_properties else frozenset()
+        key: StateKey = (plan.operations, properties.site.value, columns)
         existing = table.get(key)
         if existing is None or plan.cost < existing.cost:
             table[key] = plan

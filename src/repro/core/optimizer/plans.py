@@ -12,7 +12,8 @@ print and what the engine's ``explain(optimize=True)`` shows.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
@@ -30,7 +31,7 @@ class TableOperation:
     bound: BoundTable
     local_selectivity: float = 1.0
 
-    @property
+    @cached_property
     def key(self) -> str:
         return f"table:{self.alias.lower()}"
 
@@ -61,7 +62,7 @@ class UdfOperation:
     has_predicate: bool = False
     predicate_text: Optional[str] = None
 
-    @property
+    @cached_property
     def key(self) -> str:
         return f"udf:{self.call.udf.name.lower()}"
 
@@ -155,6 +156,88 @@ class PlanStep:
         return f"{self.kind} {self.name}{strategy}{detail}: cost {self.cost:.3f}, card {self.cardinality:.0f}"
 
 
+def shallow_copy(instance, changes: Dict[str, object]):
+    """A copy of ``instance`` sharing every attribute but ``changes``:
+    ``dataclasses.replace`` without re-running ``__init__`` (frozen or not)."""
+    copy = object.__new__(type(instance))
+    attributes = copy.__dict__
+    attributes.update(instance.__dict__)
+    attributes.update(changes)
+    return copy
+
+
+class _Normalised(dict):
+    """name -> (lower-cased name, its bare name), worked out on first sight."""
+
+    def __missing__(self, name: str) -> Tuple[str, str]:
+        lowered = name.lower()
+        pair = self[name] = (lowered, bare_name(lowered))
+        return pair
+
+
+class ColumnResolver:
+    """Resolves column references against a plan's column map.
+
+    One rule serves ``has_columns`` / ``columns_size`` / ``distinct_fraction``:
+    a reference names the column whose lower-cased qualified name it equals,
+    else the *first* column, in insertion order, with the same bare name —
+    the qualifier is ignored (a known defect: ``B.Y`` resolves against a plan
+    that merely holds ``A.Y``; ``test_join_selectivity_respects_qualifiers``).
+    A resolver lower-cases every name, and indexes every distinct key set,
+    once: the estimator keeps one per query, a lone plan builds a throwaway.
+    """
+
+    def __init__(self) -> None:
+        self._normalised = _Normalised()
+        #: key tuple -> (lower-cased qualified name -> key, bare name -> first
+        #: key, reference -> key or None for every reference asked so far)
+        self._indexes: Dict[Tuple[str, ...], Tuple[Dict, Dict, Dict]] = {}
+
+    def keys(self, columns: Dict[str, float], names: Sequence[str]) -> List[Optional[str]]:
+        """The key of ``columns`` each of ``names`` resolves to (None: absent)."""
+        signature = tuple(columns)
+        index = self._indexes.get(signature)
+        if index is None:
+            qualified: Dict[str, str] = {}
+            bare: Dict[str, str] = {}
+            for key in signature:
+                lowered, stripped = self._normalised[key]
+                qualified[lowered] = key
+                bare.setdefault(stripped, key)
+            index = self._indexes[signature] = (qualified, bare, {})
+        qualified, bare, resolved = index
+        keys = []
+        for name in names:
+            try:
+                key = resolved[name]
+            except KeyError:
+                lowered, stripped = self._normalised[name]
+                key = qualified.get(lowered)
+                key = resolved[name] = key if key is not None else bare.get(stripped)
+            keys.append(key)
+        return keys
+
+    def has_columns(self, columns: Dict[str, float], names: Sequence[str]) -> bool:
+        return None not in self.keys(columns, names)
+
+    def columns_size(self, columns: Dict[str, float], names: Sequence[str]) -> float:
+        total = 0.0
+        for key in self.keys(columns, names):
+            total += columns[key] if key is not None else 8.0
+        return total
+
+    def distinct_fraction(
+        self, columns: Dict[str, float], cardinality: float, names: Sequence[str]
+    ) -> float:
+        if cardinality <= 0:
+            return 1.0
+        distinct = 1.0
+        for key in self.keys(columns, names):
+            distinct *= max(1.0, columns[key] if key is not None else cardinality)
+        distinct = min(distinct, cardinality)
+        return distinct / cardinality
+
+
 @dataclass
 class CandidatePlan:
     """A (sub)plan considered by the enumerator."""
@@ -177,47 +260,15 @@ class CandidatePlan:
     # -- helpers --------------------------------------------------------------------
 
     def has_columns(self, names: Sequence[str]) -> bool:
-        available = {name.lower() for name in self.column_sizes}
-        bare = {bare_name(name).lower() for name in self.column_sizes}
-        for name in names:
-            lowered = name.lower()
-            stripped = bare_name(lowered)
-            if lowered not in available and stripped not in bare:
-                return False
-        return True
+        return ColumnResolver().has_columns(self.column_sizes, names)
 
     def columns_size(self, names: Sequence[str]) -> float:
         """Total estimated byte size of the named columns in one row."""
-        total = 0.0
-        lowered = {name.lower(): size for name, size in self.column_sizes.items()}
-        bare = {}
-        for name, size in self.column_sizes.items():
-            bare.setdefault(bare_name(name).lower(), size)
-        for name in names:
-            key = name.lower()
-            if key in lowered:
-                total += lowered[key]
-            else:
-                stripped = bare_name(key)
-                total += bare.get(stripped, 8.0)
-        return total
+        return ColumnResolver().columns_size(self.column_sizes, names)
 
     def distinct_fraction(self, names: Sequence[str]) -> float:
         """Estimated fraction of rows distinct on the named columns (the paper's D)."""
-        if self.cardinality <= 0:
-            return 1.0
-        distinct = 1.0
-        lowered = {name.lower(): value for name, value in self.column_distinct.items()}
-        bare: Dict[str, float] = {}
-        for name, value in self.column_distinct.items():
-            bare.setdefault(bare_name(name).lower(), value)
-        for name in names:
-            key = name.lower()
-            stripped = bare_name(key)
-            value = lowered.get(key, bare.get(stripped, self.cardinality))
-            distinct *= max(1.0, value)
-        distinct = min(distinct, self.cardinality)
-        return distinct / self.cardinality
+        return ColumnResolver().distinct_fraction(self.column_distinct, self.cardinality, names)
 
     def describe(self) -> str:
         lines = [
@@ -229,8 +280,11 @@ class CandidatePlan:
         return "\n".join(lines)
 
     def extended(self, **changes) -> "CandidatePlan":
-        """A copy with the given fields replaced (dataclasses.replace wrapper)."""
-        return replace(self, **changes)
+        """A copy with the given fields replaced; unchanged fields are shared."""
+        plan = shallow_copy(self, changes)
+        if len(plan.__dict__) != len(self.__dict__):
+            raise TypeError(f"CandidatePlan has no field(s) {sorted(changes.keys() - self.__dict__.keys())}")
+        return plan
 
 
 def operations_for_query(
@@ -260,32 +314,33 @@ def operations_for_query(
     from repro.core.execution.rewrite import replace_udf_calls_with_columns
     from repro.relational.expressions import conjoin
 
-    result_columns = {c.udf.name.lower(): c.result_column_name for c in query.client_udf_calls}
+    lowered = [call.udf.name.lower() for call in query.client_udf_calls]
+    result_columns = dict(zip(lowered, (c.result_column_name for c in query.client_udf_calls)))
+    # The predicates over client-site UDFs, each with the (lower-cased) name
+    # of the lexically last UDF it mentions: the one it is credited to.
+    udf_predicates = []
+    for predicate in query.udf_predicates():
+        names = {name.lower() for name in predicate.udf_names}
+        mentioned = [name for name in lowered if name in names]
+        if mentioned:
+            udf_predicates.append((mentioned[-1], predicate))
     udfs: List[UdfOperation] = []
-    for call in query.client_udf_calls:
+    for call, call_name in zip(query.client_udf_calls, lowered):
         # The selectivity credited to applying this UDF is the combined
         # selectivity of the predicates that become evaluable once its result
-        # exists (and reference no other, not-yet-applied UDF).  Predicates
-        # over several UDFs are credited to the lexically last one.
+        # exists (and reference no other, not-yet-applied UDF).
         selectivity = 1.0
-        has_predicate = False
         credited = []
-        for predicate in query.udf_predicates():
-            names = {name.lower() for name in predicate.udf_names}
-            if call.udf.name.lower() in names:
-                ordered = [c.udf.name.lower() for c in query.client_udf_calls if c.udf.name.lower() in names]
-                if ordered and ordered[-1] == call.udf.name.lower():
-                    selectivity *= max(predicate.selectivity, 1e-6)
-                    has_predicate = True
-                    credited.append(
-                        replace_udf_calls_with_columns(predicate.expression, result_columns)
-                    )
+        for last_name, predicate in udf_predicates:
+            if last_name == call_name:
+                selectivity *= max(predicate.selectivity, 1e-6)
+                credited.append(replace_udf_calls_with_columns(predicate.expression, result_columns))
         combined = conjoin(credited)
         udfs.append(
             UdfOperation(
                 call=call,
                 predicate_selectivity=selectivity,
-                has_predicate=has_predicate,
+                has_predicate=bool(credited),
                 predicate_text=str(combined) if combined is not None else None,
             )
         )
