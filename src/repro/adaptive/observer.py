@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.network.stats import LinkStats
+from repro.network.stats import TransferCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptive.controller import BatchSizeController
@@ -28,70 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.execution.context import RemoteExecutionContext
 
 
-@dataclass(frozen=True)
-class LinkObservation:
-    """Measured behaviour of one directed link over one query."""
-
-    name: str
-    total_bytes: int
-    payload_bytes: int
-    message_count: int
-    data_message_count: int
-    rows_transferred: int
-    busy_seconds: float
-    queueing_seconds: float
-
-    @property
-    def effective_bandwidth(self) -> Optional[float]:
-        """Observed bytes/second while the link was serialising.
-
-        On a stable link this recovers the configured bandwidth; on a
-        drifting link it is the byte-weighted average the query actually saw
-        — the number the next query should plan with.
-        """
-        if self.busy_seconds <= 0:
-            return None
-        return self.total_bytes / self.busy_seconds
-
-    @property
-    def achieved_bandwidth(self) -> Optional[float]:
-        """Observed bytes/second *including* sender-side queueing delay.
-
-        On a private link this equals :attr:`effective_bandwidth`; on a
-        shared trunk the queueing time is mostly other tenants' traffic, so
-        this is the share of the trunk the flow actually achieved — the
-        number a contention-aware planner should use.
-        """
-        occupied = self.busy_seconds + self.queueing_seconds
-        if occupied <= 0:
-            return None
-        return self.total_bytes / occupied
-
-    @property
-    def rows_per_message(self) -> float:
-        if self.data_message_count <= 0:
-            return 0.0
-        return self.rows_transferred / self.data_message_count
-
-    @property
-    def mean_queueing_seconds(self) -> float:
-        """Average sender-side queueing delay per message (congestion signal)."""
-        if self.message_count <= 0:
-            return 0.0
-        return self.queueing_seconds / self.message_count
-
-    @classmethod
-    def from_stats(cls, stats: LinkStats) -> "LinkObservation":
-        return cls(
-            name=stats.name,
-            total_bytes=stats.total_bytes,
-            payload_bytes=stats.payload_bytes,
-            message_count=stats.message_count,
-            data_message_count=stats.data_message_count,
-            rows_transferred=stats.rows_transferred,
-            busy_seconds=stats.busy_seconds,
-            queueing_seconds=stats.queueing_seconds,
-        )
+#: Measured behaviour of one directed link over one query: a detached
+#: snapshot of the link's counters, rates included.
+LinkObservation = TransferCounters
 
 
 @dataclass(frozen=True)
@@ -220,15 +159,17 @@ class RuntimeObserver:
 
     The observer is hooked into the :class:`~repro.server.executor.Executor`:
     after each query it is handed the execution context (whose channel carries
-    the per-link :class:`LinkStats`), the plan's remote UDF operators (row and
-    distinct-argument counters), and the client runtime (per-UDF invocation
-    and compute accounting).  When constructed with a
+    the per-link :class:`~repro.network.stats.LinkStats`), the plan's remote
+    UDF operators (row and distinct-argument counters), and the client runtime
+    (per-UDF invocation and compute accounting).  When constructed with a
     :class:`~repro.adaptive.store.StatisticsStore` it records every
-    observation there, closing the observe → calibrate loop.
+    observation there — under the context's server ``site``, when it names
+    one — closing the observe → calibrate loop.
     """
 
     def __init__(self, store: Optional["object"] = None, history: int = 32) -> None:
-        #: Destination for observations; anything with ``record(observation)``.
+        #: Destination for observations; anything with
+        #: ``record(observation, site=...)``.
         self.store = store
         #: Recent observations, newest last.  Bounded: the store keeps the
         #: blended aggregates, so a long-lived database does not accumulate
@@ -310,8 +251,8 @@ class RuntimeObserver:
 
         observation = QueryObservation(
             elapsed_seconds=context.elapsed_seconds,
-            downlink=LinkObservation.from_stats(stats.downlink),
-            uplink=LinkObservation.from_stats(stats.uplink),
+            downlink=stats.downlink.snapshot(),
+            uplink=stats.uplink.snapshot(),
             udfs=udfs,
             predicates=tuple(predicates),
             joins=tuple(joins),
@@ -330,7 +271,7 @@ class RuntimeObserver:
         )
         self.observations.append(observation)
         if self.store is not None:
-            self.store.record(observation)
+            self.store.record(observation, site=context.site)
         return observation
 
     @staticmethod

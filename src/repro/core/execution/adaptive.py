@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptive.segmented import (
     PlanShape,
@@ -55,25 +55,14 @@ from repro.adaptive.segmented import (
 from repro.adaptive.store import canonical_predicate_key
 from repro.client.udf import UdfDefinition
 from repro.core.execution.base import RemoteUdfOperator
-from repro.core.execution.context import RemoteExecutionContext
+from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.core.execution.semijoin import SemiJoinSegmentState
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
+from repro.network.stats import TransferCounters
 from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators.base import CollectingOperator, Operator
 from repro.relational.schema import Column, bare_name
 from repro.relational.tuples import RowBatch, concat_batches
-
-class _Counters(NamedTuple):
-    """Link and client counters at an instant; evidence is the difference
-    between two of these.  Against the all-zero default it is the execution
-    context's running totals."""
-
-    down_bytes: float = 0
-    down_busy: float = 0.0
-    up_bytes: float = 0
-    up_busy: float = 0.0
-    #: Per lower-cased UDF name: ``(compute seconds, invocations)``.
-    calls: Mapping[str, Tuple[float, int]] = {}
 
 
 def _find_remote(operator: Operator) -> Optional[RemoteUdfOperator]:
@@ -94,10 +83,10 @@ def _suffix_sums(sizes: Sequence[float]) -> List[float]:
     return sums
 
 
-def _bandwidth(delta_bytes: float, delta_busy: float, configured: Optional[float]) -> float:
+def _bandwidth(moved: TransferCounters, configured: Optional[float]) -> float:
     """Observed effective bandwidth over an interval, else the configured one."""
-    if delta_busy > 1e-9 and delta_bytes > 0:
-        return delta_bytes / delta_busy
+    if moved.busy_seconds > 1e-9 and moved.total_bytes > 0:
+        return moved.total_bytes / moved.busy_seconds
     if configured is not None:
         return configured
     return 1e9  # no network model at all: transfers are effectively free
@@ -296,7 +285,7 @@ class PlanMigrationOperator(Operator):
             # A per-UDF controller reads what *this* segment did to the
             # shared link and client counters; a plan-wide one, their
             # running totals.
-            since = _Counters() if controller.plan_wide else self._counters()
+            since = ExecutionCounters() if controller.plan_wide else self.context.counters()
             units, stage_keys = self._build_pipeline(shape, segment)
             segment_output = concat_batches(
                 list(units[-1].execute_batches(batch_size)),
@@ -502,27 +491,10 @@ class PlanMigrationOperator(Operator):
             )
             self._suffix_projected_bytes = _suffix_sums(batch.value_sizes(projected))
 
-    def _counters(self) -> _Counters:
-        stats = self.context.channel_stats
-        client = self.context.client
-        return _Counters(
-            stats.downlink.total_bytes,
-            stats.downlink.busy_seconds,
-            stats.uplink.total_bytes,
-            stats.uplink.busy_seconds,
-            {
-                name: (
-                    client.compute_seconds_of(stage.udf.name),
-                    client.invocations_of(stage.udf.name),
-                )
-                for name, stage in self._stage_by_name.items()
-            },
-        )
-
-    def _observation(self, position: int, since: _Counters) -> SegmentObservation:
+    def _observation(self, position: int, since: ExecutionCounters) -> SegmentObservation:
         """What the run observed since ``since``, plus the tail after ``position``."""
         network = self.context.network
-        now = self._counters()
+        observed = self.context.counters() - since
         remaining = self.input_row_count - position
 
         seconds_per_call: Dict[str, float] = {}
@@ -531,11 +503,9 @@ class PlanMigrationOperator(Operator):
         distinct_fraction: Dict[str, float] = {}
         for name in self._declared_order:
             udf = self._stage_by_name[name].udf
-            compute, invocations = now.calls[name]
-            compute_before, invocations_before = since.calls.get(name, (0.0, 0))
-            invocations -= invocations_before
+            invocations = observed.invocations_by_udf.get(name, 0)
             seconds_per_call[name] = (
-                (compute - compute_before) / invocations
+                observed.compute_seconds_by_udf[name] / invocations
                 if invocations > 0
                 else udf.cost_per_call_seconds
             )
@@ -565,14 +535,10 @@ class PlanMigrationOperator(Operator):
             stage_distinct_fraction=distinct_fraction,
             stage_seconds_per_call=seconds_per_call,
             downlink_bandwidth=_bandwidth(
-                now.down_bytes - since.down_bytes,
-                now.down_busy - since.down_busy,
-                network.downlink_bandwidth if network else None,
+                observed.downlink, network.downlink_bandwidth if network else None
             ),
             uplink_bandwidth=_bandwidth(
-                now.up_bytes - since.up_bytes,
-                now.up_busy - since.up_busy,
-                network.uplink_bandwidth if network else None,
+                observed.uplink, network.uplink_bandwidth if network else None
             ),
             latency=network.latency if network is not None else 0.0,
             batch_size=float(self.config.next_batch_size(priced_udf)),

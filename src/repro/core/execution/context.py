@@ -2,15 +2,80 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+import operator
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.errors import ExecutionError
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
 from repro.network.channel import Channel
 from repro.network.simulator import Simulator
-from repro.network.stats import ChannelStats
+from repro.network.stats import ChannelStats, TransferCounters
 from repro.network.topology import NetworkConfig
+
+
+@dataclass
+class ExecutionCounters:
+    """What an execution moved, computed and counted — one value, folded with ``+``.
+
+    A context reads it off its two links and its client runtime
+    (:meth:`RemoteExecutionContext.counters`), the executor adds what the
+    plan's operators counted, :class:`~repro.server.metrics.ExecutionMetrics`
+    holds it and reads its flat names through it.  Segments, shard workers,
+    the scatter-gather coordinator and sessions all combine it the same way:
+    ``a + b`` adds every field (per-UDF maps key by key;
+    ``peak_in_flight_batches`` is a high-water mark, so it takes the larger),
+    ``later - earlier`` is what happened between two readings.  A new counter
+    is one more field here.
+    """
+
+    downlink: TransferCounters = field(default_factory=TransferCounters)
+    uplink: TransferCounters = field(default_factory=TransferCounters)
+    udf_invocations: int = 0
+    client_cache_hits: int = 0
+    client_compute_seconds: float = 0.0
+    #: Per lower-cased UDF name, the breakdown of the two client totals the
+    #: adaptive runtime measures per-call costs from.
+    invocations_by_udf: Dict[str, int] = field(default_factory=dict)
+    compute_seconds_by_udf: Dict[str, float] = field(default_factory=dict)
+    remote_operations: int = 0
+    # Counted by the plan's operators, filled in by the executor.
+    input_rows: int = 0
+    send_stall_seconds: float = 0.0
+    index_lookups: int = 0
+    index_pages_read: int = 0
+    peak_in_flight_batches: int = 0
+
+    def _combined(self, other: "ExecutionCounters", combine: Callable) -> "ExecutionCounters":
+        values = []
+        for name in _COUNTERS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                values.append(
+                    {
+                        key: combine(mine.get(key, 0), theirs.get(key, 0))
+                        for key in {**mine, **theirs}
+                    }
+                )
+            else:
+                values.append(combine(mine, theirs))
+        return ExecutionCounters(*values)
+
+    def __add__(self, other: "ExecutionCounters") -> "ExecutionCounters":
+        total = self._combined(other, operator.add)
+        total.peak_in_flight_batches = max(
+            self.peak_in_flight_batches, other.peak_in_flight_batches
+        )
+        return total
+
+    def __sub__(self, other: "ExecutionCounters") -> "ExecutionCounters":
+        delta = self._combined(other, operator.sub)
+        delta.peak_in_flight_batches = self.peak_in_flight_batches
+        return delta
+
+
+_COUNTERS = tuple(f.name for f in fields(ExecutionCounters))
 
 
 class RemoteExecutionContext:
@@ -37,6 +102,14 @@ class RemoteExecutionContext:
         self.network = network
         self.remote_operations = 0
         self._events_at_start = simulator.events_processed
+        #: Whom the query runs for and where it learns, set by whoever builds
+        #: the context (tenancy: the owning ``ClientSession`` and the tenant's
+        #: ``RuntimeObserver``, whose store is the tenant's statistics;
+        #: scatter-gather: the server ``site`` observations are filed under).
+        #: ``None`` means the database-wide session, observer and store.
+        self.session: Optional[Any] = None
+        self.observer: Optional[Any] = None
+        self.site: Optional[str] = None
 
     # -- construction ------------------------------------------------------------------
 
@@ -125,6 +198,20 @@ class RemoteExecutionContext:
     @property
     def channel_stats(self) -> ChannelStats:
         return self.channel.stats
+
+    def counters(self) -> ExecutionCounters:
+        """A detached reading of both links, the client and this context."""
+        client = self.client
+        return ExecutionCounters(
+            downlink=self.channel.downlink.stats.snapshot(),
+            uplink=self.channel.uplink.stats.snapshot(),
+            udf_invocations=client.udf_invocations,
+            client_cache_hits=client.cache_hits,
+            client_compute_seconds=client.compute_seconds,
+            invocations_by_udf=dict(client.invocations_by_udf),
+            compute_seconds_by_udf=dict(client.compute_seconds_by_udf),
+            remote_operations=self.remote_operations,
+        )
 
     @property
     def downlink_bytes(self) -> int:

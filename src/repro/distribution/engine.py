@@ -33,11 +33,10 @@ from repro.adaptive.observer import RuntimeObserver
 from repro.adaptive.store import StatisticsStore
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
-from repro.core.execution.context import RemoteExecutionContext
+from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.core.execution.scatter import ScatterGatherOperator, ShardResult
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.simulator import Simulator
-from repro.network.stats import ChannelStats, LinkStats
 from repro.relational.catalog import Catalog
 from repro.relational.operators import Operator
 from repro.relational.schema import Column, Schema
@@ -62,20 +61,6 @@ from repro.distribution.planner import (
 from repro.distribution.sharding import ShardedTable, shard_table
 
 
-class _SiteRecorder:
-    """Routes a run's observation into the store under its site key."""
-
-    def __init__(self, store: StatisticsStore, site: str) -> None:
-        self._store = store
-        self._site = site
-
-    def record(self, observation: Any) -> None:
-        self._store.record(observation, site=self._site)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._store, name)
-
-
 class _ScatterRun:
     """Per-execute shared state: the simulator, trunks, and knobs."""
 
@@ -91,7 +76,9 @@ class _ScatterRun:
         self.segments = max(1, segments)
         self.migrate = migrate
         self.policy = policy
-        self.observe = observe
+        #: Where the shard tasks learn: the cluster's store, each context
+        #: filing its link measurements under its own site.
+        self.observer = RuntimeObserver(engine.statistics) if observe else None
         self.simulator = Simulator()
         self.driver = BatonDriver(self.simulator, description="scatter-gather run")
         self.trunks: Dict[str, Tuple[Any, Any]] = {
@@ -117,6 +104,8 @@ class _ScatterRun:
                 name=f"{site}.{flow}.client{self.contexts_created}",
             ),
             channel_name=f"{site}.{flow}.channel{self.contexts_created}",
+            observer=self.observer,
+            site=site,
         )
 
 
@@ -130,14 +119,8 @@ class _ShardWorker(BatonWorker):
         self.result: Optional[ShardResult] = None
         self.migrations = 0
         self.sites_visited: List[str] = [task.site]
-        # Metric accumulators, folded into the coordinator's metrics.
-        self.downlink = LinkStats(name=f"{task.label}.down")
-        self.uplink = LinkStats(name=f"{task.label}.up")
-        self.udf_invocations = 0
-        self.client_cache_hits = 0
-        self.client_compute_seconds = 0.0
-        self.remote_operations = 0
-        self.input_rows = 0
+        #: Every segment's counters, folded; the coordinator folds the workers'.
+        self.counters = ExecutionCounters()
 
     # -- segment splitting -------------------------------------------------------------
 
@@ -167,25 +150,15 @@ class _ShardWorker(BatonWorker):
         segment_queries = self._segment_queries()
         for index, seg_bound in enumerate(segment_queries):
             context = self.run.new_context(self, site, flow=self.task.label)
-            observer = None
-            if self.run.observe:
-                observer = RuntimeObserver(_SiteRecorder(engine.statistics, site))
             executor = Executor(
-                context, server_functions=engine._server_functions(), observer=observer
+                context, server_functions=engine._server_functions(), observer=context.observer
             )
             result = executor.execute_plan(
                 engine._shard_plan(self.task, seg_bound, context), deliver_results=True
             )
             gathered.extend(result.rows)
             schema = result.schema
-            self._fold_metrics(context, result.metrics)
-            elapsed = context.elapsed_seconds
-            downlink_bytes = context.downlink_bytes
-            uplink_bytes = context.uplink_bytes
-            messages = (
-                context.channel_stats.downlink.message_count
-                + context.channel_stats.uplink.message_count
-            )
+            self.counters += result.metrics.counters
             context.channel.close()
 
             remaining = len(segment_queries) - index - 1
@@ -194,9 +167,7 @@ class _ShardWorker(BatonWorker):
                 and remaining >= self.run.policy.min_segments_remaining
                 and len(self.task.replicas) > 1
             ):
-                site = self._maybe_migrate(
-                    site, remaining, elapsed, downlink_bytes, uplink_bytes, messages
-                )
+                site = self._maybe_migrate(site, remaining, result.metrics)
         self.result = ShardResult(
             self.task.label,
             schema if schema is not None else Schema([]),
@@ -204,24 +175,19 @@ class _ShardWorker(BatonWorker):
             site=site,
         )
 
-    def _maybe_migrate(
-        self,
-        site: str,
-        remaining: int,
-        seg_elapsed: float,
-        downlink_bytes: float,
-        uplink_bytes: float,
-        messages: float,
-    ) -> str:
+    def _maybe_migrate(self, site: str, remaining: int, segment: ExecutionMetrics) -> str:
         """Re-price the remaining segments on every replica; move if it pays."""
         planner = self.run.engine.planner()
-        current_estimate = seg_elapsed * remaining
+        current_estimate = segment.elapsed_seconds * remaining
         best_site, best_estimate = None, None
         for candidate in self.task.replicas:
             if candidate == site:
                 continue
             per_segment = planner.site_estimate_seconds(
-                candidate, downlink_bytes, uplink_bytes, messages
+                candidate,
+                segment.downlink_bytes,
+                segment.uplink_bytes,
+                segment.downlink_messages + segment.uplink_messages,
             )
             estimate = per_segment * remaining
             if best_estimate is None or estimate < best_estimate:
@@ -233,16 +199,6 @@ class _ShardWorker(BatonWorker):
             self.sites_visited.append(best_site)
             return best_site
         return site
-
-    def _fold_metrics(self, context: SharedExecutionContext, metrics: ExecutionMetrics) -> None:
-        stats = context.channel_stats
-        self.downlink = self.downlink.merge(stats.downlink)
-        self.uplink = self.uplink.merge(stats.uplink)
-        self.udf_invocations += context.client.udf_invocations
-        self.client_cache_hits += context.client.cache_hits
-        self.client_compute_seconds += context.client.compute_seconds
-        self.remote_operations += context.remote_operations
-        self.input_rows += metrics.input_rows
 
 
 class DistributedDatabase(SqlSurface):
@@ -409,31 +365,15 @@ class DistributedDatabase(SqlSurface):
         rows: Sequence[Any],
         config: StrategyConfig,
     ) -> ExecutionMetrics:
-        downlink = LinkStats(name="scatter.down")
-        uplink = LinkStats(name="scatter.up")
-        udf_invocations = cache_hits = remote_operations = input_rows = 0
-        compute_seconds = 0.0
-        migrations = 0
+        counters = ExecutionCounters()
         for worker in workers:
-            downlink = downlink.merge(worker.downlink)
-            uplink = uplink.merge(worker.uplink)
-            udf_invocations += worker.udf_invocations
-            cache_hits += worker.client_cache_hits
-            compute_seconds += worker.client_compute_seconds
-            remote_operations += worker.remote_operations
-            input_rows += worker.input_rows
-            migrations += worker.migrations
-        return ExecutionMetrics.from_run(
+            counters += worker.counters
+        return ExecutionMetrics(
             elapsed_seconds=run.simulator.now,
-            channel_stats=ChannelStats(downlink=downlink, uplink=uplink),
-            udf_invocations=udf_invocations,
-            client_cache_hits=cache_hits,
-            client_compute_seconds=compute_seconds,
+            counters=counters,
             rows_returned=len(rows),
-            input_rows=input_rows,
-            remote_operations=remote_operations,
             strategy=config.strategy,
-            plan_migrations=migrations,
+            plan_migrations=sum(worker.migrations for worker in workers),
             sim_events=run.simulator.events_processed,
             plan_description=plan.describe() + "\n" + root.explain(),
         )

@@ -144,13 +144,6 @@ class Link:
     def bytes_transferred(self) -> int:
         return self.stats.total_bytes
 
-    @property
-    def busy_until(self) -> float:
-        """Simulation time at which the link finishes its current backlog."""
-        if self.scheduler is not None:
-            return getattr(self.scheduler, "busy_until", self._free_at)
-        return self._free_at
-
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of elapsed time the link spent serialising messages."""
         elapsed = elapsed if elapsed is not None else self.simulator.now

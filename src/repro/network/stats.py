@@ -9,18 +9,29 @@ read; they always sum to the link totals when every message carries a flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+import operator
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.message import Message
 
 
 @dataclass
-class FlowStats:
-    """Byte and timing accounting for one session flow on one link."""
+class TransferCounters:
+    """What one directed stream of messages moved, and how long that took.
 
-    flow: str
+    The seven counters are declared here and nowhere else: a link's live
+    accounting (:class:`LinkStats`), one flow's share of a shared link, the
+    per-link record of a query observation and the two links of a query's
+    :class:`~repro.core.execution.context.ExecutionCounters` are all this
+    value.  ``a + b`` folds two streams into one; ``later - earlier`` is what
+    happened between two readings of the same stream; :meth:`snapshot`
+    detaches a reading from the live counters.
+    """
+
+    #: A label (the link's or the flow's name), not part of the value.
+    name: str = field(default="", compare=False)
     message_count: int = 0
     data_message_count: int = 0
     total_bytes: int = 0
@@ -39,43 +50,77 @@ class FlowStats:
         self.busy_seconds += transmission
         self.queueing_seconds += queued_for
 
-    def merge(self, other: "FlowStats") -> "FlowStats":
-        merged = FlowStats(flow=self.flow)
-        merged.message_count = self.message_count + other.message_count
-        merged.data_message_count = self.data_message_count + other.data_message_count
-        merged.total_bytes = self.total_bytes + other.total_bytes
-        merged.payload_bytes = self.payload_bytes + other.payload_bytes
-        merged.rows_transferred = self.rows_transferred + other.rows_transferred
-        merged.busy_seconds = self.busy_seconds + other.busy_seconds
-        merged.queueing_seconds = self.queueing_seconds + other.queueing_seconds
-        return merged
+    def _combined(self, other: "TransferCounters", combine: Callable) -> "TransferCounters":
+        return TransferCounters(
+            self.name,
+            *(combine(getattr(self, name), getattr(other, name)) for name in _COUNTERS),
+        )
+
+    def __add__(self, other: "TransferCounters") -> "TransferCounters":
+        return self._combined(other, operator.add)
+
+    def __sub__(self, other: "TransferCounters") -> "TransferCounters":
+        return self._combined(other, operator.sub)
+
+    def snapshot(self) -> "TransferCounters":
+        """A detached copy of the counters as they stand now."""
+        return TransferCounters(self.name, *(getattr(self, name) for name in _COUNTERS))
+
+    # -- the rates the planner calibrates from ------------------------------------
+
+    @property
+    def effective_bandwidth(self) -> Optional[float]:
+        """Observed bytes/second while the link was serialising.
+
+        On a stable link this recovers the configured bandwidth; on a
+        drifting link it is the byte-weighted average the stream actually
+        saw — the number the next query should plan with.
+        """
+        if self.busy_seconds <= 0:
+            return None
+        return self.total_bytes / self.busy_seconds
 
     @property
     def achieved_bandwidth(self) -> Optional[float]:
-        """Bytes/second this flow achieved including time spent queued.
+        """Observed bytes/second *including* sender-side queueing delay.
 
-        On an uncontended link this equals the serialisation bandwidth; on a
-        shared link it degrades with cross-traffic — the per-flow signal the
-        contention-aware calibration plans with.
+        On a private link this equals :attr:`effective_bandwidth`; on a
+        shared trunk the queueing time is mostly other tenants' traffic, so
+        this is the share of the trunk the stream actually achieved — the
+        number a contention-aware planner should use.
         """
-        elapsed = self.busy_seconds + self.queueing_seconds
-        if elapsed <= 0:
+        occupied = self.busy_seconds + self.queueing_seconds
+        if occupied <= 0:
             return None
-        return self.total_bytes / elapsed
+        return self.total_bytes / occupied
+
+    @property
+    def rows_per_message(self) -> float:
+        """Average batching achieved: rows per *data* message (control and
+        error frames carry no rows and are excluded)."""
+        if self.data_message_count <= 0:
+            return 0.0
+        return self.rows_transferred / self.data_message_count
+
+    @property
+    def mean_queueing_seconds(self) -> float:
+        """Average sender-side queueing delay per message (congestion signal)."""
+        if self.message_count <= 0:
+            return 0.0
+        return self.queueing_seconds / self.message_count
+
+
+_COUNTERS = tuple(f.name for f in fields(TransferCounters) if f.name != "name")
+
+#: One session flow's share of a link (``name`` is the flow).
+FlowStats = TransferCounters
 
 
 @dataclass
-class LinkStats:
-    """Byte and timing accounting for one directed link."""
+class LinkStats(TransferCounters):
+    """The live accounting of one directed link: the counters, their split
+    by message kind, and one child per session flow."""
 
-    name: str
-    message_count: int = 0
-    data_message_count: int = 0
-    total_bytes: int = 0
-    payload_bytes: int = 0
-    rows_transferred: int = 0
-    busy_seconds: float = 0.0
-    queueing_seconds: float = 0.0
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Per-session-flow sub-counters, populated only for messages recorded
     #: with a ``flow`` (shared multi-tenant links tag every message).
@@ -88,6 +133,8 @@ class LinkStats:
         transmission: float,
         flow: Optional[str] = None,
     ) -> None:
+        # Once or twice per wire message: the body stays flat instead of
+        # calling the inherited ``record`` (measured on scatter_sharded).
         size = message.size_bytes
         self.message_count += 1
         if message.is_data:
@@ -102,44 +149,25 @@ class LinkStats:
         if flow is not None:
             counters = self.flows.get(flow)
             if counters is None:
-                counters = self.flows[flow] = FlowStats(flow=flow)
+                counters = self.flows[flow] = FlowStats(flow)
             counters.record(message, queued_for=queued_for, transmission=transmission)
-
-    @property
-    def rows_per_message(self) -> float:
-        """Average batching achieved on this link: rows per *data* message
-        (control and error frames carry no rows and are excluded)."""
-        return (
-            self.rows_transferred / self.data_message_count if self.data_message_count else 0.0
-        )
 
     def flow(self, name: str) -> FlowStats:
         """The named flow's counters (all-zero if the flow never sent)."""
-        return self.flows.get(name, FlowStats(flow=name))
+        return self.flows.get(name, FlowStats(name))
 
     def flow_bytes(self) -> Dict[str, int]:
         """Total bytes per flow, the fairness metrics' input."""
         return {name: counters.total_bytes for name, counters in self.flows.items()}
 
-    def merge(self, other: "LinkStats") -> "LinkStats":
-        merged = LinkStats(name=self.name)
-        merged.message_count = self.message_count + other.message_count
-        merged.data_message_count = self.data_message_count + other.data_message_count
-        merged.total_bytes = self.total_bytes + other.total_bytes
-        merged.payload_bytes = self.payload_bytes + other.payload_bytes
-        merged.rows_transferred = self.rows_transferred + other.rows_transferred
-        merged.busy_seconds = self.busy_seconds + other.busy_seconds
-        merged.queueing_seconds = self.queueing_seconds + other.queueing_seconds
-        for kind, value in list(self.bytes_by_kind.items()) + list(other.bytes_by_kind.items()):
-            merged.bytes_by_kind[kind] = merged.bytes_by_kind.get(kind, 0) + value
-        for source in (self.flows, other.flows):
-            for name, counters in source.items():
-                existing = merged.flows.get(name)
-                if existing is None:
-                    merged.flows[name] = counters.merge(FlowStats(flow=name))
-                else:
-                    merged.flows[name] = existing.merge(counters)
-        return merged
+    def __add__(self, other: "LinkStats") -> "LinkStats":
+        total = LinkStats(**vars(super().__add__(other)))
+        for source in (self, other):
+            for kind, size in source.bytes_by_kind.items():
+                total.bytes_by_kind[kind] = total.bytes_by_kind.get(kind, 0) + size
+            for name, counters in source.flows.items():
+                total.flows[name] = total.flow(name) + counters
+        return total
 
     def __str__(self) -> str:
         return (

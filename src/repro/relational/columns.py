@@ -1,13 +1,12 @@
 """Typed column buffers for fixed-width column data.
 
 A :class:`TypedColumn` stores one fixed-width column (INTEGER, FLOAT or
-BOOLEAN) in a contiguous buffer — a NumPy array when NumPy is importable, a
-stdlib :mod:`array` buffer otherwise — plus a validity mask for NULLs.  The
-two backends have identical observable semantics: every value that comes
-*out* of a typed column (``__getitem__``, iteration, :meth:`to_list`) is a
-plain Python ``int``/``float``/``bool`` or ``None``, never a NumPy scalar,
-so hashing, type validation and byte accounting behave exactly as they do
-for plain object lists.
+BOOLEAN) in a contiguous NumPy array plus a validity mask for NULLs.  Every
+value that comes *out* of a typed column (``__getitem__``, iteration,
+:meth:`to_list`) is a plain Python ``int``/``float``/``bool`` or ``None``,
+never a NumPy scalar, so hashing, type validation and byte accounting behave
+exactly as they do for plain object lists — which is what every column is
+when NumPy is not importable (it is an optional extra, ``repro[fast]``).
 
 Builders are deliberately *strict*: a column is only stored typed when every
 non-NULL value already has the exact Python type the column declares
@@ -18,16 +17,15 @@ wire sizing (4 bytes for an int, 8 for a float) is never changed by storage.
 
 The module also owns the runtime switches:
 
-* ``REPRO_DISABLE_NUMPY=1`` in the environment forces the stdlib ``array``
-  backend even when NumPy is installed (the CI fallback leg);
+* ``REPRO_DISABLE_NUMPY=1`` in the environment runs the NumPy-less path
+  (plain lists, scalar operators) on a machine that has NumPy;
 * :func:`set_typed_buffers` / :func:`scalar_fallback` disable typed storage
-  entirely at runtime, which the equivalence tests use to compare the typed
-  and fully-scalar paths on identical inputs.
+  at runtime, which the equivalence tests use to compare the typed and
+  fully-scalar paths on identical inputs.
 """
 
 from __future__ import annotations
 
-import array as _array
 import os
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional, Sequence
@@ -40,7 +38,8 @@ else:
     except ImportError:  # pragma: no cover
         np = None
 
-#: True when the NumPy backend (and therefore vectorized kernels) is active.
+#: True when NumPy is importable (and not disabled): typed columns and
+#: vectorized kernels are available.
 HAVE_NUMPY = np is not None
 
 #: int64 bounds: integers outside stay in plain lists (Python ints are
@@ -51,15 +50,13 @@ _INT64_MAX = 2**63 - 1
 #: Wire width per supported dtype, matching ``DataType.fixed_size``.
 _WIDTHS = {"INTEGER": 4, "FLOAT": 8, "BOOLEAN": 1}
 
-#: stdlib ``array`` typecodes for the fallback backend.
-_TYPECODES = {"INTEGER": "q", "FLOAT": "d", "BOOLEAN": "b"}
-
 _typed_enabled = True
 
 
-def typed_buffers_enabled() -> bool:
-    """Whether columns are stored in typed buffers at all."""
-    return _typed_enabled
+def vectorization_enabled() -> bool:
+    """Whether columns are stored in typed (NumPy) buffers, and therefore
+    whether the compiled kernels that run on them may."""
+    return HAVE_NUMPY and _typed_enabled
 
 
 def set_typed_buffers(enabled: bool) -> bool:
@@ -80,18 +77,12 @@ def scalar_fallback():
         set_typed_buffers(previous)
 
 
-def vectorization_enabled() -> bool:
-    """Whether compiled (NumPy) kernels may run."""
-    return HAVE_NUMPY and _typed_enabled
-
-
 class TypedColumn:
     """One fixed-width column in a typed buffer, with a validity mask.
 
     ``data`` holds every slot (NULL slots store 0/0.0/False); ``validity``
-    is ``None`` when the column has no NULLs, else a parallel mask (NumPy
-    bool array, or a bytearray of 0/1 in the fallback backend) with truthy
-    entries at non-NULL slots.  Columns are immutable by convention, like
+    is ``None`` when the column has no NULLs, else a parallel NumPy bool
+    array, true at non-NULL slots.  Columns are immutable by convention, like
     the column lists of :class:`~repro.relational.tuples.RowBatch`.
     """
 
@@ -109,7 +100,7 @@ class TypedColumn:
 
     @property
     def data(self):
-        """The raw value buffer (a NumPy array under the NumPy backend)."""
+        """The raw value buffer (a NumPy array)."""
         return self._data
 
     @property
@@ -131,10 +122,7 @@ class TypedColumn:
             validity = self._validity[index] if self._validity is not None else None
             data = self._data[index]
             if validity is not None:
-                if np is not None and isinstance(validity, np.ndarray):
-                    nulls = int(len(validity) - int(validity.sum()))
-                else:
-                    nulls = sum(1 for flag in validity if not flag)
+                nulls = int(len(validity) - int(validity.sum()))
                 if nulls == 0:
                     validity = None
             else:
@@ -158,22 +146,10 @@ class TypedColumn:
         values = self._list
         if values is not None:
             return values
-        data = self._data
-        if np is not None and isinstance(data, np.ndarray):
-            values = data.tolist()
-        elif self.dtype_name == "BOOLEAN":
-            values = [bool(v) for v in data]
-        else:
-            values = list(data)
-        validity = self._validity
-        if validity is not None:
-            if np is not None and isinstance(validity, np.ndarray):
-                for index in np.flatnonzero(~validity).tolist():
-                    values[index] = None
-            else:
-                for index, flag in enumerate(validity):
-                    if not flag:
-                        values[index] = None
+        values = self._data.tolist()
+        if self._validity is not None:
+            for index in np.flatnonzero(~self._validity).tolist():
+                values[index] = None
         self._list = values
         return values
 
@@ -181,23 +157,12 @@ class TypedColumn:
 
     def take(self, indexes: Sequence[int]) -> "TypedColumn":
         """The column restricted/reordered to the rows at ``indexes``."""
-        if np is not None and isinstance(self._data, np.ndarray):
-            order = np.asarray(indexes, dtype=np.intp)
-            data = self._data.take(order)
-            validity = self._validity
-            if validity is not None:
-                validity = validity.take(order)
-                nulls = int(len(validity) - int(validity.sum()))
-                if nulls == 0:
-                    validity = None
-            else:
-                nulls = 0
-            return TypedColumn(self.dtype_name, data, validity, nulls)
-        data = _array.array(_TYPECODES[self.dtype_name], (self._data[i] for i in indexes))
+        order = np.asarray(indexes, dtype=np.intp)
+        data = self._data.take(order)
         validity = self._validity
         if validity is not None:
-            validity = bytearray(validity[i] for i in indexes)
-            nulls = sum(1 for flag in validity if not flag)
+            validity = validity.take(order)
+            nulls = int(len(validity) - int(validity.sum()))
             if nulls == 0:
                 validity = None
         else:
@@ -206,19 +171,16 @@ class TypedColumn:
 
     def take_mask(self, mask) -> "TypedColumn":
         """The column restricted to rows where ``mask`` (a bool array) is True."""
-        if np is not None and isinstance(self._data, np.ndarray):
-            data = self._data[mask]
-            validity = self._validity
-            if validity is not None:
-                validity = validity[mask]
-                nulls = int(len(validity) - int(validity.sum()))
-                if nulls == 0:
-                    validity = None
-            else:
-                nulls = 0
-            return TypedColumn(self.dtype_name, data, validity, nulls)
-        keep = [i for i, flag in enumerate(mask) if flag]
-        return self.take(keep)
+        data = self._data[mask]
+        validity = self._validity
+        if validity is not None:
+            validity = validity[mask]
+            nulls = int(len(validity) - int(validity.sum()))
+            if nulls == 0:
+                validity = None
+        else:
+            nulls = 0
+        return TypedColumn(self.dtype_name, data, validity, nulls)
 
     @classmethod
     def concat(cls, columns: Sequence["TypedColumn"]) -> "TypedColumn":
@@ -227,30 +189,16 @@ class TypedColumn:
         if len(columns) == 1:
             return first
         nulls = sum(column._null_count for column in columns)
-        if np is not None and isinstance(first._data, np.ndarray):
-            data = np.concatenate([column._data for column in columns])
-            if nulls:
-                validity = np.concatenate(
-                    [
-                        column._validity
-                        if column._validity is not None
-                        else np.ones(len(column), dtype=bool)
-                        for column in columns
-                    ]
-                )
-            else:
-                validity = None
-            return cls(first.dtype_name, data, validity, nulls)
-        data = _array.array(_TYPECODES[first.dtype_name])
-        for column in columns:
-            data.extend(column._data)
+        data = np.concatenate([column._data for column in columns])
         if nulls:
-            validity = bytearray()
-            for column in columns:
-                if column._validity is not None:
-                    validity.extend(column._validity)
-                else:
-                    validity.extend(b"\x01" * len(column))
+            validity = np.concatenate(
+                [
+                    column._validity
+                    if column._validity is not None
+                    else np.ones(len(column), dtype=bool)
+                    for column in columns
+                ]
+            )
         else:
             validity = None
         return cls(first.dtype_name, data, validity, nulls)
@@ -275,10 +223,10 @@ def build_typed_column(values: Sequence[Any], dtype: Any) -> Optional[TypedColum
 
     ``dtype`` is a :class:`~repro.relational.types.DataType` (or its name).
     Returns None — leaving the caller with the plain list — when typed
-    buffers are disabled, the dtype is variable-width, or any non-NULL value
-    is not already the exact Python type the column stores.
+    buffers are disabled or NumPy is missing, the dtype is variable-width, or
+    any non-NULL value is not already the exact Python type the column stores.
     """
-    if not _typed_enabled:
+    if not vectorization_enabled():
         return None
     dtype_name = getattr(dtype, "name", dtype)
     if dtype_name not in _WIDTHS:
@@ -289,28 +237,16 @@ def build_typed_column(values: Sequence[Any], dtype: Any) -> Optional[TypedColum
             null_positions.append(index)
         elif not _is_typed_value(dtype_name, value):
             return None
-    count = len(values)
     if null_positions:
         fill: Any = False if dtype_name == "BOOLEAN" else 0
         filled = [fill if value is None else value for value in values]
     else:
         filled = values if isinstance(values, list) else list(values)
-    if np is not None:
-        np_dtype = {"INTEGER": np.int64, "FLOAT": np.float64, "BOOLEAN": np.bool_}[
-            dtype_name
-        ]
-        data = np.array(filled, dtype=np_dtype)
-        if null_positions:
-            validity = np.ones(count, dtype=bool)
-            validity[null_positions] = False
-        else:
-            validity = None
-        return TypedColumn(dtype_name, data, validity, len(null_positions))
-    data = _array.array(_TYPECODES[dtype_name], filled)
+    np_dtype = {"INTEGER": np.int64, "FLOAT": np.float64, "BOOLEAN": np.bool_}[dtype_name]
+    data = np.array(filled, dtype=np_dtype)
     if null_positions:
-        validity = bytearray(b"\x01" * count)
-        for index in null_positions:
-            validity[index] = 0
+        validity = np.ones(len(values), dtype=bool)
+        validity[null_positions] = False
     else:
         validity = None
     return TypedColumn(dtype_name, data, validity, len(null_positions))

@@ -234,7 +234,6 @@ class Database(SqlSurface):
         statistics: Optional[StatisticsStore] = None,
         storage_dir: Optional[str] = None,
         buffer_pool_size: int = 64,
-        buffer_policy: str = "lru",
         cost_settings: Optional["CostSettings"] = None,
     ) -> None:
         self.catalog = Catalog()
@@ -259,9 +258,7 @@ class Database(SqlSurface):
         if storage_dir is not None:
             from repro.storage.engine import StorageEngine
 
-            self.storage = StorageEngine(
-                storage_dir, pool_size=buffer_pool_size, policy=buffer_policy
-            )
+            self.storage = StorageEngine(storage_dir, pool_size=buffer_pool_size)
             self._recover_tables()
 
     # -- schema management --------------------------------------------------------------
@@ -390,9 +387,6 @@ class Database(SqlSurface):
         reoptimize: bool = False,
         replan_policy: Optional[ReOptimizationPolicy] = None,
         context: Optional["RemoteExecutionContext"] = None,
-        statistics: Optional[StatisticsStore] = None,
-        observer: Optional[RuntimeObserver] = None,
-        session: Optional[ClientSession] = None,
     ) -> QueryResult:
         """Execute ``query`` (SQL text or a bound query) and return the result.
 
@@ -449,14 +443,14 @@ class Database(SqlSurface):
         (reordered UDF applications, different per-UDF strategies), not just
         a different shipping strategy.
 
-        ``context`` / ``statistics`` / ``observer`` / ``session`` inject the
-        multi-tenant machinery: an externally-built execution context (e.g. a
-        shared-simulation context from :mod:`repro.tenancy.driver`), a
-        per-tenant statistics store replacing the database-wide one for this
-        query's planning and feedback, a matching observer, and the owning
-        :class:`~repro.server.session.ClientSession` whose identity stamps
-        the metrics.  All default to the database-wide singletons, so
-        single-query callers see no change.
+        ``context`` runs the query on an externally-built execution context
+        (e.g. a shared-simulation context from :mod:`repro.tenancy.driver`)
+        instead of a fresh one from :attr:`session`.  The context also says
+        whom the query runs for and where it learns: its ``session`` stamps
+        the metrics, its ``observer`` takes the feedback and the observer's
+        store replaces the database-wide one for this query's planning.
+        Whatever the context leaves ``None`` is the database-wide singleton,
+        so single-query callers see no change.
         """
         self._ensure_statistics_loaded()
         if isinstance(query, str):
@@ -464,16 +458,13 @@ class Database(SqlSurface):
             if ddl_result is not None:
                 return ddl_result
         bound = self.bind(query) if isinstance(query, str) else query
-        statistics = statistics if statistics is not None else self.statistics
+        if context is None:
+            context = self.session.new_context()
+        observer = context.observer if context.observer is not None else self.observer
+        statistics = observer.store if observer.store is not None else self.statistics
         buffers_before = (
             self.storage.buffer_stats() if self.storage is not None else None
         )
-        if observer is None:
-            observer = (
-                self.observer
-                if statistics is self.statistics
-                else RuntimeObserver(statistics)
-            )
         resolved = resolve_keywords(
             self.default_config,
             config=config,
@@ -512,10 +503,10 @@ class Database(SqlSurface):
                 )
             )
         executor = Executor(
-            context if context is not None else self.session.new_context(),
+            context,
             server_functions=self._server_functions(),
             observer=observer if observe else None,
-            session=session if session is not None else self.session,
+            session=context.session if context.session is not None else self.session,
         )
         return self._finalize_result(
             executor.execute_query(
@@ -596,11 +587,7 @@ class Database(SqlSurface):
         """
         if self.storage is None:
             return result
-        delta = self.storage.buffer_stats().delta(buffers_before)
-        result.metrics.buffer_hits = delta.hits
-        result.metrics.buffer_misses = delta.misses
-        result.metrics.buffer_evictions = delta.evictions
-        result.metrics.buffer_pinned_peak = delta.pinned_peak
+        result.metrics.buffers = self.storage.buffer_stats().delta(buffers_before)
         self.storage.flush()
         if persist:
             self.save_statistics()
@@ -662,20 +649,6 @@ class Database(SqlSurface):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def new_batch_controller(
-        self, config: Optional[StrategyConfig] = None
-    ) -> BatchSizeController:
-        """A fresh mid-query batch-size controller, warm-started from feedback.
-
-        The first adaptive query starts from the configured batch size (or a
-        small default); later ones start where earlier adaptive executions
-        converged, so convergence cost is paid once per environment.
-        """
-        config = config if config is not None else self.default_config
-        fallback = config.batch_size if config.batch_size > 1 else 8
-        initial = self.statistics.preferred_batch_size(default=fallback)
-        return BatchSizeController(initial_batch_size=initial)
 
     def new_controller_bank(
         self,

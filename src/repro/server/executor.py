@@ -252,27 +252,25 @@ class Executor:
         rows: List[Row],
         config: StrategyConfig,
     ) -> ExecutionMetrics:
-        client = self.context.client
+        counters = self.context.counters()
         concurrency = None
-        input_rows = 0
         switches = 0
         strategies_used: tuple = ()
         replan_attempts = 0
         plan_migrations = 0
         udf_orders_used: tuple = ()
         shapes_used: tuple = ()
-        peak_in_flight = 0
-        send_stall = 0.0
         overlap_window = None
         for operator in plan.remote_operators:
-            input_rows = max(input_rows, operator.input_row_count)
+            counters.input_rows = max(counters.input_rows, operator.input_row_count)
             factor = getattr(operator, "concurrency_factor_used", None)
             if factor is not None:
                 concurrency = factor
-            peak_in_flight = max(
-                peak_in_flight, getattr(operator, "peak_in_flight_batches", 0) or 0
+            counters.peak_in_flight_batches = max(
+                counters.peak_in_flight_batches,
+                getattr(operator, "peak_in_flight_batches", 0) or 0,
             )
-            send_stall += getattr(operator, "send_stall_seconds", 0.0) or 0.0
+            counters.send_stall_seconds += getattr(operator, "send_stall_seconds", 0.0) or 0.0
             window = getattr(operator, "overlap_window_used", None)
             if window is not None:
                 overlap_window = window
@@ -296,27 +294,19 @@ class Executor:
                         udf_orders_used = udf_orders_used + (shape.udf_order,)
             else:
                 switches += controller.change_count
-        index_lookups = 0
-        index_pages_read = 0
 
         def visit_index_operators(operator: Operator) -> None:
-            nonlocal index_lookups, index_pages_read
             for node in operator.children:
                 visit_index_operators(node)
-            index_lookups += getattr(operator, "index_lookups", 0) or 0
-            index_pages_read += getattr(operator, "index_pages_read", 0) or 0
+            counters.index_lookups += getattr(operator, "index_lookups", 0) or 0
+            counters.index_pages_read += getattr(operator, "index_pages_read", 0) or 0
 
         visit_index_operators(plan.root)
         controller = config.batch_controller
-        return ExecutionMetrics.from_run(
+        return ExecutionMetrics(
             elapsed_seconds=self.context.elapsed_seconds,
-            channel_stats=self.context.channel_stats,
-            udf_invocations=client.udf_invocations,
-            client_cache_hits=client.cache_hits,
-            client_compute_seconds=client.compute_seconds,
+            counters=counters,
             rows_returned=len(rows),
-            input_rows=input_rows,
-            remote_operations=self.context.remote_operations,
             strategy=config.strategy,
             concurrency_factor=concurrency,
             batch_size=config.batch_size,
@@ -336,11 +326,7 @@ class Executor:
             plan_migrations=plan_migrations,
             udf_orders_used=udf_orders_used or None,
             shapes_used=shapes_used or None,
-            peak_in_flight_batches=peak_in_flight,
-            send_stall_seconds=send_stall,
             overlap_window=overlap_window,
             sim_events=self.context.sim_events,
             plan_description=plan.explain(),
-            index_lookups=index_lookups,
-            index_pages_read=index_pages_read,
         )

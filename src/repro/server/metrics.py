@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Optional, Tuple
 
+from repro.core.execution.context import ExecutionCounters
 from repro.core.strategies import ExecutionStrategy
-from repro.network.stats import ChannelStats
+from repro.storage.buffer import BufferStats
 
 
 @dataclass
@@ -20,18 +22,11 @@ class ExecutionMetrics:
     """
 
     elapsed_seconds: float = 0.0
-    downlink_bytes: int = 0
-    uplink_bytes: int = 0
-    downlink_messages: int = 0
-    uplink_messages: int = 0
-    downlink_bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    uplink_bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    udf_invocations: int = 0
-    client_cache_hits: int = 0
-    client_compute_seconds: float = 0.0
+    #: Everything that adds up — both links, the client, the operators'
+    #: counts.  The flat names below read through it, so a new counter is a
+    #: field there and nothing here.
+    counters: ExecutionCounters = field(default_factory=ExecutionCounters)
     rows_returned: int = 0
-    input_rows: int = 0
-    remote_operations: int = 0
     strategy: Optional[ExecutionStrategy] = None
     concurrency_factor: Optional[int] = None
     batch_size: Optional[int] = None
@@ -54,12 +49,8 @@ class ExecutionMetrics:
     #: ``None`` for runs without re-optimization.  Surfaced on
     #: :attr:`repro.server.result.QueryResult.shapes_used`.
     shapes_used: Optional[Tuple[str, ...]] = None
-    #: Overlapped-shipping instrumentation: the deepest the in-flight batch
-    #: window actually got, the simulated time senders spent stalled waiting
-    #: for a window slot, and the window capacity the run ended at (``None``
+    #: The overlapped-shipping window capacity the run ended at (``None``
     #: when every remote operation streamed unbounded).
-    peak_in_flight_batches: int = 0
-    send_stall_seconds: float = 0.0
     overlap_window: Optional[int] = None
     #: Simulator entries processed while the query ran — the host-side work
     #: of the shipping simulation, expected to stay within a small multiple
@@ -75,99 +66,40 @@ class ExecutionMetrics:
     admission_wait_seconds: float = 0.0
     #: Buffer-pool traffic this query caused, stamped by the
     #: :class:`~repro.server.engine.Database` when it runs over durable paged
-    #: storage (all zero for in-memory databases): page requests served from
-    #: the pool, page requests that went to disk, pages evicted to make room,
-    #: and the pool-wide pinned-page high-water mark at the end of the query.
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    buffer_evictions: int = 0
-    buffer_pinned_peak: int = 0
+    #: storage (all zero for in-memory databases): the pool's counters after
+    #: the query minus before it, with the pool-wide pinned-page high-water
+    #: mark at the end of the query.
+    buffers: BufferStats = BufferStats()
+
+    downlink_bytes = property(attrgetter("counters.downlink.total_bytes"))
+    uplink_bytes = property(attrgetter("counters.uplink.total_bytes"))
+    downlink_messages = property(attrgetter("counters.downlink.message_count"))
+    uplink_messages = property(attrgetter("counters.uplink.message_count"))
+    udf_invocations = property(attrgetter("counters.udf_invocations"))
+    client_cache_hits = property(attrgetter("counters.client_cache_hits"))
+    client_compute_seconds = property(attrgetter("counters.client_compute_seconds"))
+    remote_operations = property(attrgetter("counters.remote_operations"))
+    input_rows = property(attrgetter("counters.input_rows"))
+    #: Overlapped shipping: the deepest the in-flight batch window actually
+    #: got, and the simulated time senders spent stalled waiting for a slot.
+    peak_in_flight_batches = property(attrgetter("counters.peak_in_flight_batches"))
+    send_stall_seconds = property(attrgetter("counters.send_stall_seconds"))
     #: Secondary-index traffic: how many index probes the plan issued (one
     #: per index scan, one per index nested-loop probe) and how many index
     #: pages those probes pinned through the buffer pool.  Both zero for
     #: plans that only sequential-scan.
-    index_lookups: int = 0
-    index_pages_read: int = 0
-
-    @classmethod
-    def from_run(
-        cls,
-        elapsed_seconds: float,
-        channel_stats: ChannelStats,
-        udf_invocations: int,
-        client_cache_hits: int,
-        client_compute_seconds: float,
-        rows_returned: int,
-        input_rows: int = 0,
-        remote_operations: int = 0,
-        strategy: Optional[ExecutionStrategy] = None,
-        concurrency_factor: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        batch_size_trace: Optional[Tuple[int, ...]] = None,
-        converged_batch_size: Optional[int] = None,
-        strategy_switches: int = 0,
-        strategies_used: Optional[Tuple[ExecutionStrategy, ...]] = None,
-        replan_attempts: int = 0,
-        plan_migrations: int = 0,
-        udf_orders_used: Optional[Tuple[Tuple[str, ...], ...]] = None,
-        shapes_used: Optional[Tuple[str, ...]] = None,
-        peak_in_flight_batches: int = 0,
-        send_stall_seconds: float = 0.0,
-        overlap_window: Optional[int] = None,
-        sim_events: int = 0,
-        plan_description: str = "",
-        index_lookups: int = 0,
-        index_pages_read: int = 0,
-    ) -> "ExecutionMetrics":
-        return cls(
-            elapsed_seconds=elapsed_seconds,
-            downlink_bytes=channel_stats.downlink.total_bytes,
-            uplink_bytes=channel_stats.uplink.total_bytes,
-            downlink_messages=channel_stats.downlink.message_count,
-            uplink_messages=channel_stats.uplink.message_count,
-            downlink_bytes_by_kind=dict(channel_stats.downlink.bytes_by_kind),
-            uplink_bytes_by_kind=dict(channel_stats.uplink.bytes_by_kind),
-            udf_invocations=udf_invocations,
-            client_cache_hits=client_cache_hits,
-            client_compute_seconds=client_compute_seconds,
-            rows_returned=rows_returned,
-            input_rows=input_rows,
-            remote_operations=remote_operations,
-            strategy=strategy,
-            concurrency_factor=concurrency_factor,
-            batch_size=batch_size,
-            batch_size_trace=batch_size_trace,
-            converged_batch_size=converged_batch_size,
-            strategy_switches=strategy_switches,
-            strategies_used=strategies_used,
-            replan_attempts=replan_attempts,
-            plan_migrations=plan_migrations,
-            udf_orders_used=udf_orders_used,
-            shapes_used=shapes_used,
-            peak_in_flight_batches=peak_in_flight_batches,
-            send_stall_seconds=send_stall_seconds,
-            overlap_window=overlap_window,
-            sim_events=sim_events,
-            plan_description=plan_description,
-            index_lookups=index_lookups,
-            index_pages_read=index_pages_read,
-        )
+    index_lookups = property(attrgetter("counters.index_lookups"))
+    index_pages_read = property(attrgetter("counters.index_pages_read"))
+    buffer_hits = property(attrgetter("buffers.hits"))
+    buffer_misses = property(attrgetter("buffers.misses"))
+    buffer_evictions = property(attrgetter("buffers.evictions"))
+    buffer_pinned_peak = property(attrgetter("buffers.pinned_peak"))
+    buffer_accesses = property(attrgetter("buffers.accesses"))
+    buffer_hit_ratio = property(attrgetter("buffers.hit_ratio"))
 
     @property
     def total_bytes(self) -> int:
         return self.downlink_bytes + self.uplink_bytes
-
-    @property
-    def buffer_accesses(self) -> int:
-        return self.buffer_hits + self.buffer_misses
-
-    @property
-    def buffer_hit_ratio(self) -> float:
-        """Fraction of page requests served from the pool (0.0 when unused)."""
-        accesses = self.buffer_accesses
-        if accesses <= 0:
-            return 0.0
-        return self.buffer_hits / accesses
 
     @property
     def elapsed_milliseconds(self) -> float:

@@ -8,7 +8,7 @@ from typing import List, Optional
 
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
-from repro.core.execution.context import RemoteExecutionContext
+from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.network.topology import NetworkConfig
 from repro.server.metrics import ExecutionMetrics
 
@@ -21,10 +21,8 @@ class SessionMetrics:
 
     queries: int = 0
     rows_returned: int = 0
-    downlink_bytes: int = 0
-    uplink_bytes: int = 0
-    udf_invocations: int = 0
-    client_cache_hits: int = 0
+    #: Every query's counters, folded: bytes, messages, client work.
+    counters: ExecutionCounters = field(default_factory=ExecutionCounters)
     busy_seconds: float = 0.0
     admission_wait_seconds: float = 0.0
     latencies: List[float] = field(default_factory=list)
@@ -32,17 +30,14 @@ class SessionMetrics:
     def record(self, metrics: ExecutionMetrics) -> None:
         self.queries += 1
         self.rows_returned += metrics.rows_returned
-        self.downlink_bytes += metrics.downlink_bytes
-        self.uplink_bytes += metrics.uplink_bytes
-        self.udf_invocations += metrics.udf_invocations
-        self.client_cache_hits += metrics.client_cache_hits
+        self.counters += metrics.counters
         self.busy_seconds += metrics.elapsed_seconds
         self.admission_wait_seconds += metrics.admission_wait_seconds
         self.latencies.append(metrics.elapsed_seconds)
 
     @property
     def total_bytes(self) -> int:
-        return self.downlink_bytes + self.uplink_bytes
+        return self.counters.downlink.total_bytes + self.counters.uplink.total_bytes
 
     @property
     def mean_latency_seconds(self) -> float:

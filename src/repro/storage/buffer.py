@@ -6,9 +6,8 @@ block to get a buffer (reading it from disk only on a miss), mutate the
 page through the buffer, and :meth:`~BufferManager.unpin` it when done.
 Dirty buffers are written back when evicted or on :meth:`~BufferManager.flush_all`.
 
-Two replacement policies are provided: ``"lru"`` (evict the least recently
-unpinned buffer) and ``"clock"`` (second-chance sweep).  Both only ever
-evict unpinned buffers; pinning more blocks than the pool holds raises
+Replacement is LRU: the least recently unpinned buffer is evicted, and only
+unpinned buffers ever are; pinning more blocks than the pool holds raises
 :class:`~repro.errors.StorageError` rather than blocking, because the
 engine is single-threaded and a full pool means a pin leak.
 
@@ -61,14 +60,13 @@ class BufferStats:
 class Buffer:
     """One pool slot: a page, the block it holds, and its pin/dirty state."""
 
-    __slots__ = ("page", "block", "pins", "dirty", "referenced")
+    __slots__ = ("page", "block", "pins", "dirty")
 
     def __init__(self, block_size: int) -> None:
         self.page = Page(block_size)
         self.block: Optional[BlockId] = None
         self.pins = 0
         self.dirty = False
-        self.referenced = False
 
     @property
     def is_pinned(self) -> bool:
@@ -85,19 +83,11 @@ class Buffer:
 class BufferManager:
     """A bounded pool of buffers over one :class:`FileManager`."""
 
-    def __init__(
-        self,
-        file_manager: FileManager,
-        pool_size: int = 64,
-        policy: str = "lru",
-    ) -> None:
+    def __init__(self, file_manager: FileManager, pool_size: int = 64) -> None:
         if pool_size < 1:
             raise StorageError("buffer pool needs at least one buffer")
-        if policy not in ("lru", "clock"):
-            raise StorageError(f"unknown replacement policy {policy!r}")
         self.file_manager = file_manager
         self.pool_size = int(pool_size)
-        self.policy = policy
         self._buffers: List[Buffer] = [
             Buffer(file_manager.block_size) for _ in range(self.pool_size)
         ]
@@ -105,7 +95,6 @@ class BufferManager:
         self._free: List[Buffer] = list(self._buffers)
         # LRU order of *unpinned* resident buffers, oldest first.
         self._lru: "OrderedDict[BlockId, Buffer]" = OrderedDict()
-        self._clock_hand = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -202,7 +191,6 @@ class BufferManager:
             if self._pinned > self.pinned_peak:
                 self.pinned_peak = self._pinned
         buffer.pins += 1
-        buffer.referenced = True
 
     def _write_back(self, buffer: Buffer) -> None:
         if buffer.dirty and buffer.block is not None:
@@ -212,7 +200,7 @@ class BufferManager:
     def _allocate(self) -> Buffer:
         if self._free:
             return self._free.pop()
-        victim = self._evict_lru() if self.policy == "lru" else self._evict_clock()
+        victim = self._evict_lru()
         if victim is None:
             raise StorageError(
                 f"buffer pool exhausted: all {self.pool_size} buffers are pinned"
@@ -224,19 +212,4 @@ class BufferManager:
             if not buffer.is_pinned:
                 del self._lru[block]
                 return buffer
-        return None
-
-    def _evict_clock(self) -> Optional[Buffer]:
-        # Two full sweeps: the first clears reference bits, the second evicts.
-        for _ in range(2 * self.pool_size):
-            buffer = self._buffers[self._clock_hand]
-            self._clock_hand = (self._clock_hand + 1) % self.pool_size
-            if buffer.is_pinned:
-                continue
-            if buffer.referenced:
-                buffer.referenced = False
-                continue
-            if buffer.block is not None:
-                self._lru.pop(buffer.block, None)
-            return buffer
         return None

@@ -138,6 +138,9 @@ class SharedExecutionContext(RemoteExecutionContext):
         flow: str,
         client: ClientRuntime,
         channel_name: str,
+        session: Optional[ClientSession] = None,
+        observer: Optional[Any] = None,
+        site: Optional[str] = None,
     ) -> "SharedExecutionContext":
         """A fresh per-query channel for ``client`` on the shared simulator.
 
@@ -146,7 +149,9 @@ class SharedExecutionContext(RemoteExecutionContext):
         delegate serialisation to the shared ``(downlink, uplink)`` trunks
         under ``flow``, so cross-query contention and per-flow attribution
         happen at the trunk.  Multi-tenant sessions and scatter-gather shard
-        tasks both get their contexts here.
+        tasks both get their contexts here, and say here whom the query runs
+        for (``session``), where it learns (``observer``, whose store is the
+        tenant's statistics) and which server ``site`` it observes.
         """
         channel = network.build_channel(
             simulator,
@@ -155,7 +160,9 @@ class SharedExecutionContext(RemoteExecutionContext):
             uplink_scheduler=trunks[1],
             flow=flow,
         )
-        return cls(simulator, channel, client, network=network, worker=worker)
+        context = cls(simulator, channel, client, network=network, worker=worker)
+        context.session, context.observer, context.site = session, observer, site
+        return context
 
     def _drive_exchange(self, coordinator_process: Any) -> None:
         self._worker.await_event(coordinator_process)
@@ -301,19 +308,14 @@ class MultiTenantEngine:
                     use_result_cache=session.use_result_cache,
                 ),
                 channel_name=f"{session.name}.channel{session.queries_executed}",
-            )
-            statistics = observer = None
-            if self.tenant_statistics is not None:
-                statistics = self.tenant_statistics.for_tenant(session.tenant_id)
-                observer = self.tenant_statistics.observer_for(session.tenant_id)
-            result = self.db.execute(
-                spec.sql,
-                context=context,
-                statistics=statistics,
-                observer=observer,
                 session=session,
-                **spec.options,
+                observer=(
+                    self.tenant_statistics.observer_for(session.tenant_id)
+                    if self.tenant_statistics is not None
+                    else None
+                ),
             )
+            result = self.db.execute(spec.sql, context=context, **spec.options)
             metrics = result.metrics
             metrics.admission_wait_seconds = record.admission_wait_seconds
             session.metrics.admission_wait_seconds += record.admission_wait_seconds

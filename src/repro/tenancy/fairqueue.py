@@ -101,7 +101,6 @@ class LinkScheduler:
         #: Trunk-level statistics across every flow sharing this scheduler.
         self.stats = LinkStats(name=name)
         self._transmitting = False
-        self._current_finish = 0.0
         self._queued_count = 0
 
     # -- discipline hooks ---------------------------------------------------------
@@ -110,13 +109,6 @@ class LinkScheduler:
         raise NotImplementedError
 
     def _dequeue(self) -> Optional[_Transmission]:
-        raise NotImplementedError
-
-    def _queued_bytes(self) -> int:
-        raise NotImplementedError
-
-    def _peek(self) -> Optional[_Transmission]:
-        """The next queued item without removing it (``None`` when empty)."""
         raise NotImplementedError
 
     # -- submission ----------------------------------------------------------------
@@ -148,7 +140,6 @@ class LinkScheduler:
         message = item.message
         transmission = item.size_bytes / link.bandwidth_at(now)
         queued_for = now - item.enqueued_at
-        self._current_finish = now + transmission
 
         link.stats.record(message, queued_for=queued_for, transmission=transmission, flow=link.flow)
         self.stats.record(message, queued_for=queued_for, transmission=transmission, flow=item.flow)
@@ -160,7 +151,7 @@ class LinkScheduler:
         # Delivery into the submitting link's own mailbox after propagation:
         # its own entry, unless it lands on the completion's instant, where
         # the completion entry delivers after the sender's callbacks.
-        item.delivers = now + (transmission + link.latency) == self._current_finish
+        item.delivers = now + (transmission + link.latency) == now + transmission
         if not item.delivers:
             delivery = Event(self.simulator, name=(link.name, ".rx#", message.sequence))
             delivery.add_callback(link._deliver)
@@ -176,24 +167,6 @@ class LinkScheduler:
     def queue_depth(self) -> int:
         """Messages waiting behind the one currently serialising."""
         return self._queued_count
-
-    @property
-    def busy_until(self) -> float:
-        """Estimated time the trunk drains its backlog (for cost heuristics).
-
-        Covers the message currently serialising *and* the queued backlog,
-        priced at the bandwidth the head link will see when the trunk frees
-        up (drift-aware, one sample — an estimate, exactly like the cost
-        heuristics consuming it).
-        """
-        now = self.simulator.now
-        finish = max(now, self._current_finish) if self._transmitting else now
-        backlog = self._queued_bytes()
-        if backlog > 0:
-            head = self._peek()
-            if head is not None:
-                finish += backlog / head.link.bandwidth_at(finish)
-        return finish
 
     def __repr__(self) -> str:
         return (
@@ -216,12 +189,6 @@ class FifoLinkScheduler(LinkScheduler):
         if not self._queue:
             return None
         return self._queue.popleft()
-
-    def _queued_bytes(self) -> int:
-        return sum(item.size_bytes for item in self._queue)
-
-    def _peek(self) -> Optional[_Transmission]:
-        return self._queue[0] if self._queue else None
 
 
 class DeficitRoundRobinScheduler(LinkScheduler):
@@ -287,25 +254,6 @@ class DeficitRoundRobinScheduler(LinkScheduler):
             self._active.append(self._active.popleft())
             self._fresh_visit = True
         return None
-
-    def _queued_bytes(self) -> int:
-        return sum(
-            item.size_bytes for queue in self._flows.values() for item in queue
-        )
-
-    def _peek(self) -> Optional[_Transmission]:
-        # The head of the current round's flow — a deficit rotation may serve
-        # another flow first, but for backlog estimation the head message is
-        # representative without mutating the round state.
-        if not self._active:
-            return None
-        queue = self._flows[self._active[0]]
-        return queue[0] if queue else None
-
-    def backlog(self, flow: str) -> int:
-        """Messages queued for ``flow`` (0 if the flow is idle or unknown)."""
-        queue = self._flows.get(flow)
-        return len(queue) if queue else 0
 
 
 def shared_trunks(

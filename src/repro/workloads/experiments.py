@@ -19,12 +19,13 @@ client-site UDF over the same argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
 from repro.core.costmodel import CostModel, CostParameters
-from repro.core.execution.context import RemoteExecutionContext
+from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.core.execution.rewrite import build_operator
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
@@ -44,18 +45,21 @@ class ExperimentPoint:
 
     strategy: ExecutionStrategy
     elapsed_seconds: float
-    downlink_bytes: int
-    uplink_bytes: int
+    #: What the run's context moved and computed (``context.counters()``).
+    counters: ExecutionCounters
     rows: int
-    udf_invocations: int
-    downlink_messages: int = 0
-    uplink_messages: int = 0
     result_rows: Tuple[Tuple, ...] = ()
     parameters: Dict[str, float] = field(default_factory=dict)
     #: Mid-query strategy switching, when the config armed it: how many
     #: switches fired and which strategies ran, in first-use order.
     strategy_switches: int = 0
     strategies_used: Tuple[ExecutionStrategy, ...] = ()
+
+    downlink_bytes = property(attrgetter("counters.downlink.total_bytes"))
+    uplink_bytes = property(attrgetter("counters.uplink.total_bytes"))
+    downlink_messages = property(attrgetter("counters.downlink.message_count"))
+    uplink_messages = property(attrgetter("counters.uplink.message_count"))
+    udf_invocations = property(attrgetter("counters.udf_invocations"))
 
     @property
     def total_bytes(self) -> int:
@@ -129,12 +133,8 @@ def run_workload_point(
     return ExperimentPoint(
         strategy=config.strategy,
         elapsed_seconds=context.elapsed_seconds,
-        downlink_bytes=context.downlink_bytes,
-        uplink_bytes=context.uplink_bytes,
+        counters=context.counters(),
         rows=len(rows),
-        udf_invocations=context.client.udf_invocations,
-        downlink_messages=context.channel.downlink.stats.message_count,
-        uplink_messages=context.channel.uplink.stats.message_count,
         strategy_switches=controller.change_count if controller is not None else 0,
         strategies_used=controller.strategies_used if controller is not None else (),
         # repr is a total order over mixed-type (and None-valued) rows, which
@@ -198,10 +198,8 @@ class ConcurrencySweep:
         return ExperimentPoint(
             strategy=ExecutionStrategy.SEMI_JOIN,
             elapsed_seconds=context.elapsed_seconds,
-            downlink_bytes=context.downlink_bytes,
-            uplink_bytes=context.uplink_bytes,
+            counters=context.counters(),
             rows=len(rows),
-            udf_invocations=context.client.udf_invocations,
             parameters={"object_size": object_size, "concurrency_factor": factor},
         )
 

@@ -452,7 +452,7 @@ class TestObservationAndStore:
         preferred = db.statistics.preferred_batch_size()
         assert preferred is not None
         # The next adaptive query warm-starts at the learned size.
-        controller = db.new_batch_controller()
+        controller = db.new_controller_bank().controller_for("Score")
         assert controller.current() == preferred
 
     def test_adaptive_rows_match_static(self):

@@ -10,12 +10,14 @@ from repro.core.optimizer import (
     scatter_gather_cost,
     CostSettings,
 )
-from repro.core.strategies import ExecutionStrategy
+from repro.core.execution.context import ExecutionCounters
+from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
-from repro.relational.types import INTEGER, STRING
+from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.relational.tuples import Row
+from repro.server.engine import Database
 from repro.distribution import (
     ClusterConfig,
     DistributedDatabase,
@@ -330,6 +332,71 @@ class TestDistributedExecution:
         assert set(store.site_ids) == {"site0", "site1"}
         down, up = store.observed_site_bandwidth("site0")
         assert down is not None and down > 0
+
+    def test_metrics_report_what_the_shards_did(self):
+        """Regression: the coordinator's fold was written for seven of the
+        counters, so the overlap and index counters read 0 whatever the
+        shards did.  Shards, workers and coordinator now fold one value."""
+        network = NetworkConfig.symmetric(120_000.0, latency=0.01)
+        columns = [("Name", STRING), ("V", FLOAT), ("Bucket", INTEGER)]
+        rows = [[f"T{i:04d}", float(i % 37), i] for i in range(400)]
+        sql = "SELECT T.Name FROM Trades T WHERE Score(T.V) > 30"
+        config = StrategyConfig.semi_join(batch_size=8, overlap_window=2)
+        single = Database(network=network)
+        dist = DistributedDatabase(
+            ClusterConfig(
+                sites=[SiteConfig(f"site{index}", network) for index in range(4)],
+                sharding=[ShardingSpec(table="Trades", column="Bucket", shards=4)],
+            )
+        )
+        for db in (single, dist):
+            db.create_table("Trades", columns, rows=rows)
+            db.register_client_udf(
+                "Score",
+                lambda v: v * 2.0,
+                result_dtype=FLOAT,
+                result_size_bytes=8,
+                cost_per_call_seconds=0.0005,
+                selectivity=0.5,
+            )
+        base = single.execute(sql, config=config).metrics
+        assert base.peak_in_flight_batches == 2
+        assert base.send_stall_seconds == pytest.approx(0.048)
+
+        result = dist.execute(sql, config=config)
+        metrics = result.metrics
+        assert len(result.rows) == 224
+        # A high-water mark is the maximum over shards, stall time their sum.
+        assert metrics.peak_in_flight_batches == 2
+        assert metrics.send_stall_seconds == pytest.approx(0.192)
+        assert metrics.udf_invocations == 148
+        assert metrics.input_rows == 400
+        assert metrics.remote_operations == 4
+        assert (metrics.downlink_bytes, metrics.uplink_bytes) == (3712, 1632)
+
+    def test_index_counters_survive_the_fold(self, tmp_path):
+        """No shard plan can use an index yet (fragments live in memory), so
+        the indexed case feeds a real indexed run's counters through the same
+        ``+`` the shard workers and the coordinator fold with."""
+        db = Database(
+            network=site_network(),
+            storage_dir=str(tmp_path),
+            cost_settings=CostSettings(block_access_seconds=0.005),
+        )
+        db.create_table(
+            "T", [("K", INTEGER), ("Name", STRING)], rows=[[i, f"n{i}"] for i in range(400)]
+        )
+        db.create_index("t_k", "T", "K")
+        db.analyze("T")
+        indexed = db.execute("SELECT T.Name FROM T WHERE T.K = 7", optimize=True).metrics
+        assert indexed.index_lookups == 1 and indexed.index_pages_read > 0
+        plain = db.execute("SELECT T.Name FROM T WHERE T.K = 7").metrics
+        assert plain.index_lookups == 0
+
+        folded = ExecutionCounters() + indexed.counters + plain.counters + indexed.counters
+        assert folded.index_lookups == 2
+        assert folded.index_pages_read == 2 * indexed.index_pages_read
+        db.close()
 
     def test_replica_pricing_avoids_the_slow_site(self):
         # site0 is 100x slower than site1 on a transfer-dominated fragment;

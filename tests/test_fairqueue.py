@@ -202,18 +202,16 @@ class TestSingleFlowEquivalence:
         assert shared[2] == pytest.approx(legacy[2])
 
 
-class TestBusyUntil:
+class TestQueueDepth:
     @pytest.mark.parametrize("discipline", ["fifo", "drr"])
-    def test_backlog_counts_toward_busy_until(self, discipline):
-        """Regression: busy_until only priced the message currently on the
-        wire, so admission heuristics saw a queue of N messages as "almost
-        free".  It must cover the serialising message *and* the backlog."""
+    def test_queue_depth_counts_messages_behind_the_wire(self, discipline):
         sim = Simulator()
         trunk = (
             FifoLinkScheduler(sim)
             if discipline == "fifo"
             else DeficitRoundRobinScheduler(sim, quantum_bytes=512)
         )
+        assert not trunk.busy and trunk.queue_depth == 0
         link = make_link(sim, "l", trunk, "f")
         sizes = [400, 300, 200, 100]
         total = 0
@@ -222,18 +220,12 @@ class TestBusyUntil:
             total += message.size_bytes
             link.send(message)
         # Everything submitted at t=0; the first message is serialising and
-        # three are queued.  The drain estimate must equal the full makespan.
-        assert trunk.queue_depth == 3
-        assert trunk.busy_until == pytest.approx(total / BANDWIDTH)
+        # three are queued.
+        assert trunk.busy and trunk.queue_depth == 3
         sim.run()
         assert sim.now == pytest.approx(total / BANDWIDTH)
         # Drained: nothing queued, nothing serialising.
-        assert trunk.busy_until == pytest.approx(sim.now)
-
-    def test_idle_trunk_reports_now(self):
-        sim = Simulator()
-        trunk = FifoLinkScheduler(sim)
-        assert trunk.busy_until == sim.now == 0.0
+        assert not trunk.busy and trunk.queue_depth == 0
 
 
 class TestDriftTraceIdentity:

@@ -1,4 +1,4 @@
-"""Tests for LinkStats accounting: rows/message, merge(), executor consistency."""
+"""Tests for LinkStats accounting: rows/message, the +/- algebra, executor consistency."""
 
 import pytest
 
@@ -81,7 +81,7 @@ class TestMerge:
     def test_merge_adds_every_counter(self):
         left = self.make_stats("l", rows=[10, 20], kinds=["control"])
         right = self.make_stats("l", rows=[5], kinds=["control", "error"])
-        merged = left.merge(right)
+        merged = left + right
 
         assert merged.name == "l"
         assert merged.message_count == left.message_count + right.message_count
@@ -102,18 +102,106 @@ class TestMerge:
         left = self.make_stats("l", rows=[10], kinds=[])
         right = self.make_stats("l", rows=[20], kinds=[])
         before = (left.message_count, left.rows_transferred, dict(left.bytes_by_kind))
-        left.merge(right)
+        left + right
         assert (left.message_count, left.rows_transferred, dict(left.bytes_by_kind)) == before
 
     def test_merged_rows_per_message_is_weighted(self):
         left = self.make_stats("l", rows=[10] * 3, kinds=[])
         right = self.make_stats("l", rows=[40], kinds=["control"])
-        merged = left.merge(right)
+        merged = left + right
         assert merged.rows_per_message == pytest.approx(70 / 4)
 
 
+class TestCounterAlgebra:
+    """``+`` folds two streams, ``-`` is what happened between two readings."""
+
+    # Dyadic seconds, so the float counters add and subtract exactly.
+    STREAM = [
+        (data_message(10, payload_bytes=84), 0.5, 0.25),
+        (end_of_stream(), 0.0, 0.125),
+        (data_message(3, payload_bytes=20), 0.25, 0.5),
+        (error_message(ValueError("x")), 0.125, 0.0625),
+        (data_message(7, payload_bytes=300), 0.0, 1.0),
+    ]
+
+    def recorded(self, entries, flow=None):
+        stats = LinkStats(name="l")
+        for message, queued_for, transmission in entries:
+            stats.record(message, queued_for=queued_for, transmission=transmission, flow=flow)
+        return stats
+
+    @pytest.mark.parametrize("split", range(len(STREAM) + 1))
+    def test_recording_the_halves_and_adding_is_recording_the_whole(self, split):
+        whole = self.recorded(self.STREAM)
+        first, second = self.recorded(self.STREAM[:split]), self.recorded(self.STREAM[split:])
+        assert first + second == whole
+        assert first.snapshot() + second.snapshot() == whole.snapshot()
+        # On arbitrary floats the halves add in stream order: first, then second.
+        assert (first + second).busy_seconds == first.busy_seconds + second.busy_seconds
+
+    @pytest.mark.parametrize("split", range(len(STREAM) + 1))
+    def test_difference_of_two_readings_is_what_happened_between(self, split):
+        live = self.recorded(self.STREAM[:split])
+        before = live.snapshot()
+        for message, queued_for, transmission in self.STREAM[split:]:
+            live.record(message, queued_for=queued_for, transmission=transmission)
+        between = self.recorded(self.STREAM[split:]).snapshot()
+        assert live - before == between
+        assert (before + between) - before == between
+
+    def test_snapshot_does_not_move_with_the_live_counters(self):
+        live = self.recorded(self.STREAM[:2])
+        reading = live.snapshot()
+        frozen = (reading.message_count, reading.total_bytes, reading.busy_seconds)
+        live.record(*self.STREAM[2])
+        assert (reading.message_count, reading.total_bytes, reading.busy_seconds) == frozen
+        assert live.message_count == reading.message_count + 1
+        assert not hasattr(reading, "flows")
+
+    def test_single_flow_child_equals_the_link_total(self):
+        stats = self.recorded(self.STREAM, flow="only")
+        assert stats.flow("only") == stats.snapshot()
+        assert stats.flow("only").rows_per_message == stats.rows_per_message
+
+    def test_execution_counters_fold_maps_key_by_key_and_peaks_by_maximum(self):
+        from repro.core.execution.context import ExecutionCounters
+
+        first = ExecutionCounters(
+            downlink=self.recorded(self.STREAM[:2]).snapshot(),
+            udf_invocations=3,
+            client_compute_seconds=0.75,
+            invocations_by_udf={"f": 2, "g": 1},
+            compute_seconds_by_udf={"f": 0.5, "g": 0.25},
+            input_rows=10,
+            send_stall_seconds=0.5,
+            index_lookups=1,
+            peak_in_flight_batches=4,
+        )
+        second = ExecutionCounters(
+            downlink=self.recorded(self.STREAM[2:]).snapshot(),
+            udf_invocations=1,
+            client_compute_seconds=0.5,
+            invocations_by_udf={"h": 1},
+            compute_seconds_by_udf={"h": 0.5},
+            input_rows=5,
+            peak_in_flight_batches=2,
+        )
+        total = first + second
+        assert total.downlink == self.recorded(self.STREAM).snapshot()
+        assert (total.udf_invocations, total.input_rows, total.index_lookups) == (4, 15, 1)
+        assert total.invocations_by_udf == {"f": 2, "g": 1, "h": 1}
+        assert total.compute_seconds_by_udf == {"f": 0.5, "g": 0.25, "h": 0.5}
+        assert total.peak_in_flight_batches == 4  # a high-water mark, not a sum
+        assert (ExecutionCounters() + first) == first
+        since = total - first
+        assert since.downlink == second.downlink
+        assert (since.udf_invocations, since.client_compute_seconds) == (1, 0.5)
+        assert since.invocations_by_udf == {"f": 0, "g": 0, "h": 1}
+        assert since.peak_in_flight_batches == 4  # not differenced: still the peak seen
+
+
 class TestFlowAttribution:
-    """Per-flow sub-counters: populated on tag, preserved by merge()."""
+    """Per-flow sub-counters: populated on tag, preserved by ``+``."""
 
     def test_record_with_flow_populates_sub_counters(self):
         stats = LinkStats(name="trunk")
@@ -171,7 +259,7 @@ class TestFlowAttribution:
         right.record(data_message(5), queued_for=0.3, transmission=0.1, flow="b")
         right.record(data_message(7), queued_for=0.0, transmission=0.15, flow="c")
 
-        merged = left.merge(right)
+        merged = left + right
         assert set(merged.flows) == {"a", "b", "c"}
         assert merged.flow("a").rows_transferred == 10
         assert merged.flow("b").rows_transferred == 25
@@ -187,14 +275,14 @@ class TestFlowAttribution:
         assert left.flow("b").rows_transferred == 20
 
     def test_flow_stats_merge_and_achieved_bandwidth(self):
-        first = FlowStats(flow="f")
+        first = FlowStats("f")
         first.record(data_message(4, payload_bytes=84), queued_for=1.0, transmission=1.0)
-        second = FlowStats(flow="f")
+        second = FlowStats("f")
         second.record(data_message(2, payload_bytes=84), queued_for=0.0, transmission=2.0)
-        merged = first.merge(second)
+        merged = first + second
         assert merged.total_bytes == 200
         assert merged.achieved_bandwidth == pytest.approx(200 / 4.0)
-        assert FlowStats(flow="idle").achieved_bandwidth is None
+        assert FlowStats("idle").achieved_bandwidth is None
 
     def test_flow_bytes_feeds_fairness_metrics(self):
         stats = LinkStats(name="trunk")

@@ -167,7 +167,7 @@ class TestBufferManager:
     def test_hits_misses_and_evictions(self, tmp_path):
         files = FileManager(str(tmp_path), block_size=128)
         blocks = _make_blocks(files, "t.tbl", 4)
-        pool = BufferManager(files, pool_size=2, policy="lru")
+        pool = BufferManager(files, pool_size=2)
         pool.unpin(pool.pin(blocks[0]))
         pool.unpin(pool.pin(blocks[0]))  # resident: a hit
         pool.unpin(pool.pin(blocks[1]))
@@ -183,7 +183,7 @@ class TestBufferManager:
     def test_lru_evicts_least_recently_unpinned(self, tmp_path):
         files = FileManager(str(tmp_path), block_size=128)
         blocks = _make_blocks(files, "t.tbl", 3)
-        pool = BufferManager(files, pool_size=2, policy="lru")
+        pool = BufferManager(files, pool_size=2)
         pool.unpin(pool.pin(blocks[0]))
         pool.unpin(pool.pin(blocks[1]))
         pool.unpin(pool.pin(blocks[0]))  # 0 is now most recent
@@ -194,7 +194,7 @@ class TestBufferManager:
     def test_pinned_buffers_never_evicted_and_pool_exhaustion(self, tmp_path):
         files = FileManager(str(tmp_path), block_size=128)
         blocks = _make_blocks(files, "t.tbl", 3)
-        pool = BufferManager(files, pool_size=2, policy="lru")
+        pool = BufferManager(files, pool_size=2)
         pool.pin(blocks[0])
         pool.pin(blocks[1])
         with pytest.raises(StorageError):
@@ -203,15 +203,14 @@ class TestBufferManager:
         assert pool.stats().pinned_peak == 2
         files.close()
 
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_pinned_count_tracks_a_scan_of_the_pool(self, tmp_path, policy):
+    def test_pinned_count_tracks_a_scan_of_the_pool(self, tmp_path):
         """The counter kept on pin transitions reads what counting the pinned
         frames reads, re-pins and evictions included, and so does the peak."""
         import random
 
         files = FileManager(str(tmp_path), block_size=128)
         blocks = _make_blocks(files, "t.tbl", 12)
-        pool = BufferManager(files, pool_size=4, policy=policy)
+        pool = BufferManager(files, pool_size=4)
         rng = random.Random(7)
         held, peak = [], 0
         for _ in range(400):
@@ -229,21 +228,10 @@ class TestBufferManager:
         assert pool.stats().pinned_peak == peak == pool.pool_size
         files.close()
 
-    def test_clock_policy_evicts(self, tmp_path):
-        files = FileManager(str(tmp_path), block_size=128)
-        blocks = _make_blocks(files, "t.tbl", 5)
-        pool = BufferManager(files, pool_size=2, policy="clock")
-        for block in blocks:
-            buffer = pool.pin(block)
-            assert buffer.page.read_int(0) == block.number
-            pool.unpin(buffer)
-        assert pool.stats().evictions == 3
-        files.close()
-
     def test_dirty_pages_survive_eviction(self, tmp_path):
         files = FileManager(str(tmp_path), block_size=128)
         blocks = _make_blocks(files, "t.tbl", 3)
-        pool = BufferManager(files, pool_size=1, policy="lru")
+        pool = BufferManager(files, pool_size=1)
         buffer = pool.pin(blocks[0])
         buffer.page.write_int(0, 7777)
         buffer.mark_dirty()
@@ -271,10 +259,10 @@ class TestBufferManager:
             pool.discard("t.tbl")
         files.close()
 
-    def test_bad_policy_rejected(self, tmp_path):
+    def test_empty_pool_rejected(self, tmp_path):
         files = FileManager(str(tmp_path), block_size=128)
         with pytest.raises(StorageError):
-            BufferManager(files, policy="fifo")
+            BufferManager(files, pool_size=0)
         files.close()
 
 

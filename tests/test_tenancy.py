@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.adaptive import BatchSizeController, TenantStatistics
 from repro.adaptive.observer import LinkObservation
 from repro.core.strategies import ExecutionStrategy
 from repro.network.simulator import Simulator
+from repro.server.engine import Database
 from repro.server.executor import ExecutorSlots
 from repro.tenancy import (
     AdmissionPolicy,
@@ -235,6 +238,11 @@ class TestTenantIsolation:
         # The database-wide store saw none of the tenant traffic.
         assert db.statistics.queries_observed == before
         assert stats.for_tenant("alpha") is not stats.for_tenant("beta")
+        # Whom a query runs for and where it learns ride on its execution
+        # context; ``execute`` has no keywords for them.
+        assert not {"statistics", "observer", "session"} & set(
+            inspect.signature(Database.execute).parameters
+        )
 
     def test_session_metrics_aggregate_per_session(self):
         engine = MultiTenantEngine(make_tenant_database(), fair_queueing="fifo")
@@ -251,6 +259,34 @@ class TestTenantIsolation:
         metrics = engine._records[0].metrics
         assert metrics.tenant_id == "alpha"
         assert metrics.session_id == "alpha-s0"
+
+
+class TestMetricsSurface:
+    #: Every flat name the benchmarks, examples and tests read off a result.
+    NAMES = (
+        "downlink_bytes uplink_bytes downlink_messages uplink_messages rows_returned "
+        "elapsed_seconds remote_operations input_rows send_stall_seconds "
+        "peak_in_flight_batches udf_invocations client_cache_hits client_compute_seconds "
+        "converged_batch_size strategy_switches replan_attempts plan_migrations total_bytes "
+        "index_lookups index_pages_read buffer_hits buffer_misses buffer_accesses"
+    ).split()
+
+    def test_every_name_resolves_on_every_engine(self):
+        from repro.workloads.sharding import FILTER_SQL, make_sharded_setup
+
+        engine = MultiTenantEngine(make_tenant_database(), fair_queueing="drr")
+        report = engine.run([SessionWorkload(tenant_id="a", queries=[point_query_spec()])])
+        _, dist = make_sharded_setup(sites=2, shards=2, rows=12, series_points=6)
+        for metrics in (
+            make_tenant_database().execute(POINT_SQL).metrics,
+            report.records[0].metrics,
+            dist.execute(FILTER_SQL).metrics,
+        ):
+            for name in self.NAMES:
+                assert getattr(metrics, name) is None or getattr(metrics, name) >= 0, name
+            assert metrics.total_bytes == metrics.downlink_bytes + metrics.uplink_bytes > 0
+            assert metrics.udf_invocations > 0 and metrics.input_rows > 0
+            assert f"downlink {metrics.downlink_bytes} B" in metrics.summary()
 
 
 class TestOpenLoop:

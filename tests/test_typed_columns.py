@@ -50,7 +50,13 @@ from repro.relational.types import BOOLEAN, FLOAT, INTEGER, DataObject, DATA_OBJ
 # ---------------------------------------------------------------------------
 
 
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="without NumPy every column is a plain list"
+)
+
+
 class TestTypedColumnSemantics:
+    @needs_numpy
     def test_round_trip_and_python_scalars(self):
         column = build_typed_column([1, 2, 3], INTEGER)
         assert isinstance(column, TypedColumn)
@@ -66,6 +72,7 @@ class TestTypedColumnSemantics:
         assert flags.to_list() == [True, False, True]
         assert all(type(value) is bool for value in flags)
 
+    @needs_numpy
     def test_widths_match_wire_sizes(self):
         assert build_typed_column([1], INTEGER).width == 4
         assert build_typed_column([1.0], FLOAT).width == 8
@@ -82,6 +89,7 @@ class TestTypedColumnSemantics:
         assert build_typed_column([-(2**63) - 1], INTEGER) is None
         assert build_typed_column([DataObject(8, seed=1)], DATA_OBJECT) is None
 
+    @needs_numpy
     def test_nulls_round_trip(self):
         column = build_typed_column([1, None, 3, None], INTEGER)
         assert isinstance(column, TypedColumn)
@@ -90,6 +98,7 @@ class TestTypedColumnSemantics:
         assert column.to_list() == [1, None, 3, None]
         assert column[1] is None
 
+    @needs_numpy
     def test_take_and_mask_and_slice(self):
         column = build_typed_column([10, None, 30, 40], INTEGER)
         assert column.take([3, 0]).to_list() == [40, 10]
@@ -98,6 +107,7 @@ class TestTypedColumnSemantics:
         assert column[1:3].to_list() == [None, 30]
         assert column[0:1].validity is None
 
+    @needs_numpy
     def test_concat(self):
         left = build_typed_column([1, None], INTEGER)
         right = build_typed_column([3, 4], INTEGER)
@@ -105,11 +115,13 @@ class TestTypedColumnSemantics:
         assert merged.to_list() == [1, None, 3, 4]
         assert merged.null_count == 1
 
+    @needs_numpy
     def test_scalar_fallback_disables_typing(self):
         with scalar_fallback():
             assert build_typed_column([1, 2], INTEGER) is None
         assert build_typed_column([1, 2], INTEGER) is not None
 
+    @needs_numpy
     def test_ensure_typed_upgrades_fixed_columns_only(self):
         schema = Schema.of(
             ("a", INTEGER), ("b", FLOAT), ("o", DATA_OBJECT), table="t"
