@@ -80,7 +80,7 @@ from repro.adaptive import (
     StatisticsStore,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     # errors

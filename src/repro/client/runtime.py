@@ -9,7 +9,7 @@ projected data is shipped back over the uplink.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import UdfError, UdfExecutionError
 from repro.client.cache import ResultCache
@@ -122,16 +122,9 @@ class ClientRuntime:
             yield channel.send_to_server(error_message(exc, sender=self.name))
             return
 
-        results: List[Any] = []
-        payload_bytes = 0
-        compute = 0.0
+        self.rows_received += len(batch)
         try:
-            for argument_tuple in batch.argument_tuples:
-                self.rows_received += 1
-                result, cost = self._invoke(udf, tuple(argument_tuple))
-                compute += cost
-                results.append(result)
-                payload_bytes += udf.result_size(result)
+            results, compute = self._invoke_batch(udf, batch.argument_tuples)
         except UdfExecutionError as exc:
             yield channel.send_to_server(error_message(exc, sender=self.name))
             return
@@ -142,7 +135,7 @@ class ClientRuntime:
         reply = batch_message(
             MessageKind.UDF_RESULT,
             ResultBatch(udf_name=udf.name, results=results),
-            payload_bytes=payload_bytes,
+            payload_bytes=udf.results_size(results),
             row_count=len(results),
             sender=self.name,
             description=f"{len(results)} results",
@@ -160,21 +153,18 @@ class ClientRuntime:
             return
 
         record = batch.batch
+        self.rows_received += len(record)
         compute = 0.0
-        result_columns: List[List[Any]] = [[] for _ in batch.calls]
-        # Argument tuples come off the column buffers in bulk; invocation
-        # stays row-major (all calls for row i before row i+1) so the
-        # invocation order — and any injected failure — is unchanged.
-        arguments_per_call = [
-            record.key_tuples(call.argument_positions) for call in batch.calls
-        ]
+        result_columns: List[List[Any]] = []
+        # Argument tuples come off the column buffers in bulk; the calls of
+        # a batch run one after the other, each over every row.
         try:
-            for index in range(len(record)):
-                self.rows_received += 1
-                for slot, udf in enumerate(udfs):
-                    result, cost = self._invoke(udf, arguments_per_call[slot][index])
-                    compute += cost
-                    result_columns[slot].append(result)
+            for call, udf in zip(batch.calls, udfs):
+                results, cost = self._invoke_batch(
+                    udf, record.key_tuples(call.argument_positions)
+                )
+                compute += cost
+                result_columns.append(results)
         except UdfExecutionError as exc:
             yield channel.send_to_server(error_message(exc, sender=self.name))
             return
@@ -257,36 +247,67 @@ class ClientRuntime:
 
         return origins_of
 
-    def _invoke(self, udf: UdfDefinition, arguments: Tuple[Any, ...]) -> Tuple[Any, float]:
-        """Invoke ``udf``, consulting the result cache; returns (result, cpu_seconds)."""
-        key = None
-        if self.use_result_cache:
-            try:
-                key = ResultCache.key_for(udf.name, arguments)
-            except TypeError:
-                key = None
-        if key is not None:
-            found, cached = self.cache.get(key)
-            if found:
-                self.cache_hits += 1
-                return cached, 0.0
+    def _invoke_batch(
+        self, udf: UdfDefinition, argument_tuples: Sequence[Sequence[Any]]
+    ) -> Tuple[List[Any], float]:
+        """Invoke ``udf`` on each tuple in turn; returns (results, cpu_seconds).
 
-        self.udf_invocations += 1
-        if self.fail_on_invocation is not None and self.udf_invocations >= self.fail_on_invocation:
-            raise UdfExecutionError(udf.name, RuntimeError("injected client failure"))
-        result = udf.invoke(arguments)
+        What the batch fixes — the UDF's cache key prefix, its per-call cost,
+        the result cache — is read once; each tuple then consults the cache,
+        and arguments that cannot be hashed are invoked uncached.  The
+        counters run in locals and are stored even when an invocation
+        raises, each float summed in the order the invocations ran.
+        """
+        cache = self.cache if self.use_result_cache else None
+        udf_key = udf.name.lower()
         # The client charges the *actual* per-call cost, which may differ
         # from the declared one the planner believes.
         cost = udf.runtime_cost_per_call_seconds
-        self.compute_seconds += cost
-        udf_key = udf.name.lower()
-        self.invocations_by_udf[udf_key] = self.invocations_by_udf.get(udf_key, 0) + 1
-        self.compute_seconds_by_udf[udf_key] = (
-            self.compute_seconds_by_udf.get(udf_key, 0.0) + cost
-        )
-        if key is not None:
-            self.cache.put(key, result)
-        return result, cost
+        fail_on = self.fail_on_invocation
+        invoke = udf.invoke
+        results: List[Any] = []
+        append = results.append
+        hits = 0
+        invocations = self.udf_invocations
+        compute = 0.0
+        compute_total = self.compute_seconds
+        compute_of_udf = self.compute_seconds_by_udf.get(udf_key, 0.0)
+        try:
+            for arguments in argument_tuples:
+                key = None
+                if cache is not None:
+                    # ResultCache.key_for, the name lowered once per batch.
+                    key = (udf_key, tuple(arguments))
+                    try:
+                        found, cached = cache.get(key)
+                    except TypeError:
+                        key = None  # unhashable arguments: invoke, do not cache
+                    else:
+                        if found:
+                            hits += 1
+                            append(cached)
+                            continue
+                invocations += 1
+                if fail_on is not None and invocations >= fail_on:
+                    raise UdfExecutionError(udf.name, RuntimeError("injected client failure"))
+                result = invoke(arguments)
+                compute += cost
+                compute_total += cost
+                compute_of_udf += cost
+                if key is not None:
+                    cache.put(key, result)
+                append(result)
+        finally:
+            self.udf_invocations = invocations  # a failed attempt counts here only
+            self.cache_hits += hits
+            completed = len(results) - hits
+            if completed:
+                self.invocations_by_udf[udf_key] = (
+                    self.invocations_by_udf.get(udf_key, 0) + completed
+                )
+                self.compute_seconds = compute_total
+                self.compute_seconds_by_udf[udf_key] = compute_of_udf
+        return results, compute
 
     def invocations_of(self, udf_name: str) -> int:
         """Invocations of the named UDF this runtime has performed."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import UdfError, UdfExecutionError
-from repro.relational.types import DataType, FLOAT, value_size
+from repro.relational.types import DataType, FLOAT, value_size, value_sizes
 
 
 class UdfSite(enum.Enum):
@@ -110,6 +110,12 @@ class UdfDefinition:
         if self.result_size_bytes is not None:
             return self.result_size_bytes
         return value_size(result)
+
+    def results_size(self, results: Sequence[Any]) -> int:
+        """Wire size of a batch of results: :meth:`result_size` summed, in bulk."""
+        if self.result_size_bytes is not None:
+            return self.result_size_bytes * len(results)
+        return sum(value_sizes(results))
 
     def compute_cost(self, invocations: int) -> float:
         """Total simulated CPU seconds for ``invocations`` calls."""

@@ -76,9 +76,9 @@ def _find_remote(operator: Operator) -> Optional[RemoteUdfOperator]:
     return None
 
 
-def _suffix_sums(sizes: Sequence[float]) -> List[float]:
+def _suffix_sums(sizes: Sequence[float], initial: float = 0.0) -> List[float]:
     """``sums[i]`` is the total of ``sizes[i:]``, from one backward pass."""
-    sums = list(accumulate(reversed(sizes), initial=0.0))
+    sums = list(accumulate(reversed(sizes), initial=initial))
     sums.reverse()
     return sums
 
@@ -465,6 +465,7 @@ class PlanMigrationOperator(Operator):
         self._suffix_record_bytes = _suffix_sums(batch.row_sizes(self.child_schema))
         self._suffix_argument_bytes: Dict[str, List[float]] = {}
         self._suffix_distinct: Dict[str, List[int]] = {}
+        rows = len(batch)
         for name in self._declared_order:
             positions = tuple(
                 self.child_schema.index_of(column)
@@ -473,14 +474,12 @@ class PlanMigrationOperator(Operator):
             self._suffix_argument_bytes[name] = _suffix_sums(batch.value_sizes(positions))
             # Distinct tuples of the suffix bound the remaining distinct work
             # (a duplicate of an already-processed argument is free at the
-            # client anyway, via the shared result cache).
-            distinct = [0] * (len(batch) + 1)
-            seen: set = set()
-            tuples = batch.key_tuples(positions)
-            for position in range(len(batch) - 1, -1, -1):
-                seen.add(tuples[position])
-                distinct[position] = len(seen)
-            self._suffix_distinct[name] = distinct
+            # client anyway, via the shared result cache): a suffix holds as
+            # many distinct tuples as codes occur in it for the last time.
+            last_occurrence = [0] * rows
+            for position in dict(zip(batch.encode(positions).codes, range(rows))).values():
+                last_occurrence[position] = 1
+            self._suffix_distinct[name] = _suffix_sums(last_occurrence, initial=0)
         self._suffix_projected_bytes: Optional[List[float]] = None
         if not self.controller.plan_wide:
             child_count = len(self.child_schema)

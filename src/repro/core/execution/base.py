@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import math
 
@@ -12,16 +13,37 @@ from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
 from repro.network.message import Message, MessageKind
-from repro.relational.columns import TypedColumn, build_typed_column
+from repro.relational.columns import build_typed_column
+from repro.relational.keys import KeyCodes
 from repro.relational.operators.base import Operator
-from repro.relational.operators.sort import nulls_first_order
 from repro.relational.schema import Column, Schema
-from repro.relational.tuples import (
-    RowBatch,
-    concat_batches,
-    rows_size,
-    values_size,
-)
+from repro.relational.tuples import RowBatch, concat_batches, values_size
+
+
+#: Marks a distinct argument tuple no earlier segment has a result for.
+UNRESOLVED = object()
+
+
+class SemiJoinSegmentState:
+    """Duplicate-elimination state a semi-join carries across plan segments.
+
+    Segmented (adaptive / migrating) executions run one plain semi-join
+    operator per segment.  Without shared state each segment re-ships the
+    argument tuples earlier segments already eliminated — the client's result
+    cache still answers them without re-invoking the UDF, but the wire pays
+    the argument and result bytes again and ``rows_transferred`` double
+    counts.  One instance of this state per (UDF, query) makes the segment
+    sequence byte-identical to a single unsegmented semi-join run:
+    ``results`` is the server-side result of every argument tuple an earlier
+    segment shipped — a tuple is already shipped exactly when it has one,
+    because every segment drains before the next begins.  The naive
+    strategy's server result cache is the same state.
+    """
+
+    __slots__ = ("results",)
+
+    def __init__(self) -> None:
+        self.results: Dict[Tuple[Any, ...], Any] = {}
 
 
 class RemoteUdfOperator(Operator):
@@ -165,49 +187,88 @@ class RemoteUdfOperator(Operator):
     def argument_bytes(self, arguments: Sequence[Any]) -> int:
         return values_size(arguments)
 
-    def argument_sizer(self, batch: RowBatch):
-        """A ``tuples -> payload bytes`` sizer specialised to this batch.
+    def shipping_slots(self, batch: RowBatch, coded: KeyCodes, by_code: bool):
+        """``(slots, payloads, sizes)``: what each row of an argument shipper ships.
 
-        When every argument column is typed and NULL-free, each tuple sizes
-        to the same constant (the columns' widths), so a batch payload is
-        one multiply; otherwise the sizer sums values exactly like
-        :func:`values_size` per tuple.
+        A row's *slot* indexes its argument tuple and that tuple's wire size.
+        ``by_code`` (duplicates ship once) makes the slot the row's code:
+        each distinct tuple ships as its first occurrence, at that
+        occurrence's size.  Otherwise the slot is the row itself, sized from
+        its own values — equal tuples need not size equally
+        (``1 == 1.0 == True``).
         """
-        if len(batch):
-            columns = batch.columns
-            widths = []
-            for position in self._argument_positions:
-                column = columns[position]
-                if isinstance(column, TypedColumn) and column.null_count == 0:
-                    widths.append(column.width)
-                else:
-                    widths.append(None)
-            if widths and all(width is not None for width in widths):
-                tuple_width = sum(widths)
-                return lambda tuples: tuple_width * len(tuples)
-        return lambda tuples: sum(values_size(arguments) for arguments in tuples)
+        if by_code:
+            return coded.codes, coded.keys, coded.sizes
+        return (
+            range(len(batch)),
+            self.argument_tuples(batch),
+            batch.value_sizes(self._argument_positions),
+        )
 
-    def records_size(self, rows: Sequence[Sequence[Any]]) -> int:
-        """Wire size of many child rows, via the schema's cached size plan.
+    @staticmethod
+    def resolved_earlier(
+        state: Optional[SemiJoinSegmentState], keys: List[Tuple[Any, ...]]
+    ) -> Tuple[List[Any], bytearray]:
+        """``(results_by_code, resolved)`` as earlier segments left them in ``state``.
 
-        Accepts a :class:`RowBatch` directly — its typed columns and size
-        memo make repeated costing of the same payload O(1).
+        Per distinct tuple: its result, :data:`UNRESOLVED` where there is
+        none (everywhere without a state), and a flag — 1 where there is
+        one — for the sender to raise as it ships the rest.  The state is
+        probed once per distinct tuple, not once per row.
         """
-        return rows_size(rows, self.child_schema)
+        if state is None:
+            return [UNRESOLVED] * len(keys), bytearray(len(keys))
+        results = state.results
+        results_by_code = [results.get(key, UNRESOLVED) for key in keys]
+        return results_by_code, bytearray(
+            result is not UNRESOLVED for result in results_by_code
+        )
 
-    def sorted_batch_by_arguments(
-        self, batch: RowBatch
-    ) -> Tuple[RowBatch, List[Tuple[Any, ...]]]:
-        """``(batch stably sorted by argument tuples, the sorted tuples)``.
+    @staticmethod
+    def pair_results(
+        coded: KeyCodes,
+        results_by_code: List[Any],
+        shipped_codes: List[int],
+        shipped_results: List[Any],
+        state: Optional[SemiJoinSegmentState],
+    ) -> List[Any]:
+        """One result per row, once every distinct tuple has one.
+
+        Replies come back in shipping order, so ``shipped_results`` pairs
+        positionally with ``shipped_codes``; they fill the gaps earlier
+        segments left in ``results_by_code`` and are left in ``state`` for
+        later ones.
+        """
+        for code, result in zip(shipped_codes, shipped_results):
+            results_by_code[code] = result
+        if state is not None:
+            state.results.update(
+                zip(map(coded.keys.__getitem__, shipped_codes), shipped_results)
+            )
+        return [results_by_code[code] for code in coded.codes]
+
+    def record_offsets(self, batch: RowBatch) -> List[int]:
+        """Wire bytes of the child rows before each row (and, last, of them all).
+
+        The input is sized once, a column at a time; rows ``start:stop``
+        then cost ``offsets[stop] - offsets[start]`` whatever the chunking.
+        """
+        return list(accumulate(batch.row_sizes(self.child_schema), initial=0))
+
+    def sorted_batch_by_arguments(self, batch: RowBatch) -> Tuple[RowBatch, KeyCodes]:
+        """``(batch stably sorted by argument tuples, its argument codes)``.
 
         Duplicates end up adjacent, NULLs first; an input already in
-        argument order comes back unchanged (identity).
+        argument order comes back unchanged (identity).  Only the distinct
+        argument tuples are compared — the rows sort by integer.  The codes
+        (one hash pass per operation) then serve duplicate elimination,
+        result pairing and the distinct count as well.
         """
-        arguments = self.argument_tuples(batch)
-        order = nulls_first_order(arguments)
-        if all(index == position for position, index in enumerate(order)):
-            return batch, arguments
-        return batch.take(order), [arguments[index] for index in order]
+        coded = batch.encode(self._argument_positions)
+        order = coded.order()
+        if order == list(range(len(order))):
+            return batch, coded
+        return batch.take(order), coded.take(order)
 
     def extended_batch(self, batch: RowBatch, results: List[Any]) -> RowBatch:
         """The input batch plus the UDF result column (typed when eligible)."""

@@ -85,7 +85,10 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
         if self.config.sort_by_arguments:
             # Sorting groups argument duplicates so the client's result cache
             # avoids recomputation; it does not change what is shipped.
-            batch, _sorted_arguments = self.sorted_batch_by_arguments(batch)
+            batch, coded = self.sorted_batch_by_arguments(batch)
+        else:
+            coded = batch.encode(self._argument_positions)
+        self.distinct_argument_count = len(coded.keys)
 
         call = RemoteCall(udf_name=self.udf.name, argument_positions=self._argument_positions)
         push_predicate = self.config.push_predicates and self.pushable_predicate is not None
@@ -113,6 +116,9 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
         # record batches outstanding on the wire instead.
         window = self.make_window(default=None)
 
+        # The input is sized once; a chunk's bytes are a difference of offsets.
+        offsets = self.record_offsets(batch)
+
         def sender():
             start = 0
             total = len(batch)
@@ -120,6 +126,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
                 # Re-read the targets at every batch boundary: adaptive
                 # controllers may have moved them since the last send.
                 chunk = batch.slice(start, start + self.next_batch_size())
+                payload_bytes = offsets[start + len(chunk)] - offsets[start]
                 start += len(chunk)
                 sent_sizes.append(len(chunk))
                 self.refresh_window(window)
@@ -128,7 +135,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
                 yield channel.send_batch_to_client(
                     MessageKind.RECORDS,
                     RecordBatch(calls=[call], rows=chunk, pushed=pushed),
-                    payload_bytes=self.records_size(chunk),
+                    payload_bytes=payload_bytes,
                     row_count=len(chunk),
                     description=f"csj {self.udf.name} x{len(chunk)}",
                 )
@@ -153,7 +160,6 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
         yield sender_process
         self.finish_window(window)
 
-        self.distinct_argument_count = len(set(self.argument_tuples(batch)))
         reply_width = (
             len(self.schema) if push_projection else len(self.extended_schema)
         )

@@ -25,7 +25,7 @@ trace is identical whatever the window is.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, List, Tuple
 
 from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.execution.base import RemoteUdfOperator
@@ -55,96 +55,74 @@ class NaiveUdfOperator(RemoteUdfOperator):
         )
         use_cache = self.config.server_result_cache
         carried = self.carry_state if use_cache else None
-        cache: Dict[Tuple[Any, ...], Any] = (
-            carried.results if carried is not None else {}
-        )
         # The naive strategy's historical wire behaviour is synchronous:
         # window 1 unless the config (or its controller) says otherwise.
         window = self.make_window(default=1)
 
-        arguments_list = self.argument_tuples(batch)
-        sizer = self.argument_sizer(batch)
-
-        distinct_arguments = set()
-        # How each input row resolves, in input order: ``(arguments,
-        # batch_id, offset)`` — ``batch_id`` None for rows answered from the
-        # server cache at enqueue time, else the index of the request batch
-        # (and the offset within it) that carries the row's arguments.
-        resolution: List[Tuple[Tuple[Any, ...], Optional[int], Optional[int]]] = []
-        # One slot per request batch, filled by the receiver in FIFO order.
-        batch_results: List[Optional[List[Any]]] = []
+        coded = batch.encode(self._argument_positions)
+        keys = coded.keys
+        slots, payloads, sizes = self.shipping_slots(batch, coded, by_code=use_cache)
+        if use_cache:
+            # ``resolved[code]`` is 1 once a code needs no shipping: answered
+            # from the server cache (which earlier segments filled and which
+            # does not change while the sender runs), or already sent or
+            # pending.
+            results_by_code, resolved = self.resolved_earlier(carried, keys)
+        # The slots shipped, in shipping order: the receiver's results pair
+        # with them positionally once both processes have finished.
+        shipped_slots: List[int] = []
+        shipped_results: List[Any] = []
         # Input rows acknowledged by each reply (cache-resolved rows between
         # flushes count toward the batch that follows them), FIFO.
         acknowledged: Deque[int] = deque()
 
         def sender():
             pending: List[Tuple[Any, ...]] = []
-            # Arguments already sent (or pending) resolve to the batch that
-            # carries them; like the cache, only consulted when caching is on.
-            shipped_index: Dict[Tuple[Any, ...], Tuple[int, int]] = {}
+            pending_bytes = 0
             covered = 0
-            next_batch_id = 0
-            for arguments in arguments_list:
-                distinct_arguments.add(arguments)
-                covered += 1
-                if use_cache:
-                    if arguments in cache:
-                        resolution.append((arguments, None, None))
-                        continue
-                    shipped = shipped_index.get(arguments)
-                    if shipped is not None:
-                        resolution.append((arguments,) + shipped)
-                        continue
-                offset = len(pending)
-                pending.append(arguments)
-                if use_cache:
-                    shipped_index[arguments] = (next_batch_id, offset)
-                resolution.append((arguments, next_batch_id, offset))
-                # Re-read the targets each time: adaptive controllers may
-                # have moved the batch size or the window since the last send.
-                if len(pending) >= self.next_batch_size():
-                    self.refresh_window(window)
-                    if not window.acquire_now():
-                        yield window.acquire()
-                    yield channel.send_batch_to_client(
-                        MessageKind.UDF_ARGUMENTS,
-                        ArgumentBatch(call=call, argument_tuples=list(pending)),
-                        payload_bytes=sizer(pending),
-                        row_count=len(pending),
-                        description=f"naive {self.udf.name} x{len(pending)}",
-                    )
-                    acknowledged.append(covered)
-                    covered = 0
-                    batch_results.append(None)
-                    next_batch_id += 1
-                    pending.clear()
-            if pending:
+
+            def flush():
+                nonlocal pending_bytes, covered
                 self.refresh_window(window)
                 if not window.acquire_now():
                     yield window.acquire()
                 yield channel.send_batch_to_client(
                     MessageKind.UDF_ARGUMENTS,
                     ArgumentBatch(call=call, argument_tuples=list(pending)),
-                    payload_bytes=sizer(pending),
+                    payload_bytes=pending_bytes,
                     row_count=len(pending),
                     description=f"naive {self.udf.name} x{len(pending)}",
                 )
                 acknowledged.append(covered)
-                batch_results.append(None)
+                covered = pending_bytes = 0
                 pending.clear()
+
+            for slot in slots:
+                covered += 1
+                if use_cache:
+                    if resolved[slot]:
+                        continue
+                    resolved[slot] = 1
+                shipped_slots.append(slot)
+                pending.append(payloads[slot])
+                pending_bytes += sizes[slot]
+                # Re-read the targets each time: adaptive controllers may
+                # have moved the batch size or the window since the last send.
+                if len(pending) >= self.next_batch_size():
+                    yield from flush()
+            if pending:
+                yield from flush()
             yield channel.send_to_client(end_of_stream())
 
         def receiver():
-            received = 0
             while True:
                 reply = channel.poll_at_server() or (yield channel.receive_at_server())
                 if is_end_of_stream(reply):
                     return
                 self.check_reply(reply)
                 window.release()
-                batch: ResultBatch = reply.payload
-                batch_results[received] = batch.results
-                received += 1
+                result_batch: ResultBatch = reply.payload
+                shipped_results.extend(result_batch.results)
                 if acknowledged:
                     self.observe_batch(acknowledged.popleft())
 
@@ -155,22 +133,10 @@ class NaiveUdfOperator(RemoteUdfOperator):
         yield receiver_process
         yield sender_process
         self.finish_window(window)
+        self.distinct_argument_count = len(keys)
 
-        results: List[Any] = []
-        for arguments, batch_id, offset in resolution:
-            if batch_id is None:
-                result = cache[arguments]
-            else:
-                result = batch_results[batch_id][offset]
-            if use_cache:
-                cache[arguments] = result
-                if carried is not None:
-                    # Mark the argument resolved for *other* strategies
-                    # sharing this state: a later semi-join segment must
-                    # treat it as already shipped (its receiver answers
-                    # from carried.results).
-                    carried.seen.add(arguments)
-            results.append(result)
-
-        self.distinct_argument_count = len(distinct_arguments)
-        return self.extended_batch(batch, results)
+        if use_cache:
+            shipped_results = self.pair_results(
+                coded, results_by_code, shipped_slots, shipped_results, carried
+            )
+        return self.extended_batch(batch, shipped_results)

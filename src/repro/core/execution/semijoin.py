@@ -25,11 +25,11 @@ finished, so the hand-off between them is per reply, not per row.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.concurrency import recommended_batched_concurrency_factor
-from repro.core.execution.base import RemoteUdfOperator
+from repro.core.execution.base import RemoteUdfOperator, SemiJoinSegmentState
 from repro.core.execution.overlap import InFlightWindow
 from repro.network.message import (
     MessageKind,
@@ -38,27 +38,6 @@ from repro.network.message import (
     is_end_of_stream,
 )
 from repro.relational.tuples import Row, RowBatch
-
-
-class SemiJoinSegmentState:
-    """Duplicate-elimination state a semi-join carries across plan segments.
-
-    Segmented (adaptive / migrating) executions run one plain semi-join
-    operator per segment.  Without shared state each segment re-ships the
-    argument tuples earlier segments already eliminated — the client's result
-    cache still answers them without re-invoking the UDF, but the wire pays
-    the argument and result bytes again and ``rows_transferred`` double
-    counts.  One instance of this state per (UDF, query) makes the segment
-    sequence byte-identical to a single unsegmented semi-join run:
-    ``seen`` is the sender's already-shipped argument set, ``results`` the
-    receiver's server-side result cache for those arguments.
-    """
-
-    __slots__ = ("seen", "results")
-
-    def __init__(self) -> None:
-        self.seen: set = set()
-        self.results: Dict[Tuple[Any, ...], Any] = {}
 
 
 class SemiJoinUdfOperator(RemoteUdfOperator):
@@ -106,10 +85,10 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         channel = self.context.channel
 
         if self.config.sort_by_arguments:
-            batch, arguments_list = self.sorted_batch_by_arguments(batch)
+            batch, coded = self.sorted_batch_by_arguments(batch)
         else:
-            arguments_list = self.argument_tuples(batch)
-        sizer = self.argument_sizer(batch)
+            coded = batch.encode(self._argument_positions)
+        keys = coded.keys
 
         factor = self.effective_concurrency_factor(batch[0] if len(batch) else None)
         # A batch only leaves the sender once it is full, so the pipeline must
@@ -144,33 +123,37 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
 
         eliminate = self.config.eliminate_duplicates
         carried = self.carry_state if eliminate else None
-        result_cache: Dict[Tuple[Any, ...], Any] = (
-            carried.results if carried is not None else {}
-        )
+        slots, payloads, sizes = self.shipping_slots(batch, coded, by_code=eliminate)
+        if eliminate:
+            # ``shipped[code]`` is 1 once a tuple has shipped — here or in an
+            # earlier segment.
+            results_by_code, shipped = self.resolved_earlier(carried, keys)
         # The handoff between the two processes is per reply, not per row:
-        # the sender notes the argument tuples it ships, the receiver collects
-        # the results of each reply, and since the two streams are in the same
+        # the sender notes the slots it ships, the receiver collects the
+        # results of each reply, and since the two streams are in the same
         # order they are paired positionally once both have finished.
-        shipped_arguments: List[Tuple[Any, ...]] = []
+        shipped_slots: List[int] = []
         shipped_results: List[Any] = []
         quiet = simulator.quiet
 
         def sender():
-            seen: set = carried.seen if carried is not None else set()
             pending_batch: List[Tuple[Any, ...]] = []
+            pending_bytes = 0
 
             def flush():
+                nonlocal pending_bytes
                 message = batch_message(
                     MessageKind.UDF_ARGUMENTS,
                     ArgumentBatch(call=call, argument_tuples=list(pending_batch)),
-                    payload_bytes=sizer(pending_batch),
+                    payload_bytes=pending_bytes,
                     row_count=len(pending_batch),
                     description=f"semijoin {self.udf.name} x{len(pending_batch)}",
                 )
                 pending_batch.clear()
+                pending_bytes = 0
                 return message
 
-            for arguments in arguments_list:
+            for slot in slots:
                 # Every row is a scheduling point: at a busy instant (say the
                 # shared trunk's same-instant tick is still queued behind the
                 # transmission that resumed this sender) the sender steps
@@ -178,9 +161,9 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                 if not quiet():
                     yield simulator.timeout(0.0)
                 if eliminate:
-                    if arguments in seen:
+                    if shipped[slot]:
                         continue
-                    seen.add(arguments)
+                    shipped[slot] = 1
                 # Re-read the target at every batch boundary: an adaptive
                 # controller may have changed it since the last flush.  The
                 # pipeline must stay double-buffered at the current target
@@ -191,8 +174,9 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                     pipeline.resize(2 * target)
                 if not pipeline.acquire_now():
                     yield pipeline.acquire()
-                shipped_arguments.append(arguments)
-                pending_batch.append(arguments)
+                shipped_slots.append(slot)
+                pending_batch.append(payloads[slot])
+                pending_bytes += sizes[slot]
                 if len(pending_batch) >= target:
                     self.refresh_window(window)
                     if not window.acquire_now():
@@ -232,13 +216,14 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         # The pipeline may have grown with the controller; report what it ended at.
         self.concurrency_factor_used = int(pipeline.capacity)
         self.finish_window(window)
-        self.distinct_argument_count = len(set(arguments_list))
-        # With duplicate elimination every row's result is in the cache (its
+        self.distinct_argument_count = len(keys)
+        # With duplicate elimination every row's result is known by code (its
         # own shipment's, an earlier row's, or an earlier segment's);
         # without it every row was shipped, in input order.
         if eliminate:
-            result_cache.update(zip(shipped_arguments, shipped_results))
-            results = [result_cache[arguments] for arguments in arguments_list]
+            results = self.pair_results(
+                coded, results_by_code, shipped_slots, shipped_results, carried
+            )
         else:
             results = shipped_results
         # Results are in record order — the (possibly argument-sorted) input

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import repeat
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import OperatorError
 from repro.relational.operators.base import Operator
 from repro.relational.tuples import RowBatch
+
+
+def _has_null_keys(batch: RowBatch, positions: Sequence[int]) -> bool:
+    """Whether any key column of the batch holds a NULL: asked once per
+    column and batch, not once per row."""
+    return any(batch.column(position).count(None) for position in positions)
 
 
 class HashJoin(Operator):
@@ -39,28 +47,26 @@ class HashJoin(Operator):
         # Build side stores plain value tuples (no Row objects); the probe
         # side collects matching left indexes so the output's left half is a
         # column-wise take that keeps typed buffers typed.
-        table: Dict[Tuple, List[Tuple]] = {}
+        table: Dict[Tuple, List[Tuple]] = defaultdict(list)
         for batch in right.execute_batches(batch_size):
-            value_tuples = None
-            for index, key in enumerate(batch.key_tuples(self._right_positions)):
-                if any(value is None for value in key):
-                    continue
-                if value_tuples is None:
-                    value_tuples = batch.key_tuples()
-                table.setdefault(key, []).append(value_tuples[index])
+            pairs = zip(batch.key_tuples(self._right_positions), batch.key_tuples())
+            if _has_null_keys(batch, self._right_positions):
+                pairs = (pair for pair in pairs if not any(value is None for value in pair[0]))
+            for key, values in pairs:
+                table[key].append(values)
         # Probe one input batch at a time; an output batch holds the matches
         # of one probe batch (it may be smaller or larger than batch_size
-        # depending on the join fan-out).
+        # depending on the join fan-out).  A NULL key finds nothing: the
+        # build side holds none.
+        find = table.get
         for batch in left.execute_batches(batch_size):
             left_indexes: List[int] = []
             right_rows: List[Tuple] = []
-            for index, key in enumerate(batch.key_tuples(self._left_positions)):
-                matched = table.get(key)
-                if matched is None or any(value is None for value in key):
-                    continue
-                for right_tuple in matched:
-                    left_indexes.append(index)
-                    right_rows.append(right_tuple)
+            keys = batch.key_tuples(self._left_positions)
+            for index, matched in enumerate(map(find, keys)):
+                if matched is not None:
+                    left_indexes.extend(repeat(index, len(matched)))
+                    right_rows.extend(matched)
             if not left_indexes:
                 yield RowBatch([])
                 continue

@@ -2,73 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 from repro.relational import columns as typed_columns
 from repro.relational.columns import vectorization_enabled
+from repro.relational.keys import nulls_first_order
 from repro.relational.operators.base import Operator
 from repro.relational.tuples import RowBatch, concat_batches
-
-
-class _NullsFirstKey:
-    """Sort key wrapper ordering None before any value, per column."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Tuple) -> None:
-        self.values = values
-
-    def __lt__(self, other: "_NullsFirstKey") -> bool:
-        for a, b in zip(self.values, other.values):
-            if a is None and b is None:
-                continue
-            if a is None:
-                return True
-            if b is None:
-                return False
-            if a == b:
-                continue
-            return a < b
-        return False
-
-
-def _rank_keys(keys: Sequence[Tuple]) -> Optional[List]:
-    """Per-row integer sort keys ordering like :class:`_NullsFirstKey`, or ``None``.
-
-    Each key column's distinct values are sorted once (NULL ranks lowest) and
-    every row gets the rank of its value; multi-column keys become tuples of
-    ranks.  ``None`` when a value is unhashable or a NaN (not equal to
-    itself, so its place depends on the comparisons a sort happens to make).
-    """
-    rank_columns = []
-    for column in zip(*keys):
-        try:
-            distinct = set(column)
-        except TypeError:
-            return None
-        distinct.discard(None)
-        if any(value != value for value in distinct):
-            return None
-        rank = {value: position for position, value in enumerate(sorted(distinct), start=1)}
-        rank[None] = 0
-        rank_columns.append([rank[value] for value in column])
-    if len(rank_columns) == 1:
-        return rank_columns[0]
-    return list(zip(*rank_columns))
-
-
-def nulls_first_order(keys: Sequence[Tuple], reverse: bool = False) -> List[int]:
-    """Stable row order of ``keys`` (one tuple per row), NULLs first.
-
-    Equal to ``sorted(range(n), key=lambda i: _NullsFirstKey(keys[i]))``,
-    which costs a Python-level ``__lt__`` per comparison of two *rows*; here
-    only distinct *values* are compared, and the rows are ordered by integer
-    rank.  Keys that cannot be ranked take the wrapper path.
-    """
-    ranks = _rank_keys(keys)
-    if ranks is None:
-        ranks = [_NullsFirstKey(key) for key in keys]
-    return sorted(range(len(keys)), key=ranks.__getitem__, reverse=reverse)
 
 
 class Sort(Operator):

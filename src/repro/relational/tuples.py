@@ -25,8 +25,9 @@ from itertools import compress
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.columns import TypedColumn, build_typed_column
+from repro.relational.keys import KeyCodes
 from repro.relational.schema import Schema
-from repro.relational.types import value_size
+from repro.relational.types import value_size, value_sizes
 
 #: Default number of rows per batch in batch-at-a-time operator execution.
 #: Large enough to amortise per-batch overhead, small enough that partially
@@ -70,6 +71,12 @@ class Row(tuple):
 def _as_list(column: ColumnData) -> List[Any]:
     """A column's values as a plain list (cached inside typed columns)."""
     return column.to_list() if isinstance(column, TypedColumn) else column
+
+
+def _null_free_typed(column: ColumnData) -> bool:
+    """Whether every row sizes alike: the strict builders guarantee a typed
+    column's non-NULL values size at exactly its width, by schema and by value."""
+    return isinstance(column, TypedColumn) and column.null_count == 0
 
 
 class RowBatch:
@@ -273,6 +280,14 @@ class RowBatch:
             return [()] * self._length
         return list(zip(*[_as_list(column) for column in columns]))
 
+    def encode(self, positions: Optional[Sequence[int]] = None) -> KeyCodes:
+        """The rows' key tuples over ``positions`` as dense integer codes.
+
+        One hash pass; consumers that group, order, deduplicate or size by
+        key then work on the codes and on the distinct keys only.
+        """
+        return KeyCodes.of(self.key_tuples(positions))
+
     def project(self, positions: Sequence[int]) -> "RowBatch":
         """A new batch containing only the columns at ``positions``.
 
@@ -317,14 +332,35 @@ class RowBatch:
 
     # -- sizing -------------------------------------------------------------------
 
+    def _summed_sizes(self, sized_columns: Iterable[Union[int, List[int]]]) -> List[int]:
+        """Per-row sums of per-column sizes.
+
+        Each column is either a constant (every row sizes alike: a NULL-free
+        typed column, at its width) or a list with one size per row; only
+        the lists are added up row by row.
+        """
+        constant = 0
+        varying: List[List[int]] = []
+        for sizes in sized_columns:
+            if isinstance(sizes, list):
+                varying.append(sizes)
+            else:
+                constant += sizes
+        if not varying:
+            return [constant] * self._length
+        sizes = varying[0] if len(varying) == 1 else list(map(sum, zip(*varying)))
+        if constant:
+            sizes = [size + constant for size in sizes]
+        return sizes
+
     def size_bytes(self, schema: Schema) -> int:
         """Total wire size of the batch's rows under ``schema``.
 
         Fixed-width columns are priced from the schema's cached size plan —
         ``width x non-NULL count`` plus one byte per NULL — in one arithmetic
-        step per column; only variable-width columns walk their values.  The
-        result is memoized per schema, so repeated costing of the same batch
-        payload (message accounting, suffix statistics) does not re-sum.
+        step per column; variable-width columns are sized in bulk
+        (:meth:`DataType.serialized_sizes`).  The result is memoized per
+        schema, so repeated costing of the same batch payload does not re-sum.
         """
         if not self._length:
             return 0
@@ -339,8 +375,8 @@ class RowBatch:
             nulls = column.count(None)
             total += width * (len(column) - nulls) + nulls
         for position in variable:
-            sizer = schema.columns[position].dtype.serialized_size
-            total += sum(sizer(value) for value in _as_list(columns[position]))
+            dtype = schema.columns[position].dtype
+            total += sum(dtype.serialized_sizes(_as_list(columns[position])))
         self._size_memo = (schema, total)
         return total
 
@@ -358,60 +394,38 @@ class RowBatch:
                 nulls = column.null_count
                 total += column.width * (len(column) - nulls) + nulls
             else:
-                total += sum(value_size(value) for value in column)
+                total += sum(value_sizes(column))
         return total
 
     def row_sizes(self, schema: Schema) -> List[int]:
         """Per-row wire sizes under ``schema`` (one int per row, in row order).
 
-        Each entry equals ``row_size(row, schema)``; NULL-free typed columns
-        contribute their width as a constant without touching values.
+        Each entry equals ``row_size(row, schema)``, from one
+        :meth:`DataType.serialized_sizes` call per column.
         """
-        count = self._length
-        sizes = [0] * count
-        if not count:
-            return sizes
-        fixed, variable = schema.size_plan()
-        columns = self.columns
-        for position, width in fixed:
-            column = columns[position]
-            if isinstance(column, TypedColumn) and column.null_count == 0:
-                for index in range(count):
-                    sizes[index] += width
-                continue
-            for index, value in enumerate(_as_list(column)):
-                sizes[index] += width if value is not None else 1
-        for position in variable:
-            sizer = schema.columns[position].dtype.serialized_size
-            for index, value in enumerate(_as_list(columns[position])):
-                sizes[index] += sizer(value)
-        return sizes
+        if not self._length:
+            return []
+        return self._summed_sizes(
+            dtype.fixed_size
+            if dtype.fixed_size is not None and _null_free_typed(column)
+            else dtype.serialized_sizes(_as_list(column))
+            for column, dtype in zip(self.columns, (c.dtype for c in schema.columns))
+        )
 
     def value_sizes(self, positions: Sequence[int]) -> List[int]:
         """Per-row value-based sizes over ``positions``.
 
         Each entry equals ``values_size`` of that row's values at
-        ``positions`` — the accounting used for UDF argument payloads.
+        ``positions`` — the accounting used for UDF argument payloads —
+        from one :func:`~repro.relational.types.value_sizes` call per column.
         """
-        count = self._length
-        sizes = [0] * count
-        if not count:
-            return sizes
-        columns = self.columns
-        for position in positions:
-            column = columns[position]
-            if isinstance(column, TypedColumn):
-                width = column.width
-                if column.null_count == 0:
-                    for index in range(count):
-                        sizes[index] += width
-                else:
-                    for index, value in enumerate(column.to_list()):
-                        sizes[index] += width if value is not None else 1
-                continue
-            for index, value in enumerate(column):
-                sizes[index] += value_size(value)
-        return sizes
+        if not self._length:
+            return []
+        columns = [self.columns[position] for position in positions]
+        return self._summed_sizes(
+            column.width if _null_free_typed(column) else value_sizes(_as_list(column))
+            for column in columns
+        )
 
     def __repr__(self) -> str:
         return f"RowBatch({self._length} rows)"
@@ -474,20 +488,6 @@ def row_size(row: Sequence[Any], schema: Schema) -> int:
     return sum(
         column.dtype.serialized_size(value) for column, value in zip(schema.columns, row)
     )
-
-
-def rows_size(rows: Sequence[Sequence[Any]], schema: Schema) -> int:
-    """Wire size of many rows under ``schema``, using the cached size plan.
-
-    Delegates to :meth:`RowBatch.size_bytes` so the fixed/variable-width
-    accounting exists in exactly one place.  Accepts a :class:`RowBatch`
-    directly (preserving its typed columns and size memo).
-    """
-    if isinstance(rows, RowBatch):
-        return rows.size_bytes(schema)
-    if not rows:
-        return 0
-    return RowBatch(list(rows)).size_bytes(schema)
 
 
 def values_size(values: Sequence[Any]) -> int:

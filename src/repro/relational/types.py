@@ -19,7 +19,8 @@ duplicate elimination, hashing joins, and sorting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeMismatchError
 
@@ -143,97 +144,6 @@ class TimeSeries:
         return f"TimeSeries([{preview}{suffix}], n={len(self.values)})"
 
 
-@dataclass(frozen=True)
-class DataType:
-    """A column data type.
-
-    ``validator`` accepts a Python value and returns True when the value is a
-    legal instance of the type.  ``sizer`` maps a value to its wire size in
-    bytes.  ``NULL`` (``None``) is legal for every type and costs one byte.
-
-    ``fixed_size`` is the wire width of every non-NULL value for fixed-width
-    types (integers, floats, booleans) and ``None`` for variable-width types.
-    Batch-level size accounting uses it to price whole columns without
-    calling ``sizer`` once per value.
-    """
-
-    name: str
-    validator: Callable[[Any], bool]
-    sizer: Callable[[Any], int]
-    fixed_size: Optional[int] = None
-
-    def validate(self, value: Any) -> None:
-        """Raise :class:`TypeMismatchError` unless ``value`` fits this type."""
-        if value is None:
-            return
-        if not self.validator(value):
-            raise TypeMismatchError(
-                f"value {value!r} ({type(value).__name__}) is not a valid {self.name}"
-            )
-
-    def is_valid(self, value: Any) -> bool:
-        return value is None or self.validator(value)
-
-    def serialized_size(self, value: Any) -> int:
-        """Wire size of ``value`` in bytes (1 byte for NULL)."""
-        if value is None:
-            return 1
-        return self.sizer(value)
-
-    def __repr__(self) -> str:
-        return f"DataType({self.name})"
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_float(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-INTEGER = DataType("INTEGER", _is_integer, lambda value: _INTEGER_WIDTH, fixed_size=_INTEGER_WIDTH)
-FLOAT = DataType("FLOAT", _is_float, lambda value: _FLOAT_WIDTH, fixed_size=_FLOAT_WIDTH)
-BOOLEAN = DataType(
-    "BOOLEAN",
-    lambda value: isinstance(value, bool),
-    lambda value: _BOOLEAN_WIDTH,
-    fixed_size=_BOOLEAN_WIDTH,
-)
-STRING = DataType(
-    "STRING",
-    lambda value: isinstance(value, str),
-    lambda value: _STRING_HEADER + len(value.encode("utf-8")),
-)
-DATA_OBJECT = DataType(
-    "DATA_OBJECT",
-    lambda value: isinstance(value, DataObject),
-    lambda value: value.serialized_size(),
-)
-TIME_SERIES = DataType(
-    "TIME_SERIES",
-    lambda value: isinstance(value, TimeSeries),
-    lambda value: value.serialized_size(),
-)
-
-#: All built-in types, keyed by name, for the SQL binder and the catalog.
-BUILTIN_TYPES = {
-    dtype.name: dtype
-    for dtype in (INTEGER, FLOAT, BOOLEAN, STRING, DATA_OBJECT, TIME_SERIES)
-}
-
-
-def type_by_name(name: str) -> DataType:
-    """Look up a built-in type by its (case-insensitive) name."""
-    try:
-        return BUILTIN_TYPES[name.upper()]
-    except KeyError as exc:
-        raise TypeMismatchError(f"unknown data type {name!r}") from exc
-
-
 def value_size(value: Any) -> int:
     """Best-effort wire size of an arbitrary value, used for UDF results."""
     if value is None:
@@ -254,3 +164,144 @@ def value_size(value: Any) -> int:
         return _BLOB_HEADER + sum(value_size(item) for item in value)
     # Fallback: the repr length is a crude but deterministic proxy.
     return _BLOB_HEADER + len(repr(value))
+
+
+#: Wire width of a column holding only values of exactly the keyed type.
+_VALUE_WIDTHS: Dict[type, int] = {
+    bool: _BOOLEAN_WIDTH,
+    int: _INTEGER_WIDTH,
+    float: _FLOAT_WIDTH,
+}
+
+#: ``column -> sizes`` for a column holding only NULLs and values of exactly
+#: the keyed type: what :func:`value_size` returns, without a call per value.
+_COLUMN_SIZERS: Dict[type, Callable[[Sequence[Any]], List[int]]] = {
+    str: lambda column: [
+        1
+        if value is None
+        else _STRING_HEADER + (len(value) if value.isascii() else len(value.encode("utf-8")))
+        for value in column
+    ],
+    DataObject: lambda column: [
+        1 if value is None else _BLOB_HEADER + value.size for value in column
+    ],
+    TimeSeries: lambda column: [
+        1 if value is None else _BLOB_HEADER + _FLOAT_WIDTH * len(value.values)
+        for value in column
+    ],
+}
+
+#: Exact type -> a key under which ``sorted`` orders values as their own
+#: ``__lt__`` does, compared in C instead of through a Python-level call.
+#: Every value of such a type equals itself.
+ORDER_KEYS: Dict[type, Callable[[Any], Any]] = {
+    TimeSeries: attrgetter("values"),
+    DataObject: attrgetter("seed", "size"),
+}
+
+
+def value_sizes(values: Sequence[Any]) -> List[int]:
+    """:func:`value_size` of every value of a column, from one call.
+
+    Dispatches on the column's set of exact runtime types: a column of one
+    known type (NULLs aside) is sized without a call per value; any other
+    column — mixed types, subclasses, NumPy scalars, containers — goes value
+    by value through :func:`value_size`, which stays the definition.
+    """
+    kinds = set(map(type, values))
+    nullable = type(None) in kinds
+    kinds.discard(type(None))
+    if not kinds:
+        return [1] * len(values)
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        width = _VALUE_WIDTHS.get(kind)
+        if width is not None:
+            if nullable:
+                return [1 if value is None else width for value in values]
+            return [width] * len(values)
+        sizer = _COLUMN_SIZERS.get(kind)
+        if sizer is not None:
+            return sizer(values)
+    return [value_size(value) for value in values]
+
+
+@dataclass(frozen=True)
+class DataType:
+    """A column data type.
+
+    ``validator`` accepts a Python value and returns True when the value is a
+    legal instance of the type.  ``NULL`` (``None``) is legal for every type
+    and costs one byte.
+
+    ``fixed_size`` is the wire width of every non-NULL value for fixed-width
+    types (integers, floats, booleans).  ``None`` makes the type
+    variable-width: a value is sized by what it is (:func:`value_size`), a
+    column in bulk (:func:`value_sizes`).
+    """
+
+    name: str
+    validator: Callable[[Any], bool]
+    fixed_size: Optional[int] = None
+
+    def validate(self, value: Any) -> None:
+        """Raise :class:`TypeMismatchError` unless ``value`` fits this type."""
+        if value is None:
+            return
+        if not self.validator(value):
+            raise TypeMismatchError(
+                f"value {value!r} ({type(value).__name__}) is not a valid {self.name}"
+            )
+
+    def is_valid(self, value: Any) -> bool:
+        return value is None or self.validator(value)
+
+    def serialized_size(self, value: Any) -> int:
+        """Wire size of ``value`` in bytes (1 byte for NULL)."""
+        if value is None:
+            return 1
+        width = self.fixed_size
+        return width if width is not None else value_size(value)
+
+    def serialized_sizes(self, values: Sequence[Any]) -> List[int]:
+        """:meth:`serialized_size` of every value of a column, from one call."""
+        width = self.fixed_size
+        if width is None:
+            return value_sizes(values)
+        return [1 if value is None else width for value in values]
+
+    def __repr__(self) -> str:
+        return f"DataType({self.name})"
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_float(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+INTEGER = DataType("INTEGER", _is_integer, fixed_size=_INTEGER_WIDTH)
+FLOAT = DataType("FLOAT", _is_float, fixed_size=_FLOAT_WIDTH)
+BOOLEAN = DataType("BOOLEAN", lambda value: isinstance(value, bool), fixed_size=_BOOLEAN_WIDTH)
+STRING = DataType("STRING", lambda value: isinstance(value, str))
+DATA_OBJECT = DataType("DATA_OBJECT", lambda value: isinstance(value, DataObject))
+TIME_SERIES = DataType("TIME_SERIES", lambda value: isinstance(value, TimeSeries))
+
+#: All built-in types, keyed by name, for the SQL binder and the catalog.
+BUILTIN_TYPES = {
+    dtype.name: dtype
+    for dtype in (INTEGER, FLOAT, BOOLEAN, STRING, DATA_OBJECT, TIME_SERIES)
+}
+
+
+def type_by_name(name: str) -> DataType:
+    """Look up a built-in type by its (case-insensitive) name."""
+    try:
+        return BUILTIN_TYPES[name.upper()]
+    except KeyError as exc:
+        raise TypeMismatchError(f"unknown data type {name!r}") from exc

@@ -313,6 +313,45 @@ class TestClientRuntime:
         replies = _run_runtime(runtime, [message])
         assert any(reply.kind is MessageKind.ERROR for reply in replies)
 
+    def test_injected_failure_keeps_the_counters_of_the_invocations_that_ran(self):
+        """The batch loop counts in locals; a failure mid-batch must still
+        leave what ran before it — and the failing attempt — on the runtime."""
+        runtime = ClientRuntime(registry=self.make_registry(), fail_on_invocation=3)
+        call = RemoteCall("double", (0,))
+        message = Message(
+            MessageKind.UDF_ARGUMENTS,
+            ArgumentBatch(call, [(1,), (1,), (2,), (3,), (4,)]),
+            payload_bytes=20,
+        )
+        replies = _run_runtime(runtime, [message])
+        assert any(reply.kind is MessageKind.ERROR for reply in replies)
+        assert runtime.udf_invocations == 3  # (1,), (2,) ran; (3,) was the injected failure
+        assert runtime.invocations_of("double") == 2
+        assert runtime.cache_hits == 1
+        assert runtime.compute_seconds == runtime.compute_seconds_of("double") == 0.01 + 0.01
+
+    def test_unhashable_arguments_are_invoked_uncached(self):
+        """Arguments that cannot be hashed cannot be cache keys: the serve
+        loop invokes them every time instead of dying on the cache probe
+        (the guard used to wrap only the key's construction, which never
+        raises, so ``TypeError: unhashable type: 'list'`` escaped)."""
+        registry = UdfRegistry()
+        registry.register_function("total", lambda xs: sum(xs), cost_per_call_seconds=0.01)
+        runtime = ClientRuntime(registry=registry)
+        call = RemoteCall("total", (0,))
+        message = Message(
+            MessageKind.UDF_ARGUMENTS,
+            ArgumentBatch(call, [([1, 2, 3],), ([1, 2, 3],), ((4, 5),), ((4, 5),)]),
+            payload_bytes=64,
+        )
+        replies = _run_runtime(runtime, [message])
+        results = [reply.payload.results for reply in replies if reply.kind is MessageKind.UDF_RESULT]
+        assert results == [[6, 6, 9, 9]]
+        # The lists were invoked twice and never cached; the tuple was cached.
+        assert runtime.udf_invocations == 3
+        assert runtime.cache_hits == 1
+        assert len(runtime.cache) == 1
+
     def test_final_results_are_collected(self):
         from repro.client.protocol import FinalResultBatch
 

@@ -191,13 +191,17 @@ class TestSemiJoin:
         from repro.relational.tuples import concat_batches
 
         batch = concat_batches(list(TableScan(table).execute_batches(16)), column_count=2)
-        ordered, arguments = operator.sorted_batch_by_arguments(batch)
+        ordered, coded = operator.sorted_batch_by_arguments(batch)
         # NULLs first, then by argument, ties in input order (stable).
         assert [row[0] for row in ordered] == [1, 5, 2, 4, 0, 3]
-        assert arguments == [(None,), (None,), (objects[1],), (objects[2],), (objects[0],), (objects[0],)]
+        arguments = [(None,), (None,), (objects[1],), (objects[2],), (objects[0],), (objects[0],)]
+        assert coded.tuples() == arguments
+        # The codes follow the rows; the distinct tuples stay in first-appearance order.
+        assert coded.codes == [1, 1, 2, 3, 0, 0]
+        assert coded.keys == [(objects[0],), (None,), (objects[1],), (objects[2],)]
         # Already ordered input comes back as the very same batch.
-        again, again_arguments = operator.sorted_batch_by_arguments(ordered)
-        assert again is ordered and again_arguments == arguments
+        again, again_coded = operator.sorted_batch_by_arguments(ordered)
+        assert again is ordered and again_coded.tuples() == arguments
 
     def test_higher_concurrency_hides_latency(self):
         def elapsed(factor):
@@ -275,6 +279,97 @@ class TestClientSiteJoin:
         rows = operator.run()
         assert operator.output_schema().names() == ["Echo_result"]
         assert all(len(row) == 1 for row in rows)
+
+
+class TestEqualArgumentsOfUnequalSize:
+    """``1 == 1.0 == True`` hash alike, so they are one argument *code* — at
+    4, 8 and 1 bytes.  Sizing by code is right only for what ships once per
+    code (the first occurrence, under duplicate elimination); every other row
+    that ships is sized from its own values.  The byte counts are what the
+    per-row, per-value sizing before codes put on the wire for this input."""
+
+    ARGUMENTS = [1, 1.0, True, 1.0, None, True]
+
+    def run(self, operator_class, config):
+        from repro.relational.operators.base import CollectingOperator
+        from repro.relational.schema import Schema
+        from repro.relational.tuples import Row
+        from repro.relational.types import FLOAT, INTEGER
+
+        registry = UdfRegistry()
+        udf = registry.register_function(
+            "Twice", lambda value: None if value is None else value * 2.0, result_dtype=FLOAT
+        )
+        context = RemoteExecutionContext.create(FAST, client=ClientRuntime(registry=registry))
+        # An untyped column: nothing validates what a collected batch holds,
+        # and the strict typed-column builders leave mixed values as a list.
+        schema = Schema.of(("Id", INTEGER), ("Arg", FLOAT), table="R")
+        child = CollectingOperator(
+            schema, [Row((index, value)) for index, value in enumerate(self.ARGUMENTS)]
+        )
+        rows = operator_class(child, udf, ["R.Arg"], context, config).run()
+        assert sorted(row[0] for row in rows) == list(range(len(self.ARGUMENTS)))
+        assert all(row[2] == (None if row[1] is None else 2.0) for row in rows)
+        return context.channel_stats
+
+    @pytest.mark.parametrize(
+        "operator_class, config",
+        [
+            (SemiJoinUdfOperator, StrategyConfig.semi_join()),
+            (SemiJoinUdfOperator, StrategyConfig.semi_join(sort_by_arguments=False)),
+            (NaiveUdfOperator, StrategyConfig.naive()),
+        ],
+    )
+    def test_each_distinct_argument_ships_once_at_its_first_occurrences_size(
+        self, operator_class, config
+    ):
+        stats = self.run(operator_class, config)
+        # The int 1 (4 bytes) stands for 1.0 and True; NULL is 1 byte.
+        assert stats.downlink.rows_transferred == 2
+        assert stats.downlink.payload_bytes == 4 + 1
+        assert stats.downlink.total_bytes == 53  # two data messages and the end marker
+        assert stats.uplink.total_bytes == 57  # 2.0 and NULL come back: 8 + 1
+
+    @pytest.mark.parametrize(
+        "operator_class, config",
+        [
+            (SemiJoinUdfOperator, StrategyConfig.semi_join(eliminate_duplicates=False)),
+            (NaiveUdfOperator, StrategyConfig.naive(server_result_cache=False)),
+        ],
+    )
+    def test_without_elimination_every_row_is_sized_from_its_own_values(
+        self, operator_class, config
+    ):
+        stats = self.run(operator_class, config)
+        assert stats.downlink.rows_transferred == 6
+        assert stats.downlink.payload_bytes == 4 + 8 + 1 + 8 + 1 + 1
+        assert stats.downlink.total_bytes == 135
+        assert stats.uplink.total_bytes == 153
+
+    def test_unhashable_arguments_ship_row_by_row(self):
+        """Lists cannot be told apart by hashing: every row ships (nothing
+        is eliminated), in the order the wrapper sort gives, and the client
+        invokes each uncached."""
+        from repro.relational.operators.base import CollectingOperator
+        from repro.relational.schema import Schema
+        from repro.relational.tuples import Row
+        from repro.relational.types import DATA_OBJECT, INTEGER
+
+        registry = UdfRegistry()
+        udf = registry.register_function("Total", lambda values: sum(values), result_size_bytes=8)
+        client = ClientRuntime(registry=registry)
+        context = RemoteExecutionContext.create(FAST, client=client)
+        schema = Schema.of(("Id", INTEGER), ("Arg", DATA_OBJECT), table="R")
+        child = CollectingOperator(
+            schema, [Row((0, [2, 1])), Row((1, [1, 2])), Row((2, [2, 1]))]
+        )
+        operator = SemiJoinUdfOperator(child, udf, ["R.Arg"], context, StrategyConfig.semi_join())
+        assert [tuple(row) for row in operator.run()] == [
+            (1, [1, 2], 3), (0, [2, 1], 3), (2, [2, 1], 3)
+        ]
+        assert operator.distinct_argument_count == 3
+        assert context.channel_stats.downlink.rows_transferred == 3
+        assert client.udf_invocations == 3 and client.cache_hits == 0
 
 
 class TestFailureHandling:

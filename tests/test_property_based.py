@@ -21,12 +21,25 @@ from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
-from repro.relational.columns import scalar_fallback
+from repro.relational.columns import HAVE_NUMPY, scalar_fallback
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.relational.operators import Distinct, HashJoin, MergeJoin, Sort, TableScan
+from repro.relational.keys import _NullsFirstKey, nulls_first_order
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.types import FLOAT, INTEGER, STRING, DataObject
+from repro.relational.tuples import Row, RowBatch, row_size, values_size
+from repro.relational.types import (
+    BOOLEAN,
+    DATA_OBJECT,
+    FLOAT,
+    INTEGER,
+    STRING,
+    TIME_SERIES,
+    DataObject,
+    TimeSeries,
+    value_size,
+    value_sizes,
+)
 from repro.server.engine import Database
 from repro.server.executor import Executor
 from repro.storage.index import KeyInterval
@@ -210,6 +223,166 @@ def test_strategies_agree_on_random_workloads(
 def test_data_object_equality_consistent_with_hash(size, seed):
     assert DataObject(size, seed) == DataObject(size, seed)
     assert hash(DataObject(size, seed)) == hash(DataObject(size, seed))
+
+
+# ---------------------------------------------------------------------------
+# Bulk sizers and key codes vs. their scalar definitions
+# ---------------------------------------------------------------------------
+
+_NAN = float("nan")
+#: One strategy per column type: values of one column compare with each other.
+_TYPED_VALUES = {
+    "int": st.integers(min_value=-3, max_value=3),
+    "number": st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from([1.0, 2.0, -0.0, 2.5, _NAN, float("nan")]),
+        st.booleans(),
+    ),
+    "string": st.sampled_from(["", "a", "b", "ab", "naïve", "日本"]),
+    "object": st.builds(DataObject, st.integers(0, 40), st.integers(0, 3)),
+    "series": st.builds(
+        TimeSeries, st.lists(st.sampled_from([0.0, 1.0, 2.5]), max_size=3)
+    ),
+    "list": st.lists(st.integers(0, 2), max_size=2),  # unhashable
+}
+if HAVE_NUMPY:
+    import numpy
+
+    _TYPED_VALUES["numpy"] = st.sampled_from(
+        [numpy.float64(1.5), numpy.float64(2.0), numpy.int64(2), numpy.bool_(True)]
+    )
+
+
+def _columns(kinds, min_size=0):
+    """Same-length columns, one per kind, each holding its kind's values and NULLs."""
+    return st.integers(min_value=min_size, max_value=12).flatmap(
+        lambda rows: st.tuples(
+            *(
+                st.lists(st.one_of(st.none(), _TYPED_VALUES[kind]), min_size=rows, max_size=rows)
+                for kind in kinds
+            )
+        )
+    )
+
+
+_ANY_VALUE = st.one_of(
+    st.none(),
+    *_TYPED_VALUES.values(),
+    st.binary(max_size=3),
+    st.tuples(st.integers(0, 2), st.sampled_from(["x", "yz"])),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(_ANY_VALUE, max_size=12),  # mixed-type columns
+        *(
+            st.lists(st.one_of(st.none(), values), max_size=12)
+            for values in _TYPED_VALUES.values()
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_bulk_value_sizes_match_the_scalar_sizer(column):
+    assert value_sizes(column) == [value_size(value) for value in column]
+    assert RowBatch.from_columns([column]).values_bytes() == sum(map(value_size, column))
+
+
+_DTYPE_VALUES = {
+    INTEGER: st.integers(min_value=-5, max_value=5),
+    FLOAT: st.one_of(st.integers(-2, 2), st.floats(allow_nan=False, width=32)),
+    BOOLEAN: st.booleans(),
+    STRING: _TYPED_VALUES["string"],
+    DATA_OBJECT: _TYPED_VALUES["object"],
+    TIME_SERIES: _TYPED_VALUES["series"],
+}
+
+
+@given(
+    st.lists(st.sampled_from(list(_DTYPE_VALUES)), min_size=1, max_size=4).flatmap(
+        lambda dtypes: st.tuples(
+            st.just(dtypes),
+            st.lists(
+                st.tuples(*(st.one_of(st.none(), _DTYPE_VALUES[dtype]) for dtype in dtypes)),
+                max_size=10,
+            ),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_bulk_row_sizes_match_the_scalar_sizers(case, typed):
+    """Schema-based and value-based sizes, per column, per row and per batch,
+    over plain and typed columns (an ``int`` in a FLOAT column is 8 bytes by
+    schema and 4 by value; a ``bool`` never enters a numeric column)."""
+    dtypes, rows = case
+    schema = Schema.of(*((f"c{index}", dtype) for index, dtype in enumerate(dtypes)))
+    batch = RowBatch([Row(row) for row in rows])
+    if typed:
+        batch.ensure_typed(schema)
+    positions = list(range(len(dtypes)))
+    for position, dtype in enumerate(dtypes):
+        column = [row[position] for row in rows]
+        assert dtype.serialized_sizes(column) == [dtype.serialized_size(v) for v in column]
+    assert batch.row_sizes(schema) == [row_size(row, schema) for row in rows]
+    assert batch.size_bytes(schema) == sum(row_size(row, schema) for row in rows)
+    assert batch.value_sizes(positions) == [values_size(row) for row in rows]
+    assert batch.values_bytes() == sum(values_size(row) for row in rows)
+
+
+_HASHABLE_KINDS = [kind for kind in _TYPED_VALUES if kind != "list"]
+
+
+@given(
+    st.lists(st.sampled_from(_HASHABLE_KINDS), min_size=1, max_size=3).flatmap(_columns)
+)
+@settings(max_examples=200, deadline=None)
+def test_key_codes_are_the_equality_classes_of_the_key_tuples(columns):
+    """Two rows share a code exactly when their key tuples are equal (as a
+    set would judge it: ``1``, ``1.0`` and ``True`` are one key, a NaN equals
+    only itself); codes are dense and number the keys by first appearance."""
+    batch = RowBatch.from_columns([list(column) for column in columns])
+    positions = list(range(len(columns)))
+    tuples = batch.key_tuples(positions)
+    coded = batch.encode(positions)
+    assert len(coded.codes) == len(tuples)
+    assert coded.keys == list(dict.fromkeys(tuples))
+    for code, key in enumerate(coded.keys):
+        # A key is its first occurrence, object for object (1 stays 1, not 1.0).
+        first = tuples[coded.codes.index(code)]
+        assert all(mine is theirs for mine, theirs in zip(key, first))
+    for code, key in zip(coded.codes, tuples):
+        assert coded.keys[code] == key
+    for left in range(len(tuples)):
+        for right in range(left):
+            assert (coded.codes[left] == coded.codes[right]) == (tuples[left] == tuples[right])
+    # The sizes by code are the first occurrences', which equal rows need not share.
+    assert coded.sizes == [values_size(key) for key in coded.keys]
+
+
+@given(
+    st.lists(
+        st.sampled_from([kind for kind in _TYPED_VALUES if kind != "numpy"]),
+        min_size=1,
+        max_size=3,
+    ).flatmap(_columns)
+)
+@settings(max_examples=300, deadline=None)
+def test_order_by_code_is_the_nulls_first_order(columns):
+    """Ranking the distinct keys and sorting rows by integer gives the stable
+    NULLs-first order of the rows themselves — also where keys cannot be
+    ranked (NaNs, unhashable lists) and the wrapper orders row by row."""
+    batch = RowBatch.from_columns([list(column) for column in columns])
+    positions = list(range(len(columns)))
+    tuples = batch.key_tuples(positions)
+    coded = batch.encode(positions)
+    order = coded.order()
+    for reverse in (False, True):
+        assert nulls_first_order(tuples, reverse=reverse) == sorted(
+            range(len(tuples)), key=lambda row: _NullsFirstKey(tuples[row]), reverse=reverse
+        )
+    assert order == nulls_first_order(tuples)
+    assert coded.take(order).tuples() == [tuples[index] for index in order]
 
 
 # ---------------------------------------------------------------------------

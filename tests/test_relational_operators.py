@@ -265,7 +265,7 @@ class TestNullsFirstOrder:
 
     @staticmethod
     def reference(keys, reverse=False):
-        from repro.relational.operators.sort import _NullsFirstKey
+        from repro.relational.keys import _NullsFirstKey
 
         return sorted(
             range(len(keys)), key=lambda index: _NullsFirstKey(keys[index]), reverse=reverse
@@ -275,7 +275,7 @@ class TestNullsFirstOrder:
     def test_matches_the_wrapper_sort(self, reverse):
         import random
 
-        from repro.relational.operators.sort import nulls_first_order
+        from repro.relational.keys import nulls_first_order
         from repro.relational.types import TimeSeries
 
         rng = random.Random(5)
@@ -287,7 +287,7 @@ class TestNullsFirstOrder:
         assert nulls_first_order(keys, reverse=reverse) == self.reference(keys, reverse)
 
     def test_empty_and_single_column(self):
-        from repro.relational.operators.sort import nulls_first_order
+        from repro.relational.keys import nulls_first_order
 
         assert nulls_first_order([]) == []
         assert nulls_first_order([(3,), (None,), (1,), (3,)]) == [1, 2, 0, 3]
@@ -295,7 +295,7 @@ class TestNullsFirstOrder:
     def test_distinct_values_are_compared_not_rows(self):
         """12 800 rows over a handful of values must not cost a Python-level
         comparison per pair of rows."""
-        from repro.relational.operators.sort import nulls_first_order
+        from repro.relational.keys import nulls_first_order
 
         class Counted:
             comparisons = 0
@@ -320,7 +320,7 @@ class TestNullsFirstOrder:
         assert Counted.comparisons < 50
 
     def test_unhashable_and_nan_keys_take_the_wrapper_path(self):
-        from repro.relational.operators.sort import _rank_keys, nulls_first_order
+        from repro.relational.keys import _rank_keys, nulls_first_order
 
         unhashable = [([2],), ([1],), (None,), ([2],)]
         assert _rank_keys(unhashable) is None
@@ -331,7 +331,7 @@ class TestNullsFirstOrder:
         assert nulls_first_order(with_nan) == self.reference(with_nan)
 
     def test_incomparable_values_still_raise(self):
-        from repro.relational.operators.sort import nulls_first_order
+        from repro.relational.keys import nulls_first_order
 
         with pytest.raises(TypeError):
             nulls_first_order([(1,), ("a",)])

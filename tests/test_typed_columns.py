@@ -41,7 +41,7 @@ from repro.relational.kernels import compile_expression, compile_filter
 from repro.relational.operators import Filter, ProjectExpressions, TableScan
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.tuples import RowBatch, rows_size
+from repro.relational.tuples import RowBatch, row_size
 from repro.relational.types import BOOLEAN, FLOAT, INTEGER, DataObject, DATA_OBJECT
 
 
@@ -140,7 +140,7 @@ class TestTypedColumnSemantics:
         schema = Schema.of(("a", INTEGER), ("b", FLOAT), table="t")
         batch = RowBatch([(1, 1.0), (2, 2.0), (None, None)]).ensure_typed(schema)
         first = batch.size_bytes(schema)
-        assert first == rows_size([(1, 1.0), (2, 2.0), (None, None)], schema)
+        assert first == sum(row_size(row, schema) for row in [(1, 1.0), (2, 2.0), (None, None)])
         memo = batch._size_memo
         assert memo is not None
         assert batch.size_bytes(schema) == first
