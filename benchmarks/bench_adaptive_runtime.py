@@ -13,13 +13,10 @@ The adaptive subsystem's promise is twofold:
   re-adapts and beats the static default configuration outright.
 
 Both claims are asserted here, on the paper's asymmetric (N = 100) network
-and the ``fading_uplink_scenario`` drift workload.  Set ``REPRO_BENCH_SMOKE=1``
-to run the reduced CI configuration.
+and the ``fading_uplink_scenario`` drift workload.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -29,19 +26,14 @@ from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER
 from repro.server.engine import Database
 from repro.workloads.drift import fading_uplink_scenario
-from repro.workloads.experiments import format_records, run_workload_point
+from repro.workloads.experiments import Sized, Sweep, run_workload_point
 from repro.workloads.synthetic import SyntheticWorkload
-
-#: Reduced configuration for the CI smoke job.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-BATCH_SIZES = (1, 4, 16, 64, 256)
 
 #: Narrow rows and cheap UDF calls: the fixed per-message overhead dominates,
 #: which is the regime batch sizing matters in (same shape as the batch-size
 #: sweep benchmark).
 WORKLOAD = dict(
-    row_count=160 if SMOKE else 400,
+    row_count=Sized(full=400, smoke=160),
     input_record_bytes=16,
     argument_fraction=0.5,
     result_bytes=8,
@@ -50,146 +42,132 @@ WORKLOAD = dict(
 )
 
 
-def _static_sweep(network):
-    elapsed = {}
-    for batch_size in BATCH_SIZES:
-        point = run_workload_point(
-            SyntheticWorkload(**WORKLOAD),
-            network,
-            StrategyConfig.semi_join(batch_size=batch_size),
-        )
-        elapsed[batch_size] = point.elapsed_seconds
-    return elapsed
+def batching_point(config, network, **workload):
+    """A static batch size (an ``int``), or an adaptive run: ``"cold"`` from
+    the controller's default size, ``"warm"`` from where the cold run
+    converged — what ``Database.execute(adaptive=True)`` does through the
+    statistics store on every query after the first."""
+    if isinstance(config, int):
+        controller = None
+        strategy = StrategyConfig.semi_join(batch_size=config)
+    else:
+        controller = BatchSizeController()
+        if config == "warm":
+            cold = batching_point("cold", network, **workload)
+            controller = BatchSizeController(initial_batch_size=cold["converged_batch_size"])
+        strategy = StrategyConfig.semi_join().with_batch_controller(controller)
+    point = run_workload_point(SyntheticWorkload(**workload), network, strategy)
+    return {
+        "elapsed_s": point.elapsed_seconds,
+        "rows_per_s": workload["row_count"] / point.elapsed_seconds,
+        "batch_size_trace": list(controller.size_trace()) if controller else [config],
+        "converged_batch_size": controller.converged_batch_size if controller else config,
+        "_rows": point.result_rows,
+    }
 
 
-def _adaptive_run(network, controller):
-    return run_workload_point(
-        SyntheticWorkload(**WORKLOAD),
-        network,
-        StrategyConfig.semi_join().with_batch_controller(controller),
+def feedback_point(row_count):
+    """The observe → calibrate → adapt loop through the public Database API."""
+    db = Database(network=NetworkConfig.paper_asymmetric(asymmetry=100.0))
+    db.create_table(
+        "T", [("K", INTEGER), ("V", FLOAT)], rows=[[i, float(i)] for i in range(row_count)]
     )
+    # Declared cost is 20x too cheap: only observation can correct it.
+    db.register_client_udf(
+        "Score",
+        lambda v: v * 2.0,
+        cost_per_call_seconds=0.0001,
+        actual_cost_per_call_seconds=0.002,
+        selectivity=0.9,
+    )
+    sql = f"SELECT T.K FROM T WHERE Score(T.V) > {row_count}"
+    first = db.execute(sql, config=StrategyConfig.semi_join(), adaptive=True)
+    learned = db.statistics.preferred_batch_size()
+    second = db.execute(sql, config=StrategyConfig.semi_join(), adaptive=True)
+    return {
+        "first_s": first.metrics.elapsed_seconds,
+        "first_trace": list(first.metrics.batch_size_trace),
+        "learned_batch_size": learned,
+        "second_s": second.metrics.elapsed_seconds,
+        "second_trace": list(second.metrics.batch_size_trace),
+        "observed_udf_cost": db.statistics.udf_cost("Score", 0.0),
+        "same_rows": first.row_set() == second.row_set(),
+        "_statistics": db.statistics,
+    }
+
+
+STABLE = Sweep(
+    "adaptive_stable_network",
+    batching_point,
+    axes={"config": (1, 4, 16, 64, 256, "cold", "warm")},
+    fixed={"network": NetworkConfig.paper_asymmetric(asymmetry=100.0), **WORKLOAD},
+)
+DRIFT = Sweep(
+    "adaptive_drifting_uplink",
+    batching_point,
+    axes={"config": (1, "cold")},
+    fixed={
+        "network": fading_uplink_scenario(drift_at_seconds=0.5, fade_factor=0.1),
+        **WORKLOAD,
+    },
+)
+FEEDBACK = Sweep(
+    "adaptive_database_feedback", feedback_point, fixed={"row_count": WORKLOAD["row_count"]}
+)
+
+COLUMNS = ["config", "elapsed_s", "rows_per_s", "batch_size_trace", "converged_batch_size"]
 
 
 @pytest.mark.benchmark(group="adaptive-runtime")
-def test_adaptive_converges_near_best_static(benchmark, once):
+def test_adaptive_converges_near_best_static(run_sweep):
     """Criterion (a): converged adaptive throughput within 15% of best static."""
-    network = NetworkConfig.paper_asymmetric(asymmetry=100.0)
-
-    def run():
-        static = _static_sweep(network)
-        cold_controller = BatchSizeController()
-        cold = _adaptive_run(network, cold_controller)
-        # A converged execution: warm-started where the cold run ended, which
-        # is exactly what Database.execute(adaptive=True) does via the
-        # statistics store on every query after the first.
-        warm_controller = BatchSizeController(
-            initial_batch_size=cold_controller.converged_batch_size
-        )
-        warm = _adaptive_run(network, warm_controller)
-        return static, cold, cold_controller, warm, warm_controller
-
-    static, cold, cold_controller, warm, warm_controller = once(benchmark, run)
-    best_static = min(static.values())
-    rows = WORKLOAD["row_count"]
-
-    records = [
-        {"config": f"static b={b}", "elapsed_s": t, "rows_per_s": rows / t}
-        for b, t in static.items()
-    ]
-    records.append(
-        {
-            "config": "adaptive (cold)",
-            "elapsed_s": cold.elapsed_seconds,
-            "rows_per_s": rows / cold.elapsed_seconds,
-        }
+    records = run_sweep(
+        STABLE,
+        "Adaptive vs. static batch sizes — stable asymmetric network (N = 100)",
+        COLUMNS,
+        pin="paper",
     )
-    records.append(
-        {
-            "config": "adaptive (warm)",
-            "elapsed_s": warm.elapsed_seconds,
-            "rows_per_s": rows / warm.elapsed_seconds,
-        }
-    )
-    print("\nAdaptive vs. static batch sizes — stable asymmetric network (N = 100)")
-    print(format_records(records, ["config", "elapsed_s", "rows_per_s"]))
-    print(f"cold climb: {cold_controller.size_trace()} -> converged "
-          f"{cold_controller.converged_batch_size}")
+    by_config = {record["config"]: record for record in records}
+    cold, warm = by_config["cold"], by_config["warm"]
+    best_static = min(r["elapsed_s"] for r in records if isinstance(r["config"], int))
 
     # Results identical whatever the batching.
-    assert cold.result_rows == warm.result_rows
-
+    assert cold["_rows"] == warm["_rows"]
     # The untuned cold run already beats the static default (batch size 1,
     # the paper's tuple-at-a-time wire behaviour) comfortably ...
-    assert cold.elapsed_seconds < static[1] / 1.3
+    assert cold["elapsed_s"] < by_config[1]["elapsed_s"] / 1.3
     # ... pays only a bounded exploration premium over the best static
     # configuration an offline sweep would find ...
-    assert cold.elapsed_seconds <= 1.6 * best_static
+    assert cold["elapsed_s"] <= 1.6 * best_static
     # ... and once converged (criterion (a)) runs within 15% of it.
-    assert warm.elapsed_seconds <= 1.15 * best_static
+    assert warm["elapsed_s"] <= 1.15 * best_static
 
 
 @pytest.mark.benchmark(group="adaptive-runtime")
-def test_adaptive_beats_static_default_under_drift(benchmark, once):
+def test_adaptive_beats_static_default_under_drift(run_sweep):
     """Criterion (b): strictly better than the static default when bandwidth drifts."""
-    drift = fading_uplink_scenario(drift_at_seconds=0.5, fade_factor=0.1)
-
-    def run():
-        default = run_workload_point(
-            SyntheticWorkload(**WORKLOAD), drift, StrategyConfig.semi_join()
-        )
-        controller = BatchSizeController()
-        adaptive = _adaptive_run(drift, controller)
-        return default, adaptive, controller
-
-    default, adaptive, controller = once(benchmark, run)
-    print(f"\nDrifting uplink ({drift.name}):")
-    print(f"  static default (batch 1): {default.elapsed_seconds:8.3f}s")
-    print(f"  adaptive:                 {adaptive.elapsed_seconds:8.3f}s  "
-          f"trace={controller.size_trace()}")
-
-    assert adaptive.result_rows == default.result_rows
+    default, adaptive = run_sweep(
+        DRIFT, f"Drifting uplink ({DRIFT.fixed['network'].name})", COLUMNS, pin="paper"
+    )
+    assert adaptive["_rows"] == default["_rows"]
     # Strictly better total query time than the static default configuration.
-    assert adaptive.elapsed_seconds < default.elapsed_seconds
+    assert adaptive["elapsed_s"] < default["elapsed_s"]
 
 
 @pytest.mark.benchmark(group="adaptive-runtime")
-def test_database_feedback_loop(benchmark, once):
-    """The observe → calibrate → adapt loop through the public Database API."""
-    row_count = WORKLOAD["row_count"]
+def test_database_feedback_loop(run_sweep):
+    (record,) = run_sweep(
+        FEEDBACK,
+        "Database feedback loop",
+        ["first_s", "first_trace", "learned_batch_size", "second_s", "second_trace"],
+        pin="paper",
+    )
+    print("  " + record["_statistics"].summary().replace("\n", "\n  "))
 
-    def run():
-        db = Database(network=NetworkConfig.paper_asymmetric(asymmetry=100.0))
-        db.create_table(
-            "T",
-            [("K", INTEGER), ("V", FLOAT)],
-            rows=[[i, float(i)] for i in range(row_count)],
-        )
-        # Declared cost is 20x too cheap: only observation can correct it.
-        db.register_client_udf(
-            "Score",
-            lambda v: v * 2.0,
-            cost_per_call_seconds=0.0001,
-            actual_cost_per_call_seconds=0.002,
-            selectivity=0.9,
-        )
-        sql = f"SELECT T.K FROM T WHERE Score(T.V) > {row_count}"
-        first = db.execute(sql, config=StrategyConfig.semi_join(), adaptive=True)
-        learned = db.statistics.preferred_batch_size()
-        second = db.execute(sql, config=StrategyConfig.semi_join(), adaptive=True)
-        return db, first, learned, second
-
-    db, first, learned, second = once(benchmark, run)
-    print("\nDatabase feedback loop:")
-    print(f"  query 1: {first.metrics.elapsed_seconds:.3f}s, "
-          f"trace {first.metrics.batch_size_trace}")
-    print(f"  query 2: {second.metrics.elapsed_seconds:.3f}s, "
-          f"trace {second.metrics.batch_size_trace}")
-    print("  " + db.statistics.summary().replace("\n", "\n  "))
-
-    assert first.row_set() == second.row_set()
+    assert record["same_rows"]
     # The observer measured the UDF's actual cost, not its declaration.
-    assert db.statistics.udf_cost("Score", 0.0) == pytest.approx(0.002)
+    assert record["observed_udf_cost"] == pytest.approx(0.002)
     # The second query warm-started from the first query's converged size.
-    assert second.metrics.batch_size_trace[0] == learned
+    assert record["second_trace"][0] == record["learned_batch_size"]
     # No re-exploration from scratch: the warm run is at least as fast.
-    assert second.metrics.elapsed_seconds <= first.metrics.elapsed_seconds * 1.05
+    assert record["second_s"] <= record["first_s"] * 1.05

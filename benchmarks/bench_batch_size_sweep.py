@@ -20,65 +20,77 @@ networks and checks:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from conftest import snapshot
 from repro.core.costmodel import CostModel, CostParameters
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.topology import NetworkConfig
-from repro.workloads.experiments import format_records, run_workload_point
+from repro.workloads.experiments import Sized, Sweep, plain, run_workload_point
 from repro.workloads.synthetic import SyntheticWorkload
-
-#: Reduced configuration for the CI smoke job (fewer rows, smaller sweep).
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-BATCH_SIZES = (1, 4, 16, 64) if SMOKE else (1, 4, 16, 64, 256)
 
 #: Small records and results so that the fixed per-message costs dominate —
 #: the regime batching is built for (many cheap UDF calls over narrow rows).
 WORKLOAD = dict(
-    row_count=120 if SMOKE else 200,
+    row_count=Sized(full=200, smoke=120),
     input_record_bytes=16,
     argument_fraction=0.5,
     result_bytes=8,
     selectivity=0.25,
     udf_cost_seconds=0.0001,
 )
-
-STRATEGIES = {
-    ExecutionStrategy.SEMI_JOIN: StrategyConfig.semi_join,
-    ExecutionStrategy.CLIENT_SITE_JOIN: StrategyConfig.client_site_join,
-}
-
-
-def _sweep(network: NetworkConfig):
-    records = []
-    points = {}
-    for strategy, make_config in STRATEGIES.items():
-        for batch_size in BATCH_SIZES:
-            workload = SyntheticWorkload(**WORKLOAD)
-            point = run_workload_point(workload, network, make_config(batch_size=batch_size))
-            points[(strategy, batch_size)] = point
-            records.append(
-                {
-                    "strategy": strategy.value,
-                    "batch_size": batch_size,
-                    "elapsed_s": point.elapsed_seconds,
-                    "rows_per_s": point.rows / point.elapsed_seconds,
-                    "speedup": (
-                        points[(strategy, 1)].elapsed_seconds / point.elapsed_seconds
-                    ),
-                    "down_msgs": point.downlink_messages,
-                    "up_msgs": point.uplink_messages,
-                    "up_bytes": point.uplink_bytes,
-                }
-            )
-    return records, points
+BATCH_SIZES = Sized(full=(1, 4, 16, 64, 256), smoke=(1, 4, 16, 64))
+REMOTE = ("semi_join", "client_site_join")
+ASYMMETRIC = NetworkConfig.paper_asymmetric(asymmetry=100.0)
+COLUMNS = ["strategy", "batch_size", "elapsed_s", "rows_per_s", "speedup", "up_msgs", "up_bytes"]
 
 
-def _predicted_speedup(network: NetworkConfig, strategy: ExecutionStrategy, batch_size: int) -> float:
+def batch_point(strategy, batch_size, network, **workload):
+    def run(size):
+        config = StrategyConfig(strategy=ExecutionStrategy(strategy), batch_size=size)
+        return run_workload_point(SyntheticWorkload(**workload), network, config)
+
+    point = run(batch_size)
+    # A point stands alone: it measures its own tuple-at-a-time baseline.
+    single = point if batch_size == 1 else run(1)
+    return {
+        "elapsed_s": point.elapsed_seconds,
+        "rows_per_s": point.rows / point.elapsed_seconds,
+        "speedup": single.elapsed_seconds / point.elapsed_seconds,
+        "down_msgs": point.downlink_messages,
+        "up_msgs": point.uplink_messages,
+        "up_bytes": point.uplink_bytes,
+        "_point": point,
+    }
+
+
+def _sweep(name, network, strategies=REMOTE, batch_sizes=BATCH_SIZES):
+    return Sweep(
+        name,
+        batch_point,
+        axes={"strategy": strategies, "batch_size": batch_sizes},
+        fixed={"network": network, **WORKLOAD},
+    )
+
+
+ASYMMETRIC_SWEEP = _sweep("batch_sweep_asymmetric", ASYMMETRIC)
+SYMMETRIC_SWEEP = _sweep("batch_sweep_symmetric", NetworkConfig.paper_symmetric())
+BATCH_OF_ONE = _sweep("batch_of_one", ASYMMETRIC, strategies=REMOTE + ("naive",), batch_sizes=(1,))
+
+
+def _run(run_sweep, sweep, title):
+    records = run_sweep(sweep, title, COLUMNS)
+    # Every (strategy, batch size) cell returns the identical result set.
+    reference = records[0]["_point"].result_rows
+    assert reference  # the sweep produces rows at all
+    for record in records:
+        assert record["_point"].result_rows == reference
+        assert record["_point"].rows == len(reference)
+    return records, {(r["strategy"], r["batch_size"]): r for r in records}
+
+
+def _predicted_speedup(network: NetworkConfig, strategy: str, batch_size: int) -> float:
     parameters = CostParameters.paper_experiment(
         input_record_bytes=WORKLOAD["input_record_bytes"],
         argument_fraction=WORKLOAD["argument_fraction"],
@@ -86,108 +98,64 @@ def _predicted_speedup(network: NetworkConfig, strategy: ExecutionStrategy, batc
         selectivity=WORKLOAD["selectivity"],
         asymmetry=network.asymmetry,
     ).with_message_overhead(MESSAGE_OVERHEAD_BYTES)
-    return CostModel(parameters).batching_speedup(strategy, batch_size)
-
-
-def _assert_equivalence(points) -> None:
-    """Every (strategy, batch size) cell returns the identical result set."""
-    reference = None
-    for point in points.values():
-        if reference is None:
-            reference = point.result_rows
-        assert point.result_rows == reference
-        assert point.rows == len(reference)
-    assert reference  # the sweep produces rows at all
+    return CostModel(parameters).batching_speedup(ExecutionStrategy(strategy), batch_size)
 
 
 @pytest.mark.benchmark(group="batch-size-sweep")
-def test_batch_sweep_asymmetric(benchmark, once):
-    network = NetworkConfig.paper_asymmetric(asymmetry=100.0)
-    records, points = once(benchmark, lambda: _sweep(network))
+def test_batch_sweep_asymmetric(run_sweep):
+    records, cells = _run(
+        run_sweep, ASYMMETRIC_SWEEP, "Batch-size sweep — asymmetric network (N = 100)"
+    )
+    snapshot("batch_sweep", {"network": "asymmetric-100", "records": [plain(r) for r in records]})
 
-    print("\nBatch-size sweep — asymmetric network (N = 100)")
-    print(format_records(records, ["strategy", "batch_size", "elapsed_s", "rows_per_s", "speedup", "up_msgs", "up_bytes"]))
-
-    from conftest import write_snapshot
-
-    write_snapshot("batch_sweep", {"network": "asymmetric-100", "records": records})
-
-    _assert_equivalence(points)
-
-    for strategy in STRATEGIES:
-        single = points[(strategy, 1)].elapsed_seconds
-        for batch_size in (size for size in (64, 256) if size in BATCH_SIZES):
-            batched = points[(strategy, batch_size)].elapsed_seconds
+    for strategy, batch_size in cells:
+        if batch_size >= 64:
             # The acceptance bar: batching >= 64 at least halves the
             # simulated time of both remote strategies on the paper's
             # asymmetric link.
-            assert single / batched >= 2.0, (strategy, batch_size, single / batched)
+            assert cells[(strategy, batch_size)]["speedup"] >= 2.0, (strategy, batch_size)
             # The batch-aware cost model predicts a speedup in the same
             # direction (and of at least the measured order).
-            assert _predicted_speedup(network, strategy, batch_size) > 1.5
+            assert _predicted_speedup(ASYMMETRIC, strategy, batch_size) > 1.5
 
     # Batching shrinks message counts by the batch factor (last partial
     # batches and control traffic aside).
-    semi64 = points[(ExecutionStrategy.SEMI_JOIN, 64)]
-    semi1 = points[(ExecutionStrategy.SEMI_JOIN, 1)]
-    assert semi64.uplink_messages < semi1.uplink_messages / 8
-    assert semi64.uplink_bytes < semi1.uplink_bytes
+    semi1, semi64 = cells[("semi_join", 1)], cells[("semi_join", 64)]
+    assert semi64["up_msgs"] < semi1["up_msgs"] / 8
+    assert semi64["up_bytes"] < semi1["up_bytes"]
 
 
 @pytest.mark.benchmark(group="batch-size-sweep")
-def test_batch_sweep_symmetric(benchmark, once):
-    network = NetworkConfig.paper_symmetric()
-    records, points = once(benchmark, lambda: _sweep(network))
-
-    print("\nBatch-size sweep — symmetric modem network (Figure 8 setting)")
-    print(format_records(records, ["strategy", "batch_size", "elapsed_s", "rows_per_s", "speedup", "up_msgs", "up_bytes"]))
-
-    _assert_equivalence(points)
+def test_batch_sweep_symmetric(run_sweep):
+    _, cells = _run(
+        run_sweep, SYMMETRIC_SWEEP, "Batch-size sweep — symmetric modem network (Figure 8 setting)"
+    )
 
     # Batching is measurably faster than tuple-at-a-time for both strategies
     # even on the symmetric link, where both directions share the bottleneck.
     # A batch spanning the whole input (256 > 200 rows) loses the
     # downlink/client/uplink overlap, so the sweet spot is interior — the
     # sweep must still beat batch 1 at its largest size, just by less.
-    for strategy in STRATEGIES:
-        elapsed = {b: points[(strategy, b)].elapsed_seconds for b in BATCH_SIZES}
-        assert elapsed[64] <= elapsed[1] / 1.3
-        if 256 in BATCH_SIZES:
-            assert elapsed[256] < elapsed[1]
-        assert min(elapsed, key=elapsed.get) in (16, 64)
+    for strategy in REMOTE:
+        speedup = {b: cells[(s, b)]["speedup"] for s, b in cells if s == strategy}
+        assert speedup[64] >= 1.3
+        assert speedup.get(256, 2.0) > 1.0
+        assert max(speedup, key=speedup.get) in (16, 64)
 
 
 @pytest.mark.benchmark(group="batch-size-sweep")
-def test_batch_of_one_reproduces_tuple_at_a_time(benchmark, once):
+def test_batch_of_one_reproduces_tuple_at_a_time(run_sweep):
     """``batch_size = 1`` is the seed's wire protocol, message for message."""
-    network = NetworkConfig.paper_asymmetric(asymmetry=100.0)
-
-    def run():
-        results = {}
-        for strategy, make_config in list(STRATEGIES.items()) + [
-            (ExecutionStrategy.NAIVE, StrategyConfig.naive)
-        ]:
-            workload = SyntheticWorkload(**WORKLOAD)
-            results[strategy] = run_workload_point(workload, network, make_config(batch_size=1))
-        return results
-
-    results = once(benchmark, run)
-    row_count = WORKLOAD["row_count"]
-
-    # All strategies agree on the answer (the seed's row-equivalence invariant).
-    reference = results[ExecutionStrategy.NAIVE].result_rows
-    for point in results.values():
-        assert point.result_rows == reference
+    records, _ = _run(run_sweep, BATCH_OF_ONE, "Batch size 1 — one message per shipped tuple")
+    row_count = records[0]["_point"].parameters["row_count"]
 
     # One downlink message per shipped tuple plus the end-of-stream marker:
     # every input record for the client-site join, every distinct argument
-    # tuple for the semi-join and the (cached) naive strategy.
-    csj = results[ExecutionStrategy.CLIENT_SITE_JOIN]
-    assert csj.downlink_messages == row_count + 1
-    semi = results[ExecutionStrategy.SEMI_JOIN]
-    assert semi.downlink_messages == row_count + 1  # distinct_fraction = 1
-    naive = results[ExecutionStrategy.NAIVE]
-    assert naive.downlink_messages == row_count + 1
-    # One uplink reply per request message plus the end-of-stream ack.
-    assert semi.uplink_messages == row_count + 1
-    assert csj.uplink_messages == row_count + 1
+    # tuple (distinct_fraction = 1) for the semi-join and the (cached) naive
+    # strategy.  (That all strategies agree on the answer — the seed's
+    # row-equivalence invariant — ``_run`` has checked.)
+    for record in records:
+        assert record["down_msgs"] == row_count + 1, record["strategy"]
+        # One uplink reply per request message plus the end-of-stream ack.
+        if record["strategy"] != "naive":
+            assert record["up_msgs"] == row_count + 1, record["strategy"]

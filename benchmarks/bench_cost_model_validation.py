@@ -11,91 +11,58 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.costmodel import CostModel, CostParameters
-from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
-from repro.workloads.experiments import run_workload_point
-from repro.workloads.synthetic import SyntheticWorkload
-
-GRID = [
-    # (input bytes, A, result bytes, selectivity, asymmetry)
-    (1000, 0.5, 100, 0.2, 1.0),
-    (1000, 0.5, 2000, 0.2, 1.0),
-    (1000, 0.5, 2000, 0.9, 1.0),
-    (500, 0.2, 1000, 0.25, 1.0),
-    (500, 0.2, 1000, 1.0, 1.0),
-    (2000, 0.8, 500, 0.3, 20.0),
-    (2000, 0.8, 2000, 0.1, 20.0),
-    (1000, 0.5, 1000, 0.5, 100.0),
-]
+from repro.workloads.experiments import Sweep, ratio_point
 
 
-def run_grid():
-    rows = []
-    for input_bytes, fraction, result_bytes, selectivity, asymmetry in GRID:
-        if asymmetry == 1.0:
-            network = NetworkConfig.paper_symmetric()
-        else:
-            network = NetworkConfig.asymmetric(200_000.0, asymmetry=asymmetry, latency=0.05)
-        workload = SyntheticWorkload(
-            row_count=50,
-            input_record_bytes=input_bytes,
-            argument_fraction=fraction,
-            result_bytes=result_bytes,
-            selectivity=selectivity,
+def validation_point(case, row_count):
+    input_bytes, fraction, result_bytes, selectivity, asymmetry = case
+    if asymmetry == 1.0:
+        network = NetworkConfig.paper_symmetric()
+    else:
+        network = NetworkConfig.asymmetric(200_000.0, asymmetry=asymmetry, latency=0.05)
+    record = ratio_point(input_bytes, fraction, result_bytes, selectivity, network, row_count)
+    # Ties go to the semi-join, in the model (``preferred_strategy``) and here.
+    record["predicted_winner"] = "csj" if record["predicted_ratio"] < 1.0 else "sj"
+    record["measured_winner"] = "csj" if record["measured_ratio"] < 1.0 else "sj"
+    return record
+
+
+SWEEP = Sweep(
+    "cost_model_validation",
+    validation_point,
+    axes={
+        # (input bytes, A, result bytes, selectivity, asymmetry)
+        "case": (
+            (1000, 0.5, 100, 0.2, 1.0),
+            (1000, 0.5, 2000, 0.2, 1.0),
+            (1000, 0.5, 2000, 0.9, 1.0),
+            (500, 0.2, 1000, 0.25, 1.0),
+            (500, 0.2, 1000, 1.0, 1.0),
+            (2000, 0.8, 500, 0.3, 20.0),
+            (2000, 0.8, 2000, 0.1, 20.0),
+            (1000, 0.5, 1000, 0.5, 100.0),
         )
-        semi = run_workload_point(workload, network, StrategyConfig.semi_join())
-        csj = run_workload_point(workload, network, StrategyConfig.client_site_join())
-        parameters = CostParameters.paper_experiment(
-            input_record_bytes=input_bytes,
-            argument_fraction=fraction,
-            result_bytes=result_bytes,
-            selectivity=selectivity,
-            asymmetry=network.asymmetry,
-        )
-        model = CostModel(parameters)
-        rows.append(
-            {
-                "I": input_bytes,
-                "A": fraction,
-                "R": result_bytes,
-                "S": selectivity,
-                "N": asymmetry,
-                "measured_ratio": csj.elapsed_seconds / semi.elapsed_seconds,
-                "predicted_ratio": model.relative_time(),
-                "predicted_winner": model.preferred_strategy(),
-                "measured_winner": (
-                    ExecutionStrategy.CLIENT_SITE_JOIN
-                    if csj.elapsed_seconds < semi.elapsed_seconds
-                    else ExecutionStrategy.SEMI_JOIN
-                ),
-            }
-        )
-    return rows
+    },
+    fixed={"row_count": 50},
+)
 
 
 @pytest.mark.benchmark(group="cost-model")
-def test_cost_model_predicts_strategy_winner(benchmark, once):
-    rows = once(benchmark, run_grid)
-
-    print("\nCost-model validation — predicted vs. measured CSJ/SJ ratios")
-    header = f"{'I':>6} {'A':>5} {'R':>6} {'S':>5} {'N':>6} {'measured':>10} {'predicted':>10}  winner(pred/meas)"
-    print(header)
-    agree = 0
-    for row in rows:
-        print(
-            f"{row['I']:>6} {row['A']:>5} {row['R']:>6} {row['S']:>5} {row['N']:>6} "
-            f"{row['measured_ratio']:>10.3f} {row['predicted_ratio']:>10.3f}  "
-            f"{row['predicted_winner'].value}/{row['measured_winner'].value}"
-        )
-        if row["predicted_winner"] is row["measured_winner"]:
-            agree += 1
+def test_cost_model_predicts_strategy_winner(run_sweep):
+    records = run_sweep(
+        SWEEP,
+        "Cost-model validation — predicted vs. measured CSJ/SJ ratios over (I, A, R, S, N)",
+        ["case", "measured_ratio", "predicted_ratio", "predicted_winner", "measured_winner"],
+        pin="paper",
+    )
 
     # The model should call the winner on (nearly) every grid point; allow one
     # disagreement for points sitting almost exactly on the breakeven line.
-    assert agree >= len(rows) - 1
+    agree = sum(record["predicted_winner"] == record["measured_winner"] for record in records)
+    assert agree >= len(records) - 1
     # And the predicted ratio should correlate with the measured one.
-    for row in rows:
-        assert row["measured_ratio"] == pytest.approx(
-            row["predicted_ratio"], rel=0.5, abs=0.3
+    for record in records:
+        assert record["measured_ratio"] == pytest.approx(
+            record["predicted_ratio"], rel=0.5, abs=0.3
         )

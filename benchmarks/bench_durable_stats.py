@@ -20,34 +20,24 @@ knowledge across the restart.  Asserted criteria:
 
 * warm restart within 15% of the converged in-session time;
 * warm restart at least 1.3x faster than the cold first query.
-
-Set ``REPRO_BENCH_SMOKE=1`` to run the reduced CI configuration (and record
-the ``BENCH_durable_stats.json`` snapshot).
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 
 import pytest
 
-from conftest import write_snapshot
+from conftest import snapshot
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER
 from repro.server.engine import Database
-from repro.workloads.experiments import format_records
-
-#: Reduced configuration for the CI smoke job.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-ROW_COUNT = 120 if SMOKE else 200
-CONVERGE_RUNS = 3 if SMOKE else 5
+from repro.workloads.experiments import Sized, Sweep, plain
 
 NETWORK = NetworkConfig.paper_asymmetric(asymmetry=100.0)
 
 
-def _open_database(directory: str) -> Database:
+def _open_database(directory: str, row_count: int) -> Database:
     """Open (or re-open) the benchmark database over ``directory``.
 
     On re-open the table comes back from the paged storage; the UDFs are
@@ -60,7 +50,7 @@ def _open_database(directory: str) -> Database:
         db.create_table(
             "T",
             [("K", INTEGER), ("V", FLOAT)],
-            rows=[(i, float(i)) for i in range(ROW_COUNT)],
+            rows=[(i, float(i)) for i in range(row_count)],
         )
     # Declared expensive and unselective; actually cheap and sharp.
     db.register_client_udf(
@@ -81,66 +71,59 @@ def _open_database(directory: str) -> Database:
     return db
 
 
-SQL = (
-    f"SELECT T.K FROM T WHERE Sieve(T.V) < {ROW_COUNT // 10} "
-    f"AND Heavy(T.V) < {ROW_COUNT * 2}"
+def restart_point(row_count, converge_runs):
+    """Cold → converged → restart: the restarted first query stays warm."""
+    sql = f"SELECT T.K FROM T WHERE Sieve(T.V) < {row_count // 10} AND Heavy(T.V) < {row_count * 2}"
+    with tempfile.TemporaryDirectory() as directory:
+        db = _open_database(directory, row_count)
+        cold = db.execute(sql, optimize=True, adaptive=True)
+        converged = cold
+        for _ in range(converge_runs):
+            converged = db.execute(sql, optimize=True, adaptive=True)
+        observed = db.statistics.queries_observed
+        db.close()
+
+        restarted = _open_database(directory, row_count)
+        warm = restarted.execute(sql, optimize=True, adaptive=True)
+        restored = restarted.statistics.queries_observed
+        restarted.close()
+    cold_s, converged_s, warm_s = (
+        result.metrics.elapsed_seconds for result in (cold, converged, warm)
+    )
+    return {
+        "row_count": row_count,
+        "cold_seconds": round(cold_s, 6),
+        "converged_seconds": round(converged_s, 6),
+        "warm_restart_seconds": round(warm_s, 6),
+        "cold_over_warm": round(cold_s / warm_s, 3),
+        "warm_over_converged": round(warm_s / converged_s, 3),
+        "_same_rows": cold.row_set() == warm.row_set(),
+        "_queries_observed": (observed, restored),
+    }
+
+
+SWEEP = Sweep(
+    "durable_stats",
+    restart_point,
+    fixed={"row_count": Sized(full=200, smoke=120), "converge_runs": Sized(full=5, smoke=3)},
 )
 
 
 @pytest.mark.benchmark(group="durable-stats")
-def test_warm_restart_matches_converged_plan(benchmark, once):
-    """Cold → converged → restart: the restarted first query stays warm."""
-
-    def run():
-        with tempfile.TemporaryDirectory() as directory:
-            db = _open_database(directory)
-            cold = db.execute(SQL, optimize=True, adaptive=True)
-            converged = cold
-            for _ in range(CONVERGE_RUNS):
-                converged = db.execute(SQL, optimize=True, adaptive=True)
-            observed = db.statistics.queries_observed
-            db.close()
-
-            restarted = _open_database(directory)
-            warm = restarted.execute(SQL, optimize=True, adaptive=True)
-            restored = restarted.statistics.queries_observed
-            restarted.close()
-        return cold, converged, warm, observed, restored
-
-    cold, converged, warm, observed, restored = once(benchmark, run)
-    cold_s = cold.metrics.elapsed_seconds
-    converged_s = converged.metrics.elapsed_seconds
-    warm_s = warm.metrics.elapsed_seconds
-
-    records = [
-        {"query": "cold (first ever)", "elapsed_s": cold_s},
-        {"query": f"converged (after {CONVERGE_RUNS + 1} runs)", "elapsed_s": converged_s},
-        {"query": "warm (first after restart)", "elapsed_s": warm_s},
-    ]
-    print("\nDurable statistics across a restart — asymmetric network (N = 100)")
-    print(format_records(records, ["query", "elapsed_s"]))
-    print(f"cold/warm speedup: {cold_s / warm_s:.2f}x; "
-          f"warm within {warm_s / converged_s:.3f}x of converged")
+def test_warm_restart_matches_converged_plan(run_sweep):
+    (record,) = run_sweep(
+        SWEEP, "Durable statistics across a restart — asymmetric network (N = 100)"
+    )
+    snapshot("durable_stats", plain(record))
 
     # Same answers whatever the plan.
-    assert cold.row_set() == warm.row_set()
+    assert record["_same_rows"]
     # The snapshot really was restored: the restarted store continues the
     # observation count instead of starting at zero.
+    observed, restored = record["_queries_observed"]
     assert restored == observed + 1
 
     # Criterion (a): warm restart within 15% of the converged steady state.
-    assert warm_s <= 1.15 * converged_s
+    assert record["warm_restart_seconds"] <= 1.15 * record["converged_seconds"]
     # Criterion (b): at least 1.3x better than the cold first query.
-    assert warm_s * 1.3 <= cold_s
-
-    write_snapshot(
-        "durable_stats",
-        {
-            "row_count": ROW_COUNT,
-            "cold_seconds": round(cold_s, 6),
-            "converged_seconds": round(converged_s, 6),
-            "warm_restart_seconds": round(warm_s, 6),
-            "cold_over_warm": round(cold_s / warm_s, 3),
-            "warm_over_converged": round(warm_s / converged_s, 3),
-        },
-    )
+    assert record["warm_restart_seconds"] * 1.3 <= record["cold_seconds"]

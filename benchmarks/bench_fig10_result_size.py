@@ -13,28 +13,39 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.experiments import ResultSizeSweep, format_records
+from repro.network.topology import NetworkConfig
+from repro.workloads.experiments import Sweep, ratio_point
 
-
-RESULT_SIZES = (0, 200, 400, 800, 1200, 1600, 2000)
-SELECTIVITIES = (0.25, 0.5, 0.75, 1.0)
+SWEEP = Sweep(
+    "fig10",
+    ratio_point,
+    axes={
+        "selectivity": (0.25, 0.5, 0.75, 1.0),
+        "result_size": (0, 200, 400, 800, 1200, 1600, 2000),
+    },
+    fixed={
+        "row_count": 100,
+        "input_record_bytes": 500,
+        "argument_fraction": 0.2,
+        "network": NetworkConfig.paper_symmetric(),
+    },
+)
 
 
 @pytest.mark.benchmark(group="figure-10")
-def test_fig10_result_size_sweep(benchmark, once):
-    sweep = ResultSizeSweep(result_sizes=RESULT_SIZES, selectivities=SELECTIVITIES)
-    records = once(benchmark, sweep.run)
+def test_fig10_result_size_sweep(run_sweep):
+    records = run_sweep(
+        SWEEP,
+        "Figure 10 — relative time (CSJ / SJ) vs. result size",
+        ["selectivity", "result_size", "measured_ratio", "predicted_ratio"],
+        pin="paper",
+    )
 
-    print("\nFigure 10 — relative time (CSJ / SJ) vs. result size")
-    print(format_records(records, ["selectivity", "result_size", "measured_ratio", "predicted_ratio"]))
-
-    by_selectivity = {}
-    for record in records:
-        by_selectivity.setdefault(record["selectivity"], []).append(record)
-
-    for selectivity, rows in by_selectivity.items():
-        rows.sort(key=lambda r: r["result_size"])
-        ratios = [r["measured_ratio"] for r in rows]
+    curves = {
+        selectivity: [r["measured_ratio"] for r in records if r["selectivity"] == selectivity]
+        for selectivity in SWEEP.axes["selectivity"]
+    }
+    for selectivity, ratios in curves.items():
         # Declining overall: small results penalise the CSJ the most.
         assert ratios[0] > ratios[-1]
         # Monotone non-increasing (within measurement slack).
@@ -44,9 +55,9 @@ def test_fig10_result_size_sweep(benchmark, once):
         assert ratios[-1] <= selectivity + 0.45
 
     # Selective predicates eventually make the CSJ cheaper; S=1.0 never does.
-    assert min(r["measured_ratio"] for r in by_selectivity[0.25]) < 1.0
-    assert min(r["measured_ratio"] for r in by_selectivity[0.5]) < 1.0
-    assert all(r["measured_ratio"] >= 0.95 for r in by_selectivity[1.0])
+    assert min(curves[0.25]) < 1.0
+    assert min(curves[0.5]) < 1.0
+    assert all(ratio >= 0.95 for ratio in curves[1.0])
     # Lower selectivity curves sit below higher ones at the largest result size.
-    final = {sel: rows[-1]["measured_ratio"] for sel, rows in by_selectivity.items()}
+    final = {selectivity: ratios[-1] for selectivity, ratios in curves.items()}
     assert final[0.25] < final[0.5] < final[0.75] <= final[1.0] + 0.05

@@ -14,59 +14,80 @@ import pytest
 
 from repro.core.optimizer import CostEstimator, Optimizer, operations_for_query
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
+from repro.workloads.experiments import Sweep
 from repro.workloads.stock import StockWorkload
 
 
-@pytest.mark.benchmark(group="figure-13")
-def test_fig13_second_udf_plan_space(benchmark, once):
-    workload = StockWorkload(company_count=40, seed=5)
-    db = workload.build()
-    bound = db.bind(StockWorkload.figure13_query())
+def _semi_join_variant(estimator, plan, udf):
+    return next(
+        variant
+        for variant in estimator.udf_variants(plan, udf)
+        if variant.udf_strategies[udf.name] is ExecutionStrategy.SEMI_JOIN
+    )
 
+
+def plan_space_point(company_count, seed):
+    db = StockWorkload(company_count=company_count, seed=seed).build()
+    query = StockWorkload.figure13_query()
+    bound = db.bind(query)
     full = Optimizer(db.network, exhaustive_properties=True)
-    reduced = Optimizer(db.network, exhaustive_properties=False)
+    full_plans = full.plan_space(bound)
+    reduced_plans = Optimizer(db.network, exhaustive_properties=False).plan_space(bound)
+    decision = full.optimize(bound)
 
-    def run():
-        return full.plan_space(bound), reduced.plan_space(bound), full.optimize(bound)
+    # The Figure 16 effect, measured directly on the cost estimator: pricing
+    # ClientRating's semi-join after Volatility's left its arguments at the
+    # client, against pricing it from the bare scan.
+    estimator = CostEstimator(db.network, bound)
+    tables, udfs = operations_for_query(bound)
+    base = estimator.scan(next(op for op in tables if op.alias == "S"))
+    volatility = next(op for op in udfs if op.name == "Volatility")
+    rating = next(op for op in udfs if op.name == "ClientRating")
+    resident = _semi_join_variant(estimator, _semi_join_variant(estimator, base, volatility), rating)
+    fresh = _semi_join_variant(estimator, base, rating)
 
-    full_plans, reduced_plans, decision = once(benchmark, run)
+    result = db.execute(query, optimize=True)
+    reference = db.execute(query, config=StrategyConfig.semi_join())
+    return {
+        "plans_with_column_locations": len(full_plans),
+        "plans_with_site_only": len(reduced_plans),
+        "best_cost_with_column_locations": full_plans[0].cost,
+        "best_cost_with_site_only": reduced_plans[0].cost,
+        "rating_cost_resident_arguments": resident.steps[-1].cost,
+        "rating_cost_shipped_arguments": fresh.steps[-1].cost,
+        "optimized_s": result.metrics.elapsed_seconds,
+        "semi_join_s": reference.metrics.elapsed_seconds,
+        "same_rows": result.row_set() == reference.row_set(),
+        "_decision": decision,
+    }
 
-    print("\nFigure 13/16 — plan space with the column-location property")
-    print(f"plans kept with the per-column location property : {len(full_plans)}")
-    print(f"plans kept with only the site property            : {len(reduced_plans)}")
+
+SWEEP = Sweep("fig13", plan_space_point, fixed={"company_count": 40, "seed": 5})
+
+
+@pytest.mark.benchmark(group="figure-13")
+def test_fig13_second_udf_plan_space(run_sweep):
+    (record,) = run_sweep(
+        SWEEP,
+        "Figure 13/16 — plan space with the column-location property",
+        [
+            "plans_with_column_locations",
+            "plans_with_site_only",
+            "rating_cost_resident_arguments",
+            "rating_cost_shipped_arguments",
+        ],
+        pin="paper",
+    )
     print("\nbest plan:")
-    print(decision.describe())
+    print(record["_decision"].describe())
 
     # The richer property set keeps at least as many alternatives and never
     # yields a more expensive best plan.
-    assert len(full_plans) >= len(reduced_plans)
-    assert full_plans[0].cost <= reduced_plans[0].cost + 1e-9
-
-    # Reusing client-resident argument columns is cheaper than re-shipping
-    # them (the Figure 16 effect), measured directly on the cost estimator.
-    estimator = CostEstimator(db.network, bound)
-    tables, udfs = operations_for_query(bound)
-    quotes = next(op for op in tables if op.alias == "S")
-    volatility = next(op for op in udfs if op.name == "Volatility")
-    rating = next(op for op in udfs if op.name == "ClientRating")
-    base = estimator.scan(quotes)
-    after_vol = next(
-        p for p in estimator.udf_variants(base, volatility)
-        if p.udf_strategies["Volatility"] is ExecutionStrategy.SEMI_JOIN
+    assert record["plans_with_column_locations"] >= record["plans_with_site_only"]
+    assert (
+        record["best_cost_with_column_locations"] <= record["best_cost_with_site_only"] + 1e-9
     )
-    resident = next(
-        p for p in estimator.udf_variants(after_vol, rating)
-        if p.udf_strategies["ClientRating"] is ExecutionStrategy.SEMI_JOIN
-    )
-    fresh = next(
-        p for p in estimator.udf_variants(base, rating)
-        if p.udf_strategies["ClientRating"] is ExecutionStrategy.SEMI_JOIN
-    )
-    print(f"\nClientRating semi-join cost with resident arguments : {resident.steps[-1].cost:.4f}s")
-    print(f"ClientRating semi-join cost shipping its arguments   : {fresh.steps[-1].cost:.4f}s")
-    assert resident.steps[-1].cost < fresh.steps[-1].cost
-
+    # Reusing client-resident argument columns is cheaper than re-shipping them.
+    assert record["rating_cost_resident_arguments"] < record["rating_cost_shipped_arguments"]
     # The decision still executes correctly.
-    result = db.execute(StockWorkload.figure13_query(), optimize=True)
-    reference = db.execute(StockWorkload.figure13_query(), config=StrategyConfig.semi_join())
-    assert result.row_set() == reference.row_set()
+    assert record["same_rows"]

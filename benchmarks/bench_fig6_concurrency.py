@@ -11,44 +11,36 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.experiments import ConcurrencySweep
+from repro.workloads.experiments import FIGURE6_NETWORK, Sweep, concurrency_point
 
-
-FACTORS = (1, 2, 3, 5, 7, 9, 11, 13, 17, 21)
-OBJECT_SIZES = (100, 500, 1000)
+SWEEP = Sweep(
+    "fig6",
+    concurrency_point,
+    axes={"object_size": (100, 500, 1000), "factor": (1, 2, 3, 5, 7, 9, 11, 13, 17, 21)},
+    fixed={"row_count": 100, "network": FIGURE6_NETWORK, "udf_cost_seconds": 0.03},
+)
 
 
 @pytest.mark.benchmark(group="figure-6")
-def test_fig6_concurrency_sweep(benchmark, once):
-    sweep = ConcurrencySweep(
-        row_count=100, object_sizes=OBJECT_SIZES, concurrency_factors=FACTORS
+def test_fig6_concurrency_sweep(run_sweep):
+    records = run_sweep(
+        SWEEP, "Figure 6 — execution time (simulated seconds) vs. concurrency factor", pin="paper"
     )
-    series = once(benchmark, sweep.run)
 
-    print("\nFigure 6 — execution time (simulated seconds) vs. concurrency factor")
-    header = "factor".rjust(8) + "".join(f"{size:>12d}B" for size in OBJECT_SIZES)
-    print(header)
-    for index, factor in enumerate(FACTORS):
-        row = f"{factor:>8d}"
-        for size in OBJECT_SIZES:
-            row += f"{series[size][index][1]:>13.2f}"
-        print(row)
-    for size in OBJECT_SIZES:
-        print(f"predicted optimal factor for {size:>5d}B objects: "
-              f"{sweep.predicted_optimal_factor(size)}")
-
-    for size in OBJECT_SIZES:
-        times = dict(series[size])
+    optimum = {}
+    for size in SWEEP.axes["object_size"]:
+        series = [record for record in records if record["object_size"] == size]
+        times = {record["factor"]: record["elapsed_s"] for record in series}
+        optimum[size] = series[0]["predicted_optimal_factor"]
         # Steep improvement from no pipelining to a modest pipeline.
         assert times[5] < 0.55 * times[1]
         # Times never get worse as the buffer grows (within a small slack).
-        ordered = [t for _, t in series[size]]
+        ordered = list(times.values())
         assert all(b <= a * 1.05 for a, b in zip(ordered, ordered[1:]))
         # Flattening: beyond the analytic optimum (where it falls inside the
         # swept range), more buffering barely helps.
-        optimum = sweep.predicted_optimal_factor(size)
-        beyond = [t for f, t in series[size] if f >= optimum]
+        beyond = [t for factor, t in times.items() if factor >= optimum[size]]
         if beyond:
             assert max(beyond) <= min(beyond) * 1.25
     # Larger objects flatten earlier (their optimum factor is smaller).
-    assert sweep.predicted_optimal_factor(1000) < sweep.predicted_optimal_factor(100)
+    assert optimum[1000] < optimum[100]

@@ -11,29 +11,36 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.experiments import SelectivitySweep, format_records
+from repro.network.topology import NetworkConfig
+from repro.workloads.experiments import Sweep, ratio_point
 
-
-SELECTIVITIES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+SWEEP = Sweep(
+    "fig9",
+    ratio_point,
+    axes={
+        "result_size": (500, 1000, 5000),
+        "selectivity": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+    },
+    fixed={
+        "row_count": 60,  # smaller grid: the 5000-byte records dominate runtime
+        "input_record_bytes": 5000,
+        "argument_fraction": 0.8,
+        "network": NetworkConfig.paper_asymmetric(asymmetry=100.0),
+    },
+)
 
 
 @pytest.mark.benchmark(group="figure-9")
-def test_fig9_selectivity_sweep_asymmetric(benchmark, once):
-    sweep = SelectivitySweep.figure9(asymmetry=100.0)
-    sweep.selectivities = SELECTIVITIES
-    sweep.row_count = 60  # smaller grid: the 5000-byte records dominate runtime
-    records = once(benchmark, sweep.run)
+def test_fig9_selectivity_sweep_asymmetric(run_sweep):
+    records = run_sweep(
+        SWEEP,
+        "Figure 9 — relative time (CSJ / SJ) on an asymmetric network, N = 100",
+        ["result_size", "selectivity", "measured_ratio", "predicted_ratio"],
+        pin="paper",
+    )
 
-    print("\nFigure 9 — relative time (CSJ / SJ) on an asymmetric network, N = 100")
-    print(format_records(records, ["result_size", "selectivity", "measured_ratio", "predicted_ratio"]))
-
-    by_size = {}
-    for record in records:
-        by_size.setdefault(record["result_size"], []).append(record)
-
-    for result_size, rows in by_size.items():
-        rows.sort(key=lambda r: r["selectivity"])
-        ratios = [r["measured_ratio"] for r in rows]
+    for result_size in SWEEP.axes["result_size"]:
+        ratios = [r["measured_ratio"] for r in records if r["result_size"] == result_size]
         # Strictly increasing (no flat downlink-bound region).
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         # The increase from the lowest to the highest selectivity is large —

@@ -23,57 +23,39 @@ plan touched.  Asserted criteria:
   scan pins a heap page once per row, so its accesses overcount pages);
 * the index nested-loop join issues one probe per outer row and touches
   fewer pages than the hash-join baseline, with identical answers.
-
-Set ``REPRO_BENCH_SMOKE=1`` to run the reduced CI configuration (and record
-the ``BENCH_indexes.json`` snapshot).
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 
 import pytest
 
-from conftest import write_snapshot
+from conftest import snapshot
 from repro.core.optimizer.cost import CostSettings
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.server.engine import Database
-from repro.workloads.experiments import format_records
+from repro.workloads.experiments import Sized, Sweep, plain
 
-#: Reduced configuration for the CI smoke job.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-ROW_COUNT = 4000 if SMOKE else 12000
+ROW_COUNT = Sized(full=12000, smoke=4000)
 ORDER_COUNT = 8
 
 NETWORK = NetworkConfig.symmetric(2_000_000.0, latency=0.0005, name="bench-indexes")
 COST = CostSettings(block_access_seconds=0.005)
 
-#: Matches 4 rows (0.1% of the table) — far below the 5% line.
-SELECTIVE_SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price < 1.0"
-#: Matches ~45% of the table — the scan must survive.
-UNSELECTIVE_SQL = f"SELECT Q.Id FROM Quotes Q WHERE Q.Price < {ROW_COUNT * 0.45 / 4.0}"
-#: 0.25% of the table between two bounds, in the middle of the price column.
-INTERVAL_SQL = (
-    f"SELECT Q.Id FROM Quotes Q WHERE Q.Price >= {ROW_COUNT / 8.0} "
-    f"AND Q.Price < {ROW_COUNT / 8.0 + ROW_COUNT * 0.0025 / 4.0}"
-)
-JOIN_SQL = "SELECT O.OId, Q.Price FROM Orders O, Quotes Q WHERE O.QuoteId = Q.Id"
 
-
-def _open_database(directory: str) -> Database:
+def _open_database(directory: str, row_count: int) -> Database:
     db = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
     db.create_table(
         "Quotes",
         [("Id", INTEGER), ("Price", FLOAT), ("Name", STRING)],
-        rows=[(i, float(i) / 4.0, f"name{i % 50}") for i in range(ROW_COUNT)],
+        rows=[(i, float(i) / 4.0, f"name{i % 50}") for i in range(row_count)],
     )
     db.create_table(
         "Orders",
         [("OId", INTEGER), ("QuoteId", INTEGER)],
-        rows=[(i, i * (ROW_COUNT // ORDER_COUNT)) for i in range(ORDER_COUNT)],
+        rows=[(i, i * (row_count // ORDER_COUNT)) for i in range(ORDER_COUNT)],
     )
     db.analyze("Quotes")
     db.analyze("Orders")
@@ -91,161 +73,117 @@ def _run_cold(directory: str, sql: str, optimize: bool):
 
 def _modeled_seconds(result) -> float:
     """Simulated query time plus the block charge for every page touched."""
-    return (
+    return round(
         result.metrics.elapsed_seconds
-        + result.metrics.buffer_accesses * COST.block_access_seconds
+        + result.metrics.buffer_accesses * COST.block_access_seconds,
+        6,
     )
+
+
+def access_path_point(row_count):
+    """Three predicates, each by sequential scan and through the optimizer."""
+    #: Matches 4 rows (0.1% of the smoke table) — far below the 5% line.
+    selective = "SELECT Q.Id FROM Quotes Q WHERE Q.Price < 1.0"
+    #: Matches ~45% of the table — the scan must survive.
+    unselective = f"SELECT Q.Id FROM Quotes Q WHERE Q.Price < {row_count * 0.45 / 4.0}"
+    #: 0.25% of the table between two bounds, in the middle of the price column.
+    interval = (
+        f"SELECT Q.Id FROM Quotes Q WHERE Q.Price >= {row_count / 8.0} "
+        f"AND Q.Price < {row_count / 8.0 + row_count * 0.0025 / 4.0}"
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        db = _open_database(directory, row_count)
+        seq_sel = db.execute(selective, deliver_results=True)
+        seq_unsel = db.execute(unselective, deliver_results=True)
+        db.execute("CREATE INDEX quotes_price_idx ON Quotes (Price)")
+        idx_sel = db.execute(selective, optimize=True, deliver_results=True)
+        idx_unsel = db.execute(unselective, optimize=True, deliver_results=True)
+        # A write past the column maximum must not blind the chooser.
+        db.catalog.table("Quotes").insert((row_count, float(row_count), "late"))
+        db.close()
+        # An index scan pins a heap page once per row, so its accesses
+        # overcount pages: the interval pair counts the misses of a freshly
+        # opened database instead.
+        seq_int = _run_cold(directory, interval, optimize=False)
+        idx_int = _run_cold(directory, interval, optimize=True)
+    return {
+        "row_count": row_count,
+        "selective_seq_pages": seq_sel.metrics.buffer_accesses,
+        "selective_index_pages": idx_sel.metrics.buffer_accesses,
+        "page_reduction": round(
+            seq_sel.metrics.buffer_accesses / max(1, idx_sel.metrics.buffer_accesses), 2
+        ),
+        "selective_seq_modeled_seconds": _modeled_seconds(seq_sel),
+        "selective_index_modeled_seconds": _modeled_seconds(idx_sel),
+        "unselective_kept_seq_scan": idx_unsel.metrics.index_lookups == 0,
+        "interval_seq_pages": seq_int.metrics.buffer_misses,
+        "interval_index_pages": idx_int.metrics.buffer_misses,
+        "interval_page_reduction": round(
+            seq_int.metrics.buffer_misses / max(1, idx_int.metrics.buffer_misses), 2
+        ),
+        "_same_rows": (
+            idx_sel.row_set() == seq_sel.row_set()
+            and idx_unsel.row_set() == seq_unsel.row_set()
+            and idx_int.row_set() == seq_int.row_set()
+        ),
+        "_interval_rows": len(idx_int.rows),
+        "_selective_index_lookups": idx_sel.metrics.index_lookups,
+        "_interval_index_lookups": idx_int.metrics.index_lookups,
+    }
+
+
+def join_point(row_count):
+    """Tiny outer vs indexed inner: hash join, then index nested-loop."""
+    sql = "SELECT O.OId, Q.Price FROM Orders O, Quotes Q WHERE O.QuoteId = Q.Id"
+    with tempfile.TemporaryDirectory() as directory:
+        db = _open_database(directory, row_count)
+        hash_join = db.execute(sql, deliver_results=True)
+        db.execute("CREATE INDEX quotes_id_idx ON Quotes (Id)")
+        index_join = db.execute(sql, optimize=True, deliver_results=True)
+        db.close()
+    return {
+        "hash_join_pages": hash_join.metrics.buffer_accesses,
+        "hash_join_modeled_seconds": _modeled_seconds(hash_join),
+        "index_join_pages": index_join.metrics.buffer_accesses,
+        "index_join_probes": index_join.metrics.index_lookups,
+        "index_join_modeled_seconds": _modeled_seconds(index_join),
+        "_same_rows": index_join.row_set() == hash_join.row_set(),
+    }
+
+
+ACCESS_PATHS = Sweep("index_access_paths", access_path_point, fixed={"row_count": ROW_COUNT})
+JOIN = Sweep("index_nested_loop_join", join_point, fixed={"row_count": ROW_COUNT})
 
 
 @pytest.mark.benchmark(group="indexes")
-def test_index_scan_page_savings(benchmark, once):
+def test_index_scan_page_savings(run_sweep):
     """Selective predicate through the B-tree: >= 5x fewer pages touched."""
-
-    def run():
-        with tempfile.TemporaryDirectory() as directory:
-            db = _open_database(directory)
-            seq_selective = db.execute(SELECTIVE_SQL, deliver_results=True)
-            seq_unselective = db.execute(UNSELECTIVE_SQL, deliver_results=True)
-            db.execute("CREATE INDEX quotes_price_idx ON Quotes (Price)")
-            idx_selective = db.execute(
-                SELECTIVE_SQL, optimize=True, deliver_results=True
-            )
-            idx_unselective = db.execute(
-                UNSELECTIVE_SQL, optimize=True, deliver_results=True
-            )
-            # A write past the column maximum must not blind the chooser.
-            db.catalog.table("Quotes").insert((ROW_COUNT, float(ROW_COUNT), "late"))
-            db.close()
-            seq_interval = _run_cold(directory, INTERVAL_SQL, optimize=False)
-            idx_interval = _run_cold(directory, INTERVAL_SQL, optimize=True)
-        return (
-            seq_selective, seq_unselective, idx_selective, idx_unselective,
-            seq_interval, idx_interval,
-        )
-
-    seq_sel, seq_unsel, idx_sel, idx_unsel, seq_int, idx_int = once(benchmark, run)
-
-    records = [
-        {
-            "query": "selective (0.1%)",
-            "plan": "seq scan",
-            "pages": seq_sel.metrics.buffer_accesses,
-            "index_pages": 0,
-            "modeled_s": round(_modeled_seconds(seq_sel), 4),
-        },
-        {
-            "query": "selective (0.1%)",
-            "plan": "index scan",
-            "pages": idx_sel.metrics.buffer_accesses,
-            "index_pages": idx_sel.metrics.index_pages_read,
-            "modeled_s": round(_modeled_seconds(idx_sel), 4),
-        },
-        {
-            "query": "unselective (45%)",
-            "plan": "seq scan",
-            "pages": seq_unsel.metrics.buffer_accesses,
-            "index_pages": 0,
-            "modeled_s": round(_modeled_seconds(seq_unsel), 4),
-        },
-        {
-            "query": "unselective (45%)",
-            "plan": "optimized",
-            "pages": idx_unsel.metrics.buffer_accesses,
-            "index_pages": idx_unsel.metrics.index_pages_read,
-            "modeled_s": round(_modeled_seconds(idx_unsel), 4),
-        },
-        {
-            "query": "two-sided (0.25%)",
-            "plan": "seq scan",
-            "pages": seq_int.metrics.buffer_misses,
-            "index_pages": 0,
-            "modeled_s": round(_modeled_seconds(seq_int), 4),
-        },
-        {
-            "query": "two-sided (0.25%)",
-            "plan": "interval scan",
-            "pages": idx_int.metrics.buffer_misses,
-            "index_pages": idx_int.metrics.index_pages_read,
-            "modeled_s": round(_modeled_seconds(idx_int), 4),
-        },
-    ]
-    reduction = seq_sel.metrics.buffer_accesses / max(
-        1, idx_sel.metrics.buffer_accesses
-    )
-    interval_reduction = seq_int.metrics.buffer_misses / max(1, idx_int.metrics.buffer_misses)
-    print(f"\nIndex-scan access paths over {ROW_COUNT} rows")
-    print(format_records(records, ["query", "plan", "pages", "index_pages", "modeled_s"]))
-    print(f"selective-page reduction: {reduction:.1f}x")
-    print(f"two-sided-interval page reduction: {interval_reduction:.1f}x")
+    (record,) = run_sweep(ACCESS_PATHS, "Index-scan access paths: pages touched, modeled seconds")
+    snapshot("indexes", plain(record))
 
     # Same answers either way.
-    assert idx_sel.row_set() == seq_sel.row_set()
-    assert idx_unsel.row_set() == seq_unsel.row_set()
-    assert idx_int.row_set() == seq_int.row_set()
-    assert len(idx_int.rows) == int(ROW_COUNT * 0.0025)
+    assert record["_same_rows"]
+    assert record["_interval_rows"] == int(record["row_count"] * 0.0025)
 
     # Both bounds reach the B-tree in one lookup, and it pays off >= 5x.
-    assert idx_int.metrics.index_lookups == 1
-    assert interval_reduction >= 5.0
+    assert record["_interval_index_lookups"] == 1
+    assert record["interval_page_reduction"] >= 5.0
 
     # The index path was chosen from statistics alone and pays off >= 5x.
-    assert idx_sel.metrics.index_lookups > 0
-    assert reduction >= 5.0
-    assert _modeled_seconds(idx_sel) < _modeled_seconds(seq_sel)
+    assert record["_selective_index_lookups"] > 0
+    assert record["page_reduction"] >= 5.0
+    assert record["selective_index_modeled_seconds"] < record["selective_seq_modeled_seconds"]
 
     # The unselective predicate keeps the sequential scan.
-    assert idx_unsel.metrics.index_lookups == 0
-
-    write_snapshot(
-        "indexes",
-        {
-            "row_count": ROW_COUNT,
-            "selective_seq_pages": seq_sel.metrics.buffer_accesses,
-            "selective_index_pages": idx_sel.metrics.buffer_accesses,
-            "page_reduction": round(reduction, 2),
-            "selective_seq_modeled_seconds": round(_modeled_seconds(seq_sel), 6),
-            "selective_index_modeled_seconds": round(_modeled_seconds(idx_sel), 6),
-            "unselective_kept_seq_scan": idx_unsel.metrics.index_lookups == 0,
-            "interval_seq_pages": seq_int.metrics.buffer_misses,
-            "interval_index_pages": idx_int.metrics.buffer_misses,
-            "interval_page_reduction": round(interval_reduction, 2),
-        },
-    )
+    assert record["unselective_kept_seq_scan"]
 
 
 @pytest.mark.benchmark(group="indexes")
-def test_index_nested_loop_join(benchmark, once):
+def test_index_nested_loop_join(run_sweep):
     """Tiny outer vs indexed inner: per-row probes beat the hash join."""
+    (record,) = run_sweep(JOIN, f"Index nested-loop join: {ORDER_COUNT} outer rows vs the indexed inner")
 
-    def run():
-        with tempfile.TemporaryDirectory() as directory:
-            db = _open_database(directory)
-            hash_join = db.execute(JOIN_SQL, deliver_results=True)
-            db.execute("CREATE INDEX quotes_id_idx ON Quotes (Id)")
-            index_join = db.execute(JOIN_SQL, optimize=True, deliver_results=True)
-            db.close()
-        return hash_join, index_join
-
-    hash_join, index_join = once(benchmark, run)
-
-    records = [
-        {
-            "plan": "hash join",
-            "pages": hash_join.metrics.buffer_accesses,
-            "probes": 0,
-            "modeled_s": round(_modeled_seconds(hash_join), 4),
-        },
-        {
-            "plan": "index nested-loop",
-            "pages": index_join.metrics.buffer_accesses,
-            "probes": index_join.metrics.index_lookups,
-            "modeled_s": round(_modeled_seconds(index_join), 4),
-        },
-    ]
-    print(f"\nIndex nested-loop join: {ORDER_COUNT} outer rows vs {ROW_COUNT} inner")
-    print(format_records(records, ["plan", "pages", "probes", "modeled_s"]))
-
-    assert index_join.row_set() == hash_join.row_set()
-    assert index_join.metrics.index_lookups == ORDER_COUNT
-    assert index_join.metrics.buffer_accesses < hash_join.metrics.buffer_accesses
-    assert _modeled_seconds(index_join) < _modeled_seconds(hash_join)
+    assert record["_same_rows"]
+    assert record["index_join_probes"] == ORDER_COUNT
+    assert record["index_join_pages"] < record["hash_join_pages"]
+    assert record["index_join_modeled_seconds"] < record["hash_join_modeled_seconds"]

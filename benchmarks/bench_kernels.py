@@ -10,8 +10,8 @@ primitives the typed column buffers accelerate:
   expression applied row by row;
 * ``join-key`` — bulk key-tuple extraction off column buffers vs. indexing
   each row tuple;
-* ``aggregate`` — column-value accumulation (what ``Aggregate`` reads) off a
-  typed buffer vs. transposing scalar rows.
+* ``aggregate`` — summing one column's plain values off a typed buffer vs.
+  indexing scalar rows one by one.
 
 The filter and project kernels are the vectorized ones; with NumPy present
 they must beat the scalar path by >= 5x on a large batch — the PR's
@@ -26,14 +26,12 @@ typed storage fallback stays within a small factor of plain rows.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, List, Tuple
 
 import pytest
 
-from conftest import write_snapshot
-
+from conftest import snapshot
 from repro.relational.columns import HAVE_NUMPY
 from repro.relational.expressions import (
     Arithmetic,
@@ -46,10 +44,8 @@ from repro.relational.kernels import compile_expression, compile_filter
 from repro.relational.schema import Schema
 from repro.relational.tuples import RowBatch
 from repro.relational.types import FLOAT, INTEGER
+from repro.workloads.experiments import Sized, Sweep
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-ROWS = 50_000 if SMOKE else 200_000
 REPEATS = 3
 
 SCHEMA = Schema.of(("key", INTEGER), ("value", FLOAT), table="t")
@@ -67,9 +63,9 @@ EXPRESSION = Arithmetic(
 )
 
 
-def make_rows() -> List[Tuple]:
+def make_rows(count: int) -> List[Tuple]:
     rows = []
-    for index in range(ROWS):
+    for index in range(count):
         key = index % 1000 if index % 97 else None
         rows.append((key, float(index % 513) * 0.25))
     return rows
@@ -85,96 +81,81 @@ def best_of(function: Callable[[], object]) -> float:
     return best
 
 
-def typed_batch(rows) -> RowBatch:
-    """A batch with typed buffers — NumPy-backed or array-backed alike."""
-    batch = RowBatch(list(rows)).ensure_typed(SCHEMA)
-    assert batch.typed_column(0) is not None and batch.typed_column(1) is not None
-    return batch
-
-
-def _measure() -> List[dict]:
-    rows = make_rows()
-    records = []
-
-    def record(kernel: str, typed_seconds: float, scalar_seconds: float) -> None:
-        records.append(
-            {
-                "kernel": kernel,
-                "rows": ROWS,
-                "typed_ms": typed_seconds * 1e3,
-                "scalar_ms": scalar_seconds * 1e3,
-                "speedup": scalar_seconds / typed_seconds,
-            }
-        )
-
-    batch = typed_batch(rows)
-    typed_columns = batch.columns
-
-    # -- filter ----------------------------------------------------------------
+def _filter(rows, batch):
     bound = PREDICATE.bind(SCHEMA)
     if HAVE_NUMPY:
         kernel = compile_filter(PREDICATE, SCHEMA)
         assert kernel is not None
-        typed_s = best_of(lambda: batch.take_mask(kernel(batch)))
-        survivors = len(batch.take_mask(kernel(batch)))
+        typed = lambda: batch.take_mask(kernel(batch))  # noqa: E731
     else:
-        typed_s = best_of(lambda: batch.filter(bound))
-        survivors = len(batch.filter(bound))
-    scalar_s = best_of(lambda: [row for row in rows if bound(row)])
-    assert survivors == sum(1 for row in rows if bound(row))
-    record("filter", typed_s, scalar_s)
+        typed = lambda: batch.filter(bound)  # noqa: E731
+    assert len(typed()) == sum(1 for row in rows if bound(row))
+    return typed, lambda: [row for row in rows if bound(row)]
 
-    # -- project (scalar expression) -------------------------------------------
-    bound_expression = EXPRESSION.bind(SCHEMA)
-    if HAVE_NUMPY:
-        kernel = compile_expression(EXPRESSION, SCHEMA)
-        assert kernel is not None
-        typed_s = best_of(lambda: kernel(batch))
-        assert kernel(batch).to_list() == [bound_expression(row) for row in rows]
-    else:
-        typed_s = best_of(lambda: [bound_expression(row) for row in batch.rows])
-    scalar_s = best_of(lambda: [bound_expression(row) for row in rows])
-    record("project", typed_s, scalar_s)
 
-    # -- join-key extraction ----------------------------------------------------
+def _project(rows, batch):
+    bound = EXPRESSION.bind(SCHEMA)
+    scalar = lambda: [bound(row) for row in rows]  # noqa: E731
+    if not HAVE_NUMPY:
+        return (lambda: [bound(row) for row in batch.rows]), scalar
+    kernel = compile_expression(EXPRESSION, SCHEMA)
+    assert kernel is not None
+    assert kernel(batch).to_list() == scalar()
+    return (lambda: kernel(batch)), scalar
+
+
+def _join_key(rows, batch):
     # What HashJoin build/probe does per batch: pull the key columns into
     # hashable tuples.  Typed storage serves this off the buffers in bulk;
     # the scalar path indexes every row tuple.  Fresh batch objects per run
     # so internal caches do not hide the work.
-    positions = (0,)
-    typed_s = best_of(
-        lambda: RowBatch.from_columns(typed_columns, ROWS).key_tuples(positions)
+    columns, positions = batch.columns, (0,)
+    return (
+        lambda: RowBatch.from_columns(columns, len(rows)).key_tuples(positions),
+        lambda: [tuple(row[position] for position in positions) for row in rows],
     )
-    scalar_s = best_of(
-        lambda: [tuple(row[position] for position in positions) for row in rows]
-    )
-    record("join-key", typed_s, scalar_s)
 
-    # -- aggregate accumulation -------------------------------------------------
-    # What Aggregate reads per batch: one column's plain values.  A typed
-    # buffer converts in one step; scalar rows must be indexed one by one.
-    typed_s = best_of(
-        lambda: sum(RowBatch.from_columns(typed_columns, ROWS).column_values(1))
-    )
-    scalar_s = best_of(lambda: sum(row[1] for row in rows))
-    record("aggregate", typed_s, scalar_s)
 
-    return records
+def _aggregate(rows, batch):
+    # One column's plain values: a typed buffer converts in one step; scalar
+    # rows must be indexed one by one.
+    columns = batch.columns
+    return (
+        lambda: sum(RowBatch.from_columns(columns, len(rows)).column_values(1)),
+        lambda: sum(row[1] for row in rows),
+    )
+
+
+KERNELS = {"filter": _filter, "project": _project, "join-key": _join_key, "aggregate": _aggregate}
+
+
+def kernel_point(kernel, rows):
+    data = make_rows(rows)
+    # Typed buffers with NumPy; without it every column stays a plain list.
+    batch = RowBatch(list(data)).ensure_typed(SCHEMA)
+    assert not HAVE_NUMPY or None not in (batch.typed_column(0), batch.typed_column(1))
+    typed, scalar = KERNELS[kernel](data, batch)
+    typed_seconds, scalar_seconds = best_of(typed), best_of(scalar)
+    return {
+        "rows": rows,
+        "typed_ms": typed_seconds * 1e3,
+        "scalar_ms": scalar_seconds * 1e3,
+        "speedup": scalar_seconds / typed_seconds,
+    }
+
+
+SWEEP = Sweep(
+    "kernels",
+    kernel_point,
+    axes={"kernel": tuple(KERNELS)},
+    fixed={"rows": Sized(full=200_000, smoke=50_000)},
+)
 
 
 @pytest.mark.benchmark(group="kernels")
-def test_kernel_speedups(benchmark, once):
-    records = once(benchmark, _measure)
-
-    from repro.workloads.experiments import format_records
-
-    print(f"\nKernel microbenchmarks — {ROWS} rows, best of {REPEATS} (host time)")
-    print(format_records(records, ["kernel", "rows", "typed_ms", "scalar_ms", "speedup"]))
-
-    write_snapshot(
-        "kernels",
-        {"rows": ROWS, "numpy": HAVE_NUMPY, "records": records},
-    )
+def test_kernel_speedups(run_sweep):
+    records = run_sweep(SWEEP, f"Kernel microbenchmarks — best of {REPEATS} (host time)")
+    snapshot("kernels", {"rows": records[0]["rows"], "numpy": HAVE_NUMPY, "records": records})
 
     by_kernel = {record["kernel"]: record["speedup"] for record in records}
     if HAVE_NUMPY:
@@ -186,7 +167,7 @@ def test_kernel_speedups(benchmark, once):
         assert by_kernel["join-key"] >= 0.5, by_kernel
         assert by_kernel["aggregate"] >= 0.3, by_kernel
     else:
-        # Typed storage is disabled or array-backed: everything stays within
-        # a small factor of the plain-row path.
+        # Typed storage is disabled: everything stays within a small factor
+        # of the plain-row path.
         for kernel, speedup in by_kernel.items():
             assert speedup >= 0.2, (kernel, by_kernel)

@@ -23,18 +23,16 @@ Three experiments on the shared-trunk tenancy runtime:
   be >= 1.4x faster on mean latency, and its store must have *measured* the
   contention: calibrated downlink bandwidth well under the configured trunk
   rate while the (uncontended) uplink calibration stays near configured.
-
-Set ``REPRO_BENCH_SMOKE=1`` to run the reduced CI configuration.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from conftest import snapshot
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.tenancy import MultiTenantEngine, QuerySpec, SessionWorkload, percentile
+from repro.workloads.experiments import Sized, Sweep
 from repro.workloads.multitenant import (
     BULK_SQL,
     DEFAULT_NETWORK,
@@ -43,13 +41,6 @@ from repro.workloads.multitenant import (
     make_tenant_database,
     point_sessions,
 )
-
-#: Reduced configuration for the CI smoke job.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-#: Interactive-session counts swept in the tail-latency experiment.  The
-#: acceptance bar is asserted on every count >= 16.
-CLIENT_SWEEP = (8, 16) if SMOKE else (4, 8, 16, 24)
 
 #: Each History row carries a 512-point series (~4 KB): two bulk sessions
 #: visibly saturate the 200 KB/s trunk, which is the whole point.
@@ -79,115 +70,139 @@ def _mixed_workloads(point_count):
     return workloads
 
 
-@pytest.mark.benchmark(group="multitenant")
-def test_single_session_traces_are_byte_identical(benchmark, once):
-    def run():
-        results = {}
-        for strategy in ExecutionStrategy:
-            legacy = _database().execute(POINT_SQL, strategy=strategy, deliver_results=True)
-            engine = MultiTenantEngine(_database(), fair_queueing="drr", executor_slots=4)
-            report = engine.run(
-                [
-                    SessionWorkload(
-                        tenant_id="solo",
-                        queries=[
-                            QuerySpec(
-                                POINT_SQL,
-                                options={"strategy": strategy, "deliver_results": True},
-                            )
-                        ],
-                    )
-                ]
-            )
-            results[strategy] = (legacy.metrics, report.records[0].metrics)
-        return results
+def solo_point(strategy):
+    """One session through the tenancy engine vs. the private-channel path."""
+    strategy = ExecutionStrategy(strategy)
+    legacy = _database().execute(POINT_SQL, strategy=strategy, deliver_results=True).metrics
+    engine = MultiTenantEngine(_database(), fair_queueing="drr", executor_slots=4)
+    query = QuerySpec(POINT_SQL, options={"strategy": strategy, "deliver_results": True})
+    report = engine.run([SessionWorkload(tenant_id="solo", queries=[query])])
+    tenant = report.records[0].metrics
 
-    results = once(benchmark, run)
-
-    print("\nSingle session through the tenancy engine vs. the private path")
-    print(f"{'strategy':>18} {'down B':>9} {'up B':>9} {'rows':>6} {'identical':>10}")
-    for strategy, (legacy, tenant) in results.items():
-        identical = (
-            legacy.downlink_messages,
-            legacy.uplink_messages,
-            legacy.downlink_bytes,
-            legacy.uplink_bytes,
-            legacy.rows_returned,
-        ) == (
-            tenant.downlink_messages,
-            tenant.uplink_messages,
-            tenant.downlink_bytes,
-            tenant.uplink_bytes,
-            tenant.rows_returned,
+    def trace(metrics):
+        return (
+            metrics.downlink_messages,
+            metrics.uplink_messages,
+            metrics.downlink_bytes,
+            metrics.uplink_bytes,
+            metrics.rows_returned,
         )
-        print(
-            f"{strategy.value:>18} {tenant.downlink_bytes:>9} {tenant.uplink_bytes:>9} "
-            f"{tenant.rows_returned:>6} {str(identical):>10}"
-        )
-        assert identical
-        assert tenant.elapsed_seconds == pytest.approx(legacy.elapsed_seconds, abs=1e-9)
+
+    return {
+        "downlink_bytes": tenant.downlink_bytes,
+        "uplink_bytes": tenant.uplink_bytes,
+        "rows": tenant.rows_returned,
+        "identical": trace(legacy) == trace(tenant),
+        "private_s": legacy.elapsed_seconds,
+        "tenant_s": tenant.elapsed_seconds,
+    }
 
 
-@pytest.mark.benchmark(group="multitenant")
-def test_fair_queueing_and_admission_protect_tail_latency(benchmark, once):
-    def run():
-        rows = []
-        for point_count in CLIENT_SWEEP:
-            baseline_engine = MultiTenantEngine(_database(), fair_queueing="fifo")
-            baseline = baseline_engine.run(_mixed_workloads(point_count))
-            fair_engine = MultiTenantEngine(
-                _database(),
-                fair_queueing="drr",
-                quantum_bytes=QUANTUM,
-                executor_slots=point_count,
-                admission_policy="sjf",
-            )
-            fair = fair_engine.run(_mixed_workloads(point_count))
-            base_p99, base_p50 = _point_tail(baseline)
-            fair_p99, fair_p50 = _point_tail(fair)
-            rows.append(
-                {
-                    "clients": point_count + 2,
-                    "point_sessions": point_count,
-                    "fifo_p99_s": base_p99,
-                    "fifo_p50_s": base_p50,
-                    "fair_p99_s": fair_p99,
-                    "fair_p50_s": fair_p50,
-                    "p99_improvement": base_p99 / fair_p99,
-                    "fifo_throughput_qps": baseline.throughput_queries_per_second,
-                    "fair_throughput_qps": fair.throughput_queries_per_second,
-                    "peak_admission_queue": fair.peak_admission_queue,
-                    "errors": baseline.error_count + fair.error_count,
-                }
-            )
-        return rows
-
-    rows = once(benchmark, run)
-
-    print("\nInteractive p99 vs. client count: FIFO/unbounded vs. DRR + SJF admission")
-    print(
-        f"{'clients':>8} {'fifo p99':>9} {'fair p99':>9} {'improve':>8} "
-        f"{'fifo qps':>9} {'fair qps':>9}"
+def tail_point(point_sessions):
+    """FIFO trunk + unbounded admission vs. DRR + bounded SJF admission."""
+    baseline = MultiTenantEngine(_database(), fair_queueing="fifo").run(
+        _mixed_workloads(point_sessions)
     )
-    for row in rows:
-        print(
-            f"{row['clients']:>8} {row['fifo_p99_s']:>9.3f} {row['fair_p99_s']:>9.3f} "
-            f"{row['p99_improvement']:>7.2f}x {row['fifo_throughput_qps']:>9.2f} "
-            f"{row['fair_throughput_qps']:>9.2f}"
-        )
+    fair = MultiTenantEngine(
+        _database(),
+        fair_queueing="drr",
+        quantum_bytes=QUANTUM,
+        executor_slots=point_sessions,
+        admission_policy="sjf",
+    ).run(_mixed_workloads(point_sessions))
+    base_p99, base_p50 = _point_tail(baseline)
+    fair_p99, fair_p50 = _point_tail(fair)
+    return {
+        "clients": point_sessions + 2,
+        "fifo_p99_s": base_p99,
+        "fifo_p50_s": base_p50,
+        "fair_p99_s": fair_p99,
+        "fair_p50_s": fair_p50,
+        "p99_improvement": base_p99 / fair_p99,
+        "fifo_throughput_qps": baseline.throughput_queries_per_second,
+        "fair_throughput_qps": fair.throughput_queries_per_second,
+        "peak_admission_queue": fair.peak_admission_queue,
+        "errors": baseline.error_count + fair.error_count,
+    }
 
-    from conftest import write_snapshot
 
-    write_snapshot(
+def probe_point(adaptive, repeats):
+    """A semi-join tenant, static or adaptive, under identical bulk cross-traffic."""
+    options = {"config": StrategyConfig.semi_join()}
+    if adaptive:
+        options["adaptive"] = True
+    engine = MultiTenantEngine(
+        _database(),
+        fair_queueing="drr",
+        quantum_bytes=QUANTUM,
+        per_tenant_statistics=True,
+        contention_aware=True,
+    )
+    report = engine.run(
+        [
+            SessionWorkload(
+                tenant_id="probe",
+                queries=[QuerySpec(BULK_SQL, options=options)],
+                repeat=repeats,
+                think_time_seconds=0.05,
+                seed=5,
+            ),
+            bulk_session(tenant_id="cross0", queries=repeats, seed=9000),
+            bulk_session(tenant_id="cross1", queries=repeats, seed=9001),
+        ]
+    )
+    latencies = [r.latency_seconds for r in report.records if r.tenant_id == "probe"]
+    store = engine.tenant_statistics.for_tenant("probe")
+    calibrated = store.calibrated_network(DEFAULT_NETWORK)
+    return {
+        "mean_latency_s": sum(latencies) / len(latencies),
+        "errors": report.error_count,
+        "learned_batch": store.preferred_batch_size(default=1),
+        "calibrated_downlink": calibrated.downlink_bandwidth,
+        "calibrated_uplink": calibrated.uplink_bandwidth,
+    }
+
+
+SOLO = Sweep(
+    "tenancy_single_session",
+    solo_point,
+    axes={"strategy": tuple(strategy.value for strategy in ExecutionStrategy)},
+)
+#: Interactive-session counts; the acceptance bar is asserted on every >= 16 clients.
+TAIL = Sweep(
+    "tenancy_tail_latency",
+    tail_point,
+    axes={"point_sessions": Sized(full=(4, 8, 16, 24), smoke=(8, 16))},
+)
+PROBE = Sweep(
+    "tenancy_adaptive_probe",
+    probe_point,
+    axes={"adaptive": (False, True)},
+    fixed={"repeats": Sized(full=5, smoke=3)},
+)
+
+
+@pytest.mark.benchmark(group="multitenant")
+def test_single_session_traces_are_byte_identical(run_sweep):
+    records = run_sweep(SOLO, "Single session through the tenancy engine vs. the private path")
+    for record in records:
+        assert record["identical"]
+        assert record["tenant_s"] == pytest.approx(record["private_s"], abs=1e-9)
+
+
+@pytest.mark.benchmark(group="multitenant")
+def test_fair_queueing_and_admission_protect_tail_latency(run_sweep):
+    records = run_sweep(
+        TAIL,
+        "Interactive p99 vs. client count: FIFO/unbounded vs. DRR + SJF admission",
+        ["clients", "fifo_p99_s", "fair_p99_s", "p99_improvement", "fifo_throughput_qps", "fair_throughput_qps"],
+    )
+    snapshot(
         "multitenant",
-        {
-            "bulk_series": BULK_SERIES,
-            "quantum_bytes": QUANTUM,
-            "tail_latency": rows,
-        },
+        {"bulk_series": BULK_SERIES, "quantum_bytes": QUANTUM, "tail_latency": records},
     )
 
-    for row in rows:
+    for row in records:
         assert row["errors"] == 0
         # Same queries, same bytes: fair scheduling must not cost throughput.
         assert row["fair_throughput_qps"] >= row["fifo_throughput_qps"] * 0.99
@@ -201,73 +216,17 @@ def test_fair_queueing_and_admission_protect_tail_latency(benchmark, once):
 
 
 @pytest.mark.benchmark(group="multitenant")
-def test_adaptive_tenant_beats_static_under_cross_traffic(benchmark, once):
-    repeats = 3 if SMOKE else 5
-
-    def run_probe(adaptive):
-        options = {"config": StrategyConfig.semi_join()}
-        if adaptive:
-            options["adaptive"] = True
-        engine = MultiTenantEngine(
-            _database(),
-            fair_queueing="drr",
-            quantum_bytes=QUANTUM,
-            per_tenant_statistics=True,
-            contention_aware=True,
-        )
-        report = engine.run(
-            [
-                SessionWorkload(
-                    tenant_id="probe",
-                    queries=[QuerySpec(BULK_SQL, options=options)],
-                    repeat=repeats,
-                    think_time_seconds=0.05,
-                    seed=5,
-                ),
-                bulk_session(tenant_id="cross0", queries=repeats, seed=9000),
-                bulk_session(tenant_id="cross1", queries=repeats, seed=9001),
-            ]
-        )
-        assert report.error_count == 0
-        latencies = [
-            record.latency_seconds
-            for record in report.records
-            if record.tenant_id == "probe"
-        ]
-        return engine, sum(latencies) / len(latencies)
-
-    def run():
-        _, static_mean = run_probe(adaptive=False)
-        engine, adaptive_mean = run_probe(adaptive=True)
-        store = engine.tenant_statistics.for_tenant("probe")
-        calibrated = store.calibrated_network(DEFAULT_NETWORK)
-        return {
-            "static_mean_s": static_mean,
-            "adaptive_mean_s": adaptive_mean,
-            "speedup": static_mean / adaptive_mean,
-            "configured_downlink": DEFAULT_NETWORK.downlink_bandwidth,
-            "calibrated_downlink": calibrated.downlink_bandwidth,
-            "calibrated_uplink": calibrated.uplink_bandwidth,
-            "learned_batch": store.preferred_batch_size(default=1),
-        }
-
-    result = once(benchmark, run)
-
-    print("\nAdaptive vs. the static tuple-at-a-time default, under bulk cross-traffic")
-    print(
-        f"  static {result['static_mean_s']:.3f} s  adaptive {result['adaptive_mean_s']:.3f} s "
-        f"({result['speedup']:.2f}x)  learned batch {result['learned_batch']}"
+def test_adaptive_tenant_beats_static_under_cross_traffic(run_sweep):
+    static, adaptive = run_sweep(
+        PROBE, "Adaptive vs. the static tuple-at-a-time default, under bulk cross-traffic"
     )
-    print(
-        f"  calibrated downlink {result['calibrated_downlink']:,.0f} B/s of "
-        f"{result['configured_downlink']:,.0f} configured "
-        f"(uplink {result['calibrated_uplink']:,.0f})"
-    )
+    configured = DEFAULT_NETWORK.downlink_bandwidth
+    assert static["errors"] == adaptive["errors"] == 0
 
     # Adaptive batch control wins under contention...
-    assert result["speedup"] >= 1.4
-    assert result["learned_batch"] > 1
+    assert static["mean_latency_s"] / adaptive["mean_latency_s"] >= 1.4
+    assert adaptive["learned_batch"] > 1
     # ...and the contention-aware store *measured* the crushed downlink
     # share, while the uncontended uplink calibrates near the configured rate.
-    assert result["calibrated_downlink"] < 0.7 * result["configured_downlink"]
-    assert result["calibrated_uplink"] > 0.8 * result["configured_downlink"]
+    assert adaptive["calibrated_downlink"] < 0.7 * configured
+    assert adaptive["calibrated_uplink"] > 0.8 * configured

@@ -17,8 +17,13 @@ import pytest
 from repro.core.optimizer import Optimizer
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
+from repro.workloads.experiments import Sweep
 from repro.workloads.stock import StockWorkload
 
+NETWORKS = {
+    "symmetric": NetworkConfig.paper_symmetric(),
+    "asymmetric-50": NetworkConfig.paper_asymmetric(asymmetry=50.0),
+}
 QUERIES = {
     "figure1": StockWorkload.figure1_query(),
     "figure11": StockWorkload.figure11_query(),
@@ -26,60 +31,47 @@ QUERIES = {
 }
 
 
-def run_comparison(network: NetworkConfig):
-    workload = StockWorkload(company_count=30, seed=13, network=network)
-    db = workload.build()
-    rows = []
-    for name, query in QUERIES.items():
-        bound = db.bind(query)
-        decision = Optimizer(db.network).optimize(bound, include_baselines=True)
-        optimized = db.execute(bound, optimize=True)
-        executed = {"optimizer": optimized.metrics.elapsed_seconds}
-        for strategy in ExecutionStrategy:
-            result = db.execute(bound, config=StrategyConfig().with_strategy(strategy))
-            executed[strategy.value] = result.metrics.elapsed_seconds
-            assert result.row_set() == optimized.row_set()
-        rows.append(
-            {
-                "query": name,
-                "estimated_cost": decision.estimated_cost,
-                "executed": executed,
-                "baseline_estimates": {k: v.cost for k, v in decision.alternatives.items()},
-            }
-        )
-    return rows
+def comparison_point(network, query, company_count, seed):
+    db = StockWorkload(company_count=company_count, seed=seed, network=NETWORKS[network]).build()
+    bound = db.bind(QUERIES[query])
+    decision = Optimizer(db.network).optimize(bound, include_baselines=True)
+    optimized = db.execute(bound, optimize=True)
+    record = {
+        "estimated_cost": decision.estimated_cost,
+        "baseline_estimates": {name: plan.cost for name, plan in decision.alternatives.items()},
+        "optimizer_s": optimized.metrics.elapsed_seconds,
+        "same_rows": True,
+    }
+    for strategy in ExecutionStrategy:
+        result = db.execute(bound, config=StrategyConfig().with_strategy(strategy))
+        record[f"{strategy.value}_s"] = result.metrics.elapsed_seconds
+        record["same_rows"] &= result.row_set() == optimized.row_set()
+    return record
+
+
+SWEEP = Sweep(
+    "optimizer_comparison",
+    comparison_point,
+    axes={"network": tuple(NETWORKS), "query": tuple(QUERIES)},
+    fixed={"company_count": 30, "seed": 13},
+)
+
+FIXED = [f"{strategy.value}_s" for strategy in ExecutionStrategy]
 
 
 @pytest.mark.benchmark(group="optimizer-comparison")
-def test_optimizer_beats_naive_and_matches_best_fixed_strategy(benchmark, once):
-    rows = once(benchmark, lambda: run_comparison(NetworkConfig.paper_symmetric()))
+def test_optimizer_beats_naive_and_matches_best_fixed_strategy(run_sweep):
+    records = run_sweep(
+        SWEEP,
+        "Optimizer comparison — executed simulated seconds, symmetric and asymmetric (N=50)",
+        ["network", "query", "optimizer_s", *FIXED],
+        pin="paper",
+    )
 
-    print("\nOptimizer comparison (symmetric network) — executed simulated seconds")
-    for row in rows:
-        executed = row["executed"]
-        print(f"  {row['query']:<10} " + "  ".join(f"{k}={v:.2f}s" for k, v in executed.items()))
-
-    for row in rows:
-        executed = row["executed"]
+    for record in records:
+        assert record["same_rows"]
         # The optimizer's plan always beats tuple-at-a-time naive execution...
-        assert executed["optimizer"] < executed["naive"]
+        assert record["optimizer_s"] < record["naive_s"]
         # ...and is within 10% of the best fixed single-strategy execution
         # (it cannot do worse than picking that strategy for every UDF).
-        best_fixed = min(v for k, v in executed.items() if k != "optimizer")
-        assert executed["optimizer"] <= best_fixed * 1.10
-
-
-@pytest.mark.benchmark(group="optimizer-comparison")
-def test_optimizer_adapts_to_asymmetric_networks(benchmark, once):
-    rows = once(benchmark, lambda: run_comparison(NetworkConfig.paper_asymmetric(asymmetry=50.0)))
-
-    print("\nOptimizer comparison (asymmetric network, N=50) — executed simulated seconds")
-    for row in rows:
-        executed = row["executed"]
-        print(f"  {row['query']:<10} " + "  ".join(f"{k}={v:.2f}s" for k, v in executed.items()))
-
-    for row in rows:
-        executed = row["executed"]
-        assert executed["optimizer"] < executed["naive"]
-        best_fixed = min(v for k, v in executed.items() if k != "optimizer")
-        assert executed["optimizer"] <= best_fixed * 1.10
+        assert record["optimizer_s"] <= min(record[name] for name in FIXED) * 1.10

@@ -18,30 +18,23 @@ experiments:
   time falls steeply from window 1 and flattens once the window covers the
   pipeline's bandwidth-latency product, exactly like the original
   tuple-granular sweep.
-
-Set ``REPRO_BENCH_SMOKE=1`` to run the reduced CI configuration (fewer rows
-and fewer swept windows).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from conftest import snapshot
 from repro.core.costmodel import CostModel, CostParameters
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
-from repro.workloads.experiments import run_workload_point
+from repro.workloads.experiments import Sized, Sweep, plain, run_workload_point
 from repro.workloads.synthetic import SyntheticWorkload
 
-#: Reduced configuration for the CI smoke job.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-ROW_COUNT = 60 if SMOKE else 120
 BATCH_SIZE = 4
 WINDOW = 4
-WINDOW_SWEEP = (1, 2, 4, 8) if SMOKE else (1, 2, 3, 4, 6, 8, 12, 16)
+WINDOW_SWEEP = Sized(full=(1, 2, 3, 4, 6, 8, 12, 16), smoke=(1, 2, 4, 8))
+STRATEGIES = tuple(strategy.value for strategy in ExecutionStrategy)
 
 #: A link where latency dominates transfer: 1 MB/s both ways, 200 ms one-way.
 HIGH_LATENCY = NetworkConfig.symmetric(1_000_000.0, latency=0.2, name="overlap-highlat")
@@ -51,92 +44,86 @@ HIGH_LATENCY = NetworkConfig.symmetric(1_000_000.0, latency=0.2, name="overlap-h
 #: the paper's slow-modem setup, as in ``bench_fig6_concurrency``.
 MODEM = NetworkConfig.symmetric(3600.0, latency=0.4, name="overlap-modem")
 
+WORKLOAD = dict(
+    # The semi-join's tuple pipeline, pinned large enough (the widest swept
+    # window, in tuples) that the batch window is the binding knob.
+    tuple_pipeline=Sized(full=BATCH_SIZE * 16, smoke=BATCH_SIZE * 8),
+    row_count=Sized(full=120, smoke=60),
+    input_record_bytes=200,
+    argument_fraction=0.5,
+    result_bytes=50,
+    selectivity=0.5,
+    distinct_fraction=1.0,
+    udf_cost_seconds=0.0005,
+)
 
-def _workload() -> SyntheticWorkload:
-    return SyntheticWorkload(
-        row_count=ROW_COUNT,
-        input_record_bytes=200,
-        argument_fraction=0.5,
-        result_bytes=50,
-        selectivity=0.5,
-        distinct_fraction=1.0,
-        udf_cost_seconds=0.0005,
+
+def _run(strategy, window, network, tuple_pipeline, **workload):
+    config = StrategyConfig(
+        strategy=ExecutionStrategy(strategy), batch_size=BATCH_SIZE, overlap_window=window
     )
+    if config.strategy is ExecutionStrategy.SEMI_JOIN:
+        config = config.with_concurrency(tuple_pipeline)
+    return run_workload_point(SyntheticWorkload(**workload), network, config)
 
 
-def _config(strategy: ExecutionStrategy, overlap_window: int) -> StrategyConfig:
-    if strategy is ExecutionStrategy.NAIVE:
-        return StrategyConfig.naive(batch_size=BATCH_SIZE, overlap_window=overlap_window)
-    if strategy is ExecutionStrategy.SEMI_JOIN:
-        # Pin a tuple pipeline large enough that the batch window is the
-        # binding knob, as in the window-bound tests.
-        return StrategyConfig.semi_join(
-            batch_size=BATCH_SIZE,
-            concurrency_factor=BATCH_SIZE * max(WINDOW_SWEEP),
-            overlap_window=overlap_window,
-        )
-    return StrategyConfig.client_site_join(
-        batch_size=BATCH_SIZE, overlap_window=overlap_window
-    )
+def overlap_point(strategy, **setup):
+    """Synchronous (window 1) against overlapped (window ``WINDOW``) shipping."""
+    synchronous = _run(strategy, 1, **setup)
+    overlapped = _run(strategy, WINDOW, **setup)
+    return {
+        "sync_s": synchronous.elapsed_seconds,
+        "overlap_s": overlapped.elapsed_seconds,
+        "speedup": synchronous.elapsed_seconds / overlapped.elapsed_seconds,
+        "_runs": (synchronous, overlapped),
+    }
+
+
+def window_point(strategy, window, **setup):
+    return {"elapsed_s": _run(strategy, window, **setup).elapsed_seconds}
+
+
+SPEEDUP = Sweep(
+    "overlap_speedup",
+    overlap_point,
+    axes={"strategy": STRATEGIES},
+    fixed={"network": HIGH_LATENCY, **WORKLOAD},
+)
+WINDOWS = Sweep(
+    "overlap_window_sweep",
+    window_point,
+    axes={"strategy": STRATEGIES, "window": WINDOW_SWEEP},
+    fixed={"network": MODEM, **WORKLOAD},
+)
 
 
 @pytest.mark.benchmark(group="overlap")
-def test_overlapped_beats_synchronous_shipping(benchmark, once):
-    workload = _workload()
-
-    def run():
-        results = {}
-        for strategy in ExecutionStrategy:
-            synchronous = run_workload_point(
-                workload, HIGH_LATENCY, _config(strategy, overlap_window=1)
-            )
-            overlapped = run_workload_point(
-                workload, HIGH_LATENCY, _config(strategy, overlap_window=WINDOW)
-            )
-            results[strategy] = (synchronous, overlapped)
-        return results
-
-    results = once(benchmark, run)
-
-    print(f"\nOverlapped (W={WINDOW}) vs. synchronous (W=1) shipping, "
-          f"{ROW_COUNT} rows, batch {BATCH_SIZE}, 200 ms link")
-    print(f"{'strategy':>18} {'sync s':>10} {'overlap s':>10} {'speedup':>8}")
-    for strategy, (synchronous, overlapped) in results.items():
-        speedup = synchronous.elapsed_seconds / overlapped.elapsed_seconds
-        print(
-            f"{strategy.value:>18} {synchronous.elapsed_seconds:>10.3f} "
-            f"{overlapped.elapsed_seconds:>10.3f} {speedup:>8.2f}x"
-        )
-
-    from conftest import write_snapshot
-
-    write_snapshot(
+def test_overlapped_beats_synchronous_shipping(run_sweep):
+    records = run_sweep(
+        SPEEDUP,
+        f"Overlapped (W={WINDOW}) vs. synchronous (W=1) shipping, batch {BATCH_SIZE}, 200 ms link",
+    )
+    rows = records[0]["_runs"][0].parameters["row_count"]
+    snapshot(
         "overlap",
         {
-            "rows": ROW_COUNT,
+            "rows": rows,
             "batch_size": BATCH_SIZE,
             "window": WINDOW,
-            "records": [
-                {
-                    "strategy": strategy.value,
-                    "sync_s": synchronous.elapsed_seconds,
-                    "overlap_s": overlapped.elapsed_seconds,
-                    "speedup": synchronous.elapsed_seconds / overlapped.elapsed_seconds,
-                }
-                for strategy, (synchronous, overlapped) in results.items()
-            ],
+            "records": [plain(record) for record in records],
         },
     )
 
-    parameters = CostParameters.paper_experiment(
-        input_record_bytes=workload.input_record_bytes,
-        argument_fraction=workload.argument_fraction,
-        result_bytes=workload.result_bytes,
-        selectivity=workload.selectivity,
+    model = CostModel(
+        CostParameters.paper_experiment(
+            input_record_bytes=WORKLOAD["input_record_bytes"],
+            argument_fraction=WORKLOAD["argument_fraction"],
+            result_bytes=WORKLOAD["result_bytes"],
+            selectivity=WORKLOAD["selectivity"],
+        )
     )
-    model = CostModel(parameters)
-
-    for strategy, (synchronous, overlapped) in results.items():
+    for record in records:
+        synchronous, overlapped = record["_runs"]
         # Identical answers and identical wire traces: the window changes
         # when messages leave, never what is sent.
         assert overlapped.result_rows == synchronous.result_rows
@@ -146,50 +133,26 @@ def test_overlapped_beats_synchronous_shipping(benchmark, once):
         assert overlapped.uplink_bytes == synchronous.uplink_bytes
         # The acceptance bar: >= 1.5x faster with W >= 4 on the high-latency
         # link, for every strategy.
-        assert overlapped.elapsed_seconds * 1.5 <= synchronous.elapsed_seconds
+        assert record["speedup"] >= 1.5
         # The cost model's overlap term predicts a speedup in the same
         # direction (it models bytes, not latency, so only the direction and
         # a loose magnitude are checked).
-        assert model.overlap_speedup(strategy, WINDOW) >= 1.0
+        assert model.overlap_speedup(ExecutionStrategy(record["strategy"]), WINDOW) >= 1.0
 
 
 @pytest.mark.benchmark(group="overlap")
-def test_fig6_window_sweep_on_the_new_protocol(benchmark, once):
-    workload = _workload()
-
-    def run():
-        series = {}
-        for strategy in ExecutionStrategy:
-            points = []
-            for window in WINDOW_SWEEP:
-                point = run_workload_point(
-                    workload, MODEM, _config(strategy, overlap_window=window)
-                )
-                points.append((window, point.elapsed_seconds))
-            series[strategy] = points
-        return series
-
-    series = once(benchmark, run)
-
-    print("\nFigure 6 on the overlapped protocol — time (s) vs. in-flight window")
-    header = "window".rjust(8) + "".join(
-        f"{strategy.value:>20}" for strategy in ExecutionStrategy
+def test_fig6_window_sweep_on_the_new_protocol(run_sweep):
+    records = run_sweep(
+        WINDOWS, "Figure 6 on the overlapped protocol — time (s) vs. in-flight window"
     )
-    print(header)
-    for index, window in enumerate(WINDOW_SWEEP):
-        row = f"{window:>8d}"
-        for strategy in ExecutionStrategy:
-            row += f"{series[strategy][index][1]:>20.3f}"
-        print(row)
-
-    for strategy in ExecutionStrategy:
-        times = dict(series[strategy])
-        ordered = [elapsed for _, elapsed in series[strategy]]
+    for strategy in STRATEGIES:
+        times = {r["window"]: r["elapsed_s"] for r in records if r["strategy"] == strategy}
+        ordered = list(times.values())
         # Steep improvement from synchronous to a modest window.
         assert times[4] < 0.55 * times[1]
         # Times never get worse as the window grows (within a small slack).
         assert all(b <= a * 1.05 for a, b in zip(ordered, ordered[1:]))
         # Flattening: past the pipeline's capacity more window barely helps.
-        deep = [elapsed for window, elapsed in series[strategy] if window >= 8]
+        deep = [elapsed for window, elapsed in times.items() if window >= 8]
         if len(deep) > 1:
             assert max(deep) <= min(deep) * 1.25

@@ -20,86 +20,74 @@ Asserted:
 * it lands **within 20%** of the oracle static plan (the right order chosen
   up front with oracle knowledge of the true selectivities).
 
-Runs unchanged under ``REPRO_BENCH_SMOKE=1`` (it is already one scenario);
-that configuration records every simulated figure below in
-``BENCH_reoptimization.json``.
+It is one scenario at one size; the smoke run records every simulated figure
+below in ``BENCH_reoptimization.json``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from conftest import snapshot
 from repro.core.strategies import StrategyConfig
-from repro.workloads.experiments import format_records
+from repro.workloads.experiments import Sweep, query_record
 from repro.workloads.misestimation import MisorderedUdfScenario
 
-#: Sections of ``BENCH_reoptimization.json``, filled test by test.
-_SNAPSHOT: dict = {}
+
+def reoptimization_point(run, scenario):
+    """``committed`` / ``static``: the enumerator's plan from the declarations;
+    ``oracle``: the right UDF order up front, at the committed plan's batch
+    size; ``reoptimized``: segmented, free to migrate mid-query."""
+    database = scenario.build_database()
+    if run == "reoptimized":
+        result = database.execute(
+            scenario.sql, reoptimize=True, replan_policy=scenario.replan_policy()
+        )
+    else:
+        result = database.execute(scenario.sql, optimize=True)
+        if run == "oracle":
+            result = scenario.build_database().execute(
+                scenario.sql,
+                udf_order=list(scenario.oracle_udf_order),
+                config=StrategyConfig.semi_join(batch_size=result.metrics.batch_size or 1),
+            )
+    return {**query_record(result), "_result": result}
 
 
-def _result_record(result) -> dict:
-    """The simulated figures of one run (deterministic, so diffable)."""
-    metrics = result.metrics
-    return {
-        "elapsed_s": metrics.elapsed_seconds,
-        "downlink_bytes": metrics.downlink_bytes,
-        "uplink_bytes": metrics.uplink_bytes,
-        "downlink_messages": metrics.downlink_messages,
-        "uplink_messages": metrics.uplink_messages,
-        "udf_invocations": metrics.udf_invocations,
-        "rows": metrics.rows_returned,
-        "strategy_switches": metrics.strategy_switches,
-        "replan_attempts": metrics.replan_attempts,
-        "plan_migrations": metrics.plan_migrations,
-        "udf_orders_used": [list(order) for order in metrics.udf_orders_used or ()],
-        "shapes_used": list(metrics.shapes_used or ()),
-    }
+MISORDERED = Sweep(
+    "misordered",
+    reoptimization_point,
+    axes={"run": ("committed", "oracle", "reoptimized")},
+    fixed={"scenario": MisorderedUdfScenario()},
+)
+#: Truthful declarations: the committed shape is already the right one.
+CORRECT = Sweep(
+    "correct_declarations",
+    reoptimization_point,
+    axes={"run": ("static", "reoptimized")},
+    fixed={
+        "scenario": MisorderedUdfScenario(declared_selectivity_a=0.95, declared_selectivity_b=0.05)
+    },
+)
+
+COLUMNS = ["run", "elapsed_s", "replan_attempts", "plan_migrations", "udf_orders_used"]
 
 
-def _record(section: str, runs: dict) -> None:
-    from conftest import write_snapshot
-
-    _SNAPSHOT[section] = {name: _result_record(result) for name, result in runs.items()}
-    write_snapshot("reoptimization", _SNAPSHOT)
+def _run(run_sweep, sweep):
+    records = run_sweep(sweep, sweep.fixed["scenario"].describe(), COLUMNS)
+    results = {record["run"]: record["_result"] for record in records}
+    snapshot(
+        "reoptimization",
+        {sweep.name: {run: query_record(result) for run, result in results.items()}},
+    )
+    return results
 
 
 @pytest.mark.benchmark(group="reoptimization")
-def test_reoptimized_run_beats_wrong_shape_and_tracks_oracle(benchmark, once):
-    scenario = MisorderedUdfScenario()
-
-    def run():
-        committed = scenario.build_database().execute(scenario.sql, optimize=True)
-        oracle = scenario.build_database().execute(
-            scenario.sql,
-            udf_order=list(scenario.oracle_udf_order),
-            config=StrategyConfig.semi_join(
-                batch_size=committed.metrics.batch_size or 1
-            ),
-        )
-        reopt = scenario.build_database().execute(
-            scenario.sql, reoptimize=True, replan_policy=scenario.replan_policy()
-        )
-        return committed, oracle, reopt
-
-    committed, oracle, reopt = once(benchmark, run)
-
-    records = [
-        {"config": "committed (wrong order)", "elapsed_s": committed.metrics.elapsed_seconds},
-        {"config": "oracle static order", "elapsed_s": oracle.metrics.elapsed_seconds},
-        {"config": "mid-query re-optimized", "elapsed_s": reopt.metrics.elapsed_seconds},
-    ]
-    print(f"\n{scenario.describe()}")
-    print(format_records(records, ["config", "elapsed_s"]))
-    print(
-        f"migrations {reopt.metrics.plan_migrations} in "
-        f"{reopt.metrics.replan_attempts} boundary(ies); orders "
-        f"{reopt.metrics.udf_orders_used} "
-        f"({reopt.metrics.elapsed_seconds / oracle.metrics.elapsed_seconds:.2f}x oracle)"
-    )
-    _record(
-        "misordered",
-        {"committed": committed, "oracle": oracle, "reoptimized": reopt},
-    )
+def test_reoptimized_run_beats_wrong_shape_and_tracks_oracle(run_sweep):
+    scenario = MISORDERED.fixed["scenario"]
+    results = _run(run_sweep, MISORDERED)
+    committed, oracle, reopt = (results[run] for run in MISORDERED.axes["run"])
 
     # The declarations really commit the wrong shape.
     assert reopt.metrics.udf_orders_used is not None
@@ -118,25 +106,10 @@ def test_reoptimized_run_beats_wrong_shape_and_tracks_oracle(benchmark, once):
 
 
 @pytest.mark.benchmark(group="reoptimization")
-def test_no_replan_overhead_when_the_shape_was_right(benchmark, once):
+def test_no_replan_overhead_when_the_shape_was_right(run_sweep):
     """Truthful declarations: zero migrations, bounded segmentation overhead."""
-    scenario = MisorderedUdfScenario(
-        declared_selectivity_a=0.95, declared_selectivity_b=0.05
-    )
-
-    def run():
-        static = scenario.build_database().execute(scenario.sql, optimize=True)
-        reopt = scenario.build_database().execute(
-            scenario.sql, reoptimize=True, replan_policy=scenario.replan_policy()
-        )
-        return static, reopt
-
-    static, reopt = once(benchmark, run)
-    print(
-        f"\ncorrect declarations: static {static.metrics.elapsed_seconds:.2f}s, "
-        f"segmented-but-unmigrated {reopt.metrics.elapsed_seconds:.2f}s"
-    )
-    _record("correct_declarations", {"static": static, "reoptimized": reopt})
+    results = _run(run_sweep, CORRECT)
+    static, reopt = results["static"], results["reoptimized"]
     assert reopt.row_set() == static.row_set()
     assert reopt.metrics.plan_migrations == 0
     assert reopt.metrics.elapsed_seconds <= 1.20 * static.metrics.elapsed_seconds

@@ -13,134 +13,114 @@ Two experiments on the distribution layer:
   query starts.  Run segmented with migration disarmed (stay) and armed
   (move): the armed run must record at least one mid-query migration and
   beat staying by >= 2x, with the identical answer.
-
-Set ``REPRO_BENCH_SMOKE=1`` to run the reduced CI configuration.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from conftest import snapshot
 from repro.distribution import MigrationPolicy
 from repro.network.topology import NetworkConfig
+from repro.workloads.experiments import Sized, Sweep, plain
 from repro.workloads.sharding import (
     FILTER_SQL,
     make_sharded_setup,
     site_network,
 )
 
-#: Reduced configuration for the CI smoke job.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+#: The collapsing link of the degraded-replica experiment: 2 KB/s both ways
+#: from just after the query starts.
+DEGRADING = NetworkConfig.symmetric(150_000.0, latency=0.01, name="degrading").with_drift(
+    downlink_schedule=((0.001, 2_000.0),),
+    uplink_schedule=((0.001, 2_000.0),),
+)
 
-#: Fan-out widths swept in the scale-out experiment (sites = shards).
-SHARD_SWEEP = (1, 2, 4) if SMOKE else (1, 2, 4, 8)
+
+def scale_out_point(shards, rows, series_points):
+    """The bulk UDF scan over ``shards`` sites against one site-grade link."""
+    single, dist = make_sharded_setup(
+        sites=shards, shards=shards, rows=rows, series_points=series_points
+    )
+    base = single.execute(FILTER_SQL, deliver_results=True)
+    result = dist.execute(FILTER_SQL)
+    return {
+        "single_site_s": base.metrics.elapsed_seconds,
+        "distributed_s": result.metrics.elapsed_seconds,
+        "speedup": base.metrics.elapsed_seconds / result.metrics.elapsed_seconds,
+        "rows_returned": result.metrics.rows_returned,
+        "matches_baseline": result.row_set() == base.row_set(),
+        "_sizes": {"rows": rows, "series_points": series_points},
+    }
+
+
+def degraded_replica_point(migrate):
+    """One shard on two replicas, the committed one collapsing; four segments."""
+    dist = make_sharded_setup(
+        sites=2,
+        shards=1,
+        replication_factor=2,
+        rows=48,
+        series_points=32,
+        networks=[DEGRADING, site_network(bandwidth=120_000.0, name="healthy")],
+    )[1]
+    if migrate:
+        result = dist.execute(
+            FILTER_SQL, segments=4, migration_policy=MigrationPolicy(hysteresis=0.25)
+        )
+    else:
+        result = dist.execute(FILTER_SQL, segments=4, migrate=False)
+    return {
+        "elapsed_s": result.metrics.elapsed_seconds,
+        "migrations": result.metrics.plan_migrations,
+        "_rows": result.row_set(),
+    }
+
 
 #: Rows / series length sized so the fragment transfer dominates the wire.
-ROWS = 64 if SMOKE else 96
-SERIES_POINTS = 64
+SCALE_OUT = Sweep(
+    "scale_out",
+    scale_out_point,
+    axes={"shards": Sized(full=(1, 2, 4, 8), smoke=(1, 2, 4))},
+    fixed={"rows": Sized(full=96, smoke=64), "series_points": 64},
+)
+DEGRADED = Sweep("degraded_replica", degraded_replica_point, axes={"migrate": (False, True)})
 
 
 @pytest.mark.benchmark(group="sharding")
-def test_speedup_grows_with_shard_count(benchmark, once):
-    def run():
-        rows = []
-        for count in SHARD_SWEEP:
-            single, dist = make_sharded_setup(
-                sites=count, shards=count, rows=ROWS, series_points=SERIES_POINTS
-            )
-            base = single.execute(FILTER_SQL, deliver_results=True)
-            result = dist.execute(FILTER_SQL)
-            rows.append(
-                {
-                    "shards": count,
-                    "single_site_s": base.metrics.elapsed_seconds,
-                    "distributed_s": result.metrics.elapsed_seconds,
-                    "speedup": base.metrics.elapsed_seconds
-                    / result.metrics.elapsed_seconds,
-                    "rows_returned": result.metrics.rows_returned,
-                    "matches_baseline": result.row_set() == base.row_set(),
-                }
-            )
-        return rows
+def test_speedup_grows_with_shard_count(run_sweep):
+    records = run_sweep(
+        SCALE_OUT, "Scatter-gather speedup vs. shard count (one site per shard)"
+    )
+    snapshot("sharding", {**records[0]["_sizes"], "scale_out": [plain(r) for r in records]})
 
-    rows = once(benchmark, run)
-
-    print("\nScatter-gather speedup vs. shard count (one site per shard)")
-    print(f"{'shards':>7} {'single s':>9} {'dist s':>9} {'speedup':>8} {'rows':>6}")
-    for row in rows:
-        print(
-            f"{row['shards']:>7} {row['single_site_s']:>9.3f} "
-            f"{row['distributed_s']:>9.3f} {row['speedup']:>7.2f}x "
-            f"{row['rows_returned']:>6}"
-        )
-
-    for row in rows:
-        assert row["matches_baseline"]
+    for record in records:
+        assert record["matches_baseline"]
     # One shard on one site-grade link is the baseline, give or take the
     # coordinator merge; beyond that the fan-out must pay off monotonically.
-    assert rows[0]["speedup"] == pytest.approx(1.0, rel=0.05)
-    for narrower, wider in zip(rows, rows[1:]):
+    assert records[0]["speedup"] == pytest.approx(1.0, rel=0.05)
+    for narrower, wider in zip(records, records[1:]):
         assert wider["speedup"] > narrower["speedup"]
-    assert rows[-1]["speedup"] >= 1.5
+    assert records[-1]["speedup"] >= 1.5
 
-    from conftest import write_snapshot
 
-    scale_out = rows
-
-    # -- experiment 2: degraded replica ------------------------------------------------
-
-    def degraded_setup():
-        networks = [
-            NetworkConfig.symmetric(
-                150_000.0, latency=0.01, name="degrading"
-            ).with_drift(
-                downlink_schedule=((0.001, 2_000.0),),
-                uplink_schedule=((0.001, 2_000.0),),
-            ),
-            site_network(bandwidth=120_000.0, name="healthy"),
-        ]
-        return make_sharded_setup(
-            sites=2,
-            shards=1,
-            replication_factor=2,
-            rows=48,
-            series_points=32,
-            networks=networks,
-        )[1]
-
-    stay = degraded_setup().execute(FILTER_SQL, segments=4, migrate=False)
-    move = degraded_setup().execute(
-        FILTER_SQL, segments=4, migration_policy=MigrationPolicy(hysteresis=0.25)
+@pytest.mark.benchmark(group="sharding")
+def test_migrating_off_a_collapsed_replica(run_sweep):
+    stay, move = run_sweep(
+        DEGRADED, "Degraded replica: stay vs. migrate (1 shard x 2 replicas, 4 segments)"
     )
-
-    print("\nDegraded replica: stay vs. migrate (1 shard x 2 replicas, 4 segments)")
-    print(
-        f"  stay {stay.metrics.elapsed_seconds:.3f} s   "
-        f"migrate {move.metrics.elapsed_seconds:.3f} s "
-        f"({stay.metrics.elapsed_seconds / move.metrics.elapsed_seconds:.2f}x, "
-        f"{move.metrics.plan_migrations} migration(s))"
-    )
-
-    assert move.row_set() == stay.row_set()
-    assert move.metrics.plan_migrations >= 1
-    assert (
-        move.metrics.elapsed_seconds * 2.0 < stay.metrics.elapsed_seconds
-    ), "migrating off the collapsed replica must at least halve the elapsed time"
-
-    write_snapshot(
+    snapshot(
         "sharding",
         {
-            "rows": ROWS,
-            "series_points": SERIES_POINTS,
-            "scale_out": scale_out,
             "degraded_replica": {
-                "stay_s": stay.metrics.elapsed_seconds,
-                "migrate_s": move.metrics.elapsed_seconds,
-                "speedup": stay.metrics.elapsed_seconds
-                / move.metrics.elapsed_seconds,
-                "migrations": move.metrics.plan_migrations,
-            },
+                "stay_s": stay["elapsed_s"],
+                "migrate_s": move["elapsed_s"],
+                "speedup": stay["elapsed_s"] / move["elapsed_s"],
+                "migrations": move["migrations"],
+            }
         },
     )
+    assert move["_rows"] == stay["_rows"]
+    assert move["migrations"] >= 1
+    # Migrating off the collapsed replica must at least halve the elapsed time.
+    assert move["elapsed_s"] * 2.0 < stay["elapsed_s"]

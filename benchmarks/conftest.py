@@ -1,10 +1,18 @@
-"""Shared helpers for the benchmark suite.
+"""Shared harness for the benchmark suite.
 
 Every benchmark regenerates one of the paper's figures (or an ablation) on
-the network simulator, prints the measured series in a table, and asserts the
-*shape* properties the paper reports (who wins, where the knees and
-crossovers fall).  Absolute times are simulated seconds, not 1999 wall-clock
-milliseconds.
+the network simulator: it declares a :class:`~repro.workloads.experiments.Sweep`
+(a grid, as data), runs it once through the ``run_sweep`` fixture — which
+prints the measured series as a table — and asserts the *shape* properties
+the paper reports (who wins, where the knees and crossovers fall).  Absolute
+times are simulated seconds, not 1999 wall-clock milliseconds.
+
+``REPRO_BENCH_SMOKE=1`` selects the reduced configuration (the ``smoke`` side
+of every :class:`~repro.workloads.experiments.Sized` declaration).  That is
+the configuration CI runs on every push, and the only one that writes the
+``BENCH_<name>.json`` snapshots at the repo root, so the committed files form
+a comparable trajectory; full-size runs print their tables and leave the
+files alone.  This module is the only reader of the variable.
 """
 
 from __future__ import annotations
@@ -12,41 +20,63 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import Any, Dict
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from repro.workloads.experiments import format_records  # noqa: E402
+
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+
+#: ``{snapshot name: {section: payload}}`` accumulated over the session.
+_PENDING: Dict[str, Dict[str, Any]] = {}
 
 
-def write_snapshot(name: str, payload) -> None:
-    """Record a perf snapshot as ``BENCH_<name>.json`` at the repo root.
+def snapshot(name: str, sections: Dict[str, Any]) -> None:
+    """Queue top-level ``sections`` of ``BENCH_<name>.json``.
 
-    Only the reduced (``REPRO_BENCH_SMOKE=1``) configuration writes
-    snapshots: that is the configuration CI runs on every push, so the
-    committed files form a comparable perf trajectory.  Full-size local runs
-    print their tables but leave the snapshots alone.
+    A section is the unit of replacement: the session's end rewrites the
+    sections queued and leaves the file's other sections byte for byte, so
+    running one driver alone does not drop its neighbours' pins.
     """
-    if os.environ.get("REPRO_BENCH_SMOKE") != "1":
+    _PENDING.setdefault(name, {}).update(sections)
+
+
+def pytest_sessionfinish(session, exitstatus) -> None:
+    if not SMOKE:
         return
-    path = os.path.join(_REPO_ROOT, f"BENCH_{name}.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def run_once(benchmark, function):
-    """Run ``function`` exactly once under pytest-benchmark timing.
-
-    The experiments are deterministic simulations, so repeated rounds would
-    only re-measure identical work.
-    """
-    return benchmark.pedantic(function, rounds=1, iterations=1)
+    for name, sections in _PENDING.items():
+        path = os.path.join(_REPO_ROOT, f"BENCH_{name}.json")
+        payload: Dict[str, Any] = {}
+        if os.path.exists(path):
+            with open(path) as handle:
+                payload = json.load(handle)
+        payload.update(sections)
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
 @pytest.fixture
-def once():
-    return run_once
+def run_sweep(benchmark):
+    """Run a sweep once under pytest-benchmark timing and print its table.
+
+    Once, because the experiments are deterministic simulations: repeated
+    rounds would only re-measure identical work.  ``pin`` names the snapshot
+    that keeps the sweep's records, keyed by point ID, under the sweep's name.
+    """
+
+    def run(sweep, title, columns=None, pin=None):
+        records = benchmark.pedantic(sweep.run, args=(SMOKE,), rounds=1, iterations=1)
+        print(f"\n{title}")
+        print(format_records(records, columns))
+        if pin is not None:
+            snapshot(pin, {sweep.name: sweep.snapshot()})
+        return records
+
+    return run

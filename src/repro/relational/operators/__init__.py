@@ -6,9 +6,9 @@ interface: an output :class:`~repro.relational.schema.Schema` plus an
 :class:`~repro.relational.tuples.RowBatch` es (with ``execute()`` kept as a
 row-iterator view for compatibility with the classical Volcano model).
 Operators compose into trees; the root's ``execute_batches()`` drives the
-whole pipeline lazily, one batch at a time.  Scans, filters, projections,
-hash joins and aggregation are batch-native; the remaining operators are
-row-oriented and chunked by the base class.
+whole pipeline lazily, one batch at a time.  Scans, filters, projections and
+hash joins are batch-native; the remaining operators are row-oriented and
+chunked by the base class.
 """
 
 from repro.relational.operators.base import Operator, CollectingOperator
@@ -16,13 +16,10 @@ from repro.relational.operators.scan import TableScan, RowSource
 from repro.relational.operators.filter import Filter
 from repro.relational.operators.project import Project, ProjectExpressions
 from repro.relational.operators.sort import Sort
-from repro.relational.operators.distinct import Distinct, DistinctOn
+from repro.relational.operators.distinct import Distinct
 from repro.relational.operators.nested_loop_join import NestedLoopJoin
 from repro.relational.operators.hash_join import HashJoin
-from repro.relational.operators.merge_join import MergeJoin
-from repro.relational.operators.aggregate import Aggregate, AggregateSpec
 from repro.relational.operators.limit import Limit
-from repro.relational.operators.materialize import Materialize
 
 __all__ = [
     "Operator",
@@ -34,12 +31,7 @@ __all__ = [
     "ProjectExpressions",
     "Sort",
     "Distinct",
-    "DistinctOn",
     "NestedLoopJoin",
     "HashJoin",
-    "MergeJoin",
-    "Aggregate",
-    "AggregateSpec",
     "Limit",
-    "Materialize",
 ]

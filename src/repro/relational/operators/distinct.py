@@ -1,13 +1,11 @@
-"""Duplicate-elimination operators.
+"""Duplicate elimination.
 
 The paper distinguishes *tuple duplicates* (identical in all columns) from
 *argument duplicates* (identical only in the UDF's argument columns).
-:class:`Distinct` removes tuple duplicates; :class:`DistinctOn` removes
-argument duplicates, keeping the first representative row for each distinct
-key — which is exactly what the semi-join sender needs before shipping
-argument columns to the client.
+:class:`Distinct` removes tuple duplicates; argument duplicates are the
+semi-join sender's business (:meth:`~repro.relational.tuples.RowBatch.encode`).
 
-Both operators are batch-native and column-wise: keys come straight off the
+The operator is batch-native and column-wise: keys come straight off the
 batch's column lists (:meth:`~repro.relational.tuples.RowBatch.key_tuples`)
 and surviving rows are selected by index
 (:meth:`~repro.relational.tuples.RowBatch.take`) without materialising
@@ -16,7 +14,7 @@ and surviving rows are selected by index
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.relational.operators.base import Operator
 from repro.relational.tuples import RowBatch
@@ -43,28 +41,3 @@ class Distinct(Operator):
 
     def describe(self) -> str:
         return "Distinct"
-
-
-class DistinctOn(Operator):
-    """Removes rows that duplicate earlier rows on the key columns only."""
-
-    def __init__(self, child: Operator, key_columns: Sequence[str]) -> None:
-        super().__init__([child])
-        self.schema = child.output_schema()
-        self.key_columns = list(key_columns)
-        self._positions = tuple(self.schema.index_of(name) for name in self.key_columns)
-
-    def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
-        seen: Set[Tuple] = set()
-        for batch in self.child().execute_batches(batch_size):
-            kept: List[int] = []
-            for index, key in enumerate(batch.key_tuples(self._positions)):
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append(index)
-            if kept:
-                yield batch.take(kept)
-
-    def describe(self) -> str:
-        return f"DistinctOn({', '.join(self.key_columns)})"

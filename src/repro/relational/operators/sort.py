@@ -2,26 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Union
 
 from repro.relational import columns as typed_columns
 from repro.relational.columns import vectorization_enabled
 from repro.relational.keys import nulls_first_order
-from repro.relational.operators.base import Operator
+from repro.relational.operators.base import Operator, OperatorError
 from repro.relational.tuples import RowBatch, concat_batches
 
 
 class Sort(Operator):
     """Sorts the child's output on the named columns.
 
-    ``descending`` flips the whole ordering (per-column direction mixing is
-    not needed by the paper's plans and is intentionally omitted).
+    ``descending`` is one flag for the whole ordering or one per column
+    (``ORDER BY a DESC, b ASC``).  NULLs order lowest: first ascending, last
+    descending.
     """
 
-    def __init__(self, child: Operator, column_names: Sequence[str], descending: bool = False) -> None:
+    def __init__(
+        self,
+        child: Operator,
+        column_names: Sequence[str],
+        descending: Union[bool, Sequence[bool]] = False,
+    ) -> None:
         super().__init__([child])
         self.column_names = list(column_names)
-        self.descending = descending
+        if isinstance(descending, bool):
+            descending = [descending] * len(self.column_names)
+        self.descending = [bool(flag) for flag in descending]
+        if len(self.descending) != len(self.column_names):
+            raise OperatorError("Sort needs one direction per column")
         self.schema = child.output_schema()
         self._positions = tuple(self.schema.index_of(name) for name in self.column_names)
 
@@ -43,12 +53,22 @@ class Sort(Operator):
         Single typed NULL-free ascending keys argsort in NumPy (stable, like
         ``list.sort``); everything else — multi-key, descending, NULLs,
         untyped columns, NaNs (whose ordering must match Python's) — uses the
-        stable scalar sort with the NULLs-first key (:func:`nulls_first_order`).
+        stable scalar sort with the NULLs-first key (:func:`nulls_first_order`):
+        once over the whole key when every column runs the same way, else one
+        stable pass per column from the last to the first.
         """
         positions = self._positions
         if not positions:
             return list(range(len(batch)))
-        if len(positions) == 1 and not self.descending and vectorization_enabled():
+        if len(set(self.descending)) > 1:
+            order = list(range(len(batch)))
+            for position, descending in reversed(list(zip(positions, self.descending))):
+                values = batch.column_values(position)
+                keys = [(values[row],) for row in order]
+                order = [order[place] for place in nulls_first_order(keys, reverse=descending)]
+            return order
+        descending = self.descending[0]
+        if len(positions) == 1 and not descending and vectorization_enabled():
             column = batch.typed_column(positions[0])
             if column is not None and column.null_count == 0:
                 data = column.data
@@ -56,8 +76,11 @@ class Sort(Operator):
                 if column.dtype_name != "FLOAT" or not np.isnan(data).any():
                     return np.argsort(data, kind="stable").tolist()
         key_columns = [batch.column_values(position) for position in positions]
-        return nulls_first_order(list(zip(*key_columns)), reverse=self.descending)
+        return nulls_first_order(list(zip(*key_columns)), reverse=descending)
 
     def describe(self) -> str:
-        direction = " DESC" if self.descending else ""
-        return f"Sort({', '.join(self.column_names)}{direction})"
+        keys = (
+            name + (" DESC" if descending else "")
+            for name, descending in zip(self.column_names, self.descending)
+        )
+        return f"Sort({', '.join(keys)})"

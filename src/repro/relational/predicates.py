@@ -1,21 +1,19 @@
-"""Predicate analysis: selectivity estimation, pushability, and join detection.
+"""Predicate analysis: selectivity estimation and join detection.
 
 This module provides the static analyses the optimizer needs:
 
 * :func:`estimate_selectivity` — textbook selectivity estimation from column
   statistics (1/V(A) for equality, 1/3 for ranges, independence for AND/OR);
-* :func:`is_join_predicate` — detects equi-join predicates between two
-  relations;
+* :func:`equi_join_columns` / :func:`columns_covered` — which two columns an
+  equality joins, and whether a set of available columns holds them;
 * :class:`PredicateInfo` — per-conjunct metadata: referenced columns, UDF
-  calls, whether it is *pushable* to the client given a set of columns that
-  will be present there (Section 2 of the paper: "simple predicates that rely
-  on the values in the result columns, but can be executed on the client").
+  calls and estimated selectivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.relational.expressions import (
     BooleanOp,
@@ -24,7 +22,6 @@ from repro.relational.expressions import (
     Expression,
     FunctionCall,
     Literal,
-    conjuncts,
 )
 from repro.relational.schema import bare_name
 from repro.relational.statistics import TableStatistics
@@ -224,34 +221,6 @@ def equi_join_columns(expression: Expression) -> Optional[Tuple[str, str]]:
     return None
 
 
-def is_join_predicate(
-    expression: Expression, left_columns: Set[str], right_columns: Set[str]
-) -> bool:
-    """True when ``expression`` is an equi-join between the two column sets.
-
-    Column sets are given as qualified names; bare-name fallbacks are applied
-    so ``S.Name = E.CompanyName`` matches regardless of qualification style.
-    """
-    if not isinstance(expression, Comparison) or expression.operator != "=":
-        return False
-    if expression.function_calls():
-        return False
-    left_refs = expression.left.columns()
-    right_refs = expression.right.columns()
-    if not left_refs or not right_refs:
-        return False
-
-    def side_of(names: FrozenSet[str]) -> Optional[str]:
-        if all(_covered(name, left_columns) for name in names):
-            return "left"
-        if all(_covered(name, right_columns) for name in names):
-            return "right"
-        return None
-
-    sides = {side_of(left_refs), side_of(right_refs)}
-    return sides == {"left", "right"}
-
-
 def _covered(name: str, available: Set[str]) -> bool:
     """True when ``available`` holds the column ``name`` refers to.
 
@@ -298,34 +267,5 @@ class PredicateInfo:
     def references_udf(self) -> bool:
         return bool(self.udf_names)
 
-    def references_only(self, udf_names: Set[str]) -> bool:
-        """True when every UDF mentioned is in ``udf_names``."""
-        return all(name in udf_names for name in self.udf_names)
-
-    def is_pushable(
-        self, client_columns: Set[str], client_udfs: Set[str]
-    ) -> bool:
-        """Can this predicate be evaluated at the client?
-
-        It can when every referenced column is available at the client (either
-        shipped there or produced there as a UDF result) and every function it
-        calls is a client-site UDF (or no function at all).
-        """
-        if not columns_covered(self.columns, client_columns):
-            return False
-        return all(name in client_udfs for name in self.udf_names)
-
     def __str__(self) -> str:
         return str(self.expression)
-
-
-def analyze_conjuncts(
-    expression: Optional[Expression],
-    statistics: Optional[TableStatistics] = None,
-    udf_selectivities: Optional[Dict[str, float]] = None,
-) -> List[PredicateInfo]:
-    """Split ``expression`` into conjuncts and analyze each one."""
-    return [
-        PredicateInfo.analyze(conjunct, statistics, udf_selectivities)
-        for conjunct in conjuncts(expression)
-    ]

@@ -593,8 +593,7 @@ def shape_output(plan: Operator, query: BoundQuery) -> Operator:
                     raise PlanError(f"ORDER BY column {name!r} is not in the output")
                 name = bare_name(name)
             sort_columns.append(name)
-        descending_flags = {flag for _, flag in query.order_by}
-        plan = Sort(plan, sort_columns, descending=descending_flags == {True})
+        plan = Sort(plan, sort_columns, descending=[flag for _, flag in query.order_by])
 
     if query.limit is not None:
         plan = Limit(plan, query.limit, query.offset)

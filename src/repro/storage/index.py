@@ -358,7 +358,7 @@ class BTreeIndex(_PagedIndex):
             if self._fits(entries, payload):
                 self._put_node(number, payload)
                 return None
-            middle = len(entries) // 2
+            middle = self._split_point(1, pointer, entries)
             right_entries = entries[middle:]
             right = self._allocate_node((1, pointer, right_entries))
             self.leaf_count += 1
@@ -377,11 +377,26 @@ class BTreeIndex(_PagedIndex):
         if self._fits(entries, payload):
             self._put_node(number, payload)
             return None
-        middle = len(entries) // 2
+        middle = self._split_point(0, pointer, entries)
         promoted, promoted_child = entries[middle]
         right = self._allocate_node((0, promoted_child, entries[middle + 1 :]))
         self._write_node(number, (0, pointer, entries[:middle]))
         return (promoted, right)
+
+    def _split_point(self, is_leaf: int, pointer: int, entries: List[tuple]) -> int:
+        """Where an overflowing node splits: the middle, unless keys of very
+        different sizes leave a half that still overflows its page — then the
+        nearest point at which both halves fit."""
+        middle = len(entries) // 2
+
+        def fits(half: List[tuple]) -> bool:
+            return self._fits(half, encode_record((is_leaf, pointer, half)))
+
+        while middle > 1 and not fits(entries[:middle]):
+            middle -= 1
+        while middle < len(entries) - 2 and not fits(entries[middle:]):
+            middle += 1
+        return middle
 
     def delete(self, key: Any, rid: RecordId) -> bool:
         """Remove one posting; False when the key was never indexed."""

@@ -5,8 +5,9 @@
   result sizes and selectivities (what Section 4's experiments use);
 * :mod:`repro.workloads.stock` — the stock-market scenario of the paper's
   introduction (StockQuotes, Estimations, ClientAnalysis, Volatility);
-* :mod:`repro.workloads.experiments` — parameter sweeps that regenerate each
-  figure of the evaluation section.
+* :mod:`repro.workloads.experiments` — the sweep harness (a grid declared as
+  data) and the run-point functions that regenerate each figure of the
+  evaluation section.
 """
 
 from repro.workloads.synthetic import (
@@ -17,12 +18,7 @@ from repro.workloads.synthetic import (
     register_sized_udf,
 )
 from repro.workloads.stock import StockWorkload
-from repro.workloads.experiments import (
-    ConcurrencySweep,
-    SelectivitySweep,
-    ResultSizeSweep,
-    ExperimentPoint,
-)
+from repro.workloads.experiments import ExperimentPoint, Sized, Sweep
 from repro.workloads.drift import (
     drifting_bandwidth_network,
     fading_uplink_scenario,
@@ -45,8 +41,7 @@ __all__ = [
     "register_identity_udf",
     "register_sized_udf",
     "StockWorkload",
-    "ConcurrencySweep",
-    "SelectivitySweep",
-    "ResultSizeSweep",
     "ExperimentPoint",
+    "Sized",
+    "Sweep",
 ]

@@ -1,15 +1,15 @@
-"""Parameter-sweep harnesses that regenerate the paper's figures.
+"""The sweep harness that regenerates the paper's figures.
 
-Each harness builds the synthetic workload of the corresponding experiment,
-executes it under the relevant strategies on the network simulator, and
-returns the measured series together with the cost model's prediction, so
-benchmarks can compare shapes directly:
+A figure is a :class:`Sweep`: a cartesian grid declared as data (axes, with
+full and smoke sizes side by side), a run-point function, and records keyed
+by a deterministic ID fingerprinted from each point's configuration.  The
+run-point functions several figures share live here too:
 
-* :class:`ConcurrencySweep`   — Figure 6  (execution time vs. pipeline concurrency factor)
-* :class:`SelectivitySweep`   — Figures 8 and 9 (CSJ/SJ ratio vs. selectivity)
-* :class:`ResultSizeSweep`    — Figure 10 (CSJ/SJ ratio vs. result size)
+* :func:`concurrency_point` — Figure 6  (execution time vs. pipeline concurrency factor)
+* :func:`ratio_point`       — Figures 8, 9 and 10 (CSJ/SJ ratio, measured and predicted)
+* :func:`run_workload_point` — one strategy over the Figure 7 query
 
-The harnesses construct execution operators directly through the public
+They construct execution operators directly through the public
 ``build_operator`` API (rather than through SQL) because the experiments
 require the pushable predicate to be applied *after* the UDF — exactly the
 situation of the paper's Figure 7 query, where the predicate is itself a
@@ -18,12 +18,16 @@ client-site UDF over the same argument.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
+from repro.core.concurrency import recommended_concurrency_factor
 from repro.core.costmodel import CostModel, CostParameters
 from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.core.execution.rewrite import build_operator
@@ -64,6 +68,40 @@ class ExperimentPoint:
     @property
     def total_bytes(self) -> int:
         return self.downlink_bytes + self.uplink_bytes
+
+    def record(self) -> Dict[str, Any]:
+        """The simulated figures of this run as plain data (exact, so diffable)."""
+        return {
+            **_wire_record(self),
+            "rows": self.rows,
+            "strategies_used": [strategy.value for strategy in self.strategies_used],
+        }
+
+
+def _wire_record(run: Any) -> Dict[str, Any]:
+    """What an :class:`ExperimentPoint` and an ``ExecutionMetrics`` both report."""
+    return {
+        "elapsed_s": run.elapsed_seconds,
+        "downlink_bytes": run.downlink_bytes,
+        "uplink_bytes": run.uplink_bytes,
+        "downlink_messages": run.downlink_messages,
+        "uplink_messages": run.uplink_messages,
+        "udf_invocations": run.udf_invocations,
+        "strategy_switches": run.strategy_switches,
+    }
+
+
+def query_record(result: Any) -> Dict[str, Any]:
+    """The simulated figures of one ``Database.execute`` result as plain data."""
+    metrics = result.metrics
+    return {
+        **_wire_record(metrics),
+        "rows": metrics.rows_returned,
+        "replan_attempts": metrics.replan_attempts,
+        "plan_migrations": metrics.plan_migrations,
+        "udf_orders_used": [list(order) for order in metrics.udf_orders_used or ()],
+        "shapes_used": list(metrics.shapes_used or ()),
+    }
 
 
 def run_workload_point(
@@ -152,253 +190,219 @@ def run_workload_point(
 
 
 # ---------------------------------------------------------------------------
-# Figure 6 — pipeline concurrency factor
+# The sweep: a grid declared as data
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConcurrencySweep:
-    """Figure 6: query time vs. pipeline concurrency factor.
+class Sized(NamedTuple):
+    """One declaration, two sizes: a full run's value and the CI smoke run's."""
 
-    ``SELECT UDF(R.DataObject) FROM Relation R`` over 100 rows, for several
-    object sizes, executed as a semi-join whose buffer size is swept.  The
-    default network models the paper's slow link with a bandwidth·latency
-    product of roughly 5000 bytes, so the 1000-byte curve flattens near a
-    factor of 5 and smaller objects flatten later, as in the paper.
+    full: Any
+    smoke: Any
+
+
+def point_id(config: Mapping[str, Any]) -> str:
+    """The deterministic ID of one grid point: a fingerprint of its configuration.
+
+    Only *what* is configured counts — not the order the keys were given in,
+    not the process, not the point's place in its grid — so adding a point
+    renumbers nothing and re-running one lands on its own record.  Values
+    that are not JSON (a :class:`NetworkConfig`, an enum member) enter through
+    their ``repr``, which for the frozen dataclasses used here is a pure
+    function of their fields.
+    """
+    canonical = json.dumps(config, sort_keys=True, default=repr)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+class Sweep:
+    """A cartesian grid of runs, declared as data.
+
+    ``axes`` maps an axis name to its values and ``fixed`` a parameter name to
+    the one value every point shares; either may be a :class:`Sized` pair.
+    ``run_point(**config)`` executes one point — its configuration is the
+    fixed parameters plus one value per axis — and returns its measurements
+    as a flat record.  Record keys starting with ``_`` carry evidence for a
+    driver's assertions (result rows, a statistics store): they stay in
+    memory and never reach a table or a snapshot.
+
+    ``records`` keeps every executed point's record under its
+    :func:`point_id`, axis values first.
     """
 
-    row_count: int = 100
-    object_sizes: Sequence[int] = (100, 500, 1000)
-    concurrency_factors: Sequence[int] = tuple(range(1, 22))
-    network: NetworkConfig = field(
-        default_factory=lambda: NetworkConfig.symmetric(3600.0, latency=0.4, name="fig6-modem")
+    def __init__(
+        self,
+        name: str,
+        run_point: Callable[..., Dict[str, Any]],
+        axes: Optional[Mapping[str, Any]] = None,
+        fixed: Optional[Mapping[str, Any]] = None,
+    ) -> None:
+        self.name = name
+        self.run_point = run_point
+        self.axes = dict(axes or {})
+        self.fixed = dict(fixed or {})
+        self.records: Dict[str, Dict[str, Any]] = {}
+
+    def points(self, smoke: bool = False) -> List[Dict[str, Any]]:
+        """Every point's configuration, in declared order (last axis fastest)."""
+
+        def sized(value: Any) -> Any:
+            if isinstance(value, Sized):
+                return value.smoke if smoke else value.full
+            return value
+
+        fixed = {name: sized(value) for name, value in self.fixed.items()}
+        grid = itertools.product(*(sized(values) for values in self.axes.values()))
+        return [{**fixed, **dict(zip(self.axes, values))} for values in grid]
+
+    def run_one(self, config: Mapping[str, Any]) -> Dict[str, Any]:
+        """Execute one point and file its record, replacing an earlier run of it."""
+        record = {name: config[name] for name in self.axes}
+        record.update(self.run_point(**config))
+        self.records[point_id(config)] = record
+        return record
+
+    def run(self, smoke: bool = False) -> List[Dict[str, Any]]:
+        """Execute the whole grid; the records in grid order."""
+        return [self.run_one(config) for config in self.points(smoke)]
+
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """``records`` without their evidence: what a ``BENCH_*.json`` pins."""
+        return {identifier: plain(record) for identifier, record in self.records.items()}
+
+
+def plain(record: Mapping[str, Any]) -> Dict[str, Any]:
+    """``record`` without its evidence (``_``-prefixed) keys."""
+    return {key: value for key, value in record.items() if not key.startswith("_")}
+
+
+# ---------------------------------------------------------------------------
+# Run-point functions the figure drivers share
+# ---------------------------------------------------------------------------
+
+#: Figure 6's slow link: a bandwidth·latency product of roughly 5000 bytes, so
+#: the 1000-byte curve flattens near a factor of 5 and smaller objects later.
+FIGURE6_NETWORK = NetworkConfig.symmetric(3600.0, latency=0.4, name="fig6-modem")
+
+
+def concurrency_point(
+    object_size: int,
+    factor: int,
+    row_count: int = 100,
+    network: NetworkConfig = FIGURE6_NETWORK,
+    udf_cost_seconds: float = 0.03,
+) -> Dict[str, Any]:
+    """Figure 6: ``SELECT UDF(R.DataObject) FROM Relation R`` as a semi-join
+    whose tuple pipeline holds ``factor`` tuples; the UDF echoes an object of
+    the argument's size."""
+    table = make_object_relation("Relation", row_count, object_size)
+    registry = UdfRegistry()
+    udf = register_identity_udf(
+        registry,
+        name="EchoObject",
+        result_size=object_size,
+        cost_per_call_seconds=udf_cost_seconds,
     )
-    udf_cost_seconds: float = 0.03
-
-    def run_point(self, object_size: int, factor: int) -> ExperimentPoint:
-        table = make_object_relation("Relation", self.row_count, object_size)
-        registry = UdfRegistry()
-        udf = register_identity_udf(
-            registry,
-            name="EchoObject",
-            result_size=object_size,
-            cost_per_call_seconds=self.udf_cost_seconds,
-        )
-        context = RemoteExecutionContext.create(
-            self.network, client=ClientRuntime(registry=registry)
-        )
-        operator = build_operator(
-            child=TableScan(table),
-            udf=udf,
-            argument_columns=["Relation.DataObject"],
-            context=context,
-            config=StrategyConfig.semi_join(concurrency_factor=factor),
-        )
-        rows = operator.run()
-        return ExperimentPoint(
-            strategy=ExecutionStrategy.SEMI_JOIN,
-            elapsed_seconds=context.elapsed_seconds,
-            counters=context.counters(),
-            rows=len(rows),
-            parameters={"object_size": object_size, "concurrency_factor": factor},
-        )
-
-    def run(self) -> Dict[int, List[Tuple[int, float]]]:
-        """``{object_size: [(factor, elapsed_seconds), ...]}``."""
-        series: Dict[int, List[Tuple[int, float]]] = {}
-        for object_size in self.object_sizes:
-            points: List[Tuple[int, float]] = []
-            for factor in self.concurrency_factors:
-                point = self.run_point(object_size, factor)
-                points.append((factor, point.elapsed_seconds))
-            series[object_size] = points
-        return series
-
-    def predicted_optimal_factor(self, object_size: int) -> int:
-        """The analytic B·T recommendation for this object size."""
-        from repro.core.concurrency import recommended_concurrency_factor
-
-        return recommended_concurrency_factor(
-            self.network,
-            request_payload_bytes=object_size + 4,
-            response_payload_bytes=object_size + 4,
-            client_seconds_per_tuple=self.udf_cost_seconds,
-        )
+    context = RemoteExecutionContext.create(network, client=ClientRuntime(registry=registry))
+    operator = build_operator(
+        child=TableScan(table),
+        udf=udf,
+        argument_columns=["Relation.DataObject"],
+        context=context,
+        config=StrategyConfig.semi_join(concurrency_factor=factor),
+    )
+    rows = operator.run()
+    return {
+        "elapsed_s": context.elapsed_seconds,
+        "rows": len(rows),
+        "predicted_optimal_factor": predicted_concurrency_factor(
+            object_size, network, udf_cost_seconds
+        ),
+    }
 
 
-# ---------------------------------------------------------------------------
-# Figures 8 and 9 — CSJ/SJ ratio vs. selectivity
-# ---------------------------------------------------------------------------
+def predicted_concurrency_factor(
+    object_size: int,
+    network: NetworkConfig = FIGURE6_NETWORK,
+    udf_cost_seconds: float = 0.03,
+) -> int:
+    """The analytic B·T recommendation for :func:`concurrency_point`'s pipeline."""
+    return recommended_concurrency_factor(
+        network,
+        request_payload_bytes=object_size + 4,
+        response_payload_bytes=object_size + 4,
+        client_seconds_per_tuple=udf_cost_seconds,
+    )
 
 
-@dataclass
-class SelectivitySweep:
-    """Figures 8 (symmetric) and 9 (asymmetric): relative time vs. selectivity."""
+def ratio_point(
+    input_record_bytes: int,
+    argument_fraction: float,
+    result_size: int,
+    selectivity: float,
+    network: NetworkConfig,
+    row_count: int = 100,
+) -> Dict[str, Any]:
+    """Figures 8–10: client-site join over semi-join time, measured and predicted.
 
-    row_count: int = 100
-    input_record_bytes: int = 1000
-    argument_fraction: float = 0.5
-    result_sizes: Sequence[int] = (100, 1000, 2000, 5000)
-    selectivities: Sequence[float] = tuple(round(0.1 * i, 1) for i in range(0, 11))
-    network: NetworkConfig = field(default_factory=NetworkConfig.paper_symmetric)
-    udf_cost_seconds: float = 0.001
-    distinct_fraction: float = 1.0
-
-    def _workload(self, result_size: int, selectivity: float) -> SyntheticWorkload:
-        return SyntheticWorkload(
-            row_count=self.row_count,
-            input_record_bytes=self.input_record_bytes,
-            argument_fraction=self.argument_fraction,
+    Both strategies run the Figure 7 query over the same synthetic relation;
+    the prediction is the Section 3.2 bandwidth model's for the same
+    parameters.
+    """
+    workload = SyntheticWorkload(
+        row_count=row_count,
+        input_record_bytes=input_record_bytes,
+        argument_fraction=argument_fraction,
+        result_bytes=result_size,
+        selectivity=selectivity,
+    )
+    semi = run_workload_point(workload, network, StrategyConfig.semi_join())
+    csj = run_workload_point(workload, network, StrategyConfig.client_site_join())
+    model = CostModel(
+        CostParameters.paper_experiment(
+            input_record_bytes=input_record_bytes,
+            argument_fraction=argument_fraction,
             result_bytes=result_size,
             selectivity=selectivity,
-            distinct_fraction=self.distinct_fraction,
-            udf_cost_seconds=self.udf_cost_seconds,
+            asymmetry=network.asymmetry,
         )
-
-    def predicted_ratio(self, result_size: int, selectivity: float) -> float:
-        parameters = CostParameters.paper_experiment(
-            input_record_bytes=self.input_record_bytes,
-            argument_fraction=self.argument_fraction,
-            result_bytes=result_size,
-            selectivity=selectivity,
-            asymmetry=self.network.asymmetry,
-            distinct_fraction=self.distinct_fraction,
-        )
-        return CostModel(parameters).relative_time()
-
-    def run(self) -> List[Dict[str, float]]:
-        """One record per (result size, selectivity) with measured and predicted ratios."""
-        records: List[Dict[str, float]] = []
-        for result_size in self.result_sizes:
-            # The semi-join does not apply the pushable predicate early, so its
-            # time is independent of the selectivity: measure it once.
-            baseline = run_workload_point(
-                self._workload(result_size, selectivity=1.0),
-                self.network,
-                StrategyConfig.semi_join(),
-            )
-            for selectivity in self.selectivities:
-                csj = run_workload_point(
-                    self._workload(result_size, selectivity),
-                    self.network,
-                    StrategyConfig.client_site_join(),
-                )
-                records.append(
-                    {
-                        "result_size": result_size,
-                        "selectivity": selectivity,
-                        "semi_join_seconds": baseline.elapsed_seconds,
-                        "client_join_seconds": csj.elapsed_seconds,
-                        "measured_ratio": csj.elapsed_seconds / baseline.elapsed_seconds,
-                        "predicted_ratio": self.predicted_ratio(result_size, selectivity),
-                        "csj_downlink_bytes": csj.downlink_bytes,
-                        "csj_uplink_bytes": csj.uplink_bytes,
-                        "sj_downlink_bytes": baseline.downlink_bytes,
-                        "sj_uplink_bytes": baseline.uplink_bytes,
-                    }
-                )
-        return records
-
-    @classmethod
-    def figure8(cls) -> "SelectivitySweep":
-        """The exact parameterisation of Figure 8 (symmetric network)."""
-        return cls(
-            input_record_bytes=1000,
-            argument_fraction=0.5,
-            result_sizes=(100, 1000, 2000, 5000),
-            network=NetworkConfig.paper_symmetric(),
-        )
-
-    @classmethod
-    def figure9(cls, asymmetry: float = 100.0) -> "SelectivitySweep":
-        """The exact parameterisation of Figure 9 (asymmetric network, N=100)."""
-        return cls(
-            input_record_bytes=5000,
-            argument_fraction=0.8,
-            result_sizes=(500, 1000, 5000),
-            network=NetworkConfig.paper_asymmetric(asymmetry=asymmetry),
-        )
+    )
+    return {
+        "semi_join_seconds": semi.elapsed_seconds,
+        "client_join_seconds": csj.elapsed_seconds,
+        "measured_ratio": csj.elapsed_seconds / semi.elapsed_seconds,
+        "predicted_ratio": model.relative_time(),
+        "sj_downlink_bytes": semi.downlink_bytes,
+        "sj_uplink_bytes": semi.uplink_bytes,
+        "csj_downlink_bytes": csj.downlink_bytes,
+        "csj_uplink_bytes": csj.uplink_bytes,
+    }
 
 
-# ---------------------------------------------------------------------------
-# Figure 10 — CSJ/SJ ratio vs. result size
-# ---------------------------------------------------------------------------
+def format_records(
+    records: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]] = None
+) -> str:
+    """Render sweep records as a fixed-width text table (for bench output).
 
+    Without ``columns``: every key of the first record that is not evidence.
+    A single record (a sweep without axes) reads better on its side: one
+    ``name  value`` line per column.
+    """
+    if columns is None:
+        columns = list(plain(records[0])) if records else []
 
-@dataclass
-class ResultSizeSweep:
-    """Figure 10: relative time vs. UDF result size, for several selectivities."""
+    def cell(value: Any) -> str:
+        return f"{value:.4g}" if isinstance(value, float) else str(value)
 
-    row_count: int = 100
-    input_record_bytes: int = 500
-    argument_fraction: float = 0.2
-    selectivities: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
-    result_sizes: Sequence[int] = tuple(range(0, 2001, 200))
-    network: NetworkConfig = field(default_factory=NetworkConfig.paper_symmetric)
-    udf_cost_seconds: float = 0.001
-    distinct_fraction: float = 1.0
-
-    def _workload(self, result_size: int, selectivity: float) -> SyntheticWorkload:
-        return SyntheticWorkload(
-            row_count=self.row_count,
-            input_record_bytes=self.input_record_bytes,
-            argument_fraction=self.argument_fraction,
-            result_bytes=result_size,
-            selectivity=selectivity,
-            distinct_fraction=self.distinct_fraction,
-            udf_cost_seconds=self.udf_cost_seconds,
-        )
-
-    def predicted_ratio(self, result_size: int, selectivity: float) -> float:
-        parameters = CostParameters.paper_experiment(
-            input_record_bytes=self.input_record_bytes,
-            argument_fraction=self.argument_fraction,
-            result_bytes=result_size,
-            selectivity=selectivity,
-            asymmetry=self.network.asymmetry,
-            distinct_fraction=self.distinct_fraction,
-        )
-        return CostModel(parameters).relative_time()
-
-    def run(self) -> List[Dict[str, float]]:
-        records: List[Dict[str, float]] = []
-        for selectivity in self.selectivities:
-            for result_size in self.result_sizes:
-                baseline = run_workload_point(
-                    self._workload(result_size, selectivity),
-                    self.network,
-                    StrategyConfig.semi_join(),
-                )
-                csj = run_workload_point(
-                    self._workload(result_size, selectivity),
-                    self.network,
-                    StrategyConfig.client_site_join(),
-                )
-                records.append(
-                    {
-                        "selectivity": selectivity,
-                        "result_size": result_size,
-                        "semi_join_seconds": baseline.elapsed_seconds,
-                        "client_join_seconds": csj.elapsed_seconds,
-                        "measured_ratio": csj.elapsed_seconds / baseline.elapsed_seconds,
-                        "predicted_ratio": self.predicted_ratio(result_size, selectivity),
-                    }
-                )
-        return records
-
-
-def format_records(records: Sequence[Dict[str, float]], columns: Sequence[str]) -> str:
-    """Render sweep records as a fixed-width text table (for bench output)."""
-    widths = {column: max(len(column), 12) for column in columns}
-    header = "  ".join(column.rjust(widths[column]) for column in columns)
+    table = [[cell(record.get(column, "")) for column in columns] for record in records]
+    if len(table) == 1:
+        width = max(map(len, columns))
+        return "\n".join(f"{column.ljust(width)}  {text}" for column, text in zip(columns, table[0]))
+    widths = [
+        max(12, len(column), *(len(row[index]) for row in table))
+        for index, column in enumerate(columns)
+    ]
+    header = "  ".join(column.rjust(width) for column, width in zip(columns, widths))
     lines = [header, "-" * len(header)]
-    for record in records:
-        cells = []
-        for column in columns:
-            value = record.get(column, "")
-            if isinstance(value, float):
-                cells.append(f"{value:.4g}".rjust(widths[column]))
-            else:
-                cells.append(str(value).rjust(widths[column]))
-        lines.append("  ".join(cells))
+    lines += ["  ".join(text.rjust(width) for text, width in zip(row, widths)) for row in table]
     return "\n".join(lines)

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import OperatorError
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.relational.operators import (
-    Aggregate,
-    AggregateSpec,
     Filter,
     HashJoin,
     Limit,
@@ -64,9 +62,6 @@ class TestBatchProtocol:
             lambda: TableScan(numbers),
             lambda: Filter(TableScan(numbers), Comparison(">", ColumnRef("n"), Literal(3))),
             lambda: Project(TableScan(numbers), ["bucket", "v"]),
-            lambda: Aggregate(
-                TableScan(numbers), ["bucket"], [AggregateSpec("SUM", "v", "total")]
-            ),
         ):
             via_rows = [tuple(row) for row in build().execute()]
             via_batches = [

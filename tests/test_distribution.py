@@ -261,6 +261,14 @@ class TestDistributedExecution:
         # row_set() but return the wrong global top-10.
         assert [tuple(row) for row in result.rows] == [tuple(row) for row in base.rows]
 
+    def test_coordinator_orders_each_key_its_own_way(self):
+        single, dist = make_sharded_setup(sites=3, shards=3, rows=36, series_points=8)
+        sql = "SELECT T.Sector, T.Name FROM Trades T ORDER BY T.Sector DESC, T.Name"
+        rows = [tuple(row) for row in dist.execute(sql).rows]
+        assert rows == sorted(sorted(rows, key=lambda row: row[1]), key=lambda row: row[0], reverse=True)
+        assert rows[0][0] > rows[-1][0] and rows != sorted(rows)  # several sectors: both keys matter
+        assert rows == [tuple(row) for row in single.execute(sql, deliver_results=True).rows]
+
     @pytest.mark.parametrize(
         "strategy",
         [

@@ -907,6 +907,24 @@ class TestBulkLoad:
         )
         assert handle.delete(*pairs[0]) and not handle.delete(*pairs[0])
 
+    def test_a_split_leaves_both_halves_on_their_pages(self, tmp_path):
+        """Keys of very different sizes (found by the SQLite oracle): eight
+        1-byte keys then seven 600-byte keys overflow a 4 KiB leaf, and its
+        middle *by count* leaves all seven wide keys in the left half — an
+        "index node overflows a page" error on an ordinary insert."""
+        pool = BufferManager(FileManager(str(tmp_path)), pool_size=16)
+        handle = open_index(pool, IndexDefinition("idx", "T", "K", "btree"))
+        pairs = [("b", (0, slot)) for slot in range(8)]
+        pairs += [("a" * 600, (1, slot)) for slot in range(7)]
+        pairs += [("c" * 600 + str(slot), (2, slot)) for slot in range(60)]  # inner nodes too
+        for key, rid in pairs:
+            assert handle.insert(key, rid)
+        assert handle.height > 2
+        assert [rid for _, rid in handle.search_range(None, None)] == [
+            rid for _, rid in sorted(pairs)
+        ]
+        assert sorted(handle.search_eq("a" * 600)) == [(1, slot) for slot in range(7)]
+
 
 # ---------------------------------------------------------------------------
 # Satellite: crash safety — reopen revalidates and rebuilds indexes

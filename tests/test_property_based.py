@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import operator
+import sqlite3
 import tempfile
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adaptive import (
@@ -18,12 +21,13 @@ from repro.core.costmodel import CostModel, CostParameters
 from repro.core.optimizer import OptimizationDecision, Optimizer
 from repro.core.optimizer.cost import CostSettings
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
+from repro.errors import PlanError
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
 from repro.relational.columns import HAVE_NUMPY, scalar_fallback
 from repro.relational.expressions import ColumnRef, Comparison, Literal
-from repro.relational.operators import Distinct, HashJoin, MergeJoin, Sort, TableScan
+from repro.relational.operators import Distinct, HashJoin, Sort, TableScan
 from repro.relational.keys import _NullsFirstKey, nulls_first_order
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -79,7 +83,7 @@ def test_sort_matches_python_sorted(values):
     st.lists(st.integers(min_value=0, max_value=6), max_size=25),
 )
 @settings(max_examples=40, deadline=None)
-def test_hash_and_merge_join_match_brute_force(left_values, right_values):
+def test_hash_join_matches_brute_force(left_values, right_values):
     left = int_table("l", "k", left_values)
     right = int_table("r", "k", right_values)
     expected = sorted(
@@ -89,17 +93,7 @@ def test_hash_and_merge_join_match_brute_force(left_values, right_values):
         (row[0], row[1])
         for row in HashJoin(TableScan(left), TableScan(right), ["l.k"], ["r.k"]).run()
     )
-    merged = sorted(
-        (row[0], row[1])
-        for row in MergeJoin(
-            Sort(TableScan(left), ["l.k"]),
-            Sort(TableScan(right), ["r.k"]),
-            ["l.k"],
-            ["r.k"],
-        ).run()
-    )
     assert hashed == expected
-    assert merged == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=30))
@@ -773,3 +767,433 @@ def test_scatter_gather_matches_single_site(
     )
     assert result.row_set() == base.row_set()
     assert result.metrics.rows_returned == base.metrics.rows_returned
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the SQL surface against stdlib sqlite3
+# ---------------------------------------------------------------------------
+#
+# The seven dimensions above compare the engine with itself.  This one
+# compares it with something we did not write: random schemas (every table
+# draws its columns from one pool, so names collide across tables), random
+# data (NULLs, duplicates, ``1`` / ``1.0`` in one FLOAT column and ``True``
+# against both, runs of one key long enough to straddle B-tree leaves) and
+# random queries over what the parser accepts, run in memory and paged,
+# indexed and not, planned and not — and through SQLite.
+#
+# A query is built once as a small tree and rendered twice.  Everything the
+# two dialects disagree on is declared here, in the renderer and the
+# generator, never per query:
+#
+# * ``/`` is true division here, integer division on SQLite integers: the
+#   SQLite rendering casts the dividend to REAL.  A zero divisor raises here
+#   and is NULL there, so divisors are non-zero literals.
+# * Ordering and comparing a number against a string is an error here and
+#   defined there: comparisons stay within one kind (numbers and booleans,
+#   or strings).
+# * ``ORDER BY`` takes plain columns of the select list here; the generator
+#   orders by those, and makes the order total (every selected column is a
+#   key) so ``LIMIT`` / ``OFFSET`` cut the same prefix on both sides.
+#   Without ``ORDER BY`` a ``LIMIT`` keeps *some* rows: count and membership
+#   are compared.
+# * The grammar has no signed literal: literals are non-negative.
+# * UDFs return NULL on NULL (both sides call the same Python function).
+# * Two limitations of this engine, each pinned below the oracle as a strict
+#   xfail: a client-site UDF takes one argument list per query, and an
+#   ``ORDER BY`` key's bare name occurs once in the select list.
+
+#: Strings wide enough that six fill a 4 KiB B-tree leaf: a run of eight
+#: equal keys straddles a leaf split.
+_WIDE = [letter * 600 for letter in "abc"]
+
+#: name → (engine type, SQLite type, kind, value domain)
+_POOL = {
+    "K": (INTEGER, "INTEGER", "number", [None, 0, 1, 2, 3, 7]),
+    "V": (FLOAT, "REAL", "number", [None, 0, 1, 1.0, 1.5, 2, 2.5]),
+    "F": (BOOLEAN, "BOOLEAN", "number", [None, True, False]),
+    "S": (STRING, "TEXT", "string", [None, "b", *_WIDE]),
+}
+_LITERALS = {"number": [0, 1, 1.0, 1.5, 2, 3], "string": ["b", "bb", *_WIDE]}
+_ALIASES = ("A", "B", "C")
+#: Pages cost something, or the estimator offers no index path at all.
+_PAGE_COST = CostSettings(block_access_seconds=0.005)
+
+
+def _client_udf(value):
+    return None if value is None else value * 2 + 1
+
+
+def _server_udf(value):
+    return None if value is None else value - 1
+
+
+def _render(node, sqlite=False):
+    """SQL text of an expression tree, in the engine's dialect or SQLite's."""
+    kind = node[0]
+    if kind == "column":
+        return f"{node[1]}.{node[2]}"
+    if kind == "literal":
+        value = node[1]
+        if isinstance(value, bool):
+            return "TRUE" if value else "FALSE"
+        return f"'{value}'" if isinstance(value, str) else repr(value)
+    if kind == "call":
+        return f"{node[1]}({_render(node[2], sqlite)})"
+    _, operator_, left, right = node
+    left, right = _render(left, sqlite), _render(right, sqlite)
+    if operator_ == "/" and sqlite:
+        left = f"CAST({left} AS REAL)"
+    return f"({left} {operator_} {right})"
+
+
+def _render_query(query, sqlite=False):
+    select = ", ".join(_render(node, sqlite) for node in query["select"])
+    tables = ", ".join(f"{table} {alias}" for alias, table in query["from"])
+    sql = f"SELECT {'DISTINCT ' if query['distinct'] else ''}{select} FROM {tables}"
+    if query["where"]:
+        sql += " WHERE " + " AND ".join(_render(node, sqlite)[1:-1] for node in query["where"])
+    if query["order_by"]:
+        keys = (
+            _render(query["select"][index]) + (" DESC" if descending else "")
+            for index, descending in query["order_by"]
+        )
+        sql += " ORDER BY " + ", ".join(keys)
+    if query["limit"] is not None:
+        sql += f" LIMIT {query['limit']}"
+        if query["offset"]:
+            sql += f" OFFSET {query['offset']}"
+    return sql
+
+
+@st.composite
+def _oracle_tables(draw):
+    """One to three tables: each its own subset of the pool's columns (the
+    first, the one that gets indexed, always has the string column), a few
+    distinct rows, and — the first table only, to bound the joins — long runs."""
+    tables = {}
+    for number in range(draw(st.integers(min_value=1, max_value=3))):
+        extra = draw(st.lists(st.sampled_from("VFS"), min_size=1, max_size=3, unique=True))
+        columns = ["K"] + sorted(set(extra) | ({"S"} if number == 0 else set()))
+        row = st.tuples(*(st.sampled_from(_POOL[name][3]) for name in columns))
+        repeats = st.sampled_from([1, 2, 8] if number == 0 else [1, 1, 2])
+        runs = draw(st.lists(st.tuples(row, repeats), min_size=number == 0, max_size=6))
+        tables[f"T{number}"] = (columns, [values for values, count in runs for _ in range(count)])
+    return tables
+
+
+@st.composite
+def _oracle_queries(draw, tables, index):
+    # One to three aliases over the tables (self-joins included); only the
+    # first may name a table with a long run, so cross products stay small.
+    # An indexed case is more often the bare probe of its index: the other
+    # joins and filters mostly empty the answer, and an empty answer hides
+    # whatever the index lost.
+    names = sorted(tables)
+    small = [name for name in names if len(tables[name][1]) <= 12]
+    from_ = [("A", "T0" if index is not None else draw(st.sampled_from(names)))]
+    for alias in _ALIASES[1 : draw(st.sampled_from([1, 1, 2, 3] if index else [1, 2, 3, 3]))]:
+        if small:
+            from_.append((alias, draw(st.sampled_from(small))))
+    columns = [("column", alias, name) for alias, table in from_ for name in tables[table][0]]
+    client_argument = {}
+
+    def kind_of(column):
+        return _POOL[column[2]][2]
+
+    def column(kind, aliases=_ALIASES):
+        return draw(
+            st.sampled_from([c for c in columns if kind_of(c) == kind and c[1] in aliases])
+        )
+
+    def any_kind(aliases=_ALIASES):
+        return kind_of(draw(st.sampled_from([c for c in columns if c[1] in aliases])))
+
+    def term(kind):
+        """A column of ``kind``, or (numbers) a UDF call or arithmetic over one."""
+        base = column(kind)
+        shape = draw(st.sampled_from(["column"] * 4 + ["client", "server", "arithmetic"]))
+        if kind == "string" or shape == "column" or base[2] == "F":
+            return base
+        if shape == "arithmetic":
+            operator_ = draw(st.sampled_from("+-*/"))
+            literals = [value for value in _LITERALS["number"] if value or operator_ != "/"]
+            return ("binary", operator_, base, ("literal", draw(st.sampled_from(literals))))
+        if shape == "server":
+            return ("call", "ServerUdf", base)
+        # One argument list per client-site UDF and query: see
+        # test_one_client_udf_called_on_two_arguments.
+        return ("call", "ClientUdf", client_argument.setdefault("column", base))
+
+    def against_literals(
+        left, operators, shapes=("literal", "literal", "mirrored", "range"), literals=None
+    ):
+        """One conjunct, or the two of a range, comparing ``left`` with literals."""
+        literal = st.sampled_from(
+            literals or _LITERALS[kind_of(left) if left[0] == "column" else "number"]
+        )
+        operator_, shape = draw(st.sampled_from(operators)), draw(st.sampled_from(shapes))
+        if shape == "mirrored":
+            return [("binary", operator_, ("literal", draw(literal)), left)]
+        if shape == "range":
+            return [
+                ("binary", draw(st.sampled_from([">", ">="])), left, ("literal", draw(literal))),
+                ("binary", draw(st.sampled_from(["<", "<="])), left, ("literal", draw(literal))),
+            ]
+        return [("binary", operator_, left, ("literal", draw(literal)))]
+
+    comparisons = sorted(_COMPARE)
+    where = []
+    if index is not None:
+        # Something for the indexes to serve: their column against values it
+        # holds (a long run is the likeliest), by equality — all the hash
+        # index takes — as often as by an inequality or a range.
+        position = tables["T0"][0].index(index[0])
+        held = [row[position] for row in tables["T0"][1] if row[position] is not None]
+        where += against_literals(
+            ("column", "A", index[0]), comparisons + ["="] * 4, literals=held
+        )
+    for alias, _ in from_[1:]:
+        # Usually joined to an earlier alias, usually by equality — on columns
+        # that, as often as not, a third alias holds under the same name.
+        if draw(st.sampled_from([True, True, True, False])):
+            earlier = _ALIASES[: _ALIASES.index(alias)]
+            kind = any_kind([alias])
+            candidates = [c for c in columns if c[1] in earlier and kind_of(c) == kind]
+            if candidates:
+                operator_ = draw(st.sampled_from(["=", "=", "=", "<", "<>"]))
+                where.append(
+                    ("binary", operator_, column(kind, [alias]), draw(st.sampled_from(candidates)))
+                )
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1] if index else [0, 1, 1, 2]))):
+        kind = any_kind()
+        if draw(st.sampled_from([True, False, False, False])):
+            where.append(
+                ("binary", draw(st.sampled_from(comparisons + ["<>"])), term(kind), term(kind))
+            )
+        else:
+            where += against_literals(term(kind), comparisons + ["<>"])
+
+    ordered = draw(st.booleans())
+    if ordered:
+        # Plain columns only, each bare name once: that is what ORDER BY
+        # can name here.  Every selected column is a key, so the order is total.
+        by_name = {entry[2]: entry for entry in draw(st.permutations(columns))}
+        select = draw(
+            st.lists(st.sampled_from(sorted(by_name.values())), min_size=1, max_size=4, unique=True)
+        )
+        order_by = [
+            (position, draw(st.booleans()))
+            for position in draw(st.permutations(range(len(select))))
+        ]
+    else:
+        select = [term(any_kind()) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+        order_by = []
+    limit = draw(st.one_of(st.none(), st.none(), st.integers(min_value=0, max_value=8)))
+    return {
+        "from": from_,
+        "select": select,
+        "distinct": draw(st.sampled_from([False, False, True])),
+        "where": where,
+        "order_by": order_by,
+        "limit": limit,
+        "offset": draw(st.integers(min_value=0, max_value=3)) if limit is not None else 0,
+    }
+
+
+@st.composite
+def _oracle_cases(draw):
+    tables = draw(_oracle_tables())
+    first_columns = [name for name in tables["T0"][0] if name != "F"]
+    row = st.tuples(*(st.sampled_from(_POOL[name][3]) for name in tables["T0"][0]))
+    # (column of T0, built before the load / after it / after the churn): the
+    # column gets a B-tree *and* a hash index.  Weighted towards the wide
+    # strings, the keys whose equal runs straddle B-tree leaves at this size.
+    index = None
+    if draw(st.sampled_from([True, True, False])):
+        index = draw(
+            st.tuples(
+                st.sampled_from(first_columns + ["S"]),
+                st.sampled_from(["before load", "after load", "after churn"]),
+            )
+        )
+        # An index earns its keep where keys repeat: eight rows equal on the
+        # indexed column (and only by chance elsewhere), somewhere in the table.
+        columns, rows = tables["T0"]
+        position = columns.index(index[0])
+        key = draw(st.sampled_from(_POOL[index[0]][3][1:]))
+        run = draw(st.lists(row, min_size=8, max_size=8))
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows[at:at] = [values[:position] + (key,) + values[position + 1 :] for values in run]
+    return {
+        "tables": tables,
+        "query": draw(_oracle_queries(tables, index)),
+        # Churn on the first table after the load: inserts, then a delete by key.
+        "inserted": draw(st.lists(row, max_size=4)),
+        "deleted_key": draw(st.sampled_from(_POOL["K"][3][1:])),
+        "index": index,
+        "analyze": draw(st.booleans()),
+        "strategy": draw(st.sampled_from(list(ExecutionStrategy))),
+        "batch_size": draw(st.sampled_from([1, 3, 64])),
+    }
+
+
+def _sqlite_answer(case):
+    """``(the query's rows, its rows without LIMIT / OFFSET)`` from SQLite."""
+    connection = sqlite3.connect(":memory:")
+    connection.create_function("ClientUdf", 1, _client_udf, deterministic=True)
+    connection.create_function("ServerUdf", 1, _server_udf, deterministic=True)
+    for table, (columns, rows) in case["tables"].items():
+        declared = ", ".join(f"{name} {_POOL[name][1]}" for name in columns)
+        connection.execute(f"CREATE TABLE {table} ({declared})")
+        if table == "T0":
+            rows = rows + case["inserted"]
+        marks = ", ".join("?" * len(columns))
+        connection.executemany(f"INSERT INTO {table} VALUES ({marks})", rows)
+    connection.execute("DELETE FROM T0 WHERE K = ?", (case["deleted_key"],))
+    query = case["query"]
+    rows = connection.execute(_render_query(query, sqlite=True)).fetchall()
+    everything = connection.execute(
+        _render_query({**query, "limit": None, "offset": 0}, sqlite=True)
+    ).fetchall()
+    connection.close()
+    return rows, everything
+
+
+def _load_engine(case, directory):
+    """The case's tables, churned, in a ``Database`` (paged under ``directory``)."""
+    db = Database(network=FAST, storage_dir=directory, cost_settings=_PAGE_COST)
+    db.register_client_udf("ClientUdf", _client_udf)
+    db.register_server_udf("ServerUdf", _server_udf)
+    index = case["index"] if directory is not None else None
+
+    def build_index(moment):
+        if index is not None and index[1] == moment:
+            for kind in ("btree", "hash"):
+                db.create_index(f"t0_{kind}", "T0", index[0], kind=kind)
+
+    for table, (columns, rows) in case["tables"].items():
+        db.create_table(table, [(name, _POOL[name][0]) for name in columns])
+        if table == "T0":
+            build_index("before load")
+        db.catalog.table(table).insert_many(rows)
+    build_index("after load")
+    first = db.catalog.table("T0")
+    first.insert_many(case["inserted"])
+    first.delete(lambda row: row[0] == case["deleted_key"])
+    build_index("after churn")
+    if case["analyze"] and directory is not None:
+        for table in case["tables"]:
+            db.analyze(table)
+    return db
+
+
+def _engine_answers(case, db):
+    """``(how it ran, rows)`` for every way this database can run the query."""
+    sql = _render_query(case["query"])
+    config = StrategyConfig(strategy=case["strategy"], batch_size=case["batch_size"])
+    for optimize in (False, True):
+        result = db.execute(sql, config=config, optimize=optimize, deliver_results=True)
+        yield f"optimize={optimize}", list(map(tuple, result.rows))
+    if db.storage is None or case["index"] is None:
+        return
+    # Every index path the estimator offers on a table, pinned: the optimizer
+    # may never choose the one a bug hides behind.
+    bound = db.bind(sql)
+    enumerator = Optimizer(db.network, settings=_PAGE_COST).enumerator(bound)
+    for table in enumerator.tables:
+        for variant in enumerator.estimator.scan_variants(table)[1:]:
+            paths = {table.alias: variant.access_paths[table.alias]}
+            executor = Executor(
+                db.session.new_context(),
+                server_functions=db._server_functions(),
+                session=db.session,
+            )
+            result = executor.execute_query(
+                bound,
+                deliver_results=True,
+                decision=OptimizationDecision.pinned(config, access_paths=paths),
+            )
+            assert "IndexScan" in result.plan_text
+            yield f"pinned {paths}", list(map(tuple, result.rows))
+
+
+def _check_against_sqlite(case):
+    expected, everything = _sqlite_answer(case)
+    query = case["query"]
+    sql = _render_query(query)
+    for wide in _WIDE:  # keep a failure message readable
+        sql = sql.replace(wide, f"{wide[0]}*{len(wide)}")
+    with tempfile.TemporaryDirectory() as directory:
+        for storage_dir in (None, directory):
+            db = _load_engine(case, storage_dir)
+            for how, rows in _engine_answers(case, db):
+                where = f"{'paged' if storage_dir else 'in memory'}, {how}: {sql}"
+                if query["order_by"]:
+                    assert rows == expected, where
+                elif query["limit"] is None:
+                    assert Counter(rows) == Counter(expected), where
+                else:
+                    assert len(rows) == len(expected), where
+                    assert not Counter(rows) - Counter(everything), where
+            db.close()
+
+
+@given(case=_oracle_cases())
+@settings(max_examples=200, deadline=None)
+def test_sql_surface_agrees_with_sqlite(case):
+    """Every way of running a query returns what SQLite returns.
+
+    In memory and paged; with a B-tree and a hash index on a column of the
+    first table — bulk-built over the loaded heap, or maintained through the
+    load and the insert / delete churn — and without; the default plan, the
+    optimizer's, and every index path pinned; whatever strategy and batch
+    size ship the client-site UDF.  Multisets, or exact sequences under
+    ``ORDER BY``.
+
+    Teeth: with PR 14's join-predicate fix reverted (``predicates._covered``
+    letting ``B.Y`` stand for ``C.Y``) or PR 15's leaf-split fix reverted
+    (``BTreeIndex._descend_to_leaf`` bisecting right), some 5–15 of these 200
+    examples disagree; CHANGES.md has the tally over fresh seeds.
+    """
+    _check_against_sqlite(case)
+
+
+# Disagreements the oracle found whose fix is not this test's to make: each is
+# pinned by a minimal repro, strictly, and the generator steps around it.
+
+
+def _two_small_tables():
+    db = Database(network=FAST)
+    db.create_table("T0", [("K", INTEGER), ("V", FLOAT)], rows=[(1, 1.0), (2, 0.5), (3, 1.0)])
+    db.create_table("T1", [("K", INTEGER), ("V", FLOAT)], rows=[(5, 1.0), (4, 2.0)])
+    db.register_client_udf("ClientUdf", _client_udf)
+    return db
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ORDER BY resolves a qualified name that is not in the select list by its bare "
+    "name: `ORDER BY B.K` silently sorts by the selected A.K (SQLite sorts by B.K; refusing "
+    "would do).  The qualifier-blind fallback of ROADMAP item 4 — fixed with it, in step (ii).",
+)
+def test_order_by_a_qualified_column_outside_the_select_list():
+    try:
+        rows = _two_small_tables().execute("SELECT B.V, A.K FROM T0 A, T1 B ORDER BY B.K").rows
+    except PlanError:
+        return  # "ORDER BY column is not in the output": refused, as for an absent name
+    assert [tuple(row) for row in rows] == [
+        (2.0, 1), (2.0, 2), (2.0, 3), (1.0, 1), (1.0, 2), (1.0, 3)
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="A client-site UDF's result column is named after the UDF, not the call: two calls "
+    "on different arguments collide (`ambiguous column 'ClientUdf_result'`).  Naming it per "
+    "call renames columns in every plan text and decision digest — it joins the estimate "
+    "re-pin (ROADMAP item 6) or the name resolution of item 4.",
+)
+def test_one_client_udf_called_on_two_arguments():
+    rows = _two_small_tables().execute("SELECT ClientUdf(A.K), ClientUdf(A.V) FROM T0 A").rows
+    assert sorted(map(tuple, rows)) == [(3, 3.0), (5, 2.0), (7, 3.0)]
+

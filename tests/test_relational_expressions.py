@@ -15,10 +15,8 @@ from repro.relational.expressions import (
 )
 from repro.relational.predicates import (
     PredicateInfo,
-    analyze_conjuncts,
     columns_covered,
     estimate_selectivity,
-    is_join_predicate,
 )
 from repro.relational.schema import Schema
 from repro.relational.statistics import compute_table_statistics
@@ -157,34 +155,15 @@ class TestSelectivity:
 
 
 class TestPredicateAnalysis:
-    def test_join_predicate_detection(self):
-        expr = Comparison("=", ColumnRef("S.Name"), ColumnRef("E.CompanyName"))
-        assert is_join_predicate(expr, {"S.Name"}, {"E.CompanyName", "E.Rating"})
-        assert not is_join_predicate(expr, {"S.Name", "E.CompanyName"}, {"X.other"})
-        non_equi = Comparison(">", ColumnRef("S.Name"), ColumnRef("E.CompanyName"))
-        assert not is_join_predicate(non_equi, {"S.Name"}, {"E.CompanyName"})
-
     def test_columns_covered_with_bare_names(self):
         assert columns_covered(frozenset({"S.Name"}), {"Name"})
         assert columns_covered(frozenset({"Name"}), {"S.Name"})
         assert not columns_covered(frozenset({"S.Other"}), {"S.Name"})
 
-    def test_pushability(self):
+    def test_predicate_info_names_its_udfs_and_columns(self):
         expr = Comparison(">", FunctionCall("Analyze", [ColumnRef("S.Quotes")]), Literal(1))
         info = PredicateInfo.analyze(expr)
         assert info.references_udf
-        assert info.is_pushable({"S.Quotes"}, {"Analyze"})
-        assert not info.is_pushable({"S.Quotes"}, set())
-        assert not info.is_pushable({"S.Other"}, {"Analyze"})
-
-    def test_analyze_conjuncts_splits_and_scores(self):
-        expr = BooleanOp(
-            "AND",
-            [
-                Comparison(">", ColumnRef("a"), Literal(1)),
-                Comparison("=", ColumnRef("b"), Literal(2)),
-            ],
-        )
-        infos = analyze_conjuncts(expr)
-        assert len(infos) == 2
-        assert all(0 < info.selectivity <= 1 for info in infos)
+        assert info.udf_names == ("Analyze",)
+        assert info.columns == frozenset({"S.Quotes"})
+        assert 0 < info.selectivity <= 1

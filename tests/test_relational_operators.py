@@ -5,16 +5,11 @@ import pytest
 from repro.errors import OperatorError
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.relational.operators import (
-    Aggregate,
-    AggregateSpec,
     CollectingOperator,
     Distinct,
-    DistinctOn,
     Filter,
     HashJoin,
     Limit,
-    Materialize,
-    MergeJoin,
     NestedLoopJoin,
     Project,
     ProjectExpressions,
@@ -129,13 +124,31 @@ class TestSortDistinctLimit:
         descending = [row[0] for row in Sort(TableScan(table), ["a", "b"], descending=True).run()]
         assert descending == [3, 0, 2, 5, 1, 4]
 
-    def test_distinct_and_distinct_on(self, orders):
+    def test_mixed_direction_sort_orders_each_key_its_own_way(self):
+        table = make_table(
+            "t",
+            (("id", INTEGER), ("a", INTEGER), ("b", INTEGER)),
+            [[0, 1, 1], [1, 1, 2], [2, 2, 1], [3, 2, 2], [4, None, 2], [5, 2, None], [6, 1, 2]],
+        )
+
+        def ids(descending):
+            return [row[0] for row in Sort(TableScan(table), ["a", "b"], descending).run()]
+
+        # NULLs order lowest: first ascending, last descending; ties keep input order.
+        assert ids([True, False]) == [5, 2, 3, 0, 1, 6, 4]
+        assert ids([False, True]) == [4, 1, 6, 0, 3, 2, 5]
+        assert ids([True, True]) == ids(True)
+        assert ids([False, False]) == ids(False)
+        sort = Sort(TableScan(table), ["a", "b"], [True, False])
+        assert sort.describe() == "Sort(a DESC, b)"
+        with pytest.raises(OperatorError):
+            Sort(TableScan(table), ["a", "b"], [True])
+
+    def test_distinct(self, orders):
         doubled = CollectingOperator(
             TableScan(orders).output_schema(), list(TableScan(orders).run()) * 2
         )
         assert len(Distinct(doubled).run()) == 4
-        by_customer = DistinctOn(TableScan(orders), ["customer"]).run()
-        assert len(by_customer) == 3  # ann, bob, cid
 
     def test_limit_and_offset(self, orders):
         assert len(Limit(TableScan(orders), 2).run()) == 2
@@ -143,14 +156,6 @@ class TestSortDistinctLimit:
         assert len(offset) == 1
         with pytest.raises(OperatorError):
             Limit(TableScan(orders), -1)
-
-    def test_materialize_caches(self, orders):
-        materialized = Materialize(TableScan(orders))
-        first = materialized.run()
-        second = list(materialized.execute())
-        assert [tuple(r) for r in first] == [tuple(r) for r in second]
-        materialized.invalidate()
-        assert len(list(materialized.execute())) == 4
 
 
 class TestJoins:
@@ -172,20 +177,6 @@ class TestJoins:
         assert {tuple(row) for row in nested.run()} == expected
         assert {tuple(row) for row in hashed.run()} == expected
 
-    def test_merge_join_matches_hash_join(self, orders, customers):
-        left = Sort(TableScan(orders), ["orders.customer"])
-        right = Sort(TableScan(customers), ["customers.name"])
-        merged = MergeJoin(left, right, ["orders.customer"], ["customers.name"])
-        expected = self.expected_join(orders.rows, customers.rows)
-        assert {tuple(row) for row in merged.run()} == expected
-
-    def test_merge_join_rejects_unsorted_input(self, orders, customers):
-        join = MergeJoin(
-            TableScan(orders), TableScan(customers), ["orders.customer"], ["customers.name"]
-        )
-        with pytest.raises(OperatorError):
-            join.run()
-
     def test_cross_product(self, orders, customers):
         cross = NestedLoopJoin(TableScan(orders), TableScan(customers))
         assert len(cross.run()) == len(orders) * len(customers)
@@ -199,54 +190,12 @@ class TestJoins:
     def test_key_validation(self, orders, customers):
         with pytest.raises(OperatorError):
             HashJoin(TableScan(orders), TableScan(customers), [], [])
-        with pytest.raises(OperatorError):
-            MergeJoin(TableScan(orders), TableScan(customers), ["orders.id"], [])
 
     def test_duplicate_join_keys_produce_all_pairs(self):
         left = make_table("l", (("k", INTEGER),), [[1], [1]])
         right = make_table("r", (("k", INTEGER),), [[1], [1], [1]])
         hashed = HashJoin(TableScan(left), TableScan(right), ["l.k"], ["r.k"]).run()
-        merged = MergeJoin(
-            Sort(TableScan(left), ["l.k"]), Sort(TableScan(right), ["r.k"]), ["l.k"], ["r.k"]
-        ).run()
         assert len(hashed) == 6
-        assert len(merged) == 6
-
-
-class TestAggregate:
-    def test_grouped_aggregation(self, orders):
-        aggregate = Aggregate(
-            TableScan(orders),
-            ["customer"],
-            [AggregateSpec("SUM", "amount", "total"), AggregateSpec("COUNT", "id", "n")],
-        )
-        rows = {row[0]: (row[1], row[2]) for row in aggregate.run()}
-        assert rows["ann"] == (15.0, 2)
-        assert rows["bob"] == (25.0, 1)
-
-    def test_global_aggregation_over_empty_input(self):
-        table = make_table("t", (("v", FLOAT),), [])
-        aggregate = Aggregate(TableScan(table), [], [AggregateSpec("COUNT", None, "n")])
-        rows = aggregate.run()
-        assert len(rows) == 1 and rows[0][0] == 0
-
-    def test_min_max_avg(self, orders):
-        aggregate = Aggregate(
-            TableScan(orders),
-            [],
-            [
-                AggregateSpec("MIN", "amount", "lo"),
-                AggregateSpec("MAX", "amount", "hi"),
-                AggregateSpec("AVG", "amount", "mean"),
-            ],
-        )
-        row = aggregate.run()[0]
-        assert row[0] == 5.0 and row[1] == 25.0
-        assert row[2] == pytest.approx(16.25)
-
-    def test_unknown_aggregate_rejected(self):
-        with pytest.raises(OperatorError):
-            AggregateSpec("MEDIAN", "amount", "m")
 
 
 class TestExplain:
