@@ -21,7 +21,7 @@ The climber works on a multiplicative ladder (…, b/2, b, 2b, …):
   (``reprobe_after`` stable windows, alternating up/down) so an optimum that
   *moved* — a link whose bandwidth drifted mid-query — is rediscovered;
 * a throughput *collapse* at the current size (a window under
-  ``collapse_fraction`` of its previous estimate) discards all estimates:
+  :data:`COLLAPSE_FRACTION` of its previous estimate) discards all estimates:
   the network has visibly changed, so remembered throughputs are stale.
 
 The controller is deliberately transport-agnostic: it never touches the
@@ -33,6 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+
+#: A window running under this fraction of its batch size's previous estimate
+#: is a collapse: the link drifted, remembered throughputs are stale.
+COLLAPSE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,6 @@ class BatchSizeController:
         window_rows: int = 32,
         smoothing: float = 0.5,
         reprobe_after: int = 6,
-        collapse_fraction: float = 0.5,
         collapse_backoff: bool = False,
     ) -> None:
         if min_batch_size < 1:
@@ -76,7 +80,6 @@ class BatchSizeController:
         self.window_rows = max(1, window_rows)
         self.smoothing = smoothing
         self.reprobe_after = max(2, reprobe_after)
-        self.collapse_fraction = collapse_fraction
         #: On a collapse, immediately step one rung *down* instead of staying
         #: put.  Under multi-tenant cross-traffic a collapse usually means
         #: the flow's trunk share shrank — backing off the window/batch frees
@@ -155,7 +158,7 @@ class BatchSizeController:
         if (
             previous is not None
             and previous > 0
-            and throughput < previous * self.collapse_fraction
+            and throughput < previous * COLLAPSE_FRACTION
         ):
             # The same batch size suddenly runs far slower than it used to:
             # the link drifted, every remembered estimate is stale.

@@ -47,9 +47,10 @@ class UdfObservation:
     #: (a client-site join with a pushed predicate) — only then does the
     #: output/input ratio measure a predicate selectivity.
     filtered: bool = False
-    #: The applied predicate's rewritten (result column) text, when filtered.
-    #: Observed selectivities are stored under (UDF, predicate), so different
-    #: predicates over the same UDF keep separate estimates.
+    #: The applied predicate's identity in rewritten (result column) form
+    #: (``Expression.canonical_key``), when filtered.  Observed selectivities
+    #: are stored under (UDF, predicate), so different predicates over the
+    #: same UDF keep separate estimates.
     predicate: Optional[str] = None
 
     @property
@@ -221,15 +222,13 @@ class RuntimeObserver:
             children = getattr(operator, "children", ())
             if not children:
                 continue
-            input_rows = children[0].rows_produced
+            predicate = operator.predicate
             predicates.append(
                 PredicateObservation(
-                    predicate=str(getattr(operator, "predicate", operator)),
-                    input_rows=input_rows,
+                    predicate=predicate.canonical_key,
+                    input_rows=children[0].rows_produced,
                     output_rows=operator.rows_produced,
-                    equality_column=self._equality_column(
-                        getattr(operator, "predicate", None)
-                    ),
+                    equality_column=self._equality_column(predicate),
                 )
             )
 
@@ -298,6 +297,6 @@ class RuntimeObserver:
 
     @staticmethod
     def _operator_predicate(operator: "RemoteUdfOperator") -> Optional[str]:
-        """The applied predicate's text — the (UDF, predicate) selectivity key."""
+        """The applied predicate's identity — the (UDF, predicate) selectivity key."""
         predicate = getattr(operator, "pushable_predicate", None)
-        return str(predicate) if predicate is not None else None
+        return predicate.canonical_key if predicate is not None else None

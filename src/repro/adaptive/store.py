@@ -24,116 +24,41 @@ import json
 import os
 import warnings
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.adaptive.observer import QueryObservation
 from repro.network.topology import NetworkConfig
-from repro.relational.schema import bare_name
+from repro.relational.schema import column_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimizer.cost import CostSettings
+    from repro.relational.expressions import Expression
 
 #: On-disk format version of :meth:`StatisticsStore.save` snapshots.
 STORE_VERSION = 1
 
 
-def _strip_wrapping_parens(text: str) -> str:
-    """``text`` without a redundant paren pair wrapping the whole string.
-
-    ``(A AND B)`` becomes ``A AND B``; ``(A) AND (B)`` is returned unchanged
-    (its outer parens do not wrap the whole string).
-    """
-    stripped = text.strip()
-    while stripped.startswith("(") and stripped.endswith(")"):
-        depth = 0
-        wraps = True
-        for index, character in enumerate(stripped):
-            if character == "(":
-                depth += 1
-            elif character == ")":
-                depth -= 1
-                if depth < 0 or (depth == 0 and index < len(stripped) - 1):
-                    wraps = False
-                    break
-        if not wraps or depth != 0:
-            break
-        stripped = stripped[1:-1].strip()
-    return stripped
-
-
-def _split_top_level_and(text: str) -> List[str]:
-    """Top-level AND conjuncts of a predicate's string form.
-
-    Both the :func:`~repro.relational.expressions.conjoin` shape
-    ``(A AND B)`` *and* the bare ``A AND B`` split into ``[A, B]`` — a store
-    lookup by either spelling must produce the same canonical key.  Nested
-    groups such as ``(A AND B) AND C`` flatten recursively to ``[A, B, C]``,
-    matching expression-level conjunct flattening.  A string with no
-    top-level AND is a single conjunct, returned as written.
-    """
-    stripped = text.strip()
-    inner = _strip_wrapping_parens(stripped)
-    conjuncts: List[str] = []
-    depth = 0
-    start = 0
-    index = 0
-    while index < len(inner):
-        character = inner[index]
-        if character == "(":
-            depth += 1
-        elif character == ")":
-            depth -= 1
-        elif depth == 0 and inner.startswith(" AND ", index):
-            conjuncts.append(inner[start:index].strip())
-            index += len(" AND ")
-            start = index
-            continue
-        index += 1
-    conjuncts.append(inner[start:].strip())
-    if len(conjuncts) == 1:
-        return [stripped]
-    flattened: List[str] = []
-    for conjunct in conjuncts:
-        flattened.extend(_split_top_level_and(conjunct))
-    return flattened
-
-
-def canonical_predicate_key(predicate: object) -> str:
+def canonical_predicate_key(predicate: Union["Expression", str, None]) -> str:
     """A predicate's *application-order-independent* identity key.
 
     Observed selectivities must survive plan-shape changes: under a reordered
     UDF plan the same predicate is pushed at a different operator, its
     conjuncts may arrive in a different order, and a key derived from "where
-    it ran" diverges from the key the estimator asks for.  Canonicalising the
-    predicate — top-level AND conjuncts sorted — makes the key a property of
-    *what* the predicate is, not of where the plan applied it.
-
-    An :class:`~repro.relational.expressions.Expression` is split through its
-    own structure (:func:`~repro.relational.expressions.conjuncts`), which is
-    exact; the string form is only parsed for plain-string inputs (store
-    lookups), where the splitter respects parenthesis depth.
+    it ran" diverges from the key the estimator asks for.  The key is a
+    property of *what* the predicate is
+    (:attr:`~repro.relational.expressions.Expression.canonical_key`: top-level
+    AND conjuncts flattened and sorted), worked out on the tree by whoever
+    holds it.  A plain string is such a key already and is looked up as
+    given; no predicate is the empty key.
     """
     if predicate is None:
         return ""
-    from repro.relational.expressions import Expression, conjuncts as _conjuncts
-
-    if isinstance(predicate, Expression):
-        parts = [str(part) for part in _conjuncts(predicate)]
-        if len(parts) > 1:
-            return "(" + " AND ".join(sorted(parts)) + ")"
-        return str(predicate).strip()
-    text = str(predicate).strip()
-    if not text:
-        return ""
-    parts = _split_top_level_and(text)
-    if len(parts) > 1:
-        return "(" + " AND ".join(sorted(parts)) + ")"
-    return text
+    return predicate if isinstance(predicate, str) else predicate.canonical_key
 
 
 def _column_key(name: object) -> str:
     """The store's key for a column: bare name, case-folded."""
-    return bare_name(str(name)).strip().lower()
+    return column_key(str(name)).strip()
 
 
 def canonical_join_key(columns: Iterable[str]) -> str:

@@ -52,7 +52,6 @@ from repro.adaptive.segmented import (
     SegmentObservation,
     assign_predicates_to_stages,
 )
-from repro.adaptive.store import canonical_predicate_key
 from repro.client.udf import UdfDefinition
 from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
@@ -61,7 +60,7 @@ from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.stats import TransferCounters
 from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators.base import CollectingOperator, Operator
-from repro.relational.schema import Column, bare_name
+from repro.relational.schema import Column, NeededColumns
 from repro.relational.tuples import RowBatch, concat_batches
 
 
@@ -111,7 +110,7 @@ class MigrationPredicate:
     UDFs whose results it references.  Under each plan shape the predicate is
     pushed at the earliest stage where every referenced UDF has been applied
     — which is why observations of it are keyed by the shape-independent
-    ``key`` (:func:`~repro.adaptive.store.canonical_predicate_key`).
+    ``key`` (the expression's ``canonical_key``).
     """
 
     expression: Expression
@@ -120,7 +119,7 @@ class MigrationPredicate:
 
     @property
     def key(self) -> str:
-        return canonical_predicate_key(self.expression)
+        return self.expression.canonical_key
 
     def spec(self) -> PredicateSpec:
         return PredicateSpec(
@@ -135,9 +134,7 @@ class _StageView:
 
     Duck-types the counters :class:`~repro.adaptive.observer.RuntimeObserver`
     reads off a remote UDF operator, so migrated executions feed the same
-    observe → calibrate loop committed executions do.  ``pushable_predicate``
-    is the canonical predicate identity string — already the key the
-    statistics store files selectivities under.
+    observe → calibrate loop committed executions do.
     """
 
     def __init__(
@@ -146,7 +143,7 @@ class _StageView:
         input_row_count: int,
         output_row_count: int,
         distinct_argument_count: int,
-        pushable_predicate: Optional[str],
+        pushable_predicate: Optional[Expression],
     ) -> None:
         self.udf = udf
         self.input_row_count = input_row_count
@@ -351,9 +348,7 @@ class PlanMigrationOperator(Operator):
                 semi_join_state=self._states[name],
             )
             units.append(operator)
-            stage_keys.append(
-                canonical_predicate_key(conjunction) if conjunction is not None else None
-            )
+            stage_keys.append(conjunction.canonical_key if conjunction is not None else None)
         return units, stage_keys
 
     def _stage_projections(
@@ -376,19 +371,14 @@ class PlanMigrationOperator(Operator):
         if self.output_columns is None:
             return [None] * len(order)
 
-        # needed_after[i]: names needed by anything after stage i.
-        running = set(self.output_columns) | {bare_name(name) for name in self.output_columns}
-        needed_after: List[set] = [set()] * len(order)
+        # needed_after[i]: what anything after stage i reads.
+        running = NeededColumns(self.output_columns)
+        needed_after: List[NeededColumns] = [running] * len(order)
         for position in range(len(order) - 1, -1, -1):
-            needed_after[position] = set(running)
-            stage = self._stage_by_name[order[position]]
-            for column in stage.argument_columns:
-                running.add(column)
-                running.add(bare_name(column))
+            needed_after[position] = running.copy()
+            running.update(self._stage_by_name[order[position]].argument_columns)
             for index in assignment[position]:
-                for column in self.predicates[index].expression.columns():
-                    running.add(column)
-                    running.add(bare_name(column))
+                running.update(self.predicates[index].expression.columns())
 
         projections: List[Optional[List[str]]] = []
         current = [column.qualified_name for column in self.child_schema.columns]
@@ -397,12 +387,7 @@ class PlanMigrationOperator(Operator):
             if position == len(order) - 1:
                 kept = list(self.output_columns)
             else:
-                needed = needed_after[position]
-                kept = [
-                    column
-                    for column in current
-                    if column in needed or bare_name(column) in needed
-                ]
+                kept = needed_after[position].keep(current)
             projections.append(kept)
             current = kept
         return projections
@@ -555,22 +540,15 @@ class PlanMigrationOperator(Operator):
         assignment = assign_predicates_to_stages(final_shape.udf_order, self.predicates)
         for name, indexes in zip(final_shape.udf_order, assignment):
             stage = self._stage_by_name[name]
-            keys = [self.predicates[i].key for i in indexes]
+            pushed = conjoin([self.predicates[i].expression for i in indexes])
             rows_in, rows_out, distinct = self._udf_unit_counts.get(name, (0, 0, 0))
             # Per-segment distinct counts add up duplicates that span
             # segments; no stage sees more distinct arguments than the whole
             # input holds (for a one-stage operator that bound is exact).
             distinct = min(distinct, self._suffix_distinct[name][0])
-            predicate_key: Optional[str] = None
-            if len(keys) == 1:
-                predicate_key = keys[0]
-            elif keys:
-                predicate_key = canonical_predicate_key(
-                    "(" + " AND ".join(sorted(keys)) + ")"
-                )
-            if predicate_key:
+            if pushed is not None:
                 survived, processed = self._predicate_counts.get(
-                    predicate_key, (rows_out, rows_in)
+                    pushed.canonical_key, (rows_out, rows_in)
                 )
                 rows_in, rows_out = processed, survived
             views.append(
@@ -579,7 +557,7 @@ class PlanMigrationOperator(Operator):
                     input_row_count=rows_in,
                     output_row_count=rows_out,
                     distinct_argument_count=min(distinct, rows_in) if rows_in else distinct,
-                    pushable_predicate=predicate_key,
+                    pushable_predicate=pushed,
                 )
             )
         return views

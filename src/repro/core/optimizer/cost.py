@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer.plans import (
     AccessPath,
@@ -42,9 +42,13 @@ from repro.relational.predicates import (
     estimate_selectivity,
     index_condition,
 )
-from repro.relational.schema import bare_name
+from repro.relational.schema import NeededColumns, column_key
 from repro.sql.logical import BoundQuery
 from repro.storage.index import KeyInterval
+
+
+#: Extra latency charged per remote operation for pipeline fill/drain.
+PIPELINE_FILL_PENALTY_SECONDS = 0.1
 
 
 @dataclass(frozen=True)
@@ -57,16 +61,6 @@ class CostSettings:
     #: ships ``StrategyConfig.batch_size`` rows per message; batching changes
     #: only the per-message overhead share of the transfer cost.
     batch_size: float = 1.0
-    #: Batch sizes the optimizer considers when picking a plan-wide
-    #: ``batch_size`` (see :meth:`Optimizer.optimize`).
-    candidate_batch_sizes: Tuple[int, ...] = (1, 16, 64, 256)
-    #: The optimizer prefers the *smallest* candidate whose cost is within
-    #: this relative tolerance of the cheapest candidate, so fast networks
-    #: (where batching buys nothing) keep the paper's tuple-at-a-time wire
-    #: behaviour instead of buffering for no benefit.
-    batch_choice_tolerance: float = 0.01
-    #: Extra latency charged per remote operation for pipeline fill/drain.
-    pipeline_fill_penalty_seconds: float = 0.1
     #: In-flight batch window assumed for transfer costing (the overlapped
     #: shipping protocol's W).  ``None`` keeps the legacy assumption — fully
     #: overlapped transfers, i.e. the two link times combine as their max;
@@ -151,14 +145,14 @@ def remaining_strategy_cost(
         messages = max(1.0, shipped / batch)
         down = link_seconds(shipped * argument_bytes, messages, downlink_bandwidth)
         up = link_seconds(shipped * result_bytes, messages, uplink_bandwidth)
-        return overlapped(down, up, window) + 2 * latency + settings.pipeline_fill_penalty_seconds
+        return overlapped(down, up, window) + 2 * latency + PIPELINE_FILL_PENALTY_SECONDS
 
     if strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
         window = overlap_window if overlap_window is not None else math.inf
         messages = max(1.0, rows / batch)
         down = link_seconds(rows * record_bytes, messages, downlink_bandwidth)
         up = link_seconds(rows * selectivity * returned_row_bytes, messages, uplink_bandwidth)
-        return overlapped(down, up, window) + 2 * latency + settings.pipeline_fill_penalty_seconds
+        return overlapped(down, up, window) + 2 * latency + PIPELINE_FILL_PENALTY_SECONDS
 
     # NAIVE: synchronous by default — the downlink shipment, the client
     # compute, and the uplink reply of every batch happen strictly in
@@ -407,7 +401,7 @@ class CostEstimator:
         overlapped = max(down, up)
         if settings.overlap_window is not None and math.isfinite(settings.overlap_window):
             overlapped += (down + up - overlapped) / max(1.0, settings.overlap_window)
-        return overlapped + 2 * self.network.latency + settings.pipeline_fill_penalty_seconds
+        return overlapped + 2 * self.network.latency + PIPELINE_FILL_PENALTY_SECONDS
 
     # -- re-costing (the incremental batch-size sweep) -------------------------------------
 
@@ -463,7 +457,7 @@ class CostEstimator:
             # row, a different comparison keeps its own estimate.
             if operation.has_predicate:
                 selectivity = self.statistics.udf_selectivity(
-                    udf.name, selectivity, predicate=operation.predicate_text
+                    udf.name, selectivity, predicate=operation.predicate_key
                 )
         result_bytes = float(udf.result_size_bytes if udf.result_size_bytes is not None else 8)
         return result_bytes, seconds, selectivity, distinct_fraction
@@ -558,7 +552,7 @@ class CostEstimator:
         for predicate in self.query.single_table_predicates(operation.alias):
             condition = index_condition(predicate.expression)
             if condition is not None:
-                by_column.setdefault(bare_name(condition.column).lower(), []).append(
+                by_column.setdefault(column_key(condition.column), []).append(
                     (predicate, condition)
                 )
         statistics = operation.bound.table.statistics
@@ -668,9 +662,9 @@ class CostEstimator:
                     continue
                 if not columns_covered(frozenset({outer_column}), outer_columns):
                     continue
-                bare = bare_name(inner_column)
+                inner_key = column_key(inner_column)
                 for name, handle in indexes.items():
-                    if handle.definition.column.lower() != bare.lower():
+                    if handle.definition.column.lower() != inner_key:
                         continue
                     variant = self._index_join(
                         plan, operation, name, handle, outer_column, predicate
@@ -762,7 +756,7 @@ class CostEstimator:
         if self.statistics is not None:
             lookup = getattr(self.statistics, "predicate_selectivity", None)
             if lookup is not None:
-                estimate = max(lookup(str(predicate.expression), estimate), 1e-6)
+                estimate = max(lookup(predicate.expression.canonical_key, estimate), 1e-6)
         return min(1.0, estimate)
 
     @staticmethod
@@ -976,26 +970,25 @@ class CostEstimator:
     ) -> float:
         """Bytes per surviving row shipped back by a client-site join.
 
-        Pushable projections keep only the columns still needed: the query's
-        output columns, columns of not-yet-applied predicates, and argument
-        columns of other UDFs — everything else (typically the argument
+        Pushable projections keep only the columns still needed
+        (:meth:`_needed_after`) — everything else (typically the argument
         columns of this UDF) stays at the client.
         """
         name = operation.call.udf.name
-        needed, needed_bare = self._fact("needed", name, self._needed_after, name)
-        needed_present = [
-            column
-            for column in plan.column_sizes
-            if column in needed or column.partition(".")[2] in needed_bare
-        ]
+        needed_present = self._fact("needed", name, self._needed_after, name).keep(
+            plan.column_sizes
+        )
         if not needed_present:
             return plan.row_bytes + result_bytes
         # The UDF's own argument columns are never returned when not needed.
         return self.resolver.columns_size(plan.column_sizes, needed_present) + result_bytes
 
-    def _needed_after(self, udf_name: str) -> Tuple[Set[str], Set[str]]:
-        """Columns something still reads once ``udf_name`` ran, and their bare names."""
-        needed: Set[str] = set()
+    def _needed_after(self, udf_name: str) -> NeededColumns:
+        """Columns something still reads once ``udf_name`` ran — as the query
+        wrote them: every output and predicate (applied below the UDF or not)
+        and every other UDF's arguments, so a superset of what the planner's
+        projection keeps (``docs/design.md``, "Names")."""
+        needed = NeededColumns()
         for output in self.query.outputs:
             needed.update(output.expression.columns())
         for predicate in self.query.predicates:
@@ -1003,7 +996,7 @@ class CostEstimator:
         for call in self.query.client_udf_calls:
             if call.udf.name != udf_name:
                 needed.update(call.argument_columns)
-        return needed, {column.partition(".")[2] for column in needed}
+        return needed
 
     # -- final result delivery ------------------------------------------------------------------
 

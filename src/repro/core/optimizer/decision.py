@@ -19,6 +19,13 @@ from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.sql.logical import BoundQuery
 
+#: Batch sizes the optimizer considers when picking a plan-wide ``batch_size``.
+CANDIDATE_BATCH_SIZES: Tuple[int, ...] = (1, 16, 64, 256)
+#: The optimizer prefers the *smallest* candidate whose cost is within this
+#: relative tolerance of the cheapest, so fast networks (where batching buys
+#: nothing) keep the paper's tuple-at-a-time wire behaviour.
+BATCH_CHOICE_TOLERANCE = 0.01
+
 
 @dataclass
 class OptimizationDecision:
@@ -137,10 +144,9 @@ class Optimizer:
         """Choose join/UDF order, per-UDF strategies and batch size for ``query``.
 
         The batch size is a plan-wide physical property: every kept plan is
-        costed at each candidate batch size
-        (``CostSettings.candidate_batch_sizes``) and the decision keeps the
-        *smallest* batch whose best plan is within
-        ``batch_choice_tolerance`` of the overall cheapest — on fast networks
+        costed at each candidate batch size (:data:`CANDIDATE_BATCH_SIZES`)
+        and the decision keeps the *smallest* batch whose best plan is within
+        :data:`BATCH_CHOICE_TOLERANCE` of the overall cheapest — on fast networks
         the per-message overhead is negligible and the sweep collapses to the
         paper's tuple-at-a-time behaviour, while on slow or asymmetric links
         it amortises the fixed framing and latency costs over many rows.
@@ -168,7 +174,7 @@ class Optimizer:
             # so skip the redundant enumerations.
             candidates = (1,)
         else:
-            candidates = tuple(dict.fromkeys(settings.candidate_batch_sizes)) or (1,)
+            candidates = CANDIDATE_BATCH_SIZES
 
         # The sweep is *incremental*: instead of one full enumeration per
         # candidate, the plan space is enumerated at the two endpoint batch
@@ -212,7 +218,7 @@ class Optimizer:
         batch_size, best = next(
             (b, plan)
             for b, cost, plan in sorted(costed, key=lambda candidate: candidate[0])
-            if cost <= cheapest * (1.0 + settings.batch_choice_tolerance)
+            if cost <= cheapest * (1.0 + BATCH_CHOICE_TOLERANCE)
         )
         best = estimator.recost(best, at[batch_size])
         estimator.release()

@@ -46,8 +46,9 @@ class UdfOperation:
     ``has_predicate`` records whether any query predicate was credited to
     this UDF — only then does an *observed* selectivity from the statistics
     store apply; a predicate-free use of the same UDF keeps every row.
-    ``predicate_text`` is the credited predicate in its rewritten (result
-    column) form — the exact key the runtime observer records selectivities
+    ``predicate_key`` is the credited predicate's identity in its rewritten
+    (result column) form (``Expression.canonical_key``) — the exact key the
+    runtime observer records selectivities
     under, so the calibrated estimator looks up the selectivity of *this*
     predicate and not a blend over every predicate the UDF ever ran with.
     The crediting here mirrors the planner's *default* (declaration-order)
@@ -60,7 +61,7 @@ class UdfOperation:
     call: ClientUdfCall
     predicate_selectivity: float = 1.0
     has_predicate: bool = False
-    predicate_text: Optional[str] = None
+    predicate_key: Optional[str] = None
 
     @cached_property
     def key(self) -> str:
@@ -295,8 +296,8 @@ def operations_for_query(
     ``statistics`` (duck-typed, in practice a
     :class:`~repro.adaptive.store.StatisticsStore`) supplies *observed*
     selectivities for single-table predicates, keyed by the predicate's
-    string form — the key the runtime observer records server-side filters
-    under — falling back to the declared estimate when unobserved.
+    ``canonical_key`` — the key the runtime observer records server-side
+    filters under — falling back to the declared estimate when unobserved.
     """
     tables: List[TableOperation] = []
     for bound in query.tables:
@@ -305,7 +306,7 @@ def operations_for_query(
             estimate = max(predicate.selectivity, 1e-6)
             if statistics is not None:
                 estimate = max(
-                    statistics.predicate_selectivity(str(predicate.expression), estimate),
+                    statistics.predicate_selectivity(predicate.expression.canonical_key, estimate),
                     1e-6,
                 )
             selectivity *= estimate
@@ -341,7 +342,7 @@ def operations_for_query(
                 call=call,
                 predicate_selectivity=selectivity,
                 has_predicate=bool(credited),
-                predicate_text=str(combined) if combined is not None else None,
+                predicate_key=combined.canonical_key if combined is not None else None,
             )
         )
     return tables, udfs

@@ -162,11 +162,7 @@ class _ShardWorker(BatonWorker):
             context.channel.close()
 
             remaining = len(segment_queries) - index - 1
-            if (
-                self.run.migrate
-                and remaining >= self.run.policy.min_segments_remaining
-                and len(self.task.replicas) > 1
-            ):
+            if self.run.migrate and remaining >= 1 and len(self.task.replicas) > 1:
                 site = self._maybe_migrate(site, remaining, result.metrics)
         self.result = ShardResult(
             self.task.label,

@@ -60,7 +60,6 @@ class MigrationPolicy:
 
     hysteresis: float = 0.25
     switch_penalty_seconds: float = 0.0
-    min_segments_remaining: int = 1
 
     def should_migrate(
         self, current_estimate: float, candidate_estimate: float

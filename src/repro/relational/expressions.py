@@ -19,6 +19,7 @@ or on the client (pushed-down predicates calling client-site UDFs).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
@@ -95,6 +96,21 @@ class Expression:
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._key()))
+
+    @cached_property
+    def canonical_key(self) -> str:
+        """This predicate's identity, whatever order or nesting wrote it.
+
+        The text with top-level ``AND`` flattened and the conjuncts sorted:
+        observed selectivities are filed under it, so they survive a plan
+        that applies the conjuncts elsewhere or in another order.  Worked
+        out from the tree, once per expression — a literal holding `` AND ``
+        or a parenthesis is one token here, as it was to the parser.
+        """
+        parts = [str(part) for part in conjuncts(self)]
+        if len(parts) > 1:
+            return "(" + " AND ".join(sorted(parts)) + ")"
+        return str(self).strip()
 
 
 class Literal(Expression):

@@ -12,28 +12,35 @@ from repro.relational.tuples import RowBatch, concat_batches
 
 
 class Sort(Operator):
-    """Sorts the child's output on the named columns.
+    """Sorts the child's output on the given columns.
 
-    ``descending`` is one flag for the whole ordering or one per column
-    (``ORDER BY a DESC, b ASC``).  NULLs order lowest: first ascending, last
-    descending.
+    A column is given by name, or by its position in the child's schema —
+    two outputs of a query may share a name, its ``ORDER BY`` keys are
+    positions.  ``descending`` is one flag for the whole ordering or one per
+    column (``ORDER BY a DESC, b ASC``).  NULLs order lowest: first
+    ascending, last descending.
     """
 
     def __init__(
         self,
         child: Operator,
-        column_names: Sequence[str],
+        columns: Sequence[Union[str, int]],
         descending: Union[bool, Sequence[bool]] = False,
     ) -> None:
         super().__init__([child])
-        self.column_names = list(column_names)
+        self.schema = child.output_schema()
+        self._positions = tuple(
+            column if isinstance(column, int) else self.schema.index_of(column)
+            for column in columns
+        )
+        self.column_names = [
+            self.schema[column].name if isinstance(column, int) else column for column in columns
+        ]
         if isinstance(descending, bool):
             descending = [descending] * len(self.column_names)
         self.descending = [bool(flag) for flag in descending]
         if len(self.descending) != len(self.column_names):
             raise OperatorError("Sort needs one direction per column")
-        self.schema = child.output_schema()
-        self._positions = tuple(self.schema.index_of(name) for name in self.column_names)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         batch = concat_batches(

@@ -98,7 +98,7 @@ def _comparison_selectivity(
     if expression.operator in ("=",):
         column = _single_column_vs_literal(expression)
         if column and statistics is not None:
-            distinct = statistics.column(bare_name(column)).distinct_count
+            distinct = statistics.column(column).distinct_count
             if distinct > 0:
                 return 1.0 / distinct
         return DEFAULT_EQUALITY_SELECTIVITY
@@ -135,7 +135,7 @@ def _histogram_range_selectivity(
         return None
     if isinstance(literal, bool) or not isinstance(literal, (int, float)):
         return None
-    histogram = statistics.column(bare_name(column)).histogram
+    histogram = statistics.column(column).histogram
     if histogram is None or histogram.total <= 0:
         return None
     below = histogram.fraction_below(float(literal))

@@ -8,7 +8,7 @@ existing ones, which keeps plan construction and property propagation simple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
@@ -17,6 +17,52 @@ from repro.relational.types import DataType
 def bare_name(name: str) -> str:
     """``name`` without its table (or alias) qualifier."""
     return name.partition(".")[2] if "." in name else name
+
+
+def column_key(name: str) -> str:
+    """A column as indexes, access paths and observed statistics know it: the
+    bare name, case-folded — whichever table or alias the query read it through."""
+    return bare_name(name).lower()
+
+
+class NeededColumns:
+    """The columns something downstream still reads, and the one keep-rule.
+
+    Planner, segmented executor and estimator all prune a row to what is
+    still needed above it (the paper's pushable projection), and all by this
+    rule: a column is kept when it is needed under its own name, or when its
+    bare name is the bare name of a needed column — whatever the qualifiers
+    (needing ``A.K`` keeps ``B.K``: the qualifier-blind rule ROADMAP item 4
+    still has to replace; ``docs/design.md``, "Names").
+    """
+
+    __slots__ = ("_names", "_bare")
+
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        self._names: Set[str] = set()
+        self._bare: Set[str] = set()
+        self.update(names)
+
+    def update(self, names: Iterable[str]) -> None:
+        for name in names:
+            self._names.add(name)
+            self._bare.add(bare_name(name))
+
+    def copy(self) -> "NeededColumns":
+        twin = NeededColumns()
+        twin._names, twin._bare = set(self._names), set(self._bare)
+        return twin
+
+    def keep(self, columns: Iterable[str]) -> List[str]:
+        """Those of ``columns`` still needed, in their own order."""
+        # ``bare_name``, inline: the estimator filters every candidate's
+        # columns, and a decision's ``bare_name`` calls are budgeted per column.
+        names, bare = self._names, self._bare
+        return [
+            column
+            for column in columns
+            if column in names or (column.partition(".")[2] or column) in bare
+        ]
 
 
 @dataclass(frozen=True)

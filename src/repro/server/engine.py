@@ -230,7 +230,6 @@ class Database(SqlSurface):
         self,
         network: Optional[NetworkConfig] = None,
         default_config: Optional[StrategyConfig] = None,
-        use_client_result_cache: bool = True,
         statistics: Optional[StatisticsStore] = None,
         storage_dir: Optional[str] = None,
         buffer_pool_size: int = 64,
@@ -240,9 +239,7 @@ class Database(SqlSurface):
         self.udfs = UdfRegistry()
         self.network = network if network is not None else NetworkConfig.paper_symmetric()
         self.default_config = default_config if default_config is not None else StrategyConfig()
-        self.session = ClientSession(
-            self.network, registry=self.udfs, use_result_cache=use_client_result_cache
-        )
+        self.session = ClientSession(self.network, registry=self.udfs)
         #: Observed-statistics feedback shared by every query on this
         #: database: the observer measures each run, the store blends the
         #: measurements, and the optimizer consults them on later queries.

@@ -22,7 +22,7 @@ something the decision did not say.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanError, SchemaError
 from repro.core.execution.adaptive import (
@@ -37,7 +37,7 @@ from repro.core.execution.access import IndexNestedLoopJoinOperator, IndexScanOp
 from repro.core.optimizer.decision import OptimizationDecision
 from repro.core.optimizer.plans import AccessPath
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
-from repro.relational.expressions import ColumnRef, Expression, conjoin
+from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators import (
     Distinct,
     Filter,
@@ -54,7 +54,7 @@ from repro.relational.predicates import (
     equi_join_columns,
     index_condition,
 )
-from repro.relational.schema import bare_name
+from repro.relational.schema import NeededColumns, column_key
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
 from repro.storage.index import KeyInterval
 
@@ -243,7 +243,7 @@ class _PlanBuilder:
             condition = index_condition(in_query[key])
             if condition is None:
                 raise _unrealisable(path, "the predicate is not an indexable comparison")
-            if bare_name(condition.column).lower() != handle.definition.column.lower():
+            if column_key(condition.column) != handle.definition.column.lower():
                 raise _unrealisable(path, f"{key} is not on the indexed column")
             if not condition.is_equality and not getattr(handle, "supports_range", False):
                 raise _unrealisable(path, "the index serves equality only, not a range")
@@ -276,12 +276,12 @@ class _PlanBuilder:
         except SchemaError as exc:  # e.g. an ambiguous probe column
             raise _unrealisable(path, str(exc)) from exc
 
-        served = {bare_name(path.join_column).lower(), bare_name(path.column).lower()}
+        served = {column_key(path.join_column), column_key(path.column)}
         for predicate in self.query.join_predicates():
             if id(predicate) in self.applied_predicates:
                 continue
             pair = equi_join_columns(predicate.expression)
-            if pair is not None and {bare_name(name).lower() for name in pair} == served:
+            if pair is not None and {column_key(name) for name in pair} == served:
                 self.applied_predicates.add(id(predicate))
                 break
         available = set(joined.output_schema().qualified_names())
@@ -400,9 +400,7 @@ class _PlanBuilder:
             if referenced <= chain_names:
                 predicates.append(
                     MigrationPredicate(
-                        expression=replace_udf_calls_with_columns(
-                            predicate.expression, self.result_column_mapping
-                        ),
+                        expression=self._rewritten(predicate.expression),
                         udf_names=frozenset(referenced),
                         declared_selectivity=max(predicate.selectivity, 1e-6),
                     )
@@ -414,55 +412,9 @@ class _PlanBuilder:
             self.context,
             config=self.config,
             predicates=predicates,
-            output_columns=self._chain_output_columns(plan, calls),
+            output_columns=self._columns_needed_above(plan, calls),
             controller=self.config.reoptimizer,
         )
-
-    def _chain_output_columns(
-        self, plan: Operator, calls: List[ClientUdfCall]
-    ) -> Optional[List[str]]:
-        """Columns still needed above the whole migrated UDF chain.
-
-        The migration operator pushes this projection *into* the chain: each
-        stage keeps only what later stages and the final output read, so
-        mid-chain client-site joins stop shipping columns nothing needs.
-        Returns ``None`` (keep everything) when the needed set cannot be
-        computed safely.
-        """
-        needed: Set[str] = set()
-        for output in self.query.outputs:
-            rewritten = replace_udf_calls_with_columns(
-                output.expression, self.result_column_mapping
-            )
-            needed |= set(rewritten.columns())
-        for predicate in self.query.predicates:
-            if id(predicate) in self.applied_predicates:
-                continue
-            rewritten = replace_udf_calls_with_columns(
-                predicate.expression, self.result_column_mapping
-            )
-            needed |= set(rewritten.columns())
-        for expression, _ in self.query.order_by:
-            rewritten = replace_udf_calls_with_columns(
-                expression, self.result_column_mapping
-            )
-            needed |= set(rewritten.columns())
-        if not needed:
-            return None
-
-        extended_names = list(plan.output_schema().qualified_names()) + [
-            call.result_column_name for call in calls
-        ]
-        needed_bare = {bare_name(name) for name in needed}
-        kept = [
-            name
-            for name in extended_names
-            if name in needed
-            or bare_name(name) in needed_bare
-        ]
-        if not kept:
-            return None
-        return kept
 
     def _apply_one_udf(
         self, plan: Operator, call: ClientUdfCall, remaining_calls: List[ClientUdfCall]
@@ -473,7 +425,14 @@ class _PlanBuilder:
         pushable = self._pushable_predicate_for(call)
         output_columns = None
         if config.strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
-            output_columns = self._needed_columns_after(plan, call, remaining_calls)
+            # The arguments of a UDF the select list calls survive as well —
+            # what the estimator prices (it reads the outputs as written) and
+            # every pinned figure ships; the migrated chain drops them.
+            output_columns = self._columns_needed_above(
+                plan,
+                [call],
+                remaining_calls + [c for c in self.query.client_udf_calls if c.used_in_output],
+            )
 
         return build_operator(
             child=plan,
@@ -499,62 +458,47 @@ class _PlanBuilder:
                 continue
             referenced = {name.lower() for name in predicate.udf_names}
             if referenced <= applied_udfs:
-                usable.append(
-                    replace_udf_calls_with_columns(predicate.expression, self.result_column_mapping)
-                )
+                usable.append(self._rewritten(predicate.expression))
                 self.applied_predicates.add(id(predicate))
         return conjoin(usable)
 
-    def _needed_columns_after(
-        self, plan: Operator, call: ClientUdfCall, remaining_calls: List[ClientUdfCall]
+    def _columns_needed_above(
+        self,
+        plan: Operator,
+        calls: List[ClientUdfCall],
+        argument_calls: Sequence[ClientUdfCall] = (),
     ) -> Optional[List[str]]:
-        """Columns (of the extended schema) still needed downstream of this UDF.
+        """Columns of ``plan`` extended by ``calls``' results still read above them.
 
-        Used as the pushable projection of the client-site join.  Returns
-        ``None`` (no projection) when the needed set cannot be computed
-        safely, e.g. when an ORDER BY expression is not a plain column.
+        The pushable projection of whatever applies ``calls`` (one
+        client-site join, or the migrated chain, which pushes it *into* its
+        stages): what the outputs and the not-yet-applied predicates read
+        once every applied UDF call is a result column, plus the argument
+        columns of ``argument_calls``.  ``None`` (keep everything) when that
+        names no column of the extended schema.
         """
-        extended_names = set(plan.output_schema().qualified_names())
-        extended_names.add(call.result_column_name)
-        for applied in self.result_column_mapping.values():
-            extended_names.add(applied)
-
-        needed: Set[str] = set()
+        needed = NeededColumns(
+            column for call in argument_calls for column in call.argument_columns
+        )
         for output in self.query.outputs:
-            rewritten = replace_udf_calls_with_columns(output.expression, self.result_column_mapping)
-            needed |= set(rewritten.columns())
-            # Columns feeding not-yet-applied UDF calls inside outputs.
-            for nested in output.expression.function_calls():
-                needed |= set(nested.argument_columns())
+            needed.update(self._rewritten(output.expression).columns())
         for predicate in self.query.predicates:
-            if id(predicate) in self.applied_predicates:
-                continue
-            rewritten = replace_udf_calls_with_columns(predicate.expression, self.result_column_mapping)
-            needed |= set(rewritten.columns())
-        for later in remaining_calls:
-            needed |= set(later.argument_columns)
-        for expression, _ in self.query.order_by:
-            needed |= set(expression.columns())
-
-        # Keep only names that exist in the extended schema, resolving bare
-        # names where necessary; preserve the extended schema's column order.
-        needed_bare = {bare_name(name) for name in needed}
-        extended_schema_names = list(plan.output_schema().qualified_names()) + [call.result_column_name]
-        schema_columns = [
-            name
-            for name in extended_schema_names
-            if name in needed or bare_name(name) in needed_bare
+            if id(predicate) not in self.applied_predicates:
+                needed.update(self._rewritten(predicate.expression).columns())
+        extended = plan.output_schema().qualified_names() + [
+            call.result_column_name for call in calls
         ]
-        if not schema_columns:
-            return None
-        return schema_columns
+        return needed.keep(extended) or None
+
+    def _rewritten(self, expression: Expression) -> Expression:
+        """``expression`` with every applied client-site UDF call as its result column."""
+        return replace_udf_calls_with_columns(expression, self.result_column_mapping)
 
     def _apply_remaining_predicates(self, plan: Operator) -> Operator:
         for predicate in self.query.predicates:
             if id(predicate) in self.applied_predicates:
                 continue
-            rewritten = replace_udf_calls_with_columns(predicate.expression, self.result_column_mapping)
-            plan = Filter(plan, rewritten, self.server_functions)
+            plan = Filter(plan, self._rewritten(predicate.expression), self.server_functions)
             self.applied_predicates.add(id(predicate))
         return plan
 
@@ -563,8 +507,7 @@ class _PlanBuilder:
     def _apply_output(self, plan: Operator) -> Operator:
         outputs = []
         for output in self.query.outputs:
-            rewritten = replace_udf_calls_with_columns(output.expression, self.result_column_mapping)
-            outputs.append((output.name, rewritten, output.dtype))
+            outputs.append((output.name, self._rewritten(output.expression), output.dtype))
         return ProjectExpressions(plan, outputs, functions=self.server_functions)
 
 
@@ -575,26 +518,11 @@ def shape_output(plan: Operator, query: BoundQuery) -> Operator:
     scatter-gather applies it once at the coordinator over the merged
     streams of per-shard plans built with ``defer_output_shaping``.
     """
-    result_columns = {
-        call.udf.name.lower(): call.result_column_name for call in query.client_udf_calls
-    }
     if query.distinct:
         plan = Distinct(plan)
-
     if query.order_by:
-        sort_columns: List[str] = []
-        for expression, descending in query.order_by:
-            rewritten = replace_udf_calls_with_columns(expression, result_columns)
-            if not isinstance(rewritten, ColumnRef):
-                raise PlanError("ORDER BY only supports plain column references")
-            name = rewritten.name
-            if not plan.output_schema().has_column(name):
-                if not plan.output_schema().has_column(bare_name(name)):
-                    raise PlanError(f"ORDER BY column {name!r} is not in the output")
-                name = bare_name(name)
-            sort_columns.append(name)
-        plan = Sort(plan, sort_columns, descending=[flag for _, flag in query.order_by])
-
+        positions, descending = zip(*query.order_by)
+        plan = Sort(plan, positions, descending=descending)
     if query.limit is not None:
         plan = Limit(plan, query.limit, query.offset)
     return plan

@@ -79,9 +79,10 @@ class Binder:
 
         client_calls = self._collect_client_udf_calls(outputs, predicates)
 
-        order_by: List[Tuple[Expression, bool]] = []
-        for item in statement.order_by:
-            order_by.append((self._bind_expression(item.expression, combined_schema), item.descending))
+        order_by = [
+            (self._order_position(item.expression, outputs, combined_schema), item.descending)
+            for item in statement.order_by
+        ]
 
         return BoundQuery(
             sql=sql or str(statement),
@@ -179,6 +180,32 @@ class Binder:
                     )
                 )
         return outputs
+
+    def _order_position(
+        self, key: AstExpression, outputs: List[OutputColumn], schema: Schema
+    ) -> int:
+        """The output an ``ORDER BY`` key sorts by, as a position in the select list.
+
+        The output whose bound expression is the key's (``A.K`` is the
+        output ``A.K AS V``, never a ``… AS K``; a call is the output making
+        the same call), else the output whose alias an unqualified key names.
+        Rows are sorted after the projection, so a key that is neither is
+        refused.
+        """
+        alias = key.name if isinstance(key, AstColumn) and key.table is None else None
+        try:
+            expression = self._bind_expression(key, schema)
+        except BindError:
+            if alias is None:
+                raise
+            expression = None  # no such column: the name may still be an alias
+        for position, output in enumerate(outputs):
+            if output.expression == expression:
+                return position
+        for position, output in enumerate(outputs):
+            if output.name == alias:
+                return position
+        raise BindError(f"ORDER BY column {str(key)!r} is not in the output")
 
     @staticmethod
     def _default_output_name(expression: AstExpression, index: int) -> str:

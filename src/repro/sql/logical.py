@@ -88,7 +88,8 @@ class BoundQuery:
     client_udf_calls: List[ClientUdfCall]
     combined_schema: Schema
     distinct: bool = False
-    order_by: List[Tuple[Expression, bool]] = field(default_factory=list)
+    #: ``(position in outputs, descending)`` per ORDER BY key, in key order.
+    order_by: List[Tuple[int, bool]] = field(default_factory=list)
     limit: Optional[int] = None
     offset: int = 0
 

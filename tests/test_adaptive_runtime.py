@@ -772,19 +772,19 @@ class TestPredicateKeyedSelectivity:
             "SELECT T.K FROM T WHERE Score(T.V) >= 160"
         ) == pytest.approx(0.2, abs=0.02)
 
-    def test_operations_for_query_records_predicate_text(self):
+    def test_operations_for_query_records_predicate_key(self):
         from repro.core.optimizer import operations_for_query
 
         db = self.make_db()
         bound = db.bind("SELECT T.K FROM T WHERE Score(T.V) >= 100")
         _, udfs = operations_for_query(bound)
         assert udfs[0].has_predicate
-        assert udfs[0].predicate_text == "Score_result >= 100"
+        assert udfs[0].predicate_key == "Score_result >= 100"
         # A predicate-free use records none.
         bound = db.bind("SELECT Score(T.V) FROM T")
         _, udfs = operations_for_query(bound)
         assert not udfs[0].has_predicate
-        assert udfs[0].predicate_text is None
+        assert udfs[0].predicate_key is None
 
     def test_multi_udf_predicate_key_matches_under_default_order(self):
         """A predicate spanning two UDFs: the estimator's credited key equals
@@ -799,7 +799,7 @@ class TestPredicateKeyedSelectivity:
         sql = "SELECT T.K FROM T WHERE Score(T.V) + Rank(T.K) >= 150 AND Rank(T.K) < 60"
         db.execute(sql, config=StrategyConfig.client_site_join())
         _, udfs = operations_for_query(db.bind(sql))
-        credited = {u.call.udf.name.lower(): u.predicate_text for u in udfs}
+        credited = {u.call.udf.name.lower(): u.predicate_key for u in udfs}
         # Both predicates are credited to the declaration-order-last UDF ...
         assert credited["score"] is None
         assert credited["rank"] is not None

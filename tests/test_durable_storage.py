@@ -294,6 +294,68 @@ class TestStorePersistence:
         assert loaded.preferred_batch_size() == store.preferred_batch_size() == 48
         assert loaded.preferred_batch_size_for("Score") == 32
 
+    #: ``statistics.json`` exactly as PR 21 wrote it after the three queries
+    #: below (client-site joins over T(K, V) = (k, k) for k < 100; bandwidth
+    #: and batch sections trimmed — absent sections load as unobserved).
+    PARENT_SNAPSHOT = """{
+      "fingerprint": null,
+      "predicate_identity_selectivity": {
+        "((Score_result + Rank_result) >= 150 AND Rank_result < 60)": [0.125, 1],
+        "((Score_result < 120 OR Rank_result > 90) AND Rank_result <> 7)": [0.6125, 1],
+        "Score_result >= 100": [0.5, 1],
+        "Score_result >= 40": [0.8, 1]
+      },
+      "predicate_selectivity": {"T.K < 80": [0.8, 1]},
+      "queries_observed": 3,
+      "smoothing": 0.5,
+      "udf_cost": {"rank": [0.0005000000000000003, 2], "score": [0.0005000000000000003, 3]},
+      "udf_distinct_fraction": {"rank": [1.0, 2], "score": [1.0, 3]},
+      "udf_selectivity": [
+        ["rank", "((Score_result + Rank_result) >= 150 AND Rank_result < 60)", [0.125, 1]],
+        ["rank", "((Score_result < 120 OR Rank_result > 90) AND Rank_result <> 7)", [0.6125, 1]],
+        ["score", "Score_result >= 100", [0.5, 1]],
+        ["score", "Score_result >= 40", [0.8, 1]]
+      ],
+      "version": 1
+    }"""
+    PARENT_QUERIES = {
+        "SELECT T.K FROM T WHERE Score(T.V) >= 100": {"Score": 0.5},
+        "SELECT T.K FROM T WHERE T.K < 80 AND Score(T.V) + Rank(T.K) >= 150 AND Rank(T.K) < 60": {
+            "Rank": 0.125
+        },
+        "SELECT T.K FROM T WHERE Score(T.V) >= 40 AND (Score(T.V) < 120 OR Rank(T.K) > 90) "
+        "AND Rank(T.K) <> 7": {"Score": 0.8, "Rank": 0.6125},
+    }
+
+    def test_a_snapshot_the_parent_commit_wrote_answers_the_same_lookups(self, tmp_path):
+        """Keys are worked out on the expression now, and rendered as before:
+        the planner's operations find what the parent's text canonicaliser
+        filed, multi-conjunct keys included, with no format version moved."""
+        path = os.path.join(str(tmp_path), "statistics.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(self.PARENT_SNAPSHOT)
+        store = StatisticsStore()
+        assert store.restore(path, fingerprint="any") is True
+        db = Database(network=NETWORK)
+        db.create_table("T", [("K", INTEGER), ("V", FLOAT)], rows=[[k, float(k)] for k in range(100)])
+        db.register_client_udf("Score", lambda v: v * 2.0, result_dtype=FLOAT, selectivity=0.5)
+        db.register_client_udf("Rank", lambda k: k * 1.0, selectivity=0.5)
+        for sql, expected in self.PARENT_QUERIES.items():
+            bound = db.bind(sql)
+            _, udfs = operations_for_query(bound, statistics=store)
+            for udf in udfs:
+                if udf.predicate_key is None:
+                    continue
+                want = expected[udf.name]
+                assert store.udf_selectivity(udf.name, -1.0, predicate=udf.predicate_key) == want
+                assert store.selectivity_prior(udf.name, udf.predicate_key) == want
+            # ... and a fresh run of the same query writes the keys the parent wrote.
+            db.execute(sql, config=StrategyConfig.client_site_join(batch_size=16))
+        written = db.statistics.to_state()
+        snapshot = store.to_state()
+        for section in ("udf_selectivity", "predicate_identity_selectivity", "predicate_selectivity"):
+            assert written[section] == snapshot[section]
+
     def test_missing_file_is_a_silent_cold_start(self, tmp_path):
         store = StatisticsStore()
         with warnings.catch_warnings():

@@ -21,12 +21,19 @@ from repro.core.costmodel import CostModel, CostParameters
 from repro.core.optimizer import OptimizationDecision, Optimizer
 from repro.core.optimizer.cost import CostSettings
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
-from repro.errors import PlanError
+from repro.errors import BindError
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
 from repro.relational.columns import HAVE_NUMPY, scalar_fallback
-from repro.relational.expressions import ColumnRef, Comparison, Literal
+from repro.relational.expressions import (
+    Arithmetic,
+    BooleanOp,
+    ColumnRef,
+    Comparison,
+    Literal,
+    conjoin,
+)
 from repro.relational.operators import Distinct, HashJoin, Sort, TableScan
 from repro.relational.keys import _NullsFirstKey, nulls_first_order
 from repro.relational.schema import Schema
@@ -770,6 +777,71 @@ def test_scatter_gather_matches_single_site(
 
 
 # ---------------------------------------------------------------------------
+# Predicate identity: one key per predicate, however it was written
+# ---------------------------------------------------------------------------
+
+#: Literals a text-level canonicaliser would trip over.
+_KEY_STRINGS = ["b", "a AND b", "x) AND (y", "(", " AND ", "(a OR b)"]
+
+
+@st.composite
+def _key_conjuncts(draw):
+    """One AND-free conjunct over ``T(A, B, S)``: a comparison, or an OR / NOT /
+    arithmetic wrapped around comparisons."""
+
+    def comparison():
+        operator_ = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        if draw(st.booleans()):
+            return Comparison(
+                operator_, ColumnRef("T.S"), Literal(draw(st.sampled_from(_KEY_STRINGS)))
+            )
+        left = ColumnRef(draw(st.sampled_from(["T.A", "T.B"])))
+        if draw(st.sampled_from([False, False, True])):
+            left = Arithmetic(draw(st.sampled_from("+-*")), left, Literal(draw(st.integers(0, 3))))
+        return Comparison(operator_, left, Literal(draw(st.sampled_from([0, 1, 2, 1.5]))))
+
+    shape = draw(st.sampled_from(["plain", "plain", "or", "not"]))
+    if shape == "or":
+        return BooleanOp("OR", [comparison(), comparison()])
+    if shape == "not":
+        return BooleanOp("NOT", [comparison()])
+    return comparison()
+
+
+def _nested(draw, parts):
+    """``parts`` under AND, cut into runs that are each grouped the same way."""
+    if len(parts) == 1:
+        return parts[0]
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(parts) - 1), min_size=1)))
+    runs = [parts[start:end] for start, end in zip([0] + cuts, cuts + [len(parts)])]
+    return BooleanOp("AND", [_nested(draw, run) for run in runs])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_predicate_key_is_a_property_of_the_predicate(data):
+    """Invariant under conjunct permutation, re-nesting of ``AND`` and re-binding
+    from its own SQL text (literals holding `` AND `` and parentheses included);
+    different as soon as one conjunct is."""
+    parts = data.draw(
+        st.lists(_key_conjuncts(), min_size=1, max_size=4, unique_by=str), label="conjuncts"
+    )
+    key = conjoin(parts).canonical_key
+    assert conjoin(data.draw(st.permutations(parts))).canonical_key == key
+    assert _nested(data.draw, data.draw(st.permutations(parts))).canonical_key == key
+
+    db = Database(network=FAST)
+    db.create_table("T", [("A", INTEGER), ("B", INTEGER), ("S", STRING)])
+    for text in (str(conjoin(parts)), key):
+        bound = db.bind(f"SELECT T.A FROM T WHERE {text}")
+        assert conjoin([p.expression for p in bound.predicates]).canonical_key == key
+
+    other = data.draw(_key_conjuncts().filter(lambda c: str(c) not in map(str, parts)))
+    position = data.draw(st.integers(min_value=0, max_value=len(parts) - 1))
+    assert conjoin(parts[:position] + [other] + parts[position + 1 :]).canonical_key != key
+
+
+# ---------------------------------------------------------------------------
 # Differential oracle: the SQL surface against stdlib sqlite3
 # ---------------------------------------------------------------------------
 #
@@ -791,16 +863,17 @@ def test_scatter_gather_matches_single_site(
 # * Ordering and comparing a number against a string is an error here and
 #   defined there: comparisons stay within one kind (numbers and booleans,
 #   or strings).
-# * ``ORDER BY`` takes plain columns of the select list here; the generator
-#   orders by those, and makes the order total (every selected column is a
-#   key) so ``LIMIT`` / ``OFFSET`` cut the same prefix on both sides.
-#   Without ``ORDER BY`` a ``LIMIT`` keeps *some* rows: count and membership
-#   are compared.
+# * ``ORDER BY`` takes items of the select list here — by their expression
+#   (one of two same-named columns, a UDF call, arithmetic) or by their alias;
+#   the generator orders by those, and makes the order total (every selected
+#   item is a key) so ``LIMIT`` / ``OFFSET`` cut the same prefix on both
+#   sides.  An alias that is also a column's name means the column here and
+#   the alias there: aliases are names no table has.  Without ``ORDER BY`` a
+#   ``LIMIT`` keeps *some* rows: count and membership are compared.
 # * The grammar has no signed literal: literals are non-negative.
 # * UDFs return NULL on NULL (both sides call the same Python function).
-# * Two limitations of this engine, each pinned below the oracle as a strict
-#   xfail: a client-site UDF takes one argument list per query, and an
-#   ``ORDER BY`` key's bare name occurs once in the select list.
+# * One limitation of this engine, pinned below the oracle as a strict
+#   xfail: a client-site UDF takes one argument list per query.
 
 #: Strings wide enough that six fill a 4 KiB B-tree leaf: a run of eight
 #: equal keys straddles a leaf split.
@@ -847,15 +920,19 @@ def _render(node, sqlite=False):
 
 
 def _render_query(query, sqlite=False):
-    select = ", ".join(_render(node, sqlite) for node in query["select"])
+    select = ", ".join(
+        _render(node, sqlite) + (f" AS {alias}" if alias else "")
+        for node, alias in zip(query["select"], query["aliases"])
+    )
     tables = ", ".join(f"{table} {alias}" for alias, table in query["from"])
     sql = f"SELECT {'DISTINCT ' if query['distinct'] else ''}{select} FROM {tables}"
     if query["where"]:
         sql += " WHERE " + " AND ".join(_render(node, sqlite)[1:-1] for node in query["where"])
     if query["order_by"]:
         keys = (
-            _render(query["select"][index]) + (" DESC" if descending else "")
-            for index, descending in query["order_by"]
+            (query["aliases"][index] if by_alias else _render(query["select"][index], sqlite))
+            + (" DESC" if descending else "")
+            for index, descending, by_alias in query["order_by"]
         )
         sql += " ORDER BY " + ", ".join(keys)
     if query["limit"] is not None:
@@ -973,25 +1050,23 @@ def _oracle_queries(draw, tables, index):
         else:
             where += against_literals(term(kind), comparisons + ["<>"])
 
-    ordered = draw(st.booleans())
-    if ordered:
-        # Plain columns only, each bare name once: that is what ORDER BY
-        # can name here.  Every selected column is a key, so the order is total.
-        by_name = {entry[2]: entry for entry in draw(st.permutations(columns))}
-        select = draw(
-            st.lists(st.sampled_from(sorted(by_name.values())), min_size=1, max_size=4, unique=True)
-        )
+    select = [term(any_kind()) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    aliases = [None] * len(select)
+    order_by = []
+    if draw(st.booleans()):
+        # Every selected item is a key, so the order is total; an item is
+        # named by its alias, if it has one, as often as by its expression.
+        select = list(dict.fromkeys(select))
+        aliases = [draw(st.sampled_from([None, None, f"X{n}"])) for n in range(len(select))]
         order_by = [
-            (position, draw(st.booleans()))
+            (position, draw(st.booleans()), aliases[position] is not None and draw(st.booleans()))
             for position in draw(st.permutations(range(len(select))))
         ]
-    else:
-        select = [term(any_kind()) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
-        order_by = []
     limit = draw(st.one_of(st.none(), st.none(), st.integers(min_value=0, max_value=8)))
     return {
         "from": from_,
         "select": select,
+        "aliases": aliases,
         "distinct": draw(st.sampled_from([False, False, True])),
         "where": where,
         "order_by": order_by,
@@ -1170,20 +1245,43 @@ def _two_small_tables():
     return db
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ORDER BY resolves a qualified name that is not in the select list by its bare "
-    "name: `ORDER BY B.K` silently sorts by the selected A.K (SQLite sorts by B.K; refusing "
-    "would do).  The qualifier-blind fallback of ROADMAP item 4 — fixed with it, in step (ii).",
-)
 def test_order_by_a_qualified_column_outside_the_select_list():
+    """``ORDER BY B.K`` used to sort, silently, by the selected ``A.K`` (the
+    bare name).  SQLite sorts by B.K; rows are sorted after the projection
+    here, so the binder refuses — as it does an absent name."""
     try:
         rows = _two_small_tables().execute("SELECT B.V, A.K FROM T0 A, T1 B ORDER BY B.K").rows
-    except PlanError:
-        return  # "ORDER BY column is not in the output": refused, as for an absent name
+    except BindError:
+        return  # "ORDER BY column 'B.K' is not in the output"
     assert [tuple(row) for row in rows] == [
         (2.0, 1), (2.0, 2), (2.0, 3), (1.0, 1), (1.0, 2), (1.0, 3)
     ]
+
+
+def test_order_by_names_an_output_by_expression_then_by_alias():
+    """The keys the bare-name fallback mis-sorted or refused: the output whose
+    expression is the key's (never one merely *named* like it), one of two
+    same-named outputs, an aliased column, an alias, a select-list UDF call."""
+    db = _two_small_tables()
+
+    def rows(sql):
+        return [tuple(row) for row in db.execute(sql).rows]
+
+    assert rows("SELECT A.V AS K, A.K AS V FROM T0 A ORDER BY A.K DESC") == [
+        (1.0, 3), (0.5, 2), (1.0, 1)
+    ]
+    assert rows("SELECT A.K, B.K FROM T0 A, T1 B ORDER BY B.K, A.K DESC") == [
+        (3, 4), (2, 4), (1, 4), (3, 5), (2, 5), (1, 5)
+    ]
+    assert rows("SELECT A.K AS X FROM T0 A ORDER BY A.K DESC") == [(3,), (2,), (1,)]
+    assert rows("SELECT A.V AS X, A.K FROM T0 A ORDER BY X, A.K DESC") == [
+        (0.5, 2), (1.0, 3), (1.0, 1)
+    ]
+    assert rows("SELECT ClientUdf(A.K), A.V FROM T0 A ORDER BY ClientUdf(A.K) DESC") == [
+        (7, 1.0), (5, 0.5), (3, 1.0)
+    ]
+    with pytest.raises(BindError, match="not in the output"):
+        db.execute("SELECT A.V FROM T0 A ORDER BY A.V + 1")
 
 
 @pytest.mark.xfail(

@@ -33,9 +33,9 @@ from repro.core.optimizer.cost import (
 )
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
-from repro.relational.expressions import ColumnRef, Comparison, Literal
+from repro.relational.expressions import BooleanOp, ColumnRef, Comparison, Literal, conjoin
 from repro.relational.operators.scan import TableScan
-from repro.relational.types import DataObject
+from repro.relational.types import INTEGER, DataObject
 from repro.server.engine import Database
 from repro.workloads.misestimation import (
     MisorderedUdfScenario,
@@ -51,42 +51,76 @@ NETWORK = NetworkConfig.paper_asymmetric(asymmetry=100.0)
 # ---------------------------------------------------------------------------
 
 
+def _compare(column, operator, value):
+    return Comparison(operator, ColumnRef(column), Literal(value))
+
+
 class TestCanonicalPredicateKeys:
+    """Identity is worked out on the expression tree: independent of the
+    order, the nesting and the parenthesisation the predicate was written
+    with.  A plain string is a key already."""
+
+    A = _compare("A_result", ">=", 1)
+    B = _compare("B_result", "<=", 2)
+    C = _compare("C", "=", 3)
+
     def test_single_predicate_is_its_own_key(self):
+        assert canonical_predicate_key(_compare("Score_result", ">=", 100)) == "Score_result >= 100"
         assert canonical_predicate_key("Score_result >= 100") == "Score_result >= 100"
         assert canonical_predicate_key(None) == ""
         assert canonical_predicate_key("") == ""
 
     def test_conjunct_order_does_not_matter(self):
-        left = canonical_predicate_key("(A_result >= 1 AND B_result <= 2)")
-        right = canonical_predicate_key("(B_result <= 2 AND A_result >= 1)")
+        left = canonical_predicate_key(BooleanOp("AND", [self.A, self.B]))
+        right = canonical_predicate_key(BooleanOp("AND", [self.B, self.A]))
         assert left == right
 
-    def test_nested_parens_not_split(self):
-        text = "((A >= 1 AND B <= 2))"
-        # The outer parens wrap a single parenthesised conjunct: the inner
-        # structure is still normalised through the string as a whole.
-        assert canonical_predicate_key(text) == canonical_predicate_key(text)
-
-    def test_unparenthesized_conjunction_matches_conjoin_shape(self):
-        """Regression: the bare ``A AND B`` string form never split, so a
-        lookup by it missed the sorted ``(A AND B)`` key written from the
-        Expression form."""
-        bare = canonical_predicate_key("B_result <= 2 AND A_result >= 1")
-        wrapped = canonical_predicate_key("(A_result >= 1 AND B_result <= 2)")
-        assert bare == wrapped == "(A_result >= 1 AND B_result <= 2)"
+    def test_conjunction_key_is_the_sorted_conjoin_rendering(self):
+        """The format a ``statistics.json`` holds: ``conjoin``'s own text with
+        the conjuncts sorted, whichever order they were conjoined in."""
+        assert conjoin([self.B, self.A]).canonical_key == "(A_result >= 1 AND B_result <= 2)"
+        assert str(conjoin([self.A, self.B])) == "(A_result >= 1 AND B_result <= 2)"
 
     def test_nested_conjunction_flattens(self):
-        nested = canonical_predicate_key("(A >= 1 AND B <= 2) AND C = 3")
-        flat = canonical_predicate_key("C = 3 AND B <= 2 AND A >= 1")
-        assert nested == flat == "(A >= 1 AND B <= 2 AND C = 3)"
+        nested = BooleanOp("AND", [BooleanOp("AND", [self.B, self.A]), self.C])
+        flat = BooleanOp("AND", [self.C, self.B, self.A])
+        assert nested.canonical_key == flat.canonical_key
+        assert flat.canonical_key == "(A_result >= 1 AND B_result <= 2 AND C = 3)"
 
-    def test_parenthesized_single_conjunct_keeps_its_spelling(self):
-        # No top-level AND: the string is a single conjunct returned as
-        # written, so existing single-predicate keys are unchanged.
+    def test_parentheses_in_the_sql_text_do_not_matter(self):
+        """The parser drops redundant parentheses, and nesting flattens: one
+        key, however the WHERE clause groups its conjuncts."""
+        db = Database(network=NETWORK)
+        db.create_table("T", [("A", INTEGER), ("B", INTEGER), ("C", INTEGER)], rows=[[1, 2, 3]])
+        keys = {
+            conjoin([p.expression for p in db.bind(f"SELECT T.A FROM T WHERE {where}").predicates]).canonical_key
+            for where in (
+                "T.A >= 1 AND T.B <= 2 AND T.C = 3",
+                "((T.A >= 1 AND T.B <= 2)) AND T.C = 3",
+                "(T.C = 3) AND ((T.B <= 2) AND T.A >= 1)",
+            )
+        }
+        assert keys == {"(T.A >= 1 AND T.B <= 2 AND T.C = 3)"}
+
+    def test_a_single_conjunct_keeps_its_spelling(self):
+        # No top-level AND: the key is the conjunct's own text, so every
+        # single-predicate key ever written is unchanged.
+        either = BooleanOp("OR", [self.A, self.B])
+        assert either.canonical_key == "(A_result >= 1 OR B_result <= 2)"
+        assert BooleanOp("NOT", [BooleanOp("AND", [self.A, self.B])]).canonical_key == (
+            "NOT ((A_result >= 1 AND B_result <= 2))"
+        )
+        # A string is looked up as given — no re-parsing, no normalisation.
         assert canonical_predicate_key("(Score_result >= 100)") == "(Score_result >= 100)"
-        # Parens that do not wrap the whole string are not stripped.
-        assert canonical_predicate_key("(A) AND (B)") == "((A) AND (B))"
+        assert canonical_predicate_key("(A) AND (B)") == "(A) AND (B)"
+
+    def test_a_literal_holding_the_word_and_is_one_token(self):
+        """The text re-parser split ``'a AND b'`` in two and scrambled it with
+        its neighbours; the tree cannot."""
+        tagged = _compare("Tag_result", "=", "a AND b")
+        assert tagged.canonical_key == "Tag_result = 'a AND b'"
+        both = BooleanOp("AND", [_compare("X_result", ">", 1), tagged])
+        assert both.canonical_key == "(Tag_result = 'a AND b' AND X_result > 1)"
 
     def _observation_with(self, udf_name, predicate, selectivity):
         return QueryObservation(
@@ -120,11 +154,12 @@ class TestCanonicalPredicateKeys:
 
     def test_conjunct_permutation_still_matches(self):
         store = StatisticsStore()
+        x, y = _compare("X", ">=", 1), _compare("Y", "<=", 2)
         store.record(
-            self._observation_with("A", "(X >= 1 AND Y <= 2)", selectivity=0.2)
+            self._observation_with("A", conjoin([x, y]).canonical_key, selectivity=0.2)
         )
         assert store.udf_selectivity(
-            "B", 0.9, predicate="(Y <= 2 AND X >= 1)"
+            "B", 0.9, predicate=BooleanOp("AND", [y, x])
         ) == pytest.approx(0.2)
 
     def test_exact_udf_key_still_preferred(self):
@@ -986,3 +1021,87 @@ class TestChainProjectionPush:
         assert (
             projected_context.uplink_bytes < full_context.uplink_bytes / 2
         )
+
+
+# ---------------------------------------------------------------------------
+# One predicate, one key — whoever derives it (a literal holding " AND ")
+# ---------------------------------------------------------------------------
+
+
+class TestOneKeyPerPredicate:
+    """The planner's operation, the observer's record, ``MigrationPredicate.key``
+    and a ``RuntimeStatisticsView`` lookup name a predicate alike — also when a
+    literal contains ``' AND '``, which the text re-parser split (alone, it
+    wrapped the key in parentheses; beside a second conjunct, it scrambled
+    both)."""
+
+    ALONE = "SELECT T.K FROM T WHERE Tag(T.K) = 'a AND b'"
+    BESIDE = "SELECT T.K FROM T WHERE Tag(T.K) = 'a AND b' AND Tag(T.K) <> 'z'"
+    KEYS = {
+        ALONE: "Tag_result = 'a AND b'",
+        BESIDE: "(Tag_result <> 'z' AND Tag_result = 'a AND b')",
+    }
+
+    @staticmethod
+    def make_db(rows=400):
+        db = Database(network=NETWORK)
+        db.create_table("T", [("K", INTEGER)], rows=[[k] for k in range(rows)])
+        # One row in four is tagged 'a AND b'; the declaration says nine in ten.
+        db.register_client_udf(
+            "Tag", lambda k: "a AND b" if k % 4 == 0 else "c", selectivity=0.9
+        )
+        return db
+
+    @pytest.mark.parametrize("sql", [ALONE, BESIDE])
+    def test_every_layer_derives_the_same_key(self, sql):
+        from repro.core.optimizer import operations_for_query
+        from repro.server.planner import build_plan
+
+        db = self.make_db()
+        bound = db.bind(sql)
+        _, udfs = operations_for_query(bound)
+        assert udfs[0].predicate_key == self.KEYS[sql]
+
+        result = db.execute(sql, config=StrategyConfig.client_site_join(batch_size=16))
+        assert result.observation.udfs["Tag"].predicate == self.KEYS[sql]
+
+        plan = build_plan(
+            bound,
+            db.session.new_context(),
+            StrategyConfig.client_site_join().with_reoptimizer(ReOptimizer()),
+        )
+        (chain,) = plan.remote_operators
+        assert "Tag_result = 'a AND b'" in [predicate.key for predicate in chain.predicates]
+        pushed = conjoin([predicate.expression for predicate in chain.predicates])
+        assert pushed.canonical_key == self.KEYS[sql]
+
+        view = RuntimeStatisticsView({self.KEYS[sql]: 0.25}, {}, {})
+        assert view.udf_selectivity("Tag", 0.9, predicate=udfs[0].predicate_key) == 0.25
+        # ... and across queries, through the store the run above fed.
+        assert db.statistics.selectivity_prior("Tag", udfs[0].predicate_key) == pytest.approx(0.25)
+
+    def test_a_reoptimizing_run_finds_what_it_just_observed(self, monkeypatch):
+        """At a segment boundary the re-optimizer re-enters the enumerator over
+        a view of this run's observations; the estimator asks it with the
+        operation's key and must get the observed 0.25, not the declared 0.9.
+        (One conjunct: a stage's counts are filed under the conjunction pushed
+        there, the controller's specs per conjunct — ``docs/design.md``, "Names".)"""
+        sql = self.ALONE
+        answers = []
+        lookup = RuntimeStatisticsView.udf_selectivity
+
+        def recording(self, name, default, predicate=None):
+            answer = lookup(self, name, default, predicate=predicate)
+            answers.append((predicate, answer))
+            return answer
+
+        monkeypatch.setattr(RuntimeStatisticsView, "udf_selectivity", recording)
+        result = self.make_db().execute(
+            sql,
+            reoptimize=True,
+            replan_policy=ReOptimizationPolicy(initial_segment_rows=40, min_rows_before_replan=40),
+        )
+        assert result.metrics.replan_attempts >= 1
+        assert len(result.rows) == 100
+        assert answers and all(predicate == self.KEYS[sql] for predicate, _ in answers)
+        assert all(answer == pytest.approx(0.25, abs=0.05) for _, answer in answers)
