@@ -87,52 +87,46 @@ class ClientRuntime:
     # -- serve loop ------------------------------------------------------------------
 
     def _serve(self, simulator: Simulator, channel: Channel) -> Generator[Event, Any, None]:
+        handlers = {
+            MessageKind.UDF_ARGUMENTS: self._handle_argument_batch,
+            MessageKind.RECORDS: self._handle_record_batch,
+        }
         while True:
             message: Message = channel.poll_at_client() or (yield channel.receive_at_client())
             self.messages_handled += 1
-            if is_end_of_stream(message):
-                yield channel.send_to_server(end_of_stream(sender=self.name))
-                return
-            if message.kind is MessageKind.UDF_ARGUMENTS:
-                self._record_batch_size(len(message.payload))
-                yield from self._handle_argument_batch(simulator, channel, message)
-            elif message.kind is MessageKind.RECORDS:
-                self._record_batch_size(len(message.payload))
-                yield from self._handle_record_batch(simulator, channel, message)
-            elif message.kind is MessageKind.FINAL_RESULTS:
+            kind = message.kind
+            if kind is MessageKind.CONTROL:
+                if is_end_of_stream(message):
+                    yield channel.send_to_server(end_of_stream(sender=self.name))
+                    return
+                continue
+            if kind is MessageKind.FINAL_RESULTS:
                 batch: FinalResultBatch = message.payload
                 self._record_batch_size(len(batch))
                 self.delivered_rows.extend(batch.rows)
-            elif message.kind is MessageKind.CONTROL:
                 continue
-            else:
-                yield channel.send_to_server(
-                    error_message(UdfError(f"unexpected message kind {message.kind}"), sender=self.name)
-                )
+            # Everything else is answered with one reply, after the simulated
+            # time the answer took to compute; a failure is the reply.
+            try:
+                handle = handlers.get(kind)
+                if handle is None:
+                    raise UdfError(f"unexpected message kind {kind}")
+                self._record_batch_size(len(message.payload))
+                compute, reply = handle(message.payload)
+            except UdfError as exc:
+                compute, reply = 0.0, error_message(exc, sender=self.name)
+            if compute > 0:
+                yield simulator.timeout(compute)
+            yield channel.send_to_server(reply)
 
-    # -- handlers --------------------------------------------------------------------
+    # -- handlers: ``payload -> (compute_seconds, reply)`` -----------------------------
 
-    def _handle_argument_batch(
-        self, simulator: Simulator, channel: Channel, message: Message
-    ) -> Generator[Event, Any, None]:
-        batch: ArgumentBatch = message.payload
-        try:
-            udf = self.registry.get(batch.call.udf_name)
-        except UdfError as exc:
-            yield channel.send_to_server(error_message(exc, sender=self.name))
-            return
-
+    def _handle_argument_batch(self, batch: ArgumentBatch) -> Tuple[float, Message]:
+        udf = self.registry.get(batch.call.udf_name)
         self.rows_received += len(batch)
-        try:
-            results, compute = self._invoke_batch(udf, batch.argument_tuples)
-        except UdfExecutionError as exc:
-            yield channel.send_to_server(error_message(exc, sender=self.name))
-            return
-
-        if compute > 0:
-            yield simulator.timeout(compute)
+        results, compute = self._invoke_batch(udf, batch.argument_tuples)
         self.rows_returned += len(results)
-        reply = batch_message(
+        return compute, batch_message(
             MessageKind.UDF_RESULT,
             ResultBatch(udf_name=udf.name, results=results),
             payload_bytes=udf.results_size(results),
@@ -140,37 +134,19 @@ class ClientRuntime:
             sender=self.name,
             description=f"{len(results)} results",
         )
-        yield channel.send_to_server(reply)
 
-    def _handle_record_batch(
-        self, simulator: Simulator, channel: Channel, message: Message
-    ) -> Generator[Event, Any, None]:
-        batch: RecordBatch = message.payload
-        try:
-            udfs = [self.registry.get(call.udf_name) for call in batch.calls]
-        except UdfError as exc:
-            yield channel.send_to_server(error_message(exc, sender=self.name))
-            return
-
+    def _handle_record_batch(self, batch: RecordBatch) -> Tuple[float, Message]:
+        udfs = [self.registry.get(call.udf_name) for call in batch.calls]
         record = batch.batch
         self.rows_received += len(record)
         compute = 0.0
         result_columns: List[List[Any]] = []
         # Argument tuples come off the column buffers in bulk; the calls of
         # a batch run one after the other, each over every row.
-        try:
-            for call, udf in zip(batch.calls, udfs):
-                results, cost = self._invoke_batch(
-                    udf, record.key_tuples(call.argument_positions)
-                )
-                compute += cost
-                result_columns.append(results)
-        except UdfExecutionError as exc:
-            yield channel.send_to_server(error_message(exc, sender=self.name))
-            return
-
-        if compute > 0:
-            yield simulator.timeout(compute)
+        for call, udf in zip(batch.calls, udfs):
+            results, cost = self._invoke_batch(udf, record.key_tuples(call.argument_positions))
+            compute += cost
+            result_columns.append(results)
 
         extended = RowBatch.from_columns(
             list(record.columns)
@@ -182,7 +158,7 @@ class ClientRuntime:
         )
         surviving, origins = self._apply_pushed_operations(batch, extended)
         self.rows_returned += len(surviving)
-        reply = batch_message(
+        return compute, batch_message(
             MessageKind.RECORDS_WITH_RESULTS,
             RecordResultBatch(rows=surviving, origin_indexes=origins),
             payload_bytes=surviving.values_bytes(),
@@ -190,7 +166,6 @@ class ClientRuntime:
             sender=self.name,
             description=f"{len(surviving)}/{len(record)} rows",
         )
-        yield channel.send_to_server(reply)
 
     # -- helpers ---------------------------------------------------------------------
 

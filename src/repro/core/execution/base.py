@@ -103,7 +103,12 @@ class RemoteUdfOperator(Operator):
             column_count=len(self.child_schema),
         )
         self.input_row_count = len(batch)
-        controller = self.config.controller_for(self.udf.name)
+        # Pacing is resolved once per operation; a controller (``None``
+        # where the size is static) is still asked at every batch boundary.
+        name = self.udf.name
+        self._batch_controller = controller = self.config.controller_for(name)
+        self._window_controller = self.config.overlap_controller_for(name)
+        self._static_batch_size = self.config.batch_size_for(name)
         if controller is not None:
             # Start the controller's inter-arrival clock at this operator's
             # first simulated instant, so idle time between remote operators
@@ -124,7 +129,8 @@ class RemoteUdfOperator(Operator):
 
     def next_batch_size(self) -> int:
         """Rows the next network message should carry (adaptive-aware)."""
-        return self.config.next_batch_size(self.udf.name)
+        controller = self._batch_controller
+        return self._static_batch_size if controller is None else controller.current()
 
     def observe_batch(self, rows: int) -> None:
         """Report ``rows`` acknowledged input rows to this UDF's controllers.
@@ -132,11 +138,12 @@ class RemoteUdfOperator(Operator):
         Both adaptive knobs — the batch size and the in-flight window — feed
         on the same rows/second signal; each hill-climbs its own ladder.
         """
+        controller, window_controller = self._batch_controller, self._window_controller
+        if controller is None and window_controller is None:
+            return
         now = self.context.simulator.now
-        controller = self.config.controller_for(self.udf.name)
         if controller is not None:
             controller.observe_rows(rows, now)
-        window_controller = self.config.overlap_controller_for(self.udf.name)
         if window_controller is not None:
             window_controller.observe_rows(rows, now)
 
@@ -161,10 +168,11 @@ class RemoteUdfOperator(Operator):
         )
 
     def refresh_window(self, window: InFlightWindow, floor: int = 1) -> None:
-        """Re-read the window target at a batch boundary (adaptive-aware)."""
-        target = self.config.next_overlap_window(self.udf.name)
-        if target is not None:
-            window.resize(max(floor, target))
+        """Re-read the window target at a batch boundary: only a controller
+        can have moved it from what :meth:`make_window` built the window with."""
+        controller = self._window_controller
+        if controller is not None:
+            window.resize(max(floor, controller.current()))
 
     def finish_window(self, window: InFlightWindow) -> None:
         """Record the window's instrumentation after the operation drains."""

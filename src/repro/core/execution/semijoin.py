@@ -100,11 +100,11 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         # it starts double-buffered at the current batch size and grows with
         # it (see the sender), so a run converged at batch 8 is not simulated
         # with the buffering of the controller's maximum.
-        adaptive = self.config.controller_for(self.udf.name) is not None
+        adaptive = self._batch_controller is not None
         if adaptive:
             factor = max(factor, 2 * self.next_batch_size())
         else:
-            factor = max(factor, self.config.batch_size_for(self.udf.name))
+            factor = max(factor, self._static_batch_size)
         self.concurrency_factor_used = factor
 
         call = RemoteCall(

@@ -320,7 +320,7 @@ class DistributedDatabase(SqlSurface):
             schema=root.output_schema(),
             rows=rows,
             metrics=metrics,
-            plan_text=plan.describe() + "\n" + root.explain(),
+            plan_text=metrics.plan_description,  # the same tree, rendered once
         )
 
     # -- helpers --------------------------------------------------------------------------

@@ -72,6 +72,10 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
+class EmptySchedule(SimulationError):
+    """:meth:`Simulator.step` was asked for an entry and none is scheduled."""
+
+
 class NetworkError(ReproError):
     """A message could not be delivered (e.g. the peer disconnected)."""
 

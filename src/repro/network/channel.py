@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.errors import ChannelClosedError
 from repro.network.events import Event
 from repro.network.link import Link
 from repro.network.message import Message, MessageKind, batch_message
@@ -70,15 +69,19 @@ class Channel:
     # -- sending ---------------------------------------------------------------------
 
     def send_to_client(self, message: Message) -> Event:
-        """Server → client.  Returns the sender-side completion event."""
-        self._ensure_open()
-        message.sender = message.sender or "server"
+        """Server → client.  Returns the sender-side completion event.
+
+        A closed channel's links are closed with it, so the link's own check
+        is the channel's.
+        """
+        if not message.sender:
+            message.sender = "server"
         return self.downlink.send(message)
 
     def send_to_server(self, message: Message) -> Event:
         """Client → server.  Returns the sender-side completion event."""
-        self._ensure_open()
-        message.sender = message.sender or "client"
+        if not message.sender:
+            message.sender = "client"
         return self.uplink.send(message)
 
     def send_batch_to_client(
@@ -138,10 +141,6 @@ class Channel:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ChannelClosedError(f"channel {self.name!r} is closed")
 
     # -- properties ------------------------------------------------------------------
 

@@ -26,7 +26,11 @@ class Event:
     ``name`` may be given as a tuple of parts (``(link.name, ".tx#", 17)``):
     events are created per message and almost never printed, so the parts
     are joined only when :attr:`name` is read — by ``__repr__`` or an error.
+    An owner that names every event alike (a store's ``.get``) builds the
+    tuple once and passes the same one each time.
     """
+
+    __slots__ = ("simulator", "_name", "callbacks", "_value", "_exception", "triggered", "processed")
 
     def __init__(self, simulator: "Simulator", name: Union[str, Tuple[Any, ...]] = "") -> None:  # noqa: F821
         self.simulator = simulator
@@ -134,6 +138,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, simulator: "Simulator", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise SimulationError("Timeout delay must be non-negative")
@@ -154,6 +160,8 @@ class Process(Event):
     the generator).  When the generator returns, the process event succeeds
     with the generator's return value.
     """
+
+    __slots__ = ("_generator", "target")
 
     def __init__(
         self,

@@ -55,9 +55,10 @@ class Link:
         self.latency = float(latency_seconds)
         self.destination = destination if destination is not None else Store(simulator, name=f"{name}.inbox")
         self.stats = LinkStats(name=name)
-        #: A shared trunk scheduler (anything with ``submit(link, message)``):
-        #: when set, this link's messages are serialised by the trunk instead
-        #: of the link's private ``_free_at`` timeline.
+        #: A shared trunk scheduler (``attach(link)`` once, then
+        #: ``submit(link, message)``): when set, this link's messages are
+        #: serialised by the trunk instead of the link's private ``_free_at``
+        #: timeline.
         self.scheduler = scheduler
         #: The session flow this link's traffic is attributed to (tenancy).
         self.flow = flow
@@ -70,6 +71,8 @@ class Link:
             if value <= 0:
                 raise SimulationError("scheduled bandwidths must be positive")
         self._schedule: Tuple[Tuple[float, float], ...] = tuple(schedule)
+        if scheduler is not None:
+            scheduler.attach(self)
 
     # -- transfer -----------------------------------------------------------------
 
@@ -106,9 +109,7 @@ class Link:
         finish_tx = start + transmission
         self._free_at = finish_tx
 
-        self.stats.record(
-            message, queued_for=start - now, transmission=transmission, flow=self.flow
-        )
+        self.stats.record(message, start - now, transmission)
 
         # Event for the sender: the link has finished serialising the message.
         sender_event = Event(self.simulator, name=(self.name, ".tx#", message.sequence))

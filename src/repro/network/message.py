@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 #: Fixed per-message framing overhead, in bytes (headers, sequence numbers).
@@ -34,7 +33,6 @@ class MessageKind(enum.Enum):
     ERROR = "error"  # client-side failure notification
 
 
-@dataclass
 class Message:
     """A single unit of transfer over a link.
 
@@ -42,27 +40,40 @@ class Message:
     results) the payload carries; batch-sized messages amortise the fixed
     :data:`MESSAGE_OVERHEAD_BYTES` over all of them.  Control and error
     messages carry zero rows.
+
+    ``size_bytes`` (the total wire size including framing overhead) and
+    ``is_data`` (everything but control and error frames) are fixed at
+    construction because the link ledgers read them per transmission.
     """
 
-    kind: MessageKind
-    payload: Any
-    payload_bytes: int
-    sequence: int = field(default_factory=lambda: next(_sequence))
-    sender: str = ""
-    description: str = ""
-    row_count: int = 0
-    #: Fixed at construction because the link ledgers read them once or twice
-    #: per transmission: the total wire size including framing overhead,
-    #: ``kind.value``, and whether the frame counts as data (everything but
-    #: control and error frames).
-    size_bytes: int = field(init=False)
-    kind_name: str = field(init=False)
-    is_data: bool = field(init=False)
+    __slots__ = (
+        "kind", "payload", "payload_bytes", "sequence", "sender", "description",
+        "row_count", "size_bytes", "is_data",
+    )
 
-    def __post_init__(self) -> None:
-        self.size_bytes = self.payload_bytes + MESSAGE_OVERHEAD_BYTES
-        self.kind_name = self.kind.value
-        self.is_data = self.kind not in (MessageKind.CONTROL, MessageKind.ERROR)
+    def __init__(
+        self,
+        kind: MessageKind,
+        payload: Any,
+        payload_bytes: int,
+        sequence: Optional[int] = None,
+        sender: str = "",
+        description: str = "",
+        row_count: int = 0,
+    ) -> None:
+        self.kind = kind
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.sequence = next(_sequence) if sequence is None else sequence
+        self.sender = sender
+        self.description = description
+        self.row_count = row_count
+        self.size_bytes = payload_bytes + MESSAGE_OVERHEAD_BYTES
+        self.is_data = kind is not MessageKind.CONTROL and kind is not MessageKind.ERROR
+
+    @property
+    def kind_name(self) -> str:
+        return self.kind.value
 
     @property
     def overhead_bytes_per_row(self) -> float:

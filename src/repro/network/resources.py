@@ -41,6 +41,8 @@ class Store:
         self.simulator = simulator
         self.capacity = capacity
         self.name = name or "Store"
+        self._put_name = (self.name, ".put")
+        self._get_name = (self.name, ".get")
         self._items: Deque[Any] = deque()
         self._put_waiters: Deque[Tuple[Optional[Event], Any]] = deque()
         self._get_waiters: Deque[Event] = deque()
@@ -54,16 +56,17 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` has entered the store."""
-        event = Event(self.simulator, name=(self.name, ".put"))
+        event = Event(self.simulator, self._put_name)
         self._put_waiters.append((event, item))
         self._dispatch()
         return event
 
     def get(self) -> Event:
         """Return an event that fires with the next item once one is available."""
-        event = Event(self.simulator, name=(self.name, ".get"))
+        event = Event(self.simulator, self._get_name)
         self._get_waiters.append(event)
-        self._dispatch()
+        if self._items:
+            self._dispatch()
         return event
 
     def post(self, item: Any) -> None:
@@ -72,8 +75,16 @@ class Store:
         The item enters now if there is room and otherwise queues behind the
         earlier putters, exactly like :meth:`put`.
         """
-        self._put_waiters.append((None, item))
-        self._dispatch()
+        items = self._items
+        if self._put_waiters or self._get_waiters or len(items) >= self.capacity:
+            self._put_waiters.append((None, item))
+            self._dispatch()
+            return
+        # Room, nobody queued ahead and nobody waiting: the item just enters.
+        items.append(item)
+        self.total_puts += 1
+        if len(items) > self.peak_occupancy:
+            self.peak_occupancy = len(items)
 
     def deliver(self, item: Any) -> None:
         """:meth:`post` as the last action of the caller's kernel entry.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import EmptySchedule, SimulationError
 from repro.network.events import Event, Process, Timeout
 
 
@@ -82,9 +82,10 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next scheduled entry."""
-        if not self._queue:
-            raise SimulationError("no events scheduled")
-        time, _, kind, payload = heapq.heappop(self._queue)
+        try:
+            time, _, kind, payload = heapq.heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule("no events scheduled") from None
         if time < self._now:
             raise SimulationError("event queue went backwards in time")
         self._now = time

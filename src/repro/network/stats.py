@@ -118,13 +118,20 @@ FlowStats = TransferCounters
 
 @dataclass
 class LinkStats(TransferCounters):
-    """The live accounting of one directed link: the counters, their split
-    by message kind, and one child per session flow."""
+    """The live accounting of one directed link, or of a trunk many links share.
 
-    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Per-session-flow sub-counters, populated only for messages recorded
-    #: with a ``flow`` (shared multi-tenant links tag every message).
-    flows: Dict[str, FlowStats] = field(default_factory=dict)
+    The split by session flow has two sources.  A message recorded with a
+    ``flow`` is booked into that flow's child as well as the totals.  A
+    shared trunk instead *adopts* the ledger of every session link it
+    serialises for (:meth:`adopt`): such a link carries exactly one flow and
+    books each of its messages itself, so the trunk books a message once, into
+    its own totals, and folds the adopted ledgers by flow when :attr:`flows`
+    is read.  A message is thus recorded once per ledger it belongs to.
+    """
+
+    def __post_init__(self) -> None:
+        self._recorded: Dict[str, FlowStats] = {}
+        self._adopted: Dict[str, List[TransferCounters]] = {}
 
     def record(
         self,
@@ -135,26 +142,33 @@ class LinkStats(TransferCounters):
     ) -> None:
         # Once or twice per wire message: the body stays flat instead of
         # calling the inherited ``record`` (measured on scatter_sharded).
-        size = message.size_bytes
         self.message_count += 1
         if message.is_data:
             self.data_message_count += 1
-        self.total_bytes += size
+        self.total_bytes += message.size_bytes
         self.payload_bytes += message.payload_bytes
         self.rows_transferred += message.row_count
         self.busy_seconds += transmission
         self.queueing_seconds += queued_for
-        kind = message.kind_name
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
         if flow is not None:
-            counters = self.flows.get(flow)
+            counters = self._recorded.get(flow)
             if counters is None:
-                counters = self.flows[flow] = FlowStats(flow)
+                counters = self._recorded[flow] = FlowStats(flow)
             counters.record(message, queued_for=queued_for, transmission=transmission)
+
+    def adopt(self, flow: str, ledger: TransferCounters) -> None:
+        """Count ``ledger`` — a session link's own — as part of ``flow``'s share."""
+        self._adopted.setdefault(flow, []).append(ledger)
 
     def flow(self, name: str) -> FlowStats:
         """The named flow's counters (all-zero if the flow never sent)."""
-        return self.flows.get(name, FlowStats(name))
+        return sum(self._adopted.get(name, ()), self._recorded.get(name) or FlowStats(name))
+
+    @property
+    def flows(self) -> Dict[str, FlowStats]:
+        """Per-session-flow sub-counters, one per flow that has sent anything."""
+        shares = map(self.flow, dict.fromkeys((*self._recorded, *self._adopted)))
+        return {share.name: share for share in shares if share.message_count}
 
     def flow_bytes(self) -> Dict[str, int]:
         """Total bytes per flow, the fairness metrics' input."""
@@ -163,10 +177,8 @@ class LinkStats(TransferCounters):
     def __add__(self, other: "LinkStats") -> "LinkStats":
         total = LinkStats(**vars(super().__add__(other)))
         for source in (self, other):
-            for kind, size in source.bytes_by_kind.items():
-                total.bytes_by_kind[kind] = total.bytes_by_kind.get(kind, 0) + size
             for name, counters in source.flows.items():
-                total.flows[name] = total.flow(name) + counters
+                total._recorded[name] = total.flow(name) + counters
         return total
 
     def __str__(self) -> str:

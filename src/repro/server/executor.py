@@ -147,7 +147,7 @@ class Executor:
             schema=root.output_schema(),
             rows=rows,
             metrics=metrics,
-            plan_text=root.explain(),
+            plan_text=metrics.plan_description,  # the same tree, rendered once
             observation=observation,
         )
 

@@ -26,7 +26,7 @@ import threading
 from collections import deque
 from typing import Any, Deque, List, Optional, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import EmptySchedule, SimulationError
 from repro.network.events import Event
 from repro.network.simulator import Simulator
 
@@ -141,15 +141,16 @@ class BatonDriver:
                     active -= 1
                 continue
             # Nobody is runnable: step until an event readies a worker.
-            while not ready:
-                if not simulator.pending_events:
-                    self._abort_blocked(workers)
-                    blocked = [worker.name for worker in workers if not worker.finished]
-                    raise SimulationError(
-                        f"{self.description} deadlocked: no simulation events pending "
-                        f"while workers {blocked or '[]'} were still blocked"
-                    )
-                step()
+            try:
+                while not ready:
+                    step()
+            except EmptySchedule:
+                self._abort_blocked(workers)
+                blocked = [worker.name for worker in workers if not worker.finished]
+                raise SimulationError(
+                    f"{self.description} deadlocked: no simulation events pending "
+                    f"while workers {blocked or '[]'} were still blocked"
+                ) from None
 
         for worker in workers:
             if worker.exception is not None:

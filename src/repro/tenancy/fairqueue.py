@@ -53,8 +53,10 @@ class _Transmission(Event):
     chaining step decides who transmits next.
     """
 
+    __slots__ = ("scheduler", "link", "message", "size_bytes", "flow", "enqueued_at", "delivers")
+
     def __init__(self, scheduler: "LinkScheduler", link: Link, message: Message) -> None:
-        super().__init__(scheduler.simulator, name=(scheduler.name, ".tx#", message.sequence))
+        Event.__init__(self, scheduler.simulator)
         self.scheduler = scheduler
         self.link = link
         self.message = message
@@ -64,6 +66,10 @@ class _Transmission(Event):
         #: Whether this entry also delivers (set when transmission starts).
         self.delivers = False
 
+    @property
+    def name(self) -> str:
+        return f"{self.scheduler.name}.tx#{self.message.sequence}"
+
     def _process(self) -> None:
         # The chaining step is runnable at this instant without being on the
         # heap, exactly like a sibling callback: the sender's callbacks and
@@ -71,7 +77,7 @@ class _Transmission(Event):
         simulator = self.simulator
         simulator._fanout += 1
         try:
-            super()._process()
+            Event._process(self)
             if self.delivers:
                 self.link._deliver(self)
         finally:
@@ -89,10 +95,10 @@ class LinkScheduler:
     serialisation ends, and delivery lands in the submitting link's own
     destination mailbox ``latency`` seconds later.
 
-    Statistics are double-booked deliberately: into the submitting link's
-    private :class:`LinkStats` (per-session accounting, flow-tagged) and
-    into the trunk's own :class:`LinkStats` (cross-session accounting, one
-    :class:`~repro.network.stats.FlowStats` per flow).
+    A message is booked once into each ledger it belongs to: the submitting
+    link's private :class:`LinkStats` (per-session accounting) and the
+    trunk's own (cross-session totals).  The trunk's split by flow is the
+    attached links' ledgers, folded by flow when it is read.
     """
 
     def __init__(self, simulator: Simulator, name: str = "trunk") -> None:
@@ -112,6 +118,10 @@ class LinkScheduler:
         raise NotImplementedError
 
     # -- submission ----------------------------------------------------------------
+
+    def attach(self, link: Link) -> None:
+        """Called once by every link built on this trunk, before it submits."""
+        self.stats.adopt(link.flow or link.name, link.stats)
 
     def submit(self, link: Link, message: Message) -> Event:
         """Accept ``message`` from ``link``; returns the sender-side event.
@@ -141,8 +151,8 @@ class LinkScheduler:
         transmission = item.size_bytes / link.bandwidth_at(now)
         queued_for = now - item.enqueued_at
 
-        link.stats.record(message, queued_for=queued_for, transmission=transmission, flow=link.flow)
-        self.stats.record(message, queued_for=queued_for, transmission=transmission, flow=item.flow)
+        link.stats.record(message, queued_for, transmission)
+        self.stats.record(message, queued_for, transmission)
 
         # The sender unblocks when serialisation ends, and the same entry
         # chains to the next queued message (see _Transmission).
@@ -191,6 +201,16 @@ class FifoLinkScheduler(LinkScheduler):
         return self._queue.popleft()
 
 
+class _Flow:
+    """One flow's place in the DRR round: its queued messages and byte deficit."""
+
+    __slots__ = ("queue", "deficit")
+
+    def __init__(self) -> None:
+        self.queue: Deque[_Transmission] = deque()
+        self.deficit = 0.0
+
+
 class DeficitRoundRobinScheduler(LinkScheduler):
     """Deficit round robin across session flows sharing one trunk.
 
@@ -212,46 +232,44 @@ class DeficitRoundRobinScheduler(LinkScheduler):
             raise SimulationError("DRR quantum must be positive")
         super().__init__(simulator, name=name)
         self.quantum_bytes = int(quantum_bytes)
-        self._flows: Dict[str, Deque[_Transmission]] = {}
-        self._active: Deque[str] = deque()
-        self._deficit: Dict[str, float] = {}
+        self._flows: Dict[str, _Flow] = {}
+        #: The backlogged flows, in round order.
+        self._active: Deque[_Flow] = deque()
         #: Whether the flow at the head of the active list still needs its
         #: quantum credited for the current visit.
         self._fresh_visit = True
 
     def _enqueue(self, item: _Transmission) -> None:
-        flow = item.flow
-        queue = self._flows.get(flow)
-        if queue is None:
-            queue = deque()
-            self._flows[flow] = queue
-        if not queue:
+        flow = self._flows.get(item.flow)
+        if flow is None:
+            flow = self._flows[item.flow] = _Flow()
+        if not flow.queue:
             # (Re-)activation: join the round at the back with a clean slate.
-            self._deficit[flow] = 0.0
+            flow.deficit = 0.0
             self._active.append(flow)
             if len(self._active) == 1:
                 self._fresh_visit = True
-        queue.append(item)
+        flow.queue.append(item)
 
     def _dequeue(self) -> Optional[_Transmission]:
-        while self._active:
-            flow = self._active[0]
-            queue = self._flows[flow]
+        active = self._active
+        while active:
+            flow = active[0]
             if self._fresh_visit:
-                self._deficit[flow] += self.quantum_bytes
+                flow.deficit += self.quantum_bytes
                 self._fresh_visit = False
-            head = queue[0]
-            if self._deficit[flow] >= head.size_bytes:
-                self._deficit[flow] -= head.size_bytes
-                queue.popleft()
-                if not queue:
+            head = flow.queue[0]
+            if flow.deficit >= head.size_bytes:
+                flow.deficit -= head.size_bytes
+                flow.queue.popleft()
+                if not flow.queue:
                     # Idle flows forfeit their deficit and leave the round.
-                    self._deficit[flow] = 0.0
-                    self._active.popleft()
+                    flow.deficit = 0.0
+                    active.popleft()
                     self._fresh_visit = True
                 return head
             # Deficit exhausted: move this flow to the back of the round.
-            self._active.append(self._active.popleft())
+            active.rotate(-1)
             self._fresh_visit = True
         return None
 

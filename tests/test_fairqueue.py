@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.network.link import Link
 from repro.network.message import MESSAGE_OVERHEAD_BYTES, MessageKind, batch_message
 from repro.network.simulator import Simulator
-from repro.network.stats import jain_fairness_index
+from repro.network.stats import FlowStats, jain_fairness_index
 from repro.tenancy.fairqueue import (
     DeficitRoundRobinScheduler,
     FifoLinkScheduler,
@@ -319,6 +322,71 @@ class TestFlowAccounting:
             assert link.stats.message_count == flow_stats.message_count
             assert link.stats.rows_transferred == flow_stats.rows_transferred
             assert link.stats.busy_seconds == pytest.approx(flow_stats.busy_seconds)
+
+
+COUNTS = ("message_count", "data_message_count", "total_bytes", "payload_bytes", "rows_transferred")
+SECONDS = ("busy_seconds", "queueing_seconds")
+
+
+def assert_same_ledger(actual, expected):
+    """Counts exactly, seconds to 1e-9 (the folds add in different orders)."""
+    for name in COUNTS:
+        assert getattr(actual, name) == getattr(expected, name), name
+    for name in SECONDS:
+        assert getattr(actual, name) == pytest.approx(getattr(expected, name), abs=1e-9), name
+
+
+traffic = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),  # the sending link
+        st.integers(min_value=0, max_value=1500),  # payload bytes
+        st.integers(min_value=0, max_value=40),  # rows
+        st.sampled_from([0.0, 0.0, 0.05, 0.4, 2.0]),  # idle seconds before the send
+    ),
+    max_size=60,
+)
+
+
+class TestLedgerEquivalence:
+    """A trunk message is booked into its link's ledger and the trunk's totals;
+    the trunk's split by flow is the links' ledgers folded on read.  These are
+    the sums that must agree for that fold to stand in for a per-message child."""
+
+    @pytest.mark.parametrize("discipline", ["fifo", "drr"])
+    @given(traffic=traffic, flows=st.lists(st.sampled_from([None, "a", "b", "c"]), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_trunk_totals_flow_children_and_link_ledgers_agree(self, discipline, traffic, flows):
+        sim = Simulator()
+        trunk = (
+            FifoLinkScheduler(sim)
+            if discipline == "fifo"
+            else DeficitRoundRobinScheduler(sim, quantum_bytes=700)
+        )
+        links = [make_link(sim, f"l{index}", trunk, flow) for index, flow in enumerate(flows)]
+        flow_of = [link.flow or link.name for link in links]
+        sent = {name: Counter() for name in flow_of}
+        for index, payload_bytes, rows, idle in traffic:
+            sim.run(until=sim.now + idle)
+            message = data_message(payload_bytes, rows=rows)
+            links[index].send(message)
+            sent[flow_of[index]].update(
+                message_count=1, total_bytes=message.size_bytes, rows_transferred=rows
+            )
+        sim.run()
+
+        children = trunk.stats.flows
+        # Exactly the flows that sent anything, each with what was sent on it.
+        assert set(children) == {name for name, counts in sent.items() if counts}
+        for name, child in children.items():
+            for counter, value in sent[name].items():
+                assert getattr(child, counter) == value
+            members = [link.stats for link, flow in zip(links, flow_of) if flow == name]
+            assert_same_ledger(child, sum(members, FlowStats(name)))
+            assert_same_ledger(trunk.stats.flow(name), child)
+            if len(members) == 1:
+                assert child == members[0].snapshot()
+        assert_same_ledger(trunk.stats, sum(children.values(), FlowStats()))
+        assert trunk.stats.flow_bytes() == {name: child.total_bytes for name, child in children.items()}
 
 
 class TestSharedTrunksFactory:
