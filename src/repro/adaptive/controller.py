@@ -49,10 +49,6 @@ class BatchDecision:
     seconds: float
     next_batch_size: int
 
-    @property
-    def rows_per_second(self) -> float:
-        return self.rows / self.seconds if self.seconds > 0 else 0.0
-
 
 class BatchSizeController:
     """Hill-climbs the per-message batch size on observed rows/second."""

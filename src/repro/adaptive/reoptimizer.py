@@ -41,7 +41,11 @@ from repro.adaptive.segmented import (
     SegmentPolicy,
     assign_predicates_to_stages,
 )
-from repro.adaptive.store import StatisticsStore, canonical_predicate_key
+from repro.adaptive.store import (
+    StatisticsOverlay,
+    StatisticsStore,
+    canonical_predicate_key,
+)
 from repro.core.optimizer.cost import (
     CostEstimator,
     CostSettings,
@@ -334,17 +338,17 @@ class ReOptimizer(SegmentController):
         )
 
 
-class RuntimeStatisticsView:
-    """Observed-statistics snapshot speaking the estimator's statistics protocol.
+class RuntimeStatisticsView(StatisticsOverlay):
+    """What *this* run has measured so far, over the store, over the defaults.
 
-    Wraps what *this* run has measured so far — per-predicate-identity
-    selectivities, per-UDF costs and distinct fractions — over the database's
-    cross-query :class:`~repro.adaptive.store.StatisticsStore` priors, over
-    the declared defaults.  Handed to
-    :class:`~repro.core.optimizer.cost.CostEstimator` and
+    The per-predicate-identity selectivities, per-UDF costs and distinct
+    fractions of the running query are fresher than the database's
+    cross-query :class:`~repro.adaptive.store.StatisticsStore` priors; every
+    other look-up (joins, column evidence, planning inputs — the re-optimizer
+    applies this run's bandwidths and batch size itself) is the store's.
+    Handed to :class:`~repro.core.optimizer.cost.CostEstimator` and
     :func:`~repro.core.optimizer.plans.operations_for_query` when the
-    enumerator is re-entered mid-query, so the re-planning pass plans with
-    the freshest numbers available for every quantity.
+    enumerator is re-entered mid-query.
     """
 
     def __init__(
@@ -354,65 +358,33 @@ class RuntimeStatisticsView:
         distinct_fractions: Mapping[str, float],
         store: Optional[StatisticsStore] = None,
     ) -> None:
+        super().__init__(store)
         self._selectivities = {
-            key: value for key, value in selectivities.items() if key
+            key: min(1.0, max(0.0, value)) for key, value in selectivities.items() if key
         }
-        self._udf_costs = {name.lower(): value for name, value in udf_costs.items()}
+        # A non-positive per-call cost is no measurement: the store's stands.
+        self._udf_costs = {
+            name.lower(): value for name, value in udf_costs.items() if value and value > 0
+        }
         self._distinct = {
-            name.lower(): value for name, value in distinct_fractions.items()
+            name.lower(): min(1.0, max(0.0, value))
+            for name, value in distinct_fractions.items()
         }
-        self._store = store
+
+    # Each look-up: this run's number, else the store's, else the default.
 
     def udf_cost(self, name: str, default: float) -> float:
-        value = self._udf_costs.get(name.lower())
-        if value is not None and value > 0:
-            return value
-        if self._store is not None:
-            return self._store.udf_cost(name, default)
-        return default
+        return self._udf_costs.get(name.lower(), self._store.udf_cost(name, default))
 
     def udf_selectivity(
         self, name: str, default: float, predicate: Optional[str] = None
     ) -> float:
-        if predicate is not None:
-            observed = self._selectivities.get(canonical_predicate_key(predicate))
-            if observed is not None:
-                return min(1.0, max(0.0, observed))
-        if self._store is not None:
-            return self._store.udf_selectivity(name, default, predicate=predicate)
-        return default
+        prior = self._store.udf_selectivity(name, default, predicate)
+        return self._selectivities.get(canonical_predicate_key(predicate), prior)
 
     def udf_distinct_fraction(self, name: str, default: float) -> float:
-        value = self._distinct.get(name.lower())
-        if value is not None:
-            return min(1.0, max(0.0, value))
-        if self._store is not None:
-            return self._store.udf_distinct_fraction(name, default)
-        return default
+        return self._distinct.get(name.lower(), self._store.udf_distinct_fraction(name, default))
 
     def predicate_selectivity(self, predicate: str, default: float) -> float:
-        observed = self._selectivities.get(canonical_predicate_key(predicate))
-        if observed is not None:
-            return min(1.0, max(0.0, observed))
-        if self._store is not None:
-            return self._store.predicate_selectivity(predicate, default)
-        return default
-
-    # The remaining optimizer statistics protocol: the re-optimizer applies
-    # observed bandwidths and batch sizes itself (it has fresher, this-run
-    # numbers), so the view passes planning inputs through — store-backed
-    # when a store is present.
-
-    def calibrated_network(self, configured: NetworkConfig) -> NetworkConfig:
-        if self._store is not None:
-            return self._store.calibrated_network(configured)
-        return configured
-
-    def calibrated_cost_settings(self, settings: CostSettings) -> CostSettings:
-        if self._store is not None:
-            return self._store.calibrated_cost_settings(settings)
-        return settings
-
-    @property
-    def queries_observed(self) -> int:
-        return self._store.queries_observed if self._store is not None else 0
+        prior = self._store.predicate_selectivity(predicate, default)
+        return self._selectivities.get(canonical_predicate_key(predicate), prior)

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING, Union
 
-from repro.adaptive.observer import QueryObservation
+from repro.adaptive.observer import QueryObservation, RuntimeObserver
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import column_key
 
@@ -82,7 +82,9 @@ class _Ewma:
         self.samples = 0
         self.alpha = alpha
 
-    def update(self, sample: float) -> None:
+    def update(self, sample: Optional[float]) -> None:
+        if sample is None:  # nothing was measured
+            return
         self.samples += 1
         if self.value is None:
             self.value = sample
@@ -92,9 +94,9 @@ class _Ewma:
     def to_state(self) -> List[object]:
         return [self.value, self.samples]
 
-    @classmethod
-    def from_state(cls, state: object, alpha: float) -> "_Ewma":
-        estimate = cls(alpha)
+    def restored(self, state: object) -> "_Ewma":
+        """A fresh estimate holding one validated ``[value, samples]`` state."""
+        estimate = _Ewma(self.alpha)
         if not isinstance(state, (list, tuple)) or len(state) != 2:
             raise ValueError(f"malformed EWMA state: {state!r}")
         value, samples = state
@@ -103,6 +105,113 @@ class _Ewma:
         estimate.value = float(value) if value is not None else None
         estimate.samples = int(samples)
         return estimate
+
+
+class _Estimates:
+    """EWMA estimates by key: one keyed table of the feedback state.
+
+    It owns what every table needs: an estimate is created by its first
+    sample (``None`` is not one), an unobserved key reads as the caller's
+    default, a table of fractions clamps its reads to [0, 1], and a snapshot
+    section is validated whole before it replaces anything.  A ``pair_keys``
+    table is keyed by a pair of strings and saved as a list of ``[first,
+    second, state]`` (a JSON object's keys are single strings).
+    """
+
+    __slots__ = ("alpha", "clamp", "pair_keys", "entries")
+
+    def __init__(self, alpha: float, clamp: bool = False, pair_keys: bool = False) -> None:
+        self.alpha = alpha
+        self.clamp = clamp
+        self.pair_keys = pair_keys
+        self.entries: Dict[object, _Ewma] = {}
+
+    def observe(self, key: object, sample: Optional[float]) -> None:
+        if sample is None:  # nothing was measured: no estimate is created
+            return
+        estimate = self.entries.get(key)
+        if estimate is None:
+            estimate = self.entries[key] = _Ewma(self.alpha)
+        estimate.update(sample)
+
+    def value(self, key: object, default: object = None) -> object:
+        estimate = self.entries.get(key)
+        if estimate is None or estimate.value is None:
+            return default
+        return min(1.0, max(0.0, estimate.value)) if self.clamp else estimate.value
+
+    def observed(self) -> Dict[object, float]:
+        """Every key that has a value, as :meth:`value` reads it."""
+        return {
+            key: self.value(key)
+            for key, estimate in self.entries.items()
+            if estimate.value is not None
+        }
+
+    def to_state(self) -> object:
+        states = [(key, estimate.to_state()) for key, estimate in sorted(self.entries.items())]
+        return [[*key, state] for key, state in states] if self.pair_keys else dict(states)
+
+    def restored(self, state: object) -> "_Estimates":
+        """A fresh table like this one holding one validated snapshot section."""
+        if not isinstance(state, list if self.pair_keys else dict):
+            shape = "a list" if self.pair_keys else "an object"
+            raise ValueError(f"expected {shape}, got {state!r}")
+        if self.pair_keys:
+            items = [((str(entry[0]), str(entry[1])), entry[2]) for entry in state]
+        else:
+            items = [(str(key), item) for key, item in state.items()]
+        table = _Estimates(self.alpha, self.clamp, self.pair_keys)
+        cell = _Ewma(self.alpha)
+        table.entries = {key: cell.restored(item) for key, item in items}
+        return table
+
+
+#: The feedback state, declared once.  Each name is a section of
+#: ``statistics.json`` and — with a leading underscore — an attribute of the
+#: store; ``__init__``, ``to_state`` and ``_apply_state`` walk these two
+#: declarations, ``record`` takes the samples and the look-ups read them.
+#: The single estimates: effective bandwidth and queueing delay of the one
+#: client connection, and the batch size adaptive executions converged to.
+_SCALARS = (
+    "downlink_bandwidth",
+    "uplink_bandwidth",
+    "downlink_queueing",
+    "uplink_queueing",
+    "batch_size",
+)
+#: The keyed tables: name -> whether reads clamp to [0, 1].
+_TABLES = {
+    # Measured seconds per call, by UDF.
+    "udf_cost": False,
+    # Observed UDF selectivities, keyed by (UDF, canonical predicate):
+    # ``Score(V) >= 100`` and ``Score(V) >= 160`` select different fractions
+    # of the same UDF's results, and blending them under the UDF's name would
+    # miscalibrate both.
+    "udf_selectivity": True,
+    # The same observations keyed by canonical predicate identity alone.
+    # Under a reordered UDF plan a predicate spanning several UDFs is pushed
+    # at a different operator than the estimator credits it to; the (UDF,
+    # predicate) key then diverges and only the plan-shape-independent
+    # predicate identity still matches.
+    "predicate_identity_selectivity": True,
+    # The paper's D (distinct arguments / input rows), by UDF.
+    "udf_distinct_fraction": True,
+    # Server-side filters, by canonical predicate key.
+    "predicate_selectivity": True,
+    # Equi-joins by canonical join key (sorted bare join-column names):
+    # measured output/cross-product ratios the estimator prefers over the
+    # 1/max(V(A), V(B)) formula.
+    "join_selectivity": True,
+    # Distinct-value evidence per bare column name, derived from
+    # column-vs-literal equality filters (selectivity ≈ 1/V(A)); overrides
+    # the neutral "every value distinct" default for columns without exact
+    # statistics.
+    "column_distinct": False,
+    # The batch size adaptive runs converged to, by UDF.
+    "udf_batch_size": False,
+}
+_PAIR_KEYED = ("udf_selectivity",)
 
 
 class StatisticsStore:
@@ -123,40 +232,14 @@ class StatisticsStore:
         #: controllers then adapt to contention, not just to the raw link.
         self.contention_aware = contention_aware
         self.queries_observed = 0
-
-        self._downlink_bandwidth = _Ewma(smoothing)
-        self._uplink_bandwidth = _Ewma(smoothing)
-        self._downlink_queueing = _Ewma(smoothing)
-        self._uplink_queueing = _Ewma(smoothing)
-        # Per-server-site bandwidth estimates (scale-out topologies): each
-        # site's channel calibrates independently, so replica choice can be
-        # priced from what *that* site's link actually delivered.
+        for name in _SCALARS:
+            setattr(self, "_" + name, _Ewma(smoothing))
+        for name, clamp in _TABLES.items():
+            setattr(self, "_" + name, _Estimates(smoothing, clamp, name in _PAIR_KEYED))
+        # Per-server-site (downlink, uplink) bandwidth estimates (scale-out
+        # topologies): each site's channel calibrates independently, so
+        # replica choice can be priced from what *that* site's link delivered.
         self._site_bandwidths: Dict[str, Tuple[_Ewma, _Ewma]] = {}
-        self._udf_cost: Dict[str, _Ewma] = {}
-        # Observed UDF selectivities are keyed by (UDF, canonical predicate):
-        # ``Score(V) >= 100`` and ``Score(V) >= 160`` select different
-        # fractions of the same UDF's results, and blending them under the
-        # UDF's name would miscalibrate both.
-        self._udf_selectivity: Dict[Tuple[str, str], _Ewma] = {}
-        # The same observations keyed by canonical predicate identity alone.
-        # Under a reordered UDF plan a predicate spanning several UDFs is
-        # pushed at a different operator than the estimator credits it to;
-        # the (UDF, predicate) key then diverges and only the plan-shape-
-        # independent predicate identity still matches.
-        self._predicate_identity_selectivity: Dict[str, _Ewma] = {}
-        self._udf_distinct_fraction: Dict[str, _Ewma] = {}
-        self._predicate_selectivity: Dict[str, _Ewma] = {}
-        # Observed equi-join selectivities keyed by canonical join key
-        # (sorted bare join-column names): measured output/cross-product
-        # ratios the estimator prefers over the 1/max(V(A), V(B)) formula.
-        self._join_selectivity: Dict[str, _Ewma] = {}
-        # Observed distinct-value evidence per bare column name, derived from
-        # column-vs-literal equality filters (selectivity ≈ 1/V(A)).  Feeds
-        # :meth:`column_distinct_evidence`, which overrides the neutral
-        # "every value distinct" default for columns without exact statistics.
-        self._column_distinct: Dict[str, _Ewma] = {}
-        self._batch_size = _Ewma(smoothing)
-        self._udf_batch_size: Dict[str, _Ewma] = {}
 
     # -- recording ---------------------------------------------------------------------
 
@@ -172,93 +255,57 @@ class StatisticsStore:
         """
         self.queries_observed += 1
         if site is None:
-            down_slot = (self._downlink_bandwidth, self._downlink_queueing)
-            up_slot = (self._uplink_bandwidth, self._uplink_queueing)
+            bandwidths = (self._downlink_bandwidth, self._uplink_bandwidth)
+            queueing = (self._downlink_queueing, self._uplink_queueing)
         else:
-            pair = self._site_bandwidths.get(site)
-            if pair is None:
-                pair = self._site_bandwidths[site] = (
-                    _Ewma(self.smoothing),
-                    _Ewma(self.smoothing),
-                )
-            down_slot = (pair[0], _Ewma(self.smoothing))
-            up_slot = (pair[1], _Ewma(self.smoothing))
-        for link, bandwidth, queueing in (
-            (observation.downlink,) + down_slot,
-            (observation.uplink,) + up_slot,
-        ):
+            bandwidths = self._site_bandwidths.get(site)
+            if bandwidths is None:
+                bandwidths = (_Ewma(self.smoothing), _Ewma(self.smoothing))
+                self._site_bandwidths[site] = bandwidths
+            queueing = (None, None)  # a site's queueing delay is not kept
+        links = (observation.downlink, observation.uplink)
+        for link, bandwidth, delay in zip(links, bandwidths, queueing):
             if link is None:
                 continue
-            observed = (
-                link.achieved_bandwidth
-                if self.contention_aware
-                else link.effective_bandwidth
+            bandwidth.update(
+                link.achieved_bandwidth if self.contention_aware else link.effective_bandwidth
             )
-            if observed is not None:
-                bandwidth.update(observed)
-            if link.message_count > 0:
-                queueing.update(link.mean_queueing_seconds)
+            if delay is not None and link.message_count > 0:
+                delay.update(link.mean_queueing_seconds)
 
         for name, udf in observation.udfs.items():
             key = name.lower()
-            cost = udf.measured_cost_per_call
-            if cost is not None:
-                self._udf_cost.setdefault(key, _Ewma(self.smoothing)).update(cost)
-            selectivity = udf.observed_selectivity
-            if selectivity is not None:
-                canonical = canonical_predicate_key(udf.predicate)
-                self._udf_selectivity.setdefault(
-                    (key, canonical), _Ewma(self.smoothing)
-                ).update(selectivity)
-                if canonical:
-                    self._predicate_identity_selectivity.setdefault(
-                        canonical, _Ewma(self.smoothing)
-                    ).update(selectivity)
-            distinct = udf.observed_distinct_fraction
-            if distinct is not None:
-                self._udf_distinct_fraction.setdefault(key, _Ewma(self.smoothing)).update(
-                    distinct
-                )
+            self._udf_cost.observe(key, udf.measured_cost_per_call)
+            self._udf_distinct_fraction.observe(key, udf.observed_distinct_fraction)
+            canonical = canonical_predicate_key(udf.predicate)
+            self._udf_selectivity.observe((key, canonical), udf.observed_selectivity)
+            if canonical:
+                self._predicate_identity_selectivity.observe(canonical, udf.observed_selectivity)
 
         for predicate in observation.predicates:
             selectivity = predicate.observed_selectivity
-            if selectivity is not None:
-                self._predicate_selectivity.setdefault(
-                    predicate.predicate, _Ewma(self.smoothing)
-                ).update(selectivity)
-                column = getattr(predicate, "equality_column", None)
-                if column is not None and selectivity > 0.0:
-                    # selectivity of "col = literal" ≈ 1/V(col): invert for
-                    # distinct-count evidence, capped at the observed input.
-                    distinct = min(1.0 / selectivity, float(max(predicate.input_rows, 1)))
-                    self._column_distinct.setdefault(
-                        _column_key(column), _Ewma(self.smoothing)
-                    ).update(distinct)
+            self._predicate_selectivity.observe(predicate.predicate, selectivity)
+            if predicate.equality_column is not None and selectivity:
+                # selectivity of "col = literal" ≈ 1/V(col): invert for
+                # distinct-count evidence, capped at the observed input.
+                distinct = min(1.0 / selectivity, float(max(predicate.input_rows, 1)))
+                self._column_distinct.observe(_column_key(predicate.equality_column), distinct)
 
-        for join in getattr(observation, "joins", ()):
-            selectivity = join.observed_selectivity
-            if selectivity is not None:
-                key = canonical_join_key(join.columns)
-                if key:
-                    self._join_selectivity.setdefault(
-                        key, _Ewma(self.smoothing)
-                    ).update(selectivity)
+        for join in observation.joins:
+            key = canonical_join_key(join.columns)
+            if key:
+                self._join_selectivity.observe(key, join.observed_selectivity)
 
         if observation.converged_batch_size is not None:
             self._batch_size.update(float(observation.converged_batch_size))
         for name, size in observation.udf_batch_sizes.items():
-            self._udf_batch_size.setdefault(name.lower(), _Ewma(self.smoothing)).update(
-                float(size)
-            )
+            self._udf_batch_size.observe(name.lower(), float(size))
 
     # -- calibrated lookups (the protocol the cost estimator speaks) -------------------
 
     def udf_cost(self, name: str, default: float) -> float:
         """Measured seconds per call for ``name``, or ``default`` if unobserved."""
-        estimate = self._udf_cost.get(name.lower())
-        if estimate is None or estimate.value is None:
-            return default
-        return estimate.value
+        return self._udf_cost.value(name.lower(), default)
 
     def udf_selectivity(
         self, name: str, default: float, predicate: Optional[str] = None
@@ -275,27 +322,13 @@ class StatisticsStore:
         when several have been seen, picking any of them would silently blend
         unrelated filters, so the declared default wins.
         """
-        key = name.lower()
-        if predicate is not None:
-            canonical = canonical_predicate_key(predicate)
-            estimate = self._udf_selectivity.get((key, canonical))
-            if estimate is None or estimate.value is None:
-                estimate = (
-                    self._predicate_identity_selectivity.get(canonical)
-                    if canonical
-                    else None
-                )
-            if estimate is None or estimate.value is None:
-                return default
-            return min(1.0, max(0.0, estimate.value))
-        matches = [
-            estimate
-            for (udf, _), estimate in self._udf_selectivity.items()
-            if udf == key and estimate.value is not None
-        ]
-        if len(matches) != 1:
-            return default
-        return min(1.0, max(0.0, matches[0].value))
+        if predicate is None:
+            matches = list(self.udf_selectivities(name).values())
+            return matches[0] if len(matches) == 1 else default
+        canonical = canonical_predicate_key(predicate)
+        if canonical:
+            default = self._predicate_identity_selectivity.value(canonical, default)
+        return self._udf_selectivity.value((name.lower(), canonical), default)
 
     def selectivity_prior(
         self, name: str, predicate: Optional[str]
@@ -307,32 +340,22 @@ class StatisticsStore:
         query should only skip the evidence floor when an earlier run really
         measured this predicate.
         """
-        sentinel = object()
-        prior = self.udf_selectivity(name, sentinel, predicate=predicate or "")
-        if prior is sentinel:
-            return None
-        return prior
+        return self.udf_selectivity(name, None, predicate=predicate or "")
 
     def udf_selectivities(self, name: str) -> Dict[str, float]:
         """All observed selectivities of ``name``, keyed by predicate text."""
         key = name.lower()
         return {
-            predicate: min(1.0, max(0.0, estimate.value))
-            for (udf, predicate), estimate in self._udf_selectivity.items()
-            if udf == key and estimate.value is not None
+            predicate: value
+            for (udf, predicate), value in self._udf_selectivity.observed().items()
+            if udf == key
         }
 
     def udf_distinct_fraction(self, name: str, default: float) -> float:
-        estimate = self._udf_distinct_fraction.get(name.lower())
-        if estimate is None or estimate.value is None:
-            return default
-        return min(1.0, max(0.0, estimate.value))
+        return self._udf_distinct_fraction.value(name.lower(), default)
 
     def predicate_selectivity(self, predicate: str, default: float) -> float:
-        estimate = self._predicate_selectivity.get(predicate)
-        if estimate is None or estimate.value is None:
-            return default
-        return min(1.0, max(0.0, estimate.value))
+        return self._predicate_selectivity.value(predicate, default)
 
     def join_selectivity(self, columns: Iterable[str], default: object = None) -> object:
         """Observed selectivity of the equi-join over ``columns``, or ``default``.
@@ -340,10 +363,7 @@ class StatisticsStore:
         ``columns`` may come qualified (operator join keys) or bare (predicate
         references); both resolve to the same canonical key.
         """
-        estimate = self._join_selectivity.get(canonical_join_key(columns))
-        if estimate is None or estimate.value is None:
-            return default
-        return min(1.0, max(0.0, estimate.value))
+        return self._join_selectivity.value(canonical_join_key(columns), default)
 
     def column_distinct_evidence(self) -> Dict[str, float]:
         """Observed distinct-value counts per bare column name.
@@ -354,9 +374,7 @@ class StatisticsStore:
         distinct" default with evidence.
         """
         return {
-            name: max(1.0, estimate.value)
-            for name, estimate in self._column_distinct.items()
-            if estimate.value is not None
+            name: max(1.0, value) for name, value in self._column_distinct.observed().items()
         }
 
     def forget_columns(self, columns: Iterable[str]) -> None:
@@ -368,13 +386,10 @@ class StatisticsStore:
         """
         stale = {_column_key(name) for name in columns}
         for name in stale:
-            self._column_distinct.pop(name, None)
-        for key in [
-            key
-            for key in self._join_selectivity
-            if stale.intersection(key.split("|"))
-        ]:
-            del self._join_selectivity[key]
+            self._column_distinct.entries.pop(name, None)
+        joins = self._join_selectivity.entries
+        for key in [key for key in joins if stale.intersection(key.split("|"))]:
+            del joins[key]
 
     # -- calibrated planning inputs -----------------------------------------------------
 
@@ -386,21 +401,8 @@ class StatisticsStore:
     def observed_uplink_bandwidth(self) -> Optional[float]:
         return self._uplink_bandwidth.value
 
-    def calibrated_network(self, configured: NetworkConfig) -> NetworkConfig:
-        """``configured`` with bandwidths replaced by observed effective values."""
-        downlink = self._downlink_bandwidth.value
-        uplink = self._uplink_bandwidth.value
-        if downlink is None and uplink is None:
-            return configured
-        return replace(
-            configured,
-            downlink_bandwidth=downlink if downlink else configured.downlink_bandwidth,
-            uplink_bandwidth=uplink if uplink else configured.uplink_bandwidth,
-            name=f"{configured.name}+observed",
-        )
-
     def observed_site_bandwidth(
-        self, site: str
+        self, site: Optional[str]
     ) -> Tuple[Optional[float], Optional[float]]:
         """(downlink, uplink) bytes/s observed for ``site``, or Nones."""
         pair = self._site_bandwidths.get(site)
@@ -408,15 +410,15 @@ class StatisticsStore:
             return (None, None)
         return (pair[0].value, pair[1].value)
 
-    def calibrated_network_for_site(
-        self, site: str, configured: NetworkConfig
+    def calibrated_network(
+        self, configured: NetworkConfig, site: Optional[str] = None
     ) -> NetworkConfig:
-        """``configured`` recalibrated from ``site``'s own observations.
+        """``configured`` with bandwidths replaced by observed effective values.
 
-        Falls back per direction: the site's observed bandwidth, else the
-        global (single-connection) observation, else the configured value —
-        so an unvisited replica is still priced from whatever the system has
-        learned about links in general.
+        With ``site`` it falls back per direction: the site's observed
+        bandwidth, else the global (single-connection) observation, else the
+        configured value — so an unvisited replica is still priced from
+        whatever the system has learned about links in general.
         """
         site_down, site_up = self.observed_site_bandwidth(site)
         downlink = site_down if site_down else self._downlink_bandwidth.value
@@ -427,7 +429,7 @@ class StatisticsStore:
             configured,
             downlink_bandwidth=downlink if downlink else configured.downlink_bandwidth,
             uplink_bandwidth=uplink if uplink else configured.uplink_bandwidth,
-            name=f"{configured.name}+observed@{site}",
+            name=f"{configured.name}+observed" + ("" if site is None else f"@{site}"),
         )
 
     @property
@@ -463,65 +465,29 @@ class StatisticsStore:
         this particular UDF has never run under a per-UDF controller — a new
         UDF still warm-starts from what the environment taught us.
         """
-        estimate = self._udf_batch_size.get(udf_name.lower())
-        if estimate is None or estimate.value is None:
+        size = self._udf_batch_size.value(udf_name.lower())
+        if size is None:
             return self.preferred_batch_size(default)
-        return max(1, int(round(estimate.value)))
+        return max(1, int(round(size)))
 
     # -- persistence -------------------------------------------------------------------
 
     def to_state(self, fingerprint: Optional[str] = None) -> Dict[str, object]:
         """The store's full calibrated state as a JSON-serialisable dict."""
-        return {
+        state: Dict[str, object] = {
             "version": STORE_VERSION,
             "fingerprint": fingerprint,
             "smoothing": self.smoothing,
             "contention_aware": self.contention_aware,
             "queries_observed": self.queries_observed,
-            "downlink_bandwidth": self._downlink_bandwidth.to_state(),
-            "uplink_bandwidth": self._uplink_bandwidth.to_state(),
-            "downlink_queueing": self._downlink_queueing.to_state(),
-            "uplink_queueing": self._uplink_queueing.to_state(),
             "site_bandwidths": {
                 site: [pair[0].to_state(), pair[1].to_state()]
                 for site, pair in sorted(self._site_bandwidths.items())
             },
-            "udf_cost": {
-                name: estimate.to_state()
-                for name, estimate in sorted(self._udf_cost.items())
-            },
-            "udf_selectivity": [
-                [udf, predicate, estimate.to_state()]
-                for (udf, predicate), estimate in sorted(self._udf_selectivity.items())
-            ],
-            "predicate_identity_selectivity": {
-                key: estimate.to_state()
-                for key, estimate in sorted(
-                    self._predicate_identity_selectivity.items()
-                )
-            },
-            "udf_distinct_fraction": {
-                name: estimate.to_state()
-                for name, estimate in sorted(self._udf_distinct_fraction.items())
-            },
-            "predicate_selectivity": {
-                key: estimate.to_state()
-                for key, estimate in sorted(self._predicate_selectivity.items())
-            },
-            "join_selectivity": {
-                key: estimate.to_state()
-                for key, estimate in sorted(self._join_selectivity.items())
-            },
-            "column_distinct": {
-                name: estimate.to_state()
-                for name, estimate in sorted(self._column_distinct.items())
-            },
-            "batch_size": self._batch_size.to_state(),
-            "udf_batch_size": {
-                name: estimate.to_state()
-                for name, estimate in sorted(self._udf_batch_size.items())
-            },
         }
+        for name in (*_SCALARS, *_TABLES):
+            state[name] = getattr(self, "_" + name).to_state()
+        return state
 
     def save(self, path: str, fingerprint: Optional[str] = None) -> None:
         """Persist the calibrated state to ``path`` (atomic JSON snapshot).
@@ -553,17 +519,12 @@ class StatisticsStore:
                 state = json.load(handle)
             if not isinstance(state, dict):
                 raise ValueError("snapshot is not an object")
-            version = state.get("version")
-            if version != STORE_VERSION:
+            if state.get("version") != STORE_VERSION:
                 raise ValueError(
-                    f"snapshot version {version!r} != supported {STORE_VERSION}"
+                    f"snapshot version {state.get('version')!r} != supported {STORE_VERSION}"
                 )
-            saved_fingerprint = state.get("fingerprint")
-            if (
-                fingerprint is not None
-                and saved_fingerprint is not None
-                and saved_fingerprint != fingerprint
-            ):
+            saved = state.get("fingerprint")
+            if fingerprint is not None and saved is not None and saved != fingerprint:
                 warnings.warn(
                     f"statistics snapshot {path!r} was captured for a different "
                     "workload (schema or UDF registry changed); starting cold",
@@ -572,7 +533,7 @@ class StatisticsStore:
                 )
                 return False
             self._apply_state(state)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
+        except (OSError, ValueError, TypeError, KeyError, IndexError) as exc:
             warnings.warn(
                 f"ignoring unreadable statistics snapshot {path!r}: {exc}",
                 RuntimeWarning,
@@ -597,61 +558,24 @@ class StatisticsStore:
     def _apply_state(self, state: Dict[str, object]) -> None:
         """Replace this store's estimates with a validated snapshot's.
 
-        Everything is parsed into local variables first so a malformed
-        snapshot raises before any estimate is overwritten.
+        Everything is parsed into a cold store first (an absent section
+        stays unobserved there), so a malformed snapshot raises before any
+        estimate of this one is overwritten.
         """
-        alpha = self.smoothing
-
-        def ewma(value: object) -> _Ewma:
-            return _Ewma.from_state(value, alpha)
-
-        def ewma_map(value: object) -> Dict[str, _Ewma]:
-            if not isinstance(value, dict):
-                raise ValueError(f"expected an object, got {value!r}")
-            return {str(key): ewma(item) for key, item in value.items()}
-
-        downlink = ewma(state.get("downlink_bandwidth", [None, 0]))
-        uplink = ewma(state.get("uplink_bandwidth", [None, 0]))
-        downlink_queueing = ewma(state.get("downlink_queueing", [None, 0]))
-        uplink_queueing = ewma(state.get("uplink_queueing", [None, 0]))
-        sites_state = state.get("site_bandwidths", {})
-        if not isinstance(sites_state, dict):
+        parsed = StatisticsStore(self.smoothing, self.contention_aware)
+        parsed.queries_observed = int(state.get("queries_observed", 0))
+        for name in (*_SCALARS, *_TABLES):
+            if name in state:
+                setattr(parsed, "_" + name, getattr(parsed, "_" + name).restored(state[name]))
+        sites = state.get("site_bandwidths", {})
+        if not isinstance(sites, dict):
             raise ValueError("site_bandwidths must be an object")
-        sites = {
-            str(site): (ewma(pair[0]), ewma(pair[1]))
-            for site, pair in sites_state.items()
+        cell = _Ewma(self.smoothing)
+        parsed._site_bandwidths = {
+            str(site): (cell.restored(pair[0]), cell.restored(pair[1]))
+            for site, pair in sites.items()
         }
-        selectivity_state = state.get("udf_selectivity", [])
-        if not isinstance(selectivity_state, list):
-            raise ValueError("udf_selectivity must be a list")
-        udf_selectivity = {
-            (str(entry[0]), str(entry[1])): ewma(entry[2])
-            for entry in selectivity_state
-        }
-        udf_cost = ewma_map(state.get("udf_cost", {}))
-        identity = ewma_map(state.get("predicate_identity_selectivity", {}))
-        distinct_fraction = ewma_map(state.get("udf_distinct_fraction", {}))
-        predicate_selectivity = ewma_map(state.get("predicate_selectivity", {}))
-        join_selectivity = ewma_map(state.get("join_selectivity", {}))
-        column_distinct = ewma_map(state.get("column_distinct", {}))
-        batch_size = ewma(state.get("batch_size", [None, 0]))
-        udf_batch_size = ewma_map(state.get("udf_batch_size", {}))
-
-        self.queries_observed = int(state.get("queries_observed", 0))
-        self._downlink_bandwidth = downlink
-        self._uplink_bandwidth = uplink
-        self._downlink_queueing = downlink_queueing
-        self._uplink_queueing = uplink_queueing
-        self._site_bandwidths = sites
-        self._udf_cost = udf_cost
-        self._udf_selectivity = udf_selectivity
-        self._predicate_identity_selectivity = identity
-        self._udf_distinct_fraction = distinct_fraction
-        self._predicate_selectivity = predicate_selectivity
-        self._join_selectivity = join_selectivity
-        self._column_distinct = column_distinct
-        self._batch_size = batch_size
-        self._udf_batch_size = udf_batch_size
+        vars(self).update(vars(parsed))
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -661,12 +585,12 @@ class StatisticsStore:
             lines.append(f"  downlink ~{self._downlink_bandwidth.value:.0f} B/s")
         if self._uplink_bandwidth.value is not None:
             lines.append(f"  uplink ~{self._uplink_bandwidth.value:.0f} B/s")
-        selectivity_udfs = {udf for udf, _ in self._udf_selectivity}
-        for key in sorted(set(self._udf_cost) | selectivity_udfs):
+        selectivity_udfs = {udf for udf, _ in self._udf_selectivity.entries}
+        for key in sorted(set(self._udf_cost.entries) | selectivity_udfs):
             bits = []
-            cost = self._udf_cost.get(key)
-            if cost is not None and cost.value is not None:
-                bits.append(f"{cost.value * 1000:.3f} ms/call")
+            cost = self._udf_cost.value(key)
+            if cost is not None:
+                bits.append(f"{cost * 1000:.3f} ms/call")
             for predicate, value in sorted(self.udf_selectivities(key).items()):
                 label = f" [{predicate}]" if predicate else ""
                 bits.append(f"selectivity{label} {value:.2f}")
@@ -680,44 +604,54 @@ class StatisticsStore:
         return f"StatisticsStore(queries={self.queries_observed})"
 
 
+class StatisticsOverlay:
+    """The statistics protocol answered from a store, except where fresher.
+
+    Whoever knows a newer number than the cross-query ``store`` for one of
+    :data:`STATISTICS_PROTOCOL`'s methods answers that method — a subclass by
+    defining it, a caller by passing it as ``fresher`` (method name ->
+    callable) — and everything else falls through to the store.  An absent
+    store is an empty one: every look-up then reads as its default.
+    """
+
+    def __init__(self, store: Optional[StatisticsStore] = None, **fresher: object) -> None:
+        self._store = store if store is not None else StatisticsStore()
+        vars(self).update(fresher)
+
+    def __getattr__(self, name: str) -> object:
+        return getattr(self._store, name)
+
+
 class TenantStatistics:
     """Per-tenant :class:`StatisticsStore` isolation.
 
     Under multi-tenancy one shared store would let tenant A's bulk scans
     pollute tenant B's calibrated bandwidth and selectivities.  This registry
-    lazily creates one store (and one matching
-    :class:`~repro.adaptive.observer.RuntimeObserver`) per tenant id, all
-    with the same smoothing/contention settings, so each tenant's feedback
-    loop closes over its own traffic only.
+    lazily creates one :class:`~repro.adaptive.observer.RuntimeObserver` per
+    tenant id, each owning its own store, all with the same
+    smoothing/contention settings, so each tenant's feedback loop closes over
+    its own traffic only.
     """
 
     def __init__(self, smoothing: float = 0.5, contention_aware: bool = False) -> None:
         self.smoothing = smoothing
         self.contention_aware = contention_aware
-        self._stores: Dict[str, StatisticsStore] = {}
-        self._observers: Dict[str, object] = {}
+        self._observers: Dict[str, RuntimeObserver] = {}
 
     def for_tenant(self, tenant_id: str) -> StatisticsStore:
-        store = self._stores.get(tenant_id)
-        if store is None:
-            store = StatisticsStore(
-                smoothing=self.smoothing, contention_aware=self.contention_aware
-            )
-            self._stores[tenant_id] = store
-        return store
+        return self.observer_for(tenant_id).store
 
-    def observer_for(self, tenant_id: str) -> "object":
+    def observer_for(self, tenant_id: str) -> RuntimeObserver:
         observer = self._observers.get(tenant_id)
         if observer is None:
-            from repro.adaptive.observer import RuntimeObserver
-
-            observer = RuntimeObserver(self.for_tenant(tenant_id))
-            self._observers[tenant_id] = observer
+            observer = self._observers[tenant_id] = RuntimeObserver(
+                StatisticsStore(smoothing=self.smoothing, contention_aware=self.contention_aware)
+            )
         return observer
 
     @property
     def tenant_ids(self) -> List[str]:
-        return sorted(self._stores)
+        return sorted(self._observers)
 
     def __repr__(self) -> str:
-        return f"TenantStatistics(tenants={len(self._stores)})"
+        return f"TenantStatistics(tenants={len(self._observers)})"

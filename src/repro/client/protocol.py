@@ -39,9 +39,6 @@ class RemoteCall:
     udf_name: str
     argument_positions: Tuple[int, ...]
 
-    def arguments_from(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        return tuple(values[position] for position in self.argument_positions)
-
 
 @dataclass
 class ArgumentBatch:
@@ -78,10 +75,6 @@ class PushedOperations:
     predicate: Optional[Expression] = None
     projection: Optional[Tuple[int, ...]] = None
     extended_schema: Optional[Schema] = None
-
-    @property
-    def has_work(self) -> bool:
-        return self.predicate is not None or self.projection is not None
 
 
 class _BatchRows:

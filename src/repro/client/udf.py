@@ -117,9 +117,5 @@ class UdfDefinition:
             return self.result_size_bytes * len(results)
         return sum(value_sizes(results))
 
-    def compute_cost(self, invocations: int) -> float:
-        """Total simulated CPU seconds for ``invocations`` calls."""
-        return self.cost_per_call_seconds * invocations
-
     def __str__(self) -> str:
         return f"{self.name} [{self.site.value}]"

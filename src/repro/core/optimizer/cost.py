@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.optimizer.plans import (
     AccessPath,
@@ -30,6 +30,7 @@ from repro.core.optimizer.plans import (
     TableOperation,
     UdfOperation,
     shallow_copy,
+    statistics_or_empty,
 )
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
 from repro.core.strategies import ExecutionStrategy
@@ -43,8 +44,12 @@ from repro.relational.predicates import (
     index_condition,
 )
 from repro.relational.schema import NeededColumns, column_key
+from repro.relational.statistics import apply_observed_evidence
 from repro.sql.logical import BoundQuery
 from repro.storage.index import KeyInterval
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adaptive.store import StatisticsStore
 
 
 #: Extra latency charged per remote operation for pipeline fill/drain.
@@ -289,12 +294,12 @@ class _Derivation:
 class CostEstimator:
     """Estimates costs of plan operations for a given network configuration.
 
-    ``statistics`` is an optional observed-statistics source (duck-typed, in
-    practice a :class:`~repro.adaptive.store.StatisticsStore`) providing
-    ``udf_cost(name, default)``, ``udf_selectivity(name, default)`` and
-    ``udf_distinct_fraction(name, default)``.  When present, measured values
-    replace the declared ones, so a second query plans with calibrated — not
-    configured — UDF parameters.
+    ``statistics`` is the observed-statistics source: a
+    :class:`~repro.adaptive.store.StatisticsStore` or an overlay of one (an
+    absent store is an empty one).  Where it has measured a value — a UDF's
+    cost, selectivity or distinct fraction, a filter's or a join's
+    selectivity, a column's distinct count — that replaces the declared one,
+    so a second query plans with calibrated — not configured — parameters.
 
     An estimator serves one query under one statistics snapshot, and
     remembers what it worked out: each base table's scan, each UDF's
@@ -311,7 +316,7 @@ class CostEstimator:
         query: BoundQuery,
         settings: Optional[CostSettings] = None,
         allow_deferred_return: bool = True,
-        statistics: Optional[object] = None,
+        statistics: Optional["StatisticsStore"] = None,
     ) -> None:
         self.network = network
         self.query = query
@@ -322,7 +327,7 @@ class CostEstimator:
         #: server, so the engine's optimize() path disables the variant to keep
         #: cost estimates aligned with what it can actually execute.
         self.allow_deferred_return = allow_deferred_return
-        self.statistics = statistics
+        self.statistics = statistics_or_empty(statistics)
         self.resolver = ColumnResolver()
         #: ("scan" | "udf" | "needed", key) -> what was worked out for it.
         self._facts: Dict[Tuple[str, str], object] = {}
@@ -447,18 +452,16 @@ class CostEstimator:
         plan the UDF is applied to)."""
         udf = operation.call.udf
         seconds, selectivity = udf.cost_per_call_seconds, operation.predicate_selectivity
-        distinct_fraction = None
-        if self.statistics is not None:
-            seconds = self.statistics.udf_cost(udf.name, seconds)
-            distinct_fraction = self.statistics.udf_distinct_fraction(udf.name, None)
-            # Observed selectivities are keyed by (UDF, predicate), so they
-            # only apply where the query filters on this UDF *with the same
-            # predicate* that was observed — a predicate-free use keeps every
-            # row, a different comparison keeps its own estimate.
-            if operation.has_predicate:
-                selectivity = self.statistics.udf_selectivity(
-                    udf.name, selectivity, predicate=operation.predicate_key
-                )
+        seconds = self.statistics.udf_cost(udf.name, seconds)
+        distinct_fraction = self.statistics.udf_distinct_fraction(udf.name, None)
+        # Observed selectivities are keyed by (UDF, predicate), so they only
+        # apply where the query filters on this UDF *with the same predicate*
+        # that was observed — a predicate-free use keeps every row, a
+        # different comparison keeps its own estimate.
+        if operation.has_predicate:
+            selectivity = self.statistics.udf_selectivity(
+                udf.name, selectivity, predicate=operation.predicate_key
+            )
         result_bytes = float(udf.result_size_bytes if udf.result_size_bytes is not None else 8)
         return result_bytes, seconds, selectivity, distinct_fraction
 
@@ -469,16 +472,12 @@ class CostEstimator:
         return self._fact("scan", operation.key, self._derive_scan, operation)
 
     def _derive_scan(self, operation: TableOperation) -> CandidatePlan:
-        statistics = operation.bound.table.statistics
-        if self.statistics is not None:
-            # Overlay runtime-observed distinct counts: columns the catalog
-            # knows nothing about would otherwise fall back to the neutral
-            # distinct_count = row_count default.
-            evidence = getattr(self.statistics, "column_distinct_evidence", None)
-            if evidence is not None:
-                from repro.relational.statistics import apply_observed_evidence
-
-                statistics = apply_observed_evidence(statistics, evidence())
+        # Overlay runtime-observed distinct counts: columns the catalog knows
+        # nothing about would otherwise fall back to the neutral
+        # distinct_count = row_count default.
+        statistics = apply_observed_evidence(
+            operation.bound.table.statistics, self.statistics.column_distinct_evidence()
+        )
         cardinality = max(0.0, statistics.row_count * operation.local_selectivity)
         column_sizes: Dict[str, float] = {}
         column_distinct: Dict[str, float] = {}
@@ -753,11 +752,8 @@ class CostEstimator:
     def _conjunct_selectivity(self, predicate) -> float:
         """One conjunct's selectivity, observed-feedback-calibrated when known."""
         estimate = max(predicate.selectivity, 1e-6)
-        if self.statistics is not None:
-            lookup = getattr(self.statistics, "predicate_selectivity", None)
-            if lookup is not None:
-                estimate = max(lookup(predicate.expression.canonical_key, estimate), 1e-6)
-        return min(1.0, estimate)
+        observed = self.statistics.predicate_selectivity(predicate.expression.canonical_key, estimate)
+        return min(1.0, max(observed, 1e-6))
 
     @staticmethod
     def _index_pages(handle, matching: float) -> float:
@@ -814,9 +810,8 @@ class CostEstimator:
     def _join_predicates(self) -> List[Tuple[List[str], Optional[float]]]:
         """Each join predicate's columns, with the selectivity observed for
         that column set — it beats the 1/max(V(A), V(B)) textbook estimate."""
-        observed = getattr(self.statistics, "join_selectivity", None)
         return [
-            (columns, observed(columns, None) if observed is not None else None)
+            (columns, self.statistics.join_selectivity(columns, None))
             for columns in (list(predicate.columns) for predicate in self.query.join_predicates())
         ]
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import OptimizerError
 from repro.core.optimizer.cost import CostEstimator, CostSettings
@@ -13,11 +13,18 @@ from repro.core.optimizer.heuristics import (
     HEURISTIC_UDFS_LAST,
     heuristic_plan,
 )
-from repro.core.optimizer.plans import CandidatePlan, operations_for_query
+from repro.core.optimizer.plans import (
+    CandidatePlan,
+    operations_for_query,
+    statistics_or_empty,
+)
 from repro.core.optimizer.rank_order import RankOrderOptimizer
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.sql.logical import BoundQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adaptive.store import StatisticsStore
 
 #: Batch sizes the optimizer considers when picking a plan-wide ``batch_size``.
 CANDIDATE_BATCH_SIZES: Tuple[int, ...] = (1, 16, 64, 256)
@@ -84,12 +91,13 @@ class OptimizationDecision:
 class Optimizer:
     """The extended System-R optimizer plus the baseline optimizers.
 
-    ``statistics`` is an optional observed-statistics feedback source (a
-    :class:`~repro.adaptive.store.StatisticsStore`): when provided, the
-    optimizer plans against the *calibrated* network (observed effective
-    bandwidths), measured per-UDF costs and observed selectivities, and the
-    batch size adaptive executions converged to — instead of the configured
-    and declared values.
+    ``statistics`` is the observed-statistics feedback source (a
+    :class:`~repro.adaptive.store.StatisticsStore` or an overlay of one; an
+    absent store is an empty one): where it has observations the optimizer
+    plans against the *calibrated* network (observed effective bandwidths),
+    measured per-UDF costs and observed selectivities, and the batch size
+    adaptive executions converged to — instead of the configured and
+    declared values.
     """
 
     def __init__(
@@ -98,12 +106,10 @@ class Optimizer:
         default_config: Optional[StrategyConfig] = None,
         settings: Optional[CostSettings] = None,
         exhaustive_properties: bool = True,
-        statistics: Optional[object] = None,
+        statistics: Optional["StatisticsStore"] = None,
     ) -> None:
-        self.statistics = statistics
-        self.network = (
-            statistics.calibrated_network(network) if statistics is not None else network
-        )
+        self.statistics = statistics_or_empty(statistics)
+        self.network = self.statistics.calibrated_network(network)
         self.default_config = default_config if default_config is not None else StrategyConfig()
         self.settings = settings
         self.exhaustive_properties = exhaustive_properties
@@ -158,9 +164,9 @@ class Optimizer:
         excluded here because the executor cannot realise them; use
         :meth:`plan_space` to study the full plan space including them.
         """
-        settings = self.settings if self.settings is not None else CostSettings()
-        if self.statistics is not None:
-            settings = self.statistics.calibrated_cost_settings(settings)
+        settings = self.statistics.calibrated_cost_settings(
+            self.settings if self.settings is not None else CostSettings()
+        )
         # A caller who configured an explicit batch size — through the
         # strategy config or the cost settings — pinned that tunable; the
         # sweep then only costs the plan at that size instead of

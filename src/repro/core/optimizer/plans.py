@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
 from repro.core.strategies import ExecutionStrategy
 from repro.relational.predicates import estimate_selectivity
 from repro.relational.schema import bare_name
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adaptive.store import StatisticsStore
 
 
 @dataclass(frozen=True)
@@ -288,28 +291,37 @@ class CandidatePlan:
         return plan
 
 
+def statistics_or_empty(statistics: Optional["StatisticsStore"]) -> "StatisticsStore":
+    """Who answers the statistics protocol: an absent store is an empty one,
+    whose every look-up reads as its default."""
+    if statistics is None:
+        from repro.adaptive.store import StatisticsStore  # repro.adaptive imports this package
+
+        statistics = StatisticsStore()
+    return statistics
+
+
 def operations_for_query(
-    query: BoundQuery, statistics: Optional[object] = None
+    query: BoundQuery, statistics: Optional["StatisticsStore"] = None
 ) -> Tuple[List[TableOperation], List[UdfOperation]]:
     """Derive the operation set (real joins + UDF joins) from a bound query.
 
-    ``statistics`` (duck-typed, in practice a
-    :class:`~repro.adaptive.store.StatisticsStore`) supplies *observed*
-    selectivities for single-table predicates, keyed by the predicate's
-    ``canonical_key`` — the key the runtime observer records server-side
-    filters under — falling back to the declared estimate when unobserved.
+    ``statistics`` (a :class:`~repro.adaptive.store.StatisticsStore` or an
+    overlay of one) supplies *observed* selectivities for single-table
+    predicates, keyed by the predicate's ``canonical_key`` — the key the
+    runtime observer records server-side filters under — falling back to the
+    declared estimate when unobserved.
     """
+    statistics = statistics_or_empty(statistics)
     tables: List[TableOperation] = []
     for bound in query.tables:
         selectivity = 1.0
         for predicate in query.single_table_predicates(bound.alias):
             estimate = max(predicate.selectivity, 1e-6)
-            if statistics is not None:
-                estimate = max(
-                    statistics.predicate_selectivity(predicate.expression.canonical_key, estimate),
-                    1e-6,
-                )
-            selectivity *= estimate
+            selectivity *= max(
+                statistics.predicate_selectivity(predicate.expression.canonical_key, estimate),
+                1e-6,
+            )
         tables.append(TableOperation(alias=bound.alias, bound=bound, local_selectivity=selectivity))
 
     from repro.core.execution.rewrite import replace_udf_calls_with_columns

@@ -7,7 +7,7 @@ dimension — *which replica runs each shard*:
    System-R optimizer over the shard *fragment* (bound per-shard, so the
    fragment's exact statistics drive the estimate) against that site's
    network, **calibrated per site** from the statistics store's observed
-   per-site bandwidths (:meth:`StatisticsStore.calibrated_network_for_site`);
+   per-site bandwidths (:meth:`StatisticsStore.calibrated_network`, ``site=``);
 2. the :class:`~repro.core.optimizer.enumerator.SiteSelectionEnumerator`
    assigns shards to replicas minimising the fan-out makespan (shard fan-out
    is priced as the max over sites of the overlapped per-site cost — see
@@ -26,10 +26,11 @@ remaining shard work migrates off the slow/contended replica.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PlanError
-from repro.adaptive.store import StatisticsStore
+from repro.adaptive.store import StatisticsOverlay, StatisticsStore
 from repro.client.registry import UdfRegistry
 from repro.core.optimizer import (
     OptimizationDecision,
@@ -68,24 +69,10 @@ class MigrationPolicy:
         return adjusted * (1.0 + self.hysteresis) < current_estimate
 
 
-class _SiteCalibratedStatistics:
-    """A statistics-store view whose network calibration is per-site.
-
-    The single-site :class:`Optimizer` calls ``calibrated_network`` with the
-    *global* observed bandwidths; for replica pricing each candidate site
-    must be calibrated from its own observations instead.  Everything else
-    (UDF costs, selectivities, batch sizes) delegates to the shared store.
-    """
-
-    def __init__(self, store: StatisticsStore, site: str) -> None:
-        self._store = store
-        self._site = site
-
-    def calibrated_network(self, configured):
-        return self._store.calibrated_network_for_site(self._site, configured)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._store, name)
+def site_calibrated(store: StatisticsStore, site: str) -> StatisticsOverlay:
+    """``store`` with its network calibration fixed to ``site``'s own
+    observations: the single-site :class:`Optimizer` asks for the global ones."""
+    return StatisticsOverlay(store, calibrated_network=partial(store.calibrated_network, site=site))
 
 
 @dataclass
@@ -299,7 +286,7 @@ class ClusterPlanner:
             and self.statistics is not None
             and self.statistics.queries_observed
         ):
-            statistics = _SiteCalibratedStatistics(self.statistics, site_name)
+            statistics = site_calibrated(self.statistics, site_name)
         optimizer = Optimizer(
             site.network, default_config=config, statistics=statistics
         )
@@ -321,9 +308,7 @@ class ClusterPlanner:
         site = self.cluster.site(site_name)
         network = site.network
         if self.statistics is not None:
-            network = self.statistics.calibrated_network_for_site(
-                site_name, network
-            )
+            network = self.statistics.calibrated_network(network, site_name)
         down = downlink_bytes / network.downlink_bandwidth
         up = uplink_bytes / network.uplink_bandwidth
         return max(down, up) + messages * network.latency

@@ -150,10 +150,6 @@ class Channel:
         return self.downlink.bandwidth / self.uplink.bandwidth
 
     @property
-    def round_trip_latency(self) -> float:
-        return self.downlink.latency + self.uplink.latency
-
-    @property
     def stats(self) -> ChannelStats:
         return ChannelStats(downlink=self.downlink.stats, uplink=self.uplink.stats)
 

@@ -56,10 +56,6 @@ class Event:
             raise SimulationError(f"event {self.name!r} has no value yet")
         return self._value
 
-    @property
-    def ok(self) -> bool:
-        return self.triggered and self._exception is None
-
     # -- triggering ---------------------------------------------------------------
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":

@@ -15,10 +15,6 @@ Subclasses implement exactly one of the protected hooks:
 * ``_execute()`` for row-oriented operators; the base class chunks their
   row stream into batches automatically.
 
-Operators written against the pre-batching API (overriding the public
-``execute()`` directly) keep working: the batch protocol falls back to
-chunking their row stream.
-
 Instrumentation (``rows_produced`` / ``batches_produced``) is updated in
 exactly one place — the public :meth:`execute_batches` — so no combination
 of ``run()``, executor metrics collection, and direct iteration can double
@@ -77,19 +73,12 @@ class Operator:
         size = batch_size if batch_size is not None else self.batch_size
         if size < 1:
             raise OperatorError("batch_size must be at least 1")
-        for batch in self._source_batches(size):
+        for batch in self._execute_batches(size):
             if not batch:
                 continue
             self.rows_produced += len(batch)
             self.batches_produced += 1
             yield batch
-
-    def _source_batches(self, batch_size: int) -> Iterator[RowBatch]:
-        if type(self).execute is not Operator.execute:
-            # Pre-batching subclass overriding the public execute() directly:
-            # chunk its row stream so batch consumers still work.
-            return batches_of(self.execute(), batch_size)
-        return self._execute_batches(batch_size)
 
     def output_schema(self) -> Schema:
         if self.schema is None:

@@ -84,13 +84,6 @@ class Column:
         """Return a copy of this column qualified by ``table``."""
         return Column(self.name, self.dtype, table)
 
-    def matches(self, name: str) -> bool:
-        """True when ``name`` (qualified or not) refers to this column."""
-        if "." in name:
-            table, _, column = name.partition(".")
-            return self.name == column and self.table == table
-        return self.name == name
-
     def __str__(self) -> str:
         return f"{self.qualified_name}:{self.dtype.name}"
 
@@ -196,9 +189,6 @@ class Schema:
 
     def qualified_names(self) -> List[str]:
         return [column.qualified_name for column in self.columns]
-
-    def indexes_of(self, names: Sequence[str]) -> List[int]:
-        return [self.index_of(name) for name in names]
 
     # -- protocol --------------------------------------------------------------
 

@@ -159,10 +159,6 @@ class ColumnStatistics:
     maximum: Optional[object] = None
     histogram: Optional[Histogram] = None
 
-    @property
-    def has_range(self) -> bool:
-        return self.minimum is not None and self.maximum is not None
-
 
 @dataclass
 class TableStatistics:

@@ -65,10 +65,6 @@ class Table:
             self.insert_many(rows)
 
     @property
-    def is_paged(self) -> bool:
-        return self._storage is not None
-
-    @property
     def storage(self) -> Optional["PagedTableStorage"]:
         return self._storage
 
@@ -153,10 +149,6 @@ class Table:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def scan(self) -> Iterator[Row]:
-        """Iterate over rows; semantically a sequential heap scan."""
         return iter(self.rows)
 
     def as_batch(self) -> RowBatch:

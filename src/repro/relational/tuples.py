@@ -493,8 +493,3 @@ def row_size(row: Sequence[Any], schema: Schema) -> int:
 def values_size(values: Sequence[Any]) -> int:
     """Wire size of a bag of values whose types are not statically known."""
     return sum(value_size(value) for value in values)
-
-
-def project_positions(schema: Schema, names: Sequence[str]) -> Tuple[int, ...]:
-    """Resolve ``names`` to positions once, for use in per-row projection."""
-    return tuple(schema.index_of(name) for name in names)

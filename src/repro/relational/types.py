@@ -253,9 +253,6 @@ class DataType:
                 f"value {value!r} ({type(value).__name__}) is not a valid {self.name}"
             )
 
-    def is_valid(self, value: Any) -> bool:
-        return value is None or self.validator(value)
-
     def serialized_size(self, value: Any) -> int:
         """Wire size of ``value`` in bytes (1 byte for NULL)."""
         if value is None:

@@ -47,13 +47,6 @@ class ExecutorSlots:
             raise RuntimeError("released an executor slot that was never acquired")
         self.in_use -= 1
 
-    @property
-    def available(self) -> Optional[int]:
-        """Free slots, or ``None`` when unbounded."""
-        if self.capacity is None:
-            return None
-        return self.capacity - self.in_use
-
     def __repr__(self) -> str:
         capacity = "unbounded" if self.capacity is None else str(self.capacity)
         return f"ExecutorSlots(in_use={self.in_use}, capacity={capacity})"

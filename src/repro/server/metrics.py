@@ -101,10 +101,6 @@ class ExecutionMetrics:
     def total_bytes(self) -> int:
         return self.downlink_bytes + self.uplink_bytes
 
-    @property
-    def elapsed_milliseconds(self) -> float:
-        return self.elapsed_seconds * 1000.0
-
     def summary(self) -> str:
         """A one-paragraph human-readable summary."""
         strategy = self.strategy.value if self.strategy else "n/a"

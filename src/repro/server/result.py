@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import SchemaError
 from repro.relational.schema import Schema
 from repro.relational.tuples import Row
 from repro.server.metrics import ExecutionMetrics
@@ -85,14 +84,6 @@ class QueryResult:
     def row_set(self) -> List[tuple]:
         """Rows as a sorted list of plain tuples, for order-insensitive comparison."""
         return sorted((tuple(row) for row in self.rows), key=repr)
-
-    def single_value(self) -> Any:
-        """The single value of a 1×1 result, or raise."""
-        if len(self.rows) != 1 or len(self.schema) != 1:
-            raise SchemaError(
-                f"expected a single value but the result is {len(self.rows)}x{len(self.schema)}"
-            )
-        return self.rows[0][0]
 
     # -- display -------------------------------------------------------------------------
 

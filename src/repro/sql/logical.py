@@ -96,10 +96,6 @@ class BoundQuery:
     # -- convenience views -------------------------------------------------------------
 
     @property
-    def table_aliases(self) -> List[str]:
-        return [table.alias for table in self.tables]
-
-    @property
     def client_udf_names(self) -> Set[str]:
         return {call.udf.name for call in self.client_udf_calls}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, StorageError
@@ -186,6 +187,27 @@ class StatInfo:
         return f"StatInfo(blocks={self.blocks}, records={self.records})"
 
 
+@dataclass
+class _TableEntry:
+    """Everything the catalog keeps about one table."""
+
+    name: str  # as declared; the catalog is keyed by its lower-case form
+    schema: Schema
+    stats: StatInfo
+    scans_since_refresh: int = 0
+    deletes_since_refresh: int = 0
+    free_space: Dict[int, int] = field(default_factory=dict)  # block -> free bytes
+
+
+@dataclass
+class _IndexEntry:
+    """One index definition and its persisted state."""
+
+    definition: IndexDefinition
+    entries: int = 0
+    incomplete: bool = False
+
+
 class MetadataManager:
     """Persists table schemas and ``StatInfo`` in ``catalog.json``.
 
@@ -199,63 +221,48 @@ class MetadataManager:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.refresh_interval = max(1, int(refresh_interval))
-        self._schemas: Dict[str, Schema] = {}
-        self._names: Dict[str, str] = {}  # lower-case key -> declared name
-        self._stats: Dict[str, StatInfo] = {}
-        self._scans_since_refresh: Dict[str, int] = {}
-        self._deletes_since_refresh: Dict[str, int] = {}
-        self._indexes: Dict[str, IndexDefinition] = {}  # lower-case index name
-        self._index_state: Dict[str, Tuple[int, bool]] = {}  # (entries, incomplete)
-        self._free_space: Dict[str, Dict[int, int]] = {}  # table key -> block -> bytes
+        self._tables: Dict[str, _TableEntry] = {}  # lower-case table name
+        self._indexes: Dict[str, _IndexEntry] = {}  # lower-case index name
         self._dirty = False
         self._load()
+
+    def _table(self, name: str) -> _TableEntry:
+        try:
+            return self._tables[name.lower()]
+        except KeyError as exc:
+            raise CatalogError(f"table {name!r} is not in the catalog") from exc
 
     # -- table lifecycle ---------------------------------------------------------
 
     def create_table(self, name: str, schema: Schema, replace: bool = False) -> None:
         key = name.lower()
-        if key in self._schemas and not replace:
+        if key in self._tables and not replace:
             raise CatalogError(f"table {name!r} already exists in the catalog")
         bare = Schema(Column(column.name, column.dtype) for column in schema.columns)
-        self._schemas[key] = bare
-        self._names[key] = name
         # A fresh StatInfo, never carried over: a replaced table must not be
         # priced from the old table's statistics.
         stats = StatInfo()
         for column in bare.columns:
             stats.columns[column.name] = ColumnStatInfo(column.name)
-        self._stats[key] = stats
-        self._scans_since_refresh[key] = 0
-        self._deletes_since_refresh[key] = 0
-        self._free_space[key] = {}
+        self._tables[key] = _TableEntry(name, bare, stats)
         self.save()
 
     def drop_table(self, name: str) -> None:
+        self._table(name)
         key = name.lower()
-        if key not in self._schemas:
-            raise CatalogError(f"table {name!r} is not in the catalog")
-        del self._schemas[key]
-        del self._names[key]
-        self._stats.pop(key, None)
-        self._scans_since_refresh.pop(key, None)
-        self._deletes_since_refresh.pop(key, None)
-        self._free_space.pop(key, None)
-        for index_key in [k for k, d in self._indexes.items() if d.table.lower() == key]:
+        del self._tables[key]
+        for index_key in [k for k, e in self._indexes.items() if e.definition.table.lower() == key]:
             del self._indexes[index_key]
-            self._index_state.pop(index_key, None)
         self.save()
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._schemas
+        return name.lower() in self._tables
 
     def table_names(self) -> List[str]:
-        return [self._names[key] for key in sorted(self._names)]
+        return [self._tables[key].name for key in sorted(self._tables)]
 
     def schema_for(self, name: str) -> Schema:
-        try:
-            return self._schemas[name.lower()]
-        except KeyError as exc:
-            raise CatalogError(f"table {name!r} is not in the catalog") from exc
+        return self._table(name).schema
 
     # -- secondary indexes -------------------------------------------------------
 
@@ -264,94 +271,80 @@ class MetadataManager:
         key = definition.name.lower()
         if key in self._indexes:
             raise CatalogError(f"index {definition.name!r} already exists")
-        table_key = definition.table.lower()
-        if table_key not in self._schemas:
-            raise CatalogError(f"table {definition.table!r} is not in the catalog")
-        schema = self._schemas[table_key]
+        schema = self._table(definition.table).schema
         if not any(column.name == definition.column for column in schema.columns):
             raise CatalogError(
                 f"table {definition.table!r} has no column {definition.column!r}"
             )
-        self._indexes[key] = definition
-        self._index_state[key] = (0, False)
+        self._indexes[key] = _IndexEntry(definition)
         self.save()
 
     def drop_index(self, name: str) -> IndexDefinition:
-        key = name.lower()
-        definition = self._indexes.pop(key, None)
-        if definition is None:
+        entry = self._indexes.pop(name.lower(), None)
+        if entry is None:
             raise CatalogError(f"index {name!r} is not in the catalog")
-        self._index_state.pop(key, None)
         self.save()
-        return definition
-
-    def has_index(self, name: str) -> bool:
-        return name.lower() in self._indexes
+        return entry.definition
 
     def index_definition(self, name: str) -> IndexDefinition:
         try:
-            return self._indexes[name.lower()]
+            return self._indexes[name.lower()].definition
         except KeyError as exc:
             raise CatalogError(f"index {name!r} is not in the catalog") from exc
 
     def indexes_for(self, table: str) -> List[IndexDefinition]:
         key = table.lower()
         return [
-            self._indexes[name]
+            self._indexes[name].definition
             for name in sorted(self._indexes)
-            if self._indexes[name].table.lower() == key
+            if self._indexes[name].definition.table.lower() == key
         ]
 
     def index_names(self) -> List[str]:
-        return [self._indexes[key].name for key in sorted(self._indexes)]
+        return [self._indexes[key].definition.name for key in sorted(self._indexes)]
 
     def index_state(self, name: str) -> Tuple[int, bool]:
         """The persisted ``(entry_count, incomplete)`` pair for one index."""
-        return self._index_state.get(name.lower(), (0, False))
+        entry = self._indexes.get(name.lower())
+        return (entry.entries, entry.incomplete) if entry is not None else (0, False)
 
     def set_index_state(self, name: str, entries: int, incomplete: bool) -> None:
-        key = name.lower()
-        if key in self._indexes:
-            state = (int(entries), bool(incomplete))
-            if self._index_state.get(key) != state:
-                self._index_state[key] = state
-                self._dirty = True
+        entry = self._indexes.get(name.lower())
+        state = (int(entries), bool(incomplete))
+        if entry is not None and (entry.entries, entry.incomplete) != state:
+            entry.entries, entry.incomplete = state
+            self._dirty = True
 
     # -- free-space maps ---------------------------------------------------------
 
     def free_space_for(self, table: str) -> Dict[int, int]:
         """The persisted heap free-space map (block -> free bytes)."""
-        return dict(self._free_space.get(table.lower(), {}))
+        entry = self._tables.get(table.lower())
+        return dict(entry.free_space) if entry is not None else {}
 
     def set_free_space(self, table: str, holes: Mapping[int, int]) -> None:
-        key = table.lower()
-        if key in self._schemas:
-            snapshot = dict(holes)
-            if self._free_space.get(key) != snapshot:
-                self._free_space[key] = snapshot
-                self._dirty = True
+        entry = self._tables.get(table.lower())
+        snapshot = dict(holes)
+        if entry is not None and entry.free_space != snapshot:
+            entry.free_space = snapshot
+            self._dirty = True
 
     # -- statistics maintenance --------------------------------------------------
 
     def stat_info(self, name: str, block_count: Optional[int] = None) -> StatInfo:
-        key = name.lower()
-        try:
-            stats = self._stats[key]
-        except KeyError as exc:
-            raise CatalogError(f"table {name!r} is not in the catalog") from exc
+        stats = self._table(name).stats
         if block_count is not None and block_count != stats.blocks:
             stats.blocks = int(block_count)
             self._dirty = True
         return stats
 
     def record_insert(self, name: str, values: Sequence[Any]) -> None:
-        key = name.lower()
-        stats = self._stats.get(key)
-        schema = self._schemas.get(key)
-        if stats is None or schema is None:
+        entry = self._tables.get(name.lower())
+        if entry is None:
             return
+        stats = entry.stats
         stats.records += 1
-        for column, value in zip(schema.columns, values):
+        for column, value in zip(entry.schema.columns, values):
             info = stats.columns.get(column.name)
             if info is None:
                 info = stats.columns[column.name] = ColumnStatInfo(column.name)
@@ -366,12 +359,11 @@ class MetadataManager:
         refresh, which :meth:`deletes_refresh_due` brings forward after a
         large delete batch.
         """
-        key = name.lower()
-        stats = self._stats.get(key)
-        if stats is None:
+        entry = self._tables.get(name.lower())
+        if entry is None:
             return
-        stats.records = max(0, stats.records - 1)
-        self._deletes_since_refresh[key] = self._deletes_since_refresh.get(key, 0) + 1
+        entry.stats.records = max(0, entry.stats.records - 1)
+        entry.deletes_since_refresh += 1
         self._dirty = True
 
     def deletes_refresh_due(self, name: str) -> bool:
@@ -382,24 +374,21 @@ class MetadataManager:
         after a bulk delete; a batch that removed >= 20% of the table (or
         ``refresh_interval`` rows outright) forces the refresh now.
         """
-        key = name.lower()
-        deletes = self._deletes_since_refresh.get(key, 0)
-        if not deletes:
+        entry = self._tables.get(name.lower())
+        if entry is None or not entry.deletes_since_refresh:
             return False
+        deletes = entry.deletes_since_refresh
         if deletes >= self.refresh_interval:
             return True
-        stats = self._stats.get(key)
-        before = deletes + (stats.records if stats is not None else 0)
-        return deletes * 5 >= max(1, before)
+        return deletes * 5 >= max(1, deletes + entry.stats.records)
 
     def note_scan(self, name: str) -> bool:
         """Count one table scan; True when a full stats refresh is due."""
-        key = name.lower()
-        if key not in self._stats:
+        entry = self._tables.get(name.lower())
+        if entry is None:
             return False
-        count = self._scans_since_refresh.get(key, 0) + 1
-        self._scans_since_refresh[key] = count
-        return count >= self.refresh_interval
+        entry.scans_since_refresh += 1
+        return entry.scans_since_refresh >= self.refresh_interval
 
     def refresh(
         self,
@@ -408,17 +397,15 @@ class MetadataManager:
         block_count: int,
     ) -> StatInfo:
         """Full recompute of a table's statistics from its actual records."""
-        key = name.lower()
-        schema = self.schema_for(name)
+        entry = self._table(name)
         materialized = list(rows)
         stats = StatInfo(blocks=block_count, records=len(materialized))
-        for position, column in enumerate(schema.columns):
+        for position, column in enumerate(entry.schema.columns):
             info = ColumnStatInfo(column.name)
             info.reset_from_values([row[position] for row in materialized])
             stats.columns[column.name] = info
-        self._stats[key] = stats
-        self._scans_since_refresh[key] = 0
-        self._deletes_since_refresh[key] = 0
+        entry.stats = stats
+        entry.scans_since_refresh = entry.deletes_since_refresh = 0
         self.save()
         return stats
 
@@ -430,11 +417,11 @@ class MetadataManager:
 
     def save(self) -> None:
         tables: Dict[str, Any] = {}
-        for key in sorted(self._schemas):
-            schema = self._schemas[key]
-            stats = self._stats.get(key, StatInfo())
+        for key in sorted(self._tables):
+            table = self._tables[key]
+            stats = table.stats
             entry: Dict[str, Any] = {
-                "columns": [[column.name, column.dtype.name] for column in schema.columns],
+                "columns": [[column.name, column.dtype.name] for column in table.schema.columns],
                 "stats": {
                     "blocks": stats.blocks,
                     "records": stats.records,
@@ -444,22 +431,20 @@ class MetadataManager:
                     },
                 },
             }
-            holes = self._free_space.get(key)
-            if holes:
+            if table.free_space:
                 entry["free_space"] = {
-                    str(block): free for block, free in sorted(holes.items())
+                    str(block): free for block, free in sorted(table.free_space.items())
                 }
-            tables[self._names[key]] = entry
+            tables[table.name] = entry
         indexes: Dict[str, Any] = {}
         for key in sorted(self._indexes):
-            definition = self._indexes[key]
-            entries, incomplete = self._index_state.get(key, (0, False))
-            indexes[definition.name] = {
-                "table": definition.table,
-                "column": definition.column,
-                "kind": definition.kind,
-                "entries": entries,
-                "incomplete": incomplete,
+            index = self._indexes[key]
+            indexes[index.definition.name] = {
+                "table": index.definition.table,
+                "column": index.definition.column,
+                "kind": index.definition.kind,
+                "entries": index.entries,
+                "incomplete": index.incomplete,
             }
         payload: Dict[str, Any] = {"version": CATALOG_VERSION, "tables": tables}
         if indexes:
@@ -488,7 +473,6 @@ class MetadataManager:
                 f"(expected {CATALOG_VERSION})"
             )
         for name, entry in payload.get("tables", {}).items():
-            key = name.lower()
             schema = Schema(
                 Column(column_name, type_by_name(type_name))
                 for column_name, type_name in entry["columns"]
@@ -499,13 +483,13 @@ class MetadataManager:
                 stats.columns[column_name] = ColumnStatInfo.from_dict(
                     column_name, column_payload
                 )
-            self._schemas[key] = schema
-            self._names[key] = name
-            self._stats[key] = stats
-            self._scans_since_refresh[key] = 0
-            self._deletes_since_refresh[key] = 0
             holes = entry.get("free_space") or {}
-            self._free_space[key] = {int(block): int(free) for block, free in holes.items()}
+            self._tables[name.lower()] = _TableEntry(
+                name,
+                schema,
+                stats,
+                free_space={int(block): int(free) for block, free in holes.items()},
+            )
         for index_name, entry in payload.get("indexes", {}).items():
             definition = IndexDefinition(
                 name=index_name,
@@ -513,8 +497,8 @@ class MetadataManager:
                 column=entry["column"],
                 kind=entry["kind"],
             )
-            self._indexes[index_name.lower()] = definition
-            self._index_state[index_name.lower()] = (
+            self._indexes[index_name.lower()] = _IndexEntry(
+                definition,
                 int(entry.get("entries", 0)),
                 bool(entry.get("incomplete", False)),
             )

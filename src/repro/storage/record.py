@@ -54,10 +54,6 @@ class Layout:
         self.block_size = int(block_size)
         self.file_name = f"{table_name.lower()}.tbl"
 
-    def encoded_size(self, values: Sequence[Any]) -> int:
-        """Exact on-page size of one record holding ``values``."""
-        return len(encode_record(values))
-
     def max_inline_record(self) -> int:
         """Largest record that fits a slotted page (else an overflow chain)."""
         return self.block_size - _HEADER_BYTES - _SLOT_BYTES
@@ -109,11 +105,6 @@ class SlottedPage:
         if not 0 <= slot < self.slot_count:
             raise StorageError(f"slot {slot} out of range (page has {self.slot_count})")
         return self._slot_length(slot) == _TOMBSTONE
-
-    def live_count(self) -> int:
-        return sum(
-            1 for slot in range(self.slot_count) if self._slot_length(slot) != _TOMBSTONE
-        )
 
     def insert(self, record: bytes) -> int:
         """Place ``record`` on this page; returns its slot index.

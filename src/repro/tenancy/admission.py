@@ -147,12 +147,6 @@ class AdmissionScheduler:
     def queue_depth(self) -> int:
         return len(self._waiting)
 
-    @property
-    def mean_wait_seconds(self) -> float:
-        if not self.grants:
-            return 0.0
-        return self.total_wait_seconds / self.grants
-
     def __repr__(self) -> str:
         return (
             f"AdmissionScheduler(policy={self.policy.value}, "

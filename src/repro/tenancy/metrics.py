@@ -51,10 +51,6 @@ class QueryRecord:
         return self.admitted_at - self.arrived_at
 
     @property
-    def service_seconds(self) -> float:
-        return self.completed_at - self.admitted_at
-
-    @property
     def succeeded(self) -> bool:
         return self.error is None
 
@@ -121,12 +117,6 @@ class TrafficReport:
         return jain_fairness_index(list(by_tenant.values()))
 
     # -- per-tenant breakdowns -----------------------------------------------------
-
-    def by_tenant(self) -> Dict[str, List[QueryRecord]]:
-        grouped: Dict[str, List[QueryRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.tenant_id, []).append(record)
-        return grouped
 
     def bytes_by_tenant(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}

@@ -96,21 +96,6 @@ class TestBatchProtocol:
         filtered = Filter(TableScan(numbers), Comparison(">", ColumnRef("n"), Literal(99)))
         assert list(filtered.execute_batches(2)) == []
 
-    def test_legacy_row_operator_still_works(self, numbers):
-        class Legacy(Operator):
-            """An operator written against the pre-batching public API."""
-
-            def __init__(self, child):
-                super().__init__([child])
-                self.schema = child.output_schema()
-
-            def execute(self):
-                for row in self.child().execute():
-                    yield row
-
-        legacy = Legacy(TableScan(numbers))
-        assert [len(batch) for batch in legacy.execute_batches(4)] == [4, 4, 2]
-
 
 class TestInstrumentationSingleCount:
     def test_run_counts_rows_exactly_once(self, numbers):

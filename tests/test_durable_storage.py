@@ -266,10 +266,7 @@ class TestStorePersistence:
         for _ in range(3):  # several samples: EWMA value and count both matter
             store.record(_observation_with_everything())
         store.record(_observation_with_everything(), site="siteA")
-        store._udf_selectivity[("score", "Score(V) >= 100")] = type(
-            store._batch_size
-        )(0.5)
-        store._udf_selectivity[("score", "Score(V) >= 100")].update(0.25)
+        store._udf_selectivity.observe(("score", "Score(V) >= 100"), 0.25)
         store.save(path, fingerprint="fp")
 
         loaded = StatisticsStore.load(path, fingerprint="fp", smoothing=0.5)

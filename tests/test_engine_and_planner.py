@@ -64,6 +64,16 @@ class TestBasicSql:
         )
         assert sorted(result.column("Name")) == ["Alpha", "Gamma"]
 
+    @pytest.mark.parametrize("where, names", [("1 = 1", 2), ("2 < 1", 0)])
+    def test_a_predicate_over_no_table_is_a_server_filter(self, db, where, names):
+        """Neither a single-table nor a join predicate: it is applied once the
+        join tree stands (``_apply_udf_free_residuals``), optimized or not."""
+        sql = f"SELECT S.Name FROM StockQuotes S WHERE S.Close > 20 AND {where}"
+        for optimize in (False, True):
+            result = db.execute(sql, optimize=optimize)
+            assert len(result.rows) == names
+            assert f"Filter({where})" in result.plan_text
+
     def test_order_by_distinct_limit(self, db):
         result = db.execute(
             "SELECT DISTINCT E.CompanyName FROM Estimations E ORDER BY E.CompanyName LIMIT 2"

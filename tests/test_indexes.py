@@ -188,6 +188,21 @@ class TestAccessPathChoice:
         assert indexed.metrics.buffer_accesses < plain.metrics.buffer_accesses
         db.close()
 
+    def test_a_second_join_predicate_filters_above_the_index_join(self, quotes_join_dir, tmp_path):
+        """The probe serves one equality; any other join predicate the pair
+        satisfies is a residual filter over the joined rows."""
+        db = open_copy(quotes_join_dir, tmp_path)
+        sql = (
+            "SELECT O.OId, Q.Price FROM Orders O, Quotes Q "
+            "WHERE O.QuoteId = Q.Id AND O.OId + 20 < Q.Id"
+        )
+        plain = db.execute(sql, deliver_results=True)
+        indexed = db.execute(sql, optimize=True, deliver_results=True)
+        assert "Filter((O.OId + 20) < Q.Id)\n    IndexNestedLoopJoin" in indexed.plan_text
+        assert indexed.metrics.index_lookups == 8
+        assert 0 < len(indexed.rows) < 8 and indexed.row_set() == plain.row_set()
+        db.close()
+
     def test_same_named_index_join_probes_with_the_outer_column(self, tmp_path):
         """Which side of ``B.X = A.X`` is the inner's goes by qualifier: the
         priced probe column is A's however the equality is written, so the
@@ -410,10 +425,11 @@ class TestIntervalScan:
     def test_lone_range_keeps_observed_selectivity_feedback(self, wide_quotes_dir, tmp_path):
         """A single conjunct prices as before this PR: through its own
         selectivity, which is where recorded feedback corrects it."""
+        from repro.adaptive.store import StatisticsOverlay
         from repro.core.optimizer.cost import CostEstimator
         from repro.core.optimizer.plans import operations_for_query
 
-        class Feedback:
+        class Feedback(StatisticsOverlay):
             def predicate_selectivity(self, predicate, default):
                 return 0.5 if predicate == "Q.Price < 2.0" else default
 

@@ -354,6 +354,51 @@ class TestMetadataManager:
         assert stats.distinct_values("Id") == 3
         assert stats.distinct_values("T.Name") == 10
 
+    def test_a_catalog_the_parent_commit_wrote_reloads_and_resaves_byte_for_byte(self, tmp_path):
+        """``catalog.json`` is a format (``CATALOG_VERSION`` 1): the fixture was
+        written by the PR 23 tree over a churned heap — two tables, a B-tree
+        and a hash index with entry counts, histograms after a full refresh,
+        a NULL-bearing column, a non-empty free-space map."""
+        fixture = os.path.join(os.path.dirname(__file__), "data", "catalog_full.json")
+        with open(fixture, "rb") as handle:
+            written = handle.read()
+        payload = json.loads(written)
+        assert payload["version"] == 1 and sorted(payload["tables"]) == ["Empty", "Items"]
+        assert {entry["kind"] for entry in payload["indexes"].values()} == {"btree", "hash"}
+        assert payload["tables"]["Items"]["free_space"]
+        (tmp_path / "catalog.json").write_bytes(written)
+
+        manager = MetadataManager(str(tmp_path))
+        assert manager.table_names() == ["Empty", "Items"]
+        assert manager.index_names() == ["items_id", "items_name"]
+        assert manager.index_state("ITEMS_ID") == (110, False)
+        assert manager.free_space_for("items") == {
+            int(block): free for block, free in payload["tables"]["Items"]["free_space"].items()
+        }
+        assert manager.stat_info("Items").records == 110
+        manager.save()
+        assert (tmp_path / "catalog.json").read_bytes() == written
+
+        # The same through every mutator that leaves the content alone.
+        manager.set_index_state("items_id", 110, False)
+        manager.set_free_space("Items", manager.free_space_for("Items"))
+        manager.stat_info("Items", block_count=manager.stat_info("Items").blocks)
+        manager.flush()  # nothing became dirty
+        assert (tmp_path / "catalog.json").read_bytes() == written
+
+    def test_dropping_a_table_drops_its_indexes_and_free_space(self, tmp_path):
+        fixture = os.path.join(os.path.dirname(__file__), "data", "catalog_full.json")
+        with open(fixture, "rb") as handle:
+            (tmp_path / "catalog.json").write_bytes(handle.read())
+        manager = MetadataManager(str(tmp_path))
+        manager.drop_table("items")
+        reopened = MetadataManager(str(tmp_path))
+        assert reopened.table_names() == ["Empty"] and reopened.index_names() == []
+        assert reopened.free_space_for("Items") == {}
+        assert reopened.note_scan("Items") is False and not reopened.deletes_refresh_due("Items")
+        with pytest.raises(CatalogError):
+            reopened.drop_table("Items")
+
     def test_unknown_column_defaults_to_record_count(self, tmp_path):
         manager = MetadataManager(str(tmp_path))
         manager.create_table("Items", SCHEMA)
