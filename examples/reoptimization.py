@@ -53,6 +53,10 @@ def main() -> None:
         "[" + ", ".join(order) + "]" for order in (reopt.metrics.udf_orders_used or ())
     )
     print(f"mid-query re-optimized    {reopt.metrics.elapsed_seconds:8.2f}s   {orders}")
+    # Every segment-boundary verdict, as the operator booked it on its context.
+    for adaptation in reopt.metrics.adaptations:
+        for decision in adaptation.decisions:
+            print(f"  boundary under {decision.shape.describe()}: {decision.reason}")
     print()
     print(
         f"plan migrations: {reopt.metrics.plan_migrations} "

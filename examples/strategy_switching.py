@@ -47,6 +47,10 @@ def main() -> None:
     oracle = min(statics.values(), key=lambda point: point.elapsed_seconds)
     path = " -> ".join(strategy.value for strategy in switched.strategies_used)
     print(f"adaptive switched     {switched.elapsed_seconds:8.2f}s   ({path})")
+    # Every segment-boundary verdict, as the operator booked it on its context.
+    for adaptation in switched.adaptations:
+        for decision in adaptation.decisions:
+            print(f"  boundary under {decision.shape.describe()}: {decision.reason}")
     print()
     print(f"vs committed (wrong) plan: {committed.elapsed_seconds / switched.elapsed_seconds:.1f}x faster")
     print(f"vs oracle static choice:   {switched.elapsed_seconds / oracle.elapsed_seconds:.2f}x its time")

@@ -58,6 +58,7 @@ from repro.adaptive.reoptimizer import (
     RuntimeStatisticsView,
 )
 from repro.adaptive.segmented import (
+    Adaptation,
     BoundaryDecision,
     PlanShape,
     PredicateSpec,
@@ -75,6 +76,7 @@ from repro.adaptive.store import (
 from repro.adaptive.switcher import StrategySwitcher, SwitchPolicy
 
 __all__ = [
+    "Adaptation",
     "BatchControllerBank",
     "BatchDecision",
     "BatchSizeController",

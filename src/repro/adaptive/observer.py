@@ -5,9 +5,9 @@ The cost model plans with *configured* numbers — link bandwidth/latency from
 selectivity from the :class:`~repro.client.udf.UdfDefinition` the user
 declared.  In a production client-server system those numbers are wrong until
 observed.  The :class:`RuntimeObserver` closes the gap: after each query it
-reads the accounting the runtime already keeps —
-:class:`~repro.network.stats.LinkStats` on both links, the client runtime's
-per-UDF invocation/compute counters, and the remote operators' row counters —
+reads the accounting the runtime already keeps — the query's
+:class:`~repro.server.metrics.ExecutionMetrics` (both links, the client's
+per-UDF invocation/compute counters) and the plan operators' row counters —
 and condenses them into a :class:`QueryObservation` the
 :class:`~repro.adaptive.store.StatisticsStore` folds into its calibrated
 estimates.
@@ -17,15 +17,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.adaptive.controller import BatchControllerBank
 from repro.network.stats import TransferCounters
+from repro.relational.operators import Filter, HashJoin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptive.controller import BatchSizeController
-    from repro.client.runtime import ClientRuntime
     from repro.core.execution.base import RemoteUdfOperator
-    from repro.core.execution.context import RemoteExecutionContext
+    from repro.relational.operators import Operator
+    from repro.server.metrics import ExecutionMetrics
 
 
 #: Measured behaviour of one directed link over one query: a detached
@@ -131,7 +133,6 @@ class QueryObservation:
     joins: Tuple[JoinObservation, ...] = ()
     rows_returned: int = 0
     converged_batch_size: Optional[int] = None
-    batch_size_trace: Tuple[int, ...] = ()
     #: Per-UDF converged batch sizes, when execution used a per-UDF
     #: controller bank (keys lower-cased).
     udf_batch_sizes: Dict[str, int] = field(default_factory=dict)
@@ -159,10 +160,11 @@ class RuntimeObserver:
     """Derives a :class:`QueryObservation` from a finished execution.
 
     The observer is hooked into the :class:`~repro.server.executor.Executor`:
-    after each query it is handed the execution context (whose channel carries
-    the per-link :class:`~repro.network.stats.LinkStats`), the plan's remote
-    UDF operators (row and distinct-argument counters), and the client runtime
-    (per-UDF invocation and compute accounting).  When constructed with a
+    after each query it is handed the query's
+    :class:`~repro.server.metrics.ExecutionMetrics` (both links and the
+    client's per-UDF invocation and compute accounting, read once), the plan
+    (filter and equi-join row counts) and its remote UDF operators (row and
+    distinct-argument counters).  When constructed with a
     :class:`~repro.adaptive.store.StatisticsStore` it records every
     observation there — under the context's server ``site``, when it names
     one — closing the observe → calibrate loop.
@@ -179,98 +181,74 @@ class RuntimeObserver:
 
     def observe(
         self,
-        context: "RemoteExecutionContext",
-        remote_operators: List["RemoteUdfOperator"] = (),
-        client: Optional["ClientRuntime"] = None,
-        rows_returned: int = 0,
+        metrics: "ExecutionMetrics",
+        root: "Operator",
+        remote_operators: Sequence["RemoteUdfOperator"] = (),
         controller: Optional["BatchSizeController"] = None,
-        filter_operators: List[object] = (),
-        join_operators: List[object] = (),
+        site: Optional[str] = None,
     ) -> QueryObservation:
-        """Build (and record) the observation for one finished query."""
-        client = client if client is not None else context.client
-        stats = context.channel_stats
+        """Build (and record) the observation of one finished query.
 
+        ``metrics`` is the query's reading; ``root`` its plan, whose filters
+        and equi-joins give observed selectivities; ``remote_operators`` its
+        client-site UDF operators, read per UDF through their
+        ``stage_views``; ``controller`` the batch controller the run adapted
+        with; ``site`` the server site the store files the observation under.
+        """
+        counters = metrics.counters
         udfs: Dict[str, UdfObservation] = {}
-        for operator in remote_operators:
-            name = operator.udf.name
-            previous = udfs.get(name)
-            input_rows = operator.input_row_count + (previous.input_rows if previous else 0)
-            output_rows = operator.output_row_count + (previous.output_rows if previous else 0)
-            distinct = operator.distinct_argument_count + (
-                previous.distinct_arguments if previous else 0
-            )
-            filtered = self._operator_filtered(operator) or (
-                previous.filtered if previous else False
-            )
-            predicate = self._operator_predicate(operator) or (
-                previous.predicate if previous else None
-            )
+        for stage in (stage for op in remote_operators for stage in op.stage_views):
+            name = stage.udf.name
+            previous = udfs.get(name) or UdfObservation(name, 0, 0.0, 0, 0, 0)
+            pushed = stage.pushable_predicate
             udfs[name] = UdfObservation(
                 name=name,
-                invocations=client.invocations_of(name),
-                compute_seconds=client.compute_seconds_of(name),
-                input_rows=input_rows,
-                output_rows=output_rows,
-                distinct_arguments=distinct,
-                filtered=filtered,
-                predicate=predicate,
+                invocations=counters.invocations_by_udf.get(name.lower(), 0),
+                compute_seconds=counters.compute_seconds_by_udf.get(name.lower(), 0.0),
+                input_rows=stage.input_row_count + previous.input_rows,
+                output_rows=stage.output_row_count + previous.output_rows,
+                distinct_arguments=stage.distinct_argument_count + previous.distinct_arguments,
+                filtered=pushed is not None or previous.filtered,
+                predicate=pushed.canonical_key if pushed is not None else previous.predicate,
             )
 
-        predicates: List[PredicateObservation] = []
-        for operator in filter_operators:
-            children = getattr(operator, "children", ())
-            if not children:
-                continue
-            predicate = operator.predicate
-            predicates.append(
-                PredicateObservation(
-                    predicate=predicate.canonical_key,
-                    input_rows=children[0].rows_produced,
-                    output_rows=operator.rows_produced,
-                    equality_column=self._equality_column(predicate),
-                )
-            )
-
-        joins: List[JoinObservation] = []
-        for operator in join_operators:
-            children = getattr(operator, "children", ())
-            left_keys = getattr(operator, "left_keys", None)
-            right_keys = getattr(operator, "right_keys", None)
-            if len(children) != 2 or not left_keys or not right_keys:
-                continue
-            joins.append(
-                JoinObservation(
-                    columns=tuple(left_keys) + tuple(right_keys),
-                    left_rows=children[0].rows_produced,
-                    right_rows=children[1].rows_produced,
-                    output_rows=operator.rows_produced,
-                )
-            )
-
+        operators = list(root.walk())
         observation = QueryObservation(
-            elapsed_seconds=context.elapsed_seconds,
-            downlink=stats.downlink.snapshot(),
-            uplink=stats.uplink.snapshot(),
+            elapsed_seconds=metrics.elapsed_seconds,
+            downlink=counters.downlink,
+            uplink=counters.uplink,
             udfs=udfs,
-            predicates=tuple(predicates),
-            joins=tuple(joins),
-            rows_returned=rows_returned,
-            converged_batch_size=(
-                controller.converged_batch_size
-                if controller is not None and controller.batches_observed > 0
-                else None
+            predicates=tuple(
+                PredicateObservation(
+                    predicate=op.predicate.canonical_key,
+                    input_rows=op.child().rows_produced,
+                    output_rows=op.rows_produced,
+                    equality_column=self._equality_column(op.predicate),
+                )
+                for op in operators
+                if isinstance(op, Filter) and op.observe_selectivity
             ),
-            batch_size_trace=controller.size_trace() if controller is not None else (),
+            joins=tuple(
+                JoinObservation(
+                    columns=tuple(op.left_keys) + tuple(op.right_keys),
+                    left_rows=op.children[0].rows_produced,
+                    right_rows=op.children[1].rows_produced,
+                    output_rows=op.rows_produced,
+                )
+                for op in operators
+                if isinstance(op, HashJoin)
+            ),
+            rows_returned=metrics.rows_returned,
+            converged_batch_size=metrics.converged_batch_size,
             udf_batch_sizes=(
                 controller.converged_sizes()
-                if controller is not None and hasattr(controller, "converged_sizes")
+                if isinstance(controller, BatchControllerBank)
                 else {}
             ),
         )
         self.observations.append(observation)
         if self.store is not None:
-            self.store.record(observation, site=context.site)
+            self.store.record(observation, site=site)
         return observation
 
     @staticmethod
@@ -288,15 +266,3 @@ class RuntimeObserver:
         if isinstance(right, ColumnRef) and isinstance(left, Literal):
             return right.name
         return None
-
-    @staticmethod
-    def _operator_filtered(operator: "RemoteUdfOperator") -> bool:
-        """Whether the operator's output/input ratio reflects a predicate."""
-        predicate = getattr(operator, "pushable_predicate", None)
-        return predicate is not None
-
-    @staticmethod
-    def _operator_predicate(operator: "RemoteUdfOperator") -> Optional[str]:
-        """The applied predicate's identity — the (UDF, predicate) selectivity key."""
-        predicate = getattr(operator, "pushable_predicate", None)
-        return predicate.canonical_key if predicate is not None else None

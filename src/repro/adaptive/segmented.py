@@ -22,7 +22,8 @@ Controllers differ only in how they *price* shapes:
 :class:`~repro.adaptive.switcher.StrategySwitcher` prices one UDF's shipping
 strategies, :class:`~repro.adaptive.reoptimizer.ReOptimizer` whole UDF orders.
 They never touch the simulator or the operators, and record every verdict in
-:attr:`SegmentController.decisions` for tests and benchmarks.
+:attr:`SegmentController.decisions`; the operator books them, detached, as one
+:class:`Adaptation` on its execution context when it finishes.
 """
 
 from __future__ import annotations
@@ -215,6 +216,39 @@ class BoundaryDecision:
         return self.next_shape != self.shape
 
 
+@dataclass(frozen=True)
+class Adaptation:
+    """One segmented operator's finished run, as it booked it on its context.
+
+    Whether its controller was plan-wide, the shape it started under and
+    every boundary verdict in order: what
+    :class:`~repro.server.metrics.ExecutionMetrics` reads the switching and
+    re-optimization figures off.  Detached from the controller, so reusing
+    the controller for the next query leaves it unchanged.
+    """
+
+    plan_wide: bool
+    initial_shape: PlanShape
+    decisions: Tuple[BoundaryDecision, ...] = ()
+
+    @property
+    def shapes(self) -> Tuple[PlanShape, ...]:
+        """The shapes the run moved through, in order."""
+        return (self.initial_shape,) + tuple(
+            decision.next_shape for decision in self.decisions if decision.changed
+        )
+
+    @property
+    def changes(self) -> int:
+        return len(self.shapes) - 1
+
+
+def strategies_used(adaptations: Sequence[Adaptation]) -> Tuple[ExecutionStrategy, ...]:
+    """The distinct strategies ``adaptations`` ran, in first-use order."""
+    shapes = (shape for adaptation in adaptations for shape in adaptation.shapes)
+    return tuple(dict.fromkeys(s for shape in shapes for _, s in shape.udf_strategies))
+
+
 class SegmentController:
     """Decides, boundary by boundary, which plan shape runs the next segment.
 
@@ -254,7 +288,7 @@ class SegmentController:
         self._shapes: List[PlanShape] = []
         self._predicates: Tuple[PredicateSpec, ...] = ()
         self._cooldown = 0
-        #: Counters surfaced on :class:`~repro.server.metrics.ExecutionMetrics`.
+        #: Shape changes and priced-or-not boundaries of the current query.
         self.change_count = 0
         self.attempt_count = 0
         self.rows_observed = 0

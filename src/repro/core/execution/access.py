@@ -3,9 +3,10 @@
 Both operators read the heap through the same :class:`~repro.storage.buffer.
 BufferManager` the sequential scan uses, so their page traffic lands in the
 identical hit/miss/eviction counters — what the benchmarks compare.  They
-additionally count their own probe traffic (``index_lookups`` /
-``index_pages_read``), which the executor sums into
-:class:`~repro.server.metrics.ExecutionMetrics`.
+additionally book their own probe traffic (one index lookup and the index
+pages it pinned) on the query's execution context, which is where
+:class:`~repro.server.metrics.ExecutionMetrics` reads ``index_lookups`` /
+``index_pages_read``.
 
 Correctness notes:
 
@@ -13,7 +14,7 @@ Correctness notes:
   serves (a hash index normalises numeric keys to float, so two huge integers
   rounding to the same float collide); the planner therefore always keeps
   every original :class:`~repro.relational.operators.filter.Filter` above it.
-  The served filters are marked ``observe_selectivity = False`` so the
+  The served filters are built with ``observe_selectivity=False`` so the
   adaptive observer does not record the *residual* selectivity (≈1.0) under
   the predicates' keys and poison later estimates.
 * An :class:`IndexNestedLoopJoinOperator` re-checks key equality on the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
+from repro.core.execution.context import RemoteExecutionContext
 from repro.relational.operators.base import Operator
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -42,7 +44,8 @@ class IndexScanOperator(Operator):
     Matching RIDs are fetched from the slotted-page heap through the buffer
     pool and emitted as typed columnar batches, so everything downstream
     composes exactly as over a :class:`~repro.relational.operators.scan.
-    TableScan`.  ``column`` is the indexed column as the query wrote it.
+    TableScan`.  ``column`` is the indexed column as the query wrote it;
+    the lookup is booked on ``context``.
     """
 
     def __init__(
@@ -51,6 +54,7 @@ class IndexScanOperator(Operator):
         index: object,
         interval: KeyInterval,
         column: str,
+        context: RemoteExecutionContext,
         alias: Optional[str] = None,
     ) -> None:
         super().__init__()
@@ -59,11 +63,9 @@ class IndexScanOperator(Operator):
         self.index = index
         self.interval = interval
         self.column = column
+        self.context = context
         base = Schema(column.with_table(None) for column in table.schema.columns)
         self.schema = base.qualify(self.alias)
-        #: Probe instrumentation the executor sums into the query metrics.
-        self.index_lookups = 0
-        self.index_pages_read = 0
 
     def _matching_rids(self) -> List[RecordId]:
         index = self.index
@@ -71,7 +73,6 @@ class IndexScanOperator(Operator):
         if interval.is_empty:
             return []
         before = index.pages_read
-        self.index_lookups += 1
         if index.supports_range:
             rids = [
                 rid
@@ -81,7 +82,7 @@ class IndexScanOperator(Operator):
             ]
         else:
             rids = list(index.search_eq(interval.low))
-        self.index_pages_read += index.pages_read - before
+        self.context.book_index_probe(index.pages_read - before)
         return rids
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
@@ -104,6 +105,7 @@ class IndexNestedLoopJoinOperator(Operator):
     looked up in the index and only the matching heap rows are fetched.  The
     output schema is the concatenation ``outer ++ inner`` — identical to the
     hash/nested-loop joins it replaces, so the rest of the plan is unchanged.
+    Each probe is booked on ``context``.
     """
 
     def __init__(
@@ -112,6 +114,7 @@ class IndexNestedLoopJoinOperator(Operator):
         inner_table: Table,
         index: object,
         outer_column: str,
+        context: RemoteExecutionContext,
         alias: Optional[str] = None,
     ) -> None:
         super().__init__([outer])
@@ -119,21 +122,18 @@ class IndexNestedLoopJoinOperator(Operator):
         self.alias = alias or inner_table.name
         self.index = index
         self.outer_column = outer_column
+        self.context = context
         base = Schema(column.with_table(None) for column in inner_table.schema.columns)
         self.inner_schema = base.qualify(self.alias)
         self.schema = outer.output_schema().concat(self.inner_schema)
         self._key_position = outer.output_schema().index_of(outer_column)
         inner_column = index.definition.column
         self._inner_position = self.inner_schema.index_of(inner_column)
-        #: Equi-join instrumentation for observed-selectivity feedback would
-        #: be misleading here (no hash-join counters exist), so only the
-        #: probe counters are exported.
-        self.index_lookups = 0
-        self.index_pages_read = 0
 
     def _execute(self) -> Iterator[Row]:
         storage = self.table.storage
         index = self.index
+        book = self.context.book_index_probe
         position = self._key_position
         inner_position = self._inner_position
         for outer_row in self.child().execute():
@@ -141,9 +141,8 @@ class IndexNestedLoopJoinOperator(Operator):
             if key is None:
                 continue  # NULL never equi-joins (three-valued logic)
             before = index.pages_read
-            self.index_lookups += 1
             rids = index.search_eq(key)
-            self.index_pages_read += index.pages_read - before
+            book(index.pages_read - before)
             for rid in rids:
                 values = storage.fetch_row(rid)
                 # Re-check equality: hash probes normalise numeric keys and

@@ -46,6 +46,7 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptive.segmented import (
+    Adaptation,
     PlanShape,
     PredicateSpec,
     SegmentController,
@@ -62,17 +63,6 @@ from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators.base import CollectingOperator, Operator
 from repro.relational.schema import Column, NeededColumns
 from repro.relational.tuples import RowBatch, concat_batches
-
-
-def _find_remote(operator: Operator) -> Optional[RemoteUdfOperator]:
-    """The remote UDF operator inside a (possibly Filter/Project-wrapped) tree."""
-    if isinstance(operator, RemoteUdfOperator):
-        return operator
-    for child in operator.children:
-        found = _find_remote(child)
-        if found is not None:
-            return found
-    return None
 
 
 def _suffix_sums(sizes: Sequence[float], initial: float = 0.0) -> List[float]:
@@ -161,9 +151,11 @@ class PlanMigrationOperator(Operator):
     everything observed so far.  When it changes the shape, the unprocessed
     tail runs under the new one — a different shipping strategy for a
     one-stage operator; for a chain also a different UDF order, with
-    predicates pushed at different operators.  After execution,
-    :attr:`controller` holds the full decision trace and :attr:`segments` the
-    ``(shape, rows)`` slices that actually ran.
+    predicates pushed at different operators.  When it finishes, the
+    operator books its run — the initial shape and every verdict — as one
+    :class:`~repro.adaptive.segmented.Adaptation` on its context, and
+    :attr:`segments` holds the ``(shape, rows)`` slices that actually ran.
+    Its segment pipelines book their counts on the same context themselves.
 
     Result equivalence across every migration path holds because
 
@@ -226,21 +218,16 @@ class PlanMigrationOperator(Operator):
             self._projection_positions = None
             self.schema = self.extended_schema
 
-        initial_shape = PlanShape.of(
+        self.initial_shape = PlanShape.of(
             [stage.udf.name for stage in self.stages],
             {stage.udf.name: stage.strategy for stage in self.stages},
         )
         self.controller.bind(
-            initial_shape, [predicate.spec() for predicate in self.predicates]
+            self.initial_shape, [predicate.spec() for predicate in self.predicates]
         )
 
-        # Instrumentation the executor and observer read.
         self.input_row_count = 0
         self.output_row_count = 0
-        self.concurrency_factor_used: Optional[int] = None
-        self.peak_in_flight_batches = 0
-        self.send_stall_seconds = 0.0
-        self.overlap_window_used: Optional[int] = None
         #: ``(shape, input_rows)`` per executed segment, in order.
         self.segments: List[Tuple[PlanShape, int]] = []
         # Cumulative per-canonical-predicate (survived, processed) counts and
@@ -260,6 +247,7 @@ class PlanMigrationOperator(Operator):
             column_count=len(self.child_schema),
         )
         self.input_row_count = len(batch)
+        self.context.book_input_rows(len(batch))
         self._precompute_suffixes(batch)
 
         controller = self.controller
@@ -303,6 +291,9 @@ class PlanMigrationOperator(Operator):
                 controller.consider(self._observation(position, since))
             index += 1
 
+        self.context.adaptations.append(
+            Adaptation(controller.plan_wide, self.initial_shape, tuple(controller.decisions))
+        )
         output = concat_batches(outputs, column_count=len(self.schema))
         self.output_row_count = len(output)
         for start in range(0, len(output), batch_size):
@@ -399,29 +390,20 @@ class PlanMigrationOperator(Operator):
         stage_keys: List[Optional[str]],
         segment_rows: int,
     ) -> None:
+        # One remote operator per stage, in stage order: each unit wraps the
+        # one before it, and a post-order walk lists the innermost first.
+        remotes = [op for op in units[-1].walk() if isinstance(op, RemoteUdfOperator)]
         rows_in = segment_rows
-        for name, unit, key in zip(shape.udf_order, units, stage_keys):
+        for name, unit, key, remote in zip(shape.udf_order, units, stage_keys, remotes):
             rows_out = unit.rows_produced
             if key is not None:
                 survived, processed = self._predicate_counts.get(key, (0, 0))
                 self._predicate_counts[key] = (survived + rows_out, processed + rows_in)
-            remote = _find_remote(unit)
-            if remote is not None:
-                factor = getattr(remote, "concurrency_factor_used", None)
-                if factor is not None:
-                    self.concurrency_factor_used = factor
-                self.peak_in_flight_batches = max(
-                    self.peak_in_flight_batches, remote.peak_in_flight_batches
-                )
-                self.send_stall_seconds += remote.send_stall_seconds
-                if remote.overlap_window_used is not None:
-                    self.overlap_window_used = remote.overlap_window_used
-            distinct = remote.distinct_argument_count if remote is not None else rows_in
             previous = self._udf_unit_counts.get(name, (0, 0, 0))
             self._udf_unit_counts[name] = (
                 previous[0] + rows_in,
                 previous[1] + rows_out,
-                previous[2] + distinct,
+                previous[2] + remote.distinct_argument_count,
             )
             rows_in = rows_out
 

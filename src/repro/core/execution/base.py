@@ -14,6 +14,7 @@ from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
 from repro.network.message import Message, MessageKind
 from repro.relational.columns import build_typed_column
+from repro.relational.expressions import Expression
 from repro.relational.keys import KeyCodes
 from repro.relational.operators.base import Operator
 from repro.relational.schema import Column, Schema
@@ -55,7 +56,14 @@ class RemoteUdfOperator(Operator):
     re-chunked to the parent.  The output schema is the child schema
     extended with one result column named after the UDF (``<name>_result``),
     unless a subclass projects it differently.
+
+    What the query counts — input rows, the in-flight window's peak and
+    stalls — is booked on the context; the operator keeps only its own row
+    counts, which the runtime observer reads per UDF.
     """
+
+    #: The predicate applied before the output, when one is (client-site join).
+    pushable_predicate: Optional[Expression] = None
 
     def __init__(
         self,
@@ -90,10 +98,11 @@ class RemoteUdfOperator(Operator):
         self.input_row_count = 0
         self.output_row_count = 0
         self.distinct_argument_count = 0
-        # Overlap instrumentation (the shared shipping protocol's window).
-        self.peak_in_flight_batches = 0
-        self.send_stall_seconds = 0.0
-        self.overlap_window_used: Optional[int] = None
+
+    @property
+    def stage_views(self) -> Tuple["RemoteUdfOperator"]:
+        """What the runtime observer reads per UDF: this operator itself."""
+        return (self,)
 
     # -- operator protocol ------------------------------------------------------------
 
@@ -103,6 +112,7 @@ class RemoteUdfOperator(Operator):
             column_count=len(self.child_schema),
         )
         self.input_row_count = len(batch)
+        self.context.book_input_rows(len(batch))
         # Pacing is resolved once per operation; a controller (``None``
         # where the size is static) is still asked at every batch boundary.
         name = self.udf.name
@@ -173,14 +183,6 @@ class RemoteUdfOperator(Operator):
         controller = self._window_controller
         if controller is not None:
             window.resize(max(floor, controller.current()))
-
-    def finish_window(self, window: InFlightWindow) -> None:
-        """Record the window's instrumentation after the operation drains."""
-        self.peak_in_flight_batches = max(
-            self.peak_in_flight_batches, window.peak_in_flight
-        )
-        self.send_stall_seconds += window.stall_seconds
-        self.overlap_window_used = window.capacity_or_none
 
     # -- shared helpers ----------------------------------------------------------------
 

@@ -158,7 +158,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
         receiver_process = simulator.process(receiver(), name="clientjoin.receiver")
         collected = yield receiver_process
         yield sender_process
-        self.finish_window(window)
+        self.context.book_window(window)
 
         reply_width = (
             len(self.schema) if push_projection else len(self.extended_schema)

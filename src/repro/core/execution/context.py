@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import ExecutionError
 from repro.client.registry import UdfRegistry
@@ -14,15 +14,18 @@ from repro.network.simulator import Simulator
 from repro.network.stats import ChannelStats, TransferCounters
 from repro.network.topology import NetworkConfig
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.execution.overlap import InFlightWindow
+
 
 @dataclass
 class ExecutionCounters:
     """What an execution moved, computed and counted — one value, folded with ``+``.
 
-    A context reads it off its two links and its client runtime
-    (:meth:`RemoteExecutionContext.counters`), the executor adds what the
-    plan's operators counted, :class:`~repro.server.metrics.ExecutionMetrics`
-    holds it and reads its flat names through it.  Segments, shard workers,
+    A context reads it off its two links, its client runtime and what the
+    plan's operators booked on it (:meth:`RemoteExecutionContext.counters`);
+    :class:`~repro.server.metrics.ExecutionMetrics` holds it and reads its
+    flat names through it.  Segments, shard workers,
     the scatter-gather coordinator and sessions all combine it the same way:
     ``a + b`` adds every field (per-UDF maps key by key;
     ``peak_in_flight_batches`` is a high-water mark, so it takes the larger),
@@ -40,7 +43,7 @@ class ExecutionCounters:
     invocations_by_udf: Dict[str, int] = field(default_factory=dict)
     compute_seconds_by_udf: Dict[str, float] = field(default_factory=dict)
     remote_operations: int = 0
-    # Counted by the plan's operators, filled in by the executor.
+    # Booked on the context by the plan's operators as they run.
     input_rows: int = 0
     send_stall_seconds: float = 0.0
     index_lookups: int = 0
@@ -101,6 +104,19 @@ class RemoteExecutionContext:
         self.client = client
         self.network = network
         self.remote_operations = 0
+        #: What the plan's operators book as they run (the ``book_*``
+        #: methods): :meth:`counters` reads the counts, the executor the last
+        #: pipeline depth and window.  ``adaptations`` gets one
+        #: :class:`~repro.adaptive.segmented.Adaptation` appended per
+        #: segmented operator, in the order they finished.
+        self.input_rows = 0
+        self.send_stall_seconds = 0.0
+        self.peak_in_flight_batches = 0
+        self.index_lookups = 0
+        self.index_pages_read = 0
+        self.concurrency_factor: Optional[int] = None
+        self.overlap_window: Optional[int] = None
+        self.adaptations: List[Any] = []
         self._events_at_start = simulator.events_processed
         #: Whom the query runs for and where it learns, set by whoever builds
         #: the context (tenancy: the owning ``ClientSession`` and the tenant's
@@ -179,6 +195,30 @@ class RemoteExecutionContext:
         """
         self.simulator.run()
 
+    # -- what the plan's operators book ------------------------------------------------
+
+    def book_input_rows(self, rows: int) -> None:
+        """A remote operation's input; the query's is the largest one."""
+        self.input_rows = max(self.input_rows, rows)
+
+    def book_window(
+        self, window: "InFlightWindow", concurrency_factor: Optional[int] = None
+    ) -> None:
+        """A drained operation's in-flight window: the deepest it got, the
+        time senders stalled on it and, when bounded, the capacity it ended
+        at — plus a semi-join's pipeline depth."""
+        self.peak_in_flight_batches = max(self.peak_in_flight_batches, window.peak_in_flight)
+        self.send_stall_seconds += window.stall_seconds
+        if window.bounded:
+            self.overlap_window = window.capacity_or_none
+        if concurrency_factor is not None:
+            self.concurrency_factor = concurrency_factor
+
+    def book_index_probe(self, pages_read: int) -> None:
+        """One index lookup and the index pages it pinned."""
+        self.index_lookups += 1
+        self.index_pages_read += pages_read
+
     # -- introspection -----------------------------------------------------------------
 
     @property
@@ -200,7 +240,7 @@ class RemoteExecutionContext:
         return self.channel.stats
 
     def counters(self) -> ExecutionCounters:
-        """A detached reading of both links, the client and this context."""
+        """A detached reading of both links, the client and what was booked here."""
         client = self.client
         return ExecutionCounters(
             downlink=self.channel.downlink.stats.snapshot(),
@@ -211,6 +251,11 @@ class RemoteExecutionContext:
             invocations_by_udf=dict(client.invocations_by_udf),
             compute_seconds_by_udf=dict(client.compute_seconds_by_udf),
             remote_operations=self.remote_operations,
+            input_rows=self.input_rows,
+            send_stall_seconds=self.send_stall_seconds,
+            index_lookups=self.index_lookups,
+            index_pages_read=self.index_pages_read,
+            peak_in_flight_batches=self.peak_in_flight_batches,
         )
 
     @property

@@ -132,7 +132,7 @@ class NaiveUdfOperator(RemoteUdfOperator):
         # while the sender is still blocked on a window slot.
         yield receiver_process
         yield sender_process
-        self.finish_window(window)
+        self.context.book_window(window)
         self.distinct_argument_count = len(keys)
 
         if use_cache:

@@ -105,7 +105,6 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
             factor = max(factor, 2 * self.next_batch_size())
         else:
             factor = max(factor, self._static_batch_size)
-        self.concurrency_factor_used = factor
 
         call = RemoteCall(
             udf_name=self.udf.name,
@@ -213,9 +212,8 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         yield receiver_process
         yield sender_process
         self.peak_pipeline_occupancy = pipeline.peak_in_flight
-        # The pipeline may have grown with the controller; report what it ended at.
-        self.concurrency_factor_used = int(pipeline.capacity)
-        self.finish_window(window)
+        # The pipeline may have grown with the controller; book what it ended at.
+        self.context.book_window(window, concurrency_factor=int(pipeline.capacity))
         self.distinct_argument_count = len(keys)
         # With duplicate elimination every row's result is known by code (its
         # own shipment's, an earlier row's, or an earlier segment's);

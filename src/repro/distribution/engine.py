@@ -369,7 +369,7 @@ class DistributedDatabase(SqlSurface):
             counters=counters,
             rows_returned=len(rows),
             strategy=config.strategy,
-            plan_migrations=sum(worker.migrations for worker in workers),
+            replica_migrations=sum(worker.migrations for worker in workers),
             sim_events=run.simulator.events_processed,
             plan_description=plan.describe() + "\n" + root.explain(),
         )

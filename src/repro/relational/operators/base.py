@@ -102,6 +102,13 @@ class Operator:
             )
         return self.children[0]
 
+    def walk(self) -> Iterator["Operator"]:
+        """Every operator of this subtree in post-order: children (left to right)
+        before their parent, so the order operators finish running in."""
+        for child in self.children:
+            yield from child.walk()
+        yield self
+
     def explain(self, indent: int = 0) -> str:
         """A human-readable, indented description of the operator tree."""
         lines = ["  " * indent + self.describe()]

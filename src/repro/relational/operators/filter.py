@@ -20,6 +20,11 @@ class Filter(Operator):
     evaluated column-at-a-time and rows are kept by mask; batches whose
     columns are not typed (and predicates that cannot be vectorized) take
     the scalar row-at-a-time path with identical semantics.
+
+    ``observe_selectivity=False`` marks a filter whose pass-through rate is
+    not its predicate's base-table selectivity (a re-check above an index
+    scan, a residual above an index nested-loop join), so the runtime
+    observer does not record it as one.
     """
 
     def __init__(
@@ -27,10 +32,12 @@ class Filter(Operator):
         child: Operator,
         predicate: Expression,
         functions: Optional[Dict[str, ScalarFunction]] = None,
+        observe_selectivity: bool = True,
     ) -> None:
         super().__init__([child])
         self.predicate = predicate
         self.functions = functions or {}
+        self.observe_selectivity = observe_selectivity
         self.schema = child.output_schema()
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:

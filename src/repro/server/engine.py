@@ -281,11 +281,6 @@ class Database(SqlSurface):
             table = Table(name, schema, rows=rows)
         return self.catalog.register(table, replace=replace)
 
-    def register_table(self, table: Table, replace: bool = False) -> Table:
-        if replace and self.catalog.has_table(table.name):
-            self._invalidate_table_statistics(self.catalog.table(table.name))
-        return self.catalog.register(table, replace=replace)
-
     def drop_table(self, name: str) -> None:
         self._invalidate_table_statistics(self.catalog.table(name))
         self.catalog.drop(name)

@@ -55,10 +55,13 @@ class ExecutorSlots:
 class Executor:
     """Executes bound queries (or pre-built plans) on a remote execution context.
 
-    With an ``observer`` (a :class:`~repro.adaptive.observer.RuntimeObserver`)
-    attached, every executed plan is measured after the fact — link stats,
-    per-UDF costs, observed selectivities — and the resulting observation is
-    recorded in the observer's statistics store and returned on the
+    The plan's operators book what they count and decide on the context as
+    they run, so a finished query is read once: its
+    :class:`~repro.server.metrics.ExecutionMetrics` are that reading.  With an
+    ``observer`` (a :class:`~repro.adaptive.observer.RuntimeObserver`)
+    attached, the metrics and the plan's operators also become an
+    observation — per-UDF costs, observed selectivities — recorded in the
+    observer's statistics store and returned on the
     :class:`~repro.server.result.QueryResult`.
     """
 
@@ -119,22 +122,31 @@ class Executor:
         if deliver_results:
             self._deliver_results(root, rows)
 
-        metrics = self._collect_metrics(plan, rows, config)
+        context = self.context
+        controller = config.batch_controller
+        adapted = controller is not None and controller.batches_observed > 0
+        metrics = ExecutionMetrics(
+            elapsed_seconds=context.elapsed_seconds,
+            counters=context.counters(),
+            rows_returned=len(rows),
+            strategy=config.strategy,
+            concurrency_factor=context.concurrency_factor,
+            batch_size=config.batch_size,
+            batch_size_trace=controller.size_trace() if adapted else None,
+            converged_batch_size=controller.converged_batch_size if adapted else None,
+            adaptations=tuple(context.adaptations),
+            overlap_window=context.overlap_window,
+            sim_events=context.sim_events,
+            plan_description=plan.explain(),
+        )
         if self.session is not None:
-            metrics.tenant_id = getattr(self.session, "tenant_id", None)
-            metrics.session_id = getattr(self.session, "session_id", None)
-            record = getattr(self.session, "record_query", None)
-            if record is not None:
-                record(metrics)
+            metrics.tenant_id = self.session.tenant_id
+            metrics.session_id = self.session.session_id
+            self.session.record_query(metrics)
         observation = None
         if self.observer is not None:
             observation = self.observer.observe(
-                self.context,
-                remote_operators=self._observable_operators(plan),
-                rows_returned=len(rows),
-                controller=config.batch_controller,
-                filter_operators=self._find_filters(root),
-                join_operators=self._find_joins(root),
+                metrics, root, plan.remote_operators, controller, site=context.site
             )
         return QueryResult(
             schema=root.output_schema(),
@@ -175,151 +187,3 @@ class Executor:
             self.context.run_exchange(deliver(), name="result-delivery")
         except ExecutionError as exc:
             raise ExecutionError(f"result delivery to the client failed: {exc}") from exc
-
-    # -- observation ------------------------------------------------------------------------
-
-    @staticmethod
-    def _observable_operators(plan: PlanBuildResult) -> List[object]:
-        """The plan's remote operators, migration operators expanded per stage.
-
-        A plan-migrating operator owns several UDFs; the observer consumes
-        one per-UDF counter set at a time, so it is handed the operator's
-        per-stage views (whose predicate attribution already uses canonical
-        predicate-identity keys).
-        """
-        observable: List[object] = []
-        for operator in plan.remote_operators:
-            views = getattr(operator, "stage_views", None)
-            if views is not None:
-                observable.extend(views)
-            else:
-                observable.append(operator)
-        return observable
-
-    @staticmethod
-    def _find_filters(root: Operator) -> List[Operator]:
-        """Filter operators whose selectivity is worth observing.
-
-        Filters the planner marked ``observe_selectivity = False`` are
-        skipped: the redundant re-check above an index scan and the residual
-        inner filters above an index nested-loop join see pre-filtered or
-        join-reduced input, so their pass-through rate is *not* the
-        predicate's base-table selectivity and must not be recorded as such.
-        """
-        from repro.relational.operators import Filter
-
-        found: List[Operator] = []
-
-        def visit(operator: Operator) -> None:
-            for child in operator.children:
-                visit(child)
-            if isinstance(operator, Filter) and getattr(
-                operator, "observe_selectivity", True
-            ):
-                found.append(operator)
-
-        visit(root)
-        return found
-
-    @staticmethod
-    def _find_joins(root: Operator) -> List[Operator]:
-        """All equi-join operators in the tree (for observed join selectivities)."""
-        found: List[Operator] = []
-
-        def visit(operator: Operator) -> None:
-            for child in operator.children:
-                visit(child)
-            if getattr(operator, "left_keys", None) and getattr(
-                operator, "right_keys", None
-            ):
-                found.append(operator)
-
-        visit(root)
-        return found
-
-    # -- metrics ------------------------------------------------------------------------------
-
-    def _collect_metrics(
-        self,
-        plan: PlanBuildResult,
-        rows: List[Row],
-        config: StrategyConfig,
-    ) -> ExecutionMetrics:
-        counters = self.context.counters()
-        concurrency = None
-        switches = 0
-        strategies_used: tuple = ()
-        replan_attempts = 0
-        plan_migrations = 0
-        udf_orders_used: tuple = ()
-        shapes_used: tuple = ()
-        overlap_window = None
-        for operator in plan.remote_operators:
-            counters.input_rows = max(counters.input_rows, operator.input_row_count)
-            factor = getattr(operator, "concurrency_factor_used", None)
-            if factor is not None:
-                concurrency = factor
-            counters.peak_in_flight_batches = max(
-                counters.peak_in_flight_batches,
-                getattr(operator, "peak_in_flight_batches", 0) or 0,
-            )
-            counters.send_stall_seconds += getattr(operator, "send_stall_seconds", 0.0) or 0.0
-            window = getattr(operator, "overlap_window_used", None)
-            if window is not None:
-                overlap_window = window
-            controller = getattr(operator, "controller", None)
-            if controller is None:
-                continue
-            for strategy in controller.strategies_used:
-                # First-use order across operators, without repeats: a
-                # multi-UDF plan that never switched reads as one
-                # strategy, not a fake switch chain.
-                if strategy not in strategies_used:
-                    strategies_used = strategies_used + (strategy,)
-            if controller.plan_wide:
-                replan_attempts += controller.attempt_count
-                plan_migrations += controller.change_count
-                for shape in controller.shapes_used:
-                    described = shape.describe()
-                    if described not in shapes_used:
-                        shapes_used = shapes_used + (described,)
-                    if shape.udf_order not in udf_orders_used:
-                        udf_orders_used = udf_orders_used + (shape.udf_order,)
-            else:
-                switches += controller.change_count
-
-        def visit_index_operators(operator: Operator) -> None:
-            for node in operator.children:
-                visit_index_operators(node)
-            counters.index_lookups += getattr(operator, "index_lookups", 0) or 0
-            counters.index_pages_read += getattr(operator, "index_pages_read", 0) or 0
-
-        visit_index_operators(plan.root)
-        controller = config.batch_controller
-        return ExecutionMetrics(
-            elapsed_seconds=self.context.elapsed_seconds,
-            counters=counters,
-            rows_returned=len(rows),
-            strategy=config.strategy,
-            concurrency_factor=concurrency,
-            batch_size=config.batch_size,
-            batch_size_trace=(
-                controller.size_trace()
-                if controller is not None and controller.batches_observed > 0
-                else None
-            ),
-            converged_batch_size=(
-                controller.converged_batch_size
-                if controller is not None and controller.batches_observed > 0
-                else None
-            ),
-            strategy_switches=switches,
-            strategies_used=strategies_used or None,
-            replan_attempts=replan_attempts,
-            plan_migrations=plan_migrations,
-            udf_orders_used=udf_orders_used or None,
-            shapes_used=shapes_used or None,
-            overlap_window=overlap_window,
-            sim_events=self.context.sim_events,
-            plan_description=plan.explain(),
-        )

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.adaptive.segmented import strategies_used
 from repro.core.execution.context import ExecutionCounters
 from repro.core.strategies import ExecutionStrategy
 from repro.storage.buffer import BufferStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adaptive.segmented import Adaptation, PlanShape
 
 
 @dataclass
@@ -34,21 +38,12 @@ class ExecutionMetrics:
     #: and the size it judged best, ``None`` for static executions.
     batch_size_trace: Optional[Tuple[int, ...]] = None
     converged_batch_size: Optional[int] = None
-    #: With mid-query strategy switching: how many switches fired and which
-    #: strategies ran (in first-use order), ``None`` for committed executions.
-    strategy_switches: int = 0
-    strategies_used: Optional[Tuple[ExecutionStrategy, ...]] = None
-    #: With mid-query re-optimization: how many segment boundaries were
-    #: evaluated, how many plan-shape migrations fired, and the UDF
-    #: application orders execution actually ran (in first-use order).
-    replan_attempts: int = 0
-    plan_migrations: int = 0
-    udf_orders_used: Optional[Tuple[Tuple[str, ...], ...]] = None
-    #: The full plan shapes (UDF order plus per-UDF strategies, rendered by
-    #: ``PlanShape.describe``) execution moved through, in first-use order;
-    #: ``None`` for runs without re-optimization.  Surfaced on
-    #: :attr:`repro.server.result.QueryResult.shapes_used`.
-    shapes_used: Optional[Tuple[str, ...]] = None
+    #: Every segmented operator's run, in the order they finished: the
+    #: switching and re-optimization figures below are views of it.
+    adaptations: Tuple["Adaptation", ...] = ()
+    #: Scatter-gather replica moves, booked by the coordinator; they read
+    #: out as part of :attr:`plan_migrations`.
+    replica_migrations: int = 0
     #: The overlapped-shipping window capacity the run ended at (``None``
     #: when every remote operation streamed unbounded).
     overlap_window: Optional[int] = None
@@ -100,6 +95,43 @@ class ExecutionMetrics:
     @property
     def total_bytes(self) -> int:
         return self.downlink_bytes + self.uplink_bytes
+
+    # -- views of ``adaptations`` --------------------------------------------------------
+    # A per-UDF controller's changes are strategy switches; a plan-wide one's
+    # boundaries are re-plan attempts and its changes plan migrations (with
+    # the coordinator's replica moves).  Strategies, UDF orders and shapes
+    # (``PlanShape.describe``, also ``QueryResult.shapes_used``) are listed
+    # in first-use order, ``None`` when nothing adapted.
+
+    def _runs(self, plan_wide: bool = True) -> List["Adaptation"]:
+        return [a for a in self.adaptations if a.plan_wide is plan_wide]
+
+    def _shapes(self) -> List["PlanShape"]:
+        return [shape for adaptation in self._runs() for shape in adaptation.shapes]
+
+    @property
+    def strategy_switches(self) -> int:
+        return sum(a.changes for a in self._runs(plan_wide=False))
+
+    @property
+    def strategies_used(self) -> Optional[Tuple[ExecutionStrategy, ...]]:
+        return strategies_used(self.adaptations) or None
+
+    @property
+    def replan_attempts(self) -> int:
+        return sum(len(a.decisions) for a in self._runs())
+
+    @property
+    def plan_migrations(self) -> int:
+        return self.replica_migrations + sum(a.changes for a in self._runs())
+
+    @property
+    def udf_orders_used(self) -> Optional[Tuple[Tuple[str, ...], ...]]:
+        return tuple(dict.fromkeys(s.udf_order for s in self._shapes())) or None
+
+    @property
+    def shapes_used(self) -> Optional[Tuple[str, ...]]:
+        return tuple(dict.fromkeys(s.describe() for s in self._shapes())) or None
 
     def summary(self) -> str:
         """A one-paragraph human-readable summary."""

@@ -73,22 +73,14 @@ class PlanBuildResult:
 
 
 def find_remote_operators(root: Operator) -> List[RemoteUdfOperator]:
-    """All remote UDF operators in the tree, in depth-first order.
+    """All remote UDF operators in the tree, in post-order.
 
     A :class:`~repro.core.execution.adaptive.PlanMigrationOperator` counts as
-    one remote operator here (it owns a whole UDF chain); the observer
-    expands it into per-stage views.
+    one remote operator here (it owns a whole UDF chain); the observer reads
+    it through its per-stage views.
     """
-    found: List[RemoteUdfOperator] = []
-
-    def visit(operator: Operator) -> None:
-        for child in operator.children:
-            visit(child)
-        if isinstance(operator, (RemoteUdfOperator, PlanMigrationOperator)):
-            found.append(operator)
-
-    visit(root)
-    return found
+    remote = (RemoteUdfOperator, PlanMigrationOperator)
+    return [operator for operator in root.walk() if isinstance(operator, remote)]
 
 
 def _unrealisable(path: AccessPath, why: str) -> PlanError:
@@ -194,7 +186,7 @@ class _PlanBuilder:
         index; every single-table filter still goes on top — the ones the
         index serves become (cheap) re-checks over the already-matching
         rows, kept for correctness against index over-approximation and
-        marked ``observe_selectivity = False`` so their residual pass-through
+        built with ``observe_selectivity=False`` so their residual pass-through
         rate is not recorded as the predicates' selectivity.
         """
         path = self.access_paths.get(bound.alias.lower())
@@ -207,10 +199,12 @@ class _PlanBuilder:
         else:
             raise _unrealisable(path, "the table opens the join order: no outer side probes it")
         for predicate in self.query.single_table_predicates(bound.alias):
-            filter_operator = Filter(plan, predicate.expression, self.server_functions)
-            if served and str(predicate.expression) in served:
-                filter_operator.observe_selectivity = False
-            plan = filter_operator
+            plan = Filter(
+                plan,
+                predicate.expression,
+                self.server_functions,
+                observe_selectivity=str(predicate.expression) not in served,
+            )
             self.applied_predicates.add(id(predicate))
         return plan
 
@@ -250,15 +244,15 @@ class _PlanBuilder:
             conditions.append(condition)
         interval = KeyInterval.fold((c.operator, c.value) for c in conditions)
         return IndexScanOperator(
-            bound.table, handle, interval, conditions[0].column, alias=bound.alias
+            bound.table, handle, interval, conditions[0].column, self.context, alias=bound.alias
         )
 
     def _index_join(self, plan: Operator, bound: BoundTable, path: AccessPath) -> Operator:
         """Join ``bound`` as the inner of an index nested-loop join.
 
         The inner table's single-table predicates cannot go below the probe,
-        so they become residual filters above the join — marked
-        ``observe_selectivity = False`` because they then see join-reduced
+        so they become residual filters above the join — built with
+        ``observe_selectivity=False`` because they then see join-reduced
         input, not the base table the recorded selectivity would describe.
         """
         handle = self._index_handle(bound, path)
@@ -271,7 +265,7 @@ class _PlanBuilder:
             raise _unrealisable(path, "the probe column is not in the outer side")
         try:
             joined: Operator = IndexNestedLoopJoinOperator(
-                plan, bound.table, handle, path.join_column, alias=bound.alias
+                plan, bound.table, handle, path.join_column, self.context, alias=bound.alias
             )
         except SchemaError as exc:  # e.g. an ambiguous probe column
             raise _unrealisable(path, str(exc)) from exc
@@ -295,9 +289,9 @@ class _PlanBuilder:
         for predicate in self.query.single_table_predicates(bound.alias):
             if id(predicate) in self.applied_predicates:
                 continue
-            residual = Filter(joined, predicate.expression, self.server_functions)
-            residual.observe_selectivity = False
-            joined = residual
+            joined = Filter(
+                joined, predicate.expression, self.server_functions, observe_selectivity=False
+            )
             self.applied_predicates.add(id(predicate))
         return joined
 

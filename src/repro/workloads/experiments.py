@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from repro.adaptive.segmented import Adaptation, strategies_used
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
 from repro.core.concurrency import recommended_concurrency_factor
@@ -54,10 +55,18 @@ class ExperimentPoint:
     rows: int
     result_rows: Tuple[Tuple, ...] = ()
     parameters: Dict[str, float] = field(default_factory=dict)
-    #: Mid-query strategy switching, when the config armed it: how many
-    #: switches fired and which strategies ran, in first-use order.
-    strategy_switches: int = 0
-    strategies_used: Tuple[ExecutionStrategy, ...] = ()
+    #: The segmented operator's run (``context.adaptations``), when the config
+    #: armed mid-query adaptation; the switching figures below read it.
+    adaptations: Tuple[Adaptation, ...] = ()
+
+    @property
+    def strategy_switches(self) -> int:
+        return sum(adaptation.changes for adaptation in self.adaptations)
+
+    @property
+    def strategies_used(self) -> Tuple[ExecutionStrategy, ...]:
+        """The strategies the run used, in first-use order."""
+        return strategies_used(self.adaptations)
 
     downlink_bytes = property(attrgetter("counters.downlink.total_bytes"))
     uplink_bytes = property(attrgetter("counters.uplink.total_bytes"))
@@ -167,14 +176,12 @@ def run_workload_point(
     rows = operator.run()
     if storage_engine is not None:
         storage_engine.close()
-    controller = getattr(operator, "controller", None)
     return ExperimentPoint(
         strategy=config.strategy,
         elapsed_seconds=context.elapsed_seconds,
         counters=context.counters(),
         rows=len(rows),
-        strategy_switches=controller.change_count if controller is not None else 0,
-        strategies_used=controller.strategies_used if controller is not None else (),
+        adaptations=tuple(context.adaptations),
         # repr is a total order over mixed-type (and None-valued) rows, which
         # plain tuple comparison is not; equal multisets still sort equally.
         result_rows=tuple(sorted((tuple(row) for row in rows), key=repr)),

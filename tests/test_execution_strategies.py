@@ -159,7 +159,7 @@ class TestSemiJoin:
             StrategyConfig.semi_join(concurrency_factor=3),
         )
         operator.run()
-        assert operator.concurrency_factor_used == 3
+        assert context.concurrency_factor == 3
         assert operator.peak_pipeline_occupancy <= 3
 
     def test_pipeline_peak_reaches_the_factor_when_it_binds(self):
@@ -228,7 +228,7 @@ class TestSemiJoin:
             TableScan(table), udf, ["Relation.DataObject"], context, StrategyConfig.semi_join()
         )
         operator.run()
-        assert operator.concurrency_factor_used >= 2
+        assert context.concurrency_factor >= 2
 
     def test_batched_sender(self):
         context, udf = make_context()

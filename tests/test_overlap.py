@@ -275,12 +275,9 @@ class TestWindowBound:
             context=context,
             config=config_for(strategy, overlap_window=window),
         )
-        remote = operator
-        while not hasattr(remote, "peak_in_flight_batches"):
-            remote = remote.children[0]
-        remote.run()
-        assert 1 <= remote.peak_in_flight_batches <= window
-        assert remote.overlap_window_used == window
+        operator.run()
+        assert 1 <= context.peak_in_flight_batches <= window
+        assert context.overlap_window == window
 
     def test_semi_join_window_never_exceeds_pipeline_capacity(self):
         """The batch window is layered over the tuple pipeline: tuples in
@@ -311,7 +308,7 @@ class TestWindowBound:
         assert operator.peak_pipeline_occupancy <= factor
         # 12 pipeline slots hold at most 3 four-row batches: the window
         # never outruns the pipeline buffer.
-        assert operator.peak_in_flight_batches <= math.ceil(factor / 4)
+        assert context.peak_in_flight_batches <= math.ceil(factor / 4)
 
 
 # ---------------------------------------------------------------------------
