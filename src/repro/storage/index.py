@@ -22,9 +22,16 @@ B-tree layout (``<table>.<index>.btx``):
 
 Hash layout (``<table>.<index>.hsx``): block 0 is the meta page, blocks
 ``1..buckets`` are bucket heads, each a chain page ``(next_block,
-length, payload)`` whose payload is ``[(encoded_key, block, slot), ...]``.
-Bucketing hashes ``crc32(encode_value(key))`` — deliberately not Python's
-process-randomised ``hash()`` — so a reopened database hashes identically.
+length, payload)`` whose payload is the record ``[(encoded_key, block,
+slot), ...]``.  Bucketing hashes ``crc32(encode_value(key))`` — deliberately
+not Python's process-randomised ``hash()`` — so a reopened database hashes
+identically.
+
+Both payloads are exactly the bytes :func:`~repro.storage.page.encode_record`
+writes for those values, built and parsed from fixed parts (the page codec
+below): the generic value codec runs once per key and never on the parts
+around it, and a torn page raises :class:`~repro.errors.StorageError`
+instead of decoding to a wrong posting.
 
 Keys are compared by ``(type_rank, value)`` so mixed numeric/string/bytes
 columns still order totally; ``None`` keys are never indexed (an equality
@@ -40,6 +47,7 @@ and written once, instead of once per key it holds.
 from __future__ import annotations
 
 import itertools
+import struct
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -47,7 +55,15 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager
-from repro.storage.page import BlockId, decode_record, encode_record, encode_value
+from repro.storage.page import (
+    TAG_BYTES,
+    TAG_INT64,
+    TAG_LIST,
+    TAG_TUPLE,
+    BlockId,
+    decode_value,
+    encode_value,
+)
 from repro.storage.record import RecordId
 
 _BTREE_MAGIC = 0x1DB7
@@ -59,12 +75,117 @@ _DEFAULT_BUCKETS = 64
 #: a build find room instead of each splitting a leaf.
 _BULK_FILL = 0.9
 
-#: Encoded size of a node / a chain page holding no entries.
-_NODE_OVERHEAD = len(encode_record((1, -1, [])))
-_CHAIN_OVERHEAD = len(encode_record([]))
-
 BTREE = "btree"
 HASH = "hash"
+
+# -- the page codec: ``encode_record``'s bytes, from fixed parts ---------------------
+#
+# A node payload is the record ``(is_leaf, pointer, entries)``: its arity 3,
+# ``is_leaf`` and ``pointer`` as tagged int64s, the entry list's tag and length
+# — one header — then per entry a tuple's tag and arity, the key, and the
+# posting ``(block, slot)`` or the child as tagged int64s.  A chain payload is
+# the record of its entries: their count, then per entry the tuple prefix, the
+# key's bytes tag and length, the key bytes, and a posting.
+
+_NODE_HEADER = struct.Struct(">iBqBqBi")
+_INT32 = struct.Struct(">i")
+_CHAIN_PREFIX = struct.Struct(">BiBi")
+_POSTING = struct.Struct(">BqBq")
+_CHILD = struct.Struct(">Bq")
+_LEAF_PREFIX = struct.pack(">Bi", TAG_TUPLE, 3)
+_INTERNAL_PREFIX = struct.pack(">Bi", TAG_TUPLE, 2)
+_PREFIX_BYTES = len(_LEAF_PREFIX)
+
+
+def _encode_entries(is_leaf: int, entries: Sequence[tuple]) -> List[bytes]:
+    """Each entry of a node as its bytes in the node payload."""
+    if is_leaf:
+        return [
+            _LEAF_PREFIX + encode_value(key) + _POSTING.pack(TAG_INT64, block, TAG_INT64, slot)
+            for key, block, slot in entries
+        ]
+    return [
+        _INTERNAL_PREFIX + encode_value(key) + _CHILD.pack(TAG_INT64, child)
+        for key, child in entries
+    ]
+
+
+def _node_payload(is_leaf: int, pointer: int, encoded: Sequence[bytes]) -> bytes:
+    header = _NODE_HEADER.pack(3, TAG_INT64, is_leaf, TAG_INT64, pointer, TAG_LIST, len(encoded))
+    return header + b"".join(encoded)
+
+
+def _parse_node(view: memoryview) -> Tuple[int, int, List[tuple]]:
+    """``(is_leaf, pointer, entries)`` of a node payload.
+
+    Raises ``ValueError`` (or ``struct.error`` / ``IndexError`` on a
+    payload cut short) where a part differs from what :func:`_node_payload`
+    writes.
+    """
+    arity, leaf_tag, is_leaf, pointer_tag, pointer, list_tag, count = _NODE_HEADER.unpack_from(view)
+    if (arity, leaf_tag, pointer_tag, list_tag) != (3, TAG_INT64, TAG_INT64, TAG_LIST):
+        raise ValueError("bad node header")
+    if is_leaf not in (0, 1) or count < 0:
+        raise ValueError(f"bad node header (is_leaf {is_leaf}, {count} entries)")
+    offset = _NODE_HEADER.size
+    entries: List[tuple] = []
+    if is_leaf:
+        for _ in range(count):
+            if view[offset : offset + _PREFIX_BYTES] != _LEAF_PREFIX:
+                raise ValueError(f"bad leaf entry prefix at {offset}")
+            key, offset = decode_value(view, offset + _PREFIX_BYTES)
+            block_tag, block, slot_tag, slot = _POSTING.unpack_from(view, offset)
+            if block_tag != TAG_INT64 or slot_tag != TAG_INT64:
+                raise ValueError(f"bad posting tag at {offset}")
+            entries.append((key, block, slot))
+            offset += _POSTING.size
+    else:
+        for _ in range(count):
+            if view[offset : offset + _PREFIX_BYTES] != _INTERNAL_PREFIX:
+                raise ValueError(f"bad internal entry prefix at {offset}")
+            key, offset = decode_value(view, offset + _PREFIX_BYTES)
+            child_tag, child = _CHILD.unpack_from(view, offset)
+            if child_tag != TAG_INT64:
+                raise ValueError(f"bad child tag at {offset}")
+            entries.append((key, child))
+            offset += _CHILD.size
+    if offset != len(view):
+        raise ValueError(f"{len(view) - offset} bytes after the last entry")
+    return is_leaf, pointer, entries
+
+
+def _chain_entry(key_bytes: bytes, block: int, slot: int) -> bytes:
+    """One ``(key_bytes, block, slot)`` as its bytes in a chain payload."""
+    prefix = _CHAIN_PREFIX.pack(TAG_TUPLE, 3, TAG_BYTES, len(key_bytes))
+    return prefix + key_bytes + _POSTING.pack(TAG_INT64, block, TAG_INT64, slot)
+
+
+def _chain_payload(encoded: Sequence[bytes]) -> bytes:
+    return _INT32.pack(len(encoded)) + b"".join(encoded)
+
+
+def _parse_chain(view: memoryview) -> List[tuple]:
+    """The ``(key_bytes, block, slot)`` entries of a chain payload; raises as
+    :func:`_parse_node` does."""
+    (count,) = _INT32.unpack_from(view)
+    if count < 0:
+        raise ValueError(f"bad entry count {count}")
+    offset = _INT32.size
+    entries: List[tuple] = []
+    for _ in range(count):
+        tuple_tag, arity, bytes_tag, size = _CHAIN_PREFIX.unpack_from(view, offset)
+        if (tuple_tag, arity, bytes_tag) != (TAG_TUPLE, 3, TAG_BYTES) or size < 0:
+            raise ValueError(f"bad chain entry prefix at {offset}")
+        start = offset + _CHAIN_PREFIX.size
+        offset = start + size
+        block_tag, block, slot_tag, slot = _POSTING.unpack_from(view, offset)
+        if block_tag != TAG_INT64 or slot_tag != TAG_INT64:
+            raise ValueError(f"bad posting tag at {offset}")
+        entries.append((bytes(view[start:offset]), block, slot))
+        offset += _POSTING.size
+    if offset != len(view):
+        raise ValueError(f"{len(view) - offset} bytes after the last entry")
+    return entries
 
 
 def _type_rank(value: Any) -> int:
@@ -92,24 +213,22 @@ def _posting_order(entry: tuple) -> Tuple[Tuple[int, Any], int, int]:
     return (sort_key(entry[0]), entry[1], entry[2])
 
 
-def _pack(items: Sequence[tuple], budget: int, limit: Optional[int] = None) -> Iterator[List[tuple]]:
-    """Cut ``items`` into consecutive runs of at most ``budget`` encoded bytes.
+def _pack(encoded: Sequence[bytes], budget: int, limit: Optional[int] = None) -> Iterator[range]:
+    """Cut encoded entries into consecutive runs of at most ``budget`` bytes
+    (and ``limit`` entries), as ranges of their positions.
 
     The codec is additive — a list costs a fixed header plus its items — so
     a run's page payload is the caller's fixed overhead plus this sum.  A
-    single item larger than ``budget`` still gets a run of its own.
+    single entry larger than ``budget`` still gets a run of its own.
     """
-    run: List[tuple] = []
-    used = 0
-    for item in items:
-        size = len(encode_value(item))
-        if run and (used + size > budget or len(run) == limit):
-            yield run
-            run, used = [], 0
-        run.append(item)
-        used += size
-    if run:
-        yield run
+    start = used = 0
+    for index, item in enumerate(encoded):
+        if index > start and (used + len(item) > budget or index - start == limit):
+            yield range(start, index)
+            start, used = index, 0
+        used += len(item)
+    if start < len(encoded):
+        yield range(start, len(encoded))
 
 
 @dataclass(frozen=True)
@@ -217,6 +336,18 @@ class _PagedIndex:
         self.pages_read += 1
         return self.buffers.pin_new(self.file_name)
 
+    def _parse_payload(self, number: int, data: bytearray, at: int, parse):
+        """``parse`` over the payload of block ``number`` whose length is the
+        int32 at ``at`` and whose bytes follow it, read in place."""
+        (length,) = _INT32.unpack_from(data, at)
+        try:
+            if not 0 <= length <= len(data) - at - 4:
+                raise ValueError(f"payload length {length}")
+            with memoryview(data)[at + 4 : at + 4 + length] as view:
+                return parse(view)
+        except (StorageError, ValueError, IndexError, struct.error) as exc:
+            raise StorageError(f"torn index page {number} in {self.file_name!r}: {exc}") from exc
+
     def block_count(self) -> int:
         return self.buffers.file_manager.block_count(self.file_name)
 
@@ -283,22 +414,25 @@ class BTreeIndex(_PagedIndex):
     def _node_capacity(self) -> int:
         return self.buffers.file_manager.block_size - 4
 
-    def _fits(self, entries: List[tuple], payload: bytes) -> bool:
-        return len(entries) <= _MAX_NODE_ENTRIES and len(payload) <= self._node_capacity()
+    def _fits(self, encoded: Sequence[bytes]) -> bool:
+        """Whether a node holding these encoded entries fits its page."""
+        return (
+            len(encoded) <= _MAX_NODE_ENTRIES
+            and _NODE_HEADER.size + sum(map(len, encoded)) <= self._node_capacity()
+        )
 
     def _read_node(self, number: int) -> Tuple[int, int, List[tuple]]:
         buffer = self._pin(number)
         try:
-            length = buffer.page.read_int(0)
-            payload = buffer.page.read_bytes(4, length)
+            return self._parse_payload(number, buffer.page.data, 0, _parse_node)
         finally:
             self.buffers.unpin(buffer)
-        values, _ = decode_record(payload)
-        is_leaf, pointer, entries = values
-        return int(is_leaf), int(pointer), [tuple(entry) for entry in entries]
 
-    def _put_node(self, number: Optional[int], payload: bytes) -> int:
-        """Write an encoded node to block ``number`` (a new block when None)."""
+    def _put_node(
+        self, number: Optional[int], is_leaf: int, pointer: int, encoded: Sequence[bytes]
+    ) -> int:
+        """Write a node of encoded entries to block ``number`` (a new block when None)."""
+        payload = _node_payload(is_leaf, pointer, encoded)
         if len(payload) > self._node_capacity():
             raise StorageError(
                 f"index node of {len(payload)} bytes overflows a page in "
@@ -312,12 +446,6 @@ class BTreeIndex(_PagedIndex):
             return buffer.block.number
         finally:
             self.buffers.unpin(buffer)
-
-    def _write_node(self, number: int, node: Tuple[int, int, List[tuple]]) -> None:
-        self._put_node(number, encode_record(node))
-
-    def _allocate_node(self, node: Tuple[int, int, List[tuple]]) -> int:
-        return self._put_node(None, encode_record(node))
 
     # -- mutation ----------------------------------------------------------------
 
@@ -334,8 +462,7 @@ class BTreeIndex(_PagedIndex):
             return False
         split = self._insert_into(self.root, self.height, sk, key, rid)
         if split is not None:
-            sep_key, right = split
-            self.root = self._allocate_node((0, self.root, [(sep_key, right)]))
+            self.root = self._put_node(None, 0, self.root, _encode_entries(0, [split]))
             self.height += 1
         self.entry_count += 1
         self._save_meta()
@@ -346,55 +473,51 @@ class BTreeIndex(_PagedIndex):
     ) -> Optional[Tuple[Any, int]]:
         """Insert below node ``number``; a split returns ``(separator, right)``.
 
-        Each touched node is encoded once: the bytes that decide whether it
-        still fits its page are the bytes written.
+        Each touched node is decoded once and encoded once: the bytes that
+        decide whether it still fits its page, and where it splits, are the
+        bytes written.
         """
         _, pointer, entries = self._read_node(number)
         if depth == 1:
             orders = [_posting_order(entry) for entry in entries]
             position = bisect_right(orders, (sk, rid[0], rid[1]))
             entries.insert(position, (key, rid[0], rid[1]))
-            payload = encode_record((1, pointer, entries))
-            if self._fits(entries, payload):
-                self._put_node(number, payload)
+            encoded = _encode_entries(1, entries)
+            if self._fits(encoded):
+                self._put_node(number, 1, pointer, encoded)
                 return None
-            middle = self._split_point(1, pointer, entries)
-            right_entries = entries[middle:]
-            right = self._allocate_node((1, pointer, right_entries))
+            middle = self._split_point(encoded)
+            right = self._put_node(None, 1, pointer, encoded[middle:])
             self.leaf_count += 1
-            self._write_node(number, (1, right, entries[:middle]))
-            return (right_entries[0][0], right)
-        orders = _key_orders(entries)
-        at = bisect_right(orders, sk)
+            self._put_node(number, 1, right, encoded[:middle])
+            return (entries[middle][0], right)
+        at = bisect_right(_key_orders(entries), sk)
         child = entries[at - 1][1] if at else pointer
         split = self._insert_into(child, depth - 1, sk, key, rid)
         if split is None:
             return None
-        sep_key, new_child = split
-        position = bisect_right(orders, sort_key(sep_key))
-        entries.insert(position, (sep_key, new_child))
-        payload = encode_record((0, pointer, entries))
-        if self._fits(entries, payload):
-            self._put_node(number, payload)
+        # The new sibling follows the child that split, in the leaf chain and
+        # so here too.  Bisecting for it instead would put it after every
+        # equal separator — after siblings that follow it in the chain.
+        entries.insert(at, split)
+        encoded = _encode_entries(0, entries)
+        if self._fits(encoded):
+            self._put_node(number, 0, pointer, encoded)
             return None
-        middle = self._split_point(0, pointer, entries)
+        middle = self._split_point(encoded)
         promoted, promoted_child = entries[middle]
-        right = self._allocate_node((0, promoted_child, entries[middle + 1 :]))
-        self._write_node(number, (0, pointer, entries[:middle]))
+        right = self._put_node(None, 0, promoted_child, encoded[middle + 1 :])
+        self._put_node(number, 0, pointer, encoded[:middle])
         return (promoted, right)
 
-    def _split_point(self, is_leaf: int, pointer: int, entries: List[tuple]) -> int:
+    def _split_point(self, encoded: List[bytes]) -> int:
         """Where an overflowing node splits: the middle, unless keys of very
         different sizes leave a half that still overflows its page — then the
         nearest point at which both halves fit."""
-        middle = len(entries) // 2
-
-        def fits(half: List[tuple]) -> bool:
-            return self._fits(half, encode_record((is_leaf, pointer, half)))
-
-        while middle > 1 and not fits(entries[:middle]):
+        middle = len(encoded) // 2
+        while middle > 1 and not self._fits(encoded[:middle]):
             middle -= 1
-        while middle < len(entries) - 2 and not fits(entries[middle:]):
+        while middle < len(encoded) - 2 and not self._fits(encoded[middle:]):
             middle += 1
         return middle
 
@@ -415,7 +538,7 @@ class BTreeIndex(_PagedIndex):
                     return False
                 if (block, slot) == rid:
                     del entries[i]
-                    self._write_node(number, (1, next_leaf, entries))
+                    self._put_node(number, 1, next_leaf, _encode_entries(1, entries))
                     self.entry_count -= 1
                     self._save_meta()
                     return True
@@ -503,36 +626,43 @@ class BTreeIndex(_PagedIndex):
         self.delete_file()
         self._build(entries, incomplete)
 
-    def _runs(self, items: Sequence[tuple]) -> Iterator[List[tuple]]:
+    def _runs(self, encoded: Sequence[bytes]) -> Iterator[range]:
         return _pack(
-            items,
-            int((self._node_capacity() - _NODE_OVERHEAD) * _BULK_FILL),
+            encoded,
+            int((self._node_capacity() - _NODE_HEADER.size) * _BULK_FILL),
             int(_MAX_NODE_ENTRIES * _BULK_FILL),
         )
 
     def _build(self, entries: List[tuple], incomplete: bool) -> None:
         """Write a fresh file holding the sorted ``entries``.
 
-        Leaves are packed left to right, each encoded and written once and
-        chained to the block the next one will get; every internal level is
-        packed the same way over the first keys of the level below; the meta
-        page is written last, once.
+        Every entry is encoded once; leaves are packed left to right, each
+        written once and chained to the block the next one will get; every
+        internal level is packed the same way over the first keys of the
+        level below; the meta page is written last, once.
         """
         self._allocate_meta()  # block 0
-        leaves = list(self._runs(entries)) or [[]]
+        encoded = _encode_entries(1, entries)
+        leaves = list(self._runs(encoded)) or [range(0)]
         level: List[Tuple[Any, int]] = []
         for position, run in enumerate(leaves):
             number = self.block_count()
             is_last = position == len(leaves) - 1
-            self._allocate_node((1, -1 if is_last else number + 1, run))
-            level.append((run[0][0] if run else None, number))
+            self._put_node(None, 1, -1 if is_last else number + 1, encoded[run.start : run.stop])
+            level.append((entries[run.start][0] if run else None, number))
         self.height = 1
         while len(level) > 1:
+            encoded = _encode_entries(0, level)
             # A node stores its first child as the bare pointer, so a run of
             # children is one entry longer than the node it becomes.
             level = [
-                (run[0][0], self._allocate_node((0, run[0][1], run[1:])))
-                for run in self._runs(level)
+                (
+                    level[run.start][0],
+                    self._put_node(
+                        None, 0, level[run.start][1], encoded[run.start + 1 : run.stop]
+                    ),
+                )
+                for run in self._runs(encoded)
             ]
             self.height += 1
         self.root = level[0][1]
@@ -570,27 +700,23 @@ class HashIndex(_PagedIndex):
         self.buckets, self.entry_count, flag = meta[:3]
         self.incomplete = bool(flag)
 
-    def _build(self, chains: List[List[tuple]], incomplete: bool) -> None:
-        """Write a fresh file with one chain per bucket, each page once.
+    def _build(self, chains: List[List[bytes]], incomplete: bool) -> None:
+        """Write a fresh file with one chain of encoded entries per bucket,
+        each page once.
 
         Bucket heads are blocks ``1..buckets``; overflow pages follow in
         bucket order, so every page's successor is known before it is written.
         """
         self._allocate_meta()  # block 0
-        budget = self.buffers.file_manager.block_size - 8 - _CHAIN_OVERHEAD
+        budget = self._chain_capacity() - _INT32.size
         overflow = itertools.count(len(chains) + 1)
-        pages: List[Tuple[int, int, List[tuple]]] = []  # (block, next block, entries)
+        pages: List[Tuple[int, int, List[bytes]]] = []  # (block, next block, entries)
         for bucket, chain in enumerate(chains):
-            runs = list(_pack(chain, budget)) or [[]]
+            runs = [chain[run.start : run.stop] for run in _pack(chain, budget)] or [[]]
             blocks = [1 + bucket] + [next(overflow) for _ in runs[1:]]
             pages.extend(zip(blocks, blocks[1:] + [0], runs))
-        for _, next_block, entries in sorted(pages, key=lambda page: page[0]):
-            buffer = self._pin_new()
-            try:
-                self._write_chain_page(buffer.page, next_block, entries)
-                buffer.mark_dirty()
-            finally:
-                self.buffers.unpin(buffer)
+        for _, next_block, encoded in sorted(pages, key=lambda page: page[0]):
+            self._put_chain_page(None, next_block, encoded)
         self.buckets = len(chains)
         self.entry_count = sum(len(chain) for chain in chains)
         self.incomplete = incomplete
@@ -603,30 +729,72 @@ class HashIndex(_PagedIndex):
 
     # -- chain pages -------------------------------------------------------------
 
-    def _write_chain_page(self, page, next_block: int, entries: List[tuple]) -> None:
-        payload = encode_record(entries)
-        if len(payload) > self.buffers.file_manager.block_size - 8:
+    def _chain_capacity(self) -> int:
+        return self.buffers.file_manager.block_size - 8
+
+    def _put_chain_page(self, number: Optional[int], next_block: int, encoded: List[bytes]) -> int:
+        """Write a chain page of encoded entries to block ``number`` (a new
+        block when None)."""
+        payload = _chain_payload(encoded)
+        if len(payload) > self._chain_capacity():
             raise StorageError(
                 f"hash chain page overflow in {self.file_name!r} "
                 f"({len(payload)} bytes)"
             )
-        page.write_int(0, next_block)
-        page.write_int(4, len(payload))
-        page.write_bytes(8, payload)
+        buffer = self._pin_new() if number is None else self._pin(number)
+        try:
+            buffer.page.write_int(0, next_block)
+            buffer.page.write_int(4, len(payload))
+            buffer.page.write_bytes(8, payload)
+            buffer.mark_dirty()
+            return buffer.block.number
+        finally:
+            self.buffers.unpin(buffer)
 
     def _read_chain_page(self, number: int) -> Tuple[int, List[tuple]]:
         buffer = self._pin(number)
         try:
             next_block = buffer.page.read_int(0)
-            length = buffer.page.read_int(4)
-            payload = buffer.page.read_bytes(8, length)
+            return next_block, self._parse_payload(number, buffer.page.data, 4, _parse_chain)
         finally:
             self.buffers.unpin(buffer)
-        values, _ = decode_record(payload)
-        return next_block, [tuple(entry) for entry in values]
 
-    def _chain_fits(self, entries: List[tuple]) -> bool:
-        return len(encode_record(entries)) <= self.buffers.file_manager.block_size - 8
+    def _read_chain_header(self, number: int) -> Tuple[int, int]:
+        """``(next block, payload length)`` of a chain page, entries unread."""
+        buffer = self._pin(number)
+        try:
+            next_block, length = buffer.page.read_int(0), buffer.page.read_int(4)
+        finally:
+            self.buffers.unpin(buffer)
+        if not _INT32.size <= length <= self._chain_capacity():
+            raise StorageError(
+                f"torn index page {number} in {self.file_name!r}: payload length {length}"
+            )
+        return next_block, length
+
+    def _append_to_chain_page(self, number: int, length: int, entry: bytes) -> None:
+        """Add an encoded entry to the ``length``-byte payload of a chain page.
+
+        A record is its count then its entries, so the page then holds the
+        very bytes ``_chain_payload`` writes for the old entries plus this one.
+        """
+        buffer = self._pin(number)
+        try:
+            page = buffer.page
+            page.write_int(4, length + len(entry))
+            page.write_int(8, page.read_int(8) + 1)
+            page.write_bytes(8 + length, entry)
+            buffer.mark_dirty()
+        finally:
+            self.buffers.unpin(buffer)
+
+    def _link_chain_page(self, number: int, next_block: int) -> None:
+        buffer = self._pin(number)
+        try:
+            buffer.page.write_int(0, next_block)
+            buffer.mark_dirty()
+        finally:
+            self.buffers.unpin(buffer)
 
     def _bucket_block(self, key_bytes: bytes) -> int:
         return 1 + (zlib.crc32(key_bytes) % self.buckets)
@@ -660,36 +828,22 @@ class HashIndex(_PagedIndex):
                 self.incomplete = True
                 self._save_meta()
             return False
+        # Each page keeps its entries' bytes as written, so the new entry is
+        # encoded once and appended where it fits; no page is re-encoded.
+        entry = _chain_entry(key_bytes, rid[0], rid[1])
         number = self._bucket_block(key_bytes)
         while True:
-            next_block, entries = self._read_chain_page(number)
-            candidate = entries + [(key_bytes, rid[0], rid[1])]
-            if self._chain_fits(candidate):
-                self._rewrite_chain_page(number, next_block, candidate)
+            next_block, length = self._read_chain_header(number)
+            if length + len(entry) <= self._chain_capacity():
+                self._append_to_chain_page(number, length, entry)
                 break
-            if next_block:
-                number = next_block
-                continue
-            overflow = self._pin_new()
-            try:
-                self._write_chain_page(overflow.page, 0, [(key_bytes, rid[0], rid[1])])
-                overflow.mark_dirty()
-                overflow_number = overflow.block.number
-            finally:
-                self.buffers.unpin(overflow)
-            self._rewrite_chain_page(number, overflow_number, entries)
-            break
+            if not next_block:
+                self._link_chain_page(number, self._put_chain_page(None, 0, [entry]))
+                break
+            number = next_block
         self.entry_count += 1
         self._save_meta()
         return True
-
-    def _rewrite_chain_page(self, number: int, next_block: int, entries: List[tuple]) -> None:
-        buffer = self._pin(number)
-        try:
-            self._write_chain_page(buffer.page, next_block, entries)
-            buffer.mark_dirty()
-        finally:
-            self.buffers.unpin(buffer)
 
     def delete(self, key: Any, rid: RecordId) -> bool:
         if key is None:
@@ -703,7 +857,8 @@ class HashIndex(_PagedIndex):
             for i, (existing, block, slot) in enumerate(entries):
                 if existing == key_bytes and (block, slot) == rid:
                     del entries[i]
-                    self._rewrite_chain_page(number, next_block, entries)
+                    encoded = [_chain_entry(*entry) for entry in entries]
+                    self._put_chain_page(number, next_block, encoded)
                     self.entry_count -= 1
                     self._save_meta()
                     return True
@@ -734,7 +889,7 @@ class HashIndex(_PagedIndex):
         NULL and unencodable keys are skipped exactly as :meth:`insert`
         skips them (the latter mark the index ``incomplete``).
         """
-        chains: List[List[tuple]] = [[] for _ in range(self.buckets)]
+        chains: List[List[bytes]] = [[] for _ in range(self.buckets)]
         incomplete = False
         for key, rid in pairs:
             if key is None:
@@ -743,7 +898,7 @@ class HashIndex(_PagedIndex):
             if key_bytes is None:
                 incomplete = True
                 continue
-            chains[self._bucket_block(key_bytes) - 1].append((key_bytes, rid[0], rid[1]))
+            chains[self._bucket_block(key_bytes) - 1].append(_chain_entry(key_bytes, rid[0], rid[1]))
         self.delete_file()
         self._build(chains, incomplete)
 

@@ -34,19 +34,21 @@ _FLOAT64 = struct.Struct(">d")
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-# Value tags.  NULL and the two booleans need no payload at all.
-_TAG_NULL = 0
-_TAG_FALSE = 1
-_TAG_TRUE = 2
-_TAG_INT64 = 3
-_TAG_BIGINT = 4
-_TAG_FLOAT = 5
-_TAG_STRING = 6
-_TAG_BYTES = 7
-_TAG_DATA_OBJECT = 8
-_TAG_TIME_SERIES = 9
-_TAG_TUPLE = 10
-_TAG_LIST = 11
+# Value tags.  NULL and the two booleans need no payload at all.  The tags are
+# part of the on-disk format: ``index.py`` lays out its nodes' fixed parts
+# with them.
+TAG_NULL = 0
+TAG_FALSE = 1
+TAG_TRUE = 2
+TAG_INT64 = 3
+TAG_BIGINT = 4
+TAG_FLOAT = 5
+TAG_STRING = 6
+TAG_BYTES = 7
+TAG_DATA_OBJECT = 8
+TAG_TIME_SERIES = 9
+TAG_TUPLE = 10
+TAG_LIST = 11
 
 
 @dataclass(frozen=True)
@@ -110,35 +112,35 @@ class Page:
 def encode_value(value: Any) -> bytes:
     """Serialize one column value into a self-describing byte string."""
     if value is None:
-        return bytes((_TAG_NULL,))
+        return bytes((TAG_NULL,))
     if isinstance(value, bool):
-        return bytes((_TAG_TRUE if value else _TAG_FALSE,))
+        return bytes((TAG_TRUE if value else TAG_FALSE,))
     if isinstance(value, int):
         if _INT64_MIN <= value <= _INT64_MAX:
-            return bytes((_TAG_INT64,)) + _INT64.pack(value)
+            return bytes((TAG_INT64,)) + _INT64.pack(value)
         raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-        return bytes((_TAG_BIGINT,)) + _INT32.pack(len(raw)) + raw
+        return bytes((TAG_BIGINT,)) + _INT32.pack(len(raw)) + raw
     if isinstance(value, float):
-        return bytes((_TAG_FLOAT,)) + _FLOAT64.pack(value)
+        return bytes((TAG_FLOAT,)) + _FLOAT64.pack(value)
     if isinstance(value, str):
         raw = value.encode("utf-8")
-        return bytes((_TAG_STRING,)) + _INT32.pack(len(raw)) + raw
+        return bytes((TAG_STRING,)) + _INT32.pack(len(raw)) + raw
     if isinstance(value, (bytes, bytearray)):
         raw = bytes(value)
-        return bytes((_TAG_BYTES,)) + _INT32.pack(len(raw)) + raw
+        return bytes((TAG_BYTES,)) + _INT32.pack(len(raw)) + raw
     if isinstance(value, DataObject):
         return (
-            bytes((_TAG_DATA_OBJECT,)) + _INT64.pack(value.size) + encode_value(value.seed)
+            bytes((TAG_DATA_OBJECT,)) + _INT64.pack(value.size) + encode_value(value.seed)
         )
     if isinstance(value, TimeSeries):
         values = value.values
         return (
-            bytes((_TAG_TIME_SERIES,))
+            bytes((TAG_TIME_SERIES,))
             + _INT32.pack(len(values))
             + struct.pack(f">{len(values)}d", *values)
         )
     if isinstance(value, (tuple, list)):
-        tag = _TAG_TUPLE if isinstance(value, tuple) else _TAG_LIST
+        tag = TAG_TUPLE if isinstance(value, tuple) else TAG_LIST
         encoded = b"".join(encode_value(item) for item in value)
         return bytes((tag,)) + _INT32.pack(len(value)) + encoded
     raise StorageError(f"cannot serialize value of type {type(value).__name__!r}")
@@ -148,45 +150,45 @@ def decode_value(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
     """Decode one value at ``offset``; returns ``(value, next_offset)``."""
     tag = buffer[offset]
     offset += 1
-    if tag == _TAG_NULL:
+    if tag == TAG_NULL:
         return None, offset
-    if tag == _TAG_FALSE:
+    if tag == TAG_FALSE:
         return False, offset
-    if tag == _TAG_TRUE:
+    if tag == TAG_TRUE:
         return True, offset
-    if tag == _TAG_INT64:
+    if tag == TAG_INT64:
         return _INT64.unpack_from(buffer, offset)[0], offset + 8
-    if tag == _TAG_BIGINT:
+    if tag == TAG_BIGINT:
         length = _INT32.unpack_from(buffer, offset)[0]
         offset += 4
         raw = buffer[offset : offset + length]
         return int.from_bytes(raw, "big", signed=True), offset + length
-    if tag == _TAG_FLOAT:
+    if tag == TAG_FLOAT:
         return _FLOAT64.unpack_from(buffer, offset)[0], offset + 8
-    if tag in (_TAG_STRING, _TAG_BYTES):
+    if tag in (TAG_STRING, TAG_BYTES):
         length = _INT32.unpack_from(buffer, offset)[0]
         offset += 4
         raw = bytes(buffer[offset : offset + length])
-        if tag == _TAG_STRING:
+        if tag == TAG_STRING:
             return raw.decode("utf-8"), offset + length
         return raw, offset + length
-    if tag == _TAG_DATA_OBJECT:
+    if tag == TAG_DATA_OBJECT:
         size = _INT64.unpack_from(buffer, offset)[0]
         seed, offset = decode_value(buffer, offset + 8)
         return DataObject(size, seed=seed), offset
-    if tag == _TAG_TIME_SERIES:
+    if tag == TAG_TIME_SERIES:
         count = _INT32.unpack_from(buffer, offset)[0]
         offset += 4
         values = struct.unpack_from(f">{count}d", buffer, offset)
         return TimeSeries.from_floats(values), offset + 8 * count
-    if tag in (_TAG_TUPLE, _TAG_LIST):
+    if tag in (TAG_TUPLE, TAG_LIST):
         count = _INT32.unpack_from(buffer, offset)[0]
         offset += 4
         items: List[Any] = []
         for _ in range(count):
             item, offset = decode_value(buffer, offset)
             items.append(item)
-        return (tuple(items) if tag == _TAG_TUPLE else items), offset
+        return (tuple(items) if tag == TAG_TUPLE else items), offset
     raise StorageError(f"corrupt record: unknown value tag {tag}")
 
 

@@ -923,6 +923,23 @@ class TestBulkLoad:
         )
         assert handle.delete(*pairs[0]) and not handle.delete(*pairs[0])
 
+    def test_a_split_sibling_follows_its_left_half_in_the_parent(self, tmp_path):
+        """Found by the SQLite oracle: eight equal wide keys bulk-built into
+        two leaves, then two inserts that split the first leaf.  Its new right
+        half carries the same separator as the second leaf; re-bisecting put
+        it after that leaf in the parent although it precedes it in the leaf
+        chain, so the next insert descended into the middle of the run and
+        every lookup found 5 of the 8 postings."""
+        pool = BufferManager(FileManager(str(tmp_path)), pool_size=16)
+        handle = open_index(pool, IndexDefinition("idx", "T", "S", "btree"))
+        handle.bulk_load([("b" * 600, (0, slot)) for slot in range(8)] + [(None, (0, 8))])
+        for slot, key in enumerate(["a" * 600, "a" * 600, "c" * 600]):
+            assert handle.insert(key, (1, slot))
+        assert (handle.height, handle.leaf_count) == (2, 3)
+        expected = [(0, slot) for slot in range(8)]
+        assert sorted(handle.search_eq("b" * 600)) == expected
+        assert sorted(rid for _, rid in handle.search_range("a" * 601, "c")) == expected
+
     def test_a_split_leaves_both_halves_on_their_pages(self, tmp_path):
         """Keys of very different sizes (found by the SQLite oracle): eight
         1-byte keys then seven 600-byte keys overflow a 4 KiB leaf, and its

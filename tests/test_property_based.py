@@ -8,7 +8,7 @@ import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.adaptive import (
     BatchSizeController,
@@ -1213,7 +1213,34 @@ def _check_against_sqlite(case):
             db.close()
 
 
+#: The first find of a fresh seed (ROADMAP item 1): a B-tree bulk-built over
+#: eight equal wide keys and a NULL, then inserts that split its first leaf
+#: and one that lands right of the run.  The split's new sibling was placed
+#: after its right-hand neighbour in the parent, the last insert descended
+#: into the middle of the run, and every lookup found 5 of the 8 postings.
+_BULK_LOAD_THEN_INSERT = {
+    "tables": {"T0": (["K", "S"], [(1, _WIDE[1])] * 8 + [(1, None)])},
+    "query": {
+        "from": [("A", "T0")],
+        "select": [("column", "A", "K")],
+        "aliases": [None],
+        "distinct": False,
+        "where": [("binary", "=", ("column", "A", "S"), ("literal", _WIDE[1]))],
+        "order_by": [],
+        "limit": None,
+        "offset": 0,
+    },
+    "inserted": [(2, _WIDE[0]), (2, _WIDE[0]), (2, _WIDE[2])],
+    "deleted_key": 7,
+    "index": ("S", "after load"),
+    "analyze": True,
+    "strategy": ExecutionStrategy.SEMI_JOIN,
+    "batch_size": 64,
+}
+
+
 @given(case=_oracle_cases())
+@example(case=_BULK_LOAD_THEN_INSERT)
 @settings(max_examples=200, deadline=None)
 def test_sql_surface_agrees_with_sqlite(case):
     """Every way of running a query returns what SQLite returns.
