@@ -516,7 +516,7 @@ class CostEstimator:
         tables are priced as if laid out in default-size blocks, so the
         I/O term compares like against like across backends.
         """
-        storage = getattr(operation.bound.table, "storage", None)
+        storage = operation.bound.table.storage
         if storage is not None:
             return float(storage.block_count())
         from repro.storage.page import DEFAULT_BLOCK_SIZE
@@ -735,19 +735,8 @@ class CostEstimator:
 
     def _usable_indexes(self, operation: TableOperation) -> Dict[str, object]:
         """Complete secondary-index handles of a paged base table."""
-        table = operation.bound.table
-        provider = getattr(table, "indexes", None)
-        if provider is None:
-            return {}
-        try:
-            handles = provider()
-        except Exception:
-            return {}
-        return {
-            name: handle
-            for name, handle in handles.items()
-            if not getattr(handle, "incomplete", False)
-        }
+        handles = operation.bound.table.indexes()
+        return {name: handle for name, handle in handles.items() if not handle.incomplete}
 
     def _conjunct_selectivity(self, predicate) -> float:
         """One conjunct's selectivity, observed-feedback-calibrated when known."""
@@ -758,7 +747,7 @@ class CostEstimator:
     @staticmethod
     def _index_pages(handle, matching: float) -> float:
         """Index pages one lookup touches: the descent plus matching leaves."""
-        height = float(getattr(handle, "height", 1))
+        height = float(handle.height)
         per_leaf = max(1.0, float(handle.average_leaf_entries()))
         return height + max(0.0, math.ceil(matching / per_leaf) - 1)
 

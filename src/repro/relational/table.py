@@ -34,8 +34,8 @@ class Table:
     rows live in a slotted-page heap file reached through the buffer pool:
     inserts append to the heap, every :meth:`as_batch` re-reads the pages
     through the pool (so buffer hit/miss counters reflect real scan
-    traffic), and :attr:`statistics` come from the storage engine's catalog
-    metadata via ``stats_provider`` instead of an exact in-memory pass.
+    traffic), and :attr:`statistics` and :meth:`indexes` are the backend's
+    answers from the catalog instead of an exact in-memory pass.
     """
 
     def __init__(
@@ -44,20 +44,12 @@ class Table:
         schema: Schema,
         rows: Optional[Iterable[Sequence[Any]]] = None,
         storage: Optional["PagedTableStorage"] = None,
-        stats_provider: Optional[Callable[[], TableStatistics]] = None,
-        scan_listener: Optional[Callable[[], None]] = None,
-        index_provider: Optional[Callable[[], Dict[str, Any]]] = None,
-        delete_listener: Optional[Callable[[], None]] = None,
     ) -> None:
         self.name = name
         # A table's own columns are qualified by the table name so that
         # multi-table queries can disambiguate.
         self.schema = schema if any(c.table for c in schema.columns) else schema.qualify(name)
         self._storage = storage
-        self._stats_provider = stats_provider
-        self._scan_listener = scan_listener
-        self._index_provider = index_provider
-        self._delete_listener = delete_listener
         self._rows: List[Row] = []
         self._statistics: Optional[TableStatistics] = None
         self._batch: Optional[RowBatch] = None
@@ -109,15 +101,13 @@ class Table:
         """Delete every row matching ``predicate``; returns the count.
 
         On the paged path this tombstones the records in place (their space
-        is reclaimed via the heap's free-space map) and notifies the storage
-        engine so catalog statistics and secondary indexes stay current.
+        is reclaimed via the heap's free-space map); the backend keeps its
+        catalog statistics and secondary indexes current.
         """
         if self._storage is not None:
             deleted = self._storage.delete_where(
                 lambda values: bool(predicate(Row(values)))
             )
-            if deleted and self._delete_listener is not None:
-                self._delete_listener()
         else:
             kept = [row for row in self._rows if not predicate(row)]
             deleted = len(self._rows) - len(kept)
@@ -162,24 +152,23 @@ class Table:
         counters meaningful.
         """
         if self._storage is not None:
-            if self._scan_listener is not None:
-                self._scan_listener()
-            return RowBatch(self.rows).ensure_typed(self.schema)
+            rows = [Row(values) for values in self._storage.scan()]
+            return RowBatch(rows).ensure_typed(self.schema)
         if self._batch is None:
             self._batch = RowBatch(list(self._rows)).ensure_typed(self.schema)
         return self._batch
 
     def indexes(self) -> Dict[str, Any]:
         """Secondary index handles keyed by index name (paged tables only)."""
-        if self._index_provider is not None:
-            return self._index_provider()
+        if self._storage is not None:
+            return self._storage.indexes()
         return {}
 
     @property
     def statistics(self) -> TableStatistics:
         """Exact statistics in memory; catalog estimates when paged."""
-        if self._storage is not None and self._stats_provider is not None:
-            return self._stats_provider()
+        if self._storage is not None:
+            return self._storage.statistics()
         if self._statistics is None:
             self._statistics = compute_table_statistics(self.schema, self.rows)
         return self._statistics

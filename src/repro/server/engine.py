@@ -273,7 +273,7 @@ class Database(SqlSurface):
             self._invalidate_table_statistics(self.catalog.table(name))
         if self.storage is not None:
             storage = self.storage.create_table(name, schema, replace=replace)
-            table = self._paged_table(name, schema, storage)
+            table = Table(name, schema, storage=storage)
             if rows is not None:
                 table.insert_many(rows)
             self.storage.flush()
@@ -298,25 +298,11 @@ class Database(SqlSurface):
             column.name for column in table.schema.columns
         )
 
-    def _paged_table(self, name: str, schema: Schema, storage: object) -> Table:
-        return Table(
-            name,
-            schema,
-            storage=storage,
-            stats_provider=lambda _name=name: self.storage.table_statistics(_name),
-            scan_listener=lambda _name=name: self.storage.on_table_scan(_name),
-            index_provider=lambda _name=name: self.storage.index_handles(_name),
-            delete_listener=lambda _name=name: self.storage.maybe_refresh_after_deletes(
-                _name
-            ),
-        )
-
     def _recover_tables(self) -> None:
         """Re-register every table the storage directory already holds."""
         for name in self.storage.table_names():
             storage = self.storage.open_table(name)
-            schema = self.storage.metadata.schema_for(name)
-            self.catalog.register(self._paged_table(name, schema, storage), replace=True)
+            self.catalog.register(Table(name, storage.entry.schema, storage=storage), replace=True)
 
     # -- index management ---------------------------------------------------------------
 

@@ -212,7 +212,7 @@ class _PlanBuilder:
     def _index_handle(bound: BoundTable, path: AccessPath) -> Any:
         """The live, complete index ``path`` was priced with."""
         handle = bound.table.indexes().get(path.index_name)
-        if handle is None or getattr(handle, "incomplete", False):
+        if handle is None or handle.incomplete:
             raise _unrealisable(path, "the index is gone or incomplete")
         return handle
 
@@ -239,7 +239,7 @@ class _PlanBuilder:
                 raise _unrealisable(path, "the predicate is not an indexable comparison")
             if column_key(condition.column) != handle.definition.column.lower():
                 raise _unrealisable(path, f"{key} is not on the indexed column")
-            if not condition.is_equality and not getattr(handle, "supports_range", False):
+            if not condition.is_equality and not handle.supports_range:
                 raise _unrealisable(path, "the index serves equality only, not a range")
             conditions.append(condition)
         interval = KeyInterval.fold((c.operator, c.value) for c in conditions)

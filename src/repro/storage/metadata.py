@@ -188,7 +188,7 @@ class StatInfo:
 
 
 @dataclass
-class _TableEntry:
+class TableEntry:
     """Everything the catalog keeps about one table."""
 
     name: str  # as declared; the catalog is keyed by its lower-case form
@@ -221,12 +221,13 @@ class MetadataManager:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.refresh_interval = max(1, int(refresh_interval))
-        self._tables: Dict[str, _TableEntry] = {}  # lower-case table name
+        self._tables: Dict[str, TableEntry] = {}  # lower-case table name
         self._indexes: Dict[str, _IndexEntry] = {}  # lower-case index name
         self._dirty = False
         self._load()
 
-    def _table(self, name: str) -> _TableEntry:
+    def table_entry(self, name: str) -> TableEntry:
+        """The catalog entry of one table (schema, statistics, free space)."""
         try:
             return self._tables[name.lower()]
         except KeyError as exc:
@@ -244,11 +245,11 @@ class MetadataManager:
         stats = StatInfo()
         for column in bare.columns:
             stats.columns[column.name] = ColumnStatInfo(column.name)
-        self._tables[key] = _TableEntry(name, bare, stats)
+        self._tables[key] = TableEntry(name, bare, stats)
         self.save()
 
     def drop_table(self, name: str) -> None:
-        self._table(name)
+        self.table_entry(name)
         key = name.lower()
         del self._tables[key]
         for index_key in [k for k, e in self._indexes.items() if e.definition.table.lower() == key]:
@@ -261,9 +262,6 @@ class MetadataManager:
     def table_names(self) -> List[str]:
         return [self._tables[key].name for key in sorted(self._tables)]
 
-    def schema_for(self, name: str) -> Schema:
-        return self._table(name).schema
-
     # -- secondary indexes -------------------------------------------------------
 
     def create_index(self, definition: IndexDefinition) -> None:
@@ -271,7 +269,7 @@ class MetadataManager:
         key = definition.name.lower()
         if key in self._indexes:
             raise CatalogError(f"index {definition.name!r} already exists")
-        schema = self._table(definition.table).schema
+        schema = self.table_entry(definition.table).schema
         if not any(column.name == definition.column for column in schema.columns):
             raise CatalogError(
                 f"table {definition.table!r} has no column {definition.column!r}"
@@ -315,33 +313,23 @@ class MetadataManager:
             entry.entries, entry.incomplete = state
             self._dirty = True
 
-    # -- free-space maps ---------------------------------------------------------
+    # -- per-table state: the caller passes the entry it resolved once ----------
 
-    def free_space_for(self, table: str) -> Dict[int, int]:
-        """The persisted heap free-space map (block -> free bytes)."""
-        entry = self._tables.get(table.lower())
-        return dict(entry.free_space) if entry is not None else {}
-
-    def set_free_space(self, table: str, holes: Mapping[int, int]) -> None:
-        entry = self._tables.get(table.lower())
+    def set_free_space(self, entry: TableEntry, holes: Mapping[int, int]) -> None:
         snapshot = dict(holes)
-        if entry is not None and entry.free_space != snapshot:
+        if entry.free_space != snapshot:
             entry.free_space = snapshot
             self._dirty = True
 
-    # -- statistics maintenance --------------------------------------------------
-
-    def stat_info(self, name: str, block_count: Optional[int] = None) -> StatInfo:
-        stats = self._table(name).stats
-        if block_count is not None and block_count != stats.blocks:
+    def stat_info(self, entry: TableEntry, block_count: int) -> StatInfo:
+        """``entry``'s statistics with the heap's block count stamped in."""
+        stats = entry.stats
+        if block_count != stats.blocks:
             stats.blocks = int(block_count)
             self._dirty = True
         return stats
 
-    def record_insert(self, name: str, values: Sequence[Any]) -> None:
-        entry = self._tables.get(name.lower())
-        if entry is None:
-            return
+    def record_insert(self, entry: TableEntry, values: Sequence[Any]) -> None:
         stats = entry.stats
         stats.records += 1
         for column, value in zip(entry.schema.columns, values):
@@ -351,7 +339,7 @@ class MetadataManager:
             info.observe(value)
         self._dirty = True
 
-    def record_delete(self, name: str) -> None:
+    def record_delete(self, entry: TableEntry) -> None:
         """Fold one deleted row into the catalog's record count.
 
         Per-column statistics (distincts, min/max, histograms) cannot be
@@ -359,14 +347,11 @@ class MetadataManager:
         refresh, which :meth:`deletes_refresh_due` brings forward after a
         large delete batch.
         """
-        entry = self._tables.get(name.lower())
-        if entry is None:
-            return
         entry.stats.records = max(0, entry.stats.records - 1)
         entry.deletes_since_refresh += 1
         self._dirty = True
 
-    def deletes_refresh_due(self, name: str) -> bool:
+    def deletes_refresh_due(self, entry: TableEntry) -> bool:
         """True when deletes since the last refresh warrant a full recompute.
 
         Scan counting alone would let index-vs-scan costing run on stale
@@ -374,30 +359,25 @@ class MetadataManager:
         after a bulk delete; a batch that removed >= 20% of the table (or
         ``refresh_interval`` rows outright) forces the refresh now.
         """
-        entry = self._tables.get(name.lower())
-        if entry is None or not entry.deletes_since_refresh:
-            return False
         deletes = entry.deletes_since_refresh
+        if not deletes:
+            return False
         if deletes >= self.refresh_interval:
             return True
         return deletes * 5 >= max(1, deletes + entry.stats.records)
 
-    def note_scan(self, name: str) -> bool:
+    def note_scan(self, entry: TableEntry) -> bool:
         """Count one table scan; True when a full stats refresh is due."""
-        entry = self._tables.get(name.lower())
-        if entry is None:
-            return False
         entry.scans_since_refresh += 1
         return entry.scans_since_refresh >= self.refresh_interval
 
     def refresh(
         self,
-        name: str,
+        entry: TableEntry,
         rows: Iterable[Tuple[Any, ...]],
         block_count: int,
     ) -> StatInfo:
         """Full recompute of a table's statistics from its actual records."""
-        entry = self._table(name)
         materialized = list(rows)
         stats = StatInfo(blocks=block_count, records=len(materialized))
         for position, column in enumerate(entry.schema.columns):
@@ -484,7 +464,7 @@ class MetadataManager:
                     column_name, column_payload
                 )
             holes = entry.get("free_space") or {}
-            self._tables[name.lower()] = _TableEntry(
+            self._tables[name.lower()] = TableEntry(
                 name,
                 schema,
                 stats,

@@ -25,12 +25,17 @@ map is persisted in the catalog and restored on reopen.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import Schema
+from repro.relational.statistics import TableStatistics
 from repro.storage.buffer import BufferManager
 from repro.storage.page import DEFAULT_BLOCK_SIZE, BlockId, Page, decode_record, encode_record
+
+if TYPE_CHECKING:  # pragma: no cover - the engine, index and catalog modules import this one
+    from repro.storage.engine import IndexHandle
+    from repro.storage.metadata import MetadataManager, StatInfo, TableEntry
 
 _HEADER_BYTES = 8  # slot_count + free_end
 _SLOT_BYTES = 8  # offset + length
@@ -415,41 +420,49 @@ class HeapFile:
 
 
 class PagedTableStorage:
-    """The paged backend behind one :class:`~repro.relational.table.Table`.
+    """One stored table: its heap file, its catalog entry and its indexes.
 
-    Keeps a running row count (recovered from catalog metadata on open, or
-    by a one-off scan) and notifies optional listeners on every insert and
-    delete so the metadata layer can maintain statistics and secondary
-    indexes incrementally.
+    The storage engine builds it with the table's catalog entry and sets
+    :attr:`indexes_by_position` -- each open secondary index with the
+    position of its column, in the catalog's lower-cased index-name order --
+    whenever that list changes.  Everything that happens to a stored table
+    goes through this one object: an insert or delete folds into the catalog
+    statistics and every index (in that order, which fixes the buffer pool's
+    LRU order), a scan is counted, a large delete batch refreshes the
+    statistics, and :meth:`statistics` / :meth:`indexes` answer from the
+    catalog and the open handles without touching a heap page.
     """
 
     def __init__(
-        self,
-        buffers: BufferManager,
-        table_name: str,
-        schema: Schema,
-        row_count: Optional[int] = None,
-        on_insert: Optional[Callable[[Sequence[Any], RecordId], None]] = None,
-        on_delete: Optional[Callable[[Sequence[Any], RecordId], None]] = None,
+        self, buffers: BufferManager, catalog: "MetadataManager", entry: "TableEntry"
     ) -> None:
-        self.table_name = table_name
-        self.layout = Layout(table_name, schema, buffers.file_manager.block_size)
+        self.table_name = entry.name
+        self.catalog = catalog
+        self.entry = entry
+        self.layout = Layout(entry.name, entry.schema, buffers.file_manager.block_size)
         self.heap = HeapFile(buffers, self.layout)
-        self.on_insert = on_insert
-        self.on_delete = on_delete
-        if row_count is None:
-            row_count = sum(1 for _ in self.heap.records())
-        self.row_count = int(row_count)
+        self.heap.holes = dict(entry.free_space)
+        self.row_count = entry.stats.records
+        self.indexes_by_position: List[Tuple["IndexHandle", int]] = []
 
     def append(self, values: Sequence[Any]) -> RecordId:
         rid = self.heap.append(values)
         self.row_count += 1
-        if self.on_insert is not None:
-            self.on_insert(values, rid)
+        self.catalog.record_insert(self.entry, values)
+        for handle, position in self.indexes_by_position:
+            handle.insert(values[position], rid)
+            self.catalog.set_index_state(
+                handle.definition.name, handle.entry_count, handle.incomplete
+            )
         return rid
 
     def delete_where(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> int:
-        """Delete every record matching ``predicate``; returns the count."""
+        """Delete every record matching ``predicate``; returns the count.
+
+        A batch that made the catalog statistics stale (see
+        :meth:`~repro.storage.metadata.MetadataManager.deletes_refresh_due`)
+        runs the full refresh before returning.
+        """
         doomed = [
             (rid, values)
             for rid, values in self.heap.records_with_rids()
@@ -458,9 +471,41 @@ class PagedTableStorage:
         for rid, values in doomed:
             self.heap.delete(rid)
             self.row_count -= 1
-            if self.on_delete is not None:
-                self.on_delete(values, rid)
+            self.catalog.record_delete(self.entry)
+            for handle, position in self.indexes_by_position:
+                handle.delete(values[position], rid)
+                self.catalog.set_index_state(
+                    handle.definition.name, handle.entry_count, handle.incomplete
+                )
+        if doomed and self.catalog.deletes_refresh_due(self.entry):
+            self.refresh_statistics()
         return len(doomed)
+
+    def scan(self) -> List[Tuple[Any, ...]]:
+        """Every record, counted as one table scan.
+
+        The count runs the full statistics refresh when one is due, before
+        the records are read.
+        """
+        if self.catalog.note_scan(self.entry):
+            self.refresh_statistics()
+        return self.read_all()
+
+    def refresh_statistics(self) -> "StatInfo":
+        """Recompute the catalog statistics (histograms, distincts) from the heap."""
+        return self.catalog.refresh(self.entry, self.heap.records(), self.block_count())
+
+    def stat_info(self) -> "StatInfo":
+        """The catalog statistics with the heap's current block count stamped in."""
+        return self.catalog.stat_info(self.entry, self.block_count())
+
+    def statistics(self) -> TableStatistics:
+        """The catalog's view of the table in the optimizer's statistics shape."""
+        return self.stat_info().to_table_statistics()
+
+    def indexes(self) -> Dict[str, "IndexHandle"]:
+        """The open secondary-index handles, keyed by index name."""
+        return {handle.definition.name: handle for handle, _ in self.indexes_by_position}
 
     def fetch_row(self, rid: RecordId) -> Tuple[Any, ...]:
         """One record by RID, touching only the pages it lives on."""

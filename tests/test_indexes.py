@@ -22,6 +22,7 @@ from repro.core.optimizer.cost import CostSettings
 from repro.errors import BindError, OptimizerError, ParseError, PlanError, StorageError
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
+from repro.relational.table import Table
 from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.server.engine import Database
 from repro.server.planner import build_plan
@@ -754,12 +755,12 @@ class TestDeleteStatisticsRefresh:
         storage = engine.create_table("Fat", schema)
         for index in range(400):
             storage.append((index, float(index)))
-        assert engine.stat_info("Fat").records == 400
+        assert storage.stat_info().records == 400
 
-        deleted = engine.delete_rows("Fat", lambda values: values[0] >= 100)
+        deleted = storage.delete_where(lambda values: values[0] >= 100)
         assert deleted == 300
-        assert engine.stat_info("Fat").records == 100
-        assert not engine.metadata.deletes_refresh_due("Fat")
+        assert storage.stat_info().records == 100
+        assert not engine.metadata.deletes_refresh_due(storage.entry)
         engine.close()
 
     def test_small_delete_batch_stays_lazy(self, tmp_path):
@@ -771,10 +772,64 @@ class TestDeleteStatisticsRefresh:
         for index in range(400):
             storage.append((index, float(index)))
         engine.refresh_statistics("Thin")
-        engine.delete_rows("Thin", lambda values: values[0] < 3)
+        storage.delete_where(lambda values: values[0] < 3)
         # Stale by exactly the small batch — no refresh fired.
-        assert engine.stat_info("Thin").records == 397
+        assert storage.stat_info().records == 397
         engine.close()
+
+
+# ---------------------------------------------------------------------------
+# A stored table is one object, however it was built
+# ---------------------------------------------------------------------------
+
+
+class TestOneStoredTable:
+    def test_a_table_built_beside_the_database_sees_its_index_and_catalog(self, tmp_path):
+        """A ``Table`` over a backend straight from ``StorageEngine`` is the
+        same table a ``Database`` builds: it holds the engine's index and
+        answers the catalog's statistics without pinning a heap page."""
+        engine = StorageEngine(str(tmp_path))
+        schema = Schema((Column("Id", INTEGER), Column("Price", FLOAT)))
+        backend = engine.create_table("Loose", schema)
+        handle = engine.create_index("loose_id", "Loose", "Id", kind="hash")
+        table = Table("Loose", schema, storage=backend)
+        table.insert_many((index % 40, float(index)) for index in range(300))
+
+        assert table.indexes() == {"loose_id": handle}
+        assert sorted(handle.search_eq(7)) == sorted(
+            rid for rid, values in backend.rows_with_rids() if values[0] == 7
+        )
+        before = engine.buffer_stats().accesses
+        stats = table.statistics
+        assert engine.buffer_stats().accesses == before
+        assert stats == backend.stat_info().to_table_statistics()
+        assert stats.row_count == 300
+        engine.close()
+
+    def test_replacing_a_table_repopulates_its_indexes(self, tmp_path):
+        """``create_table(replace=True)`` keeps the index definitions and
+        fills them from the new rows: every lookup equals a sequential scan."""
+        db = Database(network=NETWORK, storage_dir=str(tmp_path), cost_settings=COST)
+        db.create_table("Quotes", QUOTE_SCHEMA, rows=QUOTE_ROWS[:200])
+        db.create_index("quotes_price", "Quotes", "Price")
+        db.create_index("quotes_id", "Quotes", "Id", kind="hash")
+        rows = [(index % 30, float(index % 7), f"new{index}") for index in range(120)]
+        table = db.create_table("Quotes", QUOTE_SCHEMA, rows=rows, replace=True)
+
+        assert sorted(table.indexes()) == ["quotes_id", "quotes_price"]
+        scanned = {rid: values for rid, values in table.storage.rows_with_rids()}
+        assert sorted(scanned.values()) == sorted(rows)
+        for name, position, keys in (("quotes_id", 0, range(35)), ("quotes_price", 1, range(9))):
+            handle = table.indexes()[name]
+            assert handle.entry_count == len(rows)
+            for key in keys:
+                expected = [rid for rid, values in scanned.items() if values[position] == key]
+                assert sorted(handle.search_eq(key)) == sorted(expected), (name, key)
+        in_range = table.indexes()["quotes_price"].search_range(2.0, 4.0, True, False)
+        assert sorted(rid for _, rid in in_range) == sorted(
+            rid for rid, values in scanned.items() if 2.0 <= values[1] < 4.0
+        )
+        db.close()
 
 
 # ---------------------------------------------------------------------------

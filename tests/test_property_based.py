@@ -912,6 +912,8 @@ def _render(node, sqlite=False):
         return f"'{value}'" if isinstance(value, str) else repr(value)
     if kind == "call":
         return f"{node[1]}({_render(node[2], sqlite)})"
+    if kind == "not":
+        return f"(NOT {_render(node[1], sqlite)})"
     _, operator_, left, right = node
     left, right = _render(left, sqlite), _render(right, sqlite)
     if operator_ == "/" and sqlite:
@@ -1018,6 +1020,19 @@ def _oracle_queries(draw, tables, index):
             ]
         return [("binary", operator_, left, ("literal", draw(literal)))]
 
+    def widened(items):
+        """Each WHERE item as drawn, or now and then OR-ed with the next, or negated."""
+        result = []
+        while items:
+            item, items = items[0], items[1:]
+            shape = draw(st.sampled_from(["as drawn"] * 4 + ["or", "or", "not"]))
+            if shape == "or" and items:
+                item, items = ("binary", "OR", item, items[0]), items[1:]
+            elif shape == "not":
+                item = ("not", item)
+            result.append(item)
+        return result
+
     comparisons = sorted(_COMPARE)
     where = []
     if index is not None:
@@ -1068,7 +1083,7 @@ def _oracle_queries(draw, tables, index):
         "select": select,
         "aliases": aliases,
         "distinct": draw(st.sampled_from([False, False, True])),
-        "where": where,
+        "where": widened(where),
         "order_by": order_by,
         "limit": limit,
         "offset": draw(st.integers(min_value=0, max_value=3)) if limit is not None else 0,
@@ -1134,11 +1149,17 @@ def _sqlite_answer(case):
     return rows, everything
 
 
-def _load_engine(case, directory):
-    """The case's tables, churned, in a ``Database`` (paged under ``directory``)."""
+def _open_engine(directory):
+    """A ``Database`` with the oracle's UDFs, paged under ``directory`` if given."""
     db = Database(network=FAST, storage_dir=directory, cost_settings=_PAGE_COST)
     db.register_client_udf("ClientUdf", _client_udf)
     db.register_server_udf("ServerUdf", _server_udf)
+    return db
+
+
+def _load_engine(case, directory):
+    """The case's tables, churned, in a ``Database`` (paged under ``directory``)."""
+    db = _open_engine(directory)
     index = case["index"] if directory is not None else None
 
     def build_index(moment):
@@ -1199,10 +1220,17 @@ def _check_against_sqlite(case):
     for wide in _WIDE:  # keep a failure message readable
         sql = sql.replace(wide, f"{wide[0]}*{len(wide)}")
     with tempfile.TemporaryDirectory() as directory:
-        for storage_dir in (None, directory):
-            db = _load_engine(case, storage_dir)
+        # In memory; paged; and the paged directory closed and reopened, so
+        # catalog statistics, heap free space and indexes come back from disk.
+        legs = (
+            ("in memory", lambda: _load_engine(case, None)),
+            ("paged", lambda: _load_engine(case, directory)),
+            ("reopened", lambda: _open_engine(directory)),
+        )
+        for leg, open_db in legs:
+            db = open_db()
             for how, rows in _engine_answers(case, db):
-                where = f"{'paged' if storage_dir else 'in memory'}, {how}: {sql}"
+                where = f"{leg}, {how}: {sql}"
                 if query["order_by"]:
                     assert rows == expected, where
                 elif query["limit"] is None:
@@ -1245,9 +1273,11 @@ _BULK_LOAD_THEN_INSERT = {
 def test_sql_surface_agrees_with_sqlite(case):
     """Every way of running a query returns what SQLite returns.
 
-    In memory and paged; with a B-tree and a hash index on a column of the
-    first table — bulk-built over the loaded heap, or maintained through the
-    load and the insert / delete churn — and without; the default plan, the
+    In memory, paged, and paged again after the directory is closed and
+    reopened; WHERE items conjoined, OR-ed in pairs or negated; with a
+    B-tree and a hash index on a column of the first table — bulk-built
+    over the loaded heap, or maintained through the load and the insert /
+    delete churn — and without; the default plan, the
     optimizer's, and every index path pinned; whatever strategy and batch
     size ship the client-site UDF.  Multisets, or exact sequences under
     ``ORDER BY``.

@@ -338,18 +338,19 @@ class TestMetadataManager:
     def test_schema_and_stats_survive_reopen(self, tmp_path):
         manager = MetadataManager(str(tmp_path))
         manager.create_table("Items", SCHEMA)
+        entry = manager.table_entry("Items")
         for index in range(10):
-            manager.record_insert("Items", (index % 3, float(index), f"n{index}"))
+            manager.record_insert(entry, (index % 3, float(index), f"n{index}"))
         manager.flush()
 
         reopened = MetadataManager(str(tmp_path))
         assert reopened.table_names() == ["Items"]
-        assert [c.name for c in reopened.schema_for("items").columns] == [
+        assert [c.name for c in reopened.table_entry("items").schema.columns] == [
             "Id",
             "Price",
             "Name",
         ]
-        stats = reopened.stat_info("Items")
+        stats = reopened.table_entry("Items").stats
         assert stats.records == 10
         assert stats.distinct_values("Id") == 3
         assert stats.distinct_values("T.Name") == 10
@@ -372,17 +373,18 @@ class TestMetadataManager:
         assert manager.table_names() == ["Empty", "Items"]
         assert manager.index_names() == ["items_id", "items_name"]
         assert manager.index_state("ITEMS_ID") == (110, False)
-        assert manager.free_space_for("items") == {
+        entry = manager.table_entry("items")
+        assert entry.free_space == {
             int(block): free for block, free in payload["tables"]["Items"]["free_space"].items()
         }
-        assert manager.stat_info("Items").records == 110
+        assert entry.stats.records == 110
         manager.save()
         assert (tmp_path / "catalog.json").read_bytes() == written
 
         # The same through every mutator that leaves the content alone.
         manager.set_index_state("items_id", 110, False)
-        manager.set_free_space("Items", manager.free_space_for("Items"))
-        manager.stat_info("Items", block_count=manager.stat_info("Items").blocks)
+        manager.set_free_space(entry, dict(entry.free_space))
+        manager.stat_info(entry, block_count=entry.stats.blocks)
         manager.flush()  # nothing became dirty
         assert (tmp_path / "catalog.json").read_bytes() == written
 
@@ -394,40 +396,44 @@ class TestMetadataManager:
         manager.drop_table("items")
         reopened = MetadataManager(str(tmp_path))
         assert reopened.table_names() == ["Empty"] and reopened.index_names() == []
-        assert reopened.free_space_for("Items") == {}
-        assert reopened.note_scan("Items") is False and not reopened.deletes_refresh_due("Items")
+        assert not reopened.has_table("Items")
+        with pytest.raises(CatalogError):
+            reopened.table_entry("Items")
         with pytest.raises(CatalogError):
             reopened.drop_table("Items")
 
     def test_unknown_column_defaults_to_record_count(self, tmp_path):
         manager = MetadataManager(str(tmp_path))
         manager.create_table("Items", SCHEMA)
+        entry = manager.table_entry("Items")
         for index in range(5):
-            manager.record_insert("Items", (index, float(index), "x"))
-        assert manager.stat_info("Items").distinct_values("nosuch") == 5
+            manager.record_insert(entry, (index, float(index), "x"))
+        assert entry.stats.distinct_values("nosuch") == 5
 
     def test_replace_resets_statistics(self, tmp_path):
         """Regression: a replaced table must not inherit the old StatInfo."""
         manager = MetadataManager(str(tmp_path))
         manager.create_table("Items", SCHEMA)
+        entry = manager.table_entry("Items")
         for index in range(50):
-            manager.record_insert("Items", (index, float(index), f"n{index}"))
-        assert manager.stat_info("Items").records == 50
+            manager.record_insert(entry, (index, float(index), f"n{index}"))
+        assert entry.stats.records == 50
         manager.create_table("Items", SCHEMA, replace=True)
-        assert manager.stat_info("Items").records == 0
-        assert manager.stat_info("Items").distinct_values("Id") == 0
+        assert manager.table_entry("Items").stats.records == 0
+        assert manager.table_entry("Items").stats.distinct_values("Id") == 0
 
     def test_scan_trigger_and_refresh(self, tmp_path):
         manager = MetadataManager(str(tmp_path), refresh_interval=3)
         manager.create_table("Items", SCHEMA)
-        assert manager.note_scan("Items") is False
-        assert manager.note_scan("Items") is False
-        assert manager.note_scan("Items") is True
+        entry = manager.table_entry("Items")
+        assert manager.note_scan(entry) is False
+        assert manager.note_scan(entry) is False
+        assert manager.note_scan(entry) is True
         rows = [(index, float(index), f"n{index}") for index in range(8)]
-        stats = manager.refresh("Items", rows, block_count=2)
+        stats = manager.refresh(entry, rows, block_count=2)
         assert stats.records == 8 and stats.blocks == 2
         assert stats.columns["Price"].histogram is not None
-        assert manager.note_scan("Items") is False  # counter reset
+        assert manager.note_scan(entry) is False  # counter reset
 
     def test_duplicate_create_raises(self, tmp_path):
         manager = MetadataManager(str(tmp_path))
@@ -471,7 +477,7 @@ class TestStorageEngine:
             storage = engine.open_table("Items")
             assert storage.row_count == 20
             assert storage.read_all()[0] == (0, 0.0, "n0")
-            info = engine.stat_info("Items")
+            info = storage.stat_info()
             assert info.records_output() == 20
             assert info.blocks_accessed() == storage.block_count() > 0
 
@@ -489,9 +495,9 @@ class TestStorageEngine:
         storage = engine.create_table("Items", SCHEMA)
         for index in range(12):
             storage.append((index % 4, float(index), f"n{index}"))
-        engine.on_table_scan("Items")
-        engine.on_table_scan("Items")  # second scan triggers the refresh
-        stats = engine.table_statistics("Items")
+        storage.scan()
+        storage.scan()  # second scan triggers the refresh
+        stats = storage.statistics()
         assert stats.row_count == 12
         assert stats.column("Price").histogram is not None
         assert stats.column("Id").distinct_count == 4
@@ -502,7 +508,7 @@ class TestStorageEngine:
         storage = engine.create_table("Items", SCHEMA)
         for index in range(10):
             storage.append((index, float(index), f"n{index}"))
-        stats = engine.table_statistics("Items")
+        stats = storage.statistics()
         assert stats.row_count == 10
         assert stats.average_row_size > 0
         assert stats.column("Id").distinct_count == 10
