@@ -149,11 +149,13 @@ class Table:
         without re-scanning values.  The in-memory path caches the batch
         until mutation; the paged path re-reads the heap through the buffer
         pool on every call, which is what makes the pool's hit/miss/eviction
-        counters meaningful.
+        counters meaningful, and builds the column buffers straight from the
+        decoded records (no :class:`Row` per record).
         """
         if self._storage is not None:
-            rows = [Row(values) for values in self._storage.scan()]
-            return RowBatch(rows).ensure_typed(self.schema)
+            records = self._storage.scan()
+            columns = [list(column) for column in zip(*records)]
+            return RowBatch.from_columns(columns, len(records)).ensure_typed(self.schema)
         if self._batch is None:
             self._batch = RowBatch(list(self._rows)).ensure_typed(self.schema)
         return self._batch

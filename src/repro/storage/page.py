@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, List, Tuple
 
 from repro.errors import StorageError
@@ -30,6 +31,16 @@ DEFAULT_BLOCK_SIZE = 4096
 _INT32 = struct.Struct(">i")
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
+_unpack_int32 = _INT32.unpack_from
+_unpack_int64 = _INT64.unpack_from
+_unpack_float64 = _FLOAT64.unpack_from
+
+
+@lru_cache(maxsize=256)
+def _doubles(count: int) -> struct.Struct:
+    """The codec of a time series' ``count`` floats, built once per length."""
+    return struct.Struct(f">{count}d")
+
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -99,8 +110,7 @@ class Page:
         self.data[offset : offset + len(payload)] = payload
 
     def clear(self) -> None:
-        for index in range(len(self.data)):
-            self.data[index] = 0
+        self.data[:] = bytes(len(self.data))
 
     def __repr__(self) -> str:
         return f"Page(block_size={len(self.data)})"
@@ -137,7 +147,7 @@ def encode_value(value: Any) -> bytes:
         return (
             bytes((TAG_TIME_SERIES,))
             + _INT32.pack(len(values))
-            + struct.pack(f">{len(values)}d", *values)
+            + _doubles(len(values)).pack(*values)
         )
     if isinstance(value, (tuple, list)):
         tag = TAG_TUPLE if isinstance(value, tuple) else TAG_LIST
@@ -147,40 +157,41 @@ def encode_value(value: Any) -> bytes:
 
 
 def decode_value(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
-    """Decode one value at ``offset``; returns ``(value, next_offset)``."""
+    """Decode one value at ``offset``; returns ``(value, next_offset)``.
+
+    ``buffer`` is any bytes-like object — a page's ``bytearray`` or a
+    ``memoryview`` of it — so records decode where they lie.  The tags are
+    tested most frequent first.
+    """
     tag = buffer[offset]
     offset += 1
+    if tag == TAG_INT64:
+        return _unpack_int64(buffer, offset)[0], offset + 8
+    if tag == TAG_FLOAT:
+        return _unpack_float64(buffer, offset)[0], offset + 8
+    if tag == TAG_STRING:
+        end = offset + 4 + _unpack_int32(buffer, offset)[0]
+        return str(buffer[offset + 4 : end], "utf-8"), end
+    if tag == TAG_TIME_SERIES:
+        count = _unpack_int32(buffer, offset)[0]
+        values = _doubles(count).unpack_from(buffer, offset + 4)
+        return TimeSeries.from_floats(values), offset + 4 + 8 * count
     if tag == TAG_NULL:
         return None, offset
     if tag == TAG_FALSE:
         return False, offset
     if tag == TAG_TRUE:
         return True, offset
-    if tag == TAG_INT64:
-        return _INT64.unpack_from(buffer, offset)[0], offset + 8
+    if tag == TAG_BYTES:
+        end = offset + 4 + _unpack_int32(buffer, offset)[0]
+        return bytes(buffer[offset + 4 : end]), end
     if tag == TAG_BIGINT:
-        length = _INT32.unpack_from(buffer, offset)[0]
-        offset += 4
-        raw = buffer[offset : offset + length]
-        return int.from_bytes(raw, "big", signed=True), offset + length
-    if tag == TAG_FLOAT:
-        return _FLOAT64.unpack_from(buffer, offset)[0], offset + 8
-    if tag in (TAG_STRING, TAG_BYTES):
-        length = _INT32.unpack_from(buffer, offset)[0]
-        offset += 4
-        raw = bytes(buffer[offset : offset + length])
-        if tag == TAG_STRING:
-            return raw.decode("utf-8"), offset + length
-        return raw, offset + length
+        end = offset + 4 + _unpack_int32(buffer, offset)[0]
+        return int.from_bytes(buffer[offset + 4 : end], "big", signed=True), end
     if tag == TAG_DATA_OBJECT:
-        size = _INT64.unpack_from(buffer, offset)[0]
+        size = _unpack_int64(buffer, offset)[0]
         seed, offset = decode_value(buffer, offset + 8)
         return DataObject(size, seed=seed), offset
-    if tag == TAG_TIME_SERIES:
-        count = _INT32.unpack_from(buffer, offset)[0]
-        offset += 4
-        values = struct.unpack_from(f">{count}d", buffer, offset)
-        return TimeSeries.from_floats(values), offset + 8 * count
     if tag in (TAG_TUPLE, TAG_LIST):
         count = _INT32.unpack_from(buffer, offset)[0]
         offset += 4
@@ -200,7 +211,7 @@ def encode_record(values: Any) -> bytes:
 
 def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Tuple[Any, ...], int]:
     """Decode one record at ``offset``; returns ``(values, next_offset)``."""
-    count = _INT32.unpack_from(buffer, offset)[0]
+    count = _unpack_int32(buffer, offset)[0]
     offset += 4
     values: List[Any] = []
     for _ in range(count):

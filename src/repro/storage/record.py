@@ -25,6 +25,8 @@ map is persisted in the catalog and restored on reopen.
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
@@ -37,8 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - the engine, index and catalog modules im
     from repro.storage.engine import IndexHandle
     from repro.storage.metadata import MetadataManager, StatInfo, TableEntry
 
-_HEADER_BYTES = 8  # slot_count + free_end
-_SLOT_BYTES = 8  # offset + length
+_HEADER = struct.Struct(">ii")  # slot_count, free_end
+_SLOT = struct.Struct(">ii")  # offset, length
+_HEADER_BYTES = _HEADER.size
+_SLOT_BYTES = _SLOT.size
 _OVERFLOW_HEAD = -1
 _OVERFLOW_CONTINUATION = -2
 _TOMBSTONE = -1  # slot length marking a deleted record
@@ -67,8 +71,27 @@ class Layout:
         return f"Layout(file={self.file_name!r}, block_size={self.block_size})"
 
 
+@lru_cache(maxsize=None)  # one per slot count, which the block size bounds
+def _directory_codec(slot_count: int) -> struct.Struct:
+    """The codec of a slot directory of ``slot_count`` ``(offset, length)`` pairs."""
+    return struct.Struct(f">{2 * slot_count}i")
+
+
+def _live(directory: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """``(slot, offset, length)`` of every record a flat slot directory holds."""
+    return [
+        (slot, offset, length)
+        for slot, (offset, length) in enumerate(zip(directory[::2], directory[1::2]))
+        if length != _TOMBSTONE
+    ]
+
+
 class SlottedPage:
-    """A view interpreting one :class:`~repro.storage.page.Page` as slots."""
+    """A view interpreting one :class:`~repro.storage.page.Page` as slots.
+
+    Each operation reads the slot directory with one struct call
+    (:meth:`directory`) instead of one per slot.
+    """
 
     __slots__ = ("page",)
 
@@ -77,39 +100,46 @@ class SlottedPage:
 
     def format(self) -> None:
         """Initialise an empty slotted page (0 slots, all space free)."""
-        self.page.write_int(0, 0)
-        self.page.write_int(4, self.page.block_size)
+        _HEADER.pack_into(self.page.data, 0, 0, self.page.block_size)
 
     @property
     def slot_count(self) -> int:
         return self.page.read_int(0)
 
     @property
-    def free_end(self) -> int:
-        return self.page.read_int(4)
-
-    @property
     def free_space(self) -> int:
-        return self.free_end - _HEADER_BYTES - _SLOT_BYTES * self.slot_count
+        slot_count, free_end = _HEADER.unpack_from(self.page.data)
+        return free_end - _HEADER_BYTES - _SLOT_BYTES * slot_count
+
+    def directory(self) -> Tuple[int, ...]:
+        """Every slot's offset and length, flat: ``(offset0, length0, offset1, ...)``."""
+        data = self.page.data
+        slot_count = self.slot_count
+        if not 0 <= slot_count <= (len(data) - _HEADER_BYTES) // _SLOT_BYTES:
+            raise StorageError(f"corrupt slot directory: {slot_count} slots")
+        return _directory_codec(slot_count).unpack_from(data, _HEADER_BYTES)
+
+    def live_slots(self) -> List[Tuple[int, int, int]]:
+        """``(slot, offset, length)`` of every record on the page, in slot order."""
+        return _live(self.directory())
+
+    def entry(self, slot: int) -> Tuple[int, int]:
+        """``(offset, length)`` of the record in ``slot``."""
+        if not 0 <= slot < self.slot_count:
+            raise StorageError(f"slot {slot} out of range (page has {self.slot_count})")
+        offset, length = _SLOT.unpack_from(self.page.data, _HEADER_BYTES + _SLOT_BYTES * slot)
+        if length == _TOMBSTONE:
+            raise StorageError(f"slot {slot} is deleted")
+        return offset, length
 
     def has_room(self, record_length: int) -> bool:
         if self._first_tombstone() is not None:
             return self.free_space >= record_length
         return self.free_space >= record_length + _SLOT_BYTES
 
-    def _slot_length(self, slot: int) -> int:
-        return self.page.read_int(_HEADER_BYTES + _SLOT_BYTES * slot + 4)
-
     def _first_tombstone(self) -> Optional[int]:
-        for slot in range(self.slot_count):
-            if self._slot_length(slot) == _TOMBSTONE:
-                return slot
-        return None
-
-    def is_deleted(self, slot: int) -> bool:
-        if not 0 <= slot < self.slot_count:
-            raise StorageError(f"slot {slot} out of range (page has {self.slot_count})")
-        return self._slot_length(slot) == _TOMBSTONE
+        lengths = self.directory()[1::2]
+        return lengths.index(_TOMBSTONE) if _TOMBSTONE in lengths else None
 
     def insert(self, record: bytes) -> int:
         """Place ``record`` on this page; returns its slot index.
@@ -118,65 +148,43 @@ class SlottedPage:
         on delete, so free space is always one contiguous run).
         """
         reuse = self._first_tombstone()
-        needed = len(record) if reuse is not None else len(record) + _SLOT_BYTES
-        if self.free_space < needed:
-            raise StorageError(
-                f"record of {len(record)} bytes does not fit "
-                f"({self.free_space} bytes free)"
-            )
-        slot = reuse if reuse is not None else self.slot_count
-        offset = self.free_end - len(record)
+        slot_count, free_end = _HEADER.unpack_from(self.page.data)
+        free = free_end - _HEADER_BYTES - _SLOT_BYTES * slot_count
+        if free < (len(record) if reuse is not None else len(record) + _SLOT_BYTES):
+            raise StorageError(f"record of {len(record)} bytes does not fit ({free} bytes free)")
+        slot = reuse if reuse is not None else slot_count
+        offset = free_end - len(record)
         self.page.write_bytes(offset, record)
-        self.page.write_int(_HEADER_BYTES + _SLOT_BYTES * slot, offset)
-        self.page.write_int(_HEADER_BYTES + _SLOT_BYTES * slot + 4, len(record))
-        if reuse is None:
-            self.page.write_int(0, slot + 1)
-        self.page.write_int(4, offset)
+        _SLOT.pack_into(self.page.data, _HEADER_BYTES + _SLOT_BYTES * slot, offset, len(record))
+        _HEADER.pack_into(self.page.data, 0, max(slot_count, slot + 1), offset)
         return slot
 
     def delete(self, slot: int) -> None:
         """Tombstone ``slot`` and compact the page, keeping slots stable."""
-        if self.is_deleted(slot):
+        directory = list(self.directory())
+        if not 0 <= slot < len(directory) // 2:
+            raise StorageError(f"slot {slot} out of range (page has {len(directory) // 2})")
+        if directory[2 * slot + 1] == _TOMBSTONE:
             raise StorageError(f"slot {slot} is already deleted")
-        self.page.write_int(_HEADER_BYTES + _SLOT_BYTES * slot + 4, _TOMBSTONE)
-        self._compact()
+        directory[2 * slot + 1] = _TOMBSTONE
+        self._compact(directory)
 
-    def _compact(self) -> None:
-        """Re-pack live records against the end of the block.
+    def _compact(self, directory: List[int]) -> None:
+        """Re-pack the live records of ``directory`` against the end of the
+        block and write the directory back.
 
         Slot indices are untouched — only offsets move — so RIDs handed out
         to indexes remain valid across any number of deletes.
         """
-        live = [
-            (slot, self.record(slot))
-            for slot in range(self.slot_count)
-            if self._slot_length(slot) != _TOMBSTONE
-        ]
-        cursor = self.page.block_size
+        data = self.page.data
+        live = [(slot, data[offset : offset + length]) for slot, offset, length in _live(directory)]
+        cursor = len(data)
         for slot, record in sorted(live, key=lambda item: -len(item[1])):
             cursor -= len(record)
             self.page.write_bytes(cursor, record)
-            self.page.write_int(_HEADER_BYTES + _SLOT_BYTES * slot, cursor)
+            directory[2 * slot] = cursor
+        _directory_codec(len(directory) // 2).pack_into(data, _HEADER_BYTES, *directory)
         self.page.write_int(4, cursor)
-
-    def record(self, slot: int) -> bytes:
-        if not 0 <= slot < self.slot_count:
-            raise StorageError(f"slot {slot} out of range (page has {self.slot_count})")
-        length = self._slot_length(slot)
-        if length == _TOMBSTONE:
-            raise StorageError(f"slot {slot} is deleted")
-        offset = self.page.read_int(_HEADER_BYTES + _SLOT_BYTES * slot)
-        return self.page.read_bytes(offset, length)
-
-    def records(self) -> Iterator[bytes]:
-        for slot in range(self.slot_count):
-            if self._slot_length(slot) != _TOMBSTONE:
-                yield self.record(slot)
-
-    def records_with_slots(self) -> Iterator[Tuple[int, bytes]]:
-        for slot in range(self.slot_count):
-            if self._slot_length(slot) != _TOMBSTONE:
-                yield slot, self.record(slot)
 
 
 class HeapFile:
@@ -285,9 +293,8 @@ class HeapFile:
             if slot >= 0:
                 if marker < 0:
                     raise StorageError(f"RID {rid} does not point at a slotted page")
-                raw = SlottedPage(buffer.page).record(slot)
-                values, _ = decode_record(raw)
-                return values
+                offset, length = SlottedPage(buffer.page).entry(slot)
+                return self._decode(buffer.page.data, offset, length, rid)
             if marker != _OVERFLOW_HEAD:
                 raise StorageError(f"RID {rid} does not point at an overflow head")
             length = buffer.page.read_int(4)
@@ -313,7 +320,20 @@ class HeapFile:
                 self.buffers.unpin(buffer)
             remaining -= cont_capacity
             number += 1
-        values, _ = decode_record(b"".join(chunks))
+        return self._decode(b"".join(chunks), 0, length, rid)
+
+    def _decode(self, data: bytes, offset: int, length: int, rid: RecordId) -> Tuple[Any, ...]:
+        """The record at ``offset`` of ``data``, decoded where it lies; it must
+        fill exactly the ``length`` bytes its slot or chain header gives."""
+        try:
+            values, end = decode_record(data, offset)
+        except (ValueError, IndexError, struct.error):  # UnicodeDecodeError is a ValueError
+            end = None
+        if end != offset + length:
+            found = "no record" if end is None else f"a record of {end - offset}"
+            raise StorageError(
+                f"torn record {rid} in {self.file_name!r}: {length} bytes stored, {found}"
+            )
         return values
 
     def delete(self, rid: RecordId) -> None:
@@ -377,9 +397,10 @@ class HeapFile:
             try:
                 marker = buffer.page.read_int(0)
                 if marker >= 0:
-                    for slot, raw in SlottedPage(buffer.page).records_with_slots():
-                        values, _ = decode_record(raw)
-                        yield (number, slot), values
+                    data = buffer.page.data
+                    for slot, offset, length in SlottedPage(buffer.page).live_slots():
+                        rid = (number, slot)
+                        yield rid, self._decode(data, offset, length, rid)
                     number += 1
                     continue
                 if marker != _OVERFLOW_HEAD:
@@ -409,8 +430,7 @@ class HeapFile:
                     self.buffers.unpin(buffer)
                 remaining -= cont_capacity
                 number += 1
-            values, _ = decode_record(b"".join(chunks))
-            yield (head, -1), values
+            yield (head, -1), self._decode(b"".join(chunks), 0, length, (head, -1))
 
     def delete_file(self) -> None:
         """Drop every cached page and remove the backing file."""

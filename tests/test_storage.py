@@ -61,10 +61,17 @@ class TestCodec:
         ],
     )
     def test_round_trip_exact(self, value):
-        decoded, offset = decode_value(encode_value(value), 0)
+        encoded = encode_value(value)
+        decoded, offset = decode_value(encoded, 0)
         assert decoded == value
         assert type(decoded) is type(value)
-        assert offset == len(encode_value(value))
+        assert offset == len(encoded)
+        # Decoded where it lies, inside a page or a view of one.
+        page = bytearray(b"\xee" * 5) + encoded + bytearray(b"\xee" * 3)
+        for buffer in (page, memoryview(page)):
+            decoded, offset = decode_value(buffer, 5)
+            assert decoded == value and type(decoded) is type(value)
+            assert offset == 5 + len(encoded)
 
     def test_int_in_float_column_stays_int(self):
         """The wire sizes ints and floats differently; disk must preserve that."""
@@ -278,9 +285,13 @@ class TestSlottedPage:
         first = slotted.insert(b"alpha")
         second = slotted.insert(b"bravo!")
         assert (first, second) == (0, 1)
-        assert slotted.record(0) == b"alpha"
-        assert slotted.record(1) == b"bravo!"
-        assert list(slotted.records()) == [b"alpha", b"bravo!"]
+        assert slotted.entry(0) == (123, 5)
+        assert slotted.entry(1) == (117, 6)
+        data = slotted.page.data
+        assert [data[offset : offset + length] for _, offset, length in slotted.live_slots()] == [
+            b"alpha",
+            b"bravo!",
+        ]
 
     def test_full_page_rejects_insert(self):
         slotted = SlottedPage(Page(64))
@@ -292,7 +303,7 @@ class TestSlottedPage:
         slotted = SlottedPage(Page(64))
         slotted.format()
         with pytest.raises(StorageError):
-            slotted.record(0)
+            slotted.entry(0)
 
 
 class TestHeapFile:
@@ -326,6 +337,42 @@ class TestHeapFile:
             heap.append((index, float(index), f"name{index}"))
         assert len(list(heap.records())) == 100
         assert pool.pinned_count == 0
+        files.close()
+
+
+class TestCorruptionIsAnError:
+    """A damaged page or file raises StorageError; it never reads as other rows."""
+
+    @pytest.mark.parametrize("delta", [4, -1])
+    def test_a_slot_length_that_disagrees_with_its_record_is_a_torn_record(self, tmp_path, delta):
+        files = FileManager(str(tmp_path), block_size=256)
+        pool = BufferManager(files, pool_size=4)
+        heap = HeapFile(pool, Layout("T", SCHEMA, block_size=256))
+        for index in range(3):
+            heap.append((index, index * 0.5, f"name{index}"))
+        buffer = pool.pin(BlockId(heap.file_name, 0))
+        length_field = 8 + 8 * 1 + 4  # slot 1's (offset, length) pair starts at 8 + 8 * 1
+        buffer.page.write_int(length_field, buffer.page.read_int(length_field) + delta)
+        buffer.mark_dirty()
+        pool.unpin(buffer)
+        with pytest.raises(StorageError, match="torn record"):
+            list(heap.records())
+        with pytest.raises(StorageError, match="torn record"):
+            heap.fetch((0, 1))
+        assert heap.fetch((0, 2)) == (2, 1.0, "name2")
+        assert pool.pinned_count == 0
+        files.close()
+
+    def test_a_file_truncated_behind_an_open_manager_raises(self, tmp_path):
+        files = FileManager(str(tmp_path), block_size=128)
+        blocks = _make_blocks(files, "t.tbl", 3)
+        os.truncate(tmp_path / "t.tbl", 128 + 64)  # one whole block and half the next
+        page = Page(128)
+        files.read(blocks[0], page)
+        for block in blocks[1:]:
+            with pytest.raises(StorageError):
+                files.read(block, page)
+            assert len(page.data) == 128
         files.close()
 
 

@@ -1,4 +1,4 @@
-"""What one index write or probe costs, in value-codec calls.
+"""What one index write or probe, and one heap scan or fetch, costs in calls.
 
 B-tree nodes and hash chain pages are built and parsed from fixed parts
 (``storage/index.py``): the generic codec (``encode_value`` /
@@ -6,17 +6,30 @@ B-tree nodes and hash chain pages are built and parsed from fixed parts
 around it, and a hash insert appends its one entry to a chain page instead of
 re-encoding the page.  Counted with wrappers around both functions in every
 module that calls them, on indexes the size of the end-to-end benchmark's.
+
+A stored heap page is read once: one positioned read per block the pool
+misses, with no seek and no size probe — the file manager keeps each open
+file's block count — then one unpacking of its slot directory, then each
+record decoded once where it lies.  Counted with wrappers around ``os`` and
+around the slot directory and the record decoder.
 """
 
 from __future__ import annotations
+
+import os
+from collections import Counter
 
 import pytest
 
 import repro.storage.index as index_module
 import repro.storage.page as page_module
+import repro.storage.record as record_module
+from repro.relational.schema import Schema
+from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.storage.buffer import BufferManager
 from repro.storage.file import FileManager
 from repro.storage.index import IndexDefinition, open_index
+from repro.storage.record import HeapFile, Layout, SlottedPage
 
 
 @pytest.fixture
@@ -87,3 +100,110 @@ def test_a_btree_leaf_write_codes_each_touched_node_once(tmp_path, codec_calls):
         "encode_value": len(leaf),
         "decode_value": len(separators) + len(leaf) + 1,
     }
+
+
+# -- the heap ------------------------------------------------------------------------
+
+HEAP_SCHEMA = Schema.of(("Id", INTEGER), ("Price", FLOAT), ("Name", STRING), ("Series", TIME_SERIES))
+HEAP_ROWS = 300
+
+
+def _stored_heap(tmp_path):
+    """A heap of end-to-end-benchmark-like records (about 20 pages) behind a
+    fresh 4-page pool, so a scan misses every block."""
+    files = FileManager(str(tmp_path))
+    writer = BufferManager(files, pool_size=8)
+    heap = HeapFile(writer, Layout("Quotes", HEAP_SCHEMA))
+    for key in range(HEAP_ROWS):
+        series = TimeSeries([float(key + point) for point in range(28 + key % 5)])
+        heap.append((key, key * 0.5, f"name{key % 50:02d}", series))
+    writer.flush_all()
+    return HeapFile(BufferManager(files, pool_size=4), Layout("Quotes", HEAP_SCHEMA))
+
+
+class _CountedHandle:
+    """A file handle whose ``seek`` / ``tell`` / ``read`` / ``write`` are counted."""
+
+    def __init__(self, handle, calls):
+        self._handle, self._calls = handle, calls
+
+    def __getattr__(self, name):
+        attribute = getattr(self._handle, name)
+        if name not in ("seek", "tell", "read", "write"):
+            return attribute
+
+        def counted(*args):
+            self._calls[f"handle.{name}"] += 1
+            return attribute(*args)
+
+        return counted
+
+
+@pytest.fixture
+def io_calls(monkeypatch):
+    """``count(heap)`` starts counting, by name, the calls the heap's file
+    manager makes into ``os`` and on its open file handles."""
+    calls = Counter()
+    for name in ("pread", "preadv", "pwrite", "lseek", "fstat", "stat"):
+        original = getattr(os, name, None)
+        if original is not None:
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, counted)
+
+    def count(heap):
+        files = heap.buffers.file_manager
+        for file_name, handle in list(files._handles.items()):
+            files._handles[file_name] = _CountedHandle(handle, calls)
+        calls.clear()
+        return calls
+
+    return count
+
+
+def test_a_heap_scan_makes_one_positioned_read_per_missed_block(tmp_path, io_calls):
+    heap = _stored_heap(tmp_path)
+    blocks = heap.block_count()
+    calls = io_calls(heap)
+    assert len(list(heap.records())) == HEAP_ROWS
+    assert heap.buffers.misses == blocks >= 15
+    # One pread per block and nothing else: no seek, tell or fstat.
+    assert calls["pread"] + calls["preadv"] == blocks
+    assert sum(calls.values()) == blocks, dict(calls)
+
+
+def test_a_heap_scan_unpacks_each_directory_once_and_decodes_each_record_once(tmp_path, monkeypatch):
+    heap = _stored_heap(tmp_path)
+    calls = Counter()
+    for owner, name in (
+        (SlottedPage, "directory"),
+        (record_module, "decode_record"),
+        (page_module, "decode_value"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert len(list(heap.records())) == HEAP_ROWS
+    assert calls == {
+        "directory": heap.block_count(),
+        "decode_record": HEAP_ROWS,
+        "decode_value": 4 * HEAP_ROWS,
+    }
+
+
+def test_a_fetch_reads_its_block_and_probes_no_file_size(tmp_path, io_calls):
+    heap = _stored_heap(tmp_path)
+    records = dict(heap.records_with_rids())
+    calls = io_calls(heap)
+    misses = heap.buffers.misses
+    for rid in list(records)[::7]:
+        assert heap.fetch(rid) == records[rid]
+    assert heap.buffers.misses > misses
+    assert sum(calls.values()) == calls["pread"] + calls["preadv"] == heap.buffers.misses - misses
