@@ -254,8 +254,7 @@ class DistributedDatabase(SqlSurface):
         )
 
     def explain(self, query: Union[str, BoundQuery], **kwargs) -> str:
-        bound = self.bind(query) if isinstance(query, str) else query
-        plan = self.planner().plan(bound, **kwargs)
+        plan = self.planner().plan(self.bind(query), **kwargs)
         return self.cluster.describe() + "\n" + plan.describe()
 
     # -- execution ------------------------------------------------------------------------
@@ -281,7 +280,7 @@ class DistributedDatabase(SqlSurface):
         mid-query replica migration; ``calibrated=False`` prices replicas
         from configured bandwidths even when observations exist.
         """
-        bound = self.bind(query) if isinstance(query, str) else query
+        bound = self.bind(query)
         resolved = resolve_keywords(
             self.default_config,
             config=config,

@@ -156,21 +156,17 @@ class ClusterPlanner:
         calibrated: bool = True,
     ) -> ClusterPlan:
         config = config if config is not None else self.default_config
-        sharded_aliases = [
-            bound.table.name
-            for bound in query.tables
-            if bound.table.name.lower() in self.sharded
-        ]
-        if len(set(alias.lower() for alias in sharded_aliases)) > 1:
+        # References, not names: each shard joins its fragment only with
+        # itself, so a self-join would lose every cross-shard pair.
+        sharded = [bound for bound in query.tables if bound.table.name.lower() in self.sharded]
+        if len(sharded) > 1:
             raise PlanError(
-                f"scatter-gather supports at most one sharded table per query, "
-                f"got {sorted(set(sharded_aliases))}"
+                "scatter-gather supports at most one sharded table reference per query, got "
+                + ", ".join(f"{bound.table.name} {bound.alias}" for bound in sharded)
             )
-        if not sharded_aliases:
+        if not sharded:
             return self._plan_unsharded(query, config, optimize, calibrated)
-        return self._plan_sharded(
-            query, sharded_aliases[0], config, optimize, calibrated
-        )
+        return self._plan_sharded(query, sharded[0].table.name, config, optimize, calibrated)
 
     def _plan_sharded(
         self,

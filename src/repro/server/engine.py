@@ -20,7 +20,7 @@ import hashlib
 import os
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.errors import OptimizerError
+from repro.errors import BindError, OptimizerError
 from repro.adaptive import (
     BatchControllerBank,
     BatchSizeController,
@@ -33,6 +33,7 @@ from repro.adaptive import (
 )
 from repro.client.registry import UdfRegistry
 from repro.client.udf import UdfDefinition, UdfSite
+from repro.core.execution.context import RemoteExecutionContext
 from repro.core.optimizer.decision import OptimizationDecision, Optimizer
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
@@ -41,9 +42,11 @@ from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType, FLOAT
 from repro.server.executor import Executor
+from repro.server.planner import build_plan
 from repro.server.result import QueryResult
 from repro.server.session import ClientSession
-from repro.sql.binder import Binder
+from repro.sql.ast import CreateIndexStatement
+from repro.sql.binder import Binder, BoundStatement
 from repro.sql.logical import BoundQuery
 
 
@@ -204,9 +207,20 @@ class SqlSurface:
 
     # -- parsing / binding ----------------------------------------------------------------
 
-    def bind(self, sql: str) -> BoundQuery:
-        """Parse and bind a SQL string without executing it."""
-        return Binder(self.catalog, self.udfs).bind_sql(sql)
+    def statement(self, query: Union[str, BoundQuery]) -> BoundStatement:
+        """What ``query`` says: SQL text bound once, or the query it already is."""
+        if isinstance(query, str):
+            return Binder(self.catalog, self.udfs).bind_sql(query)
+        return query
+
+    def bind(self, query: Union[str, BoundQuery]) -> BoundQuery:
+        """The query ``query`` is, without executing it; index DDL is refused."""
+        statement = self.statement(query)
+        if not isinstance(statement, BoundQuery):
+            raise BindError(
+                f"{type(statement).__name__} is DDL; only SELECT statements bind to a query"
+            )
+        return statement
 
     def _server_functions(self) -> Dict[str, Callable[..., Any]]:
         return self.udfs.callables(UdfSite.SERVER)
@@ -368,6 +382,9 @@ class Database(SqlSurface):
     ) -> QueryResult:
         """Execute ``query`` (SQL text or a bound query) and return the result.
 
+        Text binds once (:meth:`statement`); index DDL runs through
+        :meth:`create_index` / :meth:`drop_index` and returns no rows.
+
         ``config`` selects the client-site UDF execution strategy explicitly;
         ``strategy`` is a shorthand for ``default_config.with_strategy(...)``.
         With ``optimize=True`` the extended System-R optimizer chooses the
@@ -431,11 +448,13 @@ class Database(SqlSurface):
         so single-query callers see no change.
         """
         self._ensure_statistics_loaded()
-        if isinstance(query, str):
-            ddl_result = self._maybe_execute_index_ddl(query)
-            if ddl_result is not None:
-                return ddl_result
-        bound = self.bind(query) if isinstance(query, str) else query
+        bound = self.statement(query)
+        if not isinstance(bound, BoundQuery):  # index DDL: no planning, no network
+            if isinstance(bound, CreateIndexStatement):
+                self.create_index(bound.name, bound.table, bound.column, kind=bound.kind)
+            else:
+                self.drop_index(bound.name)
+            return QueryResult(schema=Schema(()), rows=[], plan_text=str(bound))
         if context is None:
             context = self.session.new_context()
         observer = context.observer if context.observer is not None else self.observer
@@ -522,30 +541,6 @@ class Database(SqlSurface):
             settings=self.cost_settings,
             statistics=statistics if calibrated and statistics.queries_observed else None,
         ).optimize(bound)
-
-    def _maybe_execute_index_ddl(self, sql: str) -> Optional[QueryResult]:
-        """Execute ``CREATE INDEX`` / ``DROP INDEX`` statements, or None.
-
-        Index DDL runs entirely server-side — no network simulation, no
-        planning — so the result carries an empty row set and a plan text
-        describing what happened.
-        """
-        stripped = sql.lstrip().upper()
-        if not (stripped.startswith("CREATE") or stripped.startswith("DROP")):
-            return None
-        from repro.sql.ast import CreateIndexStatement, DropIndexStatement
-        from repro.sql.parser import parse
-
-        statement = parse(sql)
-        if isinstance(statement, CreateIndexStatement):
-            self.create_index(
-                statement.name, statement.table, statement.column, kind=statement.kind
-            )
-        elif isinstance(statement, DropIndexStatement):
-            self.drop_index(statement.name)
-        else:
-            return None
-        return QueryResult(schema=Schema(()), rows=[], plan_text=str(statement))
 
     # -- durable storage plumbing --------------------------------------------------------
 
@@ -671,14 +666,13 @@ class Database(SqlSurface):
         store's measured parameters, as ``execute(..., adaptive=True,
         optimize=True)`` would.
         """
-        from repro.server.planner import build_plan
-
-        bound = self.bind(query) if isinstance(query, str) else query
+        bound = self.bind(query)
         config = config if config is not None else self.default_config
         decision = self._decide(bound, config, optimize, calibrated)
         plan = build_plan(
             bound,
-            self.session.new_context(),
+            # Off the session's count, which names the next executed query's channel.
+            RemoteExecutionContext.create(self.network, registry=self.udfs),
             server_functions=self._server_functions(),
             decision=decision,
         )
@@ -696,7 +690,7 @@ class Database(SqlSurface):
         deliver_results: bool = False,
     ) -> Dict[ExecutionStrategy, QueryResult]:
         """Execute the same query under several strategies and return all results."""
-        bound = self.bind(query) if isinstance(query, str) else query
+        bound = self.bind(query)
         strategies = list(strategies) if strategies is not None else list(ExecutionStrategy)
         base = config if config is not None else self.default_config
         results: Dict[ExecutionStrategy, QueryResult] = {}

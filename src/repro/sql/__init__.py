@@ -1,10 +1,10 @@
 """A small SQL front end.
 
 Covers the subset the paper's queries need: ``SELECT`` lists with expressions
-and UDF calls, ``FROM`` lists with aliases, conjunctive ``WHERE`` clauses
-with comparisons, arithmetic and UDF calls, and ``LIMIT``.  The pipeline is
-lexer → parser → binder; the bound query (:class:`repro.sql.logical.BoundQuery`)
-is what planners consume.
+and UDF calls, ``FROM`` lists with aliases, ``WHERE`` clauses with ``AND`` /
+``OR`` / ``NOT``, comparisons, arithmetic and UDF calls, ``ORDER BY`` and
+``LIMIT``; plus ``CREATE INDEX`` / ``DROP INDEX``.  Lexer → parser → binder run
+in one call, :meth:`Binder.bind_sql`; a bound query is what planners consume.
 """
 
 from repro.sql.lexer import Lexer, Token, TokenType, tokenize

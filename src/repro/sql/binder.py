@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Union
 
 from repro.errors import BindError
 from repro.client.registry import UdfRegistry
@@ -30,6 +30,8 @@ from repro.sql.ast import (
     AstLiteral,
     AstStar,
     AstUnaryOp,
+    CreateIndexStatement,
+    DropIndexStatement,
     SelectStatement,
 )
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall, OutputColumn
@@ -39,9 +41,13 @@ _COMPARISON_OPERATORS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _ARITHMETIC_OPERATORS = {"+", "-", "*", "/"}
 _BOOLEAN_OPERATORS = {"AND", "OR"}
 
+#: What SQL text binds to: a query, or index DDL as parsed (the storage
+#: catalog resolves and validates an index statement's names when it runs).
+BoundStatement = Union[BoundQuery, CreateIndexStatement, DropIndexStatement]
+
 
 class Binder:
-    """Binds parsed statements into :class:`BoundQuery` objects."""
+    """Binds parsed statements: a SELECT into a :class:`BoundQuery`."""
 
     def __init__(self, catalog: Catalog, udfs: Optional[UdfRegistry] = None) -> None:
         self.catalog = catalog
@@ -49,13 +55,12 @@ class Binder:
 
     # -- public API --------------------------------------------------------------------
 
-    def bind_sql(self, sql: str) -> BoundQuery:
+    def bind_sql(self, sql: str) -> BoundStatement:
+        """The one call from SQL text to what runs: ``sql`` parsed once, bound."""
         statement = parse(sql)
-        if not isinstance(statement, SelectStatement):
-            raise BindError(
-                f"{type(statement).__name__} is DDL; only SELECT statements bind to a query"
-            )
-        return self.bind(statement, sql=sql)
+        if isinstance(statement, SelectStatement):
+            return self.bind(statement, sql=sql)
+        return statement
 
     def bind(self, statement: SelectStatement, sql: str = "") -> BoundQuery:
         tables = self._bind_tables(statement)
@@ -218,11 +223,8 @@ class Binder:
     def _infer_type(self, expression: Expression, schema: Schema) -> DataType:
         if isinstance(expression, ColumnRef):
             return schema.column(expression.name).dtype
-        if isinstance(expression, FunctionCall):
-            udf = self.udfs.maybe_get(expression.name)
-            if udf is not None:
-                return udf.result_dtype
-            return FLOAT
+        if isinstance(expression, FunctionCall):  # bound only for a registered UDF
+            return self.udfs.get(expression.name).result_dtype
         if isinstance(expression, Literal):
             value = expression.value
             if isinstance(value, bool):
@@ -263,8 +265,6 @@ class Binder:
         if isinstance(node, AstUnaryOp):
             if node.operator.upper() == "NOT":
                 return BooleanOp("NOT", [self._bind_expression(node.operand, schema)])
-            if node.operator == "-":
-                return Arithmetic("-", Literal(0), self._bind_expression(node.operand, schema))
             raise BindError(f"unsupported unary operator {node.operator!r}")
         if isinstance(node, AstBinaryOp):
             operator = node.operator.upper()

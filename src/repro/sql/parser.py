@@ -2,6 +2,9 @@
 
 Grammar (informally)::
 
+    statement := select | create_index | drop_index
+    create_index := CREATE INDEX name ON table '(' column ')' [USING (BTREE | HASH)]
+    drop_index := DROP INDEX name
     select    := SELECT [DISTINCT] items FROM tables [WHERE or_expr]
                  [ORDER BY order_items] [LIMIT number [OFFSET number]]
     items     := item (',' item)*
@@ -39,10 +42,10 @@ from repro.sql.ast import (
     SelectStatement,
     TableReference,
 )
+from repro.sql.lexer import Token, TokenType, tokenize
 
 #: Any parsed statement.
 Statement = Union[SelectStatement, CreateIndexStatement, DropIndexStatement]
-from repro.sql.lexer import Token, TokenType, tokenize
 
 _COMPARISON_OPERATORS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import ReproError
 from repro.adaptive.store import TenantStatistics
 from repro.client.runtime import ClientRuntime
 from repro.core.execution.context import RemoteExecutionContext
@@ -347,7 +348,7 @@ class MultiTenantEngine:
                 self._cost_cache[spec.sql] = self.db._decide(
                     self.db.bind(spec.sql), self.db.default_config, optimize=True
                 ).estimated_cost
-            except Exception:  # noqa: BLE001 - estimation is best-effort
+            except ReproError:  # a query that does not bind or plan is ordered last
                 self._cost_cache[spec.sql] = None
         return self._cost_cache[spec.sql]
 

@@ -313,6 +313,19 @@ class TestDistributedExecution:
         with pytest.raises(PlanError):
             db.execute("SELECT L.K FROM L, R WHERE L.K = R.K")
 
+    def test_self_join_of_a_sharded_table_rejected(self):
+        """Each shard would join its fragment only with itself and lose every
+        pair across shards: 6 rows here where a single site returns 12."""
+        net = site_network()
+        cluster = ClusterConfig(
+            sites=[SiteConfig("a", net), SiteConfig("b", net)],
+            sharding=[ShardingSpec(table="T", column="K", shards=2)],
+        )
+        db = DistributedDatabase(cluster)
+        db.create_table("T", [("K", INTEGER), ("V", INTEGER)], rows=[[k, k % 3] for k in range(6)])
+        with pytest.raises(PlanError, match="T A, T B"):
+            db.execute("SELECT A.K, B.K FROM T A, T B WHERE A.V = B.V")
+
     def test_speedup_grows_with_shard_count(self):
         timings = {}
         for count in (1, 4):

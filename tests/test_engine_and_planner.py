@@ -149,6 +149,25 @@ class TestClientUdfQueries:
         assert "ClientSiteJoinOperator" in text
         assert "TableScan(StockQuotes" in text
 
+    def test_explain_does_not_advance_the_session(self, db, monkeypatch):
+        """The session numbers the contexts it opens, and the number names the
+        query's channel — its links and mailboxes, which schedule digests
+        hash.  ``explain`` runs nothing, so the next ``execute`` gets the
+        channel it gets without it."""
+        links = []
+        open_context = db.session.new_context
+
+        def recording_new_context():
+            context = open_context()
+            links.append((context.channel.downlink.name, context.channel.uplink.name))
+            return context
+
+        monkeypatch.setattr(db.session, "new_context", recording_new_context)
+        db.explain(self.QUERY, optimize=True)
+        db.execute(self.QUERY, optimize=True)
+        assert links == [("client.channel1.downlink", "client.channel1.uplink")]
+        assert db.session.queries_executed == 1
+
     def test_udf_order_override(self, db):
         query = (
             "SELECT S.Name FROM StockQuotes S "

@@ -19,7 +19,14 @@ import pytest
 from repro.core.optimizer import OptimizationDecision
 from repro.core.optimizer.plans import AccessPath
 from repro.core.optimizer.cost import CostSettings
-from repro.errors import BindError, OptimizerError, ParseError, PlanError, StorageError
+from repro.errors import (
+    BindError,
+    CatalogError,
+    OptimizerError,
+    ParseError,
+    PlanError,
+    StorageError,
+)
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
@@ -47,9 +54,9 @@ SELECTIVE_SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price < 2.0"
 UNSELECTIVE_SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price < 900.0"
 
 
-def make_quotes(storage_dir=None, cost_settings=COST) -> Database:
+def make_quotes(storage_dir=None, cost_settings=COST, rows=QUOTE_ROWS) -> Database:
     db = Database(network=NETWORK, storage_dir=storage_dir, cost_settings=cost_settings)
-    db.create_table("Quotes", QUOTE_SCHEMA, rows=QUOTE_ROWS)
+    db.create_table("Quotes", QUOTE_SCHEMA, rows=rows)
     return db
 
 
@@ -583,10 +590,73 @@ class TestIndexDdl:
     def test_parse_drop_index(self):
         assert parse("DROP INDEX q_idx") == DropIndexStatement(name="q_idx")
 
+    def test_bind_sql_binds_ddl_to_its_statement(self):
+        db = make_quotes(rows=QUOTE_ROWS[:50])
+        binder = Binder(db.catalog, db.udfs)
+        assert binder.bind_sql("DROP INDEX q_idx") == DropIndexStatement(name="q_idx")
+        assert binder.bind_sql("CREATE INDEX q_idx ON Quotes (Id) USING HASH") == (
+            CreateIndexStatement(name="q_idx", table="Quotes", column="Id", kind="hash")
+        )
+
     def test_binder_rejects_ddl(self):
-        db = make_quotes()
-        with pytest.raises(BindError):
-            Binder(db.catalog, db.udfs).bind_sql("DROP INDEX q_idx")
+        """The entry points that take only a query refuse index DDL."""
+        from repro.distribution import ClusterConfig, DistributedDatabase, SiteConfig
+
+        db = make_quotes(rows=QUOTE_ROWS[:50])
+        dist = DistributedDatabase(ClusterConfig([SiteConfig("only", NETWORK)]))
+        dist.create_table("Quotes", QUOTE_SCHEMA, rows=QUOTE_ROWS[:4])
+        for refuse in (db.bind, db.explain, dist.execute, dist.explain):
+            with pytest.raises(BindError, match="DropIndexStatement is DDL"):
+                refuse("DROP INDEX q_idx")
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_execute_ddl_errors_come_from_the_catalog(self, tmp_path, durable):
+        db = make_quotes(storage_dir=str(tmp_path) if durable else None, rows=QUOTE_ROWS[:50])
+        statements = (
+            "CREATE INDEX q_idx ON Nowhere (Id)",
+            "CREATE INDEX q_idx ON Quotes (Nothing)",
+            "DROP INDEX q_idx",
+        )
+        for sql in statements:
+            with pytest.raises(CatalogError if durable else OptimizerError):
+                db.execute(sql)
+        assert db.index_names() == []
+
+    def test_execute_parses_and_binds_each_statement_once(self, tmp_path, monkeypatch):
+        """One ``parse`` and one ``Binder.bind_sql`` per executed statement,
+        counted by wrapping both the way the end-to-end tracer does, so its
+        ``sql.parse`` and ``sql.bind`` spans measure one of each per query."""
+        import sys
+
+        from repro.sql import parser
+
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        original = parser.parse
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "parse", None) is original
+            ):
+                monkeypatch.setattr(module, "parse", counted("parse", original))
+        monkeypatch.setattr(Binder, "bind_sql", counted("bind_sql", Binder.bind_sql))
+
+        db = make_quotes(storage_dir=str(tmp_path), rows=QUOTE_ROWS[:50])
+        for sql in (
+            SELECTIVE_SQL,
+            "CREATE INDEX q_idx ON Quotes (Price)",
+            "DROP INDEX q_idx",
+        ):
+            calls.clear()
+            db.execute(sql)
+            assert calls == ["bind_sql", "parse"], sql
+        db.close()
 
     def test_execute_create_and_drop_index(self, tmp_path):
         db = Database(network=NETWORK, storage_dir=str(tmp_path), cost_settings=COST)

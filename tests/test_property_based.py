@@ -21,7 +21,8 @@ from repro.core.costmodel import CostModel, CostParameters
 from repro.core.optimizer import OptimizationDecision, Optimizer
 from repro.core.optimizer.cost import CostSettings
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
-from repro.errors import BindError
+from repro.distribution import ClusterConfig, DistributedDatabase, ShardingSpec, SiteConfig
+from repro.errors import BindError, PlanError
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
@@ -851,7 +852,8 @@ def test_predicate_key_is_a_property_of_the_predicate(data):
 # data (NULLs, duplicates, ``1`` / ``1.0`` in one FLOAT column and ``True``
 # against both, runs of one key long enough to straddle B-tree leaves) and
 # random queries over what the parser accepts, run in memory and paged,
-# indexed and not, planned and not — and through SQLite.
+# indexed and not, planned and not, on one site and sharded over two — and
+# through SQLite.
 #
 # A query is built once as a small tree and rendered twice.  Everything the
 # two dialects disagree on is declared here, in the renderer and the
@@ -887,7 +889,7 @@ _POOL = {
     "S": (STRING, "TEXT", "string", [None, "b", *_WIDE]),
 }
 _LITERALS = {"number": [0, 1, 1.0, 1.5, 2, 3], "string": ["b", "bb", *_WIDE]}
-_ALIASES = ("A", "B", "C")
+_ALIASES = ("A", "B", "C", "D")
 #: Pages cost something, or the estimator offers no index path at all.
 _PAGE_COST = CostSettings(block_access_seconds=0.005)
 
@@ -962,15 +964,16 @@ def _oracle_tables(draw):
 
 @st.composite
 def _oracle_queries(draw, tables, index):
-    # One to three aliases over the tables (self-joins included); only the
-    # first may name a table with a long run, so cross products stay small.
-    # An indexed case is more often the bare probe of its index: the other
-    # joins and filters mostly empty the answer, and an empty answer hides
-    # whatever the index lost.
+    # One to four aliases over the tables (self-joins included); only the
+    # first may name a table with a long run, and the fourth is always
+    # equi-joined to an earlier one, so cross products stay small.  An indexed
+    # case is more often the bare probe of its index: the other joins and
+    # filters mostly empty the answer, and an empty answer hides whatever the
+    # index lost.
     names = sorted(tables)
     small = [name for name in names if len(tables[name][1]) <= 12]
     from_ = [("A", "T0" if index is not None else draw(st.sampled_from(names)))]
-    for alias in _ALIASES[1 : draw(st.sampled_from([1, 1, 2, 3] if index else [1, 2, 3, 3]))]:
+    for alias in _ALIASES[1 : draw(st.sampled_from([1, 1, 2, 3, 4] if index else [1, 2, 3, 3, 4]))]:
         if small:
             from_.append((alias, draw(st.sampled_from(small))))
     columns = [("column", alias, name) for alias, table in from_ for name in tables[table][0]]
@@ -1044,11 +1047,18 @@ def _oracle_queries(draw, tables, index):
         where += against_literals(
             ("column", "A", index[0]), comparisons + ["="] * 4, literals=held
         )
+    equi_join = []  # the fourth alias's, kept out of the widening
     for alias, _ in from_[1:]:
         # Usually joined to an earlier alias, usually by equality — on columns
-        # that, as often as not, a third alias holds under the same name.
-        if draw(st.sampled_from([True, True, True, False])):
-            earlier = _ALIASES[: _ALIASES.index(alias)]
+        # that, as often as not, a third alias holds under the same name.  The
+        # fourth always, by equality on numbers (every table has K).
+        earlier = _ALIASES[: _ALIASES.index(alias)]
+        if alias == _ALIASES[3]:
+            candidates = [c for c in columns if c[1] in earlier and kind_of(c) == "number"]
+            equi_join.append(
+                ("binary", "=", column("number", [alias]), draw(st.sampled_from(candidates)))
+            )
+        elif draw(st.sampled_from([True, True, True, False])):
             kind = any_kind([alias])
             candidates = [c for c in columns if c[1] in earlier and kind_of(c) == kind]
             if candidates:
@@ -1083,7 +1093,7 @@ def _oracle_queries(draw, tables, index):
         "select": select,
         "aliases": aliases,
         "distinct": draw(st.sampled_from([False, False, True])),
-        "where": widened(where),
+        "where": widened(where) + equi_join,
         "order_by": order_by,
         "limit": limit,
         "offset": draw(st.integers(min_value=0, max_value=3)) if limit is not None else 0,
@@ -1162,21 +1172,29 @@ def _load_engine(case, directory):
     db = _open_engine(directory)
     index = case["index"] if directory is not None else None
 
-    def build_index(moment):
-        if index is not None and index[1] == moment:
-            for kind in ("btree", "hash"):
-                db.create_index(f"t0_{kind}", "T0", index[0], kind=kind)
+    def index_ddl(moment):
+        """Both indexes, through SQL, at the case's moment.  "after churn"
+        builds them with the load too, maintains them through the churn, then
+        drops them and builds them again over the churned heap."""
+        if index is None:
+            return
+        built_at = "after load" if index[1] == "after churn" else index[1]
+        for kind in ("btree", "hash"):
+            if moment == "after churn" == index[1]:
+                db.execute(f"DROP INDEX t0_{kind}")
+            if moment in (built_at, index[1]):
+                db.execute(f"CREATE INDEX t0_{kind} ON T0 ({index[0]}) USING {kind.upper()}")
 
     for table, (columns, rows) in case["tables"].items():
         db.create_table(table, [(name, _POOL[name][0]) for name in columns])
         if table == "T0":
-            build_index("before load")
+            index_ddl("before load")
         db.catalog.table(table).insert_many(rows)
-    build_index("after load")
+    index_ddl("after load")
     first = db.catalog.table("T0")
     first.insert_many(case["inserted"])
     first.delete(lambda row: row[0] == case["deleted_key"])
-    build_index("after churn")
+    index_ddl("after churn")
     if case["analyze"] and directory is not None:
         for table in case["tables"]:
             db.analyze(table)
@@ -1213,12 +1231,48 @@ def _engine_answers(case, db):
             yield f"pinned {paths}", list(map(tuple, result.rows))
 
 
+def _cluster_answers(case):
+    """``(how it ran, rows)`` on two sites, ``T0`` hash-sharded on ``K`` with
+    each shard on both and the other tables replicated.  A query that names
+    ``T0`` twice is refused: each shard would join its fragment only with
+    itself."""
+    sites = [SiteConfig(f"site{number}", FAST) for number in range(2)]
+    sharding = [ShardingSpec(table="T0", column="K", shards=2, replication_factor=2)]
+    db = DistributedDatabase(ClusterConfig(sites=sites, sharding=sharding))
+    db.register_client_udf("ClientUdf", _client_udf)
+    db.register_server_udf("ServerUdf", _server_udf)
+    for table, (columns, rows) in case["tables"].items():
+        if table == "T0":
+            rows = [row for row in rows + case["inserted"] if row[0] != case["deleted_key"]]
+        db.create_table(table, [(name, _POOL[name][0]) for name in columns], rows=rows)
+    sql = _render_query(case["query"])
+    config = StrategyConfig(strategy=case["strategy"], batch_size=case["batch_size"])
+    self_join = [table for _, table in case["query"]["from"]].count("T0") > 1
+    for optimize in (False, True):
+        if self_join:
+            with pytest.raises(PlanError, match="one sharded table reference"):
+                db.execute(sql, config=config, optimize=optimize)
+        else:
+            result = db.execute(sql, config=config, optimize=optimize)
+            yield f"optimize={optimize}", list(map(tuple, result.rows))
+
+
 def _check_against_sqlite(case):
     expected, everything = _sqlite_answer(case)
     query = case["query"]
     sql = _render_query(query)
     for wide in _WIDE:  # keep a failure message readable
         sql = sql.replace(wide, f"{wide[0]}*{len(wide)}")
+
+    def agrees(rows, where):
+        if query["order_by"]:
+            assert rows == expected, where
+        elif query["limit"] is None:
+            assert Counter(rows) == Counter(expected), where
+        else:
+            assert len(rows) == len(expected), where
+            assert not Counter(rows) - Counter(everything), where
+
     with tempfile.TemporaryDirectory() as directory:
         # In memory; paged; and the paged directory closed and reopened, so
         # catalog statistics, heap free space and indexes come back from disk.
@@ -1230,15 +1284,10 @@ def _check_against_sqlite(case):
         for leg, open_db in legs:
             db = open_db()
             for how, rows in _engine_answers(case, db):
-                where = f"{leg}, {how}: {sql}"
-                if query["order_by"]:
-                    assert rows == expected, where
-                elif query["limit"] is None:
-                    assert Counter(rows) == Counter(expected), where
-                else:
-                    assert len(rows) == len(expected), where
-                    assert not Counter(rows) - Counter(everything), where
+                agrees(rows, f"{leg}, {how}: {sql}")
             db.close()
+    for how, rows in _cluster_answers(case):
+        agrees(rows, f"distributed, {how}: {sql}")
 
 
 #: The first find of a fresh seed (ROADMAP item 1): a B-tree bulk-built over
@@ -1274,10 +1323,12 @@ def test_sql_surface_agrees_with_sqlite(case):
     """Every way of running a query returns what SQLite returns.
 
     In memory, paged, and paged again after the directory is closed and
-    reopened; WHERE items conjoined, OR-ed in pairs or negated; with a
-    B-tree and a hash index on a column of the first table — bulk-built
-    over the loaded heap, or maintained through the load and the insert /
-    delete churn — and without; the default plan, the
+    reopened, and on two sites with the first table hash-sharded (a query
+    naming it twice refused); up to four aliases; WHERE items conjoined,
+    OR-ed in pairs or negated; with a B-tree and a hash index on a column of
+    the first table, created and dropped through SQL — bulk-built over the
+    loaded heap, or maintained through the load and the insert / delete
+    churn — and without; the default plan, the
     optimizer's, and every index path pinned; whatever strategy and batch
     size ship the client-site UDF.  Multisets, or exact sequences under
     ``ORDER BY``.
