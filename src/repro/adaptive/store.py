@@ -82,14 +82,17 @@ class _Ewma:
         self.samples = 0
         self.alpha = alpha
 
-    def update(self, sample: Optional[float]) -> None:
+    def update(self, sample: Optional[float]) -> bool:
+        """Fold one sample in; True when the value moved (the count always does)."""
         if sample is None:  # nothing was measured
-            return
+            return False
         self.samples += 1
-        if self.value is None:
+        previous = self.value
+        if previous is None:
             self.value = sample
-        else:
-            self.value = (1.0 - self.alpha) * self.value + self.alpha * sample
+            return True
+        self.value = (1.0 - self.alpha) * previous + self.alpha * sample
+        return self.value != previous
 
     def to_state(self) -> List[object]:
         return [self.value, self.samples]
@@ -126,13 +129,14 @@ class _Estimates:
         self.pair_keys = pair_keys
         self.entries: Dict[object, _Ewma] = {}
 
-    def observe(self, key: object, sample: Optional[float]) -> None:
+    def observe(self, key: object, sample: Optional[float]) -> bool:
+        """Fold one sample into ``key``'s estimate; True when a value moved."""
         if sample is None:  # nothing was measured: no estimate is created
-            return
+            return False
         estimate = self.entries.get(key)
         if estimate is None:
             estimate = self.entries[key] = _Ewma(self.alpha)
-        estimate.update(sample)
+        return estimate.update(sample)
 
     def value(self, key: object, default: object = None) -> object:
         estimate = self.entries.get(key)
@@ -240,6 +244,11 @@ class StatisticsStore:
         # topologies): each site's channel calibrates independently, so
         # replica choice can be priced from what *that* site's link delivered.
         self._site_bandwidths: Dict[str, Tuple[_Ewma, _Ewma]] = {}
+        # The write rule (:meth:`needs_save`): the (path, fingerprint) the
+        # planning state was last saved to or restored from, and whether a
+        # number the planner reads has moved since.
+        self._written: Optional[Tuple[str, Optional[str]]] = None
+        self._estimates_moved = True
 
     # -- recording ---------------------------------------------------------------------
 
@@ -253,6 +262,9 @@ class StatisticsStore:
         miscalibrate every other site.  UDF costs, selectivities, and batch
         sizes are site-independent and always feed the shared tables.
         """
+        # The first observation moves planning state by itself: the engine
+        # calibrates only a store that has observed something.
+        moved = self.queries_observed == 0
         self.queries_observed += 1
         if site is None:
             bandwidths = (self._downlink_bandwidth, self._uplink_bandwidth)
@@ -262,44 +274,51 @@ class StatisticsStore:
             if bandwidths is None:
                 bandwidths = (_Ewma(self.smoothing), _Ewma(self.smoothing))
                 self._site_bandwidths[site] = bandwidths
+                moved = True
             queueing = (None, None)  # a site's queueing delay is not kept
         links = (observation.downlink, observation.uplink)
         for link, bandwidth, delay in zip(links, bandwidths, queueing):
             if link is None:
                 continue
-            bandwidth.update(
+            moved |= bandwidth.update(
                 link.achieved_bandwidth if self.contention_aware else link.effective_bandwidth
             )
             if delay is not None and link.message_count > 0:
-                delay.update(link.mean_queueing_seconds)
+                moved |= delay.update(link.mean_queueing_seconds)
 
         for name, udf in observation.udfs.items():
             key = name.lower()
-            self._udf_cost.observe(key, udf.measured_cost_per_call)
-            self._udf_distinct_fraction.observe(key, udf.observed_distinct_fraction)
+            moved |= self._udf_cost.observe(key, udf.measured_cost_per_call)
+            moved |= self._udf_distinct_fraction.observe(key, udf.observed_distinct_fraction)
             canonical = canonical_predicate_key(udf.predicate)
-            self._udf_selectivity.observe((key, canonical), udf.observed_selectivity)
+            moved |= self._udf_selectivity.observe((key, canonical), udf.observed_selectivity)
             if canonical:
-                self._predicate_identity_selectivity.observe(canonical, udf.observed_selectivity)
+                moved |= self._predicate_identity_selectivity.observe(
+                    canonical, udf.observed_selectivity
+                )
 
         for predicate in observation.predicates:
             selectivity = predicate.observed_selectivity
-            self._predicate_selectivity.observe(predicate.predicate, selectivity)
+            moved |= self._predicate_selectivity.observe(predicate.predicate, selectivity)
             if predicate.equality_column is not None and selectivity:
                 # selectivity of "col = literal" ≈ 1/V(col): invert for
                 # distinct-count evidence, capped at the observed input.
                 distinct = min(1.0 / selectivity, float(max(predicate.input_rows, 1)))
-                self._column_distinct.observe(_column_key(predicate.equality_column), distinct)
+                moved |= self._column_distinct.observe(
+                    _column_key(predicate.equality_column), distinct
+                )
 
         for join in observation.joins:
             key = canonical_join_key(join.columns)
             if key:
-                self._join_selectivity.observe(key, join.observed_selectivity)
+                moved |= self._join_selectivity.observe(key, join.observed_selectivity)
 
         if observation.converged_batch_size is not None:
-            self._batch_size.update(float(observation.converged_batch_size))
+            moved |= self._batch_size.update(float(observation.converged_batch_size))
         for name, size in observation.udf_batch_sizes.items():
-            self._udf_batch_size.observe(name.lower(), float(size))
+            moved |= self._udf_batch_size.observe(name.lower(), float(size))
+        if moved:
+            self._estimates_moved = True
 
     # -- calibrated lookups (the protocol the cost estimator speaks) -------------------
 
@@ -385,10 +404,14 @@ class StatisticsStore:
         data that no longer exists.
         """
         stale = {_column_key(name) for name in columns}
-        for name in stale:
-            self._column_distinct.entries.pop(name, None)
+        distinct = self._column_distinct.entries
         joins = self._join_selectivity.entries
-        for key in [key for key in joins if stale.intersection(key.split("|"))]:
+        doomed = [key for key in joins if stale.intersection(key.split("|"))]
+        if doomed or not stale.isdisjoint(distinct):
+            self._estimates_moved = True
+        for name in stale:
+            distinct.pop(name, None)
+        for key in doomed:
             del joins[key]
 
     # -- calibrated planning inputs -----------------------------------------------------
@@ -502,6 +525,20 @@ class StatisticsStore:
         with open(tmp_path, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
         os.replace(tmp_path, path)
+        self._written = (path, fingerprint)
+        self._estimates_moved = False
+
+    def needs_save(self, path: str, fingerprint: Optional[str] = None) -> bool:
+        """Whether ``path`` may hold planning state other than this store's.
+
+        Planning state is the snapshot without its counters
+        (``queries_observed`` past the first and every estimate's sample
+        count).  It differs when an estimate moved since the last
+        :meth:`save` or :meth:`restore`, or when that was another path or
+        fingerprint.  A query that leaves every estimate bit-identical
+        needs no write: the counters on disk only lag.
+        """
+        return self._estimates_moved or self._written != (path, fingerprint)
 
     def restore(self, path: str, fingerprint: Optional[str] = None) -> bool:
         """Load persisted state from ``path`` into this store, in place.
@@ -533,6 +570,8 @@ class StatisticsStore:
                 )
                 return False
             self._apply_state(state)
+            self._written = (path, saved)
+            self._estimates_moved = False
         except (OSError, ValueError, TypeError, KeyError, IndexError) as exc:
             warnings.warn(
                 f"ignoring unreadable statistics snapshot {path!r}: {exc}",

@@ -556,14 +556,22 @@ class Database(SqlSurface):
         counters' delta since query start lands on the metrics (observability
         of real page traffic), dirty pages and catalog stats flush, and —
         when the run was observed into the database-wide store — the
-        statistics snapshot is rewritten so a restart warm-starts from it.
+        statistics snapshot is rewritten if the run moved an estimate the
+        planner reads or the workload fingerprint changed
+        (:meth:`StatisticsStore.needs_save`), so a restart, even one after a
+        crash, warm-starts from every estimate learned.  Only the counters
+        (``queries_observed``, sample counts) on disk may lag until
+        :meth:`close`.
         """
         if self.storage is None:
             return result
         result.metrics.buffers = self.storage.buffer_stats().delta(buffers_before)
         self.storage.flush()
         if persist:
-            self.save_statistics()
+            path = self._statistics_path()
+            fingerprint = self.workload_fingerprint()
+            if self.statistics.needs_save(path, fingerprint):
+                self.statistics.save(path, fingerprint=fingerprint)
         return result
 
     def _statistics_path(self) -> Optional[str]:
@@ -604,14 +612,20 @@ class Database(SqlSurface):
             self.statistics.restore(path, fingerprint=self.workload_fingerprint())
 
     def save_statistics(self) -> None:
-        """Snapshot the adaptive statistics store into the storage directory."""
+        """Snapshot the adaptive statistics store, counters and all, into the
+        storage directory."""
         path = self._statistics_path()
         if path is not None:
             self.statistics.save(path, fingerprint=self.workload_fingerprint())
 
     def close(self) -> None:
-        """Flush and close durable state (no-op for in-memory databases)."""
-        if self.storage is None:
+        """Flush and close durable state (no-op for in-memory databases).
+
+        The statistics snapshot is written in full.  Closing twice writes
+        nothing the second time, and any storage call after the first
+        raises :class:`~repro.errors.StorageError`.
+        """
+        if self.storage is None or self.storage.closed:
             return
         if self._statistics_loaded or self.statistics.queries_observed > 0:
             self.save_statistics()

@@ -167,6 +167,16 @@ class BufferManager:
         for buffer in self._buffers:
             self._write_back(buffer)
 
+    def close(self) -> None:
+        """Write every dirty buffer back and forget every resident block, so
+        a later pin misses and must reach the file manager."""
+        self.flush_all()
+        for buffer in self._buffers:
+            buffer.block = None
+        self._by_block.clear()
+        self._lru.clear()
+        self._free = [buffer for buffer in self._buffers if not buffer.is_pinned]
+
     def discard(self, file_name: str) -> None:
         """Drop every resident block of ``file_name`` without writing back.
 

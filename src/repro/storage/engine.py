@@ -58,6 +58,7 @@ class StorageEngine:
         Replacing a table preserves its index *definitions*: the index files
         are reset to empty and repopulate as rows arrive.
         """
+        self.files.check_open()
         preserved: List[IndexDefinition] = []
         if self.metadata.has_table(name):
             if not replace:
@@ -80,6 +81,7 @@ class StorageEngine:
 
     def drop_table(self, name: str) -> None:
         """Delete the heap file, its indexes, evict cached pages, drop catalog."""
+        self.files.check_open()
         for definition in self.metadata.indexes_for(name):
             self.drop_index(definition.name)
         if self.metadata.has_table(name):
@@ -112,6 +114,7 @@ class StorageEngine:
         self, name: str, table: str, column: str, kind: str = BTREE
     ) -> IndexHandle:
         """Create an index, build it from the heap, and record it in the catalog."""
+        self.files.check_open()
         if kind not in (BTREE, HASH):
             raise CatalogError(f"unknown index kind {kind!r} (expected btree or hash)")
         storage = self.open_table(table)
@@ -132,6 +135,7 @@ class StorageEngine:
         self.metadata.set_index_state(definition.name, handle.entry_count, handle.incomplete)
 
     def drop_index(self, name: str) -> None:
+        self.files.check_open()
         definition = self.metadata.drop_index(name)
         handle = self._indexes.pop(name.lower(), None)
         if handle is None:
@@ -188,13 +192,23 @@ class StorageEngine:
 
     def flush(self) -> None:
         """Persist dirty pages, free-space maps, and the catalog."""
+        self.files.check_open()
         self.buffers.flush_all()
         for storage in self._storages.values():
             self.metadata.set_free_space(storage.entry, storage.heap.holes)
         self.metadata.flush()
 
+    @property
+    def closed(self) -> bool:
+        return self.files.closed
+
     def close(self) -> None:
+        """Flush everything and close; a second call does nothing, and any
+        other storage call afterwards raises :class:`StorageError`."""
+        if self.closed:
+            return
         self.flush()
+        self.buffers.close()
         self.files.close()
 
     def __enter__(self) -> "StorageEngine":

@@ -28,7 +28,9 @@ class FileManager:
     end of a file are legal write targets — the blocks in between read back
     as zeros — but reading past the end is an error, since it means a
     caller holds a stale block count, and so is a read that comes back short:
-    the file was truncated behind the manager's back.
+    the file was truncated behind the manager's back.  After :meth:`close`
+    every call that would reach a file raises: a closed manager never
+    reopens one behind its owner's back.
     """
 
     def __init__(self, directory: str, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
@@ -41,15 +43,22 @@ class FileManager:
         self._blocks: Dict[str, int] = {}
         self.blocks_read = 0
         self.blocks_written = 0
+        self.closed = False
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every open file handle."""
+        """Close every open file handle; the manager is unusable afterwards."""
         for handle in self._handles.values():
             handle.close()
         self._handles.clear()
         self._blocks.clear()
+        self.closed = True
+
+    def check_open(self) -> None:
+        """Raise :class:`StorageError` once the manager is closed."""
+        if self.closed:
+            raise StorageError(f"storage in {self.directory!r} is closed")
 
     def __enter__(self) -> "FileManager":
         return self
@@ -96,6 +105,7 @@ class FileManager:
         count = self._blocks.get(file_name)
         if count is not None:
             return count
+        self.check_open()
         path = self._path(file_name)
         if not os.path.exists(path):
             return 0
@@ -103,6 +113,7 @@ class FileManager:
 
     def delete(self, file_name: str) -> None:
         """Remove ``file_name`` and forget its handle (no-op if absent)."""
+        self.check_open()
         handle = self._handles.pop(file_name, None)
         self._blocks.pop(file_name, None)
         if handle is not None:
@@ -128,6 +139,7 @@ class FileManager:
     def _handle(self, file_name: str) -> IO[bytes]:
         handle = self._handles.get(file_name)
         if handle is None:
+            self.check_open()
             path = self._path(file_name)
             # Unbuffered: every transfer is one positioned call on the descriptor.
             handle = open(path, "r+b" if os.path.exists(path) else "w+b", buffering=0)

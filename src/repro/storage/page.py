@@ -37,7 +37,7 @@ _unpack_float64 = _FLOAT64.unpack_from
 
 
 @lru_cache(maxsize=256)
-def _doubles(count: int) -> struct.Struct:
+def doubles(count: int) -> struct.Struct:
     """The codec of a time series' ``count`` floats, built once per length."""
     return struct.Struct(f">{count}d")
 
@@ -147,7 +147,7 @@ def encode_value(value: Any) -> bytes:
         return (
             bytes((TAG_TIME_SERIES,))
             + _INT32.pack(len(values))
-            + _doubles(len(values)).pack(*values)
+            + doubles(len(values)).pack(*values)
         )
     if isinstance(value, (tuple, list)):
         tag = TAG_TUPLE if isinstance(value, tuple) else TAG_LIST
@@ -174,7 +174,7 @@ def decode_value(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
         return str(buffer[offset + 4 : end], "utf-8"), end
     if tag == TAG_TIME_SERIES:
         count = _unpack_int32(buffer, offset)[0]
-        values = _doubles(count).unpack_from(buffer, offset + 4)
+        values = doubles(count).unpack_from(buffer, offset + 4)
         return TimeSeries.from_floats(values), offset + 4 + 8 * count
     if tag == TAG_NULL:
         return None, offset

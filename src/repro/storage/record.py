@@ -25,15 +25,29 @@ map is persisted in the catalog and restored on reopen.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from functools import lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStatistics
+from repro.relational.types import TimeSeries
 from repro.storage.buffer import BufferManager
-from repro.storage.page import DEFAULT_BLOCK_SIZE, BlockId, Page, decode_record, encode_record
+from repro.storage.page import (
+    DEFAULT_BLOCK_SIZE,
+    TAG_FLOAT,
+    TAG_INT64,
+    TAG_STRING,
+    TAG_TIME_SERIES,
+    BlockId,
+    Page,
+    decode_record,
+    doubles,
+    encode_record,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - the engine, index and catalog modules import this one
     from repro.storage.engine import IndexHandle
@@ -52,9 +66,13 @@ RecordId = Tuple[int, int]
 
 
 class Layout:
-    """The physical layout of one table's heap file."""
+    """The physical layout of one table's heap file.
 
-    __slots__ = ("schema", "block_size", "file_name")
+    :attr:`decode_fixed` is the schema's record decoder from fixed parts
+    (:func:`_fixed_decoder`), shared by every layout of the same column types.
+    """
+
+    __slots__ = ("schema", "block_size", "file_name", "decode_fixed")
 
     def __init__(
         self, table_name: str, schema: Schema, block_size: int = DEFAULT_BLOCK_SIZE
@@ -62,6 +80,7 @@ class Layout:
         self.schema = schema
         self.block_size = int(block_size)
         self.file_name = f"{table_name.lower()}.tbl"
+        self.decode_fixed = _fixed_decoder(tuple(column.dtype.name for column in schema.columns))
 
     def max_inline_record(self) -> int:
         """Largest record that fits a slotted page (else an overflow chain)."""
@@ -69,6 +88,89 @@ class Layout:
 
     def __repr__(self) -> str:
         return f"Layout(file={self.file_name!r}, block_size={self.block_size})"
+
+
+def _no_fixed_parts(buffer: Any, offset: int) -> None:
+    """The fixed-part decoder of a layout with a column type that has none."""
+    return None
+
+
+#: The usual encoding of each column type a record decodes from fixed parts:
+#: the value tag, and the struct code of the value (fixed width) or of its
+#: length prefix (the payload follows it).
+_USUAL_ENCODING = {
+    "INTEGER": (TAG_INT64, "q"),
+    "FLOAT": (TAG_FLOAT, "d"),
+    "STRING": (TAG_STRING, "i"),
+    "TIME_SERIES": (TAG_TIME_SERIES, "i"),
+}
+
+
+@lru_cache(maxsize=256)  # one per type-name tuple, shared by every layout of it
+def _fixed_decoder(
+    type_names: Tuple[str, ...]
+) -> Callable[[Any, int], Optional[Tuple[Tuple[Any, ...], int]]]:
+    """A record decoder for rows of ``type_names`` whose tags are the usual ones.
+
+    It unpacks the value count, each run of fixed-width values with their
+    tags and the next length prefix in one struct call, and builds the tuple
+    in straight-line code generated once per type tuple, as
+    ``collections.namedtuple`` does; only struct codes and integer constants
+    enter the generated source.  Given a ``bytes`` or ``bytearray`` buffer
+    (a pinned page or a joined overflow chain; not a ``memoryview``, whose
+    slices have no ``decode``), it returns ``(values, next_offset)`` exactly
+    as :func:`~repro.storage.page.decode_record` would, or None when a tag is
+    not its column's usual one (NULL, a big integer, an int in a FLOAT
+    column) or the buffer is too short for a run: the caller then decodes
+    with ``decode_record``.  A layout with another column type gets
+    :func:`_no_fixed_parts`, which always does.
+    """
+    if not type_names or any(name not in _USUAL_ENCODING for name in type_names):
+        return _no_fixed_parts
+    namespace: Dict[str, Any] = {
+        "doubles": doubles,
+        "series": TimeSeries.from_floats,
+        "struct_error": struct.error,
+    }
+    body: List[str] = []
+    runs = itertools.count()
+    run_format, targets, checks = ">i", ["count"], [f"count != {len(type_names)}"]
+    position = "offset"
+
+    def unpack_run() -> int:
+        codec = struct.Struct(run_format)
+        name = f"run{next(runs)}"
+        namespace[name] = codec.unpack_from
+        body.append(f"{', '.join(targets)} = {name}(buffer, {position})")
+        body.append(f"if {' or '.join(checks)}: return None")
+        return codec.size
+
+    for column, name in enumerate(type_names):
+        tag, code = _USUAL_ENCODING[name]
+        prefixed = code == "i"  # n<column> is the length prefix, v<column> the value
+        run_format += "B" + code
+        targets += [f"t{column}", f"{'n' if prefixed else 'v'}{column}"]
+        checks.append(f"t{column} != {tag}")
+        if not prefixed:
+            continue
+        body.append(f"start = {position} + {unpack_run()}")
+        if name == "STRING":
+            body.append(f"end = start + n{column}")
+            body.append(f"v{column} = buffer[start:end].decode()")
+        else:
+            body.append(f"end = start + 8 * n{column}")
+            body.append(f"v{column} = series(doubles(n{column}).unpack_from(buffer, start))")
+        run_format, targets, checks, position = ">", [], [], "end"
+    if targets:
+        body.append(f"end = {position} + {unpack_run()}")
+    values = ", ".join(f"v{column}" for column in range(len(type_names)))
+    source = "\n".join(
+        ["def decode(buffer, offset):", "    try:"]
+        + ["        " + line for line in body]
+        + ["    except struct_error:", "        return None", f"    return ({values},), end"]
+    )
+    exec(source, namespace)
+    return namespace["decode"]
 
 
 @lru_cache(maxsize=None)  # one per slot count, which the block size bounds
@@ -323,10 +425,12 @@ class HeapFile:
         return self._decode(b"".join(chunks), 0, length, rid)
 
     def _decode(self, data: bytes, offset: int, length: int, rid: RecordId) -> Tuple[Any, ...]:
-        """The record at ``offset`` of ``data``, decoded where it lies; it must
-        fill exactly the ``length`` bytes its slot or chain header gives."""
+        """The record at ``offset`` of ``data``, decoded where it lies — from
+        its fixed parts when the layout has them and its tags are the usual
+        ones, else by ``decode_record``; either way it must fill exactly the
+        ``length`` bytes its slot or chain header gives."""
         try:
-            values, end = decode_record(data, offset)
+            values, end = self.layout.decode_fixed(data, offset) or decode_record(data, offset)
         except (ValueError, IndexError, struct.error):  # UnicodeDecodeError is a ValueError
             end = None
         if end != offset + length:
@@ -383,8 +487,7 @@ class HeapFile:
 
     def records(self) -> Iterator[Tuple[Any, ...]]:
         """Scan every record in block order, pinning one block at a time."""
-        for _rid, values in self.records_with_rids():
-            yield values
+        return map(itemgetter(1), self.records_with_rids())
 
     def records_with_rids(self) -> Iterator[Tuple[RecordId, Tuple[Any, ...]]]:
         """Scan every record in block order, yielding ``(rid, values)``."""

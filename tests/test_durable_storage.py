@@ -9,7 +9,10 @@ that everything it wrote comes back.
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -24,6 +27,7 @@ from repro.adaptive.observer import (
 from repro.core.optimizer import CostEstimator, operations_for_query
 from repro.core.optimizer.cost import CostSettings
 from repro.core.strategies import StrategyConfig
+from repro.errors import StorageError
 from repro.network.topology import NetworkConfig
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.relational.predicates import estimate_selectivity
@@ -41,6 +45,16 @@ from repro.workloads.synthetic import SyntheticWorkload
 NETWORK = NetworkConfig.symmetric(2_000_000.0, latency=0.0005, name="durable-fast")
 
 ITEM_ROWS = [(index, float(index) * 1.5, f"item{index % 7}") for index in range(120)]
+
+
+def _directory_snapshot(directory):
+    """Every file in ``directory``: its modification time and its bytes."""
+    snapshot = {}
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            snapshot[name] = (os.stat(path).st_mtime_ns, handle.read())
+    return snapshot
 
 
 def make_database(storage_dir=None) -> Database:
@@ -111,6 +125,35 @@ class TestPagedDatabase:
         assert result.row_set() == [(0, "item0"), (1, "item1"), (2, "item2")]
         assert len(reopened.catalog.table("Items")) == len(ITEM_ROWS)
         reopened.close()
+
+    def test_a_closed_database_refuses_storage_calls_and_closes_once(self, tmp_path):
+        """After ``close()`` nothing reopens a file behind the caller's back:
+        a query, an insert and DDL raise, and a second close writes nothing."""
+        directory = str(tmp_path)
+        db = Database(network=NETWORK, storage_dir=directory, buffer_pool_size=8)
+        db.create_table("T", [("K", INTEGER), ("V", FLOAT)], rows=[(k, float(k)) for k in range(2000)])
+        db.create_index("t_k", "T", "K", kind="hash")
+        index = db.catalog.table("T").indexes()["t_k"]
+        assert index.search_eq(3)  # its pages are now in the pool
+        db.close()
+        written = _directory_snapshot(directory)
+        with pytest.raises(StorageError, match="closed"):
+            db.execute("SELECT T.K FROM T WHERE T.K < 1500")
+        with pytest.raises(StorageError, match="closed"):
+            db.catalog.table("T").insert((2000, 2000.0))
+        with pytest.raises(StorageError, match="closed"):
+            index.search_eq(3)  # the pool forgot its pages: no read from a stale cache
+        with pytest.raises(StorageError, match="closed"):
+            db.create_table("U", [("K", INTEGER)])
+        with pytest.raises(StorageError, match="closed"):
+            db.create_index("t_v", "T", "V")
+        db.close()
+        db.storage.close()
+        assert _directory_snapshot(directory) == written
+        fresh = Database(network=NETWORK, storage_dir=directory)
+        assert len(fresh.catalog.table("T")) == 2000
+        assert fresh.catalog.table_names() == ["T"]
+        fresh.close()
 
     def test_oversized_values_round_trip_through_overflow_pages(self, tmp_path):
         db = Database(network=NETWORK, storage_dir=str(tmp_path))
@@ -412,6 +455,162 @@ class TestStorePersistence:
         with pytest.warns(RuntimeWarning):
             assert fresh.restore(path) is False
         assert fresh.queries_observed == before  # untouched on failure
+
+
+def _split_counters(state):
+    """A snapshot as (planning state, counters): the planning state is the
+    snapshot with every ``[value, samples]`` pair read as its value and no
+    ``queries_observed``, in a bit-exact JSON spelling; the counters are
+    ``queries_observed`` and every sample count, by path."""
+    counters = {"queries_observed": state["queries_observed"]}
+
+    def strip(node, path):
+        if isinstance(node, dict):
+            return {key: strip(item, f"{path}/{key}") for key, item in node.items()}
+        if isinstance(node, list):
+            if len(node) == 2 and type(node[1]) is int and not isinstance(node[0], (list, str)):
+                counters[path] = node[1]
+                return node[0]
+            return [strip(item, f"{path}/{position}") for position, item in enumerate(node)]
+        return node
+
+    planning = {key: item for key, item in state.items() if key != "queries_observed"}
+    return json.dumps(strip(planning, ""), sort_keys=True), counters
+
+
+@pytest.fixture
+def store_saves(monkeypatch):
+    """Counts :meth:`StatisticsStore.save` calls from a reset."""
+    calls = []
+    original = StatisticsStore.save
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StatisticsStore, "save", counted)
+    return calls
+
+
+#: The child of the crash test: a durable database that learns from UDF and
+#: point queries, dumps its store's full state and dies without ``close()``.
+_CRASHING_CHILD = """
+import json, os, sys
+from repro.core.strategies import StrategyConfig
+from repro.network.topology import NetworkConfig
+from repro.relational.types import FLOAT, INTEGER, STRING
+from repro.server.engine import Database
+
+directory, dump = sys.argv[1:3]
+db = Database(network=NetworkConfig.symmetric(2_000_000.0, latency=0.0005), storage_dir=directory)
+db.create_table(
+    "Items", [("Id", INTEGER), ("Price", FLOAT), ("Name", STRING)],
+    rows=[(index, float(index) * 1.5, f"item{index % 7}") for index in range(120)],
+)
+db.register_client_udf("Score", lambda v: v * 2.0, result_dtype=FLOAT, selectivity=0.5)
+queries = [
+    "SELECT I.Id FROM Items I WHERE I.Id = 3",
+    "SELECT I.Id, Score(I.Price) FROM Items I WHERE I.Id < 30 AND Score(I.Price) > 90",
+    "SELECT I.Id FROM Items I WHERE I.Id = 40",
+    "SELECT I.Id, Score(I.Price) FROM Items I WHERE I.Id < 90 AND Score(I.Price) > 90",
+]
+# The repeated UDF query moves an estimate it already had; the last query moves none.
+for sql in queries + queries[1::-1]:
+    db.execute(sql, config=StrategyConfig.semi_join(batch_size=16))
+with open(dump, "w", encoding="utf-8") as handle:
+    json.dump(db.statistics.to_state(), handle)
+os._exit(0)
+"""
+
+
+class TestStatisticsWriteRule:
+    """``statistics.json`` is rewritten after a query only when its planning
+    state changed; ``close()`` still writes everything."""
+
+    QUERY = "SELECT I.Id FROM Items I WHERE I.Id = 7"
+
+    def test_the_store_needs_a_write_only_when_an_estimate_or_the_fingerprint_moved(self, tmp_path):
+        path = os.path.join(str(tmp_path), "stats.json")
+        store = StatisticsStore()
+        assert store.needs_save(path, "A")  # never written
+        store.record(_observation_with_everything())
+        store.save(path, fingerprint="A")
+        assert not store.needs_save(path, "A")
+        store.record(_observation_with_everything())  # the same samples: no estimate moves
+        assert store.queries_observed == 2
+        assert not store.needs_save(path, "A")
+        assert store.needs_save(path, "B")
+        assert store.needs_save(path + ".other", "A")
+        store.forget_columns(["Id"])  # drops the column's distinct-count evidence
+        assert store.needs_save(path, "A")
+        store.save(path, fingerprint="A")
+        store.forget_columns(["Unseen"])
+        assert not store.needs_save(path, "A")
+        restored = StatisticsStore()
+        assert restored.restore(path, fingerprint="A")
+        assert not restored.needs_save(path, "A")
+
+    def test_a_repeated_query_that_moves_no_estimate_writes_nothing(self, tmp_path, store_saves):
+        db = make_database(storage_dir=str(tmp_path))
+        db.execute(self.QUERY)
+        assert len(store_saves) == 1
+        before = db.statistics.to_state()
+        for _ in range(5):
+            db.execute(self.QUERY)
+        assert len(store_saves) == 1
+        after = db.statistics.to_state()
+        assert _split_counters(after)[0] == _split_counters(before)[0]
+        assert after["queries_observed"] == before["queries_observed"] + 5
+        db.close()  # close writes the counters too
+        assert len(store_saves) == 2
+        with open(os.path.join(str(tmp_path), "statistics.json"), encoding="utf-8") as handle:
+            assert json.load(handle)["queries_observed"] == after["queries_observed"]
+
+    def test_creating_a_table_after_a_query_rewrites_the_fingerprint(self, tmp_path, store_saves):
+        directory = str(tmp_path)
+        db = make_database(storage_dir=directory)
+        db.execute(self.QUERY)
+        db.execute(self.QUERY)
+        assert len(store_saves) == 1
+        db.create_table("Extra", [("K", INTEGER)], rows=[(1,)])
+        db.execute(self.QUERY)  # no estimate moves, but the workload changed
+        assert len(store_saves) == 2
+        with open(os.path.join(directory, "statistics.json"), encoding="utf-8") as handle:
+            assert json.load(handle)["fingerprint"] == db.workload_fingerprint()
+        # A restart without close() accepts the snapshot: no stale fingerprint.
+        restarted = Database(network=NETWORK, storage_dir=directory)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restarted.execute(self.QUERY, observe=False)
+        assert restarted.statistics.queries_observed > 0
+        restarted.close()
+        db.close()
+
+    def test_a_crash_keeps_every_estimate_and_only_counters_lag(self, tmp_path):
+        directory = str(tmp_path / "db")
+        dump = str(tmp_path / "child_state.json")
+        import repro
+
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        environment = dict(os.environ, PYTHONPATH=source)
+        subprocess.run(
+            [sys.executable, "-c", _CRASHING_CHILD, directory, dump], env=environment, check=True
+        )
+        with open(dump, encoding="utf-8") as handle:
+            child = json.load(handle)
+        reopened = Database(network=NETWORK, storage_dir=directory)
+        reopened.register_client_udf("Score", lambda v: v * 2.0, result_dtype=FLOAT, selectivity=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reopened.execute("SELECT I.Id FROM Items I WHERE I.Id = 3", observe=False)
+        restored = reopened.statistics.to_state()
+        estimates, lagging = _split_counters(restored)
+        expected, ahead = _split_counters(child)
+        assert estimates == expected
+        assert lagging.keys() == ahead.keys()
+        assert all(lagging[path] <= ahead[path] for path in ahead)
+        assert lagging["queries_observed"] < ahead["queries_observed"]  # the repeats wrote nothing
+        reopened.close()
 
 
 class TestDatabaseStatisticsPersistence:

@@ -6,10 +6,20 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CatalogError, StorageError
 from repro.relational.schema import Schema
-from repro.relational.types import DataObject, FLOAT, INTEGER, STRING, TimeSeries
+from repro.relational.types import (
+    BOOLEAN,
+    DATA_OBJECT,
+    FLOAT,
+    INTEGER,
+    STRING,
+    TIME_SERIES,
+    DataObject,
+    TimeSeries,
+)
 from repro.storage import (
     BlockId,
     BufferManager,
@@ -340,16 +350,99 @@ class TestHeapFile:
         files.close()
 
 
+#: Values of each column type: its usual encoding and the others a column of
+#: that type may hold (NULL, an integer past 64 bits, an int in a FLOAT column).
+_FIXED_PART_VALUES = {
+    INTEGER: st.one_of(
+        st.integers(-(2**63), 2**63 - 1), st.none(), st.integers(2**63, 2**70), st.just(-(2**63) - 1)
+    ),
+    FLOAT: st.one_of(st.floats(allow_nan=False), st.none(), st.integers(-5, 5)),
+    STRING: st.one_of(st.text(max_size=12), st.just(""), st.just("héllo wörld ✓"), st.none()),
+    TIME_SERIES: st.one_of(
+        st.lists(st.floats(allow_nan=False), max_size=6).map(TimeSeries), st.none()
+    ),
+}
+#: Column types with no fixed part: a layout holding one decodes generically.
+_GENERIC_VALUES = {
+    BOOLEAN: st.booleans(),
+    DATA_OBJECT: st.builds(DataObject, st.integers(0, 500), seed=st.integers(0, 9)),
+}
+
+
+def _typed(values):
+    """Values with their exact types, a series' floats included."""
+    return [
+        (type(value), value.values, [type(item) for item in value.values])
+        if isinstance(value, TimeSeries)
+        else (type(value), value)
+        for value in values
+    ]
+
+
+@st.composite
+def _layout_and_row(draw):
+    types = draw(st.lists(st.sampled_from(list(_FIXED_PART_VALUES)), min_size=1, max_size=6))
+    generic = draw(st.none() | st.sampled_from(list(_GENERIC_VALUES)))
+    if generic is not None:
+        types.insert(draw(st.integers(0, len(types))), generic)
+    values = {**_FIXED_PART_VALUES, **_GENERIC_VALUES}
+    row = tuple(draw(values[dtype]) for dtype in types)
+    return types, row
+
+
+def _usual(dtype, value):
+    """Whether ``value`` is encoded with its column type's usual tag."""
+    if dtype is INTEGER:
+        return type(value) is int and -(2**63) <= value < 2**63
+    return type(value) is {FLOAT: float, STRING: str, TIME_SERIES: TimeSeries}[dtype]
+
+
+class TestRecordsFromFixedParts:
+    """A layout of INTEGER / FLOAT / STRING / TIME_SERIES columns decodes a
+    record from its fixed parts exactly as ``decode_record`` does, and hands
+    any record with another tag back to it."""
+
+    @given(_layout_and_row(), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    @example(([INTEGER, FLOAT, STRING, TIME_SERIES], (None, 1.5, "x", TimeSeries([]))), 0)
+    @example(([INTEGER, FLOAT], (2**64, 3)), 1)
+    @example(([STRING, TIME_SERIES, INTEGER], ("", TimeSeries([]), 7)), 2)
+    def test_the_fixed_part_decoder_equals_decode_record(self, layout_and_row, padding):
+        types, row = layout_and_row
+        layout = Layout("T", Schema.of(*((f"c{i}", dtype) for i, dtype in enumerate(types))))
+        buffer = bytearray(b"\xee" * padding + encode_record(row) + b"\xee" * 3)
+        expected = decode_record(buffer, padding)
+        decoded = layout.decode_fixed(buffer, padding)
+        fixed_parts = all(dtype in _FIXED_PART_VALUES for dtype in types)
+        if fixed_parts and all(_usual(dtype, value) for dtype, value in zip(types, row)):
+            assert decoded is not None
+        if not fixed_parts:
+            assert decoded is None
+        if decoded is not None:
+            assert decoded[1] == expected[1]
+            assert _typed(decoded[0]) == _typed(expected[0])
+        assert _typed(expected[0]) == _typed(row)
+
+    def test_a_layout_of_one_type_tuple_shares_its_decoder(self):
+        first = Layout("A", SCHEMA).decode_fixed
+        assert Layout("B", Schema.of(("X", INTEGER), ("Y", FLOAT), ("Z", STRING))).decode_fixed is first
+        assert Layout("C", Schema.of(("X", INTEGER))).decode_fixed is not first
+
+
 class TestCorruptionIsAnError:
     """A damaged page or file raises StorageError; it never reads as other rows."""
 
-    @pytest.mark.parametrize("delta", [4, -1])
-    def test_a_slot_length_that_disagrees_with_its_record_is_a_torn_record(self, tmp_path, delta):
+    @pytest.mark.parametrize("delta", [4, 1, -1])
+    @pytest.mark.parametrize("price", [0.5, None], ids=["fixed-parts", "generic"])
+    def test_a_slot_length_that_disagrees_with_its_record_is_a_torn_record(
+        self, tmp_path, delta, price
+    ):
         files = FileManager(str(tmp_path), block_size=256)
         pool = BufferManager(files, pool_size=4)
         heap = HeapFile(pool, Layout("T", SCHEMA, block_size=256))
-        for index in range(3):
-            heap.append((index, index * 0.5, f"name{index}"))
+        rows = [(index, price and index * price, f"name{index}") for index in range(3)]
+        for row in rows:
+            heap.append(row)
         buffer = pool.pin(BlockId(heap.file_name, 0))
         length_field = 8 + 8 * 1 + 4  # slot 1's (offset, length) pair starts at 8 + 8 * 1
         buffer.page.write_int(length_field, buffer.page.read_int(length_field) + delta)
@@ -359,7 +452,7 @@ class TestCorruptionIsAnError:
             list(heap.records())
         with pytest.raises(StorageError, match="torn record"):
             heap.fetch((0, 1))
-        assert heap.fetch((0, 2)) == (2, 1.0, "name2")
+        assert heap.fetch((0, 2)) == rows[2]
         assert pool.pinned_count == 0
         files.close()
 
