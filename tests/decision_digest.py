@@ -33,6 +33,7 @@ from repro.core.strategies import StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.server.engine import Database
+from repro.sql.logical import BoundQuery
 from repro.workloads.misestimation import MisorderedUdfScenario
 from repro.workloads.stock import StockWorkload
 
@@ -330,6 +331,10 @@ class Environment:
         return paged
 
 
+#: What an optimizer case hands back: the database, the optimizer and the bound query.
+Priced = Tuple[Database, Optimizer, BoundQuery]
+
+
 def _grid_case(
     env: Environment,
     companies: int,
@@ -338,8 +343,8 @@ def _grid_case(
     sql: str,
     exhaustive: bool,
     calibrated: bool,
-) -> Callable[[], Dict[str, object]]:
-    def run() -> Dict[str, object]:
+) -> Callable[[], Priced]:
+    def priced() -> Priced:
         settings, config, paged = SETTINGS[setting]
         db = env.database(companies, network, paged)
         optimizer = Optimizer(
@@ -349,25 +354,25 @@ def _grid_case(
             exhaustive_properties=exhaustive,
             statistics=db.statistics if calibrated else None,
         )
-        return decision_digest(optimizer, db.bind(sql))
+        return db, optimizer, db.bind(sql)
 
-    return run
+    return priced
 
 
-def _indexed_case(env: Environment, network: str, sql: str) -> Callable[[], Dict[str, object]]:
-    def run() -> Dict[str, object]:
+def _indexed_case(env: Environment, network: str, sql: str) -> Callable[[], Priced]:
+    def priced() -> Priced:
         db = env.indexed_database(network)
-        return decision_digest(Optimizer(db.network, settings=db.cost_settings), db.bind(sql))
+        return db, Optimizer(db.network, settings=db.cost_settings), db.bind(sql)
 
-    return run
+    return priced
 
 
-def _three_table_case(sql: str, network: str) -> Callable[[], Dict[str, object]]:
-    def run() -> Dict[str, object]:
+def _three_table_case(sql: str, network: str) -> Callable[[], Priced]:
+    def priced() -> Priced:
         db = three_table_database(NETWORKS[network])
-        return decision_digest(Optimizer(db.network), db.bind(sql))
+        return db, Optimizer(db.network), db.bind(sql)
 
-    return run
+    return priced
 
 
 def _reoptimizer_reentry() -> Dict[str, object]:
@@ -397,9 +402,11 @@ def _reoptimizer_reentry() -> Dict[str, object]:
     return digest_of(records, considered)
 
 
-def cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]]:
-    """Every case by key, in a fixed order."""
-    table: Dict[str, Callable[[], Dict[str, object]]] = {}
+def optimizer_cases(env: Environment) -> Dict[str, Callable[[], Priced]]:
+    """Every optimizer case by key, in a fixed order: the grid, the indexed
+    queries and the three-table joins (``tests/plan_tree_digest.py`` builds
+    the plan of each one's decision)."""
+    table: Dict[str, Callable[[], Priced]] = {}
     for companies in (25, 60):
         for network in NETWORKS:
             for setting, (_settings, _config, paged) in SETTINGS.items():
@@ -421,6 +428,20 @@ def cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]]:
             table[f"indexed/{query}/{network}"] = _indexed_case(env, network, sql)
         table[f"three-table/plain/{network}"] = _three_table_case(THREE_TABLE_SQL, network)
         table[f"three-table/udf/{network}"] = _three_table_case(THREE_TABLE_UDF_SQL, network)
+    return table
+
+
+def _digested(priced: Callable[[], Priced]) -> Callable[[], Dict[str, object]]:
+    def run() -> Dict[str, object]:
+        _db, optimizer, bound = priced()
+        return decision_digest(optimizer, bound)
+
+    return run
+
+
+def cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]]:
+    """Every case by key, in a fixed order."""
+    table = {key: _digested(priced) for key, priced in optimizer_cases(env).items()}
     table["reoptimizer/re-entry"] = _reoptimizer_reentry
     return table
 
