@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.optimizer.plans import (
     AccessPath,
@@ -38,9 +38,7 @@ from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.topology import NetworkConfig
 from repro.relational.predicates import (
     IndexCondition,
-    columns_covered,
-    equi_join_columns,
-    estimate_selectivity,
+    equi_join_sides,
     index_condition,
 )
 from repro.relational.schema import NeededColumns, column_key
@@ -271,7 +269,9 @@ class _Derivation:
     """A candidate with its price left open: all that no batch size changes.
 
     ``changes`` are the :class:`CandidatePlan` fields the operation sets on
-    the plan it is applied to (all but ``cost`` and ``steps``).  ``steps``
+    the plan it is applied to (all but ``cost``, ``steps`` and the chain
+    link, which pricing sets: the sweep's two endpoints share a derivation
+    but not the plan it extends).  ``steps``
     are the steps it appends with their transfer seconds left out: a step's
     ``cost`` is its CPU charge alone, and pricing adds the transfer time of
     its profile, or — for the step that ships nothing — ``extra`` (a join's
@@ -379,6 +379,7 @@ class CostEstimator:
             steps += (step,)
         candidate = shallow_copy(plan, derivation.changes)
         candidate.cost, candidate.steps = cost, steps
+        candidate.input, candidate.path = plan, None
         self._derivations[id(candidate)] = (candidate, derivation)
         return candidate
 
@@ -505,7 +506,7 @@ class CostEstimator:
             column_distinct=column_distinct,
             properties=_AT_SERVER,
             steps=(step,),
-            table_order=(operation.alias,),
+            operation=operation,
         )
 
     @staticmethod
@@ -542,8 +543,6 @@ class CostEstimator:
         keys could silently drop matching rows).
         """
         variants = [self.scan(operation)]
-        if self.settings.block_access_seconds <= 0.0:
-            return variants
         indexes = self._usable_indexes(operation)
         if not indexes:
             return variants
@@ -597,13 +596,7 @@ class CostEstimator:
                 cost=cost,
                 cardinality=seq.cardinality,
             )
-            variants.append(
-                seq.extended(
-                    cost=cost,
-                    steps=(step,),
-                    access_paths={operation.alias: path},
-                )
-            )
+            variants.append(seq.extended(cost=cost, steps=(step,), path=path))
         return variants
 
     def _interval_matching(
@@ -643,8 +636,6 @@ class CostEstimator:
         """Join alternatives: the default join plus index-nested-loop probes
         of the inner table through any index on an equi-join column."""
         variants = [self.join(plan, operation)]
-        if self.settings.block_access_seconds <= 0.0:
-            return variants
         indexes = self._usable_indexes(operation)
         if not indexes:
             return variants
@@ -653,24 +644,16 @@ class CostEstimator:
         inner_columns = set(operation.bound.schema.qualified_names())
         outer_columns = set(plan.column_sizes)
         for predicate in self.query.join_predicates():
-            pair = equi_join_columns(predicate.expression)
-            if pair is None:
+            sides = equi_join_sides(predicate.expression, outer_columns, inner_columns)
+            if sides is None:
                 continue
-            for outer_column, inner_column in (pair, pair[::-1]):
-                if not columns_covered(frozenset({inner_column}), inner_columns):
+            outer_column, inner_key = sides[0], column_key(sides[1])
+            for name, handle in indexes.items():
+                if handle.definition.column.lower() != inner_key:
                     continue
-                if not columns_covered(frozenset({outer_column}), outer_columns):
-                    continue
-                inner_key = column_key(inner_column)
-                for name, handle in indexes.items():
-                    if handle.definition.column.lower() != inner_key:
-                        continue
-                    variant = self._index_join(
-                        plan, operation, name, handle, outer_column, predicate
-                    )
-                    if variant is not None:
-                        variants.append(variant)
-                break
+                variant = self._index_join(plan, operation, name, handle, outer_column, predicate)
+                if variant is not None:
+                    variants.append(variant)
         return variants
 
     def _index_join(
@@ -714,8 +697,8 @@ class CostEstimator:
             index_name=index_name,
             index_kind=handle.kind,
             column=handle.definition.column,
-            predicate_key=str(predicate.expression),
             join_column=outer_column,
+            predicate_keys=(str(predicate.expression),),
         )
         steps = base.steps[:-1] + (
             PlanStep(
@@ -729,12 +712,13 @@ class CostEstimator:
                 cardinality=base.cardinality,
             ),
         )
-        access_paths = dict(base.access_paths)
-        access_paths[operation.alias] = path
-        return base.extended(cost=cost, steps=steps, access_paths=access_paths)
+        return base.extended(cost=cost, steps=steps, path=path)
 
     def _usable_indexes(self, operation: TableOperation) -> Dict[str, object]:
-        """Complete secondary-index handles of a paged base table."""
+        """Complete secondary-index handles of a paged base table (none while
+        block I/O is free: every access path then costs the same)."""
+        if self.settings.block_access_seconds <= 0.0:
+            return {}
         handles = operation.bound.table.indexes()
         return {name: handle for name, handle in handles.items() if not handle.incomplete}
 
@@ -789,7 +773,8 @@ class CostEstimator:
                 column_sizes=column_sizes,
                 column_distinct=column_distinct,
                 properties=_AT_SERVER,
-                table_order=plan.table_order + (operation.alias,),
+                operation=operation,
+                strategy=None,
             ),
             ship + (step,),
             extra=inner.cost,
@@ -880,8 +865,7 @@ class CostEstimator:
                 **plan.column_distinct,
                 result_column: max(1.0, plan.cardinality * distinct_fraction),
             },
-            applied_udfs=plan.applied_udfs | {name},
-            udf_order=plan.udf_order + (name,),
+            operation=operation,
         )
 
         # Semi-join.  A client-site input first returns to the server, which
@@ -938,14 +922,7 @@ class CostEstimator:
             )
             variants.append((ExecutionStrategy.CLIENT_SITE_JOIN, properties, (step,)))
         return [
-            _Derivation(
-                {
-                    **applied,
-                    "properties": properties,
-                    "udf_strategies": {**plan.udf_strategies, name: strategy},
-                },
-                steps,
-            )
+            _Derivation({**applied, "properties": properties, "strategy": strategy}, steps)
             for strategy, properties, steps in variants
         ]
 
@@ -1022,7 +999,10 @@ class CostEstimator:
             cardinality=plan.cardinality,
             transfer=profile,
         )
-        return _Derivation({"properties": PhysicalProperties(site=PlanSite.CLIENT)}, (step,))
+        return _Derivation(
+            {"properties": PhysicalProperties(site=PlanSite.CLIENT), "operation": None, "strategy": None},
+            (step,),
+        )
 
 
 # -- distributed scatter-gather costing ------------------------------------------------------

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.errors import OptimizerError
 from repro.core.optimizer.cost import CostEstimator, CostSettings
 from repro.core.optimizer.enumerator import SystemREnumerator
 from repro.core.optimizer.heuristics import (
@@ -15,6 +14,8 @@ from repro.core.optimizer.heuristics import (
 )
 from repro.core.optimizer.plans import (
     CandidatePlan,
+    TableOperation,
+    UdfOperation,
     operations_for_query,
     statistics_or_empty,
 )
@@ -34,35 +35,65 @@ CANDIDATE_BATCH_SIZES: Tuple[int, ...] = (1, 16, 64, 256)
 BATCH_CHOICE_TOLERANCE = 0.01
 
 
+def _folded(pins: Dict[str, Any]) -> Dict[str, Any]:
+    """``pins`` keyed by case-folded name."""
+    return {name.lower(): value for name, value in pins.items()}
+
+
+def _ordered(items: Sequence[Any], order: Sequence[str], name_of: Callable[[Any], str]) -> List[Any]:
+    """``items`` with the ones ``order`` names (in any case) first, in its order."""
+    positions = _folded({name: index for index, name in enumerate(order)})
+    return sorted(items, key=lambda item: positions.get(name_of(item).lower(), len(positions)))
+
+
 @dataclass
 class OptimizationDecision:
     """The one value that says which plan runs: ``server.planner`` realises it whole.
 
-    ``plan`` is the costed candidate and owns the shape — the left-deep join
-    order over table aliases, the order client-site UDFs are applied in, the
-    per-UDF execution strategy and the non-sequential access path per table
-    alias (none = all scans); the properties below read it, they are not
-    copies.  ``batch_size`` is the plan-wide number of rows per network
-    message the cost-based sweep selected (also folded into
-    ``strategy_config``); ``alternatives`` are the costed baseline plans.
+    ``plan`` is the costed candidate, the last node of the chain the planner
+    walks: it owns the shape — the left-deep join order over table aliases,
+    the order client-site UDFs are applied in, the per-UDF execution
+    strategy and the non-sequential access path per table alias (none = all
+    scans); the properties below are views of it.  ``batch_size`` is the
+    plan-wide number of rows per network message the cost-based sweep
+    selected, read off ``strategy_config``; ``alternatives`` are the costed
+    baseline plans.
     """
 
     plan: CandidatePlan
     strategy_config: StrategyConfig
-    batch_size: int = 1
     alternatives: Dict[str, CandidatePlan] = field(default_factory=dict)
 
     @classmethod
-    def pinned(cls, config: StrategyConfig, **shape) -> "OptimizationDecision":
-        """The decision of a caller who dictates the plan instead of pricing it.
+    def pinned(cls, query: BoundQuery, config: StrategyConfig, **shape) -> "OptimizationDecision":
+        """The decision of a caller who dictates ``query``'s plan instead of pricing it.
 
-        ``shape`` names any of ``table_order`` / ``udf_order`` /
-        ``udf_strategies`` / ``access_paths``; whatever it leaves out keeps
-        the planner's default (FROM order, order of appearance,
-        ``config.strategy``, sequential scans).
+        The same kind of chain the optimizer prices, unpriced.  ``shape``
+        names any of ``table_order`` / ``udf_order`` (aliases and UDF names
+        to put first) / ``udf_strategies`` (per UDF name) / ``access_paths``
+        (per alias), in any case; whatever it leaves out takes the default
+        here: FROM order, order of appearance, ``config.strategy``,
+        sequential scans.
         """
-        return cls(CandidatePlan(frozenset(), 0.0, 0.0, 0.0, **shape), config, config.batch_size)
+        tables = _ordered(query.tables, shape.pop("table_order", ()), lambda bound: bound.alias)
+        calls = _ordered(query.client_udf_calls, shape.pop("udf_order", ()), lambda call: call.name)
+        strategies = _folded(shape.pop("udf_strategies", {}))
+        paths = _folded(shape.pop("access_paths", {}))
+        if shape:
+            raise TypeError(f"a pinned shape has no {sorted(shape)}")
+        plan = None
+        for bound in tables:
+            operation = TableOperation(bound.alias, bound)
+            path = paths.get(bound.alias.lower())
+            plan = CandidatePlan(frozenset(), 0.0, 0.0, 0.0, input=plan, operation=operation, path=path)
+        for call in calls:
+            strategy = strategies.get(call.name.lower(), config.strategy)
+            plan = CandidatePlan(
+                frozenset(), 0.0, 0.0, 0.0, input=plan, operation=UdfOperation(call), strategy=strategy
+            )
+        return cls(plan, config)
 
+    batch_size = property(lambda self: self.strategy_config.batch_size)
     table_order = property(lambda self: self.plan.table_order)
     udf_order = property(lambda self: self.plan.udf_order)
     udf_strategies = property(lambda self: self.plan.udf_strategies)
@@ -230,24 +261,16 @@ class Optimizer:
         estimator.release()
 
         # The primary strategy config: keep the caller's tunables, adopt the
-        # strategy the optimizer chose for the first UDF (per-UDF overrides
-        # carry the rest) and the batch size the sweep selected.
-        primary_strategy = None
-        for name in best.udf_order:
-            primary_strategy = best.udf_strategies.get(name)
-            break
-        chosen = {"batch_size": batch_size}
-        if primary_strategy is not None:
-            chosen["strategy"] = primary_strategy
-        config = replace(self.default_config, **chosen)
+        # strategy the optimizer chose for the first UDF (the UDF nodes carry
+        # the rest) and the batch size the sweep selected.
+        strategy = next(iter(best.udf_strategies.values()), self.default_config.strategy)
+        config = replace(self.default_config, batch_size=batch_size, strategy=strategy)
 
         alternatives: Dict[str, CandidatePlan] = {}
         if include_baselines:
             alternatives = self.baseline_plans(query)
 
-        return OptimizationDecision(
-            plan=best, strategy_config=config, batch_size=batch_size, alternatives=alternatives
-        )
+        return OptimizationDecision(plan=best, strategy_config=config, alternatives=alternatives)
 
     def baseline_plans(self, query: BoundQuery) -> Dict[str, CandidatePlan]:
         """Costed plans of the baseline optimizers, for comparison benchmarks."""
@@ -260,13 +283,9 @@ class Optimizer:
             ).best_plan()
             for placement in (HEURISTIC_UDFS_FIRST, HEURISTIC_UDFS_LAST):
                 for strategy in (ExecutionStrategy.SEMI_JOIN, ExecutionStrategy.CLIENT_SITE_JOIN):
-                    name = f"{placement}, {strategy.value}"
-                    try:
-                        baselines[name] = heuristic_plan(
-                            estimator, tables, udfs, placement=placement, strategy=strategy
-                        )
-                    except OptimizerError:
-                        continue
+                    baselines[f"{placement}, {strategy.value}"] = heuristic_plan(
+                        estimator, tables, udfs, placement=placement, strategy=strategy
+                    )
         else:
             baselines["system-r (no client UDFs)"] = self.enumerator(query).best_plan()
         return baselines

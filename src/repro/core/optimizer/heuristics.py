@@ -17,7 +17,7 @@ placements and strategies jointly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import OptimizerError
 from repro.core.optimizer.cost import CostEstimator
@@ -79,14 +79,5 @@ def _apply_with_strategy(
     strategy: ExecutionStrategy,
 ) -> CandidatePlan:
     variants = estimator.udf_variants(plan, operation)
-    matching = [
-        variant
-        for variant in variants
-        if variant.udf_strategies.get(operation.call.udf.name) is strategy
-    ]
-    pool = matching or variants
-    if not pool:
-        raise OptimizerError(
-            f"UDF {operation.call.udf.name!r} cannot be applied (arguments missing)"
-        )
+    pool = [variant for variant in variants if variant.strategy is strategy] or variants
     return min(pool, key=lambda candidate: candidate.cost)

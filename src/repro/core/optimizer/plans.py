@@ -4,21 +4,22 @@ The enumerator works over *operations*: one :class:`TableOperation` per FROM
 entry (its application to a non-empty plan is a real join, to an empty plan a
 scan) and one :class:`UdfOperation` per client-site UDF call (its application
 is a virtual join with the UDF table, executed by one of the strategies).
-A :class:`CandidatePlan` carries the estimated statistics, the accumulated
-cost, the physical properties, and the ordered list of :class:`PlanStep`
-records describing how it was built — which is what the plan-space benchmarks
-print and what the engine's ``explain(optimize=True)`` shows.
+A :class:`CandidatePlan` is one node of a left-deep chain: the operation it
+applied to its input, with the estimated statistics, the accumulated cost, the
+physical properties, and the ordered list of :class:`PlanStep` records
+describing how it was built — which is what the plan-space benchmarks print
+and what the engine's ``explain(optimize=True)`` shows.  The planner builds
+the operator tree by walking that chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from repro.core.optimizer.properties import PhysicalProperties, PlanSite
+from repro.core.optimizer.properties import PhysicalProperties
 from repro.core.strategies import ExecutionStrategy
-from repro.relational.predicates import estimate_selectivity
 from repro.relational.schema import bare_name
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
 
@@ -91,10 +92,9 @@ class AccessPath:
     ``"index_join"`` (an index-nested-loop probe of the table as a join
     inner).  ``predicate_keys`` are the served conjuncts' string forms — the
     keys the planner uses to find the matching expressions again, all of
-    which must still be in the query; ``predicate_key=`` spells the one-key
-    case and names an index join's equi-join predicate.  ``join_column`` is
-    the outer-side column an index join probes with.  Tables without an
-    entry in ``CandidatePlan.access_paths`` use the default sequential scan.
+    which must still be in the query; an index join's one key names its
+    equi-join predicate.  ``join_column`` is the outer-side column an index
+    join probes with.  A table node without a path is a sequential scan.
     """
 
     alias: str
@@ -102,15 +102,8 @@ class AccessPath:
     index_name: str
     index_kind: str  # "btree" | "hash"
     column: str  # the indexed column (bare name)
-    predicate_key: InitVar[Optional[str]] = None  # constructor spelling of one key
     join_column: Optional[str] = None
     predicate_keys: Tuple[str, ...] = ()
-
-    def __post_init__(self, predicate_key: Optional[str]) -> None:
-        if predicate_key is not None:
-            if self.predicate_keys and self.predicate_keys != (predicate_key,):
-                raise ValueError("give predicate_key or predicate_keys, not both")
-            object.__setattr__(self, "predicate_keys", (predicate_key,))
 
     def describe(self) -> str:
         if self.kind == "index_join":
@@ -122,15 +115,6 @@ class AccessPath:
             f"index scan of {self.alias} via {self.index_name} "
             f"({self.index_kind} on {self.column}: {' AND '.join(self.predicate_keys)})"
         )
-
-
-def _sole_predicate_key(path: AccessPath) -> Optional[str]:
-    return path.predicate_keys[0] if len(path.predicate_keys) == 1 else None
-
-
-# ``predicate_keys`` is the one stored form; the init-only ``predicate_key=``
-# reads back as the sole key (None when the path serves none or several).
-AccessPath.predicate_key = property(_sole_predicate_key)  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -244,7 +228,17 @@ class ColumnResolver:
 
 @dataclass
 class CandidatePlan:
-    """A (sub)plan considered by the enumerator."""
+    """A (sub)plan considered by the enumerator: one node of a left-deep chain.
+
+    Besides the estimates, a node records what it applied: ``operation``
+    (the :class:`TableOperation` or :class:`UdfOperation`; None on the
+    delivery node :meth:`~repro.core.optimizer.cost.CostEstimator.finalize`
+    adds), the ``strategy`` a UDF node runs with, and the ``path`` of an
+    index-scan leaf or an index-join node.  ``input`` is the candidate it
+    extends (None at a base-table leaf).  The plan's shape is that chain:
+    ``table_order``, ``udf_order``, ``udf_strategies`` and ``access_paths``
+    are read off it.
+    """
 
     operations: FrozenSet[str]
     cost: float
@@ -254,12 +248,36 @@ class CandidatePlan:
     column_distinct: Dict[str, float] = field(default_factory=dict)
     properties: PhysicalProperties = field(default_factory=PhysicalProperties)
     steps: Tuple[PlanStep, ...] = ()
-    applied_udfs: FrozenSet[str] = frozenset()
-    table_order: Tuple[str, ...] = ()
-    udf_order: Tuple[str, ...] = ()
-    udf_strategies: Dict[str, ExecutionStrategy] = field(default_factory=dict)
-    #: Chosen non-sequential access path per table alias (empty = all scans).
-    access_paths: Dict[str, AccessPath] = field(default_factory=dict)
+    input: Optional["CandidatePlan"] = None
+    operation: Optional[Union[TableOperation, UdfOperation]] = None
+    strategy: Optional[ExecutionStrategy] = None
+    path: Optional[AccessPath] = None
+
+    # -- the chain ------------------------------------------------------------------
+
+    def nodes(self) -> List["CandidatePlan"]:
+        """The nodes that applied an operation, leaf first."""
+        nodes, node = [], self
+        while node is not None:
+            if node.operation is not None:
+                nodes.append(node)
+            node = node.input
+        return nodes[::-1]
+
+    def _applied(self, kind: type) -> List["CandidatePlan"]:
+        return [node for node in self.nodes() if isinstance(node.operation, kind)]
+
+    # The shape as four maps, read off the chain: the join order over table
+    # aliases, the UDF order, the strategy per UDF name, the access path per
+    # alias (none = all scans); and the UDFs applied.  The decision digests
+    # hash them.
+    table_order = property(lambda self: tuple(n.operation.alias for n in self._applied(TableOperation)))
+    udf_order = property(lambda self: tuple(n.operation.name for n in self._applied(UdfOperation)))
+    udf_strategies = property(
+        lambda self: {n.operation.name: n.strategy for n in self._applied(UdfOperation)}
+    )
+    access_paths = property(lambda self: {n.path.alias: n.path for n in self.nodes() if n.path})
+    applied_udfs = property(lambda self: frozenset(self.udf_order))
 
     # -- helpers --------------------------------------------------------------------
 

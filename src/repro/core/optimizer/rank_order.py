@@ -21,7 +21,7 @@ duplicates (costs are per input tuple, not per distinct argument tuple).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.core.optimizer.cost import CostEstimator
 from repro.core.optimizer.plans import CandidatePlan, PlanStep, TableOperation, UdfOperation
@@ -126,7 +126,8 @@ class RankOrderOptimizer:
             column_distinct=column_distinct,
             properties=PhysicalProperties(site=PlanSite.SERVER),
             steps=plan.steps + (step,),
-            applied_udfs=plan.applied_udfs | {udf.name},
-            udf_order=plan.udf_order + (udf.name,),
-            udf_strategies={**plan.udf_strategies, udf.name: ExecutionStrategy.NAIVE},
+            input=plan,
+            operation=operation,
+            strategy=ExecutionStrategy.NAIVE,
+            path=None,
         )

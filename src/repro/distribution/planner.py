@@ -208,7 +208,7 @@ class ClusterPlanner:
                     decision=(
                         decisions[(index, site_name)]
                         if optimize
-                        else OptimizationDecision.pinned(config)
+                        else OptimizationDecision.pinned(bounds[index], config)
                     ),
                     estimated_cost=costs[(shard_key, site_name)],
                 )
@@ -246,7 +246,7 @@ class ClusterPlanner:
             bound=query,
             replicas=sorted(candidates),
             candidate_costs=candidates,
-            decision=decisions[best] if optimize else OptimizationDecision.pinned(config),
+            decision=decisions[best] if optimize else OptimizationDecision.pinned(query, config),
             estimated_cost=candidates[best],
         )
         return ClusterPlan(

@@ -4,8 +4,9 @@ This module provides the static analyses the optimizer needs:
 
 * :func:`estimate_selectivity` — textbook selectivity estimation from column
   statistics (1/V(A) for equality, 1/3 for ranges, independence for AND/OR);
-* :func:`equi_join_columns` / :func:`columns_covered` — which two columns an
-  equality joins, and whether a set of available columns holds them;
+* :func:`equi_join_sides` / :func:`columns_covered` — which column of an
+  equality each side of a join holds, and whether a set of available
+  columns holds a predicate's columns;
 * :class:`PredicateInfo` — per-conjunct metadata: referenced columns, UDF
   calls and estimated selectivity.
 """
@@ -209,15 +210,22 @@ def index_condition(expression: Expression) -> Optional[IndexCondition]:
     return IndexCondition(column=column, operator=operator, value=value)
 
 
-def equi_join_columns(expression: Expression) -> Optional[Tuple[str, str]]:
-    """The ``(left, right)`` column names of a two-column equality, or None."""
+def equi_join_sides(
+    expression: Expression, left_columns: Set[str], right_columns: Set[str]
+) -> Optional[Tuple[str, str]]:
+    """``(left, right)``: the column names of a two-column equality, the one
+    ``left_columns`` holds first, however it is written; None when it is no
+    such equality or the two sides do not hold one column each."""
     if not isinstance(expression, Comparison) or expression.operator != "=":
         return None
     if expression.function_calls():
         return None
     left, right = expression.left, expression.right
-    if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-        return left.name, right.name
+    if not (isinstance(left, ColumnRef) and isinstance(right, ColumnRef)):
+        return None
+    for one, other in ((left.name, right.name), (right.name, left.name)):
+        if _covered(one, left_columns) and _covered(other, right_columns):
+            return one, other
     return None
 
 

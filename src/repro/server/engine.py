@@ -533,7 +533,7 @@ class Database(SqlSurface):
         was observed.
         """
         if not optimize:
-            return OptimizationDecision.pinned(config, udf_order=tuple(udf_order or ()))
+            return OptimizationDecision.pinned(bound, config, udf_order=tuple(udf_order or ()))
         statistics = statistics if statistics is not None else self.statistics
         return Optimizer(
             self.network,

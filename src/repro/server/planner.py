@@ -1,22 +1,22 @@
 """Direct (non-enumerating) physical plan construction.
 
-This planner builds a straightforward plan for a bound query:
+This planner builds the operator tree of a bound query by walking the chain of
+an :class:`~repro.core.optimizer.decision.OptimizationDecision`'s plan (the
+optimizer's, or a caller's pins):
 
-1. scan each table and apply its single-table predicates,
-2. join the tables left-deep in FROM order (hash join on equi-join
-   predicates, nested loops otherwise),
-3. apply each client-site UDF with the strategy named by the
-   :class:`~repro.core.strategies.StrategyConfig`, pushing pushable
-   predicates and projections to the client for the client-site join,
-4. apply the remaining predicates, the final projection, DISTINCT,
-   ORDER BY and LIMIT.
+1. each table node scans its table (or probes it through an index) and
+   applies its single-table predicates, joining left-deep in chain order
+   (hash join on equi-join predicates, nested loops otherwise),
+2. each UDF node applies its client-site UDF with its own strategy, in
+   chain order after the last join, pushing pushable predicates and
+   projections to the client for the client-site join,
+3. the remaining predicates, the final projection, DISTINCT, ORDER BY and
+   LIMIT go on top.
 
 It is the executable backend both for direct ``Database.execute`` calls and
-for the optimizer: an :class:`~repro.core.optimizer.decision.OptimizationDecision`
-(the optimizer's, or a caller's pins) fixes the join order, the UDF order,
-the per-UDF strategies and the access paths, and the plan built here realises
-all of it or raises :class:`~repro.errors.PlanError` — it never quietly runs
-something the decision did not say.
+for the optimizer: the plan built here realises the whole chain or raises
+:class:`~repro.errors.PlanError` — it never quietly runs something the
+decision did not say.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.rewrite import build_operator, replace_udf_calls_with_columns
 from repro.core.execution.access import IndexNestedLoopJoinOperator, IndexScanOperator
 from repro.core.optimizer.decision import OptimizationDecision
-from repro.core.optimizer.plans import AccessPath
+from repro.core.optimizer.plans import AccessPath, CandidatePlan, TableOperation
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators import (
@@ -51,7 +51,7 @@ from repro.relational.operators import (
 )
 from repro.relational.predicates import (
     columns_covered,
-    equi_join_columns,
+    equi_join_sides,
     index_condition,
 )
 from repro.relational.schema import NeededColumns, column_key
@@ -97,22 +97,16 @@ def build_plan(
 ) -> PlanBuildResult:
     """Build the physical plan for ``query``.
 
-    ``decision`` is the plan to realise, whole: its ``table_order`` is the
-    left-deep join order over table aliases, its ``udf_order`` the order the
-    client-site UDFs are applied in, its ``udf_strategies`` the execution
-    strategy per UDF name, and its ``access_paths`` (per table alias) swap
-    sequential scans for index access — an ``index_scan`` path fetches a
-    base table through a secondary index, an ``index_join`` path joins the
-    table as the inner of an index nested-loop join.  Aliases and names a
-    decision does not mention keep FROM order, order of appearance,
-    ``config.strategy`` and a sequential scan, which is also the whole plan
-    without a decision.  Realisation is strict: an access path that cannot
-    be built (index dropped since planning or incomplete, a served predicate
-    gone from the query or not indexable on the index's column, range over a
-    hash index, probe column not in the outer side)
-    raises :class:`PlanError` naming the index, because running a seq scan
-    instead would execute a plan nobody priced.  ``config`` supplies the
-    tunables and defaults to the decision's ``strategy_config``.
+    ``decision`` is the plan to realise, whole (the module docstring says
+    how); without one the plan is :meth:`OptimizationDecision.pinned`'s:
+    FROM order, order of appearance, ``config.strategy`` and sequential
+    scans.  Realisation is strict: a chain that does not place every table
+    and UDF call of the query, or an access path that cannot be built (index
+    dropped since planning or incomplete, a served predicate gone from the
+    query or not indexable on the index's column, range over a hash index,
+    probe column not in the outer side) raises :class:`PlanError`, because
+    running anything else would execute a plan nobody priced.  ``config``
+    supplies the tunables and defaults to the decision's ``strategy_config``.
 
     ``defer_output_shaping`` stops the plan after the final projection,
     leaving :func:`shape_output` to the caller.  Scatter-gather uses this
@@ -121,7 +115,9 @@ def build_plan(
     coordinator applies them once over the merged result.
     """
     if decision is None:
-        decision = OptimizationDecision.pinned(config if config is not None else StrategyConfig())
+        decision = OptimizationDecision.pinned(
+            query, config if config is not None else StrategyConfig()
+        )
     if config is None:
         config = decision.strategy_config
     root = _PlanBuilder(query, context, config, server_functions or {}, decision).build()
@@ -145,41 +141,56 @@ class _PlanBuilder:
         self.context = context
         self.config = config
         self.server_functions = server_functions
+        self.decision = decision
         self.applied_predicates: Set[int] = set()
         self.result_column_mapping: Dict[str, str] = {}
-        # The decision, keyed the way the builder looks things up: aliases
-        # and UDF names case-folded, orders as position per name.
-        self.table_order = {a.lower(): i for i, a in enumerate(decision.table_order)}
-        self.udf_order = {n.lower(): i for i, n in enumerate(decision.udf_order)}
-        self.udf_strategies = {n.lower(): s for n, s in decision.udf_strategies.items()}
-        self.access_paths = {a.lower(): p for a, p in decision.access_paths.items()}
+        #: ids of the query's tables and UDF calls a node has been matched to.
+        self.placed: Set[int] = set()
 
     # -- top level ----------------------------------------------------------------------
 
     def build(self) -> Operator:
-        plan = self._build_join_tree()
+        nodes = self.decision.plan.nodes()
+        if len(nodes) != len(self.query.tables) + len(self.query.client_udf_calls):
+            raise PlanError("the decision does not place every table and client-site UDF of the query")
+        plan: Optional[Operator] = None
+        udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]] = []
+        for node in nodes:
+            if isinstance(node.operation, TableOperation):
+                plan = self._apply_table(plan, node)
+            else:
+                # The hoist: a UDF node applies after the last join, in chain
+                # order, wherever the chain puts it (242 of the 662 decisions
+                # of tests/decision_digest.py price one below a join).  ROADMAP
+                # item 7 deletes this rule: the node then applies right here.
+                udfs.append((self._own(self.query.client_udf_calls, node.operation.name), node.strategy))
         plan = self._apply_udf_free_residuals(plan)
-        plan = self._apply_client_udfs(plan)
+        plan = self._apply_client_udfs(plan, udfs)
         plan = self._apply_remaining_predicates(plan)
         return self._apply_output(plan)
 
+    def _own(self, candidates: Sequence[Any], name: str) -> Any:
+        """The first of the query's ``candidates`` (tables or UDF calls) not yet
+        placed that ``name`` (an alias or a UDF name) names, in any case."""
+        for candidate in candidates:
+            own = candidate.alias if isinstance(candidate, BoundTable) else candidate.name
+            if own.lower() == name.lower() and id(candidate) not in self.placed:
+                self.placed.add(id(candidate))
+                return candidate
+        raise PlanError(f"the decision places {name}, which the query does not have")
+
     # -- scans and joins ----------------------------------------------------------------
 
-    def _build_join_tree(self) -> Operator:
-        order = self.table_order
-        tables = sorted(
-            self.query.tables, key=lambda bound: order.get(bound.alias.lower(), len(order))
-        )
-        plan = self._scan_leaf(tables[0])
-        for bound in tables[1:]:
-            path = self.access_paths.get(bound.alias.lower())
-            if path is not None and path.kind == "index_join":
-                plan = self._index_join(plan, bound, path)
-            else:
-                plan = self._join(plan, self._scan_leaf(bound))
-        return plan
+    def _apply_table(self, plan: Optional[Operator], node: CandidatePlan) -> Operator:
+        """The table ``node`` applies: the leaf of the join tree, or joined to ``plan``."""
+        bound, path = self._own(self.query.tables, node.operation.alias), node.path
+        if plan is None:
+            return self._scan_leaf(bound, path)
+        if path is not None and path.kind == "index_join":
+            return self._index_join(plan, bound, path)
+        return self._join(plan, self._scan_leaf(bound, path))
 
-    def _scan_leaf(self, bound: BoundTable) -> Operator:
+    def _scan_leaf(self, bound: BoundTable, path: Optional[AccessPath]) -> Operator:
         """A base-table leaf with its single-table predicates applied.
 
         With an ``index_scan`` access path the leaf fetches through the
@@ -189,7 +200,6 @@ class _PlanBuilder:
         built with ``observe_selectivity=False`` so their residual pass-through
         rate is not recorded as the predicates' selectivity.
         """
-        path = self.access_paths.get(bound.alias.lower())
         served: Tuple[str, ...] = ()
         if path is None:
             plan: Operator = TableScan(bound.table, alias=bound.alias)
@@ -270,29 +280,24 @@ class _PlanBuilder:
         except SchemaError as exc:  # e.g. an ambiguous probe column
             raise _unrealisable(path, str(exc)) from exc
 
-        served = {column_key(path.join_column), column_key(path.column)}
-        for predicate in self.query.join_predicates():
-            if id(predicate) in self.applied_predicates:
-                continue
-            pair = equi_join_columns(predicate.expression)
-            if pair is not None and {column_key(name) for name in pair} == served:
-                self.applied_predicates.add(id(predicate))
-                break
+        # The probe serves the equi-join predicate it was priced for, found
+        # by its key as an index scan finds its conjuncts — never by bare
+        # column names, which ``C.K = B.K`` shares with ``A.K = B.K``.
+        served = [
+            id(predicate)
+            for predicate in self.query.join_predicates()
+            if str(predicate.expression) in path.predicate_keys
+        ]
+        if not served:
+            raise _unrealisable(path, f"{bound.alias} has no such join predicate in this query")
+        self.applied_predicates.update(served)
         available = set(joined.output_schema().qualified_names())
-        for predicate in self.query.join_predicates():
-            if id(predicate) in self.applied_predicates:
-                continue
-            if not columns_covered(predicate.columns, available):
-                continue
+        for predicate in self._covered(self.query.join_predicates(), available):
             joined = Filter(joined, predicate.expression, self.server_functions)
-            self.applied_predicates.add(id(predicate))
-        for predicate in self.query.single_table_predicates(bound.alias):
-            if id(predicate) in self.applied_predicates:
-                continue
+        for predicate in self._take(self.query.single_table_predicates(bound.alias)):
             joined = Filter(
                 joined, predicate.expression, self.server_functions, observe_selectivity=False
             )
-            self.applied_predicates.add(id(predicate))
         return joined
 
     def _join(self, left: Operator, right: Operator) -> Operator:
@@ -302,17 +307,12 @@ class _PlanBuilder:
 
         equi_pairs: List[Tuple[str, str]] = []
         residual: List[Expression] = []
-        for predicate in self.query.join_predicates():
-            if id(predicate) in self.applied_predicates:
-                continue
-            if not columns_covered(predicate.columns, available):
-                continue
-            pair = self._equi_join_pair(predicate.expression, left_columns, right_columns)
+        for predicate in self._covered(self.query.join_predicates(), available):
+            pair = equi_join_sides(predicate.expression, left_columns, right_columns)
             if pair is not None:
                 equi_pairs.append(pair)
             else:
                 residual.append(predicate.expression)
-            self.applied_predicates.add(id(predicate))
 
         if equi_pairs:
             joined: Operator = HashJoin(
@@ -328,78 +328,72 @@ class _PlanBuilder:
             joined = Filter(joined, expression, self.server_functions)
         return joined
 
-    @staticmethod
-    def _equi_join_pair(
-        expression: Expression, left_columns: Set[str], right_columns: Set[str]
-    ) -> Optional[Tuple[str, str]]:
-        """``(left_key, right_key)`` when the expression is a two-sided equi-join."""
-        pair = equi_join_columns(expression)
-        for left, right in (pair, pair[::-1]) if pair is not None else ():
-            if columns_covered(frozenset({left}), left_columns) and columns_covered(
-                frozenset({right}), right_columns
-            ):
-                return (left, right)
-        return None
-
     def _apply_udf_free_residuals(self, plan: Operator) -> Operator:
         """Any UDF-free predicate not yet applied goes in as a server filter."""
         available = set(plan.output_schema().qualified_names())
-        for predicate in self.query.predicates:
-            if id(predicate) in self.applied_predicates or predicate.references_udf:
-                continue
-            if columns_covered(predicate.columns, available):
-                plan = Filter(plan, predicate.expression, self.server_functions)
-                self.applied_predicates.add(id(predicate))
+        udf_free = [predicate for predicate in self.query.predicates if not predicate.references_udf]
+        for predicate in self._covered(udf_free, available):
+            plan = Filter(plan, predicate.expression, self.server_functions)
         return plan
+
+    def _take(
+        self, predicates: Sequence[Any], wanted: Callable[[Any], bool] = lambda predicate: True
+    ) -> List[Any]:
+        """Those of ``predicates`` not applied yet that ``wanted`` accepts, now applied."""
+        taken = [p for p in predicates if id(p) not in self.applied_predicates and wanted(p)]
+        self.applied_predicates.update(map(id, taken))
+        return taken
+
+    def _covered(self, predicates: Sequence[Any], available: Set[str]) -> List[Any]:
+        """Those of ``predicates`` not applied yet that read only ``available`` columns, now applied."""
+        return self._take(predicates, lambda predicate: columns_covered(predicate.columns, available))
+
+    def _evaluable(self, predicate: Any) -> bool:
+        """Whether ``predicate`` reads client-site UDF results, all of applied UDFs."""
+        return predicate.references_udf and {
+            name.lower() for name in predicate.udf_names
+        }.issubset(self.result_column_mapping)
 
     # -- client-site UDFs ------------------------------------------------------------------
 
-    def _apply_client_udfs(self, plan: Operator) -> Operator:
-        order = self.udf_order
-        calls = sorted(
-            self.query.client_udf_calls,
-            key=lambda call: order.get(call.udf.name.lower(), len(order)),
-        )
-
-        if calls and self.config.reoptimizer is not None:
+    def _apply_client_udfs(
+        self, plan: Operator, udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]]
+    ) -> Operator:
+        """Each UDF call with its node's strategy, in chain order."""
+        if udfs and self.config.reoptimizer is not None:
             # Mid-query re-optimization owns the whole chain: one migration
             # operator applies every client-site UDF, so the application
             # order itself can change at segment boundaries.
-            return self._apply_migration_chain(plan, calls)
+            return self._apply_migration_chain(plan, udfs)
 
-        for index, call in enumerate(calls):
-            remaining_calls = calls[index + 1 :]
-            plan = self._apply_one_udf(plan, call, remaining_calls)
+        calls = [call for call, _ in udfs]
+        for index, (call, strategy) in enumerate(udfs):
+            plan = self._apply_one_udf(plan, call, strategy, calls[index + 1 :])
         return plan
 
-    def _apply_migration_chain(self, plan: Operator, calls: List[ClientUdfCall]) -> Operator:
+    def _apply_migration_chain(
+        self, plan: Operator, udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]]
+    ) -> Operator:
+        calls = [call for call, _ in udfs]
         for call in calls:
             self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
-        stages: List[MigrationStage] = []
-        for call in calls:
-            stages.append(
-                MigrationStage(
-                    udf=call.udf,
-                    argument_columns=tuple(call.argument_columns),
-                    result_column_name=call.result_column_name,
-                    strategy=self._strategy_for(call),
-                )
+        stages = [
+            MigrationStage(
+                udf=call.udf,
+                argument_columns=tuple(call.argument_columns),
+                result_column_name=call.result_column_name,
+                strategy=strategy,
             )
-        chain_names = set(self.result_column_mapping.keys())
-        predicates: List[MigrationPredicate] = []
-        for predicate in self.query.predicates:
-            if id(predicate) in self.applied_predicates or not predicate.references_udf:
-                continue
-            referenced = {name.lower() for name in predicate.udf_names}
-            if referenced <= chain_names:
-                predicates.append(
-                    MigrationPredicate(
-                        expression=self._rewritten(predicate.expression),
-                        udf_names=frozenset(referenced),
-                        declared_selectivity=max(predicate.selectivity, 1e-6),
-                    )
-                )
-                self.applied_predicates.add(id(predicate))
+            for call, strategy in udfs
+        ]
+        predicates = [
+            MigrationPredicate(
+                expression=self._rewritten(predicate.expression),
+                udf_names=frozenset(name.lower() for name in predicate.udf_names),
+                declared_selectivity=max(predicate.selectivity, 1e-6),
+            )
+            for predicate in self._take(self.query.predicates, self._evaluable)
+        ]
         return PlanMigrationOperator(
             plan,
             stages,
@@ -411,12 +405,19 @@ class _PlanBuilder:
         )
 
     def _apply_one_udf(
-        self, plan: Operator, call: ClientUdfCall, remaining_calls: List[ClientUdfCall]
+        self,
+        plan: Operator,
+        call: ClientUdfCall,
+        strategy: ExecutionStrategy,
+        remaining_calls: List[ClientUdfCall],
     ) -> Operator:
         self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
 
-        config = self.config.with_strategy(self._strategy_for(call))
-        pushable = self._pushable_predicate_for(call)
+        config = self.config.with_strategy(strategy)
+        # The predicates that become evaluable once this UDF has run.
+        pushable = conjoin(
+            [self._rewritten(p.expression) for p in self._take(self.query.predicates, self._evaluable)]
+        )
         output_columns = None
         if config.strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
             # The arguments of a UDF the select list calls survive as well —
@@ -438,23 +439,6 @@ class _PlanBuilder:
             output_columns=output_columns,
             result_column_name=call.result_column_name,
         )
-
-    def _strategy_for(self, call: ClientUdfCall) -> ExecutionStrategy:
-        """The decision's strategy for this UDF; ``config.strategy`` if it names none."""
-        return self.udf_strategies.get(call.udf.name.lower(), self.config.strategy)
-
-    def _pushable_predicate_for(self, call: ClientUdfCall) -> Optional[Expression]:
-        """Conjoin the predicates that become evaluable once this UDF has run."""
-        applied_udfs = set(self.result_column_mapping.keys())
-        usable: List[Expression] = []
-        for predicate in self.query.predicates:
-            if id(predicate) in self.applied_predicates or not predicate.references_udf:
-                continue
-            referenced = {name.lower() for name in predicate.udf_names}
-            if referenced <= applied_udfs:
-                usable.append(self._rewritten(predicate.expression))
-                self.applied_predicates.add(id(predicate))
-        return conjoin(usable)
 
     def _columns_needed_above(
         self,
@@ -489,11 +473,8 @@ class _PlanBuilder:
         return replace_udf_calls_with_columns(expression, self.result_column_mapping)
 
     def _apply_remaining_predicates(self, plan: Operator) -> Operator:
-        for predicate in self.query.predicates:
-            if id(predicate) in self.applied_predicates:
-                continue
+        for predicate in self._take(self.query.predicates):
             plan = Filter(plan, self._rewritten(predicate.expression), self.server_functions)
-            self.applied_predicates.add(id(predicate))
         return plan
 
     # -- output ----------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _pinned_cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]
             bound = db.bind(figure13)
             if not shape:
                 return _build(db, bound, config=config)
-            return _build(db, bound, OptimizationDecision.pinned(config, **shape))
+            return _build(db, bound, OptimizationDecision.pinned(bound, config, **shape))
 
         return run
 
@@ -132,7 +132,7 @@ def _pinned_cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]
         db = env.database(25, "symmetric", False)
         bound = db.bind(figure13)
         config = semi.with_reoptimizer(ReOptimizer(query=bound, network=db.network))
-        decision = OptimizationDecision.pinned(config, udf_order=("Volatility", "ClientRating"))
+        decision = OptimizationDecision.pinned(bound, config, udf_order=("Volatility", "ClientRating"))
         return _build(db, bound, decision)
 
     def index_scan() -> Dict[str, object]:
@@ -144,7 +144,7 @@ def _pinned_cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]
             if index_condition(predicate.expression) is not None
         )
         path = AccessPath("Q", "index_scan", "quotes_price_btree", "btree", "Price", predicate_keys=keys)
-        return _build(db, bound, OptimizationDecision.pinned(semi, access_paths={"Q": path}))
+        return _build(db, bound, OptimizationDecision.pinned(bound, semi, access_paths={"Q": path}))
 
     def index_join() -> Dict[str, object]:
         db = env.indexed_database("symmetric")
@@ -154,7 +154,7 @@ def _pinned_cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]
             predicate_keys=("O.QuoteId = Q.Id",), join_column="O.QuoteId",
         )
         decision = OptimizationDecision.pinned(
-            semi, table_order=("O", "Q"), access_paths={"Q": path}
+            bound, semi, table_order=("O", "Q"), access_paths={"Q": path}
         )
         return _build(db, bound, decision)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adaptive import ReOptimizationPolicy, SwitchPolicy
-from repro.errors import BindError, CatalogError, OptimizerError
+from repro.errors import BindError, CatalogError, OptimizerError, PlanError
 from repro.core.optimizer import OptimizationDecision
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
@@ -195,6 +195,7 @@ class TestPlannerDetails:
         )
         context = db.session.new_context()
         decision = OptimizationDecision.pinned(
+            bound,
             StrategyConfig.semi_join(),
             udf_strategies={"Stars": ExecutionStrategy.CLIENT_SITE_JOIN},
         )
@@ -220,10 +221,27 @@ class TestPlannerDetails:
             "WHERE S.Name = E.CompanyName"
         )
         context = db.session.new_context()
-        decision = OptimizationDecision.pinned(StrategyConfig(), table_order=("E", "S"))
+        decision = OptimizationDecision.pinned(bound, StrategyConfig(), table_order=("E", "S"))
         plan = build_plan(bound, context, decision=decision)
         text = plan.explain()
         assert text.index("TableScan(Estimations") < text.index("TableScan(StockQuotes")
+
+    def test_a_decision_places_exactly_the_tables_of_the_query(self, db):
+        """Nodes match the query by alias, in any case, never by object: another
+        binding of the same SQL realises a decision, a query it does not cover
+        or that lacks one of its aliases is refused."""
+        one = db.bind("SELECT S.Name FROM StockQuotes S")
+        decision = OptimizationDecision.pinned(one, StrategyConfig())
+        context = db.session.new_context()
+        rebound = build_plan(db.bind("SELECT s.Name FROM StockQuotes s"), context, decision=decision)
+        assert "TableScan(StockQuotes AS s)" in rebound.explain()
+        two = db.bind(
+            "SELECT S.Name, E.Rating FROM StockQuotes S, Estimations E WHERE S.Name = E.CompanyName"
+        )
+        with pytest.raises(PlanError, match="does not place every table"):
+            build_plan(two, context, decision=decision)
+        with pytest.raises(PlanError, match="places S, which the query does not have"):
+            build_plan(db.bind("SELECT T.Name FROM StockQuotes T"), context, decision=decision)
 
 
 # -- the priced plan is the executed plan ---------------------------------------------------

@@ -32,6 +32,7 @@ from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.server.engine import Database
+from repro.server.executor import Executor
 from repro.server.planner import build_plan
 from repro.sql.ast import CreateIndexStatement, DropIndexStatement
 from repro.sql.binder import Binder
@@ -255,13 +256,13 @@ def small_indexed_dir(tmp_path_factory):
 
 
 def scan_path(index_name="price_btree", index_kind="btree", column="Price", key="Q.Price < 2.0"):
-    return AccessPath("Q", "index_scan", index_name, index_kind, column, predicate_key=key)
+    return AccessPath("Q", "index_scan", index_name, index_kind, column, predicate_keys=(key,))
 
 
 def join_path(index_name="id_hash", join_column="O.QuoteId"):
     return AccessPath(
         "Q", "index_join", index_name, "hash", "Id",
-        predicate_key="O.QuoteId = Q.Id", join_column=join_column,
+        predicate_keys=("O.QuoteId = Q.Id",), join_column=join_column,
     )
 
 
@@ -276,8 +277,9 @@ class TestStrictRealisation:
     """One case per place the planner used to answer with a silent seq scan."""
 
     def build(self, db, sql, **shape):
-        decision = OptimizationDecision.pinned(db.default_config, **shape)
-        return build_plan(db.bind(sql), db.session.new_context(), decision=decision)
+        bound = db.bind(sql)
+        decision = OptimizationDecision.pinned(bound, db.default_config, **shape)
+        return build_plan(bound, db.session.new_context(), decision=decision)
 
     def test_buildable_paths_are_built(self, small_indexed_dir, tmp_path):
         db = open_copy(small_indexed_dir, tmp_path)
@@ -320,6 +322,11 @@ class TestStrictRealisation:
                 "id_hash.*equality only",
             ),
             (SELECTIVE_SQL, scan_path(key="Q.Price < 3.0"), "price_btree.*no such predicate"),
+            (
+                SELECTIVE_SQL,
+                AccessPath("Q", "index_scan", "price_btree", "btree", "Price"),
+                "price_btree.*names no predicate",
+            ),
         ],
     )
     def test_unbuildable_index_scan(self, small_indexed_dir, tmp_path, sql, path, reason):
@@ -342,6 +349,69 @@ class TestStrictRealisation:
         db = open_copy(small_indexed_dir, tmp_path)
         with pytest.raises(PlanError, match=reason):
             self.build(db, sql, table_order=order, access_paths={"Q": path})
+        db.close()
+
+
+def run_pinned(db, sql, **shape):
+    """``sql`` run under a pinned decision, observed into ``db.statistics``."""
+    bound = db.bind(sql)
+    executor = Executor(
+        db.session.new_context(),
+        server_functions=db._server_functions(),
+        observer=db.observer,
+        session=db.session,
+    )
+    decision = OptimizationDecision.pinned(bound, db.default_config, **shape)
+    return executor.execute_query(bound, deliver_results=True, decision=decision)
+
+
+class TestIndexJoinRealisation:
+    def test_the_probe_serves_the_predicate_it_was_priced_for(self, tmp_path):
+        """``C.K = B.K`` and ``A.K = B.K`` share bare names; only the second is
+        what probing B's index with ``A.K`` serves, so C still joins on the first."""
+        db = Database(network=NETWORK, storage_dir=str(tmp_path / "db"), cost_settings=COST)
+        db.create_table("A", [("K", INTEGER)], rows=[(i,) for i in range(3)])
+        db.create_table("B", [("K", INTEGER)], rows=[(i,) for i in range(200)])
+        db.create_table("C", [("K", INTEGER)], rows=[(i,) for i in range(5)])
+        db.create_index("b_k", "B", "K")
+        sql = "SELECT A.K, B.K, C.K FROM A, B, C WHERE C.K = B.K AND A.K = B.K"
+        probe = AccessPath(
+            "B", "index_join", "b_k", "btree", "K",
+            predicate_keys=("A.K = B.K",), join_column="A.K",
+        )
+        result = run_pinned(db, sql, table_order=("A", "B", "C"), access_paths={"B": probe})
+        assert "IndexNestedLoopJoin(B AS B via b_k, probe A.K)" in result.plan_text
+        seq = db.execute(sql, deliver_results=True)
+        assert sorted(map(tuple, result.rows)) == sorted(map(tuple, seq.rows))
+        assert sorted(map(tuple, seq.rows)) == [(i, i, i) for i in range(3)]
+        reversed_sql = "SELECT A.K, B.K, C.K FROM A, B, C WHERE C.K = B.K AND B.K = A.K"
+        with pytest.raises(PlanError, match="b_k.*no such join predicate"):
+            run_pinned(db, reversed_sql, table_order=("A", "B", "C"), access_paths={"B": probe})
+        db.close()
+
+    def test_inner_predicates_are_unobserved_residuals(self, quotes_join_dir, tmp_path):
+        """The inner's own predicate cannot go below the probe: it filters the
+        joined rows and records no selectivity, which would describe those
+        rows and not the base table."""
+        db = open_copy(quotes_join_dir, tmp_path)
+        sql = (
+            "SELECT O.OId, Q.Price FROM Orders O, Quotes Q "
+            "WHERE O.QuoteId = Q.Id AND Q.Price > 100.0"
+        )
+        (inner,) = db.bind(sql).single_table_predicates("Q")
+        key = inner.expression.canonical_key
+        probe = AccessPath(
+            "Q", "index_join", "quotes_id_idx", "btree", "Id",
+            predicate_keys=("O.QuoteId = Q.Id",), join_column="O.QuoteId",
+        )
+        indexed = run_pinned(db, sql, table_order=("O", "Q"), access_paths={"Q": probe})
+        assert "Filter(Q.Price > 100.0)\n    IndexNestedLoopJoin" in indexed.plan_text
+        assert db.statistics.predicate_selectivity(key, -1.0) == -1.0
+        seq = db.execute(sql, deliver_results=True)
+        assert sorted(map(tuple, indexed.rows)) == sorted(map(tuple, seq.rows))
+        assert len(seq.rows) == 6
+        # The sequential plan's filter over the base table is what records it.
+        assert db.statistics.predicate_selectivity(key, -1.0) != -1.0
         db.close()
 
 
@@ -455,21 +525,6 @@ class TestIntervalScan:
         assert f"~{rows * 0.5:.0f} matches" not in index_step(None)
         db.close()
 
-    def test_one_key_spelling_is_the_same_path(self):
-        one_key = scan_path("quotes_price_idx", "btree", "Price", key="Q.Price < 2.0")
-        several = AccessPath(
-            "Q", "index_scan", "quotes_price_idx", "btree", "Price",
-            predicate_keys=("Q.Price < 2.0",),
-        )
-        assert one_key == several and hash(one_key) == hash(several)
-        assert one_key.predicate_keys == ("Q.Price < 2.0",)
-        assert one_key.predicate_key == several.predicate_key == "Q.Price < 2.0"
-        with pytest.raises(ValueError):
-            AccessPath(
-                "Q", "index_scan", "i", "btree", "Price",
-                predicate_key="Q.Price < 2.0", predicate_keys=("Q.Price > 1.0",),
-            )
-
     def test_empty_interval_reads_no_page(self, wide_quotes_dir, tmp_path):
         db = open_copy(wide_quotes_dir, tmp_path)
         sql = "SELECT Q.Id FROM Quotes Q WHERE Q.Price > 1507.5 AND Q.Price <= 1500.0"
@@ -502,17 +557,17 @@ class TestIntervalScan:
         path = AccessPath(
             "Q", "index_scan", "id_hash", "hash", "Id", predicate_keys=("Q.Id = 7", "Q.Id < 30")
         )
-        decision = OptimizationDecision.pinned(db.default_config, access_paths={"Q": path})
+        bound = db.bind(sql)
+        decision = OptimizationDecision.pinned(bound, db.default_config, access_paths={"Q": path})
         with pytest.raises(PlanError, match="id_hash.*equality only"):
-            build_plan(db.bind(sql), db.session.new_context(), decision=decision)
+            build_plan(bound, db.session.new_context(), decision=decision)
         other_column = scan_path("id_hash", "hash", "Id", key="Q.Price = 2.0")
-        decision = OptimizationDecision.pinned(db.default_config, access_paths={"Q": other_column})
+        bound = db.bind("SELECT Q.Id FROM Quotes Q WHERE Q.Price = 2.0")
+        decision = OptimizationDecision.pinned(
+            bound, db.default_config, access_paths={"Q": other_column}
+        )
         with pytest.raises(PlanError, match="id_hash.*not on the indexed column"):
-            build_plan(
-                db.bind("SELECT Q.Id FROM Quotes Q WHERE Q.Price = 2.0"),
-                db.session.new_context(),
-                decision=decision,
-            )
+            build_plan(bound, db.session.new_context(), decision=decision)
         db.close()
 
 

@@ -139,19 +139,25 @@ class TestEnumerator:
         """One value: the decision's shape *is* its plan's, not a copy of it."""
         decision = Optimizer(stock.network).optimize(figure13_bound)
         plan = decision.plan
-        assert decision.table_order is plan.table_order
-        assert decision.udf_order is plan.udf_order
-        assert decision.udf_strategies is plan.udf_strategies
-        assert decision.access_paths is plan.access_paths
+        assert decision.table_order == plan.table_order
+        assert decision.udf_order == plan.udf_order
+        assert decision.udf_strategies == plan.udf_strategies
+        assert decision.access_paths == plan.access_paths
         assert decision.estimated_cost == plan.cost
         assert decision.strategy_config.batch_size == decision.batch_size
 
-    def test_pinned_decision_is_the_same_kind_of_value(self):
+    def test_pinned_decision_is_the_same_kind_of_value(self, figure13_bound):
+        """A pinned decision is a chain like the optimizer's, unpriced; what
+        the pins leave out is FROM order, order of appearance, the config's
+        strategy and sequential scans."""
         config = StrategyConfig.semi_join(batch_size=4)
-        pinned = OptimizationDecision.pinned(config, udf_order=("B", "A"))
-        assert pinned.udf_order == ("B", "A") and pinned.strategy_config is config
-        assert pinned.table_order == () and not pinned.udf_strategies and not pinned.access_paths
+        pinned = OptimizationDecision.pinned(figure13_bound, config, udf_order=("clientrating",))
+        assert pinned.udf_order == ("ClientRating", "Volatility") and pinned.strategy_config is config
+        assert pinned.table_order == ("S", "E") and not pinned.access_paths
+        assert set(pinned.udf_strategies.values()) == {ExecutionStrategy.SEMI_JOIN}
         assert pinned.batch_size == 4
+        with pytest.raises(TypeError, match="no \\['join_order'\\]"):
+            OptimizationDecision.pinned(figure13_bound, config, join_order=("E", "S"))
 
     def test_decision_describe_mentions_strategies(self, stock, figure11_bound):
         decision = Optimizer(stock.network).optimize(figure11_bound, include_baselines=True)
@@ -269,7 +275,7 @@ class TestQualifierBlindNames:
         reason="ColumnResolver falls back to the bare name whatever the qualifier, so "
         "_join_selectivity credits join predicates to plans that do not hold their "
         "columns; fixing it can move decisions — it joins the one estimate re-pin "
-        "(ROADMAP item 4, defect (d)).",
+        "(ROADMAP item 5(a)).",
     )
     def test_join_selectivity_respects_qualifiers(self, scans):
         estimator, tables = scans

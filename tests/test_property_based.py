@@ -636,7 +636,7 @@ def test_interval_index_scan_matches_sequential_scan(case, kind, analyzed):
             result = executor.execute_query(bound, deliver_results=True, decision=decision)
             return result.plan_text, sorted(map(tuple, result.rows))
 
-        plan_text, answer = run(OptimizationDecision.pinned(db.default_config))
+        plan_text, answer = run(OptimizationDecision.pinned(bound, db.default_config))
         assert "IndexScan" not in plan_text and answer == expected
 
         enumerator = Optimizer(db.network, settings=cost).enumerator(bound)
@@ -647,7 +647,7 @@ def test_interval_index_scan_matches_sequential_scan(case, kind, analyzed):
         for path in paths:
             assert len(path.predicate_keys) == len(served)
             plan_text, answer = run(
-                OptimizationDecision.pinned(db.default_config, access_paths={"T": path})
+                OptimizationDecision.pinned(bound, db.default_config, access_paths={"T": path})
             )
             assert "IndexScan(T AS T via t_v: " in plan_text
             assert plan_text.count("Filter(") == len(conjuncts)  # every re-check kept
@@ -1225,7 +1225,7 @@ def _engine_answers(case, db):
             result = executor.execute_query(
                 bound,
                 deliver_results=True,
-                decision=OptimizationDecision.pinned(config, access_paths=paths),
+                decision=OptimizationDecision.pinned(bound, config, access_paths=paths),
             )
             assert "IndexScan" in result.plan_text
             yield f"pinned {paths}", list(map(tuple, result.rows))
@@ -1397,7 +1397,7 @@ def test_order_by_names_an_output_by_expression_then_by_alias():
     reason="A client-site UDF's result column is named after the UDF, not the call: two calls "
     "on different arguments collide (`ambiguous column 'ClientUdf_result'`).  Naming it per "
     "call renames columns in every plan text and decision digest — it joins the estimate "
-    "re-pin (ROADMAP item 6) or the name resolution of item 4.",
+    "re-pin's qualified identity (ROADMAP item 5(a)).",
 )
 def test_one_client_udf_called_on_two_arguments():
     rows = _two_small_tables().execute("SELECT ClientUdf(A.K), ClientUdf(A.V) FROM T0 A").rows

@@ -123,7 +123,7 @@ def test_per_operation_deltas_add_up_to_the_query(tmp_path, monkeypatch):
     db.register_client_udf("ScoreA", lambda v: v)
     db.register_client_udf("ScoreB", lambda v: v / 2.0)
     sql = "SELECT Q.Id FROM Q WHERE Q.Id < 200 AND ScoreA(Q.V) > 10 AND ScoreB(Q.V) > 20"
-    path = AccessPath("Q", "index_scan", "q_id", "btree", "Id", predicate_key="Q.Id < 200")
+    path = AccessPath("Q", "index_scan", "q_id", "btree", "Id", predicate_keys=("Q.Id < 200",))
     config = StrategyConfig.naive(batch_size=8).with_overlap_window(2)
 
     readings = []
@@ -137,8 +137,9 @@ def test_per_operation_deltas_add_up_to_the_query(tmp_path, monkeypatch):
             readings.append(context.counters())
 
     monkeypatch.setattr(RemoteExecutionContext, "run_remote", reading)
+    bound = db.bind(sql)
     result = Executor(db.session.new_context()).execute_query(
-        db.bind(sql), decision=OptimizationDecision.pinned(config, access_paths={"Q": path})
+        bound, decision=OptimizationDecision.pinned(bound, config, access_paths={"Q": path})
     )
     db.close()
     query = result.metrics.counters

@@ -877,7 +877,7 @@ class TestEngineReoptimization:
         "that never observes a batch, so every shape is priced at the initial "
         "batch size instead of a stage's current one.  Fixing it moves the "
         "stock/figure13/reoptimize+adaptive digest and ship_bulk's simulated "
-        "metrics — a follow-up PR.",
+        "metrics — it joins the estimate re-pin (ROADMAP item 5(c)).",
     )
     def test_reoptimizer_prices_with_a_real_stage_batch_size(self, monkeypatch):
         """Intended: with adaptive batching the batch size handed to the
