@@ -672,14 +672,8 @@ class CostEstimator:
         inner_rows = max(0.0, float(statistics.row_count))
         blocks = self._blocks_accessed(operation, statistics)
         probes = max(0.0, plan.cardinality)
-        distinct = max(1.0, inner.column_distinct.get(
-            next(
-                (c.qualified_name for c in operation.bound.schema.columns
-                 if c.name.lower() == handle.definition.column.lower()),
-                handle.definition.column,
-            ),
-            inner_rows,
-        ))
+        (key,) = self.resolver.keys(inner.column_distinct, [handle.definition.column])
+        distinct = max(1.0, inner.column_distinct[key] if key is not None else inner_rows)
         matches_per_probe = inner_rows / distinct
         pages_per_probe = self._index_pages(handle, matches_per_probe) + _yao_pages(
             blocks, matches_per_probe
