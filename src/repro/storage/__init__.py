@@ -6,12 +6,13 @@ from the exact in-memory statistics the earlier PRs computed eagerly.  This
 package supplies that missing storage half:
 
 * :mod:`repro.storage.page` — fixed-size :class:`Page` buffers addressed by
-  :class:`BlockId`, and the byte codec serializing every
-  :class:`~repro.relational.types.DataType` value;
+  :class:`BlockId`, the byte codec serializing every
+  :class:`~repro.relational.types.DataType` value, and the record codec
+  compiled per column-type tuple that heap records and index entries use;
 * :mod:`repro.storage.file` — a :class:`FileManager` reading/writing blocks
   of the files under one database directory;
 * :mod:`repro.storage.buffer` — a :class:`BufferManager` pool with
-  pin/unpin, LRU or clock replacement, and hit/miss/eviction counters;
+  pin/unpin, LRU replacement, and hit/miss/eviction counters;
 * :mod:`repro.storage.record` — slotted pages, the per-table
   :class:`Layout`, and :class:`HeapFile`s over the buffer pool with stable
   RIDs, tombstone deletes, and a persisted free-space map;

@@ -23,15 +23,15 @@ B-tree layout (``<table>.<index>.btx``):
 Hash layout (``<table>.<index>.hsx``): block 0 is the meta page, blocks
 ``1..buckets`` are bucket heads, each a chain page ``(next_block,
 length, payload)`` whose payload is the record ``[(encoded_key, block,
-slot), ...]``.  Bucketing hashes ``crc32(encode_value(key))`` — deliberately
-not Python's process-randomised ``hash()`` — so a reopened database hashes
-identically.
+slot), ...]``.  Bucketing hashes the CRC-32 of the key's ``encode_value``
+bytes — deliberately not Python's process-randomised ``hash()`` — so a
+reopened database hashes identically.
 
 Both payloads are exactly the bytes :func:`~repro.storage.page.encode_record`
-writes for those values, built and parsed from fixed parts (the page codec
-below): the generic value codec runs once per key and never on the parts
-around it, and a torn page raises :class:`~repro.errors.StorageError`
-instead of decoding to a wrong posting.
+writes for those values, each entry written and read by the record codec of
+its column types (the page codec below): the generic value codec runs once
+per key and never on the parts around it, and a torn page raises
+:class:`~repro.errors.StorageError` instead of decoding to a wrong posting.
 
 Keys are compared by ``(type_rank, value)`` so mixed numeric/string/bytes
 columns still order totally; ``None`` keys are never indexed (an equality
@@ -56,13 +56,13 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager
 from repro.storage.page import (
-    TAG_BYTES,
     TAG_INT64,
     TAG_LIST,
     TAG_TUPLE,
     BlockId,
-    decode_value,
+    RecordCodec,
     encode_value,
+    record_codec,
 )
 from repro.storage.record import RecordId
 
@@ -78,36 +78,25 @@ _BULK_FILL = 0.9
 BTREE = "btree"
 HASH = "hash"
 
-# -- the page codec: ``encode_record``'s bytes, from fixed parts ---------------------
+# -- the page codec: ``encode_record``'s bytes, through the record codec ------------
 #
-# A node payload is the record ``(is_leaf, pointer, entries)``: its arity 3,
-# ``is_leaf`` and ``pointer`` as tagged int64s, the entry list's tag and length
-# — one header — then per entry a tuple's tag and arity, the key, and the
-# posting ``(block, slot)`` or the child as tagged int64s.  A chain payload is
-# the record of its entries: their count, then per entry the tuple prefix, the
-# key's bytes tag and length, the key bytes, and a posting.
+# A node payload is the record ``(is_leaf, pointer, entries)``: one header, then
+# each entry as ``TAG_TUPLE`` and the record of ``(key, block, slot)`` in a leaf
+# or ``(key, child)`` in an internal node.  A chain payload is the record of its
+# entries: their count, then each as ``TAG_TUPLE`` and ``(key_bytes, block, slot)``.
 
 _NODE_HEADER = struct.Struct(">iBqBqBi")
 _INT32 = struct.Struct(">i")
-_CHAIN_PREFIX = struct.Struct(">BiBi")
-_POSTING = struct.Struct(">BqBq")
-_CHILD = struct.Struct(">Bq")
-_LEAF_PREFIX = struct.pack(">Bi", TAG_TUPLE, 3)
-_INTERNAL_PREFIX = struct.pack(">Bi", TAG_TUPLE, 2)
-_PREFIX_BYTES = len(_LEAF_PREFIX)
+_TUPLE = bytes((TAG_TUPLE,))
+_LEAF_ENTRY = record_codec((None, "INTEGER", "INTEGER"))
+_INTERNAL_ENTRY = record_codec((None, "INTEGER"))
+_CHAIN_ENTRY = record_codec(("BYTES", "INTEGER", "INTEGER"))
 
 
 def _encode_entries(is_leaf: int, entries: Sequence[tuple]) -> List[bytes]:
     """Each entry of a node as its bytes in the node payload."""
-    if is_leaf:
-        return [
-            _LEAF_PREFIX + encode_value(key) + _POSTING.pack(TAG_INT64, block, TAG_INT64, slot)
-            for key, block, slot in entries
-        ]
-    return [
-        _INTERNAL_PREFIX + encode_value(key) + _CHILD.pack(TAG_INT64, child)
-        for key, child in entries
-    ]
+    encode = (_LEAF_ENTRY if is_leaf else _INTERNAL_ENTRY).encode
+    return [_TUPLE + encode(entry) for entry in entries]
 
 
 def _node_payload(is_leaf: int, pointer: int, encoded: Sequence[bytes]) -> bytes:
@@ -115,49 +104,37 @@ def _node_payload(is_leaf: int, pointer: int, encoded: Sequence[bytes]) -> bytes
     return header + b"".join(encoded)
 
 
-def _parse_node(view: memoryview) -> Tuple[int, int, List[tuple]]:
-    """``(is_leaf, pointer, entries)`` of a node payload.
-
-    Raises ``ValueError`` (or ``struct.error`` / ``IndexError`` on a
-    payload cut short) where a part differs from what :func:`_node_payload`
-    writes.
-    """
-    arity, leaf_tag, is_leaf, pointer_tag, pointer, list_tag, count = _NODE_HEADER.unpack_from(view)
-    if (arity, leaf_tag, pointer_tag, list_tag) != (3, TAG_INT64, TAG_INT64, TAG_LIST):
-        raise ValueError("bad node header")
-    if is_leaf not in (0, 1) or count < 0:
-        raise ValueError(f"bad node header (is_leaf {is_leaf}, {count} entries)")
-    offset = _NODE_HEADER.size
+def _parse_entries(view: memoryview, offset: int, count: int, codec: RecordCodec) -> List[tuple]:
+    """The ``count`` entries from ``offset`` to the end of a payload; raises
+    ``ValueError`` (or ``struct.error`` / ``IndexError``) where one is torn."""
+    if count < 0:
+        raise ValueError(f"bad entry count {count}")
     entries: List[tuple] = []
-    if is_leaf:
-        for _ in range(count):
-            if view[offset : offset + _PREFIX_BYTES] != _LEAF_PREFIX:
-                raise ValueError(f"bad leaf entry prefix at {offset}")
-            key, offset = decode_value(view, offset + _PREFIX_BYTES)
-            block_tag, block, slot_tag, slot = _POSTING.unpack_from(view, offset)
-            if block_tag != TAG_INT64 or slot_tag != TAG_INT64:
-                raise ValueError(f"bad posting tag at {offset}")
-            entries.append((key, block, slot))
-            offset += _POSTING.size
-    else:
-        for _ in range(count):
-            if view[offset : offset + _PREFIX_BYTES] != _INTERNAL_PREFIX:
-                raise ValueError(f"bad internal entry prefix at {offset}")
-            key, offset = decode_value(view, offset + _PREFIX_BYTES)
-            child_tag, child = _CHILD.unpack_from(view, offset)
-            if child_tag != TAG_INT64:
-                raise ValueError(f"bad child tag at {offset}")
-            entries.append((key, child))
-            offset += _CHILD.size
+    for _ in range(count):
+        decoded = view[offset] == TAG_TUPLE and codec.decode(view, offset + 1)
+        if not decoded:
+            raise ValueError(f"bad entry at {offset}")
+        entry, offset = decoded
+        entries.append(entry)
     if offset != len(view):
         raise ValueError(f"{len(view) - offset} bytes after the last entry")
-    return is_leaf, pointer, entries
+    return entries
+
+
+def _parse_node(view: memoryview) -> Tuple[int, int, List[tuple]]:
+    """``(is_leaf, pointer, entries)`` of a node payload; raises as
+    :func:`_parse_entries` does."""
+    arity, leaf_tag, is_leaf, pointer_tag, pointer, list_tag, count = _NODE_HEADER.unpack_from(view)
+    header = (arity, leaf_tag, is_leaf in (0, 1), pointer_tag, list_tag)
+    if header != (3, TAG_INT64, True, TAG_INT64, TAG_LIST):
+        raise ValueError(f"bad node header (is_leaf {is_leaf})")
+    codec = _LEAF_ENTRY if is_leaf else _INTERNAL_ENTRY
+    return is_leaf, pointer, _parse_entries(view, _NODE_HEADER.size, count, codec)
 
 
 def _chain_entry(key_bytes: bytes, block: int, slot: int) -> bytes:
     """One ``(key_bytes, block, slot)`` as its bytes in a chain payload."""
-    prefix = _CHAIN_PREFIX.pack(TAG_TUPLE, 3, TAG_BYTES, len(key_bytes))
-    return prefix + key_bytes + _POSTING.pack(TAG_INT64, block, TAG_INT64, slot)
+    return _TUPLE + _CHAIN_ENTRY.encode((key_bytes, block, slot))
 
 
 def _chain_payload(encoded: Sequence[bytes]) -> bytes:
@@ -166,26 +143,8 @@ def _chain_payload(encoded: Sequence[bytes]) -> bytes:
 
 def _parse_chain(view: memoryview) -> List[tuple]:
     """The ``(key_bytes, block, slot)`` entries of a chain payload; raises as
-    :func:`_parse_node` does."""
-    (count,) = _INT32.unpack_from(view)
-    if count < 0:
-        raise ValueError(f"bad entry count {count}")
-    offset = _INT32.size
-    entries: List[tuple] = []
-    for _ in range(count):
-        tuple_tag, arity, bytes_tag, size = _CHAIN_PREFIX.unpack_from(view, offset)
-        if (tuple_tag, arity, bytes_tag) != (TAG_TUPLE, 3, TAG_BYTES) or size < 0:
-            raise ValueError(f"bad chain entry prefix at {offset}")
-        start = offset + _CHAIN_PREFIX.size
-        offset = start + size
-        block_tag, block, slot_tag, slot = _POSTING.unpack_from(view, offset)
-        if block_tag != TAG_INT64 or slot_tag != TAG_INT64:
-            raise ValueError(f"bad posting tag at {offset}")
-        entries.append((bytes(view[start:offset]), block, slot))
-        offset += _POSTING.size
-    if offset != len(view):
-        raise ValueError(f"{len(view) - offset} bytes after the last entry")
-    return entries
+    :func:`_parse_entries` does."""
+    return _parse_entries(view, _INT32.size, _INT32.unpack_from(view)[0], _CHAIN_ENTRY)
 
 
 def _type_rank(value: Any) -> int:
@@ -814,7 +773,7 @@ class HashIndex(_PagedIndex):
                 pass
         try:
             return encode_value(key)
-        except Exception:
+        except StorageError:
             return None
 
     # -- mutation ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.types import DataObject, TimeSeries
@@ -46,8 +46,7 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 # Value tags.  NULL and the two booleans need no payload at all.  The tags are
-# part of the on-disk format: ``index.py`` lays out its nodes' fixed parts
-# with them.
+# part of the on-disk format: ``index.py`` lays out its node headers with them.
 TAG_NULL = 0
 TAG_FALSE = 1
 TAG_TRUE = 2
@@ -218,3 +217,118 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Tuple[Any, ...], int]
         value, offset = decode_value(buffer, offset)
         values.append(value)
     return tuple(values), offset
+
+
+# -- the record codec, compiled per column-type tuple ------------------------------------
+
+#: The usual encoding of each column type the record codec packs itself: the
+#: value tag, the exact Python type, the struct code of the value (fixed width)
+#: or of its length prefix, and for a prefixed value the payload's bytes per
+#: unit of that length, the payload as source over ``v`` and the value as
+#: source over the payload ``buffer[start:end]`` of ``n`` units.
+_USUAL = {
+    "INTEGER": (TAG_INT64, "int", "q", None),
+    "FLOAT": (TAG_FLOAT, "float", "d", None),
+    "STRING": (TAG_STRING, "str", "i", (1, "{v}.encode()", "str(buffer[start:end], 'utf-8')")),
+    "BYTES": (TAG_BYTES, "bytes", "i", (1, "{v}", "bytes(buffer[start:end])")),
+    "TIME_SERIES": (TAG_TIME_SERIES, "TimeSeries", "i", (
+        8, "doubles(len({v}.values)).pack(*{v}.values)",
+        "from_floats(doubles({n}).unpack_from(buffer, start))",
+    )),
+}
+
+
+class RecordCodec(NamedTuple):
+    """The record codec of one column-type tuple (see :func:`record_codec`)."""
+
+    encode: Callable[[Sequence[Any]], Optional[bytes]]
+    decode: Callable[[Any, int], Optional[Tuple[Tuple[Any, ...], int]]]
+
+
+@lru_cache(maxsize=256)  # one per type tuple, shared by every layout and index of it
+def record_codec(type_names: Tuple[Optional[str], ...]) -> RecordCodec:
+    """The codec of records whose columns have ``type_names``.
+
+    ``encode(values)`` is :func:`encode_record`'s bytes and ``decode(buffer,
+    offset)`` is :func:`decode_record`'s ``(values, next_offset)`` for any
+    bytes-like buffer, each making one struct call per run of fixed-width
+    values with their tags plus the next length prefix.  A column whose type
+    has no usual encoding (``DATA_OBJECT``, ``BOOLEAN``, an index key's
+    ``None``) goes through :func:`encode_value` / :func:`decode_value` in
+    place.  Both return None when a value or tag is not its column's usual one
+    (NULL, an integer past 64 bits, an int in a FLOAT column), the arity
+    differs or the buffer is too short for a run.  The source is generated
+    once per type tuple, as ``collections.namedtuple`` does.
+    """
+    bindings: Dict[str, Any] = {"from_floats": TimeSeries.from_floats}
+    tests: List[str] = []  # encode's type tests
+    raws: List[str] = []  # encode's payloads, computed before the pack calls
+    parts: List[str] = []  # encode's result, concatenated
+    body: List[str] = []  # decode's statements
+    arity = len(type_names)
+    # The open run: its struct format, the values packed, the names unpacked
+    # and the tests that make decode return None.
+    code, packed, targets, checks = ">i", [str(arity)], ["count"], [f"count != {arity}"]
+    position = "offset"
+
+    def flush() -> str:
+        """Close the open run as one pack and one unpack; the offset after it."""
+        nonlocal code, packed, targets, checks
+        codec = struct.Struct(code)
+        name = str(len(body))
+        bindings["unpack" + name] = codec.unpack_from
+        if all(item.isdigit() for item in packed):  # the value count alone
+            bindings["head" + name] = codec.pack(*map(int, packed))
+            parts.append("head" + name)
+        else:
+            bindings["pack" + name] = codec.pack
+            parts.append(f"pack{name}({', '.join(packed)})")
+        body.append(f"{', '.join(targets)}, = unpack{name}(buffer, {position})")
+        body.append(f"if {' or '.join(checks)}: return None")
+        code, packed, targets, checks = ">", [], [], []
+        return f"{position} + {codec.size}"
+
+    for column, type_name in enumerate(type_names):
+        value, length = f"v{column}", f"n{column}"
+        if type_name not in _USUAL:
+            if targets:
+                position = flush()
+            parts.append(f"encode_value({value})")
+            body.append(f"{value}, end = decode_value(buffer, {position})")
+            position = "end"
+            continue
+        tag, kind, struct_code, payload = _USUAL[type_name]
+        tests.append(f"type({value}) is not {kind}")
+        code += "B" + struct_code
+        checks.append(f"t{column} != {tag}")
+        if payload is None:
+            packed += [str(tag), value]
+            targets += [f"t{column}", value]
+            continue
+        width, raw, decoded = payload
+        raws.append(f"r{column} = {raw.format(v=value)}")
+        packed += [str(tag), f"len(r{column})" + ("" if width == 1 else f" // {width}")]
+        targets += [f"t{column}", length]
+        checks.append(f"{length} < 0")
+        body.append(f"start = {flush()}")
+        parts.append(f"r{column}")
+        body.append(f"end = start + {'' if width == 1 else f'{width} * '}{length}")
+        body.append(f"{value} = {decoded.format(n=length)}")
+        position = "end"
+    if targets:
+        body.append(f"end = {flush()}")
+    values = "".join(f"v{column}, " for column in range(arity))
+    source = "\n".join(
+        [f"def make({', '.join(bindings)}):", "  def encode(values):", "    try:",
+         f"      [{values}] = values"]
+        + ([f"      if {' or '.join(tests)}: return None"] if tests else [])
+        + [f"      {line}" for line in raws]
+        + [f"      return {' + '.join(parts)}", "    except (ValueError, struct.error):",
+           "      return None", "  def decode(buffer, offset):", "    try:"]
+        + [f"      {line}" for line in body]
+        + ["    except struct.error:", "      return None", f"    return ({values}), end",
+           "  return RecordCodec(encode, decode)"]
+    )
+    namespace: Dict[str, Any] = {}
+    exec(source, globals(), namespace)  # module globals: a patched encode_value is seen
+    return namespace["make"](**bindings)

@@ -25,7 +25,6 @@ map is persisted in the catalog and restored on reopen.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from functools import lru_cache
 from operator import itemgetter
@@ -34,19 +33,14 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
 from repro.errors import StorageError
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStatistics
-from repro.relational.types import TimeSeries
 from repro.storage.buffer import BufferManager
 from repro.storage.page import (
     DEFAULT_BLOCK_SIZE,
-    TAG_FLOAT,
-    TAG_INT64,
-    TAG_STRING,
-    TAG_TIME_SERIES,
     BlockId,
     Page,
     decode_record,
-    doubles,
     encode_record,
+    record_codec,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the engine, index and catalog modules import this one
@@ -68,11 +62,12 @@ RecordId = Tuple[int, int]
 class Layout:
     """The physical layout of one table's heap file.
 
-    :attr:`decode_fixed` is the schema's record decoder from fixed parts
-    (:func:`_fixed_decoder`), shared by every layout of the same column types.
+    :attr:`codec` is the record codec of the schema's column types
+    (:func:`~repro.storage.page.record_codec`), shared by every layout and
+    index of the same type tuple.
     """
 
-    __slots__ = ("schema", "block_size", "file_name", "decode_fixed")
+    __slots__ = ("schema", "block_size", "file_name", "codec")
 
     def __init__(
         self, table_name: str, schema: Schema, block_size: int = DEFAULT_BLOCK_SIZE
@@ -80,7 +75,7 @@ class Layout:
         self.schema = schema
         self.block_size = int(block_size)
         self.file_name = f"{table_name.lower()}.tbl"
-        self.decode_fixed = _fixed_decoder(tuple(column.dtype.name for column in schema.columns))
+        self.codec = record_codec(tuple(column.dtype.name for column in schema.columns))
 
     def max_inline_record(self) -> int:
         """Largest record that fits a slotted page (else an overflow chain)."""
@@ -88,89 +83,6 @@ class Layout:
 
     def __repr__(self) -> str:
         return f"Layout(file={self.file_name!r}, block_size={self.block_size})"
-
-
-def _no_fixed_parts(buffer: Any, offset: int) -> None:
-    """The fixed-part decoder of a layout with a column type that has none."""
-    return None
-
-
-#: The usual encoding of each column type a record decodes from fixed parts:
-#: the value tag, and the struct code of the value (fixed width) or of its
-#: length prefix (the payload follows it).
-_USUAL_ENCODING = {
-    "INTEGER": (TAG_INT64, "q"),
-    "FLOAT": (TAG_FLOAT, "d"),
-    "STRING": (TAG_STRING, "i"),
-    "TIME_SERIES": (TAG_TIME_SERIES, "i"),
-}
-
-
-@lru_cache(maxsize=256)  # one per type-name tuple, shared by every layout of it
-def _fixed_decoder(
-    type_names: Tuple[str, ...]
-) -> Callable[[Any, int], Optional[Tuple[Tuple[Any, ...], int]]]:
-    """A record decoder for rows of ``type_names`` whose tags are the usual ones.
-
-    It unpacks the value count, each run of fixed-width values with their
-    tags and the next length prefix in one struct call, and builds the tuple
-    in straight-line code generated once per type tuple, as
-    ``collections.namedtuple`` does; only struct codes and integer constants
-    enter the generated source.  Given a ``bytes`` or ``bytearray`` buffer
-    (a pinned page or a joined overflow chain; not a ``memoryview``, whose
-    slices have no ``decode``), it returns ``(values, next_offset)`` exactly
-    as :func:`~repro.storage.page.decode_record` would, or None when a tag is
-    not its column's usual one (NULL, a big integer, an int in a FLOAT
-    column) or the buffer is too short for a run: the caller then decodes
-    with ``decode_record``.  A layout with another column type gets
-    :func:`_no_fixed_parts`, which always does.
-    """
-    if not type_names or any(name not in _USUAL_ENCODING for name in type_names):
-        return _no_fixed_parts
-    namespace: Dict[str, Any] = {
-        "doubles": doubles,
-        "series": TimeSeries.from_floats,
-        "struct_error": struct.error,
-    }
-    body: List[str] = []
-    runs = itertools.count()
-    run_format, targets, checks = ">i", ["count"], [f"count != {len(type_names)}"]
-    position = "offset"
-
-    def unpack_run() -> int:
-        codec = struct.Struct(run_format)
-        name = f"run{next(runs)}"
-        namespace[name] = codec.unpack_from
-        body.append(f"{', '.join(targets)} = {name}(buffer, {position})")
-        body.append(f"if {' or '.join(checks)}: return None")
-        return codec.size
-
-    for column, name in enumerate(type_names):
-        tag, code = _USUAL_ENCODING[name]
-        prefixed = code == "i"  # n<column> is the length prefix, v<column> the value
-        run_format += "B" + code
-        targets += [f"t{column}", f"{'n' if prefixed else 'v'}{column}"]
-        checks.append(f"t{column} != {tag}")
-        if not prefixed:
-            continue
-        body.append(f"start = {position} + {unpack_run()}")
-        if name == "STRING":
-            body.append(f"end = start + n{column}")
-            body.append(f"v{column} = buffer[start:end].decode()")
-        else:
-            body.append(f"end = start + 8 * n{column}")
-            body.append(f"v{column} = series(doubles(n{column}).unpack_from(buffer, start))")
-        run_format, targets, checks, position = ">", [], [], "end"
-    if targets:
-        body.append(f"end = {position} + {unpack_run()}")
-    values = ", ".join(f"v{column}" for column in range(len(type_names)))
-    source = "\n".join(
-        ["def decode(buffer, offset):", "    try:"]
-        + ["        " + line for line in body]
-        + ["    except struct_error:", "        return None", f"    return ({values},), end"]
-    )
-    exec(source, namespace)
-    return namespace["decode"]
 
 
 @lru_cache(maxsize=None)  # one per slot count, which the block size bounds
@@ -316,7 +228,7 @@ class HeapFile:
         block, else a freshly appended block.  Oversized records spill to an
         overflow chain and get RID ``(head_block, -1)``.
         """
-        record = encode_record(values)
+        record = self.layout.codec.encode(values) or encode_record(values)
         if len(record) > self.layout.max_inline_record():
             return self._append_overflow(record)
         for number in sorted(self.holes):
@@ -384,11 +296,17 @@ class HeapFile:
             position += cont_capacity
         return (head_block, -1)
 
+    def _locate(self, rid: RecordId) -> RecordId:
+        """``rid``, once its block is in the file and its slot is a slot
+        number or ``-1`` (an overflow record's); else a StorageError."""
+        number, slot = rid
+        if not 0 <= number < self.block_count() or slot < -1:
+            raise StorageError(f"RID {rid} is outside {self.file_name!r}")
+        return rid
+
     def fetch(self, rid: RecordId) -> Tuple[Any, ...]:
         """Read one record by RID, pinning only the blocks it lives on."""
-        number, slot = rid
-        if number < 0 or number >= self.block_count():
-            raise StorageError(f"RID {rid} is outside {self.file_name!r}")
+        number, slot = self._locate(rid)
         buffer = self.buffers.pin(BlockId(self.file_name, number))
         try:
             marker = buffer.page.read_int(0)
@@ -400,15 +318,17 @@ class HeapFile:
             if marker != _OVERFLOW_HEAD:
                 raise StorageError(f"RID {rid} does not point at an overflow head")
             length = buffer.page.read_int(4)
-            head_capacity = self.layout.block_size - _HEADER_BYTES
-            chunks: List[bytes] = [
-                buffer.page.read_bytes(_HEADER_BYTES, min(length, head_capacity))
-            ]
+            first = buffer.page.read_bytes(_HEADER_BYTES, length)  # up to the end of the block
         finally:
             self.buffers.unpin(buffer)
+        return self._read_overflow(number, length, first)[0]
+
+    def _read_overflow(self, head: int, length: int, first: bytes) -> Tuple[Tuple[Any, ...], int]:
+        """The overflow record of ``length`` bytes whose head block ``head``
+        holds ``first``, read on through its continuation blocks; returns it
+        and the number of the block after its chain."""
         cont_capacity = self.layout.block_size - 4
-        remaining = length - (self.layout.block_size - _HEADER_BYTES)
-        number += 1
+        chunks, remaining, number = [first], length - len(first), head + 1
         while remaining > 0:
             buffer = self.buffers.pin(BlockId(self.file_name, number))
             try:
@@ -422,15 +342,15 @@ class HeapFile:
                 self.buffers.unpin(buffer)
             remaining -= cont_capacity
             number += 1
-        return self._decode(b"".join(chunks), 0, length, rid)
+        return self._decode(b"".join(chunks), 0, length, (head, -1)), number
 
     def _decode(self, data: bytes, offset: int, length: int, rid: RecordId) -> Tuple[Any, ...]:
-        """The record at ``offset`` of ``data``, decoded where it lies — from
-        its fixed parts when the layout has them and its tags are the usual
-        ones, else by ``decode_record``; either way it must fill exactly the
-        ``length`` bytes its slot or chain header gives."""
+        """The record at ``offset`` of ``data``, decoded where it lies — by the
+        layout's codec, or by ``decode_record`` when a tag is not its column's
+        usual one; either way it must fill exactly the ``length`` bytes its
+        slot or chain header gives."""
         try:
-            values, end = self.layout.decode_fixed(data, offset) or decode_record(data, offset)
+            values, end = self.layout.codec.decode(data, offset) or decode_record(data, offset)
         except (ValueError, IndexError, struct.error):  # UnicodeDecodeError is a ValueError
             end = None
         if end != offset + length:
@@ -442,9 +362,7 @@ class HeapFile:
 
     def delete(self, rid: RecordId) -> None:
         """Remove one record, reclaiming its space for later inserts."""
-        number, slot = rid
-        if number < 0 or number >= self.block_count():
-            raise StorageError(f"RID {rid} is outside {self.file_name!r}")
+        number, slot = self._locate(rid)
         if slot >= 0:
             buffer = self.buffers.pin(BlockId(self.file_name, number))
             try:
@@ -470,11 +388,7 @@ class HeapFile:
             self.buffers.unpin(buffer)
         head_capacity = self.layout.block_size - _HEADER_BYTES
         cont_capacity = self.layout.block_size - 4
-        chain = 1
-        remaining = length - head_capacity
-        while remaining > 0:
-            chain += 1
-            remaining -= cont_capacity
+        chain = 1 + max(0, length - head_capacity + cont_capacity - 1) // cont_capacity  # ceil
         for offset in range(chain):
             buffer = self.buffers.pin(BlockId(self.file_name, number + offset))
             try:
@@ -491,8 +405,6 @@ class HeapFile:
 
     def records_with_rids(self) -> Iterator[Tuple[RecordId, Tuple[Any, ...]]]:
         """Scan every record in block order, yielding ``(rid, values)``."""
-        head_capacity = self.layout.block_size - _HEADER_BYTES
-        cont_capacity = self.layout.block_size - 4
         number = 0
         total = self.block_count()
         while number < total:
@@ -512,28 +424,12 @@ class HeapFile:
                         f"{self.file_name!r}"
                     )
                 length = buffer.page.read_int(4)
-                chunks: List[bytes] = [
-                    buffer.page.read_bytes(_HEADER_BYTES, min(length, head_capacity))
-                ]
+                first = buffer.page.read_bytes(_HEADER_BYTES, length)  # up to the end of the block
             finally:
                 self.buffers.unpin(buffer)
             head = number
-            remaining = length - head_capacity
-            number += 1
-            while remaining > 0:
-                buffer = self.buffers.pin(BlockId(self.file_name, number))
-                try:
-                    if buffer.page.read_int(0) != _OVERFLOW_CONTINUATION:
-                        raise StorageError(
-                            f"truncated overflow chain at block {number} of "
-                            f"{self.file_name!r}"
-                        )
-                    chunks.append(buffer.page.read_bytes(4, min(remaining, cont_capacity)))
-                finally:
-                    self.buffers.unpin(buffer)
-                remaining -= cont_capacity
-                number += 1
-            yield (head, -1), self._decode(b"".join(chunks), 0, length, (head, -1))
+            values, number = self._read_overflow(head, length, first)
+            yield (head, -1), values
 
     def delete_file(self) -> None:
         """Drop every cached page and remove the backing file."""

@@ -35,6 +35,8 @@ from repro.storage import (
     encode_record,
     encode_value,
 )
+from repro.storage.index import _LEAF_ENTRY
+from repro.storage.page import record_codec
 
 SCHEMA = Schema.of(("Id", INTEGER), ("Price", FLOAT), ("Name", STRING))
 
@@ -339,6 +341,25 @@ class TestHeapFile:
         assert list(heap.records()) == [(0, 0.0, "small"), big, (2, 2.0, "after")]
         files.close()
 
+    @pytest.mark.parametrize("slot", [-2, -5])
+    def test_a_negative_slot_other_than_the_overflow_marker_is_no_record(self, tmp_path, slot):
+        """Only slot ``-1`` names an overflow record: a RID torn to another
+        negative slot neither reads nor deletes the record at its block."""
+        files = FileManager(str(tmp_path), block_size=256)
+        pool = BufferManager(files, pool_size=4)
+        heap = HeapFile(pool, Layout("T", SCHEMA, block_size=256))
+        big = (1, 1.0, "x" * 5000)
+        number, overflow = heap.append(big)
+        assert overflow == -1
+        with pytest.raises(StorageError, match="RID"):
+            heap.fetch((number, slot))
+        with pytest.raises(StorageError, match="RID"):
+            heap.delete((number, slot))
+        assert heap.fetch((number, -1)) == big
+        assert list(heap.records()) == [big]
+        assert pool.pinned_count == 0
+        files.close()
+
     def test_scan_holds_one_pin_at_a_time(self, tmp_path):
         files = FileManager(str(tmp_path), block_size=256)
         pool = BufferManager(files, pool_size=2)  # smaller than the file
@@ -350,9 +371,10 @@ class TestHeapFile:
         files.close()
 
 
-#: Values of each column type: its usual encoding and the others a column of
-#: that type may hold (NULL, an integer past 64 bits, an int in a FLOAT column).
-_FIXED_PART_VALUES = {
+#: Values of each column type with a usual encoding: that encoding and the
+#: others a column of the type may hold (NULL, an integer past 64 bits, an int
+#: in a FLOAT column, a string where an index expects key bytes).
+_USUAL_OR_NOT = {
     INTEGER: st.one_of(
         st.integers(-(2**63), 2**63 - 1), st.none(), st.integers(2**63, 2**70), st.just(-(2**63) - 1)
     ),
@@ -361,12 +383,20 @@ _FIXED_PART_VALUES = {
     TIME_SERIES: st.one_of(
         st.lists(st.floats(allow_nan=False), max_size=6).map(TimeSeries), st.none()
     ),
+    "BYTES": st.one_of(st.binary(max_size=12), st.none(), st.just("text")),
 }
-#: Column types with no fixed part: a layout holding one decodes generically.
+#: Column types with no usual encoding, which the codec hands to the generic
+#: one; ``None`` is an index key's, which may be any value an index stores.
 _GENERIC_VALUES = {
     BOOLEAN: st.booleans(),
     DATA_OBJECT: st.builds(DataObject, st.integers(0, 500), seed=st.integers(0, 9)),
+    None: st.one_of(
+        st.integers(-(2**70), 2**70), st.floats(allow_nan=False), st.booleans(), st.text(max_size=8),
+        st.binary(max_size=8), st.none(),
+    ),
 }
+#: The entries of index pages: a leaf's, an internal node's and a hash chain's.
+_INDEX_ENTRIES = [(None, INTEGER, INTEGER), (None, INTEGER), ("BYTES", INTEGER, INTEGER)]
 
 
 def _typed(values):
@@ -381,52 +411,64 @@ def _typed(values):
 
 @st.composite
 def _layout_and_row(draw):
-    types = draw(st.lists(st.sampled_from(list(_FIXED_PART_VALUES)), min_size=1, max_size=6))
-    generic = draw(st.none() | st.sampled_from(list(_GENERIC_VALUES)))
-    if generic is not None:
-        types.insert(draw(st.integers(0, len(types))), generic)
-    values = {**_FIXED_PART_VALUES, **_GENERIC_VALUES}
+    """Column types as a heap layout or an index page gives them, and a row."""
+    types = draw(st.sampled_from(_INDEX_ENTRIES + [None]))
+    if types is None:
+        heap_types = [INTEGER, FLOAT, STRING, TIME_SERIES]
+        types = draw(st.lists(st.sampled_from(heap_types), min_size=1, max_size=6))
+        generic = draw(st.none() | st.sampled_from([BOOLEAN, DATA_OBJECT]))
+        if generic is not None:
+            types.insert(draw(st.integers(0, len(types))), generic)
+    values = {**_USUAL_OR_NOT, **_GENERIC_VALUES}
     row = tuple(draw(values[dtype]) for dtype in types)
     return types, row
 
 
 def _usual(dtype, value):
-    """Whether ``value`` is encoded with its column type's usual tag."""
+    """Whether ``value`` is its column type's usual encoding, or its column
+    has none and so takes any value."""
     if dtype is INTEGER:
         return type(value) is int and -(2**63) <= value < 2**63
-    return type(value) is {FLOAT: float, STRING: str, TIME_SERIES: TimeSeries}[dtype]
+    kinds = {FLOAT: float, STRING: str, TIME_SERIES: TimeSeries, "BYTES": bytes}
+    return dtype not in kinds or type(value) is kinds[dtype]
 
 
-class TestRecordsFromFixedParts:
-    """A layout of INTEGER / FLOAT / STRING / TIME_SERIES columns decodes a
-    record from its fixed parts exactly as ``decode_record`` does, and hands
-    any record with another tag back to it."""
+class TestOneRecordCodec:
+    """The codec of a column-type tuple writes ``encode_record``'s bytes and
+    reads them back as ``decode_record`` does, for heap records and index
+    entries alike, and returns None exactly when a tag is not its column's
+    usual one."""
 
     @given(_layout_and_row(), st.integers(0, 5))
     @settings(max_examples=300, deadline=None)
     @example(([INTEGER, FLOAT, STRING, TIME_SERIES], (None, 1.5, "x", TimeSeries([]))), 0)
     @example(([INTEGER, FLOAT], (2**64, 3)), 1)
     @example(([STRING, TIME_SERIES, INTEGER], ("", TimeSeries([]), 7)), 2)
-    def test_the_fixed_part_decoder_equals_decode_record(self, layout_and_row, padding):
+    def test_the_codec_equals_encode_record_and_decode_record(self, layout_and_row, padding):
         types, row = layout_and_row
-        layout = Layout("T", Schema.of(*((f"c{i}", dtype) for i, dtype in enumerate(types))))
-        buffer = bytearray(b"\xee" * padding + encode_record(row) + b"\xee" * 3)
-        expected = decode_record(buffer, padding)
-        decoded = layout.decode_fixed(buffer, padding)
-        fixed_parts = all(dtype in _FIXED_PART_VALUES for dtype in types)
-        if fixed_parts and all(_usual(dtype, value) for dtype, value in zip(types, row)):
-            assert decoded is not None
-        if not fixed_parts:
-            assert decoded is None
-        if decoded is not None:
-            assert decoded[1] == expected[1]
-            assert _typed(decoded[0]) == _typed(expected[0])
-        assert _typed(expected[0]) == _typed(row)
+        names = tuple(getattr(dtype, "name", dtype) for dtype in types)
+        codec = record_codec(names)
+        if isinstance(types, list):  # a heap layout's columns
+            assert Layout("T", Schema.of(*((f"c{i}", t) for i, t in enumerate(types)))).codec is codec
+        usual = all(_usual(dtype, value) for dtype, value in zip(types, row))
+        record = codec.encode(row)
+        assert (record is None) == (not usual)
+        assert record is None or record == encode_record(row)
+        raw = b"\xee" * padding + encode_record(row) + b"\xee" * 3
+        for buffer in (raw, bytearray(raw), memoryview(raw)):
+            expected = decode_record(buffer, padding)
+            decoded = codec.decode(buffer, padding)
+            assert (decoded is None) == (not usual)
+            if decoded is not None:
+                assert decoded[1] == expected[1]
+                assert _typed(decoded[0]) == _typed(expected[0])
+            assert _typed(expected[0]) == _typed(row)
 
-    def test_a_layout_of_one_type_tuple_shares_its_decoder(self):
-        first = Layout("A", SCHEMA).decode_fixed
-        assert Layout("B", Schema.of(("X", INTEGER), ("Y", FLOAT), ("Z", STRING))).decode_fixed is first
-        assert Layout("C", Schema.of(("X", INTEGER))).decode_fixed is not first
+    def test_a_type_tuple_has_one_codec(self):
+        first = Layout("A", SCHEMA).codec
+        assert Layout("B", Schema.of(("X", INTEGER), ("Y", FLOAT), ("Z", STRING))).codec is first
+        assert Layout("C", Schema.of(("X", INTEGER))).codec is not first
+        assert record_codec((None, "INTEGER", "INTEGER")) is _LEAF_ENTRY
 
 
 class TestCorruptionIsAnError:

@@ -1,7 +1,7 @@
 """What one index write or probe, and one heap scan or fetch, costs in calls.
 
-B-tree nodes and hash chain pages are built and parsed from fixed parts
-(``storage/index.py``): the generic codec (``encode_value`` /
+B-tree nodes and hash chain pages are written and read by the record codec
+(``storage/page.py``): the generic codec (``encode_value`` /
 ``decode_value``) runs once per key and never on the tuple, block and slot
 around it, and a hash insert appends its one entry to a chain page instead of
 re-encoding the page.  Counted with wrappers around both functions in every
@@ -10,8 +10,8 @@ module that calls them, on indexes the size of the end-to-end benchmark's.
 A stored heap page is read once: one positioned read per block the pool
 misses, with no seek and no size probe — the file manager keeps each open
 file's block count — then one unpacking of its slot directory, then each
-record decoded once where it lies, from its fixed parts unless a tag is not
-its column's usual one.  Counted with wrappers around ``os`` and around the
+record decoded once where it lies, by the layout's record codec unless a tag
+is not its column's usual one.  Counted with wrappers around ``os`` and around the
 slot directory and the generic record and value decoders.
 """
 
