@@ -15,6 +15,8 @@ class UdfRegistry:
 
     def __init__(self) -> None:
         self._udfs: Dict[str, UdfDefinition] = {}
+        #: Counts every register, replace and unregister.
+        self.generation = 0
         self._sandbox = Sandbox(SandboxPolicy())
 
     # -- registration -------------------------------------------------------------
@@ -24,6 +26,7 @@ class UdfRegistry:
         if key in self._udfs and not replace:
             raise UdfError(f"UDF {definition.name!r} is already registered")
         self._udfs[key] = definition
+        self.generation += 1
         return definition
 
     def register_function(
@@ -90,6 +93,7 @@ class UdfRegistry:
         if key not in self._udfs:
             raise UdfError(f"UDF {name!r} is not registered")
         del self._udfs[key]
+        self.generation += 1
 
     # -- lookup --------------------------------------------------------------------
 

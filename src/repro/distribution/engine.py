@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive.observer import RuntimeObserver
 from repro.adaptive.store import StatisticsStore
-from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
 from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.core.execution.scatter import ScatterGatherOperator, ShardResult
@@ -206,14 +205,12 @@ class DistributedDatabase(SqlSurface):
         default_config: Optional[StrategyConfig] = None,
         statistics: Optional[StatisticsStore] = None,
     ) -> None:
+        super().__init__()
         self.cluster = cluster
         self.default_config = (
             default_config if default_config is not None else StrategyConfig()
         )
         self.statistics = statistics if statistics is not None else StatisticsStore()
-        self.udfs = UdfRegistry()
-        #: The logical catalog: every table, whole — what SQL binds against.
-        self.catalog = Catalog()
         #: Unsharded tables (replicated in full to every site).
         self.unsharded = Catalog()
         #: Sharded tables, fragment sets keyed by lowered table name.

@@ -18,6 +18,8 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
+        #: Counts every register (replacements too) and drop.
+        self.generation = 0
 
     def register(self, table: Table, replace: bool = False) -> Table:
         """Add ``table`` to the catalog.
@@ -29,6 +31,7 @@ class Catalog:
         if key in self._tables and not replace:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
+        self.generation += 1
         return table
 
     def drop(self, name: str) -> None:
@@ -36,6 +39,7 @@ class Catalog:
         if key not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
+        self.generation += 1
 
     def table(self, name: str) -> Table:
         key = name.lower()

@@ -118,12 +118,43 @@ def resolve_keywords(
     )
 
 
+#: Bound statements a surface keeps (one per SQL text) and uncalibrated
+#: decisions a database keeps; the least recently used entry goes first.
+STATEMENT_MEMO_BOUND = 64
+DECISION_MEMO_BOUND = 64
+
+
+def _snapshot(statement: BoundStatement) -> Tuple[object, ...]:
+    """The statistics object each base table of ``statement`` answers with now."""
+    tables = statement.tables if isinstance(statement, BoundQuery) else ()
+    return tuple(bound.table.statistics for bound in tables)
+
+
+def _remember(memo: Dict[Any, tuple], key: Any, entry: tuple, bound: int) -> tuple:
+    """``entry`` stored under ``key`` as the most recent; the oldest beyond ``bound`` goes."""
+    memo[key] = entry
+    if len(memo) > bound:
+        del memo[next(iter(memo))]
+    return entry
+
+
+def _same(one: Tuple[object, ...], other: Tuple[object, ...]) -> bool:
+    """Two snapshots of one statement's tables: the very same objects?"""
+    return all(a is b for a, b in zip(one, other))
+
+
 class SqlSurface:
     """UDF registration and SQL binding over ``self.catalog`` and ``self.udfs``.
 
     What :class:`Database` and the cluster-facing ``DistributedDatabase``
     share verbatim: one signature and one set of declared-cost defaults.
     """
+
+    def __init__(self) -> None:
+        #: The logical catalog: every table, whole — what SQL binds against.
+        self.catalog = Catalog()
+        self.udfs = UdfRegistry()
+        self._statements: Dict[str, tuple] = {}
 
     # -- UDF management -----------------------------------------------------------------
 
@@ -209,9 +240,24 @@ class SqlSurface:
 
     def statement(self, query: Union[str, BoundQuery]) -> BoundStatement:
         """What ``query`` says: SQL text bound once, or the query it already is."""
-        if isinstance(query, str):
-            return Binder(self.catalog, self.udfs).bind_sql(query)
-        return query
+        return self._statement(query)[0]
+
+    def _statement(self, query: Union[str, BoundQuery]) -> Tuple[BoundStatement, Optional[tuple]]:
+        """``query`` bound, with its tables' statistics snapshot when it is text.
+
+        Text is bound again only once the catalog's or the UDF registry's
+        ``generation`` moved or a base table answers with another statistics
+        object: binding estimates predicate selectivities from them.
+        """
+        if not isinstance(query, str):
+            return query, None
+        stamp = (self.catalog.generation, self.udfs.generation)
+        entry = self._statements.pop(query, None)
+        if entry is None or entry[0] != stamp or not _same(_snapshot(entry[1]), entry[2]):
+            bound = Binder(self.catalog, self.udfs).bind_sql(query)
+            entry = (stamp, bound, _snapshot(bound))
+        _remember(self._statements, query, entry, STATEMENT_MEMO_BOUND)
+        return entry[1], entry[2]
 
     def bind(self, query: Union[str, BoundQuery]) -> BoundQuery:
         """The query ``query`` is, without executing it; index DDL is refused."""
@@ -249,8 +295,8 @@ class Database(SqlSurface):
         buffer_pool_size: int = 64,
         cost_settings: Optional["CostSettings"] = None,
     ) -> None:
-        self.catalog = Catalog()
-        self.udfs = UdfRegistry()
+        super().__init__()
+        self._decisions: Dict[tuple, tuple] = {}
         self.network = network if network is not None else NetworkConfig.paper_symmetric()
         self.default_config = default_config if default_config is not None else StrategyConfig()
         self.session = ClientSession(self.network, registry=self.udfs)
@@ -448,7 +494,7 @@ class Database(SqlSurface):
         so single-query callers see no change.
         """
         self._ensure_statistics_loaded()
-        bound = self.statement(query)
+        bound, snapshot = self._statement(query)
         if not isinstance(bound, BoundQuery):  # index DDL: no planning, no network
             if isinstance(bound, CreateIndexStatement):
                 self.create_index(bound.name, bound.table, bound.column, kind=bound.kind)
@@ -486,7 +532,7 @@ class Database(SqlSurface):
                 config = config.with_overlap_controller(OverlapWindowController())
 
         decision = self._decide(
-            bound, config, resolved.optimize, resolved.calibrated, udf_order, statistics
+            bound, config, resolved.optimize, resolved.calibrated, udf_order, statistics, snapshot
         )
         run_config = decision.strategy_config
         if resolved.reoptimize:
@@ -521,6 +567,7 @@ class Database(SqlSurface):
         calibrated: bool = False,
         udf_order: Optional[Sequence[str]] = None,
         statistics: Optional[StatisticsStore] = None,
+        snapshot: Optional[tuple] = None,
     ) -> OptimizationDecision:
         """The decision ``execute`` runs, ``explain`` prints and SJF admission prices.
 
@@ -531,16 +578,33 @@ class Database(SqlSurface):
         ``execute`` never plans with.  ``statistics`` (the database-wide
         store by default) calibrate it only when asked to and once something
         was observed.
+
+        An uncalibrated decision of a config without runtime state is made
+        once per bound query, config, network and cost settings, and served
+        while every base table answers with the statistics object it was
+        priced from (``snapshot``; read here when the caller has none).
         """
         if not optimize:
             return OptimizationDecision.pinned(bound, config, udf_order=tuple(udf_order or ()))
         statistics = statistics if statistics is not None else self.statistics
-        return Optimizer(
-            self.network,
-            default_config=config,
-            settings=self.cost_settings,
-            statistics=statistics if calibrated and statistics.queries_observed else None,
-        ).optimize(bound)
+
+        def decide() -> OptimizationDecision:
+            return Optimizer(
+                self.network,
+                default_config=config,
+                settings=self.cost_settings,
+                statistics=statistics if calibrated and statistics.queries_observed else None,
+            ).optimize(bound)
+
+        controllers = (config.batch_controller, config.overlap_controller, config.reoptimizer)
+        if calibrated or config.statistics is not None or any(c is not None for c in controllers):
+            return decide()
+        key = (id(bound), config, tuple(udf_order or ()), self.network, self.cost_settings)
+        snapshot = snapshot if snapshot is not None else _snapshot(bound)
+        entry = self._decisions.pop(key, None)
+        if entry is None or entry[0] is not bound or not _same(entry[1], snapshot):
+            entry = (bound, snapshot, decide())
+        return _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)[2]
 
     # -- durable storage plumbing --------------------------------------------------------
 

@@ -463,10 +463,14 @@ class PagedTableStorage:
         self.heap.holes = dict(entry.free_space)
         self.row_count = entry.stats.records
         self.indexes_by_position: List[Tuple["IndexHandle", int]] = []
+        #: ``(block count, indexes_by_position, statistics)`` last handed out,
+        #: or ``None`` once an insert, a delete or a refresh made it stale.
+        self._statistics: Optional[Tuple[int, list, TableStatistics]] = None
 
     def append(self, values: Sequence[Any]) -> RecordId:
         rid = self.heap.append(values)
         self.row_count += 1
+        self._statistics = None
         self.catalog.record_insert(self.entry, values)
         for handle, position in self.indexes_by_position:
             handle.insert(values[position], rid)
@@ -490,6 +494,7 @@ class PagedTableStorage:
         for rid, values in doomed:
             self.heap.delete(rid)
             self.row_count -= 1
+            self._statistics = None
             self.catalog.record_delete(self.entry)
             for handle, position in self.indexes_by_position:
                 handle.delete(values[position], rid)
@@ -512,6 +517,7 @@ class PagedTableStorage:
 
     def refresh_statistics(self) -> "StatInfo":
         """Recompute the catalog statistics (histograms, distincts) from the heap."""
+        self._statistics = None
         return self.catalog.refresh(self.entry, self.heap.records(), self.block_count())
 
     def stat_info(self) -> "StatInfo":
@@ -519,8 +525,14 @@ class PagedTableStorage:
         return self.catalog.stat_info(self.entry, self.block_count())
 
     def statistics(self) -> TableStatistics:
-        """The catalog's view of the table in the optimizer's statistics shape."""
-        return self.stat_info().to_table_statistics()
+        """The catalog's view of the table in the optimizer's statistics shape:
+        one object until an insert, a delete, a refresh, a block-count change
+        or index DDL (a new ``indexes_by_position``), as an in-memory table's."""
+        blocks, cached = self.block_count(), self._statistics
+        if cached is None or cached[0] != blocks or cached[1] is not self.indexes_by_position:
+            statistics = self.catalog.stat_info(self.entry, blocks).to_table_statistics()
+            cached = self._statistics = (blocks, self.indexes_by_position, statistics)
+        return cached[2]
 
     def indexes(self) -> Dict[str, "IndexHandle"]:
         """The open secondary-index handles, keyed by index name."""

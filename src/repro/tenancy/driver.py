@@ -228,7 +228,6 @@ class MultiTenantEngine:
         self.sessions: List[ClientSession] = []
         self._driver = BatonDriver(self.simulator, description="multi-tenant run")
         self._records: List[QueryRecord] = []
-        self._cost_cache: Dict[str, Optional[float]] = {}
 
     # -- the driver loop -------------------------------------------------------------
 
@@ -343,14 +342,12 @@ class MultiTenantEngine:
             return spec.predicted_cost_seconds
         if self.admission.policy is not AdmissionPolicy.SHORTEST_JOB_FIRST:
             return None
-        if spec.sql not in self._cost_cache:
-            try:
-                self._cost_cache[spec.sql] = self.db._decide(
-                    self.db.bind(spec.sql), self.db.default_config, optimize=True
-                ).estimated_cost
-            except ReproError:  # a query that does not bind or plan is ordered last
-                self._cost_cache[spec.sql] = None
-        return self._cost_cache[spec.sql]
+        try:
+            return self.db._decide(
+                self.db.bind(spec.sql), self.db.default_config, optimize=True
+            ).estimated_cost
+        except ReproError:  # a query that does not bind or plan is ordered last
+            return None
 
     # -- reporting ---------------------------------------------------------------------
 

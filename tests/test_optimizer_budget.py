@@ -110,3 +110,101 @@ def test_both_endpoint_enumerations_share_one_derivation():
     one_endpoint = decide(60, "figure13_query", settings=CostSettings(batch_size=16.0))
     assert static["statistics"] == one_endpoint["statistics"] == 2
     assert static["bare_name"] == one_endpoint["bare_name"]
+
+
+# ---------------------------------------------------------------------------
+# The front end over repeated texts: bound once, decided once
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def counted_front_end() -> Iterator[Dict[str, int]]:
+    """Count ``parse``, ``Binder.bind_sql``, ``Optimizer.optimize`` and
+    ``Optimizer.enumerator`` calls."""
+    import repro.sql.binder as binder_module
+    from repro.sql.binder import Binder
+
+    counts = {"parse": 0, "bind_sql": 0, "optimize": 0, "enumerator": 0}
+    targets = (
+        (binder_module, "parse", "parse"),
+        (Binder, "bind_sql", "bind_sql"),
+        (Optimizer, "optimize", "optimize"),
+        (Optimizer, "enumerator", "enumerator"),
+    )
+    restore = []
+    for owner, attribute, key in targets:
+        original = getattr(owner, attribute)
+
+        def call(*arguments, _original=original, _key=key, **keywords):
+            counts[_key] += 1
+            return _original(*arguments, **keywords)
+
+        restore.append((owner, attribute, original))
+        setattr(owner, attribute, call)
+    try:
+        yield counts
+    finally:
+        for owner, attribute, original in reversed(restore):
+            setattr(owner, attribute, original)
+
+
+def paged_stock_database(directory: str):
+    """The 25-company stock database, paged and indexed, charging block I/O."""
+    from repro.server.engine import Database
+
+    memory = StockWorkload(company_count=25, seed=1999).build()
+    db = Database(
+        network=memory.network,
+        storage_dir=directory,
+        cost_settings=CostSettings(block_access_seconds=0.005),
+    )
+    for name in ("StockQuotes", "Estimations"):
+        source = memory.catalog.table(name)
+        db.create_table(
+            name,
+            [(column.name, column.dtype) for column in source.schema.columns],
+            rows=[list(row) for row in source.rows],
+        )
+        db.analyze(name)
+    for definition in memory.udfs:
+        db.udfs.register(definition)
+    db.create_index("quotes_close_btree", "StockQuotes", "Close")
+    db.create_index("estimations_company_btree", "Estimations", "CompanyName")
+    return db
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
+def test_a_repeated_text_is_parsed_bound_and_decided_once(paged, tmp_path):
+    """50 executes of the static Figure 13 text: one parse, one bind, one
+    decision's enumerations; every repeat reads each base table's
+    statistics at most once (the memos' validity check)."""
+    db = (
+        paged_stock_database(str(tmp_path))
+        if paged
+        else StockWorkload(company_count=25, seed=1999).build()
+    )
+    sql = StockWorkload.figure13_query()
+    with counted_front_end() as single:
+        Optimizer(db.network, settings=db.cost_settings).optimize(db.bind(sql))
+    db._statements.clear()
+    db._decisions.clear()
+    with counted_front_end() as counts:
+        first = db.execute(sql, optimize=True, deliver_results=True)
+        with counted_work() as reads:
+            for _ in range(49):
+                repeat = db.execute(sql, optimize=True, deliver_results=True)
+    assert (counts["parse"], counts["bind_sql"], counts["optimize"]) == (1, 1, 1)
+    assert counts["enumerator"] == single["enumerator"] == 2
+    assert reads["statistics"] <= 49 * 2  # two base tables
+    assert repeat.rows == first.rows
+    db.close()
+
+
+def test_each_memo_holds_its_bound_after_many_distinct_texts():
+    from repro.server.engine import DECISION_MEMO_BOUND, STATEMENT_MEMO_BOUND
+
+    db = StockWorkload(company_count=25, seed=1999).build()
+    for threshold in range(1000):
+        db.explain(StockWorkload.figure1_query(threshold=float(threshold)), optimize=True)
+    assert len(db._statements) == STATEMENT_MEMO_BOUND
+    assert len(db._decisions) == DECISION_MEMO_BOUND

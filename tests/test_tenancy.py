@@ -189,6 +189,23 @@ class TestAdmission:
         sim.run()
         assert cheap.admitted and not unknown.admitted
 
+    def test_sjf_prices_a_table_with_the_rows_it_has_now(self):
+        """Rows inserted between two SJF pricings of one text: the second
+        price is a fresh optimizer's, not the one the text had before."""
+        from repro.core.optimizer import Optimizer
+
+        db = make_tenant_database()
+        engine = MultiTenantEngine(db, admission_policy="sjf")
+        spec = QuerySpec(POINT_SQL)
+        before = engine._predicted_cost(spec)
+        quotes = db.catalog.table("Quotes")
+        quotes.insert_many([list(row) for row in quotes.rows] * 4)
+        after = engine._predicted_cost(spec)
+        fresh = Optimizer(
+            db.network, default_config=db.default_config, settings=db.cost_settings
+        ).optimize(db.bind(POINT_SQL))
+        assert after == fresh.estimated_cost != before
+
     def test_slot_pool_bounds_concurrency(self):
         slots = ExecutorSlots(2)
         assert slots.try_acquire() and slots.try_acquire()
