@@ -132,7 +132,7 @@ class ClientRuntime:
             payload_bytes=udf.results_size(results),
             row_count=len(results),
             sender=self.name,
-            description=f"{len(results)} results",
+            description=(len(results), " results"),
         )
 
     def _handle_record_batch(self, batch: RecordBatch) -> Tuple[float, Message]:
@@ -164,7 +164,7 @@ class ClientRuntime:
             payload_bytes=surviving.values_bytes(),
             row_count=len(surviving),
             sender=self.name,
-            description=f"{len(surviving)}/{len(record)} rows",
+            description=(len(surviving), "/", len(record), " rows"),
         )
 
     # -- helpers ---------------------------------------------------------------------

@@ -88,7 +88,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
             batch, coded = self.sorted_batch_by_arguments(batch)
         else:
             coded = batch.encode(self._argument_positions)
-        self.distinct_argument_count = len(coded.keys)
+        self.distinct_argument_count = coded.count
 
         call = RemoteCall(udf_name=self.udf.name, argument_positions=self._argument_positions)
         push_predicate = self.config.push_predicates and self.pushable_predicate is not None
@@ -137,7 +137,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
                     RecordBatch(calls=[call], rows=chunk, pushed=pushed),
                     payload_bytes=payload_bytes,
                     row_count=len(chunk),
-                    description=f"csj {self.udf.name} x{len(chunk)}",
+                    description=("csj ", self.udf.name, " x", len(chunk)),
                 )
             yield channel.send_to_client(end_of_stream())
 

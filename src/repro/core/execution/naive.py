@@ -91,7 +91,7 @@ class NaiveUdfOperator(RemoteUdfOperator):
                     ArgumentBatch(call=call, argument_tuples=list(pending)),
                     payload_bytes=pending_bytes,
                     row_count=len(pending),
-                    description=f"naive {self.udf.name} x{len(pending)}",
+                    description=("naive ", self.udf.name, " x", len(pending)),
                 )
                 acknowledged.append(covered)
                 covered = pending_bytes = 0

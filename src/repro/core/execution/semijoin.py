@@ -146,7 +146,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                     ArgumentBatch(call=call, argument_tuples=list(pending_batch)),
                     payload_bytes=pending_bytes,
                     row_count=len(pending_batch),
-                    description=f"semijoin {self.udf.name} x{len(pending_batch)}",
+                    description=("semijoin ", self.udf.name, " x", len(pending_batch)),
                 )
                 pending_batch.clear()
                 pending_bytes = 0

@@ -9,7 +9,7 @@ fall out naturally.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple, Union
 
 from repro.network.events import Event
 from repro.network.link import Link
@@ -90,7 +90,7 @@ class Channel:
         payload: Any,
         payload_bytes: int,
         row_count: int,
-        description: str = "",
+        description: Union[str, Tuple[Any, ...]] = "",
     ) -> Event:
         """Server → client shipment of ``row_count`` rows in one frame."""
         return self.send_to_client(
@@ -103,7 +103,7 @@ class Channel:
         payload: Any,
         payload_bytes: int,
         row_count: int,
-        description: str = "",
+        description: Union[str, Tuple[Any, ...]] = "",
     ) -> Event:
         """Client → server shipment of ``row_count`` rows in one frame."""
         return self.send_to_server(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Optional
+from typing import Any, Optional, Tuple, Union
 
 #: Fixed per-message framing overhead, in bytes (headers, sequence numbers).
 #: Kept small so the experiments are dominated by payload sizes, as in the
@@ -44,10 +44,14 @@ class Message:
     ``size_bytes`` (the total wire size including framing overhead) and
     ``is_data`` (everything but control and error frames) are fixed at
     construction because the link ledgers read them per transmission.
+
+    ``description`` may be given as a tuple of parts (``("semijoin ", name,
+    " x", 64)``), joined only when :attr:`description` is read — by
+    ``__repr__`` or a test — so a data message formats nothing on its way.
     """
 
     __slots__ = (
-        "kind", "payload", "payload_bytes", "sequence", "sender", "description",
+        "kind", "payload", "payload_bytes", "sequence", "sender", "_description",
         "row_count", "size_bytes", "is_data",
     )
 
@@ -58,7 +62,7 @@ class Message:
         payload_bytes: int,
         sequence: Optional[int] = None,
         sender: str = "",
-        description: str = "",
+        description: Union[str, Tuple[Any, ...]] = "",
         row_count: int = 0,
     ) -> None:
         self.kind = kind
@@ -66,10 +70,17 @@ class Message:
         self.payload_bytes = payload_bytes
         self.sequence = next(_sequence) if sequence is None else sequence
         self.sender = sender
-        self.description = description
+        self._description = description
         self.row_count = row_count
         self.size_bytes = payload_bytes + MESSAGE_OVERHEAD_BYTES
         self.is_data = kind is not MessageKind.CONTROL and kind is not MessageKind.ERROR
+
+    @property
+    def description(self) -> str:
+        description = self._description
+        if not isinstance(description, str):
+            description = self._description = "".join(map(str, description))
+        return description
 
     @property
     def kind_name(self) -> str:
@@ -95,7 +106,7 @@ def batch_message(
     payload_bytes: int,
     row_count: int,
     sender: str = "",
-    description: str = "",
+    description: Union[str, Tuple[Any, ...]] = "",
 ) -> Message:
     """A batch-sized message carrying ``row_count`` rows in one frame."""
     return Message(
@@ -103,7 +114,7 @@ def batch_message(
         payload=payload,
         payload_bytes=payload_bytes,
         sender=sender,
-        description=description or f"{row_count} rows",
+        description=description or (row_count, " rows"),
         row_count=row_count,
     )
 

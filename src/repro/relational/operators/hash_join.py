@@ -4,17 +4,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import repeat
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence
 
 from repro.errors import OperatorError
+from repro.relational.keys import column_codes, combine_codes, known_codes
 from repro.relational.operators.base import Operator
-from repro.relational.tuples import RowBatch
-
-
-def _has_null_keys(batch: RowBatch, positions: Sequence[int]) -> bool:
-    """Whether any key column of the batch holds a NULL: asked once per
-    column and batch, not once per row."""
-    return any(batch.column(position).count(None) for position in positions)
+from repro.relational.tuples import RowBatch, concat_batches
 
 
 class HashJoin(Operator):
@@ -22,6 +17,11 @@ class HashJoin(Operator):
 
     ``left_keys`` and ``right_keys`` are parallel lists of column names from
     the respective inputs.  NULL keys never match (SQL semantics).
+
+    The table maps a key to its rows' indexes in the concatenated build side:
+    a one-column key is the value; several combine each column's code among
+    the build side's values (negative, so unmatched, where a probe value has
+    none).  NULL is dropped from both.  Output: probe order, then build order.
     """
 
     def __init__(
@@ -42,39 +42,38 @@ class HashJoin(Operator):
         self._right_positions = tuple(right_schema.index_of(name) for name in self.right_keys)
         self.schema = left_schema.concat(right_schema)
 
+    @staticmethod
+    def _keys(batch: RowBatch, positions: Sequence[int], indexes: List[dict], code: Callable):
+        """One key per row: the value, or combined ``code(values, index)`` per column."""
+        if not batch:
+            return []
+        if len(positions) == 1:
+            return batch.column_values(positions[0])
+        return combine_codes([code(batch.column_values(p), i) for p, i in zip(positions, indexes)])
+
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         left, right = self.children
-        # Build side stores plain value tuples (no Row objects); the probe
-        # side collects matching left indexes so the output's left half is a
-        # column-wise take that keeps typed buffers typed.
-        table: Dict[Tuple, List[Tuple]] = defaultdict(list)
-        for batch in right.execute_batches(batch_size):
-            pairs = zip(batch.key_tuples(self._right_positions), batch.key_tuples())
-            if _has_null_keys(batch, self._right_positions):
-                pairs = (pair for pair in pairs if not any(value is None for value in pair[0]))
-            for key, values in pairs:
-                table[key].append(values)
-        # Probe one input batch at a time; an output batch holds the matches
-        # of one probe batch (it may be smaller or larger than batch_size
-        # depending on the join fan-out).  A NULL key finds nothing: the
-        # build side holds none.
+        build = concat_batches(list(right.execute_batches(batch_size)), len(right.output_schema()))
+        indexes: List[Dict[Any, int]] = [{} for _ in self._right_positions]
+        table: Dict[Any, List[int]] = defaultdict(list)
+        for row, key in enumerate(self._keys(build, self._right_positions, indexes, column_codes)):
+            table[key].append(row)
+        for mapping in (table, *indexes):
+            mapping.pop(None, None)
+        # An output batch holds the matches of one probe batch.
         find = table.get
         for batch in left.execute_batches(batch_size):
-            left_indexes: List[int] = []
-            right_rows: List[Tuple] = []
-            keys = batch.key_tuples(self._left_positions)
-            for index, matched in enumerate(map(find, keys)):
+            left_indexes, right_indexes = [], []
+            probe = self._keys(batch, self._left_positions, indexes, known_codes)
+            for index, matched in enumerate(map(find, probe)):
                 if matched is not None:
                     left_indexes.extend(repeat(index, len(matched)))
-                    right_rows.extend(matched)
-            if not left_indexes:
-                yield RowBatch([])
-                continue
-            left_part = batch.take(left_indexes)
-            right_columns = [list(values) for values in zip(*right_rows)]
-            yield RowBatch.from_columns(
-                list(left_part.columns) + right_columns, len(left_indexes)
-            )
+                    right_indexes.extend(matched)
+            if left_indexes:
+                yield RowBatch.from_columns(
+                    batch.take(left_indexes).columns + build.take(right_indexes).columns,
+                    len(left_indexes),
+                )
 
     def describe(self) -> str:
         pairs = ", ".join(f"{l}={r}" for l, r in zip(self.left_keys, self.right_keys))

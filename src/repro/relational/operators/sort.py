@@ -6,7 +6,7 @@ from typing import Iterator, List, Sequence, Union
 
 from repro.relational import columns as typed_columns
 from repro.relational.columns import vectorization_enabled
-from repro.relational.keys import nulls_first_order
+from repro.relational.keys import KeyCodes
 from repro.relational.operators.base import Operator, OperatorError
 from repro.relational.tuples import RowBatch, concat_batches
 
@@ -60,7 +60,7 @@ class Sort(Operator):
         Single typed NULL-free ascending keys argsort in NumPy (stable, like
         ``list.sort``); everything else — multi-key, descending, NULLs,
         untyped columns, NaNs (whose ordering must match Python's) — uses the
-        stable scalar sort with the NULLs-first key (:func:`nulls_first_order`):
+        stable scalar sort with the NULLs-first key (:meth:`KeyCodes.order`):
         once over the whole key when every column runs the same way, else one
         stable pass per column from the last to the first.
         """
@@ -70,9 +70,9 @@ class Sort(Operator):
         if len(set(self.descending)) > 1:
             order = list(range(len(batch)))
             for position, descending in reversed(list(zip(positions, self.descending))):
-                values = batch.column_values(position)
-                keys = [(values[row],) for row in order]
-                order = [order[place] for place in nulls_first_order(keys, reverse=descending)]
+                values = list(map(batch.column_values(position).__getitem__, order))
+                keys = KeyCodes.of_columns([values], len(values))
+                order = [order[place] for place in keys.order(reverse=descending)]
             return order
         descending = self.descending[0]
         if len(positions) == 1 and not descending and vectorization_enabled():
@@ -82,8 +82,7 @@ class Sort(Operator):
                 np = typed_columns.np
                 if column.dtype_name != "FLOAT" or not np.isnan(data).any():
                     return np.argsort(data, kind="stable").tolist()
-        key_columns = [batch.column_values(position) for position in positions]
-        return nulls_first_order(list(zip(*key_columns)), reverse=descending)
+        return batch.encode(positions).order(reverse=descending)
 
     def describe(self) -> str:
         keys = (

@@ -17,7 +17,7 @@ from typing import (
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStatistics, compute_table_statistics
-from repro.relational.tuples import Row, RowBatch, row_size
+from repro.relational.tuples import Row, RowBatch, columns_of, row_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.storage.record import PagedTableStorage
@@ -154,7 +154,7 @@ class Table:
         """
         if self._storage is not None:
             records = self._storage.scan()
-            columns = [list(column) for column in zip(*records)]
+            columns = columns_of(records, len(self.schema))
             return RowBatch.from_columns(columns, len(records)).ensure_typed(self.schema)
         if self._batch is None:
             self._batch = RowBatch(list(self._rows)).ensure_typed(self.schema)

@@ -22,6 +22,7 @@ fast path when it is available.
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.columns import TypedColumn, build_typed_column
@@ -88,8 +89,8 @@ class RowBatch:
     predicate evaluation runs vectorized kernels or walks plain value tuples,
     and wire sizing prices fixed-width columns arithmetically.  Rows are
     materialised lazily — only when a consumer actually asks for
-    :class:`Row` objects (the client/UDF shipping boundary, joins that build
-    concatenated rows) — and cached, so a batch constructed from rows and
+    :class:`Row` objects (a query's result rows, row-at-a-time operators)
+    — and cached, so a batch constructed from rows and
     only ever read as rows never transposes.  Batches are immutable by
     convention: every operation builds a new batch, and column buffers may be
     shared between batches, so callers must never mutate ``rows`` or
@@ -144,8 +145,7 @@ class RowBatch:
         columns = self._columns
         if columns is None:
             rows = self._rows
-            columns = [list(values) for values in zip(*rows)] if rows else []
-            self._columns = columns
+            columns = self._columns = columns_of(rows, len(rows[0])) if rows else []
         return columns
 
     def column(self, position: int) -> ColumnData:
@@ -266,10 +266,11 @@ class RowBatch:
     def key_tuples(self, positions: Optional[Sequence[int]] = None) -> List[Tuple[Any, ...]]:
         """Per-row value tuples over ``positions`` (all columns when ``None``).
 
-        The shared key-extraction path for duplicate elimination, hash joins
-        and UDF argument shipping: values come straight off the column
-        buffers as plain Python scalars, no :class:`Row` objects are
-        allocated, and a zero-width key yields one empty tuple per row.
+        For where a tuple per row is the product — duplicate elimination and
+        the client's argument tuples (joins and key codes read the columns):
+        values come straight off the column buffers as plain Python scalars,
+        no :class:`Row` objects are allocated, and a zero-width key yields
+        one empty tuple per row.
         """
         if not self._length:
             return []
@@ -281,12 +282,18 @@ class RowBatch:
         return list(zip(*[_as_list(column) for column in columns]))
 
     def encode(self, positions: Optional[Sequence[int]] = None) -> KeyCodes:
-        """The rows' key tuples over ``positions`` as dense integer codes.
+        """The rows' keys over ``positions`` as dense integer codes.
 
-        One hash pass; consumers that group, order, deduplicate or size by
-        key then work on the codes and on the distinct keys only.
+        One hash pass per key column, no tuple per row; consumers that
+        group, order, deduplicate or size by key then work on the codes and
+        on the distinct keys only.
         """
-        return KeyCodes.of(self.key_tuples(positions))
+        if not self._length:
+            return KeyCodes([], [], [])
+        columns = self.columns
+        if positions is not None:
+            columns = [columns[position] for position in positions]
+        return KeyCodes.of_columns([_as_list(column) for column in columns], self._length)
 
     def project(self, positions: Sequence[int]) -> "RowBatch":
         """A new batch containing only the columns at ``positions``.
@@ -463,6 +470,12 @@ def concat_batches(
                 values.extend(_as_list(entry))
             merged.append(values)
     return RowBatch.from_columns(merged, total)
+
+
+def columns_of(rows: Sequence[Sequence[Any]], width: int) -> List[List[Any]]:
+    """The ``width`` column lists of ``rows``: one C-level pass per column,
+    where transposing through ``zip`` would allocate an iterator per row."""
+    return [list(map(itemgetter(position), rows)) for position in range(width)]
 
 
 def batches_of(rows: Iterable[Row], batch_size: int) -> Iterator[RowBatch]:

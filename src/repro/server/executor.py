@@ -10,8 +10,8 @@ from repro.core.optimizer.decision import OptimizationDecision
 from repro.core.strategies import StrategyConfig
 from repro.client.protocol import FinalResultBatch
 from repro.network.message import MessageKind
-from repro.relational.operators.base import Operator
-from repro.relational.tuples import Row, RowBatch
+from repro.relational.schema import Schema
+from repro.relational.tuples import Row, RowBatch, concat_batches
 from repro.server.metrics import ExecutionMetrics
 from repro.server.planner import PlanBuildResult, build_plan
 from repro.server.result import QueryResult
@@ -113,14 +113,18 @@ class Executor:
         config = config if config is not None else plan.config
         root = plan.root
         try:
-            rows = root.run()
+            batches = list(root.execute_batches())
         except ExecutionError:
             raise
         except Exception as exc:  # noqa: BLE001 - surface plan failures uniformly
             raise ExecutionError(f"plan execution failed: {exc}") from exc
+        rows: List[Row] = []
+        for batch in batches:
+            rows.extend(batch.rows)
 
         if deliver_results:
-            self._deliver_results(root, rows)
+            schema = root.output_schema()
+            self._deliver_results(schema, concat_batches(batches, column_count=len(schema)))
 
         context = self.context
         controller = config.batch_controller
@@ -158,15 +162,14 @@ class Executor:
 
     # -- result delivery --------------------------------------------------------------------
 
-    def _deliver_results(self, root: Operator, rows: List[Row]) -> None:
-        """Ship the final result rows to the client over the downlink.
+    def _deliver_results(self, schema: Schema, batch: RowBatch) -> None:
+        """Ship the final result batch to the client over the downlink.
 
         This models the paper's "result operator": for most queries the answer
         ultimately travels to the client, and that transfer competes for the
-        same downlink the execution strategies use.
+        same downlink the execution strategies use.  The batch is sized from
+        its columns, as the plan's operators built them.
         """
-        schema = root.output_schema()
-        batch = RowBatch(list(rows))
         payload_bytes = batch.size_bytes(schema)
         channel = self.context.channel
 
@@ -175,8 +178,8 @@ class Executor:
                 MessageKind.FINAL_RESULTS,
                 FinalResultBatch(rows=batch),
                 payload_bytes=payload_bytes,
-                row_count=len(rows),
-                description=f"final results ({len(rows)} rows)",
+                row_count=len(batch),
+                description=("final results (", len(batch), " rows)"),
             )
             from repro.network.message import end_of_stream
 

@@ -190,3 +190,41 @@ def test_a_window_controller_stepped_mid_operation_widens_the_window(strategy):
     metrics = make_tenant_database().execute(POINT_SQL, config=config).metrics
     assert metrics.overlap_window == 3
     assert 1 < metrics.peak_in_flight_batches <= 3
+
+
+# -- a message's description is formatted only when read ----------------------------------
+
+
+def test_a_data_message_formats_its_description_only_when_read():
+    from repro.network.link import Link
+    from repro.network.message import MessageKind, batch_message, end_of_stream, is_end_of_stream
+    from repro.workloads.stock import StockWorkload
+
+    sent = []
+    original = Link.send
+
+    def send(self, message, *arguments, **keywords):
+        sent.append(message)
+        return original(self, message, *arguments, **keywords)
+
+    Link.send = send
+    try:
+        db = StockWorkload(company_count=12, seed=7).build()
+        for strategy in ExecutionStrategy:
+            config = StrategyConfig(strategy=strategy)
+            db.execute(StockWorkload.figure1_query(), config=config, deliver_results=True)
+    finally:
+        Link.send = original
+    data = [message for message in sent if message.is_data]
+    assert {message.kind for message in data} == set(MessageKind) - {
+        MessageKind.CONTROL, MessageKind.ERROR
+    }
+    assert not any(isinstance(message._description, str) for message in data)
+    # Read, the parts join into what an f-string gave, and stay joined.
+    parts = ("semijoin ", "Score", " x", 16)
+    message = batch_message(MessageKind.UDF_ARGUMENTS, None, 64, 16, description=parts)
+    assert message._description is parts
+    assert repr(message) == f"Message(#{message.sequence} udf_arguments, 80B, semijoin Score x16)"
+    assert message._description == message.description == "semijoin Score x16"
+    assert batch_message(MessageKind.UDF_RESULT, None, 8, 3).description == "3 rows"
+    assert is_end_of_stream(end_of_stream())

@@ -26,7 +26,7 @@ from repro.errors import BindError, PlanError
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
-from repro.relational.columns import HAVE_NUMPY, scalar_fallback
+from repro.relational.columns import HAVE_NUMPY, build_typed_column, scalar_fallback
 from repro.relational.expressions import (
     Arithmetic,
     BooleanOp,
@@ -36,7 +36,7 @@ from repro.relational.expressions import (
     conjoin,
 )
 from repro.relational.operators import Distinct, HashJoin, Sort, TableScan
-from repro.relational.keys import _NullsFirstKey, nulls_first_order
+from repro.relational.keys import KeyCodes, _NullsFirstKey, nulls_first_order
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.tuples import Row, RowBatch, row_size, values_size
@@ -385,6 +385,139 @@ def test_order_by_code_is_the_nulls_first_order(columns):
         )
     assert order == nulls_first_order(tuples)
     assert coded.take(order).tuples() == [tuples[index] for index in order]
+
+
+def _as_typed_where_eligible(column):
+    """The column as a typed buffer when one of the fixed-width types takes it."""
+    for dtype in (INTEGER, FLOAT, BOOLEAN):
+        typed = build_typed_column(column, dtype)
+        if typed is not None:
+            return typed
+    return column
+
+
+def _outcome(call):
+    """``call()``'s result, or the type of what it raised."""
+    try:
+        return call()
+    except TypeError as exc:
+        return type(exc)
+
+
+@given(
+    st.lists(st.sampled_from(list(_TYPED_VALUES)), min_size=2, max_size=3).flatmap(
+        lambda kinds: st.tuples(
+            _columns(kinds),
+            st.lists(st.integers(0, len(kinds) - 1), max_size=2),
+            st.booleans(),
+        )
+    )
+)
+@example(
+    # Equal arguments of unequal size: one code, sized as its first occurrence.
+    ([[1, 1.0, True, 1.0, None, True], [None, _NAN, _NAN, 2.0, None, _NAN]], [0], False)
+)
+@example(([[1, 1.0, True, 1.0, None, True], [None, _NAN, _NAN, 2.0, None, _NAN]], [1, 0], False))
+@example(([[[1], [0], None], [1, 1, 1]], [1, 0], False))
+@settings(max_examples=300, deadline=None)
+def test_encoding_columns_is_encoding_the_key_tuples(case):
+    """``RowBatch.encode`` codes a column at a time; the reference codes one
+    tuple per row.  Codes, keys (object for object), sizes and both orders
+    agree for 0, 1 and 2 key columns — NULLs, NaNs, unhashable values, series
+    and equal keys of unequal size included."""
+    columns, positions, typed = case
+    batch = RowBatch.from_columns(
+        [_as_typed_where_eligible(list(column)) if typed else list(column) for column in columns]
+    )
+    coded = batch.encode(positions)
+    reference = KeyCodes.of(batch.key_tuples(positions))
+    assert coded.codes == reference.codes
+    assert coded.keys == reference.keys
+    for mine, theirs in zip(coded.keys, reference.keys):
+        assert all(a is b for a, b in zip(mine, theirs))
+    assert coded.count == reference.count == len(reference.keys)
+    assert coded.sizes == reference.sizes
+    for reverse in (False, True):
+        assert _outcome(lambda: coded.order(reverse)) == _outcome(
+            lambda: reference.order(reverse)
+        )
+
+
+#: Join key values by column type: ``1``, ``1.0`` and ``True`` are one key,
+#: the one shared NaN object matches itself (by identity, as a dict does).
+_JOIN_KEYS = {
+    "number": (FLOAT, st.sampled_from([0, 1, 1.0, True, 2, -0.0, 2.5, _NAN])),
+    "float": (FLOAT, st.sampled_from([1.0, 2.0, 0.0, _NAN])),  # typed when asked
+    "string": (STRING, st.sampled_from(["a", "b", "ab"])),
+}
+_JOIN_PAYLOADS = {
+    "int": (INTEGER, st.integers(0, 9)),
+    "list": (DATA_OBJECT, st.lists(st.integers(0, 2), max_size=2)),  # unhashable
+}
+
+
+@st.composite
+def _join_inputs(draw):
+    """``(dtypes, left rows, right rows)``: one or two key columns, then a payload."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_JOIN_KEYS)), min_size=1, max_size=2))
+    dtype_values = [_JOIN_KEYS[kind] for kind in kinds]
+    dtype_values.append(_JOIN_PAYLOADS[draw(st.sampled_from(sorted(_JOIN_PAYLOADS)))])
+    row = st.tuples(*(st.one_of(st.none(), values) for _dtype, values in dtype_values))
+    return (
+        [dtype for dtype, _values in dtype_values],
+        draw(st.lists(row, max_size=8)),
+        draw(st.lists(row, max_size=8)),
+    )
+
+
+def _same_values(rows):
+    """Rows as comparable tuples: each value with its type, a NaN as a NaN."""
+    return [
+        tuple((type(value), "NaN" if value != value else value) for value in row)
+        for row in rows
+    ]
+
+
+@given(_join_inputs(), st.booleans(), st.integers(min_value=1, max_value=4))
+@example(
+    ([FLOAT, INTEGER], [(_NAN, 1), (1, 2), (None, 3)], [(_NAN, 4), (True, 5), (1.0, 6), (None, 7)]),
+    False,
+    2,
+)
+@example(
+    ([FLOAT, STRING, INTEGER], [(1, "a", 1), (1.0, None, 2)], [(True, "a", 3), (1, "a", 4)]),
+    True,
+    1,
+)
+@settings(max_examples=300, deadline=None)
+def test_hash_join_is_the_nested_loop_join(case, typed, batch_size):
+    """Rows *and order*: probe order, then build order; NULL keys never join."""
+    from repro.relational.operators.base import CollectingOperator
+
+    dtypes, left_rows, right_rows = case
+    width = len(dtypes) - 1
+
+    def leaf(table, rows):
+        schema = Schema.of(*((f"c{i}", dtype) for i, dtype in enumerate(dtypes)), table=table)
+        batch = RowBatch([Row(row) for row in rows])
+        if typed:
+            batch.ensure_typed(schema)
+        return CollectingOperator(schema, batch)
+
+    left, right = leaf("l", left_rows), leaf("r", right_rows)
+    keys = [f"c{i}" for i in range(width)]
+    join = HashJoin(left, right, [f"l.{key}" for key in keys], [f"r.{key}" for key in keys])
+    for operator_ in (join, left, right):
+        operator_.batch_size = batch_size
+    # The values as the join reads them: a typed NaN is a fresh object per read.
+    probe, build = left.run(), right.run()
+    expected = [
+        tuple(l) + tuple(r)
+        for l in probe
+        for r in build
+        if None not in l[:width] and tuple(l[:width]) == tuple(r[:width])
+    ]
+    assert _same_values(join.run()) == _same_values(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ Python-level ``TimeSeries.__lt__`` calls, 6,201 scalar sizer calls and 13.6
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Any, Dict, Iterator
 
 import pytest
 
 import repro.relational.types as types
+from repro.relational.tuples import RowBatch
 from repro.relational.types import DataType, TimeSeries
 from repro.workloads.stock import StockWorkload
 
@@ -37,16 +39,28 @@ SCALAR_SIZINGS_PER_OPERATION_AND_COLUMN = 1
 #: is a whole ``ship_bulk`` round's figure — 5.0 now — whose re-optimizing
 #: Figure 13 kind alone stood at 13.1, with encode passes of 4.4 per row.)
 HASHES_PER_INPUT_ROW = 10
+#: ``RowBatch.key_tuples`` callers for which a tuple per row would only be a
+#: step toward something else: a hash join keys its rows and ``encode``
+#: codes them from the key columns.  (Before, one Figure 11 execution made
+#: three calls from the join and one from ``encode``, whatever the data.)
+NO_KEY_TUPLES_FROM = (
+    "repro.relational.operators.hash_join._execute_batches",
+    "repro.relational.tuples.encode",
+)
 
 
 @contextmanager
-def counted_calls() -> Iterator[Dict[str, int]]:
-    """Count Python-level series comparisons, series hashes and scalar sizer calls.
+def counted_calls() -> Iterator[Dict[str, Any]]:
+    """Count Python-level series comparisons, series hashes and scalar sizer
+    calls, and ``RowBatch.key_tuples`` calls by calling module and function.
 
     ``value_size`` is swapped wherever a ``repro`` module holds a reference,
     the methods on their classes, and everything is put back.
     """
-    counts = {"lt": 0, "hash": 0, "scalar_sizings": 0}
+    key_tuples_callers: Counter = Counter()
+    counts: Dict[str, Any] = {
+        "lt": 0, "hash": 0, "scalar_sizings": 0, "key_tuples": key_tuples_callers
+    }
     restore = []
 
     def counting(target, key):
@@ -64,6 +78,16 @@ def counted_calls() -> Iterator[Dict[str, int]]:
         original = owner.__dict__[attribute]
         restore.append((owner, attribute, original))
         setattr(owner, attribute, counting(original, key))
+
+    key_tuples = RowBatch.__dict__["key_tuples"]
+
+    def counted_key_tuples(*arguments):
+        caller = sys._getframe(1)
+        key_tuples_callers[f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"] += 1
+        return key_tuples(*arguments)
+
+    restore.append((RowBatch, "key_tuples", key_tuples))
+    RowBatch.key_tuples = counted_key_tuples
     wrapper = counting(types.value_size, "scalar_sizings")
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("repro"):
@@ -78,12 +102,14 @@ def counted_calls() -> Iterator[Dict[str, int]]:
             setattr(owner, attribute, value)
 
 
-def execute_figure13(companies: int, **options) -> Dict[str, int]:
+def execute_stock_query(
+    companies: int, query: str = StockWorkload.figure13_query(), **options
+) -> Dict[str, Any]:
     db = StockWorkload(company_count=companies, seed=1999).build()
     for table in db.catalog:
         table.statistics  # computed lazily on first read: not the execution's work
     with counted_calls() as counts:
-        result = db.execute(StockWorkload.figure13_query(), **options)
+        result = db.execute(query, **options)
     assert result.rows
     counts["input_rows"] = result.metrics.input_rows
     counts["operations"] = result.metrics.remote_operations
@@ -97,7 +123,7 @@ def execute_figure13(companies: int, **options) -> Dict[str, int]:
     ids=["optimize+adaptive", "reoptimize+adaptive"],
 )
 def test_one_figure13_execution_stays_within_budget(options):
-    counts = execute_figure13(200, **options)
+    counts = execute_stock_query(200, **options)
     assert counts["input_rows"] == 642
     # Series are ordered by their value tuples, in C, and only the distinct ones.
     assert counts["lt"] == 0
@@ -111,6 +137,25 @@ def test_one_figure13_execution_stays_within_budget(options):
 def test_scalar_sizing_does_not_grow_with_the_data():
     """100 and 200 companies, the committed plan (no segments to add): the
     same handful of sample-row sizings, whatever the row count."""
-    small, large = (execute_figure13(companies, optimize=True) for companies in (100, 200))
+    small, large = (execute_stock_query(companies, optimize=True) for companies in (100, 200))
     assert small["input_rows"] < large["input_rows"]
     assert small["scalar_sizings"] == large["scalar_sizings"] <= small["operations"] * 3
+
+
+@pytest.mark.parametrize(
+    "query",
+    [StockWorkload.figure11_query(), StockWorkload.figure13_query()],
+    ids=["figure11", "figure13"],
+)
+def test_joins_and_key_codes_build_no_tuple_per_row(query):
+    """100 and 200 companies, ``optimize+adaptive``: the join and ``encode``
+    read the key columns, and whatever else asks for one tuple per row asks
+    as often at either size (per operation, not per row or batch)."""
+    small, large = (
+        execute_stock_query(companies, query, optimize=True, adaptive=True)
+        for companies in (100, 200)
+    )
+    assert small["input_rows"] < large["input_rows"]
+    for caller in NO_KEY_TUPLES_FROM:
+        assert small["key_tuples"][caller] == large["key_tuples"][caller] == 0
+    assert small["key_tuples"] == large["key_tuples"]
