@@ -59,7 +59,6 @@ from repro.relational import (
     TimeSeries,
     Column,
     Schema,
-    Row,
     Table,
     Catalog,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "TimeSeries",
     "Column",
     "Schema",
-    "Row",
     "Table",
     "Catalog",
     # network

@@ -23,7 +23,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.expressions import Expression
 from repro.relational.schema import Schema
-from repro.relational.tuples import Row, RowBatch
+from repro.relational.tuples import RowBatch
 
 
 @dataclass
@@ -101,7 +101,7 @@ class _BatchRows:
     def batch(self) -> RowBatch:
         """The payload as a columnar batch."""
         if self._batch is None:
-            self._batch = RowBatch([Row(values) for values in self._row_tuples])
+            self._batch = RowBatch(self._row_tuples)
         return self._batch
 
     @property

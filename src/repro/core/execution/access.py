@@ -23,13 +23,13 @@ Correctness notes:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.execution.context import RemoteExecutionContext
 from repro.relational.operators.base import Operator
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.tuples import Row, RowBatch
+from repro.relational.tuples import RowBatch
 from repro.storage.index import KeyInterval
 from repro.storage.record import RecordId
 
@@ -87,7 +87,7 @@ class IndexScanOperator(Operator):
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         storage = self.table.storage
-        rows = [Row(storage.fetch_row(rid)) for rid in self._matching_rids()]
+        rows = [storage.fetch_row(rid) for rid in self._matching_rids()]
         batch = RowBatch(rows).ensure_typed(self.schema)
         for start in range(0, len(batch), batch_size):
             yield batch.slice(start, start + batch_size)
@@ -130,7 +130,7 @@ class IndexNestedLoopJoinOperator(Operator):
         inner_column = index.definition.column
         self._inner_position = self.inner_schema.index_of(inner_column)
 
-    def _execute(self) -> Iterator[Row]:
+    def _execute(self) -> Iterator[Tuple[Any, ...]]:
         storage = self.table.storage
         index = self.index
         book = self.context.book_index_probe
@@ -148,7 +148,7 @@ class IndexNestedLoopJoinOperator(Operator):
                 # Re-check equality: hash probes normalise numeric keys and
                 # may collide two huge integers onto one float.
                 if values[inner_position] == key:
-                    yield outer_row.concat(Row(values))
+                    yield outer_row + values
 
     def describe(self) -> str:
         name = getattr(getattr(self.index, "definition", None), "name", "?")

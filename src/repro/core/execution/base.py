@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import math
 
@@ -12,7 +12,7 @@ from repro.client.udf import UdfDefinition
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
-from repro.network.message import Message, MessageKind
+from repro.network.message import Message, MessageKind, is_end_of_stream
 from repro.relational.columns import build_typed_column
 from repro.relational.expressions import Expression
 from repro.relational.keys import KeyCodes
@@ -183,6 +183,46 @@ class RemoteUdfOperator(Operator):
         controller = self._window_controller
         if controller is not None:
             window.resize(max(floor, controller.current()))
+
+    def ship(self, window: InFlightWindow, make_message: Callable[[], Message]):
+        """Send ``make_message()`` to the client once ``window`` admits it.
+
+        A sender's step (``yield from``): the window target is re-read, a
+        slot taken, and only then is the message built, so messages are
+        numbered in the order they leave.
+        """
+        self.refresh_window(window)
+        if not window.acquire_now():
+            yield window.acquire()
+        yield self.context.channel.send_to_client(make_message())
+
+    def exchange(
+        self, name: str, sender, take_reply: Callable[[Any], None], window: InFlightWindow
+    ):
+        """Run ``sender`` beside the receiver loop until the reply stream ends.
+
+        The receiver takes each reply as it arrives, raises a client
+        failure, frees the reply's window slot and hands its payload to
+        ``take_reply``.  It is awaited first: a client failure surfaces
+        there even while the sender is blocked on a slot that will never
+        be freed.
+        """
+        simulator = self.context.simulator
+        channel = self.context.channel
+
+        def receiver():
+            while True:
+                reply = channel.poll_at_server() or (yield channel.receive_at_server())
+                if is_end_of_stream(reply):
+                    return
+                self.check_reply(reply)
+                window.release()
+                take_reply(reply.payload)
+
+        sender_process = simulator.process(sender, name=f"{name}.sender")
+        receiver_process = simulator.process(receiver(), name=f"{name}.receiver")
+        yield receiver_process
+        yield sender_process
 
     # -- shared helpers ----------------------------------------------------------------
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from repro.client.protocol import PushedOperations, RecordBatch, RemoteCall
+from repro.client.protocol import PushedOperations, RecordBatch, RecordResultBatch, RemoteCall
 from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.strategies import StrategyConfig
 from repro.client.udf import UdfDefinition
-from repro.network.message import MessageKind, is_end_of_stream, end_of_stream
+from repro.network.message import MessageKind, batch_message, end_of_stream
 from repro.relational.expressions import Expression
 from repro.relational.kernels import compile_filter
 from repro.relational.operators.base import Operator
@@ -79,7 +79,6 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
     # -- coordination -------------------------------------------------------------------
 
     def _drive(self, batch: RowBatch):
-        simulator = self.context.simulator
         channel = self.context.channel
 
         if self.config.sort_by_arguments:
@@ -129,35 +128,26 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
                 payload_bytes = offsets[start + len(chunk)] - offsets[start]
                 start += len(chunk)
                 sent_sizes.append(len(chunk))
-                self.refresh_window(window)
-                if not window.acquire_now():
-                    yield window.acquire()
-                yield channel.send_batch_to_client(
-                    MessageKind.RECORDS,
-                    RecordBatch(calls=[call], rows=chunk, pushed=pushed),
-                    payload_bytes=payload_bytes,
-                    row_count=len(chunk),
-                    description=("csj ", self.udf.name, " x", len(chunk)),
+                yield from self.ship(
+                    window,
+                    lambda: batch_message(
+                        MessageKind.RECORDS,
+                        RecordBatch(calls=[call], rows=chunk, pushed=pushed),
+                        payload_bytes=payload_bytes,
+                        row_count=len(chunk),
+                        description=("csj ", self.udf.name, " x", len(chunk)),
+                    ),
                 )
             yield channel.send_to_client(end_of_stream())
 
-        def receiver():
-            collected: List[RowBatch] = []
-            while True:
-                reply = channel.poll_at_server() or (yield channel.receive_at_server())
-                if is_end_of_stream(reply):
-                    break
-                self.check_reply(reply)
-                window.release()
-                collected.append(reply.payload.batch)
-                if sent_sizes:
-                    self.observe_batch(sent_sizes.popleft())
-            return collected
+        collected: List[RowBatch] = []
 
-        sender_process = simulator.process(sender(), name="clientjoin.sender")
-        receiver_process = simulator.process(receiver(), name="clientjoin.receiver")
-        collected = yield receiver_process
-        yield sender_process
+        def take_reply(reply: RecordResultBatch) -> None:
+            collected.append(reply.batch)
+            if sent_sizes:
+                self.observe_batch(sent_sizes.popleft())
+
+        yield from self.exchange("clientjoin", sender(), take_reply, window)
         self.context.book_window(window)
 
         reply_width = (

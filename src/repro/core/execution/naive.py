@@ -29,7 +29,7 @@ from typing import Any, Deque, List, Tuple
 
 from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.execution.base import RemoteUdfOperator
-from repro.network.message import MessageKind, end_of_stream, is_end_of_stream
+from repro.network.message import MessageKind, batch_message, end_of_stream
 from repro.relational.tuples import RowBatch
 
 
@@ -47,7 +47,6 @@ class NaiveUdfOperator(RemoteUdfOperator):
         self.carry_state = carry_state
 
     def _drive(self, batch: RowBatch):
-        simulator = self.context.simulator
         channel = self.context.channel
         call = RemoteCall(
             udf_name=self.udf.name,
@@ -83,15 +82,15 @@ class NaiveUdfOperator(RemoteUdfOperator):
 
             def flush():
                 nonlocal pending_bytes, covered
-                self.refresh_window(window)
-                if not window.acquire_now():
-                    yield window.acquire()
-                yield channel.send_batch_to_client(
-                    MessageKind.UDF_ARGUMENTS,
-                    ArgumentBatch(call=call, argument_tuples=list(pending)),
-                    payload_bytes=pending_bytes,
-                    row_count=len(pending),
-                    description=("naive ", self.udf.name, " x", len(pending)),
+                yield from self.ship(
+                    window,
+                    lambda: batch_message(
+                        MessageKind.UDF_ARGUMENTS,
+                        ArgumentBatch(call=call, argument_tuples=list(pending)),
+                        payload_bytes=pending_bytes,
+                        row_count=len(pending),
+                        description=("naive ", self.udf.name, " x", len(pending)),
+                    ),
                 )
                 acknowledged.append(covered)
                 covered = pending_bytes = 0
@@ -114,24 +113,12 @@ class NaiveUdfOperator(RemoteUdfOperator):
                 yield from flush()
             yield channel.send_to_client(end_of_stream())
 
-        def receiver():
-            while True:
-                reply = channel.poll_at_server() or (yield channel.receive_at_server())
-                if is_end_of_stream(reply):
-                    return
-                self.check_reply(reply)
-                window.release()
-                result_batch: ResultBatch = reply.payload
-                shipped_results.extend(result_batch.results)
-                if acknowledged:
-                    self.observe_batch(acknowledged.popleft())
+        def take_reply(result_batch: ResultBatch) -> None:
+            shipped_results.extend(result_batch.results)
+            if acknowledged:
+                self.observe_batch(acknowledged.popleft())
 
-        sender_process = simulator.process(sender(), name="naive.sender")
-        receiver_process = simulator.process(receiver(), name="naive.receiver")
-        # Wait for the receiver first: a client failure surfaces there even
-        # while the sender is still blocked on a window slot.
-        yield receiver_process
-        yield sender_process
+        yield from self.exchange("naive", sender(), take_reply, window)
         self.context.book_window(window)
         self.distinct_argument_count = len(keys)
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ExecutionError
 from repro.relational.operators.base import Operator
 from repro.relational.schema import Schema, bare_name
-from repro.relational.tuples import Row, RowBatch
+from repro.relational.tuples import RowBatch
 
 
 class ShardResult:
@@ -30,7 +30,7 @@ class ShardResult:
         self,
         label: str,
         schema: Schema,
-        rows: Sequence[Row],
+        rows: Sequence[Tuple[Any, ...]],
         site: Optional[str] = None,
     ) -> None:
         self.label = label
@@ -76,7 +76,7 @@ class ScatterGatherOperator(Operator):
         results = list(self.runner(self.tasks))
         self.shard_results = results
         canonical = tuple(map(bare_name, self.schema.qualified_names()))
-        pending: List[Row] = []
+        pending: List[Tuple[Any, ...]] = []
         for result in results:
             produced = tuple(map(bare_name, result.schema.qualified_names()))
             if produced != canonical:
@@ -92,17 +92,6 @@ class ScatterGatherOperator(Operator):
                     pending = []
         if pending:
             yield RowBatch(pending)
-
-    # -- introspection ----------------------------------------------------------------
-
-    @property
-    def sites_used(self) -> Tuple[str, ...]:
-        """Distinct sites that produced rows, in gather order."""
-        seen: List[str] = []
-        for result in self.shard_results:
-            if result.site is not None and result.site not in seen:
-                seen.append(result.site)
-        return tuple(seen)
 
     def describe(self) -> str:
         return f"ScatterGather({self.label}, tasks={len(self.tasks)})"

@@ -25,19 +25,14 @@ finished, so the hand-off between them is per reply, not per row.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.concurrency import recommended_batched_concurrency_factor
 from repro.core.execution.base import RemoteUdfOperator, SemiJoinSegmentState
 from repro.core.execution.overlap import InFlightWindow
-from repro.network.message import (
-    MessageKind,
-    batch_message,
-    end_of_stream,
-    is_end_of_stream,
-)
-from repro.relational.tuples import Row, RowBatch
+from repro.network.message import MessageKind, batch_message, end_of_stream
+from repro.relational.tuples import RowBatch
 
 
 class SemiJoinUdfOperator(RemoteUdfOperator):
@@ -53,7 +48,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         super().__init__(*args, **kwargs)
         self.carry_state = carry_state
 
-    def effective_concurrency_factor(self, sample_row: Optional[Row] = None) -> int:
+    def effective_concurrency_factor(self, sample_row: Optional[Sequence[Any]] = None) -> int:
         """The configured pipeline concurrency factor, or the analytic B·T choice.
 
         The analysis is batch-aware: with ``batch_size`` rows per message the
@@ -177,40 +172,21 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                 pending_batch.append(payloads[slot])
                 pending_bytes += sizes[slot]
                 if len(pending_batch) >= target:
-                    self.refresh_window(window)
-                    if not window.acquire_now():
-                        yield window.acquire()
-                    yield channel.send_to_client(flush())
+                    yield from self.ship(window, flush)
             if pending_batch:
-                self.refresh_window(window)
-                if not window.acquire_now():
-                    yield window.acquire()
-                yield channel.send_to_client(flush())
+                yield from self.ship(window, flush)
             if not quiet():
                 yield simulator.timeout(0.0)
             yield channel.send_to_client(end_of_stream())
 
-        def receiver():
-            while True:
-                reply = channel.poll_at_server() or (yield channel.receive_at_server())
-                if is_end_of_stream(reply):
-                    return
-                self.check_reply(reply)
-                window.release()
-                result_batch: ResultBatch = reply.payload
-                self.observe_batch(len(result_batch.results))
-                shipped_results.extend(result_batch.results)
-                # Only once a tuple's result is in hand is its slot released.
-                for _ in result_batch.results:
-                    pipeline.release()
+        def take_reply(result_batch: ResultBatch) -> None:
+            self.observe_batch(len(result_batch.results))
+            shipped_results.extend(result_batch.results)
+            # Only once a tuple's result is in hand is its slot released.
+            for _ in result_batch.results:
+                pipeline.release()
 
-        sender_process = simulator.process(sender(), name="semijoin.sender")
-        receiver_process = simulator.process(receiver(), name="semijoin.receiver")
-        # Wait for the receiver first: if the client reports a failure the
-        # receiver raises immediately, even while the sender is still blocked
-        # on a pipeline slot that will never be released.
-        yield receiver_process
-        yield sender_process
+        yield from self.exchange("semijoin", sender(), take_reply, window)
         self.peak_pipeline_occupancy = pipeline.peak_in_flight
         # The pipeline may have grown with the controller; book what it ended at.
         self.context.book_window(window, concurrency_factor=int(pipeline.capacity))

@@ -19,7 +19,7 @@ from repro.relational.types import (
     TimeSeries,
 )
 from repro.relational.schema import Column, Schema
-from repro.relational.tuples import Row, row_size
+from repro.relational.tuples import row_size
 from repro.relational.table import Table
 from repro.relational.catalog import Catalog
 from repro.relational.statistics import ColumnStatistics, TableStatistics
@@ -36,7 +36,6 @@ __all__ = [
     "TimeSeries",
     "Column",
     "Schema",
-    "Row",
     "row_size",
     "Table",
     "Catalog",

@@ -23,11 +23,11 @@ count.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import OperatorError
 from repro.relational.schema import Schema
-from repro.relational.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, batches_of
+from repro.relational.tuples import DEFAULT_BATCH_SIZE, RowBatch, batches_of
 
 
 class Operator:
@@ -48,8 +48,8 @@ class Operator:
 
     # -- subclass hooks ---------------------------------------------------------
 
-    def _execute(self) -> Iterator[Row]:
-        """Yield output rows.  Row-oriented subclasses implement this."""
+    def _execute(self) -> Iterator[Tuple[Any, ...]]:
+        """Yield output rows (plain tuples).  Row-oriented subclasses implement this."""
         raise NotImplementedError
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
@@ -58,7 +58,7 @@ class Operator:
 
     # -- public protocol --------------------------------------------------------
 
-    def execute(self) -> Iterator[Row]:
+    def execute(self) -> Iterator[Tuple[Any, ...]]:
         """Yield output rows (a flattening view over :meth:`execute_batches`)."""
         for batch in self.execute_batches():
             yield from batch.rows
@@ -87,9 +87,9 @@ class Operator:
 
     # -- conveniences ----------------------------------------------------------
 
-    def run(self) -> List[Row]:
+    def run(self) -> List[Tuple[Any, ...]]:
         """Execute to completion and collect all rows (for tests and tools)."""
-        result: List[Row] = []
+        result: List[Tuple[Any, ...]] = []
         for batch in self.execute_batches():
             result.extend(batch.rows)
         return result
@@ -134,7 +134,7 @@ class CollectingOperator(Operator):
     def __init__(self, schema: Schema, rows) -> None:
         super().__init__()
         self.schema = schema
-        self._batch = rows if isinstance(rows, RowBatch) else RowBatch(list(rows))
+        self._batch = rows if isinstance(rows, RowBatch) else RowBatch(rows)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         batch = self._batch

@@ -8,8 +8,7 @@ semi-join sender's business (:meth:`~repro.relational.tuples.RowBatch.encode`).
 The operator is batch-native and column-wise: keys come straight off the
 batch's column lists (:meth:`~repro.relational.tuples.RowBatch.key_tuples`)
 and surviving rows are selected by index
-(:meth:`~repro.relational.tuples.RowBatch.take`) without materialising
-:class:`~repro.relational.tuples.Row` objects.
+(:meth:`~repro.relational.tuples.RowBatch.take`).
 """
 
 from __future__ import annotations

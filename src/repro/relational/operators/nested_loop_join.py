@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.relational.expressions import Expression, ScalarFunction
 from repro.relational.operators.base import Operator
-from repro.relational.tuples import Row
 
 
 class NestedLoopJoin(Operator):
@@ -28,7 +27,7 @@ class NestedLoopJoin(Operator):
         self.functions = functions or {}
         self.schema = outer.output_schema().concat(inner.output_schema())
 
-    def _execute(self) -> Iterator[Row]:
+    def _execute(self) -> Iterator[Tuple[Any, ...]]:
         outer, inner = self.children
         inner_rows = list(inner.execute())
         bound = (
@@ -38,7 +37,7 @@ class NestedLoopJoin(Operator):
         )
         for outer_row in outer.execute():
             for inner_row in inner_rows:
-                joined = outer_row.concat(inner_row)
+                joined = outer_row + inner_row
                 if bound is None or bound(joined):
                     yield joined
 

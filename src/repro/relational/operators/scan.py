@@ -1,13 +1,13 @@
-"""Leaf operators: table scans and generic row sources."""
+"""Leaf operator: the table scan."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.relational.operators.base import Operator
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.tuples import Row, RowBatch
+from repro.relational.tuples import RowBatch
 
 
 class TableScan(Operator):
@@ -38,22 +38,3 @@ class TableScan(Operator):
             return f"TableScan({self.table.name} AS {self.alias})"
         return f"TableScan({self.table.name})"
 
-
-class RowSource(Operator):
-    """A leaf operator over rows produced by a callable or iterable.
-
-    Useful for streaming rows out of non-table sources (e.g. the receiver side
-    of a network transfer) while still fitting the operator interface.
-    """
-
-    def __init__(self, schema: Schema, source: Callable[[], Iterable[Row]]) -> None:
-        super().__init__()
-        self.schema = schema
-        self._source = source
-
-    def _execute(self) -> Iterator[Row]:
-        for row in self._source():
-            yield row if isinstance(row, Row) else Row(row)
-
-    def describe(self) -> str:
-        return "RowSource"

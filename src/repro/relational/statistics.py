@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.relational.schema import Schema, bare_name
-from repro.relational.tuples import Row
 
 #: Default number of equi-width buckets for column histograms.
 DEFAULT_HISTOGRAM_BUCKETS = 8
@@ -243,7 +242,7 @@ def compute_column_statistics(
     )
 
 
-def compute_table_statistics(schema: Schema, rows: Sequence[Row]) -> TableStatistics:
+def compute_table_statistics(schema: Schema, rows: Sequence[Sequence[Any]]) -> TableStatistics:
     """Compute exact statistics for a relation given its schema and rows."""
     from repro.relational.tuples import row_size
 

@@ -12,12 +12,13 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStatistics, compute_table_statistics
-from repro.relational.tuples import Row, RowBatch, columns_of, row_size
+from repro.relational.tuples import RowBatch, row_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.storage.record import PagedTableStorage
@@ -50,7 +51,7 @@ class Table:
         # multi-table queries can disambiguate.
         self.schema = schema if any(c.table for c in schema.columns) else schema.qualify(name)
         self._storage = storage
-        self._rows: List[Row] = []
+        self._rows: List[Tuple[Any, ...]] = []
         self._statistics: Optional[TableStatistics] = None
         self._batch: Optional[RowBatch] = None
         if rows is not None:
@@ -75,10 +76,11 @@ class Table:
                 raise TypeMismatchError(
                     f"column {column.qualified_name!r}: {exc}"
                 ) from exc
+        values = tuple(values)
         if self._storage is not None:
-            self._storage.append(tuple(values))
+            self._storage.append(values)
         else:
-            self._rows.append(Row(values))
+            self._rows.append(values)
         self._statistics = None
         self._batch = None
 
@@ -86,18 +88,7 @@ class Table:
         for values in rows:
             self.insert(values)
 
-    def insert_dicts(self, records: Iterable[Dict[str, Any]]) -> None:
-        """Insert rows given as ``{column_name: value}`` mappings."""
-        names = self.schema.names()
-        for record in records:
-            unknown = set(record) - set(names)
-            if unknown:
-                raise SchemaError(
-                    f"table {self.name!r} has no columns {sorted(unknown)!r}"
-                )
-            self.insert([record.get(name) for name in names])
-
-    def delete(self, predicate: Callable[[Row], bool]) -> int:
+    def delete(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> int:
         """Delete every row matching ``predicate``; returns the count.
 
         On the paged path this tombstones the records in place (their space
@@ -105,9 +96,7 @@ class Table:
         catalog statistics and secondary indexes current.
         """
         if self._storage is not None:
-            deleted = self._storage.delete_where(
-                lambda values: bool(predicate(Row(values)))
-            )
+            deleted = self._storage.delete_where(lambda values: bool(predicate(values)))
         else:
             kept = [row for row in self._rows if not predicate(row)]
             deleted = len(self._rows) - len(kept)
@@ -127,10 +116,10 @@ class Table:
     # -- access -----------------------------------------------------------------
 
     @property
-    def rows(self) -> List[Row]:
+    def rows(self) -> List[Tuple[Any, ...]]:
         """The rows of the table (do not mutate the returned list)."""
         if self._storage is not None:
-            return [Row(values) for values in self._storage.read_all()]
+            return self._storage.read_all()
         return self._rows
 
     def __len__(self) -> int:
@@ -138,7 +127,7 @@ class Table:
             return self._storage.row_count
         return len(self._rows)
 
-    def __iter__(self) -> Iterator[Row]:
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self.rows)
 
     def as_batch(self) -> RowBatch:
@@ -149,15 +138,12 @@ class Table:
         without re-scanning values.  The in-memory path caches the batch
         until mutation; the paged path re-reads the heap through the buffer
         pool on every call, which is what makes the pool's hit/miss/eviction
-        counters meaningful, and builds the column buffers straight from the
-        decoded records (no :class:`Row` per record).
+        counters meaningful.
         """
         if self._storage is not None:
-            records = self._storage.scan()
-            columns = columns_of(records, len(self.schema))
-            return RowBatch.from_columns(columns, len(records)).ensure_typed(self.schema)
+            return RowBatch(self._storage.scan()).ensure_typed(self.schema)
         if self._batch is None:
-            self._batch = RowBatch(list(self._rows)).ensure_typed(self.schema)
+            self._batch = RowBatch(self._rows).ensure_typed(self.schema)
         return self._batch
 
     def indexes(self) -> Dict[str, Any]:
@@ -184,7 +170,8 @@ class Table:
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         """All rows as dictionaries keyed by qualified column name."""
-        return [row.as_dict(self.schema) for row in self.rows]
+        names = self.schema.qualified_names()
+        return [dict(zip(names, row)) for row in self.rows]
 
     def __repr__(self) -> str:
         backing = "paged" if self._storage is not None else "rows"

@@ -1,15 +1,14 @@
-"""Row and row-batch representations and byte-accurate row sizing.
+"""Row batches and byte-accurate row sizing.
 
-Rows are plain immutable tuples wrapped in a tiny :class:`Row` subclass so
-they stay cheap to create and hashable, while still reading clearly in
-operator code.  All positional access goes through schema lookups performed
-once per operator (not once per row).
+A row is a plain tuple aligned with some :class:`Schema`; all positional
+access goes through schema lookups performed once per operator (not once per
+row).
 
 :class:`RowBatch` is the unit of the vectorized (batch-at-a-time) execution
-protocol: an ordered slice of rows that operators hand to each other and that
-the execution strategies ship over the network in a single message.  Batches
-carry no schema of their own — like rows, they are aligned with the producing
-operator's schema.
+protocol: an ordered run of rows, stored as its columns, that operators hand
+to each other and that the execution strategies ship over the network in a
+single message.  Batches carry no schema of their own — like rows, they are
+aligned with the producing operator's schema.
 
 A batch's column entries are either plain Python lists or
 :class:`~repro.relational.columns.TypedColumn` buffers (fixed-width columns
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.columns import TypedColumn, build_typed_column
 from repro.relational.keys import KeyCodes
@@ -37,36 +36,6 @@ DEFAULT_BATCH_SIZE = 1024
 
 #: One column of a batch: a plain value list or a typed buffer.
 ColumnData = Union[List[Any], TypedColumn]
-
-
-class Row(tuple):
-    """An immutable row of values aligned with some :class:`Schema`."""
-
-    __slots__ = ()
-
-    def __new__(cls, values: Iterable[Any]) -> "Row":
-        return super().__new__(cls, tuple(values))
-
-    def project(self, positions: Sequence[int]) -> "Row":
-        """Return a row containing only the values at ``positions``."""
-        return Row(self[position] for position in positions)
-
-    def concat(self, other: Sequence[Any]) -> "Row":
-        """Return this row followed by ``other`` (used by joins)."""
-        return Row(tuple(self) + tuple(other))
-
-    def append(self, value: Any) -> "Row":
-        """Return this row with ``value`` added at the end (UDF result)."""
-        return Row(tuple(self) + (value,))
-
-    def replace(self, position: int, value: Any) -> "Row":
-        values = list(self)
-        values[position] = value
-        return Row(values)
-
-    def as_dict(self, schema: Schema) -> Dict[str, Any]:
-        """Map qualified column names to values (for display and tests)."""
-        return dict(zip(schema.qualified_names(), self))
 
 
 def _as_list(column: ColumnData) -> List[Any]:
@@ -83,15 +52,14 @@ def _null_free_typed(column: ColumnData) -> bool:
 class RowBatch:
     """An ordered run of rows processed as one unit by batch operators.
 
-    Storage is *columnar*: the batch holds one column buffer per column — a
-    plain Python list, or a :class:`TypedColumn` for fixed-width data — so
-    projection selects column references (O(columns), no per-row objects),
-    predicate evaluation runs vectorized kernels or walks plain value tuples,
-    and wire sizing prices fixed-width columns arithmetically.  Rows are
-    materialised lazily — only when a consumer actually asks for
-    :class:`Row` objects (a query's result rows, row-at-a-time operators)
-    — and cached, so a batch constructed from rows and
-    only ever read as rows never transposes.  Batches are immutable by
+    A batch is its columns: one column buffer per column — a plain Python
+    list, or a :class:`TypedColumn` for fixed-width data — so projection
+    selects column references (O(columns), no per-row objects), predicate
+    evaluation runs vectorized kernels or walks plain value tuples, and wire
+    sizing prices fixed-width columns arithmetically.  Built from rows, the
+    batch transposes them once; its rows are a tuple per row, built from the
+    columns only when a consumer asks for them (a query's result rows,
+    row-at-a-time operators) and cached.  Batches are immutable by
     convention: every operation builds a new batch, and column buffers may be
     shared between batches, so callers must never mutate ``rows`` or
     ``columns``.
@@ -99,10 +67,12 @@ class RowBatch:
 
     __slots__ = ("_rows", "_columns", "_length", "_size_memo")
 
-    def __init__(self, rows: Iterable[Row]) -> None:
+    def __init__(self, rows: Iterable[Sequence[Any]]) -> None:
         materialised = rows if isinstance(rows, list) else list(rows)
-        self._rows: Optional[List[Row]] = materialised
-        self._columns: Optional[List[ColumnData]] = None
+        self._rows: Optional[List[Tuple[Any, ...]]] = None
+        self._columns: List[ColumnData] = (
+            columns_of(materialised, len(materialised[0])) if materialised else []
+        )
         self._length = len(materialised)
         self._size_memo: Optional[Tuple[Schema, int]] = None
 
@@ -127,26 +97,17 @@ class RowBatch:
     # -- representations ---------------------------------------------------------
 
     @property
-    def rows(self) -> List[Row]:
-        """The batch as :class:`Row` objects, materialised lazily and cached."""
+    def rows(self) -> List[Tuple[Any, ...]]:
+        """The batch as one plain tuple per row, built lazily and cached."""
         rows = self._rows
         if rows is None:
-            if self._columns:
-                values_lists = [_as_list(column) for column in self._columns]
-                rows = [Row(values) for values in zip(*values_lists)]
-            else:
-                rows = [Row(()) for _ in range(self._length)]
-            self._rows = rows
+            rows = self._rows = self.key_tuples()
         return rows
 
     @property
     def columns(self) -> List[ColumnData]:
-        """The batch as column buffers, transposed lazily and cached."""
-        columns = self._columns
-        if columns is None:
-            rows = self._rows
-            columns = self._columns = columns_of(rows, len(rows[0])) if rows else []
-        return columns
+        """The batch's column buffers."""
+        return self._columns
 
     def column(self, position: int) -> ColumnData:
         """One column's buffer (a list or a :class:`TypedColumn`), in row order."""
@@ -157,15 +118,8 @@ class RowBatch:
         return _as_list(self.columns[position])
 
     def typed_column(self, position: int) -> Optional[TypedColumn]:
-        """The column's typed buffer, or None when it is stored as a list.
-
-        Reads the columnar representation only if it already exists — a
-        rows-only batch is not transposed just to answer "not typed".
-        """
-        columns = self._columns
-        if columns is None:
-            return None
-        entry = columns[position]
+        """The column's typed buffer, or None when it is stored as a list."""
+        entry = self._columns[position]
         return entry if isinstance(entry, TypedColumn) else None
 
     def ensure_typed(self, schema: Schema) -> "RowBatch":
@@ -190,31 +144,21 @@ class RowBatch:
                     columns[position] = typed
         return self
 
-    def _value_tuples(self) -> Iterable[Tuple[Any, ...]]:
-        """Row-shaped plain tuples, without allocating :class:`Row` objects."""
-        if self._rows is not None:
-            return self._rows
-        if self._columns:
-            return zip(*[_as_list(column) for column in self._columns])
-        return (() for _ in range(self._length))
-
     # -- container protocol ------------------------------------------------------
 
     def __len__(self) -> int:
         return self._length
 
-    def __iter__(self) -> Iterator[Row]:
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self.rows)
 
     def __bool__(self) -> bool:
         return self._length > 0
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, slice) or not self._columns:
             return self.rows[index]
-        if self._rows is None and self._columns is not None:
-            return Row(column[index] for column in self._columns)
-        return self.rows[index]
+        return tuple([column[index] for column in self._columns])
 
     # -- column-wise operations --------------------------------------------------
 
@@ -269,8 +213,7 @@ class RowBatch:
         For where a tuple per row is the product — duplicate elimination and
         the client's argument tuples (joins and key codes read the columns):
         values come straight off the column buffers as plain Python scalars,
-        no :class:`Row` objects are allocated, and a zero-width key yields
-        one empty tuple per row.
+        and a zero-width key yields one empty tuple per row.
         """
         if not self._length:
             return []
@@ -311,31 +254,20 @@ class RowBatch:
     def filter(self, keep: Callable[[Sequence[Any]], Any]) -> "RowBatch":
         """A new batch containing only the rows for which ``keep`` is truthy.
 
-        ``keep`` receives each row as a positional sequence (a plain value
-        tuple on the columnar path — no :class:`Row` objects are allocated).
+        ``keep`` receives each row as a plain value tuple.
         """
         if not self._length:
             return RowBatch([])
-        if self._rows is not None:
-            return RowBatch([row for row in self._rows if keep(row)])
-        kept = [
-            index for index, values in enumerate(self._value_tuples()) if keep(values)
-        ]
-        return self.take(kept)
+        return self.take([index for index, row in enumerate(self.rows) if keep(row)])
 
     def slice(self, start: int, stop: int) -> "RowBatch":
         """The batch restricted to rows ``start:stop`` (column-wise).
 
-        Columnar-first: a batch that already has column buffers slices each
-        buffer (typed columns slice into typed columns), so chunking a large
-        columnar batch for shipping never materialises rows.
+        Each buffer is sliced (typed columns slice into typed columns), so
+        chunking a large batch for shipping never materialises rows.
         """
-        if self._columns is not None:
-            length = max(0, min(stop, self._length) - max(0, start))
-            return RowBatch.from_columns(
-                [column[start:stop] for column in self._columns], length
-            )
-        return RowBatch(self._rows[start:stop])
+        length = max(0, min(stop, self._length) - max(0, start))
+        return RowBatch.from_columns([column[start:stop] for column in self._columns], length)
 
     # -- sizing -------------------------------------------------------------------
 
@@ -478,7 +410,7 @@ def columns_of(rows: Sequence[Sequence[Any]], width: int) -> List[List[Any]]:
     return [list(map(itemgetter(position), rows)) for position in range(width)]
 
 
-def batches_of(rows: Iterable[Row], batch_size: int) -> Iterator[RowBatch]:
+def batches_of(rows: Iterable[Tuple[Any, ...]], batch_size: int) -> Iterator[RowBatch]:
     """Chunk a row stream into :class:`RowBatch` es of at most ``batch_size``.
 
     The chunker pulls lazily: it never draws more than one batch ahead of the
@@ -486,7 +418,7 @@ def batches_of(rows: Iterable[Row], batch_size: int) -> Iterator[RowBatch]:
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    pending: List[Row] = []
+    pending: List[Tuple[Any, ...]] = []
     for row in rows:
         pending.append(row)
         if len(pending) >= batch_size:

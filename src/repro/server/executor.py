@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.core.execution.context import RemoteExecutionContext
@@ -11,7 +11,7 @@ from repro.core.strategies import StrategyConfig
 from repro.client.protocol import FinalResultBatch
 from repro.network.message import MessageKind
 from repro.relational.schema import Schema
-from repro.relational.tuples import Row, RowBatch, concat_batches
+from repro.relational.tuples import RowBatch, concat_batches
 from repro.server.metrics import ExecutionMetrics
 from repro.server.planner import PlanBuildResult, build_plan
 from repro.server.result import QueryResult
@@ -103,14 +103,9 @@ class Executor:
         )
         return self.execute_plan(plan, deliver_results=deliver_results)
 
-    def execute_plan(
-        self,
-        plan: PlanBuildResult,
-        config: Optional[StrategyConfig] = None,
-        deliver_results: bool = False,
-    ) -> QueryResult:
-        """Execute an already-built plan (with ``plan.config`` unless overridden)."""
-        config = config if config is not None else plan.config
+    def execute_plan(self, plan: PlanBuildResult, deliver_results: bool = False) -> QueryResult:
+        """Execute an already-built plan with its ``plan.config``."""
+        config = plan.config
         root = plan.root
         try:
             batches = list(root.execute_batches())
@@ -118,7 +113,7 @@ class Executor:
             raise
         except Exception as exc:  # noqa: BLE001 - surface plan failures uniformly
             raise ExecutionError(f"plan execution failed: {exc}") from exc
-        rows: List[Row] = []
+        rows: List[Tuple[Any, ...]] = []
         for batch in batches:
             rows.extend(batch.rows)
 

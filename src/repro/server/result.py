@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.schema import Schema
-from repro.relational.tuples import Row
 from repro.server.metrics import ExecutionMetrics
 
 
@@ -15,13 +14,13 @@ class QueryResult:
     def __init__(
         self,
         schema: Schema,
-        rows: Sequence[Row],
+        rows: Sequence[Sequence[Any]],
         metrics: Optional[ExecutionMetrics] = None,
         plan_text: str = "",
         observation: Optional[object] = None,
     ) -> None:
         self.schema = schema
-        self.rows: List[Row] = [row if isinstance(row, Row) else Row(row) for row in rows]
+        self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.plan_text = plan_text
         #: The :class:`~repro.adaptive.observer.QueryObservation` derived from
@@ -64,10 +63,10 @@ class QueryResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[Row]:
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self.rows)
 
-    def __getitem__(self, index: int) -> Row:
+    def __getitem__(self, index: int) -> Tuple[Any, ...]:
         return self.rows[index]
 
     def column_names(self) -> List[str]:
@@ -79,11 +78,12 @@ class QueryResult:
         return [row[position] for row in self.rows]
 
     def to_dicts(self) -> List[Dict[str, Any]]:
-        return [row.as_dict(self.schema) for row in self.rows]
+        names = self.schema.qualified_names()
+        return [dict(zip(names, row)) for row in self.rows]
 
     def row_set(self) -> List[tuple]:
         """Rows as a sorted list of plain tuples, for order-insensitive comparison."""
-        return sorted((tuple(row) for row in self.rows), key=repr)
+        return sorted(self.rows, key=repr)
 
     # -- display -------------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from repro.relational.operators import (
 )
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, batches_of
+from repro.relational.tuples import DEFAULT_BATCH_SIZE, RowBatch, batches_of
 from repro.relational.types import FLOAT, INTEGER, STRING
 
 
@@ -33,20 +33,20 @@ def numbers():
 
 class TestRowBatch:
     def test_len_iter_and_indexing(self):
-        batch = RowBatch([Row([1, "a"]), Row([2, "b"])])
+        batch = RowBatch([(1, "a"), (2, "b")])
         assert len(batch) == 2
         assert [tuple(row) for row in batch] == [(1, "a"), (2, "b")]
         assert tuple(batch[1]) == (2, "b")
         assert batch and not RowBatch([])
 
     def test_project_and_filter(self):
-        batch = RowBatch([Row([1, "a"]), Row([2, "b"]), Row([3, "c"])])
+        batch = RowBatch([(1, "a"), (2, "b"), (3, "c")])
         assert [tuple(row) for row in batch.project((1,))] == [("a",), ("b",), ("c",)]
         kept = batch.filter(lambda row: row[0] > 1)
         assert [row[0] for row in kept] == [2, 3]
 
     def test_batches_of_chunks_and_respects_size(self):
-        rows = [Row([i]) for i in range(10)]
+        rows = [(i,) for i in range(10)]
         batches = list(batches_of(iter(rows), 4))
         assert [len(batch) for batch in batches] == [4, 4, 2]
         assert [row[0] for batch in batches for row in batch] == list(range(10))

@@ -16,7 +16,6 @@ from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import FLOAT, INTEGER, STRING
-from repro.relational.tuples import Row
 from repro.server.engine import Database
 from repro.distribution import (
     ClusterConfig,
@@ -208,22 +207,21 @@ class TestScatterGatherOperator:
     def test_merges_streams_and_counts_rows(self):
         def runner(tasks):
             return [
-                ShardResult("shard0", self.SCHEMA, [Row(["a"]), Row(["b"])], site="s0"),
-                ShardResult("shard1", self.SCHEMA, [Row(["c"])], site="s1"),
+                ShardResult("shard0", self.SCHEMA, [("a",), ("b",)], site="s0"),
+                ShardResult("shard1", self.SCHEMA, [("c",)], site="s1"),
             ]
 
         operator = ScatterGatherOperator(self.SCHEMA, ["t0", "t1"], runner)
         rows = operator.run()
         assert [tuple(row) for row in rows] == [("a",), ("b",), ("c",)]
         assert operator.rows_gathered == 3
-        assert operator.sites_used == ("s0", "s1")
         assert "tasks=2" in operator.describe()
 
     def test_schema_mismatch_is_a_protocol_error(self):
         wrong = Schema([Column("Other", STRING)])
 
         def runner(tasks):
-            return [ShardResult("shard0", wrong, [Row(["x"])])]
+            return [ShardResult("shard0", wrong, [("x",)])]
 
         operator = ScatterGatherOperator(self.SCHEMA, ["t0"], runner)
         with pytest.raises(ExecutionError):
@@ -233,7 +231,7 @@ class TestScatterGatherOperator:
         qualified = Schema([Column("Name", STRING, table="T")])
 
         def runner(tasks):
-            return [ShardResult("shard0", qualified, [Row(["x"])])]
+            return [ShardResult("shard0", qualified, [("x",)])]
 
         operator = ScatterGatherOperator(self.SCHEMA, ["t0"], runner)
         assert [tuple(row) for row in operator.run()] == [("x",)]

@@ -293,7 +293,6 @@ class TestEqualArgumentsOfUnequalSize:
     def run(self, operator_class, config):
         from repro.relational.operators.base import CollectingOperator
         from repro.relational.schema import Schema
-        from repro.relational.tuples import Row
         from repro.relational.types import FLOAT, INTEGER
 
         registry = UdfRegistry()
@@ -305,7 +304,7 @@ class TestEqualArgumentsOfUnequalSize:
         # and the strict typed-column builders leave mixed values as a list.
         schema = Schema.of(("Id", INTEGER), ("Arg", FLOAT), table="R")
         child = CollectingOperator(
-            schema, [Row((index, value)) for index, value in enumerate(self.ARGUMENTS)]
+            schema, [(index, value) for index, value in enumerate(self.ARGUMENTS)]
         )
         rows = operator_class(child, udf, ["R.Arg"], context, config).run()
         assert sorted(row[0] for row in rows) == list(range(len(self.ARGUMENTS)))
@@ -352,7 +351,6 @@ class TestEqualArgumentsOfUnequalSize:
         invokes each uncached."""
         from repro.relational.operators.base import CollectingOperator
         from repro.relational.schema import Schema
-        from repro.relational.tuples import Row
         from repro.relational.types import DATA_OBJECT, INTEGER
 
         registry = UdfRegistry()
@@ -361,7 +359,7 @@ class TestEqualArgumentsOfUnequalSize:
         context = RemoteExecutionContext.create(FAST, client=client)
         schema = Schema.of(("Id", INTEGER), ("Arg", DATA_OBJECT), table="R")
         child = CollectingOperator(
-            schema, [Row((0, [2, 1])), Row((1, [1, 2])), Row((2, [2, 1]))]
+            schema, [(0, [2, 1]), (1, [1, 2]), (2, [2, 1])]
         )
         operator = SemiJoinUdfOperator(child, udf, ["R.Arg"], context, StrategyConfig.semi_join())
         assert [tuple(row) for row in operator.run()] == [

@@ -25,7 +25,7 @@ from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
-from repro.relational.tuples import Row, RowBatch, row_size
+from repro.relational.tuples import RowBatch, row_size
 from repro.relational.types import DataObject, DATA_OBJECT, INTEGER, STRING
 from repro.workloads.experiments import run_workload_point
 from repro.workloads.synthetic import SyntheticWorkload
@@ -69,12 +69,12 @@ class TestColumnarRowBatch:
         batch = RowBatch.from_columns([[1, 2, 3], ["a", "b", "c"]])
         assert len(batch) == 3
         assert batch.column(1) == ["a", "b", "c"]
-        # Rows materialise lazily, as Row objects, aligned with the columns.
-        assert batch.rows == [Row((1, "a")), Row((2, "b")), Row((3, "c"))]
-        assert batch[1] == Row((2, "b"))
+        # Rows materialise lazily, as plain tuples, aligned with the columns.
+        assert batch.rows == [(1, "a"), (2, "b"), (3, "c")]
+        assert batch[1] == (2, "b")
 
     def test_rows_construction_transposes_lazily(self):
-        batch = RowBatch([Row((1, 10)), Row((2, 20))])
+        batch = RowBatch([(1, 10), (2, 20)])
         assert batch.columns == [[1, 2], [10, 20]]
 
     def test_project_is_column_wise_and_shares_columns(self):
@@ -82,7 +82,7 @@ class TestColumnarRowBatch:
         projected = batch.project((2, 0))
         # The projection selects column references — no copy, no row objects.
         assert projected.columns[0] is batch.columns[2]
-        assert projected.rows == [Row((5, 1)), Row((6, 2))]
+        assert projected.rows == [(5, 1), (6, 2)]
 
     def test_filter_on_columnar_batch(self):
         batch = RowBatch.from_columns([[1, 2, 3, 4]])
@@ -98,16 +98,16 @@ class TestColumnarRowBatch:
 
     def test_getitem_supports_slices_on_both_representations(self):
         columnar = RowBatch.from_columns([[1, 2, 3], [4, 5, 6]])
-        rowwise = RowBatch([Row((1, 4)), Row((2, 5)), Row((3, 6))])
-        assert columnar[0:2] == rowwise[0:2] == [Row((1, 4)), Row((2, 5))]
-        assert columnar[-1] == rowwise[-1] == Row((3, 6))
+        rowwise = RowBatch([(1, 4), (2, 5), (3, 6)])
+        assert columnar[0:2] == rowwise[0:2] == [(1, 4), (2, 5)]
+        assert columnar[-1] == rowwise[-1] == (3, 6)
 
     def test_take_and_key_tuples(self):
         batch = RowBatch.from_columns([[1, 2, 3], ["a", "b", "c"]])
         assert batch.key_tuples() == [(1, "a"), (2, "b"), (3, "c")]
         assert batch.key_tuples((1,)) == [("a",), ("b",), ("c",)]
         taken = batch.take([2, 0])
-        assert taken.rows == [Row((3, "c")), Row((1, "a"))]
+        assert taken.rows == [(3, "c"), (1, "a")]
         # Taking every row returns the batch itself.
         assert batch.take([0, 1, 2]) is batch
 
@@ -121,8 +121,8 @@ class TestColumnarRowBatch:
     def test_size_bytes_uses_fixed_width_plan(self):
         schema = Schema.of(("k", INTEGER), ("s", STRING), ("o", DATA_OBJECT))
         rows = [
-            Row((1, "ab", DataObject(100, seed=1))),
-            Row((None, None, DataObject(50, seed=2))),
+            (1, "ab", DataObject(100, seed=1)),
+            (None, None, DataObject(50, seed=2)),
         ]
         batch = RowBatch(rows)
         expected = sum(row_size(row, schema) for row in rows)

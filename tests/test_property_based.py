@@ -39,7 +39,7 @@ from repro.relational.operators import Distinct, HashJoin, Sort, TableScan
 from repro.relational.keys import KeyCodes, _NullsFirstKey, nulls_first_order
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.tuples import Row, RowBatch, row_size, values_size
+from repro.relational.tuples import RowBatch, columns_of, row_size, values_size
 from repro.relational.types import (
     BOOLEAN,
     DATA_OBJECT,
@@ -319,7 +319,7 @@ def test_bulk_row_sizes_match_the_scalar_sizers(case, typed):
     schema and 4 by value; a ``bool`` never enters a numeric column)."""
     dtypes, rows = case
     schema = Schema.of(*((f"c{index}", dtype) for index, dtype in enumerate(dtypes)))
-    batch = RowBatch([Row(row) for row in rows])
+    batch = RowBatch([tuple(row) for row in rows])
     if typed:
         batch.ensure_typed(schema)
     positions = list(range(len(dtypes)))
@@ -499,7 +499,7 @@ def test_hash_join_is_the_nested_loop_join(case, typed, batch_size):
 
     def leaf(table, rows):
         schema = Schema.of(*((f"c{i}", dtype) for i, dtype in enumerate(dtypes)), table=table)
-        batch = RowBatch([Row(row) for row in rows])
+        batch = RowBatch([tuple(row) for row in rows])
         if typed:
             batch.ensure_typed(schema)
         return CollectingOperator(schema, batch)
@@ -518,6 +518,98 @@ def test_hash_join_is_the_nested_loop_join(case, typed, batch_size):
         if None not in l[:width] and tuple(l[:width]) == tuple(r[:width])
     ]
     assert _same_values(join.run()) == _same_values(expected)
+
+
+#: Column values by type for the layout property: NULLs, NaNs and series
+#: included, typed-eligible types (INTEGER / FLOAT / BOOLEAN) among them.
+_LAYOUT_VALUES = {**_DTYPE_VALUES, FLOAT: st.one_of(_DTYPE_VALUES[FLOAT], st.just(_NAN))}
+
+
+@st.composite
+def _batch_layouts(draw):
+    """The rows of 0-4 typed columns (0-6 of them) and the arguments of each reading."""
+    dtypes = draw(st.lists(st.sampled_from(list(_LAYOUT_VALUES)), max_size=4))
+    row = st.tuples(*(st.one_of(st.none(), _LAYOUT_VALUES[dtype]) for dtype in dtypes))
+    rows = draw(st.lists(row, max_size=6))
+    n, width = len(rows), len(dtypes)
+    return {
+        "schema": Schema.of(*((f"c{index}", dtype) for index, dtype in enumerate(dtypes))),
+        "rows": rows,
+        "typed": draw(st.booleans()),
+        # ``slice`` takes non-negative bounds; ``[a:b]`` any.
+        "bounds": draw(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))),
+        "items": draw(st.tuples(st.integers(-n - 1, n + 1), st.integers(-n - 1, n + 1))),
+        "take": draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else [],
+        "mask": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        "positions": draw(st.lists(st.integers(0, width - 1), max_size=3)) if width else [],
+    }
+
+
+@given(_batch_layouts())
+@settings(max_examples=200, deadline=None)
+def test_a_batch_built_from_rows_is_the_batch_of_their_columns(case):
+    """``RowBatch(rows)`` transposes once.  Every reading of it, and of the
+    batch built from the same columns — typed where eligible, or not —
+    equals that reading of the rows themselves: NULLs, NaNs, series, empty
+    and zero-width batches included.  An empty batch built from rows has no
+    columns (no row tells its width)."""
+    schema, rows = case["schema"], case["rows"]
+    n = len(rows)
+    from_rows = RowBatch(rows)
+    from_columns = RowBatch.from_columns(columns_of(rows, len(schema)), n)
+    if case["typed"]:
+        from_columns.ensure_typed(schema)
+    start, stop = case["bounds"]
+    first, last = case["items"]
+    positions, take, mask = case["positions"], case["take"], case["mask"]
+
+    def keep(row):
+        return len(repr(row)) % 2 == 0
+
+    def readings(batch):
+        return [
+            _same_values(batch.rows),
+            _same_values(batch),
+            _same_values([batch[index] for index in range(-n, n)]),
+            _same_values(batch[first:last]),
+            _same_values(batch.slice(start, stop).rows),
+            len(batch.slice(start, stop)),
+            _same_values(batch.take(take).rows),
+            _same_values(batch.take_mask(mask).rows),
+            _same_values(batch.filter(keep).rows),
+            _same_values(batch.project(positions).rows),
+            _same_values(batch.key_tuples(positions)),
+            _same_values(batch.key_tuples()),
+            batch.size_bytes(schema),
+            batch.row_sizes(schema),
+            batch.values_bytes(),
+            len(batch),
+        ]
+
+    projected = [tuple(row[position] for position in positions) for row in rows]
+    assert readings(from_rows) == readings(from_columns) == [
+        _same_values(rows),
+        _same_values(rows),
+        _same_values([rows[index] for index in range(-n, n)]),
+        _same_values(rows[first:last]),
+        _same_values(rows[start:stop]),
+        len(rows[start:stop]),
+        _same_values([rows[index] for index in take]),
+        _same_values([row for row, flag in zip(rows, mask) if flag]),
+        _same_values([row for row in rows if keep(row)]),
+        _same_values(projected),
+        _same_values(projected),
+        _same_values(rows),
+        sum(row_size(row, schema) for row in rows),
+        [row_size(row, schema) for row in rows],
+        sum(values_size(row) for row in rows),
+        n,
+    ]
+    assert all(type(row) is tuple for row in from_rows.rows + from_columns.rows)
+    if n:
+        assert _same_values(from_rows.columns) == _same_values(from_columns.columns)
+    else:
+        assert from_rows.columns == []
 
 
 # ---------------------------------------------------------------------------

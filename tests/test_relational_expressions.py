@@ -20,7 +20,6 @@ from repro.relational.predicates import (
 )
 from repro.relational.schema import Schema
 from repro.relational.statistics import compute_table_statistics
-from repro.relational.tuples import Row
 from repro.relational.types import FLOAT, INTEGER, STRING
 
 
@@ -31,7 +30,7 @@ def schema():
 
 @pytest.fixture
 def row():
-    return Row([4, 2.5, "ann"])
+    return (4, 2.5, "ann")
 
 
 class TestEvaluation:
@@ -46,7 +45,7 @@ class TestEvaluation:
         assert Comparison("<>", ColumnRef("name"), Literal("bob")).evaluate(row, schema) is True
 
     def test_comparison_with_null_is_null(self, schema):
-        row = Row([None, 1.0, "x"])
+        row = (None, 1.0, "x")
         assert Comparison("=", ColumnRef("a"), Literal(1)).evaluate(row, schema) is None
 
     def test_arithmetic(self, schema, row):
@@ -56,7 +55,7 @@ class TestEvaluation:
             Arithmetic("/", ColumnRef("a"), Literal(0)).evaluate(row, schema)
 
     def test_boolean_three_valued_logic(self, schema):
-        row = Row([None, 2.0, "x"])
+        row = (None, 2.0, "x")
         null_comparison = Comparison("=", ColumnRef("a"), Literal(1))
         false_comparison = Comparison(">", ColumnRef("b"), Literal(5))
         true_comparison = Comparison("<", ColumnRef("b"), Literal(5))
@@ -130,7 +129,7 @@ class TestStructure:
 class TestSelectivity:
     def test_equality_uses_distinct_counts(self):
         schema = Schema.of(("k", INTEGER),)
-        stats = compute_table_statistics(schema, [Row([i % 4]) for i in range(20)])
+        stats = compute_table_statistics(schema, [(i % 4,) for i in range(20)])
         expr = Comparison("=", ColumnRef("k"), Literal(1))
         assert estimate_selectivity(expr, stats) == pytest.approx(0.25)
 

@@ -13,13 +13,11 @@ from repro.relational.operators import (
     NestedLoopJoin,
     Project,
     ProjectExpressions,
-    RowSource,
     Sort,
     TableScan,
 )
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.tuples import Row
 from repro.relational.types import FLOAT, INTEGER, STRING
 
 
@@ -70,14 +68,9 @@ class TestScansAndFilters:
         filtered = Filter(TableScan(table), Comparison(">", ColumnRef("v"), Literal(0)))
         assert len(filtered.run()) == 2
 
-    def test_row_source(self):
-        schema = Schema.of(("x", INTEGER))
-        source = RowSource(schema, lambda: [(1,), (2,)])
-        assert [tuple(row) for row in source.run()] == [(1,), (2,)]
-
     def test_collecting_operator(self):
         schema = Schema.of(("x", INTEGER))
-        op = CollectingOperator(schema, [Row([1]), Row([2])])
+        op = CollectingOperator(schema, [(1,), (2,)])
         assert len(op.run()) == 2
         assert "Collected" in op.describe()
 

@@ -7,7 +7,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.schema import Column, Schema
 from repro.relational.statistics import compute_table_statistics, scale_statistics
 from repro.relational.table import Table
-from repro.relational.tuples import Row, row_size, values_size
+from repro.relational.tuples import row_size, values_size
 from repro.relational.types import DataObject, DATA_OBJECT, FLOAT, INTEGER, STRING
 
 
@@ -63,19 +63,8 @@ class TestSchema:
 
 
 class TestRow:
-    def test_project_concat_append_replace(self):
-        row = Row([1, "a", 3.0])
-        assert tuple(row.project((2, 0))) == (3.0, 1)
-        assert tuple(row.concat(["x"])) == (1, "a", 3.0, "x")
-        assert tuple(row.append(None)) == (1, "a", 3.0, None)
-        assert tuple(row.replace(1, "b")) == (1, "b", 3.0)
-
-    def test_as_dict_uses_qualified_names(self, people_schema):
-        row = Row(["ann", 30])
-        assert row.as_dict(people_schema) == {"people.name": "ann", "people.age": 30}
-
     def test_row_size_matches_column_types(self, people_schema):
-        row = Row(["ann", 30])
+        row = ("ann", 30)
         assert row_size(row, people_schema) == (4 + 3) + 4
 
     def test_values_size_generic(self):
@@ -90,13 +79,6 @@ class TestTable:
             table.insert(["bob"])
         with pytest.raises(TypeMismatchError):
             table.insert(["bob", "old"])
-
-    def test_insert_dicts(self, people_schema):
-        table = Table("people", people_schema)
-        table.insert_dicts([{"name": "ann", "age": 30}, {"age": 40, "name": "bob"}])
-        assert len(table) == 2
-        with pytest.raises(SchemaError):
-            table.insert_dicts([{"name": "c", "height": 2}])
 
     def test_statistics_cached_and_invalidated(self, people_schema):
         table = Table("people", people_schema, rows=[["ann", 30], ["bob", 30]])
@@ -144,7 +126,7 @@ class TestCatalog:
 class TestStatistics:
     def test_compute_table_statistics(self):
         schema = Schema.of(("k", INTEGER), ("v", STRING))
-        rows = [Row([1, "a"]), Row([1, "b"]), Row([2, None])]
+        rows = [(1, "a"), (1, "b"), (2, None)]
         stats = compute_table_statistics(schema, rows)
         assert stats.row_count == 3
         assert stats.column("k").distinct_count == 2
@@ -154,14 +136,14 @@ class TestStatistics:
 
     def test_distinct_fraction_and_size_fraction(self):
         schema = Schema.of(("k", INTEGER), ("v", STRING))
-        rows = [Row([i % 2, "xx"]) for i in range(10)]
+        rows = [(i % 2, "xx") for i in range(10)]
         stats = compute_table_statistics(schema, rows)
         assert stats.distinct_fraction(["k"]) == pytest.approx(0.2)
         assert 0.0 < stats.column_size_fraction(["k"]) < 1.0
 
     def test_scale_statistics_clamps(self):
         schema = Schema.of(("k", INTEGER),)
-        rows = [Row([i]) for i in range(10)]
+        rows = [(i,) for i in range(10)]
         stats = compute_table_statistics(schema, rows)
         scaled = scale_statistics(stats, 0.3)
         assert scaled.row_count == 3
@@ -170,5 +152,5 @@ class TestStatistics:
 
     def test_unknown_column_gets_neutral_default(self):
         schema = Schema.of(("k", INTEGER),)
-        stats = compute_table_statistics(schema, [Row([1])])
+        stats = compute_table_statistics(schema, [(1,)])
         assert stats.column("missing").distinct_count >= 1
