@@ -81,10 +81,9 @@ class _BatchRows:
     """Payload rows held as a columnar :class:`RowBatch` or as value tuples.
 
     The execution operators hand over whole :class:`RowBatch` es, so column
-    buffers (typed arrays included) travel by reference end to end; tests and
-    older call sites still pass plain row tuples.  Either reading — ``batch``
-    or ``rows`` — is available whatever was stored, converted lazily and
-    cached.
+    lists travel by reference end to end; tests and older call sites still
+    pass plain row tuples.  Either reading — ``batch`` or ``rows`` — is
+    available whatever was stored, converted lazily and cached.
     """
 
     __slots__ = ("_batch", "_row_tuples")

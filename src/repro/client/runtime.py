@@ -34,8 +34,6 @@ from repro.network.message import (
     is_end_of_stream,
 )
 from repro.network.simulator import Simulator
-from repro.relational.columns import build_typed_column
-from repro.relational.kernels import compile_filter
 from repro.relational.tuples import RowBatch
 
 
@@ -74,8 +72,8 @@ class ClientRuntime:
         #: client-side view of the batching the server actually achieved.
         self.batches_handled = 0
         self.largest_batch = 0
-        #: The pushed predicate compiled last, with the PushedOperations
-        #: object it belongs to.
+        #: The pushed predicate bound last, with the PushedOperations object
+        #: it belongs to.
         self._pushed_filter: Optional[Tuple[PushedOperations, Callable]] = None
 
     # -- lifecycle -------------------------------------------------------------------
@@ -148,14 +146,7 @@ class ClientRuntime:
             compute += cost
             result_columns.append(results)
 
-        extended = RowBatch.from_columns(
-            list(record.columns)
-            + [
-                build_typed_column(column, udf.result_dtype) or column
-                for udf, column in zip(udfs, result_columns)
-            ],
-            len(record),
-        )
+        extended = RowBatch.from_columns(list(record.columns) + result_columns, len(record))
         surviving, origins = self._apply_pushed_operations(batch, extended)
         self.rows_returned += len(surviving)
         return compute, batch_message(
@@ -181,11 +172,19 @@ class ClientRuntime:
         pushed = batch.pushed
         if pushed.predicate is not None and pushed.extended_schema is not None:
             # Every record batch of one client-site join carries the same
-            # PushedOperations object: compile its predicate once per
-            # operator, not once per batch.
+            # PushedOperations object: bind its predicate once per operator,
+            # not once per batch.
             if self._pushed_filter is None or self._pushed_filter[0] is not pushed:
-                self._pushed_filter = (pushed, self._compile_pushed_filter(pushed))
-            origins = self._pushed_filter[1](extended)
+                self._pushed_filter = (
+                    pushed,
+                    pushed.predicate.bind(
+                        pushed.extended_schema, self.registry.callables(UdfSite.CLIENT)
+                    ),
+                )
+            keep = self._pushed_filter[1]
+            origins = [
+                index for index, values in enumerate(extended.key_tuples()) if keep(values)
+            ]
             surviving = extended.take(origins)
         else:
             surviving = extended
@@ -193,34 +192,6 @@ class ClientRuntime:
         if pushed.projection is not None:
             surviving = surviving.project(pushed.projection)
         return surviving, origins
-
-    def _compile_pushed_filter(
-        self, pushed: PushedOperations
-    ) -> Callable[[RowBatch], List[int]]:
-        """``extended batch -> surviving row indexes`` for a pushed predicate.
-
-        The column kernel answers when it can; the scalar predicate is bound
-        on the first batch that needs it.
-        """
-        kernel = compile_filter(pushed.predicate, pushed.extended_schema)
-        bound = None
-
-        def origins_of(extended: RowBatch) -> List[int]:
-            nonlocal bound
-            mask = kernel(extended) if kernel is not None else None
-            if mask is not None:
-                return mask.nonzero()[0].tolist()
-            if bound is None:
-                bound = pushed.predicate.bind(
-                    pushed.extended_schema, self.registry.callables(UdfSite.CLIENT)
-                )
-            return [
-                index
-                for index, values in enumerate(extended.key_tuples())
-                if bound(values)
-            ]
-
-        return origins_of
 
     def _invoke_batch(
         self, udf: UdfDefinition, argument_tuples: Sequence[Sequence[Any]]

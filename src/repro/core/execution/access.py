@@ -42,7 +42,7 @@ class IndexScanOperator(Operator):
     walks its leaf chain between the bounds, a hash index (equality only)
     probes the interval's single key, and an empty interval reads nothing.
     Matching RIDs are fetched from the slotted-page heap through the buffer
-    pool and emitted as typed columnar batches, so everything downstream
+    pool and emitted as columnar batches, so everything downstream
     composes exactly as over a :class:`~repro.relational.operators.scan.
     TableScan`.  ``column`` is the indexed column as the query wrote it;
     the lookup is booked on ``context``.
@@ -88,7 +88,7 @@ class IndexScanOperator(Operator):
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         storage = self.table.storage
         rows = [storage.fetch_row(rid) for rid in self._matching_rids()]
-        batch = RowBatch(rows).ensure_typed(self.schema)
+        batch = RowBatch(rows)
         for start in range(0, len(batch), batch_size):
             yield batch.slice(start, start + batch_size)
 

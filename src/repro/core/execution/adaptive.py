@@ -426,8 +426,7 @@ class PlanMigrationOperator(Operator):
         unprocessed tail; precomputing suffix sums keeps each boundary O(1)
         instead of rescanning the tail (which would make long adaptive runs
         quadratic in the input size).  The per-row sizes come off the column
-        buffers in bulk (constant-folded for NULL-free typed columns), and
-        only columns the bound controller prices are sized.
+        lists in bulk, and only columns the bound controller prices are sized.
         """
         self._suffix_record_bytes = _suffix_sums(batch.row_sizes(self.child_schema))
         self._suffix_argument_bytes: Dict[str, List[float]] = {}

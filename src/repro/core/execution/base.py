@@ -13,7 +13,6 @@ from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
 from repro.network.message import Message, MessageKind, is_end_of_stream
-from repro.relational.columns import build_typed_column
 from repro.relational.expressions import Expression
 from repro.relational.keys import KeyCodes
 from repro.relational.operators.base import Operator
@@ -321,9 +320,8 @@ class RemoteUdfOperator(Operator):
         return batch.take(order), coded.take(order)
 
     def extended_batch(self, batch: RowBatch, results: List[Any]) -> RowBatch:
-        """The input batch plus the UDF result column (typed when eligible)."""
-        column = build_typed_column(results, self.udf.result_dtype) or results
-        return RowBatch.from_columns(list(batch.columns) + [column], len(batch))
+        """The input batch plus the UDF result column."""
+        return RowBatch.from_columns(list(batch.columns) + [results], len(batch))
 
     def check_reply(self, message: Message) -> Message:
         """Raise :class:`ExecutionError` when the client reported a failure."""

@@ -25,7 +25,6 @@ from repro.core.strategies import StrategyConfig
 from repro.client.udf import UdfDefinition
 from repro.network.message import MessageKind, batch_message, end_of_stream
 from repro.relational.expressions import Expression
-from repro.relational.kernels import compile_filter
 from repro.relational.operators.base import Operator
 from repro.relational.tuples import RowBatch, concat_batches
 
@@ -163,13 +162,7 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
     ) -> RowBatch:
         """Apply whatever was *not* pushed to the client, so results are identical."""
         if not pushed_predicate and self.pushable_predicate is not None:
-            kernel = compile_filter(self.pushable_predicate, self.extended_schema)
-            mask = kernel(batch) if kernel is not None else None
-            if mask is not None:
-                batch = batch.take_mask(mask)
-            else:
-                bound = self.pushable_predicate.bind(self.extended_schema)
-                batch = batch.filter(bound)
+            batch = batch.filter(self.pushable_predicate.bind(self.extended_schema))
         if not pushed_projection and self._projection_positions is not None:
             batch = batch.project(self._projection_positions)
         return batch

@@ -1,10 +1,11 @@
 """Transfer statistics for links and channels.
 
 Counters exist at two granularities: the per-link totals the cost model is
-validated against, and — on shared (multi-tenant) links — per-*flow*
-sub-counters keyed by the session that sent each message.  The per-flow
-counters are what fair-queueing attribution and the tenancy fairness metrics
-read; they always sum to the link totals when every message carries a flow.
+validated against, and — on shared (multi-tenant) trunks — per-*flow*
+shares keyed by the session that sent each message, folded from the session
+links' own ledgers.  The per-flow shares are what fair-queueing attribution
+and the tenancy fairness metrics read; they sum to the trunk totals, since
+every link that sends on a trunk is attached to it.
 """
 
 from __future__ import annotations
@@ -120,41 +121,16 @@ FlowStats = TransferCounters
 class LinkStats(TransferCounters):
     """The live accounting of one directed link, or of a trunk many links share.
 
-    The split by session flow has two sources.  A message recorded with a
-    ``flow`` is booked into that flow's child as well as the totals.  A
-    shared trunk instead *adopts* the ledger of every session link it
-    serialises for (:meth:`adopt`): such a link carries exactly one flow and
-    books each of its messages itself, so the trunk books a message once, into
-    its own totals, and folds the adopted ledgers by flow when :attr:`flows`
-    is read.  A message is thus recorded once per ledger it belongs to.
+    A shared trunk splits its traffic by session flow from one source: it
+    *adopts* the ledger of every session link it serialises for
+    (:meth:`adopt`).  Such a link carries exactly one flow and books each of
+    its messages itself, so the trunk books a message once, into its own
+    totals, and folds the adopted ledgers by flow when :attr:`flows` is read.
+    A message is thus recorded once per ledger it belongs to.
     """
 
     def __post_init__(self) -> None:
-        self._recorded: Dict[str, FlowStats] = {}
         self._adopted: Dict[str, List[TransferCounters]] = {}
-
-    def record(
-        self,
-        message: "Message",
-        queued_for: float,
-        transmission: float,
-        flow: Optional[str] = None,
-    ) -> None:
-        # Once or twice per wire message: the body stays flat instead of
-        # calling the inherited ``record`` (measured on scatter_sharded).
-        self.message_count += 1
-        if message.is_data:
-            self.data_message_count += 1
-        self.total_bytes += message.size_bytes
-        self.payload_bytes += message.payload_bytes
-        self.rows_transferred += message.row_count
-        self.busy_seconds += transmission
-        self.queueing_seconds += queued_for
-        if flow is not None:
-            counters = self._recorded.get(flow)
-            if counters is None:
-                counters = self._recorded[flow] = FlowStats(flow)
-            counters.record(message, queued_for=queued_for, transmission=transmission)
 
     def adopt(self, flow: str, ledger: TransferCounters) -> None:
         """Count ``ledger`` — a session link's own — as part of ``flow``'s share."""
@@ -162,24 +138,17 @@ class LinkStats(TransferCounters):
 
     def flow(self, name: str) -> FlowStats:
         """The named flow's counters (all-zero if the flow never sent)."""
-        return sum(self._adopted.get(name, ()), self._recorded.get(name) or FlowStats(name))
+        return sum(self._adopted.get(name, ()), FlowStats(name))
 
     @property
     def flows(self) -> Dict[str, FlowStats]:
         """Per-session-flow sub-counters, one per flow that has sent anything."""
-        shares = map(self.flow, dict.fromkeys((*self._recorded, *self._adopted)))
+        shares = map(self.flow, self._adopted)
         return {share.name: share for share in shares if share.message_count}
 
     def flow_bytes(self) -> Dict[str, int]:
         """Total bytes per flow, the fairness metrics' input."""
         return {name: counters.total_bytes for name, counters in self.flows.items()}
-
-    def __add__(self, other: "LinkStats") -> "LinkStats":
-        total = LinkStats(**vars(super().__add__(other)))
-        for source in (self, other):
-            for name, counters in source.flows.items():
-                total._recorded[name] = total.flow(name) + counters
-        return total
 
     def __str__(self) -> str:
         return (

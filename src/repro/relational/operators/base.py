@@ -127,8 +127,8 @@ class CollectingOperator(Operator):
     """A leaf operator over already materialised rows (or a whole batch).
 
     Accepts a :class:`RowBatch` directly so columnar callers (segmented
-    adaptive execution re-running a slice of its input) keep typed column
-    buffers through the leaf instead of round-tripping via rows.
+    adaptive execution re-running a slice of its input) keep their column
+    lists through the leaf instead of round-tripping via rows.
     """
 
     def __init__(self, schema: Schema, rows) -> None:

@@ -48,8 +48,8 @@ class HashJoin(Operator):
         if not batch:
             return []
         if len(positions) == 1:
-            return batch.column_values(positions[0])
-        return combine_codes([code(batch.column_values(p), i) for p, i in zip(positions, indexes)])
+            return batch.column(positions[0])
+        return combine_codes([code(batch.column(p), i) for p, i in zip(positions, indexes)])
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         left, right = self.children

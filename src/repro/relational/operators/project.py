@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.expressions import ColumnRef, Expression, ScalarFunction
-from repro.relational.kernels import compile_expression
 from repro.relational.operators.base import Operator
 from repro.relational.schema import Column, Schema
 from repro.relational.tuples import RowBatch
@@ -60,31 +59,23 @@ class ProjectExpressions(Operator):
         self.schema = Schema(columns)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
-        # Per-output plans, resolved once: plain column references share the
-        # child's column buffer, vectorizable expressions run as kernels, and
-        # everything else evaluates scalar over plain value tuples.
+        # Per-output plans, resolved once: a plain column reference shares the
+        # child's column list, anything else evaluates over plain value tuples.
         child_schema = self.child().output_schema()
         plans = []
         for _, expression, _ in self.outputs:
             if isinstance(expression, ColumnRef):
-                plans.append(("ref", child_schema.index_of(expression.name), None))
+                plans.append((child_schema.index_of(expression.name), None))
             else:
-                kernel = compile_expression(expression, child_schema)
-                mode = "kernel" if kernel is not None else "scalar"
-                plans.append((mode, kernel, expression))
+                plans.append((None, expression))
         bound_cache: dict = {}
         for batch in self.child().execute_batches(batch_size):
             columns = []
             tuples = None
-            for index, (mode, payload, expression) in enumerate(plans):
-                if mode == "ref":
-                    columns.append(batch.columns[payload])
+            for index, (position, expression) in enumerate(plans):
+                if position is not None:
+                    columns.append(batch.columns[position])
                     continue
-                if mode == "kernel":
-                    column = payload(batch)
-                    if column is not None:
-                        columns.append(column)
-                        continue
                 bound = bound_cache.get(index)
                 if bound is None:
                     bound = bound_cache[index] = expression.bind(

@@ -27,8 +27,8 @@ class TableScan(Operator):
         self.schema = base.qualify(self.alias)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
-        # Slice the table's cached columnar batch so typed column buffers
-        # built once at ingestion flow into the pipeline.
+        # Slice the table's cached columnar batch so the columns transposed
+        # once at ingestion flow into the pipeline.
         batch = self.table.as_batch()
         for start in range(0, len(batch), batch_size):
             yield batch.slice(start, start + batch_size)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Union
 
-from repro.relational import columns as typed_columns
-from repro.relational.columns import vectorization_enabled
 from repro.relational.keys import KeyCodes
 from repro.relational.operators.base import Operator, OperatorError
 from repro.relational.tuples import RowBatch, concat_batches
@@ -57,11 +55,8 @@ class Sort(Operator):
     def _sort_order(self, batch: RowBatch) -> List[int]:
         """Row order after sorting, computed on key columns only.
 
-        Single typed NULL-free ascending keys argsort in NumPy (stable, like
-        ``list.sort``); everything else — multi-key, descending, NULLs,
-        untyped columns, NaNs (whose ordering must match Python's) — uses the
-        stable scalar sort with the NULLs-first key (:meth:`KeyCodes.order`):
-        once over the whole key when every column runs the same way, else one
+        A stable sort with the NULLs-first key (:meth:`KeyCodes.order`): once
+        over the whole key when every column runs the same way, else one
         stable pass per column from the last to the first.
         """
         positions = self._positions
@@ -70,19 +65,11 @@ class Sort(Operator):
         if len(set(self.descending)) > 1:
             order = list(range(len(batch)))
             for position, descending in reversed(list(zip(positions, self.descending))):
-                values = list(map(batch.column_values(position).__getitem__, order))
+                values = list(map(batch.column(position).__getitem__, order))
                 keys = KeyCodes.of_columns([values], len(values))
                 order = [order[place] for place in keys.order(reverse=descending)]
             return order
-        descending = self.descending[0]
-        if len(positions) == 1 and not descending and vectorization_enabled():
-            column = batch.typed_column(positions[0])
-            if column is not None and column.null_count == 0:
-                data = column.data
-                np = typed_columns.np
-                if column.dtype_name != "FLOAT" or not np.isnan(data).any():
-                    return np.argsort(data, kind="stable").tolist()
-        return batch.encode(positions).order(reverse=descending)
+        return batch.encode(positions).order(reverse=self.descending[0])
 
     def describe(self) -> str:
         keys = (

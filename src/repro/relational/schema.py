@@ -32,7 +32,7 @@ class NeededColumns:
     still needed above it (the paper's pushable projection), and all by this
     rule: a column is kept when it is needed under its own name, or when its
     bare name is the bare name of a needed column — whatever the qualifiers
-    (needing ``A.K`` keeps ``B.K``: the qualifier-blind rule ROADMAP item 4
+    (needing ``A.K`` keeps ``B.K``: the qualifier-blind rule ROADMAP item 5(a)
     still has to replace; ``docs/design.md``, "Names").
     """
 

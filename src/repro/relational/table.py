@@ -131,19 +131,16 @@ class Table:
         return iter(self.rows)
 
     def as_batch(self) -> RowBatch:
-        """The whole table as one :class:`RowBatch`.
+        """The whole table as one :class:`RowBatch`, its rows transposed once.
 
-        Fixed-width columns are upgraded to typed buffers once here — the
-        ingestion point — so every scan hands typed columns to the pipeline
-        without re-scanning values.  The in-memory path caches the batch
-        until mutation; the paged path re-reads the heap through the buffer
-        pool on every call, which is what makes the pool's hit/miss/eviction
-        counters meaningful.
+        The in-memory path caches the batch until mutation; the paged path
+        re-reads the heap through the buffer pool on every call, which is
+        what makes the pool's hit/miss/eviction counters meaningful.
         """
         if self._storage is not None:
-            return RowBatch(self._storage.scan()).ensure_typed(self.schema)
+            return RowBatch(self._storage.scan())
         if self._batch is None:
-            self._batch = RowBatch(self._rows).ensure_typed(self.schema)
+            self._batch = RowBatch(self._rows)
         return self._batch
 
     def indexes(self) -> Dict[str, Any]:

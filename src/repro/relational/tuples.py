@@ -10,21 +10,17 @@ to each other and that the execution strategies ship over the network in a
 single message.  Batches carry no schema of their own — like rows, they are
 aligned with the producing operator's schema.
 
-A batch's column entries are either plain Python lists or
-:class:`~repro.relational.columns.TypedColumn` buffers (fixed-width columns
-upgraded via :meth:`RowBatch.ensure_typed`).  Both kinds support the same
-read protocol (``len``, indexing, iteration, ``count``), so operator code
-that walks values works unchanged, while kernels and sizing take the typed
-fast path when it is available.
+Every column of a batch is a plain Python list of plain values: there is
+one data plane, and the values an operator reads are the values SQL
+semantics are defined on (Python ints never wrap, an int compares with a
+float exactly).
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.relational.columns import TypedColumn, build_typed_column
 from repro.relational.keys import KeyCodes
 from repro.relational.schema import Schema
 from repro.relational.types import value_size, value_sizes
@@ -34,35 +30,18 @@ from repro.relational.types import value_size, value_sizes
 #: consumed pipelines (LIMIT) do not overshoot badly.
 DEFAULT_BATCH_SIZE = 1024
 
-#: One column of a batch: a plain value list or a typed buffer.
-ColumnData = Union[List[Any], TypedColumn]
-
-
-def _as_list(column: ColumnData) -> List[Any]:
-    """A column's values as a plain list (cached inside typed columns)."""
-    return column.to_list() if isinstance(column, TypedColumn) else column
-
-
-def _null_free_typed(column: ColumnData) -> bool:
-    """Whether every row sizes alike: the strict builders guarantee a typed
-    column's non-NULL values size at exactly its width, by schema and by value."""
-    return isinstance(column, TypedColumn) and column.null_count == 0
-
-
 class RowBatch:
     """An ordered run of rows processed as one unit by batch operators.
 
-    A batch is its columns: one column buffer per column — a plain Python
-    list, or a :class:`TypedColumn` for fixed-width data — so projection
-    selects column references (O(columns), no per-row objects), predicate
-    evaluation runs vectorized kernels or walks plain value tuples, and wire
-    sizing prices fixed-width columns arithmetically.  Built from rows, the
-    batch transposes them once; its rows are a tuple per row, built from the
-    columns only when a consumer asks for them (a query's result rows,
-    row-at-a-time operators) and cached.  Batches are immutable by
-    convention: every operation builds a new batch, and column buffers may be
-    shared between batches, so callers must never mutate ``rows`` or
-    ``columns``.
+    A batch is its columns: one plain Python list per column — so projection
+    selects column references (O(columns), no per-row objects), predicates
+    walk plain value tuples, and wire sizing prices fixed-width columns
+    arithmetically.  Built from rows, the batch transposes them once; its
+    rows are a tuple per row, built from the columns only when a consumer
+    asks for them (a query's result rows, row-at-a-time operators) and
+    cached.  Batches are immutable by convention: every operation builds a
+    new batch, and column lists may be shared between batches, so callers
+    must never mutate ``rows`` or ``columns``.
     """
 
     __slots__ = ("_rows", "_columns", "_length", "_size_memo")
@@ -70,7 +49,7 @@ class RowBatch:
     def __init__(self, rows: Iterable[Sequence[Any]]) -> None:
         materialised = rows if isinstance(rows, list) else list(rows)
         self._rows: Optional[List[Tuple[Any, ...]]] = None
-        self._columns: List[ColumnData] = (
+        self._columns: List[List[Any]] = (
             columns_of(materialised, len(materialised[0])) if materialised else []
         )
         self._length = len(materialised)
@@ -78,13 +57,12 @@ class RowBatch:
 
     @classmethod
     def from_columns(
-        cls, columns: Sequence[ColumnData], length: Optional[int] = None
+        cls, columns: Sequence[Sequence[Any]], length: Optional[int] = None
     ) -> "RowBatch":
-        """A batch over pre-built column buffers (not copied — do not mutate)."""
+        """A batch over pre-built column lists (not copied — do not mutate)."""
         batch = cls.__new__(cls)
         column_list = [
-            column if isinstance(column, (list, TypedColumn)) else list(column)
-            for column in columns
+            column if isinstance(column, list) else list(column) for column in columns
         ]
         batch._rows = None
         batch._columns = column_list
@@ -105,44 +83,13 @@ class RowBatch:
         return rows
 
     @property
-    def columns(self) -> List[ColumnData]:
-        """The batch's column buffers."""
+    def columns(self) -> List[List[Any]]:
+        """The batch's column lists."""
         return self._columns
 
-    def column(self, position: int) -> ColumnData:
-        """One column's buffer (a list or a :class:`TypedColumn`), in row order."""
-        return self.columns[position]
-
-    def column_values(self, position: int) -> List[Any]:
-        """One column's values as a plain Python list, in row order."""
-        return _as_list(self.columns[position])
-
-    def typed_column(self, position: int) -> Optional[TypedColumn]:
-        """The column's typed buffer, or None when it is stored as a list."""
-        entry = self._columns[position]
-        return entry if isinstance(entry, TypedColumn) else None
-
-    def ensure_typed(self, schema: Schema) -> "RowBatch":
-        """Upgrade eligible fixed-width columns to typed buffers, in place.
-
-        Only the batch's own column container is touched (buffers shared
-        with other batches are replaced in this container, never mutated),
-        and values are unchanged — the upgrade is invisible to every reader.
-        Returns the batch itself for chaining.
-        """
-        if not self._length:
-            return self
-        fixed, _ = schema.size_plan()
-        if not fixed:
-            return self
-        columns = self.columns
-        for position, _width in fixed:
-            entry = columns[position]
-            if isinstance(entry, list):
-                typed = build_typed_column(entry, schema.columns[position].dtype)
-                if typed is not None:
-                    columns[position] = typed
-        return self
+    def column(self, position: int) -> List[Any]:
+        """One column's values, in row order."""
+        return self._columns[position]
 
     # -- container protocol ------------------------------------------------------
 
@@ -172,40 +119,9 @@ class RowBatch:
             index == position for position, index in enumerate(indexes)
         ):
             return self
-        columns = self.columns
-        selected: List[ColumnData] = []
-        for column in columns:
-            if isinstance(column, TypedColumn):
-                selected.append(column.take(indexes))
-            else:
-                selected.append([column[index] for index in indexes])
-        return RowBatch.from_columns(selected, len(indexes))
-
-    def take_mask(self, mask) -> "RowBatch":
-        """The batch restricted to rows where ``mask`` (bools, one per row) is truthy.
-
-        ``mask`` may be a NumPy boolean array (the kernel path) or any
-        sequence of bools.  Keeping every row returns the batch itself.
-        """
-        if not self._length:
-            return RowBatch([])
-        if hasattr(mask, "sum") and not isinstance(mask, (list, tuple)):
-            kept = int(mask.sum())
-            flags: Optional[List[Any]] = None
-        else:
-            flags = mask if isinstance(mask, list) else list(mask)
-            kept = sum(1 for flag in flags if flag)
-        if kept == self._length:
-            return self
-        selected: List[ColumnData] = []
-        for column in self.columns:
-            if isinstance(column, TypedColumn):
-                selected.append(column.take_mask(mask))
-            else:
-                if flags is None:
-                    flags = mask.tolist()
-                selected.append(list(compress(column, flags)))
-        return RowBatch.from_columns(selected, kept)
+        return RowBatch.from_columns(
+            [[column[index] for index in indexes] for column in self.columns], len(indexes)
+        )
 
     def key_tuples(self, positions: Optional[Sequence[int]] = None) -> List[Tuple[Any, ...]]:
         """Per-row value tuples over ``positions`` (all columns when ``None``).
@@ -222,7 +138,7 @@ class RowBatch:
             columns = [columns[position] for position in positions]
         if not columns:
             return [()] * self._length
-        return list(zip(*[_as_list(column) for column in columns]))
+        return list(zip(*columns))
 
     def encode(self, positions: Optional[Sequence[int]] = None) -> KeyCodes:
         """The rows' keys over ``positions`` as dense integer codes.
@@ -236,7 +152,7 @@ class RowBatch:
         columns = self.columns
         if positions is not None:
             columns = [columns[position] for position in positions]
-        return KeyCodes.of_columns([_as_list(column) for column in columns], self._length)
+        return KeyCodes.of_columns(columns, self._length)
 
     def project(self, positions: Sequence[int]) -> "RowBatch":
         """A new batch containing only the columns at ``positions``.
@@ -263,34 +179,20 @@ class RowBatch:
     def slice(self, start: int, stop: int) -> "RowBatch":
         """The batch restricted to rows ``start:stop`` (column-wise).
 
-        Each buffer is sliced (typed columns slice into typed columns), so
-        chunking a large batch for shipping never materialises rows.
+        Each column list is sliced, so chunking a large batch for shipping
+        never materialises rows.
         """
         length = max(0, min(stop, self._length) - max(0, start))
         return RowBatch.from_columns([column[start:stop] for column in self._columns], length)
 
     # -- sizing -------------------------------------------------------------------
 
-    def _summed_sizes(self, sized_columns: Iterable[Union[int, List[int]]]) -> List[int]:
-        """Per-row sums of per-column sizes.
-
-        Each column is either a constant (every row sizes alike: a NULL-free
-        typed column, at its width) or a list with one size per row; only
-        the lists are added up row by row.
-        """
-        constant = 0
-        varying: List[List[int]] = []
-        for sizes in sized_columns:
-            if isinstance(sizes, list):
-                varying.append(sizes)
-            else:
-                constant += sizes
-        if not varying:
-            return [constant] * self._length
-        sizes = varying[0] if len(varying) == 1 else list(map(sum, zip(*varying)))
-        if constant:
-            sizes = [size + constant for size in sizes]
-        return sizes
+    def _summed_sizes(self, sized_columns: Iterable[List[int]]) -> List[int]:
+        """Per-row sums of per-column size lists (one size per row each)."""
+        sizes = list(sized_columns)
+        if not sizes:
+            return [0] * self._length
+        return sizes[0] if len(sizes) == 1 else list(map(sum, zip(*sizes)))
 
     def size_bytes(self, schema: Schema) -> int:
         """Total wire size of the batch's rows under ``schema``.
@@ -315,26 +217,17 @@ class RowBatch:
             total += width * (len(column) - nulls) + nulls
         for position in variable:
             dtype = schema.columns[position].dtype
-            total += sum(dtype.serialized_sizes(_as_list(columns[position])))
+            total += sum(dtype.serialized_sizes(columns[position]))
         self._size_memo = (schema, total)
         return total
 
     def values_bytes(self) -> int:
         """Value-based wire size of the whole batch (``values_size`` row sum).
 
-        Identical to ``sum(values_size(row) for row in batch)`` — summing a
-        column at a time instead of a row at a time — with typed columns
-        priced arithmetically (their strict builders guarantee each value
-        sizes at exactly the column width; NULLs cost one byte).
+        Identical to ``sum(values_size(row) for row in batch)``, summed a
+        column at a time instead of a row at a time.
         """
-        total = 0
-        for column in self.columns:
-            if isinstance(column, TypedColumn):
-                nulls = column.null_count
-                total += column.width * (len(column) - nulls) + nulls
-            else:
-                total += sum(value_sizes(column))
-        return total
+        return sum(sum(value_sizes(column)) for column in self.columns)
 
     def row_sizes(self, schema: Schema) -> List[int]:
         """Per-row wire sizes under ``schema`` (one int per row, in row order).
@@ -345,10 +238,8 @@ class RowBatch:
         if not self._length:
             return []
         return self._summed_sizes(
-            dtype.fixed_size
-            if dtype.fixed_size is not None and _null_free_typed(column)
-            else dtype.serialized_sizes(_as_list(column))
-            for column, dtype in zip(self.columns, (c.dtype for c in schema.columns))
+            column.dtype.serialized_sizes(values)
+            for values, column in zip(self.columns, schema.columns)
         )
 
     def value_sizes(self, positions: Sequence[int]) -> List[int]:
@@ -360,11 +251,7 @@ class RowBatch:
         """
         if not self._length:
             return []
-        columns = [self.columns[position] for position in positions]
-        return self._summed_sizes(
-            column.width if _null_free_typed(column) else value_sizes(_as_list(column))
-            for column in columns
-        )
+        return self._summed_sizes(value_sizes(self.columns[position]) for position in positions)
 
     def __repr__(self) -> str:
         return f"RowBatch({self._length} rows)"
@@ -375,9 +262,7 @@ def concat_batches(
 ) -> RowBatch:
     """Concatenate batches column-wise into one batch.
 
-    Typed columns stay typed when every input stores the position with the
-    same dtype; otherwise the position falls back to one merged list.  With
-    no (non-empty) input batches the result is empty; ``column_count`` pins
+    With no (non-empty) input batches the result is empty; ``column_count`` pins
     the column structure for zero-column inputs whose length still matters.
     """
     non_empty = [batch for batch in batches if len(batch)]
@@ -389,18 +274,12 @@ def concat_batches(
     width = column_count if column_count is not None else len(non_empty[0].columns)
     if width == 0:
         return RowBatch.from_columns([], total)
-    merged: List[ColumnData] = []
+    merged: List[List[Any]] = []
     for position in range(width):
-        entries = [batch.columns[position] for batch in non_empty]
-        if all(isinstance(entry, TypedColumn) for entry in entries) and (
-            len({entry.dtype_name for entry in entries}) == 1
-        ):
-            merged.append(TypedColumn.concat(entries))
-        else:
-            values: List[Any] = []
-            for entry in entries:
-                values.extend(_as_list(entry))
-            merged.append(values)
+        values: List[Any] = []
+        for batch in non_empty:
+            values.extend(batch.columns[position])
+        merged.append(values)
     return RowBatch.from_columns(merged, total)
 
 

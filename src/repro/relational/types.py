@@ -205,7 +205,7 @@ def value_sizes(values: Sequence[Any]) -> List[int]:
 
     Dispatches on the column's set of exact runtime types: a column of one
     known type (NULLs aside) is sized without a call per value; any other
-    column — mixed types, subclasses, NumPy scalars, containers — goes value
+    column — mixed types, subclasses, foreign scalars, containers — goes value
     by value through :func:`value_size`, which stays the definition.
     """
     kinds = set(map(type, values))

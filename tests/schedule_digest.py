@@ -28,7 +28,7 @@ from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.message import Message
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
-from repro.network.stats import LinkStats
+from repro.network.stats import TransferCounters
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.server.engine import Database
@@ -64,7 +64,7 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
     clock: List[Simulator] = []
 
     original_step = Simulator.step
-    original_record = LinkStats.record
+    original_record = TransferCounters.record
     # Messages enter a mailbox through ``put`` (event-returning) or, where
     # nobody waits on the put, through ``post``; hook whichever exists.
     entry_points = [name for name in ("put", "post") if hasattr(Store, name)]
@@ -74,7 +74,7 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
         clock[:] = [self]
         return original_step(self)
 
-    def record(self, message, queued_for, transmission, flow=None):
+    def record(self, message, queued_for, transmission):
         log.append(
             (
                 "tx",
@@ -87,7 +87,7 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
                 float(transmission).hex(),
             )
         )
-        return original_record(self, message, queued_for, transmission, flow=flow)
+        return original_record(self, message, queued_for, transmission)
 
     def entering(name: str) -> Callable:
         original = originals[name]
@@ -109,14 +109,14 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
         return enter
 
     Simulator.step = step
-    LinkStats.record = record
+    TransferCounters.record = record
     for name in entry_points:
         setattr(Store, name, entering(name))
     try:
         yield log
     finally:
         Simulator.step = original_step
-        LinkStats.record = original_record
+        TransferCounters.record = original_record
         for name in entry_points:
             setattr(Store, name, originals[name])
 

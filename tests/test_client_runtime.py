@@ -230,24 +230,10 @@ class TestClientRuntime:
         assert record_replies[0].payload.rows == [(8,), (18,)]
         assert runtime.rows_returned == 2
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_pushed_predicate_compiles_once_per_operator_not_per_batch(
-        self, monkeypatch, vectorized
-    ):
+    def test_pushed_predicate_binds_once_per_operator_not_per_batch(self, monkeypatch):
         """A batch-1 client-site join sends one RecordBatch per row, all
-        carrying the same PushedOperations: one compilation (kernel and, on
-        the scalar path, one ``bind``) must serve them all, with the rows and
-        origin indexes of per-batch compilation."""
-        import repro.client.runtime as runtime_module
-
-        compilations = []
-        real_compile = runtime_module.compile_filter
-
-        def counting_compile(predicate, schema):
-            compilations.append(predicate)
-            return real_compile(predicate, schema) if vectorized else None
-
-        monkeypatch.setattr(runtime_module, "compile_filter", counting_compile)
+        carrying the same PushedOperations: one ``bind`` must serve them all,
+        with the rows and origin indexes of per-batch binding."""
         binds = []
         real_bind = Comparison.bind
 
@@ -285,16 +271,13 @@ class TestClientRuntime:
             ]
 
         per_row = answers([[v] for v in values])
-        assert len(compilations) == 1
-        # Plain-tuple batches make the kernel decline, so both modes reach the
-        # scalar predicate — bound once, not once per batch.
         assert len(binds) == 1
         assert per_row == [
             ([(v, 2 * v)] if 2 * v > 5 else [], [0] if 2 * v > 5 else []) for v in values
         ]
-        # A new serve loop compiles afresh, and one big batch agrees row for row.
+        # A new serve loop binds afresh, and one big batch agrees row for row.
         whole = answers([values])
-        assert len(compilations) == 2
+        assert len(binds) == 2
         assert whole == [([(v, 2 * v) for v in values if 2 * v > 5], [1, 2, 4, 5])]
 
     def test_unknown_udf_produces_error_message(self):

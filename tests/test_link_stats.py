@@ -120,17 +120,17 @@ class TestCounterAlgebra:
         (data_message(7, payload_bytes=300), 0.0, 1.0),
     ]
 
-    def recorded(self, entries, flow=None):
+    def recorded(self, entries):
         stats = LinkStats(name="l")
         for message, queued_for, transmission in entries:
-            stats.record(message, queued_for=queued_for, transmission=transmission, flow=flow)
+            stats.record(message, queued_for=queued_for, transmission=transmission)
         return stats
 
     @pytest.mark.parametrize("split", range(len(STREAM) + 1))
     def test_recording_the_halves_and_adding_is_recording_the_whole(self, split):
         whole = self.recorded(self.STREAM)
         first, second = self.recorded(self.STREAM[:split]), self.recorded(self.STREAM[split:])
-        assert first + second == whole
+        assert first + second == whole.snapshot()
         assert first.snapshot() + second.snapshot() == whole.snapshot()
         # On arbitrary floats the halves add in stream order: first, then second.
         assert (first + second).busy_seconds == first.busy_seconds + second.busy_seconds
@@ -155,9 +155,11 @@ class TestCounterAlgebra:
         assert not hasattr(reading, "flows")
 
     def test_single_flow_child_equals_the_link_total(self):
-        stats = self.recorded(self.STREAM, flow="only")
-        assert stats.flow("only") == stats.snapshot()
-        assert stats.flow("only").rows_per_message == stats.rows_per_message
+        link = self.recorded(self.STREAM)
+        trunk = LinkStats(name="trunk")
+        trunk.adopt("only", link)
+        assert trunk.flow("only") == link.snapshot()
+        assert trunk.flow("only").rows_per_message == link.rows_per_message
 
     def test_execution_counters_fold_maps_key_by_key_and_peaks_by_maximum(self):
         from repro.core.execution.context import ExecutionCounters
@@ -196,25 +198,40 @@ class TestCounterAlgebra:
         assert since.peak_in_flight_batches == 4  # not differenced: still the peak seen
 
 
+def shared_trunk(transmissions):
+    """A trunk and its session links, booked as a trunk scheduler books them:
+    each link adopted once, each message recorded by its link and the trunk."""
+    trunk, links = LinkStats(name="trunk"), {}
+    for flow, message, queued_for, transmission in transmissions:
+        if flow not in links:
+            links[flow] = LinkStats(name=f"{flow}.downlink")
+            trunk.adopt(flow, links[flow])
+        links[flow].record(message, queued_for, transmission)
+        trunk.record(message, queued_for, transmission)
+    return trunk, links
+
+
 class TestFlowAttribution:
-    """Per-flow sub-counters: populated on tag, preserved by ``+``."""
+    """Per-flow shares of a trunk: the ledgers of the links it adopted."""
 
-    def test_record_with_flow_populates_sub_counters(self):
-        stats = LinkStats(name="trunk")
-        stats.record(data_message(10), queued_for=0.2, transmission=0.1, flow="a")
-        stats.record(data_message(30), queued_for=0.0, transmission=0.3, flow="b")
-        stats.record(data_message(5), queued_for=0.1, transmission=0.05, flow="a")
-        stats.record(end_of_stream(), queued_for=0.0, transmission=0.01, flow="a")
-
-        flow_a = stats.flow("a")
+    def test_adopted_ledgers_are_the_flow_shares(self):
+        trunk, _ = shared_trunk(
+            [
+                ("a", data_message(10), 0.2, 0.1),
+                ("b", data_message(30), 0.0, 0.3),
+                ("a", data_message(5), 0.1, 0.05),
+                ("a", end_of_stream(), 0.0, 0.01),
+            ]
+        )
+        flow_a = trunk.flow("a")
         assert flow_a.message_count == 3
         assert flow_a.data_message_count == 2
         assert flow_a.rows_transferred == 15
         assert flow_a.queueing_seconds == pytest.approx(0.3)
-        assert stats.flow("b").rows_transferred == 30
+        assert trunk.flow("b").rows_transferred == 30
         # An unknown flow reads as all-zero, never a KeyError.
-        assert stats.flow("ghost").total_bytes == 0
-        assert "ghost" not in stats.flows
+        assert trunk.flow("ghost").total_bytes == 0
+        assert "ghost" not in trunk.flows
 
     def test_untagged_records_touch_no_flow(self):
         stats = LinkStats(name="l")
@@ -222,18 +239,25 @@ class TestFlowAttribution:
         assert stats.flows == {}
         assert stats.rows_transferred == 10
 
+    def test_an_adopted_link_that_never_sent_is_no_flow(self):
+        trunk, _ = shared_trunk([("a", data_message(1), 0.0, 0.1)])
+        trunk.adopt("idle", LinkStats(name="idle.downlink"))
+        assert set(trunk.flows) == {"a"}
+
     def test_flow_counters_sum_to_link_totals(self):
-        """Regression: two interleaved sessions' counters sum to the link
+        """Regression: two interleaved sessions' shares sum to the trunk
         totals, message by message."""
-        stats = LinkStats(name="trunk")
+        transmissions = []
         for index in range(10):
-            flow = "s0" if index % 2 == 0 else "s1"
-            stats.record(
-                data_message(index + 1, payload_bytes=50 * (index + 1)),
-                queued_for=0.01 * index,
-                transmission=0.1,
-                flow=flow,
+            transmissions.append(
+                (
+                    "s0" if index % 2 == 0 else "s1",
+                    data_message(index + 1, payload_bytes=50 * (index + 1)),
+                    0.01 * index,
+                    0.1,
+                )
             )
+            stats, _ = shared_trunk(transmissions)
             flows = stats.flows.values()
             assert sum(f.total_bytes for f in flows) == stats.total_bytes
             assert sum(f.payload_bytes for f in flows) == stats.payload_bytes
@@ -247,28 +271,28 @@ class TestFlowAttribution:
             )
         assert set(stats.flows) == {"s0", "s1"}
 
-    def test_merge_preserves_flows(self):
-        left = LinkStats(name="trunk")
-        left.record(data_message(10), queued_for=0.1, transmission=0.2, flow="a")
-        left.record(data_message(20), queued_for=0.0, transmission=0.4, flow="b")
-        right = LinkStats(name="trunk")
-        right.record(data_message(5), queued_for=0.3, transmission=0.1, flow="b")
-        right.record(data_message(7), queued_for=0.0, transmission=0.15, flow="c")
-
-        merged = left + right
-        assert set(merged.flows) == {"a", "b", "c"}
-        assert merged.flow("a").rows_transferred == 10
-        assert merged.flow("b").rows_transferred == 25
-        assert merged.flow("b").queueing_seconds == pytest.approx(0.3)
-        assert merged.flow("b").busy_seconds == pytest.approx(0.5)
-        assert merged.flow("c").rows_transferred == 7
-        # Merged flows still sum to the merged totals...
-        assert (
-            sum(f.total_bytes for f in merged.flows.values()) == merged.total_bytes
+    def test_a_flow_folds_every_ledger_it_adopted(self):
+        """Two links of one session (its downlink and uplink on one trunk,
+        say) make one share; reading it leaves the ledgers as they were."""
+        trunk, links = shared_trunk(
+            [
+                ("a", data_message(10), 0.1, 0.2),
+                ("b", data_message(20), 0.0, 0.4),
+            ]
         )
-        # ...and the inputs keep their own flow maps.
-        assert set(left.flows) == {"a", "b"}
-        assert left.flow("b").rows_transferred == 20
+        second = LinkStats(name="b.uplink")
+        trunk.adopt("b", second)
+        second.record(data_message(5), queued_for=0.3, transmission=0.1)
+        trunk.record(data_message(5), queued_for=0.3, transmission=0.1)
+
+        assert set(trunk.flows) == {"a", "b"}
+        assert trunk.flow("a").rows_transferred == 10
+        assert trunk.flow("b").rows_transferred == 25
+        assert trunk.flow("b").queueing_seconds == pytest.approx(0.3)
+        assert trunk.flow("b").busy_seconds == pytest.approx(0.5)
+        assert sum(f.total_bytes for f in trunk.flows.values()) == trunk.total_bytes
+        assert links["b"].rows_transferred == 20
+        assert second.rows_transferred == 5
 
     def test_flow_stats_merge_and_achieved_bandwidth(self):
         first = FlowStats("f")
@@ -281,10 +305,13 @@ class TestFlowAttribution:
         assert FlowStats("idle").achieved_bandwidth is None
 
     def test_flow_bytes_feeds_fairness_metrics(self):
-        stats = LinkStats(name="trunk")
-        stats.record(data_message(1, payload_bytes=84), queued_for=0.0, transmission=0.1, flow="a")
-        stats.record(data_message(1, payload_bytes=84), queued_for=0.0, transmission=0.1, flow="b")
-        assert stats.flow_bytes() == {"a": 100, "b": 100}
+        trunk, _ = shared_trunk(
+            [
+                ("a", data_message(1, payload_bytes=84), 0.0, 0.1),
+                ("b", data_message(1, payload_bytes=84), 0.0, 0.1),
+            ]
+        )
+        assert trunk.flow_bytes() == {"a": 100, "b": 100}
 
 
 class TestJainFairnessIndex:

@@ -21,7 +21,7 @@ import pytest
 from repro.adaptive.controller import BatchSizeController, OverlapWindowController
 from repro.client.runtime import ClientRuntime
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
-from repro.network.stats import LinkStats, TransferCounters
+from repro.network.stats import TransferCounters
 from repro.relational.operators.base import Operator
 from repro.tenancy.driver import MultiTenantEngine, SessionWorkload
 from repro.workloads.multitenant import POINT_SQL, make_tenant_database, point_query_spec
@@ -68,7 +68,7 @@ def drr_run(point_rows: int) -> Dict[str, int]:
         SessionWorkload(tenant_id=f"t{index}", queries=[point_query_spec(strategy)], repeat=2)
         for index, strategy in enumerate(strategies)
     ]
-    targets = [(LinkStats, "record"), (TransferCounters, "record")]
+    targets = [(TransferCounters, "record")]
     targets += [(StrategyConfig, name) for name in PACING]
     with counted(*targets) as counts:
         report = engine.run(workloads)
@@ -77,7 +77,7 @@ def drr_run(point_rows: int) -> Dict[str, int]:
     assert all(m.counters.downlink.rows_per_message == 1.0 for m in metrics)
     counts["messages"] = sum(m.downlink_messages + m.uplink_messages for m in metrics)
     counts["operations"] = sum(m.remote_operations for m in metrics)
-    counts["ledger_bodies"] = counts["LinkStats.record"] + counts["TransferCounters.record"]
+    counts["ledger_bodies"] = counts["TransferCounters.record"]
     counts["pacing"] = sum(counts[f"StrategyConfig.{name}"] for name in PACING)
     trunks = (engine.trunk_downlink, engine.trunk_uplink)
     assert sum(trunk.stats.message_count for trunk in trunks) == counts["messages"]
@@ -152,18 +152,18 @@ class SteppedWindow(OverlapWindowController):
 def downlink_batches() -> Iterator[List[int]]:
     """Rows per data message booked on a downlink, in order."""
     sizes: List[int] = []
-    original = LinkStats.record
+    original = TransferCounters.record
 
-    def record(self, message, queued_for, transmission, flow=None):
+    def record(self, message, queued_for, transmission):
         if message.is_data and self.name.endswith("downlink"):
             sizes.append(message.row_count)
-        return original(self, message, queued_for, transmission, flow=flow)
+        return original(self, message, queued_for, transmission)
 
-    LinkStats.record = record
+    TransferCounters.record = record
     try:
         yield sizes
     finally:
-        LinkStats.record = original
+        TransferCounters.record = original
 
 
 @pytest.mark.parametrize("strategy", list(ExecutionStrategy), ids=str)

@@ -26,7 +26,7 @@ from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
 from repro.relational.schema import Column, Schema
 from repro.relational.tuples import RowBatch, row_size
-from repro.relational.types import DataObject, DATA_OBJECT, INTEGER, STRING
+from repro.relational.types import DataObject, DATA_OBJECT, FLOAT, INTEGER, STRING
 from repro.workloads.experiments import run_workload_point
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -137,6 +137,21 @@ class TestColumnarRowBatch:
         batch = RowBatch.from_columns([[7, None, None]])
         # 4 bytes for the value, 1 byte per NULL.
         assert batch.size_bytes(schema) == 4 + 1 + 1
+
+    def test_size_bytes_is_memoized_per_schema(self):
+        schema = Schema.of(("a", INTEGER), ("b", FLOAT), table="t")
+        rows = [(1, 1.0), (2, 2.0), (None, None)]
+        batch = RowBatch(rows)
+        first = batch.size_bytes(schema)
+        assert first == sum(row_size(row, schema) for row in rows)
+        memo = batch._size_memo
+        assert memo is not None
+        assert batch.size_bytes(schema) == first
+        assert batch._size_memo is memo
+        # Another schema object is sized afresh and replaces the memo.
+        strings = Schema.of(("a", STRING), ("b", FLOAT), table="t")
+        assert batch.size_bytes(strings) == sum(row_size(row, strings) for row in rows)
+        assert batch._size_memo[0] is strings
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.errors import BindError, PlanError
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.network.topology import NetworkConfig
-from repro.relational.columns import HAVE_NUMPY, build_typed_column, scalar_fallback
 from repro.relational.expressions import (
     Arithmetic,
     BooleanOp,
@@ -247,9 +246,12 @@ _TYPED_VALUES = {
     ),
     "list": st.lists(st.integers(0, 2), max_size=2),  # unhashable
 }
-if HAVE_NUMPY:
+try:
     import numpy
-
+except ImportError:  # pragma: no cover - NumPy is not a dependency
+    numpy = None
+if numpy is not None:
+    # Scalars a caller may hand in from another library: sized value by value.
     _TYPED_VALUES["numpy"] = st.sampled_from(
         [numpy.float64(1.5), numpy.float64(2.0), numpy.int64(2), numpy.bool_(True)]
     )
@@ -310,18 +312,15 @@ _DTYPE_VALUES = {
             ),
         )
     ),
-    st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_bulk_row_sizes_match_the_scalar_sizers(case, typed):
-    """Schema-based and value-based sizes, per column, per row and per batch,
-    over plain and typed columns (an ``int`` in a FLOAT column is 8 bytes by
-    schema and 4 by value; a ``bool`` never enters a numeric column)."""
+def test_bulk_row_sizes_match_the_scalar_sizers(case):
+    """Schema-based and value-based sizes, per column, per row and per batch
+    (an ``int`` in a FLOAT column is 8 bytes by schema and 4 by value; a
+    ``bool`` never enters a numeric column)."""
     dtypes, rows = case
     schema = Schema.of(*((f"c{index}", dtype) for index, dtype in enumerate(dtypes)))
     batch = RowBatch([tuple(row) for row in rows])
-    if typed:
-        batch.ensure_typed(schema)
     positions = list(range(len(dtypes)))
     for position, dtype in enumerate(dtypes):
         column = [row[position] for row in rows]
@@ -387,15 +386,6 @@ def test_order_by_code_is_the_nulls_first_order(columns):
     assert coded.take(order).tuples() == [tuples[index] for index in order]
 
 
-def _as_typed_where_eligible(column):
-    """The column as a typed buffer when one of the fixed-width types takes it."""
-    for dtype in (INTEGER, FLOAT, BOOLEAN):
-        typed = build_typed_column(column, dtype)
-        if typed is not None:
-            return typed
-    return column
-
-
 def _outcome(call):
     """``call()``'s result, or the type of what it raised."""
     try:
@@ -409,26 +399,23 @@ def _outcome(call):
         lambda kinds: st.tuples(
             _columns(kinds),
             st.lists(st.integers(0, len(kinds) - 1), max_size=2),
-            st.booleans(),
         )
     )
 )
 @example(
     # Equal arguments of unequal size: one code, sized as its first occurrence.
-    ([[1, 1.0, True, 1.0, None, True], [None, _NAN, _NAN, 2.0, None, _NAN]], [0], False)
+    ([[1, 1.0, True, 1.0, None, True], [None, _NAN, _NAN, 2.0, None, _NAN]], [0])
 )
-@example(([[1, 1.0, True, 1.0, None, True], [None, _NAN, _NAN, 2.0, None, _NAN]], [1, 0], False))
-@example(([[[1], [0], None], [1, 1, 1]], [1, 0], False))
+@example(([[1, 1.0, True, 1.0, None, True], [None, _NAN, _NAN, 2.0, None, _NAN]], [1, 0]))
+@example(([[[1], [0], None], [1, 1, 1]], [1, 0]))
 @settings(max_examples=300, deadline=None)
 def test_encoding_columns_is_encoding_the_key_tuples(case):
     """``RowBatch.encode`` codes a column at a time; the reference codes one
     tuple per row.  Codes, keys (object for object), sizes and both orders
     agree for 0, 1 and 2 key columns — NULLs, NaNs, unhashable values, series
     and equal keys of unequal size included."""
-    columns, positions, typed = case
-    batch = RowBatch.from_columns(
-        [_as_typed_where_eligible(list(column)) if typed else list(column) for column in columns]
-    )
+    columns, positions = case
+    batch = RowBatch.from_columns([list(column) for column in columns])
     coded = batch.encode(positions)
     reference = KeyCodes.of(batch.key_tuples(positions))
     assert coded.codes == reference.codes
@@ -447,7 +434,7 @@ def test_encoding_columns_is_encoding_the_key_tuples(case):
 #: the one shared NaN object matches itself (by identity, as a dict does).
 _JOIN_KEYS = {
     "number": (FLOAT, st.sampled_from([0, 1, 1.0, True, 2, -0.0, 2.5, _NAN])),
-    "float": (FLOAT, st.sampled_from([1.0, 2.0, 0.0, _NAN])),  # typed when asked
+    "float": (FLOAT, st.sampled_from([1.0, 2.0, 0.0, _NAN])),
     "string": (STRING, st.sampled_from(["a", "b", "ab"])),
 }
 _JOIN_PAYLOADS = {
@@ -478,19 +465,17 @@ def _same_values(rows):
     ]
 
 
-@given(_join_inputs(), st.booleans(), st.integers(min_value=1, max_value=4))
+@given(_join_inputs(), st.integers(min_value=1, max_value=4))
 @example(
     ([FLOAT, INTEGER], [(_NAN, 1), (1, 2), (None, 3)], [(_NAN, 4), (True, 5), (1.0, 6), (None, 7)]),
-    False,
     2,
 )
 @example(
     ([FLOAT, STRING, INTEGER], [(1, "a", 1), (1.0, None, 2)], [(True, "a", 3), (1, "a", 4)]),
-    True,
     1,
 )
 @settings(max_examples=300, deadline=None)
-def test_hash_join_is_the_nested_loop_join(case, typed, batch_size):
+def test_hash_join_is_the_nested_loop_join(case, batch_size):
     """Rows *and order*: probe order, then build order; NULL keys never join."""
     from repro.relational.operators.base import CollectingOperator
 
@@ -499,17 +484,13 @@ def test_hash_join_is_the_nested_loop_join(case, typed, batch_size):
 
     def leaf(table, rows):
         schema = Schema.of(*((f"c{i}", dtype) for i, dtype in enumerate(dtypes)), table=table)
-        batch = RowBatch([tuple(row) for row in rows])
-        if typed:
-            batch.ensure_typed(schema)
-        return CollectingOperator(schema, batch)
+        return CollectingOperator(schema, RowBatch([tuple(row) for row in rows]))
 
     left, right = leaf("l", left_rows), leaf("r", right_rows)
     keys = [f"c{i}" for i in range(width)]
     join = HashJoin(left, right, [f"l.{key}" for key in keys], [f"r.{key}" for key in keys])
     for operator_ in (join, left, right):
         operator_.batch_size = batch_size
-    # The values as the join reads them: a typed NaN is a fresh object per read.
     probe, build = left.run(), right.run()
     expected = [
         tuple(l) + tuple(r)
@@ -521,13 +502,13 @@ def test_hash_join_is_the_nested_loop_join(case, typed, batch_size):
 
 
 #: Column values by type for the layout property: NULLs, NaNs and series
-#: included, typed-eligible types (INTEGER / FLOAT / BOOLEAN) among them.
+#: included.
 _LAYOUT_VALUES = {**_DTYPE_VALUES, FLOAT: st.one_of(_DTYPE_VALUES[FLOAT], st.just(_NAN))}
 
 
 @st.composite
 def _batch_layouts(draw):
-    """The rows of 0-4 typed columns (0-6 of them) and the arguments of each reading."""
+    """The rows of 0-4 columns (0-6 of them) and the arguments of each reading."""
     dtypes = draw(st.lists(st.sampled_from(list(_LAYOUT_VALUES)), max_size=4))
     row = st.tuples(*(st.one_of(st.none(), _LAYOUT_VALUES[dtype]) for dtype in dtypes))
     rows = draw(st.lists(row, max_size=6))
@@ -535,12 +516,10 @@ def _batch_layouts(draw):
     return {
         "schema": Schema.of(*((f"c{index}", dtype) for index, dtype in enumerate(dtypes))),
         "rows": rows,
-        "typed": draw(st.booleans()),
         # ``slice`` takes non-negative bounds; ``[a:b]`` any.
         "bounds": draw(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))),
         "items": draw(st.tuples(st.integers(-n - 1, n + 1), st.integers(-n - 1, n + 1))),
         "take": draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else [],
-        "mask": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
         "positions": draw(st.lists(st.integers(0, width - 1), max_size=3)) if width else [],
     }
 
@@ -549,19 +528,16 @@ def _batch_layouts(draw):
 @settings(max_examples=200, deadline=None)
 def test_a_batch_built_from_rows_is_the_batch_of_their_columns(case):
     """``RowBatch(rows)`` transposes once.  Every reading of it, and of the
-    batch built from the same columns — typed where eligible, or not —
-    equals that reading of the rows themselves: NULLs, NaNs, series, empty
+    batch built from the same columns, equals that reading of the rows themselves: NULLs, NaNs, series, empty
     and zero-width batches included.  An empty batch built from rows has no
     columns (no row tells its width)."""
     schema, rows = case["schema"], case["rows"]
     n = len(rows)
     from_rows = RowBatch(rows)
     from_columns = RowBatch.from_columns(columns_of(rows, len(schema)), n)
-    if case["typed"]:
-        from_columns.ensure_typed(schema)
     start, stop = case["bounds"]
     first, last = case["items"]
-    positions, take, mask = case["positions"], case["take"], case["mask"]
+    positions, take = case["positions"], case["take"]
 
     def keep(row):
         return len(repr(row)) % 2 == 0
@@ -575,7 +551,6 @@ def test_a_batch_built_from_rows_is_the_batch_of_their_columns(case):
             _same_values(batch.slice(start, stop).rows),
             len(batch.slice(start, stop)),
             _same_values(batch.take(take).rows),
-            _same_values(batch.take_mask(mask).rows),
             _same_values(batch.filter(keep).rows),
             _same_values(batch.project(positions).rows),
             _same_values(batch.key_tuples(positions)),
@@ -595,7 +570,6 @@ def test_a_batch_built_from_rows_is_the_batch_of_their_columns(case):
         _same_values(rows[start:stop]),
         len(rows[start:stop]),
         _same_values([rows[index] for index in take]),
-        _same_values([row for row, flag in zip(rows, mask) if flag]),
         _same_values([row for row in rows if keep(row)]),
         _same_values(projected),
         _same_values(projected),
@@ -657,7 +631,6 @@ def single_site_reference(workload: SyntheticWorkload):
     interleaved=st.booleans(),
     declared_selectivity=st.sampled_from([None, 0.05, 0.95]),
     overlap_window=st.sampled_from([None, 1, 4]),
-    typed_buffers=st.booleans(),
     paged_storage=st.booleans(),
     indexes=st.booleans(),
 )
@@ -674,7 +647,6 @@ def test_every_execution_mode_matches_single_site(
     interleaved,
     declared_selectivity,
     overlap_window,
-    typed_buffers,
     paged_storage,
     indexes,
 ):
@@ -690,10 +662,7 @@ def test_every_execution_mode_matches_single_site(
     both are armed, like the engine path).  ``overlap_window`` exercises the
     overlapped shipping protocol from fully synchronous (1) through bounded
     overlap (4) to each strategy's default; with ``adaptive`` and no pinned
-    window, the window is additionally adapted mid-query.  ``typed_buffers``
-    runs the identical point with typed column storage (and vectorized
-    kernels) disabled, so the typed and fully-scalar data planes face the
-    same combinatorial sweep.  ``paged_storage`` feeds the execution from a
+    window, the window is additionally adapted mid-query.  ``paged_storage`` feeds the execution from a
     slotted-page heap file behind a buffer pool instead of the in-memory
     rows, so the durable storage data path faces it too; ``indexes``
     additionally maintains a hash index on the argument column through every
@@ -742,11 +711,7 @@ def test_every_execution_mode_matches_single_site(
                 workload, FAST, config, storage_dir=directory, indexes=indexes
             )
 
-    if typed_buffers:
-        point = run_point()
-    else:
-        with scalar_fallback():
-            point = run_point()
+    point = run_point()
     assert list(point.result_rows) == single_site_reference(workload)
 
 
@@ -1106,14 +1071,21 @@ def test_predicate_key_is_a_property_of_the_predicate(data):
 #: equal keys straddles a leaf split.
 _WIDE = [letter * 600 for letter in "abc"]
 
+#: Past 2**53 a float cannot hold every integer: ``2**53 + 1`` compares
+#: greater than ``float(2**53)`` in both engines, never equal to it.
+_BEYOND_FLOAT = 2**53 + 1
+
 #: name → (engine type, SQLite type, kind, value domain)
 _POOL = {
-    "K": (INTEGER, "INTEGER", "number", [None, 0, 1, 2, 3, 7]),
+    "K": (INTEGER, "INTEGER", "number", [None, 0, 1, 2, 3, 7, _BEYOND_FLOAT]),
     "V": (FLOAT, "REAL", "number", [None, 0, 1, 1.0, 1.5, 2, 2.5]),
     "F": (BOOLEAN, "BOOLEAN", "number", [None, True, False]),
     "S": (STRING, "TEXT", "string", [None, "b", *_WIDE]),
 }
-_LITERALS = {"number": [0, 1, 1.0, 1.5, 2, 3], "string": ["b", "bb", *_WIDE]}
+_LITERALS = {
+    "number": [0, 1, 1.0, 1.5, 2, 3, float(2**53)],
+    "string": ["b", "bb", *_WIDE],
+}
 _ALIASES = ("A", "B", "C", "D")
 #: Pages cost something, or the estimator offers no index path at all.
 _PAGE_COST = CostSettings(block_access_seconds=0.005)
@@ -1564,6 +1536,40 @@ def test_sql_surface_agrees_with_sqlite(case):
     examples disagree; CHANGES.md has the tally over fresh seeds.
     """
     _check_against_sqlite(case)
+
+
+#: ``T(K INTEGER, V INTEGER)``: an integer a float cannot hold, one whose
+#: product by four leaves the int64 range, and a small one.
+_PAST_FLOAT_ROWS = [(2**53 + 1, 1), (2**62, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("storage", ["memory", "paged"])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT T.V FROM T WHERE T.K > 9007199254740992.0",
+        "SELECT T.V FROM T WHERE 9007199254740992.0 < T.K",
+        "SELECT T.V FROM T WHERE T.K = 9007199254740992.0",
+        "SELECT T.V FROM T WHERE T.K * 4 > 0",
+        "SELECT T.V FROM T WHERE T.K * T.K > 0",
+        "SELECT T.K * 4 AS W FROM T",
+        "SELECT T.K + T.K AS W FROM T",
+    ],
+)
+def test_integers_past_2_53_answer_as_sqlite_does(sql, storage, optimize, tmp_path):
+    """An int compares with a float exactly, and integer arithmetic does not
+    wrap at int64.  SQLite turns an overflowing sum or product into a REAL,
+    equal in value to the exact integer here."""
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE T (K INTEGER, V INTEGER)")
+    connection.executemany("INSERT INTO T VALUES (?, ?)", _PAST_FLOAT_ROWS)
+    expected = Counter(connection.execute(sql).fetchall())
+    connection.close()
+    db = Database(network=FAST, storage_dir=str(tmp_path) if storage == "paged" else None)
+    db.create_table("T", [("K", INTEGER), ("V", INTEGER)], rows=_PAST_FLOAT_ROWS)
+    assert Counter(map(tuple, db.execute(sql, optimize=optimize).rows)) == expected
+    db.close()
 
 
 # Disagreements the oracle found whose fix is not this test's to make: each is

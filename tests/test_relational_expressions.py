@@ -13,6 +13,7 @@ from repro.relational.expressions import (
     conjoin,
     conjuncts,
 )
+from repro.relational.operators import ProjectExpressions, TableScan
 from repro.relational.predicates import (
     PredicateInfo,
     columns_covered,
@@ -20,6 +21,7 @@ from repro.relational.predicates import (
 )
 from repro.relational.schema import Schema
 from repro.relational.statistics import compute_table_statistics
+from repro.relational.table import Table
 from repro.relational.types import FLOAT, INTEGER, STRING
 
 
@@ -53,6 +55,19 @@ class TestEvaluation:
         assert expr.evaluate(row, schema) == pytest.approx(1.6)
         with pytest.raises(ExpressionError):
             Arithmetic("/", ColumnRef("a"), Literal(0)).evaluate(row, schema)
+
+    def test_division_by_zero_raises_and_a_null_operand_gives_null(self):
+        schema = Schema.of(("i", INTEGER), ("f", FLOAT), table="t")
+        quotient = Arithmetic("/", ColumnRef("f"), ColumnRef("i"))
+        bound = quotient.bind(schema)
+        with pytest.raises(ExpressionError):
+            [bound(row) for row in [(2, 4.0), (0, 1.0)]]
+        # A zero divisor beside a NULL dividend is never divided by, and a
+        # NULL divisor is NULL, not an error.
+        assert [bound(row) for row in [(2, 4.0), (0, None), (None, 8.0)]] == [2.0, None, None]
+        table = Table("t", schema, rows=[[2, 4.0], [None, 8.0], [0, 1.0]])
+        with pytest.raises(ExpressionError):
+            ProjectExpressions(TableScan(table), [("q", quotient, FLOAT)]).run()
 
     def test_boolean_three_valued_logic(self, schema):
         row = (None, 2.0, "x")
