@@ -217,6 +217,20 @@ _TABLES = {
 }
 _PAIR_KEYED = ("udf_selectivity",)
 
+#: Everything the optimizer may ask of its ``statistics``, declared once: a
+#: store answers all of it, an overlay the part it knows fresher, and a
+#: decision's read log (``server.engine.StatisticsReads``) nothing else.
+STATISTICS_PROTOCOL = (
+    "udf_cost",
+    "udf_selectivity",
+    "udf_distinct_fraction",
+    "predicate_selectivity",
+    "join_selectivity",
+    "column_distinct_evidence",
+    "calibrated_network",
+    "calibrated_cost_settings",
+)
+
 
 class StatisticsStore:
     """Observed-statistics feedback shared by every query on a database.

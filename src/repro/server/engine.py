@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import BindError, OptimizerError
@@ -31,6 +32,7 @@ from repro.adaptive import (
     StatisticsStore,
     SwitchPolicy,
 )
+from repro.adaptive.store import STATISTICS_PROTOCOL
 from repro.client.registry import UdfRegistry
 from repro.client.udf import UdfDefinition, UdfSite
 from repro.core.execution.context import RemoteExecutionContext
@@ -118,7 +120,7 @@ def resolve_keywords(
     )
 
 
-#: Bound statements a surface keeps (one per SQL text) and uncalibrated
+#: Bound statements a surface keeps (one per SQL text) and optimizer
 #: decisions a database keeps; the least recently used entry goes first.
 STATEMENT_MEMO_BOUND = 64
 DECISION_MEMO_BOUND = 64
@@ -141,6 +143,57 @@ def _remember(memo: Dict[Any, tuple], key: Any, entry: tuple, bound: int) -> tup
 def _same(one: Tuple[object, ...], other: Tuple[object, ...]) -> bool:
     """Two snapshots of one statement's tables: the very same objects?"""
     return all(a is b for a, b in zip(one, other))
+
+
+class StatisticsReads:
+    """The statistics protocol answered by ``store``, every answer logged.
+
+    A decision made through it leaves :attr:`log`, one ``(method, arguments,
+    keywords, answer)`` per read, which :func:`_reads_hold` replays.  Any
+    attribute outside :data:`STATISTICS_PROTOCOL` raises, so a read the
+    optimizer makes cannot go unlogged.
+    """
+
+    __slots__ = ("_store", "log")
+
+    def __init__(self, store: StatisticsStore) -> None:
+        self._store = store
+        self.log: List[tuple] = []
+
+    def __getattr__(self, name: str) -> Callable[..., object]:
+        if name not in STATISTICS_PROTOCOL:
+            raise AttributeError(f"{name!r} is not a statistics-protocol method")
+        method = getattr(self._store, name)
+
+        def read(*arguments: object, **keywords: object) -> object:
+            answer = method(*arguments, **keywords)
+            self.log.append((name, arguments, keywords, answer))
+            return answer
+
+        return read
+
+
+def _reads_hold(log: Sequence[tuple], store: Optional[StatisticsStore]) -> bool:
+    """Does ``store`` give each answer of ``log`` again?"""
+    return all(
+        getattr(store, name)(*arguments, **keywords) == answer
+        for name, arguments, keywords, answer in log
+    )
+
+
+def _stateless(config: StrategyConfig) -> StrategyConfig:
+    """``config`` without the four runtime fields its equality leaves out, so
+    a memo key keeps no run's controllers and no tenant's store alive."""
+    if (
+        config.batch_controller is None
+        and config.overlap_controller is None
+        and config.reoptimizer is None
+        and config.statistics is None
+    ):
+        return config
+    return replace(
+        config, batch_controller=None, overlap_controller=None, reoptimizer=None, statistics=None
+    )
 
 
 class SqlSurface:
@@ -579,32 +632,44 @@ class Database(SqlSurface):
         store by default) calibrate it only when asked to and once something
         was observed.
 
-        An uncalibrated decision of a config without runtime state is made
-        once per bound query, config, network and cost settings, and served
-        while every base table answers with the statistics object it was
-        priced from (``snapshot``; read here when the caller has none).
+        A decision is made once per bound query, config (without its runtime
+        fields), UDF order, network, cost settings and calibrating store, and
+        served while every base table answers with the statistics object it
+        was priced from (``snapshot``; read here when the caller has none)
+        and every statistics read it made, asked again, gets the same
+        answer.  A served decision is the caller's ``config`` with the
+        memoised batch size and strategy: it carries this call's runtime
+        state and no other's.
         """
         if not optimize:
             return OptimizationDecision.pinned(bound, config, udf_order=tuple(udf_order or ()))
         statistics = statistics if statistics is not None else self.statistics
-
-        def decide() -> OptimizationDecision:
-            return Optimizer(
-                self.network,
-                default_config=config,
-                settings=self.cost_settings,
-                statistics=statistics if calibrated and statistics.queries_observed else None,
-            ).optimize(bound)
-
-        controllers = (config.batch_controller, config.overlap_controller, config.reoptimizer)
-        if calibrated or config.statistics is not None or any(c is not None for c in controllers):
-            return decide()
-        key = (id(bound), config, tuple(udf_order or ()), self.network, self.cost_settings)
+        store = statistics if calibrated and statistics.queries_observed else None
+        key = (
+            id(bound), _stateless(config), tuple(udf_order or ()), self.network,
+            self.cost_settings, None if store is None else id(store),
+        )  # fmt: skip
         snapshot = snapshot if snapshot is not None else _snapshot(bound)
         entry = self._decisions.pop(key, None)
-        if entry is None or entry[0] is not bound or not _same(entry[1], snapshot):
-            entry = (bound, snapshot, decide())
-        return _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)[2]
+        if (
+            entry is not None
+            and entry[0] is bound
+            and _same(entry[1], snapshot)
+            and _reads_hold(entry[5], store)
+        ):
+            _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
+            return OptimizationDecision(
+                entry[2], replace(config, batch_size=entry[3], strategy=entry[4])
+            )
+        reads = StatisticsReads(store) if store is not None else None
+        decision = Optimizer(
+            self.network, default_config=config, settings=self.cost_settings, statistics=reads
+        ).optimize(bound)
+        made = decision.strategy_config
+        log = tuple(reads.log) if reads is not None else ()
+        entry = (bound, snapshot, decision.plan, made.batch_size, made.strategy, log)
+        _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
+        return decision
 
     # -- durable storage plumbing --------------------------------------------------------
 

@@ -1,31 +1,43 @@
 """The front-end memos never serve a stale answer, and a hit changes nothing they share.
 
 A :class:`~repro.server.engine.Database` binds a repeated SQL text once (the
-statement memo) and makes a repeated uncalibrated decision once (the decision
-memo).  A bound statement holds while the catalog's and the UDF registry's
-generations and every base table's statistics object are the ones it was
-bound under; a decision holds while every base table still answers with the
-statistics object it was priced from.  Each test below changes one of those
-inputs between two executes of one text and compares what the database plans
-with afterwards against a database built fresh in the changed state; the
-last ones run every kind of query twice and check that the second run, a
-hit, leaves what the memos share as it found it.
+statement memo) and makes a repeated decision once (the decision memo).  A
+bound statement holds while the catalog's and the UDF registry's generations
+and every base table's statistics object are the ones it was bound under; a
+decision holds while every base table still answers with the statistics
+object it was priced from and every statistics read it made still gets the
+same answer, and it is served with the caller's own runtime state.  Each
+test below changes one of those inputs between two executes of one text and
+compares what the database plans with afterwards against a database built
+fresh in the changed state; the last ones run every kind of query twice and
+check that the second run, a hit, leaves what the memos share as it found
+it.
 """
 
 from __future__ import annotations
 
+import gc
+import inspect
 from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from types import FunctionType, MethodType, ModuleType
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import pytest
 
 from decision_digest import plan_record
 from plan_tree_digest import _build
-from repro.core.optimizer import CostSettings, Optimizer
+from repro.adaptive import (
+    BatchControllerBank,
+    BatchSizeController,
+    OverlapWindowController,
+    ReOptimizer,
+    StatisticsStore,
+)
+from repro.core.optimizer import CostSettings, OptimizationDecision, Optimizer
 from repro.core.strategies import ExecutionStrategy
 from repro.distribution import ClusterConfig, DistributedDatabase, ShardingSpec, SiteConfig
 from repro.relational.types import FLOAT, INTEGER, STRING
-from repro.server.engine import Database
+from repro.server.engine import Database, StatisticsReads
 from repro.tenancy import MultiTenantEngine, QuerySpec, SessionWorkload
 from repro.workloads.sharding import site_network
 from repro.workloads.stock import StockWorkload
@@ -148,15 +160,39 @@ def test_a_change_between_two_executes_is_planned_as_a_fresh_database_plans_it(c
 
 
 # ---------------------------------------------------------------------------
-# Runtime state is never memoised, and never served
+# Runtime state is never memoised, and never served to another call
 # ---------------------------------------------------------------------------
 
 
+class Decided(NamedTuple):
+    """One ``_decide`` call: what it returned, whether ``Optimizer.optimize``
+    ran for it, the arguments it was called with, and a decision made afresh
+    from those arguments at the same moment (with that decision's reads)."""
+
+    decision: OptimizationDecision
+    ran: bool
+    arguments: Dict[str, Any]
+    fresh: Optional[OptimizationDecision]
+    fresh_reads: Tuple[tuple, ...]
+
+
+def fresh_decision(db: Database, arguments: Dict[str, Any]) -> tuple:
+    """``Optimizer(...).optimize`` of what ``_decide`` was asked, through a
+    read log when a store calibrates it: the decision and its reads."""
+    store = arguments["statistics"] if arguments["statistics"] is not None else db.statistics
+    reads = StatisticsReads(store) if arguments["calibrated"] and store.queries_observed else None
+    decision = Optimizer(
+        db.network, default_config=arguments["config"], settings=db.cost_settings, statistics=reads
+    ).optimize(arguments["bound"])
+    return decision, tuple(reads.log) if reads is not None else ()
+
+
 @contextmanager
-def recorded_decisions(db: Database) -> Iterator[List[tuple]]:
-    """``(decision, optimizer ran)`` for each ``_decide`` call on ``db``."""
-    calls: List[tuple] = []
+def recorded_decisions(db: Database) -> Iterator[List[Decided]]:
+    """A :class:`Decided` for each ``_decide`` call on ``db``."""
+    calls: List[Decided] = []
     decide, optimize = db._decide, Optimizer.optimize
+    signature = inspect.signature(decide)
     ran = []
 
     def counting_optimize(self, *arguments, **keywords):
@@ -166,7 +202,13 @@ def recorded_decisions(db: Database) -> Iterator[List[tuple]]:
     def recording(*arguments, **keywords):
         ran.clear()
         decision = decide(*arguments, **keywords)
-        calls.append((decision, bool(ran)))
+        made = bool(ran)
+        bound = signature.bind(*arguments, **keywords)
+        bound.apply_defaults()
+        fresh, reads = (
+            fresh_decision(db, bound.arguments) if bound.arguments["optimize"] else (None, ())
+        )
+        calls.append(Decided(decision, made, dict(bound.arguments), fresh, reads))
         return decision
 
     db._decide = recording
@@ -178,11 +220,49 @@ def recorded_decisions(db: Database) -> Iterator[List[tuple]]:
         Optimizer.optimize = optimize
 
 
-def runtime_state(decision) -> tuple:
-    config = decision.strategy_config
+def runtime_state(config) -> tuple:
     return (
         config.batch_controller, config.overlap_controller, config.reoptimizer, config.statistics
     )
+
+
+def carries_callers_state(call: Decided) -> bool:
+    """Are the decision's runtime fields the very objects its caller passed?"""
+    mine = runtime_state(call.decision.strategy_config)
+    return all(own is given for own, given in zip(mine, runtime_state(call.arguments["config"])))
+
+
+def same_decision(one: OptimizationDecision, other: OptimizationDecision) -> bool:
+    """The same plan (every estimate in hex), batch size and strategy."""
+    return (
+        plan_record(one.plan) == plan_record(other.plan)
+        and one.batch_size == other.batch_size
+        and one.strategy_config.strategy == other.strategy_config.strategy
+        and one.strategy_config == other.strategy_config
+    )
+
+
+RUNTIME_TYPES = (
+    BatchControllerBank, BatchSizeController, OverlapWindowController, ReOptimizer,
+    StatisticsStore, StatisticsReads,
+)  # fmt: skip
+
+
+def runtime_held(db: Database) -> List[object]:
+    """Every controller, re-optimizer, store or read log a decision memo key
+    or entry reaches (through containers and objects, not through classes,
+    modules or functions)."""
+    found, seen, stack = [], set(), [list(db._decisions.items())]
+    while stack:
+        held = stack.pop()
+        if id(held) in seen or isinstance(held, (type, ModuleType, FunctionType, MethodType)):
+            continue
+        seen.add(id(held))
+        if isinstance(held, RUNTIME_TYPES):
+            found.append(held)
+        else:
+            stack.extend(gc.get_referents(held))
+    return found
 
 
 @pytest.mark.parametrize(
@@ -200,19 +280,23 @@ def test_runtime_state_is_never_memoised_or_served(options):
     db = quotes_database()
     db.execute(SQL, optimize=True)  # a memoised plain decision
     with recorded_decisions(db) as calls:
-        db.execute(SQL, optimize=True, **options)
-        db.execute(SQL, optimize=True, **options)
+        for _ in range(3):
+            db.execute(SQL, optimize=True, **options)
         db.execute(SQL, optimize=True)
-    (first, first_ran), (second, second_ran), (plain, plain_ran) = calls
-    assert first_ran and second_ran and first is not second
-    assert not plain_ran and runtime_state(plain) == (None, None, None, None)
-    carries_state = any(state is not None for state in runtime_state(second))
-    assert carries_state == (options != {"calibrated": True})
+    *runs, plain = calls
+    assert any(not run.ran for run in runs)  # a decision was served
+    for run in runs:
+        assert same_decision(run.decision, run.fresh) and carries_callers_state(run)
+    assert runtime_held(db) == []
+    assert not plain.ran
+    assert runtime_state(plain.decision.strategy_config) == (None, None, None, None)
+    last = runtime_state(runs[-1].decision.strategy_config)
+    assert any(state is not None for state in last) == (options != {"calibrated": True})
 
 
 def test_a_tenant_store_never_rides_a_served_decision():
     """Under per-tenant statistics a switching query carries its tenant's
-    store and is decided afresh; a plain one is served without any store."""
+    store, served or not; a plain one is served without any store."""
     db = quotes_database()
     engine = MultiTenantEngine(db, per_tenant_statistics=True)
     plain = QuerySpec(SQL, options={"optimize": True})
@@ -224,14 +308,20 @@ def test_a_tenant_store_never_rides_a_served_decision():
     with recorded_decisions(db) as calls:
         report = engine.run(workloads)
     assert report.error_count == 0
-    plain_calls = [(d, ran) for d, ran in calls if d.strategy_config.switch_policy is None]
-    switch_calls = [(d, ran) for d, ran in calls if d.strategy_config.switch_policy is not None]
+    plain_calls = [c for c in calls if c.decision.strategy_config.switch_policy is None]
+    switch_calls = [c for c in calls if c.decision.strategy_config.switch_policy is not None]
     assert len(plain_calls) == 4 and len(switch_calls) == 2
-    assert [ran for _, ran in plain_calls] == [True, False, False, False]
-    assert all(ran for _, ran in switch_calls)
-    stores = {id(d.strategy_config.statistics) for d, _ in switch_calls}
-    assert len(stores) == 2 and id(db.statistics) not in stores
-    assert all(runtime_state(d) == (None, None, None, None) for d, _ in plain_calls)
+    assert [c.ran for c in plain_calls] == [True, False, False, False]
+    assert [c.ran for c in switch_calls] == [True, False]  # the second tenant's is served
+    for call in switch_calls:
+        assert carries_callers_state(call)
+        assert call.decision.strategy_config.statistics is call.arguments["statistics"]
+    stores = {id(c.decision.strategy_config.statistics) for c in switch_calls}
+    tenants = {id(engine.tenant_statistics.for_tenant(tenant)) for tenant in ("a", "b")}
+    assert stores == tenants and id(db.statistics) not in stores
+    for call in plain_calls:
+        assert runtime_state(call.decision.strategy_config) == (None, None, None, None)
+    assert runtime_held(db) == []
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +364,10 @@ def memo_fingerprint(db) -> tuple:
         for sql, (stamp, bound, snapshot) in db._statements.items()
     ]
     decisions = [
-        (
-            key[1:], plan_record(decision.plan), repr(decision.strategy_config),
-            sorted((name, plan_record(plan)) for name, plan in decision.alternatives.items()),
-        )
-        for key, (_bound, _snapshot, decision) in getattr(db, "_decisions", {}).items()
+        (key[1:], plan_record(plan), batch_size, strategy, reads)
+        for key, (_bound, _snapshot, plan, batch_size, strategy, reads) in getattr(
+            db, "_decisions", {}
+        ).items()
     ]
     return statements, decisions
 
@@ -302,9 +391,12 @@ def stock_database(directory=None) -> Database:
     return paged_stock_database(directory)
 
 
-def twice(db, sql: str, forget: bool, **options) -> tuple:
-    """Two executes of ``sql``; with ``forget`` the memos are emptied first
-    each time, which is what a database without them would run."""
+def twice(db, sql: str, forget: bool, warm_up: bool = False, **options) -> tuple:
+    """Two executes of ``sql`` (after a third with ``warm_up``); with
+    ``forget`` the memos are emptied first each time, which is what a
+    database without them would run."""
+    if warm_up:
+        db.execute(sql, **options)
     results, prints = [], []
     for _ in range(2):
         if forget:
@@ -323,10 +415,13 @@ def test_a_hit_runs_without_mutating_what_it_shares(run, figure, tmp_path):
     options = {"optimize": True} if paged else dict(RUNS[run])
     db = stock_database(str(tmp_path / "memoised") if paged else None)
     options["deliver_results"] = True
-    results, prints = twice(db, sql, forget=False, **options)
+    # The first calibrated run adds its entry: compare two runs after it.
+    options["warm_up"] = run in ("adaptive", "reoptimize")
+    with recorded_decisions(db) as calls:
+        results, prints = twice(db, sql, forget=False, **options)
     assert prints[0] == prints[1] and prints[0][0]
-    if options.get("optimize") and not (options.get("adaptive") or options.get("reoptimize")):
-        assert prints[0][1]  # the decision was memoised and served
+    if options.get("optimize") or options.get("reoptimize"):
+        assert prints[0][1] and not calls[-1].ran  # the decision was memoised and served
     fresh = stock_database(str(tmp_path / "fresh") if paged else None)
     assert results == twice(fresh, sql, forget=True, **options)[0]
     db.close()

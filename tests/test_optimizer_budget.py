@@ -20,6 +20,7 @@ from typing import Dict, Iterator
 import pytest
 
 import repro.relational.schema as schema
+from repro.adaptive.store import STATISTICS_PROTOCOL, StatisticsStore
 from repro.core.optimizer import CostSettings, Optimizer
 from repro.relational.table import Table
 from repro.workloads.stock import StockWorkload
@@ -198,6 +199,50 @@ def test_a_repeated_text_is_parsed_bound_and_decided_once(paged, tmp_path):
     assert reads["statistics"] <= 49 * 2  # two base tables
     assert repeat.rows == first.rows
     db.close()
+
+
+#: Statistics-protocol reads a served decision replays (a Figure 13
+#: decision reads 10).
+READS_PER_HIT = 16
+
+
+@contextmanager
+def counted_reads() -> Iterator[Dict[str, int]]:
+    """Count calls of every statistics-protocol method on any store."""
+    counts = {"reads": 0}
+    originals = {name: getattr(StatisticsStore, name) for name in STATISTICS_PROTOCOL}
+    for name, original in originals.items():
+
+        def call(*arguments, _original=original, **keywords):
+            counts["reads"] += 1
+            return _original(*arguments, **keywords)
+
+        setattr(StatisticsStore, name, call)
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(StatisticsStore, name, original)
+
+
+def test_a_repeated_adaptive_query_is_decided_twice():
+    """50 adaptive executes of the Figure 13 text: the first is decided
+    before anything was observed, the second calibrated by the first run,
+    and the other 48 are served — the store stops moving where the planner
+    reads it — each replaying at most ``READS_PER_HIT`` reads."""
+    db = StockWorkload(company_count=25, seed=1999).build()
+    sql = StockWorkload.figure13_query()
+    per_hit = []
+    with counted_front_end() as counts:
+        first = db.execute(sql, optimize=True, adaptive=True, deliver_results=True)
+        db.execute(sql, optimize=True, adaptive=True)
+        for _ in range(48):
+            with counted_reads() as reads:
+                repeat = db.execute(sql, optimize=True, adaptive=True, deliver_results=True)
+            per_hit.append(reads["reads"])
+    assert counts["optimize"] == 2
+    assert 0 < max(per_hit) <= READS_PER_HIT
+    assert sorted(repeat.rows) == sorted(first.rows)
 
 
 def test_each_memo_holds_its_bound_after_many_distinct_texts():

@@ -25,26 +25,15 @@ from repro.adaptive.observer import (
     QueryObservation,
     UdfObservation,
 )
-from repro.adaptive.store import _SCALARS, _TABLES, StatisticsOverlay
+from repro.adaptive.store import _SCALARS, _TABLES, STATISTICS_PROTOCOL, StatisticsOverlay
 from repro.core.optimizer import cost, decision, plans
 from repro.core.optimizer.cost import CostSettings
 from repro.distribution.planner import site_calibrated
 from repro.network.topology import NetworkConfig
+from repro.server.engine import StatisticsReads
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 NETWORK = NetworkConfig.symmetric(1_000_000.0, latency=0.001, name="configured")
-
-#: What the optimizer asks of its ``statistics`` — every answerer has all of it.
-PROTOCOL = {
-    "udf_cost",
-    "udf_selectivity",
-    "udf_distinct_fraction",
-    "predicate_selectivity",
-    "join_selectivity",
-    "column_distinct_evidence",
-    "calibrated_network",
-    "calibrated_cost_settings",
-}
 
 
 def _link(name, total, busy, queueing, messages=10):
@@ -396,7 +385,8 @@ def _asked_by_the_optimizer():
 
 class TestProtocolCompleteness:
     def test_the_list_is_what_the_optimizer_calls(self):
-        assert _asked_by_the_optimizer() == PROTOCOL
+        assert _asked_by_the_optimizer() == set(STATISTICS_PROTOCOL)
+        assert len(STATISTICS_PROTOCOL) == len(set(STATISTICS_PROTOCOL))
 
     def test_the_optimizer_does_not_probe(self):
         source = "".join(inspect.getsource(module) for module in (cost, plans, decision))
@@ -410,14 +400,31 @@ class TestProtocolCompleteness:
             _view(None),
             _view(StatisticsStore()),
             site_calibrated(StatisticsStore(), "site0"),
+            StatisticsReads(StatisticsStore()),
         ],
-        ids=["store", "overlay", "view", "view-over-store", "per-site"],
+        ids=["store", "overlay", "view", "view-over-store", "per-site", "read-log"],
     )
     def test_every_answerer_answers_every_method(self, answerer):
-        for method in sorted(PROTOCOL):
+        for method in STATISTICS_PROTOCOL:
             assert callable(getattr(answerer, method)), method
 
     def test_an_overlay_answers_protocol_methods_only(self):
         own = {name for name in vars(RuntimeStatisticsView) if not name.startswith("_")}
-        assert own and own <= PROTOCOL
-        assert all(hasattr(StatisticsStore, name) for name in PROTOCOL)
+        assert own and own <= set(STATISTICS_PROTOCOL)
+        assert all(hasattr(StatisticsStore, name) for name in STATISTICS_PROTOCOL)
+
+    def test_a_read_log_answers_the_protocol_and_nothing_else(self):
+        store = _fixture_store()
+        reads = StatisticsReads(store)
+        for name in ("queries_observed", "record", "forget_columns", "udf_selectivities"):
+            with pytest.raises(AttributeError):
+                getattr(reads, name)
+        asked = [
+            ("udf_cost", ("Score", 0.9), {}),
+            ("udf_selectivity", ("Score", 0.9), {"predicate": "Score_result >= 100"}),
+            ("join_selectivity", (("A.K", "B.K"), None), {}),
+            ("calibrated_network", (NETWORK,), {}),
+        ]
+        answers = [getattr(reads, name)(*args, **kwargs) for name, args, kwargs in asked]
+        assert answers == [getattr(store, name)(*args, **kwargs) for name, args, kwargs in asked]
+        assert reads.log == [(*read, answer) for read, answer in zip(asked, answers)]
