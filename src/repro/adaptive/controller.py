@@ -62,7 +62,6 @@ class BatchSizeController:
         window_rows: int = 32,
         smoothing: float = 0.5,
         reprobe_after: int = 6,
-        collapse_backoff: bool = False,
     ) -> None:
         if min_batch_size < 1:
             raise ValueError("min_batch_size must be at least 1")
@@ -76,11 +75,6 @@ class BatchSizeController:
         self.window_rows = max(1, window_rows)
         self.smoothing = smoothing
         self.reprobe_after = max(2, reprobe_after)
-        #: On a collapse, immediately step one rung *down* instead of staying
-        #: put.  Under multi-tenant cross-traffic a collapse usually means
-        #: the flow's trunk share shrank — backing off the window/batch frees
-        #: the trunk faster than waiting for fresh neighbour probes.
-        self.collapse_backoff = collapse_backoff
 
         self._size = self._clamp(initial_batch_size)
         self._direction = 1  # +1 probing upward, -1 probing downward
@@ -161,23 +155,6 @@ class BatchSizeController:
             self._throughput = {self._size: throughput}
             self._stable_windows = 0
             self.collapse_count += 1
-            if self.collapse_backoff:
-                down = self._clamp(max(1, self._size // 2))
-                if down != self._size:
-                    self.decisions.append(
-                        BatchDecision(
-                            batch_size=self._size,
-                            rows=self._window_rows_seen,
-                            seconds=self._window_seconds,
-                            next_batch_size=down,
-                        )
-                    )
-                    self._direction = -1
-                    self._size = down
-                    self._window_rows_seen = 0
-                    self._window_seconds = 0.0
-                    self._window_batch_count = 0
-                    return
         elif previous is None:
             self._throughput[self._size] = throughput
         else:

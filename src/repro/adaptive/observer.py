@@ -15,9 +15,8 @@ estimates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.adaptive.controller import BatchControllerBank
 from repro.network.stats import TransferCounters
@@ -170,14 +169,10 @@ class RuntimeObserver:
     one — closing the observe → calibrate loop.
     """
 
-    def __init__(self, store: Optional["object"] = None, history: int = 32) -> None:
+    def __init__(self, store: Optional["object"] = None) -> None:
         #: Destination for observations; anything with
         #: ``record(observation, site=...)``.
         self.store = store
-        #: Recent observations, newest last.  Bounded: the store keeps the
-        #: blended aggregates, so a long-lived database does not accumulate
-        #: per-query history without limit.
-        self.observations: Deque[QueryObservation] = deque(maxlen=max(1, history))
 
     def observe(
         self,
@@ -246,7 +241,6 @@ class RuntimeObserver:
                 else {}
             ),
         )
-        self.observations.append(observation)
         if self.store is not None:
             self.store.record(observation, site=site)
         return observation

@@ -4,7 +4,8 @@
 not re-invoked.  The semi-join receiver uses a cache keyed by argument tuple
 to join duplicate records with results that were only computed (and shipped)
 once; the client runtime can use the same structure to avoid recomputation
-when argument duplicates do reach it (client-site join on unsorted input).
+when argument duplicates do reach it (the client-site join ships every
+record, duplicates included).
 """
 
 from __future__ import annotations

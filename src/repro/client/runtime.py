@@ -45,13 +45,12 @@ class ClientRuntime:
         registry: Optional[UdfRegistry] = None,
         name: str = "client",
         use_result_cache: bool = True,
-        cache: Optional[ResultCache] = None,
         fail_on_invocation: Optional[int] = None,
     ) -> None:
         self.registry = registry if registry is not None else UdfRegistry()
         self.name = name
         self.use_result_cache = use_result_cache
-        self.cache = cache if cache is not None else ResultCache()
+        self.cache = ResultCache()
         #: When set, the N-th UDF invocation raises — used by failure-injection tests.
         self.fail_on_invocation = fail_on_invocation
 

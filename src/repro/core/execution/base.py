@@ -117,7 +117,6 @@ class RemoteUdfOperator(Operator):
         name = self.udf.name
         self._batch_controller = controller = self.config.controller_for(name)
         self._window_controller = self.config.overlap_controller_for(name)
-        self._static_batch_size = self.config.batch_size_for(name)
         if controller is not None:
             # Start the controller's inter-arrival clock at this operator's
             # first simulated instant, so idle time between remote operators
@@ -139,7 +138,7 @@ class RemoteUdfOperator(Operator):
     def next_batch_size(self) -> int:
         """Rows the next network message should carry (adaptive-aware)."""
         controller = self._batch_controller
-        return self._static_batch_size if controller is None else controller.current()
+        return self.config.batch_size if controller is None else controller.current()
 
     def observe_batch(self, rows: int) -> None:
         """Report ``rows`` acknowledged input rows to this UDF's controllers.

@@ -80,12 +80,9 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
     def _drive(self, batch: RowBatch):
         channel = self.context.channel
 
-        if self.config.sort_by_arguments:
-            # Sorting groups argument duplicates so the client's result cache
-            # avoids recomputation; it does not change what is shipped.
-            batch, coded = self.sorted_batch_by_arguments(batch)
-        else:
-            coded = batch.encode(self._argument_positions)
+        # Sorting groups argument duplicates so the client's result cache
+        # avoids recomputation; it does not change what is shipped.
+        batch, coded = self.sorted_batch_by_arguments(batch)
         self.distinct_argument_count = coded.count
 
         call = RemoteCall(udf_name=self.udf.name, argument_positions=self._argument_positions)

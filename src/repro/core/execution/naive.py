@@ -16,10 +16,10 @@ the wire carries the same messages and bytes, just without the per-batch
 stalls.
 
 The only optimisation kept from the server-site world is [HN97]-style result
-caching of duplicate argument tuples on the server, controlled by
-``StrategyConfig.server_result_cache``.  Duplicate decisions are made at
-*enqueue* time against everything already sent or in flight, so the wire
-trace is identical whatever the window is.
+caching of duplicate argument tuples on the server: each distinct tuple is
+shipped once.  Duplicate decisions are made at *enqueue* time against
+everything already sent or in flight, so the wire trace is identical
+whatever the window is.
 """
 
 from __future__ import annotations
@@ -52,24 +52,21 @@ class NaiveUdfOperator(RemoteUdfOperator):
             udf_name=self.udf.name,
             argument_positions=tuple(range(len(self.argument_columns))),
         )
-        use_cache = self.config.server_result_cache
-        carried = self.carry_state if use_cache else None
         # The naive strategy's historical wire behaviour is synchronous:
         # window 1 unless the config (or its controller) says otherwise.
         window = self.make_window(default=1)
 
         coded = batch.encode(self._argument_positions)
-        keys = coded.keys
-        slots, payloads, sizes = self.shipping_slots(batch, coded, by_code=use_cache)
-        if use_cache:
-            # ``resolved[code]`` is 1 once a code needs no shipping: answered
-            # from the server cache (which earlier segments filled and which
-            # does not change while the sender runs), or already sent or
-            # pending.
-            results_by_code, resolved = self.resolved_earlier(carried, keys)
-        # The slots shipped, in shipping order: the receiver's results pair
+        # Each distinct tuple ships once, at its first occurrence's size.
+        keys, sizes = coded.keys, coded.sizes
+        # ``resolved[code]`` is 1 once a code needs no shipping: answered
+        # from the server cache (which earlier segments filled and which
+        # does not change while the sender runs), or already sent or
+        # pending.
+        results_by_code, resolved = self.resolved_earlier(self.carry_state, keys)
+        # The codes shipped, in shipping order: the receiver's results pair
         # with them positionally once both processes have finished.
-        shipped_slots: List[int] = []
+        shipped_codes: List[int] = []
         shipped_results: List[Any] = []
         # Input rows acknowledged by each reply (cache-resolved rows between
         # flushes count toward the batch that follows them), FIFO.
@@ -96,15 +93,14 @@ class NaiveUdfOperator(RemoteUdfOperator):
                 covered = pending_bytes = 0
                 pending.clear()
 
-            for slot in slots:
+            for code in coded.codes:
                 covered += 1
-                if use_cache:
-                    if resolved[slot]:
-                        continue
-                    resolved[slot] = 1
-                shipped_slots.append(slot)
-                pending.append(payloads[slot])
-                pending_bytes += sizes[slot]
+                if resolved[code]:
+                    continue
+                resolved[code] = 1
+                shipped_codes.append(code)
+                pending.append(keys[code])
+                pending_bytes += sizes[code]
                 # Re-read the targets each time: adaptive controllers may
                 # have moved the batch size or the window since the last send.
                 if len(pending) >= self.next_batch_size():
@@ -122,8 +118,7 @@ class NaiveUdfOperator(RemoteUdfOperator):
         self.context.book_window(window)
         self.distinct_argument_count = len(keys)
 
-        if use_cache:
-            shipped_results = self.pair_results(
-                coded, results_by_code, shipped_slots, shipped_results, carried
-            )
-        return self.extended_batch(batch, shipped_results)
+        results = self.pair_results(
+            coded, results_by_code, shipped_codes, shipped_results, self.carry_state
+        )
+        return self.extended_batch(batch, results)

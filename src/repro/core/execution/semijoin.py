@@ -4,10 +4,10 @@ Architecture (paper Figure 3): on the server a *sender* and a *receiver* run
 concurrently, coupled by a bounded pipeline whose capacity is the pipeline
 concurrency factor.
 
-* The sender walks the input (optionally sorted and grouped on the argument
-  columns), eliminates argument duplicates and ships only the argument
-  columns of new argument tuples on the downlink; every tuple it ships takes
-  a pipeline slot first.
+* The sender walks the input (sorted and grouped on the argument columns),
+  eliminates argument duplicates and ships only the argument columns of new
+  argument tuples on the downlink; every tuple it ships takes a pipeline
+  slot first.
 * The client evaluates the UDF on each received argument tuple and ships the
   bare result back on the uplink.
 * The receiver wakes once per reply.  Results come back in shipping order,
@@ -79,10 +79,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         simulator = self.context.simulator
         channel = self.context.channel
 
-        if self.config.sort_by_arguments:
-            batch, coded = self.sorted_batch_by_arguments(batch)
-        else:
-            coded = batch.encode(self._argument_positions)
+        batch, coded = self.sorted_batch_by_arguments(batch)
         keys = coded.keys
 
         factor = self.effective_concurrency_factor(batch[0] if len(batch) else None)
@@ -99,7 +96,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         if adaptive:
             factor = max(factor, 2 * self.next_batch_size())
         else:
-            factor = max(factor, self._static_batch_size)
+            factor = max(factor, self.config.batch_size)
 
         call = RemoteCall(
             udf_name=self.udf.name,
@@ -200,6 +197,6 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
             )
         else:
             results = shipped_results
-        # Results are in record order — the (possibly argument-sorted) input
+        # Results are in record order — the argument-sorted input
         # order — so the output is the input batch plus one column.
         return self.extended_batch(batch, results)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Tuple, Union, TYPE_CHECKING
+from typing import Optional, Union, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptive.controller import (
@@ -62,12 +62,6 @@ class StrategyConfig:
         per-message overhead (latency share and framing bytes) over
         ``batch_size`` rows.  A value of 1 reproduces the paper's
         tuple-at-a-time wire behaviour exactly.
-    batch_size_overrides:
-        Per-UDF batch sizes overriding the plan-wide ``batch_size``: a
-        mapping from UDF name (case-insensitive) to rows per message,
-        normalised internally to a sorted tuple so configs stay hashable.
-        An explicit override also pins that UDF's batch size against the
-        adaptive controller.
     batch_controller:
         A :class:`~repro.adaptive.controller.BatchSizeController` — or a
         :class:`~repro.adaptive.controller.BatchControllerBank` of per-UDF
@@ -88,17 +82,10 @@ class StrategyConfig:
         ``None`` (the default) commits to ``strategy`` for the whole query.
     eliminate_duplicates:
         Whether the semi-join sender suppresses argument duplicates
-        (Section 3.2.2).  Disabling this is an ablation knob.
-    sort_by_arguments:
-        Whether the server sorts the input on the argument columns before
-        shipping.  For the semi-join this groups duplicates so the receiver
-        performs a merge join; for the client-site join it lets the client's
-        result cache avoid duplicate invocations without affecting bytes.
-    server_result_cache:
-        Whether the naive strategy caches results of duplicate argument
-        tuples on the server ([HN97]); irrelevant to the semi-join (which
-        deduplicates anyway) and to the client-site join (which ships whole
-        records regardless).
+        (Section 3.2.2).  Disabling this is an ablation knob.  The semi-join
+        and the client-site join always sort their input on the argument
+        columns, and the naive strategy always ships each distinct argument
+        tuple once ([HN97] result caching on the server).
     push_predicates / push_projections:
         Whether the client-site join pushes pushable predicates and
         projections to the client (Section 2.3.2).  Both default to True;
@@ -108,9 +95,6 @@ class StrategyConfig:
     strategy: ExecutionStrategy = ExecutionStrategy.SEMI_JOIN
     concurrency_factor: Optional[int] = None
     batch_size: int = 1
-    batch_size_overrides: Union[
-        Mapping[str, int], Tuple[Tuple[str, int], ...]
-    ] = ()
     #: The in-flight *batch window* of the overlapped shipping protocol: how
     #: many request batches may be outstanding on the wire at once, for every
     #: strategy.  ``None`` keeps each strategy's historical default — the
@@ -144,8 +128,6 @@ class StrategyConfig:
     #: excluded from equality and hashing.
     statistics: Optional["StatisticsStore"] = field(default=None, compare=False)
     eliminate_duplicates: bool = True
-    sort_by_arguments: bool = True
-    server_result_cache: bool = True
     push_predicates: bool = True
     push_projections: bool = True
 
@@ -156,53 +138,16 @@ class StrategyConfig:
             raise ValueError("batch_size must be at least 1")
         if self.overlap_window is not None and self.overlap_window < 1:
             raise ValueError("overlap_window must be at least 1")
-        # Normalise the overrides (possibly a dict) to a sorted tuple of
-        # (lower-case name, size) pairs so the frozen config stays hashable.
-        normalised = tuple(
-            sorted(
-                (name.lower(), int(size))
-                for name, size in (
-                    self.batch_size_overrides.items()
-                    if isinstance(self.batch_size_overrides, Mapping)
-                    else self.batch_size_overrides
-                )
-            )
-        )
-        for name, size in normalised:
-            if size < 1:
-                raise ValueError(f"batch size override for {name!r} must be at least 1")
-        object.__setattr__(self, "batch_size_overrides", normalised)
-        # The same pairs as a mapping (not a field: derived, so it stays out
-        # of equality and hashing): strategies resolve an override per batch
-        # and per shipped row.
-        object.__setattr__(self, "_override_sizes", dict(normalised))
 
     # -- batch sizing --------------------------------------------------------------
-
-    def _override_for(self, udf_name: Optional[str]) -> Optional[int]:
-        overrides = self._override_sizes
-        if not overrides or udf_name is None:
-            return None
-        return overrides.get(udf_name.lower())
-
-    def batch_size_for(self, udf_name: Optional[str] = None) -> int:
-        """The *static* batch size for ``udf_name`` (override, else plan-wide)."""
-        override = self._override_for(udf_name)
-        return self.batch_size if override is None else override
-
-    def has_batch_override(self, udf_name: str) -> bool:
-        return self._override_for(udf_name) is not None
 
     def controller_for(self, udf_name: Optional[str] = None) -> Optional["BatchSizeController"]:
         """The adaptive controller governing ``udf_name``, if any.
 
         Resolves a :class:`~repro.adaptive.controller.BatchControllerBank` to
         the named UDF's own controller (created on first use); a plain
-        controller is shared plan-wide.  An explicit per-UDF batch-size
-        override pins that UDF against adaptation, so ``None`` is returned.
+        controller is shared plan-wide.
         """
-        if self._override_for(udf_name) is not None:
-            return None
         controller = self.batch_controller
         if controller is None:
             return None
@@ -214,14 +159,10 @@ class StrategyConfig:
     def next_batch_size(self, udf_name: Optional[str] = None) -> int:
         """The batch size to use for the *next* batch.
 
-        An explicit per-UDF override is pinned; otherwise an attached
-        adaptive controller (or the UDF's own controller from a bank)
-        decides; otherwise the static plan-wide size.  Strategies call this
-        at every batch boundary.
+        An attached adaptive controller (or the UDF's own controller from a
+        bank) decides; otherwise the static plan-wide size.  Strategies call
+        this at every batch boundary.
         """
-        override = self._override_for(udf_name)
-        if override is not None:
-            return override
         controller = self.controller_for(udf_name)
         if controller is not None:
             return controller.current()
@@ -258,13 +199,11 @@ class StrategyConfig:
     @classmethod
     def naive(
         cls,
-        server_result_cache: bool = True,
         batch_size: int = 1,
         overlap_window: Optional[int] = None,
     ) -> "StrategyConfig":
         return cls(
             strategy=ExecutionStrategy.NAIVE,
-            server_result_cache=server_result_cache,
             batch_size=batch_size,
             overlap_window=overlap_window,
         )
@@ -275,7 +214,6 @@ class StrategyConfig:
         concurrency_factor: Optional[int] = None,
         batch_size: int = 1,
         eliminate_duplicates: bool = True,
-        sort_by_arguments: bool = True,
         overlap_window: Optional[int] = None,
     ) -> "StrategyConfig":
         return cls(
@@ -283,7 +221,6 @@ class StrategyConfig:
             concurrency_factor=concurrency_factor,
             batch_size=batch_size,
             eliminate_duplicates=eliminate_duplicates,
-            sort_by_arguments=sort_by_arguments,
             overlap_window=overlap_window,
         )
 
@@ -292,7 +229,6 @@ class StrategyConfig:
         cls,
         push_predicates: bool = True,
         push_projections: bool = True,
-        sort_by_arguments: bool = True,
         batch_size: int = 1,
         overlap_window: Optional[int] = None,
     ) -> "StrategyConfig":
@@ -300,7 +236,6 @@ class StrategyConfig:
             strategy=ExecutionStrategy.CLIENT_SITE_JOIN,
             push_predicates=push_predicates,
             push_projections=push_projections,
-            sort_by_arguments=sort_by_arguments,
             batch_size=batch_size,
             overlap_window=overlap_window,
         )
@@ -313,9 +248,6 @@ class StrategyConfig:
 
     def with_batch_size(self, batch_size: int) -> "StrategyConfig":
         return replace(self, batch_size=batch_size)
-
-    def with_batch_overrides(self, overrides: Mapping[str, int]) -> "StrategyConfig":
-        return replace(self, batch_size_overrides=dict(overrides))
 
     def with_batch_controller(
         self, controller: Optional[Union["BatchSizeController", "BatchControllerBank"]]

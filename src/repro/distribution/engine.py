@@ -69,7 +69,6 @@ class _ScatterRun:
         segments: int,
         migrate: bool,
         policy: MigrationPolicy,
-        observe: bool,
     ) -> None:
         self.engine = engine
         self.segments = max(1, segments)
@@ -77,7 +76,7 @@ class _ScatterRun:
         self.policy = policy
         #: Where the shard tasks learn: the cluster's store, each context
         #: filing its link measurements under its own site.
-        self.observer = RuntimeObserver(engine.statistics) if observe else None
+        self.observer = RuntimeObserver(engine.statistics)
         self.simulator = Simulator()
         self.driver = BatonDriver(self.simulator, description="scatter-gather run")
         self.trunks: Dict[str, Tuple[Any, Any]] = {
@@ -262,11 +261,9 @@ class DistributedDatabase(SqlSurface):
         config: Optional[StrategyConfig] = None,
         strategy: Optional[ExecutionStrategy] = None,
         optimize: bool = False,
-        calibrated: bool = True,
         segments: int = 1,
         migrate: bool = False,
         migration_policy: Optional[MigrationPolicy] = None,
-        observe: bool = True,
     ) -> QueryResult:
         """Execute ``query`` over the cluster and gather one merged answer.
 
@@ -274,8 +271,10 @@ class DistributedDatabase(SqlSurface):
         :meth:`Database.execute` — applied per shard task (``optimize=True``
         lets each site's System-R decision pick its own UDF shipping
         strategy).  ``segments``/``migrate``/``migration_policy`` arm
-        mid-query replica migration; ``calibrated=False`` prices replicas
-        from configured bandwidths even when observations exist.
+        mid-query replica migration.  Every run is observed into the
+        cluster's statistics store, each shard task's link measurements
+        filed under its own site, and replicas are priced from those
+        per-site calibrated bandwidths once the store has observed a query.
         """
         bound = self.bind(query)
         resolved = resolve_keywords(
@@ -286,15 +285,12 @@ class DistributedDatabase(SqlSurface):
             migration_policy=migration_policy,
         )
         config = resolved.config
-        plan = self.planner().plan(
-            bound, config=config, optimize=optimize, calibrated=calibrated
-        )
+        plan = self.planner().plan(bound, config=config, optimize=optimize)
         run = _ScatterRun(
             self,
             segments=segments,
             migrate=resolved.migrate,
             policy=migration_policy if migration_policy is not None else MigrationPolicy(),
-            observe=observe,
         )
         workers = [_ShardWorker(run, task) for task in plan.tasks]
 

@@ -52,21 +52,18 @@ class MigrationPolicy:
     """When mid-query shard migration is worth the switch.
 
     A shard migrates off its committed replica only when the best candidate
-    replica's estimated remaining time (plus ``switch_penalty_seconds``)
-    beats the observed-rate projection on the current replica by more than
-    the ``hysteresis`` fraction — the same damping idea the strategy
+    replica's estimated remaining time beats the observed-rate projection on
+    the current replica by more than the ``hysteresis`` fraction — the same damping idea the strategy
     switcher uses, so transient jitter does not bounce shards between
     replicas.
     """
 
     hysteresis: float = 0.25
-    switch_penalty_seconds: float = 0.0
 
     def should_migrate(
         self, current_estimate: float, candidate_estimate: float
     ) -> bool:
-        adjusted = candidate_estimate + self.switch_penalty_seconds
-        return adjusted * (1.0 + self.hysteresis) < current_estimate
+        return candidate_estimate * (1.0 + self.hysteresis) < current_estimate
 
 
 def site_calibrated(store: StatisticsStore, site: str) -> StatisticsOverlay:
@@ -153,7 +150,6 @@ class ClusterPlanner:
         query: BoundQuery,
         config: Optional[StrategyConfig] = None,
         optimize: bool = False,
-        calibrated: bool = True,
     ) -> ClusterPlan:
         config = config if config is not None else self.default_config
         # References, not names: each shard joins its fragment only with
@@ -165,8 +161,8 @@ class ClusterPlanner:
                 + ", ".join(f"{bound.table.name} {bound.alias}" for bound in sharded)
             )
         if not sharded:
-            return self._plan_unsharded(query, config, optimize, calibrated)
-        return self._plan_sharded(query, sharded[0].table.name, config, optimize, calibrated)
+            return self._plan_unsharded(query, config, optimize)
+        return self._plan_sharded(query, sharded[0].table.name, config, optimize)
 
     def _plan_sharded(
         self,
@@ -174,7 +170,6 @@ class ClusterPlanner:
         table_name: str,
         config: StrategyConfig,
         optimize: bool,
-        calibrated: bool,
     ) -> ClusterPlan:
         sharded = self.sharded[table_name.lower()]
         placement = self.cluster.placement(sharded.spec)
@@ -186,7 +181,7 @@ class ClusterPlanner:
             bound = self.bind_for_fragment(query.sql, fragment)
             bounds[index] = bound
             for site_name in placement[index]:
-                decision = self._price(bound, site_name, config, calibrated)
+                decision = self._price(bound, site_name, config)
                 costs[(f"shard{index}", site_name)] = decision.estimated_cost
                 decisions[(index, site_name)] = decision
 
@@ -229,13 +224,12 @@ class ClusterPlanner:
         query: BoundQuery,
         config: StrategyConfig,
         optimize: bool,
-        calibrated: bool,
     ) -> ClusterPlan:
         """No sharded table in the query: run it whole on the cheapest site."""
         candidates: Dict[str, float] = {}
         decisions: Dict[str, OptimizationDecision] = {}
         for site in self.cluster.sites:
-            decision = self._price(query, site.name, config, calibrated)
+            decision = self._price(query, site.name, config)
             candidates[site.name] = decision.estimated_cost
             decisions[site.name] = decision
         best = min(sorted(candidates), key=lambda name: candidates[name])
@@ -273,15 +267,12 @@ class ClusterPlanner:
         bound: BoundQuery,
         site_name: str,
         config: StrategyConfig,
-        calibrated: bool,
     ) -> OptimizationDecision:
+        """The decision for ``bound`` on ``site_name``: calibrated exactly
+        when the cluster store has observed a query."""
         site = self.cluster.site(site_name)
         statistics = None
-        if (
-            calibrated
-            and self.statistics is not None
-            and self.statistics.queries_observed
-        ):
+        if self.statistics is not None and self.statistics.queries_observed:
             statistics = site_calibrated(self.statistics, site_name)
         optimizer = Optimizer(
             site.network, default_config=config, statistics=statistics

@@ -81,14 +81,12 @@ class ClientSession:
         network: NetworkConfig,
         registry: Optional[UdfRegistry] = None,
         name: str = "client",
-        use_result_cache: bool = True,
         tenant_id: Optional[str] = None,
         session_id: Optional[str] = None,
     ) -> None:
         self.network = network
         self.registry = registry if registry is not None else UdfRegistry()
         self.name = name
-        self.use_result_cache = use_result_cache
         #: The owning principal; defaults to the session name so single-tenant
         #: setups get sensible attribution for free.
         self.tenant_id = tenant_id if tenant_id is not None else name
@@ -104,7 +102,6 @@ class ClientSession:
         client = ClientRuntime(
             registry=self.registry,
             name=f"{self.name}-{self.queries_executed}",
-            use_result_cache=self.use_result_cache,
         )
         return RemoteExecutionContext.create(
             self.network,

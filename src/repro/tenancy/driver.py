@@ -190,8 +190,8 @@ class MultiTenantEngine:
     """Runs many client sessions concurrently on one shared simulation.
 
     ``fair_queueing`` selects the shared-trunk discipline: ``"drr"``
-    (deficit round robin), ``"fifo"`` (one shared serialisation line), or
-    ``"none"`` (fully private links per query — the no-contention baseline).
+    (deficit round robin) or ``"fifo"`` (one shared serialisation line).
+    Every session's queries contend on that trunk pair.
     ``executor_slots`` bounds server concurrency (``None`` = unbounded) and
     ``admission_policy`` decides who gets a freed slot.  With
     ``per_tenant_statistics`` each tenant calibrates from its own
@@ -305,7 +305,6 @@ class MultiTenantEngine:
                 client=ClientRuntime(
                     registry=session.registry,
                     name=f"{session.name}-{session.queries_executed}",
-                    use_result_cache=session.use_result_cache,
                 ),
                 channel_name=f"{session.name}.channel{session.queries_executed}",
                 session=session,
@@ -354,8 +353,6 @@ class MultiTenantEngine:
     def _build_report(self) -> TrafficReport:
         flow_bytes: Dict[str, int] = {}
         for trunk in (self.trunk_downlink, self.trunk_uplink):
-            if trunk is None:
-                continue
             for flow, total in trunk.stats.flow_bytes().items():
                 flow_bytes[flow] = flow_bytes.get(flow, 0) + total
         return TrafficReport(
@@ -366,8 +363,7 @@ class MultiTenantEngine:
         )
 
     def __repr__(self) -> str:
-        discipline = type(self.trunk_downlink).__name__ if self.trunk_downlink else "private"
         return (
-            f"MultiTenantEngine(trunks={discipline}, slots={self.slots!r}, "
+            f"MultiTenantEngine(trunks={type(self.trunk_downlink).__name__}, slots={self.slots!r}, "
             f"policy={self.admission.policy.value})"
         )

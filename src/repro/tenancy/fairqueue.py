@@ -279,15 +279,13 @@ def shared_trunks(
     discipline: str = "drr",
     quantum_bytes: int = DEFAULT_QUANTUM_BYTES,
     name: str = "trunk",
-) -> Tuple[Optional[LinkScheduler], Optional[LinkScheduler]]:
+) -> Tuple[LinkScheduler, LinkScheduler]:
     """Build a (downlink, uplink) pair of trunk schedulers.
 
-    ``discipline`` is ``"drr"``, ``"fifo"``, or ``"none"`` (private links —
-    returns ``(None, None)`` so callers can pass the pair straight through to
-    :meth:`NetworkConfig.build_channel` unconditionally).
+    ``discipline`` is ``"drr"`` (deficit round robin) or ``"fifo"`` (one
+    shared serialisation line).  A query run outside a trunk — what
+    :meth:`Database.execute` does — has private links instead.
     """
-    if discipline == "none":
-        return None, None
     if discipline == "fifo":
         return (
             FifoLinkScheduler(simulator, name=f"{name}.down"),
@@ -298,4 +296,4 @@ def shared_trunks(
             DeficitRoundRobinScheduler(simulator, name=f"{name}.down", quantum_bytes=quantum_bytes),
             DeficitRoundRobinScheduler(simulator, name=f"{name}.up", quantum_bytes=quantum_bytes),
         )
-    raise ValueError(f"unknown trunk discipline {discipline!r} (want 'drr', 'fifo', or 'none')")
+    raise ValueError(f"unknown trunk discipline {discipline!r} (want 'drr' or 'fifo')")

@@ -62,7 +62,7 @@ class TrafficReport:
     records: List[QueryRecord] = field(default_factory=list)
     makespan_seconds: float = 0.0
     #: Total bytes each session flow moved on the shared trunks (empty when
-    #: the run used private links).
+    #: no query reached the wire).
     trunk_flow_bytes: Dict[str, int] = field(default_factory=dict)
     peak_admission_queue: int = 0
 

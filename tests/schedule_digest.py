@@ -259,9 +259,6 @@ def scenarios() -> Dict[str, Callable[[], None]]:
     table["semi_join/keep-duplicates"] = _single(
         GRID_NETWORK, strategy_config(semi, 4, eliminate_duplicates=False)
     )
-    table["semi_join/unsorted"] = _single(
-        GRID_NETWORK, strategy_config(semi, 4, sort_by_arguments=False)
-    )
     for strategy in ExecutionStrategy:
         table[f"zero-latency/{strategy.value}"] = _single(
             ZERO_LATENCY, strategy_config(strategy, 3), overlap_window=2

@@ -133,6 +133,22 @@ class TestBatchSizeController:
             controller.observe_rows(size, now)
         assert controller.collapse_count >= 1
 
+    def test_collapse_forgets_stale_estimates_and_probes_from_the_collapsed_size(self):
+        controller = BatchSizeController(initial_batch_size=16, window_batches=1, window_rows=1)
+        # Seed remembered estimates as if the climber had already settled at
+        # 16; the first measured window then runs an order of magnitude
+        # slower — a collapse.
+        controller._throughput = {8: 50.0, 16: 1000.0, 32: 40.0}
+        controller.observe_rows(16, 0.0)
+        controller.observe_rows(16, 1.0)  # 16 rows/s << 500 rows/s
+        assert controller.collapse_count == 1
+        # Only the collapsed window's own measurement survives the reset...
+        assert set(controller._throughput) == {16}
+        # ...and the climber probes on from there instead of stepping down
+        # to the stale winner below it.
+        assert controller.decisions[-1].batch_size == 16
+        assert controller.current() != 8
+
 
 # ---------------------------------------------------------------------------
 # Per-UDF controller bank
@@ -197,53 +213,25 @@ class TestBatchControllerBank:
 
 
 # ---------------------------------------------------------------------------
-# StrategyConfig: per-UDF overrides and controller plumbing
+# StrategyConfig: controller plumbing
 # ---------------------------------------------------------------------------
 
 
 class TestStrategyConfigBatching:
-    def test_overrides_normalised_and_hashable(self):
-        config = StrategyConfig(batch_size=4, batch_size_overrides={"Analyze": 32, "Other": 2})
-        assert config.batch_size_overrides == (("analyze", 32), ("other", 2))
-        assert hash(config) == hash(
-            StrategyConfig(batch_size=4, batch_size_overrides={"other": 2, "ANALYZE": 32})
-        )
-
-    def test_batch_size_for_prefers_override(self):
-        config = StrategyConfig(batch_size=4, batch_size_overrides={"Analyze": 32})
-        assert config.batch_size_for("analyze") == 32
-        assert config.batch_size_for("unknown") == 4
-        assert config.batch_size_for() == 4
-
-    def test_invalid_override_rejected(self):
-        with pytest.raises(ValueError):
-            StrategyConfig(batch_size_overrides={"x": 0})
-
-    def test_controller_wins_unless_pinned(self):
-        controller = BatchSizeController(initial_batch_size=16)
-        config = StrategyConfig(
-            batch_size=2, batch_size_overrides={"pinned": 5}
-        ).with_batch_controller(controller)
-        assert config.next_batch_size("pinned") == 5
-        assert config.next_batch_size("free") == 16
-
-    def test_every_accessor_resolves_overrides_alike_and_follows_replace(self):
-        """The look-up table built at construction is case-insensitive through
-        every accessor and is rebuilt — never carried over — by ``replace``."""
+    def test_a_plain_controller_governs_every_udf_and_replace_keeps_equality(self):
         controller = BatchSizeController(initial_batch_size=16)
         config = StrategyConfig(batch_size=2).with_batch_controller(controller)
-        assert not config.has_batch_override("Pinned")
-        assert config.controller_for("Pinned") is controller
-        pinned = config.with_batch_overrides({"PINNED": 5})
-        for name in ("pinned", "Pinned", "PINNED"):
-            assert pinned.has_batch_override(name)
-            assert pinned.controller_for(name) is None
-            assert pinned.batch_size_for(name) == pinned.next_batch_size(name) == 5
-        assert pinned.controller_for("free") is controller and pinned.controller_for() is controller
-        cleared = pinned.with_batch_overrides({})
-        assert not cleared.has_batch_override("pinned")
-        assert cleared.next_batch_size("pinned") == 16
-        assert cleared == config and hash(cleared) == hash(config)
+        for name in ("Score", "SCORE", None):
+            assert config.controller_for(name) is controller
+            assert config.next_batch_size(name) == 16
+        again = config.with_batch_size(4).with_batch_size(2)
+        assert again == config and hash(again) == hash(config)
+
+    def test_without_a_controller_every_udf_batches_at_batch_size(self):
+        config = StrategyConfig(batch_size=7)
+        for name in ("Score", "SCORE", None):
+            assert config.controller_for(name) is None
+            assert config.next_batch_size(name) == 7
 
     def test_controller_excluded_from_equality(self):
         config = StrategyConfig(batch_size=4)
@@ -254,20 +242,18 @@ class TestStrategyConfigBatching:
         [StrategyConfig.naive, StrategyConfig.semi_join, StrategyConfig.client_site_join],
         ids=["naive", "semi_join", "client_site_join"],
     )
-    def test_overrides_honoured_on_the_wire(self, make_config, asymmetric_network):
-        """All three strategies batch at the per-UDF override, not batch_size."""
-        workload = SyntheticWorkload(row_count=60, input_record_bytes=40, result_bytes=16)
-        plain = run_workload_point(
-            workload, asymmetric_network, make_config(batch_size=1)
-        )
-        overridden = run_workload_point(
-            SyntheticWorkload(row_count=60, input_record_bytes=40, result_bytes=16),
-            asymmetric_network,
-            make_config(batch_size=1).with_batch_overrides({workload.udf_name: 20}),
-        )
-        assert overridden.result_rows == plain.result_rows
+    def test_batch_size_honoured_on_the_wire(self, make_config, asymmetric_network):
+        """All three strategies ship at ``batch_size`` — the semi-join's
+        pipeline is sized from the same value it batches at."""
+
+        def run(batch_size):
+            workload = SyntheticWorkload(row_count=60, input_record_bytes=40, result_bytes=16)
+            return run_workload_point(workload, asymmetric_network, make_config(batch_size=batch_size))
+
+        single, batched = run(1), run(20)
+        assert batched.result_rows == single.result_rows
         # 60 rows at 20 rows/message is far fewer frames than tuple-at-a-time.
-        assert overridden.downlink_messages < plain.downlink_messages / 4
+        assert batched.downlink_messages < single.downlink_messages / 4
 
     def test_adaptive_execution_matches_static_results(self, asymmetric_network):
         for make_config in (

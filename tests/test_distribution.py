@@ -468,10 +468,11 @@ class TestMigration:
         policy = MigrationPolicy(hysteresis=0.5)
         assert not policy.should_migrate(current_estimate=1.0, candidate_estimate=0.8)
         assert policy.should_migrate(current_estimate=1.0, candidate_estimate=0.5)
-        penalised = MigrationPolicy(hysteresis=0.0, switch_penalty_seconds=1.0)
-        assert not penalised.should_migrate(
-            current_estimate=1.0, candidate_estimate=0.5
-        )
+
+    def test_policy_without_hysteresis_migrates_on_any_strict_gain(self):
+        policy = MigrationPolicy(hysteresis=0.0)
+        assert policy.should_migrate(current_estimate=1.0, candidate_estimate=0.99)
+        assert not policy.should_migrate(current_estimate=1.0, candidate_estimate=1.0)
 
     def test_segments_without_migration_still_match(self):
         single, dist = make_sharded_setup(sites=2, shards=2, rows=24, series_points=8)

@@ -486,6 +486,75 @@ class TestKeywordResolution:
         assert sorted(tuple(row) for row in result.rows) == TWO_STRATEGY_ORACLE
 
 
+
+class TestOptionCensus:
+    """An option survives only while a workload, figure or example sets it.
+    These pin the census, so a deleted knob returns only on purpose."""
+
+    DELETED = {
+        "batch_size_overrides",
+        "sort_by_arguments",
+        "server_result_cache",
+        "cache",
+        "collapse_backoff",
+        "history",
+        "switch_penalty_seconds",
+        "calibrated",
+        "observe",
+    }
+
+    def test_strategy_config_has_exactly_its_twelve_fields(self):
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(StrategyConfig)] == [
+            "strategy",
+            "concurrency_factor",
+            "batch_size",
+            "overlap_window",
+            "overlap_controller",
+            "batch_controller",
+            "switch_policy",
+            "reoptimizer",
+            "statistics",
+            "eliminate_duplicates",
+            "push_predicates",
+            "push_projections",
+        ]
+
+    def test_no_deleted_option_is_a_parameter(self):
+        import inspect
+
+        from repro.adaptive import BatchSizeController, RuntimeObserver
+        from repro.client.runtime import ClientRuntime
+        from repro.distribution import ClusterPlanner, DistributedDatabase, MigrationPolicy
+        from repro.server.session import ClientSession
+
+        callables = [
+            StrategyConfig.naive,
+            StrategyConfig.semi_join,
+            StrategyConfig.client_site_join,
+            ClientSession,
+            ClientRuntime,
+            BatchSizeController,
+            RuntimeObserver,
+            MigrationPolicy,
+            DistributedDatabase.execute,
+            ClusterPlanner.plan,
+        ]
+        for target in callables:
+            parameters = set(inspect.signature(target).parameters)
+            assert not parameters & self.DELETED, target
+        # The client runtime keeps its result-cache switch (an ablation sets
+        # it); a session no longer passes one through.
+        assert "use_result_cache" in inspect.signature(ClientRuntime).parameters
+        assert "use_result_cache" not in inspect.signature(ClientSession).parameters
+
+    def test_a_tenant_engine_always_runs_on_a_shared_trunk(self):
+        from repro.tenancy import MultiTenantEngine
+
+        with pytest.raises(ValueError):
+            MultiTenantEngine(Database(network=FAST), fair_queueing="none")
+
 class TestStockWorkloadQueries:
     def test_figure1_query_all_strategies(self, stock_db):
         results = stock_db.compare_strategies(StockWorkload.figure1_query())

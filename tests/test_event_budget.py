@@ -42,7 +42,7 @@ def test_events_are_bounded_by_messages(strategy, batch_size, window):
     assert 0 < metrics.sim_events <= EVENTS_PER_MESSAGE * messages + EVENTS_PER_QUERY
 
 
-@pytest.mark.parametrize("tunables", [{}, {"concurrency_factor": 2}, {"sort_by_arguments": False}])
+@pytest.mark.parametrize("tunables", [{}, {"concurrency_factor": 2}])
 def test_semi_join_events_do_not_grow_with_duplicate_rows(tunables):
     """90, 180 and 360 rows over the same 37 distinct argument tuples ship
     the same messages; rows that ship nothing must cost no events."""

@@ -114,7 +114,7 @@ class TestNaive:
         table = make_object_relation("Relation", 10, 32, distinct_fraction=0.2)
         operator = NaiveUdfOperator(
             TableScan(table), udf, ["Relation.DataObject"], context,
-            StrategyConfig.naive(server_result_cache=True),
+            StrategyConfig.naive(),
         )
         rows = operator.run()
         assert len(rows) == 10
@@ -315,7 +315,6 @@ class TestEqualArgumentsOfUnequalSize:
         "operator_class, config",
         [
             (SemiJoinUdfOperator, StrategyConfig.semi_join()),
-            (SemiJoinUdfOperator, StrategyConfig.semi_join(sort_by_arguments=False)),
             (NaiveUdfOperator, StrategyConfig.naive()),
         ],
     )
@@ -329,17 +328,8 @@ class TestEqualArgumentsOfUnequalSize:
         assert stats.downlink.total_bytes == 53  # two data messages and the end marker
         assert stats.uplink.total_bytes == 57  # 2.0 and NULL come back: 8 + 1
 
-    @pytest.mark.parametrize(
-        "operator_class, config",
-        [
-            (SemiJoinUdfOperator, StrategyConfig.semi_join(eliminate_duplicates=False)),
-            (NaiveUdfOperator, StrategyConfig.naive(server_result_cache=False)),
-        ],
-    )
-    def test_without_elimination_every_row_is_sized_from_its_own_values(
-        self, operator_class, config
-    ):
-        stats = self.run(operator_class, config)
+    def test_without_elimination_every_row_is_sized_from_its_own_values(self):
+        stats = self.run(SemiJoinUdfOperator, StrategyConfig.semi_join(eliminate_duplicates=False))
         assert stats.downlink.rows_transferred == 6
         assert stats.downlink.payload_bytes == 4 + 8 + 1 + 8 + 1 + 1
         assert stats.downlink.total_bytes == 135

@@ -397,6 +397,6 @@ class TestSharedTrunksFactory:
         assert down.quantum_bytes == 4096
         down, up = shared_trunks(sim, discipline="fifo")
         assert isinstance(up, FifoLinkScheduler)
-        assert shared_trunks(sim, discipline="none") == (None, None)
-        with pytest.raises(ValueError):
-            shared_trunks(sim, discipline="weighted")
+        for unknown in ("none", "weighted"):
+            with pytest.raises(ValueError):
+                shared_trunks(sim, discipline=unknown)

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro.adaptive import BatchSizeController, TenantStatistics
+from repro.adaptive import TenantStatistics
 from repro.adaptive.observer import LinkObservation
 from repro.core.strategies import ExecutionStrategy
 from repro.network.simulator import Simulator
@@ -48,12 +48,24 @@ class TestSingleSessionEquivalence:
     """One session under tenancy must reproduce the legacy private path."""
 
     @pytest.mark.parametrize("strategy", list(ExecutionStrategy))
-    @pytest.mark.parametrize("discipline", ["drr", "fifo", "none"])
+    @pytest.mark.parametrize("discipline", ["drr", "fifo"])
     def test_wire_trace_byte_identical(self, strategy, discipline):
+        self.check_solo_matches_private_path(strategy, discipline, executor_slots=None)
+
+    @pytest.mark.parametrize("strategy", list(ExecutionStrategy))
+    @pytest.mark.parametrize("discipline", ["drr", "fifo"])
+    def test_wire_trace_byte_identical_behind_one_executor_slot(self, strategy, discipline):
+        """Admission through a single executor slot adds no wire or time cost."""
+        self.check_solo_matches_private_path(strategy, discipline, executor_slots=1)
+
+    @staticmethod
+    def check_solo_matches_private_path(strategy, discipline, executor_slots):
         legacy = make_tenant_database().execute(
             POINT_SQL, strategy=strategy, deliver_results=True
         )
-        engine = MultiTenantEngine(make_tenant_database(), fair_queueing=discipline)
+        engine = MultiTenantEngine(
+            make_tenant_database(), fair_queueing=discipline, executor_slots=executor_slots
+        )
         report = engine.run(
             [
                 SessionWorkload(
@@ -377,29 +389,3 @@ class TestContentionAwareAdaptation:
     def test_tenant_statistics_contention_aware_flag_propagates(self):
         stats = TenantStatistics(contention_aware=True)
         assert stats.for_tenant("t").contention_aware is True
-
-    def test_collapse_backoff_steps_down_immediately(self):
-        def run(collapse_backoff):
-            controller = BatchSizeController(
-                initial_batch_size=16,
-                window_batches=1,
-                window_rows=1,
-                collapse_backoff=collapse_backoff,
-            )
-            # Seed remembered estimates as if the climber had already settled
-            # at 16; the first measured window then runs an order of magnitude
-            # slower — a collapse.
-            controller._throughput = {8: 50.0, 16: 1000.0, 32: 40.0}
-            controller.observe_rows(16, 0.0)
-            controller.observe_rows(16, 1.0)  # 16 rows/s << 500 rows/s
-            return controller
-
-        steady = run(collapse_backoff=False)
-        backoff = run(collapse_backoff=True)
-        assert steady.collapse_count == 1
-        assert backoff.collapse_count == 1
-        # The backoff variant immediately steps one rung down...
-        assert backoff.current() == 8
-        assert backoff.decisions[-1].next_batch_size == 8
-        # ...while the default keeps probing from the collapsed size.
-        assert steady.current() != 8
