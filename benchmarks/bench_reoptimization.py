@@ -5,8 +5,8 @@ selectivities.  On the misordered-UDF workload the declarations are wrong in
 both directions (ProbeA declares 0.05 but keeps 0.95; ProbeB declares 0.95
 but keeps 0.05), so the committed order runs the wrong filter first for
 nearly the whole query.  A re-optimizing execution starts under the committed
-shape, observes the contradiction in the first probe segments, re-enters the
-enumerator over the remaining input with the observed statistics, and
+shape, observes the contradiction in the first probe segments, re-prices
+every UDF order over the remaining input with the observed statistics, and
 migrates the tail to the reordered plan.
 
 Asserted:

@@ -11,9 +11,9 @@ With ``reoptimize=True`` the whole UDF chain runs inside one plan-migration
 operator: at segment boundaries a ``ReOptimizer`` snapshots what the run has
 observed — per-predicate selectivities (keyed by canonical predicate
 identity, so they survive reordering), measured per-UDF cost, effective
-bandwidths — re-enters the System-R enumerator over the *remaining* input,
-and, under hysteresis plus a re-plan budget, migrates the tail to the
-reordered plan.  The result set is identical; the time lands near the oracle
+bandwidths — prices every UDF order and strategy assignment over the
+*remaining* input, and, under hysteresis plus a re-plan budget, migrates the
+tail to the reordered plan.  The result set is identical; the time lands near the oracle
 static plan.
 
 Run with::
@@ -45,7 +45,7 @@ def main() -> None:
     print(f"oracle static order       {oracle.metrics.elapsed_seconds:8.2f}s")
 
     # Mid-query re-optimization: starts under the committed shape, observes
-    # the contradiction, re-enters the enumerator, migrates the tail.
+    # the contradiction, re-prices the UDF orders, migrates the tail.
     reopt = scenario.build_database().execute(
         scenario.sql, reoptimize=True, replan_policy=scenario.replan_policy()
     )

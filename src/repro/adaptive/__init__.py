@@ -29,8 +29,8 @@ closes the loop:
 * :mod:`repro.adaptive.switcher` — :class:`StrategySwitcher`, per UDF: prices
   the *remaining* rows under every shipping strategy;
 * :mod:`repro.adaptive.reoptimizer` — :class:`ReOptimizer`, plan-wide:
-  re-enters the System-R enumerator over the *remaining* input and prices
-  whole UDF application orders (with per-UDF strategies).
+  prices the *remaining* rows under every UDF application order (with
+  per-UDF strategies).
 
 ``Database.execute(..., adaptive=True)`` wires the observe → calibrate →
 adapt loop together; ``switch_strategies=True`` additionally arms mid-query
@@ -52,11 +52,7 @@ from repro.adaptive.observer import (
     RuntimeObserver,
     UdfObservation,
 )
-from repro.adaptive.reoptimizer import (
-    ReOptimizationPolicy,
-    ReOptimizer,
-    RuntimeStatisticsView,
-)
+from repro.adaptive.reoptimizer import ReOptimizationPolicy, ReOptimizer
 from repro.adaptive.segmented import (
     Adaptation,
     BoundaryDecision,
@@ -91,7 +87,6 @@ __all__ = [
     "ReOptimizationPolicy",
     "ReOptimizer",
     "RuntimeObserver",
-    "RuntimeStatisticsView",
     "UdfObservation",
     "SegmentController",
     "SegmentObservation",

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adaptive.store import StatisticsStore
-from repro.core.optimizer.cost import CostSettings
 from repro.core.strategies import ExecutionStrategy
 
 
@@ -276,11 +275,9 @@ class SegmentController:
     def __init__(
         self,
         policy: Optional[SegmentPolicy] = None,
-        settings: Optional[CostSettings] = None,
         statistics: Optional[StatisticsStore] = None,
     ) -> None:
         self.policy = policy if policy is not None else self.policy_type()
-        self.settings = settings if settings is not None else CostSettings()
         #: Source of measured priors: a selectivity an earlier run observed
         #: replaces the declared value as the initial estimate and counts as
         #: already-earned evidence for the floor.

@@ -126,7 +126,6 @@ class StrategySwitcher(SegmentController):
                 downlink_bandwidth=observation.downlink_bandwidth,
                 uplink_bandwidth=observation.uplink_bandwidth,
                 latency=observation.latency,
-                settings=self.settings,
                 batch_size=observation.batch_size,
                 overlap_window=observation.overlap_window,
             )

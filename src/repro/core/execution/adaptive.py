@@ -18,8 +18,8 @@ Two controllers drive it:
   operator (``build_operator`` builds one per UDF when the config carries a
   ``switch_policy``): the candidate shapes are that UDF's shipping strategies;
 * a :class:`~repro.adaptive.reoptimizer.ReOptimizer` drives the operator that
-  owns the whole UDF chain: it re-enters the System-R enumerator and may
-  reorder the UDF applications as well.
+  owns the whole UDF chain: it prices every UDF order and may reorder the
+  UDF applications as well.
 
 They differ in pricing and in three things the operator reads off the
 controller: a per-UDF controller is handed the *last segment's* bandwidth and

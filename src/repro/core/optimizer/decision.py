@@ -208,7 +208,7 @@ class Optimizer:
             candidates = (int(settings.batch_size),)
         elif settings.per_message_overhead_bytes == 0:
             # Without per-message costs batching cannot change any estimate,
-            # so skip the redundant enumerations.
+            # so enumerate at batch size 1 alone.
             candidates = (1,)
         else:
             candidates = CANDIDATE_BATCH_SIZES

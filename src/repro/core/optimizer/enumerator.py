@@ -11,7 +11,7 @@ locally more expensive, exactly as interesting orders survive in System R.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.errors import OptimizerError
 from repro.core.optimizer.cost import CostEstimator
@@ -47,39 +47,18 @@ class SystemREnumerator:
 
     def best_plan(self) -> CandidatePlan:
         """Run the DP and return the cheapest complete plan including delivery."""
-        return self.best_plan_from(None)
-
-    def best_plan_from(self, seed: Optional[CandidatePlan] = None) -> CandidatePlan:
-        """Re-enter the DP from a *partial-progress* state and finish the plan.
-
-        ``seed`` describes work already executed — its ``operations`` are the
-        applied operation keys (typically every table: the join tree has run
-        and its output is materialised), its cardinality/byte statistics the
-        *observed* shape of the unprocessed tail, and its cost the sunk cost
-        (usually zero: only the remaining work is being compared).  The DP
-        then enumerates every interleaving of the not-yet-applied operations
-        — all remaining UDF orders and strategy variants, and, when tables
-        remain unapplied, the remaining join orders too — exactly as the
-        from-scratch enumeration would, but anchored at the seed.  With
-        ``seed=None`` this is the ordinary full enumeration.
-
-        This is the optimizer surface mid-query re-optimization calls: the
-        :class:`~repro.adaptive.reoptimizer.ReOptimizer` snapshots observed
-        statistics into the estimator and re-enters here over the remaining
-        input at segment boundaries.
-        """
-        finished = self._complete_plans(seed)
+        finished = self._complete_plans()
         if not finished:
             raise OptimizerError("the enumerator produced no complete plan")
         return min(finished, key=lambda plan: plan.cost)
 
     def all_complete_plans(self) -> List[CandidatePlan]:
         """Every complete plan kept by the DP (finalized), for plan-space studies."""
-        return sorted(self._complete_plans(None), key=lambda plan: plan.cost)
+        return sorted(self._complete_plans(), key=lambda plan: plan.cost)
 
     # -- internals -------------------------------------------------------------------------
 
-    def _complete_plans(self, seed: Optional[CandidatePlan]) -> List[CandidatePlan]:
+    def _complete_plans(self) -> List[CandidatePlan]:
         """The one DP loop: every complete plan kept, finalized, in kept order."""
         operations = {op.key: op for op in self.tables}
         operations.update({op.key: op for op in self.udfs})
@@ -87,28 +66,18 @@ class SystemREnumerator:
 
         best: Dict[StateKey, CandidatePlan] = {}
 
-        if seed is None:
-            # Step 1: single-operation plans.  Only table operations can
-            # start a plan (a UDF needs an input relation).  Each table
-            # contributes every access path the estimator generates — the
-            # seq scan plus any index-scan alternatives.
-            for table in self.tables:
-                for variant in self.estimator.scan_variants(table):
-                    self._keep(best, variant)
-        else:
-            unknown = seed.operations - all_keys
-            if unknown:
-                raise OptimizerError(
-                    f"partial-progress state applies unknown operations: {sorted(unknown)}"
-                )
-            self._keep(best, seed)
+        # Step 1: single-operation plans.  Only table operations can start a
+        # plan (a UDF needs an input relation).  Each table contributes every
+        # access path the estimator generates — the seq scan plus any
+        # index-scan alternatives.
+        for table in self.tables:
+            for variant in self.estimator.scan_variants(table):
+                self._keep(best, variant)
 
         # Extend every kept plan by one not-yet-applied operation.  A layer's
         # candidates go straight into the table: they are one operation
-        # larger than anything the layer reads.  Layers below the seed's size
-        # are simply empty and skipped.
-        start = 2 if seed is None else len(seed.operations) + 1
-        for size in range(start, len(operations) + 1):
+        # larger than anything the layer reads.
+        for size in range(2, len(operations) + 1):
             for (applied, _site, _columns), plan in list(best.items()):
                 if len(applied) != size - 1:
                     continue

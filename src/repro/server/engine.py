@@ -530,10 +530,10 @@ class Database(SqlSurface):
         implies ``optimize=True``: the committed plan comes from the
         enumerator).  The whole client-site UDF chain then runs inside one
         :class:`~repro.core.execution.adaptive.PlanMigrationOperator`: at
-        segment boundaries a :class:`~repro.adaptive.ReOptimizer` re-enters
-        the System-R enumerator over the *remaining* input with the observed
-        statistics and — under ``replan_policy``'s hysteresis and re-plan
-        budget — may migrate execution to a structurally different plan
+        segment boundaries a :class:`~repro.adaptive.ReOptimizer` re-prices
+        every UDF order and strategy assignment over the *remaining* input
+        with the observed statistics and — under ``replan_policy``'s
+        hysteresis and re-plan budget — may migrate execution to a structurally different plan
         (reordered UDF applications, different per-UDF strategies), not just
         a different shipping strategy.
 
@@ -590,13 +590,7 @@ class Database(SqlSurface):
         run_config = decision.strategy_config
         if resolved.reoptimize:
             run_config = run_config.with_reoptimizer(
-                ReOptimizer(
-                    policy=replan_policy,
-                    query=bound,
-                    network=self.network,
-                    statistics=statistics,
-                    table_order=decision.table_order,
-                )
+                ReOptimizer(policy=replan_policy, statistics=statistics)
             )
         executor = Executor(
             context,

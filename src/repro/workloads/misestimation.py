@@ -146,7 +146,7 @@ class MisorderedUdfScenario:
     actually filters nearly everything.  The committed plan *shape* — not
     just a shipping strategy — is therefore wrong: the oracle applies B
     first, and a mid-query re-optimization run observes the contradiction in
-    the first probe segments, re-enters the enumerator with the observed
+    the first probe segments, re-prices the UDF orders with the observed
     statistics, and migrates the tail to the reordered plan.
 
     The per-call costs are chosen so the *declared* numbers genuinely favour

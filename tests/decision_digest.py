@@ -34,7 +34,6 @@ from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER, STRING
 from repro.server.engine import Database
 from repro.sql.logical import BoundQuery
-from repro.workloads.misestimation import MisorderedUdfScenario
 from repro.workloads.stock import StockWorkload
 
 DIGEST_FILE = os.path.join(
@@ -375,33 +374,6 @@ def _three_table_case(sql: str, network: str) -> Callable[[], Priced]:
     return priced
 
 
-def _reoptimizer_reentry() -> Dict[str, object]:
-    """The plans ``ReOptimizer`` gets back from ``best_plan_from(seed)`` while
-    a mis-declared two-UDF query runs, with each re-entry's ``_apply`` count."""
-    records: List[Tuple] = []
-    considered: List[int] = []
-    original = SystemREnumerator.best_plan_from
-
-    def best_plan_from(self, seed=None):
-        plan = original(self, seed)
-        if seed is not None:
-            records.append(("seed", plan_record(seed)))
-            records.append(("re-entry", plan_record(plan)))
-            considered.append(self.plans_considered)
-        return plan
-
-    scenario = MisorderedUdfScenario()
-    SystemREnumerator.best_plan_from = best_plan_from
-    try:
-        scenario.build_database().execute(
-            scenario.sql, reoptimize=True, replan_policy=scenario.replan_policy()
-        )
-    finally:
-        SystemREnumerator.best_plan_from = original
-    assert records, "the scenario must re-enter the enumerator at least once"
-    return digest_of(records, considered)
-
-
 def optimizer_cases(env: Environment) -> Dict[str, Callable[[], Priced]]:
     """Every optimizer case by key, in a fixed order: the grid, the indexed
     queries and the three-table joins (``tests/plan_tree_digest.py`` builds
@@ -441,9 +413,7 @@ def _digested(priced: Callable[[], Priced]) -> Callable[[], Dict[str, object]]:
 
 def cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]]:
     """Every case by key, in a fixed order."""
-    table = {key: _digested(priced) for key, priced in optimizer_cases(env).items()}
-    table["reoptimizer/re-entry"] = _reoptimizer_reentry
-    return table
+    return {key: _digested(priced) for key, priced in optimizer_cases(env).items()}
 
 
 def compute_all() -> Dict[str, Dict[str, object]]:

@@ -131,7 +131,7 @@ def _pinned_cases(env: Environment) -> Dict[str, Callable[[], Dict[str, object]]
     def reoptimizing() -> Dict[str, object]:
         db = env.database(25, "symmetric", False)
         bound = db.bind(figure13)
-        config = semi.with_reoptimizer(ReOptimizer(query=bound, network=db.network))
+        config = semi.with_reoptimizer(ReOptimizer())
         decision = OptimizationDecision.pinned(bound, config, udf_order=("Volatility", "ClientRating"))
         return _build(db, bound, decision)
 

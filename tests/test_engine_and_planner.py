@@ -549,6 +549,29 @@ class TestOptionCensus:
         assert "use_result_cache" in inspect.signature(ClientRuntime).parameters
         assert "use_result_cache" not in inspect.signature(ClientSession).parameters
 
+    @pytest.mark.parametrize("controller", ["ReOptimizer", "StrategySwitcher"])
+    def test_a_segment_controller_takes_a_policy_and_statistics_only(self, controller):
+        import inspect
+
+        import repro.adaptive
+
+        parameters = set(inspect.signature(getattr(repro.adaptive, controller)).parameters)
+        assert not parameters & {"query", "network", "table_order", "settings"}
+        assert parameters == {"policy", "statistics"}
+
+    @pytest.mark.parametrize(
+        "name", ["RuntimeStatisticsView", "best_plan_from", "_enumerated_shape", "enumerations"]
+    )
+    def test_the_reoptimizer_reenters_no_enumerator(self, name):
+        """Mid-query re-optimization prices one candidate list; the System-R
+        re-entry, its runtime statistics view and the seeded DP are gone."""
+        import repro.adaptive
+        from repro.adaptive import ReOptimizer, reoptimizer
+        from repro.core.optimizer.enumerator import SystemREnumerator
+
+        owners = (repro.adaptive, reoptimizer, SystemREnumerator, ReOptimizer, ReOptimizer())
+        assert not any(hasattr(owner, name) for owner in owners)
+
     def test_a_tenant_engine_always_runs_on_a_shared_trunk(self):
         from repro.tenancy import MultiTenantEngine
 

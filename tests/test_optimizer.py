@@ -99,7 +99,7 @@ class TestEnumerator:
     @pytest.mark.parametrize("exhaustive", [True, False])
     @pytest.mark.parametrize("figure", ["figure11_query", "figure13_query"])
     def test_both_entry_points_run_one_loop(self, stock, figure, exhaustive):
-        """``best_plan_from`` and ``all_complete_plans`` finalize the same
+        """``best_plan`` and ``all_complete_plans`` finalize the same
         complete plans after the same ``_apply`` calls, and count every kept
         plan once (one of the two hand-copied loops this replaced built each
         layer aside and merged it, counting every kept plan twice)."""

@@ -22,7 +22,9 @@ import pytest
 import repro.relational.schema as schema
 from repro.adaptive.store import STATISTICS_PROTOCOL, StatisticsStore
 from repro.core.optimizer import CostSettings, Optimizer
+from repro.core.optimizer.enumerator import SystemREnumerator
 from repro.relational.table import Table
+from repro.workloads.misestimation import MisorderedUdfScenario
 from repro.workloads.stock import StockWorkload
 
 #: Base-table derivations (reads of ``Table.statistics``) per table and decision.
@@ -111,6 +113,49 @@ def test_both_endpoint_enumerations_share_one_derivation():
     one_endpoint = decide(60, "figure13_query", settings=CostSettings(batch_size=16.0))
     assert static["statistics"] == one_endpoint["statistics"] == 2
     assert static["bare_name"] == one_endpoint["bare_name"]
+
+
+# ---------------------------------------------------------------------------
+# Mid-query re-optimization: the decision enumerates, the boundaries price
+# ---------------------------------------------------------------------------
+
+#: Enumerators one decision builds: the batch sweep's two endpoints.
+ENUMERATORS_PER_DECISION = 2
+
+
+@contextmanager
+def counted_enumerators() -> Iterator[Dict[str, int]]:
+    """Count ``SystemREnumerator`` constructions."""
+    counts = {"enumerators": 0}
+    original = SystemREnumerator.__init__
+
+    def init(self, *arguments, **keywords):
+        counts["enumerators"] += 1
+        original(self, *arguments, **keywords)
+
+    SystemREnumerator.__init__ = init
+    try:
+        yield counts
+    finally:
+        SystemREnumerator.__init__ = original
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
+@pytest.mark.parametrize("workload", ["figure13", "misordered"])
+def test_a_reoptimizing_execute_enumerates_only_for_its_decision(workload, adaptive):
+    """A segment boundary prices the candidate shapes with
+    ``remaining_plan_cost`` and builds no enumerator, so a re-optimizing
+    execute builds only what its one decision does."""
+    if workload == "figure13":
+        db = StockWorkload(company_count=25, seed=1999).build()
+        sql, policy = StockWorkload.figure13_query(), None
+    else:
+        scenario = MisorderedUdfScenario()
+        db, sql, policy = scenario.build_database(), scenario.sql, scenario.replan_policy()
+    with counted_enumerators() as counts:
+        result = db.execute(sql, reoptimize=True, replan_policy=policy, adaptive=adaptive)
+    assert any(decision.costs for a in result.metrics.adaptations for decision in a.decisions)
+    assert 0 < counts["enumerators"] <= ENUMERATORS_PER_DECISION
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for mid-query re-optimization and the correctness gaps it exposed.
 
-Covers the re-optimizer (enumerator re-entry, hysteresis, re-plan budget),
+Covers the re-optimizer (candidate shapes, hysteresis, re-plan budget),
 the plan-migration executor, and the two ROADMAP bugs fixed alongside:
 application-order-dependent (UDF, predicate) selectivity keys, and semi-join
 duplicate-elimination state dropped at segment boundaries.
 """
+
+import re
 
 import pytest
 
@@ -14,7 +16,6 @@ from repro.adaptive import (
     PredicateSpec,
     ReOptimizationPolicy,
     ReOptimizer,
-    RuntimeStatisticsView,
     StatisticsStore,
     SwitchPolicy,
     canonical_predicate_key,
@@ -24,9 +25,7 @@ from repro.client.runtime import ClientRuntime
 from repro.core.execution import PlanMigrationOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.rewrite import build_operator
-from repro.core.optimizer import Optimizer
 from repro.core.optimizer.cost import (
-    CostSettings,
     RemainingStage,
     remaining_plan_cost,
     remaining_strategy_cost,
@@ -502,72 +501,12 @@ class TestRemainingPlanCost:
 
 
 # ---------------------------------------------------------------------------
-# The re-entrant enumerator
-# ---------------------------------------------------------------------------
-
-
-class TestReentrantEnumeration:
-    def _scenario_query(self, scenario):
-        db = scenario.build_database()
-        return db, db.bind(scenario.sql)
-
-    def test_best_plan_from_none_equals_best_plan(self):
-        scenario = MisorderedUdfScenario()
-        db, bound = self._scenario_query(scenario)
-        enumerator = Optimizer(scenario.network).enumerator(bound)
-        full = enumerator.best_plan()
-        seeded = Optimizer(scenario.network).enumerator(bound).best_plan_from(None)
-        assert seeded.cost == pytest.approx(full.cost)
-        assert seeded.udf_order == full.udf_order
-
-    def test_seeded_enumeration_with_observed_statistics_flips_udf_order(self):
-        """Re-entering the enumerator from the executed-join-tree seed with
-        observed selectivities must prefer the reordered UDF application."""
-        scenario = MisorderedUdfScenario()
-        db, bound = self._scenario_query(scenario)
-
-        declared = Optimizer(scenario.network).enumerator(bound).best_plan()
-        assert declared.udf_order == ("ProbeA", "ProbeB")
-
-        threshold_a = scenario.actual_selectivity_a * scenario.row_count - 1
-        threshold_b = scenario.actual_selectivity_b * scenario.row_count - 1
-        view = RuntimeStatisticsView(
-            selectivities={
-                canonical_predicate_key(f"ProbeA_result <= {threshold_a:g}"): 0.95,
-                canonical_predicate_key(f"ProbeB_result <= {threshold_b:g}"): 0.05,
-            },
-            udf_costs={"probea": scenario.cost_a_seconds, "probeb": scenario.cost_b_seconds},
-            distinct_fractions={},
-        )
-        optimizer = Optimizer(scenario.network, statistics=view)
-        enumerator = optimizer.enumerator(bound, allow_deferred_return=False)
-        estimator = enumerator.estimator
-        seed = estimator.scan(enumerator.tables[0])
-        seed = seed.extended(cost=0.0, steps=())
-        observed = enumerator.best_plan_from(seed)
-        assert observed.udf_order == ("ProbeB", "ProbeA")
-
-    def test_unknown_seed_operations_are_rejected(self):
-        from repro.errors import OptimizerError
-
-        scenario = MisorderedUdfScenario()
-        db, bound = self._scenario_query(scenario)
-        enumerator = Optimizer(scenario.network).enumerator(bound)
-        seed = enumerator.estimator.scan(enumerator.tables[0])
-        seed = seed.extended(operations=frozenset({"table:nonexistent"}))
-        with pytest.raises(OptimizerError):
-            enumerator.best_plan_from(seed)
-
-
-# ---------------------------------------------------------------------------
 # ReOptimizer decision logic
 # ---------------------------------------------------------------------------
 
 
-def _two_stage_reoptimizer(policy=None, statistics=None, query=None, network=None):
-    reoptimizer = ReOptimizer(
-        policy=policy, statistics=statistics, query=query, network=network
-    )
+def _two_stage_reoptimizer(policy=None, statistics=None):
+    reoptimizer = ReOptimizer(policy=policy, statistics=statistics)
     shape = PlanShape.of(
         ["slim", "heavy"],
         {"slim": ExecutionStrategy.SEMI_JOIN, "heavy": ExecutionStrategy.SEMI_JOIN},
@@ -734,13 +673,9 @@ class TestReOptimizerDecisions:
         assert reoptimizer.decisions == []
         assert reoptimizer.consider(_observation()).changed
 
-    def test_enumerator_reentry_counts_and_agrees(self):
+    def test_observed_selectivities_flip_the_misordered_chain(self):
         scenario = MisorderedUdfScenario()
-        db = scenario.build_database()
-        bound = db.bind(scenario.sql)
-        reoptimizer = ReOptimizer(
-            query=bound, network=scenario.network, table_order=("T",)
-        )
+        reoptimizer = ReOptimizer()
         shape = PlanShape.of(
             ["probea", "probeb"],
             {
@@ -779,7 +714,6 @@ class TestReOptimizerDecisions:
             batch_size=8.0,
         )
         decision = reoptimizer.consider(observation)
-        assert reoptimizer.enumerations == 1
         assert decision.changed
         assert reoptimizer.current_shape.udf_order == ("probeb", "probea")
 
@@ -926,6 +860,25 @@ class TestEngineReoptimization:
             assert rows == reference
 
 
+    @pytest.mark.parametrize(
+        "strategy", [ExecutionStrategy.SEMI_JOIN, ExecutionStrategy.CLIENT_SITE_JOIN]
+    )
+    @pytest.mark.parametrize("network", ["paper_symmetric", "paper_asymmetric", "paper_modem"])
+    def test_migrates_only_to_the_policys_strategies(self, network, strategy):
+        """Every candidate shape comes from ``candidate_strategies``: a policy
+        that names one strategy never migrates the tail to another."""
+        scenario = MisorderedUdfScenario(network=getattr(NetworkConfig, network)())
+        committed = scenario.build_database().execute(scenario.sql, optimize=True)
+        result = scenario.build_database().execute(
+            scenario.sql,
+            reoptimize=True,
+            replan_policy=ReOptimizationPolicy(candidate_strategies=(strategy,), max_replans=2),
+        )
+        for shape in result.metrics.shapes_used[1:]:
+            assert set(re.findall(r"\[(\w+)\]", shape)) == {strategy.value}, shape
+        assert sorted(result.rows) == sorted(committed.rows)
+
+
 # ---------------------------------------------------------------------------
 # shapes_used surfaced on QueryResult (PR 4 follow-up)
 # ---------------------------------------------------------------------------
@@ -1030,7 +983,7 @@ class TestChainProjectionPush:
 
 class TestOneKeyPerPredicate:
     """The planner's operation, the observer's record, ``MigrationPredicate.key``
-    and a ``RuntimeStatisticsView`` lookup name a predicate alike — also when a
+    and the re-optimizer's observed selectivities name a predicate alike — also when a
     literal contains ``' AND '``, which the text re-parser split (alone, it
     wrapped the key in parentheses; beside a second conjunct, it scrambled
     both)."""
@@ -1075,27 +1028,16 @@ class TestOneKeyPerPredicate:
         pushed = conjoin([predicate.expression for predicate in chain.predicates])
         assert pushed.canonical_key == self.KEYS[sql]
 
-        view = RuntimeStatisticsView({self.KEYS[sql]: 0.25}, {}, {})
-        assert view.udf_selectivity("Tag", 0.9, predicate=udfs[0].predicate_key) == 0.25
         # ... and across queries, through the store the run above fed.
         assert db.statistics.selectivity_prior("Tag", udfs[0].predicate_key) == pytest.approx(0.25)
 
-    def test_a_reoptimizing_run_finds_what_it_just_observed(self, monkeypatch):
-        """At a segment boundary the re-optimizer re-enters the enumerator over
-        a view of this run's observations; the estimator asks it with the
-        operation's key and must get the observed 0.25, not the declared 0.9.
-        (One conjunct: a stage's counts are filed under the conjunction pushed
-        there, the controller's specs per conjunct — ``docs/design.md``, "Names".)"""
+    def test_a_reoptimizing_run_finds_what_it_just_observed(self):
+        """At a segment boundary the re-optimizer prices with this run's
+        observations, filed under the operation's key: it must find the
+        observed 0.25, not the declared 0.9.  (One conjunct: a stage's counts
+        are filed under the conjunction pushed there, the controller's specs
+        per conjunct — ``docs/design.md``, "Names".)"""
         sql = self.ALONE
-        answers = []
-        lookup = RuntimeStatisticsView.udf_selectivity
-
-        def recording(self, name, default, predicate=None):
-            answer = lookup(self, name, default, predicate=predicate)
-            answers.append((predicate, answer))
-            return answer
-
-        monkeypatch.setattr(RuntimeStatisticsView, "udf_selectivity", recording)
         result = self.make_db().execute(
             sql,
             reoptimize=True,
@@ -1103,5 +1045,13 @@ class TestOneKeyPerPredicate:
         )
         assert result.metrics.replan_attempts >= 1
         assert len(result.rows) == 100
-        assert answers and all(predicate == self.KEYS[sql] for predicate, _ in answers)
-        assert all(answer == pytest.approx(0.25, abs=0.05) for _, answer in answers)
+        decisions = [
+            decision
+            for adaptation in result.metrics.adaptations
+            for decision in adaptation.decisions
+        ]
+        assert decisions
+        for decision in decisions:
+            assert decision.observed_selectivities[self.KEYS[sql]] == pytest.approx(
+                0.25, abs=0.05
+            )

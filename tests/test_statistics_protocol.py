@@ -2,8 +2,7 @@
 
 ``statistics.json`` is a contract (a database reopened by the next commit
 must warm-start from it), and so is who answers the estimator: the store,
-the mid-query view over it, the per-site view over it — in that order of
-freshness, method by method.
+or the per-site view over it, which is fresher for one method only.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.adaptive import RuntimeStatisticsView, StatisticsStore
+from repro.adaptive import StatisticsStore
 from repro.adaptive.observer import (
     JoinObservation,
     LinkObservation,
@@ -278,22 +277,13 @@ def test_an_absent_section_restores_as_unobserved(tmp_path):
 # (d) overlay precedence, method by method
 # ---------------------------------------------------------------------------
 
-#: method -> (arguments up to the default, this run's tables for the view)
-_FRESHER = {
-    "udf_cost": (("Score",), dict(udf_costs={"SCORE": 0.25})),
-    "udf_selectivity": (
-        ("Score", 0.9, "Score_result >= 100"),
-        dict(selectivities={"Score_result >= 100": 0.25}),
-    ),
-    "udf_distinct_fraction": (("Score",), dict(distinct_fractions={"Score": 0.25})),
-    "predicate_selectivity": (("T.K < 80",), dict(selectivities={"T.K < 80": 0.25})),
+#: method -> arguments up to the default
+_ASKED = {
+    "udf_cost": ("Score",),
+    "udf_selectivity": ("Score", 0.9, "Score_result >= 100"),
+    "udf_distinct_fraction": ("Score",),
+    "predicate_selectivity": ("T.K < 80",),
 }
-
-
-def _view(store=None, **fresh):
-    tables = dict(selectivities={}, udf_costs={}, distinct_fractions={})
-    tables.update(fresh)
-    return RuntimeStatisticsView(store=store, **tables)
 
 
 def _ask(statistics, method, arguments):
@@ -304,47 +294,14 @@ def _ask(statistics, method, arguments):
 
 
 class TestOverlayPrecedence:
-    @pytest.mark.parametrize("method", sorted(_FRESHER))
-    def test_this_run_beats_the_store_beats_the_default(self, method):
-        arguments, fresh = _FRESHER[method]
-        store = _fixture_store()
-        stored = _ask(store, method, arguments)
-        assert stored not in (0.25, 0.9)  # the store has its own answer
-        assert _ask(_view(store, **fresh), method, arguments) == 0.25
-        assert _ask(_view(store), method, arguments) == stored
-        assert _ask(_view(None, **fresh), method, arguments) == 0.25
-        assert _ask(_view(None), method, arguments) == 0.9
-        assert _ask(StatisticsStore(), method, arguments) == 0.9
-
-    @pytest.mark.parametrize("cost", [0.0, -1.0, None])
-    def test_a_non_positive_per_call_cost_falls_through(self, cost):
-        store = _fixture_store()
-        assert _view(store, udf_costs={"Score": cost}).udf_cost("Score", 0.9) == store.udf_cost("Score", 0.9)
-        assert _view(None, udf_costs={"Score": cost}).udf_cost("Score", 0.9) == 0.9
-
-    def test_this_runs_fractions_are_clamped_and_the_empty_key_names_nothing(self):
-        view = _view(None, selectivities={"p": 1.5, "": 0.1}, distinct_fractions={"Score": -0.5})
-        assert view.predicate_selectivity("p", 0.9) == 1.0
-        assert view.udf_selectivity("Score", 0.9, predicate="") == 0.9
-        assert view.udf_selectivity("Score", 0.9) == 0.9  # no predicate: the store's rule
-        assert view.udf_distinct_fraction("score", 0.9) == 0.0
-
-    def test_the_view_has_nothing_fresher_for_the_rest_of_the_protocol(self):
-        store = _fixture_store()
-        view = _view(store, **{k: v for _, fresh in _FRESHER.values() for k, v in fresh.items()})
-        assert view.join_selectivity(("B.K", "A.K")) == store.join_selectivity(("k",)) == 0.1
-        assert view.column_distinct_evidence() == store.column_distinct_evidence() == {"id": 25.0}
-        assert view.calibrated_network(NETWORK) == store.calibrated_network(NETWORK) != NETWORK
-        settings_ = CostSettings()
-        assert view.calibrated_cost_settings(settings_).batch_size == 56.0
-        assert view.queries_observed == store.queries_observed
-
     def test_an_absent_store_is_an_empty_one(self):
-        view = _view(None)
-        assert view.join_selectivity(("k",)) is None
-        assert view.column_distinct_evidence() == {}
-        assert view.calibrated_network(NETWORK) is NETWORK
-        assert view.queries_observed == 0
+        overlay = StatisticsOverlay(None)
+        for method, arguments in _ASKED.items():
+            assert _ask(overlay, method, arguments) == 0.9
+        assert overlay.join_selectivity(("k",)) is None
+        assert overlay.column_distinct_evidence() == {}
+        assert overlay.calibrated_network(NETWORK) is NETWORK
+        assert overlay.queries_observed == 0
 
     def test_the_per_site_view_differs_in_calibrated_network_only(self):
         store = _fixture_store()
@@ -352,7 +309,7 @@ class TestOverlayPrecedence:
         assert view.calibrated_network(NETWORK) == store.calibrated_network(NETWORK, "site0")
         assert view.calibrated_network(NETWORK) != store.calibrated_network(NETWORK)
         assert view.calibrated_network(NETWORK).name == "configured+observed@site0"
-        for method, (arguments, _) in _FRESHER.items():
+        for method, arguments in _ASKED.items():
             assert _ask(view, method, arguments) == _ask(store, method, arguments)
         assert view.join_selectivity(("k",)) == store.join_selectivity(("k",))
         assert view.column_distinct_evidence() == store.column_distinct_evidence()
@@ -397,19 +354,18 @@ class TestProtocolCompleteness:
         [
             StatisticsStore(),
             StatisticsOverlay(),
-            _view(None),
-            _view(StatisticsStore()),
             site_calibrated(StatisticsStore(), "site0"),
             StatisticsReads(StatisticsStore()),
         ],
-        ids=["store", "overlay", "view", "view-over-store", "per-site", "read-log"],
+        ids=["store", "overlay", "per-site", "read-log"],
     )
     def test_every_answerer_answers_every_method(self, answerer):
         for method in STATISTICS_PROTOCOL:
             assert callable(getattr(answerer, method)), method
 
     def test_an_overlay_answers_protocol_methods_only(self):
-        own = {name for name in vars(RuntimeStatisticsView) if not name.startswith("_")}
+        overlay = site_calibrated(StatisticsStore(), "site0")
+        own = {name for name in vars(overlay) if not name.startswith("_")}
         assert own and own <= set(STATISTICS_PROTOCOL)
         assert all(hasattr(StatisticsStore, name) for name in STATISTICS_PROTOCOL)
 
