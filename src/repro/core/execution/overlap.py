@@ -70,10 +70,15 @@ class InFlightWindow:
     # -- operations -------------------------------------------------------------
 
     def acquire(self) -> Event:
-        """An event that fires once one more batch may leave the server."""
+        """An event that fires once one more batch may leave the server.
+
+        A free slot nobody queues for is taken now, and the event is
+        ``Simulator.instant``: the same-instant hop, without an event."""
+        if not self._waiters and self.in_flight < self.capacity:
+            self._admit()
+            return self.simulator.instant
         event = Event(self.simulator, name=(self.name, ".acquire"))
         self._waiters.append((event, self.simulator.now))
-        self._dispatch()
         return event
 
     def acquire_now(self) -> bool:
@@ -81,8 +86,8 @@ class InFlightWindow:
 
         True when a slot is free, nobody queues for one and the instant is
         quiet (:meth:`~repro.network.simulator.Simulator.quiet`): the slot is
-        taken and counted exactly as by :meth:`acquire`, minus its zero-delay
-        event.  On False the caller falls back to ``yield window.acquire()``.
+        taken and counted exactly as by :meth:`acquire`, minus its same-instant
+        hop.  On False the caller falls back to ``yield window.acquire()``.
         """
         if self._waiters or self.in_flight >= self.capacity or not self.simulator.quiet():
             return False
@@ -94,7 +99,8 @@ class InFlightWindow:
         if self.in_flight <= 0:
             raise SimulationError(f"{self.name}: release() without a matching acquire")
         self.in_flight -= 1
-        self._dispatch()
+        if self._waiters:
+            self._dispatch()
 
     def resize(self, capacity: float) -> None:
         """Change the window size mid-run (never below 1).

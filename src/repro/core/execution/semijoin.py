@@ -150,7 +150,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                 # transmission that resumed this sender) the sender steps
                 # behind what is already queued before it ships anything more.
                 if not quiet():
-                    yield simulator.timeout(0.0)
+                    yield simulator.instant
                 if eliminate:
                     if shipped[slot]:
                         continue
@@ -173,7 +173,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
             if pending_batch:
                 yield from self.ship(window, flush)
             if not quiet():
-                yield simulator.timeout(0.0)
+                yield simulator.instant
             yield channel.send_to_client(end_of_stream())
 
         def take_reply(result_batch: ResultBatch) -> None:

@@ -35,7 +35,7 @@ class Event:
     def __init__(self, simulator: "Simulator", name: Union[str, Tuple[Any, ...]] = "") -> None:  # noqa: F821
         self.simulator = simulator
         self._name = name
-        self.callbacks: List[Callable[["Event"], None]] = []
+        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _UNSET
         self._exception: Optional[BaseException] = None
         self.triggered = False
@@ -99,11 +99,11 @@ class Event:
         """Register ``callback`` to run when this event is processed.
 
         Registering on an already-processed event schedules the callback to
-        run immediately (at the current simulation time), so late waiters do
-        not deadlock.
+        run immediately (a call entry at the current simulation time), so
+        late waiters do not deadlock.
         """
         if self.processed:
-            self.simulator._schedule_callback(callback, self)
+            self.simulator._schedule_call(0.0, callback, self)
         else:
             self.callbacks.append(callback)
 
@@ -112,7 +112,8 @@ class Event:
         if self.processed:
             raise SimulationError(f"event {self.name!r} processed twice")
         self.processed = True
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks = self.callbacks
+        self.callbacks = None  # handed over: a processed event takes no more
         if len(callbacks) == 1:
             callbacks[0](self)
         elif callbacks:
@@ -139,9 +140,11 @@ class Timeout(Event):
     def __init__(self, simulator: "Simulator", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise SimulationError("Timeout delay must be non-negative")
-        super().__init__(simulator)
+        Event.__init__(self, simulator)
         self.delay = delay
-        self.succeed(value, delay=delay)
+        self.triggered = True
+        self._value = value
+        simulator._schedule(delay, self)
 
     @property
     def name(self) -> str:
@@ -157,7 +160,7 @@ class Process(Event):
     with the generator's return value.
     """
 
-    __slots__ = ("_generator", "target")
+    __slots__ = ("_generator", "_resume_call")
 
     def __init__(
         self,
@@ -169,11 +172,14 @@ class Process(Event):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError("Process requires a generator (use a 'yield'-based function)")
         self._generator = generator
-        self.target: Optional[Event] = None
+        # Bound once, not per yield; dropped when the process ends (no self-cycle).
+        self._resume_call: Optional[Callable[[Event], None]] = self._resume
         # Kick the process off at the current simulation time.
-        bootstrap = Event(simulator, name=(name or "Process", ":start"))
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed(None)
+        simulator.instant.add_callback(self._resume_call)
+
+    def _process(self) -> None:
+        self._resume_call = None
+        Event._process(self)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator after ``event`` fired."""
@@ -201,5 +207,4 @@ class Process(Event):
         if next_target.simulator is not self.simulator:
             self.fail(SimulationError("process yielded an event from a different simulator"))
             return
-        self.target = next_target
-        next_target.add_callback(self._resume)
+        next_target.add_callback(self._resume_call)

@@ -70,7 +70,7 @@ class Link:
         for _, value in schedule:
             if value <= 0:
                 raise SimulationError("scheduled bandwidths must be positive")
-        self._schedule: Tuple[Tuple[float, float], ...] = tuple(schedule)
+        self.bandwidth_schedule: Tuple[Tuple[float, float], ...] = tuple(schedule)
         if scheduler is not None:
             scheduler.attach(self)
 
@@ -79,7 +79,7 @@ class Link:
     def bandwidth_at(self, time: float) -> float:
         """The link's bandwidth in effect at simulation time ``time``."""
         bandwidth = self.bandwidth
-        for start, value in self._schedule:
+        for start, value in self.bandwidth_schedule:
             if time >= start:
                 bandwidth = value
             else:
@@ -105,7 +105,8 @@ class Link:
             return self.scheduler.submit(self, message)
         now = self.simulator.now
         start = max(now, self._free_at)
-        transmission = self.transmission_time(message, at_time=start)
+        bandwidth = self.bandwidth_at(start) if self.bandwidth_schedule else self.bandwidth
+        transmission = message.size_bytes / bandwidth
         finish_tx = start + transmission
         self._free_at = finish_tx
 
@@ -116,20 +117,10 @@ class Link:
         sender_event.succeed(message, delay=finish_tx - now)
 
         # Delivery into the destination mailbox after propagation.  Nobody
-        # waits on the mailbox put, so it is posted without an event.
-        arrival_delay = (finish_tx + self.latency) - now
-        delivery_event = Event(self.simulator, name=(self.name, ".rx#", message.sequence))
-        delivery_event.add_callback(self._deliver)
-        delivery_event.succeed(message, delay=arrival_delay)
-
+        # can wait on it, so it is a call, not an event; being the whole
+        # kernel entry, it may wake the mailbox's reader in place.
+        self.simulator._schedule_call((finish_tx + self.latency) - now, self.destination.deliver, message)
         return sender_event
-
-    def _deliver(self, event: Event) -> None:
-        # The only callback of a delivery event, so this ends the kernel
-        # entry and the mailbox may wake its reader in place.  (A trunk that
-        # delivers inside its completion entry holds the fan-out flag, so the
-        # mailbox sees a busy instant there and schedules the wake-up.)
-        self.destination.deliver(event._value)
 
     def close(self) -> None:
         """Refuse any further sends (used for failure-injection tests)."""

@@ -22,14 +22,21 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
-        # Heap entries: (time, sequence, kind, payload).  kind 0 = event,
-        # kind 1 = bare callback; sequence preserves FIFO order among ties.
-        self._queue: List[Tuple[float, int, int, Any]] = []
+        # Heap entries: (time, sequence, call, argument) — every kernel entry
+        # is ``call(argument)``, an event's is ``Event._process(event)``;
+        # sequence preserves FIFO order among ties.
+        self._queue: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self.events_processed = 0
         # Non-zero while an event with several callbacks is being processed:
         # the callbacks still to run are work queued at the current instant
         # that the heap does not show (see :meth:`quiet`).
         self._fanout = 0
+        #: An event that has already happened.  Yielding it is a same-instant
+        #: hop: the process resumes from one call entry at ``now``, behind
+        #: everything already queued there, and no event is built for it.
+        self.instant = Event(self, name="instant")
+        self.instant.triggered = self.instant.processed = True
+        self.instant._value = None
 
     # -- clock ------------------------------------------------------------------
 
@@ -58,11 +65,15 @@ class Simulator:
         if delay < 0:
             raise SimulationError("cannot schedule an event in the past")
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, 0, event))
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, type(event)._process, event))
 
-    def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
+    def _schedule_call(self, delay: float, callback: Callable[[Any], None], argument: Any) -> None:
+        """Run ``callback(argument)`` as a kernel entry ``delay`` seconds from now:
+        an entry nobody can wait on takes its place in the schedule without an event."""
+        if delay < 0:
+            raise SimulationError("cannot schedule a call in the past")
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now, self._sequence, 1, (callback, event)))
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, callback, argument))
 
     # -- public factory helpers ---------------------------------------------------
 
@@ -83,24 +94,23 @@ class Simulator:
     def step(self) -> None:
         """Process the single next scheduled entry."""
         try:
-            time, _, kind, payload = heapq.heappop(self._queue)
+            time, _, call, argument = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no events scheduled") from None
         if time < self._now:
             raise SimulationError("event queue went backwards in time")
         self._now = time
         self.events_processed += 1
-        if kind == 0:
-            payload._process()
-        else:
-            callback, event = payload
-            callback(event)
+        call(argument)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue empties or the clock reaches ``until``.
 
-        Returns the final simulation time.
+        Returns the final simulation time.  ``until`` may not lie before
+        ``now``: the clock never runs backwards.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(f"cannot run until {until:g}: the clock is already at {self._now:g}")
         while self._queue:
             next_time = self._queue[0][0]
             if until is not None and next_time > until:

@@ -79,7 +79,7 @@ class _Transmission(Event):
         try:
             Event._process(self)
             if self.delivers:
-                self.link._deliver(self)
+                self.link.destination.deliver(self.message)
         finally:
             simulator._fanout -= 1
         self.scheduler._start_next()
@@ -148,7 +148,8 @@ class LinkScheduler:
         now = self.simulator.now
         link = item.link
         message = item.message
-        transmission = item.size_bytes / link.bandwidth_at(now)
+        bandwidth = link.bandwidth_at(now) if link.bandwidth_schedule else link.bandwidth
+        transmission = item.size_bytes / bandwidth
         queued_for = now - item.enqueued_at
 
         link.stats.record(message, queued_for, transmission)
@@ -159,13 +160,12 @@ class LinkScheduler:
         item.succeed(message, delay=transmission)
 
         # Delivery into the submitting link's own mailbox after propagation:
-        # its own entry, unless it lands on the completion's instant, where
-        # the completion entry delivers after the sender's callbacks.
+        # a call entry of its own, unless it lands on the completion's
+        # instant, where the completion entry delivers after the sender's
+        # callbacks.
         item.delivers = now + (transmission + link.latency) == now + transmission
         if not item.delivers:
-            delivery = Event(self.simulator, name=(link.name, ".rx#", message.sequence))
-            delivery.add_callback(link._deliver)
-            delivery.succeed(message, delay=transmission + link.latency)
+            self.simulator._schedule_call(transmission + link.latency, link.destination.deliver, message)
 
     # -- introspection -------------------------------------------------------------
 

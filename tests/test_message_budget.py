@@ -6,8 +6,9 @@ operation or per process must not be redone per message: a trunk message is
 booked once per ledger it belongs to (its session link's and the trunk's —
 the per-flow split is folded from the link ledgers on read), a non-adaptive
 operation resolves its pacing once, the client answers a batch with a plain
-function, and a plan is rendered to text once per query.  The counts are
-taken with wrappers this test installs.
+function, a plan is rendered to text once per query, and a kernel entry
+nobody waits on builds no event object.  The counts are taken with wrappers
+this test installs.
 """
 
 from __future__ import annotations
@@ -21,16 +22,29 @@ import pytest
 from repro.adaptive.controller import BatchSizeController, OverlapWindowController
 from repro.client.runtime import ClientRuntime
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
+from repro.distribution import DistributedDatabase
+from repro.network.events import Event
 from repro.network.stats import TransferCounters
 from repro.relational.operators.base import Operator
+from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.tenancy.driver import MultiTenantEngine, SessionWorkload
 from repro.workloads.multitenant import POINT_SQL, make_tenant_database, point_query_spec
+from repro.workloads.sharding import FILTER_SQL, make_cluster
+from repro.workloads.stock import StockWorkload
 
 #: Ledger bodies per trunk message: the session link's and the trunk's.
 LEDGER_BODIES_PER_TRUNK_MESSAGE = 2
 #: ``StrategyConfig`` pacing look-ups per remote operation of a static
 #: config: the batch controller and the window target, once each.
 PACING_LOOKUPS_PER_OPERATION = 2
+#: ``Event`` objects of every class per wire message at batch 1: the
+#: sender-side transmission end, the reader's mailbox get, and the client's
+#: compute timeout per request.  A delivery, a same-instant hop and a free
+#: window slot build none.
+EVENT_OBJECTS_PER_MESSAGE = 2.5
+#: ... and per remote operation on top: its serve loop, coordinator, sender
+#: and receiver processes.
+EVENT_OBJECTS_PER_OPERATION = 4
 
 PACING = ("controller_for", "next_batch_size", "next_overlap_window")
 
@@ -228,3 +242,50 @@ def test_a_data_message_formats_its_description_only_when_read():
     assert message._description == message.description == "semijoin Score x16"
     assert batch_message(MessageKind.UDF_RESULT, None, 8, 3).description == "3 rows"
     assert is_end_of_stream(end_of_stream())
+
+
+# -- a kernel entry nobody waits on builds no object ----------------------------------------
+
+
+def figure1_semijoin_b1():
+    """A batch-1 semi-join Figure 1 query over one private link."""
+    db = StockWorkload(company_count=300, seed=7).build()
+    config = StrategyConfig.semi_join(batch_size=1)
+    return lambda: db.execute(StockWorkload.figure1_query(), config=config)
+
+
+def scatter_4_shards_b1():
+    """A batch-1 scatter over four sites, each behind its own FIFO trunks;
+    every row's argument is distinct, so every row ships."""
+    db = DistributedDatabase(make_cluster(sites=4, shards=4))
+    columns = [("Name", STRING), ("Sector", STRING), ("Series", TIME_SERIES), ("Bucket", INTEGER)]
+    series = [TimeSeries([float(index % 50 + step) for step in range(8)] + [index]) for index in range(400)]
+    rows = [[f"T{index:04d}", "tech", series[index], index] for index in range(400)]
+    db.create_table("Trades", columns, rows=rows)
+    db.register_client_udf(
+        "Score", lambda series: sum(series) / len(series), result_dtype=FLOAT, result_size_bytes=8
+    )
+    return lambda: db.execute(FILTER_SQL)
+
+
+def event_objects(build):
+    """``(Event objects, wire messages, metrics)`` of one run of ``build()``'s query."""
+    query = build()
+    with counted((Event, "__init__")) as counts:
+        metrics = query().metrics
+    return counts["Event.__init__"], metrics.downlink_messages + metrics.uplink_messages, metrics
+
+
+@pytest.mark.parametrize(
+    "build, sim_events",
+    [(figure1_semijoin_b1, 524), (scatter_4_shards_b1, 4113)],
+    ids=["private-link", "fifo-trunks"],
+)
+def test_a_wire_message_builds_at_most_two_and_a_half_events(build, sim_events):
+    objects, messages, metrics = event_objects(build)
+    # Batch 1: a request and a reply per invocation, plus the end-of-stream exchanges.
+    assert 200 < 2 * metrics.udf_invocations <= messages < 2 * metrics.udf_invocations + 24
+    # Kernel entries are pinned exactly: no entry was traded for an object.
+    assert metrics.sim_events == sim_events
+    per_operation = EVENT_OBJECTS_PER_OPERATION * metrics.remote_operations
+    assert objects <= EVENT_OBJECTS_PER_MESSAGE * messages + per_operation

@@ -170,6 +170,27 @@ class TestProcessesComposition:
         assert sim.now == pytest.approx(3.5)
         assert sim.pending_events > 0
 
+    def test_run_until_before_now_does_not_move_the_clock_back(self):
+        """With an event pending at 10.0 and the clock at 6.0, ``run(until=2.0)``
+        used to set the clock to 2.0, and a later ``timeout(1.0)`` landed at 3.0."""
+        sim = Simulator()
+        sim.timeout(10.0)
+        sim.run(until=6.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=2.0)
+        assert sim.now == 6.0
+        sim.run(until=6.0)  # until == now stays legal
+        assert sim.now == 6.0
+        landed = []
+
+        def later():
+            yield sim.timeout(1.0)
+            landed.append(sim.now)
+
+        sim.process(later())
+        sim.run()
+        assert landed == [7.0] and sim.now == 10.0
+
     def test_step_requires_pending_events(self):
         with pytest.raises(SimulationError):
             Simulator().step()

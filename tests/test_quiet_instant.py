@@ -1,6 +1,7 @@
 """The simulator's event-skipping rules, tested directly.
 
-(a) A put nobody waits on (:meth:`Store.post`) schedules no completion event.
+(a) A put nobody waits on (:meth:`Store.post`) schedules no completion event,
+    and a delivery nobody waits on is a scheduled call, not an event.
 (b) An operation that completes at a *quiet* instant — nothing else queued at
     ``now`` — may complete in place (:meth:`Store.get_now`,
     :meth:`InFlightWindow.acquire_now`); at a busy instant it must not, because
@@ -10,7 +11,9 @@ Two more shortcuts apply the same rules to a wire message: an arrival that
 ends its kernel entry at a quiet instant wakes the reader parked on the
 mailbox in place (rule (b), :meth:`Store.deliver`), and a shared trunk's
 chaining step rides the sender-side completion entry instead of a "next"
-tick of its own.
+tick of its own.  The twin of rule (b) at a *busy* instant is the
+``Simulator.instant`` hop: yielding an event that has already happened takes
+the same call entry, at the same sequence number, as ``timeout(0.0)`` did.
 
 Either way every counter reads exactly as through the event-returning path.
 """
@@ -19,6 +22,7 @@ import pytest
 
 from repro.core.execution.overlap import InFlightWindow
 from repro.errors import SimulationError
+from repro.network.events import Event
 from repro.network.link import Link
 from repro.network.message import MessageKind, batch_message
 from repro.network.resources import Store
@@ -460,6 +464,153 @@ class TestTrunkCompletionEntry:
 
         assert sim.run_process(waiter()) is completion.value
         assert trunk.stats.message_count == 1  # the chaining step did not re-run
+
+
+def _hopping(hop):
+    """Three processes started at one instant, each hopping behind its siblings.
+
+    A bystander entry is queued at ``now`` before any process starts, so the
+    first hops are taken at a busy instant; later two processes wake at one
+    instant and hop there, the third alone.  Returns the resumption log
+    (name, step, time, kernel entry) and the entry count.
+    """
+    sim = Simulator()
+    log = []
+    bystander = sim.timeout(0.0)
+    bystander.add_callback(lambda _event: log.append(("bystander", 0, sim.now, sim.events_processed)))
+
+    def body(name, sleep):
+        for step in range(2):
+            assert not sim.quiet()
+            yield hop(sim)
+            log.append((name, step, sim.now, sim.events_processed))
+        yield sim.timeout(sleep)
+        yield hop(sim)
+        log.append((name, "woke", sim.now, sim.events_processed))
+
+    for name, sleep in (("a", 1.0), ("b", 1.0), ("c", 2.0)):
+        sim.process(body(name, sleep))
+    sim.run()
+    return log, sim.events_processed
+
+
+class TestInstantHop:
+    def test_instant_resumes_where_a_zero_timeout_did(self):
+        instant_log, instant_entries = _hopping(lambda sim: sim.instant)
+        timeout_log, timeout_entries = _hopping(lambda sim: sim.timeout(0.0))
+        assert instant_log == timeout_log
+        assert instant_entries == timeout_entries
+        # The hop steps behind what was queued first: strict round robin.
+        assert [entry[0] for entry in instant_log[:5]] == ["bystander", "a", "b", "c", "a"]
+
+    def test_instant_has_already_happened(self):
+        sim = Simulator()
+        assert sim.instant.processed and sim.instant.value is None
+        with pytest.raises(SimulationError):
+            sim.instant.succeed()
+
+        def hop():
+            return (yield sim.instant)
+
+        assert sim.run_process(hop()) is None
+
+
+def _event_acquire(window):
+    """The event-returning free-slot acquire the instant replaced: queue the
+    waiter, let the window admit it, and hand back its admission event."""
+    event = Event(window.simulator, name=(window.name, ".acquire"))
+    window._waiters.append((event, window.simulator.now))
+    window._dispatch()
+    return event
+
+
+def _busy_window_run(acquire):
+    """Two senders started at one instant share a window of three slots; each
+    acquire is free but lands at a busy instant.  Returns the resumption log
+    and the window's counters."""
+    sim = Simulator()
+    window = InFlightWindow(sim, capacity=3)
+    log = []
+
+    def releaser():
+        yield sim.timeout(1.0)
+        window.release()
+
+    def sender(name):
+        for _ in range(4):
+            assert not sim.quiet() or window.in_flight >= window.capacity
+            yield acquire(window)
+            log.append((name, sim.now, sim.events_processed))
+            sim.process(releaser())
+
+    sim.process(sender("a"))
+    sim.process(sender("b"))
+    sim.run()
+    counters = window.stall_seconds, window.peak_in_flight, window.acquired_total, window.in_flight
+    return log, counters, sim.events_processed
+
+
+class TestFreeSlotAcquire:
+    def test_free_slot_acquire_resumes_where_the_admission_event_did(self):
+        log, counters, entries = _busy_window_run(InFlightWindow.acquire)
+        event_log, event_counters, event_entries = _busy_window_run(_event_acquire)
+        assert log == event_log
+        assert counters == event_counters
+        assert entries == event_entries
+        stall, peak, acquired, in_flight = counters
+        assert (peak, acquired, in_flight) == (3, 8, 0) and stall > 0
+
+    def test_a_free_slot_is_taken_in_place_with_no_stall(self):
+        sim = Simulator()
+        window = InFlightWindow(sim, capacity=2)
+        assert window.acquire() is sim.instant
+        assert (window.in_flight, window.acquired_total, window.stall_seconds) == (1, 1, 0.0)
+        assert sim.pending_events == 0  # the hop is scheduled only when yielded
+        window.acquire()
+        full = window.acquire()
+        assert full is not sim.instant and not full.triggered
+        window.release()
+        assert full.triggered and window.in_flight == 2
+
+
+def _scheduled_delivery(as_call, bystander_at=None):
+    """An item delivered into a store with a parked reader at t=1.0, through a
+    call entry or through a delivery event; a bystander entry queued at
+    ``bystander_at`` first makes that instant busy."""
+    sim = Simulator()
+    store = Store(sim)
+    woken = []
+    _reader(sim, store, woken)
+    sim.run()
+    order = []
+    if bystander_at is not None:
+        sim.timeout(bystander_at).add_callback(lambda _event: order.append(sim.events_processed))
+    if as_call:
+        sim._schedule_call(1.0, store.deliver, "item")
+    else:
+        delivery = Event(sim)
+        delivery.add_callback(lambda event: store.deliver(event.value))
+        delivery.succeed("item", delay=1.0)
+    sim.run()
+    return woken, order, sim.events_processed
+
+
+class TestDeliveryCall:
+    def test_quiet_delivery_call_wakes_the_reader_in_place(self):
+        woken, _order, entries = _scheduled_delivery(as_call=True)
+        assert (woken, entries) == _scheduled_delivery(as_call=False)[::2]
+        assert woken == [("item", entries, True)]  # no wake-up entry of its own
+
+    def test_busy_delivery_call_schedules_the_wake_up(self):
+        woken, order, entries = _scheduled_delivery(as_call=True, bystander_at=1.0)
+        assert (woken, order, entries) == _scheduled_delivery(as_call=False, bystander_at=1.0)
+        # The bystander was queued first and ran first; the reader woke in an
+        # entry of its own after it.
+        assert order[0] < woken[0][1] == entries
+
+    def test_a_call_cannot_be_scheduled_in_the_past(self):
+        with pytest.raises(SimulationError):
+            Simulator()._schedule_call(-1.0, print, None)
 
 
 class TestReleaseIsStrict:
