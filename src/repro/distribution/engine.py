@@ -132,9 +132,7 @@ class _ShardWorker(BatonWorker):
         size = max(1, -(-len(rows) // segments))
         queries: List[BoundQuery] = []
         for start in range(0, len(rows), size):
-            piece = Table(fragment.name, fragment.schema)
-            for row in rows[start : start + size]:
-                piece.insert(list(row))
+            piece = Table(fragment.name, fragment.schema, rows=rows[start : start + size])
             queries.append(engine.planner().bind_for_fragment(self.task.bound.sql, piece))
         return queries
 

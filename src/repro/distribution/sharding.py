@@ -145,12 +145,13 @@ def shard_table(table: Table, spec: ShardingSpec) -> ShardedTable:
                 [row[position] for row in table.rows], spec.shards
             )
         )
-    fragments = [Table(table.name, table.schema) for _ in range(spec.shards)]
+    buckets: List[List[Tuple[Any, ...]]] = [[] for _ in range(spec.shards)]
     for row in table.rows:
         value = row[position]
         if spec.method == "hash":
             shard = hash_shard_of(value, spec.shards)
         else:
             shard = range_shard_of(value, boundaries)
-        fragments[shard].insert(list(row))
+        buckets[shard].append(row)
+    fragments = [Table(table.name, table.schema, rows=bucket) for bucket in buckets]
     return ShardedTable(spec=spec, fragments=fragments, boundaries=boundaries)

@@ -86,11 +86,6 @@ class Link:
                 break
         return bandwidth
 
-    def transmission_time(self, message: Message, at_time: Optional[float] = None) -> float:
-        """Seconds the link is occupied serialising ``message``."""
-        time = at_time if at_time is not None else self.simulator.now
-        return message.size_bytes / self.bandwidth_at(time)
-
     def send(self, message: Message) -> Event:
         """Ship ``message``; returns an event that fires when serialisation ends.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -65,28 +66,40 @@ class Table:
 
     def insert(self, values: Sequence[Any]) -> None:
         """Insert one row, validating arity and column types."""
-        if len(values) != len(self.schema):
-            raise SchemaError(
-                f"table {self.name!r} expects {len(self.schema)} values, got {len(values)}"
-            )
-        for column, value in zip(self.schema.columns, values):
-            try:
-                column.dtype.validate(value)
-            except TypeMismatchError as exc:
-                raise TypeMismatchError(
-                    f"column {column.qualified_name!r}: {exc}"
-                ) from exc
-        values = tuple(values)
-        if self._storage is not None:
-            self._storage.append(values)
-        else:
-            self._rows.append(values)
-        self._statistics = None
-        self._batch = None
+        self.insert_many((values,))
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
-        for values in rows:
-            self.insert(values)
+        """Insert rows in order, checking arity once and each column in one pass.
+
+        The first failure in row-major order raises (:class:`SchemaError` for
+        arity, :class:`TypeMismatchError` naming the column) once every row
+        before it is inserted, and none after it."""
+        rows = list(map(tuple, rows))
+        columns = self.schema.columns
+        stop = len(rows)
+        if set(map(len, rows)) - {len(columns)}:
+            stop = next(i for i, row in enumerate(rows) if len(row) != len(columns))
+        failure = None  # the position of the column whose value stops the load
+        for position, column in enumerate(columns):
+            bad = column.dtype.first_invalid(list(map(itemgetter(position), rows[:stop])))
+            if bad is not None:
+                stop, failure = bad, position
+        if stop:
+            self._statistics = self._batch = None
+            if self._storage is not None:
+                self._storage.append_many(rows[:stop])
+            else:
+                self._rows.extend(rows[:stop])
+        if failure is not None:
+            column = columns[failure]
+            try:
+                column.dtype.validate(rows[stop][failure])
+            except TypeMismatchError as exc:
+                raise TypeMismatchError(f"column {column.qualified_name!r}: {exc}") from exc
+        if stop < len(rows):
+            raise SchemaError(
+                f"table {self.name!r} expects {len(columns)} values, got {len(rows[stop])}"
+            )
 
     def delete(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> int:
         """Delete every row matching ``predicate``; returns the count.

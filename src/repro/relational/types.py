@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeMismatchError
 
@@ -238,20 +238,35 @@ class DataType:
     types (integers, floats, booleans).  ``None`` makes the type
     variable-width: a value is sized by what it is (:func:`value_size`), a
     column in bulk (:func:`value_sizes`).
+
+    ``exact_types`` are runtime types ``validator`` accepts every value of.
     """
 
     name: str
     validator: Callable[[Any], bool]
     fixed_size: Optional[int] = None
+    exact_types: FrozenSet[type] = frozenset()
 
     def validate(self, value: Any) -> None:
         """Raise :class:`TypeMismatchError` unless ``value`` fits this type."""
-        if value is None:
-            return
-        if not self.validator(value):
+        if self.first_invalid((value,)) is not None:
             raise TypeMismatchError(
                 f"value {value!r} ({type(value).__name__}) is not a valid {self.name}"
             )
+
+    def first_invalid(self, values: Sequence[Any]) -> Optional[int]:
+        """Index of the first non-NULL value ``validator`` rejects, or None;
+        a column holding only :attr:`exact_types` and NULLs passes with no
+        call per value."""
+        kinds = set(map(type, values))
+        kinds.discard(type(None))
+        if kinds <= self.exact_types:
+            return None
+        validator = self.validator
+        for index, value in enumerate(values):
+            if value is not None and not validator(value):
+                return index
+        return None
 
     def serialized_size(self, value: Any) -> int:
         """Wire size of ``value`` in bytes (1 byte for NULL)."""
@@ -282,12 +297,16 @@ def _is_float(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-INTEGER = DataType("INTEGER", _is_integer, fixed_size=_INTEGER_WIDTH)
-FLOAT = DataType("FLOAT", _is_float, fixed_size=_FLOAT_WIDTH)
-BOOLEAN = DataType("BOOLEAN", lambda value: isinstance(value, bool), fixed_size=_BOOLEAN_WIDTH)
-STRING = DataType("STRING", lambda value: isinstance(value, str))
-DATA_OBJECT = DataType("DATA_OBJECT", lambda value: isinstance(value, DataObject))
-TIME_SERIES = DataType("TIME_SERIES", lambda value: isinstance(value, TimeSeries))
+def _instance_of(kind: type) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, kind)
+
+
+INTEGER = DataType("INTEGER", _is_integer, _INTEGER_WIDTH, frozenset({int}))
+FLOAT = DataType("FLOAT", _is_float, _FLOAT_WIDTH, frozenset({int, float}))
+BOOLEAN = DataType("BOOLEAN", _instance_of(bool), _BOOLEAN_WIDTH, frozenset({bool}))
+STRING = DataType("STRING", _instance_of(str), None, frozenset({str}))
+DATA_OBJECT = DataType("DATA_OBJECT", _instance_of(DataObject), None, frozenset({DataObject}))
+TIME_SERIES = DataType("TIME_SERIES", _instance_of(TimeSeries), None, frozenset({TimeSeries}))
 
 #: All built-in types, keyed by name, for the SQL binder and the catalog.
 BUILTIN_TYPES = {

@@ -19,6 +19,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, StorageError
@@ -30,7 +33,7 @@ from repro.relational.statistics import (
     TableStatistics,
     compute_column_statistics,
 )
-from repro.relational.types import type_by_name, value_size
+from repro.relational.types import type_by_name, value_sizes
 
 CATALOG_FILE = "catalog.json"
 CATALOG_VERSION = 1
@@ -67,25 +70,38 @@ class ColumnStatInfo:
 
     def observe(self, value: Any) -> None:
         """Fold one inserted value into the running statistics."""
-        self.total_size += value_size(value)
-        if value is None:
-            self.null_count += 1
-            return
-        if len(self._sample) < _DISTINCT_SAMPLE_CAP:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[Any]) -> None:
+        """Fold a column of inserted values in, as one at a time in row order."""
+        self.total_size = reduce(add, value_sizes(values), self.total_size)
+        present = [value for value in values if value is not None]
+        self.null_count += len(values) - len(present)
+        for value in present:
+            if len(self._sample) >= _DISTINCT_SAMPLE_CAP:
+                break
             try:
                 self._sample.add(hash(value))
             except TypeError:
                 pass
-        try:
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
+        minimum, maximum = self.minimum, self.maximum
+        try:  # as the comparisons below: first of equals wins, a NaN sticks only if first
+            low = min(chain(() if minimum is None else (minimum,), present), default=None)
+            high = max(chain(() if maximum is None else (maximum,), present), default=None)
+            minimum, maximum = low, high
         except TypeError:
-            self.minimum = None
-            self.maximum = None
+            for value in present:
+                try:
+                    if minimum is None or value < minimum:
+                        minimum = value
+                    if maximum is None or value > maximum:
+                        maximum = value
+                except TypeError:
+                    minimum = maximum = None
+        self.minimum, self.maximum = minimum, maximum
         if self.histogram is not None:
-            self.histogram.add(value)
+            for value in present:
+                self.histogram.add(value)
 
     def distinct_count(self, records: int) -> int:
         """Best current distinct estimate, never exceeding the row count."""
@@ -330,13 +346,17 @@ class MetadataManager:
         return stats
 
     def record_insert(self, entry: TableEntry, values: Sequence[Any]) -> None:
+        self.record_inserts(entry, (values,))
+
+    def record_inserts(self, entry: TableEntry, rows: Sequence[Sequence[Any]]) -> None:
+        """Fold inserted rows into the table's statistics, a column at a time."""
         stats = entry.stats
-        stats.records += 1
-        for column, value in zip(entry.schema.columns, values):
+        stats.records += len(rows)
+        for column, values in zip(entry.schema.columns, zip(*rows)):
             info = stats.columns.get(column.name)
             if info is None:
                 info = stats.columns[column.name] = ColumnStatInfo(column.name)
-            info.observe(value)
+            info.observe_many(values)
         self._dirty = True
 
     def record_delete(self, entry: TableEntry) -> None:

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
 from repro.errors import StorageError
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStatistics
-from repro.storage.buffer import BufferManager
+from repro.storage.buffer import Buffer, BufferManager
 from repro.storage.page import (
     DEFAULT_BLOCK_SIZE,
     BlockId,
@@ -217,20 +217,46 @@ class HeapFile:
         #: reclaimed by deletes.  Pure-append workloads never populate it, so
         #: their physical record order is identical to an FSM-free heap.
         self.holes: Dict[int, int] = {}
+        #: The block an :meth:`append_many` is filling, pinned between records.
+        self._held: Optional[Buffer] = None
 
     def block_count(self) -> int:
         return self.buffers.file_manager.block_count(self.file_name)
 
     def append(self, values: Sequence[Any]) -> RecordId:
-        """Insert one record and return its RID.
+        """Insert one record and return its RID."""
+        rids: List[RecordId] = []
+        self.append_many((values,), rids)
+        return rids[0]
 
-        Placement order: a hole left by deletes that fits, else the last
-        block, else a freshly appended block.  Oversized records spill to an
-        overflow chain and get RID ``(head_block, -1)``.
+    def append_many(
+        self, rows: Sequence[Sequence[Any]], rids: List[RecordId], placed: Optional[Callable] = None
+    ) -> None:
+        """Insert records in order, appending each one's RID to ``rids``.
+
+        Placement: the first hole left by deletes that fits, else the last
+        block, else a fresh one; an oversized record spills to an overflow
+        chain, RID ``(head_block, -1)``.  The block being filled stays pinned
+        across records unless ``placed(rid, values)`` is given: it runs after
+        each record, its block unpinned, so its own pool touches come in turn.
         """
-        record = self.layout.codec.encode(values) or encode_record(values)
-        if len(record) > self.layout.max_inline_record():
-            return self._append_overflow(record)
+        encode, limit = self.layout.codec.encode, self.layout.max_inline_record()
+        try:
+            for values in rows:
+                record = encode(values) or encode_record(values)
+                if len(record) > limit:
+                    self._release()
+                    rid = self._append_overflow(record)
+                else:
+                    rid = self._place(record)
+                rids.append(rid)
+                if placed is not None:
+                    self._release()
+                    placed(rid, values)
+        finally:
+            self._release()
+
+    def _place(self, record: bytes) -> RecordId:
         for number in sorted(self.holes):
             if self.holes[number] >= len(record) + _SLOT_BYTES:
                 rid = self._insert_into(number, record)
@@ -241,29 +267,30 @@ class HeapFile:
             rid = self._insert_into(blocks - 1, record)
             if rid is not None:
                 return rid
-        buffer = self.buffers.pin_new(self.file_name)
-        try:
-            slotted = SlottedPage(buffer.page)
-            slotted.format()
-            slot = slotted.insert(record)
-            buffer.mark_dirty()
-            return (buffer.block.number, slot)
-        finally:
-            self.buffers.unpin(buffer)
+        self._release()
+        self._held = self.buffers.pin_new(self.file_name)
+        SlottedPage(self._held.page).format()
+        return self._insert_into(self._held.block.number, record)
 
     def _insert_into(self, number: int, record: bytes) -> Optional[RecordId]:
-        """Try one block; returns the RID or None when the record won't fit."""
-        buffer = self.buffers.pin(BlockId(self.file_name, number))
-        try:
-            slotted = SlottedPage(buffer.page)
-            if slotted.slot_count < 0 or not slotted.has_room(len(record)):
-                return None
-            slot = slotted.insert(record)
-            buffer.mark_dirty()
-            self._note_free_space(number, slotted.free_space)
-            return (number, slot)
-        finally:
-            self.buffers.unpin(buffer)
+        """Try one block, held pinned until :meth:`_release`; returns the
+        RID or None when the record won't fit."""
+        buffer = self._held
+        if buffer is None or buffer.block.number != number:
+            self._release()
+            buffer = self._held = self.buffers.pin(BlockId(self.file_name, number))
+        slotted = SlottedPage(buffer.page)
+        if slotted.slot_count < 0 or not slotted.has_room(len(record)):
+            return None
+        slot = slotted.insert(record)
+        buffer.mark_dirty()
+        self._note_free_space(number, slotted.free_space)
+        return (number, slot)
+
+    def _release(self) -> None:
+        held, self._held = self._held, None
+        if held is not None:
+            self.buffers.unpin(held)
 
     def _note_free_space(self, number: int, free: int) -> None:
         if number in self.holes:
@@ -468,16 +495,27 @@ class PagedTableStorage:
         self._statistics: Optional[Tuple[int, list, TableStatistics]] = None
 
     def append(self, values: Sequence[Any]) -> RecordId:
-        rid = self.heap.append(values)
-        self.row_count += 1
-        self._statistics = None
-        self.catalog.record_insert(self.entry, values)
+        return self.append_many((values,))[0]
+
+    def append_many(self, rows: Sequence[Sequence[Any]]) -> List[RecordId]:
+        """Insert rows in order: each open index takes a row's key right after
+        its heap record; the catalog folds the placed rows a column at a time."""
+        rids: List[RecordId] = []
+        try:
+            self.heap.append_many(rows, rids, self._index_row if self.indexes_by_position else None)
+        finally:
+            if rids:
+                self.row_count += len(rids)
+                self._statistics = None
+                self.catalog.record_inserts(self.entry, rows[: len(rids)])
+        return rids
+
+    def _index_row(self, rid: RecordId, values: Sequence[Any]) -> None:
         for handle, position in self.indexes_by_position:
             handle.insert(values[position], rid)
             self.catalog.set_index_state(
                 handle.definition.name, handle.entry_count, handle.incomplete
             )
-        return rid
 
     def delete_where(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> int:
         """Delete every record matching ``predicate``; returns the count.

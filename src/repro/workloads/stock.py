@@ -93,9 +93,7 @@ class StockWorkload:
             ],
         )
 
-        quotes_table = db.catalog.table("StockQuotes")
-        estimations_table = db.catalog.table("Estimations")
-
+        quotes_rows, estimation_rows = [], []
         self.company_names = [f"Company{index:03d}" for index in range(self.company_count)]
         for name in self.company_names:
             base = rng.uniform(20.0, 400.0)
@@ -113,13 +111,15 @@ class StockWorkload:
             close = history[-1]
             change = round(close - history[-2], 2) if len(history) > 1 else 0.0
             report = f"Annual report for {name}: " + "x" * rng.randint(200, 800)
-            quotes_table.insert(
+            quotes_rows.append(
                 [name, TimeSeries(history), TimeSeries(futures), change, close, report]
             )
 
             for broker in self.brokers:
                 if rng.random() < 0.8:
-                    estimations_table.insert([name, broker, rng.randint(1, 5)])
+                    estimation_rows.append([name, broker, rng.randint(1, 5)])
+        db.catalog.table("StockQuotes").insert_many(quotes_rows)
+        db.catalog.table("Estimations").insert_many(estimation_rows)
 
         db.register_client_udf(
             "ClientAnalysis",

@@ -37,11 +37,9 @@ def make_object_relation(
     rows carry distinct argument values (the paper's ``D``).
     """
     schema = Schema([Column(column_name, DATA_OBJECT)])
-    table = Table(name, schema)
     distinct = max(1, int(round(row_count * distinct_fraction)))
-    for index in range(row_count):
-        table.insert([DataObject(object_size, seed=index % distinct)])
-    return table
+    rows = [(DataObject(object_size, seed=index % distinct),) for index in range(row_count)]
+    return Table(name, schema, rows=rows)
 
 
 def interleaving_stride(row_count: int) -> int:
@@ -82,18 +80,16 @@ def make_udf_relation(
     and duplicate property — is unchanged; only the row order differs.
     """
     schema = Schema([Column("Argument", DATA_OBJECT), Column("NonArgument", DATA_OBJECT)])
-    table = Table(name, schema)
     distinct = max(1, int(round(row_count * distinct_fraction)))
     stride = interleaving_stride(row_count) if interleaved else 1
-    for index in range(row_count):
-        position = (index * stride) % row_count if interleaved else index
-        table.insert(
-            [
-                DataObject(argument_size, seed=position % distinct),
-                DataObject(non_argument_size, seed=index),
-            ]
+    rows = [
+        (
+            DataObject(argument_size, seed=(index * stride) % row_count % distinct),
+            DataObject(non_argument_size, seed=index),
         )
-    return table
+        for index in range(row_count)
+    ]
+    return Table(name, schema, rows=rows)
 
 
 def register_identity_udf(

@@ -291,9 +291,16 @@ class TestBandwidthDrift:
         assert link.bandwidth_at(0.0) == 1000.0
         assert link.bandwidth_at(5.0) == 500.0
         assert link.bandwidth_at(10.0) == 100.0
-        message = Message(MessageKind.RECORDS, None, payload_bytes=984)  # 1000 wire bytes
-        assert link.transmission_time(message, at_time=0.0) == pytest.approx(1.0)
-        assert link.transmission_time(message, at_time=12.0) == pytest.approx(10.0)
+
+
+        def serialised_at(start):
+            yield sim.timeout(start - sim.now)
+            yield link.send(Message(MessageKind.RECORDS, None, payload_bytes=984))  # 1000 wire bytes
+            return sim.now - start
+
+        # Through the send path: the bandwidth in effect when serialisation starts.
+        assert sim.run_process(serialised_at(0.0)) == pytest.approx(1.0)
+        assert sim.run_process(serialised_at(12.0)) == pytest.approx(10.0)
 
     def test_invalid_schedule_rejected(self):
         sim = Simulator()

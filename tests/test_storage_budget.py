@@ -13,6 +13,10 @@ file's block count — then one unpacking of its slot directory, then each
 record decoded once where it lies, by the layout's record codec unless a tag
 is not its column's usual one.  Counted with wrappers around ``os`` and around the
 slot directory and the generic record and value decoders.
+
+A batch load with no open index pins each heap block once: the block being
+filled stays pinned from one record to the next.  Counted with wrappers
+around the pool's ``pin`` and ``pin_new``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ import repro.storage.index as index_module
 import repro.storage.page as page_module
 import repro.storage.record as record_module
 from repro.relational.schema import Schema
+from repro.relational.table import Table
 from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.storage.buffer import BufferManager
+from repro.storage.engine import StorageEngine
 from repro.storage.file import FileManager
 from repro.storage.index import IndexDefinition, open_index
 from repro.storage.record import HeapFile, Layout, SlottedPage
@@ -213,3 +219,32 @@ def test_a_fetch_reads_its_block_and_probes_no_file_size(tmp_path, io_calls):
         assert heap.fetch(rid) == records[rid]
     assert heap.buffers.misses > misses
     assert sum(calls.values()) == calls["pread"] + calls["preadv"] == heap.buffers.misses - misses
+
+
+def test_a_batch_load_without_indexes_pins_each_heap_block_once(tmp_path, monkeypatch):
+    """The block being filled stays pinned from one record to the next: a
+    batch into an empty table pins each heap block once, by ``pin_new``,
+    over a file five times the pool."""
+    engine = StorageEngine(str(tmp_path), pool_size=4)
+    storage = engine.create_table("Quotes", HEAP_SCHEMA)
+    pins = Counter()
+    for name in ("pin", "pin_new"):
+        original = getattr(BufferManager, name)
+
+        def counted(self, target, _original=original):
+            buffer = _original(self, target)
+            if buffer.block.file_name == storage.heap.file_name:
+                pins[buffer.block.number] += 1
+            return buffer
+
+        monkeypatch.setattr(BufferManager, name, counted)
+    rows = [
+        (key, key * 0.5, f"name{key % 50:02d}", TimeSeries([float(key)] * 30))
+        for key in range(HEAP_ROWS)
+    ]
+    Table("Quotes", HEAP_SCHEMA, storage=storage).insert_many(rows)
+    blocks = storage.block_count()
+    assert blocks >= 5 * engine.buffers.pool_size
+    assert pins == Counter(range(blocks))
+    assert len(storage.read_all()) == HEAP_ROWS
+    engine.close()
