@@ -98,7 +98,7 @@ def range_boundaries_from_data(values: Sequence[Any], shards: int) -> Tuple[Any,
 
 def range_shard_of(value: Any, boundaries: Sequence[Any]) -> int:
     """The shard of a value under the given ascending boundaries."""
-    return bisect_right(list(boundaries), value)
+    return bisect_right(boundaries, value)
 
 
 @dataclass

@@ -17,10 +17,13 @@ supplied estimates so the optimizer can be exercised on hypothetical tables.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.relational.schema import Schema, bare_name
+from repro.relational.types import ORDER_KEYS, value_sizes
 
 #: Default number of equi-width buckets for column histograms.
 DEFAULT_HISTOGRAM_BUCKETS = 8
@@ -48,22 +51,22 @@ class Histogram:
     def build(
         cls, values: Iterable[object], buckets: int = DEFAULT_HISTOGRAM_BUCKETS
     ) -> Optional["Histogram"]:
-        """Build a histogram from the finite numeric values; None if there are none."""
-        numeric = [
-            float(value)
-            for value in values
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        ]
-        numeric = [value for value in numeric if math.isfinite(value)]
+        """Build a histogram from the values :meth:`add` counts (finite
+        numbers, as floats); None if there are none."""
+        numeric = _countable(list(values))
         if not numeric:
             return None
         low, high = min(numeric), max(numeric)
         if high <= low:
             return cls(low=low, high=high, counts=[len(numeric)])
-        histogram = cls(low=low, high=high, counts=[0] * max(1, buckets))
-        for value in numeric:
-            histogram.add(value)
-        return histogram
+        buckets = max(1, buckets)
+        width = (high - low) / buckets
+        if not width:  # a span too narrow to divide: add puts every value in bucket 0
+            return cls(low=low, high=high, counts=[len(numeric)] + [0] * (buckets - 1))
+        tally = Counter([int((value - low) / width) for value in numeric])
+        counts = [tally.pop(bucket, 0) for bucket in range(buckets)]
+        counts[-1] += sum(tally.values())  # past the last edge by rounding: the last bucket
+        return cls(low=low, high=high, counts=counts)
 
     def add(self, value: object) -> bool:
         """Count a finite numeric ``value``; False (and no change) for anything else.
@@ -71,13 +74,8 @@ class Histogram:
         A value outside ``[low, high]`` widens the range to reach it, unless
         the widened span would no longer be a finite float.
         """
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        try:
-            value = float(value)
-        except OverflowError:
-            return False
-        if not math.isfinite(value):
+        value = _countable_value(value)
+        if value is None:
             return False
         if value < self.low or value > self.high:
             low, high = min(self.low, value), max(self.high, value)
@@ -146,6 +144,68 @@ class Histogram:
         )
 
 
+def _countable_value(value: object) -> Optional[float]:
+    """``value`` as the float a histogram counts, or None: only a finite
+    number that is not a ``bool`` counts, and an int past float range not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _countable(values: Sequence[object]) -> List[float]:
+    """The values :meth:`Histogram.add` counts, as floats, in order: a column
+    of plain ints, floats and NULLs is converted in one pass; any other, or
+    one holding an int past float range, value by value."""
+    kinds = set(map(type, values))
+    if kinds <= {int, float, type(None)}:
+        present = values
+        if type(None) in kinds:
+            present = [value for value in values if value is not None]
+        try:
+            return list(filter(math.isfinite, map(float, present)))
+        except OverflowError:
+            pass
+    elif not any(issubclass(kind, (int, float)) and kind is not bool for kind in kinds):
+        return []
+    return [value for value in map(_countable_value, values) if value is not None]
+
+
+def value_range(
+    values: Sequence[Any], low: Optional[object] = None, high: Optional[object] = None
+) -> Tuple[Optional[object], Optional[object]]:
+    """``(low, high)`` folded over the non-NULL ``values`` in order, each
+    replacing ``low`` when ``value < low`` and ``high`` when ``value >
+    high`` (a None end is replaced outright).  So the first of equals wins
+    and a NaN only when first; a pair that does not compare resets both ends
+    to None and the fold goes on.  A column of one type of
+    :data:`~repro.relational.types.ORDER_KEYS` compares by that key."""
+    kinds = set(map(type, values))
+    for end in (low, high):
+        if end is not None:
+            kinds.add(type(end))
+    key = ORDER_KEYS.get(kinds.pop()) if len(kinds) == 1 else None
+    try:
+        return (
+            min(values if low is None else chain((low,), values), key=key, default=None),
+            max(values if high is None else chain((high,), values), key=key, default=None),
+        )
+    except TypeError:
+        pass
+    for value in values:
+        try:
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+        except TypeError:
+            low = high = None
+    return low, high
+
+
 @dataclass
 class ColumnStatistics:
     """Statistics for a single column of a relation."""
@@ -207,36 +267,18 @@ class TableStatistics:
 def compute_column_statistics(
     name: str, values: Iterable[object]
 ) -> ColumnStatistics:
-    """Compute exact statistics for one column from its values."""
-    from repro.relational.types import value_size
-
-    distinct = set()
-    nulls = 0
-    total_size = 0
-    count = 0
-    minimum = None
-    maximum = None
-    for value in values:
-        count += 1
-        total_size += value_size(value)
-        if value is None:
-            nulls += 1
-            continue
-        distinct.add(value)
-        try:
-            if minimum is None or value < minimum:
-                minimum = value
-            if maximum is None or value > maximum:
-                maximum = value
-        except TypeError:
-            # Heterogeneous or unorderable values: skip range tracking.
-            minimum = None
-            maximum = None
+    """Compute exact statistics for one column from its values, a pass per
+    statistic; an unhashable value raises ``TypeError``."""
+    values = list(values)
+    present = [value for value in values if value is not None]
+    kinds = set(map(type, present))
+    key = ORDER_KEYS.get(kinds.pop()) if len(kinds) == 1 else None
+    minimum, maximum = value_range(present)
     return ColumnStatistics(
         name=name,
-        distinct_count=len(distinct),
-        null_count=nulls,
-        average_size=(total_size / count) if count else 0.0,
+        distinct_count=len(set(present if key is None else map(key, present))),
+        null_count=len(values) - len(present),
+        average_size=(sum(value_sizes(values)) / len(values)) if values else 0.0,
         minimum=minimum,
         maximum=maximum,
     )

@@ -193,7 +193,8 @@ _COLUMN_SIZERS: Dict[type, Callable[[Sequence[Any]], List[int]]] = {
 
 #: Exact type -> a key under which ``sorted`` orders values as their own
 #: ``__lt__`` does, compared in C instead of through a Python-level call.
-#: Every value of such a type equals itself.
+#: Every value of such a type equals itself, and two values are equal
+#: exactly when their keys are, so a set of keys counts distinct values.
 ORDER_KEYS: Dict[type, Callable[[Any], Any]] = {
     TimeSeries: attrgetter("values"),
     DataObject: attrgetter("seed", "size"),

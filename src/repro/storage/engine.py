@@ -128,10 +128,10 @@ class StorageEngine:
         return handle
 
     def _build_index(self, handle: IndexHandle, storage: PagedTableStorage) -> None:
-        """Bulk-build ``handle`` from the heap and record its state."""
+        """Bulk-build ``handle`` from its key column of the heap and record its state."""
         definition = handle.definition
         position = storage.entry.schema.index_of(definition.column)
-        handle.bulk_load((values[position], rid) for rid, values in storage.rows_with_rids())
+        handle.bulk_load((key, rid) for rid, key in storage.rows_with_rids(position))
         self.metadata.set_index_state(definition.name, handle.entry_count, handle.incomplete)
 
     def drop_index(self, name: str) -> None:

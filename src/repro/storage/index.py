@@ -51,6 +51,7 @@ import struct
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
@@ -93,10 +94,23 @@ _INTERNAL_ENTRY = record_codec((None, "INTEGER"))
 _CHAIN_ENTRY = record_codec(("BYTES", "INTEGER", "INTEGER"))
 
 
-def _encode_entries(is_leaf: int, entries: Sequence[tuple]) -> List[bytes]:
-    """Each entry of a node as its bytes in the node payload."""
+#: Exact key type -> its record-codec type name.  A column of keys of one of
+#: these types sorts natively as ``(key, block, slot)`` — the order
+#: :func:`_posting_order` gives it — and its leaf entries encode by that
+#: type's record codec, to the generic codec's bytes.
+_PLAIN_KEYS = {int: "INTEGER", float: "FLOAT", str: "STRING"}
+
+
+def _encode_entries(
+    is_leaf: int, entries: Sequence[tuple], key_type: Optional[str] = None
+) -> List[bytes]:
+    """Each entry of a node as its bytes in the node payload; ``key_type``
+    is the record-codec type of every key of leaf ``entries``, when known."""
     encode = (_LEAF_ENTRY if is_leaf else _INTERNAL_ENTRY).encode
-    return [_TUPLE + encode(entry) for entry in entries]
+    if key_type is None:
+        return [_TUPLE + encode(entry) for entry in entries]
+    typed = record_codec((key_type, "INTEGER", "INTEGER")).encode
+    return [_TUPLE + (typed(entry) or encode(entry)) for entry in entries]
 
 
 def _node_payload(is_leaf: int, pointer: int, encoded: Sequence[bytes]) -> bytes:
@@ -568,22 +582,30 @@ class BTreeIndex(_PagedIndex):
         """Replace the index's contents with ``(key, rid)`` pairs, bottom-up.
 
         NULL and unorderable keys are skipped exactly as :meth:`insert` skips
-        them (the latter mark the index ``incomplete``).
+        them (the latter mark the index ``incomplete``).  A key column of one
+        :data:`_PLAIN_KEYS` type is sorted and encoded by that type; any
+        other goes key by key through :func:`sort_key`.
         """
-        entries: List[tuple] = []
+        entries = [(key, block, slot) for key, (block, slot) in pairs]
+        kinds = set(map(type, map(itemgetter(0), entries)))
+        key_type = _PLAIN_KEYS.get(kinds.pop()) if len(kinds) == 1 else None
         incomplete = False
-        for key, rid in pairs:
-            if key is None:
-                continue
-            try:
-                sort_key(key)
-            except TypeError:
-                incomplete = True
-                continue
-            entries.append((key, rid[0], rid[1]))
-        entries.sort(key=_posting_order)
+        if key_type is not None:
+            entries.sort()
+        else:
+            orderable: List[tuple] = []
+            for entry in entries:
+                if entry[0] is None:
+                    continue
+                try:
+                    sort_key(entry[0])
+                except TypeError:
+                    incomplete = True
+                    continue
+                orderable.append(entry)
+            entries = sorted(orderable, key=_posting_order)
         self.delete_file()
-        self._build(entries, incomplete)
+        self._build(entries, incomplete, key_type)
 
     def _runs(self, encoded: Sequence[bytes]) -> Iterator[range]:
         return _pack(
@@ -592,16 +614,19 @@ class BTreeIndex(_PagedIndex):
             int(_MAX_NODE_ENTRIES * _BULK_FILL),
         )
 
-    def _build(self, entries: List[tuple], incomplete: bool) -> None:
+    def _build(
+        self, entries: List[tuple], incomplete: bool, key_type: Optional[str] = None
+    ) -> None:
         """Write a fresh file holding the sorted ``entries``.
 
-        Every entry is encoded once; leaves are packed left to right, each
-        written once and chained to the block the next one will get; every
-        internal level is packed the same way over the first keys of the
-        level below; the meta page is written last, once.
+        Every entry is encoded once (keys by ``key_type``'s codec, when
+        given); leaves are packed left to right, each written once and
+        chained to the block the next one will get; every internal level is
+        packed the same way over the first keys of the level below; the meta
+        page is written last, once.
         """
         self._allocate_meta()  # block 0
-        encoded = _encode_entries(1, entries)
+        encoded = _encode_entries(1, entries, key_type)
         leaves = list(self._runs(encoded)) or [range(0)]
         level: List[Tuple[Any, int]] = []
         for position, run in enumerate(leaves):
@@ -846,18 +871,29 @@ class HashIndex(_PagedIndex):
         """Replace the index's contents with ``(key, rid)`` pairs.
 
         NULL and unencodable keys are skipped exactly as :meth:`insert`
-        skips them (the latter mark the index ``incomplete``).
+        skips them (the latter mark the index ``incomplete``).  A key column
+        of plain ints or of floats is coerced to float and encoded in one
+        pass, as :meth:`_encode_key` does each key; any other, or one
+        holding an int past float range, goes key by key.
         """
+        pairs = list(pairs)
+        keys = [key for key, _ in pairs]
+        kinds = set(map(type, keys))
+        encoded: Optional[List[Optional[bytes]]] = None
+        if len(kinds) == 1 and kinds <= {int, float}:
+            try:
+                encoded = list(map(encode_value, map(float, keys)))
+            except OverflowError:
+                pass
+        if encoded is None:
+            encoded = [None if key is None else self._encode_key(key) for key in keys]
         chains: List[List[bytes]] = [[] for _ in range(self.buckets)]
         incomplete = False
-        for key, rid in pairs:
-            if key is None:
-                continue
-            key_bytes = self._encode_key(key)
+        for key_bytes, (key, (block, slot)) in zip(encoded, pairs):
             if key_bytes is None:
-                incomplete = True
+                incomplete = incomplete or key is not None
                 continue
-            chains[self._bucket_block(key_bytes) - 1].append(_chain_entry(key_bytes, rid[0], rid[1]))
+            chains[self._bucket_block(key_bytes) - 1].append(_chain_entry(key_bytes, block, slot))
         self.delete_file()
         self._build(chains, incomplete)
 

@@ -20,8 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
-from operator import add
+from operator import add, itemgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, StorageError
@@ -32,6 +31,7 @@ from repro.relational.statistics import (
     Histogram,
     TableStatistics,
     compute_column_statistics,
+    value_range,
 )
 from repro.relational.types import type_by_name, value_sizes
 
@@ -84,21 +84,7 @@ class ColumnStatInfo:
                 self._sample.add(hash(value))
             except TypeError:
                 pass
-        minimum, maximum = self.minimum, self.maximum
-        try:  # as the comparisons below: first of equals wins, a NaN sticks only if first
-            low = min(chain(() if minimum is None else (minimum,), present), default=None)
-            high = max(chain(() if maximum is None else (maximum,), present), default=None)
-            minimum, maximum = low, high
-        except TypeError:
-            for value in present:
-                try:
-                    if minimum is None or value < minimum:
-                        minimum = value
-                    if maximum is None or value > maximum:
-                        maximum = value
-                except TypeError:
-                    minimum = maximum = None
-        self.minimum, self.maximum = minimum, maximum
+        self.minimum, self.maximum = value_range(present, self.minimum, self.maximum)
         if self.histogram is not None:
             for value in present:
                 self.histogram.add(value)
@@ -397,12 +383,13 @@ class MetadataManager:
         rows: Iterable[Tuple[Any, ...]],
         block_count: int,
     ) -> StatInfo:
-        """Full recompute of a table's statistics from its actual records."""
+        """Full recompute of a table's statistics from its actual records, a
+        column at a time."""
         materialized = list(rows)
         stats = StatInfo(blocks=block_count, records=len(materialized))
         for position, column in enumerate(entry.schema.columns):
             info = ColumnStatInfo(column.name)
-            info.reset_from_values([row[position] for row in materialized])
+            info.reset_from_values(list(map(itemgetter(position), materialized)))
             stats.columns[column.name] = info
         entry.stats = stats
         entry.scans_since_refresh = entry.deletes_since_refresh = 0

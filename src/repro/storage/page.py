@@ -224,16 +224,21 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Tuple[Any, ...], int]
 #: The usual encoding of each column type the record codec packs itself: the
 #: value tag, the exact Python type, the struct code of the value (fixed width)
 #: or of its length prefix, and for a prefixed value the payload's bytes per
-#: unit of that length, the payload as source over ``v`` and the value as
-#: source over the payload ``buffer[start:end]`` of ``n`` units.
+#: unit of that length, the payload as source over ``v``, the value as source
+#: over the payload ``buffer[start:end]`` of ``n`` units, and the statement
+#: that checks the payload as building the value does, without building it
+#: (None: building it checks nothing).
 _USUAL = {
     "INTEGER": (TAG_INT64, "int", "q", None),
     "FLOAT": (TAG_FLOAT, "float", "d", None),
-    "STRING": (TAG_STRING, "str", "i", (1, "{v}.encode()", "str(buffer[start:end], 'utf-8')")),
-    "BYTES": (TAG_BYTES, "bytes", "i", (1, "{v}", "bytes(buffer[start:end])")),
+    "STRING": (TAG_STRING, "str", "i", (
+        1, "{v}.encode()", "str(buffer[start:end], 'utf-8')", "str(buffer[start:end], 'utf-8')",
+    )),
+    "BYTES": (TAG_BYTES, "bytes", "i", (1, "{v}", "bytes(buffer[start:end])", None)),
     "TIME_SERIES": (TAG_TIME_SERIES, "TimeSeries", "i", (
         8, "doubles(len({v}.values)).pack(*{v}.values)",
         "from_floats(doubles({n}).unpack_from(buffer, start))",
+        "if end > len(buffer): return None",  # where unpack_from raises struct.error
     )),
 }
 
@@ -246,7 +251,9 @@ class RecordCodec(NamedTuple):
 
 
 @lru_cache(maxsize=256)  # one per type tuple, shared by every layout and index of it
-def record_codec(type_names: Tuple[Optional[str], ...]) -> RecordCodec:
+def record_codec(
+    type_names: Tuple[Optional[str], ...], column: Optional[int] = None
+) -> RecordCodec:
     """The codec of records whose columns have ``type_names``.
 
     ``encode(values)`` is :func:`encode_record`'s bytes and ``decode(buffer,
@@ -259,6 +266,12 @@ def record_codec(type_names: Tuple[Optional[str], ...]) -> RecordCodec:
     (NULL, an integer past 64 bits, an int in a FLOAT column), the arity
     differs or the buffer is too short for a run.  The source is generated
     once per type tuple, as ``collections.namedtuple`` does.
+
+    With ``column``, ``decode`` returns ``(value, next_offset)`` of that one
+    column instead: it reads and checks every column as the full decode does
+    (tags, length prefixes, the UTF-8 of a string, a payload that runs past
+    the buffer) and returns None exactly when it does, but builds no value it
+    does not return where building it checks nothing more (a time series).
     """
     bindings: Dict[str, Any] = {"from_floats": TimeSeries.from_floats}
     tests: List[str] = []  # encode's type tests
@@ -288,8 +301,8 @@ def record_codec(type_names: Tuple[Optional[str], ...]) -> RecordCodec:
         code, packed, targets, checks = ">", [], [], []
         return f"{position} + {codec.size}"
 
-    for column, type_name in enumerate(type_names):
-        value, length = f"v{column}", f"n{column}"
+    for index, type_name in enumerate(type_names):
+        value, length = f"v{index}", f"n{index}"
         if type_name not in _USUAL:
             if targets:
                 position = flush()
@@ -300,24 +313,27 @@ def record_codec(type_names: Tuple[Optional[str], ...]) -> RecordCodec:
         tag, kind, struct_code, payload = _USUAL[type_name]
         tests.append(f"type({value}) is not {kind}")
         code += "B" + struct_code
-        checks.append(f"t{column} != {tag}")
+        checks.append(f"t{index} != {tag}")
         if payload is None:
             packed += [str(tag), value]
-            targets += [f"t{column}", value]
+            targets += [f"t{index}", value]
             continue
-        width, raw, decoded = payload
-        raws.append(f"r{column} = {raw.format(v=value)}")
-        packed += [str(tag), f"len(r{column})" + ("" if width == 1 else f" // {width}")]
-        targets += [f"t{column}", length]
+        width, raw, decoded, check = payload
+        raws.append(f"r{index} = {raw.format(v=value)}")
+        packed += [str(tag), f"len(r{index})" + ("" if width == 1 else f" // {width}")]
+        targets += [f"t{index}", length]
         checks.append(f"{length} < 0")
         body.append(f"start = {flush()}")
-        parts.append(f"r{column}")
+        parts.append(f"r{index}")
         body.append(f"end = start + {'' if width == 1 else f'{width} * '}{length}")
-        body.append(f"{value} = {decoded.format(n=length)}")
+        if column in (None, index):
+            body.append(f"{value} = {decoded.format(n=length)}")
+        elif check is not None:
+            body.append(check)
         position = "end"
     if targets:
         body.append(f"end = {flush()}")
-    values = "".join(f"v{column}, " for column in range(arity))
+    values = "".join(f"v{index}, " for index in range(arity))
     source = "\n".join(
         [f"def make({', '.join(bindings)}):", "  def encode(values):", "    try:",
          f"      [{values}] = values"]
@@ -326,7 +342,8 @@ def record_codec(type_names: Tuple[Optional[str], ...]) -> RecordCodec:
         + [f"      return {' + '.join(parts)}", "    except (ValueError, struct.error):",
            "      return None", "  def decode(buffer, offset):", "    try:"]
         + [f"      {line}" for line in body]
-        + ["    except struct.error:", "      return None", f"    return ({values}), end",
+        + ["    except struct.error:", "      return None",
+           f"    return ({values}), end" if column is None else f"    return v{column}, end",
            "  return RecordCodec(encode, decode)"]
     )
     namespace: Dict[str, Any] = {}

@@ -25,6 +25,7 @@ map is persisted in the catalog and restored on reopen.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from functools import lru_cache
 from operator import itemgetter
@@ -64,10 +65,11 @@ class Layout:
 
     :attr:`codec` is the record codec of the schema's column types
     (:func:`~repro.storage.page.record_codec`), shared by every layout and
-    index of the same type tuple.
+    index of the same type tuple; ``record_codec(type_names, column)`` reads
+    one column of the same records.
     """
 
-    __slots__ = ("schema", "block_size", "file_name", "codec")
+    __slots__ = ("schema", "block_size", "file_name", "type_names", "codec")
 
     def __init__(
         self, table_name: str, schema: Schema, block_size: int = DEFAULT_BLOCK_SIZE
@@ -75,7 +77,8 @@ class Layout:
         self.schema = schema
         self.block_size = int(block_size)
         self.file_name = f"{table_name.lower()}.tbl"
-        self.codec = record_codec(tuple(column.dtype.name for column in schema.columns))
+        self.type_names = tuple(column.dtype.name for column in schema.columns)
+        self.codec = record_codec(self.type_names)
 
     def max_inline_record(self) -> int:
         """Largest record that fits a slotted page (else an overflow chain)."""
@@ -146,32 +149,49 @@ class SlottedPage:
             raise StorageError(f"slot {slot} is deleted")
         return offset, length
 
-    def has_room(self, record_length: int) -> bool:
-        if self._first_tombstone() is not None:
-            return self.free_space >= record_length
-        return self.free_space >= record_length + _SLOT_BYTES
-
-    def _first_tombstone(self) -> Optional[int]:
-        lengths = self.directory()[1::2]
-        return lengths.index(_TOMBSTONE) if _TOMBSTONE in lengths else None
-
     def insert(self, record: bytes) -> int:
-        """Place ``record`` on this page; returns its slot index.
+        """Place ``record`` on this page; returns its slot index, or raises
+        :class:`~repro.errors.StorageError` when it does not fit."""
+        slots = self.fill((record,))
+        if not slots:
+            raise StorageError(
+                f"record of {len(record)} bytes does not fit ({self.free_space} bytes free)"
+            )
+        return slots[0]
 
-        A tombstoned slot is reused when one exists (the page was compacted
-        on delete, so free space is always one contiguous run).
+    def fill(
+        self, records: Sequence[bytes], start: int = 0, stop: Optional[int] = None
+    ) -> List[int]:
+        """Place ``records[start:stop]`` on this page in order, up to the
+        first that does not fit; returns the slots of those placed.
+
+        Each record takes the lowest tombstoned slot left, else a new one
+        (the page was compacted on delete, so free space is always one
+        contiguous run).  The slot directory is read once and written once.
         """
-        reuse = self._first_tombstone()
+        directory = list(self.directory())
+        tombstones = [slot for slot, length in enumerate(directory[1::2]) if length == _TOMBSTONE]
         slot_count, free_end = _HEADER.unpack_from(self.page.data)
-        free = free_end - _HEADER_BYTES - _SLOT_BYTES * slot_count
-        if free < (len(record) if reuse is not None else len(record) + _SLOT_BYTES):
-            raise StorageError(f"record of {len(record)} bytes does not fit ({free} bytes free)")
-        slot = reuse if reuse is not None else slot_count
-        offset = free_end - len(record)
-        self.page.write_bytes(offset, record)
-        _SLOT.pack_into(self.page.data, _HEADER_BYTES + _SLOT_BYTES * slot, offset, len(record))
-        _HEADER.pack_into(self.page.data, 0, max(slot_count, slot + 1), offset)
-        return slot
+        slots: List[int] = []
+        for record in itertools.islice(records, start, stop):
+            reuse = len(slots) < len(tombstones)
+            free = free_end - _HEADER_BYTES - _SLOT_BYTES * slot_count
+            if free < (len(record) if reuse else len(record) + _SLOT_BYTES):
+                break
+            free_end -= len(record)
+            self.page.write_bytes(free_end, record)
+            if reuse:
+                slot = tombstones[len(slots)]
+                directory[2 * slot : 2 * slot + 2] = free_end, len(record)
+            else:
+                slot = slot_count
+                slot_count += 1
+                directory += free_end, len(record)
+            slots.append(slot)
+        if slots:
+            _directory_codec(slot_count).pack_into(self.page.data, _HEADER_BYTES, *directory)
+            _HEADER.pack_into(self.page.data, 0, slot_count, free_end)
+        return slots
 
     def delete(self, slot: int) -> None:
         """Tombstone ``slot`` and compact the page, keeping slots stable."""
@@ -236,56 +256,81 @@ class HeapFile:
 
         Placement: the first hole left by deletes that fits, else the last
         block, else a fresh one; an oversized record spills to an overflow
-        chain, RID ``(head_block, -1)``.  The block being filled stays pinned
-        across records unless ``placed(rid, values)`` is given: it runs after
-        each record, its block unpinned, so its own pool touches come in turn.
+        chain, RID ``(head_block, -1)``.  While the heap has no holes and no
+        ``placed`` is given, consecutive records fill the block being filled
+        in one :meth:`SlottedPage.fill`, and it stays pinned across them.
+        ``placed(rid, values)`` runs after each record, its block unpinned,
+        so its own pool touches come in turn.  The rows encoded before one
+        that cannot be are stored before its error propagates.
         """
-        encode, limit = self.layout.codec.encode, self.layout.max_inline_record()
+        encode = self.layout.codec.encode
+        records: List[bytes] = []
         try:
             for values in rows:
-                record = encode(values) or encode_record(values)
-                if len(record) > limit:
+                records.append(encode(values) or encode_record(values))
+        finally:
+            self._store(records, rows, rids, placed)
+
+    def _store(
+        self, records: List[bytes], rows: Sequence[Sequence[Any]], rids: List[RecordId],
+        placed: Optional[Callable],
+    ) -> None:
+        limit = self.layout.max_inline_record()
+        start = 0
+        try:
+            while start < len(records):
+                if len(records[start]) > limit:
                     self._release()
-                    rid = self._append_overflow(record)
+                    rids.append(self._append_overflow(records[start]))
+                    taken = 1
                 else:
-                    rid = self._place(record)
-                rids.append(rid)
+                    stop = len(records) if placed is None and not self.holes else start + 1
+                    taken = self._place(records, start, stop, rids)
                 if placed is not None:
                     self._release()
-                    placed(rid, values)
+                    placed(rids[-1], rows[start])
+                start += taken
         finally:
             self._release()
 
-    def _place(self, record: bytes) -> RecordId:
+    def _place(self, records: List[bytes], start: int, stop: int, rids: List[RecordId]) -> int:
+        """Place ``records[start]`` and on up to ``stop`` or the first
+        oversized record, appending their RIDs to ``rids``; returns how many."""
+        length = len(records[start])
         for number in sorted(self.holes):
-            if self.holes[number] >= len(record) + _SLOT_BYTES:
-                rid = self._insert_into(number, record)
-                if rid is not None:
-                    return rid
+            if self.holes[number] >= length + _SLOT_BYTES:
+                if self._fill(number, records, start, stop, rids):
+                    return 1
+        taken = 0
         blocks = self.block_count()
         if blocks and (blocks - 1) not in self.holes:
-            rid = self._insert_into(blocks - 1, record)
-            if rid is not None:
-                return rid
-        self._release()
-        self._held = self.buffers.pin_new(self.file_name)
-        SlottedPage(self._held.page).format()
-        return self._insert_into(self._held.block.number, record)
+            taken = self._fill(blocks - 1, records, start, stop, rids)
+        limit = self.layout.max_inline_record()
+        while start + taken < stop and len(records[start + taken]) <= limit:
+            self._release()
+            self._held = self.buffers.pin_new(self.file_name)
+            SlottedPage(self._held.page).format()
+            taken += self._fill(self._held.block.number, records, start + taken, stop, rids)
+        return taken
 
-    def _insert_into(self, number: int, record: bytes) -> Optional[RecordId]:
-        """Try one block, held pinned until :meth:`_release`; returns the
-        RID or None when the record won't fit."""
+    def _fill(
+        self, number: int, records: List[bytes], start: int, stop: int, rids: List[RecordId]
+    ) -> int:
+        """Fill one block from ``records[start:stop]``, held pinned until
+        :meth:`_release`; returns how many records it took."""
         buffer = self._held
         if buffer is None or buffer.block.number != number:
             self._release()
             buffer = self._held = self.buffers.pin(BlockId(self.file_name, number))
         slotted = SlottedPage(buffer.page)
-        if slotted.slot_count < 0 or not slotted.has_room(len(record)):
-            return None
-        slot = slotted.insert(record)
-        buffer.mark_dirty()
-        self._note_free_space(number, slotted.free_space)
-        return (number, slot)
+        if slotted.slot_count < 0:
+            return 0
+        slots = slotted.fill(records, start, stop)
+        if slots:
+            buffer.mark_dirty()
+            self._note_free_space(number, slotted.free_space)
+            rids.extend((number, slot) for slot in slots)
+        return len(slots)
 
     def _release(self) -> None:
         held, self._held = self._held, None
@@ -341,19 +386,22 @@ class HeapFile:
                 if marker < 0:
                     raise StorageError(f"RID {rid} does not point at a slotted page")
                 offset, length = SlottedPage(buffer.page).entry(slot)
-                return self._decode(buffer.page.data, offset, length, rid)
+                return self._decode(buffer.page.data, offset, length, rid, self.layout.codec.decode)
             if marker != _OVERFLOW_HEAD:
                 raise StorageError(f"RID {rid} does not point at an overflow head")
             length = buffer.page.read_int(4)
             first = buffer.page.read_bytes(_HEADER_BYTES, length)  # up to the end of the block
         finally:
             self.buffers.unpin(buffer)
-        return self._read_overflow(number, length, first)[0]
+        return self._read_overflow(number, length, first, self.layout.codec.decode)[0]
 
-    def _read_overflow(self, head: int, length: int, first: bytes) -> Tuple[Tuple[Any, ...], int]:
+    def _read_overflow(
+        self, head: int, length: int, first: bytes, decode: Callable, column: Optional[int] = None
+    ) -> Tuple[Any, int]:
         """The overflow record of ``length`` bytes whose head block ``head``
-        holds ``first``, read on through its continuation blocks; returns it
-        and the number of the block after its chain."""
+        holds ``first``, read on through its continuation blocks and decoded
+        as :meth:`_decode` does; returns it and the number of the block after
+        its chain."""
         cont_capacity = self.layout.block_size - 4
         chunks, remaining, number = [first], length - len(first), head + 1
         while remaining > 0:
@@ -369,15 +417,22 @@ class HeapFile:
                 self.buffers.unpin(buffer)
             remaining -= cont_capacity
             number += 1
-        return self._decode(b"".join(chunks), 0, length, (head, -1)), number
+        return self._decode(b"".join(chunks), 0, length, (head, -1), decode, column), number
 
-    def _decode(self, data: bytes, offset: int, length: int, rid: RecordId) -> Tuple[Any, ...]:
-        """The record at ``offset`` of ``data``, decoded where it lies — by the
-        layout's codec, or by ``decode_record`` when a tag is not its column's
-        usual one; either way it must fill exactly the ``length`` bytes its
-        slot or chain header gives."""
+    def _decode(
+        self, data: bytes, offset: int, length: int, rid: RecordId, decode: Callable,
+        column: Optional[int] = None,
+    ) -> Any:
+        """The record at ``offset`` of ``data`` (its ``column`` only, when
+        given), decoded where it lies — by ``decode``, the layout's codec or
+        its projection on ``column``, or by ``decode_record`` when a tag is
+        not its column's usual one; either way it must fill exactly the
+        ``length`` bytes its slot or chain header gives."""
+        generic = False
         try:
-            values, end = self.layout.codec.decode(data, offset) or decode_record(data, offset)
+            decoded = decode(data, offset)
+            generic = decoded is None
+            value, end = decode_record(data, offset) if generic else decoded
         except (ValueError, IndexError, struct.error):  # UnicodeDecodeError is a ValueError
             end = None
         if end != offset + length:
@@ -385,7 +440,7 @@ class HeapFile:
             raise StorageError(
                 f"torn record {rid} in {self.file_name!r}: {length} bytes stored, {found}"
             )
-        return values
+        return value[column] if generic and column is not None else value
 
     def delete(self, rid: RecordId) -> None:
         """Remove one record, reclaiming its space for later inserts."""
@@ -430,8 +485,13 @@ class HeapFile:
         """Scan every record in block order, pinning one block at a time."""
         return map(itemgetter(1), self.records_with_rids())
 
-    def records_with_rids(self) -> Iterator[Tuple[RecordId, Tuple[Any, ...]]]:
-        """Scan every record in block order, yielding ``(rid, values)``."""
+    def records_with_rids(self, column: Optional[int] = None) -> Iterator[Tuple[RecordId, Any]]:
+        """Scan every record in block order, yielding ``(rid, values)``, or
+        ``(rid, value)`` of one ``column``: only that column's values are
+        built, every record is checked as a full scan checks it."""
+        layout = self.layout
+        codec = layout.codec if column is None else record_codec(layout.type_names, column)
+        decode = codec.decode
         number = 0
         total = self.block_count()
         while number < total:
@@ -442,7 +502,7 @@ class HeapFile:
                     data = buffer.page.data
                     for slot, offset, length in SlottedPage(buffer.page).live_slots():
                         rid = (number, slot)
-                        yield rid, self._decode(data, offset, length, rid)
+                        yield rid, self._decode(data, offset, length, rid, decode, column)
                     number += 1
                     continue
                 if marker != _OVERFLOW_HEAD:
@@ -455,7 +515,7 @@ class HeapFile:
             finally:
                 self.buffers.unpin(buffer)
             head = number
-            values, number = self._read_overflow(head, length, first)
+            values, number = self._read_overflow(head, length, first, decode, column)
             yield (head, -1), values
 
     def delete_file(self) -> None:
@@ -584,8 +644,8 @@ class PagedTableStorage:
         """Materialize every record by scanning through the buffer pool."""
         return list(self.heap.records())
 
-    def rows_with_rids(self) -> Iterator[Tuple[RecordId, Tuple[Any, ...]]]:
-        return self.heap.records_with_rids()
+    def rows_with_rids(self, column: Optional[int] = None) -> Iterator[Tuple[RecordId, Any]]:
+        return self.heap.records_with_rids(column)
 
     def block_count(self) -> int:
         return self.heap.block_count()

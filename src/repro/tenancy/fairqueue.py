@@ -48,7 +48,8 @@ class _Transmission(Event):
     kernel entry that fires it is the trunk's whole same-instant work for the
     message: the sender's callbacks, then the delivery when it lands at this
     very instant (a zero-latency link), then the scheduler's
-    :meth:`~LinkScheduler._start_next`.  That order is part of the wire
+    :meth:`~LinkScheduler._start_next` when a message is queued (else the
+    trunk goes idle).  That order is part of the wire
     schedule: whether a sender submits its next message before or after the
     chaining step decides who transmits next.
     """
@@ -82,7 +83,11 @@ class _Transmission(Event):
                 self.link.destination.deliver(self.message)
         finally:
             simulator._fanout -= 1
-        self.scheduler._start_next()
+        scheduler = self.scheduler
+        if scheduler._queued_count:
+            scheduler._start_next()
+        else:
+            scheduler._transmitting = False
 
 
 class LinkScheduler:

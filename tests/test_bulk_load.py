@@ -49,7 +49,7 @@ from repro.relational.types import (
 from repro.storage.engine import StorageEngine
 from repro.storage.metadata import _DISTINCT_SAMPLE_CAP, ColumnStatInfo
 from repro.storage.page import BlockId, encode_record
-from repro.storage.record import _SLOT_BYTES, SlottedPage
+from repro.storage.record import _HEADER, _HEADER_BYTES, _SLOT, _SLOT_BYTES, SlottedPage
 
 
 class Label(str):
@@ -118,7 +118,7 @@ def _reference_heap_append(heap, values):
     try:
         slotted = SlottedPage(buffer.page)
         slotted.format()
-        slot = slotted.insert(record)
+        slot = _reference_page_insert(slotted, record)
         buffer.mark_dirty()
         return (buffer.block.number, slot)
     finally:
@@ -129,14 +129,33 @@ def _reference_insert_into(heap, number, record):
     buffer = heap.buffers.pin(BlockId(heap.file_name, number))
     try:
         slotted = SlottedPage(buffer.page)
-        if slotted.slot_count < 0 or not slotted.has_room(len(record)):
+        if slotted.slot_count < 0 or not _reference_has_room(slotted, len(record)):
             return None
-        slot = slotted.insert(record)
+        slot = _reference_page_insert(slotted, record)
         buffer.mark_dirty()
         heap._note_free_space(number, slotted.free_space)
         return (number, slot)
     finally:
         heap.buffers.unpin(buffer)
+
+
+def _reference_has_room(slotted, length):
+    """Whether a page takes a record of ``length`` bytes: a tombstoned slot
+    is reused, else the record needs a new one."""
+    tombstone = -1 in slotted.directory()[1::2]
+    return slotted.free_space >= length + (0 if tombstone else _SLOT_BYTES)
+
+
+def _reference_page_insert(slotted, record):
+    """One record into the lowest tombstoned slot, else a new one."""
+    lengths = slotted.directory()[1::2]
+    slot_count, free_end = _HEADER.unpack_from(slotted.page.data)
+    slot = lengths.index(-1) if -1 in lengths else slot_count
+    offset = free_end - len(record)
+    slotted.page.write_bytes(offset, record)
+    _SLOT.pack_into(slotted.page.data, _HEADER_BYTES + _SLOT_BYTES * slot, offset, len(record))
+    _HEADER.pack_into(slotted.page.data, 0, max(slot_count, slot + 1), offset)
+    return slot
 
 
 def _reference_observe(info, value):

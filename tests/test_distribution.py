@@ -1,6 +1,7 @@
 """Tests for scatter-gather over sharded/replicated server sites."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError, OptimizerError, PlanError
 from repro.adaptive.store import StatisticsStore
@@ -87,6 +88,32 @@ class TestShardingSpec:
         assert derived.total_rows() == 30
         assert len(derived.boundaries) == 2
         assert range_shard_of(0, derived.boundaries) == 0
+
+    @given(
+        st.lists(st.one_of(st.integers(-50, 50), st.floats(-50, 50)), max_size=30),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_range_sharding_places_a_value_after_every_boundary_at_or_below_it(self, values, cuts):
+        """Shard *i* takes ``[boundaries[i-1], boundaries[i])``, for boundary
+        tuples and lists alike, and a range-sharded table's rows follow it."""
+        boundaries = tuple(sorted(cuts))
+        expected = [sum(1 for cut in boundaries if cut <= value) for value in values]
+        assert [range_shard_of(value, boundaries) for value in values] == expected
+        assert [range_shard_of(value, list(boundaries)) for value in values] == expected
+        keys = [int(value) for value in values]
+        table = int_string_table([[key, f"n{index}"] for index, key in enumerate(keys)])
+        spec = ShardingSpec(
+            table="T", column="K", shards=len(boundaries) + 1, method="range", boundaries=boundaries
+        )
+        fragments = shard_table(table, spec).fragments
+        placed = {
+            row[1]: shard for shard, fragment in enumerate(fragments) for row in fragment.rows
+        }
+        assert placed == {
+            f"n{index}": sum(1 for cut in boundaries if cut <= key)
+            for index, key in enumerate(keys)
+        }
 
     def test_unknown_shard_column_raises(self):
         table = int_string_table([[1, "a"]])

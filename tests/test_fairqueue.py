@@ -7,16 +7,22 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.distribution import DistributedDatabase
 from repro.errors import SimulationError
 from repro.network.link import Link
 from repro.network.message import MESSAGE_OVERHEAD_BYTES, MessageKind, batch_message
 from repro.network.simulator import Simulator
 from repro.network.stats import FlowStats, jain_fairness_index
+from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
+from repro.tenancy.driver import MultiTenantEngine
 from repro.tenancy.fairqueue import (
     DeficitRoundRobinScheduler,
     FifoLinkScheduler,
+    LinkScheduler,
     shared_trunks,
 )
+from repro.workloads.multitenant import make_tenant_database, mixed_traffic
+from repro.workloads.sharding import FILTER_SQL, make_cluster
 
 BANDWIDTH = 1000.0  # bytes per second: sizes translate directly into seconds
 
@@ -400,3 +406,51 @@ class TestSharedTrunksFactory:
         for unknown in ("none", "weighted"):
             with pytest.raises(ValueError):
                 shared_trunks(sim, discipline=unknown)
+
+
+class TestChainingBudget:
+    """A trunk message costs one ``_start_next`` call: the completion entry
+    chains only when a message is queued, else the trunk just goes idle."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = Counter()
+        for name in ("submit", "_start_next"):
+            original = getattr(LinkScheduler, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(LinkScheduler, name, counted)
+        return calls
+
+    def test_an_eighteen_session_drr_run(self, monkeypatch):
+        engine = MultiTenantEngine(make_tenant_database(), fair_queueing="drr")
+        calls = self._count(monkeypatch)
+        report = engine.run(mixed_traffic(point_count=16, bulk_count=2))
+        assert report.error_count == 0
+        trunks = (engine.trunk_downlink, engine.trunk_uplink)
+        messages = sum(trunk.stats.message_count for trunk in trunks)
+        assert messages == calls["submit"] > 100
+        assert calls["_start_next"] == messages
+
+    def test_a_four_shard_fifo_scatter(self, monkeypatch):
+        db = DistributedDatabase(make_cluster(sites=4, shards=4))
+        columns = [
+            ("Name", STRING), ("Sector", STRING), ("Series", TIME_SERIES), ("Bucket", INTEGER)
+        ]
+        rows = [
+            [f"T{index:04d}", "tech", TimeSeries([float(index % 50 + step) for step in range(8)]), index]
+            for index in range(200)
+        ]
+        db.create_table("Trades", columns, rows=rows)
+        db.register_client_udf(
+            "Score", lambda values: sum(values) / len(values), result_dtype=FLOAT,
+            result_size_bytes=8,
+        )
+        calls = self._count(monkeypatch)
+        metrics = db.execute(FILTER_SQL).metrics
+        messages = metrics.downlink_messages + metrics.uplink_messages
+        assert messages == calls["submit"] > 100
+        assert calls["_start_next"] == messages

@@ -15,8 +15,14 @@ is not its column's usual one.  Counted with wrappers around ``os`` and around t
 slot directory and the generic record and value decoders.
 
 A batch load with no open index pins each heap block once: the block being
-filled stays pinned from one record to the next.  Counted with wrappers
-around the pool's ``pin`` and ``pin_new``.
+filled stays pinned from one record to the next, and filled by one
+``SlottedPage.fill`` that unpacks its slot directory once.  Counted with
+wrappers around the pool's ``pin`` and ``pin_new`` and the directory.
+
+An index build reads only its key column and sorts or hashes it as a whole;
+``ANALYZE`` folds a column holding one type with no call per value.  Counted
+with wrappers around the time-series codec, ``sort_key``, ``_encode_key``,
+``value_size`` and ``Histogram.add``.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from collections import Counter
 
 import pytest
 
+import repro.relational.types as types_module
 import repro.storage.index as index_module
 import repro.storage.page as page_module
 import repro.storage.record as record_module
 from repro.relational.schema import Schema
+from repro.relational.statistics import Histogram
 from repro.relational.table import Table
 from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.storage.buffer import BufferManager
@@ -247,4 +255,78 @@ def test_a_batch_load_without_indexes_pins_each_heap_block_once(tmp_path, monkey
     assert blocks >= 5 * engine.buffers.pool_size
     assert pins == Counter(range(blocks))
     assert len(storage.read_all()) == HEAP_ROWS
+    engine.close()
+
+
+# -- set-up: a load, two index builds and ANALYZE, a column at a time ------------------
+
+SETUP_ROWS = 6000
+
+
+def _setup_rows(count):
+    """Rows shaped like the end-to-end benchmark's durable table."""
+    return [
+        (key, key * 0.5, f"name{key % 50:02d}", TimeSeries([float(key)] * (28 + key % 5)))
+        for key in range(count)
+    ]
+
+
+def _counting(monkeypatch, calls, owner, name, wrap=lambda function: function):
+    original = getattr(owner, name)
+
+    def counted(*args, _original=original):
+        calls[name] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+
+
+def test_a_load_without_holes_unpacks_each_slot_directory_once(tmp_path, monkeypatch):
+    """A batch fills each heap block with one ``SlottedPage.fill``: the
+    block's slot directory is unpacked once, not once per record twice."""
+    engine = StorageEngine(str(tmp_path), pool_size=64)
+    storage = engine.create_table("Quotes", HEAP_SCHEMA)
+    calls = Counter()
+    _counting(monkeypatch, calls, SlottedPage, "directory")
+    Table("Quotes", HEAP_SCHEMA, storage=storage).insert_many(_setup_rows(SETUP_ROWS))
+    assert storage.heap.holes == {}
+    assert calls["directory"] == storage.block_count() > 400
+    engine.close()
+
+
+@pytest.mark.parametrize("kind, column", [("btree", "Price"), ("hash", "Id")])
+def test_an_index_build_on_a_numeric_column_decodes_no_series_and_no_key_alone(
+    tmp_path, monkeypatch, kind, column
+):
+    """The build reads its key column only: no time series is unpacked (so
+    none is built), and the column is sorted or hashed as a whole, with no
+    ``sort_key`` or ``_encode_key`` call per key."""
+    engine = StorageEngine(str(tmp_path), pool_size=64)
+    storage = engine.create_table("Quotes", HEAP_SCHEMA)
+    storage.append_many(_setup_rows(SETUP_ROWS))
+    calls = Counter()
+    _counting(monkeypatch, calls, page_module, "doubles")
+    _counting(monkeypatch, calls, index_module, "sort_key")
+    _counting(monkeypatch, calls, index_module.HashIndex, "_encode_key", staticmethod)
+    handle = engine.create_index(f"by_{column}", "Quotes", column, kind)
+    assert handle.entry_count == SETUP_ROWS
+    assert dict(calls) == {}
+    assert len(storage.read_all()) == SETUP_ROWS
+    assert calls["doubles"] == SETUP_ROWS  # a full scan unpacks every series
+    engine.close()
+
+
+def test_analyze_folds_a_homogeneous_column_with_no_call_per_value(tmp_path, monkeypatch):
+    engine = StorageEngine(str(tmp_path), pool_size=64)
+    storage = engine.create_table("Quotes", HEAP_SCHEMA)
+    rows = _setup_rows(SETUP_ROWS)
+    rows[7] = rows[7][:1] + (None,) + rows[7][2:]  # NULLs aside, each column holds one type
+    storage.append_many(rows)
+    calls = Counter()
+    _counting(monkeypatch, calls, types_module, "value_size")
+    _counting(monkeypatch, calls, Histogram, "add")
+    stats = engine.refresh_statistics("Quotes")
+    assert stats.records == SETUP_ROWS and stats.columns["Price"].null_count == 1
+    assert stats.columns["Price"].histogram.total == SETUP_ROWS - 1
+    assert dict(calls) == {}
     engine.close()
