@@ -17,20 +17,14 @@ closes the loop:
   hill-climbs the per-message batch size on observed rows/second *while a
   query runs*; a :class:`BatchControllerBank` gives every UDF its own
   controller with an independent ladder and warm start;
-* :mod:`repro.adaptive.segmented` — what mid-query adaptation shares: the
-  segment schedule (:class:`SegmentPolicy`), the boundary observation
-  (:class:`SegmentObservation`) and the :class:`SegmentController`, whose one
-  hysteresis ladder (evidence floor, margin, cooldown, budget) decides at
-  every segment boundary whether the unprocessed tail of the input runs
-  under a different :class:`PlanShape`.  Two controllers subclass it and
-  differ in pricing, in whether they read last-segment or cumulative
-  evidence, in whether they settle, and in which metric their changes count
-  toward:
-* :mod:`repro.adaptive.switcher` — :class:`StrategySwitcher`, per UDF: prices
-  the *remaining* rows under every shipping strategy;
-* :mod:`repro.adaptive.reoptimizer` — :class:`ReOptimizer`, plan-wide:
-  prices the *remaining* rows under every UDF application order (with
-  per-UDF strategies).
+* :mod:`repro.adaptive.segmented` — mid-query adaptation: at every segment
+  boundary of a segmented operator one :class:`ReOptimizer` prices the
+  *remaining* rows under every candidate :class:`PlanShape` (UDF order ×
+  per-UDF strategies, from the boundary's :class:`SegmentObservation`) and
+  one hysteresis ladder (evidence floor, margin, cooldown, budget) decides
+  whether the unprocessed tail runs under a different shape.  Strategy
+  switching is the same controller over a one-stage operator, whose one
+  order leaves only the strategies to choose (:data:`SWITCHING_POLICY`).
 
 ``Database.execute(..., adaptive=True)`` wires the observe → calibrate →
 adapt loop together; ``switch_strategies=True`` additionally arms mid-query
@@ -52,15 +46,15 @@ from repro.adaptive.observer import (
     RuntimeObserver,
     UdfObservation,
 )
-from repro.adaptive.reoptimizer import ReOptimizationPolicy, ReOptimizer
 from repro.adaptive.segmented import (
+    SWITCHING_POLICY,
     Adaptation,
+    AdaptationPolicy,
     BoundaryDecision,
     PlanShape,
     PredicateSpec,
-    SegmentController,
+    ReOptimizer,
     SegmentObservation,
-    SegmentPolicy,
 )
 from repro.adaptive.store import (
     STORE_VERSION,
@@ -69,10 +63,10 @@ from repro.adaptive.store import (
     canonical_join_key,
     canonical_predicate_key,
 )
-from repro.adaptive.switcher import StrategySwitcher, SwitchPolicy
 
 __all__ = [
     "Adaptation",
+    "AdaptationPolicy",
     "BatchControllerBank",
     "BatchDecision",
     "BatchSizeController",
@@ -84,18 +78,14 @@ __all__ = [
     "PredicateObservation",
     "PredicateSpec",
     "QueryObservation",
-    "ReOptimizationPolicy",
     "ReOptimizer",
     "RuntimeObserver",
     "UdfObservation",
-    "SegmentController",
     "SegmentObservation",
-    "SegmentPolicy",
     "STORE_VERSION",
+    "SWITCHING_POLICY",
     "StatisticsStore",
     "TenantStatistics",
-    "StrategySwitcher",
-    "SwitchPolicy",
     "canonical_join_key",
     "canonical_predicate_key",
 ]

@@ -323,10 +323,6 @@ class BatchControllerBank:
         return sum(controller.batches_observed for controller in self.controllers.values())
 
     @property
-    def rows_observed(self) -> int:
-        return sum(controller.rows_observed for controller in self.controllers.values())
-
-    @property
     def converged_batch_size(self) -> int:
         """The converged size of the controller that saw the most rows.
 

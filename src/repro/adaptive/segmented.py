@@ -1,13 +1,15 @@
-"""What every mid-query adaptation shares: segments, boundaries, one ladder.
+"""Mid-query adaptation: segments, boundaries, one ladder, one controller.
 
 A segmented execution
 (:class:`~repro.core.execution.adaptive.PlanMigrationOperator`) runs its input
-in geometrically growing row slices and, at every segment boundary, hands a
-:class:`SegmentController` what the run observed plus the exact byte shape of
-the unprocessed tail (a :class:`SegmentObservation`).  The controller re-prices
-the *remaining* rows under every candidate :class:`PlanShape` and climbs one
-hysteresis ladder (:meth:`SegmentController.consider`) to decide whether the
-tail runs under a different shape:
+in geometrically growing row slices and, at every segment boundary, hands its
+:class:`ReOptimizer` what the run observed plus the exact byte shape of the
+unprocessed tail (a :class:`SegmentObservation`).  The controller prices the
+*remaining* rows under one candidate list — the incumbent, then every UDF
+order × every assignment of the policy's candidate strategies — with
+:func:`~repro.core.optimizer.cost.remaining_plan_cost`, and climbs one
+hysteresis ladder (:meth:`ReOptimizer.consider`) to decide whether the tail
+runs under a different :class:`PlanShape`:
 
 * **evidence floor** — no change before enough input rows were observed, so
   one tiny probe segment cannot flip the plan (waived when an earlier run
@@ -18,34 +20,80 @@ tail runs under a different shape:
   must pass before the next one, and a hard budget bounds the changes per
   query, so noise around a crossover cannot thrash the executor.
 
-Controllers differ only in how they *price* shapes:
-:class:`~repro.adaptive.switcher.StrategySwitcher` prices one UDF's shipping
-strategies, :class:`~repro.adaptive.reoptimizer.ReOptimizer` whole UDF orders.
-They never touch the simulator or the operators, and record every verdict in
-:attr:`SegmentController.decisions`; the operator books them, detached, as one
-:class:`Adaptation` on its execution context when it finishes.
+Strategy switching is re-optimization with the UDF order held: a one-stage
+operator has one order, so its candidates are that UDF under each candidate
+strategy (:data:`SWITCHING_POLICY` lists all three).  Whether a config's
+``switch_policy`` or its ``reoptimizer`` armed the controller decides only
+which metric its changes count toward (:attr:`ReOptimizer.plan_wide`).  The
+controller never touches the simulator or the operators, and records every
+verdict in :attr:`ReOptimizer.decisions`; the operator books them, detached,
+as one :class:`Adaptation` on its execution context when it finishes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from itertools import permutations, product
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adaptive.store import StatisticsStore
+from repro.core.optimizer.cost import RemainingStage, remaining_plan_cost
 from repro.core.strategies import ExecutionStrategy
 
 
-class SegmentPolicy:
-    """The segment schedule and hysteresis checks every adaptation policy shares.
+@dataclass(frozen=True)
+class AdaptationPolicy:
+    """Declarative knobs of mid-query adaptation.
 
-    A mixin rather than a dataclass: each policy declares its own fields —
-    their public names, order and defaults stay its own — and names the two
-    that differ (its evidence floor and its change budget) here.
+    The policy is plain configuration (hashable, comparable); the mutable
+    per-query state lives in the :class:`ReOptimizer` that runs under it.
+    The defaults guard plan-shape migration, which rebuilds the whole
+    remaining pipeline; :data:`SWITCHING_POLICY` holds the switching ones.
+
+    Parameters
+    ----------
+    initial_segment_rows:
+        Rows of the first (probe) segment.  Small enough that a wrong
+        committed shape only processes a sliver of the input before the
+        first re-costing; large enough to observe a meaningful selectivity.
+    segment_growth:
+        Multiplicative growth of successive segments, bounding the total
+        segment-boundary overhead at O(log n) extra round trips.
+    max_segment_rows:
+        Cap on the segment size (keeps late segments re-costable).
+    evidence_floor:
+        No change before this many input rows were observed.
+    hysteresis:
+        Relative margin a challenger must win by (0.25 = the challenger's
+        remaining-cost estimate must be >25% cheaper).
+    cooldown_segments:
+        Segment boundaries that must pass after a change before another
+        change may fire.
+    change_budget:
+        Hard bound on shape changes per query.
+    confirmation_boundaries:
+        After this many *consecutive* fully-priced boundaries that confirmed
+        the incumbent shape, the controller settles: further boundaries
+        would be pure overhead (extra messages, pipeline fills), so the
+        executor drains the remaining input in one segment.  0 disables
+        settling on confirmation (a spent budget still settles).
+    candidate_strategies:
+        The strategies each UDF may be assigned.
     """
 
-    floor_field: ClassVar[str]
-    budget_field: ClassVar[str]
+    initial_segment_rows: int = 24
+    segment_growth: float = 2.0
+    max_segment_rows: int = 512
+    evidence_floor: int = 16
+    hysteresis: float = 0.25
+    cooldown_segments: int = 1
+    change_budget: int = 2
+    confirmation_boundaries: int = 2
+    candidate_strategies: Tuple[ExecutionStrategy, ...] = (
+        ExecutionStrategy.SEMI_JOIN,
+        ExecutionStrategy.CLIENT_SITE_JOIN,
+    )
 
     def __post_init__(self) -> None:
         if self.initial_segment_rows < 1:
@@ -56,21 +104,16 @@ class SegmentPolicy:
             raise ValueError("max_segment_rows must be >= initial_segment_rows")
         if self.hysteresis < 0.0:
             raise ValueError("hysteresis must be non-negative")
-        for name in ("cooldown_segments", self.floor_field, self.budget_field):
+        for name in (
+            "evidence_floor",
+            "cooldown_segments",
+            "change_budget",
+            "confirmation_boundaries",
+        ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.candidate_strategies:
             raise ValueError("candidate_strategies must not be empty")
-
-    @property
-    def evidence_floor(self) -> int:
-        """Input rows that must be observed before the first change."""
-        return getattr(self, self.floor_field)
-
-    @property
-    def change_budget(self) -> int:
-        """Hard bound on shape changes per query."""
-        return getattr(self, self.budget_field)
 
     def next_segment_rows(self, segment_index: int) -> int:
         """Rows the ``segment_index``-th segment (0-based) should process."""
@@ -85,6 +128,16 @@ class SegmentPolicy:
         exponent = min(float(segment_index), limit + 1.0)
         rows = self.initial_segment_rows * self.segment_growth ** exponent
         return max(1, min(self.max_segment_rows, int(rows)))
+
+
+#: Mid-query strategy switching: every shipping strategy is a candidate, a
+#: budget of three switches, and no settling on confirmation — a switch-armed
+#: operator keeps re-costing until its budget is spent.
+SWITCHING_POLICY = AdaptationPolicy(
+    change_budget=3,
+    confirmation_boundaries=0,
+    candidate_strategies=tuple(ExecutionStrategy),
+)
 
 
 @dataclass(frozen=True)
@@ -163,11 +216,9 @@ class SegmentObservation:
     ``(rows_surviving, rows_processed)`` pairs; the per-UDF mappings are
     keyed by lower-cased UDF name and describe the *remaining* tail
     (per-row argument bytes, suffix distinct fraction) and the measured
-    per-call cost.  Bandwidths and per-call costs carry the *observed* values
-    when there was enough traffic to measure them, else the configured /
-    declared fallbacks — over the last segment for a per-UDF controller, the
-    execution context's running totals for a plan-wide one
-    (:attr:`SegmentController.plan_wide`).
+    per-call cost.  Bandwidths and per-call costs carry the values observed
+    over the execution context's running totals when there was enough
+    traffic to measure them, else the configured / declared fallbacks.
     """
 
     rows_processed: int
@@ -182,9 +233,9 @@ class SegmentObservation:
     uplink_bandwidth: float
     latency: float = 0.0
     batch_size: float = 1.0
-    #: Per-row bytes a client-site join would return under the operator's
-    #: projection (projected child columns plus the result).  Only a per-UDF
-    #: controller is handed it; ``None`` prices the whole extended record.
+    #: Per-row bytes a client-site join would return under a one-stage
+    #: operator's projection (projected child columns plus the result).  A
+    #: chain is handed ``None``: each stage returns its whole extended record.
     returned_row_bytes: Optional[float] = None
     #: The configured in-flight batch window, when the overlapped shipping
     #: protocol is explicitly armed — re-costing then prices the naive
@@ -219,8 +270,9 @@ class BoundaryDecision:
 class Adaptation:
     """One segmented operator's finished run, as it booked it on its context.
 
-    Whether its controller was plan-wide, the shape it started under and
-    every boundary verdict in order: what
+    Whether a plan-wide ``reoptimizer`` or a per-UDF ``switch_policy`` armed
+    its controller, the shape it started under and every boundary verdict
+    in order: what
     :class:`~repro.server.metrics.ExecutionMetrics` reads the switching and
     re-optimization figures off.  Detached from the controller, so reusing
     the controller for the next query leaves it unchanged.
@@ -248,47 +300,47 @@ def strategies_used(adaptations: Sequence[Adaptation]) -> Tuple[ExecutionStrateg
     return tuple(dict.fromkeys(s for shape in shapes for _, s in shape.udf_strategies))
 
 
-class SegmentController:
+class ReOptimizer:
     """Decides, boundary by boundary, which plan shape runs the next segment.
 
-    Subclasses supply the pricing (:meth:`_price`) and a policy; the operator
-    :meth:`bind`\\ s the controller to its stages and predicates, reads
+    Constructed by :meth:`~repro.server.engine.Database.execute` (a config's
+    ``reoptimizer``), by :func:`~repro.core.execution.rewrite.build_operator`
+    (from a config's ``switch_policy``) or by tests, with a policy and the
+    database's statistics store.  The
+    :class:`~repro.core.execution.adaptive.PlanMigrationOperator` :meth:`bind`\\ s
+    it to the built plan's stages and predicates, reads
     :attr:`current_shape` before every segment, and calls :meth:`consider`
     after it.
     """
 
-    #: Whether the controller owns a whole UDF chain rather than one UDF.  A
-    #: plan-wide controller is handed the execution context's running link
-    #: and client totals and the plan-wide batch size, and its changes count
-    #: as plan migrations; a per-UDF one is handed the last segment's deltas, its own
-    #: UDF's batch size and projection, and its changes count as strategy
-    #: switches.
-    plan_wide: ClassVar[bool]
-    #: The policy a controller built without one runs under.
-    policy_type: ClassVar[type]
-    #: How :meth:`describe` marks a boundary that changed the shape.
-    change_marker: ClassVar[str]
-    #: Whether further boundaries can no longer change the shape, so the
-    #: operator should drain the tail as one segment.
-    settled = False
+    #: Candidate UDF orders are every permutation up to this many stages;
+    #: beyond it, only the strategies of the committed order are revisited.
+    MAX_PERMUTATION_STAGES = 3
 
     def __init__(
         self,
-        policy: Optional[SegmentPolicy] = None,
+        policy: Optional[AdaptationPolicy] = None,
         statistics: Optional[StatisticsStore] = None,
+        *,
+        plan_wide: bool = True,
     ) -> None:
-        self.policy = policy if policy is not None else self.policy_type()
+        self.policy = policy if policy is not None else AdaptationPolicy()
         #: Source of measured priors: a selectivity an earlier run observed
         #: replaces the declared value as the initial estimate and counts as
         #: already-earned evidence for the floor.
         self.statistics = statistics
+        #: Which config field armed the controller, booked on its
+        #: :class:`Adaptation`: a ``reoptimizer`` (plan-wide — boundaries
+        #: count as re-plan attempts, changes as plan migrations) or a
+        #: ``switch_policy`` (per-UDF — changes count as strategy switches).
+        #: Pricing and the ladder never read it.
+        self.plan_wide = plan_wide
         self._shapes: List[PlanShape] = []
         self._predicates: Tuple[PredicateSpec, ...] = ()
         self._cooldown = 0
         #: Shape changes and priced-or-not boundaries of the current query.
         self.change_count = 0
         self.attempt_count = 0
-        self.rows_observed = 0
         #: Every segment-boundary verdict, in order.
         self.decisions: List[BoundaryDecision] = []
 
@@ -307,7 +359,6 @@ class SegmentController:
         self._cooldown = 0
         self.change_count = 0
         self.attempt_count = 0
-        self.rows_observed = 0
         self.decisions = []
 
     @property
@@ -330,6 +381,30 @@ class SegmentController:
             )
         )
 
+    @property
+    def settled(self) -> bool:
+        """Whether further segment boundaries can no longer change the shape.
+
+        True once the change budget is spent, or once
+        ``confirmation_boundaries`` consecutive fully-priced boundaries all
+        confirmed the incumbent — the executor then drains the remaining
+        input in one segment instead of paying boundary overhead for
+        decisions that cannot (or will not) change the shape.
+        """
+        if self.change_count >= self.policy.change_budget:
+            return True
+        window = self.policy.confirmation_boundaries
+        if window <= 0 or len(self.decisions) < window:
+            return False
+        recent = self.decisions[-window:]
+        # Only fully-priced keeps count as confirmation: an evidence-floor or
+        # cooldown keep never compared the candidate shapes at all.
+        return all((not decision.changed) and decision.costs for decision in recent)
+
+    def adaptation(self) -> Adaptation:
+        """The query's run so far, detached from the controller."""
+        return Adaptation(self.plan_wide, self._shapes[0], tuple(self.decisions))
+
     def _prior(self, predicate: PredicateSpec) -> Optional[float]:
         """The store's measured prior for this predicate identity, if any."""
         if self.statistics is None or not predicate.key:
@@ -343,7 +418,6 @@ class SegmentController:
     def consider(self, observation: SegmentObservation) -> BoundaryDecision:
         """Fold one segment boundary in; may change :attr:`current_shape`."""
         self.attempt_count += 1
-        self.rows_observed = observation.rows_processed
         policy = self.policy
         shape = next_shape = self.current_shape
         selectivities = self._effective_selectivities(observation)
@@ -352,7 +426,7 @@ class SegmentController:
         if observation.remaining_rows <= 0:
             reason = "no rows remaining"
         elif self.change_count >= policy.change_budget:
-            reason = f"{policy.budget_field} budget exhausted"
+            reason = "change budget exhausted"
         elif self._cooldown > 0:
             reason = f"cooldown: {self._cooldown} segment boundary(ies) left"
         elif observation.rows_processed < policy.evidence_floor and not (
@@ -366,9 +440,9 @@ class SegmentController:
             )
         else:
             costs = self._price(observation, selectivities)
-            incumbent = costs.get(shape)
+            incumbent = costs[shape]
             challenger = min(costs, key=costs.get)
-            if incumbent is None or incumbent <= 0:
+            if incumbent <= 0:
                 reason = "incumbent not re-costable"
             elif challenger == shape:
                 reason = "incumbent still cheapest"
@@ -409,8 +483,6 @@ class SegmentController:
         """Per-predicate-identity selectivity: observed, else prior, else declared."""
         effective: Dict[str, float] = {}
         for predicate in self._predicates:
-            if not predicate.key:
-                continue
             survived, processed = observation.predicate_counts.get(predicate.key, (0, 0))
             if processed >= max(1, self.policy.evidence_floor):
                 effective[predicate.key] = survived / processed
@@ -421,21 +493,90 @@ class SegmentController:
             )
         return effective
 
+    # -- pricing ---------------------------------------------------------------------------
+
+    def _candidate_shapes(self) -> List[PlanShape]:
+        """The incumbent, then every UDF order × policy strategy assignment.
+
+        Orders are permuted up to :attr:`MAX_PERMUTATION_STAGES` stages; a
+        longer chain keeps its committed order and revisits its strategies.
+        A one-stage shape has one order: its candidates are its strategies.
+        """
+        # Enumerate from the committed order, whatever shape runs now, so the
+        # candidate (tie-breaking) order does not depend on migration history.
+        names = self._shapes[0].udf_order
+        orders = permutations(names) if len(names) <= self.MAX_PERMUTATION_STAGES else (names,)
+        candidates = [self.current_shape]
+        for order in orders:
+            for assignment in product(self.policy.candidate_strategies, repeat=len(order)):
+                candidates.append(PlanShape.of(order, dict(zip(order, assignment))))
+        return list(dict.fromkeys(candidates))
+
+    def _stage_sequence(
+        self,
+        shape: PlanShape,
+        observation: SegmentObservation,
+        selectivities: Mapping[str, float],
+    ) -> List[RemainingStage]:
+        """The :func:`remaining_plan_cost` stages of ``shape`` over the tail.
+
+        Predicates are assigned per :func:`assign_predicates_to_stages` —
+        the same rule the migration operator uses when it builds the segment
+        pipeline, so pricing and execution agree on where each filter runs.
+        """
+        assignment = assign_predicates_to_stages(shape.udf_order, self._predicates)
+        stages: List[RemainingStage] = []
+        for (name, strategy), indexes in zip(shape.udf_strategies, assignment):
+            selectivity = 1.0
+            for index in indexes:
+                predicate = self._predicates[index]
+                selectivity *= max(
+                    0.0,
+                    selectivities.get(predicate.key, predicate.declared_selectivity),
+                )
+            stages.append(
+                RemainingStage(
+                    strategy=strategy,
+                    selectivity=selectivity,
+                    distinct_fraction=observation.stage_distinct_fraction.get(name, 1.0),
+                    udf_seconds_per_call=observation.stage_seconds_per_call.get(name, 0.0),
+                    argument_bytes=observation.stage_argument_bytes.get(name, 8.0),
+                    result_bytes=observation.stage_result_bytes.get(name, 8.0),
+                    returned_row_bytes=observation.returned_row_bytes,
+                )
+            )
+        return stages
+
     def _price(
-        self, observation: SegmentObservation, selectivities: Mapping[str, float]
+        self,
+        observation: SegmentObservation,
+        selectivities: Mapping[str, float],
     ) -> Dict[PlanShape, float]:
-        """Remaining-cost estimate per candidate shape, the incumbent included."""
-        raise NotImplementedError
+        """Remaining-cost estimate per candidate shape, the incumbent first."""
+        return {
+            candidate: remaining_plan_cost(
+                self._stage_sequence(candidate, observation, selectivities),
+                observation.remaining_rows,
+                record_bytes=observation.remaining_record_bytes,
+                downlink_bandwidth=observation.downlink_bandwidth,
+                uplink_bandwidth=observation.uplink_bandwidth,
+                latency=observation.latency,
+                batch_size=observation.batch_size,
+                overlap_window=observation.overlap_window,
+            )
+            for candidate in self._candidate_shapes()
+        }
 
     # -- reporting ----------------------------------------------------------------------
 
-    def _headline(self) -> str:
-        raise NotImplementedError
-
     def describe(self) -> str:
-        lines = [self._headline()]
+        shapes = " => ".join(shape.describe() for shape in self.shapes_used)
+        lines = [
+            f"re-optimizer: {shapes} ({self.change_count} change(s) in "
+            f"{self.attempt_count} boundary(ies))"
+        ]
         for decision in self.decisions:
-            marker = self.change_marker if decision.changed else "keep"
+            marker = "CHANGE" if decision.changed else "keep"
             lines.append(f"  [{marker}] {decision.shape.describe()}: {decision.reason}")
         return "\n".join(lines)
 

@@ -16,9 +16,8 @@ A fourth, segmented executor —
 :class:`~repro.core.execution.adaptive.PlanMigrationOperator` — owns one or
 more client-site UDF applications, runs the input in segments, and may hand
 the unprocessed tail to a different plan *shape* at segment boundaries: a
-different shipping strategy when a strategy switcher drives one UDF, a
-different UDF application order too when a re-optimizer drives the whole
-chain.
+different shipping strategy when it owns one UDF (strategy switching), a
+different UDF application order too when it owns the whole chain.
 
 All of them share :class:`~repro.core.execution.context.RemoteExecutionContext`,
 which bundles the simulator, the channel, and the client runtime.

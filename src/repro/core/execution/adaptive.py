@@ -1,4 +1,4 @@
-"""Mid-query adaptive execution: one segmented operator, two controllers.
+"""Mid-query adaptive execution: one segmented operator, one controller.
 
 The three committed strategies process their whole input under the plan's
 choice.  :class:`PlanMigrationOperator` instead owns one or more client-site
@@ -6,28 +6,21 @@ UDF applications and runs its input in *segments* (geometrically growing row
 slices): each segment executes under the current
 :class:`~repro.adaptive.segmented.PlanShape` through a freshly built pipeline
 of the ordinary strategy operators, and at every segment boundary the operator
-hands its :class:`~repro.adaptive.segmented.SegmentController` what the run
-observed — cumulative per-predicate surviving fractions, the effective
+hands its :class:`~repro.adaptive.segmented.ReOptimizer` what the run has
+observed so far — cumulative per-predicate surviving fractions, the effective
 bandwidth each link delivered, measured per-call UDF costs — plus the exact
 byte shape of the unprocessed tail.  The controller re-prices the remaining
-rows and, under one hysteresis ladder, may hand the tail to a different shape.
+rows and, under one hysteresis ladder, may hand the tail to a different shape;
+once it *settles* the tail drains as one segment.
 
-Two controllers drive it:
-
-* a :class:`~repro.adaptive.switcher.StrategySwitcher` drives a *one-stage*
-  operator (``build_operator`` builds one per UDF when the config carries a
-  ``switch_policy``): the candidate shapes are that UDF's shipping strategies;
-* a :class:`~repro.adaptive.reoptimizer.ReOptimizer` drives the operator that
-  owns the whole UDF chain: it prices every UDF order and may reorder the
-  UDF applications as well.
-
-They differ in pricing and in three things the operator reads off the
-controller: a per-UDF controller is handed the *last segment's* bandwidth and
-per-call deltas, its UDF's batch size and its projection-aware return width,
-a plan-wide one cumulative evidence and the plan-wide batch size
-(:attr:`~repro.adaptive.segmented.SegmentController.plan_wide`); only the
-re-optimizer *settles*, after which the tail drains as one segment; and their
-changes surface as ``strategy_switches`` vs. ``plan_migrations``.
+``build_operator`` builds a *one-stage* operator per UDF when the config
+carries a ``switch_policy`` (strategy switching: the one order leaves only the
+strategies to choose), and the planner builds one operator over the whole UDF
+chain when it carries a ``reoptimizer`` (the controller may reorder the UDF
+applications as well).  A one-stage operator prices its UDF exactly: at that
+UDF's batch size and with the client-site join's projection-aware return
+width.  A chain still prices at the plan-wide batch size (until ROADMAP item
+5(c)) and with whole extended records returned (until item 5(a)).
 
 Partial results merge trivially (every shape produces identical rows for
 identical inputs), and client-side state carries over naturally: the segments
@@ -46,16 +39,15 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptive.segmented import (
-    Adaptation,
     PlanShape,
     PredicateSpec,
-    SegmentController,
+    ReOptimizer,
     SegmentObservation,
     assign_predicates_to_stages,
 )
 from repro.client.udf import UdfDefinition
 from repro.core.execution.base import RemoteUdfOperator
-from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
+from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.semijoin import SemiJoinSegmentState
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.stats import TransferCounters
@@ -73,7 +65,7 @@ def _suffix_sums(sizes: Sequence[float], initial: float = 0.0) -> List[float]:
 
 
 def _bandwidth(moved: TransferCounters, configured: Optional[float]) -> float:
-    """Observed effective bandwidth over an interval, else the configured one."""
+    """Observed effective bandwidth, else the configured one."""
     if moved.busy_seconds > 1e-9 and moved.total_bytes > 0:
         return moved.total_bytes / moved.busy_seconds
     if configured is not None:
@@ -183,7 +175,7 @@ class PlanMigrationOperator(Operator):
         predicates: Sequence[MigrationPredicate] = (),
         output_columns: Optional[Sequence[str]] = None,
         *,
-        controller: SegmentController,
+        controller: ReOptimizer,
     ) -> None:
         super().__init__([child])
         if not stages:
@@ -218,12 +210,12 @@ class PlanMigrationOperator(Operator):
             self._projection_positions = None
             self.schema = self.extended_schema
 
-        self.initial_shape = PlanShape.of(
-            [stage.udf.name for stage in self.stages],
-            {stage.udf.name: stage.strategy for stage in self.stages},
-        )
         self.controller.bind(
-            self.initial_shape, [predicate.spec() for predicate in self.predicates]
+            PlanShape.of(
+                [stage.udf.name for stage in self.stages],
+                {stage.udf.name: stage.strategy for stage in self.stages},
+            ),
+            [predicate.spec() for predicate in self.predicates],
         )
 
         self.input_row_count = 0
@@ -267,10 +259,6 @@ class PlanMigrationOperator(Operator):
             segment = batch.slice(position, position + take)
             position += len(segment)
 
-            # A per-UDF controller reads what *this* segment did to the
-            # shared link and client counters; a plan-wide one, their
-            # running totals.
-            since = ExecutionCounters() if controller.plan_wide else self.context.counters()
             units, stage_keys = self._build_pipeline(shape, segment)
             segment_output = concat_batches(
                 list(units[-1].execute_batches(batch_size)),
@@ -288,12 +276,10 @@ class PlanMigrationOperator(Operator):
             self.segments.append((shape, len(segment)))
 
             if position < total and not settled:
-                controller.consider(self._observation(position, since))
+                controller.consider(self._observation(position))
             index += 1
 
-        self.context.adaptations.append(
-            Adaptation(controller.plan_wide, self.initial_shape, tuple(controller.decisions))
-        )
+        self.context.adaptations.append(controller.adaptation())
         output = concat_batches(outputs, column_count=len(self.schema))
         self.output_row_count = len(output)
         for start in range(0, len(output), batch_size):
@@ -447,7 +433,7 @@ class PlanMigrationOperator(Operator):
                 last_occurrence[position] = 1
             self._suffix_distinct[name] = _suffix_sums(last_occurrence, initial=0)
         self._suffix_projected_bytes: Optional[List[float]] = None
-        if not self.controller.plan_wide:
+        if len(self.stages) == 1:
             child_count = len(self.child_schema)
             projected = (
                 tuple(p for p in self._projection_positions if p < child_count)
@@ -456,10 +442,10 @@ class PlanMigrationOperator(Operator):
             )
             self._suffix_projected_bytes = _suffix_sums(batch.value_sizes(projected))
 
-    def _observation(self, position: int, since: ExecutionCounters) -> SegmentObservation:
-        """What the run observed since ``since``, plus the tail after ``position``."""
+    def _observation(self, position: int) -> SegmentObservation:
+        """What the run has observed so far, plus the tail after ``position``."""
         network = self.context.network
-        observed = self.context.counters() - since
+        observed = self.context.counters()
         remaining = self.input_row_count - position
 
         seconds_per_call: Dict[str, float] = {}
@@ -480,16 +466,16 @@ class PlanMigrationOperator(Operator):
             )
             distinct_fraction[name] = self._suffix_distinct[name][position] / remaining
 
-        # A per-UDF controller prices its own stage: that UDF's batch size,
-        # projection-aware return width and configured overlap window.
-        priced_udf = returned_row_bytes = window = None
-        if not self.controller.plan_wide:
+        # A one-stage operator is priced at its own UDF's batch size and
+        # projection-aware return width; a chain, not yet (see below).
+        priced_udf = returned_row_bytes = None
+        if len(self.stages) == 1:
             priced_udf = self.stages[0].udf.name
             returned_row_bytes = (
                 self._suffix_projected_bytes[position] / remaining
                 + result_bytes[self._declared_order[0]]
             )
-            window = self.config.next_overlap_window(priced_udf)
+        window = self.config.next_overlap_window(priced_udf)
         return SegmentObservation(
             rows_processed=position,
             remaining_rows=remaining,
@@ -506,7 +492,9 @@ class PlanMigrationOperator(Operator):
                 observed.uplink, network.uplink_bandwidth if network else None
             ),
             latency=network.latency if network is not None else 0.0,
+            # A chain: the plan-wide batch size, until re-pin item 5(c).
             batch_size=float(self.config.next_batch_size(priced_udf)),
+            # A chain: whole extended records returned, until re-pin item 5(a).
             returned_row_bytes=returned_row_bytes,
             overlap_window=float(window) if window is not None else None,
         )

@@ -91,10 +91,10 @@ def build_operator(
     (:class:`~repro.core.execution.adaptive.PlanMigrationOperator`, here with
     this one UDF as its only stage): ``config.strategy`` is then the *initial*
     strategy, and the operator may hand the unprocessed tail of the input to
-    a different one at segment boundaries.  A
-    :class:`~repro.adaptive.reoptimizer.ReOptimizer` on the config drives it;
-    failing that, a :class:`~repro.adaptive.switcher.StrategySwitcher` built
-    from ``config.switch_policy`` — so with both armed, re-optimization wins.
+    a different one at segment boundaries.  The config's
+    :class:`~repro.adaptive.segmented.ReOptimizer` drives it; failing that,
+    one built from ``config.switch_policy``, whose changes count as strategy
+    switches — so with both armed, re-optimization wins.
 
     ``semi_join_state`` (a
     :class:`~repro.core.execution.semijoin.SemiJoinSegmentState`) carries
@@ -106,9 +106,11 @@ def build_operator(
 
     controller = config.reoptimizer
     if controller is None and config.switch_policy is not None:
-        from repro.adaptive.switcher import StrategySwitcher
+        from repro.adaptive.segmented import ReOptimizer
 
-        controller = StrategySwitcher(config.switch_policy, statistics=config.statistics)
+        controller = ReOptimizer(
+            config.switch_policy, statistics=config.statistics, plan_wide=False
+        )
     if controller is not None:
         # Imported lazily: the segmented executor builds plain per-segment
         # operators through this very function.

@@ -80,106 +80,20 @@ class CostSettings:
         return shallow_copy(self, {"batch_size": batch_size})
 
 
-def remaining_strategy_cost(
-    strategy: ExecutionStrategy,
-    rows: float,
-    *,
-    record_bytes: float,
-    argument_bytes: float,
-    result_bytes: float,
-    returned_row_bytes: Optional[float] = None,
-    selectivity: float = 1.0,
-    distinct_fraction: float = 1.0,
-    udf_seconds_per_call: float = 0.0,
-    downlink_bandwidth: float,
-    uplink_bandwidth: float,
-    latency: float = 0.0,
-    settings: Optional[CostSettings] = None,
-    batch_size: Optional[float] = None,
-    overlap_window: Optional[float] = None,
-) -> float:
-    """Estimated seconds for ``strategy`` to process ``rows`` remaining rows.
-
-    This is the re-costing surface mid-query adaptation plans with: unlike
-    :class:`CostEstimator` (which costs whole plans from declared statistics),
-    it takes the *current* point estimates — observed selectivity, observed
-    effective bandwidths, measured per-call cost, and the exact byte shape of
-    the unprocessed tail — and prices only the work still ahead, per strategy.
-    The :class:`~repro.adaptive.switcher.StrategySwitcher` compares these
-    estimates at batch boundaries to decide whether the committed strategy is
-    still the right one for the rest of the input.
-
-    The formulas mirror the Section 3 cost model the estimator uses, with the
-    overlap-aware combination rule throughout: with a window of W request
-    batches in flight, the transfer and compute stages overlap up to their
-    max, and the non-overlapped remainder is amortised over W::
-
-        cost(W) = max(down, up, compute) + (down + up + compute - max) / W
-
-    ``overlap_window=None`` keeps each strategy's historical assumption —
-    fully overlapped (W = inf) for the semi-join and the client-site join,
-    synchronous (W = 1: the stages *add*, plus the full round-trip latency
-    per batch) for the naive strategy — matching the executors' defaults.
-    """
-    settings = settings if settings is not None else CostSettings()
-    if rows <= 0:
-        return 0.0
-    batch = max(1.0, float(batch_size if batch_size is not None else settings.batch_size))
-    if overlap_window is None:
-        overlap_window = settings.overlap_window
-    selectivity = min(1.0, max(0.0, selectivity))
-    distinct = min(1.0, max(0.0, distinct_fraction))
-    shipped = rows * distinct
-    compute = shipped * max(0.0, udf_seconds_per_call)
-    overhead = settings.per_message_overhead_bytes
-    if returned_row_bytes is None:
-        returned_row_bytes = record_bytes + result_bytes
-
-    def link_seconds(payload_bytes: float, messages: float, bandwidth: float) -> float:
-        return (payload_bytes + messages * overhead) / max(bandwidth, 1e-9)
-
-    def overlapped(down: float, up: float, window: float) -> float:
-        pipelined = max(down, up, compute)
-        sequential = down + up + compute
-        return pipelined + (sequential - pipelined) / max(1.0, window)
-
-    if strategy is ExecutionStrategy.SEMI_JOIN:
-        window = overlap_window if overlap_window is not None else math.inf
-        messages = max(1.0, shipped / batch)
-        down = link_seconds(shipped * argument_bytes, messages, downlink_bandwidth)
-        up = link_seconds(shipped * result_bytes, messages, uplink_bandwidth)
-        return overlapped(down, up, window) + 2 * latency + PIPELINE_FILL_PENALTY_SECONDS
-
-    if strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
-        window = overlap_window if overlap_window is not None else math.inf
-        messages = max(1.0, rows / batch)
-        down = link_seconds(rows * record_bytes, messages, downlink_bandwidth)
-        up = link_seconds(rows * selectivity * returned_row_bytes, messages, uplink_bandwidth)
-        return overlapped(down, up, window) + 2 * latency + PIPELINE_FILL_PENALTY_SECONDS
-
-    # NAIVE: synchronous by default — the downlink shipment, the client
-    # compute, and the uplink reply of every batch happen strictly in
-    # sequence, and every batch pays the full round-trip latency.  With an
-    # overlap window the stages overlap and the round-trip stalls amortise:
-    # only every W-th batch waits out the pipeline.
-    window = overlap_window if overlap_window is not None else 1.0
-    trips = max(1.0, math.ceil(shipped / batch))
-    down = link_seconds(shipped * argument_bytes, trips, downlink_bandwidth)
-    up = link_seconds(shipped * result_bytes, trips, uplink_bandwidth)
-    return overlapped(down, up, window) + 2 * latency * max(1.0, math.ceil(trips / max(1.0, window)))
-
-
 @dataclass(frozen=True)
 class RemainingStage:
     """One UDF application of a remaining *plan shape*, priced from observed
     point estimates.
 
     A plan shape is an ordered sequence of these: mid-query re-optimization
-    compares the committed shape against reordered/re-strategised shapes by
-    pricing each with :func:`remaining_plan_cost` over the unprocessed tail.
-    ``selectivity`` is the combined selectivity of the predicates the shape
-    applies at this stage (1.0 when none); ``argument_bytes`` the per-row
-    size of the UDF's argument columns; ``result_bytes`` the UDF result size.
+    compares the incumbent shape against its candidates by pricing each with
+    :func:`remaining_plan_cost` over the unprocessed tail.  ``selectivity`` is
+    the combined selectivity of the predicates the shape applies at this stage
+    (1.0 when none); ``argument_bytes`` the per-row size of the UDF's argument
+    columns; ``result_bytes`` the UDF result size; ``returned_row_bytes`` what
+    a client-site join ships back per surviving row — ``None`` for the whole
+    extended record (the record so far plus the result), less under a pushed
+    projection.
     """
 
     strategy: ExecutionStrategy
@@ -188,6 +102,7 @@ class RemainingStage:
     udf_seconds_per_call: float = 0.0
     argument_bytes: float = 8.0
     result_bytes: float = 8.0
+    returned_row_bytes: Optional[float] = None
 
 
 def remaining_plan_cost(
@@ -202,49 +117,113 @@ def remaining_plan_cost(
     batch_size: Optional[float] = None,
     overlap_window: Optional[float] = None,
 ) -> float:
-    """Estimated seconds for a whole remaining *plan shape* over ``rows``.
+    """Estimated seconds for a remaining *plan shape* over ``rows``.
 
-    The plan-shape analogue of :func:`remaining_strategy_cost`: where that
-    prices one strategy for one UDF's tail, this composes a sequence of UDF
-    applications — each with its own strategy, observed selectivity, and
-    measured per-call cost — the way the executor chains them: every stage's
-    predicate filters the rows the next stage processes, and every stage's
-    result column widens the records later client-site joins must ship.
-    Mid-query re-optimization prices the committed order and every candidate
-    reordering with the *same* observed point estimates, so the comparison
-    isolates the plan shape from estimation error.
+    This is the re-costing surface mid-query adaptation plans with: unlike
+    :class:`CostEstimator` (which costs whole plans from declared statistics),
+    it takes the *current* point estimates — observed selectivity, observed
+    effective bandwidths, measured per-call cost, and the exact byte shape of
+    the unprocessed tail — and prices only the work still ahead.  It chains
+    the stages the way the executor does: every stage's predicate filters the
+    rows the next stage processes, and every stage's result column widens the
+    records later client-site joins must ship.  The re-optimizer prices the
+    incumbent and every candidate with the *same* point estimates, so the
+    comparison isolates the plan shape from estimation error; a one-stage
+    shape compares one UDF's strategies.
+
+    Each stage follows the Section 3 cost model the estimator uses, with the
+    overlap-aware combination rule throughout: with a window of W request
+    batches in flight, the transfer and compute stages overlap up to their
+    max, and the non-overlapped remainder is amortised over W::
+
+        cost(W) = max(down, up, compute) + (down + up + compute - max) / W
+
+    ``overlap_window=None`` keeps each strategy's historical assumption —
+    fully overlapped (W = inf) for the semi-join and the client-site join,
+    synchronous (W = 1: the stages *add*, plus the full round-trip latency
+    per batch) for the naive strategy — matching the executors' defaults.
     """
     settings = settings if settings is not None else CostSettings()
+    batch = max(1.0, float(batch_size if batch_size is not None else settings.batch_size))
+    if overlap_window is None:
+        overlap_window = settings.overlap_window
     cost = 0.0
     cardinality = float(rows)
     bytes_per_row = float(record_bytes)
     for stage in stages:
         if cardinality <= 0:
             break
-        selectivity = min(1.0, max(0.0, stage.selectivity))
-        cost += remaining_strategy_cost(
-            stage.strategy,
+        cost += _remaining_stage_cost(
+            stage,
             cardinality,
-            record_bytes=bytes_per_row,
-            argument_bytes=stage.argument_bytes,
-            result_bytes=stage.result_bytes,
-            returned_row_bytes=bytes_per_row + stage.result_bytes,
-            selectivity=selectivity,
-            distinct_fraction=stage.distinct_fraction,
-            udf_seconds_per_call=stage.udf_seconds_per_call,
+            bytes_per_row,
             downlink_bandwidth=downlink_bandwidth,
             uplink_bandwidth=uplink_bandwidth,
             latency=latency,
-            settings=settings,
-            batch_size=batch_size,
+            overhead=settings.per_message_overhead_bytes,
+            batch=batch,
             overlap_window=overlap_window,
         )
         # Whatever strategy ran the stage, its predicate is applied before
         # the next stage (at the client, or by the server-side Filter wrap),
         # and its result column joins the record for the rest of the plan.
-        cardinality *= selectivity
+        cardinality *= min(1.0, max(0.0, stage.selectivity))
         bytes_per_row += stage.result_bytes
     return cost
+
+
+def _remaining_stage_cost(
+    stage: RemainingStage,
+    rows: float,
+    record_bytes: float,
+    *,
+    downlink_bandwidth: float,
+    uplink_bandwidth: float,
+    latency: float,
+    overhead: float,
+    batch: float,
+    overlap_window: Optional[float],
+) -> float:
+    """Seconds for ``stage``'s strategy to process ``rows`` records of ``record_bytes``."""
+    selectivity = min(1.0, max(0.0, stage.selectivity))
+    shipped = rows * min(1.0, max(0.0, stage.distinct_fraction))
+    compute = shipped * max(0.0, stage.udf_seconds_per_call)
+    returned_row_bytes = stage.returned_row_bytes
+    if returned_row_bytes is None:
+        returned_row_bytes = record_bytes + stage.result_bytes
+
+    def link_seconds(payload_bytes: float, messages: float, bandwidth: float) -> float:
+        return (payload_bytes + messages * overhead) / max(bandwidth, 1e-9)
+
+    def overlapped(down: float, up: float, window: float) -> float:
+        pipelined = max(down, up, compute)
+        sequential = down + up + compute
+        return pipelined + (sequential - pipelined) / max(1.0, window)
+
+    if stage.strategy is ExecutionStrategy.SEMI_JOIN:
+        window = overlap_window if overlap_window is not None else math.inf
+        messages = max(1.0, shipped / batch)
+        down = link_seconds(shipped * stage.argument_bytes, messages, downlink_bandwidth)
+        up = link_seconds(shipped * stage.result_bytes, messages, uplink_bandwidth)
+        return overlapped(down, up, window) + 2 * latency + PIPELINE_FILL_PENALTY_SECONDS
+
+    if stage.strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
+        window = overlap_window if overlap_window is not None else math.inf
+        messages = max(1.0, rows / batch)
+        down = link_seconds(rows * record_bytes, messages, downlink_bandwidth)
+        up = link_seconds(rows * selectivity * returned_row_bytes, messages, uplink_bandwidth)
+        return overlapped(down, up, window) + 2 * latency + PIPELINE_FILL_PENALTY_SECONDS
+
+    # NAIVE: synchronous by default — the downlink shipment, the client
+    # compute, and the uplink reply of every batch happen strictly in
+    # sequence, and every batch pays the full round-trip latency.  With an
+    # overlap window the stages overlap and the round-trip stalls amortise:
+    # only every W-th batch waits out the pipeline.
+    window = overlap_window if overlap_window is not None else 1.0
+    trips = max(1.0, math.ceil(shipped / batch))
+    down = link_seconds(shipped * stage.argument_bytes, trips, downlink_bandwidth)
+    up = link_seconds(shipped * stage.result_bytes, trips, uplink_bandwidth)
+    return overlapped(down, up, window) + 2 * latency * max(1.0, math.ceil(trips / max(1.0, window)))
 
 
 def _yao_pages(blocks: float, matching: float) -> float:

@@ -12,9 +12,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         BatchSizeController,
         OverlapWindowController,
     )
-    from repro.adaptive.reoptimizer import ReOptimizer
+    from repro.adaptive.segmented import AdaptationPolicy, ReOptimizer
     from repro.adaptive.store import StatisticsStore
-    from repro.adaptive.switcher import SwitchPolicy
 
 
 class ExecutionStrategy(enum.Enum):
@@ -73,12 +72,12 @@ class StrategyConfig:
         behaviour.  The controller is runtime state, excluded from equality
         and hashing.
     switch_policy:
-        A :class:`~repro.adaptive.switcher.SwitchPolicy` arming *mid-query
-        strategy switching*: the UDF operator then runs the input in
-        segments, re-costs the remaining rows under every strategy at each
-        segment boundary from observed selectivity/bandwidth, and — with the
-        policy's hysteresis — hands the unprocessed tail to a different
-        strategy executor.  ``strategy`` becomes the *initial* strategy.
+        An :class:`~repro.adaptive.segmented.AdaptationPolicy` arming
+        *mid-query strategy switching*: each UDF operator then runs the
+        input in segments, re-costs the remaining rows under every candidate
+        strategy at each segment boundary from observed selectivity and
+        bandwidth, and — with the policy's hysteresis — hands the
+        unprocessed tail to a different strategy executor.  ``strategy`` becomes the *initial* strategy.
         ``None`` (the default) commits to ``strategy`` for the whole query.
     eliminate_duplicates:
         Whether the semi-join sender suppresses argument duplicates
@@ -114,8 +113,8 @@ class StrategyConfig:
     batch_controller: Optional[
         Union["BatchSizeController", "BatchControllerBank"]
     ] = field(default=None, compare=False)
-    switch_policy: Optional["SwitchPolicy"] = None
-    #: A :class:`~repro.adaptive.reoptimizer.ReOptimizer` arming *mid-query
+    switch_policy: Optional["AdaptationPolicy"] = None
+    #: A :class:`~repro.adaptive.segmented.ReOptimizer` arming *mid-query
     #: re-optimization*: the whole client-site UDF chain then runs inside one
     #: :class:`~repro.core.execution.adaptive.PlanMigrationOperator` that may
     #: migrate to a structurally different plan (UDF application order and
@@ -262,7 +261,7 @@ class StrategyConfig:
     ) -> "StrategyConfig":
         return replace(self, overlap_controller=controller)
 
-    def with_switch_policy(self, policy: Optional["SwitchPolicy"]) -> "StrategyConfig":
+    def with_switch_policy(self, policy: Optional["AdaptationPolicy"]) -> "StrategyConfig":
         return replace(self, switch_policy=policy)
 
     def with_reoptimizer(self, reoptimizer: Optional["ReOptimizer"]) -> "StrategyConfig":

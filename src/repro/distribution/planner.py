@@ -53,9 +53,9 @@ class MigrationPolicy:
 
     A shard migrates off its committed replica only when the best candidate
     replica's estimated remaining time beats the observed-rate projection on
-    the current replica by more than the ``hysteresis`` fraction — the same damping idea the strategy
-    switcher uses, so transient jitter does not bounce shards between
-    replicas.
+    the current replica by more than the ``hysteresis`` fraction — the same
+    damping idea mid-query re-optimization uses, so transient jitter does
+    not bounce shards between replicas.
     """
 
     hysteresis: float = 0.25

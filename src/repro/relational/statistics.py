@@ -52,11 +52,19 @@ class Histogram:
         cls, values: Iterable[object], buckets: int = DEFAULT_HISTOGRAM_BUCKETS
     ) -> Optional["Histogram"]:
         """Build a histogram from the values :meth:`add` counts (finite
-        numbers, as floats); None if there are none."""
+        numbers, as floats); None if there are none.
+
+        As :meth:`add` refuses to widen to a span past float range, a value
+        that would stretch the span of the values before it that far is
+        skipped, so no histogram holds a non-finite width.
+        """
         numeric = _countable(list(values))
         if not numeric:
             return None
         low, high = min(numeric), max(numeric)
+        if not math.isfinite(high - low):
+            numeric = _finite_span(numeric)
+            low, high = min(numeric), max(numeric)
         if high <= low:
             return cls(low=low, high=high, counts=[len(numeric)])
         buckets = max(1, buckets)
@@ -154,6 +162,18 @@ def _countable_value(value: object) -> Optional[float]:
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _finite_span(values: Sequence[float]) -> List[float]:
+    """``values`` in order, less each one that would stretch the span of
+    those kept before it past float range."""
+    low = high = values[0]
+    kept = []
+    for value in values:
+        if math.isfinite(max(high, value) - min(low, value)):
+            low, high = min(low, value), max(high, value)
+            kept.append(value)
+    return kept
 
 
 def _countable(values: Sequence[object]) -> List[float]:

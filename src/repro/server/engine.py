@@ -23,14 +23,14 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from repro.errors import BindError, OptimizerError
 from repro.adaptive import (
+    SWITCHING_POLICY,
+    AdaptationPolicy,
     BatchControllerBank,
     BatchSizeController,
     OverlapWindowController,
-    ReOptimizationPolicy,
     ReOptimizer,
     RuntimeObserver,
     StatisticsStore,
-    SwitchPolicy,
 )
 from repro.adaptive.store import STATISTICS_PROTOCOL
 from repro.client.registry import UdfRegistry
@@ -72,9 +72,9 @@ def resolve_keywords(
     adaptive: bool = False,
     calibrated: Optional[bool] = None,
     switch_strategies: bool = False,
-    switch_policy: Optional[SwitchPolicy] = None,
+    switch_policy: Optional[AdaptationPolicy] = None,
     reoptimize: bool = False,
-    replan_policy: Optional[ReOptimizationPolicy] = None,
+    replan_policy: Optional[AdaptationPolicy] = None,
     migrate: bool = False,
     migration_policy: Optional[object] = None,
     statistics: Optional[StatisticsStore] = None,
@@ -98,7 +98,7 @@ def resolve_keywords(
     switching = switch_strategies or switch_policy is not None
     if switching:
         config = config.with_switch_policy(
-            switch_policy if switch_policy is not None else SwitchPolicy()
+            switch_policy if switch_policy is not None else SWITCHING_POLICY
         )
     reoptimize = reoptimize or replan_policy is not None
     optimize = optimize or reoptimize
@@ -474,9 +474,9 @@ class Database(SqlSurface):
         observe: bool = True,
         calibrated: Optional[bool] = None,
         switch_strategies: bool = False,
-        switch_policy: Optional[SwitchPolicy] = None,
+        switch_policy: Optional[AdaptationPolicy] = None,
         reoptimize: bool = False,
-        replan_policy: Optional[ReOptimizationPolicy] = None,
+        replan_policy: Optional[AdaptationPolicy] = None,
         context: Optional["RemoteExecutionContext"] = None,
     ) -> QueryResult:
         """Execute ``query`` (SQL text or a bound query) and return the result.
@@ -533,9 +533,12 @@ class Database(SqlSurface):
         segment boundaries a :class:`~repro.adaptive.ReOptimizer` re-prices
         every UDF order and strategy assignment over the *remaining* input
         with the observed statistics and — under ``replan_policy``'s
-        hysteresis and re-plan budget — may migrate execution to a structurally different plan
-        (reordered UDF applications, different per-UDF strategies), not just
-        a different shipping strategy.
+        hysteresis and change budget — may migrate execution to a
+        structurally different plan (reordered UDF applications, different
+        per-UDF strategies), not just a different shipping strategy.
+        ``switch_policy`` and ``replan_policy`` are both
+        :class:`~repro.adaptive.AdaptationPolicy` values: switching is the
+        same controller with each UDF's order held.
 
         ``context`` runs the query on an externally-built execution context
         (e.g. a shared-simulation context from :mod:`repro.tenancy.driver`)

@@ -97,7 +97,7 @@ class ExecutionMetrics:
         return self.downlink_bytes + self.uplink_bytes
 
     # -- views of ``adaptations`` --------------------------------------------------------
-    # A per-UDF controller's changes are strategy switches; a plan-wide one's
+    # A switch-armed controller's changes are strategy switches; a plan-wide one's
     # boundaries are re-plan attempts and its changes plan migrations (with
     # the coordinator's replica moves).  Strategies, UDF orders and shapes
     # (``PlanShape.describe``, also ``QueryResult.shapes_used``) are listed

@@ -190,6 +190,8 @@ def decode_value(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
     if tag == TAG_DATA_OBJECT:
         size = _unpack_int64(buffer, offset)[0]
         seed, offset = decode_value(buffer, offset + 8)
+        if type(seed) is not int:  # only a torn record holds another seed
+            raise ValueError(f"data object seed of type {type(seed).__name__}")
         return DataObject(size, seed=seed), offset
     if tag in (TAG_TUPLE, TAG_LIST):
         count = _INT32.unpack_from(buffer, offset)[0]

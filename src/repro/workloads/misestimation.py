@@ -18,9 +18,9 @@ would show a probe segment 100% (or 0%) selectivity regardless of the truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.adaptive.switcher import SwitchPolicy
+from repro.adaptive.segmented import SWITCHING_POLICY, AdaptationPolicy
 from repro.core.costmodel import CostModel, CostParameters
 from repro.core.strategies import ExecutionStrategy
 from repro.network.topology import NetworkConfig
@@ -107,7 +107,7 @@ class MisestimatedSelectivityScenario:
         """Whether the misestimation actually flips the strategy choice."""
         return self.committed_strategy is not self.oracle_strategy
 
-    def switch_policy(self) -> SwitchPolicy:
+    def switch_policy(self) -> AdaptationPolicy:
         """A probe policy proportioned to the workload.
 
         The probe segment costs wrong-strategy money, so it is sized to a
@@ -116,9 +116,10 @@ class MisestimatedSelectivityScenario:
         segment-boundary overhead on the correct tail.
         """
         probe = max(8, self.row_count // 100)
-        return SwitchPolicy(
+        return replace(
+            SWITCHING_POLICY,
             initial_segment_rows=probe,
-            min_rows_before_switch=probe,
+            evidence_floor=probe,
             segment_growth=4.0,
         )
 
@@ -217,16 +218,14 @@ class MisorderedUdfScenario:
         )
         return db
 
-    def replan_policy(self):
+    def replan_policy(self) -> AdaptationPolicy:
         """A one-migration policy: probe, decide once, drain the tail.
 
         One migration (or one confirming keep) settles the controller, so
         the segmentation overhead is bounded to the probe prefix whether the
         declarations turn out wrong or right.
         """
-        from repro.adaptive.reoptimizer import ReOptimizationPolicy
-
-        return ReOptimizationPolicy(max_replans=1, confirmation_boundaries=1)
+        return AdaptationPolicy(change_budget=1, confirmation_boundaries=1)
 
     def describe(self) -> str:
         return (

@@ -30,7 +30,7 @@ import os
 from typing import Callable, Dict, Optional, Tuple
 
 from decision_digest import Environment, optimizer_cases, STOCK_QUERIES
-from repro.adaptive.reoptimizer import ReOptimizer
+from repro.adaptive.segmented import ReOptimizer
 from repro.core.execution.adaptive import PlanMigrationOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.optimizer import OptimizationDecision

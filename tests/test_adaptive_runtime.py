@@ -115,6 +115,17 @@ class TestBatchSizeController:
         assert not controller.decisions
         assert controller.rows_observed == 10
 
+    def test_an_empty_or_earlier_reply_moves_nothing(self):
+        """A reply of no rows is not a batch, and a reply stamped before the
+        last one measures no elapsed time: neither counts toward a window."""
+        controller = BatchSizeController()
+        controller.observe_rows(0, 1.0)
+        assert (controller.rows_observed, controller.batches_observed) == (0, 0)
+        controller.observe_rows(10, 2.0)
+        controller.observe_rows(10, 1.5)
+        assert (controller.rows_observed, controller.batches_observed) == (20, 2)
+        assert controller._window_batch_count == 0
+
     def test_size_trace_records_moves(self):
         controller = BatchSizeController(initial_batch_size=4)
         feed_windows(controller, lambda size: float(size), windows=30)
@@ -512,6 +523,16 @@ class TestObservationAndStore:
         uncalibrated = db.explain(query, optimize=True)
         assert f"batch size {preferred}" not in uncalibrated
 
+    def test_an_equality_over_a_function_call_names_no_column(self):
+        """A filter's equality feeds a column's distinct count only when it
+        compares a plain column with a literal, not a function's result."""
+        from repro.adaptive import RuntimeObserver
+        from repro.relational.expressions import ColumnRef, Comparison, FunctionCall, Literal
+
+        column = RuntimeObserver._equality_column
+        assert column(Comparison("=", Literal(3), ColumnRef("T.K"))) == "T.K"
+        assert column(Comparison("=", FunctionCall("Abs", [ColumnRef("T.K")]), Literal(3))) is None
+
 
 # ---------------------------------------------------------------------------
 # Drift paths: collapse-reset on drifting links, per-UDF independence
@@ -656,10 +677,14 @@ class TestReportingSurfaces:
         assert "batch size -> 16" in text
 
     def test_store_summary_and_repr(self):
+        from dataclasses import replace
+
         store = StatisticsStore(smoothing=1.0)
-        store.record(self.make_observation())
+        observation = self.make_observation()
+        store.record(replace(observation, uplink=replace(observation.downlink, name="up")))
         text = store.summary()
         assert "statistics over 1 queries" in text
+        assert "downlink ~2000 B/s" in text and "uplink ~2000 B/s" in text
         assert "udf f" in text
         assert "[F_result > 3] 0.25" in text
         assert "preferred batch size 16" in text

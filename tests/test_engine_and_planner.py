@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adaptive import ReOptimizationPolicy, SwitchPolicy
+from repro.adaptive import SWITCHING_POLICY, AdaptationPolicy
 from repro.errors import BindError, CatalogError, OptimizerError, PlanError
 from repro.core.optimizer import OptimizationDecision
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
@@ -425,14 +425,15 @@ class TestKeywordResolution:
     """One rule each: the implications and the one conflict of ``execute``'s keywords."""
 
     def test_switch_policy_arms_switching(self):
-        policy = SwitchPolicy()
+        policy = AdaptationPolicy()
         resolved = resolve_keywords(StrategyConfig(), switch_policy=policy)
         assert resolved.config.switch_policy is policy
         assert resolve_keywords(StrategyConfig()).config.switch_policy is None
-        assert resolve_keywords(StrategyConfig(), switch_strategies=True).config.switch_policy
+        switching = resolve_keywords(StrategyConfig(), switch_strategies=True)
+        assert switching.config.switch_policy is SWITCHING_POLICY
 
     def test_replan_policy_arms_reoptimization_which_implies_optimize(self):
-        resolved = resolve_keywords(StrategyConfig(), replan_policy=ReOptimizationPolicy())
+        resolved = resolve_keywords(StrategyConfig(), replan_policy=AdaptationPolicy())
         assert resolved.reoptimize and resolved.optimize
         resolved = resolve_keywords(StrategyConfig(), reoptimize=True)
         assert resolved.reoptimize and resolved.optimize
@@ -464,7 +465,7 @@ class TestKeywordResolution:
 
     @pytest.mark.parametrize(
         "keywords",
-        [{"optimize": True}, {"reoptimize": True}, {"replan_policy": ReOptimizationPolicy()}],
+        [{"optimize": True}, {"reoptimize": True}, {"replan_policy": AdaptationPolicy()}],
     )
     def test_pinned_udf_order_conflicts_with_the_optimizer(self, db, keywords):
         sql = "SELECT S.Name, Score(S.Quotes) AS s, Stars(S.Quotes) AS r FROM StockQuotes S"
@@ -549,15 +550,46 @@ class TestOptionCensus:
         assert "use_result_cache" in inspect.signature(ClientRuntime).parameters
         assert "use_result_cache" not in inspect.signature(ClientSession).parameters
 
-    @pytest.mark.parametrize("controller", ["ReOptimizer", "StrategySwitcher"])
-    def test_a_segment_controller_takes_a_policy_and_statistics_only(self, controller):
+    def test_the_one_controller_takes_a_policy_statistics_and_its_metric_label(self):
+        """Switching and re-optimization share one controller; which config
+        field armed it (``plan_wide``) only labels the metric it counts in."""
         import inspect
 
-        import repro.adaptive
+        from repro.adaptive import ReOptimizer
 
-        parameters = set(inspect.signature(getattr(repro.adaptive, controller)).parameters)
+        parameters = set(inspect.signature(ReOptimizer).parameters)
         assert not parameters & {"query", "network", "table_order", "settings"}
-        assert parameters == {"policy", "statistics"}
+        assert parameters == {"policy", "statistics", "plan_wide"}
+
+    #: Names of the second controller, its policy classes and pricing
+    #: function, and the old per-controller policy fields.
+    MERGED = (
+        "StrategySwitcher",
+        "repro.adaptive.switcher",
+        "SwitchPolicy",
+        "ReOptimizationPolicy",
+        "SegmentController",
+        "SegmentPolicy",
+        "min_rows_before_switch",
+        "max_switches",
+        "min_rows_before_replan",
+        "max_replans",
+        "remaining_strategy_cost",
+    )
+
+    def test_one_controller_one_policy_one_remaining_cost_function(self):
+        import pathlib
+        import re
+
+        import repro
+
+        pattern = re.compile(r"\b(" + "|".join(map(re.escape, self.MERGED)) + r")\b")
+        found = [
+            f"{path.name}: {match.group(0)}"
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
 
     @pytest.mark.parametrize(
         "name", ["RuntimeStatisticsView", "best_plan_from", "_enumerated_shape", "enumerations"]
@@ -566,10 +598,10 @@ class TestOptionCensus:
         """Mid-query re-optimization prices one candidate list; the System-R
         re-entry, its runtime statistics view and the seeded DP are gone."""
         import repro.adaptive
-        from repro.adaptive import ReOptimizer, reoptimizer
+        from repro.adaptive import ReOptimizer, segmented
         from repro.core.optimizer.enumerator import SystemREnumerator
 
-        owners = (repro.adaptive, reoptimizer, SystemREnumerator, ReOptimizer, ReOptimizer())
+        owners = (repro.adaptive, segmented, SystemREnumerator, ReOptimizer, ReOptimizer())
         assert not any(hasattr(owner, name) for owner in owners)
 
     def test_a_tenant_engine_always_runs_on_a_shared_trunk(self):

@@ -6,16 +6,17 @@ import operator
 import sqlite3
 import tempfile
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.adaptive import (
+    SWITCHING_POLICY,
+    AdaptationPolicy,
     BatchSizeController,
     OverlapWindowController,
-    ReOptimizationPolicy,
     ReOptimizer,
-    SwitchPolicy,
 )
 from repro.core.costmodel import CostModel, CostParameters
 from repro.core.optimizer import OptimizationDecision, Optimizer
@@ -688,16 +689,16 @@ def test_every_execution_mode_matches_single_site(
             config = config.with_overlap_controller(OverlapWindowController())
     if switching:
         config = config.with_switch_policy(
-            SwitchPolicy(
-                initial_segment_rows=4, min_rows_before_switch=4, max_segment_rows=16
+            replace(
+                SWITCHING_POLICY, initial_segment_rows=4, evidence_floor=4, max_segment_rows=16
             )
         )
     if reoptimize:
         config = config.with_reoptimizer(
             ReOptimizer(
-                policy=ReOptimizationPolicy(
+                policy=AdaptationPolicy(
                     initial_segment_rows=4,
-                    min_rows_before_replan=4,
+                    evidence_floor=4,
                     max_segment_rows=16,
                     hysteresis=0.0,
                 )

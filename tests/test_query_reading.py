@@ -10,9 +10,11 @@ harness reads the same counters.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.adaptive import ReOptimizer, SwitchPolicy
+from repro.adaptive import SWITCHING_POLICY, ReOptimizer
 from repro.core.execution.context import ExecutionCounters, RemoteExecutionContext
 from repro.core.optimizer import OptimizationDecision
 from repro.core.optimizer.plans import AccessPath
@@ -35,7 +37,7 @@ def _armed(mode: str) -> StrategyConfig:
     config = StrategyConfig.semi_join(batch_size=8)
     if mode in ("switch", "both"):
         config = config.with_switch_policy(
-            SwitchPolicy(initial_segment_rows=16, min_rows_before_switch=16)
+            replace(SWITCHING_POLICY, initial_segment_rows=16, evidence_floor=16)
         )
     if mode in ("reoptimize", "both"):
         config = config.with_reoptimizer(ReOptimizer(SCENARIO.replan_policy()))

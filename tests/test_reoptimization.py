@@ -10,14 +10,16 @@ import re
 
 import pytest
 
+from dataclasses import replace
+
 from repro.adaptive import (
+    SWITCHING_POLICY,
+    AdaptationPolicy,
     SegmentObservation,
     PlanShape,
     PredicateSpec,
-    ReOptimizationPolicy,
     ReOptimizer,
     StatisticsStore,
-    SwitchPolicy,
     canonical_predicate_key,
 )
 from repro.adaptive.observer import QueryObservation, UdfObservation
@@ -25,11 +27,7 @@ from repro.client.runtime import ClientRuntime
 from repro.core.execution import PlanMigrationOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.rewrite import build_operator
-from repro.core.optimizer.cost import (
-    RemainingStage,
-    remaining_plan_cost,
-    remaining_strategy_cost,
-)
+from repro.core.optimizer.cost import RemainingStage, remaining_plan_cost
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.expressions import BooleanOp, ColumnRef, Comparison, Literal, conjoin
@@ -225,9 +223,10 @@ class TestSemiJoinSegmentState:
         )
         # Segment, but never switch: only semi-join is a candidate, so any
         # wire difference is pure segment-boundary duplication.
-        policy = SwitchPolicy(
+        policy = replace(
+            SWITCHING_POLICY,
             initial_segment_rows=16,
-            min_rows_before_switch=16,
+            evidence_floor=16,
             candidate_strategies=(ExecutionStrategy.SEMI_JOIN,),
         )
 
@@ -282,9 +281,10 @@ class TestSemiJoinSegmentState:
             config=StrategyConfig(
                 strategy=ExecutionStrategy.NAIVE, batch_size=8
             ).with_switch_policy(
-                SwitchPolicy(
+                replace(
+                    SWITCHING_POLICY,
                     initial_segment_rows=16,
-                    min_rows_before_switch=16,
+                    evidence_floor=16,
                     hysteresis=0.0,
                     candidate_strategies=(
                         ExecutionStrategy.NAIVE,
@@ -299,7 +299,7 @@ class TestSemiJoinSegmentState:
             ],
         )
         operator.run()
-        assert operator.controller.switch_count >= 1
+        assert operator.controller.change_count >= 1
         # 100 distinct arguments: each shipped exactly once, whichever
         # strategy's segment first resolved it.
         assert context.channel_stats.downlink.rows_transferred == 100
@@ -339,8 +339,9 @@ class TestSwitcherWarmStart:
         )
         # A high evidence floor: a cold run needs several segments before it
         # may switch; a warm-started run may switch at the first boundary.
-        policy = SwitchPolicy(
-            initial_segment_rows=8, segment_growth=2.0, min_rows_before_switch=48
+        policy = replace(
+            SWITCHING_POLICY,
+            initial_segment_rows=8, segment_growth=2.0, evidence_floor=48
         )
         config = StrategyConfig(
             strategy=scenario.committed_strategy, batch_size=8
@@ -374,7 +375,7 @@ class TestSwitcherWarmStart:
         scenario = overestimated_selectivity_scenario(row_count=200)
 
         cold = self._operator(scenario, statistics=None)
-        assert cold.controller.prior_selectivity is None
+        assert cold.controller.statistics is None
         cold_index = self._first_switch_index(cold)
         assert cold_index is not None and cold_index >= 1  # floor blocks boundary 0
 
@@ -400,9 +401,9 @@ class TestSwitcherWarmStart:
         )
 
         warm = self._operator(scenario, statistics=store)
-        assert warm.controller.prior_selectivity == pytest.approx(
-            scenario.actual_selectivity, abs=0.01
-        )
+        assert warm.controller.statistics is store
+        prior = store.selectivity_prior(warm.stages[0].udf.name, warm.predicates[0].key)
+        assert prior == pytest.approx(scenario.actual_selectivity, abs=0.01)
         warm_index = self._first_switch_index(warm)
         assert warm_index is not None
         assert warm_index < cold_index
@@ -419,7 +420,7 @@ class TestSwitcherWarmStart:
         first = db.execute(
             sql,
             config=StrategyConfig.semi_join(),
-            switch_policy=SwitchPolicy(initial_segment_rows=16, min_rows_before_switch=16),
+            switch_policy=replace(SWITCHING_POLICY, initial_segment_rows=16, evidence_floor=16),
         )
         # The first run's observation landed in the store under the pushed
         # predicate, so a second run warm-starts from it.
@@ -427,7 +428,7 @@ class TestSwitcherWarmStart:
         second = db.execute(
             sql,
             config=StrategyConfig.semi_join(),
-            switch_policy=SwitchPolicy(initial_segment_rows=16, min_rows_before_switch=16),
+            switch_policy=replace(SWITCHING_POLICY, initial_segment_rows=16, evidence_floor=16),
         )
         assert second.row_set() == first.row_set()
 
@@ -461,26 +462,6 @@ class TestRemainingPlanCost:
 
     def test_zero_rows_cost_nothing(self):
         assert remaining_plan_cost([self.stage()], 0, **self.kwargs()) == 0.0
-
-    def test_single_stage_matches_remaining_strategy_cost(self):
-        stage = self.stage(selectivity=0.3)
-        plan = remaining_plan_cost([stage], 400, **self.kwargs())
-        direct = remaining_strategy_cost(
-            stage.strategy,
-            400,
-            record_bytes=500.0,
-            argument_bytes=stage.argument_bytes,
-            result_bytes=stage.result_bytes,
-            returned_row_bytes=508.0,
-            selectivity=0.3,
-            distinct_fraction=1.0,
-            udf_seconds_per_call=0.001,
-            downlink_bandwidth=NETWORK.downlink_bandwidth,
-            uplink_bandwidth=NETWORK.uplink_bandwidth,
-            latency=NETWORK.latency,
-            batch_size=8.0,
-        )
-        assert plan == pytest.approx(direct)
 
     def test_selective_cheap_stage_first_is_cheaper(self):
         """The rank-ordering intuition the re-optimizer acts on: the filter
@@ -543,15 +524,15 @@ def _observation(rows_processed=64, remaining=536, slim=(61, 64), heavy=(3, 61))
 class TestReOptimizerDecisions:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            ReOptimizationPolicy(initial_segment_rows=0)
+            AdaptationPolicy(initial_segment_rows=0)
         with pytest.raises(ValueError):
-            ReOptimizationPolicy(segment_growth=0.5)
+            AdaptationPolicy(segment_growth=0.5)
         with pytest.raises(ValueError):
-            ReOptimizationPolicy(max_replans=-1)
+            AdaptationPolicy(change_budget=-1)
         with pytest.raises(ValueError):
-            ReOptimizationPolicy(hysteresis=-0.1)
+            AdaptationPolicy(hysteresis=-0.1)
         with pytest.raises(ValueError):
-            ReOptimizationPolicy(candidate_strategies=())
+            AdaptationPolicy(candidate_strategies=())
 
     def test_migrates_when_observed_statistics_contradict_declared(self):
         """slim declared 0.05 / observed ~0.95, heavy declared 0.95 /
@@ -560,13 +541,13 @@ class TestReOptimizerDecisions:
         decision = reoptimizer.consider(_observation())
         assert decision.changed
         assert reoptimizer.current_shape.udf_order == ("heavy", "slim")
-        assert reoptimizer.replan_count == 1
+        assert reoptimizer.change_count == 1
 
     def test_no_migration_when_declarations_were_right(self):
         # Semi-join-only candidates isolate the *order* decision from the
         # (independent) per-stage strategy choice.
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(
+            policy=AdaptationPolicy(
                 candidate_strategies=(ExecutionStrategy.SEMI_JOIN,)
             )
         )
@@ -579,7 +560,7 @@ class TestReOptimizerDecisions:
 
     def test_evidence_floor_blocks_early_migration(self):
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(min_rows_before_replan=128)
+            policy=AdaptationPolicy(evidence_floor=128)
         )
         decision = reoptimizer.consider(_observation(rows_processed=64))
         assert not decision.changed
@@ -609,7 +590,7 @@ class TestReOptimizerDecisions:
                 )
             )
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(min_rows_before_replan=128), statistics=store
+            policy=AdaptationPolicy(evidence_floor=128), statistics=store
         )
         decision = reoptimizer.consider(
             _observation(rows_processed=8, slim=(8, 8), heavy=(0, 8))
@@ -618,7 +599,7 @@ class TestReOptimizerDecisions:
 
     def test_replan_budget_exhaustion(self):
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(max_replans=1, cooldown_segments=0)
+            policy=AdaptationPolicy(change_budget=1, cooldown_segments=0)
         )
         first = reoptimizer.consider(_observation())
         assert first.changed
@@ -626,11 +607,11 @@ class TestReOptimizerDecisions:
         second = reoptimizer.consider(_observation(slim=(3, 64), heavy=(3, 3)))
         assert not second.changed
         assert "budget" in second.reason
-        assert reoptimizer.replan_count == 1
+        assert reoptimizer.change_count == 1
 
     def test_cooldown_spaces_out_migrations(self):
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(cooldown_segments=2, max_replans=5, hysteresis=0.0)
+            policy=AdaptationPolicy(cooldown_segments=2, change_budget=5, hysteresis=0.0)
         )
         assert reoptimizer.consider(_observation()).changed
         blocked = reoptimizer.consider(_observation(slim=(3, 64), heavy=(3, 3)))
@@ -639,7 +620,7 @@ class TestReOptimizerDecisions:
 
     def test_hysteresis_blocks_marginal_wins(self):
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(hysteresis=10.0)
+            policy=AdaptationPolicy(hysteresis=10.0)
         )
         decision = reoptimizer.consider(_observation())
         assert not decision.changed
@@ -650,7 +631,7 @@ class TestReOptimizerDecisions:
         spent budget (or a settled verdict) into the next query: bind()
         starts fresh."""
         reoptimizer = _two_stage_reoptimizer(
-            policy=ReOptimizationPolicy(max_replans=1)
+            policy=AdaptationPolicy(change_budget=1)
         )
         assert reoptimizer.consider(_observation()).changed
         assert reoptimizer.settled
@@ -669,7 +650,7 @@ class TestReOptimizerDecisions:
             ],
         )
         assert not reoptimizer.settled
-        assert reoptimizer.replan_count == 0
+        assert reoptimizer.change_count == 0
         assert reoptimizer.decisions == []
         assert reoptimizer.consider(_observation()).changed
 
@@ -755,13 +736,13 @@ class TestEngineReoptimization:
 
     def test_replan_budget_zero_behaves_like_committed(self):
         scenario = MisorderedUdfScenario()
-        from repro.adaptive import ReOptimizationPolicy
+        from repro.adaptive import AdaptationPolicy
 
         committed = scenario.build_database().execute(scenario.sql, optimize=True)
         pinned = scenario.build_database().execute(
             scenario.sql,
             reoptimize=True,
-            replan_policy=ReOptimizationPolicy(max_replans=0),
+            replan_policy=AdaptationPolicy(change_budget=0),
         )
         assert pinned.metrics.plan_migrations == 0
         assert pinned.metrics.replan_attempts == 0
@@ -872,7 +853,7 @@ class TestEngineReoptimization:
         result = scenario.build_database().execute(
             scenario.sql,
             reoptimize=True,
-            replan_policy=ReOptimizationPolicy(candidate_strategies=(strategy,), max_replans=2),
+            replan_policy=AdaptationPolicy(candidate_strategies=(strategy,), change_budget=2),
         )
         for shape in result.metrics.shapes_used[1:]:
             assert set(re.findall(r"\[(\w+)\]", shape)) == {strategy.value}, shape
@@ -909,6 +890,89 @@ class TestShapesUsedSurface:
 # ---------------------------------------------------------------------------
 # Pushable projections inside migrated chains (PR 4 follow-up)
 # ---------------------------------------------------------------------------
+
+
+class TestChainWithoutProjection:
+    def _run(self, policy, threshold_a=None):
+        """The misordered scenario's chain, built without a pushed projection."""
+        from repro.core.execution.adaptive import MigrationPredicate, MigrationStage
+
+        scenario = MisorderedUdfScenario()
+        db = scenario.build_database()
+        context = RemoteExecutionContext.create(
+            scenario.network, client=ClientRuntime(registry=db.udfs)
+        )
+        names = ("ProbeA", "ProbeB")
+        thresholds = (
+            scenario.actual_selectivity_a * scenario.row_count - 1
+            if threshold_a is None
+            else threshold_a,
+            scenario.actual_selectivity_b * scenario.row_count - 1,
+        )
+        operator = PlanMigrationOperator(
+            TableScan(db.catalog.table("T")),
+            [
+                MigrationStage(
+                    udf=db.udfs.get(name),
+                    argument_columns=("T.V",),
+                    result_column_name=f"{name}_result",
+                    strategy=ExecutionStrategy.SEMI_JOIN,
+                )
+                for name in names
+            ],
+            context,
+            config=StrategyConfig.semi_join(batch_size=8),
+            predicates=[
+                MigrationPredicate(
+                    _compare(f"{name}_result", "<=", threshold),
+                    frozenset({name.lower()}),
+                    declared,
+                )
+                for name, threshold, declared in zip(
+                    names,
+                    thresholds,
+                    (scenario.declared_selectivity_a, scenario.declared_selectivity_b),
+                )
+            ],
+            controller=ReOptimizer(policy),
+        )
+        observations = []
+        consider = operator.controller.consider
+
+        def recorded(observation):
+            observations.append(observation)
+            return consider(observation)
+
+        operator.controller.consider = recorded
+        return operator, operator.run(), observations
+
+    def test_a_reordered_segment_is_merged_in_the_declared_column_order(self):
+        committed, committed_rows, _ = self._run(AdaptationPolicy(change_budget=0))
+        migrated, migrated_rows, _ = self._run(MisorderedUdfScenario().replan_policy())
+        assert committed.controller.change_count == 0
+        assert migrated.controller.current_shape.udf_order == ("probeb", "probea")
+        assert migrated.schema.qualified_names() == committed.schema.qualified_names()
+        assert sorted(map(tuple, migrated_rows)) == sorted(map(tuple, committed_rows))
+
+    def test_a_udf_no_row_reached_yet_is_priced_at_its_declared_cost(self):
+        """ProbeA keeps no row, so ProbeB is never called: the boundaries
+        price it at its declared per-call cost, and ProbeA at its measured one."""
+        scenario = MisorderedUdfScenario()
+        operator, rows, observations = self._run(AdaptationPolicy(), threshold_a=-1)
+        assert rows == [] and observations
+        for observation in observations:
+            assert observation.stage_seconds_per_call == {
+                "probea": pytest.approx(scenario.cost_a_seconds),
+                "probeb": scenario.cost_b_seconds,
+            }
+
+
+def test_an_unmeasured_link_is_priced_at_its_configured_bandwidth():
+    from repro.core.execution.adaptive import _bandwidth
+    from repro.network.stats import TransferCounters
+
+    assert _bandwidth(TransferCounters(), 5000.0) == 5000.0
+    assert _bandwidth(TransferCounters(), None) == 1e9  # no network model: free
 
 
 class TestChainProjectionPush:
@@ -956,7 +1020,7 @@ class TestChainProjectionPush:
                 strategy=ExecutionStrategy.CLIENT_SITE_JOIN, batch_size=8
             ),
             output_columns=output_columns,
-            controller=ReOptimizer(policy=ReOptimizationPolicy(max_replans=0)),
+            controller=ReOptimizer(policy=AdaptationPolicy(change_budget=0)),
         )
         rows = operator.run()
         return rows, context
@@ -1041,7 +1105,7 @@ class TestOneKeyPerPredicate:
         result = self.make_db().execute(
             sql,
             reoptimize=True,
-            replan_policy=ReOptimizationPolicy(initial_segment_rows=40, min_rows_before_replan=40),
+            replan_policy=AdaptationPolicy(initial_segment_rows=40, evidence_floor=40),
         )
         assert result.metrics.replan_attempts >= 1
         assert len(result.rows) == 100
