@@ -1,17 +1,23 @@
-"""The client runtime: a simulation process serving UDF requests.
+"""The client runtime: serves UDF requests from a channel's client mailbox.
 
 The runtime owns the client's UDF registry and serves the wire protocol of
 :mod:`repro.client.protocol`.  It models the client machine of the paper's
 experiments: each UDF invocation costs simulated CPU time, pushed-down
 predicates and projections are applied locally, and only the surviving,
 projected data is shipped back over the uplink.
+
+Serving is a chain of kernel-entry calls, not a simulation process, because
+the client only reacts to arrivals: its mailbox calls it with each message
+(:meth:`Store.read <repro.network.resources.Store.read>`), the answer is
+sent by a call scheduled after the simulated compute time, and the next read
+hangs off the reply's transmission end.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import UdfError, UdfExecutionError
+from repro.errors import UdfError
 from repro.client.cache import ResultCache
 from repro.client.protocol import (
     ArgumentBatch,
@@ -33,7 +39,7 @@ from repro.network.message import (
     error_message,
     is_end_of_stream,
 )
-from repro.network.simulator import Simulator
+from repro.network.resources import StoreReader
 from repro.relational.tuples import RowBatch
 
 
@@ -45,14 +51,11 @@ class ClientRuntime:
         registry: Optional[UdfRegistry] = None,
         name: str = "client",
         use_result_cache: bool = True,
-        fail_on_invocation: Optional[int] = None,
     ) -> None:
         self.registry = registry if registry is not None else UdfRegistry()
         self.name = name
         self.use_result_cache = use_result_cache
         self.cache = ResultCache()
-        #: When set, the N-th UDF invocation raises — used by failure-injection tests.
-        self.fail_on_invocation = fail_on_invocation
 
         # Instrumentation.
         self.udf_invocations = 0
@@ -77,44 +80,13 @@ class ClientRuntime:
 
     # -- lifecycle -------------------------------------------------------------------
 
-    def start(self, simulator: Simulator, channel: Channel):
-        """Start the serve loop on ``simulator`` reading from ``channel``."""
-        return simulator.process(self._serve(simulator, channel), name=f"{self.name}.serve")
+    def start(self, channel: Channel) -> Event:
+        """Serve ``channel`` from its simulator's current instant on.
 
-    # -- serve loop ------------------------------------------------------------------
-
-    def _serve(self, simulator: Simulator, channel: Channel) -> Generator[Event, Any, None]:
-        handlers = {
-            MessageKind.UDF_ARGUMENTS: self._handle_argument_batch,
-            MessageKind.RECORDS: self._handle_record_batch,
-        }
-        while True:
-            message: Message = channel.poll_at_client() or (yield channel.receive_at_client())
-            self.messages_handled += 1
-            kind = message.kind
-            if kind is MessageKind.CONTROL:
-                if is_end_of_stream(message):
-                    yield channel.send_to_server(end_of_stream(sender=self.name))
-                    return
-                continue
-            if kind is MessageKind.FINAL_RESULTS:
-                batch: FinalResultBatch = message.payload
-                self._record_batch_size(len(batch))
-                self.delivered_rows.extend(batch.rows)
-                continue
-            # Everything else is answered with one reply, after the simulated
-            # time the answer took to compute; a failure is the reply.
-            try:
-                handle = handlers.get(kind)
-                if handle is None:
-                    raise UdfError(f"unexpected message kind {kind}")
-                self._record_batch_size(len(message.payload))
-                compute, reply = handle(message.payload)
-            except UdfError as exc:
-                compute, reply = 0.0, error_message(exc, sender=self.name)
-            if compute > 0:
-                yield simulator.timeout(compute)
-            yield channel.send_to_server(reply)
+        Returns the event that fires once the end of stream is acknowledged
+        — or fails with the exception that stopped the serving.
+        """
+        return _Serving(self, channel).start()
 
     # -- handlers: ``payload -> (compute_seconds, reply)`` -----------------------------
 
@@ -208,7 +180,6 @@ class ClientRuntime:
         # The client charges the *actual* per-call cost, which may differ
         # from the declared one the planner believes.
         cost = udf.runtime_cost_per_call_seconds
-        fail_on = self.fail_on_invocation
         invoke = udf.invoke
         results: List[Any] = []
         append = results.append
@@ -233,8 +204,6 @@ class ClientRuntime:
                             append(cached)
                             continue
                 invocations += 1
-                if fail_on is not None and invocations >= fail_on:
-                    raise UdfExecutionError(udf.name, RuntimeError("injected client failure"))
                 result = invoke(arguments)
                 compute += cost
                 compute_total += cost
@@ -267,3 +236,69 @@ class ClientRuntime:
             f"ClientRuntime({self.name!r}, udfs={self.registry.names()}, "
             f"invocations={self.udf_invocations})"
         )
+
+
+class _Serving(StoreReader):
+    """One :meth:`ClientRuntime.start`: the serve loop as kernel-entry calls.
+
+    A message that needs an answer is answered by :meth:`reply` once its
+    compute time has passed, and the mailbox is read on (:meth:`read_on`)
+    when the reply is on the wire; ``done`` fires once the end of stream is
+    acknowledged.
+    """
+
+    __slots__ = ("runtime", "channel")
+
+    #: The messages answered with a reply: ``handler(runtime, payload)``.
+    HANDLERS = {
+        MessageKind.UDF_ARGUMENTS: ClientRuntime._handle_argument_batch,
+        MessageKind.RECORDS: ClientRuntime._handle_record_batch,
+    }
+
+    def __init__(self, runtime: ClientRuntime, channel: Channel) -> None:
+        super().__init__(channel.client_inbox, (runtime.name, ".serve"))
+        self.runtime = runtime
+        self.channel = channel
+
+    def react(self, message: Message) -> bool:
+        runtime = self.runtime
+        runtime.messages_handled += 1
+        kind = message.kind
+        if kind is MessageKind.CONTROL:
+            if is_end_of_stream(message):
+                acknowledged = self.channel.send_to_server(end_of_stream(sender=runtime.name))
+                acknowledged.add_callback(self.finish)
+                return True
+            return False
+        if kind is MessageKind.FINAL_RESULTS:
+            batch: FinalResultBatch = message.payload
+            runtime._record_batch_size(len(batch))
+            runtime.delivered_rows.extend(batch.rows)
+            return False
+        # Everything else is answered with one reply, after the simulated
+        # time the answer took to compute; a failure is the reply.
+        try:
+            handle = self.HANDLERS.get(kind)
+            if handle is None:
+                raise UdfError(f"unexpected message kind {kind}")
+            runtime._record_batch_size(len(message.payload))
+            compute, reply = handle(runtime, message.payload)
+        except UdfError as exc:
+            compute, reply = 0.0, error_message(exc, sender=runtime.name)
+        if compute > 0:
+            self.store.simulator._schedule_call(compute, self.reply, reply)
+        else:
+            self.reply(reply)
+        return True
+
+    def reply(self, message: Message) -> None:
+        try:
+            self.channel.send_to_server(message).add_callback(self.read_on)
+        except Exception as exc:  # noqa: BLE001 - fails ``done``, not the kernel
+            self.done.fail(exc)
+
+    def read_on(self, _event: Event) -> None:
+        self.take(None)
+
+    def finish(self, _event: Event) -> None:
+        self.done.succeed()

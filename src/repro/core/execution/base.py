@@ -13,6 +13,7 @@ from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
 from repro.network.message import Message, MessageKind, is_end_of_stream
+from repro.network.resources import StoreReader
 from repro.relational.expressions import Expression
 from repro.relational.keys import KeyCodes
 from repro.relational.operators.base import Operator
@@ -197,29 +198,16 @@ class RemoteUdfOperator(Operator):
     def exchange(
         self, name: str, sender, take_reply: Callable[[Any], None], window: InFlightWindow
     ):
-        """Run ``sender`` beside the receiver loop until the reply stream ends.
+        """Run ``sender`` while the replies are taken, until the reply stream ends.
 
-        The receiver takes each reply as it arrives, raises a client
-        failure, frees the reply's window slot and hands its payload to
-        ``take_reply``.  It is awaited first: a client failure surfaces
-        there even while the sender is blocked on a slot that will never
-        be freed.
+        The replies are taken by calls, not a process (a :class:`StoreReader`):
+        each raises a client failure, frees the reply's window slot and hands
+        the payload to ``take_reply``.  Their end is awaited first: a client
+        failure surfaces there even while the sender is blocked on a slot
+        that will never be freed.
         """
-        simulator = self.context.simulator
-        channel = self.context.channel
-
-        def receiver():
-            while True:
-                reply = channel.poll_at_server() or (yield channel.receive_at_server())
-                if is_end_of_stream(reply):
-                    return
-                self.check_reply(reply)
-                window.release()
-                take_reply(reply.payload)
-
-        sender_process = simulator.process(sender, name=f"{name}.sender")
-        receiver_process = simulator.process(receiver(), name=f"{name}.receiver")
-        yield receiver_process
+        sender_process = self.context.simulator.process(sender, name=f"{name}.sender")
+        yield _ReplyTaker(self, name, take_reply, window).start()
         yield sender_process
 
     # -- shared helpers ----------------------------------------------------------------
@@ -335,3 +323,31 @@ class RemoteUdfOperator(Operator):
             f"{type(self).__name__}({self.udf.name} on "
             f"{', '.join(self.argument_columns)})"
         )
+
+
+class _ReplyTaker(StoreReader):
+    """The reply side of :meth:`RemoteUdfOperator.exchange`: ``done`` fires
+    at the end of stream, or fails with the exception a reply raised."""
+
+    __slots__ = ("operator", "take_reply", "window")
+
+    def __init__(
+        self,
+        operator: RemoteUdfOperator,
+        name: str,
+        take_reply: Callable[[Any], None],
+        window: InFlightWindow,
+    ) -> None:
+        super().__init__(operator.context.channel.server_inbox, (name, ".replies"))
+        self.operator = operator
+        self.take_reply = take_reply
+        self.window = window
+
+    def react(self, reply: Message) -> bool:
+        if is_end_of_stream(reply):
+            self.done.succeed()
+            return True
+        self.operator.check_reply(reply)
+        self.window.release()
+        self.take_reply(reply.payload)
+        return False

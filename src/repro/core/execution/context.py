@@ -147,7 +147,7 @@ class RemoteExecutionContext:
     # -- execution ---------------------------------------------------------------------
 
     def run_remote(self, coordinator: Generator, name: str = "remote-operation") -> Any:
-        """Run ``coordinator`` together with the client serve loop to completion.
+        """Run ``coordinator`` together with the client's serving to completion.
 
         Returns the coordinator's return value.  Raises
         :class:`~repro.errors.ExecutionError` if either side deadlocks or the
@@ -157,7 +157,7 @@ class RemoteExecutionContext:
         return self.run_exchange(coordinator, name=name)
 
     def run_exchange(self, coordinator: Generator, name: str = "remote-operation") -> Any:
-        """Drive one coordinator/serve-loop exchange to completion.
+        """Drive one coordinator / client exchange to completion.
 
         Result delivery reuses it too, so *all* exchange driving funnels
         through here; :meth:`_drive_exchange` is the part a
@@ -166,7 +166,7 @@ class RemoteExecutionContext:
         worker on the coordinator process and lets the traffic driver
         interleave every session's events on one clock.
         """
-        serve_process = self.client.start(self.simulator, self.channel)
+        serving = self.client.start(self.channel)
         coordinator_process = self.simulator.process(coordinator, name=name)
         self._drive_exchange(coordinator_process)
 
@@ -180,10 +180,10 @@ class RemoteExecutionContext:
             if isinstance(exception, ExecutionError):
                 raise exception
             raise ExecutionError(f"remote operation {name!r} failed: {exception}") from exception
-        if serve_process.triggered and serve_process._exception is not None:
+        if serving.triggered and serving._exception is not None:
             raise ExecutionError(
-                f"client runtime failed during {name!r}: {serve_process._exception}"
-            ) from serve_process._exception
+                f"client runtime failed during {name!r}: {serving._exception}"
+            ) from serving._exception
         return coordinator_process.value
 
     def _drive_exchange(self, coordinator_process: Any) -> None:

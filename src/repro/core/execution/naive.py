@@ -64,8 +64,8 @@ class NaiveUdfOperator(RemoteUdfOperator):
         # does not change while the sender runs), or already sent or
         # pending.
         results_by_code, resolved = self.resolved_earlier(self.carry_state, keys)
-        # The codes shipped, in shipping order: the receiver's results pair
-        # with them positionally once both processes have finished.
+        # The codes shipped, in shipping order: the replies' results pair
+        # with them positionally once the sender and the replies have ended.
         shipped_codes: List[int] = []
         shipped_results: List[Any] = []
         # Input rows acknowledged by each reply (cache-resolved rows between

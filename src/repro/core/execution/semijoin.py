@@ -10,7 +10,8 @@ concurrency factor.
   slot first.
 * The client evaluates the UDF on each received argument tuple and ships the
   bare result back on the uplink.
-* The receiver wakes once per reply.  Results come back in shipping order,
+* The receiver — calls, not a process (``RemoteUdfOperator.exchange``) —
+  wakes once per reply.  Results come back in shipping order,
   so it pairs them positionally with the shipped argument tuples (a merge
   join on the sorted argument key), caches each, and only then releases the
   tuple's pipeline slot — at most ``concurrency_factor`` argument tuples are
@@ -18,8 +19,9 @@ concurrency factor.
   execution, exactly as in the paper.
 
 Rows that ship nothing (argument duplicates) cost the simulation nothing: the
-result column is assembled from the result cache after both processes have
-finished, so the hand-off between them is per reply, not per row.
+result column is assembled from the result cache after the sender and the
+reply stream have ended, so the hand-off between them is per reply, not per
+row.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
             # ``shipped[code]`` is 1 once a tuple has shipped — here or in an
             # earlier segment.
             results_by_code, shipped = self.resolved_earlier(carried, keys)
-        # The handoff between the two processes is per reply, not per row:
+        # The handoff between sender and receiver is per reply, not per row:
         # the sender notes the slots it ships, the receiver collects the
         # results of each reply, and since the two streams are in the same
         # order they are paired positionally once both have finished.

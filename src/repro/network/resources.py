@@ -1,32 +1,32 @@
 """Simulation resources: bounded FIFO stores.
 
-A :class:`Store` is the synchronisation primitive used throughout the
-execution strategies:
-
-* the *pipeline buffer* between the semi-join sender and receiver is a store
-  whose capacity is the pipeline concurrency factor (Section 3.1.2);
-* mailboxes at each end of a channel are unbounded stores that messages are
-  delivered into.
+A :class:`Store` is a FIFO buffer, optionally bounded.  The engine uses it as
+the mailbox at each end of a channel: unbounded, a link delivers messages
+into it and one reader takes them out in stream order.  (The pipeline's
+in-flight bound is :class:`~repro.core.execution.overlap.InFlightWindow`.)
 
 ``put`` blocks (the putting process waits) while the store is full; ``get``
-blocks while it is empty.  Both are FIFO, preserving stream order.
+blocks while it is empty.  Both return an event, for processes that really
+wait.  A reader that only reacts to arrivals is a call instead:
+:meth:`Store.read` parks ``reader`` in the slot ``get`` parks its event in,
+and the store calls ``reader(item)`` in the kernel entry that event would
+have been processed in.  :class:`StoreReader` is such a reader's loop.
 
-Both return an event, for callers that really wait.  Three shortcuts exist
-for callers that do not, and none can reorder the simulation: :meth:`Store.post`
-enters an item whose arrival nobody waits on (a link delivering into a
-mailbox) without creating the completion event that would be dropped unread;
-:meth:`Store.get_now` takes an item that is already there without a
-zero-delay event when the instant is quiet
+Three shortcuts exist for callers that do not wait, and none can reorder the
+simulation: :meth:`Store.post` enters an item whose arrival nobody waits on
+(a link delivering into a mailbox) without creating the completion event
+that would be dropped unread; :meth:`Store.get_now` takes an item that is
+already there without a zero-delay entry when the instant is quiet
 (:meth:`~repro.network.simulator.Simulator.quiet`); and :meth:`Store.deliver`
 is :meth:`Store.post` for a caller that ends its kernel entry, which may then
-wake the getter parked on the store in place.
+hand the item to the reader parked on the store in place.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.network.events import Event
@@ -45,7 +45,8 @@ class Store:
         self._get_name = (self.name, ".get")
         self._items: Deque[Any] = deque()
         self._put_waiters: Deque[Tuple[Optional[Event], Any]] = deque()
-        self._get_waiters: Deque[Event] = deque()
+        #: Parked readers in FIFO order: a :meth:`get` event or a :meth:`read` callable.
+        self._get_waiters: Deque[Union[Event, Callable[[Any], None]]] = deque()
         # Instrumentation: peak occupancy tells us the effective pipeline
         # concurrency actually reached during a run.
         self.peak_occupancy = 0
@@ -69,6 +70,18 @@ class Store:
             self._dispatch()
         return event
 
+    def read(self, reader: Callable[[Any], None]) -> None:
+        """Call ``reader(item)`` with the next item once one is available.
+
+        :meth:`get` for a reader that is a call, not a process: ``reader``
+        waits in the slot the event would, and is called as a kernel entry
+        at the heap position the event's would take — or in place, by
+        :meth:`deliver`, where the event would be processed in place.
+        """
+        self._get_waiters.append(reader)
+        if self._items:
+            self._dispatch()
+
     def post(self, item: Any) -> None:
         """Put ``item`` with no completion event: for putters that never wait.
 
@@ -89,20 +102,25 @@ class Store:
     def deliver(self, item: Any) -> None:
         """:meth:`post` as the last action of the caller's kernel entry.
 
-        With one getter parked on the empty store at a quiet instant, the
+        With one reader parked on the empty store at a quiet instant, the
         wake-up :meth:`post` schedules would be the very next entry the
-        kernel pops; the getter is resumed here instead.  In every other
-        state — and from host code, which must use :meth:`post` — the
-        wake-up is scheduled as usual.
+        kernel pops; the item is handed to the reader here instead, counted
+        as a put and a get.  In every other state — and from host code,
+        which must use :meth:`post` — the wake-up is scheduled as usual.
         """
         getters = self._get_waiters
-        parked = None
         if len(getters) == 1 and not self._items and not self._put_waiters and self.simulator.quiet():
             parked = getters.popleft()
-        self.post(item)
-        if parked is not None:
+            self.total_puts += 1
             self.total_gets += 1
-            parked.succeed_now(self._items.popleft())
+            if not self.peak_occupancy:
+                self.peak_occupancy = 1  # the item passes through the buffer
+            if isinstance(parked, Event):
+                parked.succeed_now(item)
+            else:
+                parked(item)
+            return
+        self.post(item)
 
     def get_now(self, default: Any = None) -> Any:
         """The next item if one is buffered and the instant is quiet, else ``default``.
@@ -154,10 +172,13 @@ class Store:
                     event.succeed()
                 progress = True
             if self._get_waiters and self._items:
-                event = self._get_waiters.popleft()
+                waiter = self._get_waiters.popleft()
                 item = self._items.popleft()
                 self.total_gets += 1
-                event.succeed(item)
+                if isinstance(waiter, Event):
+                    waiter.succeed(item)
+                else:
+                    self.simulator._schedule_call(0.0, waiter, item)
                 progress = True
 
     def __repr__(self) -> str:
@@ -165,3 +186,50 @@ class Store:
             f"Store({self.name!r}, occupancy={len(self._items)}, "
             f"capacity={self.capacity}, peak={self.peak_occupancy})"
         )
+
+
+class StoreReader:
+    """A store's reader as a chain of kernel-entry calls, not a process.
+
+    :meth:`take` hands an item to :meth:`react`, then every item already
+    buffered at a quiet instant (:meth:`Store.get_now`), and parks itself on
+    the store (:meth:`Store.read`) when none is left — unless ``react``
+    returns True: it has arranged what runs next.  An exception fails
+    ``done`` instead of leaving the kernel entry, so it reaches whoever waits
+    on ``done`` and never :meth:`Simulator.step
+    <repro.network.simulator.Simulator.step>`.  Subclasses hold their state
+    in slots and schedule bound methods, not closures that name each other,
+    so no reference cycle outlives ``done``.
+    """
+
+    __slots__ = ("store", "done")
+
+    def __init__(self, store: Store, name: Tuple[Any, ...]) -> None:
+        self.store = store
+        self.done = Event(store.simulator, name)
+
+    def start(self) -> Event:
+        """Take from the current instant on (one call entry at ``now``, where a
+        process would start); returns ``done``."""
+        self.store.simulator._schedule_call(0.0, self.take, None)
+        return self.done
+
+    def take(self, item: Any) -> None:
+        """React to ``item`` (``None``: none yet) and to what is buffered."""
+        store = self.store
+        try:
+            while True:
+                if item is None:
+                    item = store.get_now()
+                    if item is None:
+                        store.read(self.take)
+                        return
+                if self.react(item):
+                    return
+                item = None
+        except Exception as exc:  # noqa: BLE001 - fails ``done``, not the kernel
+            self.done.fail(exc)
+
+    def react(self, item: Any) -> bool:
+        """Take one item; True when the subclass has arranged the next read."""
+        raise NotImplementedError

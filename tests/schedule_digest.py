@@ -65,10 +65,13 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
 
     original_step = Simulator.step
     original_record = TransferCounters.record
-    # Messages enter a mailbox through ``put`` (event-returning) or, where
-    # nobody waits on the put, through ``post``; hook whichever exists.
-    entry_points = [name for name in ("put", "post") if hasattr(Store, name)]
+    # Messages enter a mailbox through ``put`` (event-returning), through
+    # ``post`` where nobody waits on the put, or through ``deliver``, which
+    # hands an arrival straight to a parked reader and otherwise posts it;
+    # hook whichever exists, and log an arrival once however it nests.
+    entry_points = [name for name in ("put", "post", "deliver") if hasattr(Store, name)]
     originals = {name: getattr(Store, name) for name in entry_points}
+    in_entry: List[object] = []  # the items whose entry is under way, innermost last
 
     def step(self):
         clock[:] = [self]
@@ -93,7 +96,7 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
         original = originals[name]
 
         def enter(self, item):
-            if isinstance(item, Message):
+            if isinstance(item, Message) and not (in_entry and in_entry[-1] is item):
                 log.append(
                     (
                         "rx",
@@ -104,7 +107,11 @@ def recorded_schedule() -> Iterator[List[Tuple]]:
                         self.simulator.now.hex(),
                     )
                 )
-            return original(self, item)
+            in_entry.append(item)
+            try:
+                return original(self, item)
+            finally:
+                in_entry.pop()
 
         return enter
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SandboxViolation, UdfError, UdfExecutionError
+from repro.errors import ChannelClosedError, SandboxViolation, UdfError, UdfExecutionError
 from repro.client.cache import ResultCache
 from repro.client.protocol import ArgumentBatch, PushedOperations, RecordBatch, RemoteCall
 from repro.client.registry import UdfRegistry
@@ -15,6 +15,8 @@ from repro.network.simulator import Simulator
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.relational.schema import Column, Schema
 from repro.relational.types import FLOAT, INTEGER
+
+from client_faults import INJECTED, failing_from
 
 
 class TestUdfDefinition:
@@ -163,7 +165,7 @@ def _run_runtime(runtime, messages, fast=True):
     sim = Simulator()
     bandwidth = 1_000_000.0 if fast else 1000.0
     channel = Channel(sim, bandwidth, bandwidth, latency=0.001)
-    runtime.start(sim, channel)
+    runtime.start(channel)
     replies = []
 
     def server():
@@ -184,10 +186,19 @@ def _run_runtime(runtime, messages, fast=True):
 
 
 class TestClientRuntime:
-    def make_registry(self):
+    def make_registry(self, fail_at=None):
+        """``double`` at 0.01 s a call; with ``fail_at``, its ``fail_at``-th
+        call and every later one raise."""
+
+        def double(x):
+            return 2 * x
+
         registry = UdfRegistry()
         registry.register_function(
-            "double", lambda x: 2 * x, result_dtype=FLOAT, cost_per_call_seconds=0.01
+            "double",
+            double if fail_at is None else failing_from(fail_at, double),
+            result_dtype=FLOAT,
+            cost_per_call_seconds=0.01,
         )
         return registry
 
@@ -288,7 +299,7 @@ class TestClientRuntime:
         assert any(reply.kind is MessageKind.ERROR for reply in replies)
 
     def test_injected_failure_reports_error(self):
-        runtime = ClientRuntime(registry=self.make_registry(), fail_on_invocation=2)
+        runtime = ClientRuntime(registry=self.make_registry(fail_at=2))
         call = RemoteCall("double", (0,))
         message = Message(
             MessageKind.UDF_ARGUMENTS, ArgumentBatch(call, [(1,), (2,), (3,)]), payload_bytes=12
@@ -299,7 +310,7 @@ class TestClientRuntime:
     def test_injected_failure_keeps_the_counters_of_the_invocations_that_ran(self):
         """The batch loop counts in locals; a failure mid-batch must still
         leave what ran before it — and the failing attempt — on the runtime."""
-        runtime = ClientRuntime(registry=self.make_registry(), fail_on_invocation=3)
+        runtime = ClientRuntime(registry=self.make_registry(fail_at=3))
         call = RemoteCall("double", (0,))
         message = Message(
             MessageKind.UDF_ARGUMENTS,
@@ -307,11 +318,32 @@ class TestClientRuntime:
             payload_bytes=20,
         )
         replies = _run_runtime(runtime, [message])
-        assert any(reply.kind is MessageKind.ERROR for reply in replies)
+        errors = [reply.payload for reply in replies if reply.kind is MessageKind.ERROR]
+        assert [type(error) for error in errors] == [UdfExecutionError]
+        assert INJECTED in str(errors[0])
         assert runtime.udf_invocations == 3  # (1,), (2,) ran; (3,) was the injected failure
         assert runtime.invocations_of("double") == 2
         assert runtime.cache_hits == 1
         assert runtime.compute_seconds == runtime.compute_seconds_of("double") == 0.01 + 0.01
+
+    def test_a_refused_reply_fails_the_serving_not_the_kernel(self):
+        """Serving is kernel-entry calls: an exception in one (here the closed
+        uplink refusing the answer) fails the event ``start`` returned, and
+        the simulation runs on."""
+        sim = Simulator()
+        channel = Channel(sim, 1_000_000.0, 1_000_000.0, latency=0.001)
+        runtime = ClientRuntime(registry=self.make_registry())
+        serving = runtime.start(channel)
+        call = RemoteCall("double", (0,))
+        channel.send_to_client(
+            Message(MessageKind.UDF_ARGUMENTS, ArgumentBatch(call, [(1,)]), payload_bytes=4)
+        )
+        channel.uplink.close()  # the answer is computed, then refused
+        later = sim.timeout(1.0)
+        sim.run()
+        assert later.processed and serving.processed
+        assert isinstance(serving._exception, ChannelClosedError)
+        assert runtime.udf_invocations == 1 and runtime.messages_handled == 1
 
     def test_unhashable_arguments_are_invoked_uncached(self):
         """Arguments that cannot be hashed cannot be cache keys: the serve

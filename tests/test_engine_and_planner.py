@@ -502,6 +502,7 @@ class TestOptionCensus:
         "switch_penalty_seconds",
         "calibrated",
         "observe",
+        "fail_on_invocation",  # a client failure is a test's UDF body (tests/client_faults.py)
     }
 
     def test_strategy_config_has_exactly_its_twelve_fields(self):

@@ -25,13 +25,19 @@ from repro.workloads.synthetic import (
     register_identity_udf,
 )
 
+from client_faults import INJECTED, failing_from
+
 FAST = NetworkConfig.symmetric(1_000_000.0, latency=0.0005, name="fast")
 
 
-def make_context(network=FAST, **runtime_kwargs):
+def make_context(network=FAST, fail_at=None):
+    """A fresh context whose client serves ``Echo``; with ``fail_at``, the
+    UDF's ``fail_at``-th call and every later one raise."""
     registry = UdfRegistry()
     udf = register_identity_udf(registry, name="Echo", result_size=64, cost_per_call_seconds=0.001)
-    client = ClientRuntime(registry=registry, **runtime_kwargs)
+    if fail_at is not None:
+        udf.function = failing_from(fail_at, udf.function)
+    client = ClientRuntime(registry=registry)
     return RemoteExecutionContext.create(network, client=client), udf
 
 
@@ -363,11 +369,12 @@ class TestEqualArgumentsOfUnequalSize:
 class TestFailureHandling:
     def test_client_failure_surfaces_as_execution_error(self):
         for config in (StrategyConfig.naive(), StrategyConfig.semi_join(), StrategyConfig.client_site_join()):
-            context, udf = make_context(fail_on_invocation=3)
+            context, udf = make_context(fail_at=3)
             table = make_object_relation("Relation", 6, 32)
             operator = operator_for(config, context, udf, table)
-            with pytest.raises(ExecutionError):
+            with pytest.raises(ExecutionError, match=INJECTED):
                 operator.run()
+            assert context.client.invocations_of("Echo") == 2  # the calls before the failure
 
     def test_missing_argument_column_is_rejected_up_front(self):
         context, udf = make_context()

@@ -6,14 +6,17 @@ operation or per process must not be redone per message: a trunk message is
 booked once per ledger it belongs to (its session link's and the trunk's —
 the per-flow split is folded from the link ledgers on read), a non-adaptive
 operation resolves its pacing once, the client answers a batch with a plain
-function, a plan is rendered to text once per query, and a kernel entry
-nobody waits on builds no event object.  The counts are taken with wrappers
-this test installs.
+function, a plan is rendered to text once per query, a kernel entry nobody
+waits on builds no event object, and a mailbox reader (the client's serving,
+the coordinator's reply taking) is a call, so only senders resume per
+message.  The counts are taken with wrappers this test installs.
 """
 
 from __future__ import annotations
 
+import gc
 import inspect
+from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
@@ -23,12 +26,17 @@ from repro.adaptive.controller import BatchSizeController, OverlapWindowControll
 from repro.client.runtime import ClientRuntime
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.distribution import DistributedDatabase
-from repro.network.events import Event
+from repro.network.events import Event, Process
 from repro.network.stats import TransferCounters
 from repro.relational.operators.base import Operator
 from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.tenancy.driver import MultiTenantEngine, SessionWorkload
-from repro.workloads.multitenant import POINT_SQL, make_tenant_database, point_query_spec
+from repro.workloads.multitenant import (
+    POINT_SQL,
+    make_tenant_database,
+    mixed_traffic,
+    point_query_spec,
+)
 from repro.workloads.sharding import FILTER_SQL, make_cluster
 from repro.workloads.stock import StockWorkload
 
@@ -38,13 +46,28 @@ LEDGER_BODIES_PER_TRUNK_MESSAGE = 2
 #: config: the batch controller and the window target, once each.
 PACING_LOOKUPS_PER_OPERATION = 2
 #: ``Event`` objects of every class per wire message at batch 1: the
-#: sender-side transmission end, the reader's mailbox get, and the client's
-#: compute timeout per request.  A delivery, a same-instant hop and a free
-#: window slot build none.
-EVENT_OBJECTS_PER_MESSAGE = 2.5
-#: ... and per remote operation on top: its serve loop, coordinator, sender
-#: and receiver processes.
-EVENT_OBJECTS_PER_OPERATION = 4
+#: sender-side transmission end.  A delivery, a reader parked on a mailbox,
+#: the client's compute time, a same-instant hop and a free window slot
+#: build none.
+EVENT_OBJECTS_PER_MESSAGE = 1
+#: ... and per remote operation on top: its coordinator and sender
+#: processes, the end of its reply stream and of the client's serving; a
+#: shard's result delivery adds its process, its serving's end and the
+#: acknowledgement's get; and each simulator has its ``instant``.
+EVENT_OBJECTS_PER_OPERATION = 8
+#: Objects the cyclic collector frees after one query on a private link:
+#: the simulator and its ``instant`` event, which name each other, with
+#: their two empty lists.  A reader whose callbacks formed a cycle would hold
+#: the query's messages and input batch until a full collection.
+CYCLIC_OBJECTS_PER_QUERY = 4
+#: ``Process._resume`` calls per wire message at batch 1 outside the
+#: senders: none — the client serves and the coordinator takes replies by
+#: calls.  What still resumes besides the senders is fixed per remote
+#: operation: the coordinator (its kick-off, the reply stream's end, the
+#: sender's end) and a shard's result delivery (its kick-off, two
+#: transmission ends, the acknowledgement).
+READER_RESUMES_PER_MESSAGE = 0
+OTHER_RESUMES_PER_OPERATION = 7
 
 PACING = ("controller_for", "next_batch_size", "next_overlap_window")
 
@@ -113,9 +136,18 @@ def test_static_pacing_is_resolved_per_operation_not_per_tuple():
 
 
 def test_the_client_answers_a_batch_with_a_function():
-    assert inspect.isgeneratorfunction(ClientRuntime._serve)
+    """... and serves its mailbox by calls: a query resumes the coordinator
+    and the sender, no process of the client's."""
     for handler in (ClientRuntime._handle_argument_batch, ClientRuntime._handle_record_batch):
         assert not inspect.isgeneratorfunction(handler)
+    db = make_tenant_database()
+    for strategy in ExecutionStrategy:
+        with resumes_by_process() as resumes:
+            result = db.execute(POINT_SQL, config=StrategyConfig(strategy=strategy))
+        metrics = result.metrics
+        assert metrics.udf_invocations == 24 and metrics.counters.downlink.rows_per_message == 1.0
+        coordinator = [name for name in resumes if not name.endswith(".sender")]
+        assert len(coordinator) == 1 and resumes[coordinator[0]] <= OTHER_RESUMES_PER_OPERATION
 
 
 def test_a_plan_is_rendered_to_text_once_per_query():
@@ -268,6 +300,36 @@ def scatter_4_shards_b1():
     return lambda: db.execute(FILTER_SQL)
 
 
+@contextmanager
+def resumes_by_process() -> Iterator[Counter]:
+    """``Process._resume`` calls, keyed by the resumed process's name."""
+    resumes: Counter = Counter()
+    original = Process._resume
+
+    def resume(self, event):
+        resumes[self.name] += 1
+        return original(self, event)
+
+    Process._resume = resume
+    try:
+        yield resumes
+    finally:
+        Process._resume = original
+
+
+def drr_eighteen_sessions():
+    """16 point and 2 bulk sessions on DRR trunks, every query at batch 1."""
+    engine = MultiTenantEngine(make_tenant_database(), "drr")
+    workloads = mixed_traffic(point_count=16, bulk_count=2)
+
+    def run():
+        report = engine.run(workloads)
+        assert report.error_count == 0 and len(report.records) == 36
+        return [record.metrics for record in report.records]
+
+    return run
+
+
 def event_objects(build):
     """``(Event objects, wire messages, metrics)`` of one run of ``build()``'s query."""
     query = build()
@@ -281,7 +343,7 @@ def event_objects(build):
     [(figure1_semijoin_b1, 524), (scatter_4_shards_b1, 4113)],
     ids=["private-link", "fifo-trunks"],
 )
-def test_a_wire_message_builds_at_most_two_and_a_half_events(build, sim_events):
+def test_a_wire_message_builds_one_event(build, sim_events):
     objects, messages, metrics = event_objects(build)
     # Batch 1: a request and a reply per invocation, plus the end-of-stream exchanges.
     assert 200 < 2 * metrics.udf_invocations <= messages < 2 * metrics.udf_invocations + 24
@@ -289,3 +351,36 @@ def test_a_wire_message_builds_at_most_two_and_a_half_events(build, sim_events):
     assert metrics.sim_events == sim_events
     per_operation = EVENT_OBJECTS_PER_OPERATION * metrics.remote_operations
     assert objects <= EVENT_OBJECTS_PER_MESSAGE * messages + per_operation
+
+
+@pytest.mark.parametrize(
+    "build",
+    [figure1_semijoin_b1, drr_eighteen_sessions, scatter_4_shards_b1],
+    ids=["private-link", "drr-18-sessions", "fifo-trunks"],
+)
+def test_only_the_senders_resume_per_wire_message(build):
+    query = build()
+    with resumes_by_process() as resumes:
+        outcome = query()
+    metrics = outcome if isinstance(outcome, list) else [outcome.metrics]
+    messages = sum(m.downlink_messages + m.uplink_messages for m in metrics)
+    operations = sum(m.remote_operations for m in metrics)
+    senders = sum(count for name, count in resumes.items() if name.endswith(".sender"))
+    others = sum(resumes.values()) - senders
+    assert messages > 200 and senders > 0
+    assert others <= READER_RESUMES_PER_MESSAGE * messages + OTHER_RESUMES_PER_OPERATION * operations
+
+
+@pytest.mark.parametrize("strategy", list(ExecutionStrategy), ids=str)
+def test_a_query_leaves_no_reader_cycle_for_the_collector(strategy):
+    db = make_tenant_database()
+    config = StrategyConfig(strategy=strategy)
+    db.execute(POINT_SQL, config=config)  # memos and plan caches filled
+    gc.collect()
+    gc.disable()
+    try:
+        db.execute(POINT_SQL, config=config)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found <= CYCLIC_OBJECTS_PER_QUERY

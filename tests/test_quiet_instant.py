@@ -376,6 +376,61 @@ class TestArrivalWakesInPlace:
         assert [item for item, _entry, _quiet in woken] == ["item"]
 
 
+class _CallReader:
+    """:func:`_reader` as calls: logs the same triple, then re-parks with ``Store.read``."""
+
+    def __init__(self, sim, store, woken):
+        self.sim, self.store, self.woken = sim, store, woken
+        sim._schedule_call(0.0, lambda _argument: store.read(self), None)  # the process's start
+
+    def __call__(self, item):
+        self.woken.append((item, self.sim.events_processed, self.sim.quiet()))
+        self.store.read(self)
+
+
+def _noop(_argument):
+    pass
+
+
+class TestReadIsGetAsACall:
+    """``Store.read`` parks a callable where ``get`` parks an event: the reader
+    runs in the entry (or in place) where the getter would resume."""
+
+    @staticmethod
+    def run(make_reader):
+        sim = Simulator()
+        store = Store(sim)
+        woken = []
+        store.post("buffered")  # there before the reader parks
+        make_reader(sim, store, woken)
+        sim._schedule_call(1.0, store.deliver, "quiet")  # wakes in place
+        sim._schedule_call(2.0, store.deliver, "busy")  # something queued behind it
+        sim._schedule_call(2.0, _noop, None)
+        sim._schedule_call(3.0, store.deliver, "first")  # two at one instant
+        sim._schedule_call(3.0, store.deliver, "second")
+        sim.run()
+        counters = (store.total_puts, store.total_gets, store.peak_occupancy, store.occupancy)
+        return woken, counters, sim.events_processed
+
+    def test_a_call_reader_sees_what_a_process_reader_sees(self):
+        processed = self.run(_reader)
+        called = self.run(_CallReader)
+        assert called == processed
+        woken, counters, _entries = called
+        assert [item for item, _entry, _quiet in woken] == ["buffered", "quiet", "busy", "first", "second"]
+        assert counters == (5, 5, 1, 0)
+
+    def test_a_quiet_arrival_calls_the_reader_in_place(self):
+        sim = Simulator()
+        store = Store(sim)
+        taken = []
+        store.read(taken.append)
+        sim._schedule_call(1.0, store.deliver, "item")
+        sim.run()
+        assert taken == ["item"] and sim.events_processed == 1
+        assert (store.total_puts, store.total_gets, store.peak_occupancy) == (1, 1, 1)
+
+
 class TestTrunkCompletionEntry:
     @pytest.mark.parametrize("trunk_type", [FifoLinkScheduler, DeficitRoundRobinScheduler])
     def test_zero_latency_runs_sender_delivery_next_in_one_entry(self, trunk_type):

@@ -33,6 +33,8 @@ from repro.workloads.multitenant import (
     poisson_point_arrivals,
 )
 
+from client_faults import INJECTED, failing_from
+
 
 def wire_trace(metrics):
     return (
@@ -352,6 +354,34 @@ class TestFailureHandling:
         assert report.error_count == 1
         assert report.records[0].error is not None
         assert report.records[1].succeeded
+
+    @staticmethod
+    def eighteen_sessions(fail_at=None):
+        """16 point and 2 bulk sessions on DRR trunks; with ``fail_at``, the
+        shared UDF's ``fail_at``-th call (counted over the whole run) raises."""
+        db = make_tenant_database()
+        if fail_at is not None:
+            score = db.udfs.get("Score")
+            score.function = failing_from(fail_at, score.function, until=fail_at)
+        engine = MultiTenantEngine(db, fair_queueing="drr")
+        report = engine.run(mixed_traffic(point_count=16, bulk_count=2))
+        assert report.query_count == 36
+        return {(r.tenant_id, r.query_index): r for r in report.records}
+
+    @pytest.mark.parametrize("fail_at, failed", [(100, ("bulk1", 0)), (500, ("point14", 1))])
+    def test_a_client_failure_among_eighteen_sessions_fails_only_its_query(self, fail_at, failed):
+        """The failing query reports the client's error; every other query of
+        every session completes with the rows it returns without the fault —
+        what the failure left behind (a parked sender, a reply due on a closed
+        channel) neither escaped the kernel nor stalled the shared trunks."""
+        healthy = self.eighteen_sessions()
+        records = self.eighteen_sessions(fail_at)
+        assert [key for key, record in records.items() if not record.succeeded] == [failed]
+        assert INJECTED in records[failed].error and "ExecutionError" in records[failed].error
+        assert all(record.succeeded for record in healthy.values())
+        for key, record in records.items():
+            if key != failed:
+                assert record.rows_returned == healthy[key].rows_returned
 
     def test_empty_run(self):
         engine = MultiTenantEngine(make_tenant_database())

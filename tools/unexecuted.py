@@ -5,10 +5,11 @@
 Runs each target in this process under ``sys.settrace`` (worker threads
 included) — by default the tier-1 suite — and prints, per file, how many
 executable lines no target reached and which (``--summary``: the counts only).
+The bodies of ``if TYPE_CHECKING:`` blocks are not counted: they never run.
 A function stops being traced once every line of it has run.
 """
 
-import dis, os, runpy, shlex, sys, threading
+import ast, dis, os, runpy, shlex, sys, threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
@@ -33,13 +34,26 @@ def on_line(frame, event, arg):
     return on_line
 
 
+def typing_only_lines(tree):
+    """Lines of ``if TYPE_CHECKING:`` bodies: imports for annotations that never run."""
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        if "TYPE_CHECKING" in (getattr(node.test, "id", None), getattr(node.test, "attr", None)):
+            for statement in node.body:
+                lines.update(range(statement.lineno, statement.end_lineno + 1))
+    return lines
+
+
 def executable_lines(path):
-    stack, lines = [compile(open(path, encoding="utf-8").read(), path, "exec")], set()
+    source = open(path, encoding="utf-8").read()
+    stack, lines = [compile(source, path, "exec")], set()
     while stack:
         code = stack.pop()
         lines |= lines_of(code)
         stack.extend(const for const in code.co_consts if hasattr(const, "co_code"))
-    return lines
+    return lines - typing_only_lines(ast.parse(source, path))
 
 
 def ranges(lines):
