@@ -27,7 +27,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.execution.context import RemoteExecutionContext
 from repro.relational.operators.base import Operator
-from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.tuples import RowBatch
 from repro.storage.index import KeyInterval
@@ -64,8 +63,7 @@ class IndexScanOperator(Operator):
         self.interval = interval
         self.column = column
         self.context = context
-        base = Schema(column.with_table(None) for column in table.schema.columns)
-        self.schema = base.qualify(self.alias)
+        self.schema = table.schema.qualify(self.alias)
 
     def _matching_rids(self) -> List[RecordId]:
         index = self.index
@@ -123,8 +121,7 @@ class IndexNestedLoopJoinOperator(Operator):
         self.index = index
         self.outer_column = outer_column
         self.context = context
-        base = Schema(column.with_table(None) for column in inner_table.schema.columns)
-        self.inner_schema = base.qualify(self.alias)
+        self.inner_schema = inner_table.schema.qualify(self.alias)
         self.schema = outer.output_schema().concat(self.inner_schema)
         self._key_position = outer.output_schema().index_of(outer_column)
         inner_column = index.definition.column

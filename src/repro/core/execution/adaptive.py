@@ -73,9 +73,10 @@ def _bandwidth(moved: TransferCounters, configured: Optional[float]) -> float:
     return 1e9  # no network model at all: transfers are effectively free
 
 
-@dataclass
+@dataclass(frozen=True)
 class MigrationStage:
-    """One client-site UDF application owned by a :class:`PlanMigrationOperator`."""
+    """One client-site UDF application owned by a :class:`PlanMigrationOperator`
+    (immutable: a plan recipe hands the same stages to every run)."""
 
     udf: UdfDefinition
     argument_columns: Tuple[str, ...]
@@ -83,7 +84,7 @@ class MigrationStage:
     strategy: ExecutionStrategy
 
 
-@dataclass
+@dataclass(frozen=True)
 class MigrationPredicate:
     """A UDF-referencing predicate the migration operator assigns dynamically.
 

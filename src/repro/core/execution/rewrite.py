@@ -28,6 +28,8 @@ from repro.relational.expressions import (
     Literal,
 )
 from repro.relational.operators.base import Operator
+from repro.relational.operators.filter import Filter
+from repro.relational.operators.project import Project
 
 
 def replace_udf_calls_with_columns(
@@ -101,9 +103,6 @@ def build_operator(
     duplicate-elimination state across the segments of an adaptive
     execution, so later segments never re-ship resolved arguments.
     """
-    from repro.relational.operators.filter import Filter
-    from repro.relational.operators.project import Project
-
     controller = config.reoptimizer
     if controller is None and config.switch_policy is not None:
         from repro.adaptive.segmented import ReOptimizer

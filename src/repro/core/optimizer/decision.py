@@ -63,6 +63,10 @@ class OptimizationDecision:
     plan: CandidatePlan
     strategy_config: StrategyConfig
     alternatives: Dict[str, CandidatePlan] = field(default_factory=dict)
+    #: The physical plan recipes ``server.planner`` planned from this
+    #: decision, kept for the next build; a decision the database serves
+    #: from its memo shares the memo entry's.
+    recipes: Dict[bool, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def pinned(cls, query: BoundQuery, config: StrategyConfig, **shape) -> "OptimizationDecision":

@@ -240,7 +240,7 @@ class StrategyConfig:
         )
 
     def with_strategy(self, strategy: ExecutionStrategy) -> "StrategyConfig":
-        return replace(self, strategy=strategy)
+        return self if strategy is self.strategy else replace(self, strategy=strategy)
 
     def with_concurrency(self, concurrency_factor: int) -> "StrategyConfig":
         return replace(self, concurrency_factor=concurrency_factor)

@@ -44,7 +44,7 @@ from repro.relational.types import DataType
 from repro.server.engine import SqlSurface, resolve_keywords
 from repro.server.executor import Executor
 from repro.server.metrics import ExecutionMetrics
-from repro.server.planner import PlanBuildResult, build_plan, shape_output
+from repro.server.planner import PlanBuildResult, build_plan, plan_recipe, shape_output
 from repro.server.result import QueryResult
 from repro.sql.logical import BoundQuery
 from repro.tenancy.baton import BatonDriver, BatonWorker
@@ -328,19 +328,15 @@ class DistributedDatabase(SqlSurface):
         )
 
     def _canonical_schema(self, plan: ClusterPlan) -> Schema:
-        """The per-shard deferred plan's output schema, built without running.
+        """The per-shard deferred plan's output schema, planned without building.
 
-        Plan construction is pure operator wiring, so a throwaway context on
-        the task's site suffices — the exact schema (names *and* types) every
-        shard stream must match falls out of the same code path the shards
-        themselves use.
+        The planning pass derives every operator's schema, so the exact
+        schema (names *and* types) every shard stream must match is the
+        first task's plan recipe's — kept on its decision, which that
+        task's shard plan then instantiates.
         """
         task = plan.tasks[0]
-        context = RemoteExecutionContext.create(
-            self.cluster.site(task.site).network,
-            client=ClientRuntime(registry=self.udfs, name="schema-probe"),
-        )
-        return self._shard_plan(task, task.bound, context).root.output_schema()
+        return plan_recipe(task.bound, task.decision.strategy_config, task.decision).root.schema
 
     def _collect_metrics(
         self,

@@ -132,6 +132,15 @@ class Event:
         return f"<{type(self).__name__} {self.name!r} {state}>"
 
 
+#: An event that has already happened, on no simulator.  Yielding it is a
+#: same-instant hop: the process resumes from one call entry at ``now`` on its
+#: own simulator, behind everything already queued there, and no event is
+#: built for it.  Shared, so no simulator and event name each other.
+INSTANT = Event(None, name="instant")
+INSTANT.triggered = INSTANT.processed = True
+INSTANT._value = None
+
+
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
@@ -175,7 +184,7 @@ class Process(Event):
         # Bound once, not per yield; dropped when the process ends (no self-cycle).
         self._resume_call: Optional[Callable[[Event], None]] = self._resume
         # Kick the process off at the current simulation time.
-        simulator.instant.add_callback(self._resume_call)
+        simulator._schedule_call(0.0, self._resume_call, INSTANT)
 
     def _process(self) -> None:
         self._resume_call = None
@@ -205,6 +214,9 @@ class Process(Event):
             )
             return
         if next_target.simulator is not self.simulator:
+            if next_target is INSTANT:  # the hop runs on this process's simulator
+                self.simulator._schedule_call(0.0, self._resume_call, INSTANT)
+                return
             self.fail(SimulationError("process yielded an event from a different simulator"))
             return
         next_target.add_callback(self._resume_call)

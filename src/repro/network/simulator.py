@@ -13,7 +13,7 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import EmptySchedule, SimulationError
-from repro.network.events import Event, Process, Timeout
+from repro.network.events import INSTANT, Event, Process, Timeout
 
 
 class Simulator:
@@ -31,12 +31,11 @@ class Simulator:
         # the callbacks still to run are work queued at the current instant
         # that the heap does not show (see :meth:`quiet`).
         self._fanout = 0
-        #: An event that has already happened.  Yielding it is a same-instant
-        #: hop: the process resumes from one call entry at ``now``, behind
-        #: everything already queued there, and no event is built for it.
-        self.instant = Event(self, name="instant")
-        self.instant.triggered = self.instant.processed = True
-        self.instant._value = None
+
+    #: The same-instant hop (:data:`~repro.network.events.INSTANT`): yielding
+    #: it resumes the process from one call entry at ``now``, behind
+    #: everything already queued there, and no event is built for it.
+    instant = INSTANT
 
     # -- clock ------------------------------------------------------------------
 

@@ -97,6 +97,18 @@ class Expression:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._key()))
 
+    def _render(self) -> str:
+        """This expression as SQL text."""
+        raise NotImplementedError
+
+    @cached_property
+    def _text(self) -> str:
+        # Expressions are immutable: a plan's explain() renders each once.
+        return self._render()
+
+    def __str__(self) -> str:
+        return self._text
+
     @cached_property
     def canonical_key(self) -> str:
         """This predicate's identity, whatever order or nesting wrote it.
@@ -132,7 +144,7 @@ class Literal(Expression):
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         if isinstance(self.value, str):
             return f"'{self.value}'"
         return repr(self.value)
@@ -157,7 +169,7 @@ class ColumnRef(Expression):
     def __repr__(self) -> str:
         return f"ColumnRef({self.name!r})"
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.name
 
 
@@ -200,7 +212,7 @@ class Comparison(Expression):
     def __repr__(self) -> str:
         return f"Comparison({self.operator!r}, {self.left!r}, {self.right!r})"
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"{self.left} {self.operator} {self.right}"
 
 
@@ -246,7 +258,7 @@ class Arithmetic(Expression):
     def __repr__(self) -> str:
         return f"Arithmetic({self.operator!r}, {self.left!r}, {self.right!r})"
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"({self.left} {self.operator} {self.right})"
 
 
@@ -326,7 +338,7 @@ class BooleanOp(Expression):
     def __repr__(self) -> str:
         return f"BooleanOp({self.operator!r}, {list(self.operands)!r})"
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         if self.operator == "NOT":
             return f"NOT ({self.operands[0]})"
         joiner = f" {self.operator} "
@@ -385,7 +397,7 @@ class FunctionCall(Expression):
     def __repr__(self) -> str:
         return f"FunctionCall({self.name!r}, {list(self.arguments)!r})"
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"{self.name}({', '.join(str(argument) for argument in self.arguments)})"
 
 

@@ -105,9 +105,15 @@ class Operator:
     def walk(self) -> Iterator["Operator"]:
         """Every operator of this subtree in post-order: children (left to right)
         before their parent, so the order operators finish running in."""
-        for child in self.children:
-            yield from child.walk()
-        yield self
+        # Parents first with the last child first, reversed: one pass, where a
+        # recursive generator hands each operator up through every level.
+        order = []
+        stack = [self]
+        while stack:
+            operator = stack.pop()
+            order.append(operator)
+            stack.extend(operator.children)
+        return reversed(order)
 
     def explain(self, indent: int = 0) -> str:
         """A human-readable, indented description of the operator tree."""

@@ -47,16 +47,22 @@ class ProjectExpressions(Operator):
         super().__init__([child])
         self.outputs = list(outputs)
         self.functions = functions or {}
-        child_schema = child.output_schema()
+        self.schema = self.schema_over(child.output_schema(), self.outputs)
+
+    @staticmethod
+    def schema_over(
+        child_schema: Schema, outputs: Sequence[Tuple[str, Expression, Optional[DataType]]]
+    ) -> Schema:
+        """The schema ``outputs`` project ``child_schema`` to."""
         columns: List[Column] = []
-        for name, expression, dtype in self.outputs:
+        for name, expression, dtype in outputs:
             if dtype is None:
                 if isinstance(expression, ColumnRef):
                     dtype = child_schema.column(expression.name).dtype
                 else:
                     dtype = FLOAT
             columns.append(Column(name, dtype))
-        self.schema = Schema(columns)
+        return Schema(columns)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         # Per-output plans, resolved once: a plain column reference shares the

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.relational.operators.base import Operator
-from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.tuples import RowBatch
 
@@ -21,10 +20,7 @@ class TableScan(Operator):
         super().__init__()
         self.table = table
         self.alias = alias or table.name
-        base = Schema(
-            column.with_table(None) for column in table.schema.columns
-        )
-        self.schema = base.qualify(self.alias)
+        self.schema = table.schema.qualify(self.alias)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         # Slice the table's cached columnar batch so the columns transposed

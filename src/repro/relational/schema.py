@@ -8,7 +8,7 @@ existing ones, which keeps plan construction and property propagation simple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
@@ -88,22 +88,56 @@ class Column:
         return f"{self.qualified_name}:{self.dtype.name}"
 
 
-class Schema:
-    """An immutable, ordered sequence of :class:`Column` objects."""
+#: Derived schemas one schema keeps (:meth:`Schema._derive`) before it starts over.
+DERIVED_SCHEMA_BOUND = 32
 
-    __slots__ = ("columns", "_index", "_size_plan")
+
+class Schema:
+    """An immutable, ordered sequence of :class:`Column` objects.
+
+    A schema derives each of its qualified, joined, extended and projected
+    schemas once and hands out that one object after (a bounded number of
+    them), so a plan built again over the same tables shares its operators'
+    schemas — and their lookup index, built on the first lookup — with the
+    plans built before it.
+    """
+
+    __slots__ = ("columns", "_index", "_size_plan", "_derived")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: Tuple[Column, ...] = tuple(columns)
-        index: Dict[str, List[int]] = {}
-        for position, column in enumerate(self.columns):
-            index.setdefault(column.name, []).append(position)
-            if column.table:
-                index.setdefault(column.qualified_name, []).append(position)
-        self._index = index
+        self._index: Optional[Dict[str, List[int]]] = None
         self._size_plan: Optional[
             Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
         ] = None
+        self._derived: Optional[Dict[tuple, tuple]] = None
+
+    def _derive(self, key: tuple, inputs: object, derive: Callable[[], "Schema"]) -> "Schema":
+        """The schema ``derive()`` builds, kept under ``key`` while ``inputs``
+        (held with it, compared by identity) are the same objects."""
+        derived = self._derived
+        if derived is None:
+            derived = self._derived = {}
+        kept = derived.get(key)
+        if kept is not None and kept[0] is inputs:
+            return kept[1]
+        if len(derived) >= DERIVED_SCHEMA_BOUND:
+            derived.clear()
+        schema = derive()
+        derived[key] = (inputs, schema)
+        return schema
+
+    def _positions(self) -> Dict[str, List[int]]:
+        """Column positions by bare and by qualified name, indexed on first use."""
+        index = self._index
+        if index is None:
+            index = {}
+            for position, column in enumerate(self.columns):
+                index.setdefault(column.name, []).append(position)
+                if column.table:
+                    index.setdefault(column.qualified_name, []).append(position)
+            self._index = index
+        return index
 
     def size_plan(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
         """``(fixed, variable)`` wire-sizing plan, computed once per schema.
@@ -138,23 +172,34 @@ class Schema:
 
     def qualify(self, table: str) -> "Schema":
         """Return this schema with every column qualified by ``table``."""
-        return Schema(column.with_table(table) for column in self.columns)
+        return self._derive(
+            ("qualify", table),
+            None,
+            lambda: Schema(column.with_table(table) for column in self.columns),
+        )
 
     def concat(self, other: "Schema") -> "Schema":
         """Schema of a join: this schema's columns followed by ``other``'s."""
-        return Schema(self.columns + other.columns)
+        return self._derive(
+            ("concat", id(other)), other, lambda: Schema(self.columns + other.columns)
+        )
 
     def append(self, column: Column) -> "Schema":
         """Return a schema with ``column`` added at the end (e.g. a UDF result)."""
-        return Schema(self.columns + (column,))
+        return self._derive(("append", column), None, lambda: Schema(self.columns + (column,)))
 
     def project(self, names: Sequence[str]) -> "Schema":
         """Schema containing only the named columns, in the given order."""
-        return Schema(self.columns[self.index_of(name)] for name in names)
+        return self.select_positions(tuple(self.index_of(name) for name in names))
 
     def select_positions(self, positions: Sequence[int]) -> "Schema":
         """Schema containing the columns at ``positions``, in that order."""
-        return Schema(self.columns[position] for position in positions)
+        positions = tuple(positions)
+        return self._derive(
+            ("select", positions),
+            None,
+            lambda: Schema(self.columns[position] for position in positions),
+        )
 
     # -- lookups ---------------------------------------------------------------
 
@@ -163,11 +208,12 @@ class Schema:
 
         Raises :class:`SchemaError` if the name is unknown or ambiguous.
         """
-        positions = self._index.get(name)
+        index = self._index if self._index is not None else self._positions()
+        positions = index.get(name)
         if positions is None and "." in name:
             # A qualified name whose table prefix is unknown to this schema:
             # fall back to the bare column name.
-            positions = self._index.get(name.partition(".")[2])
+            positions = index.get(name.partition(".")[2])
         if not positions:
             raise SchemaError(f"unknown column {name!r} in schema {self}")
         if len(positions) > 1:

@@ -636,7 +636,9 @@ class Database(SqlSurface):
         and every statistics read it made, asked again, gets the same
         answer.  A served decision is the caller's ``config`` with the
         memoised batch size and strategy: it carries this call's runtime
-        state and no other's.
+        state and no other's.  It shares the entry's plan recipes, so
+        ``build_plan`` plans it once and afterwards only instantiates
+        operators for each run.
         """
         if not optimize:
             return OptimizationDecision.pinned(bound, config, udf_order=tuple(udf_order or ()))
@@ -655,16 +657,18 @@ class Database(SqlSurface):
             and _reads_hold(entry[5], store)
         ):
             _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
-            return OptimizationDecision(
+            served = OptimizationDecision(
                 entry[2], replace(config, batch_size=entry[3], strategy=entry[4])
             )
+            served.recipes = entry[6]
+            return served
         reads = StatisticsReads(store) if store is not None else None
         decision = Optimizer(
             self.network, default_config=config, settings=self.cost_settings, statistics=reads
         ).optimize(bound)
         made = decision.strategy_config
         log = tuple(reads.log) if reads is not None else ()
-        entry = (bound, snapshot, decision.plan, made.batch_size, made.strategy, log)
+        entry = (bound, snapshot, decision.plan, made.batch_size, made.strategy, log, decision.recipes)
         _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
         return decision
 

@@ -13,6 +13,18 @@ optimizer's, or a caller's pins):
 3. the remaining predicates, the final projection, DISTINCT, ORDER BY and
    LIMIT go on top.
 
+It works in two passes.  The *planning* pass builds no operator: it places
+every predicate, derives each operator's schema, rewrites applied UDF calls
+to their result columns and folds index intervals into a
+:class:`PlanRecipe` — immutable steps, each one operator to build over the
+operators of its input steps.  The *instantiation* pass builds fresh
+operators from those steps over one execution's context, config and server
+functions, and makes the checks that read live state (an index still there
+and complete).  The decision keeps the recipes planned from it
+(``OptimizationDecision.recipes``), so a decision the database serves from
+its memo is planned once and afterwards only instantiated; operators,
+controllers and every per-run state object still belong to one execution.
+
 It is the executable backend both for direct ``Database.execute`` calls and
 for the optimizer: the plan built here realises the whole chain or raises
 :class:`~repro.errors.PlanError` — it never quietly runs something the
@@ -22,7 +34,7 @@ decision did not say.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanError, SchemaError
 from repro.core.execution.adaptive import (
@@ -54,7 +66,7 @@ from repro.relational.predicates import (
     equi_join_sides,
     index_condition,
 )
-from repro.relational.schema import NeededColumns, column_key
+from repro.relational.schema import Column, NeededColumns, Schema, column_key
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
 from repro.storage.index import KeyInterval
 
@@ -87,6 +99,40 @@ def _unrealisable(path: AccessPath, why: str) -> PlanError:
     return PlanError(f"cannot realise the priced {path.describe()}: {why}")
 
 
+class _Run(NamedTuple):
+    """What one execution's operators are built over."""
+
+    context: RemoteExecutionContext
+    config: StrategyConfig
+    functions: Dict[str, Callable[..., Any]]
+
+
+class PlanStep(NamedTuple):
+    """One operator of a :class:`PlanRecipe`.
+
+    ``build(run, *operators)`` makes a fresh operator over the operators
+    instantiated from ``inputs``, reading only what it captured when it was
+    planned and the run's context, config and server functions.  ``schema``
+    is the schema that operator outputs.
+    """
+
+    build: Callable[..., Operator]
+    inputs: Tuple["PlanStep", ...]
+    schema: Schema
+
+    def instantiate(self, run: _Run) -> Operator:
+        return self.build(run, *[step.instantiate(run) for step in self.inputs])
+
+
+@dataclass(frozen=True)
+class PlanRecipe:
+    """What the planning pass makes of ``query`` under one decision: the steps
+    up to the final projection (``root``), ready to instantiate per execution."""
+
+    query: BoundQuery
+    root: PlanStep
+
+
 def build_plan(
     query: BoundQuery,
     context: RemoteExecutionContext,
@@ -108,6 +154,10 @@ def build_plan(
     running anything else would execute a plan nobody priced.  ``config``
     supplies the tunables and defaults to the decision's ``strategy_config``.
 
+    The operators are instantiated from the recipe ``decision`` keeps for
+    ``query`` (:func:`plan_recipe`), so a second build from the same
+    decision skips the planning pass.
+
     ``defer_output_shaping`` stops the plan after the final projection,
     leaving :func:`shape_output` to the caller.  Scatter-gather uses this
     for per-shard plans: a shard-local LIMIT would drop globally surviving
@@ -120,28 +170,65 @@ def build_plan(
         )
     if config is None:
         config = decision.strategy_config
-    root = _PlanBuilder(query, context, config, server_functions or {}, decision).build()
+    root = plan_recipe(query, config, decision).root.instantiate(
+        _Run(context, config, server_functions or {})
+    )
     if not defer_output_shaping:
         root = shape_output(root, query)
     return PlanBuildResult(root, config, find_remote_operators(root))
 
 
-class _PlanBuilder:
-    """Stateful helper carrying the predicate bookkeeping while building."""
+def plan_recipe(
+    query: BoundQuery, config: StrategyConfig, decision: OptimizationDecision
+) -> PlanRecipe:
+    """The recipe of ``decision``'s plan for ``query``: the one ``decision``
+    keeps, else planned now and kept.
 
-    def __init__(
-        self,
-        query: BoundQuery,
-        context: RemoteExecutionContext,
-        config: StrategyConfig,
-        server_functions: Dict[str, Callable[..., Any]],
-        decision: OptimizationDecision,
-    ) -> None:
+    The only part of ``config`` a recipe depends on is whether mid-query
+    re-optimization is armed (one migration operator then owns the UDF
+    chain); everything else in it is read when a step is instantiated.
+    """
+    migrating = config.reoptimizer is not None
+    recipe = decision.recipes.get(migrating)
+    if recipe is None or recipe.query is not query:
+        recipe = PlanRecipe(query, _Planner(query, decision, migrating).plan())
+        decision.recipes[migrating] = recipe
+    return recipe
+
+
+def _filter(step: PlanStep, expression: Expression, observe: bool = True) -> PlanStep:
+    """``step``'s rows that satisfy ``expression`` (see :class:`Filter` for ``observe``)."""
+    return PlanStep(
+        lambda run, child: Filter(child, expression, run.functions, observe_selectivity=observe),
+        (step,),
+        step.schema,
+    )
+
+
+def _live_index(table: Any, path: AccessPath) -> Any:
+    """The live, complete index ``path`` was priced with."""
+    handle = table.indexes().get(path.index_name)
+    if handle is None or handle.incomplete:
+        raise _unrealisable(path, "the index is gone or incomplete")
+    return handle
+
+
+def _applied(
+    schema: Schema, calls: Sequence[ClientUdfCall], output_columns: Optional[Sequence[str]]
+) -> Schema:
+    """``schema`` extended by ``calls``' result columns, cut to ``output_columns`` if given."""
+    for call in calls:
+        schema = schema.append(Column(call.result_column_name, call.udf.result_dtype))
+    return schema if output_columns is None else schema.project(output_columns)
+
+
+class _Planner:
+    """The planning pass: the predicate bookkeeping, building no operator."""
+
+    def __init__(self, query: BoundQuery, decision: OptimizationDecision, migrating: bool) -> None:
         self.query = query
-        self.context = context
-        self.config = config
-        self.server_functions = server_functions
         self.decision = decision
+        self.migrating = migrating
         self.applied_predicates: Set[int] = set()
         self.result_column_mapping: Dict[str, str] = {}
         #: ids of the query's tables and UDF calls a node has been matched to.
@@ -149,25 +236,25 @@ class _PlanBuilder:
 
     # -- top level ----------------------------------------------------------------------
 
-    def build(self) -> Operator:
+    def plan(self) -> PlanStep:
         nodes = self.decision.plan.nodes()
         if len(nodes) != len(self.query.tables) + len(self.query.client_udf_calls):
             raise PlanError("the decision does not place every table and client-site UDF of the query")
-        plan: Optional[Operator] = None
+        step: Optional[PlanStep] = None
         udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]] = []
         for node in nodes:
             if isinstance(node.operation, TableOperation):
-                plan = self._apply_table(plan, node)
+                step = self._apply_table(step, node)
             else:
                 # The hoist: a UDF node applies after the last join, in chain
                 # order, wherever the chain puts it (242 of the 662 decisions
                 # of tests/decision_digest.py price one below a join).  ROADMAP
                 # item 7 deletes this rule: the node then applies right here.
                 udfs.append((self._own(self.query.client_udf_calls, node.operation.name), node.strategy))
-        plan = self._apply_udf_free_residuals(plan)
-        plan = self._apply_client_udfs(plan, udfs)
-        plan = self._apply_remaining_predicates(plan)
-        return self._apply_output(plan)
+        step = self._apply_udf_free_residuals(step)
+        step = self._apply_client_udfs(step, udfs)
+        step = self._apply_remaining_predicates(step)
+        return self._apply_output(step)
 
     def _own(self, candidates: Sequence[Any], name: str) -> Any:
         """The first of the query's ``candidates`` (tables or UDF calls) not yet
@@ -181,16 +268,16 @@ class _PlanBuilder:
 
     # -- scans and joins ----------------------------------------------------------------
 
-    def _apply_table(self, plan: Optional[Operator], node: CandidatePlan) -> Operator:
-        """The table ``node`` applies: the leaf of the join tree, or joined to ``plan``."""
+    def _apply_table(self, step: Optional[PlanStep], node: CandidatePlan) -> PlanStep:
+        """The table ``node`` applies: the leaf of the join tree, or joined to ``step``."""
         bound, path = self._own(self.query.tables, node.operation.alias), node.path
-        if plan is None:
+        if step is None:
             return self._scan_leaf(bound, path)
         if path is not None and path.kind == "index_join":
-            return self._index_join(plan, bound, path)
-        return self._join(plan, self._scan_leaf(bound, path))
+            return self._index_join(step, bound, path)
+        return self._join(step, self._scan_leaf(bound, path))
 
-    def _scan_leaf(self, bound: BoundTable, path: Optional[AccessPath]) -> Operator:
+    def _scan_leaf(self, bound: BoundTable, path: Optional[AccessPath]) -> PlanStep:
         """A base-table leaf with its single-table predicates applied.
 
         With an ``index_scan`` access path the leaf fetches through the
@@ -201,39 +288,28 @@ class _PlanBuilder:
         rate is not recorded as the predicates' selectivity.
         """
         served: Tuple[str, ...] = ()
+        table, alias = bound.table, bound.alias
         if path is None:
-            plan: Operator = TableScan(bound.table, alias=bound.alias)
+            step = PlanStep(lambda run: TableScan(table, alias=alias), (), bound.schema)
         elif path.kind == "index_scan":
-            plan = self._index_scan_leaf(bound, path)
+            step = self._index_scan_leaf(bound, path)
             served = path.predicate_keys
         else:
             raise _unrealisable(path, "the table opens the join order: no outer side probes it")
-        for predicate in self.query.single_table_predicates(bound.alias):
-            plan = Filter(
-                plan,
-                predicate.expression,
-                self.server_functions,
-                observe_selectivity=str(predicate.expression) not in served,
-            )
+        for predicate in self.query.single_table_predicates(alias):
+            step = _filter(step, predicate.expression, str(predicate.expression) not in served)
             self.applied_predicates.add(id(predicate))
-        return plan
+        return step
 
-    @staticmethod
-    def _index_handle(bound: BoundTable, path: AccessPath) -> Any:
-        """The live, complete index ``path`` was priced with."""
-        handle = bound.table.indexes().get(path.index_name)
-        if handle is None or handle.incomplete:
-            raise _unrealisable(path, "the index is gone or incomplete")
-        return handle
-
-    def _index_scan_leaf(self, bound: BoundTable, path: AccessPath) -> Operator:
+    def _index_scan_leaf(self, bound: BoundTable, path: AccessPath) -> PlanStep:
         """The index-scan leaf the access path asks for.
 
         Every conjunct the path was priced as serving must still be in the
-        query and indexable on the path's column; together they fold to the
-        one interval the scan looks up.
+        query and indexable; together they fold to the one interval the scan
+        looks up.  That the index is still there, complete, on the
+        conjuncts' column and able to serve a range is checked against the
+        live index each time the leaf is built.
         """
-        handle = self._index_handle(bound, path)
         if not path.predicate_keys:
             raise _unrealisable(path, "it names no predicate to serve")
         in_query = {
@@ -247,17 +323,25 @@ class _PlanBuilder:
             condition = index_condition(in_query[key])
             if condition is None:
                 raise _unrealisable(path, "the predicate is not an indexable comparison")
-            if column_key(condition.column) != handle.definition.column.lower():
-                raise _unrealisable(path, f"{key} is not on the indexed column")
-            if not condition.is_equality and not handle.supports_range:
-                raise _unrealisable(path, "the index serves equality only, not a range")
             conditions.append(condition)
         interval = KeyInterval.fold((c.operator, c.value) for c in conditions)
-        return IndexScanOperator(
-            bound.table, handle, interval, conditions[0].column, self.context, alias=bound.alias
+        checks = tuple(
+            (key, column_key(c.column), c.is_equality) for key, c in zip(path.predicate_keys, conditions)
         )
+        table, alias, column = bound.table, bound.alias, conditions[0].column
 
-    def _index_join(self, plan: Operator, bound: BoundTable, path: AccessPath) -> Operator:
+        def build(run: _Run) -> Operator:
+            handle = _live_index(table, path)
+            for key, key_column, is_equality in checks:
+                if key_column != handle.definition.column.lower():
+                    raise _unrealisable(path, f"{key} is not on the indexed column")
+                if not is_equality and not handle.supports_range:
+                    raise _unrealisable(path, "the index serves equality only, not a range")
+            return IndexScanOperator(table, handle, interval, column, run.context, alias=alias)
+
+        return PlanStep(build, (), bound.schema)
+
+    def _index_join(self, step: PlanStep, bound: BoundTable, path: AccessPath) -> PlanStep:
         """Join ``bound`` as the inner of an index nested-loop join.
 
         The inner table's single-table predicates cannot go below the probe,
@@ -265,21 +349,13 @@ class _PlanBuilder:
         ``observe_selectivity=False`` because they then see join-reduced
         input, not the base table the recorded selectivity would describe.
         """
-        handle = self._index_handle(bound, path)
-        outer_columns = set(plan.output_schema().qualified_names())
+        outer_columns = set(step.schema.qualified_names())
         if path.join_column is None or not columns_covered(
             frozenset({path.join_column}), outer_columns
         ):
             # An index nested-loop join is only valid in the join order it
             # was priced for: its probe column must come from the outer side.
             raise _unrealisable(path, "the probe column is not in the outer side")
-        try:
-            joined: Operator = IndexNestedLoopJoinOperator(
-                plan, bound.table, handle, path.join_column, self.context, alias=bound.alias
-            )
-        except SchemaError as exc:  # e.g. an ambiguous probe column
-            raise _unrealisable(path, str(exc)) from exc
-
         # The probe serves the equi-join predicate it was priced for, found
         # by its key as an index scan finds its conjuncts — never by bare
         # column names, which ``C.K = B.K`` shares with ``A.K = B.K``.
@@ -291,18 +367,28 @@ class _PlanBuilder:
         if not served:
             raise _unrealisable(path, f"{bound.alias} has no such join predicate in this query")
         self.applied_predicates.update(served)
-        available = set(joined.output_schema().qualified_names())
+        table, alias, join_column = bound.table, bound.alias, path.join_column
+
+        def build(run: _Run, outer: Operator) -> Operator:
+            handle = _live_index(table, path)
+            try:
+                return IndexNestedLoopJoinOperator(
+                    outer, table, handle, join_column, run.context, alias=alias
+                )
+            except SchemaError as exc:  # e.g. an ambiguous probe column
+                raise _unrealisable(path, str(exc)) from exc
+
+        joined = PlanStep(build, (step,), step.schema.concat(bound.schema))
+        available = set(joined.schema.qualified_names())
         for predicate in self._covered(self.query.join_predicates(), available):
-            joined = Filter(joined, predicate.expression, self.server_functions)
-        for predicate in self._take(self.query.single_table_predicates(bound.alias)):
-            joined = Filter(
-                joined, predicate.expression, self.server_functions, observe_selectivity=False
-            )
+            joined = _filter(joined, predicate.expression)
+        for predicate in self._take(self.query.single_table_predicates(alias)):
+            joined = _filter(joined, predicate.expression, observe=False)
         return joined
 
-    def _join(self, left: Operator, right: Operator) -> Operator:
-        left_columns = set(left.output_schema().qualified_names())
-        right_columns = set(right.output_schema().qualified_names())
+    def _join(self, left: PlanStep, right: PlanStep) -> PlanStep:
+        left_columns = set(left.schema.qualified_names())
+        right_columns = set(right.schema.qualified_names())
         available = left_columns | right_columns
 
         equi_pairs: List[Tuple[str, str]] = []
@@ -314,27 +400,37 @@ class _PlanBuilder:
             else:
                 residual.append(predicate.expression)
 
+        schema = left.schema.concat(right.schema)
         if equi_pairs:
-            joined: Operator = HashJoin(
-                left,
-                right,
-                left_keys=[pair[0] for pair in equi_pairs],
-                right_keys=[pair[1] for pair in equi_pairs],
+            left_keys, right_keys = zip(*equi_pairs)
+            joined = PlanStep(
+                lambda run, outer, inner: HashJoin(
+                    outer, inner, left_keys=left_keys, right_keys=right_keys
+                ),
+                (left, right),
+                schema,
             )
         else:
-            joined = NestedLoopJoin(left, right, predicate=conjoin(residual), functions=self.server_functions)
+            predicate = conjoin(residual)
+            joined = PlanStep(
+                lambda run, outer, inner: NestedLoopJoin(
+                    outer, inner, predicate=predicate, functions=run.functions
+                ),
+                (left, right),
+                schema,
+            )
             residual = []
         for expression in residual:
-            joined = Filter(joined, expression, self.server_functions)
+            joined = _filter(joined, expression)
         return joined
 
-    def _apply_udf_free_residuals(self, plan: Operator) -> Operator:
+    def _apply_udf_free_residuals(self, step: PlanStep) -> PlanStep:
         """Any UDF-free predicate not yet applied goes in as a server filter."""
-        available = set(plan.output_schema().qualified_names())
+        available = set(step.schema.qualified_names())
         udf_free = [predicate for predicate in self.query.predicates if not predicate.references_udf]
         for predicate in self._covered(udf_free, available):
-            plan = Filter(plan, predicate.expression, self.server_functions)
-        return plan
+            step = _filter(step, predicate.expression)
+        return step
 
     def _take(
         self, predicates: Sequence[Any], wanted: Callable[[Any], bool] = lambda predicate: True
@@ -357,27 +453,27 @@ class _PlanBuilder:
     # -- client-site UDFs ------------------------------------------------------------------
 
     def _apply_client_udfs(
-        self, plan: Operator, udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]]
-    ) -> Operator:
+        self, step: PlanStep, udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]]
+    ) -> PlanStep:
         """Each UDF call with its node's strategy, in chain order."""
-        if udfs and self.config.reoptimizer is not None:
+        if udfs and self.migrating:
             # Mid-query re-optimization owns the whole chain: one migration
             # operator applies every client-site UDF, so the application
             # order itself can change at segment boundaries.
-            return self._apply_migration_chain(plan, udfs)
+            return self._apply_migration_chain(step, udfs)
 
         calls = [call for call, _ in udfs]
         for index, (call, strategy) in enumerate(udfs):
-            plan = self._apply_one_udf(plan, call, strategy, calls[index + 1 :])
-        return plan
+            step = self._apply_one_udf(step, call, strategy, calls[index + 1 :])
+        return step
 
     def _apply_migration_chain(
-        self, plan: Operator, udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]]
-    ) -> Operator:
+        self, step: PlanStep, udfs: List[Tuple[ClientUdfCall, ExecutionStrategy]]
+    ) -> PlanStep:
         calls = [call for call, _ in udfs]
         for call in calls:
             self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
-        stages = [
+        stages = tuple(
             MigrationStage(
                 udf=call.udf,
                 argument_columns=tuple(call.argument_columns),
@@ -385,68 +481,76 @@ class _PlanBuilder:
                 strategy=strategy,
             )
             for call, strategy in udfs
-        ]
-        predicates = [
+        )
+        predicates = tuple(
             MigrationPredicate(
                 expression=self._rewritten(predicate.expression),
                 udf_names=frozenset(name.lower() for name in predicate.udf_names),
                 declared_selectivity=max(predicate.selectivity, 1e-6),
             )
             for predicate in self._take(self.query.predicates, self._evaluable)
-        ]
-        return PlanMigrationOperator(
-            plan,
-            stages,
-            self.context,
-            config=self.config,
-            predicates=predicates,
-            output_columns=self._columns_needed_above(plan, calls),
-            controller=self.config.reoptimizer,
         )
+        output_columns = self._columns_needed_above(step, calls)
+
+        def build(run: _Run, child: Operator) -> Operator:
+            return PlanMigrationOperator(
+                child,
+                stages,
+                run.context,
+                config=run.config,
+                predicates=predicates,
+                output_columns=output_columns,
+                controller=run.config.reoptimizer,
+            )
+
+        return PlanStep(build, (step,), _applied(step.schema, calls, output_columns))
 
     def _apply_one_udf(
         self,
-        plan: Operator,
+        step: PlanStep,
         call: ClientUdfCall,
         strategy: ExecutionStrategy,
         remaining_calls: List[ClientUdfCall],
-    ) -> Operator:
+    ) -> PlanStep:
         self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
 
-        config = self.config.with_strategy(strategy)
         # The predicates that become evaluable once this UDF has run.
         pushable = conjoin(
             [self._rewritten(p.expression) for p in self._take(self.query.predicates, self._evaluable)]
         )
         output_columns = None
-        if config.strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
+        if strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
             # The arguments of a UDF the select list calls survive as well —
             # what the estimator prices (it reads the outputs as written) and
             # every pinned figure ships; the migrated chain drops them.
             output_columns = self._columns_needed_above(
-                plan,
+                step,
                 [call],
                 remaining_calls + [c for c in self.query.client_udf_calls if c.used_in_output],
             )
+        udf, arguments, result_column = call.udf, tuple(call.argument_columns), call.result_column_name
 
-        return build_operator(
-            child=plan,
-            udf=call.udf,
-            argument_columns=list(call.argument_columns),
-            context=self.context,
-            config=config,
-            pushable_predicate=pushable,
-            output_columns=output_columns,
-            result_column_name=call.result_column_name,
-        )
+        def build(run: _Run, child: Operator) -> Operator:
+            return build_operator(
+                child=child,
+                udf=udf,
+                argument_columns=arguments,
+                context=run.context,
+                config=run.config.with_strategy(strategy),
+                pushable_predicate=pushable,
+                output_columns=output_columns,
+                result_column_name=result_column,
+            )
+
+        return PlanStep(build, (step,), _applied(step.schema, [call], output_columns))
 
     def _columns_needed_above(
         self,
-        plan: Operator,
+        step: PlanStep,
         calls: List[ClientUdfCall],
         argument_calls: Sequence[ClientUdfCall] = (),
-    ) -> Optional[List[str]]:
-        """Columns of ``plan`` extended by ``calls``' results still read above them.
+    ) -> Optional[Tuple[str, ...]]:
+        """Columns of ``step`` extended by ``calls``' results still read above them.
 
         The pushable projection of whatever applies ``calls`` (one
         client-site join, or the migrated chain, which pushes it *into* its
@@ -463,27 +567,30 @@ class _PlanBuilder:
         for predicate in self.query.predicates:
             if id(predicate) not in self.applied_predicates:
                 needed.update(self._rewritten(predicate.expression).columns())
-        extended = plan.output_schema().qualified_names() + [
-            call.result_column_name for call in calls
-        ]
-        return needed.keep(extended) or None
+        extended = step.schema.qualified_names() + [call.result_column_name for call in calls]
+        return tuple(needed.keep(extended)) or None
 
     def _rewritten(self, expression: Expression) -> Expression:
         """``expression`` with every applied client-site UDF call as its result column."""
         return replace_udf_calls_with_columns(expression, self.result_column_mapping)
 
-    def _apply_remaining_predicates(self, plan: Operator) -> Operator:
+    def _apply_remaining_predicates(self, step: PlanStep) -> PlanStep:
         for predicate in self._take(self.query.predicates):
-            plan = Filter(plan, self._rewritten(predicate.expression), self.server_functions)
-        return plan
+            step = _filter(step, self._rewritten(predicate.expression))
+        return step
 
     # -- output ----------------------------------------------------------------------------
 
-    def _apply_output(self, plan: Operator) -> Operator:
-        outputs = []
-        for output in self.query.outputs:
-            outputs.append((output.name, self._rewritten(output.expression), output.dtype))
-        return ProjectExpressions(plan, outputs, functions=self.server_functions)
+    def _apply_output(self, step: PlanStep) -> PlanStep:
+        outputs = tuple(
+            (output.name, self._rewritten(output.expression), output.dtype)
+            for output in self.query.outputs
+        )
+        return PlanStep(
+            lambda run, child: ProjectExpressions(child, outputs, functions=run.functions),
+            (step,),
+            ProjectExpressions.schema_over(step.schema, outputs),
+        )
 
 
 def shape_output(plan: Operator, query: BoundQuery) -> Operator:

@@ -120,8 +120,7 @@ class Binder:
             if alias.lower() in seen_aliases:
                 raise BindError(f"duplicate table alias {alias!r}")
             seen_aliases.add(alias.lower())
-            bare = Schema(column.with_table(None) for column in table.schema.columns)
-            tables.append(BoundTable(table=table, alias=alias, schema=bare.qualify(alias)))
+            tables.append(BoundTable(table=table, alias=alias, schema=table.schema.qualify(alias)))
         return tables
 
     @staticmethod

@@ -393,8 +393,9 @@ class TestPricedPlanIsExecutedPlan:
         monkeypatch.setattr(distribution_engine, "build_plan", recording_build_plan)
         dist = install(DistributedDatabase(ClusterConfig([SiteConfig("only", network())])))
         result = dist.execute(sql, optimize=True)
-        # The schema probe and the one shard task: both the decision's plan.
-        assert [plan_shape(plan.explain()) for plan in built] == [expected, expected]
+        # The one shard task builds the decision's plan; the merged stream's
+        # schema is read off that plan's recipe, with no probe build.
+        assert [plan_shape(plan.explain()) for plan in built] == [expected]
         assert sorted(tuple(row) for row in result.rows) == oracle
 
 

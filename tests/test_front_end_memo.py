@@ -363,9 +363,10 @@ def memo_fingerprint(db) -> tuple:
         (sql, stamp, bound_fingerprint(bound), [id(s) for s in snapshot])
         for sql, (stamp, bound, snapshot) in db._statements.items()
     ]
+    # A recipe by identity: a hit instantiates the one kept, it plans none.
     decisions = [
-        (key[1:], plan_record(plan), batch_size, strategy, reads)
-        for key, (_bound, _snapshot, plan, batch_size, strategy, reads) in getattr(
+        (key[1:], plan_record(plan), batch_size, strategy, reads, {k: id(r) for k, r in recipes.items()})
+        for key, (_bound, _snapshot, plan, batch_size, strategy, reads, recipes) in getattr(
             db, "_decisions", {}
         ).items()
     ]

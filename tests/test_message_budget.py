@@ -53,13 +53,15 @@ EVENT_OBJECTS_PER_MESSAGE = 1
 #: ... and per remote operation on top: its coordinator and sender
 #: processes, the end of its reply stream and of the client's serving; a
 #: shard's result delivery adds its process, its serving's end and the
-#: acknowledgement's get; and each simulator has its ``instant``.
-EVENT_OBJECTS_PER_OPERATION = 8
+#: acknowledgement's get.  The same-instant hop is one shared event, built
+#: by no simulator.
+EVENT_OBJECTS_PER_OPERATION = 7
 #: Objects the cyclic collector frees after one query on a private link:
-#: the simulator and its ``instant`` event, which name each other, with
-#: their two empty lists.  A reader whose callbacks formed a cycle would hold
-#: the query's messages and input batch until a full collection.
-CYCLIC_OBJECTS_PER_QUERY = 4
+#: none.  A simulator and an ``instant`` event of its own named each other
+#: (four objects with their two empty lists); a reader whose callbacks
+#: formed a cycle would hold the query's messages and input batch until a
+#: full collection.
+CYCLIC_OBJECTS_PER_QUERY = 0
 #: ``Process._resume`` calls per wire message at batch 1 outside the
 #: senders: none — the client serves and the coordinator takes replies by
 #: calls.  What still resumes besides the senders is fixed per remote
