@@ -37,6 +37,7 @@ from repro.core.strategies import ExecutionStrategy
 from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.topology import NetworkConfig
 from repro.relational.predicates import (
+    MIN_SELECTIVITY,
     IndexCondition,
     equi_join_sides,
     index_condition,
@@ -456,7 +457,7 @@ class CostEstimator:
         # nothing about would otherwise fall back to the neutral
         # distinct_count = row_count default.
         statistics = apply_observed_evidence(
-            operation.bound.table.statistics, self.statistics.column_distinct_evidence()
+            operation.statistics, self.statistics.column_distinct_evidence()
         )
         cardinality = max(0.0, statistics.row_count * operation.local_selectivity)
         column_sizes: Dict[str, float] = {}
@@ -532,7 +533,7 @@ class CostEstimator:
                 by_column.setdefault(column_key(condition.column), []).append(
                     (predicate, condition)
                 )
-        statistics = operation.bound.table.statistics
+        statistics = operation.statistics
         rows = max(0.0, float(statistics.row_count))
         blocks = self._blocks_accessed(operation, statistics)
         seq = variants[0]
@@ -548,7 +549,7 @@ class CostEstimator:
             interval = KeyInterval.fold((c.operator, c.value) for _, c in members)
             predicates = [predicate for predicate, _ in members]
             matching = self._interval_matching(
-                interval, predicates, rows, statistics.column(column).histogram
+                operation, interval, predicates, rows, statistics.column(column).histogram
             )
             pages = 0.0
             if not interval.is_empty:
@@ -579,7 +580,7 @@ class CostEstimator:
         return variants
 
     def _interval_matching(
-        self, interval: KeyInterval, predicates: Sequence[object], rows: float, histogram
+        self, operation, interval: KeyInterval, predicates: Sequence[object], rows: float, histogram
     ) -> float:
         """Rows an index scan of ``interval`` fetches from the heap.
 
@@ -606,7 +607,7 @@ class CostEstimator:
             return max(1.0, rows * histogram.range_fraction(interval.low, interval.high))
         selectivity = 1.0
         for predicate in predicates:
-            selectivity *= self._conjunct_selectivity(predicate)
+            selectivity *= self._conjunct_selectivity(operation, predicate)
         return rows * selectivity
 
     def join_variants(
@@ -647,7 +648,7 @@ class CostEstimator:
         """An index-nested-loop join: probe the inner's index per outer row."""
         base = self.join(plan, operation)
         inner = self.scan(operation)
-        statistics = operation.bound.table.statistics
+        statistics = operation.statistics
         inner_rows = max(0.0, float(statistics.row_count))
         blocks = self._blocks_accessed(operation, statistics)
         probes = max(0.0, plan.cardinality)
@@ -695,11 +696,11 @@ class CostEstimator:
         handles = operation.bound.table.indexes()
         return {name: handle for name, handle in handles.items() if not handle.incomplete}
 
-    def _conjunct_selectivity(self, predicate) -> float:
+    def _conjunct_selectivity(self, operation: TableOperation, predicate) -> float:
         """One conjunct's selectivity, observed-feedback-calibrated when known."""
-        estimate = max(predicate.selectivity, 1e-6)
+        estimate = operation.estimates[id(predicate)]
         observed = self.statistics.predicate_selectivity(predicate.expression.canonical_key, estimate)
-        return min(1.0, max(observed, 1e-6))
+        return min(1.0, max(observed, MIN_SELECTIVITY))
 
     @staticmethod
     def _index_pages(handle, matching: float) -> float:

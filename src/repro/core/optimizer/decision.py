@@ -170,8 +170,9 @@ class Optimizer:
         query: BoundQuery,
         allow_deferred_return: bool = True,
         settings: Optional[CostSettings] = None,
+        operations: Optional[tuple] = None,
     ) -> SystemREnumerator:
-        tables, udfs = operations_for_query(query, statistics=self.statistics)
+        tables, udfs = operations or operations_for_query(query, statistics=self.statistics)
         return SystemREnumerator(
             self._estimator(query, allow_deferred_return=allow_deferred_return, settings=settings),
             tables,
@@ -231,8 +232,12 @@ class Optimizer:
         kept: List[Tuple[CandidatePlan, int]] = []  # with the endpoint each was priced at
         seen_shapes = set()
         estimator = None
+        # One read of each base table's statistics serves both endpoints.
+        operations = operations_for_query(query, statistics=self.statistics)
         for endpoint in dict.fromkeys((min(candidates), max(candidates))):
-            enumerator = self.enumerator(query, allow_deferred_return=False, settings=at[endpoint])
+            enumerator = self.enumerator(
+                query, allow_deferred_return=False, settings=at[endpoint], operations=operations
+            )
             if estimator is not None:
                 # Same query, same statistics snapshot: the second endpoint
                 # prices what the first derived instead of deriving it again.
@@ -279,7 +284,7 @@ class Optimizer:
     def baseline_plans(self, query: BoundQuery) -> Dict[str, CandidatePlan]:
         """Costed plans of the baseline optimizers, for comparison benchmarks."""
         estimator = self._estimator(query)
-        tables, udfs = operations_for_query(query, statistics=self.statistics)
+        operations = tables, udfs = operations_for_query(query, statistics=self.statistics)
         baselines: Dict[str, CandidatePlan] = {}
         if udfs:
             baselines["rank-order (naive execution)"] = RankOrderOptimizer(
@@ -291,7 +296,9 @@ class Optimizer:
                         estimator, tables, udfs, placement=placement, strategy=strategy
                     )
         else:
-            baselines["system-r (no client UDFs)"] = self.enumerator(query).best_plan()
+            baselines["system-r (no client UDFs)"] = self.enumerator(
+                query, operations=operations
+            ).best_plan()
         return baselines
 
     def plan_space(self, query: BoundQuery) -> List[CandidatePlan]:

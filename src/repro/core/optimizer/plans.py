@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro.core.optimizer.properties import PhysicalProperties
 from repro.core.strategies import ExecutionStrategy
+from repro.relational.predicates import MIN_SELECTIVITY
 from repro.relational.schema import bare_name
+from repro.relational.statistics import TableStatistics
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,11 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class TableOperation:
-    """A FROM-list relation, together with its pushed single-table selectivity."""
+    """A FROM-list relation, together with its pushed single-table selectivity,
+    the statistics the decision read of it and every conjunct's estimate
+    under that read — what the estimator prices it from (a pinned node has neither)."""
 
     alias: str
     bound: BoundTable
     local_selectivity: float = 1.0
+    statistics: Optional[TableStatistics] = field(default=None, compare=False, repr=False)
+    estimates: Mapping[int, float] = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def key(self) -> str:
@@ -324,6 +330,7 @@ def operations_for_query(
 ) -> Tuple[List[TableOperation], List[UdfOperation]]:
     """Derive the operation set (real joins + UDF joins) from a bound query.
 
+    Each base table's statistics are read here, once per decision.
     ``statistics`` (a :class:`~repro.adaptive.store.StatisticsStore` or an
     overlay of one) supplies *observed* selectivities for single-table
     predicates, keyed by the predicate's ``canonical_key`` — the key the
@@ -331,16 +338,18 @@ def operations_for_query(
     declared estimate when unobserved.
     """
     statistics = statistics_or_empty(statistics)
+    table_statistics = [bound.table.statistics for bound in query.tables]
+    estimates = query.declared_selectivities(table_statistics)
     tables: List[TableOperation] = []
-    for bound in query.tables:
+    for bound, own in zip(query.tables, table_statistics):
         selectivity = 1.0
         for predicate in query.single_table_predicates(bound.alias):
-            estimate = max(predicate.selectivity, 1e-6)
+            estimate = estimates[id(predicate)]
             selectivity *= max(
                 statistics.predicate_selectivity(predicate.expression.canonical_key, estimate),
-                1e-6,
+                MIN_SELECTIVITY,
             )
-        tables.append(TableOperation(alias=bound.alias, bound=bound, local_selectivity=selectivity))
+        tables.append(TableOperation(bound.alias, bound, selectivity, own, estimates))
 
     from repro.core.execution.rewrite import replace_udf_calls_with_columns
     from repro.relational.expressions import conjoin
@@ -364,7 +373,7 @@ def operations_for_query(
         credited = []
         for last_name, predicate in udf_predicates:
             if last_name == call_name:
-                selectivity *= max(predicate.selectivity, 1e-6)
+                selectivity *= estimates[id(predicate)]
                 credited.append(replace_udf_calls_with_columns(predicate.expression, result_columns))
         combined = conjoin(credited)
         udfs.append(

@@ -3,12 +3,13 @@
 This module provides the static analyses the optimizer needs:
 
 * :func:`estimate_selectivity` — textbook selectivity estimation from column
-  statistics (1/V(A) for equality, 1/3 for ranges, independence for AND/OR);
+  statistics (1/V(A) for equality, 1/3 for ranges, independence for AND/OR),
+  asked when a query is priced (``BoundQuery.declared_selectivities``);
 * :func:`equi_join_sides` / :func:`columns_covered` — which column of an
   equality each side of a join holds, and whether a set of available
   columns holds a predicate's columns;
-* :class:`PredicateInfo` — per-conjunct metadata: referenced columns, UDF
-  calls and estimated selectivity.
+* :class:`PredicateInfo` — per-conjunct metadata: referenced columns and
+  UDF calls, no estimate.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.relational.statistics import TableStatistics
 DEFAULT_EQUALITY_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_SELECTIVITY = 0.5
+#: No declared estimate is lower: a product of them never reaches zero.
+MIN_SELECTIVITY = 1e-6
 
 
 def estimate_selectivity(
@@ -70,9 +73,7 @@ def estimate_selectivity(
 
     if isinstance(expression, FunctionCall):
         # A bare boolean UDF used as a predicate.
-        return udf_selectivities.get(
-            expression.name, udf_selectivities.get(expression.name.lower(), DEFAULT_SELECTIVITY)
-        )
+        return udf_selectivities.get(expression.name, DEFAULT_SELECTIVITY)
 
     if isinstance(expression, Literal):
         return 1.0 if expression.value else 0.0
@@ -92,8 +93,6 @@ def _comparison_selectivity(
         for call in calls:
             if call.name in udf_selectivities:
                 return udf_selectivities[call.name]
-            if call.name.lower() in udf_selectivities:
-                return udf_selectivities[call.name.lower()]
         return DEFAULT_SELECTIVITY
 
     if expression.operator in ("=",):
@@ -255,20 +254,13 @@ class PredicateInfo:
     expression: Expression
     columns: FrozenSet[str] = field(default_factory=frozenset)
     udf_names: Tuple[str, ...] = ()
-    selectivity: float = DEFAULT_SELECTIVITY
 
     @classmethod
-    def analyze(
-        cls,
-        expression: Expression,
-        statistics: Optional[TableStatistics] = None,
-        udf_selectivities: Optional[Dict[str, float]] = None,
-    ) -> "PredicateInfo":
+    def analyze(cls, expression: Expression) -> "PredicateInfo":
         return cls(
             expression=expression,
             columns=expression.columns(),
             udf_names=tuple(call.name for call in expression.function_calls()),
-            selectivity=estimate_selectivity(expression, statistics, udf_selectivities),
         )
 
     @property

@@ -126,23 +126,12 @@ STATEMENT_MEMO_BOUND = 64
 DECISION_MEMO_BOUND = 64
 
 
-def _snapshot(statement: BoundStatement) -> Tuple[object, ...]:
-    """The statistics object each base table of ``statement`` answers with now."""
-    tables = statement.tables if isinstance(statement, BoundQuery) else ()
-    return tuple(bound.table.statistics for bound in tables)
-
-
 def _remember(memo: Dict[Any, tuple], key: Any, entry: tuple, bound: int) -> tuple:
     """``entry`` stored under ``key`` as the most recent; the oldest beyond ``bound`` goes."""
     memo[key] = entry
     if len(memo) > bound:
         del memo[next(iter(memo))]
     return entry
-
-
-def _same(one: Tuple[object, ...], other: Tuple[object, ...]) -> bool:
-    """Two snapshots of one statement's tables: the very same objects?"""
-    return all(a is b for a, b in zip(one, other))
 
 
 class StatisticsReads:
@@ -292,25 +281,19 @@ class SqlSurface:
     # -- parsing / binding ----------------------------------------------------------------
 
     def statement(self, query: Union[str, BoundQuery]) -> BoundStatement:
-        """What ``query`` says: SQL text bound once, or the query it already is."""
-        return self._statement(query)[0]
-
-    def _statement(self, query: Union[str, BoundQuery]) -> Tuple[BoundStatement, Optional[tuple]]:
-        """``query`` bound, with its tables' statistics snapshot when it is text.
+        """What ``query`` says: SQL text bound once, or the query it already is.
 
         Text is bound again only once the catalog's or the UDF registry's
-        ``generation`` moved or a base table answers with another statistics
-        object: binding estimates predicate selectivities from them.
+        ``generation`` moved: binding reads no statistics.
         """
         if not isinstance(query, str):
-            return query, None
+            return query
         stamp = (self.catalog.generation, self.udfs.generation)
         entry = self._statements.pop(query, None)
-        if entry is None or entry[0] != stamp or not _same(_snapshot(entry[1]), entry[2]):
-            bound = Binder(self.catalog, self.udfs).bind_sql(query)
-            entry = (stamp, bound, _snapshot(bound))
+        if entry is None or entry[0] != stamp:
+            entry = (stamp, Binder(self.catalog, self.udfs).bind_sql(query))
         _remember(self._statements, query, entry, STATEMENT_MEMO_BOUND)
-        return entry[1], entry[2]
+        return entry[1]
 
     def bind(self, query: Union[str, BoundQuery]) -> BoundQuery:
         """The query ``query`` is, without executing it; index DDL is refused."""
@@ -549,8 +532,10 @@ class Database(SqlSurface):
         Whatever the context leaves ``None`` is the database-wide singleton,
         so single-query callers see no change.
         """
+        if self.storage is not None:  # a closed database plans nothing
+            self.storage.files.check_open()
         self._ensure_statistics_loaded()
-        bound, snapshot = self._statement(query)
+        bound = self.statement(query)
         if not isinstance(bound, BoundQuery):  # index DDL: no planning, no network
             if isinstance(bound, CreateIndexStatement):
                 self.create_index(bound.name, bound.table, bound.column, kind=bound.kind)
@@ -588,7 +573,7 @@ class Database(SqlSurface):
                 config = config.with_overlap_controller(OverlapWindowController())
 
         decision = self._decide(
-            bound, config, resolved.optimize, resolved.calibrated, udf_order, statistics, snapshot
+            bound, config, resolved.optimize, resolved.calibrated, udf_order, statistics
         )
         run_config = decision.strategy_config
         if resolved.reoptimize:
@@ -617,7 +602,6 @@ class Database(SqlSurface):
         calibrated: bool = False,
         udf_order: Optional[Sequence[str]] = None,
         statistics: Optional[StatisticsStore] = None,
-        snapshot: Optional[tuple] = None,
     ) -> OptimizationDecision:
         """The decision ``execute`` runs, ``explain`` prints and SJF admission prices.
 
@@ -632,9 +616,8 @@ class Database(SqlSurface):
         A decision is made once per bound query, config (without its runtime
         fields), UDF order, network, cost settings and calibrating store, and
         served while every base table answers with the statistics object it
-        was priced from (``snapshot``; read here when the caller has none)
-        and every statistics read it made, asked again, gets the same
-        answer.  A served decision is the caller's ``config`` with the
+        was priced from and every statistics read it made, asked again, gets
+        the same answer.  A served decision is the caller's ``config`` with the
         memoised batch size and strategy: it carries this call's runtime
         state and no other's.  It shares the entry's plan recipes, so
         ``build_plan`` plans it once and afterwards only instantiates
@@ -648,12 +631,12 @@ class Database(SqlSurface):
             id(bound), _stateless(config), tuple(udf_order or ()), self.network,
             self.cost_settings, None if store is None else id(store),
         )  # fmt: skip
-        snapshot = snapshot if snapshot is not None else _snapshot(bound)
+        snapshot = tuple(table.table.statistics for table in bound.tables)
         entry = self._decisions.pop(key, None)
         if (
             entry is not None
             and entry[0] is bound
-            and _same(entry[1], snapshot)
+            and all(held is read for held, read in zip(entry[1], snapshot))
             and _reads_hold(entry[5], store)
         ):
             _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)

@@ -482,11 +482,14 @@ class _Planner:
             )
             for call, strategy in udfs
         )
+        estimates = self.query.declared_selectivities(
+            [bound.table.statistics for bound in self.query.tables]
+        )
         predicates = tuple(
             MigrationPredicate(
                 expression=self._rewritten(predicate.expression),
                 udf_names=frozenset(name.lower() for name in predicate.udf_names),
-                declared_selectivity=max(predicate.selectivity, 1e-6),
+                declared_selectivity=estimates[id(predicate)],
             )
             for predicate in self._take(self.query.predicates, self._evaluable)
         )

@@ -18,9 +18,8 @@ from repro.relational.expressions import (
     Literal,
     conjuncts,
 )
-from repro.relational.predicates import PredicateInfo, estimate_selectivity
+from repro.relational.predicates import PredicateInfo
 from repro.relational.schema import Schema
-from repro.relational.statistics import TableStatistics
 from repro.relational.types import BOOLEAN, FLOAT, STRING, DataType, INTEGER
 from repro.sql.ast import (
     AstBinaryOp,
@@ -72,15 +71,7 @@ class Binder:
             if statement.where is not None
             else None
         )
-
-        statistics = self._combined_statistics(tables)
-        udf_selectivities = {
-            udf.name: udf.selectivity for udf in self.udfs if udf.is_client_site
-        }
-        predicates = [
-            PredicateInfo.analyze(conjunct, statistics, udf_selectivities)
-            for conjunct in conjuncts(where)
-        ]
+        predicates = [PredicateInfo.analyze(conjunct) for conjunct in conjuncts(where)]
 
         client_calls = self._collect_client_udf_calls(outputs, predicates)
 
@@ -129,21 +120,6 @@ class Binder:
         for bound in tables[1:]:
             combined = combined.concat(bound.schema)
         return combined
-
-    @staticmethod
-    def _combined_statistics(tables: List[BoundTable]) -> TableStatistics:
-        statistics = TableStatistics(row_count=1)
-        total_rows = 1
-        average_row_size = 0.0
-        for bound in tables:
-            table_stats = bound.table.statistics
-            total_rows *= max(1, table_stats.row_count)
-            average_row_size += table_stats.average_row_size
-            for name, column in table_stats.columns.items():
-                statistics.columns.setdefault(name, column)
-        statistics.row_count = total_rows
-        statistics.average_row_size = average_row_size
-        return statistics
 
     # -- outputs -------------------------------------------------------------------------
 

@@ -4,17 +4,20 @@ A :class:`BoundQuery` is what planners and the optimizer consume: tables are
 resolved against the catalog, expressions are bound relational expression
 trees, predicates are split into conjuncts, and every client-site UDF call
 appearing anywhere in the query is catalogued with its argument columns.
+It holds no estimate: a query is estimated when it is priced
+(:meth:`BoundQuery.declared_selectivities`), from its tables' statistics then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.client.udf import UdfDefinition
 from repro.relational.expressions import Expression, FunctionCall
-from repro.relational.predicates import PredicateInfo
+from repro.relational.predicates import MIN_SELECTIVITY, PredicateInfo, estimate_selectivity
 from repro.relational.schema import Schema
+from repro.relational.statistics import TableStatistics
 from repro.relational.table import Table
 from repro.relational.types import DataType
 
@@ -129,6 +132,24 @@ class BoundQuery:
             for predicate in self.predicates
             if any(udf.lower() in names for udf in predicate.udf_names)
         ]
+
+    def declared_selectivities(self, statistics: Sequence[TableStatistics]) -> Dict[int, float]:
+        """Each conjunct's estimate, by ``id`` of its :class:`PredicateInfo`, from
+        the FROM tables' ``statistics`` (in FROM order) merged by bare column
+        name and the client-site UDFs' declared selectivities, floored."""
+        merged = TableStatistics(row_count=1)
+        for table in statistics:
+            merged.row_count *= max(1, table.row_count)
+            merged.average_row_size += table.average_row_size
+            for name, column in table.columns.items():
+                merged.columns.setdefault(name, column)
+        udf_selectivities = {call.udf.name: call.udf.selectivity for call in self.client_udf_calls}
+        return {
+            id(predicate): max(
+                estimate_selectivity(predicate.expression, merged, udf_selectivities), MIN_SELECTIVITY
+            )
+            for predicate in self.predicates
+        }
 
     def output_column_names(self) -> List[str]:
         return [output.name for output in self.outputs]

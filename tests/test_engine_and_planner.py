@@ -593,6 +593,30 @@ class TestOptionCensus:
         ]
         assert found == []
 
+    def test_a_conjunct_holds_no_estimate(self):
+        """Binding estimates nothing: a conjunct is its expression, columns
+        and UDF names, and the binder's statistics merge and the statement
+        memo's statistics snapshot (``SqlSurface._statement``) are gone."""
+        import dataclasses
+        import pathlib
+        import re
+
+        import repro
+        from repro.relational.predicates import PredicateInfo
+
+        assert [field.name for field in dataclasses.fields(PredicateInfo)] == [
+            "expression",
+            "columns",
+            "udf_names",
+        ]
+        pattern = re.compile(r"\b(_combined_statistics|_statement)\b")
+        found = [
+            f"{path.name}: {match.group(0)}"
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
+
     @pytest.mark.parametrize(
         "name", ["RuntimeStatisticsView", "best_plan_from", "_enumerated_shape", "enumerations"]
     )

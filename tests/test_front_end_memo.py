@@ -3,15 +3,15 @@
 A :class:`~repro.server.engine.Database` binds a repeated SQL text once (the
 statement memo) and makes a repeated decision once (the decision memo).  A
 bound statement holds while the catalog's and the UDF registry's generations
-and every base table's statistics object are the ones it was bound under; a
-decision holds while every base table still answers with the statistics
-object it was priced from and every statistics read it made still gets the
-same answer, and it is served with the caller's own runtime state.  Each
-test below changes one of those inputs between two executes of one text and
-compares what the database plans with afterwards against a database built
-fresh in the changed state; the last ones run every kind of query twice and
-check that the second run, a hit, leaves what the memos share as it found
-it.
+are the ones it was bound under: binding reads no statistics, so a
+statistics change re-decides without re-binding.  A decision holds while
+every base table still answers with the statistics object it was priced
+from and every statistics read it made still gets the same answer, and it
+is served with the caller's own runtime state.  Each test below changes one
+of those inputs between two executes of one text and compares what the
+database plans with afterwards against a database built fresh in the
+changed state; the last ones run every kind of query twice and check that
+the second run, a hit, leaves what the memos share as it found it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from repro.server.engine import Database, StatisticsReads
 from repro.tenancy import MultiTenantEngine, QuerySpec, SessionWorkload
 from repro.workloads.sharding import site_network
 from repro.workloads.stock import StockWorkload
-from test_optimizer_budget import paged_stock_database
+from repro.sql.binder import Binder
+from test_optimizer_budget import counted_front_end, counted_work, paged_stock_database
 
 SQL = "SELECT Q.Id FROM Quotes Q WHERE Q.Price >= 10 AND Q.Price < 20 AND Score(Q.Price) > 30"
 QUOTES = [("Id", INTEGER), ("Price", FLOAT), ("Name", STRING)]
@@ -155,8 +156,32 @@ def test_a_change_between_two_executes_is_planned_as_a_fresh_database_plans_it(c
     assert after == executed(fresh)
     if not change.startswith("replace"):  # a replacement is a new table or UDF, not held
         assert held_before != served(db, held) == served(fresh, fresh_held)
+        assert served(db, held) == served(db)  # a held query is priced as a fresh bind
     db.close()
     fresh.close()
+
+
+def test_a_statistics_change_re_decides_without_re_binding(tmp_path):
+    """A paged insert moves the table's statistics between two executes of
+    one text: the second execute decides again from the bound statement it
+    already holds, parsed once."""
+    db = quotes_database(str(tmp_path))
+    paged_insert = CHANGES["paged-insert"][2]
+    with counted_front_end() as counts:
+        executed(db)
+        paged_insert(db)
+        executed(db)
+    assert (counts["parse"], counts["optimize"]) == (1, 2)
+    db.close()
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
+def test_binding_reads_no_statistics(paged, tmp_path):
+    db = quotes_database(str(tmp_path) if paged else None)
+    with counted_work() as counts:
+        bound = Binder(db.catalog, db.udfs).bind_sql(SQL)
+    assert len(bound.predicates) == 3 and counts["statistics"] == 0
+    db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +373,7 @@ def bound_fingerprint(bound) -> tuple:
     return (
         bound.describe(),
         [str(table.schema) for table in bound.tables],
-        [(p.selectivity.hex(), sorted(p.columns), p.udf_names) for p in bound.predicates],
+        [(sorted(p.columns), p.udf_names) for p in bound.predicates],
         [
             (call.name, call.udf.cost_per_call_seconds, call.udf.selectivity, call.argument_columns,
              call.used_in_predicate, call.used_in_output)
@@ -360,8 +385,8 @@ def bound_fingerprint(bound) -> tuple:
 
 def memo_fingerprint(db) -> tuple:
     statements = [
-        (sql, stamp, bound_fingerprint(bound), [id(s) for s in snapshot])
-        for sql, (stamp, bound, snapshot) in db._statements.items()
+        (sql, stamp, bound_fingerprint(bound))
+        for sql, (stamp, bound) in db._statements.items()
     ]
     # A recipe by identity: a hit instantiates the one kept, it plans none.
     decisions = [

@@ -180,4 +180,4 @@ class TestPredicateAnalysis:
         assert info.references_udf
         assert info.udf_names == ("Analyze",)
         assert info.columns == frozenset({"S.Quotes"})
-        assert 0 < info.selectivity <= 1
+        assert 0 < estimate_selectivity(info.expression) <= 1
