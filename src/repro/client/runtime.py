@@ -10,7 +10,7 @@ Serving is a chain of kernel-entry calls, not a simulation process, because
 the client only reacts to arrivals: its mailbox calls it with each message
 (:meth:`Store.read <repro.network.resources.Store.read>`), the answer is
 sent by a call scheduled after the simulated compute time, and the next read
-hangs off the reply's transmission end.
+is the reply's ``then``: the call that ends its transmission.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ class _Serving(StoreReader):
     """One :meth:`ClientRuntime.start`: the serve loop as kernel-entry calls.
 
     A message that needs an answer is answered by :meth:`reply` once its
-    compute time has passed, and the mailbox is read on (:meth:`read_on`)
-    when the reply is on the wire; ``done`` fires once the end of stream is
-    acknowledged.
+    compute time has passed, and the mailbox is read on (:meth:`read_on`,
+    the reply's ``then``) when the reply has left; ``done`` fires once the
+    end of stream's acknowledgement has (:meth:`finish`).
     """
 
     __slots__ = ("runtime", "channel")
@@ -266,8 +266,7 @@ class _Serving(StoreReader):
         kind = message.kind
         if kind is MessageKind.CONTROL:
             if is_end_of_stream(message):
-                acknowledged = self.channel.send_to_server(end_of_stream(sender=runtime.name))
-                acknowledged.add_callback(self.finish)
+                self.channel.send_to_server(end_of_stream(sender=runtime.name), self.finish)
                 return True
             return False
         if kind is MessageKind.FINAL_RESULTS:
@@ -293,12 +292,12 @@ class _Serving(StoreReader):
 
     def reply(self, message: Message) -> None:
         try:
-            self.channel.send_to_server(message).add_callback(self.read_on)
+            self.channel.send_to_server(message, self.read_on)
         except Exception as exc:  # noqa: BLE001 - fails ``done``, not the kernel
             self.done.fail(exc)
 
-    def read_on(self, _event: Event) -> None:
+    def read_on(self, _reply: Message) -> None:
         self.take(None)
 
-    def finish(self, _event: Event) -> None:
+    def finish(self, _acknowledgement: Message) -> None:
         self.done.succeed()

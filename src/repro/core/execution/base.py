@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 import math
 
 from repro.errors import ExecutionError
+from repro.client.protocol import ArgumentBatch, RemoteCall
 from repro.client.udf import UdfDefinition
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
-from repro.network.message import Message, MessageKind, is_end_of_stream
+from repro.network.events import INSTANT, Event
+from repro.network.message import Message, MessageKind, batch_message, is_end_of_stream
 from repro.network.resources import StoreReader
 from repro.relational.expressions import Expression
 from repro.relational.keys import KeyCodes
@@ -176,41 +178,57 @@ class RemoteUdfOperator(Operator):
             name=f"{type(self).__name__}.window",
         )
 
-    def refresh_window(self, window: InFlightWindow, floor: int = 1) -> None:
-        """Re-read the window target at a batch boundary: only a controller
-        can have moved it from what :meth:`make_window` built the window with."""
+    def slot_now(self, window: InFlightWindow) -> bool:
+        """Whether the next request may leave ``window`` now.
+
+        The window target is re-read at the batch boundary (only a
+        controller can have moved it from what :meth:`make_window` built the
+        window with) and a slot taken in place when that reorders nothing
+        (:meth:`InFlightWindow.acquire_now`).  On False the sender yields
+        ``window`` and is resumed once it holds a slot; either way the
+        message is built only then, so messages are numbered in the order
+        they leave.
+        """
         controller = self._window_controller
         if controller is not None:
-            window.resize(max(floor, controller.current()))
-
-    def ship(self, window: InFlightWindow, make_message: Callable[[], Message]):
-        """Send ``make_message()`` to the client once ``window`` admits it.
-
-        A sender's step (``yield from``): the window target is re-read, a
-        slot taken, and only then is the message built, so messages are
-        numbered in the order they leave.
-        """
-        self.refresh_window(window)
-        if not window.acquire_now():
-            yield window.acquire()
-        yield self.context.channel.send_to_client(make_message())
+            window.resize(max(1, controller.current()))
+        return window.acquire_now()
 
     def exchange(
-        self, name: str, sender, take_reply: Callable[[Any], None], window: InFlightWindow
+        self, name: str, sender: Generator, take_reply: Callable[[Any], None], window: InFlightWindow
     ):
         """Run ``sender`` while the replies are taken, until the reply stream ends.
 
-        The replies are taken by calls, not a process (a :class:`StoreReader`):
-        each raises a client failure, frees the reply's window slot and hands
-        the payload to ``take_reply``.  Their end is awaited first: a client
+        Both sides are calls, not processes.  The sender is a generator
+        driven by its own transmission ends (a :class:`_Sender`): it yields
+        the next message to send, ``Simulator.instant`` for a same-instant
+        hop, or an :class:`InFlightWindow` to wait for a slot in.  The
+        replies are taken by a :class:`StoreReader`: each raises a client
+        failure, frees the reply's window slot and hands the payload to
+        ``take_reply``.  The reply stream's end is awaited first: a client
         failure surfaces there even while the sender is blocked on a slot
-        that will never be freed.
+        that will never be freed, and a sender's failure (a closed channel)
+        fails it too, since the stream cannot end without the sender's end
+        of stream.
         """
-        sender_process = self.context.simulator.process(sender, name=f"{name}.sender")
-        yield _ReplyTaker(self, name, take_reply, window).start()
-        yield sender_process
+        replies = _ReplyTaker(self, name, take_reply, window)
+        sending = _Sender(self.context, name, sender, replies.done).start()
+        yield replies.start()
+        yield sending
 
     # -- shared helpers ----------------------------------------------------------------
+
+    def argument_message(
+        self, call: RemoteCall, arguments: List[Tuple[Any, ...]], payload_bytes: int, label: str
+    ) -> Message:
+        """One request carrying argument tuples ``arguments`` to the client."""
+        return batch_message(
+            MessageKind.UDF_ARGUMENTS,
+            ArgumentBatch(call=call, argument_tuples=arguments),
+            payload_bytes,
+            len(arguments),
+            description=(label, self.udf.name, " x", len(arguments)),
+        )
 
     def argument_tuple(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Extract the UDF's argument values from a child row."""
@@ -351,3 +369,53 @@ class _ReplyTaker(StoreReader):
         self.window.release()
         self.take_reply(reply.payload)
         return False
+
+
+class _Sender:
+    """The sending side of :meth:`RemoteUdfOperator.exchange`: a sender
+    generator driven by kernel-entry calls, not a process.
+
+    The generator's frame holds what lives across its waits (the batch
+    being filled, the slots shipped); what it yields says how it is resumed.
+    A message is sent with :meth:`resume` as the send's ``then``, so the
+    transmission end resumes the sender in its own entry; ``INSTANT`` is a
+    call entry at ``now``; a window parks :meth:`resume` until it admits.
+    Each is the entry a process's event would have taken, at the same time
+    and sequence number.  ``done`` fires when the generator returns, or
+    fails with what it (or a send) raised — never out of ``Simulator.step``
+    — and so does ``stream_end``, the reply stream's end, if it is pending.
+    """
+
+    __slots__ = ("generator", "simulator", "send", "done", "stream_end")
+
+    def __init__(
+        self, context: RemoteExecutionContext, name: str, generator: Generator, stream_end: Event
+    ) -> None:
+        self.generator = generator
+        self.simulator = context.simulator
+        self.send = context.channel.send_to_client
+        self.done = Event(context.simulator, (name, ".sender"))
+        self.stream_end = stream_end
+
+    def start(self) -> Event:
+        """Run from the current instant on (one call entry at ``now``, where a
+        process would start); returns ``done``."""
+        self.simulator._schedule_call(0.0, self.resume, None)
+        return self.done
+
+    def resume(self, _value: Any) -> None:
+        """Advance the generator to its next wait and arrange its end."""
+        try:
+            step = self.generator.send(None)
+            if step is INSTANT:
+                self.simulator._schedule_call(0.0, self.resume, None)
+            elif type(step) is InFlightWindow:
+                step.acquire(self.resume)
+            else:
+                self.send(step, self.resume)
+        except StopIteration:
+            self.done.succeed()
+        except Exception as exc:  # noqa: BLE001 - fails ``done``, not the kernel
+            self.done.fail(exc)
+            if not self.stream_end.triggered:
+                self.stream_end.fail(exc)

@@ -5,7 +5,10 @@ evaluates the UDF on each record, appends the result column, applies any
 pushable predicates and projections locally, and ships only the surviving,
 projected rows back to the server.  Sender and receiver on the server do not
 need to coordinate (there is no bounded buffer): the full records flow
-through the client, so the uplink stream is self-describing.
+through the client, so the uplink stream is self-describing.  Both are
+calls, not processes (``RemoteUdfOperator.exchange``): the sender is a
+generator that yields each record batch (or the window, when one bounds it)
+and resumes when the batch has left.
 
 Compared with the semi-join this trades *more* downlink traffic (full
 records, duplicates included) for *less* uplink traffic whenever the pushable
@@ -78,8 +81,6 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
     # -- coordination -------------------------------------------------------------------
 
     def _drive(self, batch: RowBatch):
-        channel = self.context.channel
-
         # Sorting groups argument duplicates so the client's result cache
         # avoids recomputation; it does not change what is shipped.
         batch, coded = self.sorted_batch_by_arguments(batch)
@@ -124,17 +125,16 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
                 payload_bytes = offsets[start + len(chunk)] - offsets[start]
                 start += len(chunk)
                 sent_sizes.append(len(chunk))
-                yield from self.ship(
-                    window,
-                    lambda: batch_message(
-                        MessageKind.RECORDS,
-                        RecordBatch(calls=[call], rows=chunk, pushed=pushed),
-                        payload_bytes=payload_bytes,
-                        row_count=len(chunk),
-                        description=("csj ", self.udf.name, " x", len(chunk)),
-                    ),
+                if not self.slot_now(window):
+                    yield window
+                yield batch_message(
+                    MessageKind.RECORDS,
+                    RecordBatch(calls=[call], rows=chunk, pushed=pushed),
+                    payload_bytes,
+                    len(chunk),
+                    description=("csj ", self.udf.name, " x", len(chunk)),
                 )
-            yield channel.send_to_client(end_of_stream())
+            yield end_of_stream()
 
         collected: List[RowBatch] = []
 

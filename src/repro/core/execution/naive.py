@@ -20,6 +20,11 @@ caching of duplicate argument tuples on the server: each distinct tuple is
 shipped once.  Duplicate decisions are made at *enqueue* time against
 everything already sent or in flight, so the wire trace is identical
 whatever the window is.
+
+The sender is a generator driven by calls, not a process
+(``RemoteUdfOperator.exchange``): it yields each request batch, or the
+window when no slot is free, and resumes when that request's transmission
+ends — in the kernel entry a process's event would have taken.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Tuple
 
-from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
+from repro.client.protocol import RemoteCall, ResultBatch
 from repro.core.execution.base import RemoteUdfOperator
-from repro.network.message import MessageKind, batch_message, end_of_stream
+from repro.network.message import end_of_stream
 from repro.relational.tuples import RowBatch
 
 
@@ -47,7 +52,6 @@ class NaiveUdfOperator(RemoteUdfOperator):
         self.carry_state = carry_state
 
     def _drive(self, batch: RowBatch):
-        channel = self.context.channel
         call = RemoteCall(
             udf_name=self.udf.name,
             argument_positions=tuple(range(len(self.argument_columns))),
@@ -76,23 +80,6 @@ class NaiveUdfOperator(RemoteUdfOperator):
             pending: List[Tuple[Any, ...]] = []
             pending_bytes = 0
             covered = 0
-
-            def flush():
-                nonlocal pending_bytes, covered
-                yield from self.ship(
-                    window,
-                    lambda: batch_message(
-                        MessageKind.UDF_ARGUMENTS,
-                        ArgumentBatch(call=call, argument_tuples=list(pending)),
-                        payload_bytes=pending_bytes,
-                        row_count=len(pending),
-                        description=("naive ", self.udf.name, " x", len(pending)),
-                    ),
-                )
-                acknowledged.append(covered)
-                covered = pending_bytes = 0
-                pending.clear()
-
             for code in coded.codes:
                 covered += 1
                 if resolved[code]:
@@ -104,10 +91,17 @@ class NaiveUdfOperator(RemoteUdfOperator):
                 # Re-read the targets each time: adaptive controllers may
                 # have moved the batch size or the window since the last send.
                 if len(pending) >= self.next_batch_size():
-                    yield from flush()
+                    if not self.slot_now(window):
+                        yield window
+                    yield self.argument_message(call, pending, pending_bytes, "naive ")
+                    acknowledged.append(covered)
+                    pending, pending_bytes, covered = [], 0, 0
             if pending:
-                yield from flush()
-            yield channel.send_to_client(end_of_stream())
+                if not self.slot_now(window):
+                    yield window
+                yield self.argument_message(call, pending, pending_bytes, "naive ")
+                acknowledged.append(covered)
+            yield end_of_stream()
 
         def take_reply(result_batch: ResultBatch) -> None:
             shipped_results.extend(result_batch.results)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.network.events import Event
@@ -60,7 +60,8 @@ class InFlightWindow:
         self.capacity = capacity
         self.name = name
         self.in_flight = 0
-        self._waiters: Deque[Tuple[Event, float]] = deque()
+        #: Blocked senders in FIFO order: an :meth:`acquire` event or ``then`` callable.
+        self._waiters: Deque[Tuple[Union[Event, Callable[[None], None]], float]] = deque()
         # Instrumentation: the overlap the run actually reached, and the time
         # the sender spent blocked on a full window.
         self.peak_in_flight = 0
@@ -69,16 +70,26 @@ class InFlightWindow:
 
     # -- operations -------------------------------------------------------------
 
-    def acquire(self) -> Event:
+    def acquire(self, then: Optional[Callable[[None], None]] = None) -> Optional[Event]:
         """An event that fires once one more batch may leave the server.
 
         A free slot nobody queues for is taken now, and the event is
-        ``Simulator.instant``: the same-instant hop, without an event."""
+        ``Simulator.instant``: the same-instant hop, without an event.  A
+        sender driven by calls passes ``then`` instead and gets nothing
+        back: ``then(None)`` is parked where the event would wait and
+        called as a kernel entry where the event would be processed.
+        """
+        simulator = self.simulator
         if not self._waiters and self.in_flight < self.capacity:
             self._admit()
-            return self.simulator.instant
-        event = Event(self.simulator, name=(self.name, ".acquire"))
-        self._waiters.append((event, self.simulator.now))
+            if then is None:
+                return simulator.instant
+            simulator._schedule_call(0.0, then, None)
+            return None
+        event = None
+        if then is None:
+            event = then = Event(simulator, name=(self.name, ".acquire"))
+        self._waiters.append((then, simulator.now))
         return event
 
     def acquire_now(self) -> bool:
@@ -87,7 +98,8 @@ class InFlightWindow:
         True when a slot is free, nobody queues for one and the instant is
         quiet (:meth:`~repro.network.simulator.Simulator.quiet`): the slot is
         taken and counted exactly as by :meth:`acquire`, minus its same-instant
-        hop.  On False the caller falls back to ``yield window.acquire()``.
+        hop.  On False the caller falls back to :meth:`acquire` (a sender
+        driven by ``RemoteUdfOperator.exchange``: ``yield window``).
         """
         if self._waiters or self.in_flight >= self.capacity or not self.simulator.quiet():
             return False
@@ -133,10 +145,13 @@ class InFlightWindow:
 
     def _dispatch(self) -> None:
         while self._waiters and self.in_flight < self.capacity:
-            event, enqueued_at = self._waiters.popleft()
+            waiter, enqueued_at = self._waiters.popleft()
             self._admit()
             self.stall_seconds += self.simulator.now - enqueued_at
-            event.succeed()
+            if isinstance(waiter, Event):
+                waiter.succeed()
+            else:
+                self.simulator._schedule_call(0.0, waiter, None)
 
     def __repr__(self) -> str:
         capacity = f"{self.capacity:g}" if self.bounded else "inf"

@@ -7,7 +7,9 @@ concurrency factor.
 * The sender walks the input (sorted and grouped on the argument columns),
   eliminates argument duplicates and ships only the argument columns of new
   argument tuples on the downlink; every tuple it ships takes a pipeline
-  slot first.
+  slot first.  It is a generator driven by calls, not a process
+  (``RemoteUdfOperator.exchange``): it yields each message it ships, a
+  same-instant hop or the window it waits for a slot in.
 * The client evaluates the UDF on each received argument tuple and ships the
   bare result back on the uplink.
 * The receiver — calls, not a process (``RemoteUdfOperator.exchange``) —
@@ -29,11 +31,11 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
+from repro.client.protocol import RemoteCall, ResultBatch
 from repro.core.concurrency import recommended_batched_concurrency_factor
 from repro.core.execution.base import RemoteUdfOperator, SemiJoinSegmentState
 from repro.core.execution.overlap import InFlightWindow
-from repro.network.message import MessageKind, batch_message, end_of_stream
+from repro.network.message import end_of_stream
 from repro.relational.tuples import RowBatch
 
 
@@ -79,7 +81,6 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
 
     def _drive(self, batch: RowBatch):
         simulator = self.context.simulator
-        channel = self.context.channel
 
         batch, coded = self.sorted_batch_by_arguments(batch)
         keys = coded.keys
@@ -132,20 +133,6 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         def sender():
             pending_batch: List[Tuple[Any, ...]] = []
             pending_bytes = 0
-
-            def flush():
-                nonlocal pending_bytes
-                message = batch_message(
-                    MessageKind.UDF_ARGUMENTS,
-                    ArgumentBatch(call=call, argument_tuples=list(pending_batch)),
-                    payload_bytes=pending_bytes,
-                    row_count=len(pending_batch),
-                    description=("semijoin ", self.udf.name, " x", len(pending_batch)),
-                )
-                pending_batch.clear()
-                pending_bytes = 0
-                return message
-
             for slot in slots:
                 # Every row is a scheduling point: at a busy instant (say the
                 # shared trunk's same-instant tick is still queued behind the
@@ -166,17 +153,22 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
                 if adaptive and 2 * target > pipeline.capacity:
                     pipeline.resize(2 * target)
                 if not pipeline.acquire_now():
-                    yield pipeline.acquire()
+                    yield pipeline
                 shipped_slots.append(slot)
                 pending_batch.append(payloads[slot])
                 pending_bytes += sizes[slot]
                 if len(pending_batch) >= target:
-                    yield from self.ship(window, flush)
+                    if not self.slot_now(window):
+                        yield window
+                    yield self.argument_message(call, pending_batch, pending_bytes, "semijoin ")
+                    pending_batch, pending_bytes = [], 0
             if pending_batch:
-                yield from self.ship(window, flush)
+                if not self.slot_now(window):
+                    yield window
+                yield self.argument_message(call, pending_batch, pending_bytes, "semijoin ")
             if not quiet():
                 yield simulator.instant
-            yield channel.send_to_client(end_of_stream())
+            yield end_of_stream()
 
         def take_reply(result_batch: ResultBatch) -> None:
             self.observe_batch(len(result_batch.results))

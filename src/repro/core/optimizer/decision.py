@@ -171,10 +171,17 @@ class Optimizer:
         allow_deferred_return: bool = True,
         settings: Optional[CostSettings] = None,
         operations: Optional[tuple] = None,
+        estimator: Optional[CostEstimator] = None,
     ) -> SystemREnumerator:
+        """A System R enumerator over ``query``'s operations (read here unless
+        given), pricing with ``estimator`` or, without one, a fresh estimator."""
         tables, udfs = operations or operations_for_query(query, statistics=self.statistics)
+        if estimator is None:
+            estimator = self._estimator(
+                query, allow_deferred_return=allow_deferred_return, settings=settings
+            )
         return SystemREnumerator(
-            self._estimator(query, allow_deferred_return=allow_deferred_return, settings=settings),
+            estimator,
             tables,
             udfs,
             exhaustive_properties=self.exhaustive_properties,
@@ -235,13 +242,15 @@ class Optimizer:
         # One read of each base table's statistics serves both endpoints.
         operations = operations_for_query(query, statistics=self.statistics)
         for endpoint in dict.fromkeys((min(candidates), max(candidates))):
+            # Same query, same statistics snapshot: the second endpoint
+            # prices what the first derived instead of deriving it again.
             enumerator = self.enumerator(
-                query, allow_deferred_return=False, settings=at[endpoint], operations=operations
+                query,
+                allow_deferred_return=False,
+                settings=at[endpoint],
+                operations=operations,
+                estimator=None if estimator is None else estimator.repriced(at[endpoint]),
             )
-            if estimator is not None:
-                # Same query, same statistics snapshot: the second endpoint
-                # prices what the first derived instead of deriving it again.
-                enumerator.estimator = estimator.repriced(at[endpoint])
             estimator = enumerator.estimator
             for plan in enumerator.all_complete_plans():
                 shape = tuple((step.kind, step.name, step.strategy) for step in plan.steps)
@@ -277,14 +286,19 @@ class Optimizer:
 
         alternatives: Dict[str, CandidatePlan] = {}
         if include_baselines:
-            alternatives = self.baseline_plans(query)
+            alternatives = self.baseline_plans(query, operations)
 
         return OptimizationDecision(plan=best, strategy_config=config, alternatives=alternatives)
 
-    def baseline_plans(self, query: BoundQuery) -> Dict[str, CandidatePlan]:
-        """Costed plans of the baseline optimizers, for comparison benchmarks."""
+    def baseline_plans(
+        self, query: BoundQuery, operations: Optional[tuple] = None
+    ) -> Dict[str, CandidatePlan]:
+        """Costed plans of the baseline optimizers, for comparison benchmarks;
+        ``operations`` are the query's, when the caller has read them already."""
         estimator = self._estimator(query)
-        operations = tables, udfs = operations_for_query(query, statistics=self.statistics)
+        if operations is None:
+            operations = operations_for_query(query, statistics=self.statistics)
+        tables, udfs = operations
         baselines: Dict[str, CandidatePlan] = {}
         if udfs:
             baselines["rank-order (naive execution)"] = RankOrderOptimizer(

@@ -9,7 +9,7 @@ fall out naturally.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.network.events import Event
 from repro.network.link import Link
@@ -68,21 +68,27 @@ class Channel:
 
     # -- sending ---------------------------------------------------------------------
 
-    def send_to_client(self, message: Message) -> Event:
-        """Server → client.  Returns the sender-side completion event.
+    def send_to_client(
+        self, message: Message, then: Optional[Callable[[Message], None]] = None
+    ) -> Optional[Event]:
+        """Server → client: :meth:`Link.send <repro.network.link.Link.send>`
+        on the downlink — ``then(message)`` when serialisation ends, or the
+        returned event without ``then``.
 
         A closed channel's links are closed with it, so the link's own check
         is the channel's.
         """
         if not message.sender:
             message.sender = "server"
-        return self.downlink.send(message)
+        return self.downlink.send(message, then)
 
-    def send_to_server(self, message: Message) -> Event:
-        """Client → server.  Returns the sender-side completion event."""
+    def send_to_server(
+        self, message: Message, then: Optional[Callable[[Message], None]] = None
+    ) -> Optional[Event]:
+        """Client → server: :meth:`send_to_client` on the uplink."""
         if not message.sender:
             message.sender = "client"
-        return self.uplink.send(message)
+        return self.uplink.send(message, then)
 
     def send_batch_to_client(
         self,

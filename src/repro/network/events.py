@@ -24,8 +24,9 @@ class Event:
     """A one-shot simulation event.
 
     ``name`` may be given as a tuple of parts (``(link.name, ".tx#", 17)``):
-    events are created per message and almost never printed, so the parts
-    are joined only when :attr:`name` is read — by ``__repr__`` or an error.
+    events are created per send or wait and almost never printed, so the
+    parts are joined only when :attr:`name` is read — by ``__repr__`` or an
+    error.
     An owner that names every event alike (a store's ``.get``) builds the
     tuple once and passes the same one each time.
     """
@@ -73,7 +74,10 @@ class Event:
         Only for a caller that is the last action of its own kernel entry at
         a quiet instant (:meth:`Simulator.quiet`): the entry :meth:`succeed`
         would schedule is then the very next one the kernel pops, so running
-        it here reorders nothing.
+        it here reorders nothing.  Or for an entry that *is* the event's:
+        a send's ``then`` (``Link.send`` without one schedules this method
+        where it would schedule the event), run in the slot the event's own
+        entry would take.
         """
         if self.triggered:
             raise SimulationError(f"event {self.name!r} has already been triggered")

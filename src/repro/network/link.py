@@ -22,7 +22,7 @@ round robin across all the flows sharing the trunk.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import ChannelClosedError, SimulationError
 from repro.network.events import Event
@@ -86,19 +86,27 @@ class Link:
                 break
         return bandwidth
 
-    def send(self, message: Message) -> Event:
-        """Ship ``message``; returns an event that fires when serialisation ends.
+    def send(self, message: Message, then: Optional[Callable[[Message], None]] = None) -> Optional[Event]:
+        """Ship ``message``; ``then(message)`` runs when serialisation ends.
 
-        The returned event lets the *sender* proceed as soon as the link is
-        free again (it models the network card accepting the next message);
-        delivery into the destination store happens ``latency`` seconds after
-        serialisation completes.
+        The end of serialisation lets the *sender* proceed as soon as the
+        link is free again (it models the network card accepting the next
+        message): it is one kernel entry, ``then(message)``, so a sender
+        driven by calls resumes without an event.  Without ``then`` — a
+        caller that waits as a process — an event is built and returned,
+        fired by that same entry.  Delivery into the destination store
+        happens ``latency`` seconds after serialisation completes.
         """
         if self._closed:
             raise ChannelClosedError(f"link {self.name!r} is closed")
         if self.scheduler is not None:
-            return self.scheduler.submit(self, message)
-        now = self.simulator.now
+            return self.scheduler.submit(self, message, then)
+        event = None
+        if then is None:
+            event = Event(self.simulator, name=(self.name, ".tx#", message.sequence))
+            then = event.succeed_now
+        simulator = self.simulator
+        now = simulator._now
         start = max(now, self._free_at)
         bandwidth = self.bandwidth_at(start) if self.bandwidth_schedule else self.bandwidth
         transmission = message.size_bytes / bandwidth
@@ -107,15 +115,12 @@ class Link:
 
         self.stats.record(message, start - now, transmission)
 
-        # Event for the sender: the link has finished serialising the message.
-        sender_event = Event(self.simulator, name=(self.name, ".tx#", message.sequence))
-        sender_event.succeed(message, delay=finish_tx - now)
-
+        simulator._schedule_call(finish_tx - now, then, message)
         # Delivery into the destination mailbox after propagation.  Nobody
         # can wait on it, so it is a call, not an event; being the whole
         # kernel entry, it may wake the mailbox's reader in place.
-        self.simulator._schedule_call((finish_tx + self.latency) - now, self.destination.deliver, message)
-        return sender_event
+        simulator._schedule_call((finish_tx + self.latency) - now, self.destination.deliver, message)
+        return event
 
     def close(self) -> None:
         """Refuse any further sends (used for failure-injection tests)."""

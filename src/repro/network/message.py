@@ -110,12 +110,7 @@ def batch_message(
 ) -> Message:
     """A batch-sized message carrying ``row_count`` rows in one frame."""
     return Message(
-        kind=kind,
-        payload=payload,
-        payload_bytes=payload_bytes,
-        sender=sender,
-        description=description or (row_count, " rows"),
-        row_count=row_count,
+        kind, payload, payload_bytes, None, sender, description or (row_count, " rows"), row_count
     )
 
 

@@ -197,7 +197,8 @@ class StoreReader:
     returns True: it has arranged what runs next.  An exception fails
     ``done`` instead of leaving the kernel entry, so it reaches whoever waits
     on ``done`` and never :meth:`Simulator.step
-    <repro.network.simulator.Simulator.step>`.  Subclasses hold their state
+    <repro.network.simulator.Simulator.step>`; once ``done`` has failed
+    otherwise (the other side of an exchange broke), one is dropped.  Subclasses hold their state
     in slots and schedule bound methods, not closures that name each other,
     so no reference cycle outlives ``done``.
     """
@@ -228,7 +229,8 @@ class StoreReader:
                     return
                 item = None
         except Exception as exc:  # noqa: BLE001 - fails ``done``, not the kernel
-            self.done.fail(exc)
+            if not self.done.triggered:
+                self.done.fail(exc)
 
     def react(self, item: Any) -> bool:
         """Take one item; True when the subclass has arranged the next read."""

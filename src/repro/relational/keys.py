@@ -12,6 +12,7 @@ up per row by list index.  No tuple is built per row.
 from __future__ import annotations
 
 from itertools import repeat
+from math import isnan
 from operator import add, lshift, or_
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -71,16 +72,49 @@ def combine_codes(columns: Sequence[List[int]]) -> List[int]:
     return combined
 
 
+#: Exact types whose values ``sorted`` may compare as they are: a column of
+#: one of them holds no NaN unless it is ``float``, and none is unhashable.
+_PLAIN_ORDERED = frozenset({int, float, str, bool, bytes})
+
+
+def _rank_distinct(column: Sequence[Any]) -> Optional[List[int]]:
+    """Each value's rank in a column of *distinct*, non-NULL values of one
+    type, from one sort over positions in C; ``None`` when the column is not
+    such a column (NULLs, several types, a type it cannot rank, a NaN)."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    order_key = ORDER_KEYS.get(kind)
+    if order_key is not None:
+        sort_keys: Sequence[Any] = list(map(order_key, column))
+    elif kind in _PLAIN_ORDERED and not (kind is float and any(map(isnan, column))):
+        sort_keys = column
+    else:
+        return None
+    # Distinct values compare unequal, so the sort's order is unique; its
+    # inverse permutation is each value's rank.
+    order = sorted(range(len(column)), key=sort_keys.__getitem__)
+    return sorted(range(len(order)), key=order.__getitem__)
+
+
 def _rank_keys(columns: Sequence[Sequence[Any]]) -> Optional[List[int]]:
     """One integer sort key per distinct key, ordering like :class:`_NullsFirstKey`, or ``None``.
 
-    Each key column's distinct values are sorted once (NULL ranks lowest) and
-    every key gets the rank of its value; several columns combine their
-    ranks into one int.  A column of one type with an :data:`ORDER_KEYS`
-    entry is compared by that key, in C, and holds no NaN.  ``None`` when
-    there is no column, or a value is unhashable or a NaN (not equal to
-    itself, so its place depends on the comparisons a sort happens to make).
+    The ranks are unique: two distinct keys differ in some column.  One key
+    column holds distinct values already, so it is ranked by one sort over
+    its positions (:func:`_rank_distinct`).  Otherwise each key column's
+    distinct values are sorted once (NULL ranks lowest) and every key gets
+    the rank of its value; several columns combine their ranks into one int.
+    A column of one type with an :data:`ORDER_KEYS` entry is compared by
+    that key, in C, and holds no NaN.  ``None`` when there is no column, or
+    a value is unhashable or a NaN (not equal to itself, so its place
+    depends on the comparisons a sort happens to make).
     """
+    if len(columns) == 1:
+        ranks = _rank_distinct(columns[0])
+        if ranks is not None:
+            return ranks
     rank_columns = []
     for column in columns:
         try:
@@ -186,8 +220,9 @@ class KeyCodes:
 
     def take(self, indexes: Sequence[int]) -> "KeyCodes":
         """The codes of the rows at ``indexes``, over the same keys."""
-        codes = self.codes
-        return KeyCodes([codes[index] for index in indexes], self.columns, self._keys, self._sizes)
+        return KeyCodes(
+            list(map(self.codes.__getitem__, indexes)), self.columns, self._keys, self._sizes
+        )
 
     @property
     def sizes(self) -> List[int]:
@@ -211,17 +246,14 @@ class KeyCodes:
         Equal to ``sorted(range(n), key=lambda i: _NullsFirstKey(tuples[i]))``,
         which costs a Python-level ``__lt__`` per comparison of two *rows*;
         here only the distinct keys' *values* are compared, and the rows sort
-        by the integer place of their code.  Keys that cannot be ranked
+        by the unique integer rank of their code.  Keys that cannot be ranked
         (NaNs, unhashable values) take the wrapper path, row by row.
         """
         ranks = _rank_keys(self.columns)
         if ranks is None:
             row_places: List[Any] = [_NullsFirstKey(key) for key in self.tuples()]
         else:
-            place = [0] * len(ranks)
-            for position, code in enumerate(sorted(range(len(ranks)), key=ranks.__getitem__)):
-                place[code] = position
-            row_places = [place[code] for code in self.codes]
+            row_places = list(map(ranks.__getitem__, self.codes))
         return sorted(range(len(row_places)), key=row_places.__getitem__, reverse=reverse)
 
 

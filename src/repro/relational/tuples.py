@@ -115,12 +115,11 @@ class RowBatch:
         ``indexes`` may select, drop, duplicate, or reorder rows; selecting
         every row in order returns the batch itself.
         """
-        if len(indexes) == self._length and all(
-            index == position for position, index in enumerate(indexes)
-        ):
+        length = len(indexes)
+        if length == self._length and list(indexes) == list(range(length)):
             return self
         return RowBatch.from_columns(
-            [[column[index] for index in indexes] for column in self.columns], len(indexes)
+            [list(map(column.__getitem__, indexes)) for column in self.columns], length
         )
 
     def key_tuples(self, positions: Optional[Sequence[int]] = None) -> List[Tuple[Any, ...]]:

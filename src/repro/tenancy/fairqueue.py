@@ -26,7 +26,7 @@ which keeps single-session wire traces byte-identical with tenancy enabled.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.network.events import Event
@@ -41,49 +41,47 @@ from repro.network.stats import LinkStats
 DEFAULT_QUANTUM_BYTES = 2048
 
 
-class _Transmission(Event):
+class _Transmission:
     """One message on the trunk: queue entry, sender-side completion, chaining step.
 
-    It is the event :meth:`LinkScheduler.submit` hands the sender, and the
-    kernel entry that fires it is the trunk's whole same-instant work for the
-    message: the sender's callbacks, then the delivery when it lands at this
-    very instant (a zero-latency link), then the scheduler's
+    :meth:`finish` is the kernel entry that ends the message's serialisation,
+    and it is the trunk's whole same-instant work for the message: the
+    sender's ``then(message)``, then the delivery when it lands at this very
+    instant (a zero-latency link), then the scheduler's
     :meth:`~LinkScheduler._start_next` when a message is queued (else the
-    trunk goes idle).  That order is part of the wire
-    schedule: whether a sender submits its next message before or after the
-    chaining step decides who transmits next.
+    trunk goes idle).  That order is part of the wire schedule: whether a
+    sender submits its next message before or after the chaining step
+    decides who transmits next.
     """
 
-    __slots__ = ("scheduler", "link", "message", "size_bytes", "flow", "enqueued_at", "delivers")
+    __slots__ = ("scheduler", "link", "message", "then", "size_bytes", "flow", "enqueued_at", "delivers")
 
-    def __init__(self, scheduler: "LinkScheduler", link: Link, message: Message) -> None:
-        Event.__init__(self, scheduler.simulator)
+    def __init__(
+        self, scheduler: "LinkScheduler", link: Link, message: Message, then: Callable[[Message], None]
+    ) -> None:
         self.scheduler = scheduler
         self.link = link
         self.message = message
+        self.then = then
         self.size_bytes = message.size_bytes
         self.flow = link.flow or link.name
-        self.enqueued_at = scheduler.simulator.now
+        self.enqueued_at = scheduler.simulator._now
         #: Whether this entry also delivers (set when transmission starts).
         self.delivers = False
 
-    @property
-    def name(self) -> str:
-        return f"{self.scheduler.name}.tx#{self.message.sequence}"
-
-    def _process(self) -> None:
+    def finish(self, message: Message) -> None:
         # The chaining step is runnable at this instant without being on the
-        # heap, exactly like a sibling callback: the sender's callbacks and
+        # heap, exactly like a sibling callback: the sender's ``then`` and
         # the delivery must see a busy instant.
-        simulator = self.simulator
+        scheduler = self.scheduler
+        simulator = scheduler.simulator
         simulator._fanout += 1
         try:
-            Event._process(self)
+            self.then(message)
             if self.delivers:
-                self.link.destination.deliver(self.message)
+                self.link.destination.deliver(message)
         finally:
             simulator._fanout -= 1
-        scheduler = self.scheduler
         if scheduler._queued_count:
             scheduler._start_next()
         else:
@@ -96,7 +94,7 @@ class LinkScheduler:
     Subclasses implement the queueing discipline via :meth:`_enqueue` and
     :meth:`_dequeue`; the base class owns the transmission machinery: one
     message serialises at a time (at the submitting link's bandwidth, so
-    per-direction drift schedules still apply), the sender event fires when
+    per-direction drift schedules still apply), the sender's ``then`` runs when
     serialisation ends, and delivery lands in the submitting link's own
     destination mailbox ``latency`` seconds later.
 
@@ -128,18 +126,22 @@ class LinkScheduler:
         """Called once by every link built on this trunk, before it submits."""
         self.stats.adopt(link.flow or link.name, link.stats)
 
-    def submit(self, link: Link, message: Message) -> Event:
-        """Accept ``message`` from ``link``; returns the sender-side event.
-
-        The event fires when the trunk finishes serialising the message —
-        the shared-trunk analogue of :meth:`Link.send`'s return value.
-        """
-        item = _Transmission(self, link, message)
+    def submit(
+        self, link: Link, message: Message, then: Optional[Callable[[Message], None]] = None
+    ) -> Optional[Event]:
+        """Accept ``message`` from ``link``; ``then(message)`` runs when the
+        trunk finishes serialising it — the shared-trunk :meth:`Link.send`,
+        which returns an event fired by that entry only without ``then``."""
+        event = None
+        if then is None:
+            event = Event(self.simulator, name=(self.name, ".tx#", message.sequence))
+            then = event.succeed_now
+        item = _Transmission(self, link, message, then)
         self._enqueue(item)
         self._queued_count += 1
         if not self._transmitting:
             self._start_next()
-        return item
+        return event
 
     # -- transmission --------------------------------------------------------------
 
@@ -150,7 +152,7 @@ class LinkScheduler:
             return
         self._queued_count -= 1
         self._transmitting = True
-        now = self.simulator.now
+        now = self.simulator._now
         link = item.link
         message = item.message
         bandwidth = link.bandwidth_at(now) if link.bandwidth_schedule else link.bandwidth
@@ -162,7 +164,7 @@ class LinkScheduler:
 
         # The sender unblocks when serialisation ends, and the same entry
         # chains to the next queued message (see _Transmission).
-        item.succeed(message, delay=transmission)
+        self.simulator._schedule_call(transmission, item.finish, message)
 
         # Delivery into the submitting link's own mailbox after propagation:
         # a call entry of its own, unless it lands on the completion's

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ChannelClosedError, ExecutionError
 from repro.client.registry import UdfRegistry
 from repro.client.runtime import ClientRuntime
 from repro.core.execution import (
@@ -375,6 +375,26 @@ class TestFailureHandling:
             with pytest.raises(ExecutionError, match=INJECTED):
                 operator.run()
             assert context.client.invocations_of("Echo") == 2  # the calls before the failure
+
+    @pytest.mark.parametrize("strategy", list(ExecutionStrategy), ids=str)
+    def test_a_send_refused_inside_the_sender_surfaces_as_execution_error(self, strategy):
+        """The client's first call closes the downlink, so the sender's next
+        request raises inside its kernel entry: the failure reaches
+        ``run_exchange`` with its cause, not as a deadlock."""
+        context, udf = make_context()
+        body = udf.function
+
+        def closing(*arguments):
+            context.channel.downlink.close()
+            return body(*arguments)
+
+        udf.function = closing
+        config = StrategyConfig(strategy=strategy, overlap_window=1)
+        operator = operator_for(config, context, udf, make_object_relation("Relation", 6, 32))
+        with pytest.raises(ExecutionError, match="is closed") as raised:
+            operator.run()
+        assert isinstance(raised.value.__cause__, ChannelClosedError)
+        assert context.client.invocations_of("Echo") == 1
 
     def test_missing_argument_column_is_rejected_up_front(self):
         context, udf = make_context()

@@ -22,6 +22,7 @@ import pytest
 import repro.relational.schema as schema
 from repro.adaptive.store import STATISTICS_PROTOCOL, StatisticsStore
 from repro.core.optimizer import CostSettings, Optimizer
+from repro.core.optimizer.cost import CostEstimator
 from repro.core.optimizer.enumerator import SystemREnumerator
 from repro.relational.table import Table
 from repro.workloads.misestimation import MisorderedUdfScenario
@@ -78,13 +79,16 @@ def counted_work() -> Iterator[Dict[str, int]]:
             setattr(owner, attribute, value)
 
 
-def decide(companies: int, query: str, **optimizer_options) -> Dict[str, int]:
+def decide(
+    companies: int, query: str, include_baselines: bool = False, **optimizer_options
+) -> Dict[str, int]:
     db = StockWorkload(company_count=companies, seed=1999).build()
     bound = db.bind(getattr(StockWorkload, query)())
     for table in bound.tables:
         table.table.statistics  # computed lazily on first read: not the decision's work
     with counted_work() as counts:
-        decision = Optimizer(db.network, **optimizer_options).optimize(bound)
+        optimizer = Optimizer(db.network, **optimizer_options)
+        decision = optimizer.optimize(bound, include_baselines=include_baselines)
     assert decision.plan.steps[-1].kind == "final"
     counts["tables"] = len(bound.tables)
     counts["columns"] = len(bound.combined_schema.columns) + len(bound.client_udf_calls)
@@ -113,6 +117,33 @@ def test_both_endpoint_enumerations_share_one_derivation():
     one_endpoint = decide(60, "figure13_query", settings=CostSettings(batch_size=16.0))
     assert static["statistics"] == one_endpoint["statistics"] == 2
     assert static["bare_name"] == one_endpoint["bare_name"]
+
+
+#: ``CostEstimator`` constructions per static decision: the first endpoint's;
+#: the second endpoint prices with its repriced twin.
+ESTIMATORS_PER_DECISION = 1
+
+
+def test_the_second_endpoint_builds_no_estimator():
+    counts = {"estimators": 0}
+    original = CostEstimator.__init__
+
+    def init(self, *arguments, **keywords):
+        counts["estimators"] += 1
+        original(self, *arguments, **keywords)
+
+    CostEstimator.__init__ = init
+    try:
+        decide(60, "figure13_query")
+    finally:
+        CostEstimator.__init__ = original
+    assert counts["estimators"] == ESTIMATORS_PER_DECISION
+
+
+def test_the_baselines_read_no_base_table_again():
+    """The baseline plans of a decision price the operations it read."""
+    with_baselines = decide(60, "figure13_query", include_baselines=True)
+    assert with_baselines["statistics"] == DERIVATIONS_PER_TABLE * with_baselines["tables"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -369,11 +369,18 @@ def test_key_codes_are_the_equality_classes_of_the_key_tuples(columns):
         max_size=3,
     ).flatmap(_columns)
 )
+@example(([2, 1, 1.0, 1, 0.5],))
+@example(([0.0, -0.0, 1.5, -0.0],))
+@example(([TimeSeries([2.0, 1.0]), TimeSeries([1.0]), TimeSeries([2.0, 1.0]), TimeSeries([])],))
+@example(([[2], [1], [2], [0, 1]],))
 @settings(max_examples=300, deadline=None)
 def test_order_by_code_is_the_nulls_first_order(columns):
     """Ranking the distinct keys and sorting rows by integer gives the stable
     NULLs-first order of the rows themselves — also where keys cannot be
-    ranked (NaNs, unhashable lists) and the wrapper orders row by row."""
+    ranked (NaNs, unhashable lists) and the wrapper orders row by row.  One
+    key column is ranked by one sort of its distinct values: equal values of
+    two types (``1`` / ``1.0``, ``-0.0`` / ``0.0``) and two equal objects
+    share a code, and a list column takes the row-by-row path."""
     batch = RowBatch.from_columns([list(column) for column in columns])
     positions = list(range(len(columns)))
     tuples = batch.key_tuples(positions)

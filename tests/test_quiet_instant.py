@@ -15,19 +15,28 @@ tick of its own.  The twin of rule (b) at a *busy* instant is the
 ``Simulator.instant`` hop: yielding an event that has already happened takes
 the same call entry, at the same sequence number, as ``timeout(0.0)`` did.
 
+A sender driven by calls (``RemoteUdfOperator.exchange``'s ``_Sender``:
+its transmission ends call it back, a full window parks its resume) takes
+the entries a process's events took, so both ship on one schedule.
+
 Either way every counter reads exactly as through the event-returning path.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.execution.base import _Sender
 from repro.core.execution.overlap import InFlightWindow
 from repro.errors import SimulationError
 from repro.network.events import Event
+from repro.network.channel import Channel
 from repro.network.link import Link
-from repro.network.message import MessageKind, batch_message
+from repro.network.message import MessageKind, batch_message, end_of_stream, is_end_of_stream
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
 from repro.tenancy.fairqueue import DeficitRoundRobinScheduler, FifoLinkScheduler
+from schedule_digest import digest_of, recorded_schedule
 
 
 class TestQuiet:
@@ -683,3 +692,73 @@ class TestReleaseIsStrict:
     def test_release_on_a_fresh_window_raises(self):
         with pytest.raises(SimulationError):
             InFlightWindow(Simulator()).release()
+
+
+def _two_senders(driven, latency, scheduler_type):
+    """Two senders started at one instant, each shipping six messages through
+    a window of two over its own channel; the downlinks share one trunk, and
+    each client frees a slot 0.2 s after an arrival.  With ``driven`` the
+    senders are generators driven by calls, otherwise processes that wait
+    on the events the same sends return.  Returns the schedule digest, the
+    entry count, the final clock and the windows' counters."""
+    sim = Simulator()
+    trunk = scheduler_type(sim)
+    windows = []
+    with recorded_schedule() as log:
+        for index in range(2):
+            channel = Channel(
+                sim, 1000.0, 1000.0, latency=latency, name=f"c{index}", downlink_scheduler=trunk,
+                flow=f"flow{index}",
+            )
+            window = InFlightWindow(sim, capacity=2)
+            windows.append(window)
+
+            def client(channel=channel, window=window):
+                while True:
+                    message = yield channel.client_inbox.get()
+                    if is_end_of_stream(message):
+                        return
+                    yield sim.timeout(0.2)
+                    window.release()
+
+            def messages(index=index):
+                return [_message(payload_bytes=20 + 15 * ((step + index) % 3)) for step in range(6)]
+
+            def process_sender(channel=channel, window=window, messages=messages):
+                for message in messages():
+                    if not sim.quiet():
+                        yield sim.instant
+                    if not window.acquire_now():
+                        yield window.acquire()
+                    yield channel.send_to_client(message)
+                yield channel.send_to_client(end_of_stream())
+
+            def driven_sender(window=window, messages=messages):
+                for message in messages():
+                    if not sim.quiet():
+                        yield sim.instant
+                    if not window.acquire_now():
+                        yield window
+                    yield message
+                yield end_of_stream()
+
+            sim.process(client())
+            if driven:
+                context = SimpleNamespace(simulator=sim, channel=channel)
+                _Sender(context, f"s{index}", driven_sender(), sim.event()).start()
+            else:
+                sim.process(process_sender())
+        sim.run()
+    counters = [(w.stall_seconds, w.peak_in_flight, w.acquired_total, w.in_flight) for w in windows]
+    return digest_of(log), sim.events_processed, sim.now, counters
+
+
+class TestDrivenSender:
+    @pytest.mark.parametrize("latency", [0.0, 0.01], ids=["zero-latency", "latency"])
+    @pytest.mark.parametrize("scheduler_type", [FifoLinkScheduler, DeficitRoundRobinScheduler])
+    def test_a_driven_sender_ships_on_the_schedule_of_a_process(self, latency, scheduler_type):
+        driven = _two_senders(True, latency, scheduler_type)
+        assert driven == _two_senders(False, latency, scheduler_type)
+        digest, _entries, _now, counters = driven
+        assert digest["transmissions"] == 2 * 14  # booked on its link and on the trunk
+        assert all(stall > 0 and peak == 2 and in_flight == 0 for stall, peak, _, in_flight in counters)
