@@ -26,6 +26,7 @@ from repro.core.optimizer.plans import (
     AccessPath,
     CandidatePlan,
     ColumnResolver,
+    IndexProbe,
     PlanStep,
     TableOperation,
     UdfOperation,
@@ -36,16 +37,10 @@ from repro.core.optimizer.properties import PhysicalProperties, PlanSite
 from repro.core.strategies import ExecutionStrategy
 from repro.network.message import MESSAGE_OVERHEAD_BYTES
 from repro.network.topology import NetworkConfig
-from repro.relational.predicates import (
-    MIN_SELECTIVITY,
-    IndexCondition,
-    equi_join_sides,
-    index_condition,
-)
+from repro.relational.predicates import MIN_SELECTIVITY, equi_join_sides
 from repro.relational.schema import NeededColumns, column_key
 from repro.relational.statistics import apply_observed_evidence
 from repro.sql.logical import BoundQuery
-from repro.storage.index import KeyInterval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptive.store import StatisticsStore
@@ -514,7 +509,8 @@ class CostEstimator:
         The unit of index access is an interval: all of the table's
         column-vs-literal conjuncts on an indexed column fold into one
         :class:`~repro.storage.index.KeyInterval` that a single index lookup
-        serves (a hash index takes the column's equality members only).
+        serves; the node's :class:`~repro.core.optimizer.plans.IndexProbe`
+        answers say which conjuncts and what the interval is.
 
         Index variants are only generated when the I/O term is switched on
         (``block_access_seconds > 0``) — with the closed-form per-row model
@@ -526,33 +522,18 @@ class CostEstimator:
         indexes = self._usable_indexes(operation)
         if not indexes:
             return variants
-        by_column: Dict[str, List[Tuple[object, IndexCondition]]] = {}
-        for predicate in self.query.single_table_predicates(operation.alias):
-            condition = index_condition(predicate.expression)
-            if condition is not None:
-                by_column.setdefault(column_key(condition.column), []).append(
-                    (predicate, condition)
-                )
         statistics = operation.statistics
         rows = max(0.0, float(statistics.row_count))
         blocks = self._blocks_accessed(operation, statistics)
         seq = variants[0]
-        for name, handle in indexes.items():
+        for probe in operation.probes:
+            name = probe.index_name
+            handle = indexes[name]
             column = handle.definition.column
-            members = [
-                (predicate, condition)
-                for predicate, condition in by_column.get(column.lower(), ())
-                if condition.is_equality or handle.supports_range
-            ]
-            if not members:
-                continue
-            interval = KeyInterval.fold((c.operator, c.value) for _, c in members)
-            predicates = [predicate for predicate, _ in members]
-            matching = self._interval_matching(
-                operation, interval, predicates, rows, statistics.column(column).histogram
-            )
+            predicates = [self.query.predicates[position] for position in probe.served]
+            matching = self._probe_matching(operation, probe, predicates, rows)
             pages = 0.0
-            if not interval.is_empty:
+            if not probe.is_empty:
                 pages = self._index_pages(handle, matching) + _yao_pages(blocks, matching)
             cost = (
                 matching * self.settings.server_cpu_seconds_per_row
@@ -579,32 +560,23 @@ class CostEstimator:
             variants.append(seq.extended(cost=cost, steps=(step,), path=path))
         return variants
 
-    def _interval_matching(
-        self, operation, interval: KeyInterval, predicates: Sequence[object], rows: float, histogram
+    def _probe_matching(
+        self, operation: TableOperation, probe: IndexProbe, predicates: Sequence[object], rows: float
     ) -> float:
-        """Rows an index scan of ``interval`` fetches from the heap.
+        """Rows an index scan of ``probe``'s interval fetches from the heap.
 
-        Several conjuncts folding to a range between numeric bounds are read
-        off the column's histogram as one interval (at least one row: a
-        histogram cannot tell a sliver from nothing).  A lone conjunct, points,
-        non-numeric bounds and columns without a histogram keep the product of
-        the member conjuncts' selectivities, which is where observed-selectivity
-        feedback is applied.
+        None for an empty interval.  Where the probe read the interval off
+        the column's histogram (several conjuncts folding to a range between
+        numeric bounds), that share of the rows, at least one: a histogram
+        cannot tell a sliver from nothing.  A lone conjunct, points,
+        non-numeric bounds and columns without a histogram keep the product
+        of the served conjuncts' selectivities, which is where
+        observed-selectivity feedback is applied.
         """
-        if interval.is_empty:
+        if probe.is_empty:
             return 0.0
-        bounds = [bound for bound in (interval.low, interval.high) if bound is not None]
-        if (
-            len(predicates) > 1
-            and histogram is not None
-            and histogram.total > 0
-            and not interval.is_point
-            and all(
-                isinstance(bound, (int, float)) and not isinstance(bound, bool)
-                for bound in bounds
-            )
-        ):
-            return max(1.0, rows * histogram.range_fraction(interval.low, interval.high))
+        if probe.range_fraction is not None:
+            return max(1.0, rows * probe.range_fraction)
         selectivity = 1.0
         for predicate in predicates:
             selectivity *= self._conjunct_selectivity(operation, predicate)

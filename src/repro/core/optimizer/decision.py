@@ -189,7 +189,9 @@ class Optimizer:
 
     # -- main entry points ----------------------------------------------------------------------
 
-    def optimize(self, query: BoundQuery, include_baselines: bool = False) -> OptimizationDecision:
+    def optimize(
+        self, query: BoundQuery, include_baselines: bool = False, operations: Optional[tuple] = None
+    ) -> OptimizationDecision:
         """Choose join/UDF order, per-UDF strategies and batch size for ``query``.
 
         The batch size is a plan-wide physical property: every kept plan is
@@ -206,6 +208,9 @@ class Optimizer:
         Deferred-return client-site joins (fusion with result delivery) are
         excluded here because the executor cannot realise them; use
         :meth:`plan_space` to study the full plan space including them.
+
+        ``operations`` are ``query``'s (:func:`operations_for_query` under
+        this optimizer's statistics), when the caller has read them already.
         """
         settings = self.statistics.calibrated_cost_settings(
             self.settings if self.settings is not None else CostSettings()
@@ -240,7 +245,8 @@ class Optimizer:
         seen_shapes = set()
         estimator = None
         # One read of each base table's statistics serves both endpoints.
-        operations = operations_for_query(query, statistics=self.statistics)
+        if operations is None:
+            operations = operations_for_query(query, statistics=self.statistics)
         for endpoint in dict.fromkeys((min(candidates), max(candidates))):
             # Same query, same statistics snapshot: the second endpoint
             # prices what the first derived instead of deriving it again.

@@ -20,30 +20,62 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, TY
 
 from repro.core.optimizer.properties import PhysicalProperties
 from repro.core.strategies import ExecutionStrategy
-from repro.relational.predicates import MIN_SELECTIVITY
-from repro.relational.schema import bare_name
+from repro.relational.predicates import MIN_SELECTIVITY, IndexCondition, index_condition
+from repro.relational.schema import bare_name, column_key
 from repro.relational.statistics import TableStatistics
 from repro.sql.logical import BoundQuery, BoundTable, ClientUdfCall
+from repro.storage.index import KeyInterval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptive.store import StatisticsStore
 
 
 @dataclass(frozen=True)
+class IndexProbe:
+    """What one complete secondary index answers for a table's conjuncts.
+
+    ``served`` are the positions, in the query's predicate list, of the
+    conjuncts the index serves (every column-vs-literal conjunct on its
+    column; a hash index takes the equality members only), which fold into
+    one :class:`~repro.storage.index.KeyInterval`: ``is_empty`` and
+    ``is_point`` are its flags.  ``range_fraction`` is the column
+    histogram's share of rows inside it where the rows an index scan
+    fetches are read off the histogram (several conjuncts folding to a range
+    between numeric bounds), else None: the served conjuncts' selectivities
+    price it then.  Nothing here names a literal value, so two queries of
+    one template are priced alike exactly when their probes are equal.
+    """
+
+    index_name: str
+    served: Tuple[int, ...]
+    is_empty: bool
+    is_point: bool
+    range_fraction: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class TableOperation:
     """A FROM-list relation, together with its pushed single-table selectivity,
-    the statistics the decision read of it and every conjunct's estimate
-    under that read — what the estimator prices it from (a pinned node has neither)."""
+    the statistics the decision read of it, every conjunct's estimate under
+    that read and its indexes' :class:`IndexProbe` answers — all the
+    estimator prices it from, and all it reads of the query's literals (a
+    pinned node has none of them)."""
 
     alias: str
     bound: BoundTable
     local_selectivity: float = 1.0
     statistics: Optional[TableStatistics] = field(default=None, compare=False, repr=False)
     estimates: Mapping[int, float] = field(default_factory=dict, compare=False, repr=False)
+    probes: Tuple[IndexProbe, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def key(self) -> str:
         return f"table:{self.alias.lower()}"
+
+    @property
+    def answers(self) -> tuple:
+        """Every estimate and probe, by position: equal answers price alike."""
+        return tuple(self.estimates.values()), self.probes
 
     def __str__(self) -> str:
         return str(self.bound)
@@ -307,6 +339,41 @@ class CandidatePlan:
             lines.append("  " + step.describe())
         return "\n".join(lines)
 
+    def rebound(
+        self, query: BoundQuery, tables: Sequence[TableOperation], udfs: Sequence[UdfOperation]
+    ) -> "CandidatePlan":
+        """This chain applied to ``query``, another query of the template it
+        was priced for, whose operations are ``tables`` and ``udfs``.
+
+        Each node applies the operation its own names (an alias; a UDF name,
+        the first such call not yet taken), and an index scan serves the
+        conjuncts ``query``'s probe of its index names, so the planner finds
+        ``query``'s literals.  Everything priced is shared: only a caller
+        that found ``tables`` answering as the chain's own did may ask.
+        """
+        chain, node = [], self
+        while node is not None:
+            chain.append(node)
+            node = node.input
+        by_alias = {operation.alias.lower(): operation for operation in tables}
+        calls = list(udfs)
+        rebound = None
+        for node in reversed(chain):
+            operation, path = node.operation, node.path
+            if isinstance(operation, TableOperation):
+                operation = by_alias[operation.alias.lower()]
+                if path is not None and path.kind == "index_scan":
+                    (probe,) = [p for p in operation.probes if p.index_name == path.index_name]
+                    keys = tuple(str(query.predicates[i].expression) for i in probe.served)
+                    path = shallow_copy(path, {"predicate_keys": keys})
+            elif operation is not None:
+                name = operation.name.lower()
+                operation = calls.pop(
+                    next(index for index, call in enumerate(calls) if call.name.lower() == name)
+                )
+            rebound = shallow_copy(node, {"input": rebound, "operation": operation, "path": path})
+        return rebound
+
     def extended(self, **changes) -> "CandidatePlan":
         """A copy with the given fields replaced; unchanged fields are shared."""
         plan = shallow_copy(self, changes)
@@ -325,6 +392,56 @@ def statistics_or_empty(statistics: Optional["StatisticsStore"]) -> "StatisticsS
     return statistics
 
 
+def index_probes(
+    query: BoundQuery, bound: BoundTable, own: TableStatistics, single: Sequence[object]
+) -> Tuple[IndexProbe, ...]:
+    """The :class:`IndexProbe` of each complete index of ``bound``'s table
+    that serves one of its single-table conjuncts ``single``, under the
+    table's statistics ``own``, in index order."""
+    indexes = [handle for handle in bound.table.indexes().values() if not handle.incomplete]
+    if not indexes:
+        return ()
+    by_column: Dict[str, List[Tuple[int, IndexCondition]]] = {}
+    for predicate in single:
+        condition = index_condition(predicate.expression)
+        if condition is not None:
+            position = next(i for i, p in enumerate(query.predicates) if p is predicate)
+            by_column.setdefault(column_key(condition.column), []).append((position, condition))
+    probes = []
+    for handle in indexes:
+        column = handle.definition.column
+        members = [
+            (position, condition)
+            for position, condition in by_column.get(column.lower(), ())
+            if condition.is_equality or handle.supports_range
+        ]
+        if not members:
+            continue
+        interval = KeyInterval.fold((c.operator, c.value) for _, c in members)
+        histogram = own.column(column).histogram
+        bounds = [end for end in (interval.low, interval.high) if end is not None]
+        fraction = None
+        if (
+            len(members) > 1
+            and histogram is not None
+            and histogram.total > 0
+            and not interval.is_point
+            and not interval.is_empty
+            and all(isinstance(end, (int, float)) and not isinstance(end, bool) for end in bounds)
+        ):
+            fraction = histogram.range_fraction(interval.low, interval.high)
+        probes.append(
+            IndexProbe(
+                handle.definition.name,
+                tuple(position for position, _ in members),
+                interval.is_empty,
+                interval.is_point,
+                fraction,
+            )
+        )
+    return tuple(probes)
+
+
 def operations_for_query(
     query: BoundQuery, statistics: Optional["StatisticsStore"] = None
 ) -> Tuple[List[TableOperation], List[UdfOperation]]:
@@ -337,19 +454,22 @@ def operations_for_query(
     runtime observer records server-side filters under — falling back to the
     declared estimate when unobserved.
     """
-    statistics = statistics_or_empty(statistics)
     table_statistics = [bound.table.statistics for bound in query.tables]
     estimates = query.declared_selectivities(table_statistics)
     tables: List[TableOperation] = []
     for bound, own in zip(query.tables, table_statistics):
         selectivity = 1.0
-        for predicate in query.single_table_predicates(bound.alias):
+        single = query.single_table_predicates(bound.alias)
+        for predicate in single:
             estimate = estimates[id(predicate)]
-            selectivity *= max(
-                statistics.predicate_selectivity(predicate.expression.canonical_key, estimate),
-                MIN_SELECTIVITY,
-            )
-        tables.append(TableOperation(bound.alias, bound, selectivity, own, estimates))
+            if statistics is not None:  # an absent store answers each one as declared
+                key = predicate.expression.canonical_key
+                estimate = statistics.predicate_selectivity(key, estimate)
+            selectivity *= max(estimate, MIN_SELECTIVITY)
+        probes = index_probes(query, bound, own, single)
+        tables.append(TableOperation(bound.alias, bound, selectivity, own, estimates, probes))
+    if not query.client_udf_calls:
+        return tables, []
 
     from repro.core.execution.rewrite import replace_udf_calls_with_columns
     from repro.relational.expressions import conjoin

@@ -138,6 +138,16 @@ class StrategyConfig:
         if self.overlap_window is not None and self.overlap_window < 1:
             raise ValueError("overlap_window must be at least 1")
 
+    @property
+    def key(self) -> tuple:
+        """The fields equality compares, as a tuple: the config as a memo
+        key, which keeps no run's controllers and no tenant's store alive."""
+        return (
+            self.strategy, self.concurrency_factor, self.batch_size, self.overlap_window,
+            self.switch_policy, self.eliminate_duplicates, self.push_predicates,
+            self.push_projections,
+        )  # fmt: skip
+
     # -- batch sizing --------------------------------------------------------------
 
     def controller_for(self, udf_name: Optional[str] = None) -> Optional["BatchSizeController"]:
@@ -239,33 +249,43 @@ class StrategyConfig:
             overlap_window=overlap_window,
         )
 
+    # Each ``with_*`` returns this very config when it already holds the value.
+
     def with_strategy(self, strategy: ExecutionStrategy) -> "StrategyConfig":
         return self if strategy is self.strategy else replace(self, strategy=strategy)
 
     def with_concurrency(self, concurrency_factor: int) -> "StrategyConfig":
+        if concurrency_factor is self.concurrency_factor:
+            return self
         return replace(self, concurrency_factor=concurrency_factor)
 
     def with_batch_size(self, batch_size: int) -> "StrategyConfig":
-        return replace(self, batch_size=batch_size)
+        return self if batch_size is self.batch_size else replace(self, batch_size=batch_size)
 
     def with_batch_controller(
         self, controller: Optional[Union["BatchSizeController", "BatchControllerBank"]]
     ) -> "StrategyConfig":
+        if controller is self.batch_controller:
+            return self
         return replace(self, batch_controller=controller)
 
     def with_overlap_window(self, overlap_window: Optional[int]) -> "StrategyConfig":
+        if overlap_window is self.overlap_window:
+            return self
         return replace(self, overlap_window=overlap_window)
 
     def with_overlap_controller(
         self, controller: Optional["OverlapWindowController"]
     ) -> "StrategyConfig":
+        if controller is self.overlap_controller:
+            return self
         return replace(self, overlap_controller=controller)
 
     def with_switch_policy(self, policy: Optional["AdaptationPolicy"]) -> "StrategyConfig":
-        return replace(self, switch_policy=policy)
+        return self if policy is self.switch_policy else replace(self, switch_policy=policy)
 
     def with_reoptimizer(self, reoptimizer: Optional["ReOptimizer"]) -> "StrategyConfig":
-        return replace(self, reoptimizer=reoptimizer)
+        return self if reoptimizer is self.reoptimizer else replace(self, reoptimizer=reoptimizer)
 
     def with_statistics(self, statistics: Optional["StatisticsStore"]) -> "StrategyConfig":
-        return replace(self, statistics=statistics)
+        return self if statistics is self.statistics else replace(self, statistics=statistics)

@@ -37,6 +37,7 @@ from repro.client.registry import UdfRegistry
 from repro.client.udf import UdfDefinition, UdfSite
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.optimizer.decision import OptimizationDecision, Optimizer
+from repro.core.optimizer.plans import operations_for_query
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.catalog import Catalog
@@ -170,19 +171,15 @@ def _reads_hold(log: Sequence[tuple], store: Optional[StatisticsStore]) -> bool:
     )
 
 
-def _stateless(config: StrategyConfig) -> StrategyConfig:
-    """``config`` without the four runtime fields its equality leaves out, so
-    a memo key keeps no run's controllers and no tenant's store alive."""
-    if (
-        config.batch_controller is None
-        and config.overlap_controller is None
-        and config.reoptimizer is None
-        and config.statistics is None
-    ):
-        return config
-    return replace(
-        config, batch_controller=None, overlap_controller=None, reoptimizer=None, statistics=None
-    )
+def _served(entry: tuple, config: StrategyConfig) -> OptimizationDecision:
+    """The decision memo ``entry`` holds, as the caller's ``config`` with the
+    memoised batch size and strategy, sharing the entry's plan recipes."""
+    batch_size, strategy = entry[3], entry[4]
+    if config.batch_size != batch_size or config.strategy is not strategy:
+        config = replace(config, batch_size=batch_size, strategy=strategy)
+    served = OptimizationDecision(entry[2], config)
+    served.recipes = entry[6]
+    return served
 
 
 class SqlSurface:
@@ -333,6 +330,7 @@ class Database(SqlSurface):
     ) -> None:
         super().__init__()
         self._decisions: Dict[tuple, tuple] = {}
+        self._templates: Dict[tuple, tuple] = {}
         self.network = network if network is not None else NetworkConfig.paper_symmetric()
         self.default_config = default_config if default_config is not None else StrategyConfig()
         self.session = ClientSession(self.network, registry=self.udfs)
@@ -348,6 +346,8 @@ class Database(SqlSurface):
         #: The durable storage engine, or None for a purely in-memory database.
         self.storage = None
         self._statistics_loaded = False
+        #: ``(catalog and registry generations, workload_fingerprint())``.
+        self._fingerprint: Tuple[tuple, str] = ((), "")
         if storage_dir is not None:
             from repro.storage.engine import StorageEngine
 
@@ -565,12 +565,12 @@ class Database(SqlSurface):
             statistics=statistics,
         )
         config = resolved.config
-        if adaptive:
-            config = config.with_batch_controller(
-                self.new_controller_bank(config, statistics=statistics)
-            )
+        if adaptive:  # one copy of the config carries both controllers
+            bank = self.new_controller_bank(config, statistics=statistics)
+            controllers = {"batch_controller": bank}
             if config.overlap_window is None and config.overlap_controller is None:
-                config = config.with_overlap_controller(OverlapWindowController())
+                controllers["overlap_controller"] = OverlapWindowController()
+            config = replace(config, **controllers)
 
         decision = self._decide(
             bound, config, resolved.optimize, resolved.calibrated, udf_order, statistics
@@ -613,24 +613,27 @@ class Database(SqlSurface):
         store by default) calibrate it only when asked to and once something
         was observed.
 
-        A decision is made once per bound query, config (without its runtime
-        fields), UDF order, network, cost settings and calibrating store, and
-        served while every base table answers with the statistics object it
-        was priced from and every statistics read it made, asked again, gets
-        the same answer.  A served decision is the caller's ``config`` with the
-        memoised batch size and strategy: it carries this call's runtime
-        state and no other's.  It shares the entry's plan recipes, so
-        ``build_plan`` plans it once and afterwards only instantiates
-        operators for each run.
+        A decision is made once per bound query, config (:attr:`StrategyConfig.key`,
+        without its runtime fields), UDF order, network, cost settings and
+        calibrating store, and served while every base table answers with the
+        statistics object it was priced from and every statistics read it
+        made, asked again, gets the same answer.  An uncalibrated decision is
+        also remembered per template (:attr:`BoundQuery.template`): another
+        text of the template — a new literal — is served it, rebound to its
+        own conjuncts (:meth:`CandidatePlan.rebound`), while its base tables
+        answer with the same statistics objects and its operations with the
+        same estimates and index probes, position by position.  A served
+        decision is the caller's ``config`` with the memoised batch size and
+        strategy: it carries this call's runtime state and no other's.  It
+        shares the entry's plan recipes, so ``build_plan`` plans it once and
+        afterwards only instantiates operators for each run.
         """
         if not optimize:
             return OptimizationDecision.pinned(bound, config, udf_order=tuple(udf_order or ()))
         statistics = statistics if statistics is not None else self.statistics
         store = statistics if calibrated and statistics.queries_observed else None
-        key = (
-            id(bound), _stateless(config), tuple(udf_order or ()), self.network,
-            self.cost_settings, None if store is None else id(store),
-        )  # fmt: skip
+        shared = (config.key, tuple(udf_order or ()), self.network, self.cost_settings)
+        key = (id(bound),) + shared + (None if store is None else id(store),)
         snapshot = tuple(table.table.statistics for table in bound.tables)
         entry = self._decisions.pop(key, None)
         if (
@@ -640,19 +643,34 @@ class Database(SqlSurface):
             and _reads_hold(entry[5], store)
         ):
             _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
-            served = OptimizationDecision(
-                entry[2], replace(config, batch_size=entry[3], strategy=entry[4])
-            )
-            served.recipes = entry[6]
-            return served
+            return _served(entry, config)
+        operations = template_key = None
+        if store is None and bound.template is not None:
+            operations = operations_for_query(bound)
+            answers = tuple(operation.answers for operation in operations[0])
+            template_key = (bound.template,) + shared
+            held = self._templates.pop(template_key, None)
+            if (
+                held is not None
+                and held[0] == answers
+                and all(one is other for one, other in zip(held[1], snapshot))
+            ):
+                _remember(self._templates, template_key, held, DECISION_MEMO_BOUND)
+                plan = held[2].rebound(bound, *operations)
+                entry = (bound, snapshot, plan, held[3], held[4], (), {})
+                _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
+                return _served(entry, config)
         reads = StatisticsReads(store) if store is not None else None
         decision = Optimizer(
             self.network, default_config=config, settings=self.cost_settings, statistics=reads
-        ).optimize(bound)
+        ).optimize(bound, operations=operations)
         made = decision.strategy_config
         log = tuple(reads.log) if reads is not None else ()
         entry = (bound, snapshot, decision.plan, made.batch_size, made.strategy, log, decision.recipes)
         _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
+        if template_key is not None:
+            held = (answers, snapshot, decision.plan, made.batch_size, made.strategy)
+            _remember(self._templates, template_key, held, DECISION_MEMO_BOUND)
         return decision
 
     # -- durable storage plumbing --------------------------------------------------------
@@ -697,8 +715,15 @@ class Database(SqlSurface):
 
         Saved alongside the statistics snapshot: a restart whose schemas or
         UDFs differ gets a cold store instead of calibrations measured on a
-        different workload.
+        different workload.  Worked out again only once the catalog's or the
+        UDF registry's ``generation`` moved.
         """
+        stamp = (self.catalog.generation, self.udfs.generation)
+        if self._fingerprint[0] != stamp:
+            self._fingerprint = (stamp, self._workload_digest())
+        return self._fingerprint[1]
+
+    def _workload_digest(self) -> str:
         parts: List[str] = []
         for name in self.catalog.table_names():
             table = self.catalog.table(name)

@@ -145,6 +145,9 @@ class SelectStatement:
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     offset: int = 0
+    #: The statement's tokens with each literal that binds to a ``Literal``
+    #: replaced by its Python type (:meth:`repro.sql.parser.Parser.parse`).
+    template: Tuple[object, ...] = field(default=(), compare=False, repr=False)
 
     def __str__(self) -> str:
         parts = ["SELECT"]

@@ -55,10 +55,13 @@ class Binder:
     # -- public API --------------------------------------------------------------------
 
     def bind_sql(self, sql: str) -> BoundStatement:
-        """The one call from SQL text to what runs: ``sql`` parsed once, bound."""
+        """The one call from SQL text to what runs: ``sql`` parsed once, bound,
+        its template recorded (:attr:`BoundQuery.template`)."""
         statement = parse(sql)
         if isinstance(statement, SelectStatement):
-            return self.bind(statement, sql=sql)
+            bound = self.bind(statement, sql=sql)
+            bound.template = (self.catalog.generation, self.udfs.generation) + statement.template
+            return bound
         return statement
 
     def bind(self, statement: SelectStatement, sql: str = "") -> BoundQuery:

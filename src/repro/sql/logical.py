@@ -95,6 +95,10 @@ class BoundQuery:
     order_by: List[Tuple[int, bool]] = field(default_factory=list)
     limit: Optional[int] = None
     offset: int = 0
+    #: What the text says without its literal values, with the catalog and
+    #: UDF registry generations it was bound under (None: not bound from
+    #: text).  Queries of one template differ in literal values alone.
+    template: Optional[Tuple[object, ...]] = field(default=None, compare=False, repr=False)
 
     # -- convenience views -------------------------------------------------------------
 

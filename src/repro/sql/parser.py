@@ -24,7 +24,7 @@ Grammar (informally)::
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.sql.ast import (
@@ -57,6 +57,9 @@ class Parser:
         self.text = text
         self.tokens: List[Token] = tokenize(text)
         self.index = 0
+        #: token index -> the Python type of the literal it parsed to, for
+        #: every NUMBER / STRING token that became an :class:`AstLiteral`.
+        self.slots: Dict[int, type] = {}
 
     # -- token helpers --------------------------------------------------------------
 
@@ -109,7 +112,19 @@ class Parser:
             raise ParseError(
                 f"unexpected trailing input {self.current.value!r} at offset {self.current.position}"
             )
+        if isinstance(statement, SelectStatement):
+            statement.template = self.template()
         return statement
+
+    def template(self) -> Tuple[object, ...]:
+        """The statement without its literal values: every token's text, and
+        each literal that binds to a ``Literal`` as its Python type instead.
+
+        Two texts with one template bind to queries of one shape whose
+        literals differ only in value (``LIMIT`` / ``OFFSET`` counts and
+        ``ORDER BY`` keys stay verbatim: they bind to no ``Literal``)."""
+        slots = self.slots
+        return tuple([slots.get(index, token.value) for index, token in enumerate(self.tokens)])
 
     # -- index DDL ----------------------------------------------------------------------
 
@@ -161,7 +176,10 @@ class Parser:
             statement.where = self._or_expression()
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
+            # A key only names an output, so its literals stay in the template.
+            slots = dict(self.slots)
             statement.order_by = self._order_items()
+            self.slots = slots
         if self.accept_keyword("LIMIT"):
             statement.limit = int(self.expect(TokenType.NUMBER).value)
             if self.accept_keyword("OFFSET"):
@@ -277,10 +295,12 @@ class Parser:
     def _primary(self) -> AstExpression:
         token = self.current
         if token.type is TokenType.NUMBER:
-            self.advance()
             value = float(token.value) if "." in token.value else int(token.value)
+            self.slots[self.index] = type(value)
+            self.advance()
             return AstLiteral(value)
         if token.type is TokenType.STRING:
+            self.slots[self.index] = str
             self.advance()
             return AstLiteral(token.value)
         if token.matches_keyword("TRUE"):

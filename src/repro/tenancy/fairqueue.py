@@ -137,10 +137,14 @@ class LinkScheduler:
             event = Event(self.simulator, name=(self.name, ".tx#", message.sequence))
             then = event.succeed_now
         item = _Transmission(self, link, message, then)
-        self._enqueue(item)
-        self._queued_count += 1
-        if not self._transmitting:
-            self._start_next()
+        if self._transmitting:
+            self._enqueue(item)
+            self._queued_count += 1
+        else:
+            # An idle trunk queues nothing and holds its discipline at rest,
+            # where queueing this one message and taking it again would leave
+            # it (a DRR flow leaves the round with no deficit): start it.
+            self._start(item)
         return event
 
     # -- transmission --------------------------------------------------------------
@@ -151,6 +155,9 @@ class LinkScheduler:
             self._transmitting = False
             return
         self._queued_count -= 1
+        self._start(item)
+
+    def _start(self, item: _Transmission) -> None:
         self._transmitting = True
         now = self.simulator._now
         link = item.link

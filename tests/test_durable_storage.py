@@ -566,6 +566,32 @@ class TestStatisticsWriteRule:
         with open(os.path.join(str(tmp_path), "statistics.json"), encoding="utf-8") as handle:
             assert json.load(handle)["queries_observed"] == after["queries_observed"]
 
+    def test_the_fingerprint_is_worked_out_once_per_generation(self, tmp_path, monkeypatch):
+        """Every durable execute reads the fingerprint; it is worked out again
+        only after DDL or a UDF registration, and then names the new workload."""
+        db = make_database(storage_dir=str(tmp_path))
+        digests = []
+        digest = Database._workload_digest
+        monkeypatch.setattr(
+            Database, "_workload_digest", lambda self: digests.append(1) or digest(self)
+        )
+        first = db.workload_fingerprint()
+        for _ in range(3):
+            db.execute(self.QUERY)
+        assert len(digests) == 1 and db.workload_fingerprint() == first
+        db.create_table("Extra", [("K", INTEGER)], rows=[(1,)])
+        with_table = db.workload_fingerprint()
+        db.register_client_udf("Twice", lambda value: 2.0 * value)
+        with_udf = db.workload_fingerprint()
+        db.register_client_udf("Twice", lambda value: 3.0 * value, replace=True)
+        reregistered = db.workload_fingerprint()
+        db.drop_table("Extra")
+        dropped = db.workload_fingerprint()
+        assert len(digests) == 5 and len({first, with_table, with_udf, dropped}) == 4
+        # A definition under the same name is the same workload: names are digested.
+        assert reregistered == with_udf
+        db.close()
+
     def test_creating_a_table_after_a_query_rewrites_the_fingerprint(self, tmp_path, store_saves):
         directory = str(tmp_path)
         db = make_database(storage_dir=directory)

@@ -409,17 +409,20 @@ class TestSharedTrunksFactory:
 
 
 class TestChainingBudget:
-    """A trunk message costs one ``_start_next`` call: the completion entry
-    chains only when a message is queued, else the trunk just goes idle."""
+    """A trunk message starts once: straight from ``submit`` on an idle
+    trunk, else through one ``_start_next`` — the completion entry chains
+    only when a message is queued, else the trunk just goes idle."""
 
     @staticmethod
     def _count(monkeypatch):
         calls = Counter()
-        for name in ("submit", "_start_next"):
+        for name in ("submit", "_start_next", "_start"):
             original = getattr(LinkScheduler, name)
 
             def counted(self, *args, _original=original, _name=name):
                 calls[_name] += 1
+                if _name == "submit" and self._transmitting:
+                    calls["queued"] += 1
                 return _original(self, *args)
 
             monkeypatch.setattr(LinkScheduler, name, counted)
@@ -432,8 +435,8 @@ class TestChainingBudget:
         assert report.error_count == 0
         trunks = (engine.trunk_downlink, engine.trunk_uplink)
         messages = sum(trunk.stats.message_count for trunk in trunks)
-        assert messages == calls["submit"] > 100
-        assert calls["_start_next"] == messages
+        assert messages == calls["submit"] == calls["_start"] > 100
+        assert calls["_start_next"] == calls["queued"] > 0
 
     def test_a_four_shard_fifo_scatter(self, monkeypatch):
         db = DistributedDatabase(make_cluster(sites=4, shards=4))
@@ -452,5 +455,5 @@ class TestChainingBudget:
         calls = self._count(monkeypatch)
         metrics = db.execute(FILTER_SQL).metrics
         messages = metrics.downlink_messages + metrics.uplink_messages
-        assert messages == calls["submit"] > 100
-        assert calls["_start_next"] == messages
+        assert messages == calls["submit"] == calls["_start"] > 100
+        assert calls["_start_next"] == calls["queued"] > 0
