@@ -217,6 +217,9 @@ _TABLES = {
 }
 _PAIR_KEYED = ("udf_selectivity",)
 
+#: Calibrated networks a store keeps (one per configured network and site).
+_CALIBRATIONS_KEPT = 64
+
 #: Everything the optimizer may ask of its ``statistics``, declared once: a
 #: store answers all of it, an overlay the part it knows fresher, and a
 #: decision's read log (``server.engine.StatisticsReads``) nothing else.
@@ -263,6 +266,9 @@ class StatisticsStore:
         # number the planner reads has moved since.
         self._written: Optional[Tuple[str, Optional[str]]] = None
         self._estimates_moved = True
+        #: (configured network, site) -> the observed (downlink, uplink) and
+        #: the calibrated network built from them (:meth:`calibrated_network`).
+        self._calibrations: Dict[Tuple[NetworkConfig, Optional[str]], tuple] = {}
 
     # -- recording ---------------------------------------------------------------------
 
@@ -455,19 +461,28 @@ class StatisticsStore:
         With ``site`` it falls back per direction: the site's observed
         bandwidth, else the global (single-connection) observation, else the
         configured value — so an unvisited replica is still priced from
-        whatever the system has learned about links in general.
+        whatever the system has learned about links in general.  The
+        network is built once per observed pair and returned while the pair
+        holds (a served decision replays this read).
         """
         site_down, site_up = self.observed_site_bandwidth(site)
         downlink = site_down if site_down else self._downlink_bandwidth.value
         uplink = site_up if site_up else self._uplink_bandwidth.value
         if downlink is None and uplink is None:
             return configured
-        return replace(
-            configured,
-            downlink_bandwidth=downlink if downlink else configured.downlink_bandwidth,
-            uplink_bandwidth=uplink if uplink else configured.uplink_bandwidth,
-            name=f"{configured.name}+observed" + ("" if site is None else f"@{site}"),
-        )
+        key = (configured, site)
+        held = self._calibrations.get(key)
+        if held is None or held[0] != (downlink, uplink):
+            if len(self._calibrations) >= _CALIBRATIONS_KEPT:
+                self._calibrations.clear()
+            network = replace(
+                configured,
+                downlink_bandwidth=downlink if downlink else configured.downlink_bandwidth,
+                uplink_bandwidth=uplink if uplink else configured.uplink_bandwidth,
+                name=f"{configured.name}+observed" + ("" if site is None else f"@{site}"),
+            )
+            held = self._calibrations[key] = ((downlink, uplink), network)
+        return held[1]
 
     @property
     def site_ids(self) -> List[str]:

@@ -31,7 +31,6 @@ from repro.core.optimizer.plans import (
     TableOperation,
     UdfOperation,
     shallow_copy,
-    statistics_or_empty,
 )
 from repro.core.optimizer.properties import PhysicalProperties, PlanSite
 from repro.core.strategies import ExecutionStrategy
@@ -271,10 +270,11 @@ class CostEstimator:
 
     ``statistics`` is the observed-statistics source: a
     :class:`~repro.adaptive.store.StatisticsStore` or an overlay of one (an
-    absent store is an empty one).  Where it has measured a value — a UDF's
-    cost, selectivity or distinct fraction, a filter's or a join's
-    selectivity, a column's distinct count — that replaces the declared one,
-    so a second query plans with calibrated — not configured — parameters.
+    absent store answers every read as declared).  Where it has measured a
+    value — a UDF's cost, selectivity or distinct fraction, a filter's or a
+    join's selectivity, a column's distinct count — that replaces the
+    declared one, so a second query plans with calibrated — not configured
+    — parameters.
 
     An estimator serves one query under one statistics snapshot, and
     remembers what it worked out: each base table's scan, each UDF's
@@ -302,7 +302,8 @@ class CostEstimator:
         #: server, so the engine's optimize() path disables the variant to keep
         #: cost estimates aligned with what it can actually execute.
         self.allow_deferred_return = allow_deferred_return
-        self.statistics = statistics_or_empty(statistics)
+        #: Observed statistics; None answers every read as declared.
+        self.statistics = statistics
         self.resolver = ColumnResolver()
         #: ("scan" | "udf" | "needed", key) -> what was worked out for it.
         self._facts: Dict[Tuple[str, str], object] = {}
@@ -428,16 +429,18 @@ class CostEstimator:
         plan the UDF is applied to)."""
         udf = operation.call.udf
         seconds, selectivity = udf.cost_per_call_seconds, operation.predicate_selectivity
-        seconds = self.statistics.udf_cost(udf.name, seconds)
-        distinct_fraction = self.statistics.udf_distinct_fraction(udf.name, None)
-        # Observed selectivities are keyed by (UDF, predicate), so they only
-        # apply where the query filters on this UDF *with the same predicate*
-        # that was observed — a predicate-free use keeps every row, a
-        # different comparison keeps its own estimate.
-        if operation.has_predicate:
-            selectivity = self.statistics.udf_selectivity(
-                udf.name, selectivity, predicate=operation.predicate_key
-            )
+        distinct_fraction = None
+        if self.statistics is not None:
+            seconds = self.statistics.udf_cost(udf.name, seconds)
+            distinct_fraction = self.statistics.udf_distinct_fraction(udf.name, None)
+            # Observed selectivities are keyed by (UDF, predicate), so they
+            # only apply where the query filters on this UDF *with the same
+            # predicate* that was observed — a predicate-free use keeps every
+            # row, a different comparison keeps its own estimate.
+            if operation.has_predicate:
+                selectivity = self.statistics.udf_selectivity(
+                    udf.name, selectivity, predicate=operation.predicate_key
+                )
         result_bytes = float(udf.result_size_bytes if udf.result_size_bytes is not None else 8)
         return result_bytes, seconds, selectivity, distinct_fraction
 
@@ -451,9 +454,11 @@ class CostEstimator:
         # Overlay runtime-observed distinct counts: columns the catalog knows
         # nothing about would otherwise fall back to the neutral
         # distinct_count = row_count default.
-        statistics = apply_observed_evidence(
-            operation.statistics, self.statistics.column_distinct_evidence()
-        )
+        statistics = operation.statistics
+        if self.statistics is not None:
+            statistics = apply_observed_evidence(
+                statistics, self.statistics.column_distinct_evidence()
+            )
         cardinality = max(0.0, statistics.row_count * operation.local_selectivity)
         column_sizes: Dict[str, float] = {}
         column_distinct: Dict[str, float] = {}
@@ -671,8 +676,10 @@ class CostEstimator:
     def _conjunct_selectivity(self, operation: TableOperation, predicate) -> float:
         """One conjunct's selectivity, observed-feedback-calibrated when known."""
         estimate = operation.estimates[id(predicate)]
-        observed = self.statistics.predicate_selectivity(predicate.expression.canonical_key, estimate)
-        return min(1.0, max(observed, MIN_SELECTIVITY))
+        if self.statistics is not None:
+            key = predicate.expression.canonical_key
+            estimate = self.statistics.predicate_selectivity(key, estimate)
+        return min(1.0, max(estimate, MIN_SELECTIVITY))
 
     @staticmethod
     def _index_pages(handle, matching: float) -> float:
@@ -731,7 +738,10 @@ class CostEstimator:
         """Each join predicate's columns, with the selectivity observed for
         that column set — it beats the 1/max(V(A), V(B)) textbook estimate."""
         return [
-            (columns, self.statistics.join_selectivity(columns, None))
+            (
+                columns,
+                None if self.statistics is None else self.statistics.join_selectivity(columns, None),
+            )
             for columns in (list(predicate.columns) for predicate in self.query.join_predicates())
         ]
 

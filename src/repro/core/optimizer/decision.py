@@ -17,7 +17,6 @@ from repro.core.optimizer.plans import (
     TableOperation,
     UdfOperation,
     operations_for_query,
-    statistics_or_empty,
 )
 from repro.core.optimizer.rank_order import RankOrderOptimizer
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
@@ -128,11 +127,11 @@ class Optimizer:
 
     ``statistics`` is the observed-statistics feedback source (a
     :class:`~repro.adaptive.store.StatisticsStore` or an overlay of one; an
-    absent store is an empty one): where it has observations the optimizer
-    plans against the *calibrated* network (observed effective bandwidths),
-    measured per-UDF costs and observed selectivities, and the batch size
-    adaptive executions converged to — instead of the configured and
-    declared values.
+    absent store answers every read as declared): where it has observations
+    the optimizer plans against the *calibrated* network (observed effective
+    bandwidths), measured per-UDF costs and observed selectivities, and the
+    batch size adaptive executions converged to — instead of the configured
+    and declared values.
     """
 
     def __init__(
@@ -143,8 +142,10 @@ class Optimizer:
         exhaustive_properties: bool = True,
         statistics: Optional["StatisticsStore"] = None,
     ) -> None:
-        self.statistics = statistics_or_empty(statistics)
-        self.network = self.statistics.calibrated_network(network)
+        self.statistics = statistics
+        self.network = network
+        if self.statistics is not None:
+            self.network = self.statistics.calibrated_network(network)
         self.default_config = default_config if default_config is not None else StrategyConfig()
         self.settings = settings
         self.exhaustive_properties = exhaustive_properties
@@ -212,9 +213,9 @@ class Optimizer:
         ``operations`` are ``query``'s (:func:`operations_for_query` under
         this optimizer's statistics), when the caller has read them already.
         """
-        settings = self.statistics.calibrated_cost_settings(
-            self.settings if self.settings is not None else CostSettings()
-        )
+        settings = self.settings if self.settings is not None else CostSettings()
+        if self.statistics is not None:
+            settings = self.statistics.calibrated_cost_settings(settings)
         # A caller who configured an explicit batch size — through the
         # strategy config or the cost settings — pinned that tunable; the
         # sweep then only costs the plan at that size instead of

@@ -382,16 +382,6 @@ class CandidatePlan:
         return plan
 
 
-def statistics_or_empty(statistics: Optional["StatisticsStore"]) -> "StatisticsStore":
-    """Who answers the statistics protocol: an absent store is an empty one,
-    whose every look-up reads as its default."""
-    if statistics is None:
-        from repro.adaptive.store import StatisticsStore  # repro.adaptive imports this package
-
-        statistics = StatisticsStore()
-    return statistics
-
-
 def index_probes(
     query: BoundQuery, bound: BoundTable, own: TableStatistics, single: Sequence[object]
 ) -> Tuple[IndexProbe, ...]:

@@ -69,6 +69,10 @@ class Expression:
     def children(self) -> Tuple["Expression", ...]:
         return ()
 
+    def with_children(self, children: Sequence["Expression"]) -> "Expression":
+        """This node over ``children`` instead of :meth:`children` (a leaf has none)."""
+        return self
+
     def walk(self) -> Iterator["Expression"]:
         """Depth-first traversal of the tree, including this node."""
         yield self
@@ -206,6 +210,9 @@ class Comparison(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[Expression]) -> "Comparison":
+        return Comparison(self.operator, *children)
+
     def _key(self) -> Tuple:
         return (self.operator, self.left, self.right)
 
@@ -251,6 +258,9 @@ class Arithmetic(Expression):
 
     def children(self) -> Tuple[Expression, ...]:
         return (self.left, self.right)
+
+    def with_children(self, children: Sequence[Expression]) -> "Arithmetic":
+        return Arithmetic(self.operator, *children)
 
     def _key(self) -> Tuple:
         return (self.operator, self.left, self.right)
@@ -332,6 +342,9 @@ class BooleanOp(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return self.operands
 
+    def with_children(self, children: Sequence[Expression]) -> "BooleanOp":
+        return BooleanOp(self.operator, children)
+
     def _key(self) -> Tuple:
         return (self.operator, self.operands)
 
@@ -387,6 +400,9 @@ class FunctionCall(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return self.arguments
 
+    def with_children(self, children: Sequence[Expression]) -> "FunctionCall":
+        return FunctionCall(self.name, children)
+
     def argument_columns(self) -> FrozenSet[str]:
         """Columns referenced by the call's arguments (the UDF's argument columns)."""
         return self.columns()
@@ -399,6 +415,33 @@ class FunctionCall(Expression):
 
     def _render(self) -> str:
         return f"{self.name}({', '.join(str(argument) for argument in self.arguments)})"
+
+
+#: The literal types SQL text writes as a NUMBER or STRING token (TRUE,
+#: FALSE and NULL are keywords: they stay in a query's template).
+_WRITTEN_TYPES = (int, float, str)
+
+
+def written_literals(expression: Expression) -> List[Any]:
+    """The values of the literals in ``expression`` that text writes as a
+    number or a string, depth first."""
+    return [
+        node.value
+        for node in expression.walk()
+        if type(node) is Literal and type(node.value) in _WRITTEN_TYPES
+    ]
+
+
+def with_written_literals(expression: Expression, values: Iterator[Any]) -> Expression:
+    """``expression`` with each literal :func:`written_literals` lists holding
+    the next of ``values`` instead; a subtree that holds none is shared."""
+    if type(expression) is Literal:
+        return Literal(next(values)) if type(expression.value) in _WRITTEN_TYPES else expression
+    children = expression.children()
+    replaced = [with_written_literals(child, values) for child in children]
+    if all(new is old for new, old in zip(replaced, children)):
+        return expression
+    return expression.with_children(replaced)
 
 
 def conjuncts(expression: Optional[Expression]) -> List[Expression]:

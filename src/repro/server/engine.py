@@ -50,6 +50,7 @@ from repro.server.result import QueryResult
 from repro.server.session import ClientSession
 from repro.sql.ast import CreateIndexStatement
 from repro.sql.binder import Binder, BoundStatement
+from repro.sql.lexer import literal_value, split_literals
 from repro.sql.logical import BoundQuery
 
 
@@ -193,7 +194,11 @@ class SqlSurface:
         #: The logical catalog: every table, whole — what SQL binds against.
         self.catalog = Catalog()
         self.udfs = UdfRegistry()
+        #: SQL text -> ``(generations, statement)``.
         self._statements: Dict[str, tuple] = {}
+        #: A bound query's literal-free key (:func:`split_literals`) -> the most
+        #: recent text of it and the texts of its literals after the slots.
+        self._template_texts: Dict[tuple, tuple] = {}
 
     # -- UDF management -----------------------------------------------------------------
 
@@ -281,16 +286,50 @@ class SqlSurface:
         """What ``query`` says: SQL text bound once, or the query it already is.
 
         Text is bound again only once the catalog's or the UDF registry's
-        ``generation`` moved: binding reads no statistics.
+        ``generation`` moved: binding reads no statistics.  A new text of a
+        bound template is not bound at all (:meth:`_bind_text`).
         """
         if not isinstance(query, str):
             return query
         stamp = (self.catalog.generation, self.udfs.generation)
         entry = self._statements.pop(query, None)
         if entry is None or entry[0] != stamp:
-            entry = (stamp, Binder(self.catalog, self.udfs).bind_sql(query))
+            entry = (stamp, self._bind_text(query, stamp))
         _remember(self._statements, query, entry, STATEMENT_MEMO_BOUND)
         return entry[1]
+
+    def _bind_text(self, sql: str, stamp: tuple) -> BoundStatement:
+        """``sql`` bound under the generations ``stamp``.
+
+        A text with the key of a remembered text bound under ``stamp``, and
+        whose literals that bind to no ``Literal`` (``LIMIT``, ``OFFSET``,
+        ``ORDER BY``) are that text's verbatim, is that text's query holding
+        its own literals (:meth:`BoundQuery.with_literals`): no lexer, parser
+        or binder runs.  Any other text is bound.  Either becomes its key's
+        most recent text.
+        """
+        split = split_literals(sql)
+        if split is None:
+            return Binder(self.catalog, self.udfs).bind_sql(sql)
+        key, literals = split
+        held = self._template_texts.pop(key, None)
+        if held is not None:
+            text, fixed = held
+            slots = len(literals) - len(fixed)
+            entry = self._statements.get(text)
+            if entry is not None and entry[0] == stamp and literals[slots:] == fixed:
+                self._template_texts[key] = (sql, fixed)  # popped above: back as the most recent
+                return entry[1].with_literals(map(literal_value, literals[:slots]), sql)
+        bound = Binder(self.catalog, self.udfs).bind_sql(sql)
+        if isinstance(bound, BoundQuery):
+            # The template's slots lead the text's literals; each must be
+            # the bound query's written literal of its place, type and value.
+            slots = sum(isinstance(part, type) for part in bound.template)
+            parsed = [(type(value), value) for value in map(literal_value, literals[:slots])]
+            written = bound.written_literals()
+            if written is not None and [(type(value), value) for value in written] == parsed:
+                _remember(self._template_texts, key, (sql, literals[slots:]), STATEMENT_MEMO_BOUND)
+        return bound
 
     def bind(self, query: Union[str, BoundQuery]) -> BoundQuery:
         """The query ``query`` is, without executing it; index DDL is refused."""

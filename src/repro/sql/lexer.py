@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.errors import LexerError
 
@@ -176,3 +177,37 @@ class Lexer:
 def tokenize(text: str) -> List[Token]:
     """Convenience wrapper returning the token list for ``text``."""
     return Lexer(text).tokens()
+
+
+#: A NUMBER or STRING token where the lexer starts one: a string runs to a
+#: quote no second quote follows (``''`` is an escaped one), a number starts
+#: at a digit no identifier character precedes (``Q1``, ``5abc``) or at a dot
+#: a digit follows (``.5``, but ``S.Change``), and takes one fraction.
+_LITERAL = re.compile(r"('(?:[^']|'')*'(?!')|(?<![A-Za-z0-9_])[0-9]+(?:\.[0-9]+)?|\.[0-9]+)")
+
+
+def split_literals(text: str) -> Optional[Tuple[Tuple[object, ...], List[str]]]:
+    """``text`` as its literal-free key and the text of each NUMBER / STRING
+    token, in order, without lexing it.
+
+    The key is the text between the literals, verbatim, with each literal's
+    Python type where it stood: two texts of one key lex to the same tokens
+    but for those literals' values.  None when the text is not ASCII (the
+    lexer's character classes are Unicode's) or a quote opens no string.
+    """
+    if not text.isascii():
+        return None
+    parts: List[object] = _LITERAL.split(text)
+    literals = parts[1::2]
+    if any("'" in segment for segment in parts[0::2]):
+        return None
+    for index, raw in enumerate(literals):
+        parts[2 * index + 1] = str if raw[0] == "'" else float if "." in raw else int
+    return tuple(parts), literals
+
+
+def literal_value(raw: str) -> Union[int, float, str]:
+    """The value of a NUMBER or STRING token's text, as the parser reads it."""
+    if raw[0] == "'":
+        return raw[1:-1].replace("''", "'")
+    return float(raw) if "." in raw else int(raw)

@@ -11,10 +11,15 @@ It holds no estimate: a query is estimated when it is priced
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.client.udf import UdfDefinition
-from repro.relational.expressions import Expression, FunctionCall
+from repro.relational.expressions import (
+    Expression,
+    FunctionCall,
+    with_written_literals,
+    written_literals,
+)
 from repro.relational.predicates import MIN_SELECTIVITY, PredicateInfo, estimate_selectivity
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStatistics
@@ -154,6 +159,55 @@ class BoundQuery:
             )
             for predicate in self.predicates
         }
+
+    def written_literals(self) -> Optional[List[Any]]:
+        """The values its text wrote as numbers and strings that bound to a
+        ``Literal`` — the template's slots — in the outputs, then the
+        predicates, depth first: the order of the text.  None when an
+        ``ORDER BY`` key sorts by an output holding one, since binding found
+        that output by comparing values."""
+        ordered = {position for position, _ in self.order_by}
+        values: List[Any] = []
+        for position, output in enumerate(self.outputs):
+            held = written_literals(output.expression)
+            if held and position in ordered:
+                return None
+            values += held
+        for predicate in self.predicates:
+            values += written_literals(predicate.expression)
+        return values
+
+    def with_literals(self, values: Iterable[Any], sql: str) -> "BoundQuery":
+        """This query bound from ``sql``, a text of its template: each of
+        :meth:`written_literals` holds the next of ``values`` instead.  Tables,
+        schema, UDF calls and template are shared; outputs and predicates are
+        new objects over expressions that share what holds no literal."""
+        values = iter(values)
+        outputs = [
+            OutputColumn(output.name, with_written_literals(output.expression, values), output.dtype)
+            for output in self.outputs
+        ]
+        predicates = [
+            PredicateInfo(
+                with_written_literals(predicate.expression, values),
+                predicate.columns,
+                predicate.udf_names,
+            )
+            for predicate in self.predicates
+        ]
+        return BoundQuery(
+            sql=sql,
+            tables=self.tables,
+            outputs=outputs,
+            predicates=predicates,
+            client_udf_calls=self.client_udf_calls,
+            combined_schema=self.combined_schema,
+            distinct=self.distinct,
+            order_by=self.order_by,
+            limit=self.limit,
+            offset=self.offset,
+            template=self.template,
+        )
 
     def output_column_names(self) -> List[str]:
         return [output.name for output in self.outputs]

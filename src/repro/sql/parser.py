@@ -42,7 +42,7 @@ from repro.sql.ast import (
     SelectStatement,
     TableReference,
 )
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, literal_value, tokenize
 
 #: Any parsed statement.
 Statement = Union[SelectStatement, CreateIndexStatement, DropIndexStatement]
@@ -295,7 +295,7 @@ class Parser:
     def _primary(self) -> AstExpression:
         token = self.current
         if token.type is TokenType.NUMBER:
-            value = float(token.value) if "." in token.value else int(token.value)
+            value = literal_value(token.value)
             self.slots[self.index] = type(value)
             self.advance()
             return AstLiteral(value)

@@ -47,18 +47,23 @@ and written once, instead of once per key it holds.
 from __future__ import annotations
 
 import itertools
+import re
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager
 from repro.storage.page import (
+    TAG_BYTES,
+    TAG_FLOAT,
     TAG_INT64,
     TAG_LIST,
+    TAG_STRING,
     TAG_TUPLE,
     BlockId,
     RecordCodec,
@@ -118,20 +123,71 @@ def _node_payload(is_leaf: int, pointer: int, encoded: Sequence[bytes]) -> bytes
     return header + b"".join(encoded)
 
 
+#: Key tag -> the struct code of a key of fixed width, or None for a key of a
+#: length prefix and that many bytes.
+_RUN_KEYS = {TAG_INT64: "q", TAG_FLOAT: "d", TAG_STRING: None, TAG_BYTES: None}
+
+
+@lru_cache(maxsize=256)
+def _run_layout(arity: int, key_tag: int, width: int) -> Optional[tuple]:
+    """How the entries after one of ``width`` bytes, ``arity`` values and key
+    tag ``key_tag`` are read while they are laid out alike: ``(match, unpack,
+    text)``.  ``match`` is a pattern's over such a run — each entry's tuple
+    tag, arity, key tag, length prefix and ``TAG_INT64`` tags, whatever the
+    bytes of its values are — ``unpack`` the ``iter_unpack`` of a struct that
+    skips what the pattern checked and yields each entry's values, and
+    ``text`` whether the key is UTF-8 to decode.  None for any other key tag,
+    or a width no such entry has: each such entry is a run of one."""
+    if key_tag not in _RUN_KEYS:
+        return None
+    code = _RUN_KEYS[key_tag]
+    if code is None:  # the entry less its tags, arity, prefix and (tag, int64) pairs
+        size = width - 10 - 9 * (arity - 1)
+        if size < 0:
+            return None
+        code, prefix = f"4x{size}s", _INT32.pack(size)
+    else:
+        size, prefix = 8, b""
+    layout = struct.Struct(">6x" + code + "xq" * (arity - 1))
+    if layout.size != width:
+        return None
+    head = bytes((TAG_TUPLE,)) + _INT32.pack(arity) + bytes((key_tag,)) + prefix
+    tail = (re.escape(bytes((TAG_INT64,))) + b".{8}") * (arity - 1)
+    pattern = re.compile(b"(?:%s.{%d}%s)*" % (re.escape(head), size, tail), re.DOTALL)
+    return pattern.match, layout.iter_unpack, key_tag == TAG_STRING
+
+
 def _parse_entries(view: memoryview, offset: int, count: int, codec: RecordCodec) -> List[tuple]:
     """The ``count`` entries from ``offset`` to the end of a payload; raises
-    ``ValueError`` (or ``struct.error`` / ``IndexError``) where one is torn."""
+    ``ValueError`` (or ``struct.error`` / ``IndexError``, or what decoding a
+    key raises) where one is torn.
+
+    ``codec`` decodes the first entry of each run, and so checks it and
+    raises as it always did; the entries after it that are laid out alike
+    (:func:`_run_layout`) are checked by one pattern match and unpacked by
+    one ``struct.iter_unpack``, and the next entry that is not starts the
+    next run.  A page of numeric keys of one type is one run."""
     if count < 0:
         raise ValueError(f"bad entry count {count}")
     entries: List[tuple] = []
-    for _ in range(count):
+    end = len(view)
+    while len(entries) < count:
         decoded = view[offset] == TAG_TUPLE and codec.decode(view, offset + 1)
         if not decoded:
             raise ValueError(f"bad entry at {offset}")
-        entry, offset = decoded
+        entry, after = decoded
         entries.append(entry)
-    if offset != len(view):
-        raise ValueError(f"{len(view) - offset} bytes after the last entry")
+        width = after - offset
+        layout = _run_layout(len(entry), view[offset + 5], width)
+        offset = after
+        if layout is not None:
+            match, unpack, text = layout
+            stop = match(view, offset, min(end, offset + (count - len(entries)) * width)).end()
+            run = unpack(view[offset:stop])
+            entries += [(str(values[0], "utf-8"),) + values[1:] for values in run] if text else run
+            offset = stop
+    if offset != end:
+        raise ValueError(f"{end - offset} bytes after the last entry")
     return entries
 
 

@@ -140,6 +140,28 @@ def test_the_second_endpoint_builds_no_estimator():
     assert counts["estimators"] == ESTIMATORS_PER_DECISION
 
 
+def test_an_uncalibrated_decision_builds_no_statistics_store(monkeypatch):
+    """Without a store every statistics read answers as declared: nothing
+    is built to answer them, and the decision is the one an empty store
+    gives."""
+    db = StockWorkload(company_count=25, seed=1999).build()
+    bound = db.bind(StockWorkload.figure13_query())
+    with_empty = Optimizer(db.network, statistics=StatisticsStore()).optimize(
+        bound, include_baselines=True
+    )
+    built = []
+    original = StatisticsStore.__init__
+
+    def init(self, *arguments, **keywords):
+        built.append(self)
+        original(self, *arguments, **keywords)
+
+    monkeypatch.setattr(StatisticsStore, "__init__", init)
+    decision = Optimizer(db.network).optimize(bound, include_baselines=True)
+    assert built == []
+    assert decision.describe() == with_empty.describe()
+
+
 def test_the_baselines_read_no_base_table_again():
     """The baseline plans of a decision price the operations it read."""
     with_baselines = decide(60, "figure13_query", include_baselines=True)
@@ -319,6 +341,29 @@ def test_a_repeated_adaptive_query_is_decided_twice():
     assert counts["optimize"] == 2
     assert 0 < max(per_hit) <= READS_PER_HIT
     assert sorted(repeat.rows) == sorted(first.rows)
+
+
+def test_a_calibrated_hit_replays_its_network_read_without_building_one(monkeypatch):
+    """A served calibrated decision replays each read it made, the
+    calibrated network among them: the store answers with the network it
+    built for the observed bandwidths, and builds none."""
+    import repro.adaptive.store as store_module
+
+    db = StockWorkload(company_count=25, seed=1999).build()
+    sql = StockWorkload.figure13_query()
+    for _ in range(3):  # decided before anything was observed, then calibrated
+        db.execute(sql, optimize=True, adaptive=True)
+    replaced = []
+
+    def replace(*arguments, **keywords):
+        replaced.append(arguments)
+        return dataclasses.replace(*arguments, **keywords)
+
+    monkeypatch.setattr(store_module, "replace", replace)
+    with counted_front_end() as counts, counted_reads() as reads:
+        db.execute(sql, optimize=True, adaptive=True)
+    assert counts["optimize"] == 0 and reads["reads"] > 0
+    assert replaced == []
 
 
 def test_each_memo_holds_its_bound_after_many_distinct_texts():
