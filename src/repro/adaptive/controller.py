@@ -51,31 +51,25 @@ class BatchDecision:
 
 
 class BatchSizeController:
-    """Hill-climbs the per-message batch size on observed rows/second."""
+    """Hill-climbs the per-message batch size on observed rows/second.
 
-    def __init__(
-        self,
-        initial_batch_size: int = 8,
-        min_batch_size: int = 1,
-        max_batch_size: int = 256,
-        window_batches: int = 2,
-        window_rows: int = 32,
-        smoothing: float = 0.5,
-        reprobe_after: int = 6,
-    ) -> None:
-        if min_batch_size < 1:
-            raise ValueError("min_batch_size must be at least 1")
-        if max_batch_size < min_batch_size:
-            raise ValueError("max_batch_size must be >= min_batch_size")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        self.min_batch_size = min_batch_size
-        self.max_batch_size = max_batch_size
-        self.window_batches = max(1, window_batches)
-        self.window_rows = max(1, window_rows)
-        self.smoothing = smoothing
-        self.reprobe_after = max(2, reprobe_after)
+    Only the starting size is a parameter; the ladder's bounds and the
+    measurement window are the class constants below.
+    """
 
+    #: The ladder's bounds.
+    min_batch_size = 1
+    max_batch_size = 256
+    #: A window closes after this many batches and rows (rows capped at two
+    #: batches of the current size).
+    window_batches = 2
+    window_rows = 32
+    #: Weight of a new window in its size's throughput estimate.
+    smoothing = 0.5
+    #: Stable windows before a settled controller re-probes a neighbour.
+    reprobe_after = 6
+
+    def __init__(self, initial_batch_size: int = 8) -> None:
         self._size = self._clamp(initial_batch_size)
         self._direction = 1  # +1 probing upward, -1 probing downward
         self._throughput: Dict[int, float] = {}
@@ -258,25 +252,16 @@ class OverlapWindowController(BatchSizeController):
     adds buffering; the climber finds the knee from measurements, and its
     collapse/re-probe machinery re-finds it when the link drifts.
 
-    The ladder is deliberately small (windows are counted in batches, and a
-    few batches already cover most pipelines), and the defaults start at a
-    modest double-buffered window so the first measurement window is neither
-    synchronous nor unbounded.
+    The ladder is deliberately small, 1 to 64 (windows are counted in batches,
+    and a few batches already cover most pipelines), and it starts at a
+    modest double-buffered window of 2 so the first measurement window is
+    neither synchronous nor unbounded.
     """
 
-    def __init__(
-        self,
-        initial_window: int = 2,
-        min_window: int = 1,
-        max_window: int = 64,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            initial_batch_size=initial_window,
-            min_batch_size=min_window,
-            max_batch_size=max_window,
-            **kwargs,
-        )
+    max_batch_size = 64
+
+    def __init__(self) -> None:
+        super().__init__(initial_batch_size=2)
 
     def __repr__(self) -> str:
         return (

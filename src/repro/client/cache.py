@@ -11,16 +11,16 @@ record, duplicates included).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Tuple
 
 
 class ResultCache:
     """An LRU cache from hashable argument keys to UDF results."""
 
-    def __init__(self, max_entries: int = 10_000) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+    #: Entries kept; a put past it evicts the least recently used.
+    max_entries = 10_000
+
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0

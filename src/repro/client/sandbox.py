@@ -205,14 +205,3 @@ class Sandbox:
         if not callable(function):
             raise SandboxViolation(f"{entry_point!r} is not callable after compilation")
         return function
-
-    def evaluate_expression(self, source: str, variables: Optional[Dict[str, Any]] = None) -> Any:
-        """Evaluate a single restricted expression (used for pushable predicates
-        supplied as text by examples and tests)."""
-        tree = self.screen(source)
-        if len(tree.body) != 1 or not isinstance(tree.body[0], ast.Expr):
-            raise SandboxViolation("expected a single expression")
-        code = compile(ast.Expression(tree.body[0].value), filename="<udf-expr>", mode="eval")
-        namespace: Dict[str, Any] = {"__builtins__": self.policy.builtins()}
-        namespace.update(variables or {})
-        return eval(code, namespace)  # noqa: S307 - restricted namespace

@@ -16,8 +16,6 @@ from repro.distribution.sharding import (
     ShardedTable,
     ShardingSpec,
     hash_shard_of,
-    range_boundaries_from_data,
-    range_shard_of,
     shard_table,
 )
 from repro.distribution.cluster import ClusterConfig, SiteConfig
@@ -34,8 +32,6 @@ __all__ = [
     "ShardedTable",
     "shard_table",
     "hash_shard_of",
-    "range_shard_of",
-    "range_boundaries_from_data",
     "SiteConfig",
     "ClusterConfig",
     "ClusterPlanner",

@@ -103,19 +103,6 @@ class Channel:
             batch_message(kind, payload, payload_bytes, row_count, description=description)
         )
 
-    def send_batch_to_server(
-        self,
-        kind: MessageKind,
-        payload: Any,
-        payload_bytes: int,
-        row_count: int,
-        description: Union[str, Tuple[Any, ...]] = "",
-    ) -> Event:
-        """Client → server shipment of ``row_count`` rows in one frame."""
-        return self.send_to_server(
-            batch_message(kind, payload, payload_bytes, row_count, description=description)
-        )
-
     # -- receiving --------------------------------------------------------------------
 
     def receive_at_client(self) -> Event:
@@ -125,16 +112,6 @@ class Channel:
     def receive_at_server(self) -> Event:
         """Event yielding the next message in the server's inbox."""
         return self.server_inbox.get()
-
-    def poll_at_client(self) -> Optional[Message]:
-        """The client's next message if it already arrived and the instant is
-        quiet (:meth:`Store.get_now`); ``None`` means wait on
-        :meth:`receive_at_client`."""
-        return self.client_inbox.get_now()
-
-    def poll_at_server(self) -> Optional[Message]:
-        """The server-side counterpart of :meth:`poll_at_client`."""
-        return self.server_inbox.get_now()
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -158,12 +135,6 @@ class Channel:
     @property
     def stats(self) -> ChannelStats:
         return ChannelStats(downlink=self.downlink.stats, uplink=self.uplink.stats)
-
-    def round_trip_time(self, request_bytes: int, response_bytes: int) -> float:
-        """Unloaded round-trip time for a request/response pair of given sizes."""
-        down = request_bytes / self.downlink.bandwidth + self.downlink.latency
-        up = response_bytes / self.uplink.bandwidth + self.uplink.latency
-        return down + up
 
     def __repr__(self) -> str:
         return (

@@ -136,13 +136,6 @@ class Link:
     def bytes_transferred(self) -> int:
         return self.stats.total_bytes
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of elapsed time the link spent serialising messages."""
-        elapsed = elapsed if elapsed is not None else self.simulator.now
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_seconds / elapsed)
-
     def __repr__(self) -> str:
         return (
             f"Link({self.name!r}, {self.bandwidth:g} B/s, latency={self.latency:g}s, "

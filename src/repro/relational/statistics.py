@@ -276,13 +276,6 @@ class TableStatistics:
         distinct = min(distinct, float(self.row_count))
         return distinct / self.row_count
 
-    def column_size_fraction(self, names: Sequence[str]) -> float:
-        """Fraction of the average row size occupied by ``names`` (paper's ``A``)."""
-        if self.average_row_size <= 0:
-            return 1.0
-        size = sum(self.column(name).average_size for name in names)
-        return min(1.0, size / self.average_row_size)
-
 
 def compute_column_statistics(
     name: str, values: Iterable[object]
@@ -344,20 +337,3 @@ def apply_observed_evidence(
         capped = min(max(1, int(round(distinct))), max(1, stats.row_count))
         patched.columns[bare] = ColumnStatistics(name=bare, distinct_count=capped)
     return patched
-
-
-def scale_statistics(stats: TableStatistics, selectivity: float) -> TableStatistics:
-    """Statistics after a filter of the given selectivity."""
-    selectivity = min(max(selectivity, 0.0), 1.0)
-    new_rows = int(round(stats.row_count * selectivity))
-    scaled = TableStatistics(row_count=new_rows, average_row_size=stats.average_row_size)
-    for name, column in stats.columns.items():
-        scaled.columns[name] = ColumnStatistics(
-            name=name,
-            distinct_count=min(column.distinct_count, max(1, new_rows)),
-            null_count=min(column.null_count, new_rows),
-            average_size=column.average_size,
-            minimum=column.minimum,
-            maximum=column.maximum,
-        )
-    return scaled

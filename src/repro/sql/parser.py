@@ -181,10 +181,20 @@ class Parser:
             statement.order_by = self._order_items()
             self.slots = slots
         if self.accept_keyword("LIMIT"):
-            statement.limit = int(self.expect(TokenType.NUMBER).value)
+            statement.limit = self._count()
             if self.accept_keyword("OFFSET"):
-                statement.offset = int(self.expect(TokenType.NUMBER).value)
+                statement.offset = self._count()
         return statement
+
+    def _count(self) -> int:
+        """A ``LIMIT`` / ``OFFSET`` count: an integer literal."""
+        token = self.expect(TokenType.NUMBER)
+        try:
+            return int(token.value)
+        except ValueError:
+            raise ParseError(
+                f"expected an integer count but found {token.value!r} at offset {token.position}"
+            ) from None
 
     def _select_items(self) -> List[SelectItem]:
         items = [self._select_item()]

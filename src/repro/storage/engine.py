@@ -39,12 +39,11 @@ class StorageEngine:
         directory: str,
         block_size: int = DEFAULT_BLOCK_SIZE,
         pool_size: int = 64,
-        refresh_interval: int = 100,
     ) -> None:
         self.directory = directory
         self.files = FileManager(directory, block_size)
         self.buffers = BufferManager(self.files, pool_size=pool_size)
-        self.metadata = MetadataManager(directory, refresh_interval=refresh_interval)
+        self.metadata = MetadataManager(directory)
         self._storages: Dict[str, PagedTableStorage] = {}
         self._indexes: Dict[str, IndexHandle] = {}  # lower-case index name
 

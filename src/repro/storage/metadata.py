@@ -219,10 +219,12 @@ class MetadataManager:
     engine calls at query boundaries and on close.
     """
 
-    def __init__(self, directory: str, refresh_interval: int = 100) -> None:
+    #: Scans (or deleted rows) after which a table's statistics are recomputed.
+    refresh_interval = 100
+
+    def __init__(self, directory: str) -> None:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.refresh_interval = max(1, int(refresh_interval))
         self._tables: Dict[str, TableEntry] = {}  # lower-case table name
         self._indexes: Dict[str, _IndexEntry] = {}  # lower-case index name
         self._dirty = False

@@ -10,7 +10,7 @@ sessions against one shared topology —
   scheduler (token slots, FIFO or shortest-predicted-job-first);
 * :mod:`repro.tenancy.driver` — the multi-query driver interleaving whole
   query executions as coroutine exchanges on one discrete-event simulation,
-  with closed-loop sessions and open-loop Poisson arrivals;
+  each session a closed loop of issue, wait and think;
 * :mod:`repro.tenancy.metrics` — per-query records and the aggregate
   traffic report (throughput, p50/p99 latency, fairness);
 * :mod:`repro.tenancy.baton` — the strict baton-passing protocol the driver
@@ -25,7 +25,6 @@ from repro.tenancy.admission import (
 )
 from repro.tenancy.driver import (
     MultiTenantEngine,
-    OpenLoopWorkload,
     QuerySpec,
     SessionWorkload,
     SharedExecutionContext,
@@ -49,7 +48,6 @@ __all__ = [
     "FifoLinkScheduler",
     "LinkScheduler",
     "MultiTenantEngine",
-    "OpenLoopWorkload",
     "QueryRecord",
     "QuerySpec",
     "SessionWorkload",

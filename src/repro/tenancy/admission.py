@@ -141,12 +141,6 @@ class AdmissionScheduler:
             # deterministically with in-flight network events.
             ticket.grant.succeed(ticket, delay=0.0)
 
-    # -- introspection --------------------------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._waiting)
-
     def __repr__(self) -> str:
         return (
             f"AdmissionScheduler(policy={self.policy.value}, "

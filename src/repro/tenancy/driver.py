@@ -82,31 +82,6 @@ class SessionWorkload:
         return max(0.0, think)
 
 
-@dataclass(frozen=True)
-class OpenLoopWorkload:
-    """An open-loop session: Poisson arrivals, independent of completions.
-
-    Inter-arrival gaps are exponential with rate ``arrival_rate_per_second``
-    from a seeded RNG.  Arrivals that land while the previous query is still
-    running queue behind it (one connection is one serial channel), so the
-    session behaves like an open-loop source with per-session FIFO service.
-    """
-
-    tenant_id: str
-    queries: Sequence[QuerySpec]
-    arrival_rate_per_second: float = 1.0
-    initial_delay_seconds: float = 0.0
-    repeat: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.arrival_rate_per_second <= 0:
-            raise ValueError("arrival rate must be positive")
-
-
-Workload = Union[SessionWorkload, OpenLoopWorkload]
-
-
 class SharedExecutionContext(RemoteExecutionContext):
     """An execution context on the *shared* multi-tenant simulator.
 
@@ -176,7 +151,7 @@ class SharedExecutionContext(RemoteExecutionContext):
 class _SessionWorker(BatonWorker):
     """One session's worker: the generic baton protocol plus session state."""
 
-    def __init__(self, engine: "MultiTenantEngine", workload: Workload, session: ClientSession) -> None:
+    def __init__(self, engine: "MultiTenantEngine", workload: SessionWorkload, session: ClientSession) -> None:
         super().__init__(engine._driver, name=f"tenant-{session.session_id}")
         self.engine = engine
         self.workload = workload
@@ -231,7 +206,7 @@ class MultiTenantEngine:
 
     # -- the driver loop -------------------------------------------------------------
 
-    def run(self, workloads: Sequence[Workload]) -> TrafficReport:
+    def run(self, workloads: Sequence[SessionWorkload]) -> TrafficReport:
         """Run every workload to completion; returns the traffic report."""
         if not workloads:
             return TrafficReport()
@@ -256,15 +231,10 @@ class MultiTenantEngine:
     def _run_session(self, worker: _SessionWorker) -> None:
         workload = worker.workload
         rng = random.Random(workload.seed)
-        open_loop = isinstance(workload, OpenLoopWorkload)
-        next_arrival = workload.initial_delay_seconds
         index = 0
         for _ in range(max(1, workload.repeat)):
             for spec in workload.queries:
-                if open_loop:
-                    next_arrival += rng.expovariate(workload.arrival_rate_per_second)
-                    target = next_arrival
-                elif index == 0:
+                if index == 0:
                     target = workload.initial_delay_seconds
                 else:
                     target = self.simulator.now + workload.think_draw(rng)

@@ -17,12 +17,7 @@ from repro.core.strategies import ExecutionStrategy
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, STRING, TIME_SERIES, TimeSeries
 from repro.server.engine import Database
-from repro.tenancy.driver import (
-    OpenLoopWorkload,
-    QuerySpec,
-    SessionWorkload,
-    Workload,
-)
+from repro.tenancy.driver import QuerySpec, SessionWorkload
 
 #: A modest shared trunk: fast enough that point queries are sub-second when
 #: alone, slow enough that one bulk session visibly congests it.
@@ -105,7 +100,7 @@ def point_sessions(
     queries_per_session: int = 2,
     think_time_seconds: float = 0.1,
     seed: int = 0,
-) -> List[Workload]:
+) -> List[SessionWorkload]:
     """``count`` closed-loop sessions of cheap point queries, seeded jitter."""
     spec = point_query_spec()
     return [
@@ -126,7 +121,7 @@ def bulk_session(
     queries: int = 2,
     seed: int = 1000,
     **options,
-) -> Workload:
+) -> SessionWorkload:
     """One closed-loop bulk session that hogs the trunk when unchecked."""
     return SessionWorkload(
         tenant_id=tenant_id,
@@ -142,9 +137,9 @@ def mixed_traffic(
     bulk_count: int = 1,
     queries_per_session: int = 2,
     seed: int = 0,
-) -> List[Workload]:
+) -> List[SessionWorkload]:
     """The canonical adversarial mix: many point sessions + bulk session(s)."""
-    workloads: List[Workload] = list(
+    workloads: List[SessionWorkload] = list(
         point_sessions(
             point_count, queries_per_session=queries_per_session, seed=seed
         )
@@ -152,23 +147,3 @@ def mixed_traffic(
     for index in range(bulk_count):
         workloads.append(bulk_session(tenant_id=f"bulk{index}", seed=seed + 1000 + index))
     return workloads
-
-
-def poisson_point_arrivals(
-    count: int,
-    rate_per_second: float = 4.0,
-    queries_per_session: int = 3,
-    seed: int = 0,
-) -> List[Workload]:
-    """``count`` open-loop Poisson sessions of point queries."""
-    spec = point_query_spec()
-    return [
-        OpenLoopWorkload(
-            tenant_id=f"open{index}",
-            queries=[spec],
-            repeat=queries_per_session,
-            arrival_rate_per_second=rate_per_second,
-            seed=seed + index,
-        )
-        for index in range(count)
-    ]

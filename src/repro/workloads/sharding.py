@@ -102,7 +102,6 @@ def make_cluster(
     sites: int,
     shards: int,
     replication_factor: int = 1,
-    method: str = "hash",
     bandwidths: Optional[List[float]] = None,
     networks: Optional[List[NetworkConfig]] = None,
 ) -> ClusterConfig:
@@ -125,7 +124,6 @@ def make_cluster(
                 table="Trades",
                 column="Bucket",
                 shards=shards,
-                method=method,
                 replication_factor=replication_factor,
             )
         ],
@@ -138,7 +136,6 @@ def make_sharded_setup(
     replication_factor: int = 1,
     rows: int = 96,
     series_points: int = 48,
-    method: str = "hash",
     bandwidths: Optional[List[float]] = None,
     networks: Optional[List[NetworkConfig]] = None,
     statistics: Optional[StatisticsStore] = None,
@@ -159,7 +156,6 @@ def make_sharded_setup(
         sites,
         shards,
         replication_factor=replication_factor,
-        method=method,
         bandwidths=bandwidths,
         networks=networks,
     )

@@ -41,16 +41,8 @@ def feed_windows(controller, throughput_of, windows=40, rows_per_batch=None):
 
 
 class TestBatchSizeController:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchSizeController(min_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchSizeController(min_batch_size=8, max_batch_size=4)
-        with pytest.raises(ValueError):
-            BatchSizeController(smoothing=0.0)
-
     def test_climbs_to_larger_batches_when_throughput_rises(self):
-        controller = BatchSizeController(initial_batch_size=4, max_batch_size=128)
+        controller = BatchSizeController(initial_batch_size=4)
         # Bigger batches amortise a fixed per-message overhead: throughput
         # strictly increases with size.
         feed_windows(controller, lambda size: 100.0 * size / (size + 4), windows=60)
@@ -58,24 +50,23 @@ class TestBatchSizeController:
         assert controller.converged_batch_size >= 64
 
     def test_climbs_down_when_small_batches_win(self):
-        controller = BatchSizeController(initial_batch_size=64, min_batch_size=1)
+        controller = BatchSizeController(initial_batch_size=64)
         feed_windows(controller, lambda size: 100.0 / size, windows=60)
         assert controller.current() <= 2
 
     def test_respects_bounds(self):
-        controller = BatchSizeController(
-            initial_batch_size=8, min_batch_size=2, max_batch_size=32
-        )
+        """The ladder stops at the class bounds, 1 and 256, and reaches both."""
+        controller = BatchSizeController(initial_batch_size=8)
         feed_windows(controller, lambda size: float(size), windows=60)
-        assert controller.current() <= 32
-        controller = BatchSizeController(
-            initial_batch_size=8, min_batch_size=2, max_batch_size=32
-        )
+        assert max(controller.size_trace()) == BatchSizeController.max_batch_size == 256
+        controller = BatchSizeController(initial_batch_size=8)
         feed_windows(controller, lambda size: 1.0 / size, windows=60)
-        assert controller.current() >= 2
+        assert min(controller.size_trace()) == BatchSizeController.min_batch_size == 1
+        assert BatchSizeController(initial_batch_size=1000).current() == 256
+        assert BatchSizeController(initial_batch_size=0).current() == 1
 
     def test_finds_interior_optimum(self):
-        controller = BatchSizeController(initial_batch_size=1, max_batch_size=256)
+        controller = BatchSizeController(initial_batch_size=1)
         # Throughput peaks at 16: overhead amortisation vs. lost overlap.
         feed_windows(
             controller,
@@ -85,7 +76,7 @@ class TestBatchSizeController:
         assert controller.converged_batch_size in (8, 16, 32)
 
     def test_collapse_resets_estimates_and_readapts(self):
-        controller = BatchSizeController(initial_batch_size=4, max_batch_size=256)
+        controller = BatchSizeController(initial_batch_size=4)
         now = feed_windows(controller, lambda size: 100.0 * size / (size + 4), windows=40)
         before_drift = controller.current()
         assert before_drift >= 64
@@ -101,13 +92,13 @@ class TestBatchSizeController:
         assert controller.current() < before_drift
 
     def test_reprobe_after_stability(self):
-        controller = BatchSizeController(
-            initial_batch_size=8, max_batch_size=32, reprobe_after=3
-        )
-        feed_windows(controller, lambda size: 100.0 * size / (size + 4), windows=80)
+        """Settled at the top of the ladder, the controller re-probes the
+        size below it after ``reprobe_after`` (6) stable windows."""
+        controller = BatchSizeController(initial_batch_size=8)
+        feed_windows(controller, lambda size: 100.0 * size / (size + 4), windows=120)
         sizes = {decision.batch_size for decision in controller.decisions[-20:]}
         # The settled controller still probes neighbours now and then.
-        assert len(sizes) >= 2
+        assert sizes == {128, 256}
 
     def test_first_observation_only_sets_baseline(self):
         controller = BatchSizeController()
@@ -145,13 +136,15 @@ class TestBatchSizeController:
         assert controller.collapse_count >= 1
 
     def test_collapse_forgets_stale_estimates_and_probes_from_the_collapsed_size(self):
-        controller = BatchSizeController(initial_batch_size=16, window_batches=1, window_rows=1)
+        controller = BatchSizeController(initial_batch_size=16)
         # Seed remembered estimates as if the climber had already settled at
-        # 16; the first measured window then runs an order of magnitude
-        # slower — a collapse.
+        # 16; the first measured window (two batches, 32 rows) then runs an
+        # order of magnitude slower — a collapse.
         controller._throughput = {8: 50.0, 16: 1000.0, 32: 40.0}
         controller.observe_rows(16, 0.0)
-        controller.observe_rows(16, 1.0)  # 16 rows/s << 500 rows/s
+        controller.observe_rows(16, 0.5)
+        assert controller.collapse_count == 0  # one batch closes no window
+        controller.observe_rows(16, 1.0)  # 32 rows/s << 500 rows/s
         assert controller.collapse_count == 1
         # Only the collapsed window's own measurement survives the reset...
         assert set(controller._throughput) == {16}
@@ -544,11 +537,11 @@ class TestDriftPaths:
         """A NetworkConfig.with_drift fade collapses throughput mid-query and
         the controller discards its (now stale) ladder estimates."""
         drift = fading_uplink_scenario(drift_at_seconds=1.0, fade_factor=0.02)
-        # Capped ladder so the controller has settled (and remembers
-        # estimates) by the time the fade hits.
-        bank = BatchControllerBank(lambda name: BatchSizeController(max_batch_size=64))
+        # 1,600 rows let the controller climb the whole ladder, 8 to 256,
+        # and remember its estimates before the fade hits.
+        bank = BatchControllerBank()
         workload = SyntheticWorkload(
-            row_count=800, input_record_bytes=16, result_bytes=8, udf_cost_seconds=0.0001
+            row_count=1600, input_record_bytes=16, result_bytes=8, udf_cost_seconds=0.0001
         )
         point = run_workload_point(
             workload, drift, StrategyConfig.semi_join().with_batch_controller(bank)
@@ -558,18 +551,16 @@ class TestDriftPaths:
         assert controller.collapse_count >= 1
         # The same run on the stable base network never collapses.
         stable = NetworkConfig.paper_asymmetric(asymmetry=100.0)
-        stable_bank = BatchControllerBank(
-            lambda name: BatchSizeController(max_batch_size=64)
-        )
+        stable_bank = BatchControllerBank()
         run_workload_point(
             SyntheticWorkload(
-                row_count=800, input_record_bytes=16, result_bytes=8, udf_cost_seconds=0.0001
+                row_count=1600, input_record_bytes=16, result_bytes=8, udf_cost_seconds=0.0001
             ),
             stable,
             StrategyConfig.semi_join().with_batch_controller(stable_bank),
         )
         assert stable_bank.controller_for(workload.udf_name).collapse_count == 0
-        assert point.rows == 400
+        assert point.rows == 800
 
     def test_per_udf_controllers_through_database(self):
         """adaptive=True gives each UDF its own ladder and warm start."""

@@ -35,11 +35,13 @@ class TestArgumentResultRoundTrip:
             assert message.kind is MessageKind.UDF_ARGUMENTS
             assert message.row_count == len(batch) == 5
             results = [args[0] * 10 for args in batch.argument_tuples]
-            yield channel.send_batch_to_server(
-                MessageKind.UDF_RESULT,
-                ResultBatch(udf_name=batch.call.udf_name, results=results),
-                payload_bytes=8 * len(results),
-                row_count=len(results),
+            yield channel.send_to_server(
+                batch_message(
+                    MessageKind.UDF_RESULT,
+                    ResultBatch(udf_name=batch.call.udf_name, results=results),
+                    payload_bytes=8 * len(results),
+                    row_count=len(results),
+                )
             )
 
         def server():
@@ -168,11 +170,13 @@ class TestChannelClosed:
                 row_count=1,
             )
         with pytest.raises(ChannelClosedError):
-            channel.send_batch_to_server(
-                MessageKind.UDF_RESULT,
-                ResultBatch(udf_name="Echo", results=[1]),
-                payload_bytes=8,
-                row_count=1,
+            channel.send_to_server(
+                batch_message(
+                    MessageKind.UDF_RESULT,
+                    ResultBatch(udf_name="Echo", results=[1]),
+                    payload_bytes=8,
+                    row_count=1,
+                )
             )
 
     def test_close_mid_stream_fails_the_sender_process(self):

@@ -25,13 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.distribution.sharding import (
-    ShardingSpec,
-    hash_shard_of,
-    range_boundaries_from_data,
-    range_shard_of,
-    shard_table,
-)
+from repro.distribution.sharding import ShardingSpec, hash_shard_of, shard_table
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
@@ -498,18 +492,9 @@ def test_a_paged_batch_load_fills_the_holes_a_delete_left_alike(case, modulus, d
 
 def _reference_shards(table, spec):
     position = table.schema.index_of(spec.column)
-    boundaries = ()
-    if spec.method == "range":
-        boundaries = spec.boundaries or range_boundaries_from_data(
-            [row[position] for row in table.rows], spec.shards
-        )
     fragments = [Table(table.name, table.schema) for _ in range(spec.shards)]
     for row in table.rows:
-        value = row[position]
-        if spec.method == "hash":
-            shard = hash_shard_of(value, spec.shards)
-        else:
-            shard = range_shard_of(value, boundaries)
+        shard = hash_shard_of(row[position], spec.shards)
         reference_insert_many(fragments[shard], [list(row)])
     return fragments
 
@@ -517,12 +502,11 @@ def _reference_shards(table, spec):
 @given(
     st.lists(st.tuples(st.integers(-50, 50), st.text(max_size=3)), max_size=60),
     st.integers(1, 5),
-    st.sampled_from(["hash", "range"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_sharded_fragments_equal_per_row_sharding_in_order(rows, shards, method):
+def test_sharded_fragments_equal_per_row_sharding_in_order(rows, shards):
     table = Table("T", Schema([Column("K", INTEGER), Column("S", STRING)]), rows=rows)
-    spec = ShardingSpec(table="T", column="K", shards=shards, method=method)
+    spec = ShardingSpec(table="T", column="K", shards=shards)
     fragments = shard_table(table, spec).fragments
     expected = _reference_shards(table, spec)
     assert [fragment.rows for fragment in fragments] == [f.rows for f in expected]

@@ -1,7 +1,6 @@
 """Tests for scatter-gather over sharded/replicated server sites."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError, OptimizerError, PlanError
 from repro.adaptive.store import StatisticsStore
@@ -25,7 +24,6 @@ from repro.distribution import (
     ShardingSpec,
     SiteConfig,
     hash_shard_of,
-    range_shard_of,
     shard_table,
 )
 from repro.workloads.sharding import (
@@ -48,18 +46,6 @@ class TestShardingSpec:
             ShardingSpec(table="T", column="K", shards=0)
         with pytest.raises(ValueError):
             ShardingSpec(table="T", column="K", shards=2, replication_factor=0)
-        with pytest.raises(ValueError):
-            ShardingSpec(table="T", column="K", shards=2, method="modulo")
-        with pytest.raises(ValueError):
-            # Boundaries only make sense for range sharding.
-            ShardingSpec(table="T", column="K", shards=2, boundaries=(5,))
-        with pytest.raises(ValueError):
-            # Wrong boundary count for the shard count.
-            ShardingSpec(table="T", column="K", shards=3, method="range", boundaries=(5,))
-        with pytest.raises(ValueError):
-            ShardingSpec(
-                table="T", column="K", shards=3, method="range", boundaries=(9, 5)
-            )
 
     def test_hash_shard_is_deterministic_and_disjoint(self):
         table = int_string_table([[index, f"n{index}"] for index in range(40)])
@@ -72,48 +58,7 @@ class TestShardingSpec:
             assert all(row[0] % 4 == shard for row in fragment.rows)
         # Strings hash stably (CRC32, not the salted builtin hash).
         assert hash_shard_of("alpha", 8) == hash_shard_of("alpha", 8)
-
-    def test_range_sharding_with_and_without_boundaries(self):
-        table = int_string_table([[index, f"n{index}"] for index in range(30)])
-        explicit = shard_table(
-            table,
-            ShardingSpec(
-                table="T", column="K", shards=3, method="range", boundaries=(10, 20)
-            ),
-        )
-        assert [len(f) for f in explicit.fragments] == [10, 10, 10]
-        derived = shard_table(
-            table, ShardingSpec(table="T", column="K", shards=3, method="range")
-        )
-        assert derived.total_rows() == 30
-        assert len(derived.boundaries) == 2
-        assert range_shard_of(0, derived.boundaries) == 0
-
-    @given(
-        st.lists(st.one_of(st.integers(-50, 50), st.floats(-50, 50)), max_size=30),
-        st.lists(st.integers(-40, 40), min_size=1, max_size=5),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_range_sharding_places_a_value_after_every_boundary_at_or_below_it(self, values, cuts):
-        """Shard *i* takes ``[boundaries[i-1], boundaries[i])``, for boundary
-        tuples and lists alike, and a range-sharded table's rows follow it."""
-        boundaries = tuple(sorted(cuts))
-        expected = [sum(1 for cut in boundaries if cut <= value) for value in values]
-        assert [range_shard_of(value, boundaries) for value in values] == expected
-        assert [range_shard_of(value, list(boundaries)) for value in values] == expected
-        keys = [int(value) for value in values]
-        table = int_string_table([[key, f"n{index}"] for index, key in enumerate(keys)])
-        spec = ShardingSpec(
-            table="T", column="K", shards=len(boundaries) + 1, method="range", boundaries=boundaries
-        )
-        fragments = shard_table(table, spec).fragments
-        placed = {
-            row[1]: shard for shard, fragment in enumerate(fragments) for row in fragment.rows
-        }
-        assert placed == {
-            f"n{index}": sum(1 for cut in boundaries if cut <= key)
-            for index, key in enumerate(keys)
-        }
+        assert spec.describe() == "T: 4 shards (hash on K), replication x1"
 
     def test_unknown_shard_column_raises(self):
         table = int_string_table([[1, "a"]])

@@ -1,5 +1,7 @@
 """End-to-end tests of the Database engine, planner, executor and metrics."""
 
+import re
+
 import pytest
 
 from repro.adaptive import SWITCHING_POLICY, AdaptationPolicy
@@ -635,6 +637,119 @@ class TestOptionCensus:
 
         with pytest.raises(ValueError):
             MultiTenantEngine(Database(network=FAST), fair_queueing="none")
+
+    #: Each callable's parameters, in order.  The mailbox is unbounded, the
+    #: controllers' ladders, the result cache's size and the statistics
+    #: refresh interval are class constants, and sharding is by hash only.
+    PARAMETERS = {
+        "Store": ("simulator", "name"),
+        "BatchSizeController": ("initial_batch_size",),
+        "OverlapWindowController": (),
+        "ResultCache": (),
+        "StorageEngine": ("directory", "block_size", "pool_size"),
+        "MetadataManager": ("directory",),
+        "make_cluster": ("sites", "shards", "replication_factor", "bandwidths", "networks"),
+        "make_sharded_setup": (
+            "sites",
+            "shards",
+            "replication_factor",
+            "rows",
+            "series_points",
+            "bandwidths",
+            "networks",
+            "statistics",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMETERS))
+    def test_a_census_callable_takes_exactly_its_parameters(self, name):
+        import inspect
+
+        from repro.adaptive.controller import BatchSizeController, OverlapWindowController
+        from repro.client.cache import ResultCache
+        from repro.network.resources import Store
+        from repro.storage.engine import StorageEngine
+        from repro.storage.metadata import MetadataManager
+        from repro.workloads.sharding import make_cluster, make_sharded_setup
+
+        targets = {
+            "Store": Store,
+            "BatchSizeController": BatchSizeController,
+            "OverlapWindowController": OverlapWindowController,
+            "ResultCache": ResultCache,
+            "StorageEngine": StorageEngine,
+            "MetadataManager": MetadataManager,
+            "make_cluster": make_cluster,
+            "make_sharded_setup": make_sharded_setup,
+        }
+        assert tuple(inspect.signature(targets[name]).parameters) == self.PARAMETERS[name]
+
+    def test_a_sharding_spec_has_exactly_its_four_fields(self):
+        import dataclasses
+
+        from repro.distribution import ShardingSpec
+
+        assert [field.name for field in dataclasses.fields(ShardingSpec)] == [
+            "table",
+            "column",
+            "shards",
+            "replication_factor",
+        ]
+
+    #: What may not come back into ``src/``: (regex, the files it is searched
+    #: in under ``src/repro``, flags).  The first group is the bounded
+    #: mailbox, open-loop arrivals, range sharding and the helpers only tests
+    #: called; the rest are options, re-entry paths and idioms retired
+    #: earlier.
+    RETIRED = {
+        "Store.put": (r"def put\(self, item", "network/resources.py", 0),
+        "Store.capacity": (r"capacity", "network/resources.py", 0),
+        "try_put": (r"\btry_put\b", "**/*.py", 0),
+        "waiting_putters": (r"\bwaiting_putters\b", "**/*.py", 0),
+        "_put_waiters": (r"\b_put_waiters\b", "**/*.py", 0),
+        "OpenLoopWorkload": (r"\bOpenLoopWorkload\b", "**/*.py", 0),
+        "poisson_point_arrivals": (r"\bpoisson_point_arrivals\b", "**/*.py", 0),
+        "range_boundaries_from_data": (r"\brange_boundaries_from_data\b", "**/*.py", 0),
+        "range_shard_of": (r"\brange_shard_of\b", "**/*.py", 0),
+        "ShardingSpec.boundaries": (r"boundaries", "distribution/sharding.py", 0),
+        "scale_statistics": (r"\bscale_statistics\b", "**/*.py", 0),
+        "column_size_fraction": (r"\bcolumn_size_fraction\b", "**/*.py", 0),
+        "evaluate_expression": (r"\bevaluate_expression\b", "**/*.py", 0),
+        "Link.utilization": (r"\butilization\b", "network/link.py", 0),
+        "round_trip_time": (r"\bround_trip_time\b", "**/*.py", 0),
+        "send_batch_to_server": (r"\bsend_batch_to_server\b", "**/*.py", 0),
+        "poll_at_client": (r"\bpoll_at_(client|server)\b", "**/*.py", 0),
+        "AdmissionScheduler.queue_depth": (r"def queue_depth", "tenancy/admission.py", 0),
+        "window-options": (r"\b(initial|min|max)_window\b", "**/*.py", 0),
+        "deleted-options": (
+            r"sort_by_arguments|server_result_cache|batch_size_overrides"
+            r"|collapse_backoff|switch_penalty_seconds",
+            "**/*.py",
+            0,
+        ),
+        "enumerator-re-entry": (r"best_plan_from|RuntimeStatisticsView|_enumerated_shape", "**/*.py", 0),
+        "controller-subclass": (r"class \w+\((SegmentController|ReOptimizer)\)", "**/*.py", 0),
+        "plan_wide": (r"plan_wide", "core/execution/adaptive.py", 0),
+        "timeout(0": (r"timeout\(0", "**/*.py", 0),
+        "numpy": (r"numpy", "**/*.py", re.IGNORECASE),
+    }
+
+    @pytest.mark.parametrize("name", list(RETIRED))
+    def test_retired_names_stay_out_of_src(self, name):
+        import pathlib
+
+        import repro
+
+        pattern, files, flags = self.RETIRED[name]
+        regex = re.compile(pattern, flags)
+        root = pathlib.Path(repro.__file__).parent
+        found = [
+            f"{path.relative_to(root)}:{number}: {line.strip()}"
+            for path in root.glob(files)
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if regex.search(line)
+        ]
+        assert found == []
 
 class TestStockWorkloadQueries:
     def test_figure1_query_all_strategies(self, stock_db):

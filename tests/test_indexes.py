@@ -875,7 +875,7 @@ class TestDeleteStatisticsRefresh:
         """Before the refresh hook, a bulk delete left the catalog claiming
         the old row count until ``refresh_interval`` scans had passed; now a
         batch that removes a large share of the table recomputes at once."""
-        engine = StorageEngine(str(tmp_path), refresh_interval=100)
+        engine = StorageEngine(str(tmp_path))
         schema = Schema((Column("Id", INTEGER), Column("Price", FLOAT)))
         storage = engine.create_table("Fat", schema)
         for index in range(400):
@@ -891,7 +891,7 @@ class TestDeleteStatisticsRefresh:
     def test_small_delete_batch_stays_lazy(self, tmp_path):
         """A handful of deletes is not worth a full recompute: the running
         counters absorb them and the full refresh stays deferred."""
-        engine = StorageEngine(str(tmp_path), refresh_interval=100)
+        engine = StorageEngine(str(tmp_path))
         schema = Schema((Column("Id", INTEGER), Column("Price", FLOAT)))
         storage = engine.create_table("Thin", schema)
         for index in range(400):

@@ -195,8 +195,8 @@ class SteppedBatchSize(BatchSizeController):
 
 class SteppedWindow(OverlapWindowController):
     def __init__(self, before: int, after: int) -> None:
-        super().__init__(initial_window=before)
-        self.after = after
+        super().__init__()
+        self._size, self.after = before, after
 
     def observe_rows(self, rows: int, now: float) -> None:
         self._size = self.after

@@ -120,7 +120,7 @@ class TestEventsAndTimeouts:
         assert sim.timeout(0.25).name == "Timeout(0.25)"
         assert repr(sim.timeout(2.0)) == "<Timeout 'Timeout(2)' triggered>"
         store = Store(sim, name="inbox")
-        assert (store.get().name, store.put(1).name) == ("inbox.get", "inbox.put")
+        assert store.get().name == "inbox.get"
         event.succeed()
         with pytest.raises(SimulationError, match=r"'link\.downlink\.tx#17' has already been triggered"):
             event.succeed()
@@ -203,7 +203,8 @@ class TestStore:
 
         def producer():
             for value in range(5):
-                yield store.put(value)
+                store.post(value)
+                yield sim.timeout(0)
 
         def consumer():
             received = []
@@ -217,30 +218,6 @@ class TestStore:
         sim.run()
         assert consumer_process.value == [0, 1, 2, 3, 4]
 
-    def test_bounded_capacity_blocks_producer(self):
-        sim = Simulator()
-        store = Store(sim, capacity=2)
-        timeline = []
-
-        def producer():
-            for value in range(4):
-                yield store.put(value)
-                timeline.append(("put", value, sim.now))
-
-        def consumer():
-            for _ in range(4):
-                yield sim.timeout(1.0)
-                item = yield store.get()
-                timeline.append(("get", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        puts = [entry for entry in timeline if entry[0] == "put"]
-        # The third put can only happen after the first get at t=1.
-        assert puts[2][2] >= 1.0
-        assert store.peak_occupancy == 2
-
     def test_get_blocks_until_put(self):
         sim = Simulator()
         store = Store(sim)
@@ -251,35 +228,24 @@ class TestStore:
 
         def producer():
             yield sim.timeout(2.0)
-            yield store.put("late")
+            store.post("late")
 
         consumer_process = sim.process(consumer())
         sim.process(producer())
         sim.run()
         assert consumer_process.value == ("late", 2.0)
 
-    def test_try_put_respects_capacity(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        assert store.try_put("a") is True
-        sim.run()
-        assert store.try_put("b") is False
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            Store(Simulator(), capacity=0)
-
     def test_counters(self):
         sim = Simulator()
         store = Store(sim)
 
         def flow():
-            yield store.put(1)
-            yield store.put(2)
+            store.post(1)
+            store.post(2)
             yield store.get()
             yield store.get()
 
         sim.run_process(flow())
         assert store.total_puts == 2
         assert store.total_gets == 2
-        assert store.occupancy == 0
+        assert (store.occupancy, store.peak_occupancy) == (0, 2)

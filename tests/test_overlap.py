@@ -377,7 +377,7 @@ class TestAdaptiveOverlap:
 
     def test_explicit_window_pins_against_the_controller(self):
         config = StrategyConfig.naive(overlap_window=3).with_overlap_controller(
-            OverlapWindowController(initial_window=16)
+            OverlapWindowController()
         )
         assert config.next_overlap_window() == 3
         assert config.overlap_controller_for() is None
@@ -395,7 +395,8 @@ class TestAdaptiveOverlap:
         assert "overlap peak" in result.metrics.summary()
 
     def test_overlap_window_controller_is_a_window_ladder(self):
-        controller = OverlapWindowController(initial_window=2, max_window=8)
+        """Starts double-buffered at 2 and climbs a ladder capped at 64."""
+        controller = OverlapWindowController()
         assert controller.current() == 2
         # Feed monotone improving throughput; the climber probes upward.
         now = 0.0
@@ -404,4 +405,4 @@ class TestAdaptiveOverlap:
             size = controller.current()
             now += 8.0 / (size * 10.0)  # throughput grows with the window
             controller.observe_rows(8, now)
-        assert controller.current() > 2
+        assert controller.size_trace() == (2, 4, 8, 16, 32, 64)

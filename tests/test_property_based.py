@@ -120,31 +120,52 @@ def test_filter_partition_is_complete(values):
 # ---------------------------------------------------------------------------
 
 
-@given(
-    st.lists(st.integers(), min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=5),
-)
-@settings(max_examples=40, deadline=None)
-def test_store_preserves_fifo_order_for_any_capacity(items, capacity):
+@given(st.lists(st.sampled_from(["post", "get", "tick"]), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_store_preserves_fifo_order_for_any_interleaving(operations):
+    """Posts and getter processes interleaved in any order, with or without a
+    zero-delay tick between them: the n-th get receives the n-th posted item,
+    and the counters read as a plain FIFO of items and one of getters says.
+
+    A getter process asks at its first kernel entry, so the getters started
+    since the last tick ask when the driver next yields, in start order."""
     sim = Simulator()
-    store = Store(sim, capacity=capacity)
+    store = Store(sim)
+    received = []
+    buffered = parked = starting = peak = 0
 
-    def producer():
-        for item in items:
-            yield store.put(item)
+    def getter(index):
+        received.append((index, (yield store.get())))
 
-    def consumer():
-        received = []
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-        return received
+    def driver():
+        nonlocal buffered, parked, starting, peak
+        posts = gets = 0
+        for operation in operations + ["tick"]:
+            if operation == "post":
+                store.post(posts)
+                posts += 1
+                # An item enters the buffer even on its way to a parked getter.
+                peak = max(peak, buffered + 1)
+                if parked:
+                    parked -= 1
+                else:
+                    buffered += 1
+            elif operation == "get":
+                sim.process(getter(gets))
+                gets += 1
+                starting += 1
+            else:
+                yield sim.timeout(0)
+                taken = min(buffered, starting)
+                buffered, parked, starting = buffered - taken, parked + starting - taken, 0
 
-    sim.process(producer())
-    consumer_process = sim.process(consumer())
+    sim.run_process(driver())
     sim.run()
-    assert consumer_process.value == items
-    assert store.peak_occupancy <= capacity
+    posts, gets = operations.count("post"), operations.count("get")
+    assert received == [(index, index) for index in range(min(posts, gets))]
+    assert (store.occupancy, store.waiting_getters) == (buffered, parked)
+    assert (store.total_puts, store.total_gets) == (posts, min(posts, gets))
+    assert store.peak_occupancy == peak
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +953,6 @@ def test_concurrent_sessions_match_independent_runs(
     sites=st.integers(min_value=1, max_value=3),
     shards=st.integers(min_value=1, max_value=4),
     extra_replicas=st.integers(min_value=0, max_value=2),
-    method=st.sampled_from(["hash", "range"]),
     strategy=st.sampled_from(
         [
             None,
@@ -947,11 +967,10 @@ def test_concurrent_sessions_match_independent_runs(
 )
 @settings(max_examples=25, deadline=None)
 def test_scatter_gather_matches_single_site(
-    sites, shards, extra_replicas, method, strategy, rows, segments, optimize
+    sites, shards, extra_replicas, strategy, rows, segments, optimize
 ):
-    """Distributed execution over K shards x replica placement x sharding
-    method x strategy x segmentation returns exactly the single-site result
-    multiset.
+    """Distributed execution over K shards x replica placement x strategy x
+    segmentation returns exactly the single-site result multiset.
 
     Replication is clamped to the site count (a shard cannot have more
     replicas than sites), and skewed shard sizes — including empty fragments
@@ -965,7 +984,6 @@ def test_scatter_gather_matches_single_site(
         replication_factor=min(sites, 1 + extra_replicas),
         rows=rows,
         series_points=4,
-        method=method,
     )
     base = single.execute(FILTER_SQL, strategy=strategy, deliver_results=True)
     result = dist.execute(

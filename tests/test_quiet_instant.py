@@ -1,6 +1,6 @@
 """The simulator's event-skipping rules, tested directly.
 
-(a) A put nobody waits on (:meth:`Store.post`) schedules no completion event,
+(a) An item entering a mailbox (:meth:`Store.post`) schedules no completion event,
     and a delivery nobody waits on is a scheduled call, not an event.
 (b) An operation that completes at a *quiet* instant — nothing else queued at
     ``now`` — may complete in place (:meth:`Store.get_now`,
@@ -101,21 +101,6 @@ class TestPost:
         assert process.value == "late"
         assert sim.events_processed - before == 2  # wake-up + process completion
 
-    def test_post_on_a_full_store_queues_behind_earlier_putters(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        store.post("a")
-        store.post("b")
-        assert (store.occupancy, store.waiting_putters) == (1, 1)
-
-        def consumer():
-            first = yield store.get()
-            second = yield store.get()
-            return [first, second]
-
-        assert sim.run_process(consumer()) == ["a", "b"]
-        assert (store.total_puts, store.total_gets) == (2, 2)
-
 
 def _drain(store_factory, fast):
     """Five items posted at t=0, one consumer draining them; returns counters."""
@@ -149,14 +134,6 @@ class TestGetNow:
         assert store.get_now() is None
         assert store.get_now("nothing") == "nothing"
         assert store.total_gets == 0
-
-    def test_get_now_admits_a_blocked_putter(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        store.post("a")
-        store.post("b")  # queued: the store is full
-        assert store.get_now() == "a"
-        assert (store.occupancy, store.waiting_putters, store.total_puts) == (1, 0, 2)
 
     def test_get_now_does_not_fire_while_another_process_is_runnable(self):
         """Two consumers resumed at the same instant must interleave exactly

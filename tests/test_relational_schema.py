@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CatalogError, SchemaError, TypeMismatchError
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Column, Schema
-from repro.relational.statistics import compute_table_statistics, scale_statistics
+from repro.relational.statistics import compute_table_statistics
 from repro.relational.table import Table
 from repro.relational.tuples import row_size, values_size
 from repro.relational.types import DataObject, DATA_OBJECT, FLOAT, INTEGER, STRING
@@ -134,21 +134,11 @@ class TestStatistics:
         assert stats.column("k").minimum == 1
         assert stats.column("k").maximum == 2
 
-    def test_distinct_fraction_and_size_fraction(self):
+    def test_distinct_fraction(self):
         schema = Schema.of(("k", INTEGER), ("v", STRING))
         rows = [(i % 2, "xx") for i in range(10)]
         stats = compute_table_statistics(schema, rows)
         assert stats.distinct_fraction(["k"]) == pytest.approx(0.2)
-        assert 0.0 < stats.column_size_fraction(["k"]) < 1.0
-
-    def test_scale_statistics_clamps(self):
-        schema = Schema.of(("k", INTEGER),)
-        rows = [(i,) for i in range(10)]
-        stats = compute_table_statistics(schema, rows)
-        scaled = scale_statistics(stats, 0.3)
-        assert scaled.row_count == 3
-        assert scaled.column("k").distinct_count <= 3
-        assert scale_statistics(stats, 2.0).row_count == 10
 
     def test_unknown_column_gets_neutral_default(self):
         schema = Schema.of(("k", INTEGER),)

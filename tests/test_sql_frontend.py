@@ -120,6 +120,25 @@ class TestParser:
         with pytest.raises(ParseError):
             parse(bad)
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("SELECT T.Id FROM T LIMIT 2.5", 25), ("SELECT T.Id FROM T LIMIT 2 OFFSET 1.5", 34)],
+    )
+    def test_a_non_integer_count_is_a_parse_error(self, text, offset):
+        """``LIMIT`` / ``OFFSET`` take an integer literal: a fraction is a
+        ``ParseError`` at the token's offset, from ``parse`` and from
+        ``Database.execute`` alike, also once an integer text of the same
+        shape was served."""
+        from repro.server.engine import Database
+
+        with pytest.raises(ParseError, match=f"expected an integer count .* at offset {offset}$"):
+            parse(text)
+        db = Database()
+        db.create_table("T", [("Id", INTEGER)], rows=[[index] for index in range(5)])
+        assert db.execute("SELECT T.Id FROM T LIMIT 2 OFFSET 1").rows == [(1,), (2,)]
+        with pytest.raises(ParseError, match=f"at offset {offset}$"):
+            db.execute(text)
+
 
 @pytest.fixture
 def binder():

@@ -605,11 +605,11 @@ class TestMetadataManager:
         assert manager.table_entry("Items").stats.distinct_values("Id") == 0
 
     def test_scan_trigger_and_refresh(self, tmp_path):
-        manager = MetadataManager(str(tmp_path), refresh_interval=3)
+        """The ``refresh_interval``-th (100th) scan since a refresh asks for one."""
+        manager = MetadataManager(str(tmp_path))
         manager.create_table("Items", SCHEMA)
         entry = manager.table_entry("Items")
-        assert manager.note_scan(entry) is False
-        assert manager.note_scan(entry) is False
+        assert [manager.note_scan(entry) for _ in range(99)] == [False] * 99
         assert manager.note_scan(entry) is True
         rows = [(index, float(index), f"n{index}") for index in range(8)]
         stats = manager.refresh(entry, rows, block_count=2)
@@ -673,12 +673,14 @@ class TestStorageEngine:
         engine.close()
 
     def test_scan_trigger_runs_full_refresh(self, tmp_path):
-        engine = StorageEngine(str(tmp_path), refresh_interval=2)
+        engine = StorageEngine(str(tmp_path))
         storage = engine.create_table("Items", SCHEMA)
         for index in range(12):
             storage.append((index % 4, float(index), f"n{index}"))
-        storage.scan()
-        storage.scan()  # second scan triggers the refresh
+        for _ in range(99):
+            storage.scan()
+        assert storage.statistics().column("Price").histogram is None
+        storage.scan()  # the 100th scan triggers the refresh
         stats = storage.statistics()
         assert stats.row_count == 12
         assert stats.column("Price").histogram is not None

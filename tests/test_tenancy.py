@@ -16,7 +16,6 @@ from repro.tenancy import (
     AdmissionPolicy,
     AdmissionScheduler,
     MultiTenantEngine,
-    OpenLoopWorkload,
     QuerySpec,
     SessionWorkload,
     percentile,
@@ -30,7 +29,6 @@ from repro.workloads.multitenant import (
     mixed_traffic,
     point_query_spec,
     point_sessions,
-    poisson_point_arrivals,
 )
 
 from client_faults import INJECTED, failing_from
@@ -318,25 +316,6 @@ class TestMetricsSurface:
             assert metrics.total_bytes == metrics.downlink_bytes + metrics.uplink_bytes > 0
             assert metrics.udf_invocations > 0 and metrics.input_rows > 0
             assert f"downlink {metrics.downlink_bytes} B" in metrics.summary()
-
-
-class TestOpenLoop:
-    def test_poisson_arrivals_are_seeded_and_spread(self):
-        engine = MultiTenantEngine(make_tenant_database(), fair_queueing="drr")
-        report = engine.run(poisson_point_arrivals(2, rate_per_second=3.0, seed=11))
-        assert report.error_count == 0
-        arrivals = sorted(record.arrived_at for record in report.records)
-        assert len(arrivals) == 6
-        assert len(set(arrivals)) == 6  # exponential gaps, no collisions
-        engine2 = MultiTenantEngine(make_tenant_database(), fair_queueing="drr")
-        report2 = engine2.run(poisson_point_arrivals(2, rate_per_second=3.0, seed=11))
-        assert [r.arrived_at for r in report2.records] == [
-            r.arrived_at for r in report.records
-        ]
-
-    def test_open_loop_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            OpenLoopWorkload(tenant_id="x", queries=[], arrival_rate_per_second=0.0)
 
 
 class TestFailureHandling:
