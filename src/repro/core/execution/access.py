@@ -90,6 +90,8 @@ class IndexScanOperator(Operator):
         for start in range(0, len(batch), batch_size):
             yield batch.slice(start, start + batch_size)
 
+    described = ("table", "index", "interval", "column", "alias")
+
     def describe(self) -> str:
         name = getattr(getattr(self.index, "definition", None), "name", "?")
         condition = self.interval.describe(self.column)
@@ -146,6 +148,8 @@ class IndexNestedLoopJoinOperator(Operator):
                 # may collide two huge integers onto one float.
                 if values[inner_position] == key:
                     yield outer_row + values
+
+    described = ("table", "index", "alias", "outer_column")
 
     def describe(self) -> str:
         name = getattr(getattr(self.index, "definition", None), "name", "?")

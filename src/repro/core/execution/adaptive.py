@@ -532,6 +532,8 @@ class PlanMigrationOperator(Operator):
             )
         return views
 
+    described = ("controller",)
+
     def describe(self) -> str:
         shapes = self.controller.shapes_used
         described = " => ".join(shape.describe() for shape in shapes) or "unbound"

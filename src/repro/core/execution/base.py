@@ -336,6 +336,8 @@ class RemoteUdfOperator(Operator):
             ) from (message.payload if isinstance(message.payload, BaseException) else None)
         return message
 
+    described = ("udf", "argument_columns")
+
     def describe(self) -> str:
         return (
             f"{type(self).__name__}({self.udf.name} on "

@@ -29,7 +29,8 @@ class ExecutionCounters:
     the scatter-gather coordinator and sessions all combine it the same way:
     ``a + b`` adds every field (per-UDF maps key by key;
     ``peak_in_flight_batches`` is a high-water mark, so it takes the larger),
-    ``later - earlier`` is what happened between two readings.  A new counter
+    ``a.fold(b)`` adds ``b`` into ``a`` in place, and ``later - earlier`` is
+    what happened between two readings.  A new counter
     is one more field here.
     """
 
@@ -65,6 +66,21 @@ class ExecutionCounters:
                 values.append(combine(mine, theirs))
         return ExecutionCounters(*values)
 
+    def fold(self, other: "ExecutionCounters") -> None:
+        """Add ``other`` into these counters in place: ``self + other``
+        without building a value, field by field as ``+`` adds them."""
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _SUMS:
+            mine[name] += theirs[name]
+        for name in _LEDGERS:
+            mine[name].fold(theirs[name])
+        for name in _MAPS:
+            held = mine[name]
+            for key, value in theirs[name].items():
+                held[key] = held.get(key, 0) + value
+        if other.peak_in_flight_batches > self.peak_in_flight_batches:
+            self.peak_in_flight_batches = other.peak_in_flight_batches
+
     def __add__(self, other: "ExecutionCounters") -> "ExecutionCounters":
         total = self._combined(other, operator.add)
         total.peak_in_flight_batches = max(
@@ -79,6 +95,14 @@ class ExecutionCounters:
 
 
 _COUNTERS = tuple(f.name for f in fields(ExecutionCounters))
+_ZERO = vars(ExecutionCounters())
+#: How :meth:`ExecutionCounters.fold` adds each field, by its kind: link
+#: ledgers, per-UDF maps and plain sums (``peak_in_flight_batches`` aside).
+_LEDGERS = tuple(name for name in _COUNTERS if isinstance(_ZERO[name], TransferCounters))
+_MAPS = tuple(name for name in _COUNTERS if isinstance(_ZERO[name], dict))
+_SUMS = tuple(
+    name for name in _COUNTERS if name not in _LEDGERS + _MAPS + ("peak_in_flight_batches",)
+)
 
 
 class RemoteExecutionContext:

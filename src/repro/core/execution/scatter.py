@@ -93,5 +93,7 @@ class ScatterGatherOperator(Operator):
         if pending:
             yield RowBatch(pending)
 
+    described = ("label", "tasks")
+
     def describe(self) -> str:
         return f"ScatterGather({self.label}, tasks={len(self.tasks)})"

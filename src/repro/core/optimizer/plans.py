@@ -143,6 +143,14 @@ class AccessPath:
     join_column: Optional[str] = None
     predicate_keys: Tuple[str, ...] = ()
 
+    def serving(self, expressions: Sequence[object]) -> "AccessPath":
+        """This path serving ``expressions`` instead: its ``predicate_keys``
+        are their texts, rendered when first read (a plan served to a new
+        literal is mostly run without being described)."""
+        path = shallow_copy(self, {"_serving": tuple(expressions)})
+        del path.__dict__["predicate_keys"]
+        return path
+
     def describe(self) -> str:
         if self.kind == "index_join":
             return (
@@ -153,6 +161,21 @@ class AccessPath:
             f"index scan of {self.alias} via {self.index_name} "
             f"({self.index_kind} on {self.column}: {' AND '.join(self.predicate_keys)})"
         )
+
+
+class _ServedKeys:
+    """``AccessPath.predicate_keys`` of a path that holds none yet
+    (:meth:`AccessPath.serving`): its expressions' texts, kept once read.
+    On the class it is the field's default."""
+
+    def __get__(self, path: Optional[AccessPath], owner: type) -> Tuple[str, ...]:
+        if path is None:
+            return ()
+        keys = path.__dict__["predicate_keys"] = tuple(map(str, path.__dict__.pop("_serving")))
+        return keys
+
+
+AccessPath.predicate_keys = _ServedKeys()  # type: ignore[assignment]  # @dataclass read the default
 
 
 @dataclass(frozen=True)
@@ -347,9 +370,9 @@ class CandidatePlan:
 
         Each node applies the operation its own names (an alias; a UDF name,
         the first such call not yet taken), and an index scan serves the
-        conjuncts ``query``'s probe of its index names, so the planner finds
-        ``query``'s literals.  Everything priced is shared: only a caller
-        that found ``tables`` answering as the chain's own did may ask.
+        conjuncts ``query``'s probe of its index names.  Everything priced is
+        shared: only a caller that found ``tables`` answering as the chain's
+        own did may ask.
         """
         chain, node = [], self
         while node is not None:
@@ -364,8 +387,7 @@ class CandidatePlan:
                 operation = by_alias[operation.alias.lower()]
                 if path is not None and path.kind == "index_scan":
                     (probe,) = [p for p in operation.probes if p.index_name == path.index_name]
-                    keys = tuple(str(query.predicates[i].expression) for i in probe.served)
-                    path = shallow_copy(path, {"predicate_keys": keys})
+                    path = path.serving([query.predicates[i].expression for i in probe.served])
             elif operation is not None:
                 name = operation.name.lower()
                 operation = calls.pop(

@@ -37,7 +37,7 @@ from repro.core.execution.scatter import ScatterGatherOperator, ShardResult
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.simulator import Simulator
 from repro.relational.catalog import Catalog
-from repro.relational.operators import Operator
+from repro.relational.operators import Operator, PlanOutline
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType
@@ -306,12 +306,7 @@ class DistributedDatabase(SqlSurface):
         root = shape_output(scatter, bound)
         rows = root.run()
         metrics = self._collect_metrics(run, workers, plan, root, rows, config)
-        return QueryResult(
-            schema=root.output_schema(),
-            rows=rows,
-            metrics=metrics,
-            plan_text=metrics.plan_description,  # the same tree, rendered once
-        )
+        return QueryResult(schema=root.output_schema(), rows=rows, metrics=metrics)
 
     # -- helpers --------------------------------------------------------------------------
 
@@ -357,7 +352,7 @@ class DistributedDatabase(SqlSurface):
             strategy=config.strategy,
             replica_migrations=sum(worker.migrations for worker in workers),
             sim_events=run.simulator.events_processed,
-            plan_description=plan.describe() + "\n" + root.explain(),
+            plan_outline=PlanOutline(root, header=plan.describe()),
         )
 
     def __repr__(self) -> str:

@@ -51,6 +51,13 @@ class TransferCounters:
         self.busy_seconds += transmission
         self.queueing_seconds += queued_for
 
+    def fold(self, other: "TransferCounters") -> None:
+        """Add ``other`` into these counters in place: ``self + other``
+        without building a value (this one keeps its name)."""
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _COUNTERS:
+            mine[name] += theirs[name]
+
     def _combined(self, other: "TransferCounters", combine: Callable) -> "TransferCounters":
         return TransferCounters(
             self.name,

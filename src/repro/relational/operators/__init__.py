@@ -11,7 +11,7 @@ hash joins are batch-native; the remaining operators are row-oriented and
 chunked by the base class.
 """
 
-from repro.relational.operators.base import Operator, CollectingOperator
+from repro.relational.operators.base import Operator, CollectingOperator, PlanOutline
 from repro.relational.operators.scan import TableScan
 from repro.relational.operators.filter import Filter
 from repro.relational.operators.project import Project, ProjectExpressions
@@ -24,6 +24,7 @@ from repro.relational.operators.limit import Limit
 __all__ = [
     "Operator",
     "CollectingOperator",
+    "PlanOutline",
     "TableScan",
     "Filter",
     "Project",

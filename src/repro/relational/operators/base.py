@@ -39,6 +39,10 @@ class Operator:
     handed to its consumer, maintained solely by :meth:`execute_batches`.
     """
 
+    #: The attributes :meth:`describe` reads: all a finished plan's text
+    #: needs of the operator (:class:`PlanOutline`).
+    described: Tuple[str, ...] = ()
+
     def __init__(self, children: Sequence["Operator"] = ()) -> None:
         self.children: List[Operator] = list(children)
         self.schema: Optional[Schema] = None
@@ -129,6 +133,43 @@ class Operator:
         return f"{type(self).__name__}(schema={self.schema})"
 
 
+class PlanOutline:
+    """A finished plan's :meth:`Operator.explain` text, rendered when first read.
+
+    It keeps each operator's depth, class and :attr:`~Operator.described`
+    attributes, in explain order, and never the operator: a run's context,
+    client caches and batches must not live on in what reports it.  The
+    text is each class's ``describe`` over an instance holding only those
+    attributes, so it is the text ``explain`` gives, after ``header`` if
+    one is given.
+    """
+
+    __slots__ = ("_header", "_outline", "_text")
+
+    def __init__(self, root: Operator, header: Optional[str] = None) -> None:
+        outline = []
+        stack = [(0, root)]
+        while stack:
+            depth, operator = stack.pop()
+            described = {name: getattr(operator, name) for name in operator.described}
+            outline.append((depth, type(operator), described))
+            stack.extend((depth + 1, child) for child in reversed(operator.children))
+        self._header = header
+        self._outline: Optional[List[tuple]] = outline
+        self._text: Optional[str] = None
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            lines = [] if self._header is None else [self._header]
+            for depth, kind, described in self._outline:
+                operator = object.__new__(kind)
+                operator.__dict__.update(described)
+                lines.append("  " * depth + kind.describe(operator))
+            self._text, self._outline = "\n".join(lines), None
+        return self._text
+
+
 class CollectingOperator(Operator):
     """A leaf operator over already materialised rows (or a whole batch).
 
@@ -137,10 +178,13 @@ class CollectingOperator(Operator):
     lists through the leaf instead of round-tripping via rows.
     """
 
+    described = ("row_count",)
+
     def __init__(self, schema: Schema, rows) -> None:
         super().__init__()
         self.schema = schema
         self._batch = rows if isinstance(rows, RowBatch) else RowBatch(rows)
+        self.row_count = len(self._batch)
 
     def _execute_batches(self, batch_size: int) -> Iterator[RowBatch]:
         batch = self._batch
@@ -148,4 +192,4 @@ class CollectingOperator(Operator):
             yield batch.slice(start, start + batch_size)
 
     def describe(self) -> str:
-        return f"Collected({len(self._batch)} rows)"
+        return f"Collected({self.row_count} rows)"

@@ -41,5 +41,7 @@ class Filter(Operator):
                 bound = self.predicate.bind(self.schema, self.functions)
             yield batch.filter(bound)
 
+    described = ("predicate",)
+
     def describe(self) -> str:
         return f"Filter({self.predicate})"

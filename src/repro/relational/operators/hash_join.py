@@ -75,6 +75,8 @@ class HashJoin(Operator):
                     len(left_indexes),
                 )
 
+    described = ("left_keys", "right_keys")
+
     def describe(self) -> str:
         pairs = ", ".join(f"{l}={r}" for l, r in zip(self.left_keys, self.right_keys))
         return f"HashJoin({pairs})"

@@ -41,6 +41,8 @@ class Limit(Operator):
             if produced >= self.count:
                 return
 
+    described = ("count", "offset")
+
     def describe(self) -> str:
         offset = f" OFFSET {self.offset}" if self.offset else ""
         return f"Limit({self.count}{offset})"

@@ -41,5 +41,7 @@ class NestedLoopJoin(Operator):
                 if bound is None or bound(joined):
                     yield joined
 
+    described = ("predicate",)
+
     def describe(self) -> str:
         return f"NestedLoopJoin({self.predicate if self.predicate else 'CROSS'})"

@@ -26,6 +26,8 @@ class Project(Operator):
         for batch in self.child().execute_batches(batch_size):
             yield batch.project(positions)
 
+    described = ("column_names",)
+
     def describe(self) -> str:
         return f"Project({', '.join(self.column_names)})"
 
@@ -45,9 +47,13 @@ class ProjectExpressions(Operator):
         functions: Optional[Dict[str, ScalarFunction]] = None,
     ) -> None:
         super().__init__([child])
-        self.outputs = list(outputs)
+        self.outputs = tuple(outputs)
         self.functions = functions or {}
-        self.schema = self.schema_over(child.output_schema(), self.outputs)
+        child_schema = child.output_schema()
+        # A plan built again from its recipe passes the same outputs tuple.
+        self.schema = child_schema.derived(
+            self.outputs, lambda: self.schema_over(child_schema, self.outputs)
+        )
 
     @staticmethod
     def schema_over(
@@ -91,6 +97,8 @@ class ProjectExpressions(Operator):
                     tuples = batch.key_tuples()
                 columns.append([bound(values) for values in tuples])
             yield RowBatch.from_columns(columns, len(batch))
+
+    described = ("outputs",)
 
     def describe(self) -> str:
         parts = ", ".join(f"{expr} AS {name}" for name, expr, _ in self.outputs)

@@ -29,6 +29,8 @@ class TableScan(Operator):
         for start in range(0, len(batch), batch_size):
             yield batch.slice(start, start + batch_size)
 
+    described = ("table", "alias")
+
     def describe(self) -> str:
         if self.alias != self.table.name:
             return f"TableScan({self.table.name} AS {self.alias})"

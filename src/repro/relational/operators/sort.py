@@ -71,6 +71,8 @@ class Sort(Operator):
             return order
         return batch.encode(positions).order(reverse=self.descending[0])
 
+    described = ("column_names", "descending")
+
     def describe(self) -> str:
         keys = (
             name + (" DESC" if descending else "")

@@ -188,6 +188,11 @@ class Schema:
         """Return a schema with ``column`` added at the end (e.g. a UDF result)."""
         return self._derive(("append", column), None, lambda: Schema(self.columns + (column,)))
 
+    def derived(self, inputs: object, derive: Callable[[], "Schema"]) -> "Schema":
+        """The schema ``derive()`` builds from this one and ``inputs`` (an
+        immutable value), built once while ``inputs`` is the same object."""
+        return self._derive(("derived", id(inputs)), inputs, derive)
+
     def project(self, names: Sequence[str]) -> "Schema":
         """Schema containing only the named columns, in the given order."""
         return self.select_positions(tuple(self.index_of(name) for name in names))

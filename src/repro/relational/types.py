@@ -84,12 +84,12 @@ class DataObject:
 class TimeSeries:
     """An immutable sequence of float observations (e.g. price quotes)."""
 
-    # ``_hash`` caches ``__hash__`` and stays unset until first asked for, so
-    # constructing a series (e.g. decoding a stored record) pays nothing.
+    # ``_hash`` caches ``__hash__``: None until first asked for.
     __slots__ = ("values", "_hash")
 
     def __init__(self, values) -> None:
         self.values: Tuple[float, ...] = tuple(float(v) for v in values)
+        self._hash: Optional[int] = None
 
     @classmethod
     def from_floats(cls, values: Tuple[float, ...]) -> "TimeSeries":
@@ -100,6 +100,7 @@ class TimeSeries:
         """
         series = cls.__new__(cls)
         series.values = values
+        series._hash = None
         return series
 
     def __reduce__(self):
@@ -132,11 +133,10 @@ class TimeSeries:
     def __hash__(self) -> int:
         # Shipping probes the same series in several sets and dicts per row
         # (duplicate elimination, result caches); hash the tuple once.
-        try:
-            return self._hash
-        except AttributeError:
+        value = self._hash
+        if value is None:
             value = self._hash = hash((TimeSeries, self.values))
-            return value
+        return value
 
     def __repr__(self) -> str:
         preview = ", ".join(f"{v:g}" for v in self.values[:4])

@@ -37,7 +37,7 @@ from repro.client.registry import UdfRegistry
 from repro.client.udf import UdfDefinition, UdfSite
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.optimizer.decision import OptimizationDecision, Optimizer
-from repro.core.optimizer.plans import operations_for_query
+from repro.core.optimizer.plans import CandidatePlan, operations_for_query
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.catalog import Catalog
@@ -45,7 +45,7 @@ from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType, FLOAT
 from repro.server.executor import Executor
-from repro.server.planner import build_plan
+from repro.server.planner import build_plan, plan_shape
 from repro.server.result import QueryResult
 from repro.server.session import ClientSession
 from repro.sql.ast import CreateIndexStatement
@@ -172,14 +172,19 @@ def _reads_hold(log: Sequence[tuple], store: Optional[StatisticsStore]) -> bool:
     )
 
 
-def _served(entry: tuple, config: StrategyConfig) -> OptimizationDecision:
-    """The decision memo ``entry`` holds, as the caller's ``config`` with the
-    memoised batch size and strategy, sharing the entry's plan recipes."""
-    batch_size, strategy = entry[3], entry[4]
+def _served(
+    config: StrategyConfig,
+    plan: CandidatePlan,
+    batch_size: int,
+    strategy: ExecutionStrategy,
+    recipes: Dict[bool, Any],
+) -> OptimizationDecision:
+    """A memoised decision's ``plan``, as the caller's ``config`` with the
+    memoised ``batch_size`` and ``strategy``, sharing the memo's plan ``recipes``."""
     if config.batch_size != batch_size or config.strategy is not strategy:
         config = replace(config, batch_size=batch_size, strategy=strategy)
-    served = OptimizationDecision(entry[2], config)
-    served.recipes = entry[6]
+    served = OptimizationDecision(plan, config)
+    served.recipes = recipes
     return served
 
 
@@ -661,11 +666,16 @@ class Database(SqlSurface):
         text of the template — a new literal — is served it, rebound to its
         own conjuncts (:meth:`CandidatePlan.rebound`), while its base tables
         answer with the same statistics objects and its operations with the
-        same estimates and index probes, position by position.  A served
-        decision is the caller's ``config`` with the memoised batch size and
-        strategy: it carries this call's runtime state and no other's.  It
-        shares the entry's plan recipes, so ``build_plan`` plans it once and
-        afterwards only instantiates operators for each run.
+        same estimates and index probes, position by position; the served
+        text is not remembered on its own, so a repeat is served by template
+        again.  A served decision is the caller's ``config`` with the
+        memoised batch size and strategy: it carries this call's runtime
+        state and no other's.  It shares the entry's plan recipes — every
+        text of a template shares the template's, and so does a decision
+        made afresh for the template whose chain has the template's
+        :func:`~repro.server.planner.plan_shape` — so ``build_plan`` plans a
+        template once per shape and afterwards only instantiates operators
+        for each run.
         """
         if not optimize:
             return OptimizationDecision.pinned(bound, config, udf_order=tuple(udf_order or ()))
@@ -682,8 +692,8 @@ class Database(SqlSurface):
             and _reads_hold(entry[5], store)
         ):
             _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
-            return _served(entry, config)
-        operations = template_key = None
+            return _served(config, *entry[2:5], entry[6])
+        operations = template_key = held = None
         if store is None and bound.template is not None:
             operations = operations_for_query(bound)
             answers = tuple(operation.answers for operation in operations[0])
@@ -694,22 +704,22 @@ class Database(SqlSurface):
                 and held[0] == answers
                 and all(one is other for one, other in zip(held[1], snapshot))
             ):
-                _remember(self._templates, template_key, held, DECISION_MEMO_BOUND)
-                plan = held[2].rebound(bound, *operations)
-                entry = (bound, snapshot, plan, held[3], held[4], (), {})
-                _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
-                return _served(entry, config)
+                self._templates[template_key] = held  # popped above: back as the most recent
+                return _served(config, held[2].rebound(bound, *operations), *held[3:6])
         reads = StatisticsReads(store) if store is not None else None
         decision = Optimizer(
             self.network, default_config=config, settings=self.cost_settings, statistics=reads
         ).optimize(bound, operations=operations)
         made = decision.strategy_config
+        if template_key is not None:
+            shape = plan_shape(bound, decision.plan)
+            if held is not None and held[6] == shape:
+                decision.recipes = held[5]  # the template's recipes plan this shape already
+            held = (answers, snapshot, decision.plan, made.batch_size, made.strategy, decision.recipes, shape)
+            _remember(self._templates, template_key, held, DECISION_MEMO_BOUND)
         log = tuple(reads.log) if reads is not None else ()
         entry = (bound, snapshot, decision.plan, made.batch_size, made.strategy, log, decision.recipes)
         _remember(self._decisions, key, entry, DECISION_MEMO_BOUND)
-        if template_key is not None:
-            held = (answers, snapshot, decision.plan, made.batch_size, made.strategy)
-            _remember(self._templates, template_key, held, DECISION_MEMO_BOUND)
         return decision
 
     # -- durable storage plumbing --------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.core.optimizer.decision import OptimizationDecision
 from repro.core.strategies import StrategyConfig
 from repro.client.protocol import FinalResultBatch
 from repro.network.message import MessageKind
+from repro.relational.operators.base import PlanOutline
 from repro.relational.schema import Schema
 from repro.relational.tuples import RowBatch, concat_batches
 from repro.server.metrics import ExecutionMetrics
@@ -136,7 +137,7 @@ class Executor:
             adaptations=tuple(context.adaptations),
             overlap_window=context.overlap_window,
             sim_events=context.sim_events,
-            plan_description=plan.explain(),
+            plan_outline=PlanOutline(root),
         )
         if self.session is not None:
             metrics.tenant_id = self.session.tenant_id
@@ -148,11 +149,7 @@ class Executor:
                 metrics, root, plan.remote_operators, controller, site=context.site
             )
         return QueryResult(
-            schema=root.output_schema(),
-            rows=rows,
-            metrics=metrics,
-            plan_text=metrics.plan_description,  # the same tree, rendered once
-            observation=observation,
+            schema=root.output_schema(), rows=rows, metrics=metrics, observation=observation
         )
 
     # -- result delivery --------------------------------------------------------------------

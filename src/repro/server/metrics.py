@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.adaptive.segmented import strategies_used
 from repro.core.execution.context import ExecutionCounters
 from repro.core.strategies import ExecutionStrategy
+from repro.relational.operators.base import PlanOutline
 from repro.storage.buffer import BufferStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,7 +52,8 @@ class ExecutionMetrics:
     #: of the shipping simulation, expected to stay within a small multiple
     #: of the message count (every session's entries on a shared simulator).
     sim_events: int = 0
-    plan_description: str = ""
+    #: The plan that ran, rendered as :attr:`plan_description` when first read.
+    plan_outline: Optional[PlanOutline] = field(default=None, compare=False, repr=False)
     #: Multi-tenant attribution, stamped by the executor when the query ran
     #: inside a :class:`~repro.server.session.ClientSession` with a tenant,
     #: plus the simulated time the query waited for an executor slot before
@@ -95,6 +97,11 @@ class ExecutionMetrics:
     @property
     def total_bytes(self) -> int:
         return self.downlink_bytes + self.uplink_bytes
+
+    @property
+    def plan_description(self) -> str:
+        """The text of the plan that ran (its ``explain()``), "" without one."""
+        return "" if self.plan_outline is None else self.plan_outline.text
 
     # -- views of ``adaptations`` --------------------------------------------------------
     # A switch-armed controller's changes are strategy switches; a plan-wide one's

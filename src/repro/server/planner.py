@@ -14,16 +14,22 @@ optimizer's, or a caller's pins):
    LIMIT go on top.
 
 It works in two passes.  The *planning* pass builds no operator: it places
-every predicate, derives each operator's schema, rewrites applied UDF calls
-to their result columns and folds index intervals into a
-:class:`PlanRecipe` — immutable steps, each one operator to build over the
-operators of its input steps.  The *instantiation* pass builds fresh
-operators from those steps over one execution's context, config and server
+every predicate, derives each operator's schema and decides which UDF calls
+are read as result columns where, into a :class:`PlanRecipe` — immutable
+steps, each one operator to build over the operators of its input steps.  A
+step holds nothing a literal of the query wrote: what it reads of the query
+(conjuncts, an index scan's interval, the outputs) is a *reader* of the
+recipe, which finds its part of a query by position.  The recipe therefore
+serves every query of the template it was planned for.  The
+*instantiation* pass asks the readers about the run's query, builds fresh
+operators from the steps over one execution's context, config and server
 functions, and makes the checks that read live state (an index still there
 and complete).  The decision keeps the recipes planned from it
-(``OptimizationDecision.recipes``), so a decision the database serves from
-its memo is planned once and afterwards only instantiated; operators,
-controllers and every per-run state object still belong to one execution.
+(``OptimizationDecision.recipes``), and a decision the database serves from
+its memo — for the same text or for a new literal of its template — shares
+its entry's, so a template is planned once and afterwards only
+instantiated; operators, controllers and every per-run state object still
+belong to one execution.
 
 It is the executable backend both for direct ``Database.execute`` calls and
 for the optimizer: the plan built here realises the whole chain or raises
@@ -49,7 +55,7 @@ from repro.core.execution.access import IndexNestedLoopJoinOperator, IndexScanOp
 from repro.core.optimizer.decision import OptimizationDecision
 from repro.core.optimizer.plans import AccessPath, CandidatePlan, TableOperation
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
-from repro.relational.expressions import Expression, conjoin
+from repro.relational.expressions import Expression, Literal, conjoin, written_literals
 from repro.relational.operators import (
     Distinct,
     Filter,
@@ -100,11 +106,15 @@ def _unrealisable(path: AccessPath, why: str) -> PlanError:
 
 
 class _Run(NamedTuple):
-    """What one execution's operators are built over."""
+    """What one execution's operators are built over: its context, config
+    and server functions, its query and the recipe's readers' ``values``
+    for that query, in reader order."""
 
     context: RemoteExecutionContext
     config: StrategyConfig
     functions: Dict[str, Callable[..., Any]]
+    query: BoundQuery
+    values: Tuple[Any, ...]
 
 
 class PlanStep(NamedTuple):
@@ -112,8 +122,8 @@ class PlanStep(NamedTuple):
 
     ``build(run, *operators)`` makes a fresh operator over the operators
     instantiated from ``inputs``, reading only what it captured when it was
-    planned and the run's context, config and server functions.  ``schema``
-    is the schema that operator outputs.
+    planned and the run's fields.  ``schema`` is the schema that operator
+    outputs.
     """
 
     build: Callable[..., Operator]
@@ -127,10 +137,38 @@ class PlanStep(NamedTuple):
 @dataclass(frozen=True)
 class PlanRecipe:
     """What the planning pass makes of ``query`` under one decision: the steps
-    up to the final projection (``root``), ready to instantiate per execution."""
+    up to the final projection (``root``), ready to instantiate per execution
+    of any query of ``query``'s template.
+
+    ``readers`` are what the steps read of a run's query, each a function
+    of the query that finds its part by position; ``values`` are their
+    answers for ``query`` itself.
+    """
 
     query: BoundQuery
     root: PlanStep
+    readers: Tuple[Callable[[BoundQuery], Any], ...]
+    values: Tuple[Any, ...]
+
+    def serves(self, query: BoundQuery) -> bool:
+        """Whether ``query`` is another text of the planned query's template
+        over the same table and UDF objects (a fragment of a table binds a
+        text of the template too)."""
+        planned = self.query
+        return (
+            query.template is not None
+            and query.template == planned.template
+            and _same(query.tables, planned.tables, "table")
+            and _same(query.client_udf_calls, planned.client_udf_calls, "udf")
+        )
+
+
+def _same(mine: Sequence[Any], theirs: Sequence[Any], attribute: str) -> bool:
+    """Whether two lists of bound tables or UDF calls hold the same
+    ``attribute`` objects, position by position."""
+    return mine is theirs or all(
+        getattr(one, attribute) is getattr(other, attribute) for one, other in zip(mine, theirs)
+    )
 
 
 def build_plan(
@@ -155,8 +193,9 @@ def build_plan(
     supplies the tunables and defaults to the decision's ``strategy_config``.
 
     The operators are instantiated from the recipe ``decision`` keeps for
-    ``query`` (:func:`plan_recipe`), so a second build from the same
-    decision skips the planning pass.
+    ``query``'s template (:func:`plan_recipe`), so a second build from the
+    same decision, or from one that shares its recipes, skips the planning
+    pass.
 
     ``defer_output_shaping`` stops the plan after the final projection,
     leaving :func:`shape_output` to the caller.  Scatter-gather uses this
@@ -170,19 +209,21 @@ def build_plan(
         )
     if config is None:
         config = decision.strategy_config
-    root = plan_recipe(query, config, decision).root.instantiate(
-        _Run(context, config, server_functions or {})
-    )
+    recipe = plan_recipe(query, config, decision)
+    values = recipe.values if query is recipe.query else tuple(read(query) for read in recipe.readers)
+    root = recipe.root.instantiate(_Run(context, config, server_functions or {}, query, values))
     if not defer_output_shaping:
         root = shape_output(root, query)
-    return PlanBuildResult(root, config, find_remote_operators(root))
+    # Every remote operator applies one of the query's client-site UDF calls.
+    remote = find_remote_operators(root) if query.client_udf_calls else []
+    return PlanBuildResult(root, config, remote)
 
 
 def plan_recipe(
     query: BoundQuery, config: StrategyConfig, decision: OptimizationDecision
 ) -> PlanRecipe:
     """The recipe of ``decision``'s plan for ``query``: the one ``decision``
-    keeps, else planned now and kept.
+    keeps for ``query``'s template, else planned now and kept.
 
     The only part of ``config`` a recipe depends on is whether mid-query
     re-optimization is armed (one migration operator then owns the UDF
@@ -190,16 +231,53 @@ def plan_recipe(
     """
     migrating = config.reoptimizer is not None
     recipe = decision.recipes.get(migrating)
-    if recipe is None or recipe.query is not query:
-        recipe = PlanRecipe(query, _Planner(query, decision, migrating).plan())
+    if recipe is None or (recipe.query is not query and not recipe.serves(query)):
+        planner = _Planner(query, decision, migrating)
+        root = planner.plan()
+        recipe = PlanRecipe(query, root, tuple(planner.readers), tuple(planner.values))
         decision.recipes[migrating] = recipe
     return recipe
 
 
-def _filter(step: PlanStep, expression: Expression, observe: bool = True) -> PlanStep:
-    """``step``'s rows that satisfy ``expression`` (see :class:`Filter` for ``observe``)."""
+def plan_shape(query: BoundQuery, plan: CandidatePlan) -> tuple:
+    """What the planning pass reads of ``plan`` for ``query``: per chain node,
+    the table alias or UDF name it applies, its strategy and its access path,
+    the conjuncts that path serves as positions in ``query.predicates``.
+
+    A recipe holds nothing a statistics read or a literal decided, so two
+    decisions for queries of one template with equal shapes plan to the same
+    recipe, whatever they estimated.
+    """
+    texts: Optional[List[str]] = None
+    shape = []
+    for node in plan.nodes():
+        operation, path = node.operation, node.path
+        own = operation.alias if isinstance(operation, TableOperation) else operation.name
+        access = None
+        if path is not None:
+            if texts is None:
+                texts = [str(predicate.expression) for predicate in query.predicates]
+            keys = set(path.predicate_keys)
+            access = (
+                path.kind, path.index_name, path.index_kind, path.column, path.join_column,
+                tuple(position for position, text in enumerate(texts) if text in keys),
+            )
+        shape.append((type(operation), own.lower(), node.strategy, access))
+    return tuple(shape)
+
+
+def _rewritten(expression: Expression, mapping: Dict[str, str]) -> Expression:
+    """``expression`` with every client-site UDF call ``mapping`` names as its result column."""
+    return replace_udf_calls_with_columns(expression, mapping) if mapping else expression
+
+
+def _filter(step: PlanStep, value: int, observe: bool = True) -> PlanStep:
+    """``step``'s rows that satisfy the predicate ``run.values[value]`` (see
+    :class:`Filter` for ``observe``)."""
     return PlanStep(
-        lambda run, child: Filter(child, expression, run.functions, observe_selectivity=observe),
+        lambda run, child: Filter(
+            child, run.values[value], run.functions, observe_selectivity=observe
+        ),
         (step,),
         step.schema,
     )
@@ -223,7 +301,12 @@ def _applied(
 
 
 class _Planner:
-    """The planning pass: the predicate bookkeeping, building no operator."""
+    """The planning pass: the predicate bookkeeping, building no operator.
+
+    What a step reads of the query is registered as a reader
+    (:meth:`_read`): ``readers`` and their ``values`` for ``query`` become
+    the recipe's.
+    """
 
     def __init__(self, query: BoundQuery, decision: OptimizationDecision, migrating: bool) -> None:
         self.query = query
@@ -233,6 +316,10 @@ class _Planner:
         self.result_column_mapping: Dict[str, str] = {}
         #: ids of the query's tables and UDF calls a node has been matched to.
         self.placed: Set[int] = set()
+        #: Each conjunct's position in ``query.predicates``, by ``id``.
+        self.positions = {id(predicate): i for i, predicate in enumerate(query.predicates)}
+        self.readers: List[Callable[[BoundQuery], Any]] = []
+        self.values: List[Any] = []
 
     # -- top level ----------------------------------------------------------------------
 
@@ -266,6 +353,43 @@ class _Planner:
                 return candidate
         raise PlanError(f"the decision places {name}, which the query does not have")
 
+    # -- what a step reads of the query ---------------------------------------------------
+
+    def _read(
+        self, reader: Callable[[BoundQuery], Any], sources: Sequence[Expression]
+    ) -> Tuple[int, Any]:
+        """``reader`` registered: its value's index in ``run.values``, and that
+        value for the planned query.
+
+        ``sources`` are the query's expressions it reads.  When none of them
+        holds a literal the text wrote, every query of the template holds
+        them alike: the value is read once, here, and kept.
+        """
+        value = reader(self.query)
+        if not any(written_literals(expression) for expression in sources):
+            reader = lambda query: value  # noqa: E731
+        self.readers.append(reader)
+        self.values.append(value)
+        return len(self.values) - 1, value
+
+    def _conjunction(self, predicates: Sequence[Any]) -> Tuple[int, Optional[Expression]]:
+        """A reader of ``predicates`` ANDed (None for none), each with the UDF
+        calls applied so far as their result columns."""
+        positions = [self.positions[id(predicate)] for predicate in predicates]
+        mapping = dict(self.result_column_mapping)
+        return self._read(
+            lambda query: conjoin(
+                [_rewritten(query.predicates[position].expression, mapping) for position in positions]
+            ),
+            [predicate.expression for predicate in predicates],
+        )
+
+    def _filters(self, step: PlanStep, predicates: Sequence[Any], observe: bool = True) -> PlanStep:
+        """``step`` under one filter per predicate, in order."""
+        for predicate in predicates:
+            step = _filter(step, self._conjunction([predicate])[0], observe)
+        return step
+
     # -- scans and joins ----------------------------------------------------------------
 
     def _apply_table(self, step: Optional[PlanStep], node: CandidatePlan) -> PlanStep:
@@ -297,7 +421,7 @@ class _Planner:
         else:
             raise _unrealisable(path, "the table opens the join order: no outer side probes it")
         for predicate in self.query.single_table_predicates(alias):
-            step = _filter(step, predicate.expression, str(predicate.expression) not in served)
+            step = self._filters(step, [predicate], str(predicate.expression) not in served)
             self.applied_predicates.add(id(predicate))
         return step
 
@@ -306,38 +430,59 @@ class _Planner:
 
         Every conjunct the path was priced as serving must still be in the
         query and indexable; together they fold to the one interval the scan
-        looks up.  That the index is still there, complete, on the
-        conjuncts' column and able to serve a range is checked against the
-        live index each time the leaf is built.
+        looks up, read off each run's query at the conjuncts' positions.
+        That the index is still there, complete, on the conjuncts' column
+        and able to serve a range is checked against the live index each
+        time the leaf is built.
         """
         if not path.predicate_keys:
             raise _unrealisable(path, "it names no predicate to serve")
-        in_query = {
-            str(predicate.expression): predicate.expression
-            for predicate in self.query.single_table_predicates(bound.alias)
-        }
-        conditions = []
+        in_query: Dict[str, List[int]] = {}
+        for predicate in self.query.single_table_predicates(bound.alias):
+            in_query.setdefault(str(predicate.expression), []).append(self.positions[id(predicate)])
+        positions, served, conditions = [], [], []
         for key in path.predicate_keys:
-            if key not in in_query:
+            found = in_query.get(key)
+            if not found:
                 raise _unrealisable(path, f"{bound.alias} has no such predicate in this query")
-            condition = index_condition(in_query[key])
+            # Conjuncts that read alike are served in query order.
+            positions.append(found.pop(0) if len(found) > 1 else found[0])
+            served.append(self.query.predicates[positions[-1]].expression)
+            condition = index_condition(served[-1])
             if condition is None:
                 raise _unrealisable(path, "the predicate is not an indexable comparison")
             conditions.append(condition)
-        interval = KeyInterval.fold((c.operator, c.value) for c in conditions)
+        # Every text of the template writes each served conjunct's literal on
+        # the side ``index_condition`` found it: the interval reads it there.
+        ends = [
+            (position, condition.operator, "right" if isinstance(expression.right, Literal) else "left")
+            for position, condition, expression in zip(positions, conditions, served)
+        ]
+        interval, _ = self._read(
+            lambda query: KeyInterval.fold(
+                [
+                    (operator, getattr(query.predicates[position].expression, side).value)
+                    for position, operator, side in ends
+                ]
+            ),
+            served,
+        )
         checks = tuple(
-            (key, column_key(c.column), c.is_equality) for key, c in zip(path.predicate_keys, conditions)
+            (position, column_key(c.column), c.is_equality) for position, c in zip(positions, conditions)
         )
         table, alias, column = bound.table, bound.alias, conditions[0].column
 
         def build(run: _Run) -> Operator:
             handle = _live_index(table, path)
-            for key, key_column, is_equality in checks:
+            for position, key_column, is_equality in checks:
                 if key_column != handle.definition.column.lower():
+                    key = run.query.predicates[position].expression
                     raise _unrealisable(path, f"{key} is not on the indexed column")
                 if not is_equality and not handle.supports_range:
                     raise _unrealisable(path, "the index serves equality only, not a range")
-            return IndexScanOperator(table, handle, interval, column, run.context, alias=alias)
+            return IndexScanOperator(
+                table, handle, run.values[interval], column, run.context, alias=alias
+            )
 
         return PlanStep(build, (), bound.schema)
 
@@ -380,11 +525,8 @@ class _Planner:
 
         joined = PlanStep(build, (step,), step.schema.concat(bound.schema))
         available = set(joined.schema.qualified_names())
-        for predicate in self._covered(self.query.join_predicates(), available):
-            joined = _filter(joined, predicate.expression)
-        for predicate in self._take(self.query.single_table_predicates(alias)):
-            joined = _filter(joined, predicate.expression, observe=False)
-        return joined
+        joined = self._filters(joined, self._covered(self.query.join_predicates(), available))
+        return self._filters(joined, self._take(self.query.single_table_predicates(alias)), observe=False)
 
     def _join(self, left: PlanStep, right: PlanStep) -> PlanStep:
         left_columns = set(left.schema.qualified_names())
@@ -392,13 +534,13 @@ class _Planner:
         available = left_columns | right_columns
 
         equi_pairs: List[Tuple[str, str]] = []
-        residual: List[Expression] = []
+        residual: List[Any] = []
         for predicate in self._covered(self.query.join_predicates(), available):
             pair = equi_join_sides(predicate.expression, left_columns, right_columns)
             if pair is not None:
                 equi_pairs.append(pair)
             else:
-                residual.append(predicate.expression)
+                residual.append(predicate)
 
         schema = left.schema.concat(right.schema)
         if equi_pairs:
@@ -410,27 +552,21 @@ class _Planner:
                 (left, right),
                 schema,
             )
-        else:
-            predicate = conjoin(residual)
-            joined = PlanStep(
-                lambda run, outer, inner: NestedLoopJoin(
-                    outer, inner, predicate=predicate, functions=run.functions
-                ),
-                (left, right),
-                schema,
-            )
-            residual = []
-        for expression in residual:
-            joined = _filter(joined, expression)
-        return joined
+            return self._filters(joined, residual)
+        predicate, _ = self._conjunction(residual)
+        return PlanStep(
+            lambda run, outer, inner: NestedLoopJoin(
+                outer, inner, predicate=run.values[predicate], functions=run.functions
+            ),
+            (left, right),
+            schema,
+        )
 
     def _apply_udf_free_residuals(self, step: PlanStep) -> PlanStep:
         """Any UDF-free predicate not yet applied goes in as a server filter."""
         available = set(step.schema.qualified_names())
         udf_free = [predicate for predicate in self.query.predicates if not predicate.references_udf]
-        for predicate in self._covered(udf_free, available):
-            step = _filter(step, predicate.expression)
-        return step
+        return self._filters(step, self._covered(udf_free, available))
 
     def _take(
         self, predicates: Sequence[Any], wanted: Callable[[Any], bool] = lambda predicate: True
@@ -482,17 +618,25 @@ class _Planner:
             )
             for call, strategy in udfs
         )
-        estimates = self.query.declared_selectivities(
-            [bound.table.statistics for bound in self.query.tables]
-        )
-        predicates = tuple(
-            MigrationPredicate(
-                expression=self._rewritten(predicate.expression),
-                udf_names=frozenset(name.lower() for name in predicate.udf_names),
-                declared_selectivity=estimates[id(predicate)],
-            )
+        positions = [
+            self.positions[id(predicate)]
             for predicate in self._take(self.query.predicates, self._evaluable)
-        )
+        ]
+        mapping = dict(self.result_column_mapping)
+
+        def migration_predicates(query: BoundQuery) -> Tuple[MigrationPredicate, ...]:
+            # Declared estimates read the tables' statistics: each run reads
+            # them afresh, so the recipe holds nothing a statistics read said.
+            estimates = query.declared_selectivities([bound.table.statistics for bound in query.tables])
+            return tuple(
+                MigrationPredicate(
+                    expression=_rewritten(predicate.expression, mapping),
+                    udf_names=frozenset(name.lower() for name in predicate.udf_names),
+                    declared_selectivity=estimates[id(predicate)],
+                )
+                for predicate in (query.predicates[position] for position in positions)
+            )
+
         output_columns = self._columns_needed_above(step, calls)
 
         def build(run: _Run, child: Operator) -> Operator:
@@ -501,7 +645,7 @@ class _Planner:
                 stages,
                 run.context,
                 config=run.config,
-                predicates=predicates,
+                predicates=migration_predicates(run.query),
                 output_columns=output_columns,
                 controller=run.config.reoptimizer,
             )
@@ -518,9 +662,7 @@ class _Planner:
         self.result_column_mapping[call.udf.name.lower()] = call.result_column_name
 
         # The predicates that become evaluable once this UDF has run.
-        pushable = conjoin(
-            [self._rewritten(p.expression) for p in self._take(self.query.predicates, self._evaluable)]
-        )
+        pushable, _ = self._conjunction(self._take(self.query.predicates, self._evaluable))
         output_columns = None
         if strategy is ExecutionStrategy.CLIENT_SITE_JOIN:
             # The arguments of a UDF the select list calls survive as well —
@@ -540,7 +682,7 @@ class _Planner:
                 argument_columns=arguments,
                 context=run.context,
                 config=run.config.with_strategy(strategy),
-                pushable_predicate=pushable,
+                pushable_predicate=run.values[pushable],
                 output_columns=output_columns,
                 result_column_name=result_column,
             )
@@ -565,32 +707,31 @@ class _Planner:
         needed = NeededColumns(
             column for call in argument_calls for column in call.argument_columns
         )
+        mapping = self.result_column_mapping
         for output in self.query.outputs:
-            needed.update(self._rewritten(output.expression).columns())
+            needed.update(_rewritten(output.expression, mapping).columns())
         for predicate in self.query.predicates:
             if id(predicate) not in self.applied_predicates:
-                needed.update(self._rewritten(predicate.expression).columns())
+                needed.update(_rewritten(predicate.expression, mapping).columns())
         extended = step.schema.qualified_names() + [call.result_column_name for call in calls]
         return tuple(needed.keep(extended)) or None
 
-    def _rewritten(self, expression: Expression) -> Expression:
-        """``expression`` with every applied client-site UDF call as its result column."""
-        return replace_udf_calls_with_columns(expression, self.result_column_mapping)
-
     def _apply_remaining_predicates(self, step: PlanStep) -> PlanStep:
-        for predicate in self._take(self.query.predicates):
-            step = _filter(step, self._rewritten(predicate.expression))
-        return step
+        return self._filters(step, self._take(self.query.predicates))
 
     # -- output ----------------------------------------------------------------------------
 
     def _apply_output(self, step: PlanStep) -> PlanStep:
-        outputs = tuple(
-            (output.name, self._rewritten(output.expression), output.dtype)
-            for output in self.query.outputs
+        mapping = dict(self.result_column_mapping)
+        index, outputs = self._read(
+            lambda query: tuple(
+                (output.name, _rewritten(output.expression, mapping), output.dtype)
+                for output in query.outputs
+            ),
+            [output.expression for output in self.query.outputs],
         )
         return PlanStep(
-            lambda run, child: ProjectExpressions(child, outputs, functions=run.functions),
+            lambda run, child: ProjectExpressions(child, run.values[index], functions=run.functions),
             (step,),
             ProjectExpressions.schema_over(step.schema, outputs),
         )

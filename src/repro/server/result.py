@@ -16,16 +16,22 @@ class QueryResult:
         schema: Schema,
         rows: Sequence[Sequence[Any]],
         metrics: Optional[ExecutionMetrics] = None,
-        plan_text: str = "",
+        plan_text: Optional[str] = None,
         observation: Optional[object] = None,
     ) -> None:
         self.schema = schema
         self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
-        self.plan_text = plan_text
+        self._plan_text = plan_text
         #: The :class:`~repro.adaptive.observer.QueryObservation` derived from
         #: this run, when an observer was attached to the executor.
         self.observation = observation
+
+    @property
+    def plan_text(self) -> str:
+        """The plan that ran, as text: the metrics' ``plan_description``
+        unless the result was given its own (index DDL runs no plan)."""
+        return self.metrics.plan_description if self._plan_text is None else self._plan_text
 
     # -- adaptive introspection ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ class SessionMetrics:
     def record(self, metrics: ExecutionMetrics) -> None:
         self.queries += 1
         self.rows_returned += metrics.rows_returned
-        self.counters += metrics.counters
+        self.counters.fold(metrics.counters)
         self.busy_seconds += metrics.elapsed_seconds
         self.admission_wait_seconds += metrics.admission_wait_seconds
         self.latencies.append(metrics.elapsed_seconds)

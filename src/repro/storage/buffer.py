@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import StorageError
 from repro.storage.file import FileManager
@@ -58,15 +58,21 @@ class BufferStats:
 
 
 class Buffer:
-    """One pool slot: a page, the block it holds, and its pin/dirty state."""
+    """One pool slot: a page, the block it holds, and its pin/dirty state.
 
-    __slots__ = ("page", "block", "pins", "dirty")
+    ``slot`` is its place in the pool; marking it dirty also files that slot
+    in the pool's ``dirty_slots``, so a flush visits only those.
+    """
 
-    def __init__(self, block_size: int) -> None:
+    __slots__ = ("page", "block", "pins", "dirty", "slot", "_dirty_slots")
+
+    def __init__(self, block_size: int, slot: int, dirty_slots: Set[int]) -> None:
         self.page = Page(block_size)
         self.block: Optional[BlockId] = None
         self.pins = 0
         self.dirty = False
+        self.slot = slot
+        self._dirty_slots = dirty_slots
 
     @property
     def is_pinned(self) -> bool:
@@ -75,6 +81,7 @@ class Buffer:
     def mark_dirty(self) -> None:
         """Record that the page was modified and must be written back."""
         self.dirty = True
+        self._dirty_slots.add(self.slot)
 
     def __repr__(self) -> str:
         return f"Buffer(block={self.block}, pins={self.pins}, dirty={self.dirty})"
@@ -88,8 +95,12 @@ class BufferManager:
             raise StorageError("buffer pool needs at least one buffer")
         self.file_manager = file_manager
         self.pool_size = int(pool_size)
+        #: Slots of every buffer marked dirty since the last flush (an
+        #: eviction or a discard may have cleaned some since).
+        self._dirty_slots: Set[int] = set()
         self._buffers: List[Buffer] = [
-            Buffer(file_manager.block_size) for _ in range(self.pool_size)
+            Buffer(file_manager.block_size, slot, self._dirty_slots)
+            for slot in range(self.pool_size)
         ]
         self._by_block: Dict[BlockId, Buffer] = {}
         self._free: List[Buffer] = list(self._buffers)
@@ -163,9 +174,11 @@ class BufferManager:
                 self._lru[buffer.block] = buffer
 
     def flush_all(self) -> None:
-        """Write every dirty resident buffer back to disk."""
-        for buffer in self._buffers:
-            self._write_back(buffer)
+        """Write every dirty resident buffer back to disk, in slot order."""
+        buffers = self._buffers
+        for slot in sorted(self._dirty_slots):
+            self._write_back(buffers[slot])
+        self._dirty_slots.clear()
 
     def close(self) -> None:
         """Write every dirty buffer back and forget every resident block, so

@@ -44,6 +44,7 @@ from repro.storage.engine import StorageEngine
 from repro.storage.metadata import _DISTINCT_SAMPLE_CAP, ColumnStatInfo
 from repro.storage.page import BlockId, encode_record
 from repro.storage.record import _HEADER, _HEADER_BYTES, _SLOT, _SLOT_BYTES, SlottedPage
+from repro.workloads.stock import StockWorkload
 
 
 class Label(str):
@@ -318,6 +319,14 @@ def test_a_homogeneous_load_calls_no_validator_in_memory_or_sharded(validator_ca
     # A column of a subclass goes value by value, which the wrappers count.
     table.insert_many([(1, 1.0, True, Label("x"), None, None)] * 3)
     assert validator_calls == {"STRING": 3}
+
+
+def test_a_stock_load_calls_no_validator(validator_calls):
+    """The stock workload's two tables (names, numbers, time series and
+    data objects) load with no per-value validator call."""
+    db = StockWorkload(company_count=400, seed=1999).build()
+    assert len(db.catalog.table("StockQuotes")) == 400
+    assert sum(validator_calls.values()) == 0
 
 
 # -- the statistics fold ------------------------------------------------------------

@@ -6,10 +6,11 @@ operation or per process must not be redone per message: a trunk message is
 booked once per ledger it belongs to (its session link's and the trunk's —
 the per-flow split is folded from the link ledgers on read), a non-adaptive
 operation resolves its pacing once, the client answers a batch with a plain
-function, a plan is rendered to text once per query, a kernel entry nobody
-waits on builds no event object, and neither a mailbox reader (the client's
-serving, the coordinator's reply taking) nor a sender (a generator driven by
-its own transmission ends) is a process, so nothing resumes per message.
+function, a plan is rendered to text once and only when read, a kernel
+entry nobody waits on builds no event object, and neither a mailbox reader
+(the client's serving, the coordinator's reply taking) nor a sender (a
+generator driven by its own transmission ends) is a process, so nothing
+resumes per message.
 The counts are taken with wrappers and a profile hook this test installs.
 """
 
@@ -30,7 +31,7 @@ from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.distribution import DistributedDatabase
 from repro.network.events import Event, Process
 from repro.network.stats import TransferCounters
-from repro.relational.operators.base import Operator
+from repro.relational.operators.base import Operator, PlanOutline
 from repro.relational.types import FLOAT, INTEGER, STRING, TIME_SERIES, TimeSeries
 from repro.tenancy.driver import MultiTenantEngine, SessionWorkload
 from repro.workloads.multitenant import (
@@ -158,23 +159,31 @@ def test_the_client_answers_a_batch_with_a_function():
         assert not coordinator.endswith(".sender") and count <= RESUMES_PER_OPERATION
 
 
-def test_a_plan_is_rendered_to_text_once_per_query():
+def test_a_plan_is_rendered_to_text_once_and_only_when_read():
     db = make_tenant_database()
     renderings: List[Operator] = []
-    original = Operator.explain
+    roots: List[Operator] = []
+    explain, outline = Operator.explain, PlanOutline.__init__
 
-    def explain(self, indent=0):
+    def counting(self, indent=0):
         if indent == 0:
             renderings.append(self)
-        return original(self, indent)
+        return explain(self, indent)
 
-    Operator.explain = explain
+    def capturing(self, root, header=None):
+        roots.append(root)
+        outline(self, root, header)
+
+    Operator.explain, PlanOutline.__init__ = counting, capturing
     try:
         result = db.execute(POINT_SQL)
+        assert renderings == [] and result.metrics.plan_outline._text is None  # nobody read it
+        text = result.plan_text
+        assert result.metrics.plan_description is text  # rendered once, then kept
     finally:
-        Operator.explain = original
-    assert len(renderings) == 1
-    assert result.plan_text == result.metrics.plan_description == renderings[0].explain()
+        Operator.explain, PlanOutline.__init__ = explain, outline
+    assert renderings == [] and len(roots) == 1
+    assert text == roots[0].explain()
 
 
 # -- the adaptive case still asks its controller at every batch boundary --------------------

@@ -373,4 +373,11 @@ def test_each_memo_holds_its_bound_after_many_distinct_texts():
     for threshold in range(1000):
         db.explain(StockWorkload.figure1_query(threshold=float(threshold)), optimize=True)
     assert len(db._statements) == STATEMENT_MEMO_BOUND
+    # A new literal is served by its template and remembered nowhere else.
+    assert len(db._templates) == len(db._decisions) == 1
+    # A calibrated decision is made, and remembered, per text.
+    db.execute(StockWorkload.figure1_query(threshold=0.5), optimize=True)
+    for threshold in range(DECISION_MEMO_BOUND + 8):
+        sql = StockWorkload.figure1_query(threshold=threshold + 0.25)
+        db.explain(sql, optimize=True, calibrated=True)
     assert len(db._decisions) == DECISION_MEMO_BOUND

@@ -5,9 +5,10 @@ planning pass, which builds no operator — and instantiates fresh operators
 from it; the decision keeps the recipe, and a decision the database serves
 from its memo shares its memo entry's.  These tests hold a plan built from
 a kept recipe to one built with nothing kept, check that two runs from one
-recipe share no operator and no per-run state, that each change the
-decision memo answers to replaces the recipe too, and that tenants sharing
-a recipe get the rows a sequential run gets.
+recipe share no operator and no per-run state, that a change the decision
+memo answers to replaces the recipe when the decision made afresh has a new
+shape or template, and that tenants sharing a recipe get the rows a
+sequential run gets.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType, INTEGER
 from repro.server import planner
-from repro.server.planner import PlanBuildResult, build_plan
+from repro.server.planner import PlanBuildResult, build_plan, plan_shape
 from repro.storage.index import KeyInterval
 from repro.tenancy import MultiTenantEngine, QuerySpec, SessionWorkload
 from repro.workloads.stock import StockWorkload
@@ -255,25 +256,50 @@ def test_a_kept_recipe_builds_each_shard_plan_a_fresh_one_builds(figure):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "change", ["paged-drop-index", "paged-analyze", "paged-insert", "memory-insert", "replace-udf-cost"]
-)
-def test_a_change_between_two_executes_replaces_the_recipe(change, tmp_path):
+#: change -> whether the decision made afresh after it is planned afresh: a
+#: dropped index or new statistics (``ANALYZE``) change the chain's shape,
+#: a replaced UDF is a new registry generation and so a new template, and
+#: the inserts move estimates only — the template's recipe plans that shape.
+REPLANNED = {
+    "paged-drop-index": True,
+    "paged-analyze": True,
+    "paged-insert": False,
+    "memory-insert": False,
+    "replace-udf-cost": True,
+}
+
+
+@pytest.mark.parametrize("change", sorted(REPLANNED))
+def test_a_change_between_two_executes_replans_a_new_shape_or_template(change, tmp_path):
     paged, options, apply = CHANGES[change]
 
     def build(name: str):
         return quotes_database(str(tmp_path / name) if paged else None, **options)
+
+    def decided(db):
+        bound = db.bind(SQL)
+        return bound, db._decide(bound, db.default_config, optimize=True)
 
     db, fresh = build("memoised"), build("fresh")
     with planning_passes() as passes:
         executed(db)
         executed(db)
     assert len(passes) == 1
+    first, before = decided(db)
     apply(db)
     with planning_passes() as passes:
         after = executed(db)
         executed(db)
-    assert len(passes) == 1  # planned afresh once, then kept again
+    assert len(passes) == REPLANNED[change]  # planned afresh at most once, then kept again
+    bound, decision = decided(db)
+    assert (decision.recipes is before.recipes) is not REPLANNED[change]
+    if bound.template == first.template:  # a table change: the shape decides
+        assert (plan_shape(bound, decision.plan) == plan_shape(first, before.plan)) is not REPLANNED[change]
+    kept = build_plan(bound, db.session.new_context(), decision=decision)
+    planned = build_plan(
+        bound, db.session.new_context(), decision=OptimizationDecision(decision.plan, decision.strategy_config)
+    )
+    assert shape(kept) == shape(planned)
     apply(fresh)
     assert after == executed(fresh)
     db.close()

@@ -71,7 +71,7 @@ class TestTimeSeriesHashCache:
 
     def test_hash_is_lazy_and_stable(self):
         series = TimeSeries([1.0, 2.0, 3.0])
-        assert not hasattr(series, "_hash")  # construction pays nothing
+        assert series._hash is None  # construction computes no hash
         first = hash(series)
         assert series._hash == first
         assert hash(series) == first == hash((TimeSeries, (1.0, 2.0, 3.0)))
@@ -101,10 +101,30 @@ class TestTimeSeriesHashCache:
             payload = pickle.dumps(series, protocol)
             clone = pickle.loads(payload)
             assert type(clone) is TimeSeries and clone == series
-            assert not hasattr(clone, "_hash")
+            assert clone._hash is None
             assert hash(clone) == hash(series)
         # The same bytes whether or not the hash was ever taken.
         assert pickle.dumps(series) == pickle.dumps(TimeSeries([1.5, -2.0]))
+
+    @pytest.mark.parametrize("kind", ["fresh", "from_floats", "cached", "unpickled"])
+    def test_every_kind_of_series_hashes_compares_and_pickles_alike(self, kind):
+        import pickle
+
+        values = (0.5, -1.25, 8.0)
+        series = {
+            "fresh": lambda: TimeSeries(values),
+            "from_floats": lambda: TimeSeries.from_floats(values),
+            "cached": lambda: TimeSeries(values),
+            "unpickled": lambda: pickle.loads(pickle.dumps(TimeSeries(values))),
+        }[kind]()
+        if kind == "cached":
+            hash(series)
+        reference = TimeSeries(values)
+        assert series == reference and not series < reference
+        assert hash(series) == hash(reference) == hash((TimeSeries, values)) == series._hash
+        assert hash(series) == series._hash  # the second hash is the cached one
+        assert len({series, reference}) == 1
+        assert pickle.dumps(series) == pickle.dumps(TimeSeries(values))
 
     def test_copy_round_trip(self):
         import copy
@@ -125,7 +145,7 @@ class TestTimeSeriesHashCache:
         assert encode_value(series) == plain
         decoded, offset = decode_value(plain, 0)
         assert type(decoded) is TimeSeries and decoded == series and offset == len(plain)
-        assert not hasattr(decoded, "_hash")  # decoding a stored record pays nothing
+        assert decoded._hash is None  # decoding a stored record computes no hash
         assert hash(decoded) == hash(series)
 
 

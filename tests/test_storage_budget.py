@@ -313,6 +313,25 @@ def test_a_load_without_holes_unpacks_each_slot_directory_once(tmp_path, monkeyp
     engine.close()
 
 
+def test_a_load_pins_each_heap_block_once(tmp_path, monkeypatch):
+    """The block a batch fills stays pinned from its first record to its
+    last: one ``pin`` or ``pin_new`` per heap block."""
+    engine = StorageEngine(str(tmp_path), pool_size=64)
+    storage = engine.create_table("Quotes", HEAP_SCHEMA)
+    pins = Counter()
+    for name in ("pin", "pin_new"):
+
+        def counted(self, target, _original=getattr(BufferManager, name)):
+            buffer = _original(self, target)
+            pins[buffer.block.file_name] += 1
+            return buffer
+
+        monkeypatch.setattr(BufferManager, name, counted)
+    Table("Quotes", HEAP_SCHEMA, storage=storage).insert_many(_setup_rows(SETUP_ROWS))
+    assert pins[storage.heap.file_name] == storage.block_count() > 400
+    engine.close()
+
+
 @pytest.mark.parametrize("kind, column", [("btree", "Price"), ("hash", "Id")])
 def test_an_index_build_on_a_numeric_column_decodes_no_series_and_no_key_alone(
     tmp_path, monkeypatch, kind, column

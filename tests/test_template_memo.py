@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from decision_digest import plan_record
 from plan_tree_digest import _build
 from repro.adaptive import BatchSizeController
-from repro.core.optimizer import CostSettings
+from repro.core.optimizer import CostSettings, OptimizationDecision
 from repro.core.strategies import StrategyConfig
 from repro.network.topology import NetworkConfig
 from repro.relational.types import FLOAT, INTEGER, STRING
@@ -38,6 +38,7 @@ from repro.sql.parser import parse
 from repro.workloads.stock import StockWorkload
 from test_front_end_memo import recorded_decisions
 from test_optimizer_budget import counted_front_end
+from test_plan_recipes import planning_passes
 
 NETWORK = NetworkConfig.symmetric(250_000.0, latency=0.0005, name="template-tests")
 COST = CostSettings(block_access_seconds=0.005)
@@ -256,6 +257,64 @@ def test_a_calibrated_decision_is_not_served_by_template():
 
 
 # ---------------------------------------------------------------------------
+# Planned once per template
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _literal_runs(draw) -> Tuple[str, List[tuple]]:
+    template = draw(st.sampled_from(sorted(TEMPLATES)))
+    return template, draw(st.lists(_literals(template), min_size=2, max_size=4))
+
+
+@example(("id-eq", [(5, 0), (6, 0), (900, 0)]))
+@example(("price-eq", [(7.5, 0), (12.5, 0)]))
+@example(("price-ge", [(10, 0), (300, 0)]))
+@example(("price-range", [(10.5, 20.0), (100.25, 110.75)]))
+@example(("price-range-udf", [(10, 20), (10, 400)]))
+@example(("id-eq-udf", [(5, 30), (9, 300), (11, 0)]))
+@example(("name-eq", [("'name03'",), ("'nobody'",)]))
+@given(_literal_runs())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_a_template_hit_builds_what_a_fresh_planning_pass_builds(quotes_dir, case):
+    """Literal after literal of one template on one database: whenever the
+    decision was served by template, the run planned nothing, and building
+    its kept recipe gives the operator tree a planning pass over a copy of
+    the decision gives.  The last literal also runs, plans and is described
+    as a fresh database runs, plans and describes it."""
+    template, runs = case
+    with two_copies(quotes_dir) as (db, fresh):
+        for literals in runs:
+            sql = _sql(template, literals)
+            with recorded_decisions(db) as calls, planning_passes() as passes:
+                result = db.execute(sql, optimize=True, deliver_results=True)
+            if not calls[-1].ran:
+                assert passes == []
+            bound = db.bind(sql)
+            decision = db._decide(bound, db.default_config, optimize=True)
+            copy = OptimizationDecision(decision.plan, decision.strategy_config)
+            assert _build(db, bound, decision) == _build(db, bound, copy)
+        expected = fresh.execute(sql, optimize=True, deliver_results=True)
+        assert sorted(result.rows) == sorted(expected.rows)
+        assert result.plan_text == expected.plan_text
+        assert planned(db, sql) == planned(fresh, sql)
+
+
+def test_a_template_hit_reads_its_literals_by_position(quotes_dir):
+    """The kept recipe holds no literal: the new literal's index interval,
+    re-check and pushed predicate are its own."""
+    with two_copies(quotes_dir) as (db, _):
+        db.execute(_sql("id-eq-udf", (5, 30)), optimize=True)
+        result = db.execute(_sql("id-eq-udf", (9, 300)), optimize=True, deliver_results=True)
+    assert "Id = 9" in result.plan_text and "Id = 5" not in result.plan_text
+    assert "> 300" in result.plan_text and "> 30)" not in result.plan_text
+
+
+# ---------------------------------------------------------------------------
 # The template
 # ---------------------------------------------------------------------------
 
@@ -300,33 +359,37 @@ def point_sql(row_id: int) -> str:
     return TEMPLATES["id-eq"].format(row_id)
 
 
-def test_forty_distinct_point_lookups_optimize_once(quotes_dir):
+def test_forty_distinct_point_lookups_optimize_and_plan_once(quotes_dir):
     with two_copies(quotes_dir) as (db, _):
-        with counted_front_end() as counts:
+        with counted_front_end() as counts, planning_passes() as passes:
             for row_id in range(100, 140):
                 result = db.execute(point_sql(row_id), optimize=True, deliver_results=True)
                 assert [row[0] for row in result.rows] == [row_id]
         assert (counts["parse"], counts["bind_sql"], counts["optimize"]) == (1, 1, 1)
+        assert len(passes) == 1
 
 
 #: Python calls into ``repro`` per package of one new-literal point lookup
 #: (``execute(..., optimize=True, deliver_results=True)`` on the paged
 #: ``Quotes``, its template served), comprehensions left out as in
-#: ``test_plan_budget``: 657 in all.  While the text was still lexed, parsed
-#: and bound, and each bucket entry decoded by its own codec call, it made
-#: 1,033 (``repro.relational`` 211, ``repro.server`` 71, ``repro.sql`` 339,
-#: ``repro.storage`` 197; ``repro.server``'s one more is the template look-up,
-#: ``SqlSurface._bind_text``); before decisions were served by template,
-#: 1,256.
+#: ``test_plan_budget``: 490 in all.  While each new literal still ran the
+#: planning pass, rendered its plan's text, added its counters into a new
+#: session total and flushed all 64 pool frames, it made 657: ``repro.core``
+#: 45 (−9), ``repro.network`` 146 (−21, the fold), ``repro.relational`` 173
+#: (−44), ``repro.server`` 72 (−19), ``repro.sql`` 17 (−4) and
+#: ``repro.storage`` 180 (−70, the flush), the other two as now.  While the
+#: text was still lexed, parsed and bound, and each bucket entry decoded by
+#: its own codec call, it made 1,033; before decisions were served by
+#: template, 1,256.
 POINT_LOOKUP_CALLS = {
     "repro.adaptive": 11,
     "repro.client": 13,
-    "repro.core": 45,
-    "repro.network": 146,
-    "repro.relational": 173,
-    "repro.server": 72,
-    "repro.sql": 17,
-    "repro.storage": 180,
+    "repro.core": 36,
+    "repro.network": 125,
+    "repro.relational": 129,
+    "repro.server": 53,
+    "repro.sql": 13,
+    "repro.storage": 110,
 }
 
 INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
